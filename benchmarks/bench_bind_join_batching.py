@@ -126,7 +126,7 @@ def run_strategies(instance, cmq, digests=None, batch_sizes=(64, 256, 1024)):
             "_rows": sorted(map(str, result.rows)),
         })
 
-    run("per-binding", PlannerOptions(batch_bind_joins=False))
+    run("per-binding", PlannerOptions(bind_batch_size=1))
     for size in batch_sizes:
         run(f"batched({size})", PlannerOptions(bind_batch_size=size))
     if digests is not None:

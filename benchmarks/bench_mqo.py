@@ -255,7 +255,7 @@ def measure(mqo: bool, total_queries: int,
                            mqo_fusion_window=0.02,
                            max_queue_depth=total_queries + 8,
                            max_in_flight=total_queries + 16,
-                           dispatch_workers=4, task_workers=4)
+                           task_workers=4)
     with MediatorService(instance, config) as service, Writer(instance):
         start = time.perf_counter()
         tickets = [service.submit(query) for query in queries]

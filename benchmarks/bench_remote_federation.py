@@ -118,7 +118,7 @@ def rtt_sweep(base: MixedInstance, rtts_ms) -> list[dict]:
     measurements = []
     for rtt_ms in rtts_ms:
         instance, _, _ = remote_instance(base, rtt=rtt_ms / 1000.0)
-        per_binding = run_once(instance, PlannerOptions(batch_bind_joins=False))
+        per_binding = run_once(instance, PlannerOptions(bind_batch_size=1))
         batched = run_once(instance, PlannerOptions())
         for label, m in (("per-binding", per_binding), ("batched", batched)):
             assert m["_rows"] == reference, \
@@ -151,7 +151,7 @@ def fault_tolerance(base: MixedInstance, rounds: int,
     start = time.perf_counter()
     for _ in range(rounds):
         measurement = run_once(
-            instance, PlannerOptions(batch_bind_joins=False))
+            instance, PlannerOptions(bind_batch_size=1))
         assert measurement["_rows"] == reference, \
             "a faulty run returned wrong rows"
     elapsed = time.perf_counter() - start

@@ -189,7 +189,7 @@ def measure(workers: int, total_queries: int) -> dict[str, object]:
     queries = workload(instance)
     config = ServiceConfig(workers=workers, max_queue_depth=total_queries + 8,
                            max_in_flight=total_queries + 16,
-                           dispatch_workers=4, task_workers=4)
+                           task_workers=4)
     with MediatorService(instance, config) as service, Writer(instance):
         start = time.perf_counter()
         tickets = [service.submit(queries[i % len(queries)])

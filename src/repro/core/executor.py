@@ -1,20 +1,25 @@
 """Evaluation of Conjunctive Mixed Queries over a mixed instance.
 
 The executor walks a :class:`~repro.core.planner.QueryPlan` stage by
-stage:
+stage, and every sub-query reaches its source through one route,
+:meth:`MixedQueryExecutor._dispatch`: lists of bindings are resolved to
+their target sources (static, dynamically discovered or every accepting
+source of a free source variable), shipped as one call per target
+source — all calls of a stage in one flat parallel batch — and each call
+is recorded on the trace.
 
-* ``materialize`` steps of the same stage are shipped to their sources in
-  parallel (thread pool) and hash-joined with the current intermediate
-  result;
-* ``bind`` steps become *batched* bind joins: distinct bindings of the
-  current intermediate result are collected into planner-sized batches,
-  sieved against the source digests (when a catalog is available), and
-  shipped in one source call per batch — the wrapper answers the whole
-  batch natively (IN-lists, disjunctive queries, shared candidate sets)
-  where its query language allows.  This is how bindings reach dependent
+* a ``materialize`` step dispatches the single empty binding, and its
+  rows are hash-joined with the current intermediate result; the
+  materialize steps of one stage are dispatched together;
+* a ``bind`` step is a bind join: distinct bindings of the current
+  intermediate result are collected into planner-sized batches, sieved
+  against the source digests (when a catalog is available), and
+  dispatched one batch at a time — the wrapper answers the whole batch
+  natively (IN-lists, disjunctive queries, shared candidate sets) where
+  its query language allows.  This is how bindings reach dependent
   sources — including *dynamically discovered* sources whose URI comes
-  from a variable binding.  ``PlannerOptions(batch_bind_joins=False)``
-  restores the historical one-call-per-binding behaviour.
+  from a variable binding.  ``PlannerOptions(bind_batch_size=1)`` is the
+  classical one-call-per-binding bind join on the same route.
 
 The remaining processing (joins, projection, deduplication) happens inside
 the iterator engine of :mod:`repro.engine`.
@@ -43,15 +48,13 @@ from repro.core.sources import DataSource, Row
 from repro.engine.batch import DEFAULT_BATCH_SIZE
 from repro.engine.iterators import (
     BatchBindJoin,
-    BindJoin,
-    CallbackScan,
     Distinct,
     HashJoin,
     MaterializedScan,
     Operator,
     Project,
 )
-from repro.engine.parallel import ParallelStats, run_parallel, run_tasks
+from repro.engine.parallel import run_tasks
 from repro.errors import (
     MixedQueryError,
     QueryTimeoutError,
@@ -85,7 +88,7 @@ class MixedQueryExecutor:
     def __init__(self, sources: dict[str, DataSource], glue: DataSource,
                  options: PlannerOptions | None = None, max_workers: int = 4,
                  digests=None, cache=None, statistics=None,
-                 cancel_check=None, dispatch_pool=None, task_pool=None,
+                 cancel_check=None, task_pool=None,
                  metrics=None, deadline=None, mqo=None):
         self._sources = dict(sources)
         self._glue = glue
@@ -101,12 +104,11 @@ class MixedQueryExecutor:
         #: Optional callable returning the seconds left before this
         #: execution's deadline (None = unbounded).  Unlike the purely
         #: cooperative ``cancel_check``, the remaining budget bounds the
-        #: *wait* on every dispatch pool, so a single hung source call
+        #: *wait* on every pooled dispatch, so a single hung source call
         #: surfaces QueryTimeoutError mid-stage instead of stalling the
         #: ticket indefinitely.
         self.deadline = deadline
-        # Service-owned shared pools (None = the process-wide ones).
-        self._dispatch_pool = dispatch_pool
+        # Service-owned shared pool (None = the process-wide one).
         self._task_pool = task_pool
         self.planner = QueryPlanner(self._sources, glue, self.options,
                                     plan_cache=cache.plans if cache is not None else None,
@@ -127,27 +129,27 @@ class MixedQueryExecutor:
         #: service's fusion coordinator, duck-typed — the core layer
         #: never imports :mod:`repro.service`).
         self._mqo_stats = None
-        self._dispatch: dict[str, DataSource] = self._sources
-        self._dispatch_glue: DataSource = glue
+        self._targets: dict[str, DataSource] = self._sources
+        self._target_glue: DataSource = glue
         if cache is not None and self.options.result_cache:
             self._result_cache = cache.results
             self._cache_stats = CacheStats()
             self._mqo_stats = MQOStats() if mqo is not None else None
             stats_lock = threading.Lock()
             repair = getattr(cache, "repair", None)
-            self._dispatch = {uri: CachedSource(source, cache.results,
-                                                stats=self._cache_stats,
-                                                stats_lock=stats_lock,
-                                                mqo=mqo,
-                                                mqo_stats=self._mqo_stats,
-                                                repair=repair)
-                              for uri, source in self._sources.items()}
-            self._dispatch_glue = CachedSource(glue, cache.results,
+            self._targets = {uri: CachedSource(source, cache.results,
                                                stats=self._cache_stats,
                                                stats_lock=stats_lock,
                                                mqo=mqo,
                                                mqo_stats=self._mqo_stats,
                                                repair=repair)
+                             for uri, source in self._sources.items()}
+            self._target_glue = CachedSource(glue, cache.results,
+                                             stats=self._cache_stats,
+                                             stats_lock=stats_lock,
+                                             mqo=mqo,
+                                             mqo_stats=self._mqo_stats,
+                                             repair=repair)
 
     # ------------------------------------------------------------------
     def execute(self, query: ConjunctiveMixedQuery, plan: QueryPlan | None = None,
@@ -163,10 +165,12 @@ class MixedQueryExecutor:
         of a fresh :class:`~repro.obs.spans.SpanTracer` — and the tracer
         lands on ``result.trace.spans``.
         """
+        # The options of this execution, resolved once: a pre-built plan
+        # runs under the options it was planned with, start to finish.
         options = (plan.options if plan is not None and plan.options is not None
                    else self.options)
         if not options.tracing:
-            result = self._execute(query, plan, distinct, limit)
+            result = self._execute(query, plan, distinct, limit, options)
             self._record_metrics(result.trace)
             return result
         parent = current_span()
@@ -177,7 +181,7 @@ class MixedQueryExecutor:
                 "execute", query=query.name)
         token = attach(root)
         try:
-            result = self._execute(query, plan, distinct, limit)
+            result = self._execute(query, plan, distinct, limit, options)
         finally:
             detach(token)
         root.end(rows=len(result.rows), calls=len(result.trace.calls))
@@ -186,23 +190,24 @@ class MixedQueryExecutor:
         return result
 
     def _execute(self, query: ConjunctiveMixedQuery, plan: QueryPlan | None,
-                 distinct: bool, limit: int | None) -> MixedResult:
+                 distinct: bool, limit: int | None,
+                 options: PlannerOptions) -> MixedResult:
         start = time.perf_counter()
         cache_stats = (self._cache_stats.snapshot()
                        if self._cache_stats is not None else None)
         mqo_stats = (self._mqo_stats.snapshot()
                      if self._mqo_stats is not None else None)
-        plan = plan or self.planner.plan(query)
+        plan = plan or self.planner.plan(query, options)
         trace = ExecutionTrace(atom_order=plan.atom_order(), plan_text=plan.explain(),
                                stages=[[plan.steps[i].atom.name for i in stage]
                                        for stage in plan.stages],
                                plan_cached=plan.cached)
-        options = plan.options or self.options
         adaptive = (options.adaptive and options.cost_based
                     and options.selectivity_ordering)
 
         current: Operator | None = None
-        batch_joins: list[BatchBindJoin] = []
+        #: The bind join of every executed bind step, by atom identity.
+        joins: dict[int, BatchBindJoin] = {}
         executed: list[PlanStep] = []
         executed_stages: list[list[str]] = []
         replanned_after: set[int] = set()
@@ -213,9 +218,9 @@ class MixedQueryExecutor:
                 self.cancel_check()
             steps = pending.pop(0)
             if len(steps) == 1 and steps[0].mode == "bind" and current is not None:
-                current = self._bind_step(current, steps[0], trace, batch_joins)
+                current = self._bind_step(current, steps[0], trace, options, joins)
             else:
-                current = self._materialize_stage(current, steps, trace)
+                current = self._materialize_stage(current, steps, trace, options)
             executed.extend(steps)
             executed_stages.append([step.atom.name for step in steps])
             if not (adaptive and pending):
@@ -227,7 +232,7 @@ class MixedQueryExecutor:
             trace.intermediate_sizes.append(len(intermediate))
             worst: tuple[float, PlanStep, StepObservation] | None = None
             for step in steps:
-                observation = self._observe(step, trace)
+                observation = self._observe(step, trace, joins)
                 if observation is None:
                     continue
                 error = observation.q_error()
@@ -278,13 +283,13 @@ class MixedQueryExecutor:
             rows = rows[:limit]
         trace.total_seconds = time.perf_counter() - start
         trace.intermediate_sizes.append(len(rows))
-        trace.sieved_bindings = sum(join.sieved_out for join in batch_joins)
+        trace.sieved_bindings = sum(join.sieved_out for join in joins.values())
         if trace.replanned:
             # The executed schedule diverged from the planned one.
             trace.atom_order = [step.atom.name for step in executed]
             trace.stages = executed_stages
         for step in executed:
-            observation = self._observe(step, trace)
+            observation = self._observe(step, trace, joins)
             if observation is not None:
                 observation.replanned_after = id(step) in replanned_after
                 trace.steps.append(observation)
@@ -293,7 +298,7 @@ class MixedQueryExecutor:
             # the bind joins' pre-dispatch probe hits.
             now = self._cache_stats
             trace.cache_hits = (now.hits - cache_stats.hits
-                                + sum(join.cache_hits for join in batch_joins))
+                                + sum(join.cache_hits for join in joins.values()))
             trace.cache_misses = now.misses - cache_stats.misses
         if mqo_stats is not None:
             current_mqo = self._mqo_stats
@@ -307,44 +312,47 @@ class MixedQueryExecutor:
     # ------------------------------------------------------------------
     @staticmethod
     def _observe(step: PlanStep, trace: ExecutionTrace,
-                 source_uri: str | None = None) -> StepObservation | None:
+                 joins: dict[int, BatchBindJoin]) -> StepObservation | None:
         """What the trace knows about one step's calls so far.
 
         Calls are matched by atom *identity*, not display name — two
         atoms of a self-join share a name but must not pool their rows.
+        ``bindings`` counts each shipped binding once, however many
+        sources it went to: a free source variable ships every binding
+        to every candidate source, and the planner's per-binding
+        estimate is already the sum over the candidates.  A materialize
+        step ships the one empty binding.
         """
-        calls = [c for c in trace.calls
-                 if c.atom_key == id(step.atom)
-                 and (source_uri is None or c.source_uri == source_uri)]
+        calls = [c for c in trace.calls if c.atom_key == id(step.atom)]
         if not calls:
             return None
-        actual = sum(c.rows_out for c in calls)
-        bindings = sum(c.bindings_in for c in calls if c.batched)
-        if not bindings and step.mode == "bind":
-            bindings = len(calls)
+        join = joins.get(id(step.atom))
         return StepObservation(atom=step.atom.name, mode=step.mode,
-                               estimate=step.estimate, actual_rows=actual,
-                               bindings=bindings, cost=step.cost,
-                               atom_key=id(step.atom))
+                               estimate=step.estimate,
+                               actual_rows=sum(c.rows_out for c in calls),
+                               bindings=join.bindings_shipped if join is not None else 1,
+                               cost=step.cost, atom_key=id(step.atom))
 
     def _record_feedback(self, steps: list[PlanStep], trace: ExecutionTrace) -> None:
         """Feed observed cardinalities of a stage back into the statistics.
 
         Recorded per source: a dynamic atom's candidates each get their
-        own observed rows (the planner *sums* candidate estimates, so
-        recording the aggregate against every candidate would inflate
-        the next estimate N-fold).
+        own observed rows per binding they were sent (the planner *sums*
+        candidate estimates, so recording the aggregate against every
+        candidate would inflate the next estimate N-fold).
         """
         statistics = self.planner.statistics
         for step in steps:
             bound_formals = self.planner._bound_formals(
                 step.atom, set(step.bound_variables))
             for source in step.sources:
-                observation = self._observe(step, trace, source_uri=source.uri)
-                if observation is None:
-                    continue
-                statistics.record(source, step.atom.query, bound_formals,
-                                  observation.actual_per_binding())
+                calls = [c for c in trace.calls if c.atom_key == id(step.atom)
+                         and c.source_uri == source.uri]
+                if calls:
+                    statistics.record(
+                        source, step.atom.query, bound_formals,
+                        sum(c.rows_out for c in calls)
+                        / sum(c.bindings_in for c in calls))
 
     def _record_metrics(self, trace: ExecutionTrace) -> None:
         """Fold one execution's trace into the metrics registry."""
@@ -383,73 +391,39 @@ class MixedQueryExecutor:
         return remaining
 
     def _materialize_stage(self, current: Operator | None, steps: list[PlanStep],
-                           trace: ExecutionTrace) -> Operator:
-        scans = [CallbackScan(self._fetch_callable(step, trace), name=step.atom.name)
-                 for step in steps]
-        workers = self.max_workers if self.options.parallel_stages else 1
-        stats = ParallelStats()
+                           trace: ExecutionTrace, options: PlannerOptions) -> Operator:
         with _span("stage:materialize",
                    atoms=[step.atom.name for step in steps]) as sp:
-            outputs = run_parallel(scans, max_workers=workers, stats=stats,
-                                   pool=self._dispatch_pool,
-                                   timeout=self._remaining())
+            fetched = self._dispatch([(step, [{}]) for step in steps], trace, options)
             if sp is not None:
-                sp.set(rows=sum(len(rows) for rows in outputs))
+                sp.set(rows=sum(len(rows) for (rows,) in fetched))
         operator = current
-        for step, rows in zip(steps, outputs):
+        for step, (rows,) in zip(steps, fetched):
             scan = MaterializedScan(rows, name=step.atom.name)
             operator = scan if operator is None else HashJoin(operator, scan)
         assert operator is not None
         return operator
 
     def _bind_step(self, current: Operator, step: PlanStep, trace: ExecutionTrace,
-                   batch_joins: list[BatchBindJoin]) -> Operator:
+                   options: PlannerOptions,
+                   joins: dict[int, BatchBindJoin]) -> Operator:
         atom = step.atom
-        relevant = sorted(atom.variables()
-                          | ({atom.source_variable} if atom.source_variable else set()))
-
-        def call_key(row: Row) -> tuple:
-            return tuple((v, _hashable(row.get(v))) for v in relevant if v in row)
-
-        if not self.options.batch_bind_joins:
-            def fetch(row: Row):
-                with _span(f"bind:{atom.name}", bindings=1):
-                    return self._execute_atom(step, atom, row, trace)
-
-            return BindJoin(current, fetch, name=f"bind:{atom.name}", call_key=call_key)
-
-        def binding_of(row: Row) -> Row:
-            return {v: row[v] for v in relevant if v in row}
-
-        join_cell: list[BatchBindJoin] = []
 
         def fetch_batch(bindings: list[Row]) -> list[list[Row]]:
             with _span(f"bind:{atom.name}", bindings=len(bindings)) as sp:
-                before = (self._mqo_stats.snapshot()
-                          if self._mqo_stats is not None else None)
-                per_binding = self._execute_atom_batch(step, atom, bindings, trace)
-                if before is not None and join_cell:
-                    # Attribute this batch's cross-query sharing to the
-                    # join (stages run one bind step at a time, so the
-                    # delta belongs to exactly this operator).
-                    join_cell[0].shared_results += (
-                        self._mqo_stats.shared_subqueries - before.shared_subqueries)
-                    join_cell[0].fused_probes += (
-                        self._mqo_stats.fused_probes - before.fused_probes)
+                (per_binding,) = self._dispatch([(step, bindings)], trace, options)
                 if sp is not None:
                     sp.set(rows=sum(len(rows) for rows in per_binding))
                 return per_binding
 
         sieve = None
-        if self._sieve is not None and self.options.digest_sieve and step.use_sieve:
+        if self._sieve is not None and options.digest_sieve and step.use_sieve:
             sieve = self._sieve.sieve_for(atom, step.sources)
-        join = BatchBindJoin(current, fetch_batch, call_key=call_key,
-                             binding_of=binding_of,
+        join = BatchBindJoin(current, fetch_batch, keys=sorted(atom.variables()),
                              batch_size=step.batch_size or DEFAULT_BATCH_SIZE,
                              sieve=sieve, probe=self._cache_probe(step, atom),
                              name=f"bind:{atom.name}")
-        join_cell.append(join)
-        batch_joins.append(join)
+        joins[id(atom)] = join
         return join
 
     def _cache_probe(self, step: PlanStep, atom: SourceAtom):
@@ -463,9 +437,9 @@ class MixedQueryExecutor:
         if self._result_cache is None or step.dynamic:
             return None
         if atom.is_glue():
-            target = self._dispatch_glue
+            target = self._target_glue
         elif atom.source is not None:
-            target = self._dispatch.get(atom.source)
+            target = self._targets.get(atom.source)
         else:
             target = None
         if not isinstance(target, CachedSource):
@@ -479,103 +453,65 @@ class MixedQueryExecutor:
 
         return probe
 
-    def _fetch_callable(self, step: PlanStep, trace: ExecutionTrace):
-        def fetch():
-            return self._execute_atom(step, step.atom, {}, trace)
-
-        return fetch
-
     # ------------------------------------------------------------------
-    # Atom execution (static, dynamic and free-variable sources)
+    # Dispatch: the one route from a plan step to its source(s)
     # ------------------------------------------------------------------
-    def _execute_atom(self, step: PlanStep, atom: SourceAtom, bindings: Row,
-                      trace: ExecutionTrace) -> list[Row]:
-        sources = self._resolve_runtime_sources(step, atom, bindings)
+    def _dispatch(self, work: list[tuple[PlanStep, list[Row]]],
+                  trace: ExecutionTrace,
+                  options: PlannerOptions) -> list[list[list[Row]]]:
+        """Ship each step's bindings; one call per (step, target source).
 
-        def call(source: DataSource):
-            with _span("call", atom=atom.name, source=source.uri) as sp:
-                started = time.perf_counter()
-                degraded = None
-                try:
-                    fetched = atom.execute_on(source, bindings)
-                except Exception as exc:
-                    fetched, degraded = self._handle_dispatch_error(
-                        exc, atom, source, [bindings])
-                    fetched = fetched[0]
-                    if sp is not None:
-                        sp.set(degraded=degraded)
-                if sp is not None:
-                    sp.set(rows=len(fetched))
-            return source, fetched, time.perf_counter() - started, degraded
-
-        # A free source variable fans out to every accepting source; those
-        # calls are independent, so dispatch them like a parallel stage.
-        workers = self.max_workers if self.options.parallel_stages else 1
-        outcomes = run_tasks([lambda s=source: call(s) for source in sources],
-                             max_workers=workers, pool=self._task_pool,
-                             timeout=self._remaining())
-        rows: list[Row] = []
-        for source, fetched, elapsed, degraded in outcomes:
-            if atom.source_variable is not None:
-                for row in fetched:
-                    row.setdefault(atom.source_variable, source.uri)
-            trace.calls.append(SubQueryCall(
-                atom=atom.name, source_uri=source.uri,
-                bindings_in=len(bindings), rows_out=len(fetched), seconds=elapsed,
-                atom_key=id(atom), degraded=degraded,
-            ))
-            if degraded is not None:
-                trace.degraded = True
-                trace.degraded_atoms.append((atom.name, source.uri, degraded))
-            rows.extend(fetched)
-        return rows
-
-    def _execute_atom_batch(self, step: PlanStep, atom: SourceAtom,
-                            bindings_list: list[Row],
-                            trace: ExecutionTrace) -> list[list[Row]]:
-        """Ship one batch of distinct bindings; one call per target source.
-
-        Static atoms hit their single source once; dynamic atoms group
-        the batch by the source URI each binding resolves to; a free
-        source variable fans the whole batch out to every accepting
-        source (results concatenated per binding, as in per-binding
-        mode).
+        Static atoms hit their single source; dynamic atoms group their
+        bindings by the source URI each one resolves to; a free source
+        variable fans every binding out to every accepting source
+        (results concatenated per binding).  A materialize step passes
+        the single empty binding and reaches ``source.execute``; a bind
+        step's batch reaches ``source.execute_batch``.  The calls are
+        independent, so all of them run as one flat parallel batch.
+        Returns, per ``work`` entry, one row list per binding.
         """
-        results: list[list[Row]] = [[] for _ in bindings_list]
-        by_source: dict[str, tuple[DataSource, list[int]]] = {}
-        for index, bindings in enumerate(bindings_list):
-            for source in self._resolve_runtime_sources(step, atom, bindings):
-                entry = by_source.get(source.uri)
-                if entry is None:
-                    entry = (source, [])
-                    by_source[source.uri] = entry
-                entry[1].append(index)
+        results: list[list[list[Row]]] = [[[] for _ in bindings_list]
+                                          for _, bindings_list in work]
+        calls: list[tuple[int, DataSource, list[int]]] = []
+        for slot, (step, bindings_list) in enumerate(work):
+            by_source: dict[str, tuple[DataSource, list[int]]] = {}
+            for index, bindings in enumerate(bindings_list):
+                for source in self._resolve_runtime_sources(step.atom, bindings):
+                    by_source.setdefault(source.uri, (source, []))[1].append(index)
+            calls.extend((slot, source, indices)
+                         for source, indices in by_source.values())
 
-        def call(source: DataSource, indices: list[int]):
+        def call(slot: int, source: DataSource, indices: list[int]):
+            step, bindings_list = work[slot]
+            atom = step.atom
             batch = [bindings_list[i] for i in indices]
             with _span("call", atom=atom.name, source=source.uri,
-                       bindings=len(batch), batched=True) as sp:
+                       bindings=len(batch)) as sp:
                 started = time.perf_counter()
                 degraded = None
                 try:
-                    per_binding = atom.execute_batch_on(source, batch)
+                    if step.mode == "bind":
+                        per_binding = atom.execute_batch_on(source, batch)
+                    else:
+                        per_binding = [atom.execute_on(source, bindings)
+                                       for bindings in batch]
                 except Exception as exc:
                     per_binding, degraded = self._handle_dispatch_error(
-                        exc, atom, source, batch)
+                        exc, atom, source, batch, options)
                     if sp is not None:
                         sp.set(degraded=degraded)
                 if sp is not None:
                     sp.set(rows=sum(len(rows) for rows in per_binding))
-            return (source, indices, per_binding,
-                    time.perf_counter() - started, degraded)
+            return per_binding, time.perf_counter() - started, degraded
 
-        workers = self.max_workers if self.options.parallel_stages else 1
         outcomes = run_tasks(
-            [lambda s=source, idx=indices: call(s, idx)
-             for source, indices in by_source.values()],
-            max_workers=workers, pool=self._task_pool,
-            timeout=self._remaining())
-        for source, indices, per_binding, elapsed, degraded in outcomes:
+            [lambda c=c: call(*c) for c in calls],
+            max_workers=self.max_workers if options.parallel_stages else 1,
+            pool=self._task_pool, timeout=self._remaining())
+        for (slot, source, indices), (per_binding, elapsed, degraded) in zip(
+                calls, outcomes):
+            step = work[slot][0]
+            atom = step.atom
             if len(per_binding) != len(indices):
                 raise MixedQueryError(
                     f"source {source.uri!r} answered {len(per_binding)} bindings "
@@ -586,12 +522,12 @@ class MixedQueryExecutor:
                 if atom.source_variable is not None:
                     for row in rows:
                         row.setdefault(atom.source_variable, source.uri)
-                results[index].extend(rows)
+                results[slot][index].extend(rows)
                 total += len(rows)
             trace.calls.append(SubQueryCall(
                 atom=atom.name, source_uri=source.uri,
                 bindings_in=len(indices), rows_out=total, seconds=elapsed,
-                batched=True, atom_key=id(atom), degraded=degraded,
+                batched=step.mode == "bind", atom_key=id(atom), degraded=degraded,
             ))
             if degraded is not None:
                 trace.degraded = True
@@ -599,8 +535,8 @@ class MixedQueryExecutor:
         return results
 
     def _handle_dispatch_error(self, exc: Exception, atom: SourceAtom,
-                               source: DataSource,
-                               batch: list[Row]) -> tuple[list[list[Row]], str]:
+                               source: DataSource, batch: list[Row],
+                               options: PlannerOptions) -> tuple[list[list[Row]], str]:
         """Degrade or re-raise one failed dispatch.
 
         A typed :class:`~repro.errors.RemoteError` (the source is down
@@ -613,7 +549,7 @@ class MixedQueryExecutor:
         ticket carries the source URI and atom that caused it.
         """
         if isinstance(exc, RemoteError):
-            if not getattr(self.options, "graceful_degradation", True):
+            if not options.graceful_degradation:
                 raise exc
             per_binding: list[list[Row]] = []
             stale_hits = 0
@@ -646,10 +582,10 @@ class MixedQueryExecutor:
             f"evaluating atom {atom.name!r}: {exc}",
             source_uri=source.uri, atom=atom.name) from exc
 
-    def _resolve_runtime_sources(self, step: PlanStep, atom: SourceAtom,
+    def _resolve_runtime_sources(self, atom: SourceAtom,
                                  bindings: Row) -> list[DataSource]:
         if atom.is_glue():
-            return [self._dispatch_glue]
+            return [self._target_glue]
         if atom.source is not None:
             return [self._source(atom.source)]
         # Dynamic source: a bound source variable identifies one source;
@@ -657,7 +593,7 @@ class MixedQueryExecutor:
         if atom.source_variable and atom.source_variable in bindings:
             uri = bindings[atom.source_variable]
             return [self._source(str(uri))]
-        candidates = [s for s in self._dispatch.values() if s.accepts(atom.query)]
+        candidates = [s for s in self._targets.values() if s.accepts(atom.query)]
         if not candidates:
             raise UnknownSourceError(
                 f"no registered source accepts the sub-query of atom {atom.name!r}"
@@ -665,15 +601,8 @@ class MixedQueryExecutor:
         return candidates
 
     def _source(self, uri: str) -> DataSource:
-        source = self._dispatch.get(uri)
+        source = self._targets.get(uri)
         if source is None:
             raise UnknownSourceError(f"no source registered under URI {uri!r}")
         return source
 
-
-def _hashable(value: object) -> object:
-    if isinstance(value, (list, set)):
-        return tuple(value)
-    if isinstance(value, dict):
-        return tuple(sorted(value.items()))
-    return value

@@ -52,11 +52,9 @@ class PlannerOptions:
     selectivity_ordering: bool = True
     #: Group independent materialize steps into parallel dispatch stages.
     parallel_stages: bool = True
-    #: Ship bind-join bindings in batches (one source call per batch of
-    #: distinct bindings) instead of one call per binding.
-    batch_bind_joins: bool = True
-    #: Bindings per batch; 0 lets the planner pick a size per step from
-    #: the atom's cardinality estimate.
+    #: Bindings per bind-join batch (one source call per batch of distinct
+    #: bindings); 0 lets the planner pick a size per step from the atom's
+    #: cardinality estimate, 1 is the classical one call per binding.
     bind_batch_size: int = 0
     #: Probe bindings against the source digests before shipping a batch
     #: (only effective when the executor is given a digest catalog).
@@ -474,14 +472,9 @@ class QueryPlanner:
         def bind_step() -> tuple[float, float, float, int]:
             batch = options.bind_batch_size or auto_batch_size(est_bound, cost_model,
                                                                models)
-            # Priced as batched regardless of the batching ablation flag:
-            # ``batch_bind_joins=False`` must keep the same plan shape and
-            # only change dispatch (one call per binding), or the ablation
-            # benchmarks would compare different plans.
             cost = cost_model.bind_cost(models, cardinality, est_bound, batch,
-                                        batched=True, sieved=options.digest_sieve)
-            return (cost, est_bound, joined_card(est_bound),
-                    batch if options.batch_bind_joins else 0)
+                                        sieved=options.digest_sieve)
+            return cost, est_bound, joined_card(est_bound), batch
 
         def materialize_step() -> tuple[float, float, float, int]:
             cost = cost_model.materialize_cost(models, est_full)
@@ -562,13 +555,10 @@ class QueryPlanner:
         models = [getattr(source, "cost_kind", source.model)
                   for source in sources]
         batch_size = 0
-        if mode == "bind" and options.batch_bind_joins:
+        if mode == "bind":
             batch_size = options.bind_batch_size or auto_batch_size(
                 estimate, cost_model, models)
-        if mode == "bind":
-            cost = cost_model.bind_cost(models, cardinality, estimate,
-                                        batch_size or 1,
-                                        batched=options.batch_bind_joins,
+            cost = cost_model.bind_cost(models, cardinality, estimate, batch_size,
                                         sieved=options.digest_sieve)
             new_card = cardinality * estimate
         else:

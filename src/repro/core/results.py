@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from repro.engine.batch import hashable
 from repro.errors import MixedQueryError
 
 
@@ -41,7 +42,7 @@ class MixedResult:
         seen: set[tuple] = set()
         rows = []
         for row in self.rows:
-            key = tuple((v, _hashable(row.get(v))) for v in self.variables)
+            key = tuple((v, hashable(row.get(v))) for v in self.variables)
             if key not in seen:
                 seen.add(key)
                 rows.append(row)
@@ -76,9 +77,9 @@ class MixedResult:
 class SubQueryCall:
     """One sub-query dispatch recorded during evaluation.
 
-    For batched bind joins ``bindings_in`` counts the distinct bindings
-    answered by the call and ``batched`` is True; per-binding calls keep
-    the historical meaning (number of bound variables shipped).
+    ``bindings_in`` counts the bindings the call carried: the distinct
+    bindings of a bind-join batch (``batched`` is True), or the one
+    empty binding of a materialize call.
 
     With the result cache enabled a dispatch may have been answered
     partly or entirely from cached entries without touching the source;
@@ -225,14 +226,6 @@ class ExecutionTrace:
                 f"cost {observation.cost:.1f}  est {observation.estimate:.0f}  "
                 f"actual {observation.actual_rows}{marker}")
         return "\n".join(lines)
-
-
-def _hashable(value: object) -> object:
-    if isinstance(value, (list, set)):
-        return tuple(value)
-    if isinstance(value, dict):
-        return tuple(sorted(value.items()))
-    return value
 
 
 def _sort_key(value: object) -> tuple:

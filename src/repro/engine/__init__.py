@@ -2,73 +2,35 @@
 
 The Python counterpart of the paper's "in-house iterator-based execution
 engine (Java, approx. 10K lines)": Volcano-style operators over binding
-tuples plus a parallel dispatcher for independent sub-plans.  The hot
-path exchanges columnar :class:`BindingBatch` objects between operators;
-dict rows only materialise at the interface boundary.
+tuples plus a pooled dispatcher for independent source calls.  Operators
+exchange columnar :class:`BindingBatch` objects; dict rows only
+materialise at the interface boundary.
+
+``__all__`` lists what the rest of the mediator uses (a tier-1 test
+holds that); helpers the engine keeps to itself are imported from their
+own modules.
 """
 
-from repro.engine.batch import (
-    DEFAULT_BATCH_SIZE,
-    BatchAccumulator,
-    BindingBatch,
-    batches_from_rows,
-    merge_spec,
-)
+from repro.engine.batch import DEFAULT_BATCH_SIZE, BindingBatch
 from repro.engine.iterators import (
-    Aggregate,
-    AggregateSpec,
     BatchBindJoin,
-    BindJoin,
-    CallbackScan,
     Distinct,
-    Extend,
     HashJoin,
-    Limit,
     MaterializedScan,
-    NestedLoopJoin,
     Operator,
-    OperatorStats,
     Project,
-    Row,
-    Select,
-    Sort,
-    Union,
 )
-from repro.engine.parallel import (
-    ParallelStats,
-    WorkPool,
-    run_parallel,
-    run_tasks,
-    shared_pool,
-)
+from repro.engine.parallel import WorkPool, run_tasks
 
 __all__ = [
-    "Aggregate",
-    "AggregateSpec",
-    "BatchAccumulator",
     "BatchBindJoin",
-    "BindJoin",
     "BindingBatch",
-    "CallbackScan",
     "DEFAULT_BATCH_SIZE",
     "Distinct",
-    "Extend",
     "HashJoin",
-    "Limit",
     "MaterializedScan",
-    "NestedLoopJoin",
     "Operator",
-    "OperatorStats",
     "Project",
-    "Row",
-    "Select",
-    "Sort",
-    "Union",
-    "batches_from_rows",
-    "merge_spec",
-    "ParallelStats",
     "WorkPool",
-    "run_parallel",
     "run_tasks",
-    "shared_pool",
 ]

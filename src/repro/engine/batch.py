@@ -16,6 +16,7 @@ is preserved exactly (an absent variable is never padded with ``None``).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 #: A binding tuple at the mediator level: variable name -> value.
@@ -23,6 +24,25 @@ Row = dict[str, object]
 
 #: Default number of rows per batch on the engine hot path.
 DEFAULT_BATCH_SIZE = 256
+
+
+def hashable(value: object) -> object:
+    """A hashable stand-in for a binding value (lists, sets and dicts freeze)."""
+    if isinstance(value, (list, set)):
+        return tuple(value)
+    if isinstance(value, dict):
+        return tuple(sorted(value.items()))
+    return value
+
+
+def tuple_getter(keys: Sequence) -> Callable[[object], tuple]:
+    """``operator.itemgetter`` returning a tuple whatever the number of keys."""
+    if len(keys) == 1:
+        key = keys[0]
+        return lambda item: (item[key],)
+    if not keys:
+        return lambda item: ()
+    return itemgetter(*keys)
 
 
 class BindingBatch:
@@ -99,6 +119,7 @@ def batches_from_rows(rows: Iterable[Row],
     size = max(1, size)
     columns: tuple[str, ...] = ()
     key_set: frozenset | None = None
+    values_of = tuple_getter(())
     buffer: list[tuple] = []
     for row in rows:
         keys = row.keys()
@@ -109,7 +130,8 @@ def batches_from_rows(rows: Iterable[Row],
             if key_set is None or keys != key_set:
                 columns = tuple(row)
                 key_set = frozenset(columns)
-        buffer.append(tuple(row[c] for c in columns))
+                values_of = tuple_getter(columns)
+        buffer.append(values_of(row))
     if key_set is not None and buffer:
         yield BindingBatch(columns, buffer)
 

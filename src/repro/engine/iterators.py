@@ -3,16 +3,14 @@
 The paper's mediator performs "the remaining processing (joins etc.) on
 subquery results ... within our in-house iterator-based execution engine".
 This module is that engine: every operator consumes and produces *binding
-tuples* (dictionaries mapping variable names to values), so the same
-operators serve RDF bindings, relational rows and full-text hits once the
-source wrappers have normalised them.
+tuples* (variable name -> value), so the same operators serve RDF
+bindings, relational rows and full-text hits once the source wrappers
+have normalised them.
 
-Internally the hot path is *batch-oriented*: operators exchange
-:class:`~repro.engine.batch.BindingBatch` objects (shared column header +
-tuple rows) through :meth:`Operator.batches`, and only materialise dict
-rows at the per-row interface boundary.  An operator implements either
-``_produce`` (row at a time) or ``_produce_batches`` (batch at a time);
-the base class derives the missing one.
+Operators exchange :class:`~repro.engine.batch.BindingBatch` objects
+(shared column header + tuple rows): an operator implements
+``_produce_batches`` and nothing else; dict rows only materialise in
+:meth:`Operator.rows`, at the interface boundary.
 """
 
 from __future__ import annotations
@@ -26,7 +24,9 @@ from repro.engine.batch import (
     BatchAccumulator,
     BindingBatch,
     batches_from_rows,
+    hashable,
     merge_spec,
+    tuple_getter,
 )
 from repro.errors import MixedQueryError
 
@@ -36,7 +36,7 @@ Row = dict[str, object]
 
 @dataclass
 class OperatorStats:
-    """Per-operator row counters, collected when tracing is enabled."""
+    """Per-operator row counters."""
 
     produced: int = 0
     consumed: int = 0
@@ -45,37 +45,27 @@ class OperatorStats:
 class Operator:
     """Base class of every iterator operator.
 
-    Subclasses override ``_produce`` (yield dict rows) or
-    ``_produce_batches`` (yield :class:`BindingBatch` objects); each
-    default implementation is derived from the other, so batch-native and
-    row-native operators compose freely.
+    Subclasses implement ``_produce_batches`` (yield
+    :class:`BindingBatch` objects); consumers pull :meth:`batches`, or
+    :meth:`rows` for the fully evaluated dict rows.
     """
 
     def __init__(self, name: str | None = None):
         self.name = name or type(self).__name__
         self.stats = OperatorStats()
 
-    def __iter__(self) -> Iterator[Row]:
-        for row in self._produce():
-            self.stats.produced += 1
-            yield row
-
-    def _produce(self) -> Iterator[Row]:
-        for batch in self._produce_batches():
-            yield from batch.dicts()
-
     def _produce_batches(self) -> Iterator[BindingBatch]:
-        yield from batches_from_rows(self._produce(), DEFAULT_BATCH_SIZE)
+        raise NotImplementedError
 
     def batches(self) -> Iterator[BindingBatch]:
-        """Evaluate the operator batch-wise (the engine's hot path)."""
+        """Evaluate the operator batch-wise."""
         for batch in self._produce_batches():
             self.stats.produced += len(batch)
             yield batch
 
     def rows(self) -> list[Row]:
-        """Fully evaluate the operator and return its output as a list."""
-        return list(self)
+        """Fully evaluate the operator and return its output as fresh dicts."""
+        return [row for batch in self.batches() for row in batch.dicts()]
 
     def estimated_size(self) -> int | None:
         """Known output row count, or ``None`` when it cannot be told cheaply."""
@@ -120,40 +110,6 @@ class MaterializedScan(Operator):
         return f"{self.name}({self._count} rows)"
 
 
-class CallbackScan(Operator):
-    """Leaf operator that pulls rows from a callable at iteration time.
-
-    Used by the mediator to defer a source sub-query until the plan
-    actually needs its rows.
-    """
-
-    def __init__(self, fetch: Callable[[], Iterable[Row]], name: str = "fetch"):
-        super().__init__(name)
-        self._fetch = fetch
-
-    def _produce(self) -> Iterator[Row]:
-        for row in self._fetch():
-            yield dict(row)
-
-
-class Select(Operator):
-    """Filter rows by a predicate."""
-
-    def __init__(self, child: Operator, predicate: Callable[[Row], bool], name: str = "select"):
-        super().__init__(name)
-        self.child = child
-        self.predicate = predicate
-
-    def _produce(self) -> Iterator[Row]:
-        for row in self.child:
-            self.stats.consumed += 1
-            if self.predicate(row):
-                yield row
-
-    def children(self) -> Sequence[Operator]:
-        return (self.child,)
-
-
 class Project(Operator):
     """Keep (and optionally rename) a subset of the variables."""
 
@@ -179,50 +135,6 @@ class Project(Operator):
 
     def children(self) -> Sequence[Operator]:
         return (self.child,)
-
-
-class Extend(Operator):
-    """Add a computed variable to every row."""
-
-    def __init__(self, child: Operator, variable: str, compute: Callable[[Row], object],
-                 name: str = "extend"):
-        super().__init__(name)
-        self.child = child
-        self.variable = variable
-        self.compute = compute
-
-    def _produce(self) -> Iterator[Row]:
-        for row in self.child:
-            self.stats.consumed += 1
-            row = dict(row)
-            row[self.variable] = self.compute(row)
-            yield row
-
-    def children(self) -> Sequence[Operator]:
-        return (self.child,)
-
-
-class NestedLoopJoin(Operator):
-    """Join two inputs with an arbitrary condition (inner join)."""
-
-    def __init__(self, left: Operator, right: Operator,
-                 condition: Callable[[Row, Row], bool] | None = None, name: str = "nljoin"):
-        super().__init__(name)
-        self.left = left
-        self.right = right
-        self.condition = condition
-
-    def _produce(self) -> Iterator[Row]:
-        right_rows = self.right.rows()
-        for left_row in self.left:
-            self.stats.consumed += 1
-            for right_row in right_rows:
-                if self.condition is None or self.condition(left_row, right_row):
-                    if _compatible(left_row, right_row):
-                        yield {**left_row, **right_row}
-
-    def children(self) -> Sequence[Operator]:
-        return (self.left, self.right)
 
 
 class HashJoin(Operator):
@@ -343,73 +255,33 @@ class HashJoin(Operator):
         return (self.left, self.right)
 
 
-class BindJoin(Operator):
-    """Dependent join: re-evaluate the right side once per left binding.
-
-    This is the operator behind the mediator's "bindings for data sources
-    must be obtained before the source can be queried" rule — the ``fetch``
-    callable receives the current left-hand bindings (typically to fill in
-    sub-query parameters or even the identity of the target source) and
-    returns matching rows from the source.
-    """
-
-    def __init__(self, left: Operator, fetch: Callable[[Row], Iterable[Row]],
-                 name: str = "bindjoin", deduplicate_calls: bool = True,
-                 call_key: Callable[[Row], tuple] | None = None):
-        super().__init__(name)
-        self.left = left
-        self.fetch = fetch
-        self.deduplicate_calls = deduplicate_calls
-        self.call_key = call_key
-        self.calls = 0
-        self._key_orders: dict[frozenset, tuple[str, ...]] = {}
-
-    def _default_key(self, row: Row) -> tuple:
-        return _schema_call_key(row, self._key_orders)
-
-    def _produce(self) -> Iterator[Row]:
-        cache: dict[tuple, list[Row]] = {}
-        key_of = self.call_key or self._default_key
-        for left_row in self.left:
-            self.stats.consumed += 1
-            key = key_of(left_row)
-            if self.deduplicate_calls and key in cache:
-                fetched = cache[key]
-            else:
-                self.calls += 1
-                fetched = [dict(r) for r in self.fetch(left_row)]
-                if self.deduplicate_calls:
-                    cache[key] = fetched
-            for right_row in fetched:
-                if _compatible(left_row, right_row):
-                    yield {**left_row, **right_row}
-
-    def children(self) -> Sequence[Operator]:
-        return (self.left,)
-
-
 class BatchBindJoin(Operator):
     """Dependent join shipping *batches* of distinct bindings to a source.
 
-    Instead of one sub-query call per distinct left binding (the classic
-    mediator bottleneck), left rows are consumed batch-wise, their
-    distinct call keys collected into groups of ``batch_size``, and one
-    ``fetch_batch`` call answers the whole group — the source wrapper
-    turns it into a native IN-list / disjunctive pushdown when it can.
+    This is the operator behind the mediator's "bindings for data sources
+    must be obtained before the source can be queried" rule: the left
+    rows' distinct bindings are collected into groups of ``batch_size``
+    and one ``fetch_batch`` call answers the whole group — the source
+    wrapper turns it into a native IN-list / disjunctive pushdown when it
+    can.  ``batch_size=1`` is the classical one-call-per-binding bind
+    join.  Output order and content are those of the nested loop "for
+    each left row, for each fetched row agreeing on every shared
+    variable, emit ``{**left, **right}``".
 
-    ``sieve`` is an optional semi-join filter (typically backed by the
-    source's digest value sets): bindings it rejects are proven to have
-    no match at the source and are never shipped.  ``probe`` is an
-    optional per-binding result-cache lookup consulted after the sieve:
-    a non-``None`` answer serves the binding without shipping it, so a
-    batch reaching the source consists of cache misses only.
-    ``fetch_batch`` receives a list of binding dicts and must return one
-    row list per binding, in order.
+    ``keys`` names the variables forming a binding (those of them a left
+    row carries); by default every variable of the row.  ``sieve`` is an
+    optional semi-join filter (typically backed by the source's digest
+    value sets): bindings it rejects are proven to have no match at the
+    source and are never shipped.  ``probe`` is an optional per-binding
+    result-cache lookup consulted after the sieve: a non-``None`` answer
+    serves the binding without shipping it, so a batch reaching the
+    source consists of cache misses only.  ``fetch_batch`` receives a
+    list of binding dicts and must return one row list per binding, in
+    order; the operator reads those rows but never mutates them.
     """
 
     def __init__(self, left: Operator, fetch_batch: Callable[[list[Row]], list[list[Row]]],
-                 call_key: Callable[[Row], tuple] | None = None,
-                 binding_of: Callable[[Row], Row] | None = None,
+                 keys: Sequence[str] | None = None,
                  batch_size: int = DEFAULT_BATCH_SIZE,
                  sieve: Callable[[Row], bool] | None = None,
                  probe: Callable[[Row], list[Row] | None] | None = None,
@@ -417,8 +289,7 @@ class BatchBindJoin(Operator):
         super().__init__(name)
         self.left = left
         self.fetch_batch = fetch_batch
-        self.call_key = call_key
-        self.binding_of = binding_of
+        self.keys = list(keys) if keys is not None else None
         self.batch_size = max(1, batch_size)
         self.sieve = sieve
         self.probe = probe
@@ -426,57 +297,60 @@ class BatchBindJoin(Operator):
         self.bindings_shipped = 0
         self.sieved_out = 0
         self.cache_hits = 0
-        #: Cross-query MQO sharing attributed to this join by the
-        #: executor: miss bindings that rode another in-flight query's
-        #: fused source call / were answered by its single-flight slot.
-        self.fused_probes = 0
-        self.shared_results = 0
-        self._key_orders: dict[frozenset, tuple[str, ...]] = {}
 
-    def _default_key(self, row: Row) -> tuple:
-        return _schema_call_key(row, self._key_orders)
-
-    def _produce(self) -> Iterator[Row]:
-        cache: dict[tuple, list[Row]] = {}
-        pending: list[tuple[Row, tuple]] = []
+    def _produce_batches(self) -> Iterator[BindingBatch]:
+        # Call key -> the fetched rows, as schema-uniform batches.
+        answers: dict[tuple, list[BindingBatch]] = {}
+        # Left rows, as (columns, values, call key): ``pending`` wait for a
+        # flush, ``ready`` have their answer and are joined per left batch.
+        pending: list[tuple[tuple[str, ...], tuple, tuple]] = []
+        ready: list[tuple[tuple[str, ...], tuple, tuple]] = []
         queued: dict[tuple, Row] = {}
-        key_of = self.call_key or self._default_key
-        binding_of = self.binding_of or (lambda row: dict(row))
+        specs: dict[tuple, tuple] = {}
         for batch in self.left.batches():
             self.stats.consumed += len(batch)
-            for left_row in batch.dicts():
-                key = key_of(left_row)
-                if key in cache and not pending:
+            columns = batch.columns
+            positions = batch.positions()
+            wanted = self.keys if self.keys is not None else sorted(columns)
+            present = tuple(k for k in wanted if k in positions)
+            values_of = tuple_getter([positions[k] for k in present])
+            for row in batch.rows:
+                values = values_of(row)
+                key = (present, tuple(map(hashable, values)))
+                if not pending and key in answers:
                     # Answer already known and nothing queued ahead of this
-                    # row: stream it out immediately, preserving order.
-                    yield from self._join(left_row, cache[key])
+                    # row: it joins right away, preserving order.
+                    ready.append((columns, row, key))
                     continue
-                pending.append((left_row, key))
-                if key not in cache and key not in queued:
-                    queued[key] = binding_of(left_row)
+                pending.append((columns, row, key))
+                if key in answers or key in queued:
+                    continue
+                queued[key] = dict(zip(present, values))
                 if len(queued) >= self.batch_size:
-                    self._flush(queued, cache)
+                    self._flush(queued, answers)
                     queued = {}
-                    yield from self._drain(pending, cache)
+                    ready += pending
                     pending = []
+            yield from self._join(ready, answers, specs)
+            ready = []
         if queued:
-            self._flush(queued, cache)
-        yield from self._drain(pending, cache)
+            self._flush(queued, answers)
+        yield from self._join(pending, answers, specs)
 
-    # ------------------------------------------------------------------
-    def _flush(self, queued: dict[tuple, Row], cache: dict[tuple, list[Row]]) -> None:
+    def _flush(self, queued: dict[tuple, Row],
+               answers: dict[tuple, list[BindingBatch]]) -> None:
         to_ship: list[tuple[tuple, Row]] = []
         for key, binding in queued.items():
             if self.sieve is not None and not self.sieve(binding):
                 # The digest proves no source row can match this binding.
-                cache[key] = []
+                answers[key] = []
                 self.sieved_out += 1
                 continue
             if self.probe is not None:
                 hit = self.probe(binding)
                 if hit is not None:
                     # The cross-query result cache already knows the answer.
-                    cache[key] = hit
+                    answers[key] = list(batches_from_rows(hit))
                     self.cache_hits += 1
                     continue
             to_ship.append((key, binding))
@@ -491,17 +365,42 @@ class BatchBindJoin(Operator):
                 f"for {len(to_ship)} bindings"
             )
         for (key, _), rows in zip(to_ship, fetched):
-            cache[key] = [dict(r) for r in rows]
+            answers[key] = list(batches_from_rows(rows))
 
-    def _drain(self, pending: list[tuple[Row, tuple]],
-               cache: dict[tuple, list[Row]]) -> Iterator[Row]:
-        for left_row, key in pending:
-            yield from self._join(left_row, cache[key])
-
-    def _join(self, left_row: Row, fetched: list[Row]) -> Iterator[Row]:
-        for right_row in fetched:
-            if _compatible(left_row, right_row):
-                yield {**left_row, **right_row}
+    @staticmethod
+    def _join(left: list[tuple[tuple[str, ...], tuple, tuple]],
+              answers: dict[tuple, list[BindingBatch]],
+              specs: dict[tuple, tuple]) -> Iterator[BindingBatch]:
+        """Merge each left row with its fetched rows, in order."""
+        header: tuple[str, ...] | None = None
+        merged: list[tuple] = []
+        for columns, row, key in left:
+            for fetched in answers[key]:
+                spec = specs.get((columns, fetched.columns))
+                if spec is None:
+                    out_columns, picks = merge_spec(columns, fetched.columns)
+                    width = len(columns)
+                    # Indices into ``left_row + right_row``.
+                    merge = tuple_getter([width + i if take_right else i
+                                          for take_right, i in picks])
+                    positions = fetched.positions()
+                    shared = [(i, positions[c]) for i, c in enumerate(columns)
+                              if c in positions]
+                    spec = specs[(columns, fetched.columns)] = (out_columns, merge, shared)
+                out_columns, merge, shared = spec
+                if out_columns is not header or len(merged) >= DEFAULT_BATCH_SIZE:
+                    if merged:
+                        yield BindingBatch(header, merged)
+                        merged = []
+                    header = out_columns
+                for right_row in fetched.rows:
+                    for i, j in shared:
+                        if row[i] != right_row[j]:
+                            break
+                    else:
+                        merged.append(merge(row + right_row))
+        if merged:
+            yield BindingBatch(header, merged)
 
     def children(self) -> Sequence[Operator]:
         return (self.left,)
@@ -526,7 +425,7 @@ class Distinct(Operator):
             pairs = batch.sorted_pairs()
             keep: list[tuple] = []
             for row in batch.rows:
-                key = tuple((c, _hashable(row[i])) for c, i in pairs)
+                key = tuple((c, hashable(row[i])) for c, i in pairs)
                 if key not in seen:
                     seen.add(key)
                     keep.append(row)
@@ -536,162 +435,3 @@ class Distinct(Operator):
     def children(self) -> Sequence[Operator]:
         return (self.child,)
 
-
-class Sort(Operator):
-    """Sort rows by one or more variables."""
-
-    def __init__(self, child: Operator, keys: Sequence[tuple[str, bool]], name: str = "sort"):
-        super().__init__(name)
-        self.child = child
-        self.keys = list(keys)
-
-    def _produce(self) -> Iterator[Row]:
-        rows = self.child.rows()
-        self.stats.consumed += len(rows)
-        for variable, descending in reversed(self.keys):
-            rows.sort(key=lambda r: _sort_key(r.get(variable)), reverse=descending)
-        yield from rows
-
-    def describe(self) -> str:
-        return f"{self.name}({self.keys})"
-
-    def children(self) -> Sequence[Operator]:
-        return (self.child,)
-
-
-class Limit(Operator):
-    """Pass through at most ``count`` rows."""
-
-    def __init__(self, child: Operator, count: int, name: str = "limit"):
-        super().__init__(name)
-        self.child = child
-        self.count = count
-
-    def _produce(self) -> Iterator[Row]:
-        if self.count <= 0:
-            return
-        produced = 0
-        for row in self.child:
-            self.stats.consumed += 1
-            yield row
-            produced += 1
-            if produced >= self.count:
-                return
-
-    def describe(self) -> str:
-        return f"{self.name}({self.count})"
-
-    def children(self) -> Sequence[Operator]:
-        return (self.child,)
-
-
-class Union(Operator):
-    """Concatenate the outputs of several children."""
-
-    def __init__(self, operands: Sequence[Operator], name: str = "union"):
-        super().__init__(name)
-        self.operands = list(operands)
-
-    def _produce_batches(self) -> Iterator[BindingBatch]:
-        for operand in self.operands:
-            for batch in operand.batches():
-                self.stats.consumed += len(batch)
-                yield batch
-
-    def children(self) -> Sequence[Operator]:
-        return tuple(self.operands)
-
-
-@dataclass(frozen=True)
-class AggregateSpec:
-    """One aggregate to compute per group."""
-
-    function: str  # count | sum | avg | min | max | collect
-    variable: str | None
-    output: str
-
-
-class Aggregate(Operator):
-    """Group rows by key variables and compute aggregates per group."""
-
-    def __init__(self, child: Operator, group_by: Sequence[str],
-                 aggregates: Sequence[AggregateSpec], name: str = "aggregate"):
-        super().__init__(name)
-        self.child = child
-        self.group_by = list(group_by)
-        self.aggregates = list(aggregates)
-
-    def _produce(self) -> Iterator[Row]:
-        groups: dict[tuple, list[Row]] = defaultdict(list)
-        for row in self.child:
-            self.stats.consumed += 1
-            key = tuple(_hashable(row.get(k)) for k in self.group_by)
-            groups[key].append(row)
-        for key, rows in groups.items():
-            out: Row = dict(zip(self.group_by, (rows[0].get(k) for k in self.group_by)))
-            for spec in self.aggregates:
-                out[spec.output] = _compute(spec, rows)
-            yield out
-
-    def describe(self) -> str:
-        functions = ", ".join(f"{a.function}({a.variable or '*'})" for a in self.aggregates)
-        return f"{self.name}(by={self.group_by}, {functions})"
-
-    def children(self) -> Sequence[Operator]:
-        return (self.child,)
-
-
-def _compute(spec: AggregateSpec, rows: list[Row]) -> object:
-    function = spec.function.lower()
-    if function == "count" and spec.variable is None:
-        return len(rows)
-    values = [row.get(spec.variable) for row in rows if row.get(spec.variable) is not None]
-    if function == "count":
-        return len(values)
-    if function == "collect":
-        return list(values)
-    if not values:
-        return None
-    if function == "sum":
-        return sum(values)
-    if function == "avg":
-        return sum(values) / len(values)
-    if function == "min":
-        return min(values)
-    if function == "max":
-        return max(values)
-    raise MixedQueryError(f"unsupported aggregate function {spec.function!r}")
-
-
-def _schema_call_key(row: Row, key_orders: dict[frozenset, tuple[str, ...]]) -> tuple:
-    """Canonical call key of a row; sorted variable order cached per schema."""
-    schema = frozenset(row)
-    order = key_orders.get(schema)
-    if order is None:
-        order = tuple(sorted(schema))
-        key_orders[schema] = order
-    return tuple((k, _hashable(row[k])) for k in order)
-
-
-def _compatible(left: Row, right: Row) -> bool:
-    """True when the two rows agree on every shared variable."""
-    for key, value in right.items():
-        if key in left and left[key] != value:
-            return False
-    return True
-
-
-def _hashable(value: object) -> object:
-    if isinstance(value, (list, set)):
-        return tuple(value)
-    if isinstance(value, dict):
-        return tuple(sorted(value.items()))
-    return value
-
-
-def _sort_key(value: object) -> tuple:
-    if value is None:
-        return (2, "")
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return (0, value)
-    return (1, str(value))

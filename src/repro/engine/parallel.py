@@ -1,19 +1,17 @@
-"""Parallel dispatch of independent sub-plans.
+"""Parallel dispatch of independent source calls.
 
 The paper's evaluation strategy exploits parallelism "when possible":
 sub-queries with no binding dependency between them can be shipped to
-their sources concurrently.  :func:`run_parallel` evaluates a batch of
-operators in a thread pool (source calls are I/O-like: in the real system
-they are network round trips) and returns their materialised outputs in
-input order.
+their sources concurrently.  :func:`run_tasks` runs a flat list of
+callables in a thread pool (source calls are I/O-like: in the real system
+they are network round trips) and returns their results in input order.
 
 Pools are **reused**, not created per stage: each call draws from a
-process-wide :class:`WorkPool` (one per role × worker count) unless the
-caller supplies its own — the mediator service owns dedicated pools its
-query workers share.  The two roles matter for deadlock freedom:
-``dispatch`` runs stage operators, whose fetches may fan out dynamic
-source calls into the ``tasks`` role; because a task never waits on its
-own pool, neither pool can deadlock on nested submission.
+process-wide :class:`WorkPool` (one per worker count) unless the caller
+supplies its own — the mediator service owns one its query workers
+share.  The executor submits every source call of a stage as one flat
+list from the query's own thread, so a pooled task never waits on the
+pool it runs in.
 
 ``WorkPool.map`` runs each item inside a *copy* of the submitting
 thread's :mod:`contextvars` context, so the current span (and any other
@@ -28,33 +26,10 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from repro.engine.iterators import Operator, Row
 from repro.errors import QueryTimeoutError
 from repro.obs.metrics import get_registry
-
-
-@dataclass
-class ParallelStats:
-    """Timing information for one parallel stage."""
-
-    tasks: int = 0
-    wall_clock_seconds: float = 0.0
-    per_task_seconds: list[float] = field(default_factory=list)
-
-    @property
-    def sequential_seconds(self) -> float:
-        """Sum of per-task durations — what a sequential run would cost."""
-        return sum(self.per_task_seconds)
-
-    @property
-    def speedup(self) -> float:
-        """Sequential time divided by wall-clock time (>= 1 when parallelism helps)."""
-        if self.wall_clock_seconds <= 0:
-            return 1.0
-        return max(1.0, self.sequential_seconds / self.wall_clock_seconds)
 
 
 class WorkPool:
@@ -162,59 +137,25 @@ class WorkPool:
                 f"alive={self._executor is not None})")
 
 
-#: Process-wide pools, one per (role, worker count); see shared_pool().
-_SHARED_POOLS: dict[tuple[str, int], WorkPool] = {}
+#: Process-wide pools, one per worker count; see shared_pool().
+_SHARED_POOLS: dict[int, WorkPool] = {}
 _SHARED_POOLS_LOCK = threading.Lock()
 
 
-def shared_pool(role: str, max_workers: int) -> WorkPool:
-    """The process-wide :class:`WorkPool` for one role and worker count.
+def shared_pool(max_workers: int) -> WorkPool:
+    """The process-wide :class:`WorkPool` for one worker count.
 
     Repeated calls return the *same* pool, so stage after stage (and
     query after query) reuses warm threads instead of paying a
     ``ThreadPoolExecutor`` construction and teardown per stage.
     """
-    key = (role, max(1, int(max_workers)))
+    size = max(1, int(max_workers))
     with _SHARED_POOLS_LOCK:
-        pool = _SHARED_POOLS.get(key)
+        pool = _SHARED_POOLS.get(size)
         if pool is None:
-            pool = WorkPool(key[1], name=f"repro-{role}-{key[1]}")
-            _SHARED_POOLS[key] = pool
+            pool = WorkPool(size, name=f"repro-tasks-{size}")
+            _SHARED_POOLS[size] = pool
         return pool
-
-
-def run_parallel(operators: Sequence[Operator], max_workers: int = 4,
-                 stats: ParallelStats | None = None,
-                 pool: WorkPool | None = None,
-                 timeout: Optional[float] = None) -> list[list[Row]]:
-    """Materialise every operator, possibly concurrently.
-
-    Results are returned in the order of ``operators`` regardless of
-    completion order.  With ``max_workers=1`` the execution is sequential,
-    which is how the ablation benchmark measures the benefit of parallel
-    dispatch.  ``pool`` overrides the process-wide shared pool (the
-    mediator service passes its own).  ``timeout`` bounds the stage's
-    total wall-clock wait (see :meth:`WorkPool.map`).
-    """
-    if stats is not None:
-        stats.tasks = len(operators)
-
-    def timed_rows(operator: Operator) -> tuple[list[Row], float]:
-        start = time.perf_counter()
-        rows = operator.rows()
-        return rows, time.perf_counter() - start
-
-    start = time.perf_counter()
-    if timeout is None and (max_workers <= 1 or len(operators) <= 1):
-        outcomes = [timed_rows(op) for op in operators]
-    else:
-        pool = pool or shared_pool("dispatch", max_workers)
-        outcomes = pool.map(timed_rows, operators, timeout=timeout)
-    wall = time.perf_counter() - start
-    if stats is not None:
-        stats.wall_clock_seconds = wall
-        stats.per_task_seconds = [duration for _, duration in outcomes]
-    return [rows for rows, _ in outcomes]
 
 
 def run_tasks(tasks: Sequence[Callable[[], object]], max_workers: int = 4,
@@ -222,9 +163,13 @@ def run_tasks(tasks: Sequence[Callable[[], object]], max_workers: int = 4,
               timeout: Optional[float] = None) -> list[object]:
     """Run arbitrary callables, possibly concurrently, preserving order.
 
-    ``timeout`` bounds the total wall-clock wait (see :meth:`WorkPool.map`).
+    With ``max_workers=1`` (or a single task) execution is sequential on
+    the calling thread, which is how the ablation benchmark measures the
+    benefit of parallel dispatch.  ``pool`` overrides the process-wide
+    shared pool (the mediator service passes its own).  ``timeout``
+    bounds the total wall-clock wait (see :meth:`WorkPool.map`).
     """
     if timeout is None and (max_workers <= 1 or len(tasks) <= 1):
         return [task() for task in tasks]
-    pool = pool or shared_pool("tasks", max_workers)
+    pool = pool or shared_pool(max_workers)
     return pool.map(lambda task: task(), tasks, timeout=timeout)

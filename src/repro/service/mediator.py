@@ -17,9 +17,9 @@ many clients hit concurrently while feeds keep mutating the sources:
   cancelled tickets are dropped at dequeue, and a running executor
   checks between stages;
 * all workers share the instance's :class:`MediatorCache` and
-  :class:`StatisticsCatalog` (both thread-safe), plus two service-owned
-  :class:`~repro.engine.parallel.WorkPool`\\ s for intra-query stage and
-  source-call parallelism — no per-stage pool churn.
+  :class:`StatisticsCatalog` (both thread-safe), plus one service-owned
+  :class:`~repro.engine.parallel.WorkPool` for intra-query source-call
+  parallelism — no per-stage pool churn.
 """
 
 from __future__ import annotations
@@ -68,9 +68,9 @@ class ServiceConfig:
         (``None`` = unlimited).
     ``default_priority``
         Priority assigned when ``submit`` names none (lower runs first).
-    ``dispatch_workers`` / ``task_workers``
-        Sizes of the two shared intra-query pools (parallel stages and
-        fan-out source calls, see :mod:`repro.engine.parallel`).
+    ``task_workers``
+        Size of the shared intra-query pool (the source calls of a
+        stage run in it in parallel, see :mod:`repro.engine.parallel`).
     ``tracing``
         Collect a per-ticket span tree (``query:<name>`` root, queue
         wait, planning, execution stages, source calls) exposed as
@@ -94,7 +94,6 @@ class ServiceConfig:
     max_in_flight: int = 128
     default_deadline: Optional[float] = None
     default_priority: int = 10
-    dispatch_workers: int = 4
     task_workers: int = 4
     tracing: bool = True
     mqo: bool = True
@@ -289,8 +288,6 @@ class MediatorService:
         #: through (None when ``config.mqo`` is off).
         self.mqo = (MQOCoordinator(window=self.config.mqo_fusion_window)
                     if self.config.mqo else None)
-        self.dispatch_pool = WorkPool(self.config.dispatch_workers,
-                                      name="mediator-dispatch")
         self.task_pool = WorkPool(self.config.task_workers,
                                   name="mediator-tasks")
         #: Standing-query registry, created on first ``register_standing``
@@ -472,7 +469,6 @@ class MediatorService:
         if wait:
             for worker in self._workers:
                 worker.join()
-        self.dispatch_pool.shutdown(wait=wait)
         self.task_pool.shutdown(wait=wait)
 
     def __enter__(self) -> "MediatorService":
@@ -561,9 +557,8 @@ class MediatorService:
                 ticket.pinned = pin_instance(self.instance)
             executor = ticket.pinned.executor(
                 self.instance, options=ticket.options,
-                max_workers=self.config.dispatch_workers,
-                cancel_check=ticket._cancel_check,
-                dispatch_pool=self.dispatch_pool, task_pool=self.task_pool,
+                max_workers=self.config.task_workers,
+                cancel_check=ticket._cancel_check, task_pool=self.task_pool,
                 metrics=self.metrics, deadline=ticket._remaining,
                 mqo=self.mqo)
             if self.mqo is not None:

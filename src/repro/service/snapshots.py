@@ -38,8 +38,7 @@ class PinnedCatalog:
 
     def executor(self, instance: "MixedInstance",
                  options: PlannerOptions | None = None, max_workers: int = 4,
-                 cache: bool = True, cancel_check=None,
-                 dispatch_pool=None, task_pool=None,
+                 cache: bool = True, cancel_check=None, task_pool=None,
                  metrics=None, deadline=None, mqo=None) -> MixedQueryExecutor:
         """An executor whose every dispatch hits the pinned snapshots.
 
@@ -57,7 +56,7 @@ class PinnedCatalog:
             self.sources, self.glue, options=options, max_workers=max_workers,
             cache=instance.cache if cache else None,
             statistics=instance.statistics(), cancel_check=cancel_check,
-            dispatch_pool=dispatch_pool, task_pool=task_pool, metrics=metrics,
+            task_pool=task_pool, metrics=metrics,
             deadline=deadline, mqo=mqo)
 
     def execute(self, instance: "MixedInstance", query, *,

@@ -113,7 +113,7 @@ class CostModel:
 
     def bind_cost(self, models: Sequence[str], input_bindings: float,
                   rows_per_binding: float, batch_size: int,
-                  batched: bool = True, sieved: bool = False) -> float:
+                  sieved: bool = False) -> float:
         """Cost of a dependent join shipping ``input_bindings`` bindings.
 
         One batch is one call per target source; the sieve discount
@@ -127,8 +127,7 @@ class CostModel:
             bindings *= self.sieve_survival
         if math.isinf(bindings):
             return float("inf")
-        per_batch = max(1, batch_size) if batched else 1
-        calls = math.ceil(bindings / per_batch) if bindings > 0 else 1
+        calls = math.ceil(bindings / max(1, batch_size)) if bindings > 0 else 1
         setup = sum(self.costs_for(m).call_setup for m in models)
         per_binding = max(self.costs_for(m).per_binding for m in models)
         per_row = max(self.costs_for(m).per_row for m in models)

@@ -138,3 +138,42 @@ class TestAdaptiveReplan:
             selectivity_ordering=False))
         adaptive = instance.execute(cmq)
         assert rows_of(adaptive) == rows_of(naive) == EXPECTED
+
+
+class TestFreeSourceVariableObservation:
+    def test_fanned_out_bindings_are_counted_once(self):
+        """Six bindings shipped to two full-text sources are six bindings.
+
+        The planner's per-binding estimate of a free-source-variable step
+        is the *sum* over its candidate sources, so the observation must
+        normalise by distinct bindings — counting each binding once per
+        source halved ``actual_per_binding`` (0.67 for 1.33) and inflated
+        the q-error two-fold, enough to trigger a spurious replan.
+        """
+        from repro.fulltext.store import tweet_store
+        from repro.rdf import Graph, triple
+
+        handles = [f"u{i}" for i in range(6)]
+        glue = Graph("glue")
+        for i, handle in enumerate(handles):
+            glue.add(triple(f"ttn:P{i}", "ttn:twitterAccount", handle))
+        inst = MixedInstance(graph=glue, name="fanout", entailment=False)
+        for uri, authors in (("solr://a", handles[:4]), ("solr://b", handles[2:])):
+            store = tweet_store(uri.rsplit("/", 1)[-1])
+            store.add_all({"id": f"{uri}/{i}", "text": f"post by {handle}",
+                           "user": {"screen_name": handle}}
+                          for i, handle in enumerate(authors))
+            inst.register_fulltext(uri, store)
+        cmq = (inst.builder("q", head=["id", "t", "d"])
+               .graph("SELECT ?id WHERE { ?x ttn:twitterAccount ?id }")
+               .fulltext("posts", source_variable="d",
+                         query="user.screen_name:{id}", fields={"t": "text"})
+               .build())
+        result = inst.execute(cmq)
+        assert len(result.rows) == 8
+        step = next(s for s in result.trace.steps if s.atom == "posts")
+        calls = [c for c in result.trace.calls if c.atom == "posts"]
+        assert {c.source_uri for c in calls} == {"solr://a", "solr://b"}
+        assert sum(c.bindings_in for c in calls) == 12
+        assert (step.mode, step.bindings, step.actual_rows) == ("bind", 6, 8)
+        assert step.actual_per_binding() == pytest.approx(8 / 6)

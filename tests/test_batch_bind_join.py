@@ -19,7 +19,12 @@ from repro.rdf import Graph, triple
 from repro.relational import Database
 
 
-PER_BINDING = PlannerOptions(batch_bind_joins=False)
+#: The classical bind join: one source call per distinct binding.
+PER_BINDING = PlannerOptions(bind_batch_size=1)
+#: The same under the greedy planner, which binds every atom sharing a
+#: variable — the cost-based one prices a call per binding truthfully and
+#: may rather materialize the atom.
+PER_BINDING_GREEDY = PlannerOptions(bind_batch_size=1, cost_based=False)
 
 
 @pytest.fixture
@@ -45,12 +50,18 @@ def instance(politics_graph, small_database, small_tweet_store, json_store):
     return inst
 
 
-def assert_equivalent(instance, cmq, digests=None):
-    """Run batched vs per-binding and assert identical result sets."""
+def assert_equivalent(instance, cmq, digests=None, per_binding=PER_BINDING):
+    """Run batched vs per-binding and assert identical result sets.
+
+    Each run starts on cold caches: a warm result cache answers bindings
+    before they ship, which would hide the calls the tests count.
+    """
+    instance.clear_caches()
     batched = instance.execute(cmq, digests=digests)
-    per_binding = instance.execute(cmq, options=PER_BINDING)
-    assert sorted(map(str, batched.rows)) == sorted(map(str, per_binding.rows))
-    return batched, per_binding
+    instance.clear_caches()
+    reference = instance.execute(cmq, options=per_binding)
+    assert sorted(map(str, batched.rows)) == sorted(map(str, reference.rows))
+    return batched, reference
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +292,14 @@ class TestPlannerBatching:
         assert auto_batch_size(10 ** 9) == MIN_BIND_BATCH
         assert MIN_BIND_BATCH <= auto_batch_size(float("inf")) <= MAX_BIND_BATCH
 
-    def test_batching_disabled_resets_step_batch_size(self, instance):
+    def test_per_binding_is_batch_size_one(self, instance):
         cmq = (instance.builder("q", head=["t", "id"])
                .graph("SELECT ?id WHERE { ?x ttn:twitterAccount ?id }")
                .fulltext("tweets", source="solr://tweets", query="*:*",
                          fields={"t": "text", "id": "user.screen_name"})
                .build())
         plan = instance.plan(cmq, PER_BINDING)
-        assert all(s.batch_size == 0 for s in plan.steps)
+        assert all(s.batch_size == 1 for s in plan.steps if s.mode == "bind")
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +313,8 @@ class TestBatchedExecutionEquivalence:
                .fulltext("tweets", source="solr://tweets", query="*:*",
                          fields={"t": "text", "id": "user.screen_name"})
                .build())
-        batched, per_binding = assert_equivalent(instance, cmq)
+        batched, per_binding = assert_equivalent(instance, cmq,
+                                                 per_binding=PER_BINDING_GREEDY)
         assert len(batched.trace.calls) < len(per_binding.trace.calls)
         assert batched.trace.batched_calls() >= 1
 
@@ -336,7 +348,8 @@ class TestBatchedExecutionEquivalence:
                .json("docs", source="json://tweets",
                      pattern='{ user.screen_name: ?id, text: ?t }')
                .build())
-        batched, per_binding = assert_equivalent(instance, cmq)
+        batched, per_binding = assert_equivalent(instance, cmq,
+                                                 per_binding=PER_BINDING_GREEDY)
         assert len(batched.rows) == 3
         assert len(batched.trace.calls) < len(per_binding.trace.calls)
 
@@ -366,7 +379,7 @@ class TestBatchedExecutionEquivalence:
                .fulltext("tweets", source="solr://tweets", query="*:*",
                          fields={"t": "text", "id": "user.screen_name"})
                .build())
-        tiny = instance.execute(cmq, options=PlannerOptions(bind_batch_size=1))
+        tiny = instance.execute(cmq, options=PlannerOptions(bind_batch_size=2))
         reference = instance.execute(cmq, options=PER_BINDING)
         assert sorted(map(str, tiny.rows)) == sorted(map(str, reference.rows))
 
@@ -500,3 +513,74 @@ class TestDigestSieve:
         result = instance.execute(cmq, options=PlannerOptions(digest_sieve=False),
                                   digests=catalog)
         assert result.trace.sieved_bindings == 0
+
+
+# ---------------------------------------------------------------------------
+# bind_batch_size=1 is the per-binding reference, on the one dispatch path
+# ---------------------------------------------------------------------------
+
+class TestBatchSizeOneIsTheReference:
+    """Default, ``bind_batch_size=1`` and ``naive_options()`` agree, and
+    size 1 makes one source call per distinct binding and target source."""
+
+    @staticmethod
+    def _query(demo, name):
+        from repro.datasets import qsia_json_query, qsia_query
+
+        instance = demo.instance
+        if name == "qsia":
+            return qsia_query(demo)
+        if name == "qsia_json":
+            return qsia_json_query(demo)
+        if name == "dynamic":
+            # The benchmark's ``dynamic`` class: a source variable.
+            return instance.parse(
+                'qSIA(t, id) :- qG(id), tweetContains(t, id, "sia2016")[dSolr]')
+        if name == "free_source_variable":
+            # Every politician's account goes to every full-text source.
+            return (instance.builder("anyPosts", head=["id", "t", "d"])
+                    .graph("SELECT ?id WHERE { ?x ttn:twitterAccount ?id }")
+                    .fulltext("posts", source_variable="d",
+                              query="user.screen_name:{id}", fields={"t": "text"})
+                    .build())
+        assert name == "required_parameter"
+        return (instance.builder("rates", head=["dept", "year", "rate"])
+                .graph("SELECT ?dept WHERE { ?x ttn:birthDepartment ?dept }")
+                .sql("unemployment", source="sql://insee",
+                     sql="SELECT dept_code AS dept, year AS year, rate AS rate "
+                         "FROM unemployment WHERE dept_code = {dept}")
+                .build())
+
+    @pytest.mark.parametrize("name", ["qsia", "qsia_json", "dynamic",
+                                      "free_source_variable", "required_parameter"])
+    def test_same_multiset_and_one_call_per_binding(self, demo, name):
+        from collections import Counter
+
+        from repro.baselines.naive import naive_options
+
+        def multiset(result):
+            return Counter(tuple(sorted((k, str(v)) for k, v in row.items()))
+                           for row in result.rows)
+
+        instance = demo.instance
+        cmq = self._query(demo, name)
+        answers = {}
+        for label, options in (("default", None), ("one", PER_BINDING),
+                               ("naive", naive_options())):
+            instance.clear_caches()
+            answers[label] = instance.execute(cmq, options=options)
+        assert answers["default"].rows
+        assert multiset(answers["one"]) == multiset(answers["default"])
+        assert multiset(answers["naive"]) == multiset(answers["default"])
+        trace = answers["one"].trace
+        bind_calls = [c for c in trace.calls if c.batched]
+        assert all(c.bindings_in == 1 for c in bind_calls)
+        for step in trace.steps:
+            if step.mode != "bind":
+                continue
+            calls = [c for c in bind_calls if c.atom_key == step.atom_key]
+            targets = len({c.source_uri for c in calls})
+            assert len(calls) == step.bindings * targets
+        if name in ("free_source_variable", "required_parameter"):
+            # These atoms cannot be materialised: the bind join is forced.
+            assert len(bind_calls) > 1

@@ -447,7 +447,7 @@ class TestPlanCache:
     def test_different_options_plan_separately(self, instance):
         cmq = sql_cmq(instance)
         instance.plan(cmq)
-        other = instance.plan(cmq, PlannerOptions(batch_bind_joins=False))
+        other = instance.plan(cmq, PlannerOptions(bind_batch_size=1))
         assert not other.cached
 
     def test_signature_is_renaming_invariant(self, instance):

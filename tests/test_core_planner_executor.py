@@ -204,6 +204,81 @@ class TestExecutor:
         assert len(result) == 1
         assert result.rows[0]["d"] == "solr://tweets"
 
+    def test_materialize_stage_dispatches_its_calls_as_one_flat_batch(
+            self, instance, small_tweet_store, monkeypatch):
+        """Three independent atoms, one of them fanning out to two
+        full-text sources: four source calls, one ``run_tasks`` batch,
+        recorded in step order then source order."""
+        import repro.core.executor as executor_module
+
+        instance.register_fulltext("solr://archive", small_tweet_store)
+        cmq = (instance.builder("q", head=["id", "t", "d", "rate"])
+               .fulltext("anytweets", source_variable="d",
+                         query="entities.hashtags:sia2016",
+                         fields={"t": "text", "id": "user.screen_name"})
+               .graph("SELECT ?id WHERE { ?x ttn:twitterAccount ?id }")
+               .sql("stats", source="sql://insee",
+                    sql="SELECT rate AS rate FROM unemployment WHERE year = 2015")
+               .build())
+        batches = []
+        run_tasks = executor_module.run_tasks
+
+        def recording(tasks, **kwargs):
+            batches.append(len(tasks))
+            return run_tasks(tasks, **kwargs)
+
+        monkeypatch.setattr(executor_module, "run_tasks", recording)
+        result = instance.execute(cmq, options=PlannerOptions(
+            use_bind_joins=False, selectivity_ordering=False))
+        assert batches == [4]
+        assert result.trace.stages == [["anytweets", "qG", "stats"]]
+        assert [(c.atom, c.source_uri) for c in result.trace.calls] == [
+            ("anytweets", "solr://tweets"), ("anytweets", "solr://archive"),
+            ("qG", "#glue"), ("stats", "sql://insee")]
+        assert set(result.column("d")) == {"solr://tweets", "solr://archive"}
+
+    def test_every_call_records_the_bindings_it_carried(self, instance, qsia):
+        trace = instance.execute(qsia).trace
+        materialize, bind = trace.calls
+        assert (materialize.atom, materialize.bindings_in, materialize.batched) == (
+            "qG", 1, False)
+        assert (bind.atom, bind.bindings_in, bind.batched) == (
+            "tweetContains", 1, True)
+        assert [(s.mode, s.bindings) for s in trace.steps] == [
+            ("materialize", 1), ("bind", 1)]
+
+    def test_sources_are_reached_from_one_method_only(self):
+        """One dispatcher: a second route to ``atom.execute_on`` /
+        ``execute_batch_on`` or a second ``SubQueryCall`` site is a fork."""
+        import ast
+        import inspect
+
+        import repro.core.executor as executor_module
+
+        tree = ast.parse(inspect.getsource(executor_module))
+        cls = next(node for node in tree.body if isinstance(node, ast.ClassDef)
+                   and node.name == "MixedQueryExecutor")
+        reaching, recording = set(), 0
+        for method in cls.body:
+            for node in ast.walk(method):
+                if (isinstance(node, ast.Attribute)
+                        and node.attr in ("execute_on", "execute_batch_on")):
+                    reaching.add(method.name)
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "SubQueryCall"):
+                    recording += 1
+        assert reaching == {"_dispatch"}
+        assert recording == 1
+
+    def test_batch_size_one_is_priced_as_a_call_per_binding(self, instance, qsia):
+        default = instance.plan(qsia).steps[1]
+        assert default.mode == "bind" and default.batch_size > 1
+        model = instance.statistics().cost_model
+        batched = model.bind_cost(["fulltext"], 100, 1.0, default.batch_size)
+        per_binding = model.bind_cost(["fulltext"], 100, 1.0, 1)
+        setup = model.costs_for("fulltext").call_setup
+        assert per_binding - batched == pytest.approx(99 * setup)
+
     def test_result_helpers(self, instance, qsia):
         result = instance.execute(qsia)
         assert result.column("id") == ["fhollande"]

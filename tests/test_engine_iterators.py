@@ -1,29 +1,23 @@
-"""Unit tests for the Volcano-style iterator operators."""
+"""Unit tests for the Volcano-style iterator operators.
+
+The tests of ``CallbackScan``, ``Select``, ``Extend``, ``Sort``,
+``Limit``, ``Union``, ``NestedLoopJoin``, ``BindJoin``, ``Aggregate`` /
+``AggregateSpec``, ``run_parallel`` and ``ParallelStats`` went away with
+those symbols: the executor builds none of them.
+"""
 
 import pytest
 
 from repro.engine import (
-    Aggregate,
-    AggregateSpec,
     BatchBindJoin,
     BindingBatch,
-    BindJoin,
-    CallbackScan,
     Distinct,
-    Extend,
     HashJoin,
-    Limit,
     MaterializedScan,
-    NestedLoopJoin,
-    ParallelStats,
     Project,
-    Select,
-    Sort,
-    Union,
-    batches_from_rows,
-    run_parallel,
     run_tasks,
 )
+from repro.engine.batch import batches_from_rows
 
 PEOPLE = [
     {"id": "p1", "group": "left", "retweets": 10},
@@ -38,6 +32,14 @@ ACCOUNTS = [
 ]
 
 
+def nested_loop_bind_join(left, fetch):
+    """Reference semantics of a bind join, written out."""
+    return [{**left_row, **right_row}
+            for left_row in left
+            for right_row in fetch(left_row)
+            if all(left_row[k] == v for k, v in right_row.items() if k in left_row)]
+
+
 class TestLeafAndUnary:
     def test_materialized_scan_copies_rows(self):
         scan = MaterializedScan(PEOPLE)
@@ -45,22 +47,6 @@ class TestLeafAndUnary:
         rows[0]["id"] = "mutated"
         assert PEOPLE[0]["id"] == "p1"
         assert scan.stats.produced == 3
-
-    def test_callback_scan_defers_evaluation(self):
-        calls = []
-
-        def fetch():
-            calls.append(1)
-            return PEOPLE
-
-        scan = CallbackScan(fetch)
-        assert calls == []
-        assert len(scan.rows()) == 3
-        assert calls == [1]
-
-    def test_select(self):
-        op = Select(MaterializedScan(PEOPLE), lambda r: r["group"] == "left")
-        assert {r["id"] for r in op} == {"p1", "p3"}
 
     def test_project_with_renames(self):
         op = Project(MaterializedScan(PEOPLE), ["id", "group"], renames={"group": "current"})
@@ -71,35 +57,14 @@ class TestLeafAndUnary:
         op = Project(MaterializedScan(PEOPLE), ["id", "missing"])
         assert op.rows()[0]["missing"] is None
 
-    def test_extend_adds_computed_column(self):
-        op = Extend(MaterializedScan(PEOPLE), "double", lambda r: r["retweets"] * 2)
-        assert op.rows()[1]["double"] == 80
-
     def test_distinct(self):
         op = Distinct(MaterializedScan([{"a": 1}, {"a": 1}, {"a": 2}]))
         assert op.rows() == [{"a": 1}, {"a": 2}]
 
-    def test_sort_multiple_keys(self):
-        op = Sort(MaterializedScan(PEOPLE), [("group", False), ("retweets", True)])
-        assert [r["id"] for r in op] == ["p3", "p1", "p2"]
-
-    def test_sort_handles_none(self):
-        rows = [{"x": None}, {"x": 2}, {"x": 1}]
-        op = Sort(MaterializedScan(rows), [("x", False)])
-        assert [r["x"] for r in op] == [1, 2, None]
-
-    def test_limit(self):
-        assert len(Limit(MaterializedScan(PEOPLE), 2).rows()) == 2
-        assert Limit(MaterializedScan(PEOPLE), 0).rows() == []
-
-    def test_union(self):
-        op = Union([MaterializedScan(PEOPLE), MaterializedScan(ACCOUNTS)])
-        assert len(op.rows()) == 6
-
     def test_explain_mentions_children(self):
-        plan = Limit(Select(MaterializedScan(PEOPLE, name="people"), lambda r: True), 1)
+        plan = Distinct(Project(MaterializedScan(PEOPLE, name="people"), ["id"]))
         text = plan.explain()
-        assert "limit" in text and "people" in text
+        assert "distinct" in text and "project(id)" in text and "people" in text
 
 
 class TestJoins:
@@ -116,46 +81,6 @@ class TestJoins:
     def test_hash_join_without_shared_keys_is_cross_product(self):
         join = HashJoin(MaterializedScan([{"a": 1}, {"a": 2}]), MaterializedScan([{"b": 3}]))
         assert len(join.rows()) == 2
-
-    def test_nested_loop_join_with_condition(self):
-        join = NestedLoopJoin(MaterializedScan(PEOPLE), MaterializedScan([{"threshold": 20}]),
-                              condition=lambda l, r: l["retweets"] > r["threshold"])
-        assert {r["id"] for r in join.rows()} == {"p2", "p3"}
-
-    def test_nested_loop_join_checks_shared_variable_compatibility(self):
-        join = NestedLoopJoin(MaterializedScan(PEOPLE), MaterializedScan(ACCOUNTS))
-        assert {r["id"] for r in join.rows()} == {"p1", "p2"}
-
-    def test_bind_join_passes_bindings(self):
-        seen = []
-
-        def fetch(row):
-            seen.append(row["id"])
-            return [a for a in ACCOUNTS if a["id"] == row["id"]]
-
-        join = BindJoin(MaterializedScan(PEOPLE), fetch)
-        rows = join.rows()
-        assert {r["handle"] for r in rows} == {"alice", "bob"}
-        assert len(seen) == 3
-
-    def test_bind_join_deduplicates_identical_calls(self):
-        calls = []
-
-        def fetch(row):
-            calls.append(row["group"])
-            return [{"group": row["group"], "label": row["group"].upper()}]
-
-        left = MaterializedScan([{"group": "left"}, {"group": "left"}, {"group": "right"}])
-        join = BindJoin(left, fetch, call_key=lambda r: (r["group"],))
-        assert len(join.rows()) == 3
-        assert join.calls == 2
-
-    def test_bind_join_discards_incompatible_rows(self):
-        def fetch(row):
-            return [{"id": "different", "extra": 1}]
-
-        join = BindJoin(MaterializedScan(PEOPLE), fetch)
-        assert join.rows() == []
 
 
 class TestBindingBatch:
@@ -190,7 +115,7 @@ class TestBindingBatch:
         scan = MaterializedScan(PEOPLE)
         assert scan.estimated_size() == 3
         assert Project(scan, ["id"]).estimated_size() == 3
-        assert Select(scan, lambda r: True).estimated_size() is None
+        assert Distinct(scan).estimated_size() is None
 
 
 class TestBatchBindJoin:
@@ -207,17 +132,52 @@ class TestBatchBindJoin:
         assert join.calls == 1
         assert len(batches) == 1 and len(batches[0]) == 3
 
-    def test_matches_bind_join_output_order(self):
+    @pytest.mark.parametrize("batch_size", [1, 2, 10])
+    def test_matches_nested_loop_output_order(self, batch_size):
         def fetch(row):
             return [a for a in ACCOUNTS if a["id"] == row["id"]]
 
         def fetch_batch(bindings):
             return [fetch(b) for b in bindings]
 
-        reference = BindJoin(MaterializedScan(PEOPLE), fetch).rows()
+        reference = nested_loop_bind_join(PEOPLE, fetch)
         batched = BatchBindJoin(MaterializedScan(PEOPLE), fetch_batch,
-                                batch_size=2).rows()
+                                batch_size=batch_size).rows()
         assert batched == reference
+
+    def test_batch_size_one_calls_once_per_distinct_binding(self):
+        shipped = []
+
+        def fetch_batch(bindings):
+            shipped.append([b["id"] for b in bindings])
+            return [[a for a in ACCOUNTS if a["id"] == b["id"]] for b in bindings]
+
+        join = BatchBindJoin(MaterializedScan(PEOPLE + PEOPLE), fetch_batch,
+                             keys=["id"], batch_size=1)
+        assert {r["handle"] for r in join.rows()} == {"alice", "bob"}
+        assert shipped == [["p1"], ["p2"], ["p3"]]
+        assert join.calls == 3
+
+    def test_binding_carries_only_the_key_variables_a_row_has(self):
+        seen = []
+
+        def fetch_batch(bindings):
+            seen.extend(bindings)
+            return [[] for _ in bindings]
+
+        left = MaterializedScan([{"a": 1, "b": 2}, {"a": 1, "c": 3}, {"b": 2}])
+        BatchBindJoin(left, fetch_batch, keys=["a", "c", "missing"]).rows()
+        assert seen == [{"a": 1}, {"a": 1, "c": 3}, {}]
+
+    def test_does_not_mutate_shared_fetched_rows(self):
+        shared = [{"id": "p1", "handle": "alice"}]
+        snapshot = [dict(row) for row in shared]
+
+        join = BatchBindJoin(MaterializedScan(PEOPLE),
+                             lambda bindings: [shared for _ in bindings])
+        rows = join.rows()
+        rows[0]["handle"] = "mutated"
+        assert shared == snapshot and len(shared) == 1
 
     def test_deduplicates_across_batches(self):
         shipped = []
@@ -229,8 +189,7 @@ class TestBatchBindJoin:
 
         left = MaterializedScan([{"group": "left"}, {"group": "left"},
                                  {"group": "right"}, {"group": "left"}])
-        join = BatchBindJoin(left, fetch_batch,
-                             call_key=lambda r: (r["group"],), batch_size=1)
+        join = BatchBindJoin(left, fetch_batch, keys=["group"], batch_size=1)
         assert len(join.rows()) == 4
         assert sorted(shipped) == ["left", "right"]
         assert join.bindings_shipped == 2
@@ -239,9 +198,7 @@ class TestBatchBindJoin:
         def fetch_batch(bindings):
             return [[{"id": b["id"], "hit": True}] for b in bindings]
 
-        join = BatchBindJoin(MaterializedScan(PEOPLE), fetch_batch,
-                             call_key=lambda r: (r["id"],),
-                             binding_of=lambda r: {"id": r["id"]},
+        join = BatchBindJoin(MaterializedScan(PEOPLE), fetch_batch, keys=["id"],
                              sieve=lambda b: b["id"] == "p2", batch_size=10)
         rows = join.rows()
         assert [r["id"] for r in rows] == ["p2"]
@@ -257,6 +214,22 @@ class TestBatchBindJoin:
         assert join.rows() == []
         assert join.calls == 0
         assert join.sieved_out == 3
+
+    def test_probe_hit_answers_a_binding_without_shipping_it(self):
+        shipped = []
+
+        def fetch_batch(bindings):
+            shipped.extend(b["id"] for b in bindings)
+            return [[{"id": b["id"], "via": "source"}] for b in bindings]
+
+        cached = [{"id": "p2", "via": "cache"}]
+        join = BatchBindJoin(MaterializedScan(PEOPLE), fetch_batch, keys=["id"],
+                             probe=lambda b: cached if b["id"] == "p2" else None)
+        assert [(r["id"], r["via"]) for r in join.rows()] == [
+            ("p1", "source"), ("p2", "cache"), ("p3", "source")]
+        assert shipped == ["p1", "p3"]
+        assert (join.cache_hits, join.bindings_shipped) == (1, 2)
+        assert cached == [{"id": "p2", "via": "cache"}]
 
     def test_misaligned_fetch_batch_raises(self):
         from repro.errors import MixedQueryError
@@ -304,53 +277,66 @@ class TestHashJoinStreaming:
         assert sorted(r["v"] for r in rows) == ["left", "left2"]
 
 
-class TestAggregate:
-    def test_group_by_count_and_sum(self):
-        op = Aggregate(MaterializedScan(PEOPLE), ["group"], [
-            AggregateSpec("count", None, "n"),
-            AggregateSpec("sum", "retweets", "total"),
-        ])
-        by_group = {r["group"]: r for r in op}
-        assert by_group["left"]["n"] == 2 and by_group["left"]["total"] == 35
-        assert by_group["right"]["total"] == 40
+class TestOperatorProtocol:
+    def test_one_production_method_serves_batches_and_rows(self):
+        from repro.engine import Operator
 
-    def test_global_aggregate_without_group(self):
-        op = Aggregate(MaterializedScan(PEOPLE), [], [AggregateSpec("avg", "retweets", "avg")])
-        assert op.rows()[0]["avg"] == pytest.approx(25.0)
+        class Numbers(Operator):
+            def _produce_batches(self):
+                yield BindingBatch(("n",), [(1,), (2,)])
+                yield BindingBatch(("n", "m"), [(3, 4)])
 
-    def test_min_max_collect(self):
-        op = Aggregate(MaterializedScan(PEOPLE), [], [
-            AggregateSpec("min", "retweets", "lo"),
-            AggregateSpec("max", "retweets", "hi"),
-            AggregateSpec("collect", "id", "ids"),
-        ])
-        row = op.rows()[0]
-        assert (row["lo"], row["hi"]) == (10, 40)
-        assert sorted(row["ids"]) == ["p1", "p2", "p3"]
-
-    def test_nulls_ignored(self):
-        rows = PEOPLE + [{"id": "p9", "group": "left", "retweets": None}]
-        op = Aggregate(MaterializedScan(rows), ["group"], [AggregateSpec("count", "retweets", "n")])
-        assert {r["group"]: r["n"] for r in op}["left"] == 2
+        op = Numbers()
+        assert op.rows() == [{"n": 1}, {"n": 2}, {"n": 3, "m": 4}]
+        assert op.stats.produced == 3
+        assert [len(batch) for batch in Numbers().batches()] == [2, 1]
+        with pytest.raises(NotImplementedError):
+            Operator().rows()
 
 
-class TestParallel:
+class TestRunTasks:
     def test_results_preserve_order(self):
-        operators = [MaterializedScan([{"i": i}]) for i in range(6)]
-        outputs = run_parallel(operators, max_workers=3)
-        assert [o[0]["i"] for o in outputs] == list(range(6))
-
-    def test_stats_collected(self):
-        stats = ParallelStats()
-        run_parallel([MaterializedScan(PEOPLE), MaterializedScan(ACCOUNTS)],
-                     max_workers=2, stats=stats)
-        assert stats.tasks == 2
-        assert len(stats.per_task_seconds) == 2
-        assert stats.speedup >= 1.0
+        outputs = run_tasks([lambda i=i: i for i in range(6)], max_workers=3)
+        assert outputs == list(range(6))
 
     def test_sequential_mode(self):
-        outputs = run_parallel([MaterializedScan(PEOPLE)], max_workers=1)
-        assert len(outputs) == 1
+        assert run_tasks([lambda: 1, lambda: 2], max_workers=1) == [1, 2]
 
-    def test_run_tasks(self):
-        assert run_tasks([lambda: 1, lambda: 2], max_workers=2) == [1, 2]
+    def test_timeout_bounds_even_a_single_hung_task(self):
+        import threading
+
+        from repro.errors import QueryTimeoutError
+
+        release = threading.Event()
+        try:
+            with pytest.raises(QueryTimeoutError):
+                run_tasks([release.wait], max_workers=1, timeout=0.05)
+        finally:
+            release.set()
+
+
+class TestNoDeadEngineExports:
+    def test_every_export_is_imported_by_the_mediator_or_the_benchmark(self):
+        """Operators nobody builds must not re-accumulate in the engine.
+
+        Every name in ``repro.engine.__all__`` has to be imported from the
+        engine package by a module of ``src/repro`` outside
+        ``repro/engine/``, or by the repository benchmark.
+        """
+        import ast
+        from pathlib import Path
+
+        import repro.engine
+
+        root = Path(__file__).resolve().parent.parent
+        package = root / "src" / "repro"
+        files = [path for path in package.rglob("*.py")
+                 if package / "engine" not in path.parents]
+        files += sorted((root / "benchmarks" / "e2e").glob("*.py"))
+        imported = set()
+        for path in files:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (isinstance(node, ast.ImportFrom) and node.module
+                        and node.module.split(".")[:2] == ["repro", "engine"]):
+                    imported.update(alias.name for alias in node.names)
+        assert sorted(set(repro.engine.__all__) - imported) == []

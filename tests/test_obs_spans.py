@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.engine.parallel import WorkPool
+from repro.engine.parallel import WorkPool, run_tasks
 from repro.obs.spans import (
     SpanTracer,
     attach,
@@ -120,28 +120,24 @@ class TestCrossThreadPropagation:
         finally:
             pool.shutdown()
 
-    def test_nested_pools_keep_parentage_across_roles(self):
-        """dispatch-pool task fans out into the tasks pool; grandchildren
-        must still chain to the dispatch-level spans."""
-        dispatch = WorkPool(max_workers=3, name="obs-test-dispatch2")
-        tasks = WorkPool(max_workers=3, name="obs-test-tasks2")
+    def test_run_tasks_keeps_parentage_of_the_stage_span(self):
+        """The executor opens a stage span on the query's thread and
+        submits the stage's source calls as one flat ``run_tasks`` batch;
+        the pooled call spans must chain to the stage span."""
+        pool = WorkPool(max_workers=3, name="obs-test-tasks2")
         try:
             with trace("root") as root:
-                def stage(i):
-                    with span(f"stage-{i}") as stage_span:
-                        def call(j):
-                            with span(f"call-{i}-{j}") as call_span:
-                                return call_span.parent_id
-                        parents = tasks.map(call, [0, 1])
-                        return stage_span.span_id, parents
+                with span("stage") as stage_span:
+                    def call(j):
+                        with span(f"call-{j}") as call_span:
+                            return call_span.parent_id
 
-                outcomes = dispatch.map(stage, [0, 1, 2])
-            for stage_id, parents in outcomes:
-                assert parents == [stage_id, stage_id]
-            assert len(root.tracer) == 1 + 3 + 6
+                    parents = run_tasks([lambda j=j: call(j) for j in range(6)],
+                                        max_workers=3, pool=pool)
+            assert parents == [stage_span.span_id] * 6
+            assert len(root.tracer) == 1 + 1 + 6
         finally:
-            dispatch.shutdown()
-            tasks.shutdown()
+            pool.shutdown()
 
     def test_inline_fast_path_propagates_too(self):
         pool = WorkPool(max_workers=1, name="obs-test-inline")

@@ -1,9 +1,11 @@
 """Shared-pool reuse in :mod:`repro.engine.parallel`.
 
-``run_parallel`` used to build and tear down a ``ThreadPoolExecutor``
-per stage; it now draws from process-wide :class:`WorkPool`\\ s (one per
-role × worker count).  These tests pin the reuse behaviour and that
-:class:`ParallelStats` semantics are unchanged.
+``run_tasks`` draws from process-wide :class:`WorkPool`\\ s (one per
+worker count) instead of building a ``ThreadPoolExecutor`` per stage.
+These tests pin the reuse behaviour, ordering and overlap.  (The
+``run_parallel`` / ``ParallelStats`` cases went away with those symbols;
+their reuse, ordering, overlap and no-deadlock cases live on here
+against ``run_tasks``.)
 """
 
 from __future__ import annotations
@@ -11,53 +13,42 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.engine.iterators import MaterializedScan
-from repro.engine.parallel import (
-    ParallelStats,
-    WorkPool,
-    run_parallel,
-    run_tasks,
-    shared_pool,
-)
+from repro.engine.parallel import WorkPool, run_tasks, shared_pool
 
 
-def scans(n: int, rows_per_scan: int = 3):
-    return [MaterializedScan([{"i": i, "j": j} for j in range(rows_per_scan)],
-                             name=f"scan{i}")
-            for i in range(n)]
+def tasks(n: int):
+    return [lambda i=i: [{"i": i, "j": j} for j in range(3)] for i in range(n)]
 
 
 class TestSharedPool:
-    def test_same_role_and_size_is_same_pool(self):
-        assert shared_pool("dispatch", 4) is shared_pool("dispatch", 4)
-        assert shared_pool("tasks", 4) is shared_pool("tasks", 4)
+    def test_same_size_is_same_pool(self):
+        assert shared_pool(4) is shared_pool(4)
 
-    def test_roles_and_sizes_are_distinct_pools(self):
-        assert shared_pool("dispatch", 4) is not shared_pool("tasks", 4)
-        assert shared_pool("dispatch", 4) is not shared_pool("dispatch", 3)
+    def test_sizes_are_distinct_pools(self):
+        assert shared_pool(4) is not shared_pool(3)
 
-    def test_run_parallel_reuses_one_executor(self):
+    def test_run_tasks_reuses_one_executor(self):
         pool = WorkPool(4, name="reuse-test")
         for _ in range(5):
-            run_parallel(scans(6), max_workers=4, pool=pool)
+            run_tasks(tasks(6), max_workers=4, pool=pool)
         # One ThreadPoolExecutor constructed across five stages.
         assert pool.times_created == 1
         pool.shutdown()
 
-    def test_run_parallel_default_uses_shared_pool(self):
-        pool = shared_pool("dispatch", 4)
+    def test_run_tasks_default_uses_shared_pool(self):
+        pool = shared_pool(4)
         created_before = pool.times_created
-        outputs = run_parallel(scans(5), max_workers=4)
+        outputs = run_tasks(tasks(5), max_workers=4)
         assert [len(rows) for rows in outputs] == [3] * 5
         assert pool.times_created <= max(1, created_before + 1)
         # A second stage must not construct another executor.
         after_first = pool.times_created
-        run_parallel(scans(5), max_workers=4)
+        run_tasks(tasks(5), max_workers=4)
         assert pool.times_created == after_first
 
     def test_sequential_path_never_builds_a_pool(self):
         pool = WorkPool(1, name="seq-test")
-        run_parallel(scans(4), max_workers=1, pool=pool)
+        run_tasks(tasks(4), max_workers=1, pool=pool)
         assert pool.times_created == 0
 
     def test_pool_restarts_after_shutdown(self):
@@ -68,64 +59,47 @@ class TestSharedPool:
         assert pool.times_created == 2
         pool.shutdown()
 
-    def test_nested_roles_do_not_deadlock(self):
-        """Dispatch tasks fanning out into the tasks role complete even
-        when both pools are saturated (the executor nests exactly so)."""
+    def test_more_tasks_than_workers_do_not_deadlock(self):
+        """A stage's flat batch may exceed the pool; a task that itself
+        fans out (into the process-wide pool) completes too."""
         def inner(i):
             return run_tasks([lambda j=j: (i, j) for j in range(4)],
                              max_workers=2)
 
-        results = run_tasks([lambda i=i: inner(i) for i in range(8)],
-                            max_workers=2, pool=shared_pool("dispatch", 2))
-        assert results == [[(i, j) for j in range(4)] for i in range(8)]
+        pool = WorkPool(2, name="saturated-test")
+        done = []
+        worker = threading.Thread(target=lambda: done.append(run_tasks(
+            [lambda i=i: inner(i) for i in range(8)], max_workers=2, pool=pool)))
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert done == [[[(i, j) for j in range(4)] for i in range(8)]]
+        pool.shutdown()
 
 
-class TestParallelStatsSemantics:
-    def test_stats_shape_unchanged(self):
-        stats = ParallelStats()
-        outputs = run_parallel(scans(4), max_workers=4, stats=stats)
-        assert stats.tasks == 4
-        assert len(stats.per_task_seconds) == 4
-        assert stats.wall_clock_seconds >= 0.0
-        assert stats.sequential_seconds == sum(stats.per_task_seconds)
-        assert stats.speedup >= 1.0
-        assert [len(rows) for rows in outputs] == [3] * 4
-
+class TestRunTasksSemantics:
     def test_order_preserved_regardless_of_completion(self):
-        class SlowScan(MaterializedScan):
-            def __init__(self, rows, delay):
-                super().__init__(rows, name="slow")
-                self.delay = delay
+        def slow():
+            time.sleep(0.05)
+            return 0
 
-            def rows(self):
-                time.sleep(self.delay)
-                return super().rows()
-
-        operators = [SlowScan([{"k": 0}], 0.05), SlowScan([{"k": 1}], 0.0)]
-        outputs = run_parallel(operators, max_workers=2)
-        assert outputs == [[{"k": 0}], [{"k": 1}]]
+        assert run_tasks([slow, lambda: 1], max_workers=2) == [0, 1]
 
     def test_parallelism_actually_overlaps(self):
         active = []
         peak = []
         lock = threading.Lock()
 
-        class Tracked(MaterializedScan):
-            def rows(self):
-                with lock:
-                    active.append(1)
-                    peak.append(len(active))
-                time.sleep(0.02)
-                with lock:
-                    active.pop()
-                return super().rows()
+        def tracked():
+            with lock:
+                active.append(1)
+                peak.append(len(active))
+            time.sleep(0.02)
+            with lock:
+                active.pop()
 
-        run_parallel([Tracked([{"k": i}], name=f"t{i}") for i in range(4)],
-                     max_workers=4)
+        run_tasks([tracked] * 4, max_workers=4)
         assert max(peak) >= 2
 
     def test_sequential_matches_parallel_results(self):
-        operators = scans(6)
-        sequential = run_parallel(operators, max_workers=1)
-        parallel = run_parallel(operators, max_workers=4)
-        assert sequential == parallel
+        assert run_tasks(tasks(6), max_workers=1) == run_tasks(tasks(6), max_workers=4)

@@ -58,10 +58,11 @@ INSTANCE = build_instance()
 DIGESTS = INSTANCE.build_digests()
 
 #: The naive reference: no reordering, no bind joins beyond the forced
-#: ones (required parameters), no caches, no adaptivity.
+#: ones (required parameters) and those one call per binding, no caches,
+#: no adaptivity.
 REFERENCE = PlannerOptions(cost_based=False, adaptive=False,
                            selectivity_ordering=False, use_bind_joins=False,
-                           parallel_stages=False, batch_bind_joins=False,
+                           parallel_stages=False, bind_batch_size=1,
                            digest_sieve=False, result_cache=False,
                            plan_cache=False)
 

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.digest import BloomFilter, EquiWidthHistogram, ValueSetSummary
-from repro.engine import Aggregate, AggregateSpec, BindJoin, Distinct, HashJoin, MaterializedScan
+from repro.engine import BatchBindJoin, Distinct, HashJoin, MaterializedScan
 from repro.fulltext import Analyzer, FieldConfig, FullTextStore
 from repro.rdf import BGPQuery, Graph, Literal, Triple, URI, evaluate_bgp, pattern, var
 from repro.rdf.entailment import saturate, saturate_delta
@@ -36,6 +36,24 @@ _rows = st.lists(
         "c": st.one_of(st.none(), st.integers(min_value=-10, max_value=10)),
     }),
     min_size=0, max_size=30,
+)
+
+
+#: Rows of mixed schemas over a small domain (many repeated bindings).
+_mixed_rows = st.lists(
+    st.dictionaries(st.sampled_from(["a", "b", "c"]),
+                    st.integers(min_value=0, max_value=2)),
+    min_size=0, max_size=25,
+)
+
+#: Source rows: always an ``a``, sometimes a ``b`` (shared with the left
+#: side, so it can conflict), sometimes a ``d``.
+_right_rows = st.lists(
+    st.fixed_dictionaries(
+        {"a": st.integers(min_value=0, max_value=2)},
+        optional={"b": st.integers(min_value=0, max_value=2),
+                  "d": st.text(alphabet="xyz", min_size=1, max_size=2)}),
+    min_size=0, max_size=12,
 )
 
 
@@ -111,24 +129,37 @@ class TestEngineProperties:
         assert once == twice
         assert all(row in rows for row in once)
 
-    @given(_rows)
-    @settings(max_examples=50, deadline=None)
-    def test_aggregate_counts_sum_to_input_size(self, rows):
-        groups = Aggregate(MaterializedScan(rows), ["b"],
-                           [AggregateSpec("count", None, "n")]).rows()
-        assert sum(g["n"] for g in groups) == len(rows)
-
-    @given(_rows)
-    @settings(max_examples=50, deadline=None)
-    def test_bind_join_equivalent_to_hash_join(self, rows):
-        right = [{"a": i, "label": f"L{i}"} for i in range(6)]
+    # (The Aggregate count property went away with ``Aggregate``.)
+    @given(_mixed_rows, _right_rows, st.integers(min_value=1, max_value=5),
+           st.sampled_from([None, ["a"], ["a", "b"]]))
+    @settings(max_examples=200, deadline=None)
+    def test_batch_bind_join_equals_nested_loop(self, left, right, batch_size, keys):
+        """Left rows of mixed schemas and repeated bindings, right rows
+        that may contradict the left row on ``b``, and a ``fetch_batch``
+        handing out the same list objects again and again."""
+        by_a: dict[object, list[dict]] = {}
+        for row in right:
+            by_a.setdefault(row["a"], []).append(row)
+        nothing: list[dict] = []
+        before = repr((by_a, nothing))
 
         def fetch(binding):
-            return [r for r in right if r["a"] == binding.get("a")]
+            return by_a.get(binding.get("a"), nothing)
 
-        bind_rows = BindJoin(MaterializedScan(rows), fetch).rows()
-        hash_rows = HashJoin(MaterializedScan(rows), MaterializedScan(right), keys=["a"]).rows()
-        assert sorted(map(_row_key, bind_rows)) == sorted(map(_row_key, hash_rows))
+        reference = []
+        for left_row in left:
+            for right_row in fetch(left_row):
+                if all(left_row[k] == v for k, v in right_row.items() if k in left_row):
+                    reference.append({**left_row, **right_row})
+
+        join = BatchBindJoin(MaterializedScan(left),
+                             lambda bindings: [fetch(b) for b in bindings],
+                             keys=keys, batch_size=batch_size)
+        assert join.rows() == reference
+        assert repr((by_a, nothing)) == before
+        wanted = keys if keys is not None else ["a", "b", "c"]
+        assert join.bindings_shipped == len(
+            {tuple((k, row[k]) for k in wanted if k in row) for row in left})
 
 
 # ---------------------------------------------------------------------------

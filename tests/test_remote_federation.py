@@ -446,6 +446,24 @@ def test_degradation_can_be_disabled():
         remote.execute(cmq, options=PlannerOptions(graceful_degradation=False))
 
 
+def test_prebuilt_plan_executes_under_its_own_options():
+    """``execute(q, plan=...)`` runs under the options the plan was built
+    with, dispatch included: a fail-fast plan raises on a default
+    (degrading) executor instead of mixing the two option sets."""
+    base = build_instance("planopts")
+    remote, transports = remote_wrap(
+        base, fault=lambda uri, transport: FaultyTransport(transport))
+    cmq = queries(remote)[0]
+    plan = remote.plan(cmq, PlannerOptions(graceful_degradation=False))
+    for transport in transports.values():
+        transport.outages = ((0, 10 ** 9),)
+    executor = remote.executor()
+    assert executor.options.graceful_degradation
+    with pytest.raises(RemoteError):
+        executor.execute(cmq, plan=plan)
+    assert executor.execute(cmq).trace.degraded
+
+
 # ---------------------------------------------------------------------------
 # Executor / service seams
 # ---------------------------------------------------------------------------
