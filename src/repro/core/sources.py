@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
 
 from repro.errors import MixedQueryError
+from repro.fulltext.document import path_getter
+from repro.fulltext.query import BooleanQuery, TermQuery, parse_query
 from repro.fulltext.store import FullTextStore
 from repro.obs.metrics import get_registry
 from repro.json.accel import structural_row_estimate as accel_structural_row_estimate
@@ -889,10 +891,10 @@ class FullTextSource(DataSource):
             )
         bindings = bindings or {}
         text = _fill_placeholders(query.query_template, bindings, quote=_fulltext_literal)
-        result = self.store.search(text, limit=query.limit, sort_by=query.sort_by)
-        rows = self._hit_rows(result, query.fields())
+        rows = self._search_rows(query, text, [bindings])
         # Post-filter on bindings over output variables (exact, lowercase-insensitive
-        # for strings, mirroring keyword-field behaviour).
+        # for strings, mirroring keyword-field behaviour): the index-side
+        # narrowing of _search_rows only ever returns a superset of these rows.
         filters = self._post_filters(query, bindings)
         if filters:
             rows = [r for r in rows if all(_loose_equal(r.get(k), v) for k, v in filters)]
@@ -903,13 +905,19 @@ class FullTextSource(DataSource):
                       bindings_batch: Sequence[Row]) -> list[list[Row]]:
         """Batched full-text evaluation with native disjunctive pushdown.
 
-        Without placeholders the (identical) search runs once and its
-        hits are partitioned per binding.  When every placeholder occurs
-        exactly once as a ``path:{var}`` clause over an echoed *keyword*
-        field, the filled clauses of the whole batch are OR-ed into one
-        disjunctive query — a single index round trip — and hits are
-        attributed back through the echoed field.  Anything else falls
-        back to one search per distinct filled query text.
+        When every placeholder occurs exactly once as a ``path:{var}``
+        clause over an echoed *keyword* field, the filled clauses of the
+        whole batch are OR-ed into one disjunctive query — a single index
+        round trip — and hits are attributed back through the echoed
+        field.  Anything else is one search per distinct filled query
+        text (a placeholder-free template is one text, so one search),
+        its hits partitioned among the bindings that share the text.
+
+        Either way the bindings on *output* variables go into the index
+        with the search (see :meth:`_search_rows`): a search scores,
+        sorts and projects the documents some binding of its group can
+        accept, not every hit of the template.  ``_partition_loose``
+        remains the exact per-binding verifier.
         """
         if not isinstance(query, FullTextQuery):
             raise MixedQueryError(
@@ -920,16 +928,11 @@ class FullTextSource(DataSource):
             return [self.execute(query, b) for b in batch]
         fields = query.fields()
         required = query.required_parameters()
-        if not required:
-            result = self.store.search(query.query_template, limit=query.limit,
-                                       sort_by=query.sort_by)
-            rows = self._hit_rows(result, fields)
-            return _partition_loose(rows, [self._post_filters(query, b) for b in batch])
-
         clause_fields = _clause_placeholder_fields(query.query_template)
         echoes = {var: _echo_variable(fields, path)
                   for var, path in clause_fields.items()}
-        disjunctive = (query.limit is None
+        disjunctive = (bool(required)
+                       and query.limit is None
                        # The OR of the filled clauses repeats the template's
                        # constant text terms once per branch, which inflates
                        # BM25 — only the row *sets* survive that, not scores.
@@ -941,18 +944,12 @@ class FullTextSource(DataSource):
                        and all(var in b and _disjunctable_value(b[var])
                                for b in batch for var in required))
         if disjunctive:
-            texts: list[str] = []
-            seen: set[str] = set()
-            for b in batch:
-                filled = _fill_placeholders(query.query_template, b,
-                                            quote=_fulltext_literal)
-                if filled not in seen:
-                    seen.add(filled)
-                    texts.append(filled)
+            texts = list(dict.fromkeys(
+                _fill_placeholders(query.query_template, b, quote=_fulltext_literal)
+                for b in batch))
             combined = " OR ".join(f"({text})" for text in texts) if len(texts) > 1 \
                 else texts[0]
-            result = self.store.search(combined, limit=None, sort_by=query.sort_by)
-            rows = self._hit_rows(result, fields)
+            rows = self._search_rows(query, combined, batch)
             specs = []
             for b in batch:
                 spec = self._post_filters(query, b)
@@ -960,33 +957,64 @@ class FullTextSource(DataSource):
                 specs.append(spec)
             return _partition_loose(rows, specs)
 
-        # Fallback: one search per distinct filled query text.
         by_text: dict[str, list[int]] = {}
         for index, b in enumerate(batch):
             filled = _fill_placeholders(query.query_template, b, quote=_fulltext_literal)
             by_text.setdefault(filled, []).append(index)
         results: list[list[Row]] = [[] for _ in batch]
         for filled, indices in by_text.items():
-            result = self.store.search(filled, limit=query.limit, sort_by=query.sort_by)
-            rows = self._hit_rows(result, fields)
-            parts = _partition_loose(rows, [self._post_filters(query, batch[i])
-                                            for i in indices])
+            group = [batch[i] for i in indices]
+            rows = self._search_rows(query, filled, group)
+            parts = _partition_loose(rows, [self._post_filters(query, b) for b in group])
             for index, part in zip(indices, parts):
                 results[index] = part
         return results
 
+    def _search_rows(self, query: FullTextQuery, text: str,
+                     group: Sequence[Row]) -> list[Row]:
+        """Rows of the hits of ``text``, searched on behalf of ``group``.
+
+        ``group`` holds the bindings that will share the hits.  Without a
+        ``limit``, every output variable over a ``keyword`` field that
+        *all* of them bind to a ``str`` is AND-ed into the parsed query,
+        as the OR of the group's distinct values: the store intersects
+        the posting sets before it scores, sorts or projects a hit.  The
+        keyword lookup (``str(v).lower()`` per stored value) accepts at
+        least what ``_loose_equal`` accepts for a ``str`` binding, so the
+        callers' post-filters see every row they would have kept; other
+        binding types have no such guarantee and stay post-filtered only,
+        as does a ``limit``-ed query (top-k-then-filter is not
+        filter-then-top-k).  Keyword terms carry no BM25 weight, so the
+        surviving hits keep their scores bit for bit.
+        """
+        fields = query.fields()
+        parsed = parse_query(text)
+        if query.limit is None:
+            narrowing = []
+            for variable in sorted(query.output_variables() - query.required_parameters()):
+                path = fields[variable]
+                values = [b.get(variable) for b in group]
+                if not (self._is_keyword_field(path)
+                        and all(isinstance(v, str) for v in values)):
+                    continue
+                terms = tuple(TermQuery(path, v)
+                              for v in dict.fromkeys(v.lower() for v in values))
+                narrowing.append(terms[0] if len(terms) == 1
+                                 else BooleanQuery("OR", terms))
+            if narrowing:
+                parsed = BooleanQuery("AND", (parsed, *narrowing))
+        result = self.store.search(parsed, limit=query.limit, sort_by=query.sort_by)
+        return self._hit_rows(result, fields)
+
     @staticmethod
     def _hit_rows(result, fields: dict[str, str]) -> list[Row]:
-        rows: list[Row] = []
-        for hit in result.hits:
-            row: Row = {}
-            for variable, path in fields.items():
-                if path == "_score":
-                    row[variable] = hit.score
-                else:
-                    row[variable] = _scalarize(hit.get(path))
-            rows.append(row)
-        return rows
+        # Each dotted path is split here, once, not once per hit.
+        getters = [(variable, None if path == "_score" else path_getter(path))
+                   for variable, path in fields.items()]
+        return [{variable: hit.score if getter is None
+                 else _scalarize(getter(hit.document.fields))
+                 for variable, getter in getters}
+                for hit in result.hits]
 
     @staticmethod
     def _post_filters(query: FullTextQuery, bindings: Row) -> list[tuple[str, object]]:

@@ -10,6 +10,7 @@ vocabulary analytics of Figure 3).
 
 from __future__ import annotations
 
+import functools
 import re
 import unicodedata
 from dataclasses import dataclass, field
@@ -46,6 +47,11 @@ _FRENCH_SUFFIXES = (
 _ENGLISH_SUFFIXES = ("ations", "ation", "ingly", "ings", "ing", "edly", "ed",
                      "ness", "ies", "ly", "es", "s")
 
+#: Entries kept by the memos of :func:`normalize` and :func:`stem`: both
+#: are pure and a corpus repeats a few thousand distinct tokens, so the
+#: bound only caps what a stream of never-repeating tokens can hold.
+_TOKEN_MEMO_SIZE = 1 << 15
+
 
 @dataclass(frozen=True)
 class AnalyzedText:
@@ -70,6 +76,8 @@ class Analyzer:
     def stopwords(self) -> frozenset[str]:
         """Return the effective stop-word set for the configured language."""
         base = FRENCH_STOPWORDS if self.language == "fr" else ENGLISH_STOPWORDS
+        if not self.extra_stopwords:
+            return base
         return base | self.extra_stopwords
 
     def analyze(self, text: str) -> AnalyzedText:
@@ -108,6 +116,7 @@ def tokenize(text: str) -> list[str]:
 _ELISION_RE = re.compile(r"^(?:l|d|j|n|s|t|c|m|qu)'(.+)$")
 
 
+@functools.lru_cache(maxsize=_TOKEN_MEMO_SIZE)
 def normalize(token: str) -> str:
     """Lowercase a token, strip diacritics (é → e) and French elisions (d'…)."""
     lowered = token.lower().strip("'-")
@@ -117,6 +126,7 @@ def normalize(token: str) -> str:
     return elision.group(1) if elision else stripped
 
 
+@functools.lru_cache(maxsize=_TOKEN_MEMO_SIZE)
 def stem(token: str, language: str = "fr") -> str:
     """Light suffix-stripping stemmer.
 

@@ -8,8 +8,9 @@ positions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import FullTextError
 
@@ -23,13 +24,7 @@ class Document:
 
     def get(self, path: str, default: Any = None) -> Any:
         """Return the value at a dotted ``path`` (``user.screen_name``)."""
-        current: Any = self.fields
-        for part in path.split("."):
-            if isinstance(current, dict) and part in current:
-                current = current[part]
-            else:
-                return default
-        return current
+        return _descend(self.fields, path.split("."), default)
 
     def flat_fields(self) -> Iterator[tuple[str, Any]]:
         """Yield ``(dotted_path, scalar_value)`` pairs for every leaf."""
@@ -50,6 +45,25 @@ class Document:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Document(id={self.doc_id!r}, fields={sorted(self.fields)})"
+
+
+def path_getter(path: str) -> Callable[[dict[str, Any]], Any]:
+    """Compile a dotted ``path`` into a function of a field tree.
+
+    ``path_getter(p)(doc.fields) == doc.get(p)``; the path is split once,
+    not once per document — for loops that read one path of many hits.
+    """
+    return functools.partial(_descend, parts=tuple(path.split(".")), default=None)
+
+
+def _descend(fields: dict[str, Any], parts: Sequence[str], default: Any) -> Any:
+    current: Any = fields
+    for part in parts:
+        if isinstance(current, dict) and part in current:
+            current = current[part]
+        else:
+            return default
+    return current
 
 
 def make_document(source: dict[str, Any], id_field: str = "id") -> Document:

@@ -1,10 +1,15 @@
-"""Inverted index and postings for the full-text substrate."""
+"""Inverted index and postings for the full-text substrate.
+
+The aggregates a search reads — the number of documents and their total
+length — are maintained by the writes (``add`` / ``remove``), so the read
+side never recomputes them from the per-document lengths.
+"""
 
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
 from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 
 @dataclass
@@ -21,41 +26,56 @@ class InvertedIndex:
 
     def __init__(self, field_name: str):
         self.field_name = field_name
-        self._postings: dict[str, dict[str, Posting]] = defaultdict(dict)
+        self._postings: dict[str, dict[str, Posting]] = {}
         self._doc_lengths: dict[str, int] = {}
+        #: Sum of ``_doc_lengths`` (kept by the writes: BM25 reads the
+        #: average length on every search).
+        self._total_length = 0
 
     # ------------------------------------------------------------------
     def add(self, doc_id: str, terms: list[str]) -> None:
         """Index ``terms`` (already analysed) for ``doc_id``."""
-        counts = Counter(terms)
-        positions: dict[str, list[int]] = defaultdict(list)
+        positions: dict[str, list[int]] = {}
         for position, term in enumerate(terms):
-            positions[term].append(position)
-        for term, count in counts.items():
-            self._postings[term][doc_id] = Posting(
-                doc_id=doc_id, term_frequency=count, positions=tuple(positions[term])
+            positions.setdefault(term, []).append(position)
+        for term, where in positions.items():
+            self._postings.setdefault(term, {})[doc_id] = Posting(
+                doc_id=doc_id, term_frequency=len(where), positions=tuple(where)
             )
+        self._total_length += len(terms) - self._doc_lengths.get(doc_id, 0)
         self._doc_lengths[doc_id] = len(terms)
 
-    def remove(self, doc_id: str) -> None:
-        """Remove every posting of ``doc_id``."""
-        for postings in self._postings.values():
-            postings.pop(doc_id, None)
-        self._doc_lengths.pop(doc_id, None)
+    def remove(self, doc_id: str, terms: Iterable[str]) -> None:
+        """Remove ``doc_id``, which was indexed with ``terms``.
+
+        Only the postings of ``terms`` are visited (not the vocabulary),
+        and a term whose last posting goes leaves the vocabulary.
+        """
+        for term in terms:
+            postings = self._postings.get(term)
+            if postings is not None and postings.pop(doc_id, None) is not None \
+                    and not postings:
+                del self._postings[term]
+        self._total_length -= self._doc_lengths.pop(doc_id, 0)
 
     def _copy(self) -> "InvertedIndex":
         """Structural copy (snapshot support); Postings are immutable
         and therefore shared."""
         twin = InvertedIndex(self.field_name)
-        for term, postings in self._postings.items():
-            twin._postings[term] = dict(postings)
+        twin._postings = {term: dict(postings)
+                          for term, postings in self._postings.items()}
         twin._doc_lengths = dict(self._doc_lengths)
+        twin._total_length = self._total_length
         return twin
 
     # ------------------------------------------------------------------
     def postings(self, term: str) -> list[Posting]:
         """Return the postings list of ``term`` (empty if unseen)."""
         return list(self._postings.get(term, {}).values())
+
+    def postings_by_document(self, term: str) -> Mapping[str, Posting]:
+        """The postings of ``term`` keyed by doc id (read-only, not a copy)."""
+        return self._postings.get(term, {})
 
     def documents_with(self, term: str) -> set[str]:
         """Return the doc ids containing ``term``."""
@@ -74,10 +94,10 @@ class InvertedIndex:
         return self._doc_lengths.get(doc_id, 0)
 
     def average_document_length(self) -> float:
-        """Mean document length (used by BM25)."""
+        """Mean document length (used by BM25); O(1)."""
         if not self._doc_lengths:
             return 0.0
-        return sum(self._doc_lengths.values()) / len(self._doc_lengths)
+        return self._total_length / len(self._doc_lengths)
 
     def vocabulary(self) -> set[str]:
         """Every indexed term."""

@@ -27,7 +27,7 @@ from repro.core.deltas import DeltaJournal, INSERT, REMOVE, UPSERT
 from repro.errors import FullTextError
 from repro.fulltext.analysis import Analyzer
 from repro.locks import RWLock
-from repro.fulltext.document import Document, make_document
+from repro.fulltext.document import Document, make_document, path_getter
 from repro.fulltext.index import InvertedIndex
 from repro.fulltext.query import (
     BooleanQuery,
@@ -39,7 +39,7 @@ from repro.fulltext.query import (
     TermQuery,
     parse_query,
 )
-from repro.fulltext.scoring import BM25Parameters, bm25_score
+from repro.fulltext.scoring import bm25_scorer
 
 
 @dataclass(frozen=True)
@@ -182,27 +182,53 @@ class FullTextStore:
 
     def _index_unlocked(self, doc: Document) -> None:
         self._documents[doc.doc_id] = doc
-        for field_name, config in self._fields.items():
-            value = doc.get(field_name)
-            if value is None:
-                continue
-            if config.field_type == "text":
-                terms = self.analyzer.stems(self._stringify(value))
-                self._text_indexes[field_name].add(doc.doc_id, terms)
-            elif config.field_type == "keyword":
-                for keyword in self._keyword_values(value):
-                    self._keyword_indexes[field_name][keyword].add(doc.doc_id)
+        for field_name, index in self._text_indexes.items():
+            terms = self._text_terms(doc, field_name)
+            if terms is not None:
+                index.add(doc.doc_id, terms)
+        for field_name, buckets in self._keyword_indexes.items():
+            for keyword in self._keyword_terms(doc, field_name):
+                buckets[keyword].add(doc.doc_id)
 
     def _deindex_unlocked(self, doc_id: str) -> bool:
+        """Drop a document's entries; True when it existed.
+
+        What the document put into the indexes is derived again from the
+        stored document (never mutated after ``add``), so only its own
+        terms and keyword buckets are visited, and the ones it empties
+        are deleted: the statistics count no dead term.
+        """
         doc = self._documents.pop(doc_id, None)
         if doc is None:
             return False
-        for index in self._text_indexes.values():
-            index.remove(doc_id)
-        for keyword_index in self._keyword_indexes.values():
-            for doc_ids in keyword_index.values():
-                doc_ids.discard(doc_id)
+        for field_name, index in self._text_indexes.items():
+            terms = self._text_terms(doc, field_name)
+            if terms is not None:
+                index.remove(doc_id, terms)
+        for field_name, buckets in self._keyword_indexes.items():
+            for keyword in self._keyword_terms(doc, field_name):
+                doc_ids = buckets.get(keyword)
+                if doc_ids is not None:
+                    doc_ids.discard(doc_id)
+                    if not doc_ids:
+                        del buckets[keyword]
         return True
+
+    def _text_terms(self, doc: Document, field_name: str) -> list[str] | None:
+        """The stems ``doc`` is indexed under in a text field (None: absent)."""
+        value = doc.get(field_name)
+        if value is None:
+            return None
+        return self.analyzer.stems(self._stringify(value))
+
+    def _keyword_terms(self, doc: Document, field_name: str) -> list[str]:
+        """The (lowercased) values ``doc`` is indexed under in a keyword field."""
+        value = doc.get(field_name)
+        if value is None:
+            return []
+        if isinstance(value, list):
+            return [str(v).lower() for v in value]
+        return [str(value).lower()]
 
     def remove(self, doc_id: str) -> bool:
         """Remove a document from the store and all its indexes."""
@@ -331,7 +357,7 @@ class FullTextStore:
             return len(index.vocabulary())
         buckets = self._keyword_indexes.get(field_name)
         if buckets is not None:
-            return sum(1 for doc_ids in buckets.values() if doc_ids)
+            return len(buckets)
         return None
 
     def average_document_frequency(self, field_name: str) -> float | None:
@@ -362,10 +388,9 @@ class FullTextStore:
             return postings / len(vocabulary)
         buckets = self._keyword_indexes.get(field_name)
         if buckets is not None:
-            sizes = [len(doc_ids) for doc_ids in buckets.values() if doc_ids]
-            if not sizes:
+            if not buckets:
                 return 0.0
-            return sum(sizes) / len(sizes)
+            return sum(len(doc_ids) for doc_ids in buckets.values()) / len(buckets)
         return None
 
     # ------------------------------------------------------------------
@@ -382,14 +407,20 @@ class FullTextStore:
         """
         parsed = parse_query(query) if isinstance(query, str) else query
         matches = self._evaluate(parsed)
-        scoring_terms = self._scoring_terms(parsed)
-        hits = []
-        for doc_id in matches:
-            doc = self._documents[doc_id]
-            score = self._score(doc_id, scoring_terms)
-            hits.append(SearchHit(document=doc, score=score))
+        score = self._scorer(parsed)
+        documents = self._documents
+        hits = [SearchHit(document=documents[doc_id], score=score(doc_id))
+                for doc_id in matches]
         if sort_by:
-            hits.sort(key=lambda h: (h.get(sort_by) is None, h.get(sort_by)), reverse=descending)
+            value_of = path_getter(sort_by)
+
+            def sort_key(hit: SearchHit) -> tuple[bool, Any, str]:
+                # The id breaks ties: the order of ``matches`` (a set) must
+                # not show in the answer.
+                value = value_of(hit.document.fields)
+                return (value is None, value, hit.document.doc_id)
+
+            hits.sort(key=sort_key, reverse=descending)
         else:
             hits.sort(key=lambda h: (-h.score, h.document.doc_id))
         total = len(hits)
@@ -490,8 +521,8 @@ class FullTextStore:
         matches = set()
         for doc_id in candidates:
             positions = [dict.fromkeys(p.positions) for p in
-                         (next((pp for pp in index.postings(s) if pp.doc_id == doc_id), None)
-                          for s in stems) if p is not None]
+                         (index.postings_by_document(s).get(doc_id) for s in stems)
+                         if p is not None]
             if len(positions) != len(stems):
                 continue
             first_positions = positions[0]
@@ -549,18 +580,25 @@ class FullTextStore:
         walk(query)
         return terms
 
-    def _score(self, doc_id: str, scoring_terms: dict[str, list[str]],
-               parameters: BM25Parameters | None = None) -> float:
-        score = 0.0
-        for field_name, terms in scoring_terms.items():
-            if terms:
-                score += bm25_score(self._text_indexes[field_name], terms, doc_id, parameters)
-        return score if score else 1.0
+    def _scorer(self, query: Query) -> Callable[[str], float]:
+        """Relevance of a document to ``query``: BM25 summed over the text
+        fields the query names (1.0 when no text term contributes).
 
-    def _keyword_values(self, value: Any) -> list[str]:
-        if isinstance(value, list):
-            return [str(v).lower() for v in value]
-        return [str(value).lower()]
+        Everything that does not depend on the document is computed here,
+        once per search, not once per hit.
+        """
+        scorers = [bm25_scorer(self._text_indexes[field_name], terms)
+                   for field_name, terms in self._scoring_terms(query).items() if terms]
+        if not scorers:
+            return lambda doc_id: 1.0
+
+        def score(doc_id: str) -> float:
+            total = 0.0
+            for scorer in scorers:
+                total += scorer(doc_id)
+            return total if total else 1.0
+
+        return score
 
     @staticmethod
     def _stringify(value: Any) -> str:

@@ -29,6 +29,10 @@ class PathIndex:
         self.path = path
         self.postings: dict[object, set[str]] = {}
         self.presence: set[str] = set()
+        #: doc id -> values it holds at the path beyond its first.  Sparse
+        #: (most paths hold one value per document); it is what lets
+        #: ``remove`` decide presence without scanning the postings.
+        self._extra_values: dict[str, int] = {}
         self.occurrences = 0
         #: Monotonic mutation stamp; unchanged while the index is shared.
         self.version = 0
@@ -41,7 +45,10 @@ class PathIndex:
         self._unshare()
         key = normalize(value)
         self.postings.setdefault(key, set()).add(doc_id)
-        self.presence.add(doc_id)
+        if doc_id in self.presence:
+            self._extra_values[doc_id] = self._extra_values.get(doc_id, 0) + 1
+        else:
+            self.presence.add(doc_id)
         self.occurrences += 1
         self.version += 1
 
@@ -55,21 +62,25 @@ class PathIndex:
             if not bucket:
                 del self.postings[key]
         self.occurrences = max(0, self.occurrences - 1)
-        if not any(doc_id in ids for ids in self.postings.values()):
+        extra = self._extra_values.pop(doc_id, 0)
+        if extra > 1:
+            self._extra_values[doc_id] = extra - 1
+        elif not extra:
             self.presence.discard(doc_id)
         self.version += 1
 
     def _copy(self) -> "PathIndex":
         """Copy-on-write twin (snapshot support).
 
-        Postings and presence are *shared* until either twin mutates —
-        snapshotting a large store no longer rebuilds every per-path
-        posting eagerly.  The first ``add``/``remove`` on either side
+        Postings, presence and value counts are *shared* until either twin
+        mutates — snapshotting a large store no longer rebuilds every
+        per-path posting eagerly.  The first ``add``/``remove`` on either side
         privatises that side's containers (:meth:`_unshare`).
         """
         twin = PathIndex(self.path)
         twin.postings = self.postings
         twin.presence = self.presence
+        twin._extra_values = self._extra_values
         twin.occurrences = self.occurrences
         twin.version = self.version
         twin._shared = True
@@ -81,6 +92,7 @@ class PathIndex:
         if self._shared:
             self.postings = {key: set(ids) for key, ids in self.postings.items()}
             self.presence = set(self.presence)
+            self._extra_values = dict(self._extra_values)
             self._shared = False
 
     # -- lookups -------------------------------------------------------------

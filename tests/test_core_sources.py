@@ -1,9 +1,14 @@
 """Unit tests for the per-model source wrappers and sub-query descriptions."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import FullTextQuery, FullTextSource, RDFQuery, RDFSource, RelationalSource, SQLQuery
+from repro.core.sources import _fill_placeholders, _fulltext_literal, _loose_equal
+from repro.datasets.loader import TWEETS_URI
 from repro.errors import MixedQueryError
+from repro.fulltext import FieldConfig, FullTextStore
+from repro.fulltext.query import BooleanQuery, TermQuery, parse_query
 
 
 class TestRDFQueryAndSource:
@@ -148,3 +153,288 @@ class TestFullTextQueryAndSource:
         source = FullTextSource("solr://tweets", small_tweet_store)
         with pytest.raises(MixedQueryError):
             source.execute(RDFQuery.from_text("SELECT ?x WHERE { ?x ?p ?o }"))
+
+
+# ---------------------------------------------------------------------------
+# Index-side binding pushdown: differential against an un-narrowed reference
+# ---------------------------------------------------------------------------
+
+_CORPUS = [
+    {"id": "D01", "body": "Budget vote today in parliament", "title": "Budget",
+     "author": "Alice", "tags": ["Red", "blue"], "count": 3},
+    {"id": "d02", "body": "The budget of the budget committee", "title": "Committee",
+     "author": "alice", "tags": ["red"], "count": 3},
+    {"id": "D03", "body": "Farmers protest the budget", "title": "Protest",
+     "author": "bob smith", "tags": ["x y", "AND"], "count": 7},
+    {"id": "d04", "body": "Nothing about money here", "title": "Other",
+     "author": "a:b", "tags": [], "count": 0},
+    {"id": "D05", "body": "Budget budget budget", "title": "Budget",
+     "author": 'say "hi"', "tags": ["blue"], "count": 7},
+    {"id": "d06", "body": "Parliament votes", "title": "Vote",
+     "author": "AND", "tags": ["or", "Red"], "count": 1},
+    {"id": "D07", "body": "A quiet day for the budget", "title": "Quiet",
+     "author": "OR", "tags": ["not"], "count": 1},
+    {"id": "d08", "body": "Vote on the farm budget", "title": "Farm",
+     "author": "NOT", "tags": ["TO"], "count": 5},
+    {"id": "D09", "body": "Budget talks resume", "title": "Talks",
+     "author": "TO", "tags": ["red", "RED"], "count": 5},
+    {"id": "d10", "body": "The author of this one is a number", "title": "Number",
+     "author": 42, "tags": ["blue"], "count": 42},
+    {"id": "D11", "body": "The author of this one is a string of digits budget",
+     "title": "Digits", "author": "42", "tags": ["Blue"], "count": 42},
+    {"id": "d12", "body": "No author at all, but a budget", "title": "Anonymous",
+     "tags": ["red"], "count": 2},
+    {"id": "D13", "body": "Budget vote today in parliament", "title": "Budget",
+     "author": "ALICE", "tags": "red", "count": 3},
+]
+
+_OUTPUTS = {"a": "author", "g": "tags", "t": "title", "n": "count", "i": "id"}
+
+#: (template, output fields): constant templates, a ``path:{var}`` clause
+#: over an echoed keyword field (the disjunctive batch path) and a
+#: placeholder in a text clause (one search per distinct filled text).
+_TEMPLATES = [
+    ("*:*", _OUTPUTS),
+    ("body:budget", {**_OUTPUTS, "s": "_score"}),
+    ("body:budget OR body:vote", {"a": "author", "s": "_score", "i": "id"}),
+    ("tags:red", _OUTPUTS),
+    ("tags:{tag}", _OUTPUTS),
+    ("body:{word}", {"a": "author", "g": "tags", "s": "_score", "i": "id"}),
+]
+
+_BINDING_VALUES = {
+    # str bindings on keyword fields are pushed into the index ...
+    "a": ["alice", "ALICE", "bob smith", "a:b", 'say "hi"', "AND", "or", "NOT", "TO",
+          "42", "nobody",
+          # ... other types are not (they stay post-filtered only)
+          42, True, None],
+    "g": ["RED", "blue", "x y", "and", "absent", ("red", "RED"), 7],
+    # a text field and a numeric field: never pushed
+    "t": ["Budget", "budget", "Nowhere"],
+    "n": [3, 7, "3"],
+    "i": ["d01", "D02", "d99"],
+    "tag": ["red", "blue", "AND", "missing"],
+    "word": ["budget", "vote", "parliament"],
+}
+
+def _diff_source(documents=_CORPUS):
+    store = FullTextStore("diff", [
+        FieldConfig("body", "text"),
+        FieldConfig("title", "text"),
+        FieldConfig("author", "keyword"),
+        FieldConfig("tags", "keyword", multi_valued=True),
+        FieldConfig("id", "keyword"),
+        FieldConfig("count", "numeric"),
+    ], default_field="body")
+    store.add_all(documents)
+    return FullTextSource("solr://diff", store)
+
+
+def _reference(source, query, bindings):
+    """The un-narrowed answer: search the filled template, project every
+    hit, then keep the rows the bindings accept."""
+    text = _fill_placeholders(query.query_template, bindings, quote=_fulltext_literal)
+    result = source.store.search(text, limit=query.limit, sort_by=query.sort_by)
+    rows = []
+    for hit in result.hits:
+        row = {}
+        for variable, path in query.fields().items():
+            value = hit.score if path == "_score" else hit.get(path)
+            if isinstance(value, list):
+                value = value[0] if len(value) == 1 else tuple(value)
+            row[variable] = value
+        rows.append(row)
+    filters = [(k, v) for k, v in bindings.items()
+               if k in query.output_variables() and k not in query.required_parameters()]
+    return [r for r in rows if all(_loose_equal(r.get(k), v) for k, v in filters)]
+
+
+def _make_query(template, fields, limit, sort_by):
+    return FullTextQuery.create(template, fields, limit=limit, sort_by=sort_by)
+
+
+def _binding(query, values):
+    """Keep of ``values`` what the query can take; fill its placeholders."""
+    known = query.output_variables() | query.required_parameters()
+    binding = {k: v for k, v in values.items() if k in known}
+    for parameter in query.required_parameters():
+        binding.setdefault(parameter, _BINDING_VALUES[parameter][0])
+    return binding
+
+
+def _searched(source, call):
+    """Run ``call`` and return (its result, the queries the store was sent,
+    as ASTs)."""
+    sent = []
+    search = source.store.search
+
+    def spy(query, *args, **kwargs):
+        sent.append(parse_query(query) if isinstance(query, str) else query)
+        return search(query, *args, **kwargs)
+
+    source.store.search = spy
+    try:
+        return call(), sent
+    finally:
+        del source.store.search
+
+
+class TestFullTextBindingPushdownDifferential:
+    @pytest.mark.parametrize("limit", [None, 2])
+    @pytest.mark.parametrize("sort_by", [None, "count"])
+    @pytest.mark.parametrize("template,fields", _TEMPLATES)
+    def test_every_single_binding_matches_the_reference(self, template, fields,
+                                                        limit, sort_by):
+        source = _diff_source()
+        query = _make_query(template, fields, limit, sort_by)
+        for variable in query.output_variables() & set(_BINDING_VALUES):
+            for value in _BINDING_VALUES[variable]:
+                binding = _binding(query, {variable: value})
+                assert source.execute(query, binding) == _reference(source, query, binding), \
+                    (template, binding)
+        assert source.execute(query, _binding(query, {})) == \
+            _reference(source, query, _binding(query, {}))
+
+    @pytest.mark.parametrize("limit", [None, 3])
+    @pytest.mark.parametrize("sort_by", [None, "count"])
+    @pytest.mark.parametrize("template,fields", _TEMPLATES)
+    def test_batches_match_the_reference(self, template, fields, limit, sort_by):
+        source = _diff_source()
+        query = _make_query(template, fields, limit, sort_by)
+        authors = _BINDING_VALUES["a"]
+        batches = [
+            # all-distinct ids, duplicates, mixed case of one id
+            [{"a": v} for v in authors if isinstance(v, str)],
+            [{"a": "alice"}, {"a": "ALICE"}, {"a": "alice"}, {"a": "TO"}, {"a": "alice"}],
+            # one non-str binding in the batch: nothing may be narrowed by ``a``
+            [{"a": "alice"}, {"a": 42}, {"a": None}, {"a": "42"}],
+            # one binding without the variable: it must still see every hit
+            [{"a": "alice"}, {}, {"g": "red"}],
+            # two pushable variables, multi-valued field, a tuple binding
+            [{"a": "alice", "g": "RED"}, {"a": "to", "g": "red"}, {"a": "AND", "g": "or"}],
+            [{"g": ("red", "RED")}, {"g": "blue"}],
+            # text / numeric outputs are never pushed
+            [{"t": "Budget", "a": "alice"}, {"t": "budget", "a": "Alice"}, {"n": 3, "a": "ALICE"}],
+            [{"i": "d01"}, {"i": "D02"}, {"i": "d99"}],
+            # several placeholder values (where the template has one)
+            [{"tag": tag, "word": word, "a": "alice"}
+             for tag, word in zip(_BINDING_VALUES["tag"], _BINDING_VALUES["word"] * 2)],
+            [{"tag": tag, "word": "budget"} for tag in _BINDING_VALUES["tag"]],
+        ]
+        for raw in batches:
+            batch = [_binding(query, values) for values in raw]
+            expected = [_reference(source, query, b) for b in batch]
+            assert source.execute_batch(query, batch) == expected, (template, batch)
+
+    def test_str_binding_on_a_keyword_output_is_anded_into_the_query_as_ast(self):
+        source = _diff_source()
+        query = _make_query("body:budget", _OUTPUTS, None, None)
+        for value in ["ALICE", "bob smith", "a:b", 'say "hi"', "AND", "nobody"]:
+            rows, sent = _searched(source, lambda: source.execute(query, {"a": value}))
+            assert sent == [BooleanQuery("AND", (parse_query("body:budget"),
+                                                 TermQuery("author", value.lower())))]
+            assert rows == _reference(source, query, {"a": value})
+        rows, sent = _searched(source, lambda: source.execute_batch(
+            query, [{"a": "Alice"}, {"a": "TO"}, {"a": "alice"}]))
+        assert sent == [BooleanQuery("AND", (
+            parse_query("body:budget"),
+            BooleanQuery("OR", (TermQuery("author", "alice"), TermQuery("author", "to")))))]
+
+    @pytest.mark.parametrize("binding", [
+        {"a": 42}, {"a": True}, {"a": None},    # not str
+        {"t": "Budget"},                         # a text field
+        {"n": 3}, {"n": "3"},                    # a numeric field
+        {"g": ("red", "RED")},                   # not str
+    ])
+    def test_what_must_not_be_pushed_is_not(self, binding):
+        source = _diff_source()
+        query = _make_query("body:budget", _OUTPUTS, None, None)
+        rows, sent = _searched(source, lambda: source.execute(query, binding))
+        assert sent == [parse_query("body:budget")]
+        assert rows == _reference(source, query, binding)
+
+    def test_a_limited_query_is_never_narrowed(self):
+        source = _diff_source()
+        query = _make_query("body:budget", _OUTPUTS, 2, None)
+        rows, sent = _searched(source, lambda: source.execute(query, {"a": "alice"}))
+        assert sent == [parse_query("body:budget")]
+        # top-2 then filter, not filter then top-2
+        assert rows == _reference(source, query, {"a": "alice"})
+        _, sent = _searched(source, lambda: source.execute_batch(
+            query, [{"a": "alice"}, {"a": "to"}]))
+        assert sent == [parse_query("body:budget")]
+
+    def test_absent_binding_is_an_empty_answer(self):
+        source = _diff_source()
+        query = _make_query("*:*", _OUTPUTS, None, None)
+        assert source.execute(query, {"a": "nobody"}) == []
+        assert source.execute_batch(query, [{"a": "nobody"}, {"a": "no one"}]) == [[], []]
+
+    def test_scores_survive_the_narrowing_bit_for_bit(self):
+        source = _diff_source()
+        query = _make_query("body:budget OR body:vote", {"a": "author", "s": "_score",
+                                                         "i": "id"}, None, None)
+        everything = {row["i"]: row["s"] for row in source.execute(query)}
+        for author in ["alice", "TO", "bob smith"]:
+            narrowed = source.execute(query, {"a": author})
+            assert narrowed, author
+            for row in narrowed:
+                assert row["s"] == everything[row["i"]]
+
+
+_binding_strategy = st.fixed_dictionaries({}, optional={
+    variable: st.sampled_from(values) for variable, values in _BINDING_VALUES.items()})
+
+
+class TestFullTextBindingPushdownProperty:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(documents=st.lists(st.sampled_from(_CORPUS), min_size=1, max_size=len(_CORPUS),
+                              unique_by=lambda d: d["id"]),
+           template=st.sampled_from(_TEMPLATES),
+           limit=st.sampled_from([None, 1, 3]),
+           sort_by=st.sampled_from([None, "count"]),
+           raw=st.lists(_binding_strategy, min_size=1, max_size=6))
+    def test_execute_and_execute_batch_match_the_reference(self, documents, template,
+                                                           limit, sort_by, raw):
+        source = _diff_source(documents)
+        query = _make_query(*template, limit, sort_by)
+        batch = [_binding(query, values) for values in raw]
+        expected = [_reference(source, query, b) for b in batch]
+        assert [source.execute(query, b) for b in batch] == expected
+        assert source.execute_batch(query, batch) == expected
+
+
+class TestFullTextProjectsOnlyWhatTheBindingCanAccept:
+    def test_single_binding_projects_no_more_than_the_documents_carrying_both(
+            self, demo, monkeypatch):
+        """No clocks: count the hits handed to the projection.
+
+        ``tweetContains(t, id, tag)`` with ``id`` bound used to score, sort
+        and project every tweet carrying the hashtag and then drop all but
+        the author's; the binding now goes into the index with the search.
+        """
+        source = demo.instance.source(TWEETS_URI)
+        store = source.store
+        hashtag, tagged = max(
+            ((tag, store.term_documents("entities.hashtags", tag))
+             for tag in {str(v).lower() for v in store.field_values("entities.hashtags")}),
+            key=lambda pair: (len(pair[1]), pair[0]))
+        author = str(store.get(min(tagged)).get("user.screen_name"))
+        both = tagged & store.term_documents("user.screen_name", author)
+        assert 0 < len(both) < len(tagged)
+
+        projected = []
+        hit_rows = FullTextSource._hit_rows
+
+        def counting(result, fields):
+            projected.append(len(result.hits))
+            return hit_rows(result, fields)
+
+        monkeypatch.setattr(FullTextSource, "_hit_rows", staticmethod(counting))
+        query = FullTextQuery.create(f"entities.hashtags:{hashtag}",
+                                     {"t": "text", "id": "user.screen_name"})
+        rows = source.execute(query, {"id": author.upper()})
+        assert len(rows) == len(both)
+        assert projected == [len(both)]
+        monkeypatch.undo()
+        assert rows == [r for r in source.execute(query) if r["id"] == author]

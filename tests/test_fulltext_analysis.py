@@ -103,3 +103,26 @@ class TestAnalyzer:
         a = analyzer.stems("les perquisitions abusives")
         b = analyzer.stems("une perquisition abusive")
         assert set(a) & set(b)
+
+
+class TestMemoisedAnalysis:
+    def test_memos_are_transparent(self):
+        # ``normalize`` is not idempotent ("l'l'eau" sheds one elision per
+        # pass), so the memo must key on the raw token, not on its result.
+        for token in ["L'État", "d'urgence", "Agriculteurs", "l'l'eau", "-x-", "#SIA2016"]:
+            assert normalize(token) == normalize.__wrapped__(token)
+            for language in ("fr", "en"):
+                assert stem(token, language) == stem.__wrapped__(token, language)
+        assert normalize("l'l'eau") == "l'eau" and stem(normalize("l'l'eau")) == "eau"
+
+    def test_memos_are_bounded(self):
+        assert normalize.cache_info().maxsize is not None
+        assert stem.cache_info().maxsize is not None
+
+    def test_stopwords_follow_the_analyzer_fields(self):
+        analyzer = Analyzer()
+        assert analyzer.stopwords() is analyzer.stopwords()
+        analyzer.extra_stopwords = frozenset({"budget"})
+        assert "budget" in analyzer.stopwords() and "le" in analyzer.stopwords()
+        analyzer.language = "en"
+        assert "the" in analyzer.stopwords() and "le" not in analyzer.stopwords()

@@ -1,5 +1,8 @@
 """Unit tests for documents, the inverted index and the Solr-like store."""
 
+import math
+import random
+
 import pytest
 
 from repro.errors import FullTextError
@@ -59,9 +62,10 @@ class TestInvertedIndex:
     def test_remove_document(self):
         index = InvertedIndex("text")
         index.add("d1", ["a"])
-        index.remove("d1")
+        index.remove("d1", ["a"])
         assert index.document_frequency("a") == 0
         assert index.document_count() == 0
+        assert index.vocabulary() == set() and len(index) == 0
 
     def test_idf_decreases_with_frequency(self):
         index = InvertedIndex("text")
@@ -184,3 +188,189 @@ class TestStoreSearch:
     def test_invalid_field_type_rejected(self):
         with pytest.raises(FullTextError):
             FieldConfig("text", "vector")
+
+
+# ---------------------------------------------------------------------------
+# Statistics maintained by the writes, constants computed once per search
+# ---------------------------------------------------------------------------
+
+_WORDS = ("urgence parlement budget agriculture chomage solidarite salon vote "
+          "reforme europe climat sante ecole travail").split()
+
+
+def _reference_statistics(store, field_name="text"):
+    """Per-document stems of one text field, analysed again from the stored
+    documents: what every index aggregate must agree with."""
+    stems = {}
+    for doc in store.documents():
+        value = doc.get(field_name)
+        if value is not None:
+            stems[doc.doc_id] = store.analyzer.stems(FullTextStore._stringify(value))
+    return stems
+
+
+def _reference_bm25(stems, terms, doc_id, k1=1.2, b=0.75):
+    """Okapi BM25 as the parent commit wrote it, every statistic from scratch."""
+    lengths = [len(s) for s in stems.values()]
+    average_length = (sum(lengths) / len(lengths) if lengths else 0.0) or 1.0
+    doc_length = len(stems.get(doc_id, ()))
+    score = 0.0
+    for term in terms:
+        tf = stems.get(doc_id, []).count(term)
+        if tf == 0:
+            continue
+        df = sum(1 for s in stems.values() if term in s)
+        idf = math.log((len(stems) + 1) / (df + 1)) + 1.0
+        numerator = tf * (k1 + 1.0)
+        denominator = tf + k1 * (1.0 - b + b * doc_length / average_length)
+        score += idf * numerator / denominator
+    return score
+
+
+def _seeded_writes(store, rng, steps):
+    """A mixed sequence of add / add_all / upsert / remove."""
+    def document(doc_id):
+        words = [rng.choice(_WORDS) for _ in range(rng.randint(0, 9))]
+        return {"id": doc_id, "text": " ".join(words),
+                "user": {"screen_name": rng.choice(["fhollande", "mlepen", "nsarkozy"])},
+                "entities": {"hashtags": rng.sample(["SIA2016", "COP21", "Loi"],
+                                                    rng.randint(0, 2))}}
+
+    next_id = 1000
+    for _ in range(steps):
+        known = sorted(doc.doc_id for doc in store.documents())
+        action = rng.choice(["add", "add_all", "upsert", "remove"])
+        if action == "add" or not known:
+            store.add(document(next_id))
+            next_id += 1
+        elif action == "add_all":
+            fresh = [document(next_id + offset) for offset in range(3)]
+            store.add_all(fresh + [document(rng.choice(known))])
+            next_id += 3
+        elif action == "upsert":
+            store.add(document(rng.choice(known)))
+        else:
+            store.remove(rng.choice(known))
+
+
+def _assert_index_agrees(store):
+    index = store._text_indexes["text"]
+    stems = _reference_statistics(store)
+    lengths = [len(s) for s in stems.values()]
+    assert index.document_count() == len(lengths)
+    assert index.average_document_length() == \
+        (sum(lengths) / len(lengths) if lengths else 0.0)
+    assert index.vocabulary() == {term for s in stems.values() for term in s}
+    analyse = store.analyzer.stems
+    for doc_id in stems:
+        for terms in (analyse("urgence"), analyse("budget vote"),
+                      analyse("budget budget") + ["absent"]):
+            assert bm25_score(index, terms, doc_id) == \
+                pytest.approx(_reference_bm25(stems, terms, doc_id), abs=1e-12)
+
+
+class TestScoringInvariants:
+    def test_aggregates_follow_a_seeded_write_sequence(self, small_tweet_store):
+        rng = random.Random(2016)
+        for _ in range(12):
+            _seeded_writes(small_tweet_store, rng, steps=5)
+            _assert_index_agrees(small_tweet_store)
+
+    def test_snapshot_keeps_its_scores_after_live_writes(self, small_tweet_store):
+        rng = random.Random(7)
+        _seeded_writes(small_tweet_store, rng, steps=25)
+        frozen = small_tweet_store.snapshot()
+        queries = ["text:urgence", "text:budget OR text:vote", "entities.hashtags:sia2016"]
+        before = [[(h.document.doc_id, h.score) for h in frozen.search(q, limit=None)]
+                  for q in queries]
+        average = frozen._text_indexes["text"].average_document_length()
+        _seeded_writes(small_tweet_store, rng, steps=25)
+        assert [[(h.document.doc_id, h.score) for h in frozen.search(q, limit=None)]
+                for q in queries] == before
+        assert frozen._text_indexes["text"].average_document_length() == average
+        _assert_index_agrees(frozen)
+        _assert_index_agrees(small_tweet_store)
+
+    def test_add_then_remove_restores_every_statistic(self, small_tweet_store):
+        store = small_tweet_store
+        index = store._text_indexes["text"]
+
+        def statistics():
+            return (index.vocabulary(), len(index), index.document_count(),
+                    index.average_document_length(),
+                    store.average_document_frequency("text"),
+                    store.average_document_frequency("entities.hashtags"),
+                    store.distinct_term_count("entities.hashtags"),
+                    {name: {keyword: set(ids) for keyword, ids in buckets.items()}
+                     for name, buckets in store._keyword_indexes.items()})
+
+        before = statistics()
+        store.add({"id": 99, "text": "des mots jamais vus: zeppelin xylophone",
+                   "user": {"screen_name": "newcomer"},
+                   "entities": {"hashtags": ["Unseen", "SIA2016"]}})
+        assert statistics() != before
+        assert store.remove("99") is True
+        assert statistics() == before
+        # An upsert that rewrites a document and its reversal leave no trace either.
+        original = store.get("1")
+        store.add({"id": 1, "text": "tout autre chose", "entities": {"hashtags": ["Autre"]}})
+        store.add(original)
+        assert statistics() == before
+
+    def test_hit_order_is_score_then_id(self, small_tweet_store):
+        small_tweet_store.add_all([
+            {"id": 4, "text": "urgence urgence au parlement"},
+            {"id": 5, "text": "le parlement et l'urgence"},
+            {"id": 6, "text": "le parlement et l'urgence"},
+        ])
+        stems = _reference_statistics(small_tweet_store)
+        for words in (["urgence"], ["urgence", "parlement"], ["chomage", "agriculteurs"]):
+            query = " OR ".join(f"text:{word}" for word in words)
+            terms = [s for word in words for s in small_tweet_store.analyzer.stems(word)]
+            hits = small_tweet_store.search(query, limit=None).hits
+            expected = sorted(((_reference_bm25(stems, terms, h.document.doc_id) or 1.0,
+                                h.document.doc_id) for h in hits),
+                              key=lambda pair: (-pair[0], pair[1]))
+            assert [h.document.doc_id for h in hits] == [doc_id for _, doc_id in expected]
+            assert [h.score for h in hits] == pytest.approx([s for s, _ in expected], abs=1e-12)
+
+
+class _CountingLengths(dict):
+    """A length map that counts the reads of *all* its entries."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.full_reads = 0
+
+    def values(self):
+        self.full_reads += 1
+        return super().values()
+
+    def items(self):
+        self.full_reads += 1
+        return super().items()
+
+    def __iter__(self):
+        self.full_reads += 1
+        return super().__iter__()
+
+
+class TestSearchCostDoesNotScaleWithTheCorpus:
+    def test_one_search_reads_all_lengths_a_constant_number_of_times(self):
+        """No clocks: count the passes over the corpus-sized length map.
+
+        One pass per scored hit (200 here) is what made a search cost
+        hits x corpus; the average length is an aggregate of the writes.
+        """
+        store = FullTextStore("guard", [FieldConfig("text", "text")])
+        store.add_all({"id": i, "text": "urgence " + " ".join(_WORDS[: i % 7])}
+                      for i in range(200))
+        store.add_all({"id": 1000 + i, "text": "rien a voir"} for i in range(300))
+        index = store._text_indexes["text"]
+        lengths = index._doc_lengths = _CountingLengths(index._doc_lengths)
+        result = store.search("text:urgence", limit=None)
+        assert result.total == 200
+        assert lengths.full_reads <= 2
+        bm25_score(index, ["urgenc"], "0")
+        index.average_document_length()
+        assert lengths.full_reads <= 2

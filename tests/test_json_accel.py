@@ -297,6 +297,64 @@ class TestPathIndexCOW:
         assert frozen.lookup_eq("fresh") == set()
         assert store.index_for("a").lookup_eq("fresh") == {"99"}
 
+    def test_presence_follows_the_values_a_document_still_holds(self):
+        """Two values at one path: the document stays present after one is
+        removed and leaves with the second — on the live index and on a
+        snapshot twin, neither disturbed by the other's writes."""
+        from repro.json import PathIndex
+
+        live = PathIndex("tags")
+        live.add("d", "red")
+        live.add("d", "blue")
+        live.add("e", "red")
+        twin = live._copy()
+
+        live.remove("d", "red")
+        assert "d" in live.presence and live.lookup_eq("red") == {"e"}
+        live.remove("d", "blue")
+        assert "d" not in live.presence and live.presence == {"e"}
+        assert twin.presence == {"d", "e"} and twin.lookup_eq("red") == {"d", "e"}
+
+        twin.remove("d", "blue")
+        assert "d" in twin.presence
+        twin.remove("d", "red")
+        assert twin.presence == {"e"}
+        assert live.presence == {"e"} and live.document_count == 1
+
+    def test_remove_does_not_scan_the_postings(self):
+        """No clocks: removing one leaf may not walk every distinct value
+        of the path (it did, once per removed leaf, to decide presence)."""
+        from repro.json import PathIndex
+
+        class CountingPostings(dict):
+            scans = 0
+
+            def values(self):
+                CountingPostings.scans += 1
+                return super().values()
+
+        index = PathIndex("user.id")
+        for number in range(50):
+            index.add(f"doc{number}", number)
+        index.postings = CountingPostings(index.postings)
+        for number in range(50):
+            index.remove(f"doc{number}", number)
+        assert CountingPostings.scans == 0
+        assert not index.presence and not index.postings
+
+    def test_upsert_keeps_presence_exact_through_the_store(self):
+        store = JSONDocumentStore("upsert")
+        store.add({"id": 1, "tags": ["a", "b"]})
+        store.add({"id": 2, "tags": ["a"]})
+        snap = store.snapshot()
+        store.add({"id": 1, "tags": ["b"]})
+        assert store.index_for("tags").presence == {"1", "2"}
+        assert store.index_for("tags").lookup_eq("a") == {"2"}
+        store.add({"id": 1, "other": True})
+        assert store.index_for("tags").presence == {"2"}
+        assert snap.index_for("tags").presence == {"1", "2"}
+        assert snap.index_for("tags").lookup_eq("a") == {"1", "2"}
+
 
 # ---------------------------------------------------------------------------
 # Exact axis statistics and the structural row estimate
