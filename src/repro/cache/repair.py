@@ -68,7 +68,6 @@ from repro.core.sources import (
     SourceQuery,
     SQLQuery,
     _binding_term_variants,
-    _PLACEHOLDER_RE,
     _to_python,
 )
 from repro.fulltext.store import FullTextStore
@@ -76,9 +75,7 @@ from repro.json.store import JSONDocumentStore
 from repro.obs.metrics import get_registry
 from repro.rdf.bgp import evaluate_bgp
 from repro.rdf.terms import Variable
-from repro.relational.ast import SelectStatement
 from repro.relational.database import Database
-from repro.relational.parser import parse_sql
 
 
 class RepairStats:
@@ -211,11 +208,11 @@ class RepairEngine:
     def _apply_sql(self, source, query: SQLQuery, canon: CanonicalQuery,
                    bindings: Row, stored: list[Row],
                    records: list[DeltaRecord]) -> Optional[list[Row]]:
-        statement = _simple_select(query.sql)
-        if statement is None:
+        template = query.template
+        if not template.repair_simple:
             self.stats.fallback("shape")
             return None
-        table = statement.table.name.lower()
+        table = template.tables[0].lower()
         relevant = [r for r in records if r.scope is None or r.scope == table]
         if not relevant:
             # The database version moved, the queried table did not:
@@ -389,45 +386,8 @@ def _json_delta_source(source: JSONSource,
 
 
 # ---------------------------------------------------------------------------
-# Shape gates and helpers
+# Helpers
 # ---------------------------------------------------------------------------
-
-#: Memo of parsed placeholder-neutralised SQL shapes (text -> statement
-#: or False for "not repair-simple").
-_SQL_SHAPE_MEMO = LRUCache(256)
-
-
-def _simple_select(sql: str) -> Optional[SelectStatement]:
-    """Parse ``sql`` and return it only when repair-appendable.
-
-    Placeholders are neutralised to ``NULL`` first — the *structure*
-    (joins, aggregates, grouping, ordering, truncation) does not depend
-    on the bound values.
-    """
-    memo = _SQL_SHAPE_MEMO.get(sql, record_miss=False)
-    if memo is not None:
-        return memo or None
-    statement = _parse_simple_select(sql)
-    _SQL_SHAPE_MEMO.put(sql, statement if statement is not None else False)
-    return statement
-
-
-def _parse_simple_select(sql: str) -> Optional[SelectStatement]:
-    try:
-        statement = parse_sql(_PLACEHOLDER_RE.sub("NULL", sql))
-    except Exception:  # noqa: BLE001 - unparsable => not repairable
-        return None
-    if not isinstance(statement, SelectStatement) or statement.table is None:
-        return None
-    if statement.joins or statement.group_by or statement.having is not None \
-            or statement.order_by or statement.limit is not None \
-            or statement.distinct:
-        return None
-    for item in statement.items:
-        if not item.star and item.expression.aggregates():
-            return None
-    return statement
-
 
 def _unify(pattern, triple) -> Optional[dict]:
     """Bind a triple pattern against one concrete triple (None = no match)."""

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-import string
 import threading
 import time
 from collections import defaultdict
@@ -41,6 +40,7 @@ from repro.rdf.schema import RDFSchema
 from repro.rdf.sparql import parse_bgp
 from repro.rdf.terms import Literal, Term, URI, Variable, literal, uri
 from repro.relational.database import Database
+from repro.relational.template import SQLTemplate, sql_template
 
 #: A binding row at the mediator level: variable name -> Python value.
 Row = dict[str, object]
@@ -104,23 +104,31 @@ class RDFQuery(SourceQuery):
 class SQLQuery(SourceQuery):
     """A SQL SELECT over a relational source.
 
-    The statement's output column names (aliases) become mediator
-    variables.  ``{var}`` placeholders in the text are replaced with the
-    SQL literal of the current binding of ``var`` (these are the
-    sub-query's *required parameters*); bindings on plain output columns
-    are applied as post-filters by the wrapper.
+    ``sql`` is the statement as written: the form that travels over the
+    remote wire and keys the caches.  What the mediator *knows* about it
+    comes from :attr:`template`, the statement parsed once by the
+    engine's own parser: its output column names (the executor's result
+    labels) become mediator variables, and each ``{var}`` — a parameter
+    node standing where a literal may, not text inside a quoted string —
+    is a *required parameter*, bound by value at each call.  Bindings on
+    plain output columns are applied as post-filters by the wrapper.
+    Text the parser rejects raises :class:`~repro.errors.SQLParseError`
+    the first time the query is analysed, i.e. at planning.
     """
 
     sql: str
     output_columns: tuple[str, ...] = ()
 
+    @property
+    def template(self) -> SQLTemplate:
+        """The parsed statement (memoised per statement text)."""
+        return sql_template(self.sql)
+
     def output_variables(self) -> set[str]:
-        if self.output_columns:
-            return set(self.output_columns)
-        return set(_infer_sql_outputs(self.sql))
+        return set(self.output_columns or self.template.output_columns)
 
     def required_parameters(self) -> set[str]:
-        return set(_PLACEHOLDER_RE.findall(self.sql))
+        return set(self.template.parameters)
 
     def compatible_models(self) -> set[str]:
         return {"relational"}
@@ -402,6 +410,14 @@ class DataSource:
                 return memo[1]
             self._pin_memo = (version, pinned)
         return pinned
+
+    @staticmethod
+    def _post_filters(query: SourceQuery, bindings: Row) -> list[tuple[str, object]]:
+        """The bindings on output variables the sub-query did not consume."""
+        outputs = query.output_variables()
+        required = query.required_parameters()
+        return [(k, v) for k, v in bindings.items()
+                if k in outputs and k not in required]
 
     # -- metrics ------------------------------------------------------------
     def _source_instruments(self) -> tuple:
@@ -751,9 +767,7 @@ class RelationalSource(DataSource):
                 f"relational source {self.uri} cannot evaluate {type(query).__name__}"
             )
         bindings = bindings or {}
-        sql = _fill_placeholders(query.sql, bindings, quote=_sql_literal)
-        result = self.database.execute(sql)
-        rows = [dict(zip(result.columns, row)) for row in result.rows]
+        rows = self._run(query.template.bind(bindings))
         # Post-filter on bindings over output columns the SQL did not consume.
         filters = self._post_filters(query, bindings)
         if filters:
@@ -765,16 +779,23 @@ class RelationalSource(DataSource):
                       bindings_batch: Sequence[Row]) -> list[list[Row]]:
         """Batched SQL evaluation with native IN-list pushdown.
 
-        Three strategies, by decreasing preference:
+        Both strategies bind the parsed template by value: a binding is
+        a literal *node* of the statement, never text to be re-lexed.
 
-        * no placeholders — run the statement once and partition its rows
-          per binding with the usual post-filters;
-        * every ``{var}`` placeholder occurs exactly once as ``col = {var}``
-          and ``col`` is echoed in the SELECT list — rewrite each equality
-          to ``col IN (v1, ..., vk)``, run once, and attribute rows to
-          bindings through the echoed column;
-        * otherwise — run one statement per *distinct* filled text (still
-          a single mediator call).
+        * Every ``{var}`` occurs once, as a *top-level conjunct*
+          ``col = {var}`` of the WHERE clause (necessary for a row,
+          whatever sits beside it), with ``col`` echoed in the SELECT
+          list and no LIMIT / GROUP BY / HAVING / aggregate — each
+          equality becomes ``col IN (v1, ..., vk)``, the statement runs
+          once, rows go to bindings through the echoed column.
+        * Otherwise (an equality under ``OR`` / ``NOT`` or in a
+          ``JOIN ... ON``, a range parameter) — one statement per
+          distinct parameter tuple, values told apart by type as in the
+          cache keys; a statement without parameters has one tuple, so
+          it runs once.  Still a single mediator call.
+
+        Either way each binding's rows are then cut out by the usual
+        post-filters on output columns.
         """
         if not isinstance(query, SQLQuery):
             raise MixedQueryError(
@@ -783,27 +804,13 @@ class RelationalSource(DataSource):
         batch = [dict(b or {}) for b in bindings_batch]
         if len(batch) <= 1:
             return [self.execute(query, b) for b in batch]
-        required = query.required_parameters()
-        if not required:
-            rows = self._run(query.sql)
-            return _partition_exact(rows, [self._post_filters(query, b) for b in batch])
-
-        eq_columns = _equality_placeholder_columns(query.sql)
-        echoes = {var: _select_item_output(query.sql, ident)
-                  for var, ident in eq_columns.items()}
-        rewritable = (set(eq_columns) == required
-                      and all(echoes.get(var) for var in required)
-                      and not _SQL_BATCH_UNSAFE_RE.search(query.sql)
-                      and all(var in b and b[var] is not None and _scalar(b[var])
-                              for b in batch for var in required))
-        if rewritable:
-            sql = query.sql
-            for var, ident in eq_columns.items():
-                literals = sorted({_sql_literal(b[var]) for b in batch})
-                clause = f"{ident} IN ({', '.join(literals)})"
-                pattern = re.compile(re.escape(ident) + r"\s*=\s*\{" + re.escape(var) + r"\}")
-                sql = pattern.sub(lambda _match: clause, sql, count=1)
-            rows = self._run(sql)
+        template = query.template
+        required = sorted(template.parameters)
+        echoes = template.batch_echoes
+        if echoes and all(var in b and b[var] is not None and _scalar(b[var])
+                          for b in batch for var in required):
+            rows = self._run(template.bind({}, in_lists={
+                var: dict.fromkeys(b[var] for b in batch) for var in required}))
             specs = []
             for b in batch:
                 spec = self._post_filters(query, b)
@@ -811,45 +818,42 @@ class RelationalSource(DataSource):
                 specs.append(spec)
             return _partition_exact(rows, specs)
 
-        # Fallback: one execution per distinct filled statement.
-        by_sql: dict[str, list[int]] = {}
+        # One execution per distinct (type-tagged) parameter tuple.
+        groups: dict[tuple, list[int]] = {}
         for index, b in enumerate(batch):
-            filled = _fill_placeholders(query.sql, b, quote=_sql_literal)
-            by_sql.setdefault(filled, []).append(index)
+            # A binding that lacks a parameter keys apart (shorter tuple)
+            # and fails in ``bind`` like a lone call would.
+            values = [b[var] for var in required if var in b]
+            key = tuple((type(v).__name__, v if _scalar(v) else repr(v))
+                        for v in values)
+            groups.setdefault(key, []).append(index)
         results: list[list[Row]] = [[] for _ in batch]
-        for filled, indices in by_sql.items():
-            rows = self._run(filled)
+        for indices in groups.values():
+            rows = self._run(template.bind(batch[indices[0]]))
             parts = _partition_exact(rows, [self._post_filters(query, batch[i])
                                             for i in indices])
             for index, part in zip(indices, parts):
                 results[index] = part
         return results
 
-    def _run(self, sql: str) -> list[Row]:
-        result = self.database.execute(sql)
+    def _run(self, statement) -> list[Row]:
+        result = self.database.execute_select(statement)
         return [dict(zip(result.columns, row)) for row in result.rows]
-
-    @staticmethod
-    def _post_filters(query: SQLQuery, bindings: Row) -> list[tuple[str, object]]:
-        outputs = query.output_variables()
-        required = query.required_parameters()
-        return [(k, v) for k, v in bindings.items()
-                if k in outputs and k not in required]
 
     def estimate(self, query: SourceQuery, bound_variables: set[str] | None = None) -> float:
         if not isinstance(query, SQLQuery):
             return float("inf")
         bound_variables = bound_variables or set()
-        table_names = _referenced_tables(query.sql)
+        template = query.template
         estimate = 1.0
-        for table_name in table_names:
+        for table_name in template.tables:
             if self.database.has_table(table_name):
                 estimate *= max(1, len(self.database.table(table_name)))
-        if " where " in query.sql.lower():
+        if template.statement.where is not None:
             estimate = max(1.0, estimate / 10.0)
         for _ in query.output_variables() & bound_variables:
             estimate = max(1.0, estimate / 10.0)
-        for _ in query.required_parameters():
+        for _ in template.parameters:
             estimate = max(1.0, estimate / 10.0)
         return estimate
 
@@ -1015,13 +1019,6 @@ class FullTextSource(DataSource):
                  else _scalarize(getter(hit.document.fields))
                  for variable, getter in getters}
                 for hit in result.hits]
-
-    @staticmethod
-    def _post_filters(query: FullTextQuery, bindings: Row) -> list[tuple[str, object]]:
-        outputs = query.output_variables()
-        required = query.required_parameters()
-        return [(k, v) for k, v in bindings.items()
-                if k in outputs and k not in required]
 
     def _is_keyword_field(self, path: str) -> bool:
         config = self.store.field_config(path)
@@ -1270,17 +1267,6 @@ def _fill_placeholders(template: str, bindings: Row, quote) -> str:
     return _PLACEHOLDER_RE.sub(replace, template)
 
 
-def _sql_literal(value: object) -> str:
-    if value is None:
-        return "NULL"
-    if isinstance(value, bool):
-        return "TRUE" if value else "FALSE"
-    if isinstance(value, (int, float)):
-        return str(value)
-    escaped = str(value).replace("'", "''")
-    return f"'{escaped}'"
-
-
 def _fulltext_literal(value: object) -> str:
     text = str(value)
     if any(ch.isspace() for ch in text):
@@ -1288,61 +1274,11 @@ def _fulltext_literal(value: object) -> str:
     return text
 
 
-def _infer_sql_outputs(sql: str) -> list[str]:
-    """Best-effort extraction of output column names from a SELECT."""
-    match = re.search(r"select\s+(distinct\s+)?(.*?)\s+from\s", sql, re.IGNORECASE | re.DOTALL)
-    if not match:
-        return []
-    outputs = []
-    for item in _split_top_level(match.group(2)):
-        item = item.strip()
-        alias_match = re.search(r"\s+as\s+([A-Za-z_][\w]*)\s*$", item, re.IGNORECASE)
-        if alias_match:
-            outputs.append(alias_match.group(1))
-            continue
-        if item == "*":
-            continue
-        last = item.split(".")[-1].strip()
-        if all(ch in string.ascii_letters + string.digits + "_" for ch in last):
-            outputs.append(last)
-    return outputs
-
-
-def _split_top_level(text: str) -> list[str]:
-    parts, depth, current = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if current:
-        parts.append("".join(current))
-    return parts
-
-
-def _referenced_tables(sql: str) -> list[str]:
-    return re.findall(r"\b(?:from|join)\s+([A-Za-z_][\w]*)", sql, re.IGNORECASE)
-
-
 # ---------------------------------------------------------------------------
 # Batch execution helpers
 # ---------------------------------------------------------------------------
 
-_IDENT_RE = r"[A-Za-z_][\w]*(?:\.[A-Za-z_][\w]*)?"
-
 _DISJUNCTABLE_RE = re.compile(r"[\w.\-@#]+\Z")
-
-#: Constructs whose result over an IN-list differs from the union of the
-#: per-binding results (a shared LIMIT, cross-binding groups/aggregates).
-_SQL_BATCH_UNSAFE_RE = re.compile(
-    r"\blimit\b|\bgroup\s+by\b|\bhaving\b|\b(?:count|sum|avg|min|max)\s*\(",
-    re.IGNORECASE,
-)
 
 
 def _scalar(value: object) -> bool:
@@ -1351,59 +1287,6 @@ def _scalar(value: object) -> bool:
 
 
 _BOOLEAN_CONTEXT_RE = re.compile(r"\b(?:or|not)\b", re.IGNORECASE)
-
-
-def _equality_placeholder_columns(sql: str) -> dict[str, str]:
-    """Placeholders usable for IN-list rewriting: var -> compared column.
-
-    A placeholder qualifies when its *only* occurrence in the statement
-    is of the form ``col = {var}`` (``col`` possibly table-qualified)
-    sitting in a purely conjunctive context: any ``OR``/``NOT`` in the
-    statement disables the rewrite, since an equality under them is not
-    a necessary condition on the result rows.
-    """
-    if _BOOLEAN_CONTEXT_RE.search(sql):
-        return {}
-    mapping: dict[str, str] = {}
-    for var in set(_PLACEHOLDER_RE.findall(sql)):
-        occurrences = re.findall(r"\{" + re.escape(var) + r"\}", sql)
-        equalities = re.findall(r"(" + _IDENT_RE + r")\s*=\s*\{" + re.escape(var) + r"\}",
-                                sql)
-        if len(occurrences) == 1 and len(equalities) == 1:
-            mapping[var] = equalities[0]
-    return mapping
-
-
-def _plain_select_items(sql: str) -> list[tuple[str, str]]:
-    """``(column expression, output name)`` for *plain* SELECT-list items.
-
-    Only bare columns (``col`` / ``t.col``, optionally aliased) qualify —
-    expressions could transform the value, which would break both row
-    attribution in batched execution and digest-sieve position mapping.
-    """
-    match = re.search(r"select\s+(distinct\s+)?(.*?)\s+from\s", sql,
-                      re.IGNORECASE | re.DOTALL)
-    if not match:
-        return []
-    items: list[tuple[str, str]] = []
-    for item in _split_top_level(match.group(2)):
-        item = item.strip()
-        alias_match = re.fullmatch(r"(" + _IDENT_RE + r")\s+as\s+([A-Za-z_][\w]*)",
-                                   item, re.IGNORECASE)
-        if alias_match:
-            items.append((alias_match.group(1).strip(), alias_match.group(2)))
-        elif re.fullmatch(_IDENT_RE, item):
-            items.append((item, item.split(".")[-1]))
-    return items
-
-
-def _select_item_output(sql: str, ident: str) -> str | None:
-    """Output column name echoing ``ident``, if the SELECT list has one."""
-    target = ident.strip().lower()
-    for expression, output in _plain_select_items(sql):
-        if expression.lower() == target:
-            return output
-    return None
 
 
 def _clause_placeholder_fields(template: str) -> dict[str, str]:

@@ -34,9 +34,6 @@ from repro.core.sources import (
     SourceQuery,
     SQLQuery,
     _clause_placeholder_fields,
-    _equality_placeholder_columns,
-    _plain_select_items,
-    _referenced_tables,
 )
 from repro.digest.graph import DigestCatalog
 from repro.digest.valueset import ValueSetSummary
@@ -116,16 +113,17 @@ class DigestSieve:
         return position_map
 
     def _sql_positions(self, query: SQLQuery, digest) -> PositionMap:
-        tables = {t.lower() for t in _referenced_tables(query.sql)}
+        template = query.template
+        tables = {t.lower() for t in template.tables}
         position_map: PositionMap = {}
         # Output variables that are plain (possibly aliased) columns.
-        for variable, column in _plain_output_columns(query.sql).items():
-            summaries = _summaries_at(digest, column, containers=tables)
+        for variable, column in template.plain_outputs.items():
+            summaries = _summaries_at(digest, column.name, containers=tables)
             if summaries:
                 position_map[variable] = summaries
-        # Placeholders compared with a column by equality.
-        for variable, ident in _equality_placeholder_columns(query.sql).items():
-            summaries = _summaries_at(digest, ident.split(".")[-1], containers=tables)
+        # Parameters a top-level conjunct compares with a column by equality.
+        for variable, column in template.equality_parameters.items():
+            summaries = _summaries_at(digest, column.name, containers=tables)
             if summaries:
                 position_map.setdefault(variable, []).extend(summaries)
         return position_map
@@ -215,9 +213,3 @@ def _probe_variants(value: object) -> list[object]:
         # stored booleans "true"/"false".
         variants.append(bool(value))
     return variants
-
-
-def _plain_output_columns(sql: str) -> dict[str, str]:
-    """Output variable -> underlying column, for plain SELECT items only."""
-    return {output: expression.split(".")[-1]
-            for expression, output in _plain_select_items(sql)}

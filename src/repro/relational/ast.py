@@ -7,9 +7,10 @@ are reused by the executor's WHERE/HAVING/ON evaluation and by projection.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional
 
 from repro.errors import RelationalError
 
@@ -21,13 +22,20 @@ class Expression:
         """Evaluate the expression against a row scope."""
         raise NotImplementedError
 
-    def columns(self) -> set[str]:
-        """Return the column names referenced by the expression."""
-        return set()
+    def children(self) -> tuple["Expression", ...]:
+        """The direct sub-expressions, in source order."""
+        return ()
+
+    def walk(self) -> Iterator["Expression"]:
+        """This node and every node below it, depth first."""
+        yield self
+        for child in self.children():
+            yield from child.walk()
 
     def aggregates(self) -> list["FunctionCall"]:
         """Return the aggregate calls contained in the expression."""
-        return []
+        return [node for node in self.walk()
+                if isinstance(node, FunctionCall) and node.is_aggregate]
 
 
 @dataclass(frozen=True)
@@ -41,6 +49,24 @@ class LiteralValue(Expression):
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return repr(self.value)
+
+
+@dataclass(frozen=True)
+class Parameter(Expression):
+    """A ``{name}`` placeholder standing where a literal may stand.
+
+    It holds no value: a statement is bound *by value* before execution
+    (:meth:`repro.relational.template.SQLTemplate.bind` swaps every
+    parameter for a :class:`LiteralValue`), never re-rendered to text.
+    """
+
+    name: str
+
+    def evaluate(self, scope: dict[str, object]) -> object:
+        raise RelationalError(f"parameter {{{self.name}}} is not bound")
+
+    def __str__(self) -> str:  # pragma: no cover - trivial
+        return "{" + self.name + "}"
 
 
 @dataclass(frozen=True)
@@ -67,9 +93,6 @@ class ColumnRef(Expression):
             if len(matches) > 1:
                 raise RelationalError(f"ambiguous column reference {self.name!r}")
         raise RelationalError(f"unknown column {self.qualified!r}")
-
-    def columns(self) -> set[str]:
-        return {self.qualified.lower()}
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.qualified
@@ -119,11 +142,8 @@ class BinaryOp(Expression):
             return left / right
         raise RelationalError(f"unsupported operator {op!r}")
 
-    def columns(self) -> set[str]:
-        return self.left.columns() | self.right.columns()
-
-    def aggregates(self) -> list["FunctionCall"]:
-        return self.left.aggregates() + self.right.aggregates()
+    def children(self) -> tuple[Expression, ...]:
+        return (self.left, self.right)
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"({self.left} {self.operator} {self.right})"
@@ -144,11 +164,8 @@ class UnaryOp(Expression):
             return None if value is None else -value
         raise RelationalError(f"unsupported unary operator {self.operator!r}")
 
-    def columns(self) -> set[str]:
-        return self.operand.columns()
-
-    def aggregates(self) -> list["FunctionCall"]:
-        return self.operand.aggregates()
+    def children(self) -> tuple[Expression, ...]:
+        return (self.operand,)
 
 
 @dataclass(frozen=True)
@@ -162,8 +179,8 @@ class IsNull(Expression):
         is_null = self.operand.evaluate(scope) is None
         return not is_null if self.negated else is_null
 
-    def columns(self) -> set[str]:
-        return self.operand.columns()
+    def children(self) -> tuple[Expression, ...]:
+        return (self.operand,)
 
 
 @dataclass(frozen=True)
@@ -174,17 +191,24 @@ class InList(Expression):
     values: tuple[Expression, ...]
     negated: bool = False
 
+    @functools.cached_property
+    def _members(self) -> tuple[frozenset, tuple[Expression, ...]]:
+        # Literal members are evaluated once per node, not once per scanned
+        # row (a batched bind join ships up to 256 of them per statement).
+        constants = frozenset(v.evaluate({}) for v in self.values
+                              if isinstance(v, LiteralValue))
+        return constants, tuple(v for v in self.values
+                                if not isinstance(v, LiteralValue))
+
     def evaluate(self, scope: dict[str, object]) -> object:
         value = self.operand.evaluate(scope)
-        members = {v.evaluate(scope) for v in self.values}
-        result = value in members
+        constants, per_row = self._members
+        result = value in constants or (
+            bool(per_row) and value in {v.evaluate(scope) for v in per_row})
         return not result if self.negated else result
 
-    def columns(self) -> set[str]:
-        out = set(self.operand.columns())
-        for v in self.values:
-            out |= v.columns()
-        return out
+    def children(self) -> tuple[Expression, ...]:
+        return (self.operand, *self.values)
 
 
 #: Aggregate function names recognised by the executor.
@@ -240,19 +264,8 @@ class FunctionCall(Expression):
         """Scope key under which the executor publishes the aggregate value."""
         return str(self).lower()
 
-    def columns(self) -> set[str]:
-        out: set[str] = set()
-        for a in self.arguments:
-            out |= a.columns()
-        return out
-
-    def aggregates(self) -> list["FunctionCall"]:
-        if self.is_aggregate:
-            return [self]
-        out: list[FunctionCall] = []
-        for a in self.arguments:
-            out.extend(a.aggregates())
-        return out
+    def children(self) -> tuple[Expression, ...]:
+        return self.arguments
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         inner = "*" if self.star else ", ".join(str(a) for a in self.arguments)

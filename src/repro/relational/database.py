@@ -167,7 +167,7 @@ class Database:
     # ------------------------------------------------------------------
     # SQL entry point
     # ------------------------------------------------------------------
-    def execute(self, sql: str, bindings: dict[str, object] | None = None) -> ResultSet:
+    def execute(self, sql: str) -> ResultSet:
         """Parse and run one SQL statement.
 
         SELECT returns a populated :class:`ResultSet`; CREATE TABLE and
@@ -176,7 +176,7 @@ class Database:
         """
         statement = parse_sql(sql)
         if isinstance(statement, SelectStatement):
-            return self.execute_select(statement, bindings)
+            return self.execute_select(statement)
         if isinstance(statement, CreateTableStatement):
             self._execute_create(statement)
             return ResultSet(columns=["status"], rows=[("created",)])
@@ -185,15 +185,14 @@ class Database:
             return ResultSet(columns=["inserted"], rows=[(count,)])
         raise RelationalError(f"unsupported statement type: {type(statement).__name__}")
 
-    def execute_select(self, statement: SelectStatement,
-                       bindings: dict[str, object] | None = None) -> ResultSet:
+    def execute_select(self, statement: SelectStatement) -> ResultSet:
         """Run an already-parsed SELECT statement."""
         executor = SelectExecutor({t.name: t for t in self.tables()})
-        return executor.execute(statement, bindings)
+        return executor.execute(statement)
 
-    def query(self, sql: str, bindings: dict[str, object] | None = None) -> list[dict[str, object]]:
+    def query(self, sql: str) -> list[dict[str, object]]:
         """Run a SELECT and return rows as dictionaries (convenience)."""
-        return self.execute(sql, bindings).to_dicts()
+        return self.execute(sql).to_dicts()
 
     # ------------------------------------------------------------------
     def _execute_create(self, statement: CreateTableStatement) -> None:

@@ -59,15 +59,9 @@ class SelectExecutor:
         self._tables = {name.lower(): table for name, table in tables.items()}
 
     # ------------------------------------------------------------------
-    def execute(self, statement: SelectStatement,
-                bindings: dict[str, object] | None = None) -> ResultSet:
-        """Run ``statement``; ``bindings`` pre-binds named parameters.
-
-        Parameter binding is used by the mediator's bind joins: a WHERE
-        condition may reference ``:param`` style columns that are supplied
-        per call.  We model them as extra scope entries.
-        """
-        scopes = self._build_scopes(statement, bindings or {})
+    def execute(self, statement: SelectStatement) -> ResultSet:
+        """Run ``statement`` (its parameters, if it had any, already bound)."""
+        scopes = self._build_scopes(statement)
         if statement.where is not None:
             scopes = [s for s in scopes if _is_true(statement.where.evaluate(s))]
 
@@ -87,12 +81,10 @@ class SelectExecutor:
     # ------------------------------------------------------------------
     # FROM / JOIN
     # ------------------------------------------------------------------
-    def _build_scopes(self, statement: SelectStatement,
-                      bindings: dict[str, object]) -> list[dict[str, object]]:
-        base_bindings = {k.lower(): v for k, v in bindings.items()}
+    def _build_scopes(self, statement: SelectStatement) -> list[dict[str, object]]:
         if statement.table is None:
-            return [dict(base_bindings)]
-        scopes = [dict(base_bindings, **scope) for scope in self._table_scopes(statement.table)]
+            return [{}]
+        scopes = self._table_scopes(statement.table)
         for join in statement.joins:
             scopes = self._apply_join(scopes, join)
         return scopes

@@ -7,6 +7,13 @@ Supported statements:
 * ``CREATE TABLE name (col TYPE [PRIMARY KEY] [NOT NULL]
   [REFERENCES other(col)], ...)``
 * ``INSERT INTO name [(cols)] VALUES (...), (...)``
+
+One token goes beyond SQL: ``{name}``, accepted wherever an expression
+may hold a literal, parses to a :class:`~repro.relational.ast.Parameter`
+node.  It is how the mediator's sub-query parameters reach the engine:
+:mod:`repro.relational.template` parses a statement once and swaps the
+nodes for values per call, so a binding is never rendered to SQL text
+and lexed again.  Inside a quoted string ``{name}`` is just characters.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from repro.relational.ast import (
     Join,
     LiteralValue,
     OrderItem,
+    Parameter,
     SCALAR_FUNCTIONS,
     SelectItem,
     SelectStatement,
@@ -47,6 +55,7 @@ _TOKEN_RE = re.compile(
       (?P<string>'(?:[^']|'')*')
     | (?P<number>[+-]?\d+(?:\.\d+)?)
     | (?P<identifier>[A-Za-z_][\w]*)
+    | (?P<parameter>\{[A-Za-z_][\w]*\})
     | (?P<operator><=|>=|<>|!=|=|<|>|\+|-|\*|/)
     | (?P<punct>[(),.;])
     """,
@@ -447,6 +456,8 @@ class _SQLParser:
             return LiteralValue(None)
         if token.kind == "keyword" and token.upper in ("TRUE", "FALSE"):
             return LiteralValue(token.upper == "TRUE")
+        if token.kind == "parameter":
+            return Parameter(token.text[1:-1])
         if token.text == "(":
             expression = self._parse_expression()
             self._expect_punct(")")

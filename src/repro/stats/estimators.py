@@ -33,37 +33,20 @@ from repro.core.sources import (
     RDFSource,
     RelationalSource,
     SQLQuery,
-    _PLACEHOLDER_RE,
-    _plain_select_items,
-    _referenced_tables,
     _to_rdf_term,
 )
 from repro.digest.valueset import ValueSetSummary
 from repro.rdf.terms import URI, Variable
+from repro.relational.ast import BinaryOp, ColumnRef, Expression, LiteralValue, Parameter
 
 #: ``summary_for(table, column)`` -> the column's value-set summary.
 ColumnSummaries = Callable[[str, str], Optional[ValueSetSummary]]
 
-#: Default selectivity of a WHERE conjunct the parser cannot price.
+#: Default selectivity of a WHERE conjunct the estimator cannot price.
 UNKNOWN_PREDICATE_SELECTIVITY = 1.0 / 3.0
 
-#: Constructs the SQL estimator does not model; their presence routes
-#: the whole statement to the wrapper's fallback estimate.
-_SQL_UNSUPPORTED_RE = re.compile(
-    r"\bor\b|\bnot\b|\blike\b|\bin\s*\(|\bunion\b|\bhaving\b|\bgroup\s+by\b"
-    r"|\blimit\b|\bdistinct\b|\b(?:count|sum|avg|min|max)\s*\(",
-    re.IGNORECASE,
-)
-
-_SQL_WHERE_RE = re.compile(r"\bwhere\b(.*?)(?:\border\s+by\b|$)",
-                           re.IGNORECASE | re.DOTALL)
-
-_SQL_COMPARISON_RE = re.compile(
-    r"^\s*([A-Za-z_][\w.]*)\s*(=|<=|>=|<>|!=|<|>)\s*(.+?)\s*$", re.DOTALL)
-
-_SQL_STRING_RE = re.compile(r"^'((?:[^']|'')*)'$")
-
-_NUMBER_RE = re.compile(r"^-?\d+(?:\.\d+)?$")
+#: Comparisons of a column the value-set summaries can price.
+_COMPARISONS = ("=", "<=", ">=", "<>", "!=", "<", ">")
 
 
 # ---------------------------------------------------------------------------
@@ -74,46 +57,38 @@ def estimate_sql(source: RelationalSource, query: SQLQuery, bound: set[str],
                  values: dict[str, object],
                  summary_for: ColumnSummaries) -> Optional[float]:
     """Histogram/top-k estimate of a SQL SELECT, or ``None`` to fall back."""
-    sql = query.sql
-    if _SQL_UNSUPPORTED_RE.search(sql):
-        return None
-    tables = _referenced_tables(sql)
-    if not tables:
+    template = query.template
+    # Shapes the estimator does not model (OR / NOT / LIKE / IN, DISTINCT,
+    # LIMIT, grouping, aggregates) go to the wrapper's fallback estimate.
+    if not (template.conjunctive and template.batch_safe
+            and not template.statement.distinct and template.tables):
         return None
     database = source.database
     cardinality = 1.0
-    for table in tables:
+    for table in template.tables:
         if not database.has_table(table):
             return None
         cardinality *= max(1, len(database.table(table)))
 
-    def resolve(ident: str) -> Optional[ValueSetSummary]:
-        if "." in ident:
-            table, column = ident.rsplit(".", 1)
-            return summary_for(table, column)
-        for table in tables:
-            summary = summary_for(table, ident)
+    def resolve(column: ColumnRef) -> Optional[ValueSetSummary]:
+        if column.table:
+            return summary_for(column.table, column.name)
+        for table in template.tables:
+            summary = summary_for(table, column.name)
             if summary is not None:
                 return summary
         return None
 
     selectivity = 1.0
-    where = _SQL_WHERE_RE.search(sql)
-    if where:
-        for conjunct in re.split(r"\band\b", where.group(1), flags=re.IGNORECASE):
-            if not conjunct.strip():
-                continue
-            selectivity *= _conjunct_selectivity(conjunct, resolve, values)
+    for conjunct in template.conjuncts:
+        selectivity *= _conjunct_selectivity(conjunct, resolve, values)
 
     # Bindings arriving on plain output columns restrict the result to
     # one value of that column: 1/distinct, or the value's own frequency
     # when it is a known constant.
-    outputs = {output: expression
-               for expression, output in _plain_select_items(sql)}
-    required = query.required_parameters()
-    for variable in (query.output_variables() & bound) - required:
-        expression = outputs.get(variable)
-        summary = resolve(expression) if expression else None
+    for variable in (query.output_variables() & bound) - template.parameters:
+        column = template.plain_outputs.get(variable)
+        summary = resolve(column) if column is not None else None
         if summary is None:
             selectivity *= 0.1
         elif variable in values:
@@ -123,59 +98,45 @@ def estimate_sql(source: RelationalSource, query: SQLQuery, bound: set[str],
     return max(0.0, cardinality * selectivity)
 
 
-def _conjunct_selectivity(conjunct: str, resolve: ColumnSummaries,
+def _conjunct_selectivity(conjunct: Expression,
+                          resolve: Callable[[ColumnRef], Optional[ValueSetSummary]],
                           values: dict[str, object]) -> float:
-    match = _SQL_COMPARISON_RE.match(conjunct)
-    if not match:
+    """Selectivity of one top-level WHERE conjunct (``column op operand``)."""
+    if not (isinstance(conjunct, BinaryOp) and conjunct.operator in _COMPARISONS
+            and isinstance(conjunct.left, ColumnRef)):
         return UNKNOWN_PREDICATE_SELECTIVITY
-    ident, op, rhs = match.group(1), match.group(2), match.group(3).strip()
-    summary = resolve(ident)
-    rhs_kind, rhs_value = _parse_rhs(rhs)
-    if rhs_kind == "param" and rhs_value in values:
-        rhs_kind, rhs_value = "literal", values[rhs_value]
+    op, rhs = conjunct.operator, conjunct.right
+    summary = resolve(conjunct.left)
+    if isinstance(rhs, Parameter) and rhs.name in values:
+        rhs = LiteralValue(values[rhs.name])
     if op in ("<>", "!="):
         return 0.9
     if op == "=":
-        if rhs_kind == "literal":
+        if isinstance(rhs, LiteralValue):
             if summary is None:
                 return 0.1
-            return summary.selectivity(rhs_value)
-        if rhs_kind == "param":
+            return summary.selectivity(rhs.value)
+        if isinstance(rhs, Parameter):
             if summary is None:
                 return 0.1
             return 1.0 / max(1, summary.distinct_values)
-        if rhs_kind == "ident":
-            left = summary
-            right = resolve(rhs_value)
+        if isinstance(rhs, ColumnRef):
+            right = resolve(rhs)
             distinct = max(
-                left.distinct_values if left is not None else 0,
+                summary.distinct_values if summary is not None else 0,
                 right.distinct_values if right is not None else 0,
             )
             return 1.0 / max(1, distinct)
         return UNKNOWN_PREDICATE_SELECTIVITY
     # Range comparison: price from the histogram when the column is numeric.
-    if rhs_kind in ("literal", "param"):
-        if (rhs_kind == "literal" and summary is not None
-                and isinstance(rhs_value, (int, float))):
-            selectivity = summary.range_selectivity(op, float(rhs_value))
+    if isinstance(rhs, (LiteralValue, Parameter)):
+        if (isinstance(rhs, LiteralValue) and summary is not None
+                and isinstance(rhs.value, (int, float))):
+            selectivity = summary.range_selectivity(op, float(rhs.value))
             if selectivity is not None:
                 return selectivity
         return 0.3
     return UNKNOWN_PREDICATE_SELECTIVITY
-
-
-def _parse_rhs(rhs: str):
-    string = _SQL_STRING_RE.match(rhs)
-    if string:
-        return "literal", string.group(1).replace("''", "'")
-    if _NUMBER_RE.match(rhs):
-        return "literal", float(rhs) if "." in rhs else int(rhs)
-    placeholder = re.fullmatch(r"\{([A-Za-z_][\w]*)\}", rhs)
-    if placeholder:
-        return "param", placeholder.group(1)
-    if re.fullmatch(r"[A-Za-z_][\w.]*", rhs):
-        return "ident", rhs
-    return "unknown", rhs
 
 
 # ---------------------------------------------------------------------------

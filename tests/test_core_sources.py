@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import FullTextQuery, FullTextSource, RDFQuery, RDFSource, RelationalSource, SQLQuery
 from repro.core.sources import _fill_placeholders, _fulltext_literal, _loose_equal
 from repro.datasets.loader import TWEETS_URI
-from repro.errors import MixedQueryError
+from repro.errors import MixedQueryError, SQLParseError
 from repro.fulltext import FieldConfig, FullTextStore
 from repro.fulltext.query import BooleanQuery, TermQuery, parse_query
 
@@ -98,6 +98,47 @@ class TestSQLQueryAndSource:
 
     def test_size(self, small_database):
         assert RelationalSource("sql://insee", small_database).size() == 7
+
+    def test_outputs_are_the_executors_column_labels(self, small_database):
+        source = RelationalSource("sql://insee", small_database)
+        q = SQLQuery(sql="SELECT UPPER(name), code, population pop FROM departments "
+                         "WHERE name <> '{x} from nowhere'")
+        assert q.required_parameters() == set()
+        assert q.output_variables() == {"UPPER(name)", "code", "pop"}
+        assert set(source.execute(q)[0]) == q.output_variables()
+
+    def test_declared_output_columns_win(self):
+        q = SQLQuery(sql="SELECT code, name FROM departments", output_columns=("code",))
+        assert q.output_variables() == {"code"}
+
+    def test_unparsable_statement_fails_when_first_analysed(self):
+        query = SQLQuery(sql="SELECT name FROM departments WHERE")  # building is free
+        with pytest.raises(SQLParseError):
+            query.output_variables()
+        with pytest.raises(SQLParseError):
+            query.required_parameters()
+
+    def test_calls_parse_no_text(self, small_database, monkeypatch):
+        import repro.relational.database as database_module
+        import repro.relational.template as template_module
+
+        parsed = []
+        for module in (database_module, template_module):
+            original = module.parse_sql
+            monkeypatch.setattr(
+                module, "parse_sql",
+                lambda sql, original=original: parsed.append(sql) or original(sql))
+        source = RelationalSource("sql://insee", small_database)
+        sql = ("SELECT dept_code AS dept, rate AS parsed_at_most_once "
+               "FROM unemployment WHERE dept_code = {dept}")
+        query = SQLQuery(sql=sql)
+        for dept in ("75", "33", "29", "zz", "75"):
+            source.execute(query, {"dept": dept})
+        source.execute_batch(query, [{"dept": "75"}, {"dept": "33"}])
+        source.execute_batch(SQLQuery(sql=sql), [{"dept": "75", "rate": 8.2}])
+        source.estimate(query, {"dept"})
+        query.output_variables(), query.required_parameters()
+        assert parsed == [sql]  # at the parent: once per statement run
 
 
 class TestFullTextQueryAndSource:

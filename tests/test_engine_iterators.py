@@ -340,3 +340,40 @@ class TestNoDeadEngineExports:
                         and node.module.split(".")[:2] == ["repro", "engine"]):
                     imported.update(alias.name for alias in node.names)
         assert sorted(set(repro.engine.__all__) - imported) == []
+
+
+class TestSQLIsReadInOnePlace:
+    def test_only_the_template_parses_and_only_four_modules_see_the_text(self):
+        """No layer may go back to reading SQL text for itself.
+
+        Under ``src/repro`` the ``.sql`` attribute of a query is read only
+        by ``SQLQuery`` itself, the cache key, the wire format and the
+        (deliberately independent) warehouse baseline; ``parse_sql`` is
+        called only inside ``repro/relational/``.
+        """
+        import ast
+        from pathlib import Path
+
+        package = Path(__file__).resolve().parent.parent / "src" / "repro"
+        text_readers = {"cache/keys.py", "remote/protocol.py", "baselines/warehouse.py"}
+        offenders = []
+        for path in sorted(package.rglob("*.py")):
+            relative = path.relative_to(package).as_posix()
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            inside_sql_query = {
+                id(node) for cls in ast.walk(tree)
+                if isinstance(cls, ast.ClassDef) and cls.name == "SQLQuery"
+                and relative == "core/sources.py" for node in ast.walk(cls)}
+            called = {id(node.func) for node in ast.walk(tree)
+                      if isinstance(node, ast.Call)}
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Attribute) and node.attr == "sql"
+                        and id(node) not in called  # builder.sql(...) is a method
+                        and relative not in text_readers
+                        and id(node) not in inside_sql_query):
+                    offenders.append(f"{relative}:{node.lineno} reads .sql")
+                if (isinstance(node, ast.Call) and not relative.startswith("relational/")
+                        and getattr(node.func, "id", getattr(node.func, "attr", None))
+                        == "parse_sql"):
+                    offenders.append(f"{relative}:{node.lineno} calls parse_sql")
+        assert offenders == []

@@ -170,8 +170,8 @@ class TestDatabaseCatalog:
 
 class TestParameterBindings:
     def test_bindings_visible_in_where(self, small_database):
-        from repro.relational import parse_sql
+        from repro.relational.template import sql_template
 
-        statement = parse_sql("SELECT name FROM departments WHERE code = wanted_code")
-        result = small_database.execute_select(statement, bindings={"wanted_code": "75"})
+        template = sql_template("SELECT name FROM departments WHERE code = {wanted_code}")
+        result = small_database.execute_select(template.bind({"wanted_code": "75"}))
         assert result.column("name") == ["Paris"]

@@ -106,6 +106,64 @@ class TestRelationalEstimates:
                          "WHERE topic = 'politics' OR topic = 'sports'")
         assert stats.estimate(source, query) == source.estimate(query)
 
+    def test_keywords_inside_literals_are_not_syntax(self, stats, source):
+        # The regex readers saw a table "paris", an OR and two conjuncts here.
+        for text in ("from paris", "a or b", "rock and roll", "not in (x)"):
+            query = SQLQuery(f"SELECT author AS author FROM posts WHERE topic = '{text}'")
+            assert stats.estimate(source, query) == 0.0  # priced: no such topic
+            assert source.estimate(query) == 100.0
+
+    # [catalog, wrapper, catalog | author bound, wrapper | author bound,
+    #  catalog | author = 'a7'] as the text-reading estimators of PR 14
+    # returned them: reading the parsed statement must not move a plan.
+    RECORDED = {
+        "topic = 'politics'": [800.0, 100.0, 6.666666666666667, 10.0, 7.2],
+        "topic = 'niche3'": [5.0, 100.0, 0.041666666666666664, 10.0, 0.045],
+        "topic = 'absent'": [0.0, 100.0, 0.0, 10.0, 0.0],
+        "price < 50": [397.64328657314627, 100.0, 3.313694054776219, 10.0,
+                       3.5787895791583164],
+        "price < 100": [764.9018036072144, 100.0, 6.374181696726787, 10.0,
+                        6.8841162324649305],
+        "price >= 500": [100.0, 100.0, 0.8333333333333334, 10.0, 0.9],
+        "price > 900": [95.04609218436875, 100.0, 0.7920507682030729, 10.0,
+                        0.8554148296593187],
+        "topic = 'politics' OR topic = 'sports'": [100.0, 100.0, 10.0, 10.0, 10.0],
+        "topic = {t}": [83.33333333333333, 10.0, 0.6944444444444443, 1.0,
+                        0.7499999999999999],
+        "price > {p} AND topic = 'sports'": [45.0, 10.0, 0.375, 1.0,
+                                             0.40499999999999997],
+    }
+
+    @pytest.mark.parametrize("where", list(RECORDED))
+    def test_estimates_equal_the_recorded_ones(self, stats, source, where):
+        query = SQLQuery(f"SELECT author AS author FROM posts WHERE {where}")
+        assert [stats.estimate(source, query), source.estimate(query),
+                stats.estimate(source, query, {"author"}),
+                source.estimate(query, {"author"}),
+                stats.estimate(source, query, {"author"}, {"author": "a7"}),
+                ] == pytest.approx(self.RECORDED[where])
+
+    def test_demo_sql_atoms_estimate_as_recorded(self, demo):
+        from repro.datasets.loader import INSEE_URI, fact_checking_query, qsia_json_query
+
+        insee = demo.instance.source(INSEE_URI)
+        recorded = {
+            "unemployment": [8.0, 1.6, 8.0, 1.0, 8.0, 1.6],
+            "datasetRegistry": [1.0, 1.0, 1.0, 1.0, 0.5, 1.0],
+            "statistics": [8.0, 1.6, 8.0, 1.0, 8.0, 1.6],
+        }
+        for cmq in (qsia_json_query(demo), fact_checking_query(demo)):
+            for atom in cmq.atoms:
+                if not isinstance(atom.query, SQLQuery):
+                    continue
+                stats, query = StatisticsCatalog(), atom.query
+                assert [stats.estimate(insee, query), insee.estimate(query),
+                        stats.estimate(insee, query, {"dept"}, {"dept": "75"}),
+                        insee.estimate(query, {"dept"}),
+                        stats.estimate(insee, query, {"src"}),
+                        insee.estimate(query, {"src", "tbl"}),
+                        ] == pytest.approx(recorded[atom.name])
+
 
 # ---------------------------------------------------------------------------
 # RDF: star join over a skewed property

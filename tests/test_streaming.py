@@ -275,6 +275,26 @@ class TestRepairedEqualsCold:
             _check(proxy, source, bound, {"k": 1})
         assert engine.stats.repaired > 0
 
+    @pytest.mark.parametrize("sql", [
+        "SELECT k AS k, v AS v FROM t ORDER BY k DESC",
+        "SELECT DISTINCT v AS v FROM t",
+        "SELECT k AS k FROM t LIMIT 2",
+        "SELECT MAX(k) AS top FROM t",
+        "SELECT v AS v, COUNT(*) AS n FROM t GROUP BY v",
+        "SELECT a.k AS k FROM t a JOIN t b ON a.k = b.k",
+    ])
+    def test_sql_shapes_an_insert_does_not_extend_fall_back(self, sql):
+        db = Database("d")
+        db.execute("CREATE TABLE t (k INTEGER, v TEXT)")
+        db.execute("INSERT INTO t (k, v) VALUES (0, 'seed'), (1, 'seed')")
+        source = RelationalSource("sql://d", db)
+        proxy, engine, _ = _proxy(source)
+        query = SQLQuery(sql=sql)
+        _check(proxy, source, query)
+        db.execute("INSERT INTO t (k, v) VALUES (7, 'late'), (8, 'seed')")
+        _check(proxy, source, query)
+        assert engine.stats.fallbacks == {"shape": 1} and engine.stats.repaired == 0
+
 
 # ---------------------------------------------------------------------------
 # Warm-cache hit rate under a write stream
