@@ -100,9 +100,9 @@ class RepairStats:
             if pure_restamp:
                 self.restamped += 1
 
-    def fallback(self, reason: str) -> None:
+    def fallback(self, reason: str, keys: int = 1) -> None:
         with self._lock:
-            self.fallbacks[reason] = self.fallbacks.get(reason, 0) + 1
+            self.fallbacks[reason] = self.fallbacks.get(reason, 0) + keys
 
     def as_dict(self) -> dict[str, object]:
         with self._lock:
@@ -119,9 +119,16 @@ class RepairEngine:
     """Applies insert-only delta chains to cached sub-query results.
 
     One engine serves one :class:`SubQueryResultCache`; it is probed by
-    every :class:`CachedSource` proxy on a cache miss.  All evaluation is
-    local (delta stores built from journalled items, seeded BGP steps on
-    the already-held graph) — the engine never calls a source.
+    every :class:`CachedSource` proxy with the stale keys of a whole
+    call — the bindings of a bind-join flush, or the one binding of a
+    single probe.  Repair is set-at-a-time: the keys are grouped by the
+    version their prior entry was cached under, the soundness gates are
+    checked once per (query, version span), and the delta source is
+    evaluated with ONE ``execute_batch`` for the group; only merging and
+    re-stamping happen per key, and :class:`RepairStats` keeps counting
+    per key.  All evaluation is local (delta stores built from
+    journalled items, seeded BGP steps on the already-held graph) — the
+    engine never calls a source.
     """
 
     #: Bound on memoised delta sources (one per (source, version span)).
@@ -140,189 +147,152 @@ class RepairEngine:
         self._delta_lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    def repair(self, source, version: int, query: SourceQuery, key: tuple,
-               canon: CanonicalQuery, bindings: Row) -> Optional[list[Row]]:
-        """Repair the probe's latest prior entry up to ``version``.
+    def repair(self, source, version: int, query: SourceQuery,
+               canon: CanonicalQuery,
+               probes: list[tuple[tuple, Row]]) -> list[Optional[list[Row]]]:
+        """Repair the latest prior entry of every probe up to ``version``.
 
-        On success the merged rows are inserted under ``key`` (stamping
-        the entry at the current version) and returned in *canonical*
-        variable names; ``None`` means "fall back to a plain miss".
-        Never raises: any evaluation error is a counted fallback.
+        ``probes`` are the ``(key, bindings)`` pairs of one query that
+        just missed.  Per probe, in order: on success the merged rows,
+        inserted under its key (stamping the entry at the current
+        version) and returned in *canonical* variable names; ``None``
+        for "fall back to a plain miss".  Never raises: any evaluation
+        error is a counted fallback of the keys it was evaluated with.
         """
-        prior = self.cache.prior_entry(key)
-        if prior is None:
-            return None
-        prior_key, stored = prior
-        pre = prior_key[2]
-        if not isinstance(pre, int) or not isinstance(version, int) \
-                or pre >= version:
-            return None
-        self.stats.attempt()
-        records = source.deltas_since(pre, version)
-        if records is None:
-            self.stats.fallback("no_journal")
-            return None
-        try:
-            merged = self._apply(source, query, canon, bindings, stored,
-                                 records)
-        except Exception:  # noqa: BLE001 - repair must never break reads
-            self.stats.fallback("error")
-            return None
-        if merged is None:
-            return None
-        self.cache.insert_canonical(key, merged)
-        appended = len(merged) - len(stored)
-        self.stats.success(appended, pure_restamp=merged is stored)
+        out: list[Optional[list[Row]]] = [None] * len(probes)
+        if not isinstance(version, int):
+            return out
+        # Prior version -> the probes whose merge base was cached under it.
+        spans: dict[int, list[tuple[int, list[Row]]]] = {}
+        for index, (key, _) in enumerate(probes):
+            prior = self.cache.prior_entry(key)
+            if prior is None:
+                continue
+            pre = prior[0][2]
+            if isinstance(pre, int) and pre < version:
+                self.stats.attempt()
+                spans.setdefault(pre, []).append((index, prior[1]))
         registry = get_registry()
-        registry.counter("cache_repairs_total").inc()
-        registry.counter("cache_repair_rows_total").inc(appended)
-        return merged
+        for pre, members in spans.items():
+            registry.counter("cache_repair_batches_total").inc()
+            records = source.deltas_since(pre, version)
+            if records is None:
+                self.stats.fallback("no_journal", len(members))
+                continue
+            stored = [rows for _, rows in members]
+            try:
+                merged = self._apply(source, query, canon,
+                                     [probes[index][1] for index, _ in members],
+                                     stored, records)
+            except Exception:  # noqa: BLE001 - repair must never break reads
+                self.stats.fallback("error", len(members))
+                continue
+            if isinstance(merged, str):
+                self.stats.fallback(merged, len(members))
+                continue
+            for (index, base), rows in zip(members, merged):
+                self.cache.insert_canonical(probes[index][0], rows)
+                self.stats.success(len(rows) - len(base), pure_restamp=rows is base)
+                out[index] = rows
+            registry.counter("cache_repairs_total").inc(len(members))
+            registry.counter("cache_repair_rows_total").inc(
+                sum(map(len, merged)) - sum(map(len, stored)))
+        return out
 
     # ------------------------------------------------------------------
     def _apply(self, source, query: SourceQuery, canon: CanonicalQuery,
-               bindings: Row, stored: list[Row],
-               records: list[DeltaRecord]) -> Optional[list[Row]]:
-        """Dispatch on the query model; returns merged canonical rows.
+               bindings: list[Row], stored: list[list[Row]],
+               records: list[DeltaRecord]) -> list[list[Row]] | str:
+        """Merge the delta into every key's rows, or name the gate that
+        refused.  The gates depend on the query and the records only, so
+        they hold or fail for all the keys at once.
 
-        Returning ``stored`` itself signals a pure re-stamp.
+        Returning a key's ``stored`` list itself signals a pure re-stamp.
         """
         if sum(len(r.items) for r in records) > self.MAX_DELTA_ITEMS:
-            self.stats.fallback("delta_too_large")
-            return None
+            return "delta_too_large"
+        build, relevant = None, records
         if isinstance(query, SQLQuery):
-            return self._apply_sql(source, query, canon, bindings, stored,
-                                   records)
-        if isinstance(query, FullTextQuery):
-            return self._apply_fulltext(source, query, canon, bindings,
-                                        stored, records)
-        if isinstance(query, JSONQuery):
-            return self._apply_json(source, query, canon, bindings, stored,
-                                    records)
-        if isinstance(query, RDFQuery):
-            return self._apply_rdf(source, query, canon, bindings, stored,
-                                   records)
-        self.stats.fallback("shape")
-        return None
-
-    # -- relational ----------------------------------------------------------
-    def _apply_sql(self, source, query: SQLQuery, canon: CanonicalQuery,
-                   bindings: Row, stored: list[Row],
-                   records: list[DeltaRecord]) -> Optional[list[Row]]:
-        template = query.template
-        if not template.repair_simple:
-            self.stats.fallback("shape")
-            return None
-        table = template.tables[0].lower()
-        relevant = [r for r in records if r.scope is None or r.scope == table]
-        if not relevant:
-            # The database version moved, the queried table did not:
-            # yesterday's rows are today's rows.
-            return stored
+            if not query.template.repair_simple:
+                return "shape"
+            table = query.template.tables[0].lower()
+            relevant = [r for r in records if r.scope is None or r.scope == table]
+            if not relevant:
+                # The database version moved, the queried table did not:
+                # yesterday's rows are today's rows.
+                return stored
+            build = _sql_delta_source
+        elif isinstance(query, FullTextQuery):
+            if query.limit is not None or query.sort_by is not None \
+                    or "_score" in query.fields().values():
+                # Ranking, truncation and scores depend on corpus-global
+                # statistics every insert perturbs.
+                return "shape"
+            build = _fulltext_delta_source
+        elif isinstance(query, JSONQuery):
+            if query.limit is not None:
+                return "shape"
+            build = _json_delta_source
+        elif not isinstance(query, RDFQuery) or not query.bgp.head \
+                or getattr(source, "entailment", False):
+            # Entailment: one explicit triple can derive unbounded new
+            # facts; head-less (ASK-style) shapes are not row streams.
+            return "shape"
         if any(r.kind != INSERT for r in relevant):
-            self.stats.fallback("removals")
-            return None
-        delta = self._delta_source(
-            source, records[0].pre_version, records[-1].post_version,
-            lambda: _sql_delta_source(source, records))
-        rows = delta.execute(query, bindings)
-        # Inserts append in the base table too, so stored + delta rows
-        # reproduces a cold re-execution's order exactly.
-        return stored + canon.canonical_rows(rows)
-
-    # -- full-text -----------------------------------------------------------
-    def _apply_fulltext(self, source, query: FullTextQuery,
-                        canon: CanonicalQuery, bindings: Row,
-                        stored: list[Row],
-                        records: list[DeltaRecord]) -> Optional[list[Row]]:
-        if query.limit is not None or query.sort_by is not None \
-                or "_score" in query.fields().values():
-            # Ranking, truncation and scores depend on corpus-global
-            # statistics every insert perturbs.
-            self.stats.fallback("shape")
-            return None
-        if any(r.kind != INSERT for r in records):
-            self.stats.fallback("removals")
-            return None
-        delta = self._delta_source(
-            source, records[0].pre_version, records[-1].post_version,
-            lambda: _fulltext_delta_source(source, records))
-        rows = delta.execute(query, bindings)
-        return stored + canon.canonical_rows(rows)
-
-    # -- json ----------------------------------------------------------------
-    def _apply_json(self, source, query: JSONQuery, canon: CanonicalQuery,
-                    bindings: Row, stored: list[Row],
-                    records: list[DeltaRecord]) -> Optional[list[Row]]:
-        if query.limit is not None:
-            self.stats.fallback("shape")
-            return None
-        if any(r.kind != INSERT for r in records):
             # Removals and upserts may change or reorder old rows.
-            self.stats.fallback("removals")
-            return None
-        delta = self._delta_source(
-            source, records[0].pre_version, records[-1].post_version,
-            lambda: _json_delta_source(source, records))
-        rows = delta.execute(query, bindings)
-        # New documents carry higher insertion ranks, so appending keeps
-        # the matcher's rank order — identical to a cold re-execution.
-        return stored + canon.canonical_rows(rows)
+            return "removals"
+        if build is None:
+            return self._apply_rdf(source, query, canon, bindings, stored, records)
+        delta = self._delta_source(source, records[0].pre_version,
+                                   records[-1].post_version,
+                                   lambda: build(source, records))
+        fetched = delta.execute_batch(query, bindings)
+        # Inserts append in the base store too (new rows, higher insertion
+        # ranks), so stored + delta rows reproduces a cold re-execution's
+        # order for the relational and JSON shapes.
+        return [base + canon.canonical_rows(rows)
+                for base, rows in zip(stored, fetched)]
 
     # -- rdf -----------------------------------------------------------------
     def _apply_rdf(self, source, query: RDFQuery, canon: CanonicalQuery,
-                   bindings: Row, stored: list[Row],
-                   records: list[DeltaRecord]) -> Optional[list[Row]]:
-        if getattr(source, "entailment", False) or not query.bgp.head:
-            # Entailment: one explicit triple can derive unbounded new
-            # facts; head-less (ASK-style) shapes are not row streams.
-            self.stats.fallback("shape")
-            return None
-        if any(r.kind != INSERT for r in records):
-            self.stats.fallback("removals")
-            return None
+                   bindings: list[Row], stored: list[list[Row]],
+                   records: list[DeltaRecord]) -> list[list[Row]] | str:
         graph = source.graph
         bgp = query.bgp
         delta_triples = [t for r in records for t in r.items]
         if len(delta_triples) * max(1, len(bgp.patterns)) > self.MAX_DELTA_ITEMS:
-            self.stats.fallback("delta_too_large")
-            return None
-        # Mirror RDFSource.execute: probe every numeric/CURIE spelling of
-        # the probe's bindings.
-        bound = [(variable, _binding_term_variants(bindings[variable.name]))
-                 for variable in bgp.variables() if variable.name in bindings]
-        combos = list(itertools.product(*(terms for _, terms in bound))) \
-            if bound else [()]
-        seen = {frozenset(row.items()) for row in stored}
-        merged = list(stored)
+            return "delta_too_large"
+        seeds = [seed for triple in delta_triples for pattern in bgp.patterns
+                 if (seed := _unify(pattern, triple)) is not None]
+        if not seeds:
+            return stored
         rename = canon.rename
-        for triple in delta_triples:
-            for pattern in bgp.patterns:
-                seed = _unify(pattern, triple)
-                if seed is None:
-                    continue
+        out: list[list[Row]] = []
+        for binding, base in zip(bindings, stored):
+            # Mirror RDFSource.execute: probe every numeric/CURIE spelling
+            # of the probe's bindings.
+            bound = [(variable, _binding_term_variants(binding[variable.name]))
+                     for variable in bgp.variables() if variable.name in binding]
+            combos = list(itertools.product(*(terms for _, terms in bound))) \
+                if bound else [()]
+            seen = {frozenset(row.items()) for row in base}
+            merged = list(base)
+            for seed in seeds:
                 for combo in combos:
                     initial = dict(seed)
-                    compatible = True
-                    for (variable, _), term in zip(bound, combo):
-                        held = initial.get(variable, term)
-                        if held != term:
-                            compatible = False
-                            break
-                        initial[variable] = term
-                    if not compatible:
+                    if any(initial.setdefault(variable, term) != term
+                           for (variable, _), term in zip(bound, combo)):
                         continue
                     for result in evaluate_bgp(bgp, graph,
                                                initial_binding=initial):
                         row = {rename.get(v.name, v.name): _to_python(t)
                                for v, t in result.items()}
                         fingerprint = frozenset(row.items())
-                        if fingerprint in seen:
-                            continue
-                        seen.add(fingerprint)
-                        merged.append(row)
-        if len(merged) == len(stored):
-            return stored
-        return merged
+                        if fingerprint not in seen:
+                            seen.add(fingerprint)
+                            merged.append(row)
+            out.append(merged if len(merged) > len(base) else base)
+        return out
 
     # ------------------------------------------------------------------
     def _delta_source(self, source, pre: int, post: int, build):

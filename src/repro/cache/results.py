@@ -22,7 +22,8 @@ orphaned entries age out of the LRU.
 
 :class:`CachedSource` wraps a :class:`~repro.core.sources.DataSource`
 with the cache for the duration of a dispatch.  ``execute`` probes once;
-``execute_batch`` probes *per binding* and forwards only the misses to
+``execute_batch`` probes *per binding* (stale entries of the whole batch
+go to the repair engine in one call) and forwards only the misses to
 the wrapped source, so a batched bind join ships IN-lists/disjunctions
 built solely from uncached bindings.  Sources whose ``version()`` is
 unknown (``None``) are never cached.
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.cache.keys import CanonicalQuery, canonical_query
 from repro.cache.lru import CacheStats, LRUCache
@@ -343,19 +344,32 @@ class CachedSource(DataSource):
     def size(self) -> int:
         return self.inner.size()
 
-    def _try_repair(self, version: int, query: SourceQuery, key: tuple,
-                    canon: CanonicalQuery,
-                    bindings: Row) -> Optional[list[Row]]:
-        """Offer a missed probe to the repair engine.
+    def _probe(self, version: int, query: SourceQuery, batch: Sequence[Row],
+               record_miss: bool = True) -> tuple[list, list]:
+        """What the cache knows of ``batch``: ``(stored, keyed)`` per binding.
 
-        Returns the repaired rows in *canonical* names (the engine's
-        merge output), or ``None`` — no engine, no prior entry, or a
-        shape/delta the engine declined.
+        Hits come from the LRU; every stale key left is then handed to
+        the repair engine in ONE call (a repaired entry was rebuilt
+        locally from the delta journal — no source call happened, so it
+        reads as a hit).  ``stored[i]`` is the cached list itself, rows
+        in *canonical* names, or ``None`` on a miss; ``keyed[i]`` is
+        ``None`` for an uncacheable binding.
         """
-        if self.repair is None:
-            return None
-        return self.repair.repair(self.inner, version, query, key, canon,
-                                  bindings)
+        keyed = [self.cache.key_for(self.inner, version, query, bindings)
+                 for bindings in batch]
+        stored = [None if entry is None
+                  else self.cache.entries.get(entry[0], record_miss=record_miss)
+                  for entry in keyed]
+        stale = [i for i, entry in enumerate(keyed)
+                 if entry is not None and stored[i] is None]
+        if self.repair is not None and stale:
+            repaired = self.repair.repair(
+                self.inner, version, query,
+                keyed[stale[0]][1],  # one query => one canonical form
+                [(keyed[i][0], batch[i]) for i in stale])
+            for i, merged in zip(stale, repaired):
+                stored[i] = merged
+        return stored, keyed
 
     # -- MQO fusion bus -----------------------------------------------------
     def _fusion_runner(self, query: SourceQuery, canon: CanonicalQuery):
@@ -407,21 +421,13 @@ class CachedSource(DataSource):
         version = self.inner.version()
         if version is None:
             return self.inner.execute(query, bindings)
-        keyed = self.cache.key_for(self.inner, version, query, bindings)
+        (stored,), (keyed,) = self._probe(version, query, [bindings])
         if keyed is None:
             return self.inner.execute(query, bindings)
         key, canon = keyed
-        rows = self.cache.fetch(key, canon)
-        if rows is not None:
-            self._record(hit=True)
-            return rows
-        repaired = self._try_repair(version, query, key, canon, bindings)
-        if repaired is not None:
-            # The answer was rebuilt locally from the delta journal — no
-            # source call happened, so the probe counts as a hit.
-            self._record(hit=True)
-            return canon.original_rows(repaired)
-        self._record(hit=False)
+        self._record(hit=stored is not None)
+        if stored is not None:
+            return canon.original_rows(stored)
         if self.mqo is not None:
             canonical = canon.canonical_binding(bindings)
             fetched, shared, fused = self.mqo.fuse(
@@ -440,26 +446,14 @@ class CachedSource(DataSource):
         if version is None:
             return self.inner.execute_batch(query, bindings_batch)
         batch = [dict(b or {}) for b in bindings_batch]
-        results: list[Optional[list[Row]]] = [None] * len(batch)
-        miss_indices: list[int] = []
-        miss_keys: list[Optional[tuple[tuple, CanonicalQuery]]] = []
-        for index, bindings in enumerate(batch):
-            keyed = self.cache.key_for(self.inner, version, query, bindings)
-            if keyed is not None:
-                rows = self.cache.fetch(*keyed)
-                if rows is not None:
-                    self._record(hit=True)
-                    results[index] = rows
-                    continue
-                repaired = self._try_repair(version, query, keyed[0],
-                                            keyed[1], bindings)
-                if repaired is not None:
-                    self._record(hit=True)
-                    results[index] = keyed[1].original_rows(repaired)
-                    continue
-                self._record(hit=False)
-            miss_indices.append(index)
-            miss_keys.append(keyed)
+        stored, keyed = self._probe(version, query, batch)
+        results = [None if rows is None else entry[1].original_rows(rows)
+                   for entry, rows in zip(keyed, stored)]
+        miss_indices = [i for i, rows in enumerate(results) if rows is None]
+        miss_keys = [keyed[i] for i in miss_indices]
+        for entry, rows in zip(keyed, results):
+            if entry is not None:
+                self._record(hit=rows is not None)
         if self.mqo is not None and any(k is not None for k in miss_keys):
             self._execute_misses_fused(query, version, batch, miss_indices,
                                        miss_keys, results)
@@ -470,10 +464,10 @@ class CachedSource(DataSource):
                     f"source {self.inner.uri!r} answered {len(fetched)} bindings "
                     f"of a {len(miss_indices)}-binding batch"
                 )
-            for index, keyed, rows in zip(miss_indices, miss_keys, fetched):
+            for index, entry, rows in zip(miss_indices, miss_keys, fetched):
                 results[index] = rows
-                if keyed is not None:
-                    self.cache.insert(keyed[0], keyed[1], rows)
+                if entry is not None:
+                    self.cache.insert(entry[0], entry[1], rows)
         return [rows if rows is not None else [] for rows in results]
 
     def _execute_misses_fused(self, query: SourceQuery, version: int,
@@ -519,35 +513,33 @@ class CachedSource(DataSource):
             for index, rows in zip(direct, fetched):
                 results[index] = rows
 
-    def peek(self, query: SourceQuery, bindings: Row) -> Optional[list[Row]]:
-        """Cache-only probe (no source call, no miss recorded).
+    def peek(self, query: SourceQuery,
+             bindings_batch: Sequence[Row]) -> Iterator[Optional[list[Row]]]:
+        """Cache-only probe of a batch (no source call, no miss recorded).
 
-        Hits are not counted into ``local_stats`` either — the caller
-        (the bind join's probe) keeps its own hit counter.
+        One answer per binding, ``None`` where the cache has none.  This
+        is the bind join's pre-probe, once per flush: stale entries are
+        repaired here, set-at-a-time, so the dispatch that follows ships
+        plain misses only.  The probing is done when the call returns;
+        only the per-caller row copies are made as the answers are
+        consumed.  Hits are not counted into ``local_stats`` — the caller
+        keeps its own hit counter.
         """
         version = self.inner.version()
         if version is None:
-            return None
-        keyed = self.cache.key_for(self.inner, version, query, bindings)
-        if keyed is None:
-            return None
-        rows = self.cache.fetch(keyed[0], keyed[1], record_miss=False)
-        if rows is not None:
-            return rows
-        # A peek is the bind join's pre-probe: repairing here means the
-        # dispatch that follows sees a plain hit.
-        repaired = self._try_repair(version, query, keyed[0], keyed[1],
-                                    bindings)
-        if repaired is None:
-            return None
-        return keyed[1].original_rows(repaired)
+            return iter([None] * len(bindings_batch))
+        stored, keyed = self._probe(version, query, bindings_batch,
+                                    record_miss=False)
+        return (None if rows is None else entry[1].original_rows(rows)
+                for entry, rows in zip(keyed, stored))
 
     def peek_stale(self, query: SourceQuery, bindings: Row) -> Optional[list[Row]]:
         """Version-independent cache probe for graceful degradation.
 
-        Unlike :meth:`peek` this works while ``inner.version()`` is
-        unknowable (the source is down) and may return rows cached under
-        an *older* version — the caller flags them as degraded.
+        Unlike :meth:`peek` this takes one binding, works while
+        ``inner.version()`` is unknowable (the source is down) and may
+        return rows cached under an *older* version — the caller flags
+        them as degraded.
         """
         return self.cache.fetch_stale(self.inner, query, bindings)
 

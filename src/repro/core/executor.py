@@ -38,6 +38,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
+from typing import Iterator
 
 from repro.cache.lru import CacheStats
 from repro.cache.results import CachedSource, MQOStats
@@ -345,7 +346,7 @@ class MixedQueryExecutor:
         for step in steps:
             bound_formals = self.planner._bound_formals(
                 step.atom, set(step.bound_variables))
-            for source in step.sources:
+            for source in self._step_sources(step):
                 calls = [c for c in trace.calls if c.atom_key == id(step.atom)
                          and c.source_uri == source.uri]
                 if calls:
@@ -353,6 +354,12 @@ class MixedQueryExecutor:
                         source, step.atom.query, bound_formals,
                         sum(c.rows_out for c in calls)
                         / sum(c.bindings_in for c in calls))
+
+    def _step_sources(self, step: PlanStep) -> list[DataSource]:
+        """The raw sources a step names, in this executor's own catalog."""
+        if step.atom.is_glue():
+            return [self._glue]
+        return [self._sources[uri] for uri in step.sources]
 
     def _record_metrics(self, trace: ExecutionTrace) -> None:
         """Fold one execution's trace into the metrics registry."""
@@ -418,7 +425,7 @@ class MixedQueryExecutor:
 
         sieve = None
         if self._sieve is not None and options.digest_sieve and step.use_sieve:
-            sieve = self._sieve.sieve_for(atom, step.sources)
+            sieve = self._sieve.sieve_for(atom, self._step_sources(step))
         join = BatchBindJoin(current, fetch_batch, keys=sorted(atom.variables()),
                              batch_size=step.batch_size or DEFAULT_BATCH_SIZE,
                              sieve=sieve, probe=self._cache_probe(step, atom),
@@ -427,7 +434,7 @@ class MixedQueryExecutor:
         return join
 
     def _cache_probe(self, step: PlanStep, atom: SourceAtom):
-        """Per-binding result-cache probe for a static bind step.
+        """Result-cache probe for a static bind step, called per flush.
 
         A hit answers the binding without it ever entering a batch;
         misses ship as usual (and are cached at dispatch by the source
@@ -445,11 +452,11 @@ class MixedQueryExecutor:
         if not isinstance(target, CachedSource):
             return None
 
-        def probe(binding: Row) -> list[Row] | None:
-            rows = target.peek(atom.query, atom.formal_bindings(binding))
-            if rows is None:
-                return None
-            return atom.translate_rows(rows)
+        def probe(bindings: list[Row]) -> Iterator[list[Row] | None]:
+            hits = target.peek(atom.query,
+                               [atom.formal_bindings(b) for b in bindings])
+            return (None if rows is None else atom.translate_rows(rows)
+                    for rows in hits)
 
         return probe
 

@@ -20,8 +20,8 @@ batching discounts), and the enumerator runs dynamic programming over
 atom subsets (greedy fallback above :data:`DP_ATOM_LIMIT` atoms).
 
 The planner produces a :class:`QueryPlan`: an ordered list of
-:class:`PlanStep` objects, each carrying the atom, its resolved source(s),
-its estimated cardinality, its modelled cost and its execution mode —
+:class:`PlanStep` objects, each carrying the atom, the URI(s) of its
+resolved source(s), its estimated cardinality, its modelled cost and its execution mode —
 ``materialize`` (fetch the whole sub-query result) or ``bind`` (dependent
 evaluation, shipping the current bindings to the source, i.e. a bind
 join).
@@ -30,7 +30,7 @@ join).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from repro.cache.plans import PlanCache, plan_cache_key
@@ -111,11 +111,19 @@ def auto_batch_size(estimate: float, cost_model: CostModel | None = None,
 
 @dataclass
 class PlanStep:
-    """One planned sub-query evaluation."""
+    """One planned sub-query evaluation.
+
+    A step names its sources by URI and holds no wrapper: plans outlive
+    the catalog they were built on (the plan cache, ``explain()`` output,
+    pickles), and the executor resolves the URIs against its *own* pinned
+    catalog — so a cached plan keeps no snapshot, store or graph alive.
+    """
 
     atom: SourceAtom
     mode: str  # "materialize" | "bind"
-    sources: list[DataSource] = field(default_factory=list)
+    #: URIs of the resolved source (static atoms) or of every accepting
+    #: candidate (dynamic atoms).
+    sources: tuple[str, ...] = ()
     dynamic: bool = False
     #: Estimated rows fetched by this step (per input binding for bind
     #: steps, total for materialize steps).
@@ -139,7 +147,7 @@ class PlanStep:
             # bare "?dynamic" placeholder).
             targets = f"?{self.atom.source_variable or 'dynamic'}"
         else:
-            targets = ",".join(s.uri for s in self.sources) if self.sources else "?dynamic"
+            targets = ",".join(self.sources) if self.sources else "?dynamic"
         return (f"{self.mode:<11} {self.atom.describe():<50} -> {targets} "
                 f"(cost {self.cost:.1f}, est. {self.estimate:.0f})")
 
@@ -496,8 +504,9 @@ class QueryPlanner:
         else:
             mode, (cost, est, new_card, batch) = "materialize", materialize_step()
 
-        step = PlanStep(atom=atom, mode=mode, sources=sources, dynamic=dynamic,
-                        estimate=est, batch_size=batch,
+        step = PlanStep(atom=atom, mode=mode,
+                        sources=tuple(source.uri for source in sources),
+                        dynamic=dynamic, estimate=est, batch_size=batch,
                         use_sieve=options.digest_sieve, cost=cost,
                         result_estimate=new_card,
                         bound_variables=frozenset(bound))
@@ -565,8 +574,9 @@ class QueryPlanner:
             cost = cost_model.materialize_cost(models, estimate)
             new_card = cardinality * estimate if not shares else cardinality * max(
                 1.0, estimate / 10.0)
-        step = PlanStep(atom=atom, mode=mode, sources=sources, dynamic=dynamic,
-                        estimate=estimate, batch_size=batch_size,
+        step = PlanStep(atom=atom, mode=mode,
+                        sources=tuple(source.uri for source in sources),
+                        dynamic=dynamic, estimate=estimate, batch_size=batch_size,
                         use_sieve=options.digest_sieve, cost=cost,
                         result_estimate=new_card,
                         bound_variables=frozenset(bound))

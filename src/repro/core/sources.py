@@ -621,12 +621,15 @@ class RDFSource(DataSource):
                         and previous._saturated_state == prev_state
                         and prev_graph.removals == frozen.removals):
                     # Additions only between the two snapshots: the
-                    # explicit triples missing from the old closure are
-                    # exactly the delta to absorb.
+                    # journal names them (saturate_delta skips the ones
+                    # the old closure already holds); on a journal gap
+                    # they are the explicit triples missing from it.
                     with previous._saturated.rwlock.read_locked():
                         seed = previous._saturated._copy_unlocked()
             if seed is not None:
-                delta = [t for t in frozen if t not in seed]
+                records = frozen.deltas_since(prev_graph.version, frozen.version)
+                delta = ([t for t in frozen if t not in seed] if records is None
+                         else [t for record in records for t in record.items])
         if seed is None:
             return
         schema = RDFSchema.from_graph(seed)
@@ -1133,56 +1136,71 @@ class JSONSource(DataSource):
         calls = [self._split_bindings(query, bindings) for bindings in batch]
         return self.matcher.match_batch(query.pattern, calls, limit=query.limit)
 
-    def estimate(self, query: SourceQuery, bound_variables: set[str] | None = None) -> float:
+    def estimate(self, query: SourceQuery, bound_variables: set[str] | None = None,
+                 values: dict[str, object] | None = None) -> float:
+        """Path-index estimate of a tree pattern (the one JSON estimator).
+
+        Every number is read off what a write already maintains — the
+        per-path indexes and, for purely structural patterns, the
+        accelerator encoding — so the first estimate after a write costs
+        no pass over the documents.  ``values`` carries the bindings whose
+        constant value is known at plan time (the statistics catalog
+        passes the atom's constants): those are priced from the exact
+        postings of the value instead of the path's average.
+        """
         if not isinstance(query, JSONQuery):
             return float("inf")
-        bound_variables = bound_variables or set()
-        guide = self.store.dataguide()
-        estimate = float(len(self.store))
-        for leaf in query.pattern.leaves:
-            index = self.store.index_for(leaf.path)
+        bound = bound_variables or set()
+        values = values or {}
+        store, pattern = self.store, query.pattern
+        limit = float("inf") if query.limit is None else float(query.limit)
+        if (self.matcher.accel
+                and all(not leaf.predicates for leaf in pattern.leaves)
+                and not (pattern.variables() & bound)):
+            # Purely structural pattern: the accelerator encoding answers
+            # the per-axis cardinalities exactly (documents *and* fan-out).
+            rows = accel_structural_row_estimate(store.encoding_view(), pattern)
+            if rows is not None:
+                return min(rows, limit)
+        estimate = float(len(store))
+        for leaf in pattern.leaves:
+            index = store.index_for(leaf.path)
             if index is None:
                 # Interior (non-leaf) path: only presence statistics exist.
-                present = len(self.store.doc_ids_with_path(leaf.path))
+                present = len(store.doc_ids_with_path(leaf.path))
                 if present == 0:
                     # Never observed anywhere: nothing can match.
                     return 0.0
                 estimate = min(estimate, float(present))
                 continue
-            # Structural selectivity from the dataguide (path coverage),
+            # Structural selectivity (documents exhibiting the path),
             # refined by value-level index statistics below.
-            leaf_estimate = guide.coverage(leaf.path) * guide.document_count
-            leaf_estimate = min(leaf_estimate, float(index.document_count))
+            leaf_estimate = float(index.document_count)
             for predicate in leaf.predicates:
-                if isinstance(predicate.value, JSONParameter):
-                    leaf_estimate = min(leaf_estimate, index.average_postings())
-                elif predicate.op == "=":
-                    leaf_estimate = min(leaf_estimate,
-                                        float(len(index.lookup_eq(predicate.value))))
+                known = predicate.value
+                if isinstance(known, JSONParameter):
+                    if predicate.op != "=" or known.name not in values:
+                        leaf_estimate = min(leaf_estimate, index.average_postings())
+                        continue
+                    known = values[known.name]
+                if predicate.op == "=":
+                    leaf_estimate = min(leaf_estimate, float(len(index.lookup_eq(known))))
                 elif predicate.op != "!=":
                     leaf_estimate = min(leaf_estimate,
-                                        float(len(index.lookup_cmp(predicate.op,
-                                                                   predicate.value))))
-            if leaf.variable is not None and leaf.variable in bound_variables:
-                leaf_estimate = min(leaf_estimate, index.average_postings())
+                                        float(len(index.lookup_cmp(predicate.op, known))))
+            if leaf.variable is not None and leaf.variable in bound:
+                if leaf.variable in values:
+                    leaf_estimate = min(leaf_estimate,
+                                        float(len(index.lookup_eq(values[leaf.variable]))))
+                else:
+                    leaf_estimate = min(leaf_estimate, index.average_postings())
             estimate = min(estimate, leaf_estimate)
-        if any(leaf.constant_equality() is not None for leaf in query.pattern.leaves):
+        if any(leaf.constant_equality() is not None for leaf in pattern.leaves):
             # The per-path indexes can answer the conjunction of constant
             # predicates exactly (candidate-set intersection), which beats
             # the independent per-leaf minima above.
-            estimate = min(estimate, float(len(self.matcher.candidates(query.pattern))))
-        if (self.matcher.accel
-                and all(not leaf.predicates for leaf in query.pattern.leaves)
-                and not (query.pattern.variables() & bound_variables)):
-            # Purely structural pattern: the accelerator encoding answers
-            # the per-axis cardinalities exactly (documents *and* fan-out).
-            rows = accel_structural_row_estimate(self.store.encoding_view(),
-                                                 query.pattern)
-            if rows is not None:
-                estimate = rows
-        if query.limit is not None:
-            estimate = min(estimate, float(query.limit))
-        return estimate
+            estimate = min(estimate, float(len(self.matcher.candidates(pattern))))
+        return min(estimate, limit)
 
     def size(self) -> int:
         return len(self.store)

@@ -284,7 +284,7 @@ class BatchBindJoin(Operator):
                  keys: Sequence[str] | None = None,
                  batch_size: int = DEFAULT_BATCH_SIZE,
                  sieve: Callable[[Row], bool] | None = None,
-                 probe: Callable[[Row], list[Row] | None] | None = None,
+                 probe: Callable[[list[Row]], Iterable[list[Row] | None]] | None = None,
                  name: str = "batchbind"):
         super().__init__(name)
         self.left = left
@@ -346,14 +346,18 @@ class BatchBindJoin(Operator):
                 answers[key] = []
                 self.sieved_out += 1
                 continue
-            if self.probe is not None:
-                hit = self.probe(binding)
-                if hit is not None:
-                    # The cross-query result cache already knows the answer.
-                    answers[key] = list(batches_from_rows(hit))
-                    self.cache_hits += 1
-                    continue
             to_ship.append((key, binding))
+        if self.probe is not None and to_ship:
+            missed = []
+            for item, hit in zip(to_ship,
+                                 self.probe([binding for _, binding in to_ship])):
+                if hit is None:
+                    missed.append(item)
+                else:
+                    # The cross-query result cache already knows the answer.
+                    answers[item[0]] = list(batches_from_rows(hit))
+                    self.cache_hits += 1
+            to_ship = missed
         if not to_ship:
             return
         self.calls += 1

@@ -16,13 +16,14 @@ Tree patterns therefore evaluate as a DAG of structural range joins:
 replace the per-node recursive descent of the reference matcher.
 
 The encoding is an HTAP-style read replica (cf. Polynesia): built
-lazily at the store's current version, repaired incrementally on insert
-by *appending* the new document's intervals, and rebuilt from scratch
-only on removal.  Snapshots share the same :class:`StoreEncoding`
-object through a watermarked :class:`EncodingView` — a pinned view
-carries the ``(doc_limit, node_limit)`` it was created with and clamps
-every probe below those, so post-pin writes (which only ever append)
-are invisible to it.
+lazily by whichever store of a lineage — the live store or one of its
+snapshots — needs it first, brought forward by *appending* the
+intervals of the documents written since, and rebuilt from scratch only
+on removal.  The lineage shares one :class:`StoreEncoding` object
+through watermarked :class:`EncodingView` objects — a view carries the
+``(doc_limit, node_limit)`` it was created with and clamps every probe
+below those, so later writes (which only ever append) are invisible to
+it.
 
 Node model (must agree exactly with the reference matcher's
 :func:`repro.json.matcher.leaf_values`): object members become child
@@ -168,7 +169,9 @@ class StoreEncoding:
                            total_nodes=self.node_count)
             if added:
                 self._stats_cache.clear()
-                get_registry().counter("json.accel.builds").inc()
+                registry = get_registry()
+                registry.counter("json.accel.builds").inc()
+                registry.counter("json.accel.docs_encoded_total").inc(added)
         return added
 
     def _encode(self, doc_id: str, document: dict) -> None:
@@ -271,8 +274,11 @@ class StoreEncoding:
         Returns per leaf the number of documents exhibiting the path and
         the number of nodes at it (the fan-out numerator), plus the size
         of the exact document-set intersection across all leaves — the
-        numbers :mod:`repro.stats.estimators` turns into a row estimate.
-        None when the pattern uses wildcard paths (no single path-id).
+        numbers :func:`structural_row_estimate` turns into a row estimate.
+        Dead intervals (copies an upsert superseded) are not counted, so
+        the numbers are exact for the newest store of the lineage and an
+        approximation for a snapshot behind it.  None when the pattern
+        uses wildcard paths (no single path-id).
         """
         paths = tuple(leaf.path for leaf in pattern.leaves)
         key = (paths, node_limit)
@@ -282,7 +288,7 @@ class StoreEncoding:
                 return cached
         if any(is_wildcard_path(path) for path in paths):
             return None
-        doc_starts = self.doc_starts
+        doc_starts, doc_ids, live = self.doc_starts, self.doc_ids, self.ordinals
         leaves: list[dict] = []
         common: Optional[set[int]] = None
         for path in paths:
@@ -292,9 +298,11 @@ class StoreEncoding:
             if pid is not None:
                 positions = self.path_nodes[pid]
                 hi = bisect_left(positions, node_limit)
-                nodes = hi
                 for position in positions[:hi]:
-                    ordinals.add(bisect_right(doc_starts, position) - 1)
+                    ordinal = bisect_right(doc_starts, position) - 1
+                    if live.get(doc_ids[ordinal]) == ordinal:
+                        ordinals.add(ordinal)
+                        nodes += 1
             leaves.append({"path": path, "documents": len(ordinals),
                            "nodes": nodes})
             common = ordinals if common is None else (common & ordinals)

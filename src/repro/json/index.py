@@ -34,6 +34,10 @@ class PathIndex:
         #: ``remove`` decide presence without scanning the postings.
         self._extra_values: dict[str, int] = {}
         self.occurrences = 0
+        #: Type name -> occurrences of values of that type (what the
+        #: store's dataguide reports, maintained here so a write never
+        #: forces a pass over the documents).
+        self.types: dict[str, int] = {}
         #: Monotonic mutation stamp; unchanged while the index is shared.
         self.version = 0
         #: True while postings/presence are shared with a snapshot twin.
@@ -50,6 +54,8 @@ class PathIndex:
         else:
             self.presence.add(doc_id)
         self.occurrences += 1
+        name = type(value).__name__
+        self.types[name] = self.types.get(name, 0) + 1
         self.version += 1
 
     def remove(self, doc_id: str, value: object) -> None:
@@ -62,6 +68,11 @@ class PathIndex:
             if not bucket:
                 del self.postings[key]
         self.occurrences = max(0, self.occurrences - 1)
+        name = type(value).__name__
+        if self.types.get(name, 0) > 1:
+            self.types[name] -= 1
+        else:
+            self.types.pop(name, None)
         extra = self._extra_values.pop(doc_id, 0)
         if extra > 1:
             self._extra_values[doc_id] = extra - 1
@@ -82,6 +93,7 @@ class PathIndex:
         twin.presence = self.presence
         twin._extra_values = self._extra_values
         twin.occurrences = self.occurrences
+        twin.types = dict(self.types)
         twin.version = self.version
         twin._shared = True
         self._shared = True

@@ -2,13 +2,15 @@
 
 The store is the substrate behind :class:`repro.core.sources.JSONSource`:
 it keeps native (nested) JSON documents, maintains one
-:class:`~repro.json.index.PathIndex` per observed dotted path, and can
-produce the :class:`~repro.digest.dataguide.JSONDataguide` structural
-summary the digests and the planner's estimates rely on.
+:class:`~repro.json.index.PathIndex` per observed dotted path — which is
+also where the planner's estimates and the
+:class:`~repro.digest.dataguide.JSONDataguide` structural summary of the
+digests read their path statistics from.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Any, Iterable, TYPE_CHECKING
 
@@ -22,6 +24,22 @@ from repro.locks import RWLock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.digest.dataguide import JSONDataguide
+
+
+class _EncodingLineage:
+    """The one accelerator encoding a live store and its snapshots share.
+
+    ``version`` is the store version whose documents the encoding
+    covers: a store ahead of it appends what was written since, a store
+    at or behind it only reads.
+    """
+
+    __slots__ = ("lock", "encoding", "version")
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.encoding: StoreEncoding | None = None
+        self.version = -1
 
 
 class JSONDocumentStore:
@@ -39,20 +57,17 @@ class JSONDocumentStore:
         self._indexes: dict[str, PathIndex] = {}
         self._ranks: dict[str, int] = {}
         self._next_rank = 0
-        self._dataguide: JSONDataguide | None = None
         self._version = 0
         self._journal = DeltaJournal()
         self._rwlock = RWLock()
         self._snapshot_state: tuple[int, "JSONDocumentStore"] | None = None
         self._snapshot_lock = threading.Lock()
-        #: Columnar XPath-accelerator replica (built lazily; appended on
-        #: insert and upsert, dropped — full rebuild — on removal).
-        self._accel: StoreEncoding | None = None
-        self._accel_lock = threading.Lock()
-        #: Documents written since the encoding last synced, and the
-        #: number of encoded documents this store's views cover.
-        self._accel_pending: dict[str, dict[str, Any]] = {}
-        self._accel_limit = 0
+        #: Columnar XPath-accelerator replica, shared with every snapshot
+        #: (built lazily by whoever needs it first; appended on insert
+        #: and upsert; a removal starts a new lineage).
+        self._lineage = _EncodingLineage()
+        #: ``(version, view)``: this store's view at that version.
+        self._accel_view: tuple[int, EncodingView] | None = None
 
     @property
     def version(self) -> int:
@@ -84,7 +99,6 @@ class JSONDocumentStore:
         with self._rwlock.write_locked():
             replaced = self._deindex_unlocked(doc_id)
             self._index_unlocked(doc_id, stored)
-            self._dataguide = None
             pre = self._version
             self._version += 1
             entry = self._journal.record(pre, pre + 1,
@@ -118,7 +132,6 @@ class JSONDocumentStore:
                 # documents landed, so version equality has to keep
                 # meaning "unchanged".
                 if added:
-                    self._dataguide = None
                     self._version += 1
                     entry = self._journal.record(
                         pre, pre + 1, UPSERT if replaced else INSERT, added)
@@ -131,13 +144,10 @@ class JSONDocumentStore:
         with self._rwlock.write_locked():
             if not self._deindex_unlocked(doc_id):
                 return False
-            self._dataguide = None
-            # The encoding is append-only; a removal invalidates it and
-            # the next accelerated query rebuilds from scratch.  Shared
-            # snapshot views keep their own (old) encoding object.
-            self._accel = None
-            self._accel_pending = {}
-            self._accel_limit = 0
+            # The encoding is append-only: a removal starts a new lineage
+            # and the next accelerated query encodes from scratch.
+            # Snapshots keep the old lineage.
+            self._lineage = _EncodingLineage()
             pre = self._version
             self._version += 1
             entry = self._journal.record(pre, pre + 1, REMOVE, (doc_id,))
@@ -151,12 +161,15 @@ class JSONDocumentStore:
             raise JSONError(f"JSON store {self.name!r} only stores objects, "
                             f"got {type(document).__name__}")
         stored = _copy_json(document)
-        raw_id = Document(doc_id="_", fields=stored).get(self.id_field)
+        raw_id = self._raw_id(stored)
         if raw_id is None:
             raise JSONError(
                 f"document is missing its id field {self.id_field!r}: {document}"
             )
         return str(raw_id), stored
+
+    def _raw_id(self, document: dict[str, Any]) -> object:
+        return Document(doc_id="_", fields=document).get(self.id_field)
 
     def _deindex_unlocked(self, doc_id: str) -> bool:
         """Drop a document's entries everywhere; True when it existed."""
@@ -185,8 +198,6 @@ class JSONDocumentStore:
                 index = PathIndex(path)
                 self._indexes[path] = index
             index.add(doc_id, value)
-        if self._accel is not None:
-            self._accel_pending[doc_id] = stored
 
     # ------------------------------------------------------------------
     # Snapshot isolation
@@ -196,7 +207,9 @@ class JSONDocumentStore:
 
         Stored documents and per-document leaf lists are never mutated in
         place (``add`` replaces them wholesale), so they are shared; the
-        containers and path indexes are copied.
+        containers and path indexes are copied.  The accelerator encoding
+        belongs to neither: the copy joins this store's lineage, so
+        whichever of the two is queried first encodes for both.
         """
         with self._rwlock.read_locked():
             state = self._snapshot_state
@@ -216,7 +229,6 @@ class JSONDocumentStore:
                                    for path, index in self._indexes.items()}
                 frozen._ranks = dict(self._ranks)
                 frozen._next_rank = self._next_rank
-                frozen._dataguide = self._dataguide
                 frozen._version = self._version
                 # Shared journal: a frozen copy never writes, it only
                 # replays history up to its own (frozen) version.
@@ -224,16 +236,8 @@ class JSONDocumentStore:
                 frozen._rwlock = RWLock()
                 frozen._snapshot_state = (frozen._version, frozen)
                 frozen._snapshot_lock = threading.Lock()
-                # The encoding is shared, not re-derived: it only ever
-                # appends, and the snapshot clamps its views at its own
-                # watermark, so later writes stay invisible to it.  The
-                # pending set is copied: the snapshot syncs (or skips,
-                # when the live store encoded the very same objects
-                # first) its own backlog on first view.
-                frozen._accel = self._accel
-                frozen._accel_lock = threading.Lock()
-                frozen._accel_pending = dict(self._accel_pending)
-                frozen._accel_limit = self._accel_limit
+                frozen._lineage = self._lineage
+                frozen._accel_view = self._accel_view
                 self._snapshot_state = (self._version, frozen)
                 return frozen
 
@@ -241,42 +245,71 @@ class JSONDocumentStore:
     # XPath-accelerator encoding
     # ------------------------------------------------------------------
     def encoding_view(self) -> EncodingView:
-        """A consistent columnar view over exactly this store's documents.
+        """A consistent columnar view over this store's documents.
 
-        Built lazily at first use; inserts *and upserts* since the last
-        view are appended to the shared encoding (an upsert repoints the
-        document's ordinal at its fresh copy, leaving the old interval
-        dead), while a removal dropped it entirely (see :meth:`remove`).
-        The returned view is clamped at this store's own watermark, so a
-        snapshot sharing the live store's encoding never sees post-pin
-        writes — and an ordinal repointed *past* a view's watermark makes
-        the matcher fall back to the reference tree-walk for that
-        document, never read a stale copy.
+        The encoding is owned by the *lineage* — the live store and all
+        its snapshots — not by any one of them.  Whoever needs it first
+        encodes its own documents and publishes the result; a store ahead
+        of the lineage appends the documents journalled since (an upsert
+        repoints the document's ordinal at its fresh copy, leaving the
+        old interval dead), so a document object is encoded once however
+        many snapshots query it.  A store behind the lineage appends
+        nothing.  Only :meth:`remove` and the compaction of dead copies
+        start a new encoding; views handed out earlier keep the old one.
+
+        The view is clamped at the lineage's watermark of the moment and
+        memoised per store version.  What keeps a pinned reader on its
+        own version is the identity check of
+        :meth:`EncodingView.ordinal`: an id whose encoded copy is not the
+        object this store holds (upserted before or after the pin, or
+        never encoded) is verified by the reference tree-walk instead.
         """
         with self._rwlock.read_locked():
-            with self._accel_lock:
-                encoding = self._accel
-                count = len(self._documents)
+            memo = self._accel_view
+            if memo is not None and memo[0] == self._version:
+                return memo[1]
+            lineage = self._lineage
+            with lineage.lock:
+                encoding = lineage.encoding
+                ahead = self._version > lineage.version
+                if (encoding is not None and ahead and encoding.doc_count
+                        > 2 * len(self._documents) + 64):
+                    encoding = None  # dead upsert copies dominate: compact
                 if encoding is None:
-                    encoding = StoreEncoding()
+                    encoding = lineage.encoding = StoreEncoding()
                     encoding.extend(self._documents.items())
-                    self._accel = encoding
-                    self._accel_pending = {}
-                    self._accel_limit = encoding.doc_count
-                elif self._accel_pending:
-                    pending = self._accel_pending
-                    self._accel_pending = {}
-                    if encoding.doc_count + len(pending) > 2 * count + 64:
-                        # Dead upsert copies dominate the shared arrays:
-                        # compact by rebuilding privately (snapshots keep
-                        # the old encoding object).
-                        encoding = StoreEncoding()
-                        encoding.extend(self._documents.items())
-                        self._accel = encoding
-                    else:
-                        encoding.extend(pending.items())
-                    self._accel_limit = encoding.doc_count
-                return encoding.view_for(self._accel_limit)
+                    lineage.version = self._version
+                elif ahead:
+                    encoding.extend(self._written_since(lineage.version))
+                    lineage.version = self._version
+                view = encoding.view_for(encoding.doc_count)
+            self._accel_view = (self._version, view)
+            return view
+
+    def _written_since(self, version: int) -> Iterable[tuple[str, dict[str, Any]]]:
+        """The current documents written after ``version``.
+
+        Read off the journal; on a gap every document is offered, and
+        :meth:`StoreEncoding.extend` skips the ones already encoded.
+        """
+        records = self._journal.since(version, self._version)
+        if records is None:
+            return self._documents.items()
+        written = {}
+        for record in records:
+            for document in record.items:
+                doc_id = str(self._raw_id(document))
+                if self._documents.get(doc_id) is document:
+                    written[doc_id] = document
+        return written.items()
+
+    def encoding_counts(self) -> tuple[int, int]:
+        """``(live, dead)`` document ordinals of the lineage's encoding."""
+        encoding = self._lineage.encoding
+        if encoding is None:
+            return 0, 0
+        live = len(encoding.ordinals)
+        return live, encoding.doc_count - live
 
     # ------------------------------------------------------------------
     # Access
@@ -351,15 +384,25 @@ class JSONDocumentStore:
         return self._ranks.get(doc_id, -1)
 
     def dataguide(self) -> "JSONDataguide":
-        """The (cached) structural summary of the collection."""
-        if self._dataguide is None:
-            # Imported lazily: repro.digest builds digests *of* sources and
-            # already depends on repro.core, which depends on this package.
-            from repro.digest.dataguide import JSONDataguide
+        """The structural summary of the collection, as of now.
 
-            self._dataguide = JSONDataguide.build(self._documents.values(),
-                                                  name=self.name)
-        return self._dataguide
+        Read off the path indexes (occurrences and value types per path),
+        which every write maintains: O(paths), never a pass over the
+        documents.  ``sample_values`` are index keys, i.e. normalised.
+        """
+        # Imported lazily: repro.digest builds digests *of* sources and
+        # already depends on repro.core, which depends on this package.
+        from repro.digest.dataguide import JSONDataguide, PathInfo
+
+        guide = JSONDataguide(name=self.name)
+        with self._rwlock.read_locked():
+            guide.document_count = len(self._documents)
+            for path, index in self._indexes.items():
+                info = PathInfo(path, count=index.occurrences, types=set(index.types))
+                info.sample_values = [key for key in itertools.islice(
+                    index.postings, info.max_samples) if key is not None]
+                guide.paths[path] = info
+        return guide
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"JSONDocumentStore(name={self.name!r}, documents={len(self)}, "

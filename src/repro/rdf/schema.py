@@ -20,7 +20,9 @@ from repro.rdf.terms import (
     RDFS_SUBPROPERTY,
     Term,
     Triple,
+    TriplePattern,
     URI,
+    Variable,
 )
 
 
@@ -48,8 +50,15 @@ class RDFSchema:
     # ------------------------------------------------------------------
     @classmethod
     def from_graph(cls, graph: Graph) -> "RDFSchema":
-        """Extract schema statements from ``graph``."""
-        return cls.from_triples(graph)
+        """Extract schema statements from ``graph``.
+
+        Read through the graph's predicate index: only the triples of the
+        four RDFS properties are touched, not the whole graph.
+        """
+        subject, obj = Variable("s"), Variable("o")
+        return cls.from_triples(
+            t for predicate in (RDFS_SUBCLASS, RDFS_SUBPROPERTY, RDFS_DOMAIN, RDFS_RANGE)
+            for t in graph.match(TriplePattern(subject, predicate, obj)))
 
     @classmethod
     def from_triples(cls, triples: Iterable[Triple]) -> "RDFSchema":

@@ -8,7 +8,7 @@ sub-query, bound-variable set) it answers, in order of preference:
    canonical sub-query under the same bound variables (recorded by the
    adaptive executor when an estimate turned out wrong);
 2. **digest-backed estimators** (:mod:`repro.stats.estimators`) over
-   histograms, value-set distinct counts, dataguide path counts and
+   histograms, value-set distinct counts, per-path index counts and
    inverted-index document frequencies;
 3. the wrapper's own ``estimate()`` as a fallback (also used when a
    wrapper sets ``trust_wrapper_estimate`` to advertise that it carries
@@ -104,7 +104,7 @@ class StatisticsCatalog:
             if isinstance(source, FullTextSource) and isinstance(query, FullTextQuery):
                 return estimators.estimate_fulltext(source, query, bound, values)
             if isinstance(source, JSONSource) and isinstance(query, JSONQuery):
-                return estimators.estimate_json(source, query, bound, values)
+                return source.estimate(query, bound, values)
         except Exception:
             # Any estimator hiccup (odd syntax, missing metadata) must
             # never fail planning — the wrapper fallback takes over.

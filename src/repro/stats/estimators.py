@@ -8,8 +8,11 @@ one source, using only summaries the mediator already maintains:
   for join keys and parameter bindings);
 * **RDF** — per-pattern triple counts from the graph's permutation
   indexes, with join-variable reductions from position distinct counts;
-* **full-text** — inverted-index document frequencies per query clause;
-* **JSON** — dataguide path counts refined by per-path index postings.
+* **full-text** — inverted-index document frequencies per query clause.
+
+JSON tree patterns have one estimator, the wrapper's own
+(:meth:`repro.core.sources.JSONSource.estimate`): its statistics are the
+store's per-path indexes, which the wrapper already holds.
 
 Every estimator returns ``None`` when it cannot derive a safe number
 (unsupported syntax, unknown fields, empty metadata); the caller then
@@ -27,8 +30,6 @@ from typing import Callable, Optional
 from repro.core.sources import (
     FullTextQuery,
     FullTextSource,
-    JSONQuery,
-    JSONSource,
     RDFQuery,
     RDFSource,
     RelationalSource,
@@ -274,76 +275,3 @@ def estimate_fulltext(source: FullTextSource, query: FullTextQuery,
     if query.limit is not None:
         cardinality = min(cardinality, float(query.limit))
     return max(0.0, cardinality)
-
-
-# ---------------------------------------------------------------------------
-# JSON
-# ---------------------------------------------------------------------------
-
-def estimate_json(source: JSONSource, query: JSONQuery, bound: set[str],
-                  values: dict[str, object]) -> Optional[float]:
-    """Dataguide + path-index estimate of a tree pattern.
-
-    Mirrors the wrapper's digest-backed logic but additionally prices
-    parameters whose constant value is *known* from the exact postings
-    of that value instead of the average.
-    """
-    from repro.json.pattern import Parameter as JSONParameter
-
-    store = source.store
-    pattern = query.pattern
-    # Purely structural patterns (no predicates, no bound variables) are
-    # answered *exactly* from the XPath-accelerator encoding: per-axis
-    # document cardinalities intersect, and variable leaves contribute
-    # their true fan-out (rows, not documents).
-    structural = (all(not leaf.predicates for leaf in pattern.leaves)
-                  and not (pattern.variables() & bound))
-    if structural and getattr(source.matcher, "accel", False):
-        view_getter = getattr(store, "encoding_view", None)
-        if view_getter is not None:
-            from repro.json.accel import structural_row_estimate
-
-            rows = structural_row_estimate(view_getter(), pattern)
-            if rows is not None:
-                if query.limit is not None:
-                    rows = min(rows, float(query.limit))
-                return max(0.0, rows)
-    guide = store.dataguide()
-    estimate = float(len(store))
-    for leaf in query.pattern.leaves:
-        index = store.index_for(leaf.path)
-        if index is None:
-            present = len(store.doc_ids_with_path(leaf.path))
-            if present == 0:
-                return 0.0
-            estimate = min(estimate, float(present))
-            continue
-        leaf_estimate = guide.coverage(leaf.path) * guide.document_count
-        leaf_estimate = min(leaf_estimate, float(index.document_count))
-        for predicate in leaf.predicates:
-            if isinstance(predicate.value, JSONParameter):
-                name = predicate.value.name
-                if predicate.op == "=" and name in values:
-                    leaf_estimate = min(leaf_estimate,
-                                        float(len(index.lookup_eq(values[name]))))
-                else:
-                    leaf_estimate = min(leaf_estimate, index.average_postings())
-            elif predicate.op == "=":
-                leaf_estimate = min(leaf_estimate,
-                                    float(len(index.lookup_eq(predicate.value))))
-            elif predicate.op != "!=":
-                leaf_estimate = min(leaf_estimate,
-                                    float(len(index.lookup_cmp(predicate.op,
-                                                               predicate.value))))
-        if leaf.variable is not None and leaf.variable in bound:
-            if leaf.variable in values:
-                leaf_estimate = min(leaf_estimate,
-                                    float(len(index.lookup_eq(values[leaf.variable]))))
-            else:
-                leaf_estimate = min(leaf_estimate, index.average_postings())
-        estimate = min(estimate, leaf_estimate)
-    if any(leaf.constant_equality() is not None for leaf in query.pattern.leaves):
-        estimate = min(estimate, float(len(source.matcher.candidates(query.pattern))))
-    if query.limit is not None:
-        estimate = min(estimate, float(query.limit))
-    return max(0.0, estimate)

@@ -223,11 +223,19 @@ class TestBatchBindJoin:
             return [[{"id": b["id"], "via": "source"}] for b in bindings]
 
         cached = [{"id": "p2", "via": "cache"}]
+        probed = []
+
+        def probe(bindings):
+            probed.append([b["id"] for b in bindings])
+            return [cached if b["id"] == "p2" else None for b in bindings]
+
         join = BatchBindJoin(MaterializedScan(PEOPLE), fetch_batch, keys=["id"],
-                             probe=lambda b: cached if b["id"] == "p2" else None)
+                             probe=probe)
         assert [(r["id"], r["via"]) for r in join.rows()] == [
             ("p1", "source"), ("p2", "cache"), ("p3", "source")]
         assert shipped == ["p1", "p3"]
+        # One probe call per flush, carrying the whole flush.
+        assert probed == [["p1", "p2", "p3"]]
         assert (join.cache_hits, join.bindings_shipped) == (1, 2)
         assert cached == [{"id": "p2", "via": "cache"}]
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core import JSONQuery, StatisticsCatalog
 from repro.core.sources import JSONSource
+from repro.datasets.loader import TWEETS_JSON_URI
 from repro.engine.batch import BindingBatch
 from repro.json import (
     JSONDocumentStore,
@@ -237,6 +238,49 @@ class TestSnapshotIsolation:
             assert accelerated == rows
             assert reference == rows
 
+    @given(ops=st.lists(st.one_of(
+        st.tuples(st.just("write"), st.lists(st.tuples(
+            st.integers(min_value=0, max_value=5),
+            st.dictionaries(st.sampled_from(_KEYS), _JSON, min_size=1, max_size=3)),
+            min_size=1, max_size=3)),
+        st.tuples(st.just("remove"), st.integers(min_value=0, max_value=5)),
+        st.tuples(st.just("snapshot"), st.booleans()),
+        st.tuples(st.just("view"), st.integers(min_value=0, max_value=8))),
+        min_size=2, max_size=12), spec=_patterns())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_a_pinned_reader_sees_its_version_under_any_interleaving(self, ops, spec):
+        """One encoding per lineage, whoever builds it and whenever.
+
+        Writes (inserts and upserts of ids 0-5), removals, snapshots and
+        ``encoding_view()`` calls on the live store or on any snapshot, in
+        any order: every snapshot — taken before the lineage's encoding
+        existed, or upserted since — answers from its own documents.
+        """
+        pattern, parameters, pushdown = spec
+        kwargs = {"parameters": parameters, "pushdown": pushdown}
+        store = JSONDocumentStore("lineage")
+        store.add({"id": 0, "a": 1})
+        pinned = []
+        for op, argument in ops:
+            if op == "write":
+                store.add_all({"id": i, **doc} for i, doc in argument)
+            elif op == "remove":
+                store.remove(str(argument))
+            elif op == "snapshot":
+                snap = store.snapshot()
+                expected = TreePatternMatcher(snap, accel=False).match(pattern, **kwargs)
+                if argument:  # query it right away, or only after more writes
+                    assert TreePatternMatcher(snap).match(pattern, **kwargs) == expected
+                pinned.append((snap, expected))
+            else:
+                readers = [store] + [snap for snap, _ in pinned]
+                readers[argument % len(readers)].encoding_view()
+        assert _both(store, pattern, **kwargs)[0] == _both(store, pattern, **kwargs)[1]
+        for snap, expected in pinned:
+            reference, accelerated = _both(snap, pattern, **kwargs)
+            assert accelerated == reference == expected
+
     def test_removal_rebuilds_and_stays_correct(self):
         store = JSONDocumentStore("rm")
         for i in range(8):
@@ -422,7 +466,19 @@ class TestMetrics:
         registry = get_registry()
         assert registry.counter("json.accel.builds").value >= 1
         assert registry.counter("json.accel.probe_rows").value >= 10
+        # Documents encoded, not builds: an upsert batch of three adds three.
+        assert registry.counter("json.accel.docs_encoded_total").value == 10
+        store.add_all({"id": i, "a": {"b": -i}} for i in range(3))
+        matcher.match(parse_pattern("{ a.b: ?v }"))
+        assert registry.counter("json.accel.docs_encoded_total").value == 13
+        assert store.encoding_counts() == (10, 3)
         with MediatorService(demo.instance) as service:
             stats = service.stats()
         assert stats["json_accel"]["builds"] >= 1
         assert stats["json_accel"]["probe_rows"] >= 10
+        assert stats["json_accel"]["docs_encoded"] == 13
+        # The instance's own JSON stores: every ordinal of the shared
+        # encoding is live until an upsert supersedes a copy.
+        live, dead = demo.instance.source(TWEETS_JSON_URI).store.encoding_counts()
+        assert (stats["json_accel"]["live_ordinals"],
+                stats["json_accel"]["dead_ordinals"]) == (live, dead)

@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import JSONQuery, JSONSource, MixedInstance, PlannerOptions
+from repro.digest import JSONDataguide
 from repro.errors import JSONError, MixedQueryError, ParseError
 from repro.json import (
     JSONDocumentStore,
@@ -228,6 +231,42 @@ class TestStore:
         assert "user.screen_name" in store.dataguide().path_names()
         store.add({"id": 9, "brand_new": {"path": 1}})
         assert "brand_new.path" in store.dataguide().path_names()
+
+    @given(ops=st.lists(st.one_of(
+        st.tuples(st.just("write"), st.lists(st.tuples(
+            st.integers(min_value=0, max_value=6),
+            st.dictionaries(st.sampled_from("abc"), st.recursive(
+                st.one_of(st.none(), st.booleans(), st.integers(0, 3),
+                          st.sampled_from(["x", "Y", 1.5])),
+                lambda inner: st.one_of(
+                    st.lists(inner, max_size=2),
+                    st.dictionaries(st.sampled_from("abc"), inner, max_size=2)),
+                max_leaves=6), max_size=3)), min_size=1, max_size=3)),
+        st.tuples(st.just("remove"), st.integers(min_value=0, max_value=6)),
+        st.tuples(st.just("snapshot"), st.none())), max_size=10))
+    @settings(max_examples=80, deadline=None)
+    def test_dataguide_equals_a_build_over_the_documents(self, ops):
+        """Read off the path indexes after any interleaving of inserts,
+        upserts, removals and snapshots — never built from the documents —
+        the dataguide is the one ``JSONDataguide.build`` would produce."""
+        store = JSONDocumentStore("guide")
+        readers = [store]
+        for op, argument in ops:
+            if op == "write":
+                store.add_all({"id": i, **doc} for i, doc in argument)
+            elif op == "remove":
+                store.remove(str(argument))
+            else:
+                readers.append(store.snapshot())
+        for reader in readers:
+            guide = reader.dataguide()
+            built = JSONDataguide.build(reader.documents())
+            assert guide.document_count == built.document_count == len(reader)
+            assert guide.path_names() == built.path_names()
+            for path, info in built.paths.items():
+                assert guide.info(path).count == info.count
+                assert guide.info(path).types == info.types
+                assert guide.coverage(path) == built.coverage(path)
 
 
 class TestJSONSourceWrapper:

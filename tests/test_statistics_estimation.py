@@ -249,8 +249,63 @@ class TestFullTextEstimates:
 
 
 # ---------------------------------------------------------------------------
-# JSON: dataguide coverage + path-index postings
+# JSON: path-index presence and postings
 # ---------------------------------------------------------------------------
+
+#: (pattern, bound variables, known values, JSONSource.estimate,
+#: StatisticsCatalog.estimate) captured at the parent of ISSUE 16, when two
+#: estimators read a dataguide rebuilt from every document: the one
+#: estimator over the path indexes must return the same numbers.
+_DEMO_GOLDEN = [
+    ('{ text: ?t, user.screen_name: ?id, entities.hashtags: "sia2016" }', ('id',), {}, 1.0, 1.0),
+    ('{ text: ?t, user.screen_name: ?id, entities.hashtags: "sia2016" }', ('t',), {}, 1.0, 1.0),
+    ('{ text: ?t, user.screen_name: ?id, entities.hashtags: "sia2016" }', (), {}, 1.0, 1.0),
+    ('{ text: ?t, user.screen_name: ?id, entities.hashtags: {tag} }', ('id',), {}, 10.166666666666666, 10.166666666666666),
+    ('{ text: ?t, user.screen_name: ?id, entities.hashtags: {tag} }', ('tag',), {'tag': 'sia2016'}, 24.333333333333332, 1.0),
+    ('{ text: ?t, user.screen_name: ?id, entities.hashtags: {tag} }', ('tag',), {}, 24.333333333333332, 24.333333333333332),
+    ('{ text: ?t, user.screen_name: ?id, entities.hashtags: {tag} }', ('t',), {}, 1.0, 1.0),
+    ('{ text: ?t, user.screen_name: ?id, entities.hashtags: {tag} }', (), {}, 24.333333333333332, 24.333333333333332),
+    ('{ text: ?t, user.screen_name: ?id, retweet_count: ?rt }', ('id',), {}, 10.166666666666666, 10.166666666666666),
+    ('{ text: ?t, user.screen_name: ?id, retweet_count: ?rt }', ('rt',), {}, 2.0, 2.0),
+    ('{ text: ?t, user.screen_name: ?id, retweet_count: ?rt }', ('t',), {}, 1.0, 1.0),
+    ('{ text: ?t, user.screen_name: ?id, retweet_count: ?rt }', (), {}, 122.0, 122.0),
+]
+_FIXTURE_GOLDEN = [
+    ('{ author: ?a, topic: "politics" }', ('a',), {}, 10.0, 10.0),
+    ('{ author: ?a, topic: "politics" }', (), {}, 90.0, 90.0),
+    ('{ author: {who}, likes: ?l }', ('l',), {}, 2.0, 2.0),
+    ('{ author: {who}, likes: ?l }', ('who',), {'who': 'a3'}, 10.0, 10.0),
+    ('{ author: {who}, likes: ?l }', ('who',), {}, 10.0, 10.0),
+    ('{ author: {who}, likes: ?l }', (), {}, 10.0, 10.0),
+    ('{ geo.lat: ?lat }', ('lat',), {}, 40.0, 40.0),
+    ('{ geo.lat: ?lat }', (), {}, 40.0, 40.0),
+    ('{ likes: ?l >= 50 }', ('l',), {}, 2.0, 2.0),
+    ('{ likes: ?l >= 50 }', (), {}, 20.0, 20.0),
+]
+#: The fixture after an insert batch and an upsert batch.  One entry is not
+#: the parent's: it counted the ten copies the upserts superseded in the
+#: accelerator encoding (70.0 for the 60 rows of ``{ geo.lat: ?lat }``).
+_WRITTEN_GOLDEN = [
+    ('{ author: ?a, topic: "politics" }', ('a',), {}, 12.5, 12.5),
+    ('{ author: ?a, topic: "politics" }', (), {}, 110.0, 110.0),
+    ('{ author: {who}, likes: ?l }', ('l',), {}, 2.5, 2.5),
+    ('{ author: {who}, likes: ?l }', ('who',), {'who': 'a3'}, 12.5, 23.0),
+    ('{ author: {who}, likes: ?l }', ('who',), {}, 12.5, 12.5),
+    ('{ author: {who}, likes: ?l }', (), {}, 12.5, 12.5),
+    ('{ geo.lat: ?lat }', ('lat',), {}, 30.0, 30.0),
+    ('{ geo.lat: ?lat }', (), {}, 60.0, 60.0),
+    ('{ likes: ?l >= 50 }', ('l',), {}, 2.5, 2.5),
+    ('{ likes: ?l >= 50 }', (), {}, 50.0, 50.0),
+]
+
+
+def _assert_golden(source: JSONSource, golden: list) -> None:
+    for text, bound, values, wrapper, catalog in golden:
+        query = JSONQuery.from_text(text)
+        assert source.estimate(query, set(bound)) == pytest.approx(wrapper), text
+        assert StatisticsCatalog().estimate(source, query, set(bound), values) \
+            == pytest.approx(catalog), text
+
 
 class TestJSONEstimates:
     @pytest.fixture
@@ -287,6 +342,22 @@ class TestJSONEstimates:
         actual = len(source.execute(query, {"who": "a3"}))
         assert actual == 10
         assert q_error(estimate, actual) <= 1.5
+
+    def test_demo_atoms_estimate_as_at_the_parent(self):
+        from repro.datasets import DemoConfig, build_demo_instance
+        from repro.datasets.loader import TWEETS_JSON_URI
+
+        demo = build_demo_instance(DemoConfig(politicians=12, weeks=2, seed=42))
+        _assert_golden(demo.instance.source(TWEETS_JSON_URI), _DEMO_GOLDEN)
+
+    def test_fixture_atoms_estimate_as_at_the_parent(self, source):
+        _assert_golden(source, _FIXTURE_GOLDEN)
+        source.store.add_all(
+            {"id": i, "author": f"a{i % 5}", "likes": 55, "topic": "politics",
+             "geo": {"lat": 1.0}} for i in range(120, 150))
+        source.store.add_all({"id": i, "author": "a3", "likes": 1, "topic": "other"}
+                             for i in range(0, 30, 3))
+        _assert_golden(source, _WRITTEN_GOLDEN)
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,203 @@ class TestRepairedEqualsCold:
 
 
 # ---------------------------------------------------------------------------
+# Set-at-a-time repair: batch == per key == cold, and every gate still holds
+# ---------------------------------------------------------------------------
+
+def _json_case():
+    store = JSONDocumentStore("docs")
+    store.add_all({"id": str(i), "k": i % 4, "v": i} for i in range(12))
+    counter = iter(range(100, 10_000))
+    return (JSONSource("json://docs", store),
+            JSONQuery.from_text('{"k": ?k, "v": ?v}'),
+            [{"k": k} for k in range(4)] + [{}],
+            lambda size: store.add_all(
+                {"id": str(i), "k": i % 4, "v": i}
+                for i in (next(counter) for _ in range(size))))
+
+
+def _sql_case():
+    db = Database("d")
+    db.execute("CREATE TABLE t (k INTEGER, v TEXT)")
+    db.execute("CREATE TABLE other (k INTEGER)")
+    db.execute("INSERT INTO t (k, v) VALUES (0, 'seed'), (1, 'seed'), (2, 'seed')")
+    counter = iter(range(100, 10_000))
+
+    def write(size: int) -> None:
+        rows = ", ".join(f"({i % 4}, 'b{i}')"
+                         for i in (next(counter) for _ in range(size)))
+        db.execute(f"INSERT INTO t (k, v) VALUES {rows}")
+        db.execute("INSERT INTO other (k) VALUES (1)")  # a re-stamp in the chain
+
+    return (RelationalSource("sql://d", db),
+            SQLQuery(sql="SELECT v AS v FROM t WHERE k = {k}"),
+            [{"k": k} for k in range(4)], write)
+
+
+def _fulltext_case():
+    store = FullTextStore("ft", fields=[
+        FieldConfig("text", "text"), FieldConfig("tag", "keyword")])
+    store.add_all({"id": i, "text": "alpha doc", "tag": f"t{i % 4}"}
+                  for i in range(12))
+    counter = iter(range(100, 10_000))
+    return (FullTextSource("solr://ft", store),
+            FullTextQuery.create("text:alpha", {"tag": "tag", "t": "text"}),
+            [{"tag": f"t{k}"} for k in range(4)] + [{}],
+            lambda size: store.add_all(
+                {"id": i, "text": "alpha doc", "tag": f"t{i % 4}"}
+                for i in (next(counter) for _ in range(size))))
+
+
+def _rdf_case():
+    graph = Graph("g")
+    for i in range(12):
+        graph.add(triple(f"ttn:S{i}", "ttn:handle", f"h{i % 4}"))
+        graph.add(triple(f"ttn:S{i}", "ttn:score", i))
+    counter = iter(range(100, 10_000))
+
+    def write(size: int) -> None:
+        for i in (next(counter) for _ in range(size)):
+            graph.add_all([triple(f"ttn:S{i}", "ttn:handle", f"h{i % 4}"),
+                           triple(f"ttn:S{i}", "ttn:score", i)])
+
+    return (RDFSource("rdf://g", graph),
+            RDFQuery.from_text(
+                "SELECT ?h ?s WHERE { ?x ttn:handle ?h . ?x ttn:score ?s }"),
+            [{"h": f"h{k}"} for k in range(4)] + [{}], write)
+
+
+class TestBatchRepair:
+    @pytest.mark.parametrize("case, ordered", [
+        (_json_case, True), (_sql_case, True), (_fulltext_case, False),
+        (_rdf_case, False)])
+    @given(sizes=st.lists(st.integers(min_value=1, max_value=4),
+                          min_size=2, max_size=5))
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    def test_batch_equals_per_key_equals_cold(self, case, ordered, sizes):
+        """One ``execute_batch`` / ``peek`` over keys stale from *different*
+        versions (and some never cached) answers what one ``execute`` per
+        key answers, row lists and order included, and what the source
+        answers cold (as a multiset for the two models whose cold order
+        ``repro.cache.repair`` does not promise: hits interleave by score,
+        BGP solutions come in index order)."""
+        source, query, keys, write = case()
+        batched, batch_engine, _ = _proxy(source)
+        peeked, _, _ = _proxy(source)
+        per_key, key_engine, _ = _proxy(source)
+        early, late = keys[::2], keys[1::2]
+        for proxy in (batched, peeked):
+            proxy.execute_batch(query, early)
+        for key in early:
+            per_key.execute(query, dict(key))
+        for step, size in enumerate(sizes):
+            write(size)
+            # After the first write only the late keys are asked (cached at
+            # a later version than the early ones); from then on, all.
+            asked = late if step == 0 else keys
+            one_by_one = [per_key.execute(query, dict(key)) for key in asked]
+            assert batched.execute_batch(query, asked) == one_by_one
+            hits = list(peeked.peek(query, asked))
+            assert [rows for rows in hits if rows is not None] == \
+                [rows for rows, hit in zip(one_by_one, hits) if hit is not None]
+            peeked.execute_batch(query, asked)
+            for key, rows in zip(asked, one_by_one):
+                cold = source.execute(query, dict(key))
+                assert rows == cold if ordered else _multiset(rows) == _multiset(cold)
+        assert batch_engine.stats.as_dict() == key_engine.stats.as_dict()
+        assert batch_engine.stats.repaired > 0 and not batch_engine.stats.fallbacks
+
+    # -- gates, through the batch entry -------------------------------------
+    def _refused(self, source, query, keys, write, reason, ordered=True):
+        """Warm ``keys``, write, re-ask them in one batch: the answers are
+        the cold ones (wrong when the gate is dropped) and every key is a
+        counted fallback."""
+        proxy, engine, _ = _proxy(source)
+        proxy.execute_batch(query, keys)
+        write()
+        warm = proxy.execute_batch(query, keys)
+        for key, rows in zip(keys, warm):
+            cold = source.execute(query, dict(key))
+            assert rows == cold if ordered else _multiset(rows) == _multiset(cold)
+        assert engine.stats.fallbacks == {reason: len(keys)}
+        assert engine.stats.attempts == len(keys) and engine.stats.repaired == 0
+
+    def test_json_limit_and_upsert(self):
+        source, query, keys, write = _json_case()
+        limited = JSONQuery.from_text('{"k": ?k, "v": ?v}', limit=2)
+        self._refused(source, limited, keys[:2], lambda: write(8), "shape")
+        self._refused(source, query, keys[:2],
+                      lambda: source.store.add({"id": "0", "k": 0, "v": 999}),
+                      "removals")
+        self._refused(source, query, keys[:2],
+                      lambda: source.store.remove("1"), "removals")
+
+    @pytest.mark.parametrize("query", [
+        FullTextQuery.create("text:alpha", {"tag": "tag"}, limit=2),
+        FullTextQuery.create("text:alpha", {"tag": "tag", "i": "id"}, sort_by="tag"),
+        FullTextQuery.create("text:alpha", {"tag": "tag", "s": "_score"}),
+    ])
+    def test_fulltext_limit_sort_and_score(self, query):
+        source, _, _, _ = _fulltext_case()
+        self._refused(
+            source, query, [{}, {"tag": "t1"}],
+            lambda: source.store.add_all(
+                {"id": 500 + i, "text": "alpha alpha", "tag": f"t{i % 2}"}
+                for i in range(4)),
+            "shape")
+
+    def test_fulltext_removal(self):
+        source, query, keys, _ = _fulltext_case()
+        self._refused(source, query, keys[:2],
+                      lambda: source.store.remove("0"), "removals")
+
+    def test_delta_too_large(self):
+        source, query, keys, write = _json_case()
+        proxy, engine, _ = _proxy(source)
+        engine.MAX_DELTA_ITEMS = 3
+        proxy.execute_batch(query, keys)
+        write(4)
+        assert proxy.execute_batch(query, keys) == \
+            [source.execute(query, dict(key)) for key in keys]
+        assert engine.stats.fallbacks == {"delta_too_large": len(keys)}
+        # RDF counts seeds: delta triples x triple patterns.
+        source, query, keys, write = _rdf_case()
+        proxy, engine, _ = _proxy(source)
+        engine.MAX_DELTA_ITEMS = 3
+        proxy.execute_batch(query, keys)
+        write(1)  # one batch of two triples, against two patterns
+        for key, rows in zip(keys, proxy.execute_batch(query, keys)):
+            assert _multiset(rows) == _multiset(source.execute(query, dict(key)))
+        assert engine.stats.fallbacks == {"delta_too_large": len(keys)}
+
+    def test_rdf_removal_entailment_and_headless(self):
+        source, query, keys, write = _rdf_case()
+        self._refused(
+            source, query, keys[:2],
+            lambda: source.graph.remove(triple("ttn:S0", "ttn:score", 0)),
+            "removals", ordered=False)
+        headless = RDFQuery(bgp=type(query.bgp)(head=(), patterns=query.bgp.patterns))
+        self._refused(source, headless, keys[:2], lambda: write(2), "shape",
+                      ordered=False)
+        graph = Graph("ent")
+        graph.add(triple("ttn:politician", "rdfs:subClassOf", "ttn:person"))
+        graph.add(triple("ttn:X", "rdf:type", "ttn:politician"))
+        entailed = RDFSource("rdf://ent", graph, entailment=True)
+        people = RDFQuery.from_text("SELECT ?s WHERE { ?s rdf:type ttn:person }")
+        self._refused(
+            entailed, people, [{}, {"s": "http://tatooine.inria.fr/ns#Y"}],
+            lambda: graph.add(triple("ttn:Y", "rdf:type", "ttn:politician")),
+            "shape", ordered=False)
+
+    def test_journal_gap(self):
+        source, query, keys, write = _json_case()
+        source.store._journal = DeltaJournal(capacity=2)
+        self._refused(source, query, keys,
+                      lambda: [write(1) for _ in range(4)], "no_journal")
+
+
+# ---------------------------------------------------------------------------
 # Warm-cache hit rate under a write stream
 # ---------------------------------------------------------------------------
 
