@@ -6,14 +6,16 @@ entry.  :func:`canonical_query` therefore rewrites every query shape
 (BGP, SQL, full-text, JSON tree pattern) into a canonical structure in
 which variables are numbered by order of appearance, together with the
 renaming that maps the query's own variable names onto the canonical
-ones.  Binding tuples and cached rows are translated through that
-renaming on the way in and out of the cache, so a hit produced under one
-spelling is served verbatim under another.
+ones.  Binding tuples and the *headers* of cached batches are translated
+through that renaming on the way in and out of the cache (the row lists
+are shared, never copied), so a hit produced under one spelling is
+served verbatim under another.
 
 Canonicalisation is conservative: only the positions the mediator
-treats as variables are renamed (BGP variables, ``{placeholder}``
-parameters, full-text output fields, tree-pattern variables).  SQL
-output *columns* are part of the statement text and stay structural.
+treats as variables are renamed (BGP variables, SQL ``{var}`` parameter
+nodes and full-text ``{placeholder}`` parameters, full-text output
+fields, tree-pattern variables).  SQL output *columns* are part of the
+statement and stay structural.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from repro.core.sources import (
     SQLQuery,
     _PLACEHOLDER_RE,
 )
+from repro.engine.batch import BindingBatch
 from repro.json.pattern import Parameter as JSONParameter
 from repro.rdf.terms import Variable
 
@@ -80,31 +83,21 @@ class CanonicalQuery:
         fused call's leader translates them back through its own
         renaming via :meth:`original_binding`.
         """
-        if not self.rename:
-            return dict(bindings)
         return {self.rename.get(name, name): value
                 for name, value in bindings.items()}
 
     def original_binding(self, bindings: Row) -> Row:
         """A canonical binding dict re-keyed by this query's own names."""
-        if not self.rename:
-            return dict(bindings)
         return {self.inverse.get(name, name): value
                 for name, value in bindings.items()}
 
-    def canonical_rows(self, rows: list[Row]) -> list[Row]:
-        """Rows re-keyed by canonical variable names (for storage)."""
-        if not self.rename:
-            return [dict(row) for row in rows]
-        return [{self.rename.get(name, name): value for name, value in row.items()}
-                for row in rows]
+    def canonical_batches(self, batches: list[BindingBatch]) -> list[BindingBatch]:
+        """Batches under canonical variable names (for storage)."""
+        return [batch.renamed(self.rename) for batch in batches]
 
-    def original_rows(self, rows: list[Row]) -> list[Row]:
-        """Fresh copies of stored rows, re-keyed by this query's names."""
-        if not self.rename:
-            return [dict(row) for row in rows]
-        return [{self.inverse.get(name, name): value for name, value in row.items()}
-                for row in rows]
+    def original_batches(self, batches: list[BindingBatch]) -> list[BindingBatch]:
+        """Stored batches under this query's own names, rows shared."""
+        return [batch.renamed(self.inverse) for batch in batches]
 
 
 def canonical_query(query: SourceQuery) -> Optional[CanonicalQuery]:
@@ -142,9 +135,11 @@ def _canonical_rdf(query: RDFQuery) -> CanonicalQuery:
 
 
 def _canonical_sql(query: SQLQuery) -> CanonicalQuery:
-    canon = _Namer()
-    text = _PLACEHOLDER_RE.sub(lambda m: "{" + canon(m.group(1)) + "}", query.sql)
-    return CanonicalQuery("sql", (text, query.output_columns), canon.mapping)
+    # Keyed on the parsed statement: ``{x}`` inside a quoted string is a
+    # literal, not a parameter, and must neither be renamed nor shared.
+    template = query.template
+    return CanonicalQuery("sql", (template.canonical_text, query.output_columns),
+                          template.canonical_names)
 
 
 def _canonical_fulltext(query: FullTextQuery) -> CanonicalQuery:

@@ -70,6 +70,7 @@ from repro.core.sources import (
     _binding_term_variants,
     _to_python,
 )
+from repro.engine.batch import BindingBatch, SeenRows, as_batches, row_count
 from repro.fulltext.store import FullTextStore
 from repro.json.store import JSONDocumentStore
 from repro.obs.metrics import get_registry
@@ -149,21 +150,24 @@ class RepairEngine:
     # ------------------------------------------------------------------
     def repair(self, source, version: int, query: SourceQuery,
                canon: CanonicalQuery,
-               probes: list[tuple[tuple, Row]]) -> list[Optional[list[Row]]]:
+               probes: list[tuple[tuple, Row]],
+               ) -> list[Optional[list[BindingBatch]]]:
         """Repair the latest prior entry of every probe up to ``version``.
 
         ``probes`` are the ``(key, bindings)`` pairs of one query that
-        just missed.  Per probe, in order: on success the merged rows,
-        inserted under its key (stamping the entry at the current
-        version) and returned in *canonical* variable names; ``None``
-        for "fall back to a plain miss".  Never raises: any evaluation
-        error is a counted fallback of the keys it was evaluated with.
+        just missed.  Per probe, in order: on success the merged entry
+        (batches in *canonical* variable names), inserted under its key
+        — stamping it at the current version; ``None`` for "fall back to
+        a plain miss".  The prior entry is never mutated: the old rows
+        are shared with the new entry, not copied.  Never raises: any
+        evaluation error is a counted fallback of the keys it was
+        evaluated with.
         """
-        out: list[Optional[list[Row]]] = [None] * len(probes)
+        out: list[Optional[list[BindingBatch]]] = [None] * len(probes)
         if not isinstance(version, int):
             return out
         # Prior version -> the probes whose merge base was cached under it.
-        spans: dict[int, list[tuple[int, list[Row]]]] = {}
+        spans: dict[int, list[tuple[int, list[BindingBatch]]]] = {}
         for index, (key, _) in enumerate(probes):
             prior = self.cache.prior_entry(key)
             if prior is None:
@@ -179,7 +183,7 @@ class RepairEngine:
             if records is None:
                 self.stats.fallback("no_journal", len(members))
                 continue
-            stored = [rows for _, rows in members]
+            stored = [entry for _, entry in members]
             try:
                 merged = self._apply(source, query, canon,
                                      [probes[index][1] for index, _ in members],
@@ -190,24 +194,25 @@ class RepairEngine:
             if isinstance(merged, str):
                 self.stats.fallback(merged, len(members))
                 continue
-            for (index, base), rows in zip(members, merged):
-                self.cache.insert_canonical(probes[index][0], rows)
-                self.stats.success(len(rows) - len(base), pure_restamp=rows is base)
-                out[index] = rows
+            for (index, base), entry in zip(members, merged):
+                self.cache.insert_canonical(probes[index][0], entry)
+                self.stats.success(row_count(entry) - row_count(base),
+                                   pure_restamp=entry is base)
+                out[index] = entry
             registry.counter("cache_repairs_total").inc(len(members))
             registry.counter("cache_repair_rows_total").inc(
-                sum(map(len, merged)) - sum(map(len, stored)))
+                sum(map(row_count, merged)) - sum(map(row_count, stored)))
         return out
 
     # ------------------------------------------------------------------
     def _apply(self, source, query: SourceQuery, canon: CanonicalQuery,
-               bindings: list[Row], stored: list[list[Row]],
-               records: list[DeltaRecord]) -> list[list[Row]] | str:
-        """Merge the delta into every key's rows, or name the gate that
+               bindings: list[Row], stored: list[list[BindingBatch]],
+               records: list[DeltaRecord]) -> list[list[BindingBatch]] | str:
+        """Merge the delta into every key's entry, or name the gate that
         refused.  The gates depend on the query and the records only, so
         they hold or fail for all the keys at once.
 
-        Returning a key's ``stored`` list itself signals a pure re-stamp.
+        Returning a key's ``stored`` entry itself signals a pure re-stamp.
         """
         if sum(len(r.items) for r in records) > self.MAX_DELTA_ITEMS:
             return "delta_too_large"
@@ -246,17 +251,17 @@ class RepairEngine:
         delta = self._delta_source(source, records[0].pre_version,
                                    records[-1].post_version,
                                    lambda: build(source, records))
-        fetched = delta.execute_batch(query, bindings)
+        fetched = delta.answer_batch(query, bindings)
         # Inserts append in the base store too (new rows, higher insertion
         # ranks), so stored + delta rows reproduces a cold re-execution's
         # order for the relational and JSON shapes.
-        return [base + canon.canonical_rows(rows)
-                for base, rows in zip(stored, fetched)]
+        return [_extended(base, canon.canonical_batches(batches))
+                for base, batches in zip(stored, fetched)]
 
     # -- rdf -----------------------------------------------------------------
     def _apply_rdf(self, source, query: RDFQuery, canon: CanonicalQuery,
-                   bindings: list[Row], stored: list[list[Row]],
-                   records: list[DeltaRecord]) -> list[list[Row]] | str:
+                   bindings: list[Row], stored: list[list[BindingBatch]],
+                   records: list[DeltaRecord]) -> list[list[BindingBatch]] | str:
         graph = source.graph
         bgp = query.bgp
         delta_triples = [t for r in records for t in r.items]
@@ -267,7 +272,7 @@ class RepairEngine:
         if not seeds:
             return stored
         rename = canon.rename
-        out: list[list[Row]] = []
+        out: list[list[BindingBatch]] = []
         for binding, base in zip(bindings, stored):
             # Mirror RDFSource.execute: probe every numeric/CURIE spelling
             # of the probe's bindings.
@@ -275,23 +280,24 @@ class RepairEngine:
                      for variable in bgp.variables() if variable.name in binding]
             combos = list(itertools.product(*(terms for _, terms in bound))) \
                 if bound else [()]
-            seen = {frozenset(row.items()) for row in base}
-            merged = list(base)
+            found: list[Row] = []
             for seed in seeds:
                 for combo in combos:
                     initial = dict(seed)
                     if any(initial.setdefault(variable, term) != term
                            for (variable, _), term in zip(bound, combo)):
                         continue
-                    for result in evaluate_bgp(bgp, graph,
-                                               initial_binding=initial):
-                        row = {rename.get(v.name, v.name): _to_python(t)
-                               for v, t in result.items()}
-                        fingerprint = frozenset(row.items())
-                        if fingerprint not in seen:
-                            seen.add(fingerprint)
-                            merged.append(row)
-            out.append(merged if len(merged) > len(base) else base)
+                    found.extend({rename.get(v.name, v.name): _to_python(t)
+                                  for v, t in result.items()}
+                                 for result in evaluate_bgp(bgp, graph,
+                                                            initial_binding=initial))
+            # BGP results are distinct: keep what the entry does not hold.
+            seen = SeenRows()
+            for batch in base:
+                seen.fresh(batch)
+            new = [BindingBatch(batch.columns, rows) for batch in as_batches(found)
+                   if (rows := seen.fresh(batch))]
+            out.append(_extended(base, new) if new else base)
         return out
 
     # ------------------------------------------------------------------
@@ -358,6 +364,15 @@ def _json_delta_source(source: JSONSource,
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
+
+def _extended(base: list[BindingBatch], delta: list[BindingBatch]) -> list[BindingBatch]:
+    """A new entry, ``base`` then ``delta`` (neither mutated): rows under the
+    header ``base`` ends with join its last batch as ``old.rows + new_rows``."""
+    if base and delta and base[-1].columns == delta[0].columns:
+        joint = BindingBatch(delta[0].columns, base[-1].rows + delta[0].rows)
+        return base[:-1] + [joint] + delta[1:]
+    return base + delta
+
 
 def _unify(pattern, triple) -> Optional[dict]:
     """Bind a triple pattern against one concrete triple (None = no match)."""

@@ -20,9 +20,14 @@ on mutation, so an update to one source orphans exactly that source's
 entries — results of every other source keep serving hits, and the
 orphaned entries age out of the LRU.
 
+An entry is a list of :class:`~repro.engine.batch.BindingBatch` objects
+under *canonical* variable names, immutable once inserted: a hit is the
+entry's own row lists under a renamed header, shared by every reader; a
+repair publishes a new entry.
+
 :class:`CachedSource` wraps a :class:`~repro.core.sources.DataSource`
-with the cache for the duration of a dispatch.  ``execute`` probes once;
-``execute_batch`` probes *per binding* (stale entries of the whole batch
+with the cache for the duration of a dispatch.  ``answer`` probes once;
+``answer_batch`` probes *per binding* (stale entries of the whole batch
 go to the repair engine in one call) and forwards only the misses to
 the wrapped source, so a batched bind join ships IN-lists/disjunctions
 built solely from uncached bindings.  Sources whose ``version()`` is
@@ -38,6 +43,7 @@ from typing import Iterator, Optional, Sequence
 from repro.cache.keys import CanonicalQuery, canonical_query
 from repro.cache.lru import CacheStats, LRUCache
 from repro.core.sources import DataSource, Row, SourceQuery
+from repro.engine.batch import BindingBatch, as_batches, dict_rows
 from repro.errors import MixedQueryError
 
 #: Memo sentinel: ``canonical_query`` answered "uncacheable" (``None``
@@ -121,7 +127,7 @@ class SubQueryResultCache:
         except TypeError:  # unhashable query object
             return None
 
-    def key_for(self, source, version: int, query: SourceQuery,
+    def key_for(self, source, version: Optional[int], query: SourceQuery,
                 bindings: Row) -> Optional[tuple[tuple, CanonicalQuery]]:
         """The full cache key of one probe, or ``None`` when uncacheable.
 
@@ -140,35 +146,28 @@ class SubQueryResultCache:
             return None
         return (source.uri, token, version, canon.key, binding_key), canon
 
-    def fetch(self, key: tuple, canon: CanonicalQuery,
-              record_miss: bool = True) -> Optional[list[Row]]:
-        """Cached rows re-keyed for the requesting query, or ``None``."""
-        stored = self.entries.get(key, record_miss=record_miss)
-        if stored is None:
-            return None
-        return canon.original_rows(stored)
+    def insert(self, key: tuple, canon: CanonicalQuery, rows: list) -> None:
+        """Insert an answer (batches or dict rows) in the query's own names."""
+        self.insert_canonical(key, canon.canonical_batches(as_batches(rows)))
 
-    def insert(self, key: tuple, canon: CanonicalQuery, rows: list[Row]) -> None:
-        self.insert_canonical(key, canon.canonical_rows(rows))
+    def insert_canonical(self, key: tuple, batches: list[BindingBatch]) -> None:
+        """Insert batches already in canonical variable names.
 
-    def insert_canonical(self, key: tuple, canonical_rows: list[Row]) -> None:
-        """Insert rows already in canonical variable names.
-
-        Used by the MQO fusion path, where the leader of a fused call
-        caches every participant's probe — the rows it holds are already
-        canonical, having crossed between differently-renamed queries.
+        Used by repair and by the MQO fusion path, where the leader of a
+        fused call caches every participant's probe: its batches crossed
+        between differently-renamed queries in canonical names.
         """
-        self.entries.put(key, canonical_rows)
+        self.entries.put(key, batches)
         with self._lock:
             self._stale[self._logical(key)] = key
 
-    def prior_entry(self, key: tuple) -> Optional[tuple[tuple, list[Row]]]:
+    def prior_entry(self, key: tuple) -> Optional[tuple[tuple, list[BindingBatch]]]:
         """The latest surviving entry of this probe under an older version.
 
         Input is the full key of a probe that just *missed*; the stale
         index locates the newest entry ever inserted for the same
-        logical probe.  Returns ``(prior_key, stored_rows)`` with the
-        rows still in canonical names (they are the repair engine's
+        logical probe.  Returns ``(prior_key, stored_batches)``, still
+        in canonical names (they are the repair engine's
         merge base, not an answer), or ``None`` when the probe was never
         cached or its entry has aged out of the LRU.
         """
@@ -183,7 +182,7 @@ class SubQueryResultCache:
         return prior_key, stored
 
     def fetch_stale(self, source, query: SourceQuery,
-                    bindings: Row) -> Optional[list[Row]]:
+                    bindings: Row) -> Optional[list[BindingBatch]]:
         """The latest rows ever cached for this probe, any version.
 
         Serving them is *degraded* reading: the source may have mutated
@@ -191,23 +190,13 @@ class SubQueryResultCache:
         path exists so an outage yields flagged stale rows instead of a
         failed query.  Touches no hit/miss counters.
         """
-        token = getattr(source, "cache_token", None)
-        if token is None:
-            return None
-        canon = self.canonicalize(query)
-        if canon is None:
-            return None
-        binding_key = canon.binding_key(bindings)
-        if binding_key is None:
+        keyed = self.key_for(source, None, query, bindings)
+        if keyed is None:
             return None
         with self._lock:
-            key = self._stale.get((source.uri, token, canon.key, binding_key))
-        if key is None:
-            return None
-        stored = self.entries.get(key, record_miss=False)
-        if stored is None:
-            return None
-        return canon.original_rows(stored)
+            key = self._stale.get(self._logical(keyed[0]))
+        stored = None if key is None else self.entries.get(key, record_miss=False)
+        return None if stored is None else keyed[1].original_batches(stored)
 
     # ------------------------------------------------------------------
     def invalidate_source(self, source_uri: str) -> int:
@@ -230,8 +219,14 @@ class CachedSource(DataSource):
 
     Everything the executor needs (`uri`, `model`, `accepts`,
     ``estimate``, ...) delegates to the wrapped source; only
-    ``execute`` / ``execute_batch`` interpose the cache.  The source
+    ``answer`` / ``answer_batch`` interpose the cache.  The source
     version is snapshotted once per call, not per binding.
+
+    ``answer``, ``answer_batch``, :meth:`peek` and :meth:`peek_stale`
+    serve the mediator lists of :class:`~repro.engine.batch.BindingBatch`;
+    a hit *shares* the entry's row lists (immutable tuples, lists never
+    mutated: no copy).  ``execute`` / ``execute_batch``, the public
+    :class:`DataSource` protocol, give the same answers as fresh dicts.
 
     ``stats`` is an optional per-executor :class:`CacheStats` receiving
     this proxy's hit/miss counts, so an execution's trace reports its
@@ -351,9 +346,9 @@ class CachedSource(DataSource):
         Hits come from the LRU; every stale key left is then handed to
         the repair engine in ONE call (a repaired entry was rebuilt
         locally from the delta journal — no source call happened, so it
-        reads as a hit).  ``stored[i]`` is the cached list itself, rows
-        in *canonical* names, or ``None`` on a miss; ``keyed[i]`` is
-        ``None`` for an uncacheable binding.
+        reads as a hit).  ``stored[i]`` is the cache entry itself,
+        batches in *canonical* names, or ``None`` on a miss; ``keyed[i]``
+        is ``None`` for an uncacheable binding.
         """
         keyed = [self.cache.key_for(self.inner, version, query, bindings)
                  for bindings in batch]
@@ -371,6 +366,16 @@ class CachedSource(DataSource):
                 stored[i] = merged
         return stored, keyed
 
+    def _inner_batch(self, query: SourceQuery,
+                     batch: list[Row]) -> list[list[BindingBatch]]:
+        """The wrapped source's answer to ``batch``: one entry per binding."""
+        fetched = self.inner.answer_batch(query, batch)
+        if len(fetched) != len(batch):
+            raise MixedQueryError(
+                f"source {self.inner.uri!r} answered {len(fetched)} bindings "
+                f"of a {len(batch)}-binding batch")
+        return fetched
+
     # -- MQO fusion bus -----------------------------------------------------
     def _fusion_runner(self, query: SourceQuery, canon: CanonicalQuery):
         """Leader-side evaluator handed to the MQO coordinator.
@@ -383,20 +388,15 @@ class CachedSource(DataSource):
         later probes hit without a call of their own.
         """
 
-        def run(probes: list[tuple[tuple, Row]]) -> list[list[Row]]:
+        def run(probes: list[tuple[tuple, Row]]) -> list[list[BindingBatch]]:
             originals = [canon.original_binding(binding) for _, binding in probes]
             if len(originals) == 1:
-                fetched = [self.inner.execute(query, originals[0])]
+                fetched = [self.inner.answer(query, originals[0])]
             else:
-                fetched = self.inner.execute_batch(query, originals)
-            if len(fetched) != len(probes):
-                raise MixedQueryError(
-                    f"source {self.inner.uri!r} answered {len(fetched)} bindings "
-                    f"of a {len(probes)}-binding fused batch"
-                )
-            out: list[list[Row]] = []
-            for (full_key, _), rows in zip(probes, fetched):
-                canonical = canon.canonical_rows(rows)
+                fetched = self._inner_batch(query, originals)
+            out: list[list[BindingBatch]] = []
+            for (full_key, _), batches in zip(probes, fetched):
+                canonical = canon.canonical_batches(batches)
                 self.cache.insert_canonical(full_key, canonical)
                 out.append(canonical)
             return out
@@ -417,17 +417,24 @@ class CachedSource(DataSource):
 
     # -- cached protocol ----------------------------------------------------
     def execute(self, query: SourceQuery, bindings: Row | None = None) -> list[Row]:
+        return dict_rows(self.answer(query, bindings))
+
+    def execute_batch(self, query: SourceQuery,
+                      bindings_batch: Sequence[Row]) -> list[list[Row]]:
+        return list(map(dict_rows, self.answer_batch(query, bindings_batch)))
+
+    def answer(self, query: SourceQuery, bindings: Row | None = None) -> list[BindingBatch]:
         bindings = bindings or {}
         version = self.inner.version()
         if version is None:
-            return self.inner.execute(query, bindings)
+            return self.inner.answer(query, bindings)
         (stored,), (keyed,) = self._probe(version, query, [bindings])
         if keyed is None:
-            return self.inner.execute(query, bindings)
+            return self.inner.answer(query, bindings)
         key, canon = keyed
         self._record(hit=stored is not None)
         if stored is not None:
-            return canon.original_rows(stored)
+            return canon.original_batches(stored)
         if self.mqo is not None:
             canonical = canon.canonical_binding(bindings)
             fetched, shared, fused = self.mqo.fuse(
@@ -435,44 +442,39 @@ class CachedSource(DataSource):
                 [(key, canonical)], self._fusion_runner(query, canon),
                 batched=False)
             self._record_mqo(shared, fused)
-            return canon.original_rows(fetched[0])
-        rows = self.inner.execute(query, bindings)
-        self.cache.insert(key, canon, rows)
-        return rows
+            return canon.original_batches(fetched[0])
+        batches = self.inner.answer(query, bindings)
+        self.cache.insert(key, canon, batches)
+        return batches
 
-    def execute_batch(self, query: SourceQuery,
-                      bindings_batch: Sequence[Row]) -> list[list[Row]]:
+    def answer_batch(self, query: SourceQuery,
+                     bindings_batch: Sequence[Row]) -> list[list[BindingBatch]]:
         version = self.inner.version()
         if version is None:
-            return self.inner.execute_batch(query, bindings_batch)
+            return self.inner.answer_batch(query, bindings_batch)
         batch = [dict(b or {}) for b in bindings_batch]
         stored, keyed = self._probe(version, query, batch)
-        results = [None if rows is None else entry[1].original_rows(rows)
-                   for entry, rows in zip(keyed, stored)]
-        miss_indices = [i for i, rows in enumerate(results) if rows is None]
+        results = [None if entry is None else key[1].original_batches(entry)
+                   for key, entry in zip(keyed, stored)]
+        miss_indices = [i for i, batches in enumerate(results) if batches is None]
         miss_keys = [keyed[i] for i in miss_indices]
-        for entry, rows in zip(keyed, results):
+        for entry, batches in zip(keyed, results):
             if entry is not None:
-                self._record(hit=rows is not None)
+                self._record(hit=batches is not None)
         if self.mqo is not None and any(k is not None for k in miss_keys):
-            self._execute_misses_fused(query, version, batch, miss_indices,
-                                       miss_keys, results)
+            self._answer_misses_fused(query, version, batch, miss_indices,
+                                      miss_keys, results)
         elif miss_indices:
-            fetched = self.inner.execute_batch(query, [batch[i] for i in miss_indices])
-            if len(fetched) != len(miss_indices):
-                raise MixedQueryError(
-                    f"source {self.inner.uri!r} answered {len(fetched)} bindings "
-                    f"of a {len(miss_indices)}-binding batch"
-                )
-            for index, entry, rows in zip(miss_indices, miss_keys, fetched):
-                results[index] = rows
+            fetched = self._inner_batch(query, [batch[i] for i in miss_indices])
+            for index, entry, batches in zip(miss_indices, miss_keys, fetched):
+                results[index] = batches
                 if entry is not None:
-                    self.cache.insert(entry[0], entry[1], rows)
-        return [rows if rows is not None else [] for rows in results]
+                    self.cache.insert(entry[0], entry[1], batches)
+        return [batches if batches is not None else [] for batches in results]
 
-    def _execute_misses_fused(self, query: SourceQuery, version: int,
-                              batch: list[Row], miss_indices: list[int],
-                              miss_keys: list, results: list) -> None:
+    def _answer_misses_fused(self, query: SourceQuery, version: int,
+                             batch: list[Row], miss_indices: list[int],
+                             miss_keys: list, results: list) -> None:
         """Route a batch's cache misses through the MQO fusion bus.
 
         Keyed misses are grouped by binding schema (one bus slot per
@@ -500,45 +502,40 @@ class CachedSource(DataSource):
                     runner, batched=True)
                 shared += s
                 fused += f
-                for (index, _, _), canonical_rows in zip(members, fetched):
-                    results[index] = canon.original_rows(canonical_rows)
+                for (index, _, _), canonical in zip(members, fetched):
+                    results[index] = canon.original_batches(canonical)
             self._record_mqo(shared, fused)
         if direct:
-            fetched = self.inner.execute_batch(query, [batch[i] for i in direct])
-            if len(fetched) != len(direct):
-                raise MixedQueryError(
-                    f"source {self.inner.uri!r} answered {len(fetched)} bindings "
-                    f"of a {len(direct)}-binding batch"
-                )
-            for index, rows in zip(direct, fetched):
-                results[index] = rows
+            fetched = self._inner_batch(query, [batch[i] for i in direct])
+            for index, batches in zip(direct, fetched):
+                results[index] = batches
 
-    def peek(self, query: SourceQuery,
-             bindings_batch: Sequence[Row]) -> Iterator[Optional[list[Row]]]:
+    def peek(self, query: SourceQuery, bindings_batch: Sequence[Row],
+             ) -> Iterator[Optional[list[BindingBatch]]]:
         """Cache-only probe of a batch (no source call, no miss recorded).
 
         One answer per binding, ``None`` where the cache has none.  This
         is the bind join's pre-probe, once per flush: stale entries are
         repaired here, set-at-a-time, so the dispatch that follows ships
-        plain misses only.  The probing is done when the call returns;
-        only the per-caller row copies are made as the answers are
-        consumed.  Hits are not counted into ``local_stats`` — the caller
-        keeps its own hit counter.
+        plain misses only.  An answer is the entry's batches under the
+        query's names (the row lists are the cache's own, shared).  Hits
+        are not counted into ``local_stats``: the caller keeps its own.
         """
         version = self.inner.version()
         if version is None:
             return iter([None] * len(bindings_batch))
         stored, keyed = self._probe(version, query, bindings_batch,
                                     record_miss=False)
-        return (None if rows is None else entry[1].original_rows(rows)
-                for entry, rows in zip(keyed, stored))
+        return (None if batches is None else entry[1].original_batches(batches)
+                for entry, batches in zip(keyed, stored))
 
-    def peek_stale(self, query: SourceQuery, bindings: Row) -> Optional[list[Row]]:
+    def peek_stale(self, query: SourceQuery,
+                   bindings: Row) -> Optional[list[BindingBatch]]:
         """Version-independent cache probe for graceful degradation.
 
         Unlike :meth:`peek` this takes one binding, works while
         ``inner.version()`` is unknowable (the source is down) and may
-        return rows cached under an *older* version — the caller flags
+        return batches cached under an *older* version — the caller flags
         them as degraded.
         """
         return self.cache.fetch_stale(self.inner, query, bindings)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.sources import (
     DataSource,
@@ -34,6 +34,7 @@ from repro.core.sources import (
     SourceQuery,
     SQLQuery,
 )
+from repro.engine.batch import BindingBatch, tuple_getter
 from repro.errors import MixedQueryError, ParseError
 
 #: Sentinel source URI designating the mixed instance's custom RDF graph.
@@ -61,6 +62,10 @@ class SourceAtom:
         Mapping from formal variable names to CMQ variable names.
     constants:
         Formal variables fixed to constants (e.g. the hashtag "SIA2016").
+
+    Bindings go to the source in formal names (:meth:`formal_bindings`);
+    its answer comes back as batches whose *headers* are translated to
+    CMQ names (:meth:`translate`) — the rows are never copied.
     """
 
     name: str
@@ -69,6 +74,8 @@ class SourceAtom:
     source_variable: Optional[str] = None
     renames: dict[str, str] = field(default_factory=dict)
     constants: dict[str, object] = field(default_factory=dict)
+    #: Source header -> how :meth:`translate` maps it.
+    _specs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.source is not None and self.source_variable is not None:
@@ -122,37 +129,55 @@ class SourceAtom:
                 formal[formal_name] = value
         return formal
 
-    def translate_row(self, row: Row) -> Row:
-        """Translate a source row (formal names) back to CMQ variable names."""
-        out: Row = {}
-        for formal_name, value in row.items():
-            if formal_name in self.constants:
-                continue
-            out[self.renames.get(formal_name, formal_name)] = value
+    def translate(self, batches: list[BindingBatch]) -> list[BindingBatch]:
+        """Translate source batches (formal names) to CMQ variable names.
+
+        Worked out once per (atom, header): the rows are shared under the
+        renamed header.  Only a header holding a constant's column has
+        its rows filtered (violations go) and narrowed (the column goes);
+        two formals renamed to one variable collapse like dict keys.
+        """
+        out = []
+        for batch in batches:
+            spec = self._specs.get(batch.columns)
+            if spec is None:
+                picks: dict[str, int] = {}
+                checks = []
+                for index, formal in enumerate(batch.columns):
+                    if formal in self.constants:
+                        checks.append((index, self.constants[formal]))
+                    else:
+                        picks[self.renames.get(formal, formal)] = index
+                narrow = (None if len(picks) == len(batch.columns)
+                          else tuple_getter(list(picks.values())))
+                spec = self._specs[batch.columns] = (tuple(picks), checks, narrow)
+            columns, checks, narrow = spec
+            rows = batch.rows
+            if checks:
+                rows = [row for row in rows
+                        if all(_matches_constant(row[i], expected) for i, expected in checks)]
+            if narrow is not None:
+                rows = list(map(narrow, rows))
+            out.append(batch if columns == batch.columns else BindingBatch(columns, rows))
         return out
 
-    def translate_rows(self, rows: Iterable[Row]) -> list[Row]:
-        """Translate source rows to CMQ names, dropping constant violations."""
-        return [self.translate_row(row) for row in rows
-                if _respects_constants(row, self.constants)]
-
-    def execute_on(self, source: DataSource, bindings: Row | None = None) -> list[Row]:
+    def execute_on(self, source: DataSource,
+                   bindings: Row | None = None) -> list[BindingBatch]:
         """Run the atom's sub-query on ``source`` under ``bindings``."""
-        bindings = bindings or {}
-        formal = self.formal_bindings(bindings)
-        return self.translate_rows(source.execute(self.query, formal))
+        return self.translate(source.answer(self.query,
+                                            self.formal_bindings(bindings or {})))
 
     def execute_batch_on(self, source: DataSource,
-                         bindings_batch: Sequence[Row]) -> list[list[Row]]:
+                         bindings_batch: Sequence[Row]) -> list[list[BindingBatch]]:
         """Run the atom's sub-query on ``source`` for a whole binding batch.
 
         One mediator-level call: the wrapper batches natively when it can
         (IN-lists, disjunctive queries, shared candidate sets).  Returns
-        one translated row list per input binding, in order.
+        the translated batches of each input binding, in order.
         """
         formal_batch = [self.formal_bindings(bindings or {}) for bindings in bindings_batch]
-        fetched = source.execute_batch(self.query, formal_batch)
-        return [self.translate_rows(rows) for rows in fetched]
+        return [self.translate(batches)
+                for batches in source.answer_batch(self.query, formal_batch)]
 
     def is_glue(self) -> bool:
         """True when the atom targets the instance's custom RDF graph."""
@@ -513,13 +538,6 @@ def rename_atom(atom: SourceAtom, renames: dict[str, str]) -> SourceAtom:
     return replace(atom, renames=composed)
 
 
-def _respects_constants(row: Row, constants: dict[str, object]) -> bool:
-    for formal, expected in constants.items():
-        if formal in row:
-            value = row[formal]
-            if value != expected and not (
-                isinstance(value, str) and isinstance(expected, str)
-                and value.lower() == expected.lower()
-            ):
-                return False
-    return True
+def _matches_constant(value: object, expected: object) -> bool:
+    return value == expected or (isinstance(value, str) and isinstance(expected, str)
+                                 and value.lower() == expected.lower())

@@ -22,7 +22,10 @@ is recorded on the trace.
   classical one-call-per-binding bind join on the same route.
 
 The remaining processing (joins, projection, deduplication) happens inside
-the iterator engine of :mod:`repro.engine`.
+the iterator engine of :mod:`repro.engine`.  From a source's answer to
+the last operator rows travel as ``BindingBatch`` objects (cache hits
+share the cache's row lists); the dict rows of :class:`MixedResult` are
+built once, before ``execute`` returns.
 
 With ``PlannerOptions(adaptive=True)`` (the default for cost-based
 plans) execution is **adaptive**: the intermediate result materialises
@@ -46,7 +49,7 @@ from repro.core.cmq import ConjunctiveMixedQuery, SourceAtom
 from repro.core.planner import PlannerOptions, PlanStep, QueryPlan, QueryPlanner
 from repro.core.results import ExecutionTrace, MixedResult, StepObservation, SubQueryCall
 from repro.core.sources import DataSource, Row
-from repro.engine.batch import DEFAULT_BATCH_SIZE
+from repro.engine.batch import DEFAULT_BATCH_SIZE, BindingBatch, row_count
 from repro.engine.iterators import (
     BatchBindJoin,
     Distinct,
@@ -138,19 +141,15 @@ class MixedQueryExecutor:
             self._mqo_stats = MQOStats() if mqo is not None else None
             stats_lock = threading.Lock()
             repair = getattr(cache, "repair", None)
-            self._targets = {uri: CachedSource(source, cache.results,
-                                               stats=self._cache_stats,
-                                               stats_lock=stats_lock,
-                                               mqo=mqo,
-                                               mqo_stats=self._mqo_stats,
-                                               repair=repair)
+
+            def proxy(source: DataSource) -> CachedSource:
+                return CachedSource(source, cache.results, stats=self._cache_stats,
+                                    stats_lock=stats_lock, mqo=mqo,
+                                    mqo_stats=self._mqo_stats, repair=repair)
+
+            self._targets = {uri: proxy(source)
                              for uri, source in self._sources.items()}
-            self._target_glue = CachedSource(glue, cache.results,
-                                             stats=self._cache_stats,
-                                             stats_lock=stats_lock,
-                                             mqo=mqo,
-                                             mqo_stats=self._mqo_stats,
-                                             repair=repair)
+            self._target_glue = proxy(glue)
 
     # ------------------------------------------------------------------
     def execute(self, query: ConjunctiveMixedQuery, plan: QueryPlan | None = None,
@@ -228,9 +227,9 @@ class MixedQueryExecutor:
                 continue
             # Materialise the intermediate result so the stage's source
             # calls have happened and actual cardinalities are known.
-            intermediate = current.rows()
-            current = MaterializedScan(intermediate, name="intermediate")
-            trace.intermediate_sizes.append(len(intermediate))
+            current = MaterializedScan(list(current.batches()), name="intermediate")
+            intermediate = current.estimated_size()
+            trace.intermediate_sizes.append(intermediate)
             worst: tuple[float, PlanStep, StepObservation] | None = None
             for step in steps:
                 observation = self._observe(step, trace, joins)
@@ -261,7 +260,7 @@ class MixedQueryExecutor:
                 if step.atom.source_variable is not None:
                     bound.add(step.atom.source_variable)
             tail = self.planner.plan_tail(query, [s.atom for s in executed], bound,
-                                          float(len(intermediate)), options)
+                                          float(intermediate), options)
             pending = [[tail.steps[i] for i in stage] for stage in tail.stages]
             trace.replanned = True
             trace.replans += 1
@@ -403,10 +402,10 @@ class MixedQueryExecutor:
                    atoms=[step.atom.name for step in steps]) as sp:
             fetched = self._dispatch([(step, [{}]) for step in steps], trace, options)
             if sp is not None:
-                sp.set(rows=sum(len(rows) for (rows,) in fetched))
+                sp.set(rows=sum(row_count(batches) for (batches,) in fetched))
         operator = current
-        for step, (rows,) in zip(steps, fetched):
-            scan = MaterializedScan(rows, name=step.atom.name)
+        for step, (batches,) in zip(steps, fetched):
+            scan = MaterializedScan(batches, name=step.atom.name)
             operator = scan if operator is None else HashJoin(operator, scan)
         assert operator is not None
         return operator
@@ -416,11 +415,11 @@ class MixedQueryExecutor:
                    joins: dict[int, BatchBindJoin]) -> Operator:
         atom = step.atom
 
-        def fetch_batch(bindings: list[Row]) -> list[list[Row]]:
+        def fetch_batch(bindings: list[Row]) -> list[list[BindingBatch]]:
             with _span(f"bind:{atom.name}", bindings=len(bindings)) as sp:
                 (per_binding,) = self._dispatch([(step, bindings)], trace, options)
                 if sp is not None:
-                    sp.set(rows=sum(len(rows) for rows in per_binding))
+                    sp.set(rows=sum(map(row_count, per_binding)))
                 return per_binding
 
         sieve = None
@@ -443,20 +442,15 @@ class MixedQueryExecutor:
         """
         if self._result_cache is None or step.dynamic:
             return None
-        if atom.is_glue():
-            target = self._target_glue
-        elif atom.source is not None:
-            target = self._targets.get(atom.source)
-        else:
-            target = None
+        target = self._target_glue if atom.is_glue() else self._targets.get(atom.source)
         if not isinstance(target, CachedSource):
             return None
 
-        def probe(bindings: list[Row]) -> Iterator[list[Row] | None]:
+        def probe(bindings: list[Row]) -> Iterator[list[BindingBatch] | None]:
             hits = target.peek(atom.query,
                                [atom.formal_bindings(b) for b in bindings])
-            return (None if rows is None else atom.translate_rows(rows)
-                    for rows in hits)
+            return (None if batches is None else atom.translate(batches)
+                    for batches in hits)
 
         return probe
 
@@ -465,7 +459,7 @@ class MixedQueryExecutor:
     # ------------------------------------------------------------------
     def _dispatch(self, work: list[tuple[PlanStep, list[Row]]],
                   trace: ExecutionTrace,
-                  options: PlannerOptions) -> list[list[list[Row]]]:
+                  options: PlannerOptions) -> list[list[list[BindingBatch]]]:
         """Ship each step's bindings; one call per (step, target source).
 
         Static atoms hit their single source; dynamic atoms group their
@@ -475,10 +469,10 @@ class MixedQueryExecutor:
         the single empty binding and reaches ``source.execute``; a bind
         step's batch reaches ``source.execute_batch``.  The calls are
         independent, so all of them run as one flat parallel batch.
-        Returns, per ``work`` entry, one row list per binding.
+        Returns, per ``work`` entry, the batches of each binding.
         """
-        results: list[list[list[Row]]] = [[[] for _ in bindings_list]
-                                          for _, bindings_list in work]
+        results: list[list[list[BindingBatch]]] = [[[] for _ in bindings_list]
+                                                   for _, bindings_list in work]
         calls: list[tuple[int, DataSource, list[int]]] = []
         for slot, (step, bindings_list) in enumerate(work):
             by_source: dict[str, tuple[DataSource, list[int]]] = {}
@@ -508,7 +502,7 @@ class MixedQueryExecutor:
                     if sp is not None:
                         sp.set(degraded=degraded)
                 if sp is not None:
-                    sp.set(rows=sum(len(rows) for rows in per_binding))
+                    sp.set(rows=sum(map(row_count, per_binding)))
             return per_binding, time.perf_counter() - started, degraded
 
         outcomes = run_tasks(
@@ -525,12 +519,15 @@ class MixedQueryExecutor:
                     f"of a {len(indices)}-binding batch for atom {atom.name!r}"
                 )
             total = 0
-            for index, rows in zip(indices, per_binding):
+            for index, batches in zip(indices, per_binding):
                 if atom.source_variable is not None:
-                    for row in rows:
-                        row.setdefault(atom.source_variable, source.uri)
-                results[slot][index].extend(rows)
-                total += len(rows)
+                    # The source a row came from is one more column.
+                    batches = [b if atom.source_variable in b.positions() else
+                               BindingBatch(b.columns + (atom.source_variable,),
+                                            [row + (source.uri,) for row in b.rows])
+                               for b in batches]
+                results[slot][index].extend(batches)
+                total += row_count(batches)
             trace.calls.append(SubQueryCall(
                 atom=atom.name, source_uri=source.uri,
                 bindings_in=len(indices), rows_out=total, seconds=elapsed,
@@ -543,7 +540,8 @@ class MixedQueryExecutor:
 
     def _handle_dispatch_error(self, exc: Exception, atom: SourceAtom,
                                source: DataSource, batch: list[Row],
-                               options: PlannerOptions) -> tuple[list[list[Row]], str]:
+                               options: PlannerOptions,
+                               ) -> tuple[list[list[BindingBatch]], str]:
         """Degrade or re-raise one failed dispatch.
 
         A typed :class:`~repro.errors.RemoteError` (the source is down
@@ -558,20 +556,18 @@ class MixedQueryExecutor:
         if isinstance(exc, RemoteError):
             if not options.graceful_degradation:
                 raise exc
-            per_binding: list[list[Row]] = []
+            per_binding: list[list[BindingBatch]] = []
             stale_hits = 0
             peek_stale = getattr(source, "peek_stale", None)
             for bindings in batch:
-                rows = None
+                stale = None
                 if peek_stale is not None:
                     stale = peek_stale(atom.query, atom.formal_bindings(bindings))
-                    if stale is not None:
-                        rows = atom.translate_rows(stale)
-                if rows is None:
+                if stale is None:
                     per_binding.append([])
                 else:
                     stale_hits += 1
-                    per_binding.append(rows)
+                    per_binding.append(atom.translate(stale))
             reason = "stale_cache" if stale_hits == len(batch) else "partial"
             logger.warning(
                 "degrading atom %s on %s after %s: %s (%d/%d binding(s) "

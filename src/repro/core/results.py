@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.engine.batch import hashable
+from repro.engine.batch import dedupe
 from repro.errors import MixedQueryError
 
 
@@ -13,9 +13,11 @@ from repro.errors import MixedQueryError
 class MixedResult:
     """The answer of a CMQ: output variables plus binding rows.
 
-    Rows are dictionaries keyed by the query's head variables.  The result
-    also carries the evaluation trace (sub-query order, per-source calls,
-    intermediate sizes) so demos and benchmarks can display what happened.
+    Rows are dictionaries keyed by the query's head variables: a list the
+    executor has fully built (one fresh dict per answer row, the caller's
+    to keep) before ``execute`` returns.  The result also carries the
+    evaluation trace (sub-query order, per-source calls, intermediate
+    sizes) so demos and benchmarks can display what happened.
     """
 
     variables: list[str]
@@ -39,13 +41,9 @@ class MixedResult:
 
     def distinct(self) -> "MixedResult":
         """Return a copy without duplicate rows (order preserving)."""
-        seen: set[tuple] = set()
-        rows = []
-        for row in self.rows:
-            key = tuple((v, hashable(row.get(v))) for v in self.variables)
-            if key not in seen:
-                seen.add(key)
-                rows.append(row)
+        variables = self.variables
+        rows = dedupe(self.rows, (tuple([row.get(v) for v in variables])
+                                  for row in self.rows), set())
         return MixedResult(variables=list(self.variables), rows=rows, trace=self.trace)
 
     def sorted_by(self, variable: str, descending: bool = False) -> "MixedResult":

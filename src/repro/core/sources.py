@@ -23,6 +23,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
 
+from repro.engine.batch import BindingBatch, as_batches
 from repro.errors import MixedQueryError
 from repro.fulltext.document import path_getter
 from repro.fulltext.query import BooleanQuery, TermQuery, parse_query
@@ -313,6 +314,15 @@ class DataSource:
         per-binding fallback for sources that cannot batch.
         """
         return [self.execute(query, bindings) for bindings in bindings_batch]
+
+    def answer(self, query: SourceQuery, bindings: Row | None = None) -> list[BindingBatch]:
+        """:meth:`execute`, as the batches the mediator works on."""
+        return as_batches(self.execute(query, bindings))
+
+    def answer_batch(self, query: SourceQuery,
+                     bindings_batch: Sequence[Row]) -> list[list[BindingBatch]]:
+        """:meth:`execute_batch`, as the batches the mediator works on."""
+        return [as_batches(rows) for rows in self.execute_batch(query, bindings_batch)]
 
     def estimate(self, query: SourceQuery, bound_variables: set[str] | None = None) -> float:
         """Estimated number of rows the sub-query would return."""
@@ -1089,12 +1099,8 @@ class JSONSource(DataSource):
                 f"JSON source {self.uri} cannot evaluate {type(query).__name__}"
             )
         parameters, pushdown = self._split_bindings(query, bindings or {})
-        # Results travel as one columnar BindingBatch (the accelerated
-        # matcher emits pattern variables as columns); dict rows only
-        # materialise at this interface boundary.
-        batch = self.matcher.match_columns(query.pattern, parameters=parameters,
-                                           pushdown=pushdown, limit=query.limit)
-        return list(batch.dicts())
+        return self.matcher.match(query.pattern, parameters=parameters,
+                                  pushdown=pushdown, limit=query.limit)
 
     @staticmethod
     def _split_bindings(query: JSONQuery, bindings: Row) -> tuple[Row, Row]:

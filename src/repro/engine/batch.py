@@ -1,12 +1,11 @@
-"""Columnar binding batches for the execution hot path.
+"""Binding batches: the one row currency inside the mediator.
 
-The per-row representation of the iterator engine (one ``dict`` per
-binding tuple) is convenient but costly: every operator boundary copies
-dictionaries and recomputes ``tuple(sorted(...))`` keys per row.  A
-:class:`BindingBatch` amortises that work across a group of rows sharing
-one schema: the column header is stored once, rows are plain tuples, and
-per-schema artefacts (column positions, canonical key order, projection
-functions) are computed once per batch instead of once per row.
+A :class:`BindingBatch` is a column header stored once plus one value
+tuple per binding.  Sub-query results enter the mediator as batches
+(:func:`as_batches` is the single coercion from a wrapper's dict rows)
+and stay batches through the result cache, the atom's translation, the
+joins, projection and deduplication; dict rows are built again exactly
+once, for the client.  Rows are immutable, so readers *share* them.
 
 Batches are *schema-uniform by construction*: :func:`batches_from_rows`
 starts a new batch whenever the key set of the incoming row changes, so
@@ -16,23 +15,49 @@ is preserved exactly (an absent variable is never padded with ``None``).
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-#: A binding tuple at the mediator level: variable name -> value.
+#: A binding tuple at the mediator's public edge: variable name -> value.
 Row = dict[str, object]
 
-#: Default number of rows per batch on the engine hot path.
+#: Default number of bindings per bind-join flush.
 DEFAULT_BATCH_SIZE = 256
 
 
-def hashable(value: object) -> object:
-    """A hashable stand-in for a binding value (lists, sets and dicts freeze)."""
-    if isinstance(value, (list, set)):
-        return tuple(value)
+def freeze(value: object) -> object:
+    """A hashable stand-in for an unhashable binding value, at any depth.
+
+    Lists freeze to tuples (``[1, 2]`` and ``(1, 2)`` are one value),
+    sets and dicts to frozensets (their members are never ordered); a
+    hashable value comes back equal.  The fallback of callers that key
+    rows by their raw tuples, used only once that raised ``TypeError``.
+    """
+    if isinstance(value, (list, tuple)):
+        return tuple(map(freeze, value))
+    if isinstance(value, (set, frozenset)):
+        return frozenset(map(freeze, value))
     if isinstance(value, dict):
-        return tuple(sorted(value.items()))
+        return frozenset((freeze(key), freeze(item)) for key, item in value.items())
     return value
+
+
+def dedupe(items: Iterable, keys: Iterable[tuple], seen: set) -> list:
+    """The ``items`` whose key is new to ``seen`` (then added), in order;
+    a key is a row's value tuple, frozen only when it cannot be hashed."""
+    keep = []
+    for item, key in zip(items, keys):
+        try:
+            if key in seen:
+                continue
+        except TypeError:
+            key = freeze(key)
+            if key in seen:
+                continue
+        seen.add(key)
+        keep.append(item)
+    return keep
 
 
 def tuple_getter(keys: Sequence) -> Callable[[object], tuple]:
@@ -49,57 +74,53 @@ class BindingBatch:
     """A group of binding tuples sharing one column header.
 
     ``columns`` is the shared header; ``rows`` holds one value tuple per
-    binding, aligned with ``columns``.  Derived structures (column
-    positions, the canonical sorted key order used for deduplication) are
-    built lazily and cached on the batch.
+    binding, aligned with ``columns``.
+
+    **Immutability and sharing contract.**  A row tuple never changes,
+    and once a batch has left its maker — yielded by an operator, stored
+    in the result cache, returned from a probe — its ``rows`` list is
+    never mutated either: whoever needs other rows builds a new list (an
+    insert-only cache repair is ``old.rows + new_rows``).  Hence every
+    reader of a cached answer, and every renaming of it, shares one list.
     """
 
-    __slots__ = ("columns", "rows", "_positions", "_sorted_pairs")
+    __slots__ = ("columns", "rows", "_positions")
 
     def __init__(self, columns: Sequence[str], rows: list[tuple]):
         self.columns = tuple(columns)
         self.rows = rows
         self._positions: dict[str, int] | None = None
-        self._sorted_pairs: tuple[tuple[str, int], ...] | None = None
 
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_dicts(cls, rows: Sequence[Row]) -> "BindingBatch":
-        """Build a batch from dict rows sharing one key set."""
-        if not rows:
-            return cls((), [])
-        columns = tuple(rows[0])
-        return cls(columns, [tuple(row[c] for c in columns) for row in rows])
-
-    # ------------------------------------------------------------------
     def positions(self) -> dict[str, int]:
         """Column name -> index in every row tuple (cached)."""
         if self._positions is None:
             self._positions = {c: i for i, c in enumerate(self.columns)}
         return self._positions
 
-    def sorted_pairs(self) -> tuple[tuple[str, int], ...]:
-        """``(column, index)`` pairs in sorted column order (cached).
-
-        This is the once-per-batch replacement for the per-row
-        ``tuple(sorted(row.items()))`` key computation.
-        """
-        if self._sorted_pairs is None:
-            positions = self.positions()
-            self._sorted_pairs = tuple((c, positions[c]) for c in sorted(self.columns))
-        return self._sorted_pairs
-
     def projector(self, columns: Sequence[str]) -> Callable[[tuple], tuple]:
-        """A function extracting ``columns`` from a row tuple (``None`` if absent)."""
+        """A function extracting ``columns`` from a row tuple.
+
+        One compiled ``itemgetter`` when the batch has every column; a
+        header lacking one gets the slower ``None``-padding form.
+        """
         positions = self.positions()
         indices = [positions.get(c) for c in columns]
+        if None not in indices:
+            return tuple_getter(indices)
         return lambda row: tuple(None if i is None else row[i] for i in indices)
 
-    def dicts(self) -> Iterator[Row]:
-        """Yield one fresh dict per row (the per-row interface boundary)."""
+    def renamed(self, renames: Mapping[str, str]) -> "BindingBatch":
+        """The batch under renamed columns: a new header over the *same*
+        row list (``self`` when no column changes)."""
+        if not renames:
+            return self
+        columns = tuple(map(renames.get, self.columns, self.columns))
+        return self if columns == self.columns else BindingBatch(columns, self.rows)
+
+    def dicts(self) -> list[Row]:
+        """One fresh dict per row (the public-edge representation)."""
         columns = self.columns
-        for row in self.rows:
-            yield dict(zip(columns, row))
+        return [dict(zip(columns, row)) for row in self.rows]
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -108,78 +129,86 @@ class BindingBatch:
         return f"BindingBatch(columns={self.columns}, rows={len(self.rows)})"
 
 
-def batches_from_rows(rows: Iterable[Row],
-                      size: int = DEFAULT_BATCH_SIZE) -> Iterator[BindingBatch]:
+def batches_from_rows(rows: Iterable[Row]) -> Iterator[BindingBatch]:
     """Group an iterable of dict rows into schema-uniform batches.
 
-    Consecutive rows with the same key set land in the same batch (up to
-    ``size`` rows); a schema change or a full batch starts a new one, so
-    row order is preserved exactly.
+    Consecutive rows with the same key set land in the same batch; a
+    schema change starts a new one, so row order is preserved exactly.
     """
-    size = max(1, size)
     columns: tuple[str, ...] = ()
     key_set: frozenset | None = None
     values_of = tuple_getter(())
     buffer: list[tuple] = []
     for row in rows:
-        keys = row.keys()
-        if key_set is None or keys != key_set or len(buffer) >= size:
-            if key_set is not None and buffer:
+        if key_set is None or row.keys() != key_set:
+            if buffer:
                 yield BindingBatch(columns, buffer)
                 buffer = []
-            if key_set is None or keys != key_set:
-                columns = tuple(row)
-                key_set = frozenset(columns)
-                values_of = tuple_getter(columns)
+            columns = tuple(row)
+            key_set = frozenset(columns)
+            values_of = tuple_getter(columns)
         buffer.append(values_of(row))
-    if key_set is not None and buffer:
+    if buffer:
         yield BindingBatch(columns, buffer)
 
 
-def merge_spec(left_columns: Sequence[str],
-               right_columns: Sequence[str]) -> tuple[tuple[str, ...], list[tuple[bool, int]]]:
+def as_batches(answer: Iterable) -> list[BindingBatch]:
+    """An answer as schema-uniform batches: the engine's one input edge.
+    Batches pass through untouched; dict rows (a wrapper's answer, a
+    test's literal rows) are grouped by :func:`batches_from_rows`."""
+    if not isinstance(answer, list):
+        answer = list(answer)
+    if not answer or isinstance(answer[0], BindingBatch):
+        return answer
+    return list(batches_from_rows(answer))
+
+
+def row_count(batches: Iterable[BindingBatch]) -> int:
+    """Total number of rows held by ``batches``."""
+    return sum(map(len, batches))
+
+
+def dict_rows(batches: Iterable[BindingBatch]) -> list[Row]:
+    """``batches`` as fresh dict rows, in order."""
+    return list(chain.from_iterable(map(BindingBatch.dicts, batches)))
+
+
+class SeenRows:
+    """The rows met so far, whatever batch brought them.
+
+    Rows binding the same variables to equal values are one row.  A row
+    is keyed by its own value tuple, in the column order of the first
+    batch met with that column *set*; a batch listing the same columns
+    in another order is re-ordered through one compiled getter.
+    """
+
+    def __init__(self) -> None:
+        self._schemas: dict[frozenset, tuple[tuple[str, ...], set]] = {}
+
+    def fresh(self, batch: BindingBatch) -> list[tuple]:
+        """The rows of ``batch`` not met before, in order (now met)."""
+        columns, seen = self._schemas.setdefault(frozenset(batch.columns),
+                                                 (batch.columns, set()))
+        keys = (batch.rows if columns == batch.columns
+                else map(batch.projector(columns), batch.rows))
+        return dedupe(batch.rows, keys, seen)
+
+
+def merge_spec(left_columns: Sequence[str], right_columns: Sequence[str],
+               ) -> tuple[tuple[str, ...], Callable[[tuple], tuple]]:
     """How to merge a left and a right row tuple into one output tuple.
 
     Mirrors ``{**left, **right}``: the output header is the left columns
     followed by the right-only columns, and a column present on both
-    sides takes the *right* value.  Returns ``(out_columns, picks)`` with
-    one ``(take_right, index)`` pick per output column.
+    sides takes the *right* value.  Returns ``(out_columns, merge)``;
+    ``merge`` is one compiled getter over ``left_row + right_row``.
     """
     left_columns = tuple(left_columns)
-    right_positions = {c: i for i, c in enumerate(right_columns)}
-    out_columns = left_columns + tuple(c for c in right_columns if c not in set(left_columns))
-    picks: list[tuple[bool, int]] = []
     left_positions = {c: i for i, c in enumerate(left_columns)}
-    for column in out_columns:
-        if column in right_positions:
-            picks.append((True, right_positions[column]))
-        else:
-            picks.append((False, left_positions[column]))
-    return out_columns, picks
-
-
-class BatchAccumulator:
-    """Accumulates output rows grouped by header and emits full batches.
-
-    Join operators produce merged rows whose header depends on the pair
-    of input batches; this helper buffers rows per header and yields
-    :class:`BindingBatch` objects of at most ``size`` rows.
-    """
-
-    def __init__(self, size: int = DEFAULT_BATCH_SIZE):
-        self.size = max(1, size)
-        self._current: tuple[str, ...] | None = None
-        self._rows: list[tuple] = []
-
-    def add(self, columns: tuple[str, ...], row: tuple) -> Iterator[BindingBatch]:
-        """Add one row; yields a batch when the header changes or fills up."""
-        if columns != self._current or len(self._rows) >= self.size:
-            yield from self.flush()
-            self._current = columns
-        self._rows.append(row)
-
-    def flush(self) -> Iterator[BindingBatch]:
-        """Emit whatever is buffered."""
-        if self._current is not None and self._rows:
-            yield BindingBatch(self._current, self._rows)
-        self._rows = []
+    right_positions = {c: i for i, c in enumerate(right_columns)}
+    width = len(left_columns)
+    out_columns = left_columns + tuple(c for c in right_columns
+                                       if c not in left_positions)
+    return out_columns, tuple_getter([
+        width + right_positions[c] if c in right_positions else left_positions[c]
+        for c in out_columns])

@@ -8,9 +8,10 @@ bindings, relational rows and full-text hits once the source wrappers
 have normalised them.
 
 Operators exchange :class:`~repro.engine.batch.BindingBatch` objects
-(shared column header + tuple rows): an operator implements
-``_produce_batches`` and nothing else; dict rows only materialise in
-:meth:`Operator.rows`, at the interface boundary.
+(shared column header + immutable tuple rows): an operator implements
+``_produce_batches`` and nothing else.  Inputs given as dict rows are
+coerced once by :func:`~repro.engine.batch.as_batches`; dict rows are
+built again only in :meth:`Operator.rows`, for the caller.
 """
 
 from __future__ import annotations
@@ -21,17 +22,17 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.engine.batch import (
     DEFAULT_BATCH_SIZE,
-    BatchAccumulator,
     BindingBatch,
-    batches_from_rows,
-    hashable,
+    Row,
+    SeenRows,
+    as_batches,
+    dict_rows,
+    freeze,
     merge_spec,
+    row_count,
     tuple_getter,
 )
 from repro.errors import MixedQueryError
-
-#: A binding tuple: variable name -> value.
-Row = dict[str, object]
 
 
 @dataclass
@@ -65,7 +66,7 @@ class Operator:
 
     def rows(self) -> list[Row]:
         """Fully evaluate the operator and return its output as fresh dicts."""
-        return [row for batch in self.batches() for row in batch.dicts()]
+        return dict_rows(self.batches())
 
     def estimated_size(self) -> int | None:
         """Known output row count, or ``None`` when it cannot be told cheaply."""
@@ -88,17 +89,17 @@ class Operator:
 
 
 class MaterializedScan(Operator):
-    """Leaf operator over an already materialised list of rows.
+    """Leaf operator over an already materialised answer.
 
-    Rows are converted to columnar batches once at construction; every
-    iteration re-materialises fresh dicts, so callers may mutate the
-    output without corrupting the scan.
+    ``rows`` are batches (kept as they are, rows shared) or dict rows
+    (converted once, here); :meth:`rows` builds fresh dicts on every
+    call, so callers may mutate the output without corrupting the scan.
     """
 
-    def __init__(self, rows: Iterable[Row], name: str = "scan"):
+    def __init__(self, rows: Iterable[Row] | Iterable[BindingBatch], name: str = "scan"):
         super().__init__(name)
-        self._batches = list(batches_from_rows(iter(rows), DEFAULT_BATCH_SIZE))
-        self._count = sum(len(b) for b in self._batches)
+        self._batches = as_batches(rows)
+        self._count = row_count(self._batches)
 
     def _produce_batches(self) -> Iterator[BindingBatch]:
         yield from self._batches
@@ -121,11 +122,13 @@ class Project(Operator):
         self.renames = renames or {}
 
     def _produce_batches(self) -> Iterator[BindingBatch]:
-        out_columns = tuple(self.renames.get(c, c) for c in self.columns)
+        columns = tuple(self.columns)
+        out_columns = tuple(self.renames.get(c, c) for c in columns)
         for batch in self.child.batches():
             self.stats.consumed += len(batch)
-            project = batch.projector(self.columns)
-            yield BindingBatch(out_columns, [project(row) for row in batch.rows])
+            # Same header: the rows are shared, not copied.
+            yield BindingBatch(out_columns, batch.rows if batch.columns == columns
+                               else list(map(batch.projector(columns), batch.rows)))
 
     def estimated_size(self) -> int | None:
         return self.child.estimated_size()
@@ -167,85 +170,47 @@ class HashJoin(Operator):
         probe_batches = probe_op.batches()
 
         keys = self.keys
-        collected: list[BindingBatch] | None = None
         if keys is None:
             # Natural join: the keys are the variables present on *any*
             # row of both sides, so every probe header must be known
             # before bucketing — collect the probe batches.
-            collected = list(probe_batches)
-            build_vars: set[str] = set()
-            for batch in build_batches:
-                build_vars.update(batch.columns)
-            probe_vars: set[str] = set()
-            for batch in collected:
-                probe_vars.update(batch.columns)
-            keys = sorted(build_vars & probe_vars)
+            probe_batches = list(probe_batches)
+            keys = sorted({c for batch in build_batches for c in batch.columns}
+                          & {c for batch in probe_batches for c in batch.columns})
 
-        def probe_stream() -> Iterator[BindingBatch]:
-            if collected is not None:
-                yield from collected
-            else:
-                yield from probe_batches
-
-        out = BatchAccumulator(DEFAULT_BATCH_SIZE)
-        if not keys:
-            # Degenerate to a cross product.
-            for probe_batch in probe_stream():
-                self.stats.consumed += len(probe_batch)
-                for build_batch in build_batches:
-                    yield from self._cross(probe_batch, build_batch, build_is_left, out)
-            yield from out.flush()
-            return
-
-        # Build phase: bucket the build side by its key tuple.
+        # Build phase: bucket the build side by its key tuple (without
+        # keys that is one bucket: the cross product).
         buckets: dict[tuple, list[tuple[tuple[str, ...], tuple]]] = defaultdict(list)
         for batch in build_batches:
             key_of = batch.projector(keys)
             for row in batch.rows:
                 buckets[key_of(row)].append((batch.columns, row))
 
-        # Probe phase: stream the other side against the table.
-        merged: dict[tuple, tuple] = {}
-        for probe_batch in probe_stream():
+        # Probe phase: stream the other side against the table; a merged
+        # row is {**left_row, **right_row} in the operator's orientation.
+        specs: dict[tuple, tuple] = {}
+        for probe_batch in probe_batches:
             self.stats.consumed += len(probe_batch)
+            probe_columns = probe_batch.columns
             key_of = probe_batch.projector(keys)
+            header: tuple[str, ...] | None = None
+            rows: list[tuple] = []
             for probe_row in probe_batch.rows:
-                matches = buckets.get(key_of(probe_row))
-                if not matches:
-                    continue
-                for build_columns, build_row in matches:
-                    spec = merged.get((probe_batch.columns, build_columns))
+                for build_columns, build_row in buckets.get(key_of(probe_row), ()):
+                    spec = specs.get((probe_columns, build_columns))
                     if spec is None:
-                        spec = self._spec(probe_batch.columns, build_columns, build_is_left)
-                        merged[(probe_batch.columns, build_columns)] = spec
-                    out_columns, picks = spec
-                    if build_is_left:
-                        pair = (build_row, probe_row)
-                    else:
-                        pair = (probe_row, build_row)
-                    row = tuple(pair[1][i] if take_right else pair[0][i]
-                                for take_right, i in picks)
-                    yield from out.add(out_columns, row)
-        yield from out.flush()
-
-    def _spec(self, probe_columns: tuple[str, ...], build_columns: tuple[str, ...],
-              build_is_left: bool):
-        # Merged rows must behave like {**left_row, **right_row} with the
-        # operator's original left/right orientation.
-        if build_is_left:
-            return merge_spec(build_columns, probe_columns)
-        return merge_spec(probe_columns, build_columns)
-
-    def _cross(self, probe_batch: BindingBatch, build_batch: BindingBatch,
-               build_is_left: bool, out: BatchAccumulator) -> Iterator[BindingBatch]:
-        out_columns, picks = self._spec(probe_batch.columns, build_batch.columns,
-                                        build_is_left)
-        for probe_row in probe_batch.rows:
-            for build_row in build_batch.rows:
-                pair = (build_row, probe_row) if build_is_left else (probe_row, build_row)
-                row = tuple(pair[1][i] if take_right else pair[0][i]
-                            for take_right, i in picks)
-                yield from out.add(out_columns, row)
+                        spec = specs[(probe_columns, build_columns)] = (
+                            merge_spec(build_columns, probe_columns) if build_is_left
+                            else merge_spec(probe_columns, build_columns))
+                    if spec[0] is not header:
+                        if rows:
+                            yield BindingBatch(header, rows)
+                            rows = []
+                        header = spec[0]
+                    rows.append(spec[1](build_row + probe_row if build_is_left
+                                        else probe_row + build_row))
+            if rows:
+                yield BindingBatch(header, rows)
 
     def describe(self) -> str:
         keys = self.keys if self.keys is not None else "natural"
@@ -276,8 +241,11 @@ class BatchBindJoin(Operator):
     result-cache lookup consulted after the sieve: a non-``None`` answer
     serves the binding without shipping it, so a batch reaching the
     source consists of cache misses only.  ``fetch_batch`` receives a
-    list of binding dicts and must return one row list per binding, in
-    order; the operator reads those rows but never mutates them.
+    list of binding dicts and must return one answer per binding, in
+    order.  An answer — from ``fetch_batch`` or ``probe`` — is a list of
+    batches or a list of dict rows; either may be a *shared* list (a
+    cache entry, the caller's own table): the operator reads it and
+    never mutates it.
     """
 
     def __init__(self, left: Operator, fetch_batch: Callable[[list[Row]], list[list[Row]]],
@@ -316,7 +284,11 @@ class BatchBindJoin(Operator):
             values_of = tuple_getter([positions[k] for k in present])
             for row in batch.rows:
                 values = values_of(row)
-                key = (present, tuple(map(hashable, values)))
+                try:
+                    hash(values)
+                    key = (present, values)
+                except TypeError:
+                    key = (present, freeze(values))
                 if not pending and key in answers:
                     # Answer already known and nothing queued ahead of this
                     # row: it joins right away, preserving order.
@@ -355,7 +327,7 @@ class BatchBindJoin(Operator):
                     missed.append(item)
                 else:
                     # The cross-query result cache already knows the answer.
-                    answers[item[0]] = list(batches_from_rows(hit))
+                    answers[item[0]] = as_batches(hit)
                     self.cache_hits += 1
             to_ship = missed
         if not to_ship:
@@ -369,7 +341,7 @@ class BatchBindJoin(Operator):
                 f"for {len(to_ship)} bindings"
             )
         for (key, _), rows in zip(to_ship, fetched):
-            answers[key] = list(batches_from_rows(rows))
+            answers[key] = as_batches(rows)
 
     @staticmethod
     def _join(left: list[tuple[tuple[str, ...], tuple, tuple]],
@@ -382,17 +354,13 @@ class BatchBindJoin(Operator):
             for fetched in answers[key]:
                 spec = specs.get((columns, fetched.columns))
                 if spec is None:
-                    out_columns, picks = merge_spec(columns, fetched.columns)
-                    width = len(columns)
-                    # Indices into ``left_row + right_row``.
-                    merge = tuple_getter([width + i if take_right else i
-                                          for take_right, i in picks])
+                    out_columns, merge = merge_spec(columns, fetched.columns)
                     positions = fetched.positions()
                     shared = [(i, positions[c]) for i, c in enumerate(columns)
                               if c in positions]
                     spec = specs[(columns, fetched.columns)] = (out_columns, merge, shared)
                 out_columns, merge, shared = spec
-                if out_columns is not header or len(merged) >= DEFAULT_BATCH_SIZE:
+                if out_columns is not header:
                     if merged:
                         yield BindingBatch(header, merged)
                         merged = []
@@ -413,9 +381,11 @@ class BatchBindJoin(Operator):
 class Distinct(Operator):
     """Remove duplicate rows (order-preserving).
 
-    The canonical sorted column order is computed once per batch schema
-    (via :meth:`BindingBatch.sorted_pairs`) instead of sorting every
-    row's items.
+    A row is keyed by the value tuple it already is
+    (:class:`~repro.engine.batch.SeenRows`): no per-cell work, only a row
+    holding an unhashable value is frozen.  Rows equal under Python
+    equality are one row (``1``, ``True``, ``1.0``; ``[1, 2]``, ``(1, 2)``),
+    whatever the column order of their batches.
     """
 
     def __init__(self, child: Operator, name: str = "distinct"):
@@ -423,19 +393,12 @@ class Distinct(Operator):
         self.child = child
 
     def _produce_batches(self) -> Iterator[BindingBatch]:
-        seen: set[tuple] = set()
+        seen = SeenRows()
         for batch in self.child.batches():
             self.stats.consumed += len(batch)
-            pairs = batch.sorted_pairs()
-            keep: list[tuple] = []
-            for row in batch.rows:
-                key = tuple((c, hashable(row[i])) for c, i in pairs)
-                if key not in seen:
-                    seen.add(key)
-                    keep.append(row)
+            keep = seen.fresh(batch)
             if keep:
                 yield BindingBatch(batch.columns, keep)
 
     def children(self) -> Sequence[Operator]:
         return (self.child,)
-

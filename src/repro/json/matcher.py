@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, TYPE_CHECKING
 
-from repro.engine.batch import BindingBatch
 from repro.errors import JSONError
 from repro.json.accel import CompiledPattern, iter_child_items
 from repro.json.index import compare, normalize
@@ -189,22 +188,6 @@ class TreePatternMatcher:
         candidate_ids = self.candidates(pattern, parameters=parameters,
                                         pushdown=pushdown)
         return self._verify(pattern, candidate_ids, parameters, pushdown, limit)
-
-    def match_columns(self, pattern: TreePattern,
-                      parameters: dict[str, object] | None = None,
-                      pushdown: Row | None = None,
-                      limit: int | None = None) -> BindingBatch:
-        """Like :meth:`match`, emitted as one :class:`BindingBatch`.
-
-        The columns are the pattern's variables in leaf order; JSON
-        atoms flow into the engine's columnar path without a per-row
-        dict boundary.
-        """
-        rows = self.match(pattern, parameters=parameters, pushdown=pushdown,
-                          limit=limit)
-        columns = _pattern_columns(pattern)
-        return BindingBatch(columns,
-                            [tuple(row[c] for c in columns) for row in rows])
 
     # ------------------------------------------------------------------
     def match_batch(self, pattern: TreePattern,
@@ -377,15 +360,6 @@ class TreePatternMatcher:
         if len(self.store) == 0:
             return 1.0
         return len(self.candidates(pattern)) / len(self.store)
-
-
-def _pattern_columns(pattern: TreePattern) -> tuple[str, ...]:
-    """The pattern's variables in first-occurrence leaf order."""
-    columns: list[str] = []
-    for leaf in pattern.leaves:
-        if leaf.variable is not None and leaf.variable not in columns:
-            columns.append(leaf.variable)
-    return tuple(columns)
 
 
 def _resolve_quietly(predicate: Predicate,

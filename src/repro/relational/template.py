@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.errors import MixedQueryError, SQLParseError
 from repro.relational.ast import (
@@ -97,6 +97,12 @@ class SQLTemplate:
         self.batch_echoes = echoes if (
             self.batch_safe and set(echoes) == self.parameters
             and all(echoes.values())) else {}
+        #: Parameter -> ``?N`` by first appearance, and the statement rendered
+        #: under those names (the result cache's renaming-invariant key).
+        self.canonical_names: dict[str, str] = {}
+        self.canonical_text = repr(self._rewritten(
+            lambda node: Parameter(self.canonical_names.setdefault(
+                node.name, f"?{len(self.canonical_names)}")), {}))
 
     def bind(self, bindings: Mapping[str, object],
              in_lists: Mapping[str, Iterable[object]] | None = None) -> SelectStatement:
@@ -116,10 +122,13 @@ class SQLTemplate:
             raise MixedQueryError(
                 f"sub-query parameter {{{missing[0]}}} is not bound; required "
                 "parameters must be produced by an earlier sub-query or a constant")
+        return self._rewritten(lambda node: LiteralValue(bindings[node.name]), lists)
 
+    def _rewritten(self, parameter: Callable[[Parameter], Expression],
+                   lists: Mapping[str, tuple]) -> SelectStatement:
         def bound(node):
             if isinstance(node, Parameter):
-                return LiteralValue(bindings[node.name])
+                return parameter(node)
             if isinstance(node, BinaryOp):
                 if isinstance(node.right, Parameter) and node.right.name in lists:
                     return InList(node.left, lists[node.right.name])

@@ -32,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional, TYPE_CHECKING
 
-from repro.engine.batch import hashable
+from repro.engine.batch import freeze
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.cmq import ConjunctiveMixedQuery
@@ -64,7 +64,7 @@ class StandingDelta:
 
 def _row_key(row: "Row") -> tuple:
     """Hashable multiset fingerprint of one result row."""
-    return tuple(sorted((name, hashable(value)) for name, value in row.items()))
+    return tuple(sorted((name, freeze(value)) for name, value in row.items()))
 
 
 class StandingSubscription:

@@ -12,7 +12,15 @@ from repro.cache import (
     cmq_signature,
 )
 from repro.core import MixedInstance, PlannerOptions
-from repro.core.sources import FullTextQuery, JSONQuery, RDFQuery, SQLQuery
+from repro.cache.results import SubQueryResultCache
+from repro.core.sources import (
+    FullTextQuery,
+    JSONQuery,
+    RDFQuery,
+    RelationalSource,
+    SQLQuery,
+)
+from repro.engine.batch import BindingBatch
 from repro.fulltext.store import FieldConfig, FullTextStore
 from repro.json.store import JSONDocumentStore
 from repro.rdf import Graph, triple
@@ -134,6 +142,37 @@ class TestCanonicalKeys:
         b = SQLQuery(sql="SELECT h AS id FROM t WHERE h = {handle}")
         assert canonical_query(a).key == canonical_query(b).key
 
+    def test_a_quoted_sql_placeholder_is_a_literal_not_a_parameter(self):
+        """``'{x}'`` and ``'{y}'`` are two different string literals: the
+        text-level rename gave them one key and a bogus ``{'x': '?0'}``
+        rename that a header rename would have applied to the rows."""
+        a = SQLQuery(sql="SELECT name AS x FROM t WHERE tag = '{x}'")
+        b = SQLQuery(sql="SELECT name AS x FROM t WHERE tag = '{y}'")
+        assert a.required_parameters() == set()
+        assert canonical_query(a).key != canonical_query(b).key
+        assert canonical_query(a).rename == {} == canonical_query(b).rename
+        database = Database("db")
+        database.create_table_from_rows(
+            "t", [{"name": "braces-x", "tag": "{x}"}, {"name": "braces-y", "tag": "{y}"}])
+        cached = CachedSource(RelationalSource("sql://t", database),
+                              SubQueryResultCache(8))
+        assert cached.execute(a, {}) == [{"x": "braces-x"}]
+        assert cached.execute(b, {}) == [{"x": "braces-y"}]  # never a's entry
+        assert len(cached.cache) == 2
+
+    def test_sql_parameters_share_an_entry_whatever_their_names(self):
+        a = SQLQuery(sql="SELECT name AS n FROM t WHERE tag = {x} AND name <> '{x}'")
+        b = SQLQuery(sql="SELECT name AS n  FROM t WHERE tag = {y} AND name <> '{x}'")
+        assert canonical_query(a).key == canonical_query(b).key
+        assert canonical_query(a).rename == {"x": "?0"}
+        assert canonical_query(b).rename == {"y": "?0"}
+        database = Database("db")
+        database.create_table_from_rows("t", [{"name": "n1", "tag": "a"}])
+        cache = SubQueryResultCache(8)
+        cached = CachedSource(RelationalSource("sql://t", database), cache)
+        assert cached.execute(a, {"x": "a"}) == cached.execute(b, {"y": "a"}) == [{"n": "n1"}]
+        assert (cache.stats.hits, cache.stats.misses, len(cache)) == (1, 1, 1)
+
     def test_fulltext_renaming_invariant(self):
         a = FullTextQuery.create("user.screen_name:{id}",
                                  {"t": "text", "id": "user.screen_name"})
@@ -180,8 +219,12 @@ class TestCanonicalKeys:
     def test_row_round_trip_through_renaming(self):
         a = JSONQuery.from_text("{ user.screen_name: ?id }")
         b = JSONQuery.from_text("{ user.screen_name: ?who }")
-        stored = canonical_query(a).canonical_rows([{"id": "fhollande"}])
-        assert canonical_query(b).original_rows(stored) == [{"who": "fhollande"}]
+        rows = [("fhollande",)]
+        stored = canonical_query(a).canonical_batches([BindingBatch(("id",), rows)])
+        (served,) = canonical_query(b).original_batches(stored)
+        assert served.dicts() == [{"who": "fhollande"}]
+        # A renaming works on the header: the row list is shared.
+        assert stored[0].rows is rows and served.rows is rows
 
 
 # ---------------------------------------------------------------------------

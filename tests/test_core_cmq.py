@@ -12,6 +12,7 @@ from repro.core import (
     parse_cmq,
 )
 from repro.core.sources import FullTextQuery, SQLQuery
+from repro.engine.batch import BindingBatch, dict_rows
 from repro.errors import MixedQueryError, ParseError
 
 
@@ -69,10 +70,14 @@ class TestSourceAtom:
         formal = atom.formal_bindings({"account": "fhollande", "irrelevant": 1})
         assert formal == {"tag": "SIA2016", "id": "fhollande"}
 
-    def test_translate_row_back_to_cmq_names(self):
+    def test_translate_back_to_cmq_names(self):
         q = FullTextQuery.create("*:*", {"t": "text", "id": "user.screen_name"})
         atom = SourceAtom(name="a", query=q, source="solr://tweets", renames={"id": "account"})
-        assert atom.translate_row({"t": "x", "id": "y"}) == {"t": "x", "account": "y"}
+        source_batch = BindingBatch(("t", "id"), [("x", "y")])
+        (batch,) = atom.translate([source_batch])
+        assert batch.dicts() == [{"t": "x", "account": "y"}]
+        # Header-only: the rows are the source batch's own list.
+        assert batch.rows is source_batch.rows
 
     def test_execute_on_applies_constants_filter(self, small_tweet_store):
         from repro.core import FullTextSource
@@ -81,7 +86,7 @@ class TestSourceAtom:
         q = FullTextQuery.create("*:*", {"t": "text", "id": "user.screen_name"})
         atom = SourceAtom(name="a", query=q, source="solr://tweets",
                           constants={"id": "mlepen"})
-        rows = atom.execute_on(source)
+        rows = dict_rows(atom.execute_on(source))
         assert len(rows) == 1 and "id" not in rows[0]
 
     def test_describe_mentions_target(self):

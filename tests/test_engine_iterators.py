@@ -91,20 +91,22 @@ class TestBindingBatch:
         assert [list(b.dicts()) for b in batches] == [
             [{"a": 1}, {"a": 2}], [{"b": 3}], [{"a": 4}]]
 
-    def test_batch_size_limit(self):
-        rows = [{"a": i} for i in range(7)]
-        batches = list(batches_from_rows(iter(rows), size=3))
-        assert [len(b) for b in batches] == [3, 3, 1]
+    def test_a_run_of_one_schema_is_one_batch_whatever_its_length(self):
+        rows = [{"a": i} for i in range(700)]
+        assert [len(b) for b in batches_from_rows(iter(rows))] == [700]
 
     def test_projector_fills_missing_with_none(self):
-        batch = BindingBatch.from_dicts([{"a": 1, "b": 2}])
+        (batch,) = batches_from_rows([{"a": 1, "b": 2}])
         project = batch.projector(["b", "missing"])
         assert project(batch.rows[0]) == (2, None)
 
-    def test_sorted_pairs_cached(self):
-        batch = BindingBatch.from_dicts([{"b": 1, "a": 2}])
-        assert batch.sorted_pairs() == (("a", 1), ("b", 0))
-        assert batch.sorted_pairs() is batch.sorted_pairs()
+    def test_projector_is_compiled_when_every_column_is_present(self):
+        from operator import itemgetter
+
+        (batch,) = batches_from_rows([{"b": 1, "a": 2}])
+        project = batch.projector(["a", "b"])
+        assert isinstance(project, itemgetter) and project(batch.rows[0]) == (2, 1)
+        assert batch.positions() is batch.positions()
 
     def test_operator_batches_match_rows(self):
         scan = MaterializedScan(PEOPLE)

@@ -176,16 +176,15 @@ class TestEquivalence:
         assert batched == [accel.match(pattern, parameters=p, pushdown=push)
                            for p, push in calls]
 
-    def test_match_columns_emits_binding_batch(self):
+    def test_a_json_answer_enters_the_mediator_as_one_binding_batch(self):
         store = JSONDocumentStore("cols")
         for i in range(6):
             store.add({"id": i, "a": {"b": i}, "c": f"t{i % 2}"})
         pattern = parse_pattern("{ a.b: ?x, c: ?y }")
-        matcher = TreePatternMatcher(store)
-        batch = matcher.match_columns(pattern)
+        (batch,) = JSONSource("json://cols", store).answer(JSONQuery(pattern))
         assert isinstance(batch, BindingBatch)
         assert batch.columns == ("x", "y")
-        assert list(batch.dicts()) == matcher.match(pattern)
+        assert batch.dicts() == TreePatternMatcher(store).match(pattern)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.cache.results import CachedSource, SubQueryResultCache
 from repro.core import MixedInstance, PlannerOptions
 from repro.core.sources import DataSource, SQLQuery
+from repro.engine.batch import dict_rows
 from repro.fulltext.store import FieldConfig, FullTextStore
 from repro.json.store import JSONDocumentStore
 from repro.rdf import Graph, triple
@@ -362,8 +363,8 @@ def test_stale_pointers_are_evicted_per_entry():
     query = SQLQuery(sql="SELECT handle AS id, followers AS f FROM profiles "
                          "WHERE handle = {id}")
     assert cache.fetch_stale(wrapper, query, {"id": "u0"}) is None
-    assert cache.fetch_stale(wrapper, query, {"id": "u1"}) == [{"id": "u1", "f": 1}]
-    assert cache.fetch_stale(wrapper, query, {"id": "u2"}) == [{"id": "u2", "f": 2}]
+    assert dict_rows(cache.fetch_stale(wrapper, query, {"id": "u1"})) == [{"id": "u1", "f": 1}]
+    assert dict_rows(cache.fetch_stale(wrapper, query, {"id": "u2"})) == [{"id": "u2", "f": 2}]
     # The index can never outgrow the entries map again.
     assert len(cache._stale) == len(cache.entries) == 2
 
@@ -387,7 +388,7 @@ def test_stale_pointer_redirected_to_newer_version_survives_old_eviction():
     # already targets the newer entry.
     query = SQLQuery(sql="SELECT handle AS id, followers AS f FROM profiles "
                          "WHERE handle = {id}")
-    assert cache.fetch_stale(wrapper, query, {"id": "u0"}) == [{"id": "u0", "f": 2}]
+    assert dict_rows(cache.fetch_stale(wrapper, query, {"id": "u0"})) == [{"id": "u0", "f": 2}]
 
 
 def test_canonical_memo_is_a_bounded_lru(monkeypatch):

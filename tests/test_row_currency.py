@@ -1,0 +1,491 @@
+"""``BindingBatch`` is the one row currency inside the mediator.
+
+Three kinds of test:
+
+* *differential* — the batch operators against ten-line dict-row
+  references kept here, over rows with mixed schemas, absent variables,
+  unhashable and nested values and ``1`` / ``True`` / ``1.0`` / ``"1"``;
+  and the five CMQ classes of ``benchmarks/e2e`` on a small demo
+  instance across every way an answer can be produced, against golden
+  fingerprints captured at the parent commit (5e988e5), before the
+  dict-row hand-offs were removed;
+* *isolation* — what the per-caller dict copies used to guarantee:
+  nothing a client does to ``result.rows`` reaches the cache;
+* *counts* — the copies are gone: conversions, freezes, dicts built and
+  row lists shared, counted (not timed).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import time
+from collections import Counter
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import repro.engine.batch as batch_module
+import repro.engine.iterators as iterators_module
+from repro.cache.repair import RepairEngine
+from repro.cache.results import CachedSource, SubQueryResultCache
+from repro.core.planner import PlannerOptions
+from repro.core.results import MixedResult
+from repro.core.sources import (
+    FullTextSource,
+    JSONSource,
+    RDFSource,
+    RelationalSource,
+    SQLQuery,
+)
+from repro.datasets import DemoConfig, build_demo_instance
+from repro.datasets.loader import (
+    TWEETS_JSON_URI,
+    TWEETS_URI,
+    fact_checking_query,
+    party_vocabulary_query,
+    qsia_json_query,
+)
+from repro.datasets.tweets import Tweet
+from repro.engine import BatchBindJoin, BindingBatch, Distinct, HashJoin, MaterializedScan, Project
+from repro.engine.batch import as_batches, dict_rows, freeze
+from repro.rdf import triple
+from repro.relational import Database
+from repro.service import MediatorService, ServiceConfig
+
+# ---------------------------------------------------------------------------
+# (a) Differential: batch operators against dict-row references
+# ---------------------------------------------------------------------------
+
+_scalars = st.one_of(st.none(), st.sampled_from([1, True, 1.0, "1", 0, 2, "a"]))
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=2),
+                            st.dictionaries(st.sampled_from(["a", "b", 1]), inner,
+                                            max_size=2)),
+    max_leaves=4)
+#: Mixed schemas: any subset of three variables may be absent from a row.
+_rows = st.lists(st.dictionaries(st.sampled_from(["a", "b", "c"]), _values),
+                 max_size=14)
+#: Join inputs: the key columns hold scalars (a hash join buckets by them).
+_left = st.lists(st.fixed_dictionaries({"k": _scalars},
+                                       optional={"j": _scalars, "x": _values}), max_size=8)
+_right = st.lists(st.fixed_dictionaries({"k": _scalars},
+                                        optional={"j": _scalars, "y": _values}), max_size=8)
+
+_SETTINGS = settings(max_examples=120, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+def ref_distinct(rows):
+    kept = []
+    for row in rows:
+        if not any(row == other for other in kept):
+            kept.append(row)
+    return kept
+
+
+def ref_project(rows, columns):
+    return [{column: row.get(column) for column in columns} for row in rows]
+
+
+def ref_hash_join(left, right, keys):
+    return [{**l, **r} for l in left for r in right
+            if all(l.get(key) == r.get(key) for key in keys)]
+
+
+def ref_bind_join(left, fetch):
+    return [{**l, **r} for l in left for r in fetch(l)
+            if all(l[key] == value for key, value in r.items() if key in l)]
+
+
+def _bag(rows):
+    return sorted(repr(sorted(row.items(), key=repr)) for row in rows)
+
+
+class TestDifferential:
+    @given(_rows)
+    @_SETTINGS
+    def test_as_batches_round_trips_rows_in_order(self, rows):
+        batches = as_batches(rows)
+        assert dict_rows(batches) == rows
+        for batch in batches:  # schema-uniform: no variable is padded
+            assert all(len(row) == len(batch.columns) for row in batch.rows)
+        assert as_batches(batches) is batches
+
+    @given(_rows)
+    @_SETTINGS
+    def test_distinct(self, rows):
+        assert Distinct(MaterializedScan(rows)).rows() == ref_distinct(rows)
+
+    @given(_rows, st.lists(st.sampled_from(["a", "b", "c", "d"]), unique=True))
+    @_SETTINGS
+    def test_project(self, rows, columns):
+        assert Project(MaterializedScan(rows), columns).rows() == ref_project(rows, columns)
+
+    @given(_left, _right, st.sampled_from([["k"], ["k", "j"], []]))
+    @_SETTINGS
+    def test_hash_join(self, left, right, keys):
+        joined = HashJoin(MaterializedScan(left), MaterializedScan(right), keys=keys).rows()
+        assert _bag(joined) == _bag(ref_hash_join(left, right, keys))
+
+    @given(_rows, _rows, st.sampled_from([1, 2, 256]), st.booleans())
+    @_SETTINGS
+    def test_batch_bind_join(self, left, table, batch_size, as_batch_answers):
+        def fetch(binding):
+            return [row for row in table
+                    if all(row.get(key, value) == value for key, value in binding.items())]
+
+        def fetch_batch(bindings):
+            answers = [fetch(binding) for binding in bindings]
+            return [as_batches(rows) for rows in answers] if as_batch_answers else answers
+
+        joined = BatchBindJoin(MaterializedScan(left), fetch_batch,
+                               batch_size=batch_size).rows()
+        assert joined == ref_bind_join(left, fetch)
+
+
+class TestNestedValuesNeverCrash:
+    """``hashable`` froze one level only: a JSON atom binding a variable
+    to ``[[1], [2]]`` or ``{"a": [1]}`` raised ``TypeError`` at the parent,
+    ``{1: "a", "b": 2}`` raised ``'<' not supported``."""
+
+    NESTED = [[[1], [2]], {"a": [1]}, {1: "a", "b": 2}, [{"a": [{"b": []}]}]]
+
+    @pytest.mark.parametrize("value", NESTED)
+    def test_distinct_result_distinct_and_call_key(self, value):
+        rows = [{"v": value, "n": 1}, {"v": value, "n": True}, {"v": "other", "n": 1}]
+        assert Distinct(MaterializedScan(rows)).rows() == [rows[0], rows[2]]
+        result = MixedResult(variables=["v", "n"], rows=rows)
+        assert result.distinct().rows == [rows[0], rows[2]]
+        shipped = []
+
+        def fetch_batch(bindings):
+            shipped.extend(bindings)
+            return [[{"seen": True}] for _ in bindings]
+
+        joined = BatchBindJoin(MaterializedScan(rows), fetch_batch, keys=["v"]).rows()
+        assert len(joined) == 3 and shipped == [{"v": value}, {"v": "other"}]
+
+    def test_freeze_is_recursive_order_safe_and_identity_on_hashables(self):
+        assert freeze([[1], [2]]) == ((1,), (2,))
+        assert freeze({1: "a", "b": [2]}) == freeze({"b": [2], 1: "a"})
+        assert freeze((1, "a", None)) == (1, "a", None)
+        assert hash(freeze({"a": [{"b": {3}}]})) is not None
+
+    def test_result_distinct_uses_the_operators_keying(self):
+        rows = [{"a": 1, "b": [1, 2]}, {"a": True, "b": [1, 2]}, {"a": 1.0, "b": (1, 2)},
+                {"a": "1", "b": [1, 2]}]
+        result = MixedResult(variables=["a", "b"], rows=rows)
+        assert result.distinct().rows == Distinct(MaterializedScan(rows)).rows() \
+            == [rows[0], rows[3]]
+
+    def test_same_column_set_in_another_order_still_deduplicates(self):
+        class TwoOrders(MaterializedScan):
+            def _produce_batches(self):
+                yield BindingBatch(("a", "b"), [(1, 2), (3, 4)])
+                yield BindingBatch(("b", "a"), [(2, 1), (4, 5)])
+                yield BindingBatch(("a",), [(1,)])
+
+        assert Distinct(TwoOrders([])).rows() == [
+            {"a": 1, "b": 2}, {"a": 3, "b": 4}, {"b": 4, "a": 5}, {"a": 1}]
+
+
+# ---------------------------------------------------------------------------
+# (b) The five CMQ classes, every way an answer is produced, parent goldens
+# ---------------------------------------------------------------------------
+
+CONFIG = DemoConfig(politicians=24, weeks=3, tweets_per_politician_per_week=2.0,
+                    seed=2016)
+NO_CACHE = PlannerOptions(result_cache=False, plan_cache=False)
+
+#: Captured at the parent commit: ``(rows, ordered digest, multiset digest)``
+#: of the answer on the fresh instance and of the *repaired* answer after
+#: ``_insert_batch``.  ``None``: the parent's order is not reproducible
+#: (``party`` starts from the glue graph's set iteration order, which
+#: changes from process to process).
+GOLDEN = {
+    "qsia": {"fresh": (6, "3a61d9d9f4b9d56e", "9882882430408069"),
+             "repaired": (12, "f73fc6fa37a217bb", "ed3c5af65547dd7d")},
+    "dynamic": {"fresh": (6, "3a61d9d9f4b9d56e", "9882882430408069"),
+                "repaired": (12, "f73fc6fa37a217bb", "ed3c5af65547dd7d")},
+    "qsia_json": {"fresh": (42, "2866b09afd16a6d4", "b3f60a097d171e92"),
+                  "repaired": (84, "38af6618f71ab33e", "463edb9ce2aafed8")},
+    "party": {"fresh": (51, None, "59cc4e81787c2696"),
+              "repaired": (66, None, "af7b65aaae43efff")},
+    "factcheck": {"fresh": (16, "c35045806c44a9cc", "a46d10df86ea2552"),
+                  "repaired": (16, "c35045806c44a9cc", "a46d10df86ea2552")},
+}
+CLASSES = tuple(GOLDEN)
+
+#: Where the parent's own order differs from the uncached one, so only
+#: the multiset is compared: a one-binding-per-call plan and a pinned
+#: glue snapshot walk the glue's sets in another order, and a repaired
+#: full-text entry appends where a cold search interleaves by score.
+UNORDERED = {("party", "batch_size_1"), ("party", "rider"),
+             ("qsia", "repaired"), ("dynamic", "repaired"), ("party", "repaired")}
+
+
+def _cmqs(demo) -> dict:
+    return {
+        "qsia": 'qSIA(t, id) :- qG(id), tweetContains(t, id, "etatdurgence")',
+        "dynamic": 'qSIA(t, id) :- qG(id), tweetContains(t, id, "etatdurgence")[dSolr]',
+        "qsia_json": qsia_json_query(demo, "etatdurgence"),
+        "party": party_vocabulary_query(demo, "urgence"),
+        "factcheck": fact_checking_query(demo, "chomage"),
+    }
+
+
+def _digest(rows, ordered: bool = True) -> str:
+    items = [repr(sorted(row.items())) for row in rows]
+    if not ordered:
+        items.sort()
+    return hashlib.sha256("\n".join(items).encode()).hexdigest()[:16]
+
+
+def _fingerprint(rows, ordered: bool):
+    return len(rows), _digest(rows) if ordered else None, _digest(rows, ordered=False)
+
+
+def _insert_batch(demo) -> None:
+    """New tweets that extend the answers (the head of state's first),
+    a glue triple and a SQL row: inserts only, so entries are repaired."""
+    hot = [record for record in demo.tweets if "urgence" in record["text"].lower()]
+    hot.sort(key=lambda record: record["user"]["screen_name"] != "lcolin")
+    new = [dataclasses.replace(Tweet.from_record(record), tweet_id=10_000_000 + index,
+                               text=record["text"] + " (suite)")
+           for index, record in enumerate(hot[:30])]
+    instance = demo.instance
+    instance.source(TWEETS_URI).store.add_all([tweet.record() for tweet in new])
+    instance.source(TWEETS_JSON_URI).store.add_all([tweet.to_json() for tweet in new])
+    instance.add_glue_triples([triple("ttn:Evt0", "ttn:observedAt", 0)])
+    demo.insee.execute("INSERT INTO unemployment (dept_code, year, quarter, rate) "
+                       "VALUES ('75', 2031, 1, 9.5)")
+
+
+@pytest.fixture(scope="module")
+def answers():
+    """Per CMQ class, the answer rows under every configuration."""
+    demo = build_demo_instance(CONFIG)
+    instance = demo.instance
+    cmqs = _cmqs(demo)
+    out: dict[str, dict[str, list]] = {name: {} for name in cmqs}
+    for name, cmq in cmqs.items():
+        instance.clear_caches()
+        out[name]["no_cache"] = instance.execute(cmq, options=NO_CACHE).rows
+        out[name]["cold_miss"] = instance.execute(cmq).rows
+        warm = instance.execute(cmq)
+        assert warm.trace.cache_hits and not warm.trace.cache_misses
+        out[name]["warm_hit"] = warm.rows
+        out[name]["batch_size_1"] = instance.execute(
+            cmq, options=PlannerOptions(bind_batch_size=1, result_cache=False,
+                                        plan_cache=False)).rows
+
+    # MQO single-flight: two tickets of one CMQ on cold caches; a source
+    # call slow enough that the second finds the first's probes in flight.
+    wrappers = (RDFSource, RelationalSource, FullTextSource, JSONSource)
+    originals = {cls: (cls.execute, cls.execute_batch) for cls in wrappers}
+
+    def slowed(method):
+        def call(self, *args, **kwargs):
+            time.sleep(0.05)
+            return method(self, *args, **kwargs)
+        return call
+
+    for cls, (execute, execute_batch) in originals.items():
+        cls.execute, cls.execute_batch = slowed(execute), slowed(execute_batch)
+    try:
+        with MediatorService(instance, ServiceConfig(workers=2)) as service:
+            for name, cmq in cmqs.items():
+                instance.clear_caches()
+                tickets = [service.submit(cmq) for _ in range(2)]
+                results = [ticket.result(timeout=30) for ticket in tickets]
+                rider = max(results, key=lambda r: r.trace.shared_subqueries)
+                assert rider.trace.shared_subqueries > 0
+                out[name]["rider"] = rider.rows
+    finally:
+        for cls, (execute, execute_batch) in originals.items():
+            cls.execute, cls.execute_batch = execute, execute_batch
+
+    instance.clear_caches()
+    for cmq in cmqs.values():
+        instance.execute(cmq)
+    repaired_before = instance.cache_statistics()["repair"]["repaired"]
+    _insert_batch(demo)
+    for name, cmq in cmqs.items():
+        out[name]["repaired"] = instance.execute(cmq).rows
+        out[name]["after_insert_no_cache"] = instance.execute(cmq, options=NO_CACHE).rows
+    assert instance.cache_statistics()["repair"]["repaired"] - repaired_before >= 20
+    return out
+
+
+class TestSameAnswerHoweverProduced:
+    @pytest.mark.parametrize("name", CLASSES)
+    @pytest.mark.parametrize("config", ["cold_miss", "warm_hit", "batch_size_1", "rider"])
+    def test_rows_and_order_equal_the_uncached_answer(self, answers, name, config):
+        reference, rows = answers[name]["no_cache"], answers[name][config]
+        if (name, config) in UNORDERED:
+            assert _digest(rows, ordered=False) == _digest(reference, ordered=False)
+        else:
+            assert rows == reference
+            assert _digest(rows) == _digest(reference)  # dict == ignores key order
+
+    @pytest.mark.parametrize("name", CLASSES)
+    def test_a_repaired_entry_answers_like_a_cold_execution(self, answers, name):
+        reference = answers[name]["after_insert_no_cache"]
+        rows = answers[name]["repaired"]
+        if (name, "repaired") in UNORDERED:
+            assert _digest(rows, ordered=False) == _digest(reference, ordered=False)
+        else:
+            assert rows == reference
+
+    @pytest.mark.parametrize("name", CLASSES)
+    def test_answers_equal_the_parents_golden_fingerprints(self, answers, name):
+        for state, config in (("fresh", "warm_hit"), ("repaired", "repaired")):
+            golden = GOLDEN[name][state]
+            assert _fingerprint(answers[name][config],
+                                ordered=golden[1] is not None) == golden
+
+
+# ---------------------------------------------------------------------------
+# (c) Isolation, and the counts that show the copies are gone
+# ---------------------------------------------------------------------------
+
+@pytest.fixture()
+def warm_party():
+    """A warm bind-join CMQ: k glue bindings probed, n answer rows."""
+    demo = build_demo_instance(CONFIG)
+    cmq = party_vocabulary_query(demo, "urgence")
+    instance = demo.instance
+    first = instance.execute(cmq)
+    assert [step.mode for step in first.trace.steps] == ["materialize", "bind"]
+    return instance, cmq, first
+
+
+def _entries(instance) -> dict:
+    return dict(instance.cache.results.entries._entries)
+
+
+class TestIsolation:
+    def test_mutating_a_result_never_reaches_the_cache(self, warm_party):
+        instance, cmq, first = warm_party
+        expected = [dict(row) for row in first.rows]
+        entries = _entries(instance)
+        held = {key: [(batch, batch.columns, batch.rows, list(batch.rows))
+                      for batch in entry] for key, entry in entries.items()}
+        result = instance.execute(cmq)
+        for row in result.rows:
+            row.pop("t")
+            row["id"] = "overwritten"
+        result.rows.reverse()
+        del result.rows[::2]
+        again = instance.execute(cmq)
+        assert again.rows == expected and again.trace.cache_misses == 0
+        after = _entries(instance)
+        assert after.keys() == held.keys()
+        for key, batches in held.items():
+            assert len(after[key]) == len(batches)
+            for now, (batch, columns, rows, contents) in zip(after[key], batches):
+                assert now is batch and now.columns == columns
+                assert now.rows is rows and now.rows == contents
+
+    def test_rows_is_a_built_list_when_execute_returns(self, warm_party, monkeypatch):
+        instance, cmq, first = warm_party
+        result = instance.execute(cmq)
+        built = Counter()
+        real = BindingBatch.dicts
+        monkeypatch.setattr(BindingBatch, "dicts",
+                            lambda self: built.update(n=len(self)) or real(self))
+        assert type(result.rows) is list and type(result.rows[0]) is dict
+        assert len(result.rows) == len(first.rows) and not built  # no lazy view
+
+    def test_concurrent_warm_executions_agree(self, warm_party):
+        instance, cmq, first = warm_party
+        with MediatorService(instance, ServiceConfig(workers=2)) as service:
+            service.execute(cmq)
+            tickets = [service.submit(cmq) for _ in range(8)]
+            results = [ticket.result(timeout=30) for ticket in tickets]
+        assert all(result.rows == results[0].rows for result in results)
+        assert _digest(results[0].rows, ordered=False) == _digest(first.rows, ordered=False)
+
+
+class TestTheCopiesAreGone:
+    """Counts, not timings; each fails at the parent."""
+
+    def test_a_warm_bind_join_converts_freezes_and_copies_nothing(self, warm_party,
+                                                                  monkeypatch):
+        instance, cmq, first = warm_party
+        n = len(first.rows)
+        calls = Counter()
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        spy(batch_module, "batches_from_rows")
+        spy(batch_module, "freeze")
+        spy(iterators_module, "freeze")
+        real_dicts = BindingBatch.dicts
+        monkeypatch.setattr(
+            BindingBatch, "dicts",
+            lambda self: calls.update(dicts=len(self)) or real_dicts(self))
+        answers: list[list] = []
+        real_as_batches = iterators_module.as_batches
+
+        def recording(answer):
+            batches = real_as_batches(answer)
+            answers[-1].extend(batches)
+            return batches
+        monkeypatch.setattr(iterators_module, "as_batches", recording)
+
+        executions = []
+        for _ in range(2):
+            answers.append([])
+            executions.append(instance.execute(cmq))
+        k = executions[0].trace.cache_hits - 1  # minus the glue materialize
+        assert k > 20 and n > k
+        assert all(result.trace.cache_misses == 0 for result in executions)
+        assert calls["batches_from_rows"] == 0  # parent: 2k per execution
+        assert calls["freeze"] == 0             # parent: ~5n per execution
+        assert calls["dicts"] == 2 * n          # one dict per answer row, no more
+        # The bind join's answers are the cache entry's own row lists,
+        # the same on both executions: shared, not copied.
+        cached = {id(batch.rows) for entry in _entries(instance).values()
+                  for batch in entry}
+        first_ids, second_ids = ({id(batch.rows) for batch in taken} for taken in answers)
+        assert first_ids == second_ids and len(first_ids) > k // 2  # some bindings: no rows
+        assert first_ids <= cached
+
+    def test_an_insert_only_repair_builds_nothing_per_old_row(self, monkeypatch):
+        m, d = 400, 3
+        database = Database("db")
+        database.create_table_from_rows(
+            "readings", [{"site": "s", "n": index} for index in range(m)])
+        source = RelationalSource("sql://readings", database)
+        cache = SubQueryResultCache()
+        proxy = CachedSource(source, cache, repair=RepairEngine(cache))
+        query = SQLQuery("SELECT site AS site, n AS n FROM readings WHERE site = {site}")
+        (old,) = proxy.answer(query, {"site": "s"})
+        old_rows = list(old.rows)
+        database.table("readings").insert_many(
+            [{"site": "s", "n": m + index} for index in range(d)])
+        converted = Counter()
+        real = batch_module.batches_from_rows
+
+        def counting(rows):
+            for batch in real(rows):
+                converted["rows"] += len(batch)
+                yield batch
+        monkeypatch.setattr(batch_module, "batches_from_rows", counting)
+        (new,) = proxy.answer(query, {"site": "s"})
+        assert proxy.repair.stats.as_dict()["rows_appended"] == d
+        assert converted["rows"] == d  # only the delta was converted
+        assert len(new.rows) == m + d and new.rows is not old.rows
+        assert all(now is then for now, then in zip(new.rows, old_rows))
+        # The superseded entry was published: it is left exactly as it was.
+        assert len(old.rows) == m and all(a is b for a, b in zip(old.rows, old_rows))

@@ -32,6 +32,7 @@ from repro.core.sources import (
     RelationalSource,
     SQLQuery,
 )
+from repro.engine.batch import dict_rows
 from repro.fulltext.store import FieldConfig, FullTextStore
 from repro.json.store import JSONDocumentStore
 from repro.rdf import Graph, triple
@@ -394,7 +395,8 @@ class TestBatchRepair:
             asked = late if step == 0 else keys
             one_by_one = [per_key.execute(query, dict(key)) for key in asked]
             assert batched.execute_batch(query, asked) == one_by_one
-            hits = list(peeked.peek(query, asked))
+            hits = [None if batches is None else dict_rows(batches)
+                    for batches in peeked.peek(query, asked)]
             assert [rows for rows in hits if rows is not None] == \
                 [rows for rows, hit in zip(one_by_one, hits) if hit is not None]
             peeked.execute_batch(query, asked)
