@@ -31,7 +31,7 @@ from repro.core.sources import (
 )
 from repro.errors import MixedQueryError
 from repro.fulltext.document import Document
-from repro.fulltext.query import BooleanQuery, MatchAllQuery, PhraseQuery, Query, TermQuery, parse_query
+from repro.fulltext.query import BooleanQuery, MatchAllQuery, PhraseQuery, Query, TermQuery
 from repro.json.pattern import Parameter as JSONParameter
 from repro.rdf.bgp import BGPQuery, evaluate_bgp
 from repro.rdf.graph import Graph
@@ -188,10 +188,7 @@ class RDFWarehouse:
         doc_var = Variable(f"doc{index}")
         patterns: list[TriplePattern] = []
 
-        query_text = atom.query.query_template
-        for formal, value in atom.constants.items():
-            query_text = query_text.replace("{" + formal + "}", str(value))
-        parsed = parse_query(query_text)
+        parsed = atom.query.template.bind(atom.constants)
         patterns.extend(self._fulltext_condition_patterns(parsed, doc_var, source_uri, store))
 
         for formal, path in atom.query.fields().items():

@@ -12,9 +12,9 @@ are shared, never copied), so a hit produced under one spelling is
 served verbatim under another.
 
 Canonicalisation is conservative: only the positions the mediator
-treats as variables are renamed (BGP variables, SQL ``{var}`` parameter
-nodes and full-text ``{placeholder}`` parameters, full-text output
-fields, tree-pattern variables).  SQL output *columns* are part of the
+treats as variables are renamed (BGP variables, SQL and full-text
+``{var}`` parameter nodes, full-text output fields, tree-pattern
+variables).  SQL output *columns* are part of the
 statement and stay structural.
 """
 
@@ -29,7 +29,6 @@ from repro.core.sources import (
     Row,
     SourceQuery,
     SQLQuery,
-    _PLACEHOLDER_RE,
 )
 from repro.engine.batch import BindingBatch
 from repro.json.pattern import Parameter as JSONParameter
@@ -143,17 +142,19 @@ def _canonical_sql(query: SQLQuery) -> CanonicalQuery:
 
 
 def _canonical_fulltext(query: FullTextQuery) -> CanonicalQuery:
+    # Keyed on the parsed query: ``{x}`` inside a phrase is literal text,
+    # not a parameter, and must neither be renamed nor shared.
+    template = query.template
     canon = _Namer()
+    canon.mapping.update(template.canonical_names)
     # Output variables are canonicalised in (path, name) order so that the
     # assignment does not depend on how the variables were spelled (two
     # variables on one path receive symmetric names — and identical values).
     fields = tuple((canon(variable), path)
                    for variable, path in sorted(query.output_fields,
                                                 key=lambda pair: (pair[1], pair[0])))
-    template = _PLACEHOLDER_RE.sub(lambda m: "{" + canon(m.group(1)) + "}",
-                                   query.query_template)
-    return CanonicalQuery("fulltext", (template, fields, query.limit, query.sort_by),
-                          canon.mapping)
+    return CanonicalQuery("fulltext", (template.canonical_text, fields, query.limit,
+                                       query.sort_by), canon.mapping)
 
 
 def _canonical_json(query: JSONQuery) -> CanonicalQuery:

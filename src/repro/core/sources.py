@@ -26,8 +26,9 @@ from typing import Any, Iterable, Optional, Sequence
 from repro.engine.batch import BindingBatch, as_batches
 from repro.errors import MixedQueryError
 from repro.fulltext.document import path_getter
-from repro.fulltext.query import BooleanQuery, TermQuery, parse_query
+from repro.fulltext.query import BooleanQuery, MatchAllQuery, Parameter
 from repro.fulltext.store import FullTextStore
+from repro.fulltext.template import FullTextTemplate, any_of, fulltext_template
 from repro.obs.metrics import get_registry
 from repro.json.accel import structural_row_estimate as accel_structural_row_estimate
 from repro.json.matcher import TreePatternMatcher
@@ -45,8 +46,6 @@ from repro.relational.template import SQLTemplate, sql_template
 
 #: A binding row at the mediator level: variable name -> Python value.
 Row = dict[str, object]
-
-_PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][\w]*)\}")
 
 #: CURIE shape: letter-led prefix, exactly one colon — timestamps and
 #: clock values ("2016-09-01T12:00:00") must not qualify.
@@ -142,9 +141,16 @@ class SQLQuery(SourceQuery):
 class FullTextQuery(SourceQuery):
     """A Solr-like query over a full-text source.
 
-    ``query_template`` may contain ``{var}`` placeholders (required
-    parameters); ``output_fields`` maps mediator variables to dotted
-    document paths.
+    ``query_template`` is the query as written: the form that travels
+    over the remote wire and prints.  What the mediator *knows* about it
+    comes from :attr:`template`, the text parsed once by the store's own
+    parser: each ``{var}`` — a parameter node standing where a term may,
+    not text inside a ``"phrase"`` or a ``[range]`` — is a *required
+    parameter*, bound by value at each call.  ``output_fields`` maps
+    mediator variables to dotted document paths; bindings on them narrow
+    the search where the index can and are post-filtered by the wrapper.
+    Text the parser rejects raises :class:`~repro.errors.ParseError` the
+    first time the query is analysed, i.e. at planning.
     """
 
     query_template: str
@@ -160,6 +166,11 @@ class FullTextQuery(SourceQuery):
                    output_fields=tuple(sorted(output_fields.items())),
                    limit=limit, sort_by=sort_by)
 
+    @property
+    def template(self) -> FullTextTemplate:
+        """The parsed query (memoised per query text)."""
+        return fulltext_template(self.query_template)
+
     def fields(self) -> dict[str, str]:
         """Output fields as a dict (variable -> document path)."""
         return dict(self.output_fields)
@@ -168,7 +179,7 @@ class FullTextQuery(SourceQuery):
         return {variable for variable, _ in self.output_fields}
 
     def required_parameters(self) -> set[str]:
-        return set(_PLACEHOLDER_RE.findall(self.query_template))
+        return set(self.template.parameters)
 
     def compatible_models(self) -> set[str]:
         return {"fulltext"}
@@ -902,126 +913,72 @@ class FullTextSource(DataSource):
 
     @_instrumented_execute
     def execute(self, query: SourceQuery, bindings: Row | None = None) -> list[Row]:
-        if not isinstance(query, FullTextQuery):
-            raise MixedQueryError(
-                f"full-text source {self.uri} cannot evaluate {type(query).__name__}"
-            )
-        bindings = bindings or {}
-        text = _fill_placeholders(query.query_template, bindings, quote=_fulltext_literal)
-        rows = self._search_rows(query, text, [bindings])
-        # Post-filter on bindings over output variables (exact, lowercase-insensitive
-        # for strings, mirroring keyword-field behaviour): the index-side
-        # narrowing of _search_rows only ever returns a superset of these rows.
-        filters = self._post_filters(query, bindings)
-        if filters:
-            rows = [r for r in rows if all(_loose_equal(r.get(k), v) for k, v in filters)]
-        return rows
+        return self.execute_batch(query, [bindings])[0]
 
     @_instrumented_execute_batch
     def execute_batch(self, query: SourceQuery,
                       bindings_batch: Sequence[Row]) -> list[list[Row]]:
-        """Batched full-text evaluation with native disjunctive pushdown.
+        """Batched full-text evaluation: one search per distinct bound query.
 
-        When every placeholder occurs exactly once as a ``path:{var}``
-        clause over an echoed *keyword* field, the filled clauses of the
-        whole batch are OR-ed into one disjunctive query — a single index
-        round trip — and hits are attributed back through the echoed
-        field.  Anything else is one search per distinct filled query
-        text (a placeholder-free template is one text, so one search),
-        its hits partitioned among the bindings that share the text.
+        Two kinds of binding go into the index with the search, each as
+        the OR of exact terms over the values of the bindings that share
+        it, when the query has no ``limit`` (top-k-then-filter is not
+        filter-then-top-k), the field is a ``keyword`` field and all of
+        them bind a ``str`` (the keyword lookup, ``str(v).lower()`` per
+        stored value, then accepts at least what ``_loose_equal`` does):
 
-        Either way the bindings on *output* variables go into the index
-        with the search (see :meth:`_search_rows`): a search scores,
-        sorts and projects the documents some binding of its group can
-        accept, not every hit of the template.  ``_partition_loose``
-        remains the exact per-binding verifier.
+        * a parameter whose only occurrence is a top-level ``path:{var}``
+          clause over an *echoed* field is pooled over the whole batch,
+          so bindings that differ only there share one search — a single
+          index round trip when every parameter pools, as for a
+          parameter-free template — and hits are attributed back through
+          the echoed field;
+        * a bound *output* variable is AND-ed in: the store intersects the
+          posting sets before it scores, sorts or projects a hit, not
+          after every hit of the template was built.
+
+        Keyword terms carry no BM25 weight and the template's own terms
+        occur once, so either way a hit scores as under its own binding
+        alone.  ``_partition_loose`` remains the exact per-binding verifier.
         """
         if not isinstance(query, FullTextQuery):
             raise MixedQueryError(
                 f"full-text source {self.uri} cannot evaluate {type(query).__name__}"
             )
         batch = [dict(b or {}) for b in bindings_batch]
-        if len(batch) <= 1:
-            return [self.execute(query, b) for b in batch]
-        fields = query.fields()
-        required = query.required_parameters()
-        clause_fields = _clause_placeholder_fields(query.query_template)
-        echoes = {var: _echo_variable(fields, path)
-                  for var, path in clause_fields.items()}
-        disjunctive = (bool(required)
-                       and query.limit is None
-                       # The OR of the filled clauses repeats the template's
-                       # constant text terms once per branch, which inflates
-                       # BM25 — only the row *sets* survive that, not scores.
-                       and "_score" not in fields.values()
-                       and set(clause_fields) == required
-                       and all(echoes.get(var) for var in required)
-                       and all(self._is_keyword_field(path)
-                               for path in clause_fields.values())
-                       and all(var in b and _disjunctable_value(b[var])
-                               for b in batch for var in required))
-        if disjunctive:
-            texts = list(dict.fromkeys(
-                _fill_placeholders(query.query_template, b, quote=_fulltext_literal)
-                for b in batch))
-            combined = " OR ".join(f"({text})" for text in texts) if len(texts) > 1 \
-                else texts[0]
-            rows = self._search_rows(query, combined, batch)
-            specs = []
-            for b in batch:
-                spec = self._post_filters(query, b)
-                spec.extend((echoes[var], b[var]) for var in required)
-                specs.append(spec)
-            return _partition_loose(rows, specs)
+        template, fields = query.template, query.fields()
 
-        by_text: dict[str, list[int]] = {}
+        def indexable(path: str, variable: str, bindings: Sequence[Row]) -> bool:
+            config = self.store.field_config(path)
+            return (query.limit is None
+                    and config is not None and config.field_type == "keyword"
+                    and all(isinstance(b.get(variable), str) for b in bindings))
+
+        echoes = {path: variable for variable, path in query.output_fields}
+        pooled = {var: echoes[path] for var, path in template.clause_parameters.items()
+                  if path in echoes and indexable(path, var, batch)}
+        in_lists = {var: [b[var] for b in batch] for var in pooled}
+        others = sorted(template.parameters - set(pooled))
+        groups: dict[tuple, list[int]] = {}
         for index, b in enumerate(batch):
-            filled = _fill_placeholders(query.query_template, b, quote=_fulltext_literal)
-            by_text.setdefault(filled, []).append(index)
+            key = tuple(str(b[var]) if var in b else None for var in others)
+            groups.setdefault(key, []).append(index)
         results: list[list[Row]] = [[] for _ in batch]
-        for filled, indices in by_text.items():
+        for indices in groups.values():
             group = [batch[i] for i in indices]
-            rows = self._search_rows(query, filled, group)
-            parts = _partition_loose(rows, [self._post_filters(query, b) for b in group])
+            narrowing = [any_of(fields[variable], (b[variable].lower() for b in group))
+                         for variable in sorted(set(fields) - template.parameters)
+                         if indexable(fields[variable], variable, group)]
+            bound = template.bind(group[0], in_lists)
+            if narrowing:
+                bound = BooleanQuery("AND", (bound, *narrowing))
+            result = self.store.search(bound, limit=query.limit, sort_by=query.sort_by)
+            specs = [self._post_filters(query, b)
+                     + [(echo, b[var]) for var, echo in pooled.items()] for b in group]
+            parts = _partition_loose(self._hit_rows(result, fields), specs)
             for index, part in zip(indices, parts):
                 results[index] = part
         return results
-
-    def _search_rows(self, query: FullTextQuery, text: str,
-                     group: Sequence[Row]) -> list[Row]:
-        """Rows of the hits of ``text``, searched on behalf of ``group``.
-
-        ``group`` holds the bindings that will share the hits.  Without a
-        ``limit``, every output variable over a ``keyword`` field that
-        *all* of them bind to a ``str`` is AND-ed into the parsed query,
-        as the OR of the group's distinct values: the store intersects
-        the posting sets before it scores, sorts or projects a hit.  The
-        keyword lookup (``str(v).lower()`` per stored value) accepts at
-        least what ``_loose_equal`` accepts for a ``str`` binding, so the
-        callers' post-filters see every row they would have kept; other
-        binding types have no such guarantee and stay post-filtered only,
-        as does a ``limit``-ed query (top-k-then-filter is not
-        filter-then-top-k).  Keyword terms carry no BM25 weight, so the
-        surviving hits keep their scores bit for bit.
-        """
-        fields = query.fields()
-        parsed = parse_query(text)
-        if query.limit is None:
-            narrowing = []
-            for variable in sorted(query.output_variables() - query.required_parameters()):
-                path = fields[variable]
-                values = [b.get(variable) for b in group]
-                if not (self._is_keyword_field(path)
-                        and all(isinstance(v, str) for v in values)):
-                    continue
-                terms = tuple(TermQuery(path, v)
-                              for v in dict.fromkeys(v.lower() for v in values))
-                narrowing.append(terms[0] if len(terms) == 1
-                                 else BooleanQuery("OR", terms))
-            if narrowing:
-                parsed = BooleanQuery("AND", (parsed, *narrowing))
-        result = self.store.search(parsed, limit=query.limit, sort_by=query.sort_by)
-        return self._hit_rows(result, fields)
 
     @staticmethod
     def _hit_rows(result, fields: dict[str, str]) -> list[Row]:
@@ -1033,10 +990,6 @@ class FullTextSource(DataSource):
                  for variable, getter in getters}
                 for hit in result.hits]
 
-    def _is_keyword_field(self, path: str) -> bool:
-        config = self.store.field_config(path)
-        return config is not None and config.field_type == "keyword"
-
     def estimate(self, query: SourceQuery, bound_variables: set[str] | None = None) -> float:
         if not isinstance(query, FullTextQuery):
             return float("inf")
@@ -1045,12 +998,13 @@ class FullTextSource(DataSource):
             base = float(query.limit)
         else:
             base = float(len(self.store))
-        template = query.query_template
-        constants = sum(1 for part in template.split()
-                        if ":" in part and "{" not in part and part != "*:*")
-        for _ in range(constants):
-            base = max(1.0, base / 20.0)
-        for _ in query.required_parameters():
+        # One factor per distinct parameter and per constant clause naming
+        # its field (a bare default-field term is not counted).
+        restrictions = len(query.template.parameters) + sum(
+            1 for clause in query.template.conjuncts
+            if not isinstance(clause, (Parameter, MatchAllQuery))
+            and getattr(clause, "field", "") is not None)
+        for _ in range(restrictions):
             base = max(1.0, base / 20.0)
         for _ in query.output_variables() & bound_variables:
             base = max(1.0, base / 10.0)
@@ -1278,75 +1232,13 @@ def _loose_equal(left: object, right: object) -> bool:
     return False
 
 
-def _fill_placeholders(template: str, bindings: Row, quote) -> str:
-    def replace(match: re.Match) -> str:
-        name = match.group(1)
-        if name not in bindings:
-            raise MixedQueryError(
-                f"sub-query parameter {{{name}}} is not bound; required parameters "
-                "must be produced by an earlier sub-query or a constant"
-            )
-        return quote(bindings[name])
-
-    return _PLACEHOLDER_RE.sub(replace, template)
-
-
-def _fulltext_literal(value: object) -> str:
-    text = str(value)
-    if any(ch.isspace() for ch in text):
-        return f'"{text}"'
-    return text
-
-
 # ---------------------------------------------------------------------------
 # Batch execution helpers
 # ---------------------------------------------------------------------------
 
-_DISJUNCTABLE_RE = re.compile(r"[\w.\-@#]+\Z")
-
-
 def _scalar(value: object) -> bool:
     """True for values whose dict-key semantics match ``==`` filtering."""
     return value is None or isinstance(value, (str, int, float, bool))
-
-
-_BOOLEAN_CONTEXT_RE = re.compile(r"\b(?:or|not)\b", re.IGNORECASE)
-
-
-def _clause_placeholder_fields(template: str) -> dict[str, str]:
-    """Placeholders usable for disjunctive rewriting: var -> field path.
-
-    A placeholder qualifies when its only occurrence in the full-text
-    template is a ``path:{var}`` clause in a purely conjunctive query
-    (any ``OR``/``NOT`` operator disables the rewrite: under them the
-    clause is not a necessary condition on the hits).
-    """
-    if _BOOLEAN_CONTEXT_RE.search(template):
-        return {}
-    mapping: dict[str, str] = {}
-    for var in set(_PLACEHOLDER_RE.findall(template)):
-        occurrences = re.findall(r"\{" + re.escape(var) + r"\}", template)
-        clauses = re.findall(r"([\w.]+):\{" + re.escape(var) + r"\}", template)
-        if len(occurrences) == 1 and len(clauses) == 1:
-            mapping[var] = clauses[0]
-    return mapping
-
-
-def _echo_variable(fields: dict[str, str], path: str) -> str | None:
-    """The output variable bound to document ``path``, if any."""
-    for variable, field_path in fields.items():
-        if field_path == path:
-            return variable
-    return None
-
-
-def _disjunctable_value(value: object) -> bool:
-    """True when a binding value can be inlined into an OR-ed query text."""
-    if isinstance(value, bool) or not isinstance(value, str):
-        return False
-    if value.upper() in ("AND", "OR", "NOT", "TO"):
-        return False
-    return bool(_DISJUNCTABLE_RE.fullmatch(value))
 
 
 def _partition_exact(rows: list[Row],

@@ -34,7 +34,7 @@ from repro.core.sources import (
     SQLQuery,
 )
 from repro.digest.graph import DigestCatalog, DigestNode
-from repro.errors import KeywordSearchError
+from repro.errors import KeywordSearchError, ReproError
 from repro.json.pattern import PatternLeaf, Predicate, TreePattern
 from repro.rdf.bgp import BGPQuery
 from repro.rdf.terms import Literal, Term, TriplePattern, URI, Variable
@@ -124,7 +124,7 @@ class KeywordQueryEngine:
             for candidate in ranked[:max(max_queries, self.max_evaluated_candidates)]:
                 try:
                     result = self.instance.execute(candidate.query, limit=limit)
-                except Exception:  # noqa: BLE001 - a failed candidate is skipped
+                except ReproError:  # a candidate its sources cannot run is skipped
                     continue
                 if outcome.best is None:
                     outcome.best, outcome.result = candidate, result
@@ -342,22 +342,23 @@ class KeywordQueryEngine:
                        nodes: list[DigestNode], variables: dict[DigestNode, str],
                        hit_by_node: dict[DigestNode, KeywordHit]) -> SourceAtom:
         clauses: list[str] = []
+        constants: dict[str, object] = {}
         fields: dict[str, str] = {}
         for node in nodes:
             hit = hit_by_node.get(node)
             if hit is not None:
-                value = hit.matched_values[0] if hit.matched_values else hit.keyword
-                if " " in value:
-                    clauses.append(f'{node.position}:"{value}"')
-                else:
-                    clauses.append(f"{node.position}:{value}")
+                parameter = f"k{len(constants)}"
+                constants[parameter] = hit.matched_values[0] if hit.matched_values \
+                    else hit.keyword
+                clauses.append(f"{node.position}:{{{parameter}}}")
             fields[variables[node]] = node.position
         # Always expose the default text field so journalists see the content.
         if source.store.default_field and source.store.default_field not in fields.values():
             fields[f"txt_{_safe(source.store.name)}"] = source.store.default_field
         query_text = " AND ".join(clauses) if clauses else "*:*"
         query = FullTextQuery.create(query_text, fields, limit=None)
-        return SourceAtom(name=f"ft_{_safe(source.store.name)}", query=query, source=source_uri)
+        return SourceAtom(name=f"ft_{_safe(source.store.name)}", query=query,
+                          source=source_uri, constants=constants)
 
     def _json_atom(self, source: JSONSource, source_uri: str,
                    nodes: list[DigestNode], variables: dict[DigestNode, str],

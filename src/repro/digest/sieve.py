@@ -33,7 +33,6 @@ from repro.core.sources import (
     Row,
     SourceQuery,
     SQLQuery,
-    _clause_placeholder_fields,
 )
 from repro.digest.graph import DigestCatalog
 from repro.digest.valueset import ValueSetSummary
@@ -142,7 +141,7 @@ class DigestSieve:
             summaries = _summaries_at(digest, path)
             if summaries:
                 position_map[variable] = summaries
-        for variable, path in _clause_placeholder_fields(query.query_template).items():
+        for variable, path in query.template.clause_parameters.items():
             config = source.store.field_config(path)
             if config is None or config.field_type != "keyword":
                 continue

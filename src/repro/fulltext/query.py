@@ -10,7 +10,10 @@ query language.  We support a Solr/Lucene-flavoured subset:
 * ``retweet_count:[100 TO *]`` — numeric/date range queries,
 * ``a AND b``, ``a OR b``, ``NOT a``, parentheses,
 * ``"state of emergency"`` — phrase queries on analysed fields,
-* a bare term searches the store's default field.
+* a bare term searches the store's default field,
+* ``hashtags:{tag}`` or a bare ``{word}`` — a parameter standing where a
+  term may, bound by value before the query runs (inside a ``"phrase"``
+  or a ``[range]``, ``{x}`` is literal text).
 
 Queries parse to a small AST evaluated by :class:`~repro.fulltext.store.FullTextStore`.
 """
@@ -30,13 +33,27 @@ class Query:
 
 @dataclass(frozen=True)
 class TermQuery(Query):
-    """Match documents whose ``field`` contains ``term``."""
+    """Match documents whose ``field`` contains ``term``.
+
+    ``exact`` marks a term that is a *value* (a bound parameter), not
+    query text: ``*`` is the character, and whitespace belongs to the
+    value — a phrase on a ``text`` field, one value on every other field.
+    """
 
     field: Optional[str]
     term: str
+    exact: bool = False
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"{self.field or '_default'}:{self.term}"
+
+
+@dataclass(frozen=True)
+class Parameter(Query):
+    """``{name}`` standing where a term may: bound by value, never searched."""
+
+    field: Optional[str]
+    name: str
 
 
 @dataclass(frozen=True)
@@ -104,6 +121,7 @@ _QUERY_TOKEN_RE = re.compile(
     | (?P<rparen>\))
     | (?P<colon>:)
     | (?P<matchall>\*:\*|\*)
+    | (?P<parameter>\{[A-Za-z_]\w*\}(?![^\s():]))
     | (?P<word>[^\s():]+)
     """,
     re.VERBOSE,
@@ -184,7 +202,7 @@ class _QueryParser:
                 operands.append(self.parse_not())
             elif token[0] == "word" and token[1].upper() == "OR":
                 break
-            elif token[0] in ("word", "phrase", "lparen", "matchall"):
+            elif token[0] in ("word", "parameter", "phrase", "lparen", "matchall"):
                 # Implicit AND between adjacent clauses (Lucene default is OR,
                 # but AND matches the conjunctive spirit of CMQs).
                 operands.append(self.parse_not())
@@ -202,38 +220,29 @@ class _QueryParser:
         return self.parse_primary()
 
     def parse_primary(self) -> Query:
-        token = self._next()
-        kind, text = token
+        kind, text = self._next()
         if kind == "lparen":
             query = self.parse_or()
-            closing = self._next()
-            if closing[0] != "rparen":
+            if self._next()[0] != "rparen":
                 raise ParseError("expected )")
             return query
         if kind == "matchall":
             return MatchAllQuery()
+        field = None
+        if kind == "word" and (self._peek() or ("",))[0] == "colon":
+            self._next()
+            field, (kind, text) = text, self._next()
         if kind == "phrase":
-            return PhraseQuery(field=None, terms=tuple(text[1:-1].split()))
+            return PhraseQuery(field, tuple(text[1:-1].split()))
+        if kind == "parameter":
+            return Parameter(field, text[1:-1])
         if kind == "word":
-            next_token = self._peek()
-            if next_token and next_token[0] == "colon":
-                self._next()
-                return self._parse_field_clause(field=text)
-            return TermQuery(field=None, term=text)
-        raise ParseError(f"unexpected token {text!r}")
-
-    def _parse_field_clause(self, field: str) -> Query:
-        token = self._next()
-        kind, text = token
-        if kind == "phrase":
-            return PhraseQuery(field=field, terms=tuple(text[1:-1].split()))
-        if kind == "range":
+            return TermQuery(field, text)
+        if field is not None and kind == "range":
             return _parse_range(field, text)
-        if kind == "matchall":
-            return TermQuery(field=field, term="*")
-        if kind == "word":
-            return TermQuery(field=field, term=text)
-        raise ParseError(f"unexpected token {text!r} after {field}:")
+        if field is not None and kind == "matchall":
+            return TermQuery(field, "*")
+        raise ParseError(f"unexpected token {text!r}" + (f" after {field}:" if field else ""))
 
 
 def _parse_range(field: str, text: str) -> RangeQuery:

@@ -33,6 +33,7 @@ from repro.fulltext.query import (
     BooleanQuery,
     MatchAllQuery,
     NotQuery,
+    Parameter,
     PhraseQuery,
     Query,
     RangeQuery,
@@ -478,13 +479,15 @@ class FullTextStore:
             for s in sets:
                 result |= s
             return result
+        if isinstance(query, Parameter):
+            raise FullTextError(f"query parameter {{{query.name}}} is not bound")
         raise FullTextError(f"unsupported query node {type(query).__name__}")
 
     def _evaluate_term(self, query: TermQuery) -> set[str]:
         field_name = query.field or self.default_field
         if field_name is None:
             raise FullTextError("store has no default text field for bare term queries")
-        if query.term == "*":
+        if query.term == "*" and not query.exact:
             return {doc_id for doc_id, doc in self._documents.items()
                     if doc.get(field_name) is not None}
         config = self._fields.get(field_name)
@@ -492,6 +495,9 @@ class FullTextStore:
             # Unknown field: fall back to a stored-value comparison.
             return self._match_stored(field_name, query.term)
         if config.field_type == "text":
+            if query.exact and len(query.term.split()) > 1:
+                return self._evaluate_phrase(
+                    PhraseQuery(field_name, tuple(query.term.split())))
             stems = self.analyzer.stems(query.term)
             if not stems:
                 return set()
@@ -564,7 +570,8 @@ class FullTextStore:
         def walk(node: Query) -> None:
             if isinstance(node, TermQuery):
                 field_name = node.field or self.default_field
-                if field_name in self._text_indexes and node.term != "*":
+                # ``*`` has no stem: the wildcard adds nothing here.
+                if field_name in self._text_indexes:
                     terms[field_name].extend(self.analyzer.stems(node.term))
             elif isinstance(node, PhraseQuery):
                 field_name = node.field or self.default_field
@@ -574,8 +581,6 @@ class FullTextStore:
             elif isinstance(node, BooleanQuery):
                 for operand in node.operands:
                     walk(operand)
-            elif isinstance(node, NotQuery):
-                pass
 
         walk(query)
         return terms

@@ -24,7 +24,6 @@ average.
 
 from __future__ import annotations
 
-import re
 from typing import Callable, Optional
 
 from repro.core.sources import (
@@ -37,6 +36,7 @@ from repro.core.sources import (
     _to_rdf_term,
 )
 from repro.digest.valueset import ValueSetSummary
+from repro.fulltext.query import MatchAllQuery, Parameter as FullTextParameter, TermQuery
 from repro.rdf.terms import URI, Variable
 from repro.relational.ast import BinaryOp, ColumnRef, Expression, LiteralValue, Parameter
 
@@ -211,11 +211,6 @@ def estimate_fulltext(source: FullTextSource, query: FullTextQuery,
                       bound: set[str],
                       values: dict[str, object]) -> Optional[float]:
     """Document-frequency estimate of a conjunctive full-text template."""
-    template = query.query_template
-    if re.search(r'["\[\]()]', template):
-        return None
-    if re.search(r"\b(?:OR|NOT|TO)\b", template):
-        return None
     store = source.store
     total = len(store)
     if total == 0:
@@ -225,30 +220,24 @@ def estimate_fulltext(source: FullTextSource, query: FullTextQuery,
     # only run-time parameters fall back to selectivity arithmetic.
     matched: Optional[set] = None
     selectivity = 1.0
-    for part in template.split():
-        if part.upper() == "AND":
+    for clause in query.template.conjuncts:
+        if isinstance(clause, MatchAllQuery):
             continue
-        if part in ("*:*", "*"):
-            continue
-        if ":" in part:
-            path, term = part.split(":", 1)
-        else:
-            if store.default_field is None:
-                return None
-            path, term = store.default_field, part
-        placeholder = re.fullmatch(r"\{([A-Za-z_][\w]*)\}", term)
-        if placeholder:
-            name = placeholder.group(1)
-            if name in values:
-                term = str(values[name])
-            else:
-                average = store.average_document_frequency(path)
-                if average is None:
-                    return None
-                selectivity *= min(1.0, average / total)
-                continue
-        elif "{" in term:
+        if not isinstance(clause, (TermQuery, FullTextParameter)):
             return None
+        path = clause.field or store.default_field
+        if path is None:
+            return None
+        if isinstance(clause, TermQuery):
+            term = clause.term
+        elif clause.name in values:
+            term = str(values[clause.name])
+        else:
+            average = store.average_document_frequency(path)
+            if average is None:
+                return None
+            selectivity *= min(1.0, average / total)
+            continue
         documents = store.term_documents(path, term)
         if documents is None:
             return None

@@ -183,6 +183,15 @@ class TestCanonicalKeys:
             FullTextQuery.create("user.screen_name:{id}",
                                  {"t": "text", "id": "user.screen_name"},
                                  limit=5)).key
+        # A parameter is renamed; the same letters inside a phrase are text.
+        c = FullTextQuery.create('text:"{id} now" user.screen_name:{id}',
+                                 {"t": "text", "id": "user.screen_name"})
+        d = FullTextQuery.create('text:"{id} now" user.screen_name:{who}',
+                                 {"txt": "text", "who": "user.screen_name"})
+        e = FullTextQuery.create('text:"{who} now" user.screen_name:{who}',
+                                 {"txt": "text", "who": "user.screen_name"})
+        assert canonical_query(c).key == canonical_query(d).key != canonical_query(e).key
+        assert canonical_query(d).rename == {"who": "?0", "txt": "?1"}
 
     def test_json_renaming_invariant(self):
         a = JSONQuery.from_text("{ user.screen_name: ?id, retweets: ?n }")
@@ -216,9 +225,15 @@ class TestCanonicalKeys:
         key = canonical_query(a).binding_key({"id": bytearray(b"raw")})
         assert key is None
 
-    def test_row_round_trip_through_renaming(self):
-        a = JSONQuery.from_text("{ user.screen_name: ?id }")
-        b = JSONQuery.from_text("{ user.screen_name: ?who }")
+    @pytest.mark.parametrize("a,b", [
+        (JSONQuery.from_text("{ user.screen_name: ?id }"),
+         JSONQuery.from_text("{ user.screen_name: ?who }")),
+        (FullTextQuery.create('text:"{who} said" user.screen_name:{id}',
+                              {"id": "user.screen_name"}),
+         FullTextQuery.create('text:"{who} said" user.screen_name:{who}',
+                              {"who": "user.screen_name"})),
+    ])
+    def test_row_round_trip_through_renaming(self, a, b):
         rows = [("fhollande",)]
         stored = canonical_query(a).canonical_batches([BindingBatch(("id",), rows)])
         (served,) = canonical_query(b).original_batches(stored)

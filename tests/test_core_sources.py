@@ -1,10 +1,12 @@
 """Unit tests for the per-model source wrappers and sub-query descriptions."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import FullTextQuery, FullTextSource, RDFQuery, RDFSource, RelationalSource, SQLQuery
-from repro.core.sources import _fill_placeholders, _fulltext_literal, _loose_equal
+from repro.core.sources import _loose_equal
 from repro.datasets.loader import TWEETS_URI
 from repro.errors import MixedQueryError, SQLParseError
 from repro.fulltext import FieldConfig, FullTextStore
@@ -232,16 +234,23 @@ _CORPUS = [
 _OUTPUTS = {"a": "author", "g": "tags", "t": "title", "n": "count", "i": "id"}
 
 #: (template, output fields): constant templates, a ``path:{var}`` clause
-#: over an echoed keyword field (the disjunctive batch path) and a
-#: placeholder in a text clause (one search per distinct filled text).
+#: over an echoed keyword field (the disjunctive batch path; alone, scored,
+#: and beside an OR) and a parameter in a text clause (one search per
+#: distinct value).
 _TEMPLATES = [
     ("*:*", _OUTPUTS),
     ("body:budget", {**_OUTPUTS, "s": "_score"}),
     ("body:budget OR body:vote", {"a": "author", "s": "_score", "i": "id"}),
     ("tags:red", _OUTPUTS),
     ("tags:{tag}", _OUTPUTS),
+    ("body:budget tags:{tag}", {**_OUTPUTS, "s": "_score"}),
+    ("(body:budget OR body:vote) AND tags:{tag}", {"g": "tags", "s": "_score", "i": "id"}),
     ("body:{word}", {"a": "author", "g": "tags", "s": "_score", "i": "id"}),
 ]
+
+#: Values a ``{var}`` must carry as values, whatever they would lex as.
+_HARD_VALUES = ["Anne Hollier", "budget vote", "x y", "http://a.b/c", "(x", 'say "hi"',
+                "a:b", "*", "or", "{x}", 42]
 
 _BINDING_VALUES = {
     # str bindings on keyword fields are pushed into the index ...
@@ -254,9 +263,12 @@ _BINDING_VALUES = {
     "t": ["Budget", "budget", "Nowhere"],
     "n": [3, 7, "3"],
     "i": ["d01", "D02", "d99"],
-    "tag": ["red", "blue", "AND", "missing"],
-    "word": ["budget", "vote", "parliament"],
+    "tag": ["red", "blue", "AND", "missing", *_HARD_VALUES],
+    "word": ["budget", "vote", "parliament", *_HARD_VALUES],
 }
+
+#: The field each template parameter is compared with.
+_PARAMETER_PATHS = {"tag": "tags", "word": "body"}
 
 def _diff_source(documents=_CORPUS):
     store = FullTextStore("diff", [
@@ -271,13 +283,55 @@ def _diff_source(documents=_CORPUS):
     return FullTextSource("solr://diff", store)
 
 
+def _clause_text(store, path, value):
+    """``path:value`` as query text equivalent to binding ``value``, or None.
+
+    What the lexer can carry as one word (or, on a text field, as one
+    phrase) is filled in as written.  Any other value on a text field is
+    spelled through its analysed tokens, which is all the index sees of
+    it; on a keyword field there is no spelling.
+    """
+    text = str(value)
+    spaced = any(ch.isspace() for ch in text)
+    is_text = store.field_config(path).field_type == "text"
+    if spaced and is_text and '"' not in text:
+        return f'{path}:"{text}"'
+    if not spaced and re.fullmatch(r'[^():"\[\]{}*]+', text):
+        return f"{path}:{text}"
+    if not is_text:
+        return None
+    tokens = store.analyzer.analyze(text).tokens
+    if not tokens:
+        return "NOT *:*"
+    if spaced:
+        return f'{path}:"{" ".join(tokens)}"'
+    return " AND ".join(f"{path}:{token}" for token in tokens)
+
+
+def _stored_keywords(hit, path):
+    value = hit.get(path, [])
+    return [str(v).lower() for v in (value if isinstance(value, list) else [value])]
+
+
 def _reference(source, query, bindings):
-    """The un-narrowed answer: search the filled template, project every
-    hit, then keep the rows the bindings accept."""
-    text = _fill_placeholders(query.query_template, bindings, quote=_fulltext_literal)
-    result = source.store.search(text, limit=query.limit, sort_by=query.sort_by)
+    """The un-narrowed answer: search the template filled as text (or, for
+    a value text cannot spell, every document filtered on its stored
+    values), project every hit, then keep the rows the bindings accept."""
+    store = source.store
+    text, stored = query.query_template, []
+    for name in re.findall(r"\{(\w+)\}", text):
+        path = _PARAMETER_PATHS[name]
+        clause = _clause_text(store, path, bindings[name])
+        if clause is None:
+            stored.append((path, str(bindings[name]).lower()))
+            clause = "*:*"
+        text = text.replace(f"{path}:{{{name}}}", clause)
+    hits = store.search(text, limit=None if stored else query.limit,
+                        sort_by=query.sort_by).hits
+    for path, wanted in stored:
+        hits = [hit for hit in hits if wanted in _stored_keywords(hit, path)]
     rows = []
-    for hit in result.hits:
+    for hit in hits[:query.limit]:
         row = {}
         for variable, path in query.fields().items():
             value = hit.score if path == "_score" else hit.get(path)
@@ -373,13 +427,14 @@ class TestFullTextBindingPushdownDifferential:
         for value in ["ALICE", "bob smith", "a:b", 'say "hi"', "AND", "nobody"]:
             rows, sent = _searched(source, lambda: source.execute(query, {"a": value}))
             assert sent == [BooleanQuery("AND", (parse_query("body:budget"),
-                                                 TermQuery("author", value.lower())))]
+                                                 TermQuery("author", value.lower(), exact=True)))]
             assert rows == _reference(source, query, {"a": value})
         rows, sent = _searched(source, lambda: source.execute_batch(
             query, [{"a": "Alice"}, {"a": "TO"}, {"a": "alice"}]))
         assert sent == [BooleanQuery("AND", (
             parse_query("body:budget"),
-            BooleanQuery("OR", (TermQuery("author", "alice"), TermQuery("author", "to")))))]
+            BooleanQuery("OR", (TermQuery("author", "alice", exact=True),
+                                TermQuery("author", "to", exact=True)))))]
 
     @pytest.mark.parametrize("binding", [
         {"a": 42}, {"a": True}, {"a": None},    # not str

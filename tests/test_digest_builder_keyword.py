@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core import MixedInstance
+from repro.datasets import build_demo_instance
 from repro.digest import DigestBuilder, KeywordQueryEngine, build_catalog
-from repro.errors import KeywordSearchError
+from repro.errors import FullTextError, KeywordSearchError
 
 
 @pytest.fixture
@@ -154,3 +155,39 @@ class TestKeywordEngine:
         outcome = engine.search(["head of state", "SIA2016"])
         summary = outcome.summary()
         assert "keywords" in summary and "candidate" in summary
+
+    def test_a_failing_source_is_skipped_but_a_programming_error_is_not(
+            self, instance, catalog, monkeypatch):
+        engine = KeywordQueryEngine(instance, catalog=catalog)
+
+        def refuse(query, **kwargs):
+            raise FullTextError("source refuses")
+
+        monkeypatch.setattr(instance, "execute", refuse)
+        outcome = engine.search(["head of state", "SIA2016"])
+        assert outcome.candidates and outcome.best is None
+
+        def broken(query, **kwargs):
+            raise TypeError("a defect, not a failed candidate")
+
+        monkeypatch.setattr(instance, "execute", broken)
+        with pytest.raises(TypeError):
+            engine.search(["head of state", "SIA2016"])
+
+
+def test_a_name_with_a_space_runs_on_the_full_text_source_as_on_the_json_one():
+    """The ``ft_solr_tweets`` candidate for ``"Anne Hollier"`` quoted the value
+    into a phrase over a keyword field, raised, and was silently skipped."""
+    demo = build_demo_instance()
+    engine = KeywordQueryEngine(demo.instance, catalog=demo.instance.build_digests())
+    candidates = {candidate.query.atoms[0].name: candidate.query
+                  for candidate in engine.generate_queries(engine.lookup(["Anne Hollier"]),
+                                                           max_queries=None)
+                  if len(candidate.query.atoms) == 1}
+    fulltext, json = candidates["ft_solr_tweets"], candidates["json_tweets_json"]
+    assert fulltext.atoms[0].query.query_template == "user.name:{k0}"
+    assert fulltext.atoms[0].constants == {"k0": "anne hollier"}
+    tweets = sorted(row["txt_solr_tweets"] for row in demo.instance.execute(fulltext).rows)
+    assert tweets == sorted(row["txt_tweets_json"]
+                            for row in demo.instance.execute(json).rows)
+    assert tweets

@@ -247,6 +247,51 @@ class TestFullTextEstimates:
         actual = source.store.count("user.screen_name:u0")
         assert q_error(estimate, actual) <= 1.2
 
+    #: atom -> per binding case of ``_DEMO_CASES``, (``estimate_fulltext``,
+    #: ``FullTextSource.estimate``) as recorded at the parent of ISSUE 18,
+    #: when both read the template's text: no plan may move.
+    _DEMO_CASES = [(set(), {}), ({"id"}, {}), ({"id"}, {"id": "aduval3"}),
+                   ({"tag"}, {"tag": "sia2016"}), ({"word"}, {"word": "chomage"}),
+                   ({"id", "tag", "word"},
+                    {"id": "aduval3", "tag": "sia2016", "word": "chomage"})]
+    _DEMO_RECORDED = {
+        "tweetContains template": [
+            (32.666666666666664, 9.05), (1.8148148148148147, 1.0),
+            (4.511970534069982, 1.0), (1.0, 9.05), (32.666666666666664, 9.05),
+            (0.13812154696132597, 1.0)],
+        "tweetMentions template": [
+            (16.73109243697479, 9.05), (0.9295051353874884, 1.0),
+            (2.3109243697478994, 1.0), (16.73109243697479, 9.05), (11.0, 9.05),
+            (1.5193370165745856, 1.0)],
+        "tweetContains": [
+            (1.0, 9.05), (0.05555555555555555, 1.0), (0.13812154696132597, 1.0),
+            (1.0, 9.05), (1.0, 9.05), (0.13812154696132597, 1.0)],
+        "tweetMentions": [
+            (44.0, 9.05), (2.4444444444444446, 1.0), (6.077348066298343, 1.0),
+            (44.0, 9.05), (44.0, 9.05), (6.077348066298343, 1.0)],
+        "claims": [
+            (11.0, 9.05), (0.6111111111111112, 1.0), (1.5193370165745856, 1.0),
+            (11.0, 9.05), (11.0, 9.05), (1.5193370165745856, 1.0)],
+    }
+
+    @pytest.mark.parametrize("name", list(_DEMO_RECORDED))
+    def test_demo_fulltext_atoms_estimate_as_recorded(self, demo, name):
+        from repro.datasets import qsia_query
+        from repro.datasets.loader import (
+            TWEETS_URI, fact_checking_query, party_vocabulary_query)
+        from repro.stats.estimators import estimate_fulltext
+
+        queries = {f"{template} template": demo.instance.templates.get(template).query
+                   for template in ("tweetContains", "tweetMentions")}
+        for cmq in (qsia_query(demo), party_vocabulary_query(demo, "securite"),
+                    fact_checking_query(demo)):
+            queries.update((atom.name, atom.query) for atom in cmq.atoms
+                           if isinstance(atom.query, FullTextQuery))
+        source, query = demo.instance.source(TWEETS_URI), queries[name]
+        for (bound, values), recorded in zip(self._DEMO_CASES, self._DEMO_RECORDED[name]):
+            assert (estimate_fulltext(source, query, bound, values),
+                    source.estimate(query, bound)) == pytest.approx(recorded), (bound, values)
+
 
 # ---------------------------------------------------------------------------
 # JSON: path-index presence and postings
