@@ -8,15 +8,18 @@ out identical.  :func:`plan_cache_key` builds a key from
   :func:`repro.cache.keys.canonical_query` and CMQ-level variables
   numbered by order of appearance, so queries equal up to variable
   renaming share a plan;
-* the *catalog state* — every registered source's URI and version plus
-  the glue graph's version, so any source mutation (which shifts
-  cardinality estimates) or registration change re-plans;
+* the *catalog state* — URI, identity and version of every source the
+  CMQ's atoms can reach (the named one, or every source accepting the
+  sub-query of a free source variable) plus the glue graph's, so a
+  mutation of one of those (which shifts cardinality estimates) or a
+  registration change among them re-plans; a write to any other source
+  leaves the plan alone, and keying asks no other source its version;
 * the planner options;
 * the statistics revision — run-time cardinality feedback bumps it, so
   plans costed under superseded statistics are invalidated.
 
-A source with an unknown version (``None``) disables plan caching
-altogether rather than risk stale estimates.
+A reachable source with an unknown version (``None``) makes the CMQ
+uncacheable rather than risk stale estimates.
 """
 
 from __future__ import annotations
@@ -59,9 +62,11 @@ def plan_cache_key(query, sources: dict, glue, options,
                    stats_revision: int = 0) -> Optional[tuple]:
     """The plan-cache key of ``query``, or ``None`` when uncacheable.
 
-    ``stats_revision`` stamps the entry with the statistics snapshot the
-    plan was costed under: run-time feedback bumps the revision, so a
-    plan built from superseded estimates can never be served again.
+    ``sources`` are the sources the atoms of ``query`` can reach (the
+    planner resolves them), not the whole catalog.  ``stats_revision``
+    stamps the entry with the statistics snapshot the plan was costed
+    under: run-time feedback bumps the revision, so a plan built from
+    superseded estimates can never be served again.
     """
     signature = cmq_signature(query)
     if signature is None:
@@ -78,7 +83,7 @@ def plan_cache_key(query, sources: dict, glue, options,
 
 
 def catalog_state(sources: dict, glue) -> Optional[tuple]:
-    """(URI, identity token, version) per source plus the glue state.
+    """(URI, identity token, version) per given source plus the glue state.
 
     The identity token keeps a cache shared across instances safe: two
     catalogs can register different sources under the same URI (every

@@ -130,6 +130,11 @@ class MixedInstance:
         """URIs of the registered external sources."""
         return sorted(self._sources)
 
+    def registered_sources(self) -> dict[str, DataSource]:
+        """The external sources by URI, in registration order — the order
+        the candidates of a free source variable are dispatched in."""
+        return dict(self._sources)
+
     def has_source(self, uri: str) -> bool:
         """True when a source is registered under ``uri``."""
         return uri in self._sources or uri == GLUE_SOURCE
@@ -166,10 +171,14 @@ class MixedInstance:
     # ------------------------------------------------------------------
     def executor(self, options: PlannerOptions | None = None,
                  max_workers: int = 4, digests=None) -> MixedQueryExecutor:
-        """Build an executor over the current source catalog.
+        """Build an executor over the *live* source catalog.
 
-        ``digests`` may be a catalog from :meth:`build_digests`; batched
-        bind joins then sieve bindings against the source value sets.
+        For callers that hold an executor across queries: it reads the
+        stores as they are at each call, with no snapshot isolation (and,
+        for a remote source, a ``version`` round trip per read of its
+        version).  :meth:`execute` evaluates pinned instead.  ``digests``
+        may be a catalog from :meth:`build_digests`; batched bind joins
+        then sieve bindings against the source value sets.
         """
         return MixedQueryExecutor(self._sources, self._glue_source,
                                   options=options, max_workers=max_workers,
@@ -191,12 +200,14 @@ class MixedInstance:
                 options: PlannerOptions | None = None, distinct: bool = True,
                 limit: int | None = None, max_workers: int = 4,
                 digests=None) -> MixedResult:
-        """Evaluate a CMQ (object or textual syntax) and return its result."""
-        if isinstance(query, str):
-            query = self.parse(query)
-        executor = self.executor(options=options, max_workers=max_workers,
-                                 digests=digests)
-        return executor.execute(query, distinct=distinct, limit=limit)
+        """Evaluate a CMQ (object or textual syntax) and return its result.
+
+        The CMQ runs against :meth:`pin`, exactly as a served one does:
+        it observes one version of every source for its whole plan.
+        """
+        return self.pin().execute(self, query, options=options,
+                                  distinct=distinct, limit=limit,
+                                  max_workers=max_workers, digests=digests)
 
     def explain_analyze(self, query: ConjunctiveMixedQuery | str,
                         options: PlannerOptions | None = None,
@@ -274,10 +285,12 @@ class MixedInstance:
 
         Returns a :class:`repro.service.snapshots.PinnedCatalog`: a
         consistent ``(source, version)`` vector of read-only wrappers
-        over store snapshots.  Executors built from it (see
+        over store snapshots (a remote source pins its snapshot when the
+        query first uses it).  Executors built from it (see
         :meth:`PinnedCatalog.executor`) observe exactly that state for
         their whole plan, no matter how the live stores keep mutating —
-        this is what the mediator service pins per query.
+        this is what :meth:`execute` and the mediator service pin per
+        query.
         """
         from repro.service.snapshots import pin_instance
 

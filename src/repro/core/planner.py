@@ -207,11 +207,13 @@ class QueryPlanner:
              options: PlannerOptions | None = None) -> QueryPlan:
         """Produce an evaluation plan for ``query``.
 
-        Structurally identical CMQs (equal up to variable renaming) over
-        an unchanged catalog are served from the plan cache when one is
-        configured; any source mutation, registration change or
-        statistics feedback makes the key miss, so stale cardinality
-        estimates are never reused.
+        Structurally identical CMQs (equal up to variable renaming) are
+        served from the plan cache when one is configured, for as long
+        as the sources their atoms can reach are unchanged: a mutation of
+        one of those (or of the glue graph), a registration change among
+        them or statistics feedback makes the key miss, so stale
+        cardinality estimates are never reused — and planning asks no
+        other source for anything.
         """
         options = options or self.options
         with _span("plan", query=query.name) as sp:
@@ -267,7 +269,10 @@ class QueryPlanner:
         if self._plan_cache is None or not options.plan_cache:
             return None
         revision = self._statistics.revision if self._statistics is not None else 0
-        return plan_cache_key(query, self._sources, self._glue, options,
+        reached = {source.uri: source
+                   for atom in query.atoms if not atom.is_glue()
+                   for source in self._resolve_sources(atom)[0]}
+        return plan_cache_key(query, reached, self._glue, options,
                               stats_revision=revision)
 
     @staticmethod

@@ -14,6 +14,7 @@ to the mediator's protocol:
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import re
@@ -405,11 +406,35 @@ class DataSource:
         It shares this wrapper's ``cache_token`` — content and version
         are identical at pin time, so cached rows are interchangeable.
 
-        The base implementation returns ``self``: a wrapper without
-        snapshot support keeps serving live data (and, like a wrapper
-        without a version, simply forgoes the isolation guarantee).
+        Pinning an unchanged source takes no snapshot and no lock: it is
+        the memoised pin of the current version.  A wrapper without
+        snapshot support (no :meth:`_pin_snapshot`) keeps serving live
+        data and, like a wrapper without a version, simply forgoes the
+        isolation guarantee.
         """
+        if self.pinned_at is not None:
+            return self
+        memo = self._pin_memo
+        if memo is not None and memo[0] == self.version():
+            return memo[1]
+        return self._pin_snapshot()
+
+    def _pin_snapshot(self) -> "DataSource":
+        """Snapshot the store and wrap it (see :meth:`_memoized_pin`)."""
         return self
+
+    def _pinned_copy(self, **swapped) -> "DataSource":
+        """This wrapper looking at other data: ``swapped`` attributes replaced.
+
+        A pinned wrapper is the wrapper itself over a snapshot, so it is
+        built as a copy, not through the base constructor: a subclass
+        keeps its overrides and whatever its own constructor set.
+        """
+        clone = copy.copy(self)
+        clone._pin_lock = threading.Lock()
+        clone._pin_memo = None
+        clone.__dict__.update(swapped)
+        return clone
 
     def _memoized_pin(self, version: int, build) -> "DataSource":
         """Build-or-reuse the pinned wrapper for ``version``.
@@ -589,7 +614,7 @@ class RDFSource(DataSource):
             self._saturated_schema = None
             self._saturated_state = (-1, -1)
 
-    def pin(self) -> "RDFSource":
+    def _pin_snapshot(self) -> "RDFSource":
         """A read-only wrapper over a snapshot of the graph.
 
         The pinned wrapper owns its saturation — the live one is updated
@@ -602,16 +627,14 @@ class RDFSource(DataSource):
         Memoisation per version means all of this happens at most once
         per pinned state.
         """
-        if self.pinned_at is not None:
-            return self
         frozen = self.graph.snapshot()
         with self._pin_lock:
             previous = self._pin_memo[1] if self._pin_memo is not None else None
 
         def build() -> "RDFSource":
-            pinned = RDFSource(self.uri, frozen, name=self.name,
-                               description=self.description,
-                               entailment=self.entailment)
+            pinned = self._pinned_copy(
+                graph=frozen, _saturated=None, _saturated_schema=None,
+                _saturated_state=(-1, -1), _saturation_lock=threading.RLock())
             if self.entailment:
                 self._seed_pinned_saturation(pinned, frozen, previous)
             return pinned
@@ -774,15 +797,11 @@ class RelationalSource(DataSource):
     def journal(self):
         return self.database.journal
 
-    def pin(self) -> "RelationalSource":
+    def _pin_snapshot(self) -> "RelationalSource":
         """A read-only wrapper over a consistent snapshot of the database."""
-        if self.pinned_at is not None:
-            return self
         frozen = self.database.snapshot()
         return self._memoized_pin(
-            frozen.version,
-            lambda: RelationalSource(self.uri, frozen, name=self.name,
-                                     description=self.description))
+            frozen.version, lambda: self._pinned_copy(database=frozen))
 
     @_instrumented_execute
     def execute(self, query: SourceQuery, bindings: Row | None = None) -> list[Row]:
@@ -901,15 +920,11 @@ class FullTextSource(DataSource):
     def journal(self):
         return self.store.journal
 
-    def pin(self) -> "FullTextSource":
+    def _pin_snapshot(self) -> "FullTextSource":
         """A read-only wrapper over a snapshot of the full-text store."""
-        if self.pinned_at is not None:
-            return self
         frozen = self.store.snapshot()
         return self._memoized_pin(
-            frozen.version,
-            lambda: FullTextSource(self.uri, frozen, name=self.name,
-                                   description=self.description))
+            frozen.version, lambda: self._pinned_copy(store=frozen))
 
     @_instrumented_execute
     def execute(self, query: SourceQuery, bindings: Row | None = None) -> list[Row]:
@@ -1036,15 +1051,13 @@ class JSONSource(DataSource):
     def journal(self):
         return self.store.journal
 
-    def pin(self) -> "JSONSource":
+    def _pin_snapshot(self) -> "JSONSource":
         """A read-only wrapper over a snapshot of the document store."""
-        if self.pinned_at is not None:
-            return self
         frozen = self.store.snapshot()
         return self._memoized_pin(
             frozen.version,
-            lambda: JSONSource(self.uri, frozen, name=self.name,
-                               description=self.description))
+            lambda: self._pinned_copy(store=frozen,
+                                      matcher=TreePatternMatcher(frozen)))
 
     @_instrumented_execute
     def execute(self, query: SourceQuery, bindings: Row | None = None) -> list[Row]:

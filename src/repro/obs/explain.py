@@ -73,6 +73,13 @@ class ExplainReport:
     #: ``(atom, source_uri, reason)`` triples.
     degraded: bool = False
     degraded_atoms: list = field(default_factory=list)
+    #: Round trips to remote sources (``remote.call`` spans; traced
+    #: executions only): how many, what they took end to end, and the
+    #: part their servers reported spending in the handler — the rest
+    #: is the wire (framing, codecs, sockets, retries).
+    remote_calls: int = 0
+    remote_seconds: float = 0.0
+    remote_server_seconds: float = 0.0
     #: The backing :class:`~repro.obs.spans.SpanTracer` (None when off).
     span_tree: Optional[object] = None
 
@@ -122,6 +129,12 @@ class ExplainReport:
             f"miss(es) · sieve dropped {self.sieved_bindings} binding(s) · "
             f"replans {self.replans} · plan "
             + ("cached" if self.plan_cached else "built"))
+        if self.remote_calls:
+            wire = max(0.0, self.remote_seconds - self.remote_server_seconds)
+            lines.append(
+                f"  remote: {self.remote_calls} round trip(s) · wire "
+                f"{wire * 1000.0:.2f} ms · server "
+                f"{self.remote_server_seconds * 1000.0:.2f} ms")
         if self.shared_subqueries or self.fused_probes:
             lines.append(
                 f"  mqo: {self.shared_subqueries} shared sub-query(ies) · "
@@ -183,6 +196,7 @@ def explain_analyze(result) -> ExplainReport:
     replan_seconds = _span_total(spans, "replan")
     if plan_seconds is not None and replan_seconds is not None:
         plan_seconds += replan_seconds
+    remote = spans.find("remote.call") if spans is not None else []
     return ExplainReport(
         query=_query_name(result),
         steps=steps,
@@ -201,6 +215,10 @@ def explain_analyze(result) -> ExplainReport:
         fused_probes=getattr(trace, "fused_probes", 0),
         degraded=getattr(trace, "degraded", False),
         degraded_atoms=list(getattr(trace, "degraded_atoms", ())),
+        remote_calls=len(remote),
+        remote_seconds=sum(span.seconds for span in remote),
+        remote_server_seconds=sum(span.attributes.get("server_us", 0)
+                                  for span in remote) / 1e6,
         span_tree=spans,
     )
 

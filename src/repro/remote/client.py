@@ -15,9 +15,11 @@ lives in the resilience layer wrapped around every call:
   because both legs carry the identical read;
 * a per-source **circuit breaker** failing fast while a source is down,
   with half-open probes (:class:`~repro.remote.resilience.CircuitBreaker`);
-* **snapshot pinning**: ``pin()`` pins a server-side snapshot and tags
-  every subsequent call with its version; a response from any other
-  version is rejected as a retryable protocol error.
+* **snapshot pinning**: ``pin()`` hands a CMQ its own clone without a
+  round trip; the clone's first use sends the one ``pin`` frame, and
+  every later frame carries the pinned version — a source the CMQ never
+  reaches gets no frame, and a response from any other version is
+  rejected as a retryable protocol error.
 
 Failures escape only as typed :class:`~repro.errors.RemoteError`
 subclasses, which the executor turns into graceful degradation.
@@ -55,12 +57,15 @@ from repro.remote.transport import Transport
 #: Recent latency observations kept per source for p95-derived hedging.
 LATENCY_WINDOW = 64
 
+#: The operations a wrapper sends, as ``stats()["calls_by_op"]`` lists them.
+OPS = ("pin", "version", "estimate", "execute", "execute_batch")
+
 
 class _SharedState:
-    """Call-path state shared by a live wrapper and its pinned clones.
+    """Call-path state shared by a live wrapper and its per-CMQ clones.
 
-    A pinned clone answers from the same server over the same transport,
-    so breaker, latency window, hedge pool and counters must be one per
+    A clone answers from the same server over the same transport, so
+    breaker, latency window, hedge pool and counters must be one per
     *source*, not one per wrapper.
     """
 
@@ -73,6 +78,12 @@ class _SharedState:
         self.latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
         self.hedge_pool: Optional[concurrent.futures.ThreadPoolExecutor] = None
         self.calls = 0
+        #: Frames by operation (every attempt counts, as in ``calls``).
+        self.calls_by_op = dict.fromkeys(OPS, 0)
+        #: Seconds attempts took end to end, and the part of it the
+        #: server reported spending in its handler (``server_us``).
+        self.busy_seconds = 0.0
+        self.server_seconds = 0.0
         self.retries = 0
         self.hedges = 0
         self.hedge_wins = 0
@@ -134,30 +145,35 @@ class RemoteSource(DataSource):
     # estimates come from the remote peer.
     trust_wrapper_estimate = True
 
+    #: True on the clones ``pin()`` hands out, one per CMQ.
+    _per_query = False
+    #: On a clone: the ``pin`` frame was sent (answered or not).
+    _pin_asked = False
+
     def __init__(self, transport: Transport, uri: str | None = None,
                  model: str | None = None, name: str | None = None,
                  size: int | None = None, description: str = "",
                  options: RemoteOptions | None = None,
                  clock: Callable[[], float] = time.monotonic,
-                 seed: int = 0,
-                 _shared: Optional[_SharedState] = None):
+                 seed: int = 0):
         self.options = options or RemoteOptions()
         hello: dict = {}
-        if _shared is None and (uri is None or model is None):
-            hello = transport.request({"op": "hello"},
-                                      timeout=self.options.timeout)
+        if uri is None or model is None:
+            hello = transport.request(
+                {"op": "hello", "protocol": protocol.PROTOCOL_VERSION},
+                timeout=self.options.timeout)
             if not hello.get("ok"):
                 raise RemoteProtocolError(
-                    f"hello failed: {hello.get('error')}")
+                    f"hello failed: {(hello.get('error') or {}).get('message')}")
+            if hello.get("protocol") != protocol.PROTOCOL_VERSION:
+                raise RemoteProtocolError(protocol.revision_mismatch(
+                    protocol.PROTOCOL_VERSION, hello.get("protocol")))
         uri = uri or hello.get("uri") or "remote://source"
         super().__init__(uri, name=name or hello.get("name"),
                          description=description or hello.get("description", ""))
         self.model = model or hello.get("model") or "remote"
         self._size = size if size is not None else int(hello.get("size") or 0)
-        self._shared = _shared or _SharedState(
-            uri, transport, self.options, clock, seed)
-        self._estimate_memo: dict = {}
-        self._estimate_lock = threading.Lock()
+        self._shared = _SharedState(uri, transport, self.options, clock, seed)
 
     # -- metadata ----------------------------------------------------------
 
@@ -217,79 +233,76 @@ class RemoteSource(DataSource):
         Planning must never fail on a source fault — an unreachable
         source simply looks maximally expensive, so the planner pushes
         its atoms late (by which point the breaker may have recovered).
-        Estimates are memoised on *pinned* wrappers only, where the
-        content is immutable.
+        Every call is a round trip: estimates are remembered per source
+        version one layer up, in ``StatisticsCatalog.estimate``.
         """
-        key = None
-        if self.pinned_at is not None:
-            key = (str(query), frozenset(bound_variables or ()))
-            with self._estimate_lock:
-                if key in self._estimate_memo:
-                    return self._estimate_memo[key]
         try:
             response = self._call({
                 "op": "estimate", "query": protocol.encode_query(query),
                 "bound_variables": sorted(bound_variables or ())})
         except ReproError:
             return float("inf")
-        estimate = protocol.decode_estimate(response.get("estimate"))
-        if key is not None:
-            with self._estimate_lock:
-                self._estimate_memo[key] = estimate
-        return estimate
+        return protocol.decode_estimate(response.get("estimate"))
 
     def version(self) -> Optional[int]:
         """The remote store version; ``None`` while the source is down.
 
-        Never cached on the live wrapper: a stale version paired with
-        mutated remote content would let the result cache serve wrong
-        rows.  ``None`` keeps the source uncacheable — slower, never
-        wrong.
+        The live wrapper asks every time (a ``version`` frame): a stale
+        version paired with mutated remote content would let the result
+        cache serve wrong rows.  A per-CMQ clone (:meth:`pin`) asks once:
+        its first use sends the ``pin`` frame, under a lock because the
+        queries of one admission group share the clone, and every later
+        read is a field.  ``None`` — here or there — keeps the source
+        uncacheable: slower, never wrong.
         """
-        if self.pinned_at is not None:
-            return self.pinned_at
-        try:
-            response = self._call({"op": "version"})
-        except RemoteError:
-            return None
-        version = response.get("version")
-        return version if isinstance(version, int) else None
+        if not self._per_query:
+            try:
+                version = self._exchange({"op": "version"}).get("version")
+            except RemoteError:
+                return None
+            return version if isinstance(version, int) else None
+        if not self._pin_asked:
+            with self._pin_lock:
+                if not self._pin_asked:
+                    try:
+                        version = self._exchange({"op": "pin"}).get("version")
+                    except RemoteError:
+                        version = None
+                    if isinstance(version, int):
+                        self.pinned_at = version
+                    self._pin_asked = True
+        return self.pinned_at
 
-    def pin(self) -> DataSource:
-        """Pin a server-side snapshot and return a wrapper bound to it.
+    def pin(self) -> "RemoteSource":
+        """This CMQ's view of the source; no round trip.
 
-        While the source is unreachable the live wrapper is returned
-        instead: the query forgoes snapshot isolation for this source
+        The clone shares the live wrapper's call-path state and cache
+        token and pins a server-side snapshot the first time the CMQ
+        uses it (:meth:`version`); from then on every frame it sends
+        carries ``pinned_at``.  A source the CMQ never reaches gets no
+        frame.  While the source is unreachable the clone stays
+        unpinned: the query forgoes snapshot isolation for this source
         (exactly like a wrapper without snapshot support) rather than
         failing admission outright.
         """
-        try:
-            response = self._call({"op": "pin"})
-        except RemoteError:
+        if self._per_query:
             return self
-        version = response.get("version")
-        if not isinstance(version, int):
-            return self
-        return self._memoized_pin(version, lambda: self._build_pinned(version))
-
-    def _build_pinned(self, version: int) -> "RemoteSource":
-        pinned = RemoteSource(
-            self._shared.transport, uri=self.uri, model=self.model,
-            name=self.name, size=self._size, description=self.description,
-            options=self.options, _shared=self._shared)
-        # pinned_at / cache_token are stamped by _memoized_pin; requests
-        # start carrying the version as soon as pinned_at is set.
-        return pinned
+        return self._pinned_copy(_per_query=True)
 
     # -- resilient call path ----------------------------------------------
 
     def _call(self, request: dict) -> dict:
+        """One sub-query call, answered from the snapshot the CMQ pinned."""
+        return self._exchange(
+            request, self.version() if self._per_query else None)
+
+    def _exchange(self, request: dict, version: Optional[int] = None) -> dict:
         """One logical remote call: breaker, timeout, retries, hedging."""
         shared = self._shared
         options = self.options
-        if self.pinned_at is not None:
-            request = dict(request)
-            request["version"] = self.pinned_at
+        request = dict(request, protocol=protocol.PROTOCOL_VERSION)
+        if version is not None:
+            request["version"] = version
         # Only the execute ops must be answered from the pinned snapshot
         # itself; estimates are advisory, so a (say) evicted-snapshot
         # estimate answered live is not a failure.
@@ -320,7 +333,7 @@ class RemoteSource(DataSource):
                     shared.breaker.record_failure()
                     last_error = exc
                     continue
-                if verify_version and \
+                if verify_version and response.get("ok") and \
                         response.get("version") != request["version"]:
                     shared.breaker.record_failure()
                     last_error = RemoteProtocolError(
@@ -329,8 +342,12 @@ class RemoteSource(DataSource):
                         f"{request['version']}")
                     continue
                 shared.breaker.record_success()
-                if sp is not None and attempt:
-                    sp.set(attempts=attempt + 1)
+                if sp is not None:
+                    # What the server spent in its handler; the rest of
+                    # the span is the wire (framing, codecs, sockets).
+                    sp.set(server_us=response.get("server_us") or 0)
+                    if attempt:
+                        sp.set(attempts=attempt + 1)
                 if not response.get("ok"):
                     self._raise_application_error(response)
                 return response
@@ -343,22 +360,30 @@ class RemoteSource(DataSource):
         """One attempt: breaker gate, then a possibly hedged exchange."""
         shared = self._shared
         shared.breaker.before_call()
+        op = request["op"]
         with shared.lock:
             shared.calls += 1
+            shared.calls_by_op[op] += 1
+        registry = get_registry()
+        registry.counter("remote_calls_total", source=self.uri, op=op).inc()
         delay = shared.hedge_delay()
         started = time.perf_counter()
+        server = 0.0
         try:
             if delay is None:
                 response = shared.transport.request(
                     request, timeout=self.options.timeout)
             else:
                 response = self._hedged(request, delay)
+            server = (response.get("server_us") or 0) / 1e6
         finally:
             elapsed = time.perf_counter() - started
             with shared.lock:
                 shared.latencies.append(elapsed)
-            get_registry().histogram("remote_call_seconds",
-                                     source=self.uri).observe(elapsed)
+                shared.busy_seconds += elapsed
+                shared.server_seconds += server
+            registry.histogram("remote_call_seconds",
+                               source=self.uri).observe(elapsed)
         return response
 
     def _hedged(self, request: dict, delay: float) -> dict:
@@ -414,12 +439,21 @@ class RemoteSource(DataSource):
     # -- introspection ------------------------------------------------------
 
     def stats(self) -> dict:
-        """Resilience counters for ``MediatorService.stats()``."""
+        """Resilience and round-trip counters for ``MediatorService.stats()``.
+
+        ``calls`` counts frames (every attempt); ``calls_by_op`` splits
+        them into control (``pin`` / ``version`` / ``estimate``) and data
+        (``execute`` / ``execute_batch``); ``busy_s`` is what the frames
+        took end to end, ``server_s`` the share their servers reported
+        spending in the handler and ``wire_s`` the rest.
+        """
         shared = self._shared
         with shared.lock:
             latencies = sorted(shared.latencies)
             calls, retries = shared.calls, shared.retries
             hedges, hedge_wins = shared.hedges, shared.hedge_wins
+            calls_by_op = dict(shared.calls_by_op)
+            busy, server = shared.busy_seconds, shared.server_seconds
         p95 = latencies[min(len(latencies) - 1,
                             int(len(latencies) * 0.95))] if latencies else None
         return {
@@ -428,10 +462,14 @@ class RemoteSource(DataSource):
             "breaker": shared.breaker.state,
             "breaker_transitions": len(shared.breaker.transitions),
             "calls": calls,
+            "calls_by_op": calls_by_op,
             "retries": retries,
             "hedges": hedges,
             "hedge_wins": hedge_wins,
             "latency_p95_s": p95,
+            "busy_s": busy,
+            "server_s": server,
+            "wire_s": max(0.0, busy - server),
             "connections_opened": getattr(
                 shared.transport, "connections_opened", None),
         }

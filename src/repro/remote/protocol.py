@@ -6,8 +6,11 @@ A message is one frame::
     | 4 bytes  !I    | UTF-8 JSON payload (length bytes)|
     +----------------+----------------------------------+
 
-Requests are JSON objects ``{"op": ..., ...}``; responses are
-``{"ok": true, ...}`` or ``{"ok": false, "error": {"type", "message"}}``.
+Requests are JSON objects ``{"op": ..., "protocol": PROTOCOL_VERSION,
+...}``; responses are ``{"ok": true, ...}`` or ``{"ok": false, "error":
+{"type", "message"}}``, each with the handler's ``server_us``.  A peer
+speaking another revision is answered with a
+:class:`~repro.errors.RemoteProtocolError` naming both.
 
 Binding rows and sub-queries travel through the codecs below.  Values
 that plain JSON cannot represent (tuples, dates, datetimes, and dicts
@@ -37,6 +40,11 @@ from repro.json.parser import parse_pattern
 from repro.rdf.bgp import BGPQuery
 from repro.rdf.terms import Literal, URI, Variable
 
+#: The revision of the wire format: ``hello`` advertises it and every
+#: request carries it (revision 1 carried none).  Bump it with any
+#: change an older peer would misread.
+PROTOCOL_VERSION = 2
+
 #: Upper bound on one frame; a peer announcing more is malformed.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
@@ -44,6 +52,12 @@ _LENGTH = struct.Struct("!I")
 
 #: The tag key of the value codec.
 _TAG = "$"
+
+
+def revision_mismatch(client: object, server: object) -> str:
+    """The message of the error both sides raise on a revision mismatch."""
+    return (f"wire protocol revision mismatch: the client speaks "
+            f"{client!r}, the server speaks {server!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,19 +6,24 @@ the TCP server share every line of the serving logic.  The supported
 operations mirror the :class:`~repro.core.sources.DataSource` protocol:
 
 ``hello``
-    Source metadata (model, name, uri, size, description, version).
+    Source metadata (model, name, uri, size, description, version) and
+    the protocol revision the server speaks.
 ``version``
     Current store version (``null`` for unversioned sources).
 ``pin``
     Pin a server-side snapshot; returns its version.  Subsequent
     ``execute`` / ``execute_batch`` requests carrying that version are
     answered from the snapshot, so a remote plan observes one consistent
-    state even while the live store is written.
+    state even while the live store is written.  On an unchanged store
+    it costs what ``version`` does.
 ``execute`` / ``execute_batch``
     Evaluate one sub-query (for one binding, or a whole batch).
 ``estimate``
     The wrapper's cardinality estimate (``null`` encodes ``inf``).
 
+Every request names the protocol revision it speaks; any other revision
+is refused with a :class:`~repro.errors.RemoteProtocolError` naming
+both.  Every response carries ``server_us``, the time its handler took.
 Errors are reported as ``{"ok": false, "error": {"type", "message"}}``;
 the client re-raises registered :class:`~repro.errors.ReproError`
 subclasses by name.
@@ -29,6 +34,7 @@ from __future__ import annotations
 import logging
 import socketserver
 import threading
+import time
 from typing import Optional
 
 from repro.core.sources import DataSource
@@ -64,23 +70,30 @@ class RemoteSourceHandler:
         """Answer one request payload; never raises."""
         with self._lock:
             self._served += 1
+        started = time.perf_counter()
         try:
-            return self._dispatch(request)
+            response = self._dispatch(request)
         except ReproError as exc:
-            return {"ok": False,
-                    "error": {"type": type(exc).__name__, "message": str(exc)}}
+            response = {"ok": False, "error": {"type": type(exc).__name__,
+                                               "message": str(exc)}}
         except Exception as exc:  # pragma: no cover - defensive
             logger.exception("remote handler for %s failed", self.source.uri)
-            return {"ok": False,
-                    "error": {"type": type(exc).__name__, "message": str(exc)}}
+            response = {"ok": False, "error": {"type": type(exc).__name__,
+                                               "message": str(exc)}}
+        response["server_us"] = round((time.perf_counter() - started) * 1e6)
+        return response
 
     # -- operations --------------------------------------------------------
 
     def _dispatch(self, request: dict) -> dict:
         op = request.get("op")
+        if request.get("protocol") != protocol.PROTOCOL_VERSION:
+            raise RemoteProtocolError(protocol.revision_mismatch(
+                request.get("protocol"), protocol.PROTOCOL_VERSION))
         if op == "hello":
             source = self.source
-            return {"ok": True, "model": source.model, "name": source.name,
+            return {"ok": True, "protocol": protocol.PROTOCOL_VERSION,
+                    "model": source.model, "name": source.name,
                     "uri": source.uri, "size": source.size(),
                     "description": source.description,
                     "version": source.version()}
@@ -111,15 +124,17 @@ class RemoteSourceHandler:
             estimate = target.estimate(query, bound)
             return {"ok": True, "version": target.pinned_at,
                     "estimate": protocol.encode_estimate(estimate)}
-        if op == "size":
-            return {"ok": True, "size": self.source.size()}
         raise RemoteProtocolError(f"unknown operation {op!r}")
 
     def _pin(self) -> Optional[int]:
+        version = self.source.version()
+        with self._lock:
+            if version in self._pinned:
+                # Unchanged since it was last pinned: no snapshot to take.
+                return version
         pinned = self.source.pin()
-        version = pinned.pinned_at
-        if version is None:
-            version = self.source.version()
+        if pinned.pinned_at is not None:
+            version = pinned.pinned_at
         if version is None:
             return None
         with self._lock:

@@ -12,7 +12,8 @@ many clients hit concurrently while feeds keep mutating the sources:
 * every query **pins a snapshot vector** (:func:`repro.service.snapshots
   .pin_instance`) before planning, so its whole plan observes one
   consistent version of every store — updates land between queries,
-  never inside one;
+  never inside one (a remote source is pinned by the first frame the
+  query sends it, not at admission);
 * **deadlines and cancellation** are enforced cooperatively: expired or
   cancelled tickets are dropped at dequeue, and a running executor
   checks between stages;
@@ -148,8 +149,11 @@ class QueryTicket:
     # -- client side ---------------------------------------------------------
     @property
     def versions(self) -> dict[str, Optional[int]]:
-        """The pinned (source → version) vector (empty before it runs)."""
-        return dict(self.pinned.versions) if self.pinned is not None else {}
+        """The pinned (source → version) vector (empty before it runs).
+
+        A remote source reads ``None`` until the query has reached it.
+        """
+        return self.pinned.versions if self.pinned is not None else {}
 
     def cancel(self) -> bool:
         """Request cancellation; True unless the ticket already finished."""
@@ -428,8 +432,10 @@ class MediatorService:
             "dead_ordinals": sum(dead for _, dead in ordinals),
         }
         # Remote wrappers expose their resilience state (circuit-breaker
-        # state, retry/hedge counters, latency p95) — surface it per URI
-        # so operators see *which* source is tripping from one snapshot.
+        # state, retry/hedge counters, latency p95) and their round
+        # trips (frames by op, wire vs. server seconds) — surface it per
+        # URI so operators see *which* source is tripping, or chatty,
+        # from one snapshot.
         remote: dict[str, object] = {}
         for uri in self.instance.source_uris():
             source = self.instance.source(uri)

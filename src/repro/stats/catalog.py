@@ -7,10 +7,13 @@ sub-query, bound-variable set) it answers, in order of preference:
 1. **feedback** — a cardinality observed at run time for the same
    canonical sub-query under the same bound variables (recorded by the
    adaptive executor when an estimate turned out wrong);
-2. **digest-backed estimators** (:mod:`repro.stats.estimators`) over
+2. **the estimate memo** — what 3. or 4. answered for the same source
+   version, canonical sub-query, bound variables and constants (a
+   bounded LRU; for a remote source a hit is a round trip saved);
+3. **digest-backed estimators** (:mod:`repro.stats.estimators`) over
    histograms, value-set distinct counts, per-path index counts and
    inverted-index document frequencies;
-3. the wrapper's own ``estimate()`` as a fallback (also used when a
+4. the wrapper's own ``estimate()`` as a fallback (also used when a
    wrapper sets ``trust_wrapper_estimate`` to advertise that it carries
    better statistics than the mediator can derive).
 
@@ -24,7 +27,8 @@ from __future__ import annotations
 import threading
 from typing import Optional
 
-from repro.cache.keys import canonical_query
+from repro.cache.keys import CanonicalQuery, canonical_query
+from repro.cache.lru import LRUCache
 from repro.core.deltas import INSERT
 from repro.core.sources import (
     DataSource,
@@ -43,6 +47,10 @@ from repro.stats.cost import CostModel, DEFAULT_COST_MODEL
 from repro.stats import estimators
 
 
+#: Entries of the estimate memo (a few hundred bytes each).
+ESTIMATE_MEMO_ENTRIES = 4096
+
+
 class StatisticsCatalog:
     """Digest-backed cardinality statistics with run-time feedback."""
 
@@ -51,6 +59,9 @@ class StatisticsCatalog:
         self.cost_model = cost_model or DEFAULT_COST_MODEL
         self.histogram_buckets = histogram_buckets
         self._feedback: dict[tuple, float] = {}
+        #: (feedback key, source version, constant values) -> estimate;
+        #: ``.stats`` counts its hits and misses.
+        self.estimates = LRUCache(ESTIMATE_MEMO_ENTRIES)
         self._revision = 0
         self._lock = threading.Lock()
         #: (source token, source version, table, column) -> summary.
@@ -76,21 +87,38 @@ class StatisticsCatalog:
         when the step runs; ``values`` the subset whose constant values
         are known at plan time (atom constants) — those are priced from
         the actual value's frequency.
+
+        An estimate is a function of the source's identity and version,
+        the canonical sub-query, the bound formals and the constants, so
+        it is computed once per such tuple and remembered here, for local
+        and remote sources alike — never ``inf`` (a dark source must be
+        asked again) and never for a source without a version.
         """
         bound = set(bound or ())
         values = dict(values or {})
-        key = self.feedback_key(source, query, bound)
-        if key is not None:
+        keyed = self._keyed(source, query, bound)
+        memo_key = None
+        if keyed is not None:
+            key, canonical = keyed
             with self._lock:
                 observed = self._feedback.get(key)
             if observed is not None:
                 return observed
-        if getattr(source, "trust_wrapper_estimate", False):
-            return source.estimate(query, bound)
-        derived = self._derive(source, query, bound, values)
-        if derived is not None:
-            return derived
-        return source.estimate(query, bound)
+            version = source.version()
+            constants = canonical.binding_key(values)
+            if version is not None and constants is not None:
+                memo_key = (key, version, constants)
+                remembered = self.estimates.get(memo_key)
+                if remembered is not None:
+                    return remembered
+        estimate = None
+        if not getattr(source, "trust_wrapper_estimate", False):
+            estimate = self._derive(source, query, bound, values)
+        if estimate is None:
+            estimate = source.estimate(query, bound)
+        if memo_key is not None and estimate != float("inf"):
+            self.estimates.put(memo_key, estimate)
+        return estimate
 
     def _derive(self, source: DataSource, query: SourceQuery,
                 bound: set[str], values: dict[str, object]) -> Optional[float]:
@@ -137,6 +165,13 @@ class StatisticsCatalog:
     def feedback_key(self, source: DataSource, query: SourceQuery,
                      bound: set[str]) -> Optional[tuple]:
         """Canonical feedback key, or ``None`` for uncanonicalisable input."""
+        keyed = self._keyed(source, query, bound)
+        return None if keyed is None else keyed[0]
+
+    @staticmethod
+    def _keyed(source: DataSource, query: SourceQuery,
+               bound: set[str]) -> Optional[tuple[tuple, CanonicalQuery]]:
+        """The feedback key and the canonical form it was written under."""
         token = getattr(source, "cache_token", None)
         if token is None:
             return None
@@ -144,7 +179,7 @@ class StatisticsCatalog:
         if canonical is None:
             return None
         renamed = frozenset(canonical.rename.get(name, name) for name in bound)
-        return (token, canonical.key, renamed)
+        return (token, canonical.key, renamed), canonical
 
     def feedback_count(self) -> int:
         """Number of recorded observations."""

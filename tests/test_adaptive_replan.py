@@ -75,6 +75,25 @@ class TestAdaptiveReplan:
         assert lied.q_error() > PlannerOptions().replan_threshold
         assert "re-planned after allPosts" in trace.plan_text
 
+    def test_a_served_query_replans_and_records_feedback_too(self, instance, cmq):
+        """The pinned wrapper is still a ``LyingSource``: under the service
+        (and under ``instance.execute``, which pins the same way) the lie
+        is told, noticed and corrected."""
+        from repro.service import MediatorService, ServiceConfig
+
+        assert type(instance.source("sql://posts").pin()) is LyingSource
+        stats = instance.statistics()
+        before = stats.revision
+        with MediatorService(instance, ServiceConfig(workers=1)) as service:
+            result = service.execute(cmq, timeout=30.0)
+        assert rows_of(result) == EXPECTED
+        assert result.trace.replanned and result.trace.replans >= 1
+        lied = {o.atom: o for o in result.trace.steps}["allPosts"]
+        assert lied.estimate == pytest.approx(2.0) and lied.actual_rows == POSTS
+        assert stats.revision > before and stats.feedback_count() >= 1
+        assert stats.estimate(instance.source("sql://posts"),
+                              cmq.atoms[0].query) == pytest.approx(float(POSTS))
+
     def test_feedback_lands_in_the_statistics_layer(self, instance, cmq):
         stats = instance.statistics()
         before = stats.revision

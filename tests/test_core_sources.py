@@ -534,3 +534,69 @@ class TestFullTextProjectsOnlyWhatTheBindingCanAccept:
         assert projected == [len(both)]
         monkeypatch.undo()
         assert rows == [r for r in source.execute(query) if r["id"] == author]
+
+
+class TestPinnedWrapperKeepsItsClass:
+    """``pin()`` hands back the wrapper itself over a snapshot: a subclass
+    keeps its overrides and what its constructor set, unpinned or pinned."""
+
+    @staticmethod
+    def _subclass(base):
+        class Tagged(base):
+            trust_wrapper_estimate = True
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.tag = "mine"
+
+            def estimate(self, query, bound_variables=None):
+                return 2.0
+
+        return Tagged
+
+    def _check(self, source, mutate):
+        pinned = source.pin()
+        assert type(pinned) is type(source) and pinned is not source
+        assert pinned.tag == "mine" and pinned.estimate(None) == 2.0
+        assert pinned.pinned_at == source.version()
+        assert pinned.cache_token == source.cache_token
+        assert source.pin() is pinned  # unchanged: the memoised pin, no snapshot
+        mutate()
+        again = source.pin()
+        assert again is not pinned and type(again) is type(source)
+        assert again.pinned_at == source.version() > pinned.pinned_at
+        assert pinned.size() == source.size() - 1  # the old pin is immutable
+
+    def test_rdf(self):
+        from repro.rdf import Graph, triple
+
+        graph = Graph("g")
+        graph.add(triple("ttn:a", "ttn:p", "x"))
+        source = self._subclass(RDFSource)("rdf://g", graph, entailment=True)
+        self._check(source, lambda: graph.add(triple("ttn:b", "ttn:p", "y")))
+        assert source.pin().entailment
+
+    def test_relational(self):
+        from repro.relational import Database
+
+        database = Database("db")
+        database.create_table_from_rows("t", [{"a": 1}])
+        source = self._subclass(RelationalSource)("sql://db", database)
+        self._check(source, lambda: database.execute("INSERT INTO t (a) VALUES (2)"))
+
+    def test_fulltext(self):
+        store = FullTextStore("s", fields=[FieldConfig("text", "text")],
+                              default_field="text")
+        store.add({"id": 1, "text": "one"})
+        source = self._subclass(FullTextSource)("solr://s", store)
+        self._check(source, lambda: store.add({"id": 2, "text": "two"}))
+
+    def test_json(self):
+        from repro.core.sources import JSONSource
+        from repro.json.store import JSONDocumentStore
+
+        store = JSONDocumentStore("j")
+        store.add({"id": 1, "a": "x"})
+        source = self._subclass(JSONSource)("json://j", store)
+        self._check(source, lambda: store.add({"id": 2, "a": "y"}))
+        assert source.pin().matcher.store is source.pin().store

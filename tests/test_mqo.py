@@ -331,8 +331,10 @@ def test_cached_source_delegates_cost_kind_trust_and_pin():
     assert proxy.trust_wrapper_estimate is remote.trust_wrapper_estimate
     pinned = proxy.pin()
     assert isinstance(pinned, CachedSource)
-    assert pinned.inner.pinned_at is not None
-    assert pinned.pinned_at == pinned.inner.pinned_at
+    # A remote clone pins with its first use, not at ``pin()``.
+    assert pinned.pinned_at is None
+    assert pinned.version() == wrapper.version()
+    assert pinned.pinned_at == pinned.inner.pinned_at == wrapper.version()
     assert pinned.cost_kind == "remote"
     assert pinned.cache is proxy.cache
 

@@ -265,6 +265,16 @@ class TestPlansPinNoSnapshot:
         assert held == []
 
     def test_write_rounds_leave_a_bounded_number_of_snapshots(self):
+        def stores() -> Counter:
+            gc.collect()
+            return Counter(
+                (type(store).__name__, store.name) for store in gc.get_objects()
+                if isinstance(store, (FullTextStore, JSONDocumentStore, Database, Graph))
+                and not store.name.endswith("+delta"))
+
+        # Demo instances other tests left alive carry the same store names
+        # (and, now that ``instance.execute`` pins, a snapshot each).
+        before = stores()
         demo = build_demo_instance(DemoConfig(politicians=12, weeks=2, seed=42))
         instance = demo.instance
         panel = [qsia_query(demo), qsia_json_query(demo),
@@ -286,15 +296,11 @@ class TestPlansPinNoSnapshot:
         finally:
             service.shutdown(wait=True)
         assert result.rows is not None
-        gc.collect()
         # Per store name: the live store, the memoised pin and at most one
         # more snapshot that the last result may still reference (a graph
         # comes with its saturation; the repair engine's ``+delta`` stores
         # are not snapshots).  The parent kept one snapshot per round.
-        census = Counter(
-            (type(store).__name__, store.name) for store in gc.get_objects()
-            if isinstance(store, (FullTextStore, JSONDocumentStore, Database, Graph))
-            and not store.name.endswith("+delta"))
+        census = stores() - before
         assert census[("FullTextStore", instance.source(TWEETS_URI).store.name)] <= 3
         assert census[("JSONDocumentStore",
                        instance.source(TWEETS_JSON_URI).store.name)] <= 3

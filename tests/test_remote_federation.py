@@ -11,6 +11,11 @@ The suite covers the layers of :mod:`repro.remote` bottom-up:
 * the executor/service seams — ``SourceDispatchError`` attribution,
   deadline-bounded dispatch waits on a hung source, breaker state in
   ``MediatorService.stats()``;
+* the round-trip budget — a CMQ pins a remote source once, with the first
+  frame it sends it, sends an unreached source nothing and asks for an
+  estimate once per source version — with snapshot isolation under writes
+  that land between two sub-query calls of one CMQ, the estimate memo and
+  the plan key over reachable sources;
 * a deterministic chaos run: every source behind a seeded
   ``FaultyTransport`` (10% faults plus one scripted full outage), where
   every query must retry to the correct answer, degrade with a flag, or
@@ -20,6 +25,7 @@ The suite covers the layers of :mod:`repro.remote` bottom-up:
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 import zlib
@@ -37,6 +43,7 @@ from repro.errors import (
     CircuitOpenError,
     QueryTimeoutError,
     RemoteError,
+    RemoteProtocolError,
     SourceDispatchError,
     SourceUnavailableError,
 )
@@ -58,6 +65,7 @@ from repro.remote import (
 )
 from repro.remote import protocol
 from repro.service import MediatorService, ServiceConfig
+from repro.stats.catalog import ESTIMATE_MEMO_ENTRIES, StatisticsCatalog
 from repro.stats.cost import MIN_BIND_BATCH, CostModel
 
 pytestmark = pytest.mark.remote
@@ -238,9 +246,12 @@ def test_tcp_equivalence_and_keepalive():
         stats = remote.stats()
         assert stats["calls"] > stats["connections_opened"] >= 1
         assert stats["breaker"] == CircuitBreaker.CLOSED
-        # Pinning observes the same snapshot the live source serves.
+        # Pinning observes the same snapshot the live source serves,
+        # from the clone's first use on.
         pinned = inst.source("json://tweets").pin()
-        assert pinned.pinned_at == base.source("json://tweets").version()
+        assert pinned.pinned_at is None
+        assert pinned.version() == base.source("json://tweets").version()
+        assert pinned.pinned_at == pinned.version()
         query = atom_queries(base)["json://tweets"]
         assert (pinned.execute(query, {"id": HANDLES[0]})
                 == base.source("json://tweets").execute(query, {"id": HANDLES[0]}))
@@ -593,6 +604,435 @@ def test_cost_model_prefers_bigger_batches_for_remote_sources():
 
 
 # ---------------------------------------------------------------------------
+# Round-trip budget: pinned per CMQ, on first use
+# ---------------------------------------------------------------------------
+
+CONTROL_OPS = ("pin", "version", "estimate")
+DATA_OPS = ("execute", "execute_batch")
+
+
+def frames(instance: MixedInstance) -> dict:
+    """uri -> frames by op, as the wrappers counted them."""
+    return {uri: dict(instance.source(uri).stats()["calls_by_op"])
+            for uri in instance.source_uris()}
+
+
+def frames_since(instance: MixedInstance, before: dict) -> dict:
+    return {uri: {op: count - before[uri][op] for op, count in ops.items()}
+            for uri, ops in frames(instance).items()}
+
+
+def check_budget(sent: dict, result, cmq, estimates) -> None:
+    """One cold CMQ: a pin per reached source, its data frames, nothing else."""
+    reached = {atom.source for atom in cmq.atoms if not atom.is_glue()}
+    for uri, ops in sent.items():
+        if uri not in reached:
+            assert not any(ops.values()), (uri, ops)
+            continue
+        calls = [c for c in result.trace.calls if c.source_uri == uri]
+        assert ops["version"] == 0
+        assert ops["pin"] == 1
+        assert sum(ops[op] for op in DATA_OPS) == len(calls) > 0
+        assert ops["estimate"] in estimates, (uri, ops)
+
+
+@pytest.mark.parametrize("served", [False, True], ids=["direct", "service"])
+def test_a_cold_cmq_pins_what_it_reaches_once_and_asks_nothing_else(served):
+    base = build_instance("budget")
+    for index, expected in enumerate(queries(base)):
+        remote, _ = remote_wrap(base)
+        cmq = queries(remote)[index]
+        service = (MediatorService(remote, ServiceConfig(workers=1))
+                   if served else None)
+        run = (lambda: service.execute(cmq, timeout=30.0)) if served \
+            else (lambda: remote.execute(cmq))
+        try:
+            # First sight of the shape: at most one estimate per (atom,
+            # bound) the planner prices — bound by the join key, and free.
+            before = frames(remote)
+            first = run()
+            check_budget(frames_since(remote, before), first, cmq, {1, 2})
+            # The same CMQ, cold again, on an unchanged source: none.
+            remote.clear_caches()
+            before = frames(remote)
+            second = run()
+            check_budget(frames_since(remote, before), second, cmq, {0})
+        finally:
+            if service is not None:
+                service.shutdown(wait=True)
+        assert result_set(first) == result_set(second) \
+            == result_set(base.execute(expected))
+        assert not first.trace.degraded and not second.trace.degraded
+
+
+def test_pin_is_lazy_shared_and_counted_once_per_clone():
+    base = build_instance("lazy")
+    remote, _ = remote_wrap(base)
+    live = remote.source("sql://profiles")
+    clone = live.pin()
+    assert clone is not live and clone.pin() is clone
+    assert type(clone) is type(live) and clone.cache_token == live.cache_token
+    assert live.stats()["calls"] == 0  # pin() is not a round trip
+    # Sixteen readers of one clone (an admission group shares it), made
+    # to interleave: one frame, and everybody reads the version it pinned.
+    barrier = threading.Barrier(16)
+    seen = []
+
+    def read() -> None:
+        barrier.wait(timeout=10)
+        seen.append(clone.version())
+
+    readers = [threading.Thread(target=read) for _ in range(16)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for reader in readers:
+            reader.start()
+        for reader in readers:
+            reader.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(reader.is_alive() for reader in readers)
+    assert seen == [base.source("sql://profiles").version()] * 16
+    assert clone.pinned_at == seen[0]
+    assert live.stats()["calls_by_op"]["pin"] == 1
+    assert live.stats()["calls"] == 1
+    # The live wrapper still asks every time.
+    assert live.version() == clone.pinned_at and live.pinned_at is None
+    assert live.stats()["calls_by_op"]["version"] == 1
+
+
+def test_a_dark_source_pins_nothing_and_degrades():
+    base = build_instance("dark")
+    remote, transports = remote_wrap(
+        base, fault=lambda uri, transport: FaultyTransport(transport))
+    cmq = queries(remote)[0]
+    expected = result_set(remote.execute(cmq))
+    transports["sql://profiles"].outages = ((0, 10 ** 9),)
+    pinned = remote.pin()
+    result = pinned.execute(remote, cmq)
+    assert result.trace.degraded and result_set(result) == expected
+    # The query reached the source and learned no version; the others it
+    # never reached, so their entry is empty too — and stays off the wire.
+    assert pinned.versions["sql://profiles"] is None
+    assert pinned.versions["json://tweets"] is None
+    assert pinned.versions[GLUE_SOURCE] == remote.glue_source.version()
+    assert remote.source("json://tweets").stats()["calls"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Snapshot isolation: one version per source for the whole CMQ
+# ---------------------------------------------------------------------------
+
+class HookTransport(Transport):
+    """Loopback calling ``hook(payload)`` before it forwards a frame."""
+
+    def __init__(self, inner: Transport, hook):
+        self.inner = inner
+        self.hook = hook
+
+    def request(self, payload, timeout=None):
+        self.hook(payload)
+        return self.inner.request(payload, timeout=timeout)
+
+
+def two_remote_atoms(instance: MixedInstance):
+    """glue, then two remote bind joins: two sub-query calls at least."""
+    builder = instance.builder("q_two")
+    builder.graph("SELECT ?id WHERE { ?x ttn:twitterAccount ?id }")
+    builder.sql("prof", source="sql://profiles",
+                sql="SELECT handle AS id, followers AS f FROM profiles "
+                    "WHERE handle = {id}")
+    builder.json("tweets", source="json://tweets",
+                 pattern='{ author: ?id, topic: "politics", likes: ?l }')
+    return builder.build()
+
+
+def write(base: MixedInstance, kind: int, serial: int) -> None:
+    """One answer-changing write to one of the four served stores."""
+    handle = HANDLES[serial % len(HANDLES)]
+    if kind == 0:
+        base.source("json://tweets").store.add(
+            {"id": 1000 + serial, "author": handle, "topic": "politics",
+             "likes": serial % 40})
+    elif kind == 1:
+        base.source("sql://profiles").database.execute(
+            f"INSERT INTO profiles (handle, followers) "
+            f"VALUES ('{handle}', {5000 + serial})")
+    elif kind == 2:
+        base.source("solr://posts").store.add(
+            {"id": 1000 + serial, "text": f"late post by {handle}",
+             "user": {"screen_name": handle}})
+    else:
+        base.source("rdf://people").graph.add(
+            triple(f"ttn:P{serial % len(HANDLES)}", "ttn:hometown",
+                   f"Town{serial}"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(steps=st.lists(
+    st.tuples(st.integers(0, 4),                          # which CMQ
+              st.lists(st.integers(0, 3), max_size=2),    # writes before it
+              st.lists(st.integers(0, 3), max_size=3)),   # writes inside it
+    min_size=1, max_size=5))
+def test_answers_are_the_oracle_at_the_pinned_versions_never_a_mix(steps):
+    base = build_instance("iso")
+    state = {"data_frames": 0, "inside": [], "serial": 0}
+
+    def next_write(kind: int) -> None:
+        state["serial"] += 1
+        write(base, kind, state["serial"])
+
+    def hook(payload: dict) -> None:
+        if payload["op"] not in DATA_OPS:
+            return
+        state["data_frames"] += 1
+        if state["data_frames"] == 2:
+            # Between the first and the second sub-query call of the CMQ.
+            for kind in state["inside"]:
+                next_write(kind)
+
+    remote, _ = remote_wrap(
+        base, fault=lambda uri, transport: HookTransport(transport, hook))
+    for which, before, inside in steps:
+        for kind in before:
+            next_write(kind)
+        local = queries(base) + [two_remote_atoms(base)]
+        cmq = (queries(remote) + [two_remote_atoms(remote)])[which]
+        # The oracle: the local stores as they are when the CMQ starts.
+        versions = {uri: base.source(uri).version()
+                    for uri in base.source_uris()}
+        expected = result_set(base.execute(local[which]))
+        state.update(data_frames=0, inside=inside)
+        pinned = remote.pin()
+        result = pinned.execute(remote, cmq)
+        assert not result.trace.degraded
+        assert result_set(result) == expected
+        for uri, version in pinned.versions.items():
+            if uri != GLUE_SOURCE and version is not None:
+                assert version == versions[uri]
+        reached = {atom.source for atom in cmq.atoms if not atom.is_glue()}
+        assert {uri for uri, version in pinned.versions.items()
+                if uri != GLUE_SOURCE and version is not None} == reached
+
+
+def test_an_evicted_server_snapshot_is_a_typed_retried_error():
+    base = build_instance("evict")
+    source = base.source("json://tweets")
+    remote = RemoteSource(LocalTransport(RemoteSourceHandler(source).handle),
+                          uri=source.uri, model=source.model, options=FAST)
+    query = atom_queries(base)["json://tweets"]
+    mine = remote.pin()
+    before = mine.execute(query, {"id": HANDLES[0]})
+    # Nine later versions, each pinned by somebody: the server keeps eight.
+    for serial in range(9):
+        write(base, 0, serial)
+        assert remote.pin().version() == source.version()
+    with pytest.raises(RemoteError, match="instead of pinned"):
+        mine.execute(query, {"id": HANDLES[0]})
+    assert remote.stats()["retries"] == FAST.retries
+    # A new CMQ pins afresh and reads the current state.
+    assert remote.pin().execute(query, {"id": HANDLES[0]}) != before
+
+
+# ---------------------------------------------------------------------------
+# The estimate memo: once per (source version, sub-query, bound, constants)
+# ---------------------------------------------------------------------------
+
+def test_memoised_estimates_are_the_unmemoised_numbers():
+    from repro.core.sources import JSONQuery, JSONSource
+    from repro.datasets import DemoConfig, build_demo_instance
+    from repro.datasets.loader import TWEETS_JSON_URI
+    from test_statistics_estimation import (
+        _DEMO_GOLDEN, _FIXTURE_GOLDEN, _WRITTEN_GOLDEN, TestJSONEstimates)
+
+    def check(memo: StatisticsCatalog, source, golden: list) -> None:
+        for text, bound, values, _, catalog in golden:
+            query = JSONQuery.from_text(text)
+            fresh = StatisticsCatalog().estimate(source, query, set(bound), values)
+            assert fresh == pytest.approx(catalog)
+            hits = memo.estimates.stats.hits
+            assert memo.estimate(source, query, set(bound), values) == fresh
+            assert memo.estimates.stats.hits == hits  # computed ...
+            assert memo.estimate(source, query, set(bound), values) == fresh
+            assert memo.estimates.stats.hits == hits + 1  # ... once
+
+    assert len(_DEMO_GOLDEN + _FIXTURE_GOLDEN + _WRITTEN_GOLDEN) == 32
+    demo = build_demo_instance(DemoConfig(politicians=12, weeks=2, seed=42))
+    check(StatisticsCatalog(), demo.instance.source(TWEETS_JSON_URI), _DEMO_GOLDEN)
+    memo = StatisticsCatalog()
+    source = TestJSONEstimates.source.__wrapped__(None)
+    assert isinstance(source, JSONSource)
+    check(memo, source, _FIXTURE_GOLDEN)
+    # A version bump misses: the same catalog answers the written numbers.
+    source.store.add_all(
+        {"id": i, "author": f"a{i % 5}", "likes": 55, "topic": "politics",
+         "geo": {"lat": 1.0}} for i in range(120, 150))
+    source.store.add_all({"id": i, "author": "a3", "likes": 1, "topic": "other"}
+                         for i in range(0, 30, 3))
+    check(memo, source, _WRITTEN_GOLDEN)
+    # The pinned wrapper shares token and version, hence the memo.
+    text, bound, values, _, catalog = _WRITTEN_GOLDEN[0]
+    hits = memo.estimates.stats.hits
+    assert memo.estimate(source.pin(), JSONQuery.from_text(text), set(bound),
+                         values) == pytest.approx(catalog)
+    assert memo.estimates.stats.hits == hits + 1
+    # Feedback still wins over a remembered estimate.
+    query = JSONQuery.from_text(text)
+    assert memo.record(source, query, set(bound), 777.0)
+    assert memo.estimate(source, query, set(bound), values) == 777.0
+
+
+def test_the_memo_forgets_nothing_it_should_not_and_stays_bounded():
+    from repro.core.sources import JSONQuery
+
+    base = build_instance("memo")
+    remote, transports = remote_wrap(
+        base, fault=lambda uri, transport: FaultyTransport(transport))
+    memo = StatisticsCatalog()
+    query = atom_queries(base)["json://tweets"]
+    expected = base.source("json://tweets").estimate(query, {"id"})
+    # A source that goes dark after the pin answers ``inf`` — for now.
+    clone = remote.source("json://tweets").pin()
+    assert clone.version() is not None
+    transports["json://tweets"].outages = ((0, 10 ** 9),)
+    assert memo.estimate(clone, query, {"id"}) == float("inf")
+    transports["json://tweets"].outages = ()
+    time.sleep(FAST.breaker_reset * 2)
+    assert memo.estimate(clone, query, {"id"}) == expected
+    sent = clone.stats()["calls_by_op"]["estimate"]
+    assert memo.estimate(clone, query, {"id"}) == expected
+    assert clone.stats()["calls_by_op"]["estimate"] == sent
+    # A source without a version is asked every time.
+    transports["sql://profiles"].outages = ((0, 10 ** 9),)
+    dark = remote.source("sql://profiles").pin()
+    sql = atom_queries(base)["sql://profiles"]
+    assert memo.estimate(dark, sql, {"id"}) == float("inf")
+    assert dark.version() is None and len(memo.estimates) == 1
+    # Ten thousand distinct shapes: the memo is an LRU, not a leak.
+    local = base.source("json://tweets")
+    for threshold in range(10_000):
+        memo.estimate(local, JSONQuery.from_text(f"{{ likes: ?l >= {threshold} }}"))
+    assert len(memo.estimates) == ESTIMATE_MEMO_ENTRIES
+    assert memo.estimates.stats.evictions > 0
+
+
+# ---------------------------------------------------------------------------
+# The plan key: the glue graph plus the sources the atoms can reach
+# ---------------------------------------------------------------------------
+
+def test_plan_survives_writes_to_sources_it_cannot_reach():
+    base = build_instance("plankey")
+    more = FullTextStore("plankey-more", fields=[
+        FieldConfig("text", "text"),
+        FieldConfig("user.screen_name", "keyword"),
+    ], default_field="text")
+    more.add({"id": 0, "text": "elsewhere", "user": {"screen_name": "u0"}})
+    base.register_fulltext("solr://more", more)
+    named = queries(base)[0]  # glue |> sql://profiles
+    builder = base.builder("q_free")
+    builder.graph("SELECT ?id WHERE { ?x ttn:twitterAccount ?id }")
+    builder.fulltext("posts", source_variable="d",
+                     query="user.screen_name:{id}", fields={"t": "text"})
+    free = builder.build()
+    for cmq in (named, free):
+        assert not base.plan(cmq).cached
+        assert base.plan(cmq).cached
+    # Neither CMQ can reach the JSON source.
+    write(base, 0, 1)
+    assert base.plan(named).cached and base.plan(free).cached
+    # ``named`` reaches the relational source, ``free`` does not.
+    write(base, 1, 2)
+    assert not base.plan(named).cached
+    assert base.plan(free).cached
+    # Every full-text source is a candidate of the free source variable.
+    more.add({"id": 1, "text": "more", "user": {"screen_name": "u1"}})
+    assert not base.plan(free).cached
+    assert base.plan(free).cached
+    write(base, 2, 3)
+    assert not base.plan(free).cached
+    assert base.plan(named).cached
+    # The glue graph is in every key.
+    base.add_glue_triples([triple("ttn:P0", "ttn:twitterAccount", "u99")])
+    assert not base.plan(named).cached and not base.plan(free).cached
+
+
+def test_planning_contacts_only_the_sources_the_atoms_reach():
+    base = build_instance("planwire")
+    remote, _ = remote_wrap(base)
+    cmq = queries(remote)[2]  # glue |> json://tweets
+    pinned = remote.pin()
+    plan = pinned.executor(remote).planner.plan(cmq)
+    assert not plan.cached
+    sent = frames(remote)
+    assert sent.pop("json://tweets") == {
+        "pin": 1, "version": 0, "estimate": 2, "execute": 0, "execute_batch": 0}
+    assert all(not any(ops.values()) for ops in sent.values())
+
+
+# ---------------------------------------------------------------------------
+# Protocol revision and round-trip accounting
+# ---------------------------------------------------------------------------
+
+def test_a_peer_of_another_revision_gets_a_typed_error_naming_both():
+    base = build_instance("revision")
+    source = base.source("sql://profiles")
+    handler = RemoteSourceHandler(source)
+    # An old client: no revision in its frames.
+    refused = handler.handle({"op": "version"})
+    assert not refused["ok"] and refused["error"]["type"] == "RemoteProtocolError"
+    assert "None" in refused["error"]["message"]
+    assert repr(protocol.PROTOCOL_VERSION) in refused["error"]["message"]
+    assert handler.handle({"op": "size", "protocol": protocol.PROTOCOL_VERSION}
+                          )["error"]["message"] == "unknown operation 'size'"
+    hello = handler.handle({"op": "hello", "protocol": protocol.PROTOCOL_VERSION})
+    assert hello["protocol"] == protocol.PROTOCOL_VERSION
+    # A client from the future: refused once, not retried, breaker untouched.
+    future = HookTransport(
+        LocalTransport(handler.handle),
+        lambda payload: payload.update(protocol=protocol.PROTOCOL_VERSION + 1))
+    remote = RemoteSource(future, uri=source.uri, model=source.model,
+                          options=FAST)
+    query = atom_queries(base)["sql://profiles"]
+    with pytest.raises(RemoteProtocolError) as err:
+        remote.execute(query, {"id": HANDLES[0]})
+    assert f"client speaks {protocol.PROTOCOL_VERSION + 1}" in str(err.value)
+    assert f"server speaks {protocol.PROTOCOL_VERSION}" in str(err.value)
+    stats = remote.stats()
+    assert stats["calls"] == 1 and stats["retries"] == 0
+    assert stats["breaker"] == CircuitBreaker.CLOSED
+    assert remote.breaker.transitions == []
+    with pytest.raises(RemoteProtocolError, match="revision mismatch"):
+        RemoteSource(future)  # the hello is refused
+
+
+def test_round_trips_split_into_control_data_wire_and_server():
+    from repro.obs import get_registry
+
+    base = build_instance("roundtrips")
+    remote, _ = remote_wrap(base)
+    cmq = queries(remote)[0]
+    with MediatorService(remote, ServiceConfig(workers=1)) as service:
+        ticket = service.submit(cmq)
+        report = ticket.explain_analyze(timeout=30.0)
+        stats = service.stats()["remote"]["sql://profiles"]
+    by_op = stats["calls_by_op"]
+    assert set(by_op) == set(CONTROL_OPS + DATA_OPS)
+    assert sum(by_op.values()) == stats["calls"] == 4
+    assert by_op["pin"] == 1 and by_op["execute_batch"] == 1
+    assert 0 < stats["server_s"] < stats["busy_s"]
+    assert stats["wire_s"] == pytest.approx(stats["busy_s"] - stats["server_s"])
+    assert get_registry().counter(
+        "remote_calls_total", source="sql://profiles", op="pin").value >= 1
+    # The same split on the query's own report, from its ``remote.call`` spans.
+    assert report.remote_calls == 4
+    assert 0 < report.remote_server_seconds < report.remote_seconds
+    assert "remote: 4 round trip(s)" in report.render()
+    assert all("server_us" in span.attributes
+               for span in ticket.span_tree.find("remote.call"))
+
+
+# ---------------------------------------------------------------------------
 # Deterministic chaos
 # ---------------------------------------------------------------------------
 
@@ -608,8 +1048,11 @@ def test_chaos_faults_never_produce_wrong_rows():
         fault=lambda uri, transport: FaultyTransport(
             transport, seed=zlib.crc32(uri.encode()), fault_rate=0.10,
             latency_range=(0.0, 0.001)))
-    # One scripted full outage on the relational source mid-workload.
-    transports["sql://profiles"].outages = ((20, 60),)
+    # One scripted full outage on the relational source mid-workload.  A
+    # CMQ sends the source a frame only when it reaches it, and then two
+    # (its pin and its batch; two estimates more the first time): round 1
+    # is frames 0-3, the outage swallows the next six.
+    transports["sql://profiles"].outages = ((4, 10),)
     outcomes = {"ok": 0, "degraded": 0, "typed_error": 0}
     for _ in range(6):
         for cmq in workload:
@@ -628,6 +1071,7 @@ def test_chaos_faults_never_produce_wrong_rows():
                 outcomes["ok"] += 1
                 assert rows == expected
     assert outcomes["ok"] > 0
+    assert transports["sql://profiles"].injected["outage"] > 0
     injected = {uri: dict(transport.injected)
                 for uri, transport in transports.items()}
     assert sum(sum(counts.values()) for counts in injected.values()) > 0, injected
