@@ -10,10 +10,10 @@ shapes — while a writer keeps mutating every store so the cross-version
 result cache cannot hide the source calls.
 
 Measured: throughput with MQO on (group admission + single-flight
-shared sub-plans + cross-query probe fusion) vs ``ServiceConfig(mqo=
-False)`` (the old per-query path), plus a thundering-herd burst of
-identical queries asserting the shared sub-plan hits the source
-**exactly once** (via source call counters).
+shared sub-plans) vs ``ServiceConfig(mqo=False)`` (the per-query
+reference path), plus a thundering-herd burst of identical queries
+asserting the shared sub-plan hits the source **exactly once** (via
+source call counters).
 
 Run as a script (``python bench_mqo.py [--smoke]``) it writes
 ``BENCH_mqo.json`` to the repo root; the full run asserts the >= 3x
@@ -124,7 +124,6 @@ def build_instance(counters: CallCounters,
     glue = Graph("mqo-glue")
     for i, handle in enumerate(HANDLES):
         glue.add(triple(f"ttn:P{i}", "ttn:twitterAccount", handle))
-        glue.add(triple(f"ttn:P{i}", "ttn:memberOf", f"ttn:PARTY{i % 3}"))
     database = Database("mqo-db")
     database.create_table_from_rows(
         "profiles", [{"handle": handle, "followers": 100 * (i + 1)}
@@ -157,19 +156,6 @@ def build_instance(counters: CallCounters,
 def hot_query(instance: MixedInstance):
     builder = instance.builder("hot_profiles")
     builder.graph("SELECT ?id WHERE { ?x ttn:twitterAccount ?id }")
-    builder.sql("prof", source="sql://profiles",
-                sql="SELECT handle AS id, followers AS f FROM profiles "
-                    "WHERE handle = {id}")
-    return builder.build()
-
-
-def party_query(instance: MixedInstance, party: int):
-    """Same canonical SQL sub-query as :func:`hot_query`, but the glue
-    restricts the probes to one party's handles — three of these carry
-    disjoint binding sets that cross-query probe fusion can merge."""
-    builder = instance.builder(f"party_{party}")
-    builder.graph("SELECT ?id WHERE { ?x ttn:memberOf ttn:PARTY%d . "
-                  "?x ttn:twitterAccount ?id }" % party)
     builder.sql("prof", source="sql://profiles",
                 sql="SELECT handle AS id, followers AS f FROM profiles "
                     "WHERE handle = {id}")
@@ -252,7 +238,6 @@ def measure(mqo: bool, total_queries: int,
     instance = build_instance(counters, delay)
     queries = schedule(instance, total_queries)
     config = ServiceConfig(workers=8, mqo=mqo, mqo_group_size=16,
-                           mqo_fusion_window=0.02,
                            max_queue_depth=total_queries + 8,
                            max_in_flight=total_queries + 16,
                            task_workers=4)
@@ -272,7 +257,6 @@ def measure(mqo: bool, total_queries: int,
     }
     if mqo:
         row["shared_subqueries"] = stats["mqo"]["shared_subqueries"]
-        row["fused_probes"] = stats["mqo"]["fused_probes"]
         row["groups"] = stats["mqo"]["groups"]
     return row
 
@@ -283,7 +267,7 @@ def thundering_herd(mqo: bool, burst: int = 8,
     counters = CallCounters()
     instance = build_instance(counters, delay)
     query = hot_query(instance)
-    config = ServiceConfig(workers=burst, mqo=mqo, mqo_fusion_window=0.02)
+    config = ServiceConfig(workers=burst, mqo=mqo)
     with MediatorService(instance, config) as service:
         start = time.perf_counter()
         tickets = [service.submit(query) for _ in range(burst)]
@@ -298,35 +282,6 @@ def thundering_herd(mqo: bool, burst: int = 8,
     }
 
 
-def probe_fusion(mqo: bool, delay: float = 0.1) -> dict[str, object]:
-    """Three concurrent queries whose probes partition the handles.
-
-    The first arrival dispatches immediately (a lone in-flight query
-    never opens a fusion window, so it pays no added latency); the two
-    that arrive while it runs fuse their disjoint probe sets into one
-    batched call — 3 queries, 2 source calls instead of 3."""
-    counters = CallCounters()
-    instance = build_instance(counters, delay)
-    queries = [party_query(instance, party) for party in range(3)]
-    config = ServiceConfig(workers=3, mqo=mqo, mqo_fusion_window=0.35)
-    with MediatorService(instance, config) as service:
-        start = time.perf_counter()
-        tickets = [service.submit(query) for query in queries]
-        for ticket in tickets:
-            assert ticket.result(timeout=300).rows
-        wall = time.perf_counter() - start
-        stats = service.stats()
-    row = {
-        "mode": "mqo" if mqo else "per-query",
-        "queries": len(queries),
-        "source_calls": counters.total(),
-        "wall_seconds": round(wall, 4),
-    }
-    if mqo:
-        row["fused_probes"] = stats["mqo"]["fused_probes"]
-    return row
-
-
 def run(argv: list[str]) -> int:
     smoke = "--smoke" in argv
     total_queries = 16 if smoke else 64
@@ -336,8 +291,6 @@ def run(argv: list[str]) -> int:
            f"capacity-one sources)", series)
     herd = [thundering_herd(False), thundering_herd(True)]
     report("thundering herd (identical burst)", herd)
-    fusion = [probe_fusion(False), probe_fusion(True)]
-    report("probe fusion (disjoint binding sets, shared sub-query)", fusion)
 
     off, on = series
     speedup = round(on["throughput_qps"] / off["throughput_qps"], 2)
@@ -351,9 +304,6 @@ def run(argv: list[str]) -> int:
         f"expected the herd's shared sub-plan to hit the source exactly "
         f"once, saw {herd_on['source_calls']} calls")
     assert on["source_calls"] < off["source_calls"]
-    fusion_on = next(row for row in fusion if row["mode"] == "mqo")
-    # Distinct compatible probes merged into fewer batched calls.
-    assert fusion_on["source_calls"] < 3 and fusion_on["fused_probes"] >= 1
     if not smoke:
         assert speedup >= 3.0, (
             f"expected >= 3x throughput with MQO on the overlapping "
@@ -366,7 +316,6 @@ def run(argv: list[str]) -> int:
         "hot_fraction": HOT_FRACTION,
         "series": series,
         "thundering_herd": herd,
-        "probe_fusion": fusion,
         "speedup_mqo_vs_per_query": speedup,
         "herd_calls_per_query_path": herd_off["source_calls"],
     }

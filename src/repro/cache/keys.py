@@ -73,23 +73,6 @@ class CanonicalQuery:
             return None
         return key
 
-    def canonical_binding(self, bindings: Row) -> Row:
-        """The binding dict re-keyed by canonical variable names.
-
-        Unlike :meth:`binding_key` the values stay *raw* (no type
-        tagging): this form is executable — the multi-query fusion bus
-        carries bindings between isomorphic queries in it, and the
-        fused call's leader translates them back through its own
-        renaming via :meth:`original_binding`.
-        """
-        return {self.rename.get(name, name): value
-                for name, value in bindings.items()}
-
-    def original_binding(self, bindings: Row) -> Row:
-        """A canonical binding dict re-keyed by this query's own names."""
-        return {self.inverse.get(name, name): value
-                for name, value in bindings.items()}
-
     def canonical_batches(self, batches: list[BindingBatch]) -> list[BindingBatch]:
         """Batches under canonical variable names (for storage)."""
         return [batch.renamed(self.rename) for batch in batches]

@@ -26,9 +26,9 @@ entry's own row lists under a renamed header, shared by every reader; a
 repair publishes a new entry.
 
 :class:`CachedSource` wraps a :class:`~repro.core.sources.DataSource`
-with the cache for the duration of a dispatch.  ``answer`` probes once;
-``answer_batch`` probes *per binding* (stale entries of the whole batch
-go to the repair engine in one call) and forwards only the misses to
+with the cache for the duration of a dispatch.  ``answer`` and
+``answer_batch`` probe *per binding* (stale entries of the whole batch
+go to the repair engine in one call) and forward only the misses to
 the wrapped source, so a batched bind join ships IN-lists/disjunctions
 built solely from uncached bindings.  Sources whose ``version()`` is
 unknown (``None``) are never cached.
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from repro.cache.keys import CanonicalQuery, canonical_query
 from repro.cache.lru import CacheStats, LRUCache
@@ -53,24 +53,18 @@ _UNCACHEABLE = object()
 
 @dataclass
 class MQOStats:
-    """Per-executor multi-query-optimization counters.
+    """Per-executor multi-query-optimization counter.
 
     Filled in by the :class:`CachedSource` proxies of one executor while
     the service's MQO coordinator shares work across in-flight queries,
-    then mirrored into the execution trace (``trace.shared_subqueries``
-    / ``trace.fused_probes``).  Mutations happen under the executor's
-    shared stats lock (the same one guarding its :class:`CacheStats`).
+    then mirrored into the execution trace (``trace.shared_subqueries``).
+    Mutations happen under the executor's shared stats lock (the same
+    one guarding its :class:`CacheStats`).
     """
 
     #: Probes answered by a sub-plan evaluation another in-flight query
     #: performed (single-flight: this executor waited instead of calling).
     shared_subqueries: int = 0
-    #: Miss bindings this executor had evaluated by *riding* another
-    #: query's batched source call instead of issuing its own.
-    fused_probes: int = 0
-
-    def snapshot(self) -> "MQOStats":
-        return MQOStats(self.shared_subqueries, self.fused_probes)
 
 
 class SubQueryResultCache:
@@ -146,17 +140,16 @@ class SubQueryResultCache:
             return None
         return (source.uri, token, version, canon.key, binding_key), canon
 
-    def insert(self, key: tuple, canon: CanonicalQuery, rows: list) -> None:
-        """Insert an answer (batches or dict rows) in the query's own names."""
-        self.insert_canonical(key, canon.canonical_batches(as_batches(rows)))
+    def insert(self, key: tuple, canon: CanonicalQuery,
+               rows: list) -> list[BindingBatch]:
+        """Insert an answer (batches or dict rows) in the query's own
+        names; returns the stored entry (canonical names)."""
+        batches = canon.canonical_batches(as_batches(rows))
+        self.insert_canonical(key, batches)
+        return batches
 
     def insert_canonical(self, key: tuple, batches: list[BindingBatch]) -> None:
-        """Insert batches already in canonical variable names.
-
-        Used by repair and by the MQO fusion path, where the leader of a
-        fused call caches every participant's probe: its batches crossed
-        between differently-renamed queries in canonical names.
-        """
+        """Insert batches already in canonical variable names (repair)."""
         self.entries.put(key, batches)
         with self._lock:
             self._stale[self._logical(key)] = key
@@ -234,12 +227,11 @@ class CachedSource(DataSource):
     other concurrent executions would pollute).
 
     ``mqo`` is an optional multi-query coordinator (duck-typed —
-    :class:`repro.service.mqo.MQOCoordinator`): cache misses are then
-    routed through its single-flight / probe-fusion bus, so a sub-plan
-    another in-flight query is already evaluating is waited for instead
-    of recomputed, and compatible miss batches from different queries
-    fuse into one ``execute_batch`` source call.  ``mqo_stats`` collects
-    this executor's share of that cross-query work for its trace.
+    :class:`repro.service.mqo.MQOCoordinator`): keyed cache misses are
+    then evaluated single-flight, so a sub-plan another in-flight query
+    is already evaluating is waited for instead of recomputed.
+    ``mqo_stats`` collects this executor's share of that cross-query
+    work for its trace.
     """
 
     def __init__(self, inner: DataSource, cache: SubQueryResultCache,
@@ -271,13 +263,6 @@ class CachedSource(DataSource):
                 self.local_stats.hits += 1
             else:
                 self.local_stats.misses += 1
-
-    def _record_mqo(self, shared: int, fused: int) -> None:
-        if self.mqo_stats is None or not (shared or fused):
-            return
-        with self._stats_lock:
-            self.mqo_stats.shared_subqueries += shared
-            self.mqo_stats.fused_probes += fused
 
     # -- delegation ---------------------------------------------------------
     @property
@@ -376,45 +361,6 @@ class CachedSource(DataSource):
                 f"of a {len(batch)}-binding batch")
         return fetched
 
-    # -- MQO fusion bus -----------------------------------------------------
-    def _fusion_runner(self, query: SourceQuery, canon: CanonicalQuery):
-        """Leader-side evaluator handed to the MQO coordinator.
-
-        Receives the union probe list of one fused slot — possibly
-        containing probes contributed by *other* queries' executors, in
-        canonical binding names — translates the bindings into this
-        query's own variable names, ships ONE source call, and caches
-        every answer under its (fully canonical) key so concurrent and
-        later probes hit without a call of their own.
-        """
-
-        def run(probes: list[tuple[tuple, Row]]) -> list[list[BindingBatch]]:
-            originals = [canon.original_binding(binding) for _, binding in probes]
-            if len(originals) == 1:
-                fetched = [self.inner.answer(query, originals[0])]
-            else:
-                fetched = self._inner_batch(query, originals)
-            out: list[list[BindingBatch]] = []
-            for (full_key, _), batches in zip(probes, fetched):
-                canonical = canon.canonical_batches(batches)
-                self.cache.insert_canonical(full_key, canonical)
-                out.append(canonical)
-            return out
-
-        return run
-
-    def _fusion_key(self, version: int, canon: CanonicalQuery,
-                    canonical_binding: Row) -> tuple:
-        """The bus key grouping probes that may share one source call.
-
-        The sorted canonical binding-variable *schema* is part of the
-        key: wrappers push a batch down natively (IN-lists, disjunctive
-        templates) assuming a uniform binding shape, so probes binding
-        different variable sets must never ride one call.
-        """
-        return (self.inner.uri, self.inner.cache_token, version, canon.key,
-                tuple(sorted(canonical_binding)))
-
     # -- cached protocol ----------------------------------------------------
     def execute(self, query: SourceQuery, bindings: Row | None = None) -> list[Row]:
         return dict_rows(self.answer(query, bindings))
@@ -424,91 +370,67 @@ class CachedSource(DataSource):
         return list(map(dict_rows, self.answer_batch(query, bindings_batch)))
 
     def answer(self, query: SourceQuery, bindings: Row | None = None) -> list[BindingBatch]:
-        bindings = bindings or {}
-        version = self.inner.version()
-        if version is None:
-            return self.inner.answer(query, bindings)
-        (stored,), (keyed,) = self._probe(version, query, [bindings])
-        if keyed is None:
-            return self.inner.answer(query, bindings)
-        key, canon = keyed
-        self._record(hit=stored is not None)
-        if stored is not None:
-            return canon.original_batches(stored)
-        if self.mqo is not None:
-            canonical = canon.canonical_binding(bindings)
-            fetched, shared, fused = self.mqo.fuse(
-                self._fusion_key(version, canon, canonical),
-                [(key, canonical)], self._fusion_runner(query, canon),
-                batched=False)
-            self._record_mqo(shared, fused)
-            return canon.original_batches(fetched[0])
-        batches = self.inner.answer(query, bindings)
-        self.cache.insert(key, canon, batches)
-        return batches
+        return self._answer(
+            query, [bindings or {}],
+            lambda misses: [self.inner.answer(query, misses[0])])[0]
 
     def answer_batch(self, query: SourceQuery,
                      bindings_batch: Sequence[Row]) -> list[list[BindingBatch]]:
+        return self._answer(query, [dict(b or {}) for b in bindings_batch],
+                            lambda misses: self._inner_batch(query, misses))
+
+    def _answer(self, query: SourceQuery, batch: list[Row],
+                fetch: Callable[[list[Row]], list[list[BindingBatch]]],
+                ) -> list[list[BindingBatch]]:
+        """Answer ``batch`` from the cache, ``fetch``-ing only its misses.
+
+        ``fetch`` is ONE call of the wrapped source for a list of
+        bindings.  Without a coordinator every miss goes into one such
+        call; with one, the keyed misses go through its single-flight
+        map first — this proxy then ships only those no in-flight query
+        is already evaluating, and is handed the others' answers in
+        canonical names.
+        """
         version = self.inner.version()
         if version is None:
-            return self.inner.answer_batch(query, bindings_batch)
-        batch = [dict(b or {}) for b in bindings_batch]
+            return fetch(batch)
         stored, keyed = self._probe(version, query, batch)
         results = [None if entry is None else key[1].original_batches(entry)
                    for key, entry in zip(keyed, stored)]
-        miss_indices = [i for i, batches in enumerate(results) if batches is None]
-        miss_keys = [keyed[i] for i in miss_indices]
         for entry, batches in zip(keyed, results):
             if entry is not None:
                 self._record(hit=batches is not None)
-        if self.mqo is not None and any(k is not None for k in miss_keys):
-            self._answer_misses_fused(query, version, batch, miss_indices,
-                                      miss_keys, results)
-        elif miss_indices:
-            fetched = self._inner_batch(query, [batch[i] for i in miss_indices])
-            for index, entry, batches in zip(miss_indices, miss_keys, fetched):
-                results[index] = batches
-                if entry is not None:
-                    self.cache.insert(entry[0], entry[1], batches)
-        return [batches if batches is not None else [] for batches in results]
+        misses = [i for i, batches in enumerate(results) if batches is None]
+        if not misses:
+            return results
 
-    def _answer_misses_fused(self, query: SourceQuery, version: int,
-                             batch: list[Row], miss_indices: list[int],
-                             miss_keys: list, results: list) -> None:
-        """Route a batch's cache misses through the MQO fusion bus.
+        def ship(indices: list[int]) -> list[Optional[list[BindingBatch]]]:
+            """Ship ``batch[indices]`` in one call and cache the keyed
+            answers; returns the entries inserted (``None`` unkeyed)."""
+            fetched = fetch([batch[i] for i in indices])
+            inserted = []
+            for i, batches in zip(indices, fetched):
+                results[i] = batches
+                inserted.append(None if keyed[i] is None
+                                else self.cache.insert(*keyed[i], batches))
+            return inserted
 
-        Keyed misses are grouped by binding schema (one bus slot per
-        shape) so compatible probes from concurrent queries fuse into
-        one source call; unkeyed (uncacheable) bindings ship directly.
-        """
-        direct: list[int] = []
-        groups: dict[tuple, list[tuple[int, tuple, Row]]] = {}
-        canon: Optional[CanonicalQuery] = None
-        for index, keyed in zip(miss_indices, miss_keys):
-            if keyed is None:
-                direct.append(index)
-                continue
-            key, canon = keyed  # one query => one memoised canonical form
-            canonical = canon.canonical_binding(batch[index])
-            fusion_key = self._fusion_key(version, canon, canonical)
-            groups.setdefault(fusion_key, []).append((index, key, canonical))
-        if groups:
-            assert canon is not None
-            runner = self._fusion_runner(query, canon)
-            shared = fused = 0
-            for fusion_key, members in groups.items():
-                fetched, s, f = self.mqo.fuse(
-                    fusion_key, [(key, binding) for _, key, binding in members],
-                    runner, batched=True)
-                shared += s
-                fused += f
-                for (index, _, _), canonical in zip(members, fetched):
-                    results[index] = canon.original_batches(canonical)
-            self._record_mqo(shared, fused)
-        if direct:
-            fetched = self._inner_batch(query, [batch[i] for i in direct])
-            for index, batches in zip(direct, fetched):
-                results[index] = batches
+        if self.mqo is not None:
+            sharable = [i for i in misses if keyed[i] is not None]
+            if sharable:
+                entries, shared = self.mqo.evaluate(
+                    [keyed[i][0] for i in sharable],
+                    lambda positions: ship([sharable[p] for p in positions]))
+                for i, entry in zip(sharable, entries):
+                    if results[i] is None:
+                        results[i] = keyed[i][1].original_batches(entry)
+                if shared and self.mqo_stats is not None:
+                    with self._stats_lock:
+                        self.mqo_stats.shared_subqueries += shared
+                misses = [i for i in misses if keyed[i] is None]
+        if misses:
+            ship(misses)
+        return results
 
     def peek(self, query: SourceQuery, bindings_batch: Sequence[Row],
              ) -> Iterator[Optional[list[BindingBatch]]]:

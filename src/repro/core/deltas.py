@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 #: Record kinds.  Only ``insert`` is repairable; everything else makes
 #: the repair engine fall back to invalidation for the affected span.
@@ -129,8 +129,3 @@ class DeltaJournal:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-
-def insert_only(records: Sequence[DeltaRecord]) -> bool:
-    """True when every record in the chain is an insert batch."""
-    return all(record.kind == INSERT for record in records)

@@ -130,8 +130,8 @@ class MixedQueryExecutor:
         self._result_cache = None
         self._cache_stats = None
         #: This executor's share of cross-query MQO work (``mqo`` is the
-        #: service's fusion coordinator, duck-typed — the core layer
-        #: never imports :mod:`repro.service`).
+        #: service's single-flight coordinator, duck-typed — the core
+        #: layer never imports :mod:`repro.service`).
         self._mqo_stats = None
         self._targets: dict[str, DataSource] = self._sources
         self._target_glue: DataSource = glue
@@ -195,8 +195,8 @@ class MixedQueryExecutor:
         start = time.perf_counter()
         cache_stats = (self._cache_stats.snapshot()
                        if self._cache_stats is not None else None)
-        mqo_stats = (self._mqo_stats.snapshot()
-                     if self._mqo_stats is not None else None)
+        shared_before = (self._mqo_stats.shared_subqueries
+                         if self._mqo_stats is not None else None)
         plan = plan or self.planner.plan(query, options)
         trace = ExecutionTrace(atom_order=plan.atom_order(), plan_text=plan.explain(),
                                stages=[[plan.steps[i].atom.name for i in stage]
@@ -300,11 +300,9 @@ class MixedQueryExecutor:
             trace.cache_hits = (now.hits - cache_stats.hits
                                 + sum(join.cache_hits for join in joins.values()))
             trace.cache_misses = now.misses - cache_stats.misses
-        if mqo_stats is not None:
-            current_mqo = self._mqo_stats
-            trace.shared_subqueries = (current_mqo.shared_subqueries
-                                       - mqo_stats.shared_subqueries)
-            trace.fused_probes = current_mqo.fused_probes - mqo_stats.fused_probes
+        if shared_before is not None:
+            trace.shared_subqueries = (self._mqo_stats.shared_subqueries
+                                       - shared_before)
         return MixedResult(variables=output, rows=rows, trace=trace)
 
     # ------------------------------------------------------------------

@@ -160,9 +160,6 @@ class ExecutionTrace:
     #: Sub-query probes answered by another in-flight query's evaluation
     #: (MQO single-flight: this execution waited instead of re-calling).
     shared_subqueries: int = 0
-    #: Miss bindings evaluated by riding another in-flight query's
-    #: batched source call (MQO probe fusion) instead of a call of ours.
-    fused_probes: int = 0
     #: Per-step estimated vs. actual cardinalities (execution order).
     steps: list[StepObservation] = field(default_factory=list)
     #: True when the executor re-planned the remaining steps mid-flight.
@@ -203,9 +200,8 @@ class ExecutionTrace:
         if self.cache_hits or self.cache_misses:
             lines.insert(3, f"result cache: {self.cache_hits} hit(s), "
                             f"{self.cache_misses} miss(es)")
-        if self.shared_subqueries or self.fused_probes:
-            lines.insert(3, f"mqo: {self.shared_subqueries} shared "
-                            f"sub-query(ies), {self.fused_probes} fused probe(s)")
+        if self.shared_subqueries:
+            lines.insert(3, f"mqo: {self.shared_subqueries} shared sub-query(ies)")
         if self.plan_cached:
             lines.insert(1, "plan served from the plan cache")
         if self.degraded:

@@ -68,10 +68,6 @@ class SourceQuery:
         """Variables that must already be bound before execution."""
         return set()
 
-    def pushable_parameters(self) -> set[str]:
-        """Variables whose bindings the source can use to restrict results."""
-        return self.output_variables()
-
     def compatible_models(self) -> set[str]:
         """Data models able to evaluate this sub-query."""
         raise NotImplementedError
@@ -374,24 +370,6 @@ class DataSource:
         if target is None:
             return None
         return journal.since(version, target)
-
-    def add_change_listener(self, listener) -> bool:
-        """Subscribe ``listener(record)`` to committed mutation batches.
-
-        Returns False when the wrapper has no journal (no notifications
-        will ever fire).  Listeners run on the writer's thread, outside
-        the store's write lock, and must never raise.
-        """
-        journal = self.journal()
-        if journal is None:
-            return False
-        journal.subscribe(listener)
-        return True
-
-    def remove_change_listener(self, listener) -> None:
-        journal = self.journal()
-        if journal is not None:
-            journal.unsubscribe(listener)
 
     def accepts(self, query: SourceQuery) -> bool:
         """True when this source can evaluate ``query``."""
@@ -940,7 +918,7 @@ class FullTextSource(DataSource):
         it, when the query has no ``limit`` (top-k-then-filter is not
         filter-then-top-k), the field is a ``keyword`` field and all of
         them bind a ``str`` (the keyword lookup, ``str(v).lower()`` per
-        stored value, then accepts at least what ``_loose_equal`` does):
+        stored value, then accepts exactly what ``_loose_equal`` does):
 
         * a parameter whose only occurrence is a top-level ``path:{var}``
           clause over an *echoed* field is pooled over the whole batch,
@@ -1236,12 +1214,19 @@ def _scalarize(value: Any) -> object:
 
 
 def _loose_equal(left: object, right: object) -> bool:
+    """Does the stored value ``left`` match the binding ``right``?
+
+    A ``str`` binding is compared the way the store's keyword index
+    files a value — ``str(v).lower()``, any one value of a multi-valued
+    field, a missing value never — so the documents a binding finds
+    through the index are the ones this check keeps.
+    """
     if left == right:
         return True
-    if isinstance(left, str) and isinstance(right, str):
-        return left.lower() == right.lower()
     if isinstance(left, tuple):
         return any(_loose_equal(item, right) for item in left)
+    if isinstance(right, str) and left is not None:
+        return str(left).lower() == right.lower()
     return False
 
 
@@ -1357,4 +1342,6 @@ def _loose_keys(value: object) -> list | None:
             if item_keys is None:
                 return None
             keys.extend(item_keys)
+    elif value is not None:
+        keys.append(str(value).lower())
     return keys

@@ -297,10 +297,6 @@ class FullTextStore:
         """Every stored document (unordered)."""
         return list(self._documents.values())
 
-    def field_names(self) -> list[str]:
-        """The declared field names."""
-        return list(self._fields)
-
     def field_config(self, name: str) -> FieldConfig | None:
         """Return the configuration of field ``name`` if declared."""
         return self._fields.get(name)

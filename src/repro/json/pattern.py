@@ -32,11 +32,6 @@ COMPARISONS = ("=", "!=", ">", ">=", "<", "<=")
 WILDCARD_SEGMENTS = ("*", "**")
 
 
-def path_segments(path: str) -> list[str]:
-    """The dotted path split into its step segments."""
-    return path.split(".")
-
-
 def is_wildcard_path(path: str) -> bool:
     """True when the path uses ``*``/``**`` axis segments."""
     if "*" not in path:
@@ -206,14 +201,6 @@ class TreePattern:
         out: set[str] = set()
         for leaf in self.leaves:
             out |= leaf.parameters()
-        return out
-
-    def variable_paths(self) -> dict[str, list[str]]:
-        """Variable name -> the paths it is bound at (usually one)."""
-        out: dict[str, list[str]] = {}
-        for leaf in self.leaves:
-            if leaf.variable:
-                out.setdefault(leaf.variable, []).append(leaf.path)
         return out
 
     def to_text(self) -> str:

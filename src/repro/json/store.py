@@ -322,10 +322,6 @@ class JSONDocumentStore:
         """Every stored document, in insertion order."""
         return list(self._documents.values())
 
-    def document_ids(self) -> list[str]:
-        """Every document id, in insertion order."""
-        return list(self._documents)
-
     def items(self) -> Iterable[tuple[str, dict[str, Any]]]:
         """(doc_id, document) pairs, in insertion order."""
         return self._documents.items()
@@ -346,10 +342,6 @@ class JSONDocumentStore:
     def index_for(self, path: str) -> PathIndex | None:
         """The :class:`PathIndex` of ``path`` (None when never observed)."""
         return self._indexes.get(path)
-
-    def values_at(self, path: str) -> list[object]:
-        """Every raw leaf value observed at ``path`` (duplicates included)."""
-        return self.values_by_path().get(path, [])
 
     def values_by_path(self) -> dict[str, list[object]]:
         """Raw leaf values grouped by path, in one pass over the store."""

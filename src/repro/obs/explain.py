@@ -65,9 +65,8 @@ class ExplainReport:
     sieved_bindings: int = 0
     replans: int = 0
     #: MQO sharing: probes answered by another in-flight query's
-    #: evaluation / bindings that rode another query's fused call.
+    #: evaluation.
     shared_subqueries: int = 0
-    fused_probes: int = 0
     #: True when at least one call served stale or partial rows because
     #: its source was down; ``degraded_atoms`` lists the affected
     #: ``(atom, source_uri, reason)`` triples.
@@ -135,10 +134,8 @@ class ExplainReport:
                 f"  remote: {self.remote_calls} round trip(s) · wire "
                 f"{wire * 1000.0:.2f} ms · server "
                 f"{self.remote_server_seconds * 1000.0:.2f} ms")
-        if self.shared_subqueries or self.fused_probes:
-            lines.append(
-                f"  mqo: {self.shared_subqueries} shared sub-query(ies) · "
-                f"{self.fused_probes} fused probe(s)")
+        if self.shared_subqueries:
+            lines.append(f"  mqo: {self.shared_subqueries} shared sub-query(ies)")
         if include_plan and self.plan_text:
             lines.append("  plan:")
             lines.extend("    " + line for line in self.plan_text.splitlines())
@@ -212,7 +209,6 @@ def explain_analyze(result) -> ExplainReport:
         sieved_bindings=trace.sieved_bindings,
         replans=trace.replans,
         shared_subqueries=getattr(trace, "shared_subqueries", 0),
-        fused_probes=getattr(trace, "fused_probes", 0),
         degraded=getattr(trace, "degraded", False),
         degraded_atoms=list(getattr(trace, "degraded_atoms", ())),
         remote_calls=len(remote),

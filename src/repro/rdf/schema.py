@@ -113,10 +113,6 @@ class RDFSchema:
         """Return every (transitive) subclass of ``rdf_class``."""
         return _transitive(_invert(self.subclasses), rdf_class, include_self)
 
-    def subproperties_of(self, prop: Term, include_self: bool = True) -> set[Term]:
-        """Return every (transitive) subproperty of ``prop``."""
-        return _transitive(_invert(self.subproperties), prop, include_self)
-
     def classes(self) -> set[Term]:
         """Return every class mentioned by the schema."""
         out: set[Term] = set()

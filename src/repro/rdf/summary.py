@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.rdf.graph import Graph
 from repro.rdf.terms import RDF_TYPE, Literal, Term, URI
@@ -127,11 +126,6 @@ class RDFSummary:
         for node in self.nodes.values():
             out.update(node.properties)
         return out
-
-    def value_positions(self) -> Iterable[tuple[str, Term, set[Term]]]:
-        """Yield ``(node_id, property, values)`` for every value set."""
-        for (node_id, prop), values in self.values.items():
-            yield node_id, prop, values
 
     def literal_values(self, prop: Term) -> set[str]:
         """Return the string forms of literal values of ``prop`` anywhere."""

@@ -59,17 +59,9 @@ class RemoteSourceHandler:
         self.source = source
         self._lock = threading.Lock()
         self._pinned: dict[int, DataSource] = {}
-        self._served = 0
-
-    @property
-    def requests_served(self) -> int:
-        with self._lock:
-            return self._served
 
     def handle(self, request: dict) -> dict:
         """Answer one request payload; never raises."""
-        with self._lock:
-            self._served += 1
         started = time.perf_counter()
         try:
             response = self._dispatch(request)

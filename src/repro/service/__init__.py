@@ -8,9 +8,9 @@ Public entry points:
 * :class:`QueryTicket` — the future-like handle ``submit`` returns;
 * :class:`PinnedCatalog` / :func:`pin_instance` — the snapshot vector a
   query observes (also reachable as ``MixedInstance.pin()``);
-* :class:`MQOCoordinator` / :class:`QueryGroup` — the multi-query
-  fusion bus (single-flight shared sub-plans, cross-query probe
-  fusion) and the batch-admission groups feeding it.
+* :class:`MQOCoordinator` / :class:`QueryGroup` — multi-query
+  optimization: single-flight evaluation of the sub-plans in-flight
+  queries share, and the batch-admission groups feeding it.
 """
 
 from repro.errors import (

@@ -82,13 +82,11 @@ class ServiceConfig:
         Multi-query optimization: a worker dequeuing a ticket scoops up
         to ``mqo_group_size - 1`` further pending tickets into a group
         sharing ONE pinned snapshot vector, and every executor's cache
-        misses flow through the service's fusion bus
-        (:class:`~repro.service.mqo.MQOCoordinator`) — identical
-        in-flight sub-queries evaluate once (single-flight) and
-        compatible bind-join probes from different queries fuse into
-        one batched source call.  ``mqo_fusion_window`` is how long a
-        batched call is held open for riders (seconds; only while more
-        than one ticket is in flight).
+        misses flow through the service's single-flight map
+        (:class:`~repro.service.mqo.MQOCoordinator`) — a sub-query
+        another in-flight query is already evaluating is waited for,
+        not evaluated again.  Off is the reference path the
+        equivalence tests compare against.
     """
 
     workers: int = 4
@@ -100,7 +98,6 @@ class ServiceConfig:
     tracing: bool = True
     mqo: bool = True
     mqo_group_size: int = 8
-    mqo_fusion_window: float = 0.002
 
 
 #: Ticket life cycle states.
@@ -289,10 +286,9 @@ class MediatorService:
         }
         if getattr(instance, "cache", None) is not None:
             instance.cache.register_metrics(self.metrics)
-        #: The multi-query fusion bus every executor's misses flow
-        #: through (None when ``config.mqo`` is off).
-        self.mqo = (MQOCoordinator(window=self.config.mqo_fusion_window)
-                    if self.config.mqo else None)
+        #: The single-flight map every executor's misses flow through
+        #: (None when ``config.mqo`` is off).
+        self.mqo = MQOCoordinator() if self.config.mqo else None
         self.task_pool = WorkPool(self.config.task_workers,
                                   name="mediator-tasks")
         #: Standing-query registry, created on first ``register_standing``
@@ -446,7 +442,9 @@ class MediatorService:
         if remote:
             out["remote"] = remote
         if self.mqo is not None:
-            out["mqo"] = self.mqo.stats()
+            # The constant 0 outlives probe fusion only because
+            # benchmarks/e2e/layers.py still subtracts the key.
+            out["mqo"] = {**self.mqo.stats(), "fused_probes": 0}
         if getattr(self.instance, "cache", None) is not None:
             # The streaming ingest story in one block: how many misses
             # were answered by delta-join repair instead of re-dispatch.
@@ -517,7 +515,7 @@ class MediatorService:
         sequence, so their order is preserved) — they only gained the
         group tag, other workers still run them in parallel.  Sharing
         the pinned versions makes every member's canonical sub-query
-        keys line up exactly, so the fusion bus can share work across
+        keys line up exactly, so single-flight can share work across
         the group without ever mixing snapshot versions.
         """
         members: list[_QueueItem] = []
@@ -577,8 +575,6 @@ class MediatorService:
                 cancel_check=ticket._cancel_check, task_pool=self.task_pool,
                 metrics=self.metrics, deadline=ticket._remaining,
                 mqo=self.mqo)
-            if self.mqo is not None:
-                self.mqo.ticket_started()
             try:
                 result = executor.execute(ticket.query, distinct=ticket.distinct,
                                           limit=ticket.limit)
@@ -594,9 +590,6 @@ class MediatorService:
             else:
                 self._account(DONE, ticket)
                 ticket._finish(DONE, result=result)
-            finally:
-                if self.mqo is not None:
-                    self.mqo.ticket_finished()
         finally:
             if token is not None:
                 detach(token)

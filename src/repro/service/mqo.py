@@ -16,22 +16,19 @@ share the pinned versions, their canonical cache keys coincide exactly
 — the precondition for sharing work without ever mixing snapshot
 versions.
 
-**The fusion bus** (:class:`MQOCoordinator`): every cache *miss* of
-every executor flows through :meth:`MQOCoordinator.fuse`, keyed by
-``(source URI, identity token, pinned version, canonical query,
-binding schema)``.  Two things can happen to a probe:
+**Single-flight** (:class:`MQOCoordinator`): every cache *miss* of
+every executor flows through :meth:`MQOCoordinator.evaluate` under its
+full cache key ``(source URI, identity token, pinned version, canonical
+query, canonical binding)``.  A caller *leads* the keys nobody is
+evaluating — one source call for all of them, on its own thread — and
+*rides* the keys another in-flight query is already evaluating: it
+waits for that evaluation and receives its rows without a source call
+(``shared_subqueries``).
 
-* *single-flight* — an identical probe (same canonical binding) is
-  already in flight: the caller waits on the carrier slot's future and
-  receives the rows without any source call (``shared_subqueries``);
-* *probe fusion* — a compatible but distinct probe finds a slot whose
-  leader has not dispatched yet: it rides along, and the leader ships
-  the union in ONE batched source call (``fused_probes``).
-
-A slot's leader executes the fused call on its own worker thread
-(straight-line, no nested pool submits), so riders' waits always bottom
-out at a thread that is making progress; the rider wait is additionally
-bounded, falling back to self-evaluation if a carrier ever stalls.
+A leader runs straight-line (no nested pool submits) before it waits on
+anyone, so riders' waits always bottom out at a thread that is making
+progress; the wait is additionally bounded (:data:`RIDER_TIMEOUT`), and
+a rider whose carrier failed or stalled evaluates its own probes.
 Results cross between differently-renamed queries in canonical form —
 the same renaming machinery the result cache already trusts
 (:mod:`repro.cache.keys`).
@@ -43,15 +40,16 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, TYPE_CHECKING
 
-from repro.core.sources import Row
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.snapshots import PinnedCatalog
 
-#: One probe on the bus: (full canonical cache key, canonical binding).
-Probe = tuple[tuple, Row]
-#: A slot leader's evaluator: union probes -> canonical rows per probe.
-Runner = Callable[[list[Probe]], list[list[Row]]]
+#: A caller's evaluator: positions into its key list -> one (canonical)
+#: answer per position, from ONE source call.
+Runner = Callable[[list[int]], list]
+
+#: Seconds a rider waits on a carrier before it stops waiting and
+#: evaluates its own probes (the carrier's source call hung).
+RIDER_TIMEOUT = 30.0
 
 
 @dataclass
@@ -68,76 +66,34 @@ class QueryGroup:
     size: int
 
 
-class _FusionSlot:
-    """One in-flight (or about-to-fly) fused source call.
+class _Flight:
+    """One leader's in-flight source call.
 
-    ``probes`` accumulates the union while ``open``; the leader closes
-    the slot, ships the union, fills ``results`` (keyed by full cache
-    key) and sets ``done``.  Identical probes *ride* the slot for as
-    long as it is live — also after close, during the source call.
+    The leader fills ``results`` (by full cache key) unless its call
+    raised, then sets ``done`` — unconditionally, so a rider can never
+    wait on a flight that silently died.
     """
 
-    __slots__ = ("key", "open", "done", "full", "probes", "results",
-                 "error", "participants")
+    __slots__ = ("done", "results")
 
-    def __init__(self, key: tuple):
-        self.key = key
-        self.open = False
+    def __init__(self) -> None:
         self.done = threading.Event()
-        #: Set when the slot reaches capacity — wakes a leader waiting
-        #: out its fusion window early.
-        self.full = threading.Event()
-        self.probes: dict[tuple, Row] = {}
-        self.results: dict[tuple, list[Row]] = {}
-        self.error: Optional[BaseException] = None
-        #: Number of distinct fuse() calls contributing probes.
-        self.participants = 1
+        self.results: Optional[dict[tuple, object]] = None
 
 
 class MQOCoordinator:
-    """The shared fusion bus of one :class:`MediatorService`.
+    """The single-flight map of one :class:`MediatorService`."""
 
-    ``window`` is how long a batched slot leader holds the call open
-    for riders (seconds; only when more than one ticket is in flight —
-    a lone query never pays the wait).  ``max_fused`` caps the union
-    size of one fused call; ``rider_timeout`` bounds how long a rider
-    waits on a carrier before falling back to evaluating its own
-    probes.
-    """
-
-    def __init__(self, window: float = 0.002, max_fused: int = 64,
-                 rider_timeout: float = 30.0):
-        self.window = window
-        self.max_fused = max(1, max_fused)
-        self.rider_timeout = rider_timeout
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._slots: dict[tuple, list[_FusionSlot]] = {}
-        self._active = 0
+        #: Full cache key -> the flight evaluating it right now.
+        self._in_flight: dict[tuple, _Flight] = {}
         self._totals = {
             "shared_subqueries": 0,
-            "fused_probes": 0,
-            "fused_calls": 0,
             "source_calls_saved": 0,
             "groups": 0,
             "grouped_tickets": 0,
         }
-
-    # ------------------------------------------------------------------
-    # Ticket / group lifecycle (driven by the mediator's worker loop)
-    # ------------------------------------------------------------------
-    def ticket_started(self) -> None:
-        with self._lock:
-            self._active += 1
-
-    def ticket_finished(self) -> None:
-        with self._lock:
-            self._active -= 1
-
-    @property
-    def active(self) -> int:
-        """Tickets currently executing through this bus."""
-        with self._lock:
-            return self._active
 
     def group_formed(self, size: int) -> None:
         with self._lock:
@@ -147,149 +103,60 @@ class MQOCoordinator:
     def stats(self) -> dict[str, int]:
         """Cumulative sharing counters (``MediatorService.stats()["mqo"]``)."""
         with self._lock:
-            out = dict(self._totals)
-            out["active"] = self._active
-            return out
+            return dict(self._totals)
 
-    # ------------------------------------------------------------------
-    # The bus
-    # ------------------------------------------------------------------
-    def fuse(self, fusion_key: tuple, probes: list[Probe], runner: Runner,
-             batched: bool = False) -> tuple[list[list[Row]], int, int]:
-        """Evaluate ``probes`` through the bus; ``(rows_per_probe, shared,
-        fused)``.
+    def evaluate(self, keys: list[tuple], runner: Runner) -> tuple[list, int]:
+        """Answer the probes ``keys``, each evaluated once across callers;
+        ``(answer_per_key, shared)``.
 
-        All probes of one call share a canonical query and binding
-        schema (that is what ``fusion_key`` says).  ``runner`` is only
-        invoked if this caller ends up leading a slot (or recovering
-        from a failed carrier); it must answer the probe list it is
-        given with one canonical row list per probe.
+        ``runner`` is invoked (at most twice: to lead, to recover) with
+        the positions in ``keys`` this caller must evaluate itself — the
+        keys no in-flight query is evaluating, a key duplicated within
+        the call only once — and must answer them in order.  Its answers
+        are handed as-is to every concurrent caller of the same key.
 
-        ``shared`` counts probes answered by an identical in-flight
-        probe (single-flight), ``fused`` probes answered by riding a
-        compatible call another query led.  The caller's own led probes
-        count as neither — it did that work itself.
+        ``shared`` counts the probes answered by another caller's
+        evaluation.  A runner that raises fails this caller only.
         """
-        resolvers: list[tuple[object, tuple]] = []
-        ride_kind: dict[int, str] = {}
-        ride_slots: list[_FusionSlot] = []
-        joined: list[_FusionSlot] = []
-        lead: Optional[_FusionSlot] = None
-        lead_probes: dict[tuple, Row] = {}
+        first: dict[tuple, int] = {}
+        riding: dict[tuple, _Flight] = {}
+        flight = _Flight()
         with self._lock:
-            slots = self._slots.setdefault(fusion_key, [])
-            open_slot = next((s for s in slots
-                              if s.open and len(s.probes) < self.max_fused), None)
-            for position, (full_key, binding) in enumerate(probes):
-                if full_key in lead_probes:
-                    # Duplicate within our own call: one evaluation.
-                    resolvers.append(("lead", full_key))
+            for position, key in enumerate(keys):
+                if key in first:
                     continue
-                carrier = next((s for s in slots if not s.done.is_set()
-                                and full_key in s.probes), None)
+                first[key] = position
+                carrier = self._in_flight.get(key)
                 if carrier is not None:
-                    resolvers.append((carrier, full_key))
-                    if carrier not in ride_slots:
-                        ride_slots.append(carrier)
-                    ride_kind[position] = "shared"
-                    continue
-                if open_slot is not None:
-                    open_slot.probes[full_key] = binding
-                    resolvers.append((open_slot, full_key))
-                    if open_slot not in ride_slots:
-                        ride_slots.append(open_slot)
-                    if open_slot not in joined:
-                        joined.append(open_slot)
-                    ride_kind[position] = "fused"
-                    if len(open_slot.probes) >= self.max_fused:
-                        open_slot.open = False
-                        open_slot.full.set()
-                        open_slot = None
-                    continue
-                lead_probes[full_key] = binding
-                resolvers.append(("lead", full_key))
-            for slot in joined:
-                slot.participants += 1
-            if lead_probes:
-                lead = _FusionSlot(fusion_key)
-                lead.probes.update(lead_probes)
-                # Hold the call open for riders only when it is batched
-                # (the wrapper can push a union down) and someone exists
-                # to fuse with; a lone query never pays the window.
-                lead.open = bool(batched) and self.window > 0 and self._active > 1
-                slots.append(lead)
-
-        if lead is not None:
-            self._lead(lead, runner)
-        for slot in ride_slots:
-            if not slot.done.wait(self.rider_timeout):
-                # Carrier stalled (hung source call on another ticket):
-                # stop waiting — the fallback below re-evaluates our
-                # probes on our own thread/budget.
-                continue
-
-        results: list[Optional[list[Row]]] = []
-        shared = fused = 0
-        fallback: dict[tuple, Row] = {}
-        for position, (owner, full_key) in enumerate(resolvers):
-            if owner == "lead":
-                assert lead is not None
-                if lead.error is not None:
-                    raise lead.error
-                results.append(lead.results[full_key])
-                continue
-            rows = (owner.results.get(full_key)
-                    if owner.done.is_set() and owner.error is None else None)
-            if rows is None:
-                fallback[full_key] = probes[position][1]
-                results.append(None)
-                continue
-            results.append(rows)
-            if ride_kind.get(position) == "shared":
-                shared += 1
-            else:
-                fused += 1
-        if fallback:
-            recovered = runner(list(fallback.items()))
-            by_key = dict(zip(fallback, recovered))
-            results = [by_key[resolvers[i][1]] if rows is None else rows
-                       for i, rows in enumerate(results)]
+                    riding[key] = carrier
+            lead = [key for key in first if key not in riding]
+            for key in lead:
+                self._in_flight[key] = flight
+        answers: dict[tuple, object] = {}
+        if lead:
+            try:
+                answers.update(zip(lead, runner([first[key] for key in lead])))
+                flight.results = dict(answers)
+            finally:
+                with self._lock:
+                    for key in lead:
+                        del self._in_flight[key]
+                flight.done.set()
+        for carrier in dict.fromkeys(riding.values()):
+            # A carrier that outlives the timeout is treated like one
+            # that failed: its keys are recovered below, on this thread.
+            carrier.done.wait(RIDER_TIMEOUT)
+        recover = [key for key, carrier in riding.items()
+                   if not carrier.done.is_set() or carrier.results is None]
+        if recover:
+            answers.update(zip(recover, runner([first[key] for key in recover])))
+            for key in recover:
+                del riding[key]
+        for key, carrier in riding.items():
+            answers[key] = carrier.results[key]
+        shared = sum(1 for key in keys if key in riding)
         with self._lock:
             self._totals["shared_subqueries"] += shared
-            self._totals["fused_probes"] += fused
-            if lead is None and not fallback:
+            if not lead and not recover:
                 self._totals["source_calls_saved"] += 1
-        return results, shared, fused  # type: ignore[return-value]
-
-    def _lead(self, slot: _FusionSlot, runner: Runner) -> None:
-        """Run one slot's fused call as its leader.
-
-        Straight-line on the calling thread: wait out the fusion
-        window (if open), close the slot, ship the union, publish the
-        results, signal ``done`` — unconditionally, so riders can never
-        wait on a slot that silently died.
-        """
-        if slot.open:
-            slot.full.wait(self.window)
-        with self._lock:
-            slot.open = False
-            union = list(slot.probes.items())
-        try:
-            fetched = runner(union)
-            slot.results = {key: rows
-                            for (key, _), rows in zip(union, fetched)}
-        except BaseException as exc:  # noqa: BLE001 - published to riders
-            slot.error = exc
-        finally:
-            with self._lock:
-                bucket = self._slots.get(slot.key)
-                if bucket is not None:
-                    try:
-                        bucket.remove(slot)
-                    except ValueError:  # pragma: no cover - defensive
-                        pass
-                    if not bucket:
-                        del self._slots[slot.key]
-                if slot.participants > 1 and slot.error is None:
-                    self._totals["fused_calls"] += 1
-            slot.done.set()
+        return [answers[key] for key in keys], shared

@@ -186,13 +186,6 @@ class StatisticsCatalog:
         with self._lock:
             return len(self._feedback)
 
-    def clear_feedback(self) -> None:
-        """Drop every observation (the revision still advances)."""
-        with self._lock:
-            if self._feedback:
-                self._feedback.clear()
-                self._revision += 1
-
     # ------------------------------------------------------------------
     # Relational column summaries
     # ------------------------------------------------------------------

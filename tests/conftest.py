@@ -39,7 +39,7 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers",
         "mqo: multi-query optimization suites (group admission, "
-        "single-flight shared sub-plans, cross-query probe fusion, "
+        "single-flight shared sub-plans, "
         "group-vs-per-query equivalence including hypothesis property "
         "tests); run in isolation with `pytest -m mqo`.")
     config.addinivalue_line(

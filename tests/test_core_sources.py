@@ -229,6 +229,11 @@ _CORPUS = [
      "tags": ["red"], "count": 2},
     {"id": "D13", "body": "Budget vote today in parliament", "title": "Budget",
      "author": "ALICE", "tags": "red", "count": 3},
+    # keyword values that are not str: the index files them as str(v).lower()
+    {"id": "d14", "body": "The budget by the numbers", "title": "Numbers",
+     "author": True, "tags": [42, True, "blue"], "count": 4},
+    {"id": "D15", "body": "One number for a tag, no budget", "title": "Tag",
+     "author": "carol", "tags": 42, "count": 4},
 ]
 
 _OUTPUTS = {"a": "author", "g": "tags", "t": "title", "n": "count", "i": "id"}
@@ -255,15 +260,15 @@ _HARD_VALUES = ["Anne Hollier", "budget vote", "x y", "http://a.b/c", "(x", 'say
 _BINDING_VALUES = {
     # str bindings on keyword fields are pushed into the index ...
     "a": ["alice", "ALICE", "bob smith", "a:b", 'say "hi"', "AND", "or", "NOT", "TO",
-          "42", "nobody",
+          "42", "true", "nobody",
           # ... other types are not (they stay post-filtered only)
           42, True, None],
-    "g": ["RED", "blue", "x y", "and", "absent", ("red", "RED"), 7],
+    "g": ["RED", "blue", "x y", "and", "absent", "42", "TRUE", ("red", "RED"), 7],
     # a text field and a numeric field: never pushed
     "t": ["Budget", "budget", "Nowhere"],
     "n": [3, 7, "3"],
     "i": ["d01", "D02", "d99"],
-    "tag": ["red", "blue", "AND", "missing", *_HARD_VALUES],
+    "tag": ["red", "blue", "AND", "missing", "42", "True", *_HARD_VALUES],
     "word": ["budget", "vote", "parliament", *_HARD_VALUES],
 }
 
@@ -382,7 +387,8 @@ class TestFullTextBindingPushdownDifferential:
                                                         limit, sort_by):
         source = _diff_source()
         query = _make_query(template, fields, limit, sort_by)
-        for variable in query.output_variables() & set(_BINDING_VALUES):
+        known = query.output_variables() | query.required_parameters()
+        for variable in known & set(_BINDING_VALUES):
             for value in _BINDING_VALUES[variable]:
                 binding = _binding(query, {variable: value})
                 assert source.execute(query, binding) == _reference(source, query, binding), \
@@ -415,6 +421,8 @@ class TestFullTextBindingPushdownDifferential:
             [{"tag": tag, "word": word, "a": "alice"}
              for tag, word in zip(_BINDING_VALUES["tag"], _BINDING_VALUES["word"] * 2)],
             [{"tag": tag, "word": "budget"} for tag in _BINDING_VALUES["tag"]],
+            # all str: an echoed ``tags:{tag}`` is pooled over the whole batch
+            [{"tag": tag} for tag in _BINDING_VALUES["tag"] if isinstance(tag, str)],
         ]
         for raw in batches:
             batch = [_binding(query, values) for values in raw]

@@ -1,11 +1,11 @@
-"""Multi-query optimization: fusion bus, group admission, equivalence.
+"""Multi-query optimization: single-flight, group admission, equivalence.
 
 Covers the three layers of the MQO subsystem:
 
-* :class:`~repro.service.mqo.MQOCoordinator` in isolation — identical
-  in-flight probes single-flight onto one evaluation, compatible
-  distinct probes fuse into one call, a failed carrier never poisons
-  its riders;
+* :class:`~repro.service.mqo.MQOCoordinator` — identical in-flight
+  probes are evaluated once and read under each caller's own variable
+  names, a failed or stalled carrier never poisons its riders, and no
+  in-flight entry outlives its call;
 * the served path — a burst of overlapping queries through
   :class:`MediatorService` evaluates each shared sub-plan exactly once
   (asserted via source call counters) and reports the sharing in
@@ -31,7 +31,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cache.results import CachedSource, SubQueryResultCache
 from repro.core import MixedInstance, PlannerOptions
-from repro.core.sources import DataSource, SQLQuery
+from repro.core.sources import DataSource, FullTextQuery, SQLQuery
 from repro.engine.batch import dict_rows
 from repro.fulltext.store import FieldConfig, FullTextStore
 from repro.json.store import JSONDocumentStore
@@ -39,6 +39,7 @@ from repro.rdf import Graph, triple
 from repro.relational import Database
 from repro.remote import LocalTransport, RemoteSource, RemoteSourceHandler
 from repro.service import MediatorService, ServiceConfig
+from repro.service import mqo as mqo_module
 from repro.service.mqo import MQOCoordinator
 
 pytestmark = pytest.mark.mqo
@@ -56,7 +57,7 @@ STRESS_QUERIES = int(os.environ.get("REPRO_STRESS_QUERIES", "24"))
 class CountingSource(DataSource):
     """Delegating wrapper counting real source calls, with a delay.
 
-    The delay models a network round trip: it keeps a fused call in
+    The delay models a network round trip: it keeps a source call in
     flight long enough for concurrently-admitted tickets to ride it,
     which is what makes the exactly-once assertions deterministic.
     """
@@ -177,140 +178,146 @@ def result_set(result):
 
 
 # ---------------------------------------------------------------------------
-# MQOCoordinator in isolation
+# The single-flight contract
 # ---------------------------------------------------------------------------
 
-KEY = ("sql://s", 1, 7, ("sql", "q"), ("?0",))
+def posts_by(variable: str) -> FullTextQuery:
+    """The posts of one account, spelled with the caller's own names."""
+    return FullTextQuery.create(
+        f"user.screen_name:{{{variable}}}",
+        {f"text_{variable}": "text", variable: "user.screen_name"})
 
 
-def probe_for(value: str):
-    return ((("sql://s", 1, 7, ("sql", "q"), (("?0", ("str", value)),)),
-             {"?0": value}))
+class GatedSource(DataSource):
+    """The posts store behind a gate: a call announces itself, then
+    blocks until released — so a test decides who is in flight when.
+    ``fail_first`` makes the first call raise once released."""
+
+    def __init__(self, fail_first: bool = False):
+        self.inner = build_instance().source("solr://posts")
+        super().__init__(self.inner.uri)
+        self.model = self.inner.model
+        self.fail_first = fail_first
+        self.calls: list[list[dict]] = []
+        self.entered, self.gate = threading.Event(), threading.Event()
+
+    def version(self):
+        return 1
+
+    def execute(self, query, bindings=None):
+        return self.execute_batch(query, [bindings or {}])[0]
+
+    def execute_batch(self, query, bindings_batch):
+        self.calls.append([dict(b) for b in bindings_batch])
+        first = len(self.calls) == 1
+        self.entered.set()
+        assert self.gate.wait(5.0)
+        if first and self.fail_first:
+            raise RuntimeError("the carrier's source call died")
+        return self.inner.execute_batch(query, bindings_batch)
+
+    def expected(self, variable: str, handle: str) -> list[dict]:
+        return self.inner.execute(posts_by(variable), {variable: handle})
 
 
-def must_not_run(probes):  # pragma: no cover - failure path
-    raise AssertionError("a rider's runner must never be invoked")
+def in_thread(outcome: dict, name: str, call) -> threading.Thread:
+    def run():
+        try:
+            outcome[name] = call()
+        except RuntimeError as exc:
+            outcome[name] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread
 
 
-def test_single_flight_evaluates_once():
-    bus = MQOCoordinator(window=0.05)
-    bus.ticket_started()
-    bus.ticket_started()
-    calls: list[list] = []
-    started, gate = threading.Event(), threading.Event()
+def wait_for(condition, timeout: float = 5.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert condition()
 
-    def slow_runner(probes):
-        calls.append([key for key, _ in probes])
-        started.set()
-        assert gate.wait(5.0)
-        return [[{"?0": "a", "rows": 1}] for _ in probes]
 
-    outcome: dict[str, tuple] = {}
+def ride(source: GatedSource, bus: MQOCoordinator, release) -> dict:
+    """A carrier asks for u1's posts as ``{id}``; while its call is in
+    flight a rider with its own proxy asks for the same rows as ``{h}``.
+    ``release()`` runs once the rider waits on the carrier's key."""
+    cache = SubQueryResultCache()
+    carrier = CachedSource(source, cache, mqo=bus)
+    rider = CachedSource(source, cache, mqo=bus)
+    outcome: dict[str, object] = {}
+    threads = [in_thread(outcome, "carrier", lambda: carrier.execute_batch(
+        posts_by("id"), [{"id": "u1"}]))]
+    assert source.entered.wait(5.0)
+    threads.append(in_thread(outcome, "rider", lambda: rider.execute(
+        posts_by("h"), {"h": "u1"})))
+    # The rider has missed too; give it the instant from there to the
+    # in-flight map before anyone is released.
+    wait_for(lambda: cache.stats.misses == 2)
+    time.sleep(0.05)
+    release()
+    for thread in threads:
+        thread.join(10.0)
+        assert not thread.is_alive()
+    assert bus._in_flight == {}
+    return outcome
 
-    def leader():
-        outcome["leader"] = bus.fuse(KEY, [probe_for("a")], slow_runner)
 
-    def rider():
-        outcome["rider"] = bus.fuse(KEY, [probe_for("a")], must_not_run)
-
-    leader_thread = threading.Thread(target=leader)
-    leader_thread.start()
-    assert started.wait(5.0)
-    rider_thread = threading.Thread(target=rider)
-    rider_thread.start()
-    time.sleep(0.1)  # let the rider register on the in-flight slot
-    gate.set()
-    leader_thread.join(5.0)
-    rider_thread.join(5.0)
-
-    assert len(calls) == 1  # the shared sub-plan ran exactly once
-    lead_rows, lead_shared, lead_fused = outcome["leader"]
-    ride_rows, ride_shared, ride_fused = outcome["rider"]
-    assert lead_rows == ride_rows
-    assert (lead_shared, lead_fused) == (0, 0)
-    assert (ride_shared, ride_fused) == (1, 0)
+def test_single_flight_evaluates_once_and_renames_per_caller():
+    source, bus = GatedSource(), MQOCoordinator()
+    outcome = ride(source, bus, source.gate.set)
+    assert source.calls == [[{"id": "u1"}]]  # the shared probe ran once
+    assert outcome["carrier"] == [source.expected("id", "u1")]
+    assert outcome["rider"] == source.expected("h", "u1") != []
     stats = bus.stats()
     assert stats["shared_subqueries"] == 1
     assert stats["source_calls_saved"] == 1
 
 
-def test_probe_fusion_merges_distinct_probes_into_one_call():
-    bus = MQOCoordinator(window=0.5)
-    bus.ticket_started()
-    bus.ticket_started()
-    calls: list[list] = []
-
-    def leader_runner(probes):
-        calls.append(sorted(binding["?0"] for _, binding in probes))
-        return [[{"?0": binding["?0"]}] for _, binding in probes]
-
-    outcome: dict[str, tuple] = {}
-
-    def leader():
-        outcome["leader"] = bus.fuse(KEY, [probe_for("a")], leader_runner,
-                                     batched=True)
-
-    leader_thread = threading.Thread(target=leader)
-    leader_thread.start()
-    time.sleep(0.1)  # inside the leader's fusion window
-    outcome["rider"] = bus.fuse(KEY, [probe_for("b")], must_not_run,
-                                batched=True)
-    leader_thread.join(5.0)
-
-    assert calls == [["a", "b"]]  # one fused call carried both probes
-    assert outcome["rider"][0] == [[{"?0": "b"}]]
-    assert outcome["rider"][1:] == (0, 1)
-    assert outcome["leader"][0] == [[{"?0": "a"}]]
-    stats = bus.stats()
-    assert stats["fused_probes"] == 1
-    assert stats["fused_calls"] == 1
+def test_failed_carrier_fails_alone_and_the_rider_re_evaluates():
+    source, bus = GatedSource(fail_first=True), MQOCoordinator()
+    outcome = ride(source, bus, source.gate.set)
+    assert isinstance(outcome["carrier"], RuntimeError)
+    assert outcome["rider"] == source.expected("h", "u1")
+    assert source.calls == [[{"id": "u1"}], [{"h": "u1"}]]
+    # The rider did the work itself: it is not charged any sharing.
+    assert bus.stats()["shared_subqueries"] == 0
 
 
-def test_rider_falls_back_when_the_carrier_fails():
-    bus = MQOCoordinator(window=0.05)
-    bus.ticket_started()
-    bus.ticket_started()
-    started, gate = threading.Event(), threading.Event()
+def test_rider_falls_back_when_the_carrier_outlives_the_timeout(monkeypatch):
+    monkeypatch.setattr(mqo_module, "RIDER_TIMEOUT", 0.05)
+    source, bus = GatedSource(), MQOCoordinator()
 
-    def failing_runner(probes):
-        started.set()
-        assert gate.wait(5.0)
-        raise RuntimeError("the leader's source call died")
+    def release():
+        # Nobody releases the carrier until the rider, done waiting,
+        # has shipped a call of its own.
+        wait_for(lambda: len(source.calls) == 2)
+        source.gate.set()
 
-    recovered: list[list] = []
+    outcome = ride(source, bus, release)
+    assert source.calls == [[{"id": "u1"}], [{"h": "u1"}]]
+    assert outcome["rider"] == source.expected("h", "u1")
+    assert outcome["carrier"] == [source.expected("id", "u1")]
+    assert bus.stats()["shared_subqueries"] == 0
 
-    def recovery_runner(probes):
-        recovered.append([binding["?0"] for _, binding in probes])
-        return [[{"?0": binding["?0"]}] for _, binding in probes]
 
-    outcome: dict[str, object] = {}
+def test_key_duplicated_inside_one_call_is_evaluated_once():
+    source, bus = GatedSource(), MQOCoordinator()
+    source.gate.set()
+    proxy = CachedSource(source, SubQueryResultCache(), mqo=bus)
+    rows = proxy.execute_batch(posts_by("id"),
+                               [{"id": "u1"}, {"id": "u2"}, {"id": "u1"}])
+    assert source.calls == [[{"id": "u1"}, {"id": "u2"}]]
+    assert rows == [source.expected("id", handle) for handle in ("u1", "u2", "u1")]
+    assert bus._in_flight == {}
+    assert bus.stats()["shared_subqueries"] == 0
 
-    def leader():
-        try:
-            bus.fuse(KEY, [probe_for("a")], failing_runner)
-        except RuntimeError as exc:
-            outcome["leader_error"] = exc
 
-    def rider():
-        outcome["rider"] = bus.fuse(KEY, [probe_for("a")], recovery_runner)
-
-    leader_thread = threading.Thread(target=leader)
-    leader_thread.start()
-    assert started.wait(5.0)
-    rider_thread = threading.Thread(target=rider)
-    rider_thread.start()
-    time.sleep(0.1)
-    gate.set()
-    leader_thread.join(5.0)
-    rider_thread.join(5.0)
-
-    # The leader sees its own failure; the rider re-evaluates on its
-    # own and is not charged any sharing.
-    assert isinstance(outcome["leader_error"], RuntimeError)
-    rows, shared, fused = outcome["rider"]
-    assert rows == [[{"?0": "a"}]]
-    assert (shared, fused) == (0, 0)
-    assert recovered == [["a"]]
+def test_service_stats_carry_the_keys_the_benchmark_reads():
+    with MediatorService(build_instance(), ServiceConfig(workers=1)) as service:
+        assert {"shared_subqueries", "fused_probes", "groups"} <= set(
+            service.stats()["mqo"])
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +426,7 @@ def test_burst_of_overlapping_queries_shares_the_subplan():
     reference = result_set(instance.pin().execute(instance, query,
                                                   options=SERIAL, cache=False))
     baseline = counters.calls.get("sql://profiles", 0)
-    config = ServiceConfig(workers=4, mqo_fusion_window=0.05)
+    config = ServiceConfig(workers=4)
     with MediatorService(instance, config) as service:
         tickets = [service.submit(query) for _ in range(4)]
         served = [result_set(ticket.result(timeout=60)) for ticket in tickets]
@@ -430,12 +437,10 @@ def test_burst_of_overlapping_queries_shares_the_subplan():
     # source exactly once: one leader shipped, everyone else rode.
     assert counters.calls["sql://profiles"] - baseline == 1
     mqo = stats["mqo"]
-    assert mqo["shared_subqueries"] + mqo["fused_probes"] > 0
+    assert mqo["shared_subqueries"] > 0
     traces = [ticket.result().trace for ticket in tickets]
-    assert sum(t.shared_subqueries + t.fused_probes for t in traces) > 0
-    sharing = next(t for t in tickets
-                   if t.result().trace.shared_subqueries
-                   or t.result().trace.fused_probes)
+    assert sum(t.shared_subqueries for t in traces) > 0
+    sharing = next(t for t in tickets if t.result().trace.shared_subqueries)
     assert "mqo:" in sharing.explain_analyze().render()
     assert "mqo:" in sharing.result().trace.summary()
 
@@ -461,8 +466,7 @@ def test_group_planned_results_equal_per_query_results(batch):
     reference = [result_set(pinned.execute(instance, q, options=SERIAL,
                                            cache=False))
                  for q in queries]
-    config = ServiceConfig(workers=4, mqo_group_size=8,
-                           mqo_fusion_window=0.005)
+    config = ServiceConfig(workers=4, mqo_group_size=8)
     with MediatorService(instance, config) as service:
         tickets = [service.submit(q) for q in queries]
         served = [result_set(t.result(timeout=60)) for t in tickets]
@@ -487,8 +491,7 @@ def test_single_flight_never_mixes_pinned_snapshot_versions():
             time.sleep(0.002)
 
     writer_thread = threading.Thread(target=writer)
-    config = ServiceConfig(workers=8, mqo_group_size=4,
-                           mqo_fusion_window=0.01)
+    config = ServiceConfig(workers=8, mqo_group_size=4)
     with MediatorService(instance, config) as service:
         writer_thread.start()
         try:
