@@ -22,14 +22,13 @@ import threading
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.engine.batch import BindingBatch, as_batches
 from repro.errors import MixedQueryError
-from repro.fulltext.document import path_getter
-from repro.fulltext.query import BooleanQuery, MatchAllQuery, Parameter
+from repro.fulltext.query import MatchAllQuery, Parameter
 from repro.fulltext.store import FullTextStore
-from repro.fulltext.template import FullTextTemplate, any_of, fulltext_template
+from repro.fulltext.template import FullTextTemplate, fulltext_template
 from repro.obs.metrics import get_registry
 from repro.json.accel import structural_row_estimate as accel_structural_row_estimate
 from repro.json.matcher import TreePatternMatcher
@@ -911,45 +910,46 @@ class FullTextSource(DataSource):
     @_instrumented_execute_batch
     def execute_batch(self, query: SourceQuery,
                       bindings_batch: Sequence[Row]) -> list[list[Row]]:
-        """Batched full-text evaluation: one search per distinct bound query.
+        """Batched full-text evaluation: one match set per group of bindings.
 
-        Two kinds of binding go into the index with the search, each as
-        the OR of exact terms over the values of the bindings that share
-        it, when the query has no ``limit`` (top-k-then-filter is not
-        filter-then-top-k), the field is a ``keyword`` field and all of
-        them bind a ``str`` (the keyword lookup, ``str(v).lower()`` per
-        stored value, then accepts exactly what ``_loose_equal`` does):
+        Bindings that bind the template's parameters alike form a group,
+        and a parameter whose only occurrence is a top-level ``path:{var}``
+        clause over a ``keyword`` field is pooled — bound to the OR of the
+        whole batch's values — so that, as for a parameter-free template,
+        the batch is one group.  A group binds the template once and asks
+        the store for its match set once; each binding then intersects
+        that set with the keyword buckets of its pooled values and of its
+        ``str`` bindings on ``keyword`` outputs (the store files a value
+        as ``str(v).lower()``, exactly what ``_loose_equal`` accepts from
+        a ``str``), and ranks only what is left, through the store's own
+        :meth:`~repro.fulltext.store.FullTextStore.rank`.  Keyword terms
+        carry no BM25 weight, so a hit scores as under its own binding
+        alone.  Under a ``limit`` nothing narrows (top-k-then-filter is
+        not filter-then-top-k): every binding filters the group's top-k.
 
-        * a parameter whose only occurrence is a top-level ``path:{var}``
-          clause over an *echoed* field is pooled over the whole batch,
-          so bindings that differ only there share one search — a single
-          index round trip when every parameter pools, as for a
-          parameter-free template — and hits are attributed back through
-          the echoed field;
-        * a bound *output* variable is AND-ed in: the store intersects the
-          posting sets before it scores, sorts or projects a hit, not
-          after every hit of the template was built.
-
-        Keyword terms carry no BM25 weight and the template's own terms
-        occur once, so either way a hit scores as under its own binding
-        alone.  ``_partition_loose`` remains the exact per-binding verifier.
+        A hit is projected once per call (per group for a ``_score``
+        output) into a value tuple the bindings reaching it share; the
+        bindings left over — non-``str`` values,
+        ``text`` / ``numeric`` / ``date`` / ``_score`` outputs — are
+        checked with ``_loose_equal`` on its columns, and a dict is built
+        per row returned.
         """
         if not isinstance(query, FullTextQuery):
             raise MixedQueryError(
                 f"full-text source {self.uri} cannot evaluate {type(query).__name__}"
             )
-        batch = [dict(b or {}) for b in bindings_batch]
-        template, fields = query.template, query.fields()
+        store, template, limit = self.store, query.template, query.limit
+        batch = [b or {} for b in bindings_batch]
+        paths = {variable: path for variable, path in query.output_fields}
+        columns = {variable: i for i, variable in enumerate(paths)}
+        scored = "_score" in paths.values()
 
-        def indexable(path: str, variable: str, bindings: Sequence[Row]) -> bool:
-            config = self.store.field_config(path)
-            return (query.limit is None
-                    and config is not None and config.field_type == "keyword"
-                    and all(isinstance(b.get(variable), str) for b in bindings))
+        def keyword(path: str) -> bool:
+            config = store.field_config(path)
+            return limit is None and config is not None and config.field_type == "keyword"
 
-        echoes = {path: variable for variable, path in query.output_fields}
-        pooled = {var: echoes[path] for var, path in template.clause_parameters.items()
-                  if path in echoes and indexable(path, var, batch)}
+        pooled = {var: path for var, path in template.clause_parameters.items()
+                  if keyword(path) and all(var in b for b in batch)}
         in_lists = {var: [b[var] for b in batch] for var in pooled}
         others = sorted(template.parameters - set(pooled))
         groups: dict[tuple, list[int]] = {}
@@ -957,31 +957,42 @@ class FullTextSource(DataSource):
             key = tuple(str(b[var]) if var in b else None for var in others)
             groups.setdefault(key, []).append(index)
         results: list[list[Row]] = [[] for _ in batch]
+        project = _row_projector(store, paths.values())
+        projected: dict[str, tuple] = {}
         for indices in groups.values():
-            group = [batch[i] for i in indices]
-            narrowing = [any_of(fields[variable], (b[variable].lower() for b in group))
-                         for variable in sorted(set(fields) - template.parameters)
-                         if indexable(fields[variable], variable, group)]
-            bound = template.bind(group[0], in_lists)
-            if narrowing:
-                bound = BooleanQuery("AND", (bound, *narrowing))
-            result = self.store.search(bound, limit=query.limit, sort_by=query.sort_by)
-            specs = [self._post_filters(query, b)
-                     + [(echo, b[var]) for var, echo in pooled.items()] for b in group]
-            parts = _partition_loose(self._hit_rows(result, fields), specs)
-            for index, part in zip(indices, parts):
-                results[index] = part
+            bound = template.bind(batch[indices[0]], in_lists)
+            matches, score = store.matches(bound), store.scorer(bound)
+            if scored:  # a score belongs to the group's query
+                projected = {}
+            top = None if limit is None else store.rank(matches, score, query.sort_by,
+                                                        limit=limit)
+            for index in indices:
+                b = batch[index]
+                buckets = [(path, str(b[var]).lower()) for var, path in pooled.items()]
+                checks = []
+                for variable, value in self._post_filters(query, b):
+                    if isinstance(value, str) and keyword(paths[variable]):
+                        buckets.append((paths[variable], value.lower()))
+                    else:
+                        checks.append((columns[variable], value))
+                if top is None:
+                    found = matches
+                    # Smallest first: each ``&`` costs the smaller operand.
+                    for bucket in sorted((store.keyword_documents(path, key)
+                                          for path, key in buckets), key=len):
+                        found = bucket & found
+                    ranked = store.rank(found, score, query.sort_by)
+                else:
+                    ranked = top
+                rows = results[index]
+                for doc_id, relevance in ranked:
+                    values = projected.get(doc_id)
+                    if values is None:
+                        values = projected[doc_id] = project(doc_id, relevance)
+                    if not checks or all(_loose_equal(values[i], value)
+                                         for i, value in checks):
+                        rows.append(dict(zip(paths, values)))
         return results
-
-    @staticmethod
-    def _hit_rows(result, fields: dict[str, str]) -> list[Row]:
-        # Each dotted path is split here, once, not once per hit.
-        getters = [(variable, None if path == "_score" else path_getter(path))
-                   for variable, path in fields.items()]
-        return [{variable: hit.score if getter is None
-                 else _scalarize(getter(hit.document.fields))
-                 for variable, getter in getters}
-                for hit in result.hits]
 
     def estimate(self, query: SourceQuery, bound_variables: set[str] | None = None) -> float:
         if not isinstance(query, FullTextQuery):
@@ -1205,12 +1216,33 @@ def _to_python(term: object) -> object:
     return term
 
 
-def _scalarize(value: Any) -> object:
-    if isinstance(value, list):
-        if len(value) == 1:
-            return value[0]
-        return tuple(value)
-    return value
+def _row_projector(store: FullTextStore,
+                   paths: Iterable[str]) -> Callable[[str, float], tuple]:
+    """A document's output values, one per path: ``_score`` the score it
+    is given, a dotted path read off the stored fields, a one-value list
+    as its value and a longer one as a tuple.  Each path is split once."""
+    steps = []
+    for path in paths:
+        head, *rest = path.split(".")
+        steps.append((None, ()) if path == "_score" else (head, rest))
+    get = store.get
+
+    def project(doc_id: str, score: float) -> tuple:
+        fields = get(doc_id).fields
+        values = []
+        for head, rest in steps:
+            if head is None:
+                values.append(score)
+                continue
+            value = fields.get(head)
+            for part in rest:
+                value = value.get(part) if isinstance(value, dict) else None
+            if isinstance(value, list):
+                value = value[0] if len(value) == 1 else tuple(value)
+            values.append(value)
+        return tuple(values)
+
+    return project
 
 
 def _loose_equal(left: object, right: object) -> bool:
@@ -1271,77 +1303,3 @@ def _partition_exact(rows: list[Row],
             matched = [r for r in rows if all(r.get(c) == v for c, v in spec)]
         results.append([dict(r) for r in matched])
     return results
-
-
-def _partition_loose(rows: list[Row],
-                     specs: list[list[tuple[str, object]]]) -> list[list[Row]]:
-    """Distribute ``rows`` per spec under :func:`_loose_equal` semantics.
-
-    Candidate rows come from a hash index over the first filter column
-    (string values indexed lowercased, multi-valued tuples fanned out);
-    every candidate is re-verified with ``_loose_equal``, so the result
-    is exact.
-    """
-    results: list[list[Row]] = []
-    indexes: dict[str, tuple[dict, list[int]]] = {}
-    for spec in specs:
-        if not spec:
-            results.append([dict(r) for r in rows])
-            continue
-        first_column = spec[0][0]
-        if first_column not in indexes:
-            buckets: dict = {}
-            linear: list[int] = []
-            for i, r in enumerate(rows):
-                value = r.get(first_column)
-                keys = _loose_keys(value)
-                if keys is None:
-                    linear.append(i)
-                    continue
-                for key in keys:
-                    buckets.setdefault(key, []).append(i)
-            indexes[first_column] = (buckets, linear)
-        buckets, linear = indexes[first_column]
-        wanted = spec[0][1]
-        lookup = _loose_keys(wanted)
-        if lookup is None:
-            candidate_ids = range(len(rows))
-        else:
-            seen: set[int] = set()
-            candidate_ids = []
-            for key in lookup:
-                for i in buckets.get(key, ()):
-                    if i not in seen:
-                        seen.add(i)
-                        candidate_ids.append(i)
-            candidate_ids.extend(i for i in linear if i not in seen)
-            candidate_ids.sort()
-        matched = [rows[i] for i in candidate_ids
-                   if all(_loose_equal(rows[i].get(c), v) for c, v in spec)]
-        results.append([dict(r) for r in matched])
-    return results
-
-
-def _loose_keys(value: object) -> list | None:
-    """Hash keys under which a value is found by ``_loose_equal``.
-
-    Returns ``None`` when the value cannot be indexed (unhashable) and
-    must be matched linearly.
-    """
-    keys: list = []
-    try:
-        hash(value)
-    except TypeError:
-        return None
-    keys.append(value)
-    if isinstance(value, str):
-        keys.append(value.lower())
-    elif isinstance(value, tuple):
-        for item in value:
-            item_keys = _loose_keys(item)
-            if item_keys is None:
-                return None
-            keys.extend(item_keys)
-    elif value is not None:
-        keys.append(str(value).lower())
-    return keys

@@ -21,7 +21,7 @@ from __future__ import annotations
 import threading
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import AbstractSet, Any, Callable, Iterable, Sequence
 
 from repro.core.deltas import DeltaJournal, INSERT, REMOVE, UPSERT
 from repro.errors import FullTextError
@@ -41,6 +41,8 @@ from repro.fulltext.query import (
     parse_query,
 )
 from repro.fulltext.scoring import bm25_scorer
+
+_NO_DOCUMENTS: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -223,12 +225,16 @@ class FullTextStore:
         return self.analyzer.stems(self._stringify(value))
 
     def _keyword_terms(self, doc: Document, field_name: str) -> list[str]:
-        """The (lowercased) values ``doc`` is indexed under in a keyword field."""
+        """The (lowercased) values ``doc`` is indexed under in a keyword field.
+
+        A ``null`` is no value, in a list as alone: ``_loose_equal`` in
+        the full-text wrapper never matches one either.
+        """
         value = doc.get(field_name)
         if value is None:
             return []
         if isinstance(value, list):
-            return [str(v).lower() for v in value]
+            return [str(v).lower() for v in value if v is not None]
         return [str(value).lower()]
 
     def remove(self, doc_id: str) -> bool:
@@ -396,40 +402,60 @@ class FullTextStore:
     def search(self, query: str | Query, limit: int | None = 10,
                sort_by: str | None = None, descending: bool = True,
                facet_fields: Sequence[str] = ()) -> SearchResult:
-        """Run a query and return scored hits.
+        """Run a query and return its first ``limit`` hits, scored.
 
+        :meth:`matches` then :meth:`rank` — the two steps the full-text
+        wrapper takes too — and a :class:`SearchHit` per hit kept.
         ``sort_by`` replaces relevance ordering with a stored field
-        (e.g. ``retweet_count``); ``facet_fields`` adds value counts over
-        the matched documents (used for the tag clouds and digests).
+        (e.g. ``retweet_count``), documents without it last;
+        ``facet_fields`` adds value counts over the matched documents
+        (used for the tag clouds and digests).
         """
         parsed = parse_query(query) if isinstance(query, str) else query
-        matches = self._evaluate(parsed)
-        score = self._scorer(parsed)
+        matches = self.matches(parsed)
         documents = self._documents
-        hits = [SearchHit(document=documents[doc_id], score=score(doc_id))
-                for doc_id in matches]
-        if sort_by:
-            value_of = path_getter(sort_by)
-
-            def sort_key(hit: SearchHit) -> tuple[bool, Any, str]:
-                # The id breaks ties: the order of ``matches`` (a set) must
-                # not show in the answer.
-                value = value_of(hit.document.fields)
-                return (value is None, value, hit.document.doc_id)
-
-            hits.sort(key=sort_key, reverse=descending)
-        else:
-            hits.sort(key=lambda h: (-h.score, h.document.doc_id))
-        total = len(hits)
+        hits = [SearchHit(document=documents[doc_id], score=score) for doc_id, score
+                in self.rank(matches, self.scorer(parsed), sort_by, descending, limit)]
         facets = {f: self.facet(matches, f) for f in facet_fields}
-        if limit is not None:
-            hits = hits[:limit]
-        return SearchResult(hits=hits, total=total, facets=facets)
+        return SearchResult(hits=hits, total=len(matches), facets=facets)
+
+    def matches(self, query: str | Query) -> set[str]:
+        """The ids of the documents matching ``query``, unranked (a new set)."""
+        return self._evaluate(parse_query(query) if isinstance(query, str) else query)
+
+    def rank(self, doc_ids: Iterable[str], score: Callable[[str], float],
+             sort_by: str | None = None, descending: bool = True,
+             limit: int | None = None) -> list[tuple[str, float]]:
+        """The first ``limit`` of ``doc_ids`` in search order, each with
+        its ``score``.
+
+        By relevance — highest score first — or, with ``sort_by``, by that
+        stored field, ``descending`` or not; a document without the field
+        comes after every document with it, in either direction.  The id
+        breaks ties, so the order of ``doc_ids`` never shows and ranking a
+        subset of a match set keeps its members' relative order.  ``score``
+        is called once per document ranked by relevance, and under
+        ``sort_by`` once per document kept.
+        """
+        if not sort_by:
+            keyed = sorted([(-score(doc_id), doc_id) for doc_id in doc_ids])
+            return [(doc_id, -key) for key, doc_id in keyed[:limit]]
+        value_of, documents = path_getter(sort_by), self._documents
+        keyed = [(value_of(documents[doc_id].fields), doc_id) for doc_id in doc_ids]
+        ranked = [doc_id for _, doc_id in sorted(
+            (pair for pair in keyed if pair[0] is not None), reverse=descending)]
+        ranked += sorted((doc_id for value, doc_id in keyed if value is None),
+                         reverse=descending)
+        return [(doc_id, score(doc_id)) for doc_id in ranked[:limit]]
+
+    def keyword_documents(self, field_name: str, key: str) -> AbstractSet[str]:
+        """The ids filed under ``key`` — a stored value's ``str(v).lower()``
+        — in a keyword field (read-only, not a copy)."""
+        return self._keyword_indexes[field_name].get(key, _NO_DOCUMENTS)
 
     def count(self, query: str | Query) -> int:
         """Number of documents matching ``query``."""
-        parsed = parse_query(query) if isinstance(query, str) else query
-        return len(self._evaluate(parsed))
+        return len(self.matches(query))
 
     def facet(self, doc_ids: Iterable[str], field_name: str, top: int | None = None) -> list[tuple[str, int]]:
         """Value counts of ``field_name`` over ``doc_ids`` (most frequent first)."""
@@ -581,7 +607,7 @@ class FullTextStore:
         walk(query)
         return terms
 
-    def _scorer(self, query: Query) -> Callable[[str], float]:
+    def scorer(self, query: Query) -> Callable[[str], float]:
         """Relevance of a document to ``query``: BM25 summed over the text
         fields the query names (1.0 when no text term contributes).
 
@@ -592,6 +618,9 @@ class FullTextStore:
                    for field_name, terms in self._scoring_terms(query).items() if terms]
         if not scorers:
             return lambda doc_id: 1.0
+        if len(scorers) == 1:
+            only = scorers[0]
+            return lambda doc_id: only(doc_id) or 1.0
 
         def score(doc_id: str) -> float:
             total = 0.0

@@ -248,20 +248,20 @@ class TestExecuteBatch:
                                      {"t": "text", "id": "user.screen_name"})
         batch = [{"id": "fhollande"}, {"id": "mlepen"}, {"id": "missing"}]
         self.assert_batch_matches_loop(source, query, batch)
-        searches = []
-        original = source.store.search
+        evaluated = []
+        original = source.store.matches
 
-        def spy(text, limit=10, sort_by=None):
-            searches.append(str(text))
-            return original(text, limit=limit, sort_by=sort_by)
+        def spy(query):
+            evaluated.append(str(query))
+            return original(query)
 
-        source.store.search = spy
+        source.store.matches = spy
         try:
             source.execute_batch(query, batch)
         finally:
-            source.store.search = original
-        assert len(searches) == 1
-        assert " OR " in searches[0]
+            del source.store.matches
+        assert len(evaluated) == 1
+        assert " OR " in evaluated[0]
 
     def test_fulltext_case_insensitive_attribution(self, instance):
         source = instance.source("solr://tweets")

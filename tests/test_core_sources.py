@@ -1,12 +1,17 @@
 """Unit tests for the per-model source wrappers and sub-query descriptions."""
 
+import itertools
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.sources as sources
+import repro.fulltext.store as fulltext_store
 from repro.core import FullTextQuery, FullTextSource, RDFQuery, RDFSource, RelationalSource, SQLQuery
 from repro.core.sources import _loose_equal
+from repro.datasets import DemoConfig, build_demo_instance
 from repro.datasets.loader import TWEETS_URI
 from repro.errors import MixedQueryError, SQLParseError
 from repro.fulltext import FieldConfig, FullTextStore
@@ -234,6 +239,9 @@ _CORPUS = [
      "author": True, "tags": [42, True, "blue"], "count": 4},
     {"id": "D15", "body": "One number for a tag, no budget", "title": "Tag",
      "author": "carol", "tags": 42, "count": 4},
+    # a null is no value, alone or in a list: no keyword bucket files it
+    {"id": "d16", "body": "A budget with a null tag", "title": "Null",
+     "author": None, "tags": [None, "red"], "count": 6},
 ]
 
 _OUTPUTS = {"a": "author", "g": "tags", "t": "title", "n": "count", "i": "id"}
@@ -263,7 +271,7 @@ _BINDING_VALUES = {
           "42", "true", "nobody",
           # ... other types are not (they stay post-filtered only)
           42, True, None],
-    "g": ["RED", "blue", "x y", "and", "absent", "42", "TRUE", ("red", "RED"), 7],
+    "g": ["RED", "blue", "x y", "and", "absent", "42", "TRUE", "none", ("red", "RED"), 7],
     # a text field and a numeric field: never pushed
     "t": ["Budget", "budget", "Nowhere"],
     "n": [3, 7, "3"],
@@ -363,20 +371,43 @@ def _binding(query, values):
 
 
 def _searched(source, call):
-    """Run ``call`` and return (its result, the queries the store was sent,
-    as ASTs)."""
-    sent = []
-    search = source.store.search
+    """Run ``call`` and return (its result, the queries whose match set the
+    store was asked for, as ASTs, and the keyword buckets read)."""
+    store, sent, read = source.store, [], []
+    matches, keyword_documents = store.matches, store.keyword_documents
 
-    def spy(query, *args, **kwargs):
+    def match_spy(query):
         sent.append(parse_query(query) if isinstance(query, str) else query)
-        return search(query, *args, **kwargs)
+        return matches(query)
 
-    source.store.search = spy
+    def bucket_spy(field_name, key):
+        read.append((field_name, key))
+        return keyword_documents(field_name, key)
+
+    store.matches, store.keyword_documents = match_spy, bucket_spy
     try:
-        return call(), sent
+        return call(), sent, read
     finally:
-        del source.store.search
+        del store.matches, store.keyword_documents
+
+
+def _count_projections(monkeypatch) -> Counter:
+    """Count, per document id, the value tuples the full-text wrapper
+    projects from here on."""
+    projected: Counter = Counter()
+    make = sources._row_projector
+
+    def counting(*args):
+        project = make(*args)
+
+        def counted(doc_id, *rest):
+            projected[doc_id] += 1
+            return project(doc_id, *rest)
+
+        return counted
+
+    monkeypatch.setattr(sources, "_row_projector", counting)
+    return projected
 
 
 class TestFullTextBindingPushdownDifferential:
@@ -430,19 +461,29 @@ class TestFullTextBindingPushdownDifferential:
             assert source.execute_batch(query, batch) == expected, (template, batch)
 
     def test_str_binding_on_a_keyword_output_is_anded_into_the_query_as_ast(self):
+        """The AND is the intersection of the template's match set (the
+        parsed AST, evaluated once for the whole batch) with the binding's
+        own keyword bucket, read under the key the store files it by."""
         source = _diff_source()
         query = _make_query("body:budget", _OUTPUTS, None, None)
         for value in ["ALICE", "bob smith", "a:b", 'say "hi"', "AND", "nobody"]:
-            rows, sent = _searched(source, lambda: source.execute(query, {"a": value}))
-            assert sent == [BooleanQuery("AND", (parse_query("body:budget"),
-                                                 TermQuery("author", value.lower(), exact=True)))]
+            rows, sent, read = _searched(source, lambda: source.execute(query, {"a": value}))
+            assert sent == [parse_query("body:budget")]
+            assert read == [("author", value.lower())]
             assert rows == _reference(source, query, {"a": value})
-        rows, sent = _searched(source, lambda: source.execute_batch(
+        rows, sent, read = _searched(source, lambda: source.execute_batch(
             query, [{"a": "Alice"}, {"a": "TO"}, {"a": "alice"}]))
+        assert sent == [parse_query("body:budget")]
+        assert read == [("author", "alice"), ("author", "to"), ("author", "alice")]
+        # A pooled ``path:{var}`` clause stays in the query, as one OR.
+        pooled = _make_query("body:budget tags:{tag}", _OUTPUTS, None, None)
+        _, sent, read = _searched(source, lambda: source.execute_batch(
+            pooled, [{"tag": "Red"}, {"tag": "blue", "a": "alice"}]))
         assert sent == [BooleanQuery("AND", (
             parse_query("body:budget"),
-            BooleanQuery("OR", (TermQuery("author", "alice", exact=True),
-                                TermQuery("author", "to", exact=True)))))]
+            BooleanQuery("OR", (TermQuery("tags", "Red", exact=True),
+                                TermQuery("tags", "blue", exact=True)))))]
+        assert read == [("tags", "red"), ("tags", "blue"), ("author", "alice")]
 
     @pytest.mark.parametrize("binding", [
         {"a": 42}, {"a": True}, {"a": None},    # not str
@@ -453,20 +494,21 @@ class TestFullTextBindingPushdownDifferential:
     def test_what_must_not_be_pushed_is_not(self, binding):
         source = _diff_source()
         query = _make_query("body:budget", _OUTPUTS, None, None)
-        rows, sent = _searched(source, lambda: source.execute(query, binding))
+        rows, sent, read = _searched(source, lambda: source.execute(query, binding))
         assert sent == [parse_query("body:budget")]
+        assert read == []
         assert rows == _reference(source, query, binding)
 
     def test_a_limited_query_is_never_narrowed(self):
         source = _diff_source()
         query = _make_query("body:budget", _OUTPUTS, 2, None)
-        rows, sent = _searched(source, lambda: source.execute(query, {"a": "alice"}))
-        assert sent == [parse_query("body:budget")]
+        rows, sent, read = _searched(source, lambda: source.execute(query, {"a": "alice"}))
+        assert sent == [parse_query("body:budget")] and read == []
         # top-2 then filter, not filter then top-2
         assert rows == _reference(source, query, {"a": "alice"})
-        _, sent = _searched(source, lambda: source.execute_batch(
+        _, sent, read = _searched(source, lambda: source.execute_batch(
             query, [{"a": "alice"}, {"a": "to"}]))
-        assert sent == [parse_query("body:budget")]
+        assert sent == [parse_query("body:budget")] and read == []
 
     def test_absent_binding_is_an_empty_answer(self):
         source = _diff_source()
@@ -484,6 +526,77 @@ class TestFullTextBindingPushdownDifferential:
             assert narrowed, author
             for row in narrowed:
                 assert row["s"] == everything[row["i"]]
+
+    # -- row order, not only content -----------------------------------------
+    def _assert_batch_is_the_reference(self, source, query, batch):
+        expected = [_reference(source, query, b) for b in batch]
+        assert [source.execute(query, b) for b in batch] == expected
+        assert source.execute_batch(query, batch) == expected
+        return expected
+
+    def test_a_score_output_ranks_each_binding_as_the_reference(self):
+        source = _diff_source()
+        query = _make_query("body:budget OR body:vote",
+                            {"a": "author", "g": "tags", "s": "_score", "i": "id"}, None, None)
+        expected = self._assert_batch_is_the_reference(
+            source, query, [{"g": "red"}, {"a": "alice"}, {}, {"g": "blue", "a": "ALICE"},
+                            {"s": 1.0}])
+        assert all(len(rows) > 1 for rows in expected[:3])
+        scores = [row["s"] for row in expected[2]]
+        assert scores == sorted(scores, reverse=True) and len(set(scores)) > 1
+
+    _UNCOUNTED = [
+        {"id": "U01", "body": "A budget nobody counted", "author": "alice", "tags": ["red"]},
+        {"id": "u02", "body": "Another budget without a count", "author": "bob smith",
+         "tags": ["blue", "red"], "count": None},
+    ]
+
+    @pytest.mark.parametrize("limit", [None, 2, 12])
+    def test_sort_by_ranks_documents_missing_the_field_last(self, limit):
+        source = _diff_source(_CORPUS + self._UNCOUNTED)
+        fields = {"i": "id", "n": "count", "a": "author", "g": "tags"}
+        query = _make_query("body:budget", fields, limit, "count")
+        everything, = self._assert_batch_is_the_reference(source, query, [{}])
+        counts = [row["n"] for row in source.execute(
+            _make_query("body:budget", fields, None, "count"))]
+        assert counts[-2:] == [None, None] and None not in counts[:-2]
+        assert counts[:-2] == sorted(counts[:-2], reverse=True)
+        assert [row["n"] for row in everything] == counts[:limit]
+        self._assert_batch_is_the_reference(
+            source, query, [{"a": "alice"}, {"g": "red"}, {"a": "bob smith"}, {"g": "blue"}])
+        # Ascending, through the store's ranking the wrapper shares.
+        ascending = [hit.document.doc_id for hit in source.store.search(
+            "body:budget", limit=None, sort_by="count", descending=False)]
+        assert ascending[-2:] == ["U01", "u02"]
+        values = [source.store.get(doc_id).get("count") for doc_id in ascending[:-2]]
+        assert values == sorted(values)
+
+    def test_a_document_two_bindings_reach_is_in_both_answers(self, monkeypatch):
+        source = _diff_source()
+        query = _make_query("body:budget", _OUTPUTS, None, None)
+        batch = [{"g": "red"}, {"g": "BLUE"}]
+        self._assert_batch_is_the_reference(source, query, batch)
+        projected = _count_projections(monkeypatch)
+        red, blue = source.execute_batch(query, batch)
+        shared = [row["i"] for row in red if row in blue]
+        assert shared == ["D01"]  # tags ["Red", "blue"]
+        # Projected once, though both bindings keep it.
+        assert set(projected.values()) == {1}
+        assert sum(projected.values()) == len(red) + len(blue) - 1
+
+    def test_a_demo_flush_equals_one_call_per_binding(self, demo):
+        """120 party-shaped bindings (every author, upper-cased, unknown)
+        against ``text:<word>``: the batch answers, order included, what
+        120 single-binding calls answer."""
+        source = demo.instance.source(TWEETS_URI)
+        query = FullTextQuery.create("text:france", {"t": "text", "id": "user.screen_name",
+                                                     "rt": "retweet_count", "week": "week"})
+        accounts = sorted(str(p.twitter_account) for p in demo.politicians)
+        variants = accounts + [a.upper() for a in accounts] + ["nobody", "France"]
+        batch = [{"id": v} for v in itertools.islice(itertools.cycle(variants), 120)]
+        answer = source.execute_batch(query, batch)
+        assert answer == [source.execute(query, b) for b in batch]
+        assert sum(map(len, answer)) > 100 and sum(1 for rows in answer if not rows) >= 2
 
 
 _binding_strategy = st.fixed_dictionaries({}, optional={
@@ -515,7 +628,7 @@ class TestFullTextProjectsOnlyWhatTheBindingCanAccept:
 
         ``tweetContains(t, id, tag)`` with ``id`` bound used to score, sort
         and project every tweet carrying the hashtag and then drop all but
-        the author's; the binding now goes into the index with the search.
+        the author's; the binding now reads its keyword bucket first.
         """
         source = demo.instance.source(TWEETS_URI)
         store = source.store
@@ -527,21 +640,97 @@ class TestFullTextProjectsOnlyWhatTheBindingCanAccept:
         both = tagged & store.term_documents("user.screen_name", author)
         assert 0 < len(both) < len(tagged)
 
-        projected = []
-        hit_rows = FullTextSource._hit_rows
-
-        def counting(result, fields):
-            projected.append(len(result.hits))
-            return hit_rows(result, fields)
-
-        monkeypatch.setattr(FullTextSource, "_hit_rows", staticmethod(counting))
+        projected = _count_projections(monkeypatch)
         query = FullTextQuery.create(f"entities.hashtags:{hashtag}",
                                      {"t": "text", "id": "user.screen_name"})
         rows = source.execute(query, {"id": author.upper()})
         assert len(rows) == len(both)
-        assert projected == [len(both)]
+        assert projected == Counter(dict.fromkeys(both, 1))
         monkeypatch.undo()
         assert rows == [r for r in source.execute(query) if r["id"] == author]
+
+
+class TestFullTextBatchBuildsEachHitOnce:
+    """Counts, not clocks: a party-shaped flush — every author bound
+    against ``text:soutien`` — costs one match set, no ``SearchHit``, one
+    projection per document and one dict per row.  Each count fails at
+    the parent of ISSUE 21, whose wrapper searched (a scored ``SearchHit``
+    per hit), built a dict per hit and copied one per row of a binding."""
+
+    FIELDS = {"t": "text", "id": "user.screen_name", "rt": "retweet_count", "week": "week"}
+
+    @pytest.fixture(scope="class")
+    def party(self):
+        demo = build_demo_instance(DemoConfig(politicians=120, weeks=1,
+                                              tweets_per_politician_per_week=2.0, seed=42))
+        source = demo.instance.source(TWEETS_URI)
+        source.store.add({"id": 1, "text": "soutien", "week": "2016-W01",
+                          "user": {"screen_name": demo.politicians[0].twitter_account},
+                          "entities": {"hashtags": ["EtatDurgence", "chomage"]}})
+        return source, [{"id": p.twitter_account} for p in demo.politicians]
+
+    @staticmethod
+    def _counted(monkeypatch, source, query, batch):
+        """``source.execute_batch(query, batch)``, and what it built."""
+        counts: Counter = Counter()
+        matches = fulltext_store.FullTextStore.matches
+
+        def counted_matches(*args):
+            counts["matches"] += 1
+            return matches(*args)
+
+        class CountedHit(fulltext_store.SearchHit):
+            def __init__(self, *args, **kwargs):
+                counts["SearchHit"] += 1
+                super().__init__(*args, **kwargs)
+
+        class CountingDict(type):
+            """Stands for ``dict`` in the wrapper's module: calling it
+            counts and builds a dict, ``isinstance`` checks are unchanged."""
+
+            def __call__(cls, *args, **kwargs):
+                counts["dict"] += 1
+                return dict(*args, **kwargs)
+
+            def __instancecheck__(cls, instance):
+                return isinstance(instance, dict)
+
+        monkeypatch.setattr(fulltext_store.FullTextStore, "matches", counted_matches)
+        monkeypatch.setattr(fulltext_store, "SearchHit", CountedHit)
+        monkeypatch.setattr(sources, "dict", CountingDict("dict", (), {}), raising=False)
+        projected = _count_projections(monkeypatch)
+        answer = source.execute_batch(query, batch)
+        monkeypatch.undo()
+        return answer, counts, projected
+
+    def test_a_party_flush(self, party, monkeypatch):
+        source, batch = party
+        query = FullTextQuery.create("text:soutien", self.FIELDS)
+        assert len(batch) == 120
+        expected = [source.execute(query, b) for b in batch]
+        answer, counts, projected = self._counted(monkeypatch, source, query, batch)
+        assert answer == expected
+        rows = sum(map(len, answer))
+        assert rows > 100
+        assert counts["matches"] == 1
+        assert counts["SearchHit"] == 0
+        assert counts["dict"] == rows
+        # One author per tweet: each document lands in one binding's rows.
+        assert set(projected.values()) == {1} and sum(projected.values()) == rows
+
+    def test_a_document_two_hashtags_share_is_projected_once(self, party, monkeypatch):
+        source, _ = party
+        query = FullTextQuery.create("text:soutien", {**self.FIELDS, "g": "entities.hashtags"})
+        batch = [{"g": "etatdurgence"}, {"g": "CHOMAGE"}]
+        expected = [source.execute(query, b) for b in batch]
+        answer, counts, projected = self._counted(monkeypatch, source, query, batch)
+        assert answer == expected
+        first, second = answer
+        assert [row["g"] for row in first if row in second] == [("EtatDurgence", "chomage")]
+        assert counts["matches"] == 1 and counts["SearchHit"] == 0
+        assert counts["dict"] == len(first) + len(second)
+        assert projected["1"] == 1 and set(projected.values()) == {1}
+        assert sum(projected.values()) == len(first) + len(second) - 1
 
 
 class TestPinnedWrapperKeepsItsClass:

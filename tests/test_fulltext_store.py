@@ -147,6 +147,26 @@ class TestStoreSearch:
         result = small_tweet_store.search("user.screen_name:fhollande", sort_by="retweet_count")
         assert [h.get("retweet_count") for h in result.hits] == [469, 300]
 
+    def test_sort_by_puts_documents_missing_the_field_last(self):
+        """Regression: a descending sort used to rank a document without
+        the field first, so a top-k over ``retweet_count`` filled up with
+        documents that have no count."""
+        store = FullTextStore("mini", [FieldConfig("text", "text"),
+                                       FieldConfig("retweet_count", "numeric")])
+        store.add_all([{"id": 1, "text": "budget", "retweet_count": 5},
+                       {"id": 2, "text": "budget"},
+                       {"id": 3, "text": "budget", "retweet_count": 9},
+                       {"id": 4, "text": "budget", "retweet_count": None}])
+
+        def ranked(**options):
+            return [hit.document.doc_id for hit in store.search(
+                "text:budget", sort_by="retweet_count", **options).hits]
+
+        assert ranked(limit=2) == ["3", "1"]
+        assert ranked(limit=None) == ["3", "1", "4", "2"]
+        assert ranked(limit=None, descending=False) == ["1", "3", "2", "4"]
+        assert store.search("text:budget", limit=2, sort_by="retweet_count").total == 4
+
     def test_limit(self, small_tweet_store):
         result = small_tweet_store.search("*:*", limit=2)
         assert len(result.hits) == 2 and result.total == 3

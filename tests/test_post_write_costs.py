@@ -185,7 +185,7 @@ class TestRepairIsSetAtATime:
         store.add_all({"id": 10_000 + i, "text": "alpha late", "author": f"a{i}"}
                       for i in range(50))
         calls: Counter = Counter()
-        _spy(monkeypatch, FullTextStore, "search", calls)
+        _spy(monkeypatch, FullTextStore, "matches", calls)
         _spy(monkeypatch, FullTextSource, "execute_batch", calls)
         _spy(monkeypatch, RepairEngine, "repair", calls)
         reset_registry()
@@ -197,7 +197,7 @@ class TestRepairIsSetAtATime:
         # store for all the keys (parent: one search per key).
         assert calls["repair"] == 1
         assert calls["execute_batch"] == 1
-        assert calls["search"] == 1
+        assert calls["matches"] == 1
         stats = engine.stats.as_dict()
         assert stats["attempts"] == stats["repaired"] == self.KEYS
         assert stats["rows_appended"] == 50

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.lru import CacheStats
-from repro.cache.repair import RepairEngine
+from repro.cache.repair import RepairEngine, _fulltext_delta_source
 from repro.cache.results import CachedSource, SubQueryResultCache
 from repro.core import MixedInstance
 from repro.core.deltas import DeltaJournal, INSERT, REMOVE, UPSERT
@@ -405,6 +405,28 @@ class TestBatchRepair:
                 assert rows == cold if ordered else _multiset(rows) == _multiset(cold)
         assert batch_engine.stats.as_dict() == key_engine.stats.as_dict()
         assert batch_engine.stats.repaired > 0 and not batch_engine.stats.fallbacks
+
+    def test_fulltext_delta_store_answers_like_a_rerun(self):
+        """The delta store the repair builds for a full-text span
+        (``_fulltext_delta_source``) answers a batch through the same
+        evaluation as the live store: one call per key answers the same
+        rows in the same order, they close every repaired entry, and
+        entry = stored + delta is the cold re-run's multiset."""
+        source, query, keys, write = _fulltext_case()
+        proxy, engine, _ = _proxy(source)
+        stored = proxy.execute_batch(query, keys)
+        pre = source.version()
+        write(2)
+        write(3)
+        delta = _fulltext_delta_source(source, source.deltas_since(pre))
+        fresh = delta.execute_batch(query, keys)
+        assert fresh == [delta.execute(query, dict(key)) for key in keys]
+        assert sum(map(len, fresh)) == 2 * 5  # the catch-all key sees all five
+        repaired = proxy.execute_batch(query, keys)
+        assert engine.stats.repaired == len(keys) and not engine.stats.fallbacks
+        for key, old, new, rows in zip(keys, stored, fresh, repaired):
+            assert rows == old + new
+            assert _multiset(rows) == _multiset(source.execute(query, dict(key)))
 
     # -- gates, through the batch entry -------------------------------------
     def _refused(self, source, query, keys, write, reason, ordered=True):
