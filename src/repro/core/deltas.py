@@ -19,13 +19,18 @@ journal can only ever *miss* repair opportunities.
 Snapshots share their parent's journal object (records are immutable and
 appends are lock-protected), so pinned read-only wrappers can replay the
 same history up to their own pinned version.
+
+A snapshot of the RDF graph or of the full-text store is a watermark, not
+a copy: each batch also chains an :class:`UndoLink` of what it overwrote,
+which a :class:`Snapshot` reverts to read the store at its version.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 #: Record kinds.  Only ``insert`` is repairable; everything else makes
@@ -129,3 +134,115 @@ class DeltaJournal:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
+
+
+class UndoLink:
+    """One committed write batch, as what it overwrote: ``before`` pairs
+    every key it changed with its value before (a graph: triple -> was it
+    present; a full-text store: doc id -> its document, or None).  A store
+    holds its newest link and a snapshot the link of its version, so a
+    link lives as long as the oldest snapshot that may need it: the chain
+    needs no compaction rule."""
+
+    __slots__ = ("before", "next")
+
+    def __init__(self, before: tuple = ()):
+        self.before, self.next = before, None
+
+    def append(self, before: Iterable) -> "UndoLink":
+        """Chain the next batch's link (call under the store's write lock)."""
+        self.next = UndoLink(tuple(before))
+        return self.next
+
+
+class Snapshot:
+    """Mixin of a store snapshot that is a watermark over its live store.
+
+    ``with snapshot.reading() as store`` holds the live store's read lock
+    for one read; ``store`` is the live store while nothing was written
+    since (the live read path, nothing filtered), else ``self._at(undo)``,
+    the store as it stood rebuilt from ``undo`` (each key written since,
+    mapped to its value then) over :class:`CopyOnWrite` views of the live
+    indexes, memoised per chain position.  No writer runs under the read
+    lock, so no read iterates a container a writer resizes.  A subclass's
+    ``reads`` are the store methods answered in one such read each.
+    """
+
+    def __init_subclass__(cls, reads: Iterable[str] = (), **kwargs):
+        super().__init_subclass__(**kwargs)
+        for name in reads:
+            setattr(cls, name, _read_through(name))
+
+    def _watch(self, live, link: UndoLink) -> None:
+        self._live, self._memo = live, (link, {}, None)
+
+    def snapshot(self):
+        return self
+
+    def reading(self):
+        return self
+
+    def __enter__(self):
+        live = self._live
+        live._rwlock.acquire_read()
+        try:
+            if live.version == self.version:
+                return live
+            link, undo, store = self._memo
+            if store is None or link.next is not None:
+                undo = dict(undo)
+                while link.next is not None:
+                    link = link.next
+                    for key, value in link.before:
+                        undo.setdefault(key, value)
+                store = self._at(undo)
+                self._memo = (link, undo, store)
+            return store
+        except BaseException:
+            live._rwlock.release_read()
+            raise
+
+    def __exit__(self, *exc_info) -> None:
+        self._live._rwlock.release_read()
+
+
+def _read_through(name: str):
+    def read(self, *args, **kwargs):
+        with self.reading() as store:
+            return getattr(store, name)(*args, **kwargs)
+
+    read.__name__ = name
+    return read
+
+
+def remembered(store, version: int, build: Callable):
+    """``store``'s live snapshot of ``version``, else a new ``build()``,
+    remembered weakly: neither store nor snapshot keeps a snapshot alive."""
+    state = store._snapshot_state
+    snapshot = state[1]() if state is not None and state[0] == version else None
+    if snapshot is None:
+        snapshot = build()
+        store._snapshot_state = (version, weakref.ref(snapshot))
+    return snapshot
+
+
+class CopyOnWrite(dict):
+    """A shallow copy of an index whose inner containers become
+    ``private(value)`` (``None`` when missing) on first access, so writes
+    never reach the index it copies."""
+
+    def __init__(self, index: dict, private: Callable):
+        super().__init__(index)
+        self._private, self._own = private, set()
+
+    def __getitem__(self, key):
+        if key not in self._own or key not in self:
+            self._own.add(key)
+            dict.__setitem__(self, key, self._private(dict.get(self, key)))
+        return dict.__getitem__(self, key)
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+    def setdefault(self, key, default=None):
+        return self[key]

@@ -233,50 +233,39 @@ _CACHE_TOKENS = itertools.count()
 _DISPATCH_LOCAL = threading.local()
 
 
-def _instrumented_execute(method):
-    """Record per-source metrics around a wrapper's ``execute``."""
+def _instrumented(batched: bool):
+    """Record per-source metrics around a wrapper's ``execute`` (or, when
+    ``batched``, ``execute_batch``)."""
 
-    @functools.wraps(method)
-    def execute(self, query, bindings=None):
-        if getattr(_DISPATCH_LOCAL, "active", False):
-            return method(self, query, bindings)
-        _DISPATCH_LOCAL.active = True
-        started = time.perf_counter()
-        try:
-            rows = method(self, query, bindings)
-        except Exception:
-            self._record_error()
-            raise
-        finally:
-            _DISPATCH_LOCAL.active = False
-        self._record_call(len(rows), time.perf_counter() - started)
-        return rows
+    def decorate(method):
+        @functools.wraps(method)
+        def call(self, query, bindings=None):
+            if getattr(_DISPATCH_LOCAL, "active", False):
+                return method(self, query, bindings)
+            _DISPATCH_LOCAL.active = True
+            started = time.perf_counter()
+            try:
+                result = method(self, query, bindings)
+            except Exception:
+                self._record_error()
+                raise
+            finally:
+                _DISPATCH_LOCAL.active = False
+            if batched:
+                self._record_call(sum(len(rows) for rows in result),
+                                  time.perf_counter() - started,
+                                  batched=True, bindings=len(bindings))
+            else:
+                self._record_call(len(result), time.perf_counter() - started)
+            return result
 
-    return execute
+        return call
+
+    return decorate
 
 
-def _instrumented_execute_batch(method):
-    """Record per-source metrics around a wrapper's ``execute_batch``."""
-
-    @functools.wraps(method)
-    def execute_batch(self, query, bindings_batch):
-        if getattr(_DISPATCH_LOCAL, "active", False):
-            return method(self, query, bindings_batch)
-        _DISPATCH_LOCAL.active = True
-        started = time.perf_counter()
-        try:
-            per_binding = method(self, query, bindings_batch)
-        except Exception:
-            self._record_error()
-            raise
-        finally:
-            _DISPATCH_LOCAL.active = False
-        self._record_call(sum(len(rows) for rows in per_binding),
-                          time.perf_counter() - started,
-                          batched=True, bindings=len(bindings_batch))
-        return per_binding
-
-    return execute_batch
+_instrumented_execute = _instrumented(batched=False)
+_instrumented_execute_batch = _instrumented(batched=True)
 
 
 class DataSource:
@@ -378,10 +367,11 @@ class DataSource:
         """A read-only view of this source pinned at its current version.
 
         The pinned wrapper answers every query from a store *snapshot*
-        taken atomically (under the store's reader-writer lock), so a
-        plan running against it can never observe a half-applied update.
-        It shares this wrapper's ``cache_token`` — content and version
-        are identical at pin time, so cached rows are interchangeable.
+        taken atomically (under the store's reader-writer lock) — a
+        watermark over the live RDF and full-text stores, a copy of the
+        JSON and relational ones — so a plan never observes a half-applied
+        update.  It shares this wrapper's ``cache_token``: content and
+        version are identical at pin time, so cached rows are too.
 
         Pinning an unchanged source takes no snapshot and no lock: it is
         the memoised pin of the current version.  A wrapper without
@@ -487,6 +477,42 @@ class DataSource:
         return f"{type(self).__name__}(uri={self.uri!r}, size={self.size()})"
 
 
+class _Closure:
+    """The one G∞ lineage of an RDF source, shared by the live wrapper and
+    its pins: ``graph`` saturates the source graph at ``state`` (its
+    ``(additions, removals)``).  Additions extend it in place by
+    :func:`~repro.rdf.entailment.saturate_delta` over the journalled delta
+    (the set difference only on a journal gap); a removal saturates anew.
+    """
+
+    __slots__ = ("lock", "graph", "schema", "state")
+
+    def __init__(self):
+        self.lock, self.graph, self.schema, self.state = threading.Lock(), None, None, (-1, -1)
+
+    def at(self, source: Graph, snapshot: bool = False) -> Graph | None:
+        """G∞ (a snapshot of it, when ``snapshot``) of ``source``, the graph
+        or a snapshot of it — None when the lineage is already past it."""
+        with self.lock, source.rwlock.read_locked():
+            state = (source.additions, source.removals)
+            if self.graph is not None and state != self.state:
+                if sum(state) < sum(self.state):
+                    return None
+                if state[1] == self.state[1]:
+                    records = source.deltas_since(sum(self.state), sum(state))
+                    delta = ([t for t in source if t not in self.graph] if records is None
+                             else [t for record in records for t in record.items])
+                    saturate_delta(self.graph, delta, schema=self.schema)
+                    self.state = state
+                else:
+                    self.graph = None
+            if self.graph is None:
+                self.graph, _ = saturate(source)
+                self.schema = RDFSchema.from_graph(self.graph)
+                self.state = state
+            return self.graph.snapshot() if snapshot else self.graph
+
+
 class RDFSource(DataSource):
     """Wrapper around an RDF graph source (DBPedia-like, IGN-like, glue)."""
 
@@ -497,13 +523,9 @@ class RDFSource(DataSource):
         super().__init__(source_uri, name or graph.name, description)
         self.graph = graph
         self.entailment = entailment
+        self._closure = _Closure()
+        #: A pin's own G∞ once read (None on a live wrapper).
         self._saturated: Graph | None = None
-        self._saturated_schema: RDFSchema | None = None
-        self._saturated_state: tuple[int, int] = (-1, -1)
-        # Saturation state is read-modify-write; concurrent queries (the
-        # mediator service shares one pinned wrapper per version) must
-        # not interleave inside it.
-        self._saturation_lock = threading.RLock()
 
     def version(self) -> int:
         return self.graph.version
@@ -511,161 +533,53 @@ class RDFSource(DataSource):
     def journal(self):
         return self.graph.journal
 
-    def _graph_state(self) -> tuple[int, int]:
-        return (self.graph.additions, self.graph.removals)
-
-    def _effective_graph(self) -> Graph:
-        """The graph queries run against (G∞ when entailment is on).
-
-        Staleness is detected through the graph's explicit mutation
-        counters, never through ``len()`` — a removal, or a removal
-        paired with an addition, leaves the sizes equal but must not
-        serve the old saturation.  Additions are absorbed incrementally
-        (:func:`repro.rdf.entailment.saturate_delta`); any removal falls
-        back to a full recomputation.
-        """
+    def effective_graph(self) -> Graph:
+        """The graph queries and estimates run against: the raw graph, or
+        G∞ when entailment is on — the lineage's (:meth:`_Closure.at`), a
+        pin's through a snapshot of it, or its own when the lineage has
+        already moved past the pin."""
         if not self.entailment:
             return self.graph
-        with self._saturation_lock:
-            # The graph's read lock keeps the triple set stable while it
-            # is scanned; the state is captured first, so a write landing
-            # between capture and lock only makes the stamp conservative
-            # (the next query re-checks), never stale.
-            state = self._graph_state()
-            if self._saturated is not None and state == self._saturated_state:
-                return self._saturated
-            if self._saturated is not None and state[1] == self._saturated_state[1]:
-                # Additions only since the last saturation.  An added triple
-                # already in G∞ cannot change the closure, so the explicit
-                # triples missing from the saturation are exactly the delta.
-                with self.graph.rwlock.read_locked():
-                    delta = [t for t in self.graph if t not in self._saturated]
-                saturate_delta(self._saturated, delta, schema=self._saturated_schema)
-                self._saturated_state = state
-                return self._saturated
-            with self.graph.rwlock.read_locked():
-                self._saturated, _ = saturate(self.graph)
-            self._saturated_schema = RDFSchema.from_graph(self._saturated)
-            self._saturated_state = state
-            return self._saturated
-
-    def effective_graph(self) -> Graph:
-        """The graph queries (and estimates) actually run against.
-
-        Public accessor for the statistics layer: G∞ when entailment is
-        on, the raw graph otherwise.
-        """
-        return self._effective_graph()
+        if self.pinned_at is None:
+            return self._closure.at(self.graph)
+        saturated = self._saturated
+        if saturated is None:
+            saturated = self._closure.at(self.graph, snapshot=True)
+            if saturated is None:
+                saturated, _ = saturate(self.graph)
+            self._saturated = saturated
+        return saturated
 
     def add_triples(self, triples: Iterable) -> int:
-        """Add triples to the source graph, maintaining G∞ incrementally.
-
-        Unlike mutating ``self.graph`` directly (which is also supported,
-        but forces a set-difference scan at the next query), this knows
-        the exact delta and feeds it straight to the incremental
-        fixpoint.  Returns the number of triples actually new.
-        """
-        with self._saturation_lock:
-            state = self._graph_state()
-            in_sync = (self.entailment and self._saturated is not None
-                       and state == self._saturated_state)
-            # One write section (inside add_batch) for the whole delta: a
-            # concurrent snapshot pins all of it or none of it, and the
-            # whole batch is ONE version bump and one journal record.
-            fresh = self.graph.add_batch(triples)
-            if in_sync:
-                if fresh:
-                    saturate_delta(self._saturated, fresh, schema=self._saturated_schema)
-                # Stamp only *our own* contribution (one batch = one
-                # counter tick): a concurrent direct graph.add by another
-                # thread then leaves the stamp behind the counters, and
-                # the next query absorbs it by set-difference instead of
-                # silently missing it.
-                self._saturated_state = (state[0] + (1 if fresh else 0), state[1])
-            return len(fresh)
-
-    def invalidate(self) -> None:
-        """Forget the cached saturation (a full recompute follows)."""
-        with self._saturation_lock:
-            self._saturated = None
-            self._saturated_schema = None
-            self._saturated_state = (-1, -1)
+        """Add triples to the source graph as one batch — one version
+        bump and one journal record, the delta G∞ absorbs at its next
+        read — and return how many were new."""
+        return len(self.graph.add_batch(triples))
 
     def _pin_snapshot(self) -> "RDFSource":
-        """A read-only wrapper over a snapshot of the graph.
-
-        The pinned wrapper owns its saturation — the live one is updated
-        *in place* by ``saturate_delta`` and must not leak under running
-        queries.  To avoid a full fixpoint per version it is **seeded**:
-        from a copy of the live saturation when that is in sync with the
-        snapshot (writers going through :meth:`add_triples` keep it so),
-        else from the previous pin's saturation plus the delta between
-        the two snapshots; only removals force a lazy full recompute.
-        Memoisation per version means all of this happens at most once
-        per pinned state.
+        """A read-only wrapper over a snapshot of the graph and — with
+        entailment — a snapshot of the shared G∞ lineage, brought up to the
+        pinned version from the journal (lazily, when nothing is saturated
+        yet).  Both are watermarks, not copies.  Memoised per version.
         """
         frozen = self.graph.snapshot()
-        with self._pin_lock:
-            previous = self._pin_memo[1] if self._pin_memo is not None else None
 
         def build() -> "RDFSource":
-            pinned = self._pinned_copy(
-                graph=frozen, _saturated=None, _saturated_schema=None,
-                _saturated_state=(-1, -1), _saturation_lock=threading.RLock())
-            if self.entailment:
-                self._seed_pinned_saturation(pinned, frozen, previous)
+            pinned = self._pinned_copy(graph=frozen, _saturated=None)
+            if self.entailment and self._closure.graph is not None:
+                pinned._saturated = self._closure.at(frozen, snapshot=True)
             return pinned
 
         return self._memoized_pin(frozen.version, build)
-
-    def _seed_pinned_saturation(self, pinned: "RDFSource", frozen: Graph,
-                                previous: Optional[DataSource]) -> None:
-        """Hand ``pinned`` a saturation without a from-scratch fixpoint.
-
-        Copying a closed graph is O(|G∞|); re-deriving it is the full
-        rule fixpoint.  When neither the live nor the previous pinned
-        saturation can seed (removals happened, or nothing is computed
-        yet), the pinned wrapper simply saturates lazily on first use.
-        """
-        state = (frozen.additions, frozen.removals)
-        seed: Graph | None = None
-        delta: list = []
-        with self._saturation_lock:
-            if self._saturated is not None and self._saturated_state == state:
-                with self._saturated.rwlock.read_locked():
-                    seed = self._saturated._copy_unlocked()
-        if seed is None and isinstance(previous, RDFSource):
-            with previous._saturation_lock:
-                prev_graph = previous.graph
-                prev_state = (prev_graph.additions, prev_graph.removals)
-                if (previous._saturated is not None
-                        and previous._saturated_state == prev_state
-                        and prev_graph.removals == frozen.removals):
-                    # Additions only between the two snapshots: the
-                    # journal names them (saturate_delta skips the ones
-                    # the old closure already holds); on a journal gap
-                    # they are the explicit triples missing from it.
-                    with previous._saturated.rwlock.read_locked():
-                        seed = previous._saturated._copy_unlocked()
-            if seed is not None:
-                records = frozen.deltas_since(prev_graph.version, frozen.version)
-                delta = ([t for t in frozen if t not in seed] if records is None
-                         else [t for record in records for t in record.items])
-        if seed is None:
-            return
-        schema = RDFSchema.from_graph(seed)
-        if delta:
-            saturate_delta(seed, delta, schema=schema)
-        pinned._saturated = seed
-        pinned._saturated_schema = schema
-        pinned._saturated_state = state
 
     @_instrumented_execute
     def execute(self, query: SourceQuery, bindings: Row | None = None) -> list[Row]:
         if not isinstance(query, RDFQuery):
             raise MixedQueryError(f"RDF source {self.uri} cannot evaluate {type(query).__name__}")
-        bindings = bindings or {}
-        graph = self._effective_graph()
+        with self.effective_graph().reading() as graph:
+            return self._solutions(query, bindings or {}, graph)
+
+    def _solutions(self, query: RDFQuery, bindings: Row, graph: Graph) -> list[Row]:
         bound = [(variable, _binding_term_variants(bindings[variable.name]))
                  for variable in query.bgp.variables()
                  if variable.name in bindings]
@@ -696,60 +610,60 @@ class RDFSource(DataSource):
         batch = [dict(b or {}) for b in bindings_batch]
         if len(batch) <= 1:
             return [self.execute(query, b) for b in batch]
-        graph = self._effective_graph()
-        var_by_name = {v.name: v for v in query.bgp.variables()}
-        projected = {v.name for v in query.bgp.output_variables()}
-        groups: dict[frozenset, list[int]] = {}
-        for index, bindings in enumerate(batch):
-            bound = frozenset(name for name in bindings if name in var_by_name)
-            groups.setdefault(bound, []).append(index)
-        results: list[list[Row]] = [[] for _ in batch]
-        solutions: list | None = None
-        for bound, indices in groups.items():
-            if not bound:
-                rows = self.execute(query, {})
+        with self.effective_graph().reading() as graph:
+            var_by_name = {v.name: v for v in query.bgp.variables()}
+            projected = {v.name for v in query.bgp.output_variables()}
+            groups: dict[frozenset, list[int]] = {}
+            for index, bindings in enumerate(batch):
+                bound = frozenset(name for name in bindings if name in var_by_name)
+                groups.setdefault(bound, []).append(index)
+            results: list[list[Row]] = [[] for _ in batch]
+            solutions: list | None = None
+            for bound, indices in groups.items():
+                if not bound:
+                    rows = self._solutions(query, {}, graph)
+                    for index in indices:
+                        results[index] = [dict(r) for r in rows]
+                    continue
+                if not bound <= projected:
+                    # A binding on a projected-out body variable cannot be
+                    # bucketed from the (projected) solutions: evaluate those
+                    # bindings directly.
+                    for index in indices:
+                        results[index] = self._solutions(query, batch[index], graph)
+                    continue
+                if len(indices) == 1 and solutions is None:
+                    # A lone binding shape: a direct bound evaluation is
+                    # cheaper than materialising every BGP solution.
+                    results[indices[0]] = self._solutions(query, batch[indices[0]], graph)
+                    continue
+                if solutions is None:
+                    solutions = evaluate_bgp(query.bgp, graph)
+                order = sorted(bound)
+                variables = [var_by_name[name] for name in order]
+                buckets: dict[tuple, list] = defaultdict(list)
+                for solution in solutions:
+                    buckets[tuple(solution.get(v) for v in variables)].append(solution)
                 for index in indices:
-                    results[index] = [dict(r) for r in rows]
-                continue
-            if not bound <= projected:
-                # A binding on a projected-out body variable cannot be
-                # bucketed from the (projected) solutions: evaluate those
-                # bindings directly.
-                for index in indices:
-                    results[index] = self.execute(query, batch[index])
-                continue
-            if len(indices) == 1 and solutions is None:
-                # A lone binding shape: a direct bound evaluation is
-                # cheaper than materialising every BGP solution.
-                results[indices[0]] = self.execute(query, batch[indices[0]])
-                continue
-            if solutions is None:
-                solutions = evaluate_bgp(query.bgp, graph)
-            order = sorted(bound)
-            variables = [var_by_name[name] for name in order]
-            buckets: dict[tuple, list] = defaultdict(list)
-            for solution in solutions:
-                buckets[tuple(solution.get(v) for v in variables)].append(solution)
-            for index in indices:
-                # Probe every numeric spelling, as in per-binding mode; a
-                # solution's terms live in exactly one bucket, so the
-                # concatenation has no duplicates.
-                matched: list = []
-                for key in itertools.product(
-                        *(_binding_term_variants(batch[index][name]) for name in order)):
-                    matched.extend(buckets.get(key, ()))
-                results[index] = [{v.name: _to_python(t) for v, t in solution.items()}
-                                  for solution in matched]
-        return results
+                    # Probe every numeric spelling, as in per-binding mode; a
+                    # solution's terms live in exactly one bucket, so the
+                    # concatenation has no duplicates.
+                    matched: list = []
+                    for key in itertools.product(
+                            *(_binding_term_variants(batch[index][name]) for name in order)):
+                        matched.extend(buckets.get(key, ()))
+                    results[index] = [{v.name: _to_python(t) for v, t in solution.items()}
+                                      for solution in matched]
+            return results
 
     def estimate(self, query: SourceQuery, bound_variables: set[str] | None = None) -> float:
         if not isinstance(query, RDFQuery):
             return float("inf")
-        graph = self._effective_graph()
         bound_variables = bound_variables or set()
-        estimate = float(len(graph))
-        for p in query.bgp.patterns:
-            estimate = min(estimate, float(graph.count(p)) or 1.0)
+        with self.effective_graph().reading() as graph:
+            estimate = float(len(graph))
+            for p in query.bgp.patterns:
+                estimate = min(estimate, float(graph.count(p)) or 1.0)
         for variable in query.output_variables() & bound_variables:
             estimate = max(1.0, estimate / 10.0)
         return estimate
@@ -898,7 +812,7 @@ class FullTextSource(DataSource):
         return self.store.journal
 
     def _pin_snapshot(self) -> "FullTextSource":
-        """A read-only wrapper over a snapshot of the full-text store."""
+        """A read-only wrapper over a snapshot (a watermark) of the store."""
         frozen = self.store.snapshot()
         return self._memoized_pin(
             frozen.version, lambda: self._pinned_copy(store=frozen))
@@ -932,76 +846,74 @@ class FullTextSource(DataSource):
         bindings left over — non-``str`` values,
         ``text`` / ``numeric`` / ``date`` / ``_score`` outputs — are
         checked with ``_loose_equal`` on its columns, and a dict is built
-        per row returned.
+        per row returned.  The whole call is one read of the store.
         """
         if not isinstance(query, FullTextQuery):
             raise MixedQueryError(
                 f"full-text source {self.uri} cannot evaluate {type(query).__name__}"
             )
-        store, template, limit = self.store, query.template, query.limit
-        batch = [b or {} for b in bindings_batch]
-        paths = {variable: path for variable, path in query.output_fields}
-        columns = {variable: i for i, variable in enumerate(paths)}
-        scored = "_score" in paths.values()
+        with self.store.reading() as store:
+            template, limit = query.template, query.limit
+            batch = [b or {} for b in bindings_batch]
+            paths = {variable: path for variable, path in query.output_fields}
+            columns = {variable: i for i, variable in enumerate(paths)}
+            scored = "_score" in paths.values()
 
-        def keyword(path: str) -> bool:
-            config = store.field_config(path)
-            return limit is None and config is not None and config.field_type == "keyword"
+            def keyword(path: str) -> bool:
+                config = store.field_config(path)
+                return limit is None and config is not None and config.field_type == "keyword"
 
-        pooled = {var: path for var, path in template.clause_parameters.items()
-                  if keyword(path) and all(var in b for b in batch)}
-        in_lists = {var: [b[var] for b in batch] for var in pooled}
-        others = sorted(template.parameters - set(pooled))
-        groups: dict[tuple, list[int]] = {}
-        for index, b in enumerate(batch):
-            key = tuple(str(b[var]) if var in b else None for var in others)
-            groups.setdefault(key, []).append(index)
-        results: list[list[Row]] = [[] for _ in batch]
-        project = _row_projector(store, paths.values())
-        projected: dict[str, tuple] = {}
-        for indices in groups.values():
-            bound = template.bind(batch[indices[0]], in_lists)
-            matches, score = store.matches(bound), store.scorer(bound)
-            if scored:  # a score belongs to the group's query
-                projected = {}
-            top = None if limit is None else store.rank(matches, score, query.sort_by,
-                                                        limit=limit)
-            for index in indices:
-                b = batch[index]
-                buckets = [(path, str(b[var]).lower()) for var, path in pooled.items()]
-                checks = []
-                for variable, value in self._post_filters(query, b):
-                    if isinstance(value, str) and keyword(paths[variable]):
-                        buckets.append((paths[variable], value.lower()))
+            pooled = {var: path for var, path in template.clause_parameters.items()
+                      if keyword(path) and all(var in b for b in batch)}
+            in_lists = {var: [b[var] for b in batch] for var in pooled}
+            others = sorted(template.parameters - set(pooled))
+            groups: dict[tuple, list[int]] = {}
+            for index, b in enumerate(batch):
+                key = tuple(str(b[var]) if var in b else None for var in others)
+                groups.setdefault(key, []).append(index)
+            results: list[list[Row]] = [[] for _ in batch]
+            project = _row_projector(store, paths.values())
+            projected: dict[str, tuple] = {}
+            for indices in groups.values():
+                bound = template.bind(batch[indices[0]], in_lists)
+                matches, score = store.matches(bound), store.scorer(bound)
+                if scored:  # a score belongs to the group's query
+                    projected = {}
+                top = None if limit is None else store.rank(matches, score, query.sort_by,
+                                                            limit=limit)
+                for index in indices:
+                    b = batch[index]
+                    buckets = [(path, str(b[var]).lower()) for var, path in pooled.items()]
+                    checks = []
+                    for variable, value in self._post_filters(query, b):
+                        if isinstance(value, str) and keyword(paths[variable]):
+                            buckets.append((paths[variable], value.lower()))
+                        else:
+                            checks.append((columns[variable], value))
+                    if top is None:
+                        found = matches
+                        # Smallest first: each ``&`` costs the smaller operand.
+                        for bucket in sorted((store.keyword_documents(path, key)
+                                              for path, key in buckets), key=len):
+                            found = bucket & found
+                        ranked = store.rank(found, score, query.sort_by)
                     else:
-                        checks.append((columns[variable], value))
-                if top is None:
-                    found = matches
-                    # Smallest first: each ``&`` costs the smaller operand.
-                    for bucket in sorted((store.keyword_documents(path, key)
-                                          for path, key in buckets), key=len):
-                        found = bucket & found
-                    ranked = store.rank(found, score, query.sort_by)
-                else:
-                    ranked = top
-                rows = results[index]
-                for doc_id, relevance in ranked:
-                    values = projected.get(doc_id)
-                    if values is None:
-                        values = projected[doc_id] = project(doc_id, relevance)
-                    if not checks or all(_loose_equal(values[i], value)
-                                         for i, value in checks):
-                        rows.append(dict(zip(paths, values)))
-        return results
+                        ranked = top
+                    rows = results[index]
+                    for doc_id, relevance in ranked:
+                        values = projected.get(doc_id)
+                        if values is None:
+                            values = projected[doc_id] = project(doc_id, relevance)
+                        if not checks or all(_loose_equal(values[i], value)
+                                             for i, value in checks):
+                            rows.append(dict(zip(paths, values)))
+            return results
 
     def estimate(self, query: SourceQuery, bound_variables: set[str] | None = None) -> float:
         if not isinstance(query, FullTextQuery):
             return float("inf")
         bound_variables = bound_variables or set()
-        if query.limit is not None:
-            base = float(query.limit)
-        else:
-            base = float(len(self.store))
+        base = float(len(self.store) if query.limit is None else query.limit)
         # One factor per distinct parameter and per constant clause naming
         # its field (a bare default-field term is not counted).
         restrictions = len(query.template.parameters) + sum(

@@ -58,16 +58,6 @@ class InvertedIndex:
                 del self._postings[term]
         self._total_length -= self._doc_lengths.pop(doc_id, 0)
 
-    def _copy(self) -> "InvertedIndex":
-        """Structural copy (snapshot support); Postings are immutable
-        and therefore shared."""
-        twin = InvertedIndex(self.field_name)
-        twin._postings = {term: dict(postings)
-                          for term, postings in self._postings.items()}
-        twin._doc_lengths = dict(self._doc_lengths)
-        twin._total_length = self._total_length
-        return twin
-
     # ------------------------------------------------------------------
     def postings(self, term: str) -> list[Posting]:
         """Return the postings list of ``term`` (empty if unseen)."""

@@ -18,12 +18,13 @@ A store declares *field types*:
 
 from __future__ import annotations
 
-import threading
 from collections import Counter, defaultdict
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import AbstractSet, Any, Callable, Iterable, Sequence
 
-from repro.core.deltas import DeltaJournal, INSERT, REMOVE, UPSERT
+from repro.core.deltas import (
+    DeltaJournal, INSERT, REMOVE, UPSERT, CopyOnWrite, Snapshot, UndoLink, remembered)
 from repro.errors import FullTextError
 from repro.fulltext.analysis import Analyzer
 from repro.locks import RWLock
@@ -114,8 +115,10 @@ class FullTextStore:
         #: field -> (version, average df); see average_document_frequency.
         self._average_df_cache: dict[str, tuple[int, float | None]] = {}
         self._rwlock = RWLock()
-        self._snapshot_state: tuple[int, "FullTextStore"] | None = None
-        self._snapshot_lock = threading.Lock()
+        #: The newest link of the undo chain snapshots read back through.
+        self._undo = UndoLink()
+        #: (version, weak reference to its snapshot): see ``remembered``.
+        self._snapshot_state: tuple | None = None
 
     @property
     def version(self) -> int:
@@ -146,14 +149,7 @@ class FullTextStore:
         de-indexed in place and the version bumps exactly once.
         """
         doc = source if isinstance(source, Document) else make_document(source, self.id_field)
-        with self._rwlock.write_locked():
-            replaced = self._deindex_unlocked(doc.doc_id)
-            self._index_unlocked(doc)
-            pre = self._version
-            self._version += 1
-            entry = self._journal.record(pre, pre + 1,
-                                         UPSERT if replaced else INSERT, (doc,))
-        self._journal.notify(entry)
+        self.add_all((doc,))
         return doc
 
     def add_all(self, sources: Iterable[dict[str, Any] | Document]) -> int:
@@ -166,22 +162,27 @@ class FullTextStore:
         entry = None
         with self._rwlock.write_locked():
             added: list[Document] = []
-            replaced = False
+            before: list[tuple[str, Document | None]] = []
             for source in sources:
                 doc = source if isinstance(source, Document) \
                     else make_document(source, self.id_field)
-                replaced = self._deindex_unlocked(doc.doc_id) or replaced
+                before.append((doc.doc_id, self._deindex_unlocked(doc.doc_id)))
                 self._index_unlocked(doc)
                 added.append(doc)
             if added:
-                pre = self._version
-                self._version += 1
-                entry = self._journal.record(pre, pre + 1,
-                                             UPSERT if replaced else INSERT,
-                                             added)
+                replaced = any(old is not None for _, old in before)
+                entry = self._commit(UPSERT if replaced else INSERT, added, before)
         if entry is not None:
             self._journal.notify(entry)
         return len(added)
+
+    def _commit(self, kind: str, items: Iterable, before: Iterable):
+        """Count, journal and chain the undo link of one effective batch
+        (under the write lock)."""
+        pre = self._version
+        self._version += 1
+        self._undo = self._undo.append(before)
+        return self._journal.record(pre, pre + 1, kind, items)
 
     def _index_unlocked(self, doc: Document) -> None:
         self._documents[doc.doc_id] = doc
@@ -193,8 +194,8 @@ class FullTextStore:
             for keyword in self._keyword_terms(doc, field_name):
                 buckets[keyword].add(doc.doc_id)
 
-    def _deindex_unlocked(self, doc_id: str) -> bool:
-        """Drop a document's entries; True when it existed.
+    def _deindex_unlocked(self, doc_id: str) -> Document | None:
+        """Drop a document's entries; returns it (None: it did not exist).
 
         What the document put into the indexes is derived again from the
         stored document (never mutated after ``add``), so only its own
@@ -203,7 +204,7 @@ class FullTextStore:
         """
         doc = self._documents.pop(doc_id, None)
         if doc is None:
-            return False
+            return None
         for field_name, index in self._text_indexes.items():
             terms = self._text_terms(doc, field_name)
             if terms is not None:
@@ -215,7 +216,7 @@ class FullTextStore:
                     doc_ids.discard(doc_id)
                     if not doc_ids:
                         del buckets[keyword]
-        return True
+        return doc
 
     def _text_terms(self, doc: Document, field_name: str) -> list[str] | None:
         """The stems ``doc`` is indexed under in a text field (None: absent)."""
@@ -240,11 +241,10 @@ class FullTextStore:
     def remove(self, doc_id: str) -> bool:
         """Remove a document from the store and all its indexes."""
         with self._rwlock.write_locked():
-            if not self._deindex_unlocked(doc_id):
+            old = self._deindex_unlocked(doc_id)
+            if old is None:
                 return False
-            pre = self._version
-            self._version += 1
-            entry = self._journal.record(pre, pre + 1, REMOVE, (doc_id,))
+            entry = self._commit(REMOVE, (doc_id,), ((doc_id, old),))
         self._journal.notify(entry)
         return True
 
@@ -252,39 +252,20 @@ class FullTextStore:
     # Snapshot isolation
     # ------------------------------------------------------------------
     def snapshot(self) -> "FullTextStore":
-        """A frozen copy of the store at its current version (memoised).
+        """A read-only view of the store at its current version.
 
-        Documents and postings are immutable after indexing and shared;
-        only the containers and mutable index buckets are copied.
+        A watermark, not a copy (:class:`~repro.core.deltas.Snapshot`): a
+        pin costs nothing whatever the store holds, a write batch one undo
+        link.
         """
         with self._rwlock.read_locked():
-            state = self._snapshot_state
-            if state is not None and state[0] == self._version:
-                return state[1]
-            with self._snapshot_lock:
-                state = self._snapshot_state
-                if state is not None and state[0] == self._version:
-                    return state[1]
-                frozen = FullTextStore.__new__(FullTextStore)
-                frozen.name = self.name
-                frozen.id_field = self.id_field
-                frozen.analyzer = self.analyzer
-                frozen._fields = self._fields
-                frozen.default_field = self.default_field
-                frozen._documents = dict(self._documents)
-                frozen._text_indexes = {
-                    name: index._copy() for name, index in self._text_indexes.items()}
-                frozen._keyword_indexes = {
-                    name: defaultdict(set, {k: set(v) for k, v in buckets.items()})
-                    for name, buckets in self._keyword_indexes.items()}
-                frozen._version = self._version
-                frozen._journal = self._journal
-                frozen._average_df_cache = dict(self._average_df_cache)
-                frozen._rwlock = RWLock()
-                frozen._snapshot_state = (frozen._version, frozen)
-                frozen._snapshot_lock = threading.Lock()
-                self._snapshot_state = (self._version, frozen)
-                return frozen
+            return remembered(self, self._version, lambda: FullTextSnapshot(self, self._undo))
+
+    def reading(self):
+        """A context yielding what one consistent read reads: the store
+        itself (a snapshot yields what stands for its version; a bucket or
+        a scorer taken from it is good inside the context only)."""
+        return nullcontext(self)
 
     # ------------------------------------------------------------------
     # Access
@@ -638,6 +619,58 @@ class FullTextStore:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"FullTextStore(name={self.name!r}, documents={len(self)})"
+
+
+class FullTextSnapshot(Snapshot, FullTextStore, reads=(
+        "search", "matches", "rank", "count", "facet", "get", "documents", "field_values",
+        "term_documents", "document_frequency", "distinct_term_count",
+        "average_document_frequency", "__len__", "__contains__")):
+    """What :meth:`FullTextStore.snapshot` returns: the store read at one
+    version.  Every read is one :meth:`reading` of the live store; a
+    keyword bucket is handed out as a copy, and a scorer scores inside a
+    read of its own.  A snapshot never writes."""
+
+    def __init__(self, live: FullTextStore, link: UndoLink):
+        self.name, self.id_field, self.analyzer = live.name, live.id_field, live.analyzer
+        self._fields, self.default_field = live._fields, live.default_field
+        self._version, self._journal, self._rwlock = live._version, live._journal, live._rwlock
+        self._watch(live, link)
+
+    def _at(self, undo: dict[str, Document | None]) -> FullTextStore:
+        """The live store as it stood at this version: the documents
+        ``undo`` names (doc id -> document then, or None) are de-indexed
+        and indexed again, by the store's own code, into a copy of the
+        document map and copy-on-write views of the live indexes."""
+        live = self._live
+        at = FullTextStore(live.name, live.field_configs(), live.default_field,
+                           live.id_field, live.analyzer)
+        at._version, at._documents = self._version, dict(live._documents)
+        for name, index in live._text_indexes.items():
+            twin = at._text_indexes[name]
+            twin._postings = CopyOnWrite(index._postings, lambda postings: dict(postings or {}))
+            twin._doc_lengths, twin._total_length = dict(index._doc_lengths), index._total_length
+        at._keyword_indexes = {name: CopyOnWrite(buckets, lambda ids: set(ids or ()))
+                               for name, buckets in live._keyword_indexes.items()}
+        for doc_id, doc in undo.items():
+            at._deindex_unlocked(doc_id)
+            if doc is not None:
+                at._index_unlocked(doc)
+        return at
+
+    def keyword_documents(self, field_name: str, key: str) -> AbstractSet[str]:
+        with self.reading() as store:
+            return frozenset(store.keyword_documents(field_name, key))
+
+    def scorer(self, query: Query) -> Callable[[str], float]:
+        made: list = [None, None]
+
+        def score(doc_id: str) -> float:
+            with self.reading() as store:
+                if made[0] is not store:
+                    made[:] = store, store.scorer(query)
+                return made[1](doc_id)
+
+        return score
 
 
 def _within(value: Any, low: Any, high: Any, include_low: bool, include_high: bool) -> bool:

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import itertools
 import threading
+import weakref
 from typing import Any, Iterable, TYPE_CHECKING
 
-from repro.core.deltas import INSERT, REMOVE, UPSERT, DeltaJournal
+from repro.core.deltas import INSERT, REMOVE, UPSERT, DeltaJournal, remembered
 from repro.errors import JSONError
 from repro.fulltext.document import Document
 from repro.json.accel import EncodingView, StoreEncoding
@@ -60,8 +61,8 @@ class JSONDocumentStore:
         self._version = 0
         self._journal = DeltaJournal()
         self._rwlock = RWLock()
-        self._snapshot_state: tuple[int, "JSONDocumentStore"] | None = None
-        self._snapshot_lock = threading.Lock()
+        #: (version, weak reference to its snapshot): see ``remembered``.
+        self._snapshot_state: tuple | None = None
         #: Columnar XPath-accelerator replica, shared with every snapshot
         #: (built lazily by whoever needs it first; appended on insert
         #: and upsert; a removal starts a new lineage).
@@ -203,7 +204,8 @@ class JSONDocumentStore:
     # Snapshot isolation
     # ------------------------------------------------------------------
     def snapshot(self) -> "JSONDocumentStore":
-        """A frozen copy of the store at its current version (memoised).
+        """A frozen copy of the store at its current version (memoised,
+        weakly: :func:`~repro.core.deltas.remembered`).
 
         Stored documents and per-document leaf lists are never mutated in
         place (``add`` replaces them wholesale), so they are shared; the
@@ -212,34 +214,20 @@ class JSONDocumentStore:
         whichever of the two is queried first encodes for both.
         """
         with self._rwlock.read_locked():
-            state = self._snapshot_state
-            if state is not None and state[0] == self._version:
-                return state[1]
-            with self._snapshot_lock:
-                state = self._snapshot_state
-                if state is not None and state[0] == self._version:
-                    return state[1]
-                frozen = JSONDocumentStore.__new__(JSONDocumentStore)
-                frozen.name = self.name
-                frozen.id_field = self.id_field
-                frozen.text_path = self.text_path
-                frozen._documents = dict(self._documents)
-                frozen._leaves = dict(self._leaves)
-                frozen._indexes = {path: index._copy()
-                                   for path, index in self._indexes.items()}
-                frozen._ranks = dict(self._ranks)
-                frozen._next_rank = self._next_rank
-                frozen._version = self._version
-                # Shared journal: a frozen copy never writes, it only
-                # replays history up to its own (frozen) version.
-                frozen._journal = self._journal
-                frozen._rwlock = RWLock()
-                frozen._snapshot_state = (frozen._version, frozen)
-                frozen._snapshot_lock = threading.Lock()
-                frozen._lineage = self._lineage
-                frozen._accel_view = self._accel_view
-                self._snapshot_state = (self._version, frozen)
-                return frozen
+            return remembered(self, self._version, self._copy_unlocked)
+
+    def _copy_unlocked(self) -> "JSONDocumentStore":
+        frozen = JSONDocumentStore.__new__(JSONDocumentStore)
+        frozen.name, frozen.id_field, frozen.text_path = self.name, self.id_field, self.text_path
+        frozen._documents, frozen._leaves = dict(self._documents), dict(self._leaves)
+        frozen._indexes = {path: index._copy() for path, index in self._indexes.items()}
+        frozen._ranks, frozen._next_rank = dict(self._ranks), self._next_rank
+        frozen._lineage, frozen._accel_view = self._lineage, self._accel_view
+        # Shared journal: a frozen copy never writes, it only replays
+        # history up to its own (frozen) version.
+        frozen._version, frozen._journal, frozen._rwlock = self._version, self._journal, RWLock()
+        frozen._snapshot_state = (frozen._version, weakref.ref(frozen))
+        return frozen
 
     # ------------------------------------------------------------------
     # XPath-accelerator encoding

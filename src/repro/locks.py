@@ -3,8 +3,8 @@
 Each store (RDF :class:`~repro.rdf.graph.Graph`, relational
 :class:`~repro.relational.database.Database` and its tables, the
 full-text and JSON document stores) owns one :class:`RWLock`: mutators
-take the write side, :meth:`snapshot` takes the read side while it
-copies a consistent state.  The lock lives in a near-dependency-free
+take the write side; :meth:`snapshot`, and each read of a watermark
+snapshot, take the read side.  The lock lives in a near-dependency-free
 module (only the stdlib-backed :mod:`repro.obs.metrics`) so the store
 packages can import it without pulling in the service layer (which
 would cycle back through ``repro.core``).
@@ -55,7 +55,7 @@ class RWLock:
     """
 
     def __init__(self) -> None:
-        self._cond = threading.Condition()
+        self._cond = threading.Condition(threading.Lock())
         self._readers = 0
         self._writer: int | None = None
         self._writer_depth = 0
@@ -64,10 +64,9 @@ class RWLock:
 
     # -- read side -----------------------------------------------------------
     def acquire_read(self) -> None:
-        ident = threading.get_ident()
         depth = getattr(self._local, "read_depth", 0)
         with self._cond:
-            if self._writer == ident:
+            if self._writer is not None and self._writer == threading.get_ident():
                 # A writer reading its own store: treat as a nested write.
                 self._writer_depth += 1
                 return
@@ -83,9 +82,8 @@ class RWLock:
         self._local.read_depth = depth + 1
 
     def release_read(self) -> None:
-        ident = threading.get_ident()
         with self._cond:
-            if self._writer == ident:
+            if self._writer is not None and self._writer == threading.get_ident():
                 self._writer_depth -= 1
                 if self._writer_depth == 0:
                     self._writer = None

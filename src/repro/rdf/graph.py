@@ -8,11 +8,12 @@ constant is answered by dictionary lookups rather than a full scan.
 
 from __future__ import annotations
 
-import threading
 from collections import defaultdict
+from contextlib import nullcontext
 from typing import Iterable, Iterator
 
-from repro.core.deltas import DeltaJournal, INSERT, REMOVE, RESET
+from repro.core.deltas import (
+    DeltaJournal, INSERT, REMOVE, RESET, CopyOnWrite, Snapshot, UndoLink, remembered)
 from repro.errors import RDFError
 from repro.locks import RWLock
 from repro.rdf.terms import (
@@ -52,10 +53,10 @@ class Graph:
         #: with snapshots so pinned wrappers can replay the same history.
         self._journal = DeltaJournal()
         self._rwlock = RWLock()
-        #: (version, frozen copy) — the copy-on-write snapshot memo; the
-        #: mutex keeps concurrent readers from each copying on a miss.
-        self._snapshot_state: tuple[int, "Graph"] | None = None
-        self._snapshot_lock = threading.Lock()
+        #: The newest link of the undo chain snapshots read back through.
+        self._undo = UndoLink()
+        #: (version, weak reference to its snapshot): see ``remembered``.
+        self._snapshot_state: tuple | None = None
         if triples:
             self.add_all(triples)
 
@@ -71,14 +72,7 @@ class Graph:
             t = subject
         else:
             t = make_triple(subject, predicate, obj)
-        with self._rwlock.write_locked():
-            if not self._add_unlocked(t):
-                return False
-            pre = self._additions + self._removals
-            self._additions += 1
-            entry = self._journal.record(pre, pre + 1, INSERT, (t,))
-        self._journal.notify(entry)
-        return True
+        return bool(self.add_batch((t,)))
 
     def _add_unlocked(self, t: Triple) -> bool:
         if t in self._triples:
@@ -108,9 +102,7 @@ class Graph:
             fresh = [t for t in triples if self._add_unlocked(t)]
             if not fresh:
                 return []
-            pre = self._additions + self._removals
-            self._additions += 1
-            entry = self._journal.record(pre, pre + 1, INSERT, fresh)
+            entry = self._commit(INSERT, fresh)
         self._journal.notify(entry)
         return fresh
 
@@ -120,14 +112,7 @@ class Graph:
         Emptied index buckets are pruned so that add/remove churn does
         not grow the permutation indexes without bound.
         """
-        with self._rwlock.write_locked():
-            if not self._remove_unlocked(t):
-                return False
-            pre = self._additions + self._removals
-            self._removals += 1
-            entry = self._journal.record(pre, pre + 1, REMOVE, (t,))
-        self._journal.notify(entry)
-        return True
+        return bool(self.remove_all((t,)))
 
     def _remove_unlocked(self, t: Triple) -> bool:
         if t not in self._triples:
@@ -149,26 +134,32 @@ class Graph:
             gone = [t for t in triples if self._remove_unlocked(t)]
             if not gone:
                 return 0
-            pre = self._additions + self._removals
-            self._removals += 1
-            entry = self._journal.record(pre, pre + 1, REMOVE, gone)
+            entry = self._commit(REMOVE, gone)
         self._journal.notify(entry)
         return len(gone)
 
     def clear(self) -> None:
         """Remove every triple."""
-        entry = None
         with self._rwlock.write_locked():
-            if self._triples:
-                pre = self._additions + self._removals
-                self._removals += 1
-                entry = self._journal.record(pre, pre + 1, RESET)
+            if not self._triples:
+                return
+            entry = self._commit(RESET, tuple(self._triples))
             self._triples.clear()
             self._spo.clear()
             self._pos.clear()
             self._osp.clear()
-        if entry is not None:
-            self._journal.notify(entry)
+        self._journal.notify(entry)
+
+    def _commit(self, kind: str, triples: Iterable[Triple]):
+        """Count, journal and chain the undo link of one effective batch
+        (under the write lock)."""
+        pre = self._additions + self._removals
+        if kind == INSERT:
+            self._additions += 1
+        else:
+            self._removals += 1
+        self._undo = self._undo.append((t, kind != INSERT) for t in triples)
+        return self._journal.record(pre, pre + 1, kind, () if kind == RESET else triples)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -177,8 +168,8 @@ class Graph:
     def rwlock(self) -> RWLock:
         """The store's reader-writer lock.
 
-        Mutators take the write side internally; long consistent reads
-        (snapshotting, saturation deltas) take the read side.
+        Mutators take the write side internally; a snapshot's reads take
+        the read side (:meth:`reading`).
         """
         return self._rwlock
 
@@ -224,56 +215,25 @@ class Graph:
 
     def copy(self, name: str | None = None) -> "Graph":
         """Return an independent copy of the graph."""
-        return Graph(name or self.name, self._triples)
+        return Graph(name or self.name, self)
 
     # ------------------------------------------------------------------
     # Snapshot isolation
     # ------------------------------------------------------------------
     def snapshot(self) -> "Graph":
-        """A frozen, consistent copy of the graph at its current version.
+        """A read-only view of the graph at its current version.
 
-        Copy-on-write, amortised: the copy is taken lazily at the first
-        snapshot after a mutation and memoised per version, so any number
-        of concurrent queries pinning the same version share one frozen
-        graph, and an unchanged graph is never re-copied.  The returned
-        graph preserves the mutation counters (``version`` equals the
-        source's at snapshot time) and must never be mutated.
+        A watermark, not a copy (:class:`~repro.core.deltas.Snapshot`): a
+        pin costs nothing whatever the graph holds, a write batch one undo
+        link.  ``version`` and the counters are the graph's at the time.
         """
         with self._rwlock.read_locked():
-            version = self._additions + self._removals
-            state = self._snapshot_state
-            if state is not None and state[0] == version:
-                return state[1]
-            with self._snapshot_lock:
-                state = self._snapshot_state
-                if state is not None and state[0] == version:
-                    return state[1]
-                frozen = self._copy_unlocked()
-                self._snapshot_state = (version, frozen)
-                return frozen
+            return remembered(self, self.version, lambda: GraphSnapshot(self, self._undo))
 
-    def _copy_unlocked(self) -> "Graph":
-        """Fast structural copy (indexes copied directly, counters kept).
-
-        The caller must hold at least the read lock.
-        """
-        frozen = Graph.__new__(Graph)
-        frozen.name = self.name
-        frozen._triples = set(self._triples)
-        frozen._spo = _copy_index(self._spo)
-        frozen._pos = _copy_index(self._pos)
-        frozen._osp = _copy_index(self._osp)
-        frozen._additions = self._additions
-        frozen._removals = self._removals
-        # Shared on purpose: records are immutable and appends locked,
-        # so a pinned snapshot replays the same history up to its own
-        # version via ``deltas_since``.
-        frozen._journal = self._journal
-        frozen._rwlock = RWLock()
-        frozen._snapshot_lock = threading.Lock()
-        # A snapshot of a snapshot is itself.
-        frozen._snapshot_state = (frozen._additions + frozen._removals, frozen)
-        return frozen
+    def reading(self):
+        """A context yielding what one consistent read reads: the graph
+        itself (a snapshot yields what stands for its version)."""
+        return nullcontext(self)
 
     def subjects(self, predicate: Term | None = None, obj: Term | None = None) -> set[Term]:
         """Return the distinct subjects matching optional predicate/object.
@@ -417,26 +377,57 @@ class Graph:
     def terms(self) -> set[Term]:
         """Return every term (subject, predicate or object) in the graph."""
         out: set[Term] = set()
-        for t in self._triples:
+        for t in self:
             out.update((t.subject, t.predicate, t.obj))
         return out
 
     def literals(self) -> set[Literal]:
         """Return every literal appearing in the object position."""
-        return {t.obj for t in self._triples if isinstance(t.obj, Literal)}
+        return {t.obj for t in self if isinstance(t.obj, Literal)}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Graph(name={self.name!r}, triples={len(self)})"
 
 
-def _copy_index(index: dict[Term, dict[Term, set[Term]]]) -> dict:
-    """Deep-copy one SPO/POS/OSP permutation index."""
-    out: dict[Term, dict[Term, set[Term]]] = defaultdict(lambda: defaultdict(set))
-    for a, inner in index.items():
-        target = out[a]
-        for b, values in inner.items():
-            target[b] = set(values)
-    return out
+class GraphSnapshot(Snapshot, Graph, reads=(
+        "count", "subjects", "objects", "value", "predicates", "resources_of_type",
+        "predicate_counts", "terms", "literals", "__len__", "__contains__")):
+    """What :meth:`Graph.snapshot` returns: the graph read at one version,
+    each read one :meth:`reading` of the live graph (a lazy answer —
+    ``match``, iteration — is materialised inside it).  It never writes."""
+
+    def __init__(self, live: Graph, link: UndoLink):
+        self.name = live.name
+        self._additions, self._removals = live._additions, live._removals
+        self._journal, self._rwlock = live._journal, live._rwlock
+        self._watch(live, link)
+
+    def _at(self, undo: dict[Triple, bool]) -> Graph:
+        """The live graph before the writes ``undo`` reverts (triple -> was
+        it present then): its triple set copied, its indexes copy-on-write."""
+        live = self._live
+        at = Graph(live.name)
+        at._triples = set(live._triples)
+        at._spo, at._pos, at._osp = (CopyOnWrite(index, _private_inner)
+                                     for index in (live._spo, live._pos, live._osp))
+        for t, present in undo.items():
+            if present:
+                at._add_unlocked(t)
+            else:
+                at._remove_unlocked(t)
+        return at
+
+    def match(self, pattern: TriplePattern) -> Iterator[Triple]:
+        with self.reading() as graph:
+            return iter(list(graph.match(pattern)))
+
+    def __iter__(self) -> Iterator[Triple]:
+        with self.reading() as graph:
+            return iter(list(graph))
+
+
+def _private_inner(inner: dict | None) -> CopyOnWrite:
+    return CopyOnWrite(inner or {}, lambda terms: set(terms or ()))
 
 
 def _discard_pruning(index: dict[Term, dict[Term, set[Term]]],

@@ -7,10 +7,10 @@ capability (the SQL subset) that the mediator ships sub-queries to.
 
 from __future__ import annotations
 
-import threading
+import weakref
 from typing import Iterable
 
-from repro.core.deltas import DeltaJournal, RESET
+from repro.core.deltas import DeltaJournal, RESET, remembered
 from repro.errors import RelationalError, SchemaError
 from repro.locks import RWLock
 from repro.relational.ast import CreateTableStatement, InsertStatement, SelectStatement
@@ -35,8 +35,8 @@ class Database:
         # One lock for the catalog and every table, so a snapshot is a
         # consistent cut of the whole database.
         self._rwlock = RWLock()
-        self._snapshot_state: tuple[int, "Database"] | None = None
-        self._snapshot_lock = threading.Lock()
+        #: (version, weak reference to its snapshot): see ``remembered``.
+        self._snapshot_state: tuple | None = None
 
     @property
     def version(self) -> int:
@@ -134,35 +134,26 @@ class Database:
     # Snapshot isolation
     # ------------------------------------------------------------------
     def snapshot(self) -> "Database":
-        """A frozen, consistent copy of the whole database (memoised).
+        """A frozen, consistent copy of the whole database (memoised,
+        weakly: :func:`~repro.core.deltas.remembered`).
 
         Taken under the shared read lock, so no insert or catalog change
         can land between two table copies: the snapshot's version equals
         the live version at the moment of the cut.
         """
         with self._rwlock.read_locked():
-            version = self._catalog_version + sum(
-                t.version for t in self._tables.values())
-            state = self._snapshot_state
-            if state is not None and state[0] == version:
-                return state[1]
-            with self._snapshot_lock:
-                state = self._snapshot_state
-                if state is not None and state[0] == version:
-                    return state[1]
-                frozen = Database.__new__(Database)
-                frozen.name = self.name
-                frozen._catalog_version = self._catalog_version
-                frozen._journal = self._journal
-                frozen._rwlock = RWLock()
-                frozen._tables = {
-                    key: table._copy_unlocked(lock=frozen._rwlock)
-                    for key, table in self._tables.items()
-                }
-                frozen._snapshot_state = (version, frozen)
-                frozen._snapshot_lock = threading.Lock()
-                self._snapshot_state = (version, frozen)
-                return frozen
+            return remembered(self, self.version, self._copy_unlocked)
+
+    def _copy_unlocked(self) -> "Database":
+        frozen = Database.__new__(Database)
+        frozen.name = self.name
+        frozen._catalog_version = self._catalog_version
+        frozen._journal = self._journal
+        frozen._rwlock = RWLock()
+        frozen._tables = {key: table._copy_unlocked(frozen._rwlock)
+                          for key, table in self._tables.items()}
+        frozen._snapshot_state = (frozen.version, weakref.ref(frozen))
+        return frozen
 
     # ------------------------------------------------------------------
     # SQL entry point

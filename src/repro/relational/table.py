@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 from collections import defaultdict
 from typing import Callable, Iterable, Iterator
 
@@ -66,8 +65,6 @@ class Table:
         # A table created inside a Database shares the database's lock,
         # so a database snapshot is one consistent cut across its tables.
         self._rwlock = lock or RWLock()
-        self._snapshot_state: tuple[int, "Table"] | None = None
-        self._snapshot_lock = threading.Lock()
         if schema.primary_key:
             self.create_index(schema.primary_key)
 
@@ -159,37 +156,18 @@ class Table:
             self._indexes[key] = index
             return index
 
-    # ------------------------------------------------------------------
-    # Snapshot isolation
-    # ------------------------------------------------------------------
-    def snapshot(self) -> "Table":
-        """A frozen copy of the table at its current version (memoised)."""
-        with self._rwlock.read_locked():
-            state = self._snapshot_state
-            if state is not None and state[0] == self._version:
-                return state[1]
-            with self._snapshot_lock:
-                state = self._snapshot_state
-                if state is not None and state[0] == self._version:
-                    return state[1]
-                frozen = self._copy_unlocked()
-                self._snapshot_state = (self._version, frozen)
-                return frozen
-
-    def _copy_unlocked(self, lock: RWLock | None = None) -> "Table":
-        """Structural copy sharing the (immutable) schema; counters kept."""
+    def _copy_unlocked(self, lock: RWLock) -> "Table":
+        """A frozen copy for a database snapshot (under its ``lock``),
+        sharing the schema and the journal; it never writes, so it needs
+        no version callback and refers to nothing of its own."""
         frozen = Table.__new__(Table)
         frozen.schema = self.schema
         frozen.rows = list(self.rows)
         frozen._indexes = {key: index._copy() for key, index in self._indexes.items()}
         frozen._version = self._version
-        # Shared journal: a frozen copy never writes, it only replays
-        # history up to its own (frozen) version.
         frozen._journal = self._journal
-        frozen._version_of = lambda: frozen._version
-        frozen._rwlock = lock or RWLock()
-        frozen._snapshot_state = (frozen._version, frozen)
-        frozen._snapshot_lock = threading.Lock()
+        frozen._version_of = None
+        frozen._rwlock = lock
         return frozen
 
     # ------------------------------------------------------------------

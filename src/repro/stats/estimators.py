@@ -147,43 +147,43 @@ def _conjunct_selectivity(conjunct: Expression,
 def estimate_bgp(source: RDFSource, query: RDFQuery, bound: set[str],
                  values: dict[str, object]) -> Optional[float]:
     """Index-count estimate of a BGP with join-variable reductions."""
-    graph = source.effective_graph()
-    bgp = query.bgp
-    if values:
-        binding = {variable: _to_rdf_term(values[variable.name])
-                   for variable in bgp.variables() if variable.name in values}
-        if binding:
-            bgp = bgp.bind(binding)
-    patterns = list(bgp.patterns)
-    if not patterns:
-        return 0.0
-    counted = sorted((graph.count(p), i, p) for i, p in enumerate(patterns))
-    if counted[0][0] == 0:
-        return 0.0
-    cardinality: Optional[float] = None
-    seen: set[str] = set()
-    for count, _, pattern in counted:
-        names = _pattern_variables(pattern)
-        if cardinality is None:
-            cardinality = float(count)
-        else:
-            shared = names & seen
-            if shared:
-                reduction = max(_distinct_at(graph, pattern, name)
-                                for name in shared)
-                cardinality *= count / max(1.0, reduction)
+    with source.effective_graph().reading() as graph:
+        bgp = query.bgp
+        if values:
+            binding = {variable: _to_rdf_term(values[variable.name])
+                       for variable in bgp.variables() if variable.name in values}
+            if binding:
+                bgp = bgp.bind(binding)
+        patterns = list(bgp.patterns)
+        if not patterns:
+            return 0.0
+        counted = sorted((graph.count(p), i, p) for i, p in enumerate(patterns))
+        if counted[0][0] == 0:
+            return 0.0
+        cardinality: Optional[float] = None
+        seen: set[str] = set()
+        for count, _, pattern in counted:
+            names = _pattern_variables(pattern)
+            if cardinality is None:
+                cardinality = float(count)
             else:
-                cardinality *= count
-        seen |= names
-    assert cardinality is not None
-    # Mediator-bound variables with unknown values: each fixes the
-    # variable to one of its distinct values.
-    for name in (query.output_variables() & bound) - set(values):
-        distincts = [_distinct_at(graph, p, name) for p in patterns
-                     if name in _pattern_variables(p)]
-        if distincts:
-            cardinality /= max(1.0, max(distincts))
-    return max(0.0, cardinality)
+                shared = names & seen
+                if shared:
+                    reduction = max(_distinct_at(graph, pattern, name)
+                                    for name in shared)
+                    cardinality *= count / max(1.0, reduction)
+                else:
+                    cardinality *= count
+            seen |= names
+        assert cardinality is not None
+        # Mediator-bound variables with unknown values: each fixes the
+        # variable to one of its distinct values.
+        for name in (query.output_variables() & bound) - set(values):
+            distincts = [_distinct_at(graph, p, name) for p in patterns
+                         if name in _pattern_variables(p)]
+            if distincts:
+                cardinality /= max(1.0, max(distincts))
+        return max(0.0, cardinality)
 
 
 def _pattern_variables(pattern) -> set[str]:
@@ -211,56 +211,56 @@ def estimate_fulltext(source: FullTextSource, query: FullTextQuery,
                       bound: set[str],
                       values: dict[str, object]) -> Optional[float]:
     """Document-frequency estimate of a conjunctive full-text template."""
-    store = source.store
-    total = len(store)
-    if total == 0:
-        return 0.0
-    # Constant clauses intersect their postings *exactly* (the indexes
-    # are in memory), so correlated or disjoint terms are priced right;
-    # only run-time parameters fall back to selectivity arithmetic.
-    matched: Optional[set] = None
-    selectivity = 1.0
-    for clause in query.template.conjuncts:
-        if isinstance(clause, MatchAllQuery):
-            continue
-        if not isinstance(clause, (TermQuery, FullTextParameter)):
-            return None
-        path = clause.field or store.default_field
-        if path is None:
-            return None
-        if isinstance(clause, TermQuery):
-            term = clause.term
-        elif clause.name in values:
-            term = str(values[clause.name])
-        else:
-            average = store.average_document_frequency(path)
-            if average is None:
-                return None
-            selectivity *= min(1.0, average / total)
-            continue
-        documents = store.term_documents(path, term)
-        if documents is None:
-            return None
-        matched = documents if matched is None else matched & documents
-    base = float(len(matched)) if matched is not None else float(total)
-    cardinality = base * selectivity
-    fields = query.fields()
-    required = query.required_parameters()
-    for variable in (query.output_variables() & bound) - required:
-        path = fields.get(variable)
-        if path is None or path == "_score":
-            cardinality *= 0.1
-            continue
-        if variable in values:
-            frequency = store.document_frequency(path, str(values[variable]))
-            if frequency is not None:
-                cardinality *= frequency / total
+    with source.store.reading() as store:
+        total = len(store)
+        if total == 0:
+            return 0.0
+        # Constant clauses intersect their postings *exactly* (the indexes
+        # are in memory), so correlated or disjoint terms are priced right;
+        # only run-time parameters fall back to selectivity arithmetic.
+        matched: Optional[set] = None
+        selectivity = 1.0
+        for clause in query.template.conjuncts:
+            if isinstance(clause, MatchAllQuery):
                 continue
-        distinct = store.distinct_term_count(path)
-        if distinct:
-            cardinality /= distinct
-        else:
-            cardinality *= 0.1
-    if query.limit is not None:
-        cardinality = min(cardinality, float(query.limit))
-    return max(0.0, cardinality)
+            if not isinstance(clause, (TermQuery, FullTextParameter)):
+                return None
+            path = clause.field or store.default_field
+            if path is None:
+                return None
+            if isinstance(clause, TermQuery):
+                term = clause.term
+            elif clause.name in values:
+                term = str(values[clause.name])
+            else:
+                average = store.average_document_frequency(path)
+                if average is None:
+                    return None
+                selectivity *= min(1.0, average / total)
+                continue
+            documents = store.term_documents(path, term)
+            if documents is None:
+                return None
+            matched = documents if matched is None else matched & documents
+        base = float(len(matched)) if matched is not None else float(total)
+        cardinality = base * selectivity
+        fields = query.fields()
+        required = query.required_parameters()
+        for variable in (query.output_variables() & bound) - required:
+            path = fields.get(variable)
+            if path is None or path == "_score":
+                cardinality *= 0.1
+                continue
+            if variable in values:
+                frequency = store.document_frequency(path, str(values[variable]))
+                if frequency is not None:
+                    cardinality *= frequency / total
+                    continue
+            distinct = store.distinct_term_count(path)
+            if distinct:
+                cardinality /= distinct
+            else:
+                cardinality *= 0.1
+        if query.limit is not None:
+            cardinality = min(cardinality, float(query.limit))
+        return max(0.0, cardinality)

@@ -303,12 +303,16 @@ class TestScoringInvariants:
         queries = ["text:urgence", "text:budget OR text:vote", "entities.hashtags:sia2016"]
         before = [[(h.document.doc_id, h.score) for h in frozen.search(q, limit=None)]
                   for q in queries]
-        average = frozen._text_indexes["text"].average_document_length()
+        with frozen.reading() as store:
+            average = store._text_indexes["text"].average_document_length()
         _seeded_writes(small_tweet_store, rng, steps=25)
         assert [[(h.document.doc_id, h.score) for h in frozen.search(q, limit=None)]
                 for q in queries] == before
-        assert frozen._text_indexes["text"].average_document_length() == average
-        _assert_index_agrees(frozen)
+        # The live indexes read back at the snapshot's version.
+        with frozen.reading() as store:
+            assert store is not small_tweet_store
+            assert store._text_indexes["text"].average_document_length() == average
+            _assert_index_agrees(store)
         _assert_index_agrees(small_tweet_store)
 
     def test_add_then_remove_restores_every_statistic(self, small_tweet_store):

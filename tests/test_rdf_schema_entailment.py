@@ -247,27 +247,27 @@ class TestRDFSourceStaleness:
 
     def test_removal_triggers_full_recompute(self):
         source = self._source()
-        saturated = source._effective_graph()
+        saturated = source.effective_graph()
         assert triple("ttn:Samuel", "rdf:type", "ttn:Employee") in saturated
         source.graph.remove(triple("ttn:Samuel", "rdf:type", "ttn:Journalist"))
-        saturated = source._effective_graph()
+        saturated = source.effective_graph()
         assert triple("ttn:Samuel", "rdf:type", "ttn:Employee") not in saturated
 
     def test_out_of_band_addition_is_absorbed_incrementally(self):
         source = self._source()
-        first = source._effective_graph()
+        first = source.effective_graph()
         source.graph.add(triple("ttn:Anna", "rdf:type", "ttn:Journalist"))
-        second = source._effective_graph()
+        second = source.effective_graph()
         assert second is first  # maintained in place, not recomputed
         assert triple("ttn:Anna", "rdf:type", "ttn:Employee") in second
 
     def test_add_triples_maintains_saturation(self):
         source = self._source()
-        source._effective_graph()
+        source.effective_graph()
         added = source.add_triples([triple("ttn:Anna", "rdf:type", "ttn:Journalist"),
                                     triple("ttn:Anna", "rdf:type", "ttn:Journalist")])
         assert added == 1
-        assert triple("ttn:Anna", "rdf:type", "ttn:Employee") in source._effective_graph()
+        assert triple("ttn:Anna", "rdf:type", "ttn:Employee") in source.effective_graph()
 
     def test_version_follows_graph(self):
         source = self._source()
