@@ -20,7 +20,8 @@ statement and stay structural.
 
 from __future__ import annotations
 
-from typing import Optional
+from operator import itemgetter
+from typing import Iterable, Optional
 
 from repro.core.sources import (
     FullTextQuery,
@@ -48,30 +49,38 @@ class CanonicalQuery:
         canonical names are allocated one per distinct original name).
     """
 
-    __slots__ = ("model", "key", "rename", "inverse")
+    __slots__ = ("model", "key", "rename", "inverse", "_keyers")
 
     def __init__(self, model: str, key: tuple, rename: dict[str, str]):
         self.model = model
         self.key = (model,) + key
         self.rename = rename
         self.inverse = {canonical: original for original, canonical in rename.items()}
+        self._keyers: dict[tuple, BindingKeyer] = {}  # memo of :meth:`key_of`
 
-    def binding_key(self, bindings: Row) -> Optional[tuple]:
-        """Canonical, hashable form of a binding tuple (None = uncacheable).
-
-        Values are type-tagged: ``True``, ``1`` and ``1.0`` are equal
-        (and hash alike) in Python, yet the wrappers render them
-        differently at the source (``TRUE`` vs ``1`` in SQL, ``True``
-        vs ``1`` in a query template) — they must never share an entry.
-        """
+    def keyer(self, slots: Iterable[tuple[str, int]],
+              constants: Row | None = None) -> "BindingKeyer":
+        """The one binding-key function, compiled for bindings whose value
+        at position ``i`` binds formal ``name`` for each ``(name, i)`` of
+        ``slots``, ``constants`` binding the formals fixed in advance."""
+        rename = self.rename
+        order = [(rename.get(name, name), i, None) for name, i in slots]
         try:
-            items = sorted((self.rename.get(name, name), _tagged(value))
-                           for name, value in bindings.items())
-            key = tuple(items)
-            hash(key)
+            order += [(rename.get(name, name), None, _tagged(value))
+                      for name, value in (constants or {}).items()]
         except TypeError:
-            return None
-        return key
+            return BindingKeyer(None)
+        return BindingKeyer(tuple(sorted(order, key=itemgetter(0))))
+
+    def key_of(self, bindings: Row) -> Optional[tuple]:
+        """The key of a binding dict in the query's own names."""
+        if not bindings:
+            return ()
+        names = tuple(bindings)
+        keyer = self._keyers.get(names)
+        if keyer is None:
+            keyer = self._keyers[names] = self.keyer(zip(names, range(len(names))))
+        return keyer(tuple(bindings.values()))
 
     def canonical_batches(self, batches: list[BindingBatch]) -> list[BindingBatch]:
         """Batches under canonical variable names (for storage)."""
@@ -80,6 +89,24 @@ class CanonicalQuery:
     def original_batches(self, batches: list[BindingBatch]) -> list[BindingBatch]:
         """Stored batches under this query's own names, rows shared."""
         return [batch.renamed(self.inverse) for batch in batches]
+
+
+class BindingKeyer:
+    """A binding's value tuple -> its key, ``(canonical name, tagged value)``
+    pairs by name (``None``: uncacheable); tags keep ``True``, ``1``, ``1.0``
+    apart, as sources render them.  Data, no closure: holders reach no more."""
+
+    __slots__ = ("order",)
+
+    def __init__(self, order: Optional[tuple]):
+        self.order = order  # (name, value position or None, tagged constant)
+
+    def __call__(self, values: tuple) -> Optional[tuple]:
+        try:
+            return tuple([(name, tagged if i is None else _tagged(values[i]))
+                          for name, i, tagged in self.order])
+        except TypeError:  # an unhashable value, or no order at all
+            return None
 
 
 def canonical_query(query: SourceQuery) -> Optional[CanonicalQuery]:
@@ -160,12 +187,14 @@ def _canonical_json(query: JSONQuery) -> CanonicalQuery:
     return CanonicalQuery("json", (tuple(leaves), query.limit), canon.mapping)
 
 
-def _tagged(value: object) -> tuple:
-    """Recursively hashable form of a binding value, tagged by type.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
 
-    Raises ``TypeError`` (caught by :meth:`CanonicalQuery.binding_key`)
-    for values that cannot be keyed deterministically.
-    """
+
+def _tagged(value: object) -> tuple:
+    """Recursively hashable form of a binding value, tagged by type;
+    ``TypeError`` for a value that cannot be keyed deterministically."""
+    if type(value) in _SCALARS:
+        return (type(value).__name__, value)
     if isinstance(value, (list, tuple)):
         return (type(value).__name__,) + tuple(_tagged(item) for item in value)
     if isinstance(value, (set, frozenset)):
@@ -173,4 +202,5 @@ def _tagged(value: object) -> tuple:
     if isinstance(value, dict):
         return ("dict",) + tuple(sorted((key, _tagged(item))
                                         for key, item in value.items()))
+    hash(value)
     return (type(value).__name__, value)

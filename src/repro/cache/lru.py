@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Callable, Hashable, Optional
+from typing import Callable, Hashable, Optional, Sequence
 
 
 @dataclass
@@ -53,9 +53,9 @@ class LRUCache:
     """Bounded mapping with least-recently-used eviction.
 
     ``get`` refreshes recency; ``put`` evicts the oldest entries once
-    ``max_entries`` is exceeded.  ``record_miss=False`` supports *peek*
-    probes (e.g. the bind-join pre-probe) that should not inflate the
-    miss counter of a binding that will be probed again at dispatch.
+    ``max_entries`` is exceeded.  ``record_miss=False`` serves lookups
+    that are not probes (a repair's merge base, a degraded read) and
+    probes whose misses are decided later (a stale key may be repaired).
 
     ``on_evict(key, value)`` is invoked for every entry leaving the
     cache (LRU eviction, :meth:`remove`, :meth:`invalidate_where`,
@@ -80,14 +80,32 @@ class LRUCache:
 
     def get(self, key: Hashable, record_miss: bool = True) -> Optional[object]:
         """The cached value, or ``None`` (values themselves are never None)."""
+        return self.get_many((key,), record_miss)[0]
+
+    def get_many(self, keys: Sequence[Optional[Hashable]],
+                 record_miss: bool = True) -> list[Optional[object]]:
+        """:meth:`get` of each key, under one lock; a ``None`` key reads ``None``."""
+        out: list[Optional[object]] = []
+        entries = self._entries
+        hits = misses = 0
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return self._entries[key]
+            for key in keys:
+                value = entries.get(key)
+                if value is not None:
+                    entries.move_to_end(key)
+                    hits += 1
+                elif key is not None:
+                    misses += 1
+                out.append(value)
+            self.stats.hits += hits
             if record_miss:
-                self.stats.misses += 1
-            return None
+                self.stats.misses += misses
+        return out
+
+    def miss(self, count: int) -> None:
+        """Count misses a ``record_miss=False`` lookup left undecided."""
+        with self._lock:
+            self.stats.misses += count
 
     def put(self, key: Hashable, value: object) -> None:
         """Insert (or refresh) an entry, evicting the oldest past capacity."""

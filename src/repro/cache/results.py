@@ -26,19 +26,19 @@ entry's own row lists under a renamed header, shared by every reader; a
 repair publishes a new entry.
 
 :class:`CachedSource` wraps a :class:`~repro.core.sources.DataSource`
-with the cache for the duration of a dispatch.  ``answer`` and
-``answer_batch`` probe *per binding* (stale entries of the whole batch
-go to the repair engine in one call) and forward only the misses to
-the wrapped source, so a batched bind join ships IN-lists/disjunctions
-built solely from uncached bindings.  Sources whose ``version()`` is
-unknown (``None``) are never cached.
+with the cache for the duration of a dispatch.  A probe is per call —
+one LRU pass, one repair call for its stale keys — and only its misses
+go to the wrapped source, so a batched bind join ships IN-lists /
+disjunctions of uncached bindings; a flush the bind join probed
+(:meth:`CachedSource.peek`) is not keyed, probed or repaired again.
+Sources whose ``version()`` is unknown (``None``) are never cached.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.cache.keys import CanonicalQuery, canonical_query
 from repro.cache.lru import CacheStats, LRUCache
@@ -121,24 +121,18 @@ class SubQueryResultCache:
         except TypeError:  # unhashable query object
             return None
 
-    def key_for(self, source, version: Optional[int], query: SourceQuery,
-                bindings: Row) -> Optional[tuple[tuple, CanonicalQuery]]:
-        """The full cache key of one probe, or ``None`` when uncacheable.
-
-        ``source`` is the raw wrapper whose URI *and* identity token
-        enter the key; a wrapper without a token (a custom subclass that
-        skipped ``DataSource.__init__``) is treated as uncacheable.
-        """
+    @staticmethod
+    def keys(source, version: Optional[int], canon: CanonicalQuery,
+             binding_keys: Iterable[Optional[tuple]]) -> list[Optional[tuple]]:
+        """The full cache key of each probe (``None``: uncacheable): the raw
+        wrapper ``source``'s URI *and* identity token enter it, a wrapper
+        without one (a subclass skipping ``DataSource.__init__``) has none."""
         token = getattr(source, "cache_token", None)
         if token is None:
-            return None
-        canon = self.canonicalize(query)
-        if canon is None:
-            return None
-        binding_key = canon.binding_key(bindings)
-        if binding_key is None:
-            return None
-        return (source.uri, token, version, canon.key, binding_key), canon
+            return [None for _ in binding_keys]
+        uri, query = source.uri, canon.key
+        return [None if key is None else (uri, token, version, query, key)
+                for key in binding_keys]
 
     def insert(self, key: tuple, canon: CanonicalQuery,
                rows: list) -> list[BindingBatch]:
@@ -183,13 +177,14 @@ class SubQueryResultCache:
         path exists so an outage yields flagged stale rows instead of a
         failed query.  Touches no hit/miss counters.
         """
-        keyed = self.key_for(source, None, query, bindings)
-        if keyed is None:
+        canon = self.canonicalize(query)
+        probe = canon and self.keys(source, None, canon, [canon.key_of(bindings)])[0]
+        if probe is None:
             return None
         with self._lock:
-            key = self._stale.get(self._logical(keyed[0]))
+            key = self._stale.get(self._logical(probe))
         stored = None if key is None else self.entries.get(key, record_miss=False)
-        return None if stored is None else keyed[1].original_batches(stored)
+        return None if stored is None else canon.original_batches(stored)
 
     # ------------------------------------------------------------------
     def invalidate_source(self, source_uri: str) -> int:
@@ -205,6 +200,11 @@ class SubQueryResultCache:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+def _delegated(attribute: str) -> property:
+    """A read-only attribute of :class:`CachedSource`'s wrapped source."""
+    return property(lambda self: getattr(self.inner, attribute))
 
 
 class CachedSource(DataSource):
@@ -255,35 +255,14 @@ class CachedSource(DataSource):
         # lock keeps the counters exact.
         self._stats_lock = stats_lock or threading.Lock()
 
-    def _record(self, hit: bool) -> None:
-        if self.local_stats is None:
-            return
-        with self._stats_lock:
-            if hit:
-                self.local_stats.hits += 1
-            else:
-                self.local_stats.misses += 1
-
     # -- delegation ---------------------------------------------------------
-    @property
-    def uri(self) -> str:  # type: ignore[override]
-        return self.inner.uri
-
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        return self.inner.name
-
-    @property
-    def description(self) -> str:  # type: ignore[override]
-        return self.inner.description
-
-    @property
-    def model(self) -> str:  # type: ignore[override]
-        return self.inner.model
-
-    @property
-    def cache_token(self):  # type: ignore[override]
-        return self.inner.cache_token
+    uri = _delegated("uri")
+    name = _delegated("name")
+    description = _delegated("description")
+    model = _delegated("model")
+    cache_token = _delegated("cache_token")
+    trust_wrapper_estimate = _delegated("trust_wrapper_estimate")
+    pinned_at = _delegated("pinned_at")
 
     @property
     def cost_kind(self) -> str:
@@ -295,10 +274,6 @@ class CachedSource(DataSource):
         """
         return getattr(self.inner, "cost_kind", self.inner.model)
 
-    @property
-    def trust_wrapper_estimate(self) -> bool:  # type: ignore[override]
-        return self.inner.trust_wrapper_estimate
-
     def pin(self) -> "CachedSource":
         """A proxy over the pinned inner source (same cache, same stats)."""
         pinned = self.inner.pin()
@@ -307,10 +282,6 @@ class CachedSource(DataSource):
         return CachedSource(pinned, self.cache, stats=self.local_stats,
                             stats_lock=self._stats_lock, mqo=self.mqo,
                             mqo_stats=self.mqo_stats, repair=self.repair)
-
-    @property
-    def pinned_at(self) -> Optional[int]:  # type: ignore[override]
-        return self.inner.pinned_at
 
     def version(self) -> Optional[int]:
         return self.inner.version()
@@ -324,32 +295,28 @@ class CachedSource(DataSource):
     def size(self) -> int:
         return self.inner.size()
 
-    def _probe(self, version: int, query: SourceQuery, batch: Sequence[Row],
-               record_miss: bool = True) -> tuple[list, list]:
-        """What the cache knows of ``batch``: ``(stored, keyed)`` per binding.
-
-        Hits come from the LRU; every stale key left is then handed to
-        the repair engine in ONE call (a repaired entry was rebuilt
-        locally from the delta journal — no source call happened, so it
-        reads as a hit).  ``stored[i]`` is the cache entry itself,
-        batches in *canonical* names, or ``None`` on a miss; ``keyed[i]``
-        is ``None`` for an uncacheable binding.
-        """
-        keyed = [self.cache.key_for(self.inner, version, query, bindings)
-                 for bindings in batch]
-        stored = [None if entry is None
-                  else self.cache.entries.get(entry[0], record_miss=record_miss)
-                  for entry in keyed]
-        stale = [i for i, entry in enumerate(keyed)
-                 if entry is not None and stored[i] is None]
-        if self.repair is not None and stale:
-            repaired = self.repair.repair(
-                self.inner, version, query,
-                keyed[stale[0]][1],  # one query => one canonical form
-                [(keyed[i][0], batch[i]) for i in stale])
-            for i, merged in zip(stale, repaired):
+    def _probe(self, version: int, query: SourceQuery, canon: CanonicalQuery,
+               keys: list[Optional[tuple]],
+               binding: Callable[[int], Row]) -> list[Optional[list[BindingBatch]]]:
+        """Each key's entry (canonical names) or ``None``, counted: one LRU
+        pass, then ONE repair call for the stale keys, with ``binding(i)``
+        (a repaired entry reads as a hit: no source call happened)."""
+        stored = self.cache.entries.get_many(keys, record_miss=self.repair is None)
+        missed = [i for i, key in enumerate(keys) if key is not None and stored[i] is None]
+        if self.repair is not None and missed:
+            repaired = self.repair.repair(self.inner, version, query, canon,
+                                          [(keys[i], binding(i)) for i in missed])
+            for i, merged in zip(missed, repaired):
                 stored[i] = merged
-        return stored, keyed
+            missed = [i for i in missed if stored[i] is None]
+            if missed:
+                self.cache.entries.miss(len(missed))
+        if self.local_stats is not None:
+            probed = len(keys) - keys.count(None)
+            with self._stats_lock:
+                self.local_stats.hits += probed - len(missed)
+                self.local_stats.misses += len(missed)
+        return stored
 
     def _inner_batch(self, query: SourceQuery,
                      batch: list[Row]) -> list[list[BindingBatch]]:
@@ -374,14 +341,14 @@ class CachedSource(DataSource):
             query, [bindings or {}],
             lambda misses: [self.inner.answer(query, misses[0])])[0]
 
-    def answer_batch(self, query: SourceQuery,
-                     bindings_batch: Sequence[Row]) -> list[list[BindingBatch]]:
+    def answer_batch(self, query: SourceQuery, bindings_batch: Sequence[Row],
+                     probed: tuple | None = None) -> list[list[BindingBatch]]:
         return self._answer(query, [dict(b or {}) for b in bindings_batch],
-                            lambda misses: self._inner_batch(query, misses))
+                            lambda misses: self._inner_batch(query, misses), probed)
 
     def _answer(self, query: SourceQuery, batch: list[Row],
                 fetch: Callable[[list[Row]], list[list[BindingBatch]]],
-                ) -> list[list[BindingBatch]]:
+                probed: tuple | None = None) -> list[list[BindingBatch]]:
         """Answer ``batch`` from the cache, ``fetch``-ing only its misses.
 
         ``fetch`` is ONE call of the wrapped source for a list of
@@ -389,17 +356,22 @@ class CachedSource(DataSource):
         call; with one, the keyed misses go through its single-flight
         map first — this proxy then ships only those no in-flight query
         is already evaluating, and is handed the others' answers in
-        canonical names.
+        canonical names.  What :meth:`peek` ``probed`` is not probed again.
         """
         version = self.inner.version()
         if version is None:
             return fetch(batch)
-        stored, keyed = self._probe(version, query, batch)
-        results = [None if entry is None else key[1].original_batches(entry)
-                   for key, entry in zip(keyed, stored)]
-        for entry, batches in zip(keyed, results):
-            if entry is not None:
-                self._record(hit=batches is not None)
+        if probed is not None and probed[0] == version and len(probed[2]) == len(batch):
+            _, canon, keys = probed
+            results: list = [None] * len(batch)
+        else:
+            canon = self.cache.canonicalize(query)
+            if canon is None:
+                return fetch(batch)
+            keys = self.cache.keys(self.inner, version, canon, map(canon.key_of, batch))
+            results = [None if entry is None else canon.original_batches(entry)
+                       for entry in self._probe(version, query, canon, keys,
+                                                batch.__getitem__)]
         misses = [i for i, batches in enumerate(results) if batches is None]
         if not misses:
             return results
@@ -411,45 +383,44 @@ class CachedSource(DataSource):
             inserted = []
             for i, batches in zip(indices, fetched):
                 results[i] = batches
-                inserted.append(None if keyed[i] is None
-                                else self.cache.insert(*keyed[i], batches))
+                inserted.append(None if keys[i] is None
+                                else self.cache.insert(keys[i], canon, batches))
             return inserted
 
         if self.mqo is not None:
-            sharable = [i for i in misses if keyed[i] is not None]
+            sharable = [i for i in misses if keys[i] is not None]
             if sharable:
                 entries, shared = self.mqo.evaluate(
-                    [keyed[i][0] for i in sharable],
+                    [keys[i] for i in sharable],
                     lambda positions: ship([sharable[p] for p in positions]))
                 for i, entry in zip(sharable, entries):
                     if results[i] is None:
-                        results[i] = keyed[i][1].original_batches(entry)
+                        results[i] = canon.original_batches(entry)
                 if shared and self.mqo_stats is not None:
                     with self._stats_lock:
                         self.mqo_stats.shared_subqueries += shared
-                misses = [i for i in misses if keyed[i] is None]
+                misses = [i for i in misses if keys[i] is None]
         if misses:
             ship(misses)
         return results
 
-    def peek(self, query: SourceQuery, bindings_batch: Sequence[Row],
-             ) -> Iterator[Optional[list[BindingBatch]]]:
-        """Cache-only probe of a batch (no source call, no miss recorded).
-
-        One answer per binding, ``None`` where the cache has none.  This
-        is the bind join's pre-probe, once per flush: stale entries are
-        repaired here, set-at-a-time, so the dispatch that follows ships
-        plain misses only.  An answer is the entry's batches under the
-        query's names (the row lists are the cache's own, shared).  Hits
-        are not counted into ``local_stats``: the caller keeps its own.
-        """
+    def peek(self, atom, canon: CanonicalQuery,
+             bindings: Sequence[tuple[tuple[str, ...], tuple]],
+             ) -> tuple[list[Optional[list[BindingBatch]]], Optional[tuple]]:
+        """The bind join's probe of a flush of ``(names, values)`` pairs in
+        the CMQ names of ``atom``, keyed by its compiled keyers: ONE
+        :meth:`_probe`.  Returns ``(answers, probed)``: an entry's own rows
+        under the atom's translated header (or ``None``), and the misses'
+        keys for :meth:`answer_batch`."""
         version = self.inner.version()
         if version is None:
-            return iter([None] * len(bindings_batch))
-        stored, keyed = self._probe(version, query, bindings_batch,
-                                    record_miss=False)
-        return (None if batches is None else entry[1].original_batches(batches)
-                for entry, batches in zip(keyed, stored))
+            return [None] * len(bindings), None
+        keys = self.cache.keys(self.inner, version, canon, [
+            atom.binding_keyer(canon, names)(values) for names, values in bindings])
+        stored = self._probe(version, atom.query, canon, keys,
+                             lambda i: atom.formal_bindings(dict(zip(*bindings[i]))))
+        return ([None if entry is None else atom.translate(entry, canon) for entry in stored],
+                (version, canon, [key for key, entry in zip(keys, stored) if entry is None]))
 
     def peek_stale(self, query: SourceQuery,
                    bindings: Row) -> Optional[list[BindingBatch]]:

@@ -74,7 +74,8 @@ class SourceAtom:
     source_variable: Optional[str] = None
     renames: dict[str, str] = field(default_factory=dict)
     constants: dict[str, object] = field(default_factory=dict)
-    #: Source header -> how :meth:`translate` maps it.
+    #: Memo: a header (or ``("canonical", header)``) -> its :meth:`translate`
+    #: spec; ``("slots", names)`` / ``("key", names)`` -> a binding's.
     _specs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -113,44 +114,61 @@ class SourceAtom:
         return self.output_variables() | self.required_parameters()
 
     # -- execution helpers ---------------------------------------------------
+    def _formal_slots(self, names: tuple[str, ...]) -> tuple[tuple[str, int], ...]:
+        """``(formal, i)``: the formals (constants aside) a binding over CMQ
+        variables ``names`` binds to its ``i``-th value; once per names."""
+        slots = self._specs.get(("slots", names))
+        if slots is None:
+            index = {name: i for i, name in enumerate(names)}
+            found = {formal: index[actual] for formal in
+                     self.query.output_variables() | self.query.required_parameters()
+                     if (actual := self.renames.get(formal, formal)) in index}
+            reverse = {actual: formal for formal, actual in self.renames.items()}
+            found.update({reverse[name]: i for name, i in index.items()
+                          if name in reverse and reverse[name] not in found})
+            slots = self._specs[("slots", names)] = tuple(
+                (formal, i) for formal, i in found.items() if formal not in self.constants)
+        return slots
+
     def formal_bindings(self, bindings: Row) -> Row:
         """Translate CMQ-level ``bindings`` into the sub-query's formal names."""
-        formal: Row = dict(self.constants)
-        reverse = {actual: formal_name for formal_name, actual in self.renames.items()}
-        for formal_name in (self.query.output_variables() | self.query.required_parameters()):
-            if formal_name in formal:
-                continue
-            actual = self.renames.get(formal_name, formal_name)
-            if actual in bindings:
-                formal[formal_name] = bindings[actual]
-        for actual, value in bindings.items():
-            formal_name = reverse.get(actual)
-            if formal_name is not None and formal_name not in formal:
-                formal[formal_name] = value
-        return formal
+        values = tuple(bindings.values())
+        slots = self._formal_slots(tuple(bindings))
+        return {**self.constants, **{name: values[i] for name, i in slots}}
 
-    def translate(self, batches: list[BindingBatch]) -> list[BindingBatch]:
+    def binding_keyer(self, canonical, names: tuple[str, ...]):
+        """The cache keyer of a binding over ``names`` (``canonical`` is the
+        canonical form of :attr:`query`), compiled once per names."""
+        return self._specs.get(("key", names)) or self._specs.setdefault(
+            ("key", names), canonical.keyer(self._formal_slots(names), self.constants))
+
+    def translate(self, batches: list[BindingBatch],
+                  canonical=None) -> list[BindingBatch]:
         """Translate source batches (formal names) to CMQ variable names.
 
-        Worked out once per (atom, header): the rows are shared under the
+        Worked out once per (atom, header) — a cache entry's header, in the
+        names of ``canonical`` when given: the rows are shared under the
         renamed header.  Only a header holding a constant's column has
         its rows filtered (violations go) and narrowed (the column goes);
         two formals renamed to one variable collapse like dict keys.
         """
         out = []
         for batch in batches:
-            spec = self._specs.get(batch.columns)
+            memo = batch.columns if canonical is None else ("canonical", batch.columns)
+            spec = self._specs.get(memo)
             if spec is None:
+                columns = (batch.columns if canonical is None else
+                           tuple(canonical.inverse.get(c, c) for c in batch.columns))
                 picks: dict[str, int] = {}
                 checks = []
-                for index, formal in enumerate(batch.columns):
+                for index, formal in enumerate(columns):
                     if formal in self.constants:
                         checks.append((index, self.constants[formal]))
                     else:
                         picks[self.renames.get(formal, formal)] = index
-                narrow = (None if len(picks) == len(batch.columns)
+                narrow = (None if len(picks) == len(columns)
                           else tuple_getter(list(picks.values())))
-                spec = self._specs[batch.columns] = (tuple(picks), checks, narrow)
+                spec = self._specs[memo] = (tuple(picks), checks, narrow)
             columns, checks, narrow = spec
             rows = batch.rows
             if checks:
@@ -167,8 +185,8 @@ class SourceAtom:
         return self.translate(source.answer(self.query,
                                             self.formal_bindings(bindings or {})))
 
-    def execute_batch_on(self, source: DataSource,
-                         bindings_batch: Sequence[Row]) -> list[list[BindingBatch]]:
+    def execute_batch_on(self, source: DataSource, bindings_batch: Sequence[Row],
+                         probed: tuple | None = None) -> list[list[BindingBatch]]:
         """Run the atom's sub-query on ``source`` for a whole binding batch.
 
         One mediator-level call: the wrapper batches natively when it can
@@ -176,8 +194,9 @@ class SourceAtom:
         the translated batches of each input binding, in order.
         """
         formal_batch = [self.formal_bindings(bindings or {}) for bindings in bindings_batch]
-        return [self.translate(batches)
-                for batches in source.answer_batch(self.query, formal_batch)]
+        answers = (source.answer_batch(self.query, formal_batch) if probed is None
+                   else source.answer_batch(self.query, formal_batch, probed))
+        return [self.translate(batches) for batches in answers]
 
     def is_glue(self) -> bool:
         """True when the atom targets the instance's custom RDF graph."""

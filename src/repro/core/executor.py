@@ -41,7 +41,6 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from typing import Iterator
 
 from repro.cache.lru import CacheStats
 from repro.cache.results import CachedSource, MQOStats
@@ -83,7 +82,7 @@ class MixedQueryExecutor:
     ``cache`` is an optional :class:`repro.cache.MediatorCache` (shared
     by every executor of an instance): sub-query results are then served
     from the cross-query result cache before any source dispatch —
-    including per-binding probes inside batched bind joins, so a batch
+    including one probe per flush inside batched bind joins, so a batch
     ships only cache misses — and plans are reused through the plan
     cache.  ``PlannerOptions(result_cache=False, plan_cache=False)``
     opts out per executor.
@@ -294,11 +293,9 @@ class MixedQueryExecutor:
                 observation.replanned_after = id(step) in replanned_after
                 trace.steps.append(observation)
         if cache_stats is not None:
-            # Dispatch-level probes from this executor's own proxies plus
-            # the bind joins' pre-dispatch probe hits.
+            # Every probe is counted once, by this executor's own proxies.
             now = self._cache_stats
-            trace.cache_hits = (now.hits - cache_stats.hits
-                                + sum(join.cache_hits for join in joins.values()))
+            trace.cache_hits = now.hits - cache_stats.hits
             trace.cache_misses = now.misses - cache_stats.misses
         if shared_before is not None:
             trace.shared_subqueries = (self._mqo_stats.shared_subqueries
@@ -412,10 +409,12 @@ class MixedQueryExecutor:
                    options: PlannerOptions,
                    joins: dict[int, BatchBindJoin]) -> Operator:
         atom = step.atom
+        probed: list = [None]  # the last probe's misses, which ship next
 
         def fetch_batch(bindings: list[Row]) -> list[list[BindingBatch]]:
+            found, probed[0] = probed[0], None
             with _span(f"bind:{atom.name}", bindings=len(bindings)) as sp:
-                (per_binding,) = self._dispatch([(step, bindings)], trace, options)
+                (per_binding,) = self._dispatch([(step, bindings)], trace, options, found)
                 if sp is not None:
                     sp.set(rows=sum(map(row_count, per_binding)))
                 return per_binding
@@ -425,30 +424,27 @@ class MixedQueryExecutor:
             sieve = self._sieve.sieve_for(atom, self._step_sources(step))
         join = BatchBindJoin(current, fetch_batch, keys=sorted(atom.variables()),
                              batch_size=step.batch_size or DEFAULT_BATCH_SIZE,
-                             sieve=sieve, probe=self._cache_probe(step, atom),
+                             sieve=sieve, probe=self._cache_probe(step, atom, probed),
                              name=f"bind:{atom.name}")
         joins[id(atom)] = join
         return join
 
-    def _cache_probe(self, step: PlanStep, atom: SourceAtom):
-        """Result-cache probe for a static bind step, called per flush.
-
-        A hit answers the binding without it ever entering a batch;
-        misses ship as usual (and are cached at dispatch by the source
-        proxy).  Dynamic atoms resolve their target per binding and rely
-        on the proxy alone.
+    def _cache_probe(self, step: PlanStep, atom: SourceAtom, probed: list):
+        """Result-cache probe for a static bind step: the sub-query is
+        canonicalised once, a flush is one :meth:`CachedSource.peek`; a
+        hit is never shipped, the misses' keys go to ``probed[0]`` for the
+        dispatch that ships them.  Dynamic atoms rely on the proxy alone.
         """
         if self._result_cache is None or step.dynamic:
             return None
         target = self._target_glue if atom.is_glue() else self._targets.get(atom.source)
-        if not isinstance(target, CachedSource):
+        canon = self._result_cache.canonicalize(atom.query)
+        if not isinstance(target, CachedSource) or canon is None:
             return None
 
-        def probe(bindings: list[Row]) -> Iterator[list[BindingBatch] | None]:
-            hits = target.peek(atom.query,
-                               [atom.formal_bindings(b) for b in bindings])
-            return (None if batches is None else atom.translate(batches)
-                    for batches in hits)
+        def probe(bindings: list[tuple]) -> list[list[BindingBatch] | None]:
+            answers, probed[0] = target.peek(atom, canon, bindings)
+            return answers
 
         return probe
 
@@ -456,8 +452,8 @@ class MixedQueryExecutor:
     # Dispatch: the one route from a plan step to its source(s)
     # ------------------------------------------------------------------
     def _dispatch(self, work: list[tuple[PlanStep, list[Row]]],
-                  trace: ExecutionTrace,
-                  options: PlannerOptions) -> list[list[list[BindingBatch]]]:
+                  trace: ExecutionTrace, options: PlannerOptions,
+                  probed: tuple | None = None) -> list[list[list[BindingBatch]]]:
         """Ship each step's bindings; one call per (step, target source).
 
         Static atoms hit their single source; dynamic atoms group their
@@ -490,7 +486,7 @@ class MixedQueryExecutor:
                 degraded = None
                 try:
                     if step.mode == "bind":
-                        per_binding = atom.execute_batch_on(source, batch)
+                        per_binding = atom.execute_batch_on(source, batch, probed)
                     else:
                         per_binding = [atom.execute_on(source, bindings)
                                        for bindings in batch]

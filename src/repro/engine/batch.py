@@ -15,6 +15,7 @@ is preserved exactly (an absent variable is never padded with ``None``).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -24,6 +25,9 @@ Row = dict[str, object]
 
 #: Default number of bindings per bind-join flush.
 DEFAULT_BATCH_SIZE = 256
+
+#: Bound on the memo of compiled dict-row constructors, one per header.
+MAX_ROW_CONSTRUCTORS = 512
 
 
 def freeze(value: object) -> object:
@@ -119,14 +123,26 @@ class BindingBatch:
 
     def dicts(self) -> list[Row]:
         """One fresh dict per row (the public-edge representation)."""
-        columns = self.columns
-        return [dict(zip(columns, row)) for row in self.rows]
+        return _row_constructor(self.columns)(self.rows)
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"BindingBatch(columns={self.columns}, rows={len(self.rows)})"
+
+
+@lru_cache(maxsize=MAX_ROW_CONSTRUCTORS)
+def _row_constructor(columns: tuple[str, ...]) -> Callable[[list[tuple]], list[Row]]:
+    """``[dict(zip(columns, row)) for row in rows]`` compiled to one list of
+    ``{k0: v0, ...}`` literals; the columns enter as default arguments,
+    never as source (as in ``collections.namedtuple``)."""
+    at = range(len(columns))
+    namespace = {f"k{i}": column for i, column in zip(at, columns)}
+    exec(f"def make(rows, {''.join(f'k{i}=k{i}, ' for i in at)}):\n"
+         f"    return [{{{', '.join(f'k{i}: v{i}' for i in at)}}}"
+         f" for {''.join(f'v{i}, ' for i in at) or '_'} in rows]", namespace)
+    return namespace["make"]
 
 
 def batches_from_rows(rows: Iterable[Row]) -> Iterator[BindingBatch]:

@@ -237,22 +237,22 @@ class BatchBindJoin(Operator):
     row carries); by default every variable of the row.  ``sieve`` is an
     optional semi-join filter (typically backed by the source's digest
     value sets): bindings it rejects are proven to have no match at the
-    source and are never shipped.  ``probe`` is an optional per-binding
-    result-cache lookup consulted after the sieve: a non-``None`` answer
-    serves the binding without shipping it, so a batch reaching the
-    source consists of cache misses only.  ``fetch_batch`` receives a
-    list of binding dicts and must return one answer per binding, in
-    order.  An answer — from ``fetch_batch`` or ``probe`` — is a list of
-    batches or a list of dict rows; either may be a *shared* list (a
-    cache entry, the caller's own table): the operator reads it and
-    never mutates it.
+    source and are never shipped.  ``probe`` is an optional result-cache
+    lookup, once per flush after the sieve: given the ``(names, values)``
+    pair of each binding it returns an answer or ``None`` per binding,
+    and ONE ``fetch_batch`` call then ships the unanswered ones, in
+    order.  ``fetch_batch`` receives a list of binding dicts and must
+    return one answer per binding, in order.  An answer — from
+    ``fetch_batch`` or ``probe`` — is a list of batches or a list of dict
+    rows; either may be a *shared* list (a cache entry, the caller's own
+    table): the operator reads it and never mutates it.
     """
 
     def __init__(self, left: Operator, fetch_batch: Callable[[list[Row]], list[list[Row]]],
                  keys: Sequence[str] | None = None,
                  batch_size: int = DEFAULT_BATCH_SIZE,
                  sieve: Callable[[Row], bool] | None = None,
-                 probe: Callable[[list[Row]], Iterable[list[Row] | None]] | None = None,
+                 probe: Callable[[list[tuple]], Iterable[list[Row] | None]] | None = None,
                  name: str = "batchbind"):
         super().__init__(name)
         self.left = left
@@ -273,7 +273,7 @@ class BatchBindJoin(Operator):
         # flush, ``ready`` have their answer and are joined per left batch.
         pending: list[tuple[tuple[str, ...], tuple, tuple]] = []
         ready: list[tuple[tuple[str, ...], tuple, tuple]] = []
-        queued: dict[tuple, Row] = {}
+        queued: dict[tuple, tuple] = {}  # call key -> (names, unfrozen values)
         specs: dict[tuple, tuple] = {}
         for batch in self.left.batches():
             self.stats.consumed += len(batch)
@@ -297,7 +297,7 @@ class BatchBindJoin(Operator):
                 pending.append((columns, row, key))
                 if key in answers or key in queued:
                     continue
-                queued[key] = dict(zip(present, values))
+                queued[key] = (present, values)
                 if len(queued) >= self.batch_size:
                     self._flush(queued, answers)
                     queued = {}
@@ -309,11 +309,11 @@ class BatchBindJoin(Operator):
             self._flush(queued, answers)
         yield from self._join(pending, answers, specs)
 
-    def _flush(self, queued: dict[tuple, Row],
+    def _flush(self, queued: dict[tuple, tuple],
                answers: dict[tuple, list[BindingBatch]]) -> None:
-        to_ship: list[tuple[tuple, Row]] = []
+        to_ship: list[tuple[tuple, tuple]] = []
         for key, binding in queued.items():
-            if self.sieve is not None and not self.sieve(binding):
+            if self.sieve is not None and not self.sieve(dict(zip(*binding))):
                 # The digest proves no source row can match this binding.
                 answers[key] = []
                 self.sieved_out += 1
@@ -334,7 +334,7 @@ class BatchBindJoin(Operator):
             return
         self.calls += 1
         self.bindings_shipped += len(to_ship)
-        fetched = self.fetch_batch([binding for _, binding in to_ship])
+        fetched = self.fetch_batch([dict(zip(*binding)) for _, binding in to_ship])
         if len(fetched) != len(to_ship):
             raise MixedQueryError(
                 f"batched fetch of {self.name!r} returned {len(fetched)} result lists "

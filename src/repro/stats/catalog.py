@@ -105,7 +105,7 @@ class StatisticsCatalog:
             if observed is not None:
                 return observed
             version = source.version()
-            constants = canonical.binding_key(values)
+            constants = canonical.key_of(values)
             if version is not None and constants is not None:
                 memo_key = (key, version, constants)
                 remembered = self.estimates.get(memo_key)

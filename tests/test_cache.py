@@ -201,28 +201,28 @@ class TestCanonicalKeys:
     def test_binding_keys_follow_the_renaming(self):
         a = SQLQuery(sql="SELECT h AS id FROM t WHERE h = {id}")
         b = SQLQuery(sql="SELECT h AS id FROM t WHERE h = {handle}")
-        ka = canonical_query(a).binding_key({"id": "x"})
-        kb = canonical_query(b).binding_key({"handle": "x"})
+        ka = canonical_query(a).key_of({"id": "x"})
+        kb = canonical_query(b).key_of({"handle": "x"})
         assert ka == kb
 
     def test_binding_keys_are_type_sensitive(self):
         # True == 1 == 1.0 in Python, but the wrappers render them
         # differently at the source — they must not share an entry.
         canon = canonical_query(SQLQuery(sql="SELECT c AS c FROM t WHERE c = {x}"))
-        keys = {canon.binding_key({"x": value}) for value in (True, 1, 1.0)}
+        keys = {canon.key_of({"x": value}) for value in (True, 1, 1.0)}
         assert len(keys) == 3
-        assert canon.binding_key({"x": [1]}) != canon.binding_key({"x": (1,)})
+        assert canon.key_of({"x": [1]}) != canon.key_of({"x": (1,)})
 
     def test_nested_container_bindings_are_cacheable(self):
         a = SQLQuery(sql="SELECT h AS id FROM t WHERE h = {id}")
         canon = canonical_query(a)
-        key = canon.binding_key({"id": [["nested"], {"k": "v"}]})
+        key = canon.key_of({"id": [["nested"], {"k": "v"}]})
         assert key is not None
-        assert key == canon.binding_key({"id": [["nested"], {"k": "v"}]})
+        assert key == canon.key_of({"id": [["nested"], {"k": "v"}]})
 
     def test_unhashable_binding_is_uncacheable(self):
         a = SQLQuery(sql="SELECT h AS id FROM t WHERE h = {id}")
-        key = canonical_query(a).binding_key({"id": bytearray(b"raw")})
+        key = canonical_query(a).key_of({"id": bytearray(b"raw")})
         assert key is None
 
     @pytest.mark.parametrize("a,b", [

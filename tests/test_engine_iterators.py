@@ -228,8 +228,10 @@ class TestBatchBindJoin:
         probed = []
 
         def probe(bindings):
-            probed.append([b["id"] for b in bindings])
-            return [cached if b["id"] == "p2" else None for b in bindings]
+            # The operator's own (names, values) call keys, not dicts.
+            assert all(names == ("id",) for names, _ in bindings)
+            probed.append([values[0] for _, values in bindings])
+            return [cached if values == ("p2",) else None for _, values in bindings]
 
         join = BatchBindJoin(MaterializedScan(PEOPLE), fetch_batch, keys=["id"],
                              probe=probe)

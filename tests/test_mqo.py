@@ -349,9 +349,10 @@ def test_cached_source_delegates_cost_kind_trust_and_pin():
 def sql_probe_key(cache, wrapper, version, value):
     query = SQLQuery(sql="SELECT handle AS id, followers AS f FROM profiles "
                          "WHERE handle = {id}")
-    keyed = cache.key_for(wrapper, version, query, {"id": value})
-    assert keyed is not None
-    return keyed
+    canon = cache.canonicalize(query)
+    (key,) = cache.keys(wrapper, version, canon, [canon.key_of({"id": value})])
+    assert key is not None
+    return key, canon
 
 
 def test_stale_pointers_are_evicted_per_entry():

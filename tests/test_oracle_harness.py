@@ -1,0 +1,166 @@
+"""Every configuration answers what the oracle answers, between writes.
+
+A hypothesis state machine interleaves warm askings of the five CMQ
+classes of the demonstration (qSIA over the full-text store, qSIA with
+a dynamically discovered source, qSIA over JSON + SQL, the party
+vocabulary, the fact check) with insert, upsert and remove batches on
+the full-text, JSON and glue stores and insert batches on the SQL store
+(the relational store has no other write).  Every asking draws one
+configuration — result cache on or off, delta repair on or off, through
+the service (two concurrent tickets: single-flight) or directly, bind
+batches of 1, 7 or 256 bindings, the digest sieve on or off (direct
+askings: the service takes no digests) — and every answer must be the
+oracle's multiset (:mod:`oracle`), undegraded.
+"""
+
+from __future__ import annotations
+
+import copy
+
+from hypothesis import HealthCheck, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, rule
+
+from oracle import Oracle, multiset
+from repro.core.planner import PlannerOptions
+from repro.datasets import DemoConfig, build_demo_instance
+from repro.datasets.loader import (
+    TWEETS_JSON_URI,
+    TWEETS_URI,
+    fact_checking_query,
+    party_vocabulary_query,
+    qsia_json_query,
+)
+from repro.rdf import triple
+from repro.service import MediatorService, ServiceConfig
+
+CONFIG = DemoConfig(politicians=12, weeks=2, seed=7)
+HASHTAGS = ("sia2016", "etatdurgence", "chomage")
+WORDS = ("france", "nation", "solidarite", "chomage")
+ASKS = ([("qsia", tag) for tag in HASHTAGS] + [("dynamic", tag) for tag in HASHTAGS]
+        + [("qsia_json", tag) for tag in HASHTAGS] + [("party", word) for word in WORDS]
+        + [("factcheck", topic) for topic in ("chomage", "agriculture")])
+#: Glue facts the five classes read.
+GLUE_PREDICATES = ("twitterAccount", "position", "politicalGroup", "birthDepartment")
+
+
+def _cmq(cls: str, param: str, demo):
+    if cls == "qsia":
+        return f'qSIA(t, id) :- qG(id), tweetContains(t, id, "{param}")'
+    if cls == "dynamic":
+        return f'qSIA(t, id) :- qG(id), tweetContains(t, id, "{param}")[dSolr]'
+    build = {"qsia_json": qsia_json_query, "party": party_vocabulary_query,
+             "factcheck": fact_checking_query}[cls]
+    return build(demo, param)
+
+
+def _reworded(document: dict, word: str, revision: int) -> dict:
+    """A tweet carrying ``word`` in its text and hashtags, one retweet more."""
+    document = copy.deepcopy(document)
+    document["text"] = f"{document.get('text', '')} {word}"
+    document.setdefault("entities", {})["hashtags"] = [word]
+    document["retweet_count"] = document.get("retweet_count", 0) + revision
+    return document
+
+
+class WarmAskingsUnderWrites(RuleBasedStateMachine):
+    def __init__(self) -> None:
+        super().__init__()
+        self.demo = build_demo_instance(CONFIG)
+        self.twin = build_demo_instance(CONFIG)
+        self.oracle = Oracle(self.twin.instance)
+        self.repair = self.demo.instance.cache.repair
+        self.service = MediatorService(self.demo.instance,
+                                       ServiceConfig(workers=2, tracing=False))
+        self.digests = None
+        self.revision = 0
+
+    def teardown(self) -> None:
+        self.service.shutdown(wait=True)
+
+    def _write(self, write) -> None:
+        """Apply one write batch to the instance and to the oracle's twin."""
+        for demo in (self.demo, self.twin):
+            write(demo)
+        self.digests = None
+        self.revision += 1
+
+    # -- askings -------------------------------------------------------------
+    @rule(ask=st.sampled_from(ASKS), cache=st.booleans(), repair=st.booleans(),
+          service=st.booleans(), batch=st.sampled_from((1, 7, 256)), sieve=st.booleans())
+    def ask(self, ask, cache, repair, service, batch, sieve) -> None:
+        cls, param = ask
+        options = PlannerOptions(result_cache=cache, bind_batch_size=batch)
+        self.demo.instance.cache.repair = self.repair if repair else None
+        cmq = _cmq(cls, param, self.demo)
+        if service:
+            tickets = [self.service.submit(cmq, options=options) for _ in range(2)]
+            results = [ticket.result(timeout=60) for ticket in tickets]
+        else:
+            if sieve and self.digests is None:
+                self.digests = self.demo.instance.build_digests()
+            results = [self.demo.instance.execute(
+                cmq, options=options, digests=self.digests if sieve else None)]
+        expected = self.oracle.answer(_cmq(cls, param, self.twin))
+        for result in results:
+            assert not result.trace.degraded
+            assert multiset(result) == expected, (ask, cache, repair, service, batch, sieve)
+
+    # -- writes --------------------------------------------------------------
+    @rule(store=st.sampled_from(("fulltext", "json", "glue", "sql")),
+          kind=st.sampled_from(("insert", "upsert", "remove")),
+          picks=st.lists(st.integers(0, 10**6), min_size=2, max_size=4),
+          word=st.sampled_from(HASHTAGS + WORDS))
+    def write(self, store, kind, picks, word) -> None:
+        """One write batch on one store (the SQL store only inserts; a
+        glue "upsert" gives another politician an existing fact)."""
+        getattr(self, f"_write_{store}")(kind, picks, word)
+
+    def _write_documents(self, uri, items, kind, picks, word) -> None:
+        def store(demo):
+            return demo.instance.source(uri).store
+
+        items = sorted(items(store(self.demo)), key=lambda item: str(item[0]))
+        chosen = dict(items[pick % len(items)] for pick in picks)
+        if kind == "remove":
+            self._write(lambda demo: [store(demo).remove(doc_id) for doc_id in chosen])
+            return
+        batch = [_reworded(document, word, self.revision + 1) for document in chosen.values()]
+        if kind == "insert":
+            for offset, document in enumerate(batch):
+                document["id"] = 9_000_000 + 10 * self.revision + offset
+        self._write(lambda demo: store(demo).add_all(copy.deepcopy(batch)))
+
+    def _write_fulltext(self, kind, picks, word) -> None:
+        self._write_documents(
+            TWEETS_URI, lambda store: [(doc.doc_id, doc.fields) for doc in store.documents()],
+            kind, picks, word)
+
+    def _write_json(self, kind, picks, word) -> None:
+        self._write_documents(TWEETS_JSON_URI, lambda store: store.items(), kind, picks, word)
+
+    def _write_glue(self, kind, picks, word) -> None:
+        facts = sorted((t for t in self.demo.instance.graph
+                        if t.predicate.value.endswith(GLUE_PREDICATES)), key=str)
+        if kind == "remove":
+            doomed = [facts[pick % len(facts)] for pick in picks]
+            self._write(lambda demo: demo.instance.graph.remove_all(doomed))
+            return
+        subjects = sorted({t.subject for t in facts}, key=str)
+        added = [triple(subjects[a % len(subjects)], facts[b % len(facts)].predicate,
+                        facts[b % len(facts)].obj) for a, b in zip(picks, picks[1:])]
+        self._write(lambda demo: demo.instance.add_glue_triples(added))
+
+    def _write_sql(self, kind, picks, word) -> None:
+        departments = sorted({t.obj.value for t in self.demo.instance.graph
+                              if t.predicate.value.endswith("birthDepartment")})
+        statements = [
+            "INSERT INTO unemployment (dept_code, year, quarter, rate) VALUES "
+            f"('{departments[pick % len(departments)]}', {2016 + pick % 3}, "
+            f"{pick % 4 + 1}, {pick % 97 / 10})" for pick in picks]
+        self._write(lambda demo: [demo.insee.execute(sql) for sql in statements])
+
+
+WarmAskingsUnderWrites.TestCase.settings = settings(
+    max_examples=20, stateful_step_count=20, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow])
+TestWarmAskingsUnderWrites = WarmAskingsUnderWrites.TestCase

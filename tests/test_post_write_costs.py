@@ -14,10 +14,12 @@ from __future__ import annotations
 import gc
 from collections import Counter
 
+from repro.cache.keys import canonical_query
 from repro.cache.lru import CacheStats
 from repro.cache.repair import RepairEngine
 from repro.cache.results import CachedSource, SubQueryResultCache
 from repro.core import JSONQuery, StatisticsCatalog
+from repro.core.cmq import SourceAtom
 from repro.core.planner import PlannerOptions
 from repro.core.sources import (
     DataSource,
@@ -172,13 +174,15 @@ class TestRepairIsSetAtATime:
         proxy = CachedSource(source, cache, stats=CacheStats(), repair=engine)
         query = FullTextQuery.create("text:alpha", {"t": "text", "id": "author"})
         left = [{"id": f"a{i}"} for i in range(self.KEYS)]
+        atom = SourceAtom("q", query, source="solr://tweets")
+        canon = canonical_query(query)
 
         def join() -> BatchBindJoin:
             return BatchBindJoin(
                 MaterializedScan(left),
                 lambda bindings: proxy.execute_batch(query, bindings),
                 keys=["id"], batch_size=1024,
-                probe=lambda bindings: proxy.peek(query, bindings))
+                probe=lambda bindings: proxy.peek(atom, canon, bindings)[0])
 
         cold = join().rows()
         assert len(cold) == 3 * self.KEYS

@@ -17,10 +17,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cache.keys import canonical_query
 from repro.cache.lru import CacheStats
 from repro.cache.repair import RepairEngine, _fulltext_delta_source
 from repro.cache.results import CachedSource, SubQueryResultCache
 from repro.core import MixedInstance
+from repro.core.cmq import SourceAtom
 from repro.core.deltas import DeltaJournal, INSERT, REMOVE, UPSERT
 from repro.core.sources import (
     FullTextQuery,
@@ -395,8 +397,10 @@ class TestBatchRepair:
             asked = late if step == 0 else keys
             one_by_one = [per_key.execute(query, dict(key)) for key in asked]
             assert batched.execute_batch(query, asked) == one_by_one
-            hits = [None if batches is None else dict_rows(batches)
-                    for batches in peeked.peek(query, asked)]
+            atom = SourceAtom("q", query, source=source.uri)
+            answers, _ = peeked.peek(atom, canonical_query(query),
+                                     [(tuple(key), tuple(key.values())) for key in asked])
+            hits = [None if batches is None else dict_rows(batches) for batches in answers]
             assert [rows for rows in hits if rows is not None] == \
                 [rows for rows, hit in zip(one_by_one, hits) if hit is not None]
             peeked.execute_batch(query, asked)
