@@ -30,6 +30,7 @@ except ImportError:  # pragma: no cover - script mode
         for row in rows:
             print("  " + " | ".join(f"{k}={v}" for k, v in row.items()))
 
+from repro.baselines import naive_options
 from repro.core import PlannerOptions
 from repro.datasets import TWEETS_JSON_URI, qsia_json_query
 from repro.json import (JSONDocumentStore, TreePatternMatcher, match_document,
@@ -83,9 +84,7 @@ def test_bind_vs_materialize_json_atom(demo_medium):
     reference = None
     for label, options in [
         ("bind (tatooine)", PlannerOptions()),
-        ("materialize (naive)", PlannerOptions(use_bind_joins=False,
-                                               selectivity_ordering=False,
-                                               parallel_stages=False)),
+        ("materialize (naive)", naive_options()),
     ]:
         start = time.perf_counter()
         result = instance.execute(query, options=options)

@@ -3,7 +3,8 @@
 In the real system each sub-query is a network round trip to a remote
 source; here sources are in-process, so a wrapper adds a fixed per-call
 latency (20 ms) to model that round trip, and the bench compares wall-clock
-time with parallel stages enabled and disabled.  Expected shape: with N
+time with four dispatch workers and with one (``max_workers=1``, serial
+dispatch).  Expected shape: with N
 independent sub-queries, the parallel strategy approaches max(latency)
 instead of sum(latency).
 """
@@ -14,7 +15,6 @@ import time
 
 from conftest import report
 
-from repro.baselines import sequential_options, tatooine_options
 from repro.core import MixedQueryExecutor
 from repro.core.sources import DataSource
 
@@ -44,10 +44,10 @@ class _DelayedSource(DataSource):
         return self._inner.size()
 
 
-def _delayed_executor(demo, options):
+def _delayed_executor(demo, max_workers):
     instance = demo.instance
     sources = {uri: _DelayedSource(instance.source(uri)) for uri in instance.source_uris()}
-    return MixedQueryExecutor(sources, instance.glue_source, options=options, max_workers=4)
+    return MixedQueryExecutor(sources, instance.glue_source, max_workers=max_workers)
 
 
 def _independent_query(demo):
@@ -64,7 +64,7 @@ def _independent_query(demo):
 
 def test_parallel_dispatch(benchmark, demo_small):
     """Wall-clock with parallel stages (independent sub-queries overlap)."""
-    executor = _delayed_executor(demo_small, tatooine_options())
+    executor = _delayed_executor(demo_small, max_workers=4)
     query = _independent_query(demo_small)
     result = benchmark(lambda: executor.execute(query))
     assert len(result) >= 1
@@ -72,7 +72,7 @@ def test_parallel_dispatch(benchmark, demo_small):
 
 def test_sequential_dispatch(benchmark, demo_small):
     """Wall-clock with sequential dispatch (sub-query latencies add up)."""
-    executor = _delayed_executor(demo_small, sequential_options())
+    executor = _delayed_executor(demo_small, max_workers=1)
     query = _independent_query(demo_small)
     result = benchmark(lambda: executor.execute(query))
     assert len(result) >= 1
@@ -85,9 +85,8 @@ def test_parallel_speedup_summary(benchmark, demo_small):
     def sweep():
         timings = {}
         answers = {}
-        for label, options in (("parallel", tatooine_options()),
-                               ("sequential", sequential_options())):
-            executor = _delayed_executor(demo_small, options)
+        for label, max_workers in (("parallel", 4), ("sequential", 1)):
+            executor = _delayed_executor(demo_small, max_workers)
             start = time.perf_counter()
             result = executor.execute(query)
             timings[label] = time.perf_counter() - start

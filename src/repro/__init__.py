@@ -25,7 +25,7 @@ subsystems live in dedicated sub-packages:
 ``repro.datasets``
     deterministic synthetic datasets standing in for the Le Monde corpus;
 ``repro.baselines``
-    warehouse and naive-mediator baselines used by the ablation benches.
+    the warehouse baseline and the oracles' reference plan.
 """
 
 import logging

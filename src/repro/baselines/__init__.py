@@ -1,29 +1,17 @@
-"""Baselines used by the ablation and comparison benchmarks.
+"""Baselines used by the oracles and the comparison benchmarks.
 
 * :mod:`repro.baselines.warehouse` — export every source into one RDF graph
   (the "standard data warehouse" the paper argues journalists cannot
   afford to maintain) and query it with BGPs;
-* :mod:`repro.baselines.naive` — degraded mediator strategies (no bind
-  joins, no selectivity ordering, no parallelism).
+* :mod:`repro.baselines.naive` — the reference plan (body order, no bind
+  joins beyond the forced ones, one step per stage).
 """
 
-from repro.baselines.naive import (
-    STRATEGIES,
-    naive_options,
-    no_bind_join_options,
-    no_ordering_options,
-    sequential_options,
-    tatooine_options,
-)
+from repro.baselines.naive import naive_options
 from repro.baselines.warehouse import RDFWarehouse, WarehouseStats
 
 __all__ = [
-    "STRATEGIES",
     "naive_options",
-    "no_bind_join_options",
-    "no_ordering_options",
-    "sequential_options",
-    "tatooine_options",
     "RDFWarehouse",
     "WarehouseStats",
 ]

@@ -1,9 +1,11 @@
-"""Naive-mediator baseline configurations.
+"""The reference plan the oracles evaluate.
 
-The ablation benchmark (E8/E11) compares the TATOOINE evaluation strategy
-of §2.3 against degraded strategies obtained by switching the planner's
-knobs off.  These helpers name the configurations so benchmarks and tests
-read declaratively.
+A CMQ's answer is defined by its simplest evaluation: sub-queries in
+body order, each materialised fully and hash-joined, a bind join only
+where a required parameter or a dynamically discovered source forces
+one, one sub-query per stage and no re-planning.  The test oracle
+(``tests/oracle.py``) and the repository benchmark's oracle evaluate
+every CMQ under these options.
 """
 
 from __future__ import annotations
@@ -11,46 +13,6 @@ from __future__ import annotations
 from repro.core.planner import PlannerOptions
 
 
-def tatooine_options() -> PlannerOptions:
-    """The full strategy of the paper: bind joins, selectivity ordering, parallelism."""
-    return PlannerOptions(use_bind_joins=True, selectivity_ordering=True,
-                          parallel_stages=True)
-
-
 def naive_options() -> PlannerOptions:
-    """Materialise every sub-query fully, keep syntactic order, no parallelism.
-
-    Bind joins are still used where semantically required (a sub-query with
-    an unbound parameter or a dynamically discovered source cannot be
-    materialised independently).
-    """
-    return PlannerOptions(use_bind_joins=False, selectivity_ordering=False,
-                          parallel_stages=False)
-
-
-def no_bind_join_options() -> PlannerOptions:
-    """Selectivity ordering and parallelism, but no binding push-down."""
-    return PlannerOptions(use_bind_joins=False, selectivity_ordering=True,
-                          parallel_stages=True)
-
-
-def no_ordering_options() -> PlannerOptions:
-    """Bind joins but syntactic sub-query order (no selectivity ordering)."""
-    return PlannerOptions(use_bind_joins=True, selectivity_ordering=False,
-                          parallel_stages=True)
-
-
-def sequential_options() -> PlannerOptions:
-    """The full strategy minus parallel dispatch of independent sub-queries."""
-    return PlannerOptions(use_bind_joins=True, selectivity_ordering=True,
-                          parallel_stages=False)
-
-
-#: Name -> options mapping used by the ablation benchmarks.
-STRATEGIES = {
-    "tatooine": tatooine_options(),
-    "naive": naive_options(),
-    "no-bind-join": no_bind_join_options(),
-    "no-ordering": no_ordering_options(),
-    "sequential": sequential_options(),
-}
+    """The reference plan: ``PlannerOptions(cost_based=False)``."""
+    return PlannerOptions(cost_based=False)

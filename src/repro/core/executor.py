@@ -27,13 +27,15 @@ the last operator rows travel as ``BindingBatch`` objects (cache hits
 share the cache's row lists); the dict rows of :class:`MixedResult` are
 built once, before ``execute`` returns.
 
-With ``PlannerOptions(adaptive=True)`` (the default for cost-based
-plans) execution is **adaptive**: the intermediate result materialises
-between stages, each step's observed cardinality is compared with the
-planner's estimate, and when the q-error exceeds the replan threshold
-the executor records feedback into the statistics layer, invalidates
-the stale plan-cache entry and re-plans the remaining steps from the
-real intermediate cardinality.
+With ``PlannerOptions(adaptive=True)`` (the default; the reference
+plan of ``cost_based=False`` never re-plans) execution is **adaptive**:
+the intermediate result materialises between stages, each step's
+observed cardinality is compared with the planner's estimate, and when
+the q-error exceeds :data:`~repro.core.planner.REPLAN_THRESHOLD` the
+executor records feedback into the statistics layer, invalidates the
+stale plan-cache entry and re-plans the remaining steps from the real
+intermediate cardinality.  Calls are dispatched on up to
+``max_workers`` threads; ``max_workers=1`` runs them serially.
 """
 
 from __future__ import annotations
@@ -45,7 +47,13 @@ import time
 from repro.cache.lru import CacheStats
 from repro.cache.results import CachedSource, MQOStats
 from repro.core.cmq import ConjunctiveMixedQuery, SourceAtom
-from repro.core.planner import PlannerOptions, PlanStep, QueryPlan, QueryPlanner
+from repro.core.planner import (
+    REPLAN_THRESHOLD,
+    PlannerOptions,
+    PlanStep,
+    QueryPlan,
+    QueryPlanner,
+)
 from repro.core.results import ExecutionTrace, MixedResult, StepObservation, SubQueryCall
 from repro.core.sources import DataSource, Row
 from repro.engine.batch import DEFAULT_BATCH_SIZE, BindingBatch, row_count
@@ -155,8 +163,8 @@ class MixedQueryExecutor:
                 distinct: bool = True, limit: int | None = None) -> MixedResult:
         """Evaluate ``query`` and return its :class:`MixedResult`.
 
-        A pre-built ``plan`` may be supplied (the ablation benchmarks use
-        this to compare planner options on identical queries).
+        A pre-built ``plan`` may be supplied; it runs under the options
+        it was planned with.
 
         With ``PlannerOptions(tracing=True)`` (the default) the whole
         evaluation is wrapped in an ``execute`` span — nested under the
@@ -201,8 +209,7 @@ class MixedQueryExecutor:
                                stages=[[plan.steps[i].atom.name for i in stage]
                                        for stage in plan.stages],
                                plan_cached=plan.cached)
-        adaptive = (options.adaptive and options.cost_based
-                    and options.selectivity_ordering)
+        adaptive = options.adaptive and options.cost_based
 
         current: Operator | None = None
         #: The bind join of every executed bind step, by atom identity.
@@ -237,7 +244,7 @@ class MixedQueryExecutor:
                 error = observation.q_error()
                 if worst is None or error > worst[0]:
                     worst = (error, step, observation)
-            if (worst is None or worst[0] <= options.replan_threshold
+            if (worst is None or worst[0] <= REPLAN_THRESHOLD
                     or trace.replans >= max_replans):
                 continue
             # The estimate was off: invalidate the stale cached plan
@@ -251,7 +258,7 @@ class MixedQueryExecutor:
                 "re-planning %s after step %s: estimated %.0f row(s), "
                 "observed %d (q-error %.1f > threshold %.1f)",
                 query.name, worst[1].atom.name, worst[2].estimate,
-                worst[2].actual_rows, worst[0], options.replan_threshold)
+                worst[2].actual_rows, worst[0], REPLAN_THRESHOLD)
             replanned_after.add(id(worst[1]))
             bound: set[str] = set()
             for step in executed:
@@ -501,8 +508,8 @@ class MixedQueryExecutor:
 
         outcomes = run_tasks(
             [lambda c=c: call(*c) for c in calls],
-            max_workers=self.max_workers if options.parallel_stages else 1,
-            pool=self._task_pool, timeout=self._remaining())
+            max_workers=self.max_workers, pool=self._task_pool,
+            timeout=self._remaining())
         for (slot, source, indices), (per_binding, elapsed, degraded) in zip(
                 calls, outcomes):
             step = work[slot][0]

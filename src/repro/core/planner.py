@@ -10,14 +10,16 @@ The paper (§2.3) orders sub-queries so that:
 (iii) the most selective sub-queries are executed first, in classical
       mediator style.
 
-On top of the classical greedy pass (kept as the
-``PlannerOptions(cost_based=False)`` baseline), the planner searches
-join orders and materialize-vs-bind mode assignments **cost-based**:
-cardinalities come from the digest-backed statistics layer
-(:mod:`repro.stats`), each candidate step is priced by the per-source
-cost model (call setup + row transfer + binding push, with sieve and
-batching discounts), and the enumerator runs dynamic programming over
-atom subsets (greedy fallback above :data:`DP_ATOM_LIMIT` atoms).
+The planner searches join orders and materialize-vs-bind mode
+assignments **cost-based**: cardinalities come from the digest-backed
+statistics layer (:mod:`repro.stats`), each candidate step is priced by
+the per-source cost model (call setup + row transfer + binding push,
+with sieve and batching discounts), and the enumerator runs dynamic
+programming over atom subsets (a myopic one-step-at-a-time loop above
+:data:`DP_ATOM_LIMIT` atoms).  ``PlannerOptions(cost_based=False)`` is
+the *reference plan* the test and benchmark oracles evaluate: the same
+loop picking the first ready atom in body order, binding only where a
+required parameter or a dynamic source forces it, one step per stage.
 
 The planner produces a :class:`QueryPlan`: an ordered list of
 :class:`PlanStep` objects, each carrying the atom, the URI(s) of its
@@ -44,14 +46,8 @@ from repro.stats.cost import CostModel, MAX_BIND_BATCH, MIN_BIND_BATCH
 
 @dataclass
 class PlannerOptions:
-    """Knobs controlling plan shape (used by the ablation benchmarks)."""
+    """How a CMQ is planned and executed."""
 
-    #: Use bind joins for atoms sharing variables with earlier atoms.
-    use_bind_joins: bool = True
-    #: Order ready atoms by estimated selectivity (False = syntactic order).
-    selectivity_ordering: bool = True
-    #: Group independent materialize steps into parallel dispatch stages.
-    parallel_stages: bool = True
     #: Bindings per bind-join batch (one source call per batch of distinct
     #: bindings); 0 lets the planner pick a size per step from the atom's
     #: cardinality estimate, 1 is the classical one call per binding.
@@ -66,16 +62,15 @@ class PlannerOptions:
     #: version (only effective when the planner is given a plan cache).
     plan_cache: bool = True
     #: Search join orders and materialize-vs-bind modes with the
-    #: digest-backed cost model (False = classical greedy pass over the
-    #: wrappers' ad-hoc estimates).  Requires ``selectivity_ordering``.
+    #: digest-backed cost model and group independent materialize steps
+    #: into parallel dispatch stages.  False plans the reference: body
+    #: order, ``bind`` only where a required parameter or a dynamic
+    #: source forces it, one step per stage, no re-planning.
     cost_based: bool = True
     #: Re-plan the remaining steps mid-flight when a step's observed
-    #: cardinality is off by more than ``replan_threshold`` (needs
+    #: cardinality is off by more than :data:`REPLAN_THRESHOLD` (needs
     #: ``cost_based``; feedback is recorded into the statistics layer).
     adaptive: bool = True
-    #: Estimate-vs-actual q-error (max of the two ratios) triggering a
-    #: mid-flight replan of the remaining steps.
-    replan_threshold: float = 4.0
     #: Collect a structured span tree for every execution (planning,
     #: stages, source calls); the tree lands on ``ExecutionTrace.spans``.
     #: Disabling skips all span allocation — the observability off
@@ -88,8 +83,12 @@ class PlannerOptions:
     graceful_degradation: bool = True
 
 
-#: Atom count above which the DP enumerator falls back to greedy search.
+#: Atom count above which the DP enumerator gives way to the myopic loop.
 DP_ATOM_LIMIT = 10
+
+#: Estimate-vs-actual q-error (max of the two ratios) triggering a
+#: mid-flight replan of the remaining steps.
+REPLAN_THRESHOLD = 4.0
 
 
 def auto_batch_size(estimate: float, cost_model: CostModel | None = None,
@@ -307,12 +306,24 @@ class QueryPlanner:
     def _build_plan(self, query: ConjunctiveMixedQuery, options: PlannerOptions,
                     planned: set[int] | None = None, bound: set[str] | None = None,
                     initial_card: float = 1.0) -> QueryPlan:
+        atoms = list(query.atoms)
         planned = set(planned or ())
         bound = set(bound or ())
-        if options.cost_based and options.selectivity_ordering:
-            steps = self._cost_based_steps(query, options, planned, bound, initial_card)
+        produced_by = self._produced_by(atoms)
+        memo: dict[tuple, float] = {}
+
+        def estimate(index: int, bound_now: frozenset) -> float:
+            key = (index, bound_now & frozenset(atoms[index].variables()))
+            if key not in memo:
+                memo[key] = self._stat_estimate(atoms[index], set(key[1]))
+            return memo[key]
+
+        if options.cost_based and len(atoms) - len(planned) <= DP_ATOM_LIMIT:
+            steps = self._dp_steps(atoms, produced_by, options, planned, bound,
+                                   initial_card, estimate)
         else:
-            steps = self._greedy_steps(query, options, planned, bound, initial_card)
+            steps = self._myopic_steps(atoms, produced_by, options, planned, bound,
+                                       initial_card, estimate)
         stages = self._group_stages(steps, options)
         total = sum(step.cost for step in steps)
         return QueryPlan(query=query, steps=steps, stages=stages, options=options,
@@ -325,55 +336,20 @@ class QueryPlanner:
                 produced_by.setdefault(variable, set()).add(index)
         return produced_by
 
-    def _greedy_steps(self, query: ConjunctiveMixedQuery, options: PlannerOptions,
-                      planned: set[int], bound: set[str],
-                      initial_card: float) -> list[PlanStep]:
-        """The classical greedy pass over the wrappers' own estimates."""
-        atoms = list(query.atoms)
-        produced_by = self._produced_by(atoms)
-        steps: list[PlanStep] = []
-        cardinality = initial_card
-        first = not planned
+    def _ready(self, atoms: list[SourceAtom], done, bound: set[str],
+               produced_by: dict[str, set[int]]) -> list[int]:
+        """Indices of the atoms not in ``done`` that can run given ``bound``."""
+        ready = [i for i in range(len(atoms)) if i not in done
+                 and self._is_ready(atoms[i], i, bound, produced_by)]
+        if not ready:
+            unresolved = [atoms[i].describe() for i in range(len(atoms)) if i not in done]
+            raise PlanningError("cannot order sub-queries: unresolved dependencies in "
+                                + "; ".join(unresolved))
+        return ready
 
-        while len(planned) < len(atoms):
-            ready = [i for i in range(len(atoms)) if i not in planned
-                     and self._is_ready(atoms[i], i, bound, produced_by)]
-            if not ready:
-                unresolved = [atoms[i].describe() for i in range(len(atoms)) if i not in planned]
-                raise PlanningError(
-                    "cannot order sub-queries: unresolved dependencies in "
-                    + "; ".join(unresolved)
-                )
-            index = self._choose(ready, atoms, bound, options)
-            atom = atoms[index]
-            step, cardinality = self._make_step(atom, bound, first, cardinality, options)
-            steps.append(step)
-            planned.add(index)
-            first = False
-            bound.update(atom.output_variables())
-            if atom.source_variable is not None and atom.source_variable not in bound:
-                # A free source variable gets bound to the chosen source URI.
-                bound.add(atom.source_variable)
-        return steps
-
-    def _cost_based_steps(self, query: ConjunctiveMixedQuery, options: PlannerOptions,
-                          planned: set[int], bound: set[str],
-                          initial_card: float) -> list[PlanStep]:
-        """Cost-based enumeration: DP over atom subsets, greedy above the cap."""
-        atoms = list(query.atoms)
-        produced_by = self._produced_by(atoms)
-        memo: dict[tuple, float] = {}
-
-        def estimate(index: int, bound_now: frozenset) -> float:
-            key = (index, bound_now & frozenset(atoms[index].variables()))
-            if key not in memo:
-                memo[key] = self._stat_estimate(atoms[index], set(key[1]))
-            return memo[key]
-
-        if len(atoms) - len(planned) > DP_ATOM_LIMIT:
-            return self._greedy_cost_steps(atoms, produced_by, options,
-                                           planned, bound, initial_card, estimate)
-
+    def _dp_steps(self, atoms, produced_by, options, planned, bound,
+                  initial_card, estimate) -> list[PlanStep]:
+        """Cost-based enumeration: DP over atom subsets."""
         start_key = frozenset(planned)
         # State: subset of planned atom indices -> (cost, card, steps, bound).
         by_size: dict[int, dict[frozenset, tuple]] = defaultdict(dict)
@@ -384,17 +360,9 @@ class QueryPlanner:
                 break
             for key, (cost, card, steps, bound_now) in by_size[size].items():
                 bound_set = set(bound_now)
-                ready = [i for i in range(len(atoms)) if i not in key
-                         and self._is_ready(atoms[i], i, bound_set, produced_by)]
-                if not ready:
-                    unresolved = [atoms[i].describe()
-                                  for i in range(len(atoms)) if i not in key]
-                    raise PlanningError(
-                        "cannot order sub-queries: unresolved dependencies in "
-                        + "; ".join(unresolved)
-                    )
+                ready = self._ready(atoms, key, bound_set, produced_by)
                 # Deterministic tie-break: equal-cost plans fall back to the
-                # greedy preference (connected, then selective, then body order).
+                # paper's preference (connected, then selective, then body order).
                 ready.sort(key=lambda i: (
                     0 if (not bound_set or atoms[i].variables() & bound_set) else 1,
                     estimate(i, bound_now), i))
@@ -408,46 +376,38 @@ class QueryPlanner:
                     next_key = key | {i}
                     current = by_size[size + 1].get(next_key)
                     candidate = (cost + step.cost, new_card, steps + (step,), new_bound)
-                    # States are created in greedy-preference order, so a
-                    # later candidate must be clearly (>1%) cheaper to
-                    # displace one — near-ties keep the selective-first
-                    # order the paper's greedy pass would pick.
+                    # States are created in preference order, so a later
+                    # candidate must be clearly (>1%) cheaper to displace
+                    # one — near-ties keep the selective-first order.
                     if current is None or candidate[0] < current[0] * 0.99 - 1e-12:
                         by_size[size + 1][next_key] = candidate
         final = by_size[len(atoms)].get(frozenset(range(len(atoms))))
         assert final is not None
         return list(final[2])
 
-    def _greedy_cost_steps(self, atoms, produced_by, options, planned, bound,
-                           cardinality, estimate) -> list[PlanStep]:
-        """Myopic cost-based ordering for queries too large for the DP."""
+    def _myopic_steps(self, atoms, produced_by, options, planned, bound,
+                      cardinality, estimate) -> list[PlanStep]:
+        """One step at a time: the cheapest ready atom for a cost-based plan
+        too large for the DP, the first ready one in body order for the
+        reference plan."""
         planned = set(planned)
         bound = set(bound)
         steps: list[PlanStep] = []
-        first = not planned
         while len(planned) < len(atoms):
-            ready = [i for i in range(len(atoms)) if i not in planned
-                     and self._is_ready(atoms[i], i, bound, produced_by)]
-            if not ready:
-                unresolved = [atoms[i].describe() for i in range(len(atoms))
-                              if i not in planned]
-                raise PlanningError(
-                    "cannot order sub-queries: unresolved dependencies in "
-                    + "; ".join(unresolved)
-                )
+            ready = self._ready(atoms, planned, bound, produced_by)
             bound_now = frozenset(bound)
-            candidates = []
-            for i in ready:
-                step, new_card = self._cost_step(atoms[i], bound, first, cardinality,
-                                                 options, estimate, i, bound_now)
+            priced = []
+            for i in ready if options.cost_based else ready[:1]:
+                step, new_card = self._cost_step(atoms[i], bound, not planned,
+                                                 cardinality, options, estimate, i,
+                                                 bound_now)
                 connected = 0 if (not bound or atoms[i].variables() & bound) else 1
-                candidates.append((step.cost, connected, estimate(i, bound_now), i,
-                                   step, new_card))
-            candidates.sort(key=lambda c: c[:4])
-            _, _, _, index, step, cardinality = candidates[0]
+                priced.append(((step.cost, connected, estimate(i, bound_now), i),
+                               step, new_card))
+            rank, step, cardinality = min(priced, key=lambda entry: entry[0])
+            index = rank[-1]
             steps.append(step)
             planned.add(index)
-            first = False
             bound.update(atoms[index].output_variables())
             if atoms[index].source_variable is not None:
                 bound.add(atoms[index].source_variable)
@@ -499,7 +459,7 @@ class QueryPlanner:
             mode, (cost, est, new_card, batch) = "materialize", materialize_step()
         elif has_required or dynamic:
             mode, (cost, est, new_card, batch) = "bind", bind_step()
-        elif options.use_bind_joins and shares:
+        elif options.cost_based and shares:
             bind_priced = bind_step()
             mat_priced = materialize_step()
             if mat_priced[0] < cost_model.mode_switch_margin * bind_priced[0]:
@@ -537,56 +497,6 @@ class QueryPlanner:
             )
         return True
 
-    def _choose(self, ready: list[int], atoms: list[SourceAtom], bound: set[str],
-                options: PlannerOptions) -> int:
-        if not options.selectivity_ordering:
-            return min(ready)
-
-        def score(index: int) -> tuple[int, float, int]:
-            atom = atoms[index]
-            connected = 0 if (not bound or atom.variables() & bound) else 1
-            estimate = self._estimate(atom, bound)
-            return (connected, estimate, index)
-
-        return min(ready, key=score)
-
-    def _make_step(self, atom: SourceAtom, bound: set[str], first: bool,
-                   cardinality: float,
-                   options: PlannerOptions) -> tuple[PlanStep, float]:
-        sources, dynamic = self._resolve_sources(atom)
-        estimate = self._estimate(atom, bound)
-        shares = bool(atom.variables() & bound)
-        has_required = bool(atom.required_parameters())
-        if first:
-            mode = "materialize"
-        elif has_required or dynamic:
-            mode = "bind"
-        elif options.use_bind_joins and shares:
-            mode = "bind"
-        else:
-            mode = "materialize"
-        cost_model = self.statistics.cost_model
-        models = [getattr(source, "cost_kind", source.model)
-                  for source in sources]
-        batch_size = 0
-        if mode == "bind":
-            batch_size = options.bind_batch_size or auto_batch_size(
-                estimate, cost_model, models)
-            cost = cost_model.bind_cost(models, cardinality, estimate, batch_size,
-                                        sieved=options.digest_sieve)
-            new_card = cardinality * estimate
-        else:
-            cost = cost_model.materialize_cost(models, estimate)
-            new_card = cardinality * estimate if not shares else cardinality * max(
-                1.0, estimate / 10.0)
-        step = PlanStep(atom=atom, mode=mode,
-                        sources=tuple(source.uri for source in sources),
-                        dynamic=dynamic, estimate=estimate, batch_size=batch_size,
-                        use_sieve=options.digest_sieve, cost=cost,
-                        result_estimate=new_card,
-                        bound_variables=frozenset(bound))
-        return step, new_card
-
     def _resolve_sources(self, atom: SourceAtom) -> tuple[list[DataSource], bool]:
         if atom.is_glue():
             return [self._glue], False
@@ -611,15 +521,6 @@ class QueryPlanner:
         bound_formals.update(atom.constants)
         return bound_formals
 
-    def _estimate(self, atom: SourceAtom, bound: set[str]) -> float:
-        """Legacy estimate through the wrappers' own ``estimate()``."""
-        sources, dynamic = self._resolve_sources(atom)
-        if not sources:
-            return float("inf")
-        bound_formals = self._bound_formals(atom, bound)
-        estimates = [source.estimate(atom.query, bound_formals) for source in sources]
-        return sum(estimates) if dynamic else min(estimates)
-
     def _stat_estimate(self, atom: SourceAtom, bound: set[str]) -> float:
         """Digest-backed estimate through the statistics layer."""
         sources, dynamic = self._resolve_sources(atom)
@@ -635,7 +536,7 @@ class QueryPlanner:
         stages: list[list[int]] = []
         current: list[int] = []
         for index, step in enumerate(steps):
-            if step.mode == "materialize" and options.parallel_stages:
+            if step.mode == "materialize" and options.cost_based:
                 current.append(index)
                 continue
             if current:

@@ -109,7 +109,7 @@ class StepObservation:
     for bind steps, total rows for materialize steps; ``actual_rows``
     and ``bindings`` are what the source calls really did.  ``q_error``
     is the symmetric ratio the adaptive executor compares against
-    ``PlannerOptions.replan_threshold``.
+    :data:`repro.core.planner.REPLAN_THRESHOLD`.
     """
 
     atom: str

@@ -258,7 +258,7 @@ def qsia_json_query(demo: DemoInstance, hashtag: str = "SIA2016"):
     tweets carrying ``hashtag``, fetched as native JSON documents, joined
     with the unemployment statistics of the author's birth department.
     The JSON atom runs as a bind join (it shares ``id`` with the glue
-    BGP); with ``use_bind_joins=False`` it materialises instead.
+    BGP); the reference plan (``cost_based=False``) materialises it.
     """
     return (demo.instance.builder("qSIAJson", head=["t", "id", "dept", "rate"])
             .graph("SELECT ?id ?dept WHERE { ?x ttn:position ttn:headOfState . "

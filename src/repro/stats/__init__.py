@@ -1,9 +1,8 @@
 """Statistics layer: digest-backed cardinality estimation and costing.
 
-The planner's classical greedy pass ordered sub-queries by each
-wrapper's ad-hoc ``estimate()``.  This package replaces those numbers
-with estimates derived from the *digest structures* the mediator
-already maintains — histograms and top-k summaries for range/equality
+The planner prices sub-queries with estimates derived, instead of from
+each wrapper's ad-hoc ``estimate()``, from the *digest structures* the
+mediator already maintains — histograms and top-k summaries for range/equality
 predicates, value-set distinct counts for join keys, dataguide path
 counts for JSON tree patterns, inverted-index document frequencies for
 full-text — plus a calibrated per-source cost model, and closes the

@@ -2,11 +2,11 @@
 
 The answer to a CMQ is what a *twin* of the instance under test returns:
 the same data, built the same way and given the same writes, evaluated
-without any cache (``cache=None``) under the naive strategy
-(:func:`repro.baselines.naive.naive_options`: no bind joins, syntactic
-atom order, serial stages).  Answers are compared as multisets of rows,
-whatever their order.  ``benchmarks/e2e`` keeps its own copy of this
-oracle (it hashes the multiset instead of holding it).
+without any cache (``cache=None``) under the reference plan
+(:func:`repro.baselines.naive.naive_options`: body order, no bind joins
+beyond the forced ones, one step per stage).  Answers are compared as
+multisets of rows, whatever their order.  ``benchmarks/e2e`` keeps its
+own copy of this oracle (it hashes the multiset instead of holding it).
 """
 
 from __future__ import annotations

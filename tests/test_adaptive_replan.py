@@ -11,6 +11,7 @@ observed intermediate cardinality.
 import pytest
 
 from repro.core import MixedInstance, PlannerOptions
+from repro.core.planner import REPLAN_THRESHOLD
 from repro.core.sources import RelationalSource
 from repro.relational import Database
 
@@ -72,7 +73,7 @@ class TestAdaptiveReplan:
         assert lied.estimate == pytest.approx(2.0)
         assert lied.actual_rows == POSTS
         assert lied.replanned_after
-        assert lied.q_error() > PlannerOptions().replan_threshold
+        assert lied.q_error() > REPLAN_THRESHOLD
         assert "re-planned after allPosts" in trace.plan_text
 
     def test_a_served_query_replans_and_records_feedback_too(self, instance, cmq):
@@ -152,9 +153,7 @@ class TestAdaptiveReplan:
         assert hit.steps[1].bound_variables == frozenset({"x"})
 
     def test_replanned_result_equals_naive_reference(self, instance, cmq):
-        naive = instance.execute(cmq, options=PlannerOptions(
-            cost_based=False, adaptive=False, use_bind_joins=False,
-            selectivity_ordering=False))
+        naive = instance.execute(cmq, options=PlannerOptions(cost_based=False))
         adaptive = instance.execute(cmq)
         assert rows_of(adaptive) == rows_of(naive) == EXPECTED
 

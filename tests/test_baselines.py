@@ -1,9 +1,11 @@
-"""Unit tests for the warehouse baseline and the planner-strategy presets."""
+"""Unit tests for the warehouse baseline and the reference plan's options."""
+
+from dataclasses import fields
 
 import pytest
 
-from repro.baselines import RDFWarehouse, STRATEGIES, naive_options, tatooine_options
-from repro.core import MixedInstance
+from repro.baselines import RDFWarehouse, naive_options
+from repro.core import MixedInstance, PlannerOptions
 from repro.errors import MixedQueryError
 
 
@@ -112,27 +114,20 @@ class TestWarehouseQueries:
             warehouse.execute(cmq)
 
 
-class TestStrategyPresets:
-    def test_tatooine_options_enable_everything(self):
-        options = tatooine_options()
-        assert options.use_bind_joins and options.selectivity_ordering and options.parallel_stages
+class TestReferenceOptions:
+    def test_planner_options_are_the_eight_deployment_knobs(self):
+        assert [field.name for field in fields(PlannerOptions)] == [
+            "bind_batch_size", "digest_sieve", "result_cache", "plan_cache",
+            "cost_based", "adaptive", "tracing", "graceful_degradation"]
 
     def test_naive_options_disable_everything(self):
-        options = naive_options()
-        assert not (options.use_bind_joins or options.selectivity_ordering
-                    or options.parallel_stages)
-
-    def test_strategies_registry_complete(self):
-        assert set(STRATEGIES) == {"tatooine", "naive", "no-bind-join", "no-ordering",
-                                   "sequential"}
+        assert naive_options() == PlannerOptions(cost_based=False)
 
     def test_all_strategies_answer_identically(self, instance, qsia):
-        reference = None
-        for name, options in STRATEGIES.items():
-            rows = {tuple(sorted(r.items())) for r in instance.execute(qsia, options=options).rows}
-            if reference is None:
-                reference = rows
-            assert rows == reference, name
+        rows = [{tuple(sorted(r.items()))
+                 for r in instance.execute(qsia, options=options).rows}
+                for options in (PlannerOptions(), naive_options())]
+        assert rows[0] == rows[1]
 
     def test_bind_join_strategy_fetches_fewer_rows(self, instance):
         cmq = (instance.builder("q", head=["id", "t"])
@@ -141,7 +136,7 @@ class TestStrategyPresets:
                .fulltext("tweets", source="solr://tweets", query="*:*",
                          fields={"t": "text", "id": "user.screen_name"})
                .build())
-        fast = instance.execute(cmq, options=tatooine_options())
+        fast = instance.execute(cmq)
         naive = instance.execute(cmq, options=naive_options())
         assert fast.trace.total_rows_fetched() <= naive.trace.total_rows_fetched()
         assert {tuple(sorted(r.items())) for r in fast.rows} == \

@@ -20,12 +20,10 @@ from repro.rdf import Graph, triple
 from repro.relational import Database, InList
 
 
-#: The classical bind join: one source call per distinct binding.
+#: The classical bind join: one source call per distinct binding.  The
+#: planner prices a call per binding truthfully and may rather materialize
+#: an atom, so the equivalence tests below bind through a parameter.
 PER_BINDING = PlannerOptions(bind_batch_size=1)
-#: The same under the greedy planner, which binds every atom sharing a
-#: variable — the cost-based one prices a call per binding truthfully and
-#: may rather materialize the atom.
-PER_BINDING_GREEDY = PlannerOptions(bind_batch_size=1, cost_based=False)
 
 
 @pytest.fixture
@@ -405,11 +403,10 @@ class TestBatchedExecutionEquivalence:
     def test_fulltext_atom(self, instance):
         cmq = (instance.builder("q", head=["id", "t"])
                .graph("SELECT ?id WHERE { ?x ttn:twitterAccount ?id }")
-               .fulltext("tweets", source="solr://tweets", query="*:*",
-                         fields={"t": "text", "id": "user.screen_name"})
+               .fulltext("tweets", source="solr://tweets",
+                         query="user.screen_name:{id}", fields={"t": "text"})
                .build())
-        batched, per_binding = assert_equivalent(instance, cmq,
-                                                 per_binding=PER_BINDING_GREEDY)
+        batched, per_binding = assert_equivalent(instance, cmq)
         assert len(batched.trace.calls) < len(per_binding.trace.calls)
         assert batched.trace.batched_calls() >= 1
 
@@ -441,10 +438,9 @@ class TestBatchedExecutionEquivalence:
         cmq = (instance.builder("q", head=["id", "t"])
                .graph("SELECT ?id WHERE { ?x ttn:twitterAccount ?id }")
                .json("docs", source="json://tweets",
-                     pattern='{ user.screen_name: ?id, text: ?t }')
+                     pattern='{ user.screen_name: {id}, text: ?t }')
                .build())
-        batched, per_binding = assert_equivalent(instance, cmq,
-                                                 per_binding=PER_BINDING_GREEDY)
+        batched, per_binding = assert_equivalent(instance, cmq)
         assert len(batched.rows) == 3
         assert len(batched.trace.calls) < len(per_binding.trace.calls)
 

@@ -25,7 +25,7 @@ import pytest
 
 from repro.cache.lru import LRUCache
 from repro.cache.results import CachedSource, SubQueryResultCache
-from repro.core import CMQBuilder, MixedInstance, PlannerOptions
+from repro.core import CMQBuilder, MixedInstance
 from repro.core.sources import DataSource, SQLQuery
 from repro.errors import AdmissionError, QueryCancelledError, QueryTimeoutError
 from repro.fulltext.store import FieldConfig, FullTextStore
@@ -196,8 +196,7 @@ class TestStressEquivalence:
             # is exact no matter what the writers did since).
             for ticket in tickets:
                 serial = ticket.pinned.execute(
-                    instance, ticket.query, cache=False,
-                    options=PlannerOptions(parallel_stages=False))
+                    instance, ticket.query, cache=False, max_workers=1)
                 if result_set(ticket.result()) != result_set(serial):
                     violations.append(ticket.query.name)
 

@@ -33,7 +33,7 @@ class TestPlanner:
         assert plan.steps[1].mode == "bind"
 
     def test_plan_without_bind_joins_materialises_everything(self, instance, qsia):
-        plan = instance.plan(qsia, PlannerOptions(use_bind_joins=False))
+        plan = instance.plan(qsia, PlannerOptions(cost_based=False))
         assert all(step.mode == "materialize" for step in plan.steps)
 
     def test_syntactic_order_preserved_when_requested(self, instance):
@@ -42,9 +42,9 @@ class TestPlanner:
                          fields={"t": "text", "id": "user.screen_name"})
                .graph("SELECT ?id WHERE { ?x ttn:twitterAccount ?id }")
                .build())
-        plan = instance.plan(cmq, PlannerOptions(selectivity_ordering=False))
+        plan = instance.plan(cmq, PlannerOptions(cost_based=False))
         assert plan.atom_order() == ["tweets", "qG"]
-        reordered = instance.plan(cmq, PlannerOptions(selectivity_ordering=True))
+        reordered = instance.plan(cmq)
         assert reordered.atom_order() == ["qG", "tweets"]
 
     def test_dependency_forces_order(self, instance):
@@ -87,11 +87,10 @@ class TestPlanner:
                .fulltext("tweets", source="solr://tweets", query="entities.hashtags:sia2016",
                          fields={"t": "text"})
                .build())
-        plan = instance.plan(cmq, PlannerOptions(use_bind_joins=False, parallel_stages=True))
+        plan = instance.plan(cmq)
         assert len(plan.stages) == 1 and len(plan.stages[0]) == 2
-        sequential = instance.plan(cmq, PlannerOptions(use_bind_joins=False,
-                                                       parallel_stages=False))
-        assert len(sequential.stages) == 2
+        reference = instance.plan(cmq, PlannerOptions(cost_based=False))
+        assert len(reference.stages) == 2
 
     def test_explain_mentions_every_atom(self, instance, qsia):
         text = instance.plan(qsia).explain()
@@ -131,9 +130,7 @@ class TestExecutor:
 
     def test_same_answers_with_and_without_bind_joins(self, instance, qsia):
         fast = instance.execute(qsia)
-        naive = instance.execute(qsia, options=PlannerOptions(use_bind_joins=False,
-                                                              selectivity_ordering=False,
-                                                              parallel_stages=False))
+        naive = instance.execute(qsia, options=PlannerOptions(cost_based=False))
         assert sorted(map(str, fast.rows)) == sorted(map(str, naive.rows))
 
     def test_unrelated_atoms_cross_product(self, instance):
@@ -206,9 +203,9 @@ class TestExecutor:
 
     def test_materialize_stage_dispatches_its_calls_as_one_flat_batch(
             self, instance, small_tweet_store, monkeypatch):
-        """Three independent atoms, one of them fanning out to two
-        full-text sources: four source calls, one ``run_tasks`` batch,
-        recorded in step order then source order."""
+        """Three materialize steps in one stage, one of them fanning out
+        to two full-text sources: four source calls, one ``run_tasks``
+        batch, recorded in step order then source order."""
         import repro.core.executor as executor_module
 
         instance.register_fulltext("solr://archive", small_tweet_store)
@@ -228,8 +225,11 @@ class TestExecutor:
             return run_tasks(tasks, **kwargs)
 
         monkeypatch.setattr(executor_module, "run_tasks", recording)
-        result = instance.execute(cmq, options=PlannerOptions(
-            use_bind_joins=False, selectivity_ordering=False))
+        # The reference plan materialises every atom in body order; run
+        # its three steps as one stage.
+        plan = instance.plan(cmq, PlannerOptions(cost_based=False))
+        plan.stages = [[0, 1, 2]]
+        result = instance.executor().execute(cmq, plan=plan)
         assert batches == [4]
         assert result.trace.stages == [["anytweets", "qG", "stats"]]
         assert [(c.atom, c.source_uri) for c in result.trace.calls] == [

@@ -8,7 +8,7 @@ from repro.analytics import (
     vocabulary_drift,
     weekly_tag_clouds,
 )
-from repro.baselines import RDFWarehouse, STRATEGIES
+from repro.baselines import RDFWarehouse, naive_options
 from repro.core import PlannerOptions
 from repro.datasets import (
     INSEE_URI,
@@ -97,10 +97,10 @@ class TestE4QSIAScenario:
         assert len(result) >= 1
         assert set(result.column("id")) == {head.twitter_account}
 
-    def test_qsia_answers_identical_across_strategies(self, demo):
+    def test_qsia_answers_identical_across_plans(self, demo):
         query = qsia_query(demo)
         reference = None
-        for options in STRATEGIES.values():
+        for options in (PlannerOptions(), naive_options()):
             rows = {tuple(sorted(r.items())) for r in demo.instance.execute(query, options=options)}
             if reference is None:
                 reference = rows
@@ -220,14 +220,11 @@ class TestE8JSONTreePatterns:
         plan = demo.instance.plan(query)
         json_step = next(s for s in plan.steps if s.atom.name == "tweetJson")
         assert json_step.mode == "bind"
-        materialized = demo.instance.plan(
-            query, PlannerOptions(use_bind_joins=False, selectivity_ordering=False,
-                                  parallel_stages=False))
+        materialized = demo.instance.plan(query, naive_options())
         json_step = next(s for s in materialized.steps if s.atom.name == "tweetJson")
         assert json_step.mode == "materialize"
         fast = demo.instance.execute(query)
-        naive = demo.instance.execute(query, options=PlannerOptions(
-            use_bind_joins=False, selectivity_ordering=False, parallel_stages=False))
+        naive = demo.instance.execute(query, options=naive_options())
         assert sorted(map(str, fast.rows)) == sorted(map(str, naive.rows))
 
     def test_textual_cmq_with_free_document_source_variable(self, demo):

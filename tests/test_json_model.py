@@ -351,8 +351,7 @@ class TestJSONModelInMiniInstance:
                      pattern="{ text: ?t, user.screen_name: ?id }")
                .build())
         fast = instance.execute(cmq)
-        naive = instance.execute(cmq, options=PlannerOptions(
-            use_bind_joins=False, selectivity_ordering=False, parallel_stages=False))
+        naive = instance.execute(cmq, options=PlannerOptions(cost_based=False))
         assert sorted(map(str, fast.rows)) == sorted(map(str, naive.rows))
         assert len(fast) == 3
 

@@ -47,9 +47,9 @@ pytestmark = pytest.mark.mqo
 HANDLES = [f"u{i}" for i in range(6)]
 TOPICS = ["politics", "sports"]
 
-#: Serial, cache-free evaluation for independent reference runs.
-SERIAL = PlannerOptions(parallel_stages=False, result_cache=False,
-                        plan_cache=False)
+#: Cache-free evaluation for independent reference runs (serial with
+#: ``max_workers=1``).
+SERIAL = PlannerOptions(result_cache=False, plan_cache=False)
 
 STRESS_QUERIES = int(os.environ.get("REPRO_STRESS_QUERIES", "24"))
 
@@ -424,8 +424,8 @@ def test_burst_of_overlapping_queries_shares_the_subplan():
     counters = CallCounters()
     instance = build_instance(delay=0.4, counters=counters)
     query = make_query(instance, 0, 0)
-    reference = result_set(instance.pin().execute(instance, query,
-                                                  options=SERIAL, cache=False))
+    reference = result_set(instance.pin().execute(
+        instance, query, options=SERIAL, cache=False, max_workers=1))
     baseline = counters.calls.get("sql://profiles", 0)
     config = ServiceConfig(workers=4)
     with MediatorService(instance, config) as service:
@@ -465,7 +465,7 @@ def test_group_planned_results_equal_per_query_results(batch):
     queries = [make_query(instance, shape, param) for shape, param in batch]
     pinned = instance.pin()
     reference = [result_set(pinned.execute(instance, q, options=SERIAL,
-                                           cache=False))
+                                           cache=False, max_workers=1))
                  for q in queries]
     config = ServiceConfig(workers=4, mqo_group_size=8)
     with MediatorService(instance, config) as service:
@@ -516,5 +516,5 @@ def test_single_flight_never_mixes_pinned_snapshot_versions():
         # And the rows are exactly what this ticket's own (immutable)
         # snapshot answers when evaluated independently.
         independent = result_set(ticket.pinned.execute(
-            instance, query, options=SERIAL, cache=False))
+            instance, query, options=SERIAL, cache=False, max_workers=1))
         assert rows == independent

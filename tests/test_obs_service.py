@@ -64,7 +64,7 @@ def profile_query(instance: MixedInstance):
 
 
 def wide_query(instance: MixedInstance, topic: str = "politics"):
-    """A query with a two-atom materialize stage (drives the pools)."""
+    """A three-model join: glue graph, profiles table, JSON documents."""
     builder = instance.builder(f"wide_{topic}", head=["id", "f", "l"])
     builder.graph("SELECT ?id WHERE { ?x ttn:twitterAccount ?id }")
     builder.sql("prof", source="sql://profiles",
@@ -180,16 +180,13 @@ class TestMetricsUnderLoad:
         acceptance check)."""
         registry = reset_registry()
         try:
-            from repro.core import PlannerOptions
-
             instance = build_instance()
             queries = [wide_query(instance, topic) for topic in TOPICS]
-            # Hash-join mode materialises every atom of a wide query in
-            # one parallel stage, which drives the shared work pools.
-            hash_join = PlannerOptions(use_bind_joins=False)
+            # A deadline bounds the wait on every dispatch, so each call
+            # of those tickets runs on the service's shared work pool.
             with MediatorService(instance, ServiceConfig(workers=4)) as service:
                 tickets = [service.submit(queries[i % len(queries)],
-                                          options=hash_join if i % 2 else None)
+                                          deadline=30.0 if i % 2 else None)
                            for i in range(max(4, QUERIES * 2))]
                 for ticket in tickets:
                     ticket.result(timeout=30)
@@ -230,7 +227,7 @@ class TestMetricsUnderLoad:
             # Batched bind joins shipped bindings; the digest run sieved.
             assert snapshot["sieve_shipped_bindings_total"] > 0
             assert snapshot["sieve_sieved_bindings_total"] > 0
-            # The wide queries' two-atom stages exercised a pool.
+            # The deadline-bounded dispatches exercised a pool.
             pools = get_registry().series("pool_tasks_total")
             assert sum(pools.values()) > 0
             text = get_registry().render_prometheus()

@@ -31,9 +31,9 @@ pytestmark = pytest.mark.stress
 HANDLES = [f"u{i}" for i in range(6)]
 TOPICS = ["politics", "sports"]
 
-#: Serial, cache-free evaluation so every run is independent.
-SERIAL = PlannerOptions(parallel_stages=False, result_cache=False,
-                        plan_cache=False)
+#: Cache-free evaluation so every run is independent (serial with
+#: ``max_workers=1``).
+SERIAL = PlannerOptions(result_cache=False, plan_cache=False)
 
 
 def build_instance() -> MixedInstance:
@@ -142,14 +142,14 @@ def test_snapshot_isolation_under_random_interleavings(prefix, suffix, shape, to
     assert pinned.versions == live_versions
 
     before = result_set(pinned.execute(instance, query, options=SERIAL,
-                                       cache=False))
+                                       cache=False, max_workers=1))
 
     for delta in suffix:
         apply_delta(instance, delta)
 
     # The pin is immune to the suffix: identical rows, identical vector.
     after = result_set(pinned.execute(instance, query, options=SERIAL,
-                                      cache=False))
+                                      cache=False, max_workers=1))
     assert after == before
     assert pinned.versions == live_versions
 
