@@ -1,8 +1,9 @@
 """Cross-query caching for the mediator.
 
 Sub-query results are cached under variable-renaming-invariant keys and
-invalidated by per-source version counters; query plans are cached under
-canonical CMQ signatures plus the catalog state.  See
+re-stamped or invalidated by per-source version counters; query plans
+are cached under canonical CMQ signatures plus the identities of the
+sources they reach, and outlive writes.  See
 :class:`~repro.cache.mediator.MediatorCache` for the entry point.
 """
 

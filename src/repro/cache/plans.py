@@ -1,25 +1,28 @@
-"""Plan caching: canonical CMQ signatures + catalog versioning.
+"""Plan caching: canonical CMQ signatures + the catalog's identity.
 
 Planning a CMQ re-estimates every atom against every candidate source;
-for a repeated workload the catalog has not changed and the plan comes
-out identical.  :func:`plan_cache_key` builds a key from
+for a repeated workload the plan comes out identical, after a write too
+(a write changes rows, not which plan answers correctly, and moves the
+estimates by a batch).  :func:`plan_cache_key` builds a key from
 
 * the CMQ's *canonical signature* — atoms canonicalised with
   :func:`repro.cache.keys.canonical_query` and CMQ-level variables
   numbered by order of appearance, so queries equal up to variable
   renaming share a plan;
-* the *catalog state* — URI, identity and version of every source the
+* the *catalog identity* — URI and cache token of every source the
   CMQ's atoms can reach (the named one, or every source accepting the
   sub-query of a free source variable) plus the glue graph's, so a
-  mutation of one of those (which shifts cardinality estimates) or a
-  registration change among them re-plans; a write to any other source
-  leaves the plan alone, and keying asks no other source its version;
+  registration change among them re-plans; a write to any source
+  leaves the plan alone, and keying asks no other source anything;
 * the planner options;
 * the statistics revision — run-time cardinality feedback bumps it, so
-  plans costed under superseded statistics are invalidated.
+  plans costed under superseded statistics are invalidated.  This
+  retires a plan whose estimates writes drifted: the adaptive executor
+  re-plans when a step's q-error exceeds ``REPLAN_THRESHOLD`` and
+  records it.
 
 A reachable source with an unknown version (``None``) makes the CMQ
-uncacheable rather than risk stale estimates.
+uncacheable: nothing about its data can be assumed.
 """
 
 from __future__ import annotations
@@ -83,12 +86,12 @@ def plan_cache_key(query, sources: dict, glue, options,
 
 
 def catalog_state(sources: dict, glue) -> Optional[tuple]:
-    """(URI, identity token, version) per given source plus the glue state.
+    """(URI, identity token) per given source plus the glue's token.
 
     The identity token keeps a cache shared across instances safe: two
     catalogs can register different sources under the same URI (every
     glue graph lives under ``#glue``), and a plan resolved against one
-    must never be served to the other.
+    must never be served to the other.  A pin shares its source's token.
     """
     parts = []
     for uri in sorted(sources):
@@ -104,10 +107,9 @@ def catalog_state(sources: dict, glue) -> Optional[tuple]:
 
 def _source_state(source) -> Optional[tuple]:
     token = getattr(source, "cache_token", None)
-    version = source.version()
-    if token is None or version is None:
+    if token is None or source.version() is None:
         return None
-    return token, version
+    return (token,)
 
 
 def cmq_signature(query) -> Optional[tuple]:

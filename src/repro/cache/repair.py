@@ -8,8 +8,8 @@ module closes the loop between the stores' typed delta journals
 cache miss whose probe has an entry cached under an *older* version, the
 :class:`RepairEngine` fetches the unbroken delta chain between the two
 versions and, for repair-sound query shapes, evaluates the query **over
-the delta alone**, appends the delta's contribution to the old rows, and
-re-stamps the entry under the new version — the hot path then hits
+the delta alone**, merges the delta's contribution into the old rows,
+and re-stamps the entry under the new version — the hot path then hits
 without ever re-dispatching to the source.
 
 Soundness is per model and deliberately conservative; anything outside
@@ -23,26 +23,25 @@ relational
     one-table delta database (reusing the wrapper's placeholder and
     post-filter semantics); deltas scoped to other tables re-stamp the
     entry verbatim — the database-wide version moved, the rows did not.
-full-text
-    queries without ``limit``, ``sort_by`` or a ``_score`` output (those
-    depend on global corpus statistics / ranking, which every insert
-    perturbs).  Insert-only deltas run against a delta store sharing the
-    live store's field configs and analyzer.
-json
-    tree patterns without ``limit``.  Insert-only deltas run against a
-    delta document store; document *upserts* are journalled as a
-    distinct kind and fall back (the old copy's rows may be anywhere in
-    the cached list).
+full-text and json
+    queries without ``limit`` (full-text: nor ``sort_by`` or a ``_score``
+    output, which depend on corpus-global statistics).  A document's rows
+    are its own, so inserts, upserts and removals all repair: the entry
+    becomes ``(entry - f(replaced)) + f(written)``, ``f`` the query over a
+    delta store of the chain's net replaced (or written) copies; the
+    subtraction takes one occurrence per row, keeps the order of the
+    rest, and a replaced row the entry lacks falls back (``diverged``).
 rdf
-    BGPs on non-entailment sources with a non-empty head.  Repair is a
-    seeded semi-naive step: each delta triple is unified against each
-    triple pattern and the full BGP re-evaluated over the *current*
-    graph from that seed (plus the probe's own bindings), so joins
-    between new and pre-existing triples are found; results are
+    BGPs on non-entailment sources with a non-empty head, insert-only.
+    Repair is a seeded semi-naive step: each delta triple is unified
+    against each triple pattern and the full BGP re-evaluated over the
+    *current* graph from that seed (plus the probe's own bindings), so
+    joins between new and pre-existing triples are found; results are
     deduplicated against the cached rows (BGP results are distinct).
 
 Merged rows equal a cold re-execution as a *multiset*; for relational
-and JSON shapes even the order matches (inserts append).  Full-text hit
+and JSON shapes even the order matches (writes take fresh insertion
+ranks), up to which of two equal rows a subtraction took.  Full-text hit
 order may differ (cold results interleave by score) — cached rows are
 consumed as sets by the bind joins, so this is observable only to
 callers that already must not rely on order.
@@ -52,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+from collections import Counter
 from typing import Optional
 
 from repro.cache.keys import CanonicalQuery
@@ -70,7 +70,7 @@ from repro.core.sources import (
     _binding_term_variants,
     _to_python,
 )
-from repro.engine.batch import BindingBatch, SeenRows, as_batches, row_count
+from repro.engine.batch import BindingBatch, SeenRows, as_batches, freeze, row_count
 from repro.fulltext.store import FullTextStore
 from repro.json.store import JSONDocumentStore
 from repro.obs.metrics import get_registry
@@ -117,7 +117,7 @@ class RepairStats:
 
 
 class RepairEngine:
-    """Applies insert-only delta chains to cached sub-query results.
+    """Applies delta chains to cached sub-query results.
 
     One engine serves one :class:`SubQueryResultCache`; it is probed by
     every :class:`CachedSource` proxy with the stale keys of a whole
@@ -141,7 +141,7 @@ class RepairEngine:
     def __init__(self, cache) -> None:
         self.cache = cache
         self.stats = RepairStats()
-        # (uri, token, pre, post) -> delta DataSource wrapper.  Shared
+        # (uri, token, pre, post) -> delta DataSource wrappers.  Shared
         # across probes and queries: one ingest batch is repaired against
         # one delta store no matter how many cached entries it touches.
         self._delta_sources = LRUCache(self.MAX_DELTA_SOURCES)
@@ -214,7 +214,7 @@ class RepairEngine:
 
         Returning a key's ``stored`` entry itself signals a pure re-stamp.
         """
-        if sum(len(r.items) for r in records) > self.MAX_DELTA_ITEMS:
+        if sum(len(r.items) + len(r.replaced) for r in records) > self.MAX_DELTA_ITEMS:
             return "delta_too_large"
         build, relevant = None, records
         if isinstance(query, SQLQuery):
@@ -233,30 +233,36 @@ class RepairEngine:
                 # Ranking, truncation and scores depend on corpus-global
                 # statistics every insert perturbs.
                 return "shape"
-            build = _fulltext_delta_source
+            build = _document_delta_source
         elif isinstance(query, JSONQuery):
             if query.limit is not None:
                 return "shape"
-            build = _json_delta_source
+            build = _document_delta_source
         elif not isinstance(query, RDFQuery) or not query.bgp.head \
                 or getattr(source, "entailment", False):
             # Entailment: one explicit triple can derive unbounded new
             # facts; head-less (ASK-style) shapes are not row streams.
             return "shape"
-        if any(r.kind != INSERT for r in relevant):
-            # Removals and upserts may change or reorder old rows.
+        if build is not _document_delta_source and any(r.kind != INSERT for r in relevant):
+            # A removed triple may take rows any solution joined; a RESET
+            # (a CREATE or DROP) replaces a whole table.
             return "removals"
         if build is None:
             return self._apply_rdf(source, query, canon, bindings, stored, records)
-        delta = self._delta_source(source, records[0].pre_version,
-                                   records[-1].post_version,
-                                   lambda: build(source, records))
-        fetched = delta.answer_batch(query, bindings)
-        # Inserts append in the base store too (new rows, higher insertion
-        # ranks), so stored + delta rows reproduces a cold re-execution's
-        # order for the relational and JSON shapes.
-        return [_extended(base, canon.canonical_batches(batches))
-                for base, batches in zip(stored, fetched)]
+        written, replaced = self._delta_source(source, records[0].pre_version,
+                                               records[-1].post_version,
+                                               lambda: build(source, records))
+        fetched = written.answer_batch(query, bindings)
+        gone = replaced.answer_batch(query, bindings) if replaced else [[]] * len(bindings)
+        out = []
+        for base, old, new in zip(stored, gone, fetched):
+            base = _subtracted(base, canon.canonical_batches(old))
+            if base is None:
+                return "diverged"
+            # What a chain wrote took fresh insertion ranks (the relational
+            # and JSON cold order), so it goes last.
+            out.append(_extended(base, canon.canonical_batches(new)))
+        return out
 
     # -- rdf -----------------------------------------------------------------
     def _apply_rdf(self, source, query: RDFQuery, canon: CanonicalQuery,
@@ -302,18 +308,13 @@ class RepairEngine:
 
     # ------------------------------------------------------------------
     def _delta_source(self, source, pre: int, post: int, build):
-        """Memoised delta wrapper for one (source, version-span) pair."""
+        """The ``(written, replaced)`` delta wrappers of a (source, span), built once."""
         key = (source.uri, source.cache_token, pre, post)
         with self._delta_lock:
-            cached = self._delta_sources.get(key, record_miss=False)
-            if cached is not None:
-                return cached
-        built = build()
-        with self._delta_lock:
-            cached = self._delta_sources.get(key, record_miss=False)
-            if cached is not None:
-                return cached
-            self._delta_sources.put(key, built)
+            built = self._delta_sources.get(key, record_miss=False)
+            if built is None:
+                built = build()
+                self._delta_sources.put(key, built)
         return built
 
 
@@ -322,7 +323,7 @@ class RepairEngine:
 # ---------------------------------------------------------------------------
 
 def _sql_delta_source(source: RelationalSource,
-                      records: list[DeltaRecord]) -> RelationalSource:
+                      records: list[DeltaRecord]) -> tuple[RelationalSource, None]:
     """A one-off database holding only the chain's inserted rows.
 
     Every table with journalled inserts is created under the live
@@ -336,29 +337,34 @@ def _sql_delta_source(source: RelationalSource,
         if not delta_db.has_table(record.scope):
             delta_db.create_table(source.database.table(record.scope).schema)
         delta_db.table(record.scope).insert_many(record.items)
-    return RelationalSource(source.uri, delta_db, name=source.name)
+    return RelationalSource(source.uri, delta_db, name=source.name), None
 
 
-def _fulltext_delta_source(source: FullTextSource,
-                           records: list[DeltaRecord]) -> FullTextSource:
-    store = source.store
-    delta_store = FullTextStore(f"{store.name}+delta",
-                                fields=store.field_configs(),
-                                default_field=store.default_field,
-                                id_field=store.id_field,
-                                analyzer=store.analyzer)
-    delta_store.add_all([doc for r in records for doc in r.items])
-    return FullTextSource(source.uri, delta_store, name=source.name)
+def _document_delta_source(source, records: list[DeltaRecord]):
+    """Sources over what a chain of document batches did, net: the copies
+    it wrote that still stand, in write order (a rewrite moves a document
+    last, as its fresh insertion rank does), and the copies standing
+    before it that it replaced or removed (None when there are none)."""
+    store, json = source.store, isinstance(source, JSONSource)
+    id_of = store.id_of if json else (lambda doc: doc.doc_id)
+    before, after = {}, {}
+    for record in records:
+        for old in record.replaced:
+            if after.pop(id_of(old), None) is None:  # not a copy the chain wrote
+                before.setdefault(id_of(old), old)
+        for new in record.items:
+            after.pop(id_of(new), None)
+            after[id_of(new)] = new
 
+    def source_of(documents: dict):
+        name = f"{store.name}+delta"
+        delta = (JSONDocumentStore(name, store.id_field, store.text_path) if json else
+                 FullTextStore(name, store.field_configs(), store.default_field,
+                               store.id_field, store.analyzer))
+        delta.add_all(documents.values())
+        return (JSONSource if json else FullTextSource)(source.uri, delta, name=source.name)
 
-def _json_delta_source(source: JSONSource,
-                       records: list[DeltaRecord]) -> JSONSource:
-    store = source.store
-    delta_store = JSONDocumentStore(f"{store.name}+delta",
-                                    id_field=store.id_field,
-                                    text_path=store.text_path)
-    delta_store.add_all([doc for r in records for doc in r.items])
-    return JSONSource(source.uri, delta_store, name=source.name)
+    return source_of(after), (source_of(before) if before else None)
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +378,27 @@ def _extended(base: list[BindingBatch], delta: list[BindingBatch]) -> list[Bindi
         joint = BindingBatch(delta[0].columns, base[-1].rows + delta[0].rows)
         return base[:-1] + [joint] + delta[1:]
     return base + delta
+
+
+def _subtracted(base: list[BindingBatch],
+                gone: list[BindingBatch]) -> list[BindingBatch] | None:
+    """``base`` less one occurrence of each row (header and values) of
+    ``gone``, the rest in order; None when ``gone`` holds a row ``base``
+    does not: the entry diverged."""
+    if not gone:
+        return base
+    owed = Counter((batch.columns, freeze(row)) for batch in gone for row in batch.rows)
+
+    def kept(columns: tuple, row: tuple) -> bool:
+        key = (columns, freeze(row))
+        if owed[key] > 0:
+            owed[key] -= 1
+            return False
+        return True
+
+    out = [BindingBatch(batch.columns, rows) for batch in base
+           if (rows := [row for row in batch.rows if kept(batch.columns, row)])]
+    return None if +owed else out
 
 
 def _unify(pattern, triple) -> Optional[dict]:

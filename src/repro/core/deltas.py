@@ -2,11 +2,11 @@
 
 Every store owns a :class:`DeltaJournal`; each committed mutation batch
 appends one :class:`DeltaRecord` spanning ``pre_version -> post_version``
-with the *kind* of the change and (for inserts) the inserted items.  The
-incremental cache repair engine (:mod:`repro.cache.repair`) replays the
-records between a cached entry's version and the store's current version
-to append the delta's contribution to cached sub-query results instead
-of re-executing them.
+with the *kind* of the change and its items.  The incremental cache
+repair engine (:mod:`repro.cache.repair`) replays the records between a
+cached entry's version and the store's current version to merge the
+delta's contribution into cached sub-query results instead of
+re-executing them.
 
 The journal is deliberately conservative: :meth:`DeltaJournal.since`
 returns the records only when they form an **unbroken chain** of version
@@ -20,9 +20,10 @@ Snapshots share their parent's journal object (records are immutable and
 appends are lock-protected), so pinned read-only wrappers can replay the
 same history up to their own pinned version.
 
-A snapshot of the RDF graph or of the full-text store is a watermark, not
-a copy: each batch also chains an :class:`UndoLink` of what it overwrote,
-which a :class:`Snapshot` reverts to read the store at its version.
+A snapshot of the RDF graph, the full-text or the JSON store is a
+watermark, not a copy: each batch also chains an :class:`UndoLink` of
+what it overwrote, which a :class:`Snapshot` reverts to read the store at
+its version.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-#: Record kinds.  Only ``insert`` is repairable; everything else makes
-#: the repair engine fall back to invalidation for the affected span.
+#: Record kinds.  Any kind of a document store is repairable; of the
+#: others only ``insert`` is (see :mod:`repro.cache.repair`).
 INSERT = "insert"
 REMOVE = "remove"
 UPSERT = "upsert"
@@ -45,11 +46,13 @@ RESET = "reset"
 class DeltaRecord:
     """One committed mutation batch: ``pre_version -> post_version``.
 
-    ``items`` carries the inserted rows/triples/documents for ``insert``
-    records (whatever the store's ``add`` accepts); other kinds may leave
-    it empty.  ``scope`` narrows the change to a sub-container (the table
-    name for relational stores), letting queries over *other* containers
-    re-stamp without any delta evaluation.
+    ``items`` carries what the batch added or removed (rows, triples, the
+    documents stored; a document removal leaves it empty).  ``replaced``
+    carries the documents a full-text or JSON batch replaced or removed,
+    as they stood before it (its undo link's objects, not copies).
+    ``scope`` narrows the change to a sub-container (the table name for
+    relational stores), letting queries over *other* containers re-stamp
+    without any delta evaluation.
     """
 
     pre_version: int
@@ -57,6 +60,7 @@ class DeltaRecord:
     kind: str
     items: tuple = ()
     scope: Optional[str] = None
+    replaced: tuple = ()
 
 
 class DeltaJournal:
@@ -67,11 +71,11 @@ class DeltaJournal:
         self._lock = threading.Lock()
         self._listeners: list[Callable[[DeltaRecord], None]] = []
 
-    def record(self, pre_version: int, post_version: int, kind: str,
-               items: Iterable = (), scope: str | None = None) -> DeltaRecord:
+    def record(self, pre_version: int, post_version: int, kind: str, items: Iterable = (),
+               scope: str | None = None, replaced: Iterable = ()) -> DeltaRecord:
         """Append one record (call under the store's write lock)."""
         entry = DeltaRecord(pre_version, post_version, kind,
-                            tuple(items), scope)
+                            tuple(items), scope, tuple(replaced))
         with self._lock:
             self._entries.append(entry)
         return entry
@@ -139,7 +143,8 @@ class DeltaJournal:
 class UndoLink:
     """One committed write batch, as what it overwrote: ``before`` pairs
     every key it changed with its value before (a graph: triple -> was it
-    present; a full-text store: doc id -> its document, or None).  A store
+    present; a full-text store: doc id -> its document, or None; a JSON
+    store: doc id -> its document and insertion rank, or None).  A store
     holds its newest link and a snapshot the link of its version, so a
     link lives as long as the oldest snapshot that may need it: the chain
     needs no compaction rule."""

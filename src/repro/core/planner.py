@@ -58,8 +58,9 @@ class PlannerOptions:
     #: Consult the instance's sub-query result cache before dispatching
     #: (only effective when the executor is given a mediator cache).
     result_cache: bool = True
-    #: Reuse plans cached under the canonical CMQ signature + catalog
-    #: version (only effective when the planner is given a plan cache).
+    #: Reuse plans cached under the canonical CMQ signature, the reached
+    #: sources' identities and the statistics revision (only effective
+    #: when the planner is given a plan cache).
     plan_cache: bool = True
     #: Search join orders and materialize-vs-bind modes with the
     #: digest-backed cost model and group independent materialize steps
@@ -207,12 +208,11 @@ class QueryPlanner:
         """Produce an evaluation plan for ``query``.
 
         Structurally identical CMQs (equal up to variable renaming) are
-        served from the plan cache when one is configured, for as long
-        as the sources their atoms can reach are unchanged: a mutation of
-        one of those (or of the glue graph), a registration change among
-        them or statistics feedback makes the key miss, so stale
-        cardinality estimates are never reused — and planning asks no
-        other source for anything.
+        served from the plan cache when one is configured, across writes:
+        a registration change among the sources their atoms can reach (or
+        of the glue graph) or statistics feedback makes the key miss —
+        feedback is how a plan whose estimates drifted is retired — and
+        planning asks no other source for anything.
         """
         options = options or self.options
         with _span("plan", query=query.name) as sp:

@@ -327,11 +327,11 @@ class DataSource:
     def version(self) -> Optional[int]:
         """Monotonic version of the underlying data, or ``None``.
 
-        The mediator's result and plan caches key entries on this value,
-        so a wrapper **must** bump it on every mutation of its store.
-        ``None`` (the base default) means "unknown": results of this
-        source are never cached and plan caching is disabled for the
-        whole catalog.
+        Only the mediator's result cache keys entries on this value, so a
+        wrapper **must** bump it on every mutation of its store (a plan
+        outlives a write: :mod:`repro.cache.plans`).  ``None`` (the base
+        default) means "unknown": results of this source are never cached
+        and no CMQ reaching it has its plan cached.
         """
         return None
 
@@ -368,10 +368,10 @@ class DataSource:
 
         The pinned wrapper answers every query from a store *snapshot*
         taken atomically (under the store's reader-writer lock) — a
-        watermark over the live RDF and full-text stores, a copy of the
-        JSON and relational ones — so a plan never observes a half-applied
-        update.  It shares this wrapper's ``cache_token``: content and
-        version are identical at pin time, so cached rows are too.
+        watermark over the live store, never a copy — so a plan never
+        observes a half-applied update.  It shares this wrapper's
+        ``cache_token``: content and version are identical at pin time,
+        so cached rows are too.
 
         Pinning an unchanged source takes no snapshot and no lock: it is
         the memoised pin of the current version.  A wrapper without
@@ -953,7 +953,7 @@ class JSONSource(DataSource):
         return self.store.journal
 
     def _pin_snapshot(self) -> "JSONSource":
-        """A read-only wrapper over a snapshot of the document store."""
+        """A read-only wrapper over a snapshot (a watermark) of the store."""
         frozen = self.store.snapshot()
         return self._memoized_pin(
             frozen.version,
@@ -962,13 +962,7 @@ class JSONSource(DataSource):
 
     @_instrumented_execute
     def execute(self, query: SourceQuery, bindings: Row | None = None) -> list[Row]:
-        if not isinstance(query, JSONQuery):
-            raise MixedQueryError(
-                f"JSON source {self.uri} cannot evaluate {type(query).__name__}"
-            )
-        parameters, pushdown = self._split_bindings(query, bindings or {})
-        return self.matcher.match(query.pattern, parameters=parameters,
-                                  pushdown=pushdown, limit=query.limit)
+        return self.execute_batch(query, [bindings])[0]
 
     @staticmethod
     def _split_bindings(query: JSONQuery, bindings: Row) -> tuple[Row, Row]:
@@ -994,7 +988,7 @@ class JSONSource(DataSource):
     @_instrumented_execute_batch
     def execute_batch(self, query: SourceQuery,
                       bindings_batch: Sequence[Row]) -> list[list[Row]]:
-        """Batched tree-pattern evaluation.
+        """Batched tree-pattern evaluation, in one read of the store.
 
         The candidate set of the pattern's constant predicates is
         computed once (:meth:`TreePatternMatcher.match_batch`); each
@@ -1004,11 +998,11 @@ class JSONSource(DataSource):
             raise MixedQueryError(
                 f"JSON source {self.uri} cannot evaluate {type(query).__name__}"
             )
-        batch = [dict(b or {}) for b in bindings_batch]
-        if len(batch) <= 1:
-            return [self.execute(query, b) for b in batch]
-        calls = [self._split_bindings(query, bindings) for bindings in batch]
-        return self.matcher.match_batch(query.pattern, calls, limit=query.limit)
+        calls = [self._split_bindings(query, bindings or {}) for bindings in bindings_batch]
+        # A pin's snapshot yields the store at its version: match on that.
+        with self.store.reading() as store:
+            return TreePatternMatcher(store, self.matcher.accel).match_batch(
+                query.pattern, calls, limit=query.limit)
 
     def estimate(self, query: SourceQuery, bound_variables: set[str] | None = None,
                  values: dict[str, object] | None = None) -> float:
@@ -1026,55 +1020,57 @@ class JSONSource(DataSource):
             return float("inf")
         bound = bound_variables or set()
         values = values or {}
-        store, pattern = self.store, query.pattern
+        pattern = query.pattern
         limit = float("inf") if query.limit is None else float(query.limit)
-        if (self.matcher.accel
-                and all(not leaf.predicates for leaf in pattern.leaves)
-                and not (pattern.variables() & bound)):
-            # Purely structural pattern: the accelerator encoding answers
-            # the per-axis cardinalities exactly (documents *and* fan-out).
-            rows = accel_structural_row_estimate(store.encoding_view(), pattern)
-            if rows is not None:
-                return min(rows, limit)
-        estimate = float(len(store))
-        for leaf in pattern.leaves:
-            index = store.index_for(leaf.path)
-            if index is None:
-                # Interior (non-leaf) path: only presence statistics exist.
-                present = len(store.doc_ids_with_path(leaf.path))
-                if present == 0:
-                    # Never observed anywhere: nothing can match.
-                    return 0.0
-                estimate = min(estimate, float(present))
-                continue
-            # Structural selectivity (documents exhibiting the path),
-            # refined by value-level index statistics below.
-            leaf_estimate = float(index.document_count)
-            for predicate in leaf.predicates:
-                known = predicate.value
-                if isinstance(known, JSONParameter):
-                    if predicate.op != "=" or known.name not in values:
+        with self.store.reading() as store:
+            if (self.matcher.accel
+                    and all(not leaf.predicates for leaf in pattern.leaves)
+                    and not (pattern.variables() & bound)):
+                # Purely structural pattern: the accelerator encoding answers
+                # the per-axis cardinalities exactly (documents *and* fan-out).
+                rows = accel_structural_row_estimate(store.encoding_view(), pattern)
+                if rows is not None:
+                    return min(rows, limit)
+            estimate = float(len(store))
+            for leaf in pattern.leaves:
+                index = store.index_for(leaf.path)
+                if index is None:
+                    # Interior (non-leaf) path: only presence statistics exist.
+                    present = len(store.doc_ids_with_path(leaf.path))
+                    if present == 0:
+                        # Never observed anywhere: nothing can match.
+                        return 0.0
+                    estimate = min(estimate, float(present))
+                    continue
+                # Structural selectivity (documents exhibiting the path),
+                # refined by value-level index statistics below.
+                leaf_estimate = float(index.document_count)
+                for predicate in leaf.predicates:
+                    known = predicate.value
+                    if isinstance(known, JSONParameter):
+                        if predicate.op != "=" or known.name not in values:
+                            leaf_estimate = min(leaf_estimate, index.average_postings())
+                            continue
+                        known = values[known.name]
+                    if predicate.op == "=":
+                        leaf_estimate = min(leaf_estimate, float(len(index.lookup_eq(known))))
+                    elif predicate.op != "!=":
+                        leaf_estimate = min(leaf_estimate,
+                                            float(len(index.lookup_cmp(predicate.op, known))))
+                if leaf.variable is not None and leaf.variable in bound:
+                    if leaf.variable in values:
+                        leaf_estimate = min(leaf_estimate,
+                                            float(len(index.lookup_eq(values[leaf.variable]))))
+                    else:
                         leaf_estimate = min(leaf_estimate, index.average_postings())
-                        continue
-                    known = values[known.name]
-                if predicate.op == "=":
-                    leaf_estimate = min(leaf_estimate, float(len(index.lookup_eq(known))))
-                elif predicate.op != "!=":
-                    leaf_estimate = min(leaf_estimate,
-                                        float(len(index.lookup_cmp(predicate.op, known))))
-            if leaf.variable is not None and leaf.variable in bound:
-                if leaf.variable in values:
-                    leaf_estimate = min(leaf_estimate,
-                                        float(len(index.lookup_eq(values[leaf.variable]))))
-                else:
-                    leaf_estimate = min(leaf_estimate, index.average_postings())
-            estimate = min(estimate, leaf_estimate)
-        if any(leaf.constant_equality() is not None for leaf in pattern.leaves):
-            # The per-path indexes can answer the conjunction of constant
-            # predicates exactly (candidate-set intersection), which beats
-            # the independent per-leaf minima above.
-            estimate = min(estimate, float(len(self.matcher.candidates(pattern))))
-        return min(estimate, limit)
+                estimate = min(estimate, leaf_estimate)
+            if any(leaf.constant_equality() is not None for leaf in pattern.leaves):
+                # The per-path indexes can answer the conjunction of constant
+                # predicates exactly (candidate-set intersection), which beats
+                # the independent per-leaf minima above.
+                estimate = min(estimate, float(len(
+                    TreePatternMatcher(store, self.matcher.accel).candidates(pattern))))
+            return min(estimate, limit)
 
     def size(self) -> int:
         return len(self.store)

@@ -176,13 +176,15 @@ class FullTextStore:
             self._journal.notify(entry)
         return len(added)
 
-    def _commit(self, kind: str, items: Iterable, before: Iterable):
+    def _commit(self, kind: str, items: Iterable, before: list):
         """Count, journal and chain the undo link of one effective batch
-        (under the write lock)."""
+        (under the write lock); the record names the copies it replaced."""
         pre = self._version
         self._version += 1
         self._undo = self._undo.append(before)
-        return self._journal.record(pre, pre + 1, kind, items)
+        # What stood before: the first value each doc id had in ``before``.
+        return self._journal.record(pre, pre + 1, kind, items, replaced=[
+            old for old in dict(reversed(before)).values() if old is not None])
 
     def _index_unlocked(self, doc: Document) -> None:
         self._documents[doc.doc_id] = doc
@@ -244,7 +246,7 @@ class FullTextStore:
             old = self._deindex_unlocked(doc_id)
             if old is None:
                 return False
-            entry = self._commit(REMOVE, (doc_id,), ((doc_id, old),))
+            entry = self._commit(REMOVE, (), ((doc_id, old),))
         self._journal.notify(entry)
         return True
 

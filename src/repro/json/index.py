@@ -10,8 +10,6 @@ the planner's selectivity ordering.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
-
 
 def normalize(value: object) -> object:
     """Normalise a leaf value for index keys (keyword-style strings)."""
@@ -38,15 +36,10 @@ class PathIndex:
         #: store's dataguide reports, maintained here so a write never
         #: forces a pass over the documents).
         self.types: dict[str, int] = {}
-        #: Monotonic mutation stamp; unchanged while the index is shared.
-        self.version = 0
-        #: True while postings/presence are shared with a snapshot twin.
-        self._shared = False
 
     # -- maintenance ---------------------------------------------------------
     def add(self, doc_id: str, value: object) -> None:
         """Index one leaf value of one document."""
-        self._unshare()
         key = normalize(value)
         self.postings.setdefault(key, set()).add(doc_id)
         if doc_id in self.presence:
@@ -56,11 +49,9 @@ class PathIndex:
         self.occurrences += 1
         name = type(value).__name__
         self.types[name] = self.types.get(name, 0) + 1
-        self.version += 1
 
     def remove(self, doc_id: str, value: object) -> None:
         """Drop one previously indexed value of ``doc_id``."""
-        self._unshare()
         key = normalize(value)
         bucket = self.postings.get(key)
         if bucket is not None:
@@ -78,34 +69,6 @@ class PathIndex:
             self._extra_values[doc_id] = extra - 1
         elif not extra:
             self.presence.discard(doc_id)
-        self.version += 1
-
-    def _copy(self) -> "PathIndex":
-        """Copy-on-write twin (snapshot support).
-
-        Postings, presence and value counts are *shared* until either twin
-        mutates — snapshotting a large store no longer rebuilds every
-        per-path posting eagerly.  The first ``add``/``remove`` on either side
-        privatises that side's containers (:meth:`_unshare`).
-        """
-        twin = PathIndex(self.path)
-        twin.postings = self.postings
-        twin.presence = self.presence
-        twin._extra_values = self._extra_values
-        twin.occurrences = self.occurrences
-        twin.types = dict(self.types)
-        twin.version = self.version
-        twin._shared = True
-        self._shared = True
-        return twin
-
-    def _unshare(self) -> None:
-        """Privatise shared containers before the first mutation."""
-        if self._shared:
-            self.postings = {key: set(ids) for key, ids in self.postings.items()}
-            self.presence = set(self.presence)
-            self._extra_values = dict(self._extra_values)
-            self._shared = False
 
     # -- lookups -------------------------------------------------------------
     def lookup_eq(self, value: object) -> set[str]:
@@ -129,26 +92,14 @@ class PathIndex:
         """Number of documents in which the path occurs."""
         return len(self.presence)
 
-    @property
-    def distinct_count(self) -> int:
-        """Number of distinct (normalised) values at the path."""
-        return len(self.postings)
-
     def average_postings(self) -> float:
         """Expected matches of an equality with an unknown (bound) value."""
         if not self.postings:
             return 0.0
         return self.document_count / len(self.postings)
 
-    def values(self) -> Iterator[object]:
-        """Every distinct normalised value (used by digest construction)."""
-        return iter(self.postings)
-
-    def __len__(self) -> int:
-        return len(self.postings)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (f"PathIndex(path={self.path!r}, distinct={self.distinct_count}, "
+        return (f"PathIndex(path={self.path!r}, distinct={len(self.postings)}, "
                 f"documents={self.document_count})")
 
 

@@ -10,12 +10,14 @@ digests read their path statistics from.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import threading
-import weakref
+from contextlib import nullcontext
 from typing import Any, Iterable, TYPE_CHECKING
 
-from repro.core.deltas import INSERT, REMOVE, UPSERT, DeltaJournal, remembered
+from repro.core.deltas import (
+    INSERT, REMOVE, UPSERT, CopyOnWrite, DeltaJournal, Snapshot, UndoLink, remembered)
 from repro.errors import JSONError
 from repro.fulltext.document import Document
 from repro.json.accel import EncodingView, StoreEncoding
@@ -61,6 +63,8 @@ class JSONDocumentStore:
         self._version = 0
         self._journal = DeltaJournal()
         self._rwlock = RWLock()
+        #: The newest link of the undo chain snapshots read back through.
+        self._undo = UndoLink()
         #: (version, weak reference to its snapshot): see ``remembered``.
         self._snapshot_state: tuple | None = None
         #: Columnar XPath-accelerator replica, shared with every snapshot
@@ -89,42 +93,28 @@ class JSONDocumentStore:
     # Maintenance
     # ------------------------------------------------------------------
     def add(self, document: dict[str, Any]) -> str:
-        """Store (or replace) one document; returns its id.
-
-        Replacement is append-friendly: the old copy is de-indexed, the
-        new one indexed and queued for the accelerator encoding — the
-        encoding is kept, not discarded — and the version is bumped
-        exactly once.
-        """
-        doc_id, stored = self._prepare(document)
-        with self._rwlock.write_locked():
-            replaced = self._deindex_unlocked(doc_id)
-            self._index_unlocked(doc_id, stored)
-            pre = self._version
-            self._version += 1
-            entry = self._journal.record(pre, pre + 1,
-                                         UPSERT if replaced else INSERT,
-                                         (stored,))
-        self._journal.notify(entry)
-        return doc_id
+        """Store (or replace) one document, a batch of one; returns its id."""
+        self.add_all((document,))
+        return self.id_of(document)
 
     def add_all(self, documents: Iterable[dict[str, Any]]) -> int:
-        """Store many documents; returns how many were added.
+        """Store (or replace) many documents; returns how many were added.
 
         The write lock is held across the whole batch, so a concurrent
         snapshot sees all of it or none of it — and the whole batch is
         ONE version bump, so one ingest invalidates derived state once,
-        not once per document.
+        not once per document.  A replaced copy is de-indexed, the new one
+        indexed (at a fresh insertion rank) and encoded (the accelerator
+        encoding is kept).
         """
         entry = None
         with self._rwlock.write_locked():
             added: list[dict[str, Any]] = []
-            replaced = False
-            pre = self._version
+            before: list[tuple[str, tuple | None]] = []
             try:
                 for document in documents:
                     doc_id, stored = self._prepare(document)
-                    replaced = self._deindex_unlocked(doc_id) or replaced
+                    before.append((doc_id, self._deindex_unlocked(doc_id)))
                     self._index_unlocked(doc_id, stored)
                     added.append(stored)
             finally:
@@ -133,9 +123,8 @@ class JSONDocumentStore:
                 # documents landed, so version equality has to keep
                 # meaning "unchanged".
                 if added:
-                    self._version += 1
-                    entry = self._journal.record(
-                        pre, pre + 1, UPSERT if replaced else INSERT, added)
+                    replaced = any(old is not None for _, old in before)
+                    entry = self._commit(UPSERT if replaced else INSERT, added, before)
         if entry is not None:
             self._journal.notify(entry)
         return len(added)
@@ -143,17 +132,26 @@ class JSONDocumentStore:
     def remove(self, doc_id: str) -> bool:
         """Drop a document (and its index entries); True when it existed."""
         with self._rwlock.write_locked():
-            if not self._deindex_unlocked(doc_id):
+            old = self._deindex_unlocked(doc_id)
+            if old is None:
                 return False
             # The encoding is append-only: a removal starts a new lineage
             # and the next accelerated query encodes from scratch.
             # Snapshots keep the old lineage.
             self._lineage = _EncodingLineage()
-            pre = self._version
-            self._version += 1
-            entry = self._journal.record(pre, pre + 1, REMOVE, (doc_id,))
+            entry = self._commit(REMOVE, (), ((doc_id, old),))
         self._journal.notify(entry)
         return True
+
+    def _commit(self, kind: str, items: list, before: list):
+        """Count, journal and chain the undo link of one effective batch
+        (under the write lock)."""
+        pre = self._version
+        self._version += 1
+        self._undo = self._undo.append(before)
+        # What stood before: the first value each doc id had in ``before``.
+        return self._journal.record(pre, pre + 1, kind, items, replaced=[
+            old[0] for old in dict(reversed(before)).values() if old is not None])
 
     # ------------------------------------------------------------------
     def _prepare(self, document: dict[str, Any]) -> tuple[str, dict[str, Any]]:
@@ -162,37 +160,40 @@ class JSONDocumentStore:
             raise JSONError(f"JSON store {self.name!r} only stores objects, "
                             f"got {type(document).__name__}")
         stored = _copy_json(document)
-        raw_id = self._raw_id(stored)
-        if raw_id is None:
+        doc_id = self.id_of(stored)
+        if doc_id is None:
             raise JSONError(
                 f"document is missing its id field {self.id_field!r}: {document}"
             )
-        return str(raw_id), stored
+        return doc_id, stored
 
-    def _raw_id(self, document: dict[str, Any]) -> object:
-        return Document(doc_id="_", fields=document).get(self.id_field)
+    def id_of(self, document: dict[str, Any]) -> str | None:
+        """The id ``document`` is filed under (None: it has no id field)."""
+        raw_id = Document(doc_id="_", fields=document).get(self.id_field)
+        return None if raw_id is None else str(raw_id)
 
-    def _deindex_unlocked(self, doc_id: str) -> bool:
-        """Drop a document's entries everywhere; True when it existed."""
-        if doc_id not in self._documents:
-            return False
+    def _deindex_unlocked(self, doc_id: str) -> tuple[dict[str, Any], int] | None:
+        """Drop a document's entries everywhere; returns it and its rank."""
+        document = self._documents.pop(doc_id, None)
+        if document is None:
+            return None
         for path, value in self._leaves.pop(doc_id, []):
             index = self._indexes.get(path)
             if index is not None:
                 index.remove(doc_id, value)
                 if not index.presence:
                     del self._indexes[path]
-        del self._documents[doc_id]
-        del self._ranks[doc_id]
-        return True
+        return document, self._ranks.pop(doc_id)
 
-    def _index_unlocked(self, doc_id: str, stored: dict[str, Any]) -> None:
-        """Store and index one (validated, copied) document."""
+    def _index_unlocked(self, doc_id: str, stored: dict[str, Any],
+                        rank: int | None = None) -> None:
+        """Store and index one (validated, copied) document at ``rank``."""
         leaves = list(Document(doc_id=doc_id, fields=stored).flat_fields())
         self._documents[doc_id] = stored
         self._leaves[doc_id] = leaves
-        self._ranks[doc_id] = self._next_rank
-        self._next_rank += 1
+        if rank is None:
+            rank, self._next_rank = self._next_rank, self._next_rank + 1
+        self._ranks[doc_id] = rank
         for path, value in leaves:
             index = self._indexes.get(path)
             if index is None:
@@ -204,30 +205,16 @@ class JSONDocumentStore:
     # Snapshot isolation
     # ------------------------------------------------------------------
     def snapshot(self) -> "JSONDocumentStore":
-        """A frozen copy of the store at its current version (memoised,
-        weakly: :func:`~repro.core.deltas.remembered`).
-
-        Stored documents and per-document leaf lists are never mutated in
-        place (``add`` replaces them wholesale), so they are shared; the
-        containers and path indexes are copied.  The accelerator encoding
-        belongs to neither: the copy joins this store's lineage, so
-        whichever of the two is queried first encodes for both.
-        """
+        """A read-only view of the store at its current version: a
+        watermark, not a copy (:class:`~repro.core.deltas.Snapshot`), in
+        this store's accelerator lineage."""
         with self._rwlock.read_locked():
-            return remembered(self, self._version, self._copy_unlocked)
+            return remembered(self, self._version, lambda: JSONSnapshot(self, self._undo))
 
-    def _copy_unlocked(self) -> "JSONDocumentStore":
-        frozen = JSONDocumentStore.__new__(JSONDocumentStore)
-        frozen.name, frozen.id_field, frozen.text_path = self.name, self.id_field, self.text_path
-        frozen._documents, frozen._leaves = dict(self._documents), dict(self._leaves)
-        frozen._indexes = {path: index._copy() for path, index in self._indexes.items()}
-        frozen._ranks, frozen._next_rank = dict(self._ranks), self._next_rank
-        frozen._lineage, frozen._accel_view = self._lineage, self._accel_view
-        # Shared journal: a frozen copy never writes, it only replays
-        # history up to its own (frozen) version.
-        frozen._version, frozen._journal, frozen._rwlock = self._version, self._journal, RWLock()
-        frozen._snapshot_state = (frozen._version, weakref.ref(frozen))
-        return frozen
+    def reading(self):
+        """A context yielding what one consistent read reads: the store
+        itself (a snapshot yields what stands for its version)."""
+        return nullcontext(self)
 
     # ------------------------------------------------------------------
     # XPath-accelerator encoding
@@ -286,7 +273,7 @@ class JSONDocumentStore:
         written = {}
         for record in records:
             for document in record.items:
-                doc_id = str(self._raw_id(document))
+                doc_id = self.id_of(document)
                 if self._documents.get(doc_id) is document:
                     written[doc_id] = document
         return written.items()
@@ -310,9 +297,9 @@ class JSONDocumentStore:
         """Every stored document, in insertion order."""
         return list(self._documents.values())
 
-    def items(self) -> Iterable[tuple[str, dict[str, Any]]]:
+    def items(self) -> list[tuple[str, dict[str, Any]]]:
         """(doc_id, document) pairs, in insertion order."""
-        return self._documents.items()
+        return list(self._documents.items())
 
     def __len__(self) -> int:
         return len(self._documents)
@@ -386,7 +373,51 @@ class JSONDocumentStore:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"JSONDocumentStore(name={self.name!r}, documents={len(self)}, "
-                f"paths={len(self._indexes)})")
+                f"paths={len(self.paths())})")
+
+
+class JSONSnapshot(Snapshot, JSONDocumentStore, reads=(
+        "get", "documents", "items", "paths", "values_by_path", "doc_ids_with_path",
+        "insertion_rank", "dataguide", "encoding_view", "__len__", "__contains__")):
+    """What :meth:`JSONDocumentStore.snapshot` returns: the store read at
+    one version, a wrapper matching on what one :meth:`reading` yields;
+    any other read is a reading of its own.  It never writes."""
+
+    def __init__(self, live: JSONDocumentStore, link: UndoLink):
+        self.name, self.id_field, self.text_path = live.name, live.id_field, live.text_path
+        self._version, self._journal, self._rwlock = live._version, live._journal, live._rwlock
+        self._lineage = live._lineage
+        self._watch(live, link)
+
+    def _at(self, undo: dict[str, tuple | None]) -> JSONDocumentStore:
+        """The live store at this version: what ``undo`` names (doc id ->
+        document and rank then, or None) is de-indexed and indexed again
+        into copies of the maps and copy-on-write views of the indexes."""
+        live = self._live
+        at = JSONDocumentStore(live.name, live.id_field, live.text_path)
+        at._version, at._lineage, at._ranks = self._version, self._lineage, dict(live._ranks)
+        at._documents, at._leaves = dict(live._documents), dict(live._leaves)
+        at._indexes = CopyOnWrite(live._indexes, _private_index)
+        for doc_id, old in undo.items():
+            at._deindex_unlocked(doc_id)
+            if old is not None:
+                at._index_unlocked(doc_id, *old)
+        if any(old is not None for old in undo.values()):  # restored: back in rank order
+            at._documents = dict(sorted(at._documents.items(), key=lambda i: at._ranks[i[0]]))
+        return at
+
+    def index_for(self, path: str) -> PathIndex | None:
+        with self.reading() as store:
+            return copy.deepcopy(store.index_for(path))
+
+
+def _private_index(index: PathIndex) -> PathIndex:
+    """A copy of ``index`` (each posting set copied on first access)."""
+    twin = PathIndex(index.path)
+    twin.postings = CopyOnWrite(index.postings, lambda ids: set(ids or ()))
+    twin.presence, twin._extra_values = set(index.presence), dict(index._extra_values)
+    twin.occurrences, twin.types = index.occurrences, dict(index.types)
+    return twin
 
 
 def _copy_json(value: Any) -> Any:

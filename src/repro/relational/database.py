@@ -7,7 +7,6 @@ capability (the SQL subset) that the mediator ships sub-queries to.
 
 from __future__ import annotations
 
-import weakref
 from typing import Iterable
 
 from repro.core.deltas import DeltaJournal, RESET, remembered
@@ -17,7 +16,7 @@ from repro.relational.ast import CreateTableStatement, InsertStatement, SelectSt
 from repro.relational.executor import ResultSet, SelectExecutor
 from repro.relational.parser import parse_sql
 from repro.relational.schema import Column, ForeignKey, TableSchema
-from repro.relational.table import Table
+from repro.relational.table import Table, TableSnapshot
 from repro.relational.types import DataType, infer_type, parse_type
 
 
@@ -134,26 +133,11 @@ class Database:
     # Snapshot isolation
     # ------------------------------------------------------------------
     def snapshot(self) -> "Database":
-        """A frozen, consistent copy of the whole database (memoised,
-        weakly: :func:`~repro.core.deltas.remembered`).
-
-        Taken under the shared read lock, so no insert or catalog change
-        can land between two table copies: the snapshot's version equals
-        the live version at the moment of the cut.
-        """
+        """A read-only view of the database at its current version, cut
+        under the read lock: the table map, each table read up to its row
+        count (a watermark).  Memoised weakly (``remembered``)."""
         with self._rwlock.read_locked():
-            return remembered(self, self.version, self._copy_unlocked)
-
-    def _copy_unlocked(self) -> "Database":
-        frozen = Database.__new__(Database)
-        frozen.name = self.name
-        frozen._catalog_version = self._catalog_version
-        frozen._journal = self._journal
-        frozen._rwlock = RWLock()
-        frozen._tables = {key: table._copy_unlocked(frozen._rwlock)
-                          for key, table in self._tables.items()}
-        frozen._snapshot_state = (frozen.version, weakref.ref(frozen))
-        return frozen
+            return remembered(self, self.version, lambda: DatabaseSnapshot(self))
 
     # ------------------------------------------------------------------
     # SQL entry point
@@ -216,3 +200,16 @@ class Database:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Database(name={self.name!r}, tables={self.table_names()})"
+
+
+class DatabaseSnapshot(Database):
+    """What :meth:`Database.snapshot` returns: the table map of the cut,
+    each table a :class:`TableSnapshot`.  It never writes."""
+
+    def __init__(self, live: Database):
+        self.name, self._journal = live.name, live._journal
+        self._catalog_version = live._catalog_version
+        self._tables = {key: TableSnapshot(table) for key, table in live._tables.items()}
+
+    def snapshot(self) -> "Database":
+        return self

@@ -12,18 +12,12 @@ from repro.relational.schema import TableSchema
 
 
 class Index:
-    """A hash index from one column's values to row positions."""
+    """A hash index from one column's values to row positions (each list
+    only grows, in row order)."""
 
     def __init__(self, column: str):
         self.column = column
         self._entries: dict[object, list[int]] = defaultdict(list)
-
-    def _copy(self) -> "Index":
-        """Structural copy (snapshot support)."""
-        twin = Index(self.column)
-        for value, row_ids in self._entries.items():
-            twin._entries[value] = list(row_ids)
-        return twin
 
     def add(self, value: object, row_id: int) -> None:
         """Record that ``value`` appears at ``row_id``."""
@@ -77,20 +71,12 @@ class Table:
     # Mutation
     # ------------------------------------------------------------------
     def insert(self, values: dict[str, object] | list[object] | tuple) -> tuple:
-        """Insert a row (dict or positional) and return the stored tuple."""
-        row = self.schema.coerce_row(values)
+        """Insert a row (dict or positional); return the stored tuple."""
         with self._rwlock.write_locked():
-            pre = self._version_of()
-            stored = self._insert_unlocked(row, bump=False)
-            self._version += 1
-            entry = self._journal.record(
-                pre, pre + 1, INSERT,
-                (dict(zip(self.schema.column_names(), stored)),),
-                scope=self.name.lower())
-        self._journal.notify(entry)
-        return stored
+            self.insert_many((values,))
+            return self.rows[-1]
 
-    def _insert_unlocked(self, row: tuple, bump: bool = True) -> tuple:
+    def _insert_unlocked(self, row: tuple) -> tuple:
         if self.schema.primary_key:
             pk_index = self.schema.column_index(self.schema.primary_key)
             pk_value = row[pk_index]
@@ -106,8 +92,6 @@ class Table:
         self.rows.append(row)
         for column, index in self._indexes.items():
             index.add(row[self.schema.column_index(column)], row_id)
-        if bump:
-            self._version += 1
         return row
 
     def insert_many(self, rows: Iterable[dict[str, object] | list[object] | tuple]) -> int:
@@ -126,7 +110,7 @@ class Table:
             try:
                 for values in rows:
                     row = self.schema.coerce_row(values)
-                    stored = self._insert_unlocked(row, bump=False)
+                    stored = self._insert_unlocked(row)
                     inserted.append(dict(zip(names, stored)))
             finally:
                 # Even a partially applied batch (a constraint error
@@ -156,20 +140,6 @@ class Table:
             self._indexes[key] = index
             return index
 
-    def _copy_unlocked(self, lock: RWLock) -> "Table":
-        """A frozen copy for a database snapshot (under its ``lock``),
-        sharing the schema and the journal; it never writes, so it needs
-        no version callback and refers to nothing of its own."""
-        frozen = Table.__new__(Table)
-        frozen.schema = self.schema
-        frozen.rows = list(self.rows)
-        frozen._indexes = {key: index._copy() for key, index in self._indexes.items()}
-        frozen._version = self._version
-        frozen._journal = self._journal
-        frozen._version_of = None
-        frozen._rwlock = lock
-        return frozen
-
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
@@ -193,13 +163,13 @@ class Table:
 
     def lookup(self, column: str, value: object) -> list[dict[str, object]]:
         """Return the rows where ``column == value``, via index when available."""
-        names = self.schema.column_names()
+        names, rows = self.schema.column_names(), self.rows
         key = column.lower()
         if key in self._indexes:
-            return [dict(zip(names, self.rows[row_id]))
-                    for row_id in self._indexes[key].lookup(value)]
+            return [dict(zip(names, rows[row_id]))
+                    for row_id in self._indexes[key].lookup(value) if row_id < len(rows)]
         position = self.schema.column_index(column)
-        return [dict(zip(names, row)) for row in self.rows if row[position] == value]
+        return [dict(zip(names, row)) for row in rows if row[position] == value]
 
     def has_index(self, column: str) -> bool:
         """True when a hash index exists on ``column``."""
@@ -218,7 +188,7 @@ class Table:
     def statistics(self) -> dict[str, object]:
         """Basic per-table statistics used by the mediator's planner."""
         return {
-            "rows": len(self.rows),
+            "rows": len(self),
             "columns": len(self.schema.columns),
             "distinct": {
                 c.name: len(self.distinct_values(c.name)) for c in self.schema.columns
@@ -227,3 +197,19 @@ class Table:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Table({self.name!r}, rows={len(self.rows)})"
+
+
+class TableSnapshot(Table):
+    """A table read up to its row count at the cut (rows and index
+    positions only grow); it never writes."""
+
+    def __init__(self, live: Table):
+        self.schema, self._indexes, self._journal = live.schema, live._indexes, live._journal
+        self._live_rows, self._count, self._version = live.rows, len(live.rows), live._version
+
+    @property
+    def rows(self) -> list[tuple]:
+        return self._live_rows[:self._count]
+
+    def __len__(self) -> int:
+        return self._count

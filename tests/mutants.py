@@ -1,0 +1,131 @@
+"""Mutation check of the differential harness: every mutant must be killed.
+
+A mutant is one deliberate bug, applied by monkeypatching the program
+(nothing on disk changes).  The script runs ``test_oracle_harness.py``
+once per mutant, each in a fresh interpreter, and calls the mutant
+*killed* when the harness fails; a mutant that survives is a bug the
+harness cannot see.  The unmutated harness runs first and must pass.
+Not a tier-1 test — it runs the harness once per mutant, about ten
+seconds each::
+
+    PYTHONPATH=src python tests/mutants.py            # every mutant
+    PYTHONPATH=src python tests/mutants.py NAME ...   # the named ones
+    PYTHONPATH=src python tests/mutants.py --list
+
+Exits 0 when the unmutated harness passes and every mutant is killed.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+HARNESS = HERE / "test_oracle_harness.py"
+
+
+def constants_out_of_the_binding_key(patch) -> None:
+    """Two askings differing only in an atom's constant share a key."""
+    from repro.cache.keys import CanonicalQuery
+
+    keyer = CanonicalQuery.keyer
+    patch.setattr(CanonicalQuery, "keyer",
+                  lambda self, slots, constants=None: keyer(self, slots))
+
+
+def version_out_of_the_cache_key(patch) -> None:
+    """A cache entry outlives every write to its source."""
+    from repro.cache.results import SubQueryResultCache
+
+    keys = SubQueryResultCache.keys
+    patch.setattr(SubQueryResultCache, "keys", staticmethod(
+        lambda source, version, canon, binding_keys: keys(source, 0, canon, binding_keys)))
+
+
+def repair_ignores_its_delta(patch) -> None:
+    """Every repair re-stamps the stale entry as it stands."""
+    from repro.cache.repair import RepairEngine
+
+    patch.setattr(RepairEngine, "_apply",
+                  lambda self, source, query, canon, bindings, stored, records: stored)
+
+
+def headers_left_untranslated(patch) -> None:
+    """A cache hit answers under the canonical names it is stored in."""
+    from repro.cache.keys import CanonicalQuery
+
+    patch.setattr(CanonicalQuery, "original_batches", lambda self, batches: list(batches))
+
+
+def no_subtraction(patch) -> None:
+    """An upsert or a removal keeps the replaced copy's rows."""
+    from repro.cache import repair
+
+    patch.setattr(repair, "_subtracted", lambda base, gone: base)
+
+
+def subtract_the_written_copies(patch) -> None:
+    """An upsert subtracts the rows of the copies it wrote, not of the
+    copies it replaced."""
+    from repro.cache import repair
+
+    deltas = repair._document_delta_source
+
+    def written_twice(source, records):
+        written, _ = deltas(source, records)
+        return written, written
+
+    patch.setattr(repair, "_document_delta_source", written_twice)
+
+
+MUTANTS = {mutant.__name__: mutant for mutant in (
+    constants_out_of_the_binding_key, version_out_of_the_cache_key,
+    repair_ignores_its_delta, headers_left_untranslated,
+    no_subtraction, subtract_the_written_copies)}
+
+
+def _run(name: str) -> int:
+    """The harness under mutant ``name`` (``none``: unmutated), here."""
+    import pytest
+    from hypothesis import Phase, settings
+
+    # A killed mutant needs its first failing example, not the smallest.
+    settings.register_profile("mutants", phases=(Phase.explicit, Phase.generate))
+    settings.load_profile("mutants")
+    patch = pytest.MonkeyPatch()
+    if name != "none":
+        MUTANTS[name](patch)
+    return pytest.main(["-q", "-x", "-p", "no:cacheprovider", str(HARNESS)])
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--run"]:
+        return _run(argv[1])
+    if argv[:1] == ["--list"]:
+        for name, mutant in MUTANTS.items():
+            print(f"{name}: {mutant.__doc__}")
+        return 0
+    unknown = [name for name in argv if name not in MUTANTS]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    source = str(HERE.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": source if not path else source + os.pathsep + path}
+    ok = True
+    for name in ["none", *(argv or MUTANTS)]:
+        code = subprocess.run([sys.executable, __file__, "--run", name], env=env,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+        if name == "none":
+            verdict, good = ("passes" if code == 0 else f"FAILS (exit {code})"), code == 0
+        else:
+            verdict, good = ("killed" if code == 1 else f"SURVIVED (exit {code})"), code == 1
+        ok = ok and good
+        print(f"{name:<36} {verdict}", flush=True)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -12,6 +12,7 @@ from repro.cache import (
     cmq_signature,
 )
 from repro.core import MixedInstance, PlannerOptions
+from repro.core.planner import REPLAN_THRESHOLD
 from repro.cache.results import SubQueryResultCache
 from repro.core.sources import (
     FullTextQuery,
@@ -477,13 +478,41 @@ class TestPlanCache:
         assert "(cached plan)" in second.explain()
         assert [s.atom.name for s in second.steps] == [s.atom.name for s in first.steps]
 
-    def test_plan_cache_invalidated_by_source_mutation(self, instance):
+    def test_a_write_keeps_the_plan_a_registration_or_feedback_misses(self, instance):
         cmq = sql_cmq(instance)
-        instance.plan(cmq)
-        instance.source("sql://insee").database.execute(
+        first = instance.plan(cmq)
+        source = instance.source("sql://insee")
+        source.database.execute(
             "INSERT INTO unemployment (dept_code, rate) VALUES ('01', 5.0)")
-        replanned = instance.plan(cmq)
-        assert not replanned.cached
+        kept = instance.plan(cmq)
+        assert kept.cached and kept.atom_order() == first.atom_order()
+        # Statistics feedback bumps the revision: the next plan is fresh.
+        step = first.steps[-1]
+        assert instance.statistics().record(source, step.atom.query,
+                                            set(step.bound_variables), 12345.0)
+        assert not instance.plan(cmq).cached and instance.plan(cmq).cached
+        # A new wrapper under the URI is another source.
+        instance.register_relational("sql://insee", source.database)
+        assert not instance.plan(cmq).cached and instance.plan(cmq).cached
+
+    def test_a_plan_whose_estimates_drifted_is_replanned_and_retired(self, instance):
+        """The drift guard of a plan that outlives writes: grow the source
+        its first step reads past ``REPLAN_THRESHOLD`` x the step's
+        estimate; the cached plan re-plans mid-flight and records the
+        feedback, and the plan after it is built anew."""
+        cmq = sql_cmq(instance)
+        instance.execute(cmq)
+        planned = instance.plan(cmq)
+        first = planned.steps[0]
+        assert planned.cached and first.atom.is_glue() and len(planned.steps) == 2
+        grown = int(REPLAN_THRESHOLD * first.estimate) + 10
+        instance.add_glue_triples(triple(f"ttn:U_n{i}", "ttn:deptCode", f"n{i}")
+                                  for i in range(grown))
+        revision = instance.statistics().revision
+        result = instance.execute(cmq)
+        assert result.trace.plan_cached and result.trace.replanned
+        assert instance.statistics().revision > revision
+        assert not instance.plan(cmq).cached
 
     def test_renamed_cmq_hits_and_is_rebound(self, instance):
         instance.plan(sql_cmq(instance))

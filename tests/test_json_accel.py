@@ -323,46 +323,55 @@ class TestDeepDocuments:
 
 class TestPathIndexCOW:
     def test_snapshot_shares_postings_until_first_mutation(self):
+        """A snapshot reads the live index while nothing is written; a
+        write after it changes the live index in place (the parent copied
+        every posting set for the snapshot's sake) and the snapshot then
+        reads the index as it stood."""
         store = JSONDocumentStore("cow")
         for i in range(5):
             store.add({"id": i, "a": f"k{i % 2}"})
-        snap = store.snapshot()
         live = store.index_for("a")
-        frozen = snap.index_for("a")
-        assert live is not frozen
-        assert live.postings is frozen.postings
-        assert live.presence is frozen.presence
-        version = frozen.version
+        postings, presence = live.postings, live.presence
+        snap = store.snapshot()
+        with snap.reading() as pinned:
+            assert pinned is store
         store.add({"id": 99, "a": "fresh"})
-        assert live.postings is not frozen.postings
-        assert live.version > version
-        assert frozen.version == version
+        assert store.index_for("a") is live
+        assert live.postings is postings and live.presence is presence
+        frozen = snap.index_for("a")
+        assert frozen is not live and frozen.presence == {"0", "1", "2", "3", "4"}
         assert frozen.lookup_eq("fresh") == set()
+        assert frozen.lookup_eq("k0") == {"0", "2", "4"}
         assert store.index_for("a").lookup_eq("fresh") == {"99"}
 
     def test_presence_follows_the_values_a_document_still_holds(self):
         """Two values at one path: the document stays present after one is
         removed and leaves with the second — on the live index and on a
-        snapshot twin, neither disturbed by the other's writes."""
+        snapshot's copy of it, neither disturbed by the other's writes."""
         from repro.json import PathIndex
 
         live = PathIndex("tags")
         live.add("d", "red")
         live.add("d", "blue")
         live.add("e", "red")
-        twin = live._copy()
-
         live.remove("d", "red")
         assert "d" in live.presence and live.lookup_eq("red") == {"e"}
         live.remove("d", "blue")
         assert "d" not in live.presence and live.presence == {"e"}
-        assert twin.presence == {"d", "e"} and twin.lookup_eq("red") == {"d", "e"}
 
+        store = JSONDocumentStore("tags")
+        store.add_all([{"id": "d", "tags": ["red", "blue"]}, {"id": "e", "tags": ["red"]}])
+        snap = store.snapshot()
+        store.add({"id": "d", "other": True})
+        twin = snap.index_for("tags")
+        assert twin.presence == {"d", "e"} and twin.lookup_eq("red") == {"d", "e"}
         twin.remove("d", "blue")
         assert "d" in twin.presence
         twin.remove("d", "red")
         assert twin.presence == {"e"}
-        assert live.presence == {"e"} and live.document_count == 1
+        assert snap.index_for("tags").presence == {"d", "e"}
+        assert store.index_for("tags").presence == {"e"}
+        assert store.index_for("tags").document_count == 1
 
     def test_remove_does_not_scan_the_postings(self):
         """No clocks: removing one leaf may not walk every distinct value

@@ -53,6 +53,14 @@ def _cmq(cls: str, param: str, demo):
     return build(demo, param)
 
 
+def _reads(document: dict, params) -> bool:
+    """Whether an asking for one of ``params`` can read ``document``: it
+    carries the hashtag or the word."""
+    text = str(document.get("text", "")).lower()
+    tags = {str(tag).lower() for tag in document.get("entities", {}).get("hashtags", [])}
+    return any(param in tags or param in text for param in params)
+
+
 def _reworded(document: dict, word: str, revision: int) -> dict:
     """A tweet carrying ``word`` in its text and hashtags, one retweet more."""
     document = copy.deepcopy(document)
@@ -105,6 +113,19 @@ class WarmAskingsUnderWrites(RuleBasedStateMachine):
             assert not result.trace.degraded
             assert multiset(result) == expected, (ask, cache, repair, service, batch, sieve)
 
+    @rule(ask=st.sampled_from(ASKS), kind=st.sampled_from(("upsert", "remove")),
+          picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=3),
+          word=st.sampled_from(HASHTAGS + WORDS), repair=st.booleans(),
+          service=st.booleans(), batch=st.sampled_from((1, 7, 256)))
+    def ask_rewrite_ask(self, ask, kind, picks, word, repair, service, batch) -> None:
+        """Ask warm, upsert or remove documents the asking reads, ask
+        again: cached rows a repair must take out, not only add to."""
+        self.ask(ask, cache=True, repair=True, service=False, batch=batch, sieve=False)
+        cls, param = ask
+        store = "json" if cls == "qsia_json" else "fulltext"
+        getattr(self, f"_write_{store}")(kind, picks, word, reads=(param,))
+        self.ask(ask, cache=True, repair=repair, service=service, batch=batch, sieve=False)
+
     # -- writes --------------------------------------------------------------
     @rule(store=st.sampled_from(("fulltext", "json", "glue", "sql")),
           kind=st.sampled_from(("insert", "upsert", "remove")),
@@ -115,12 +136,15 @@ class WarmAskingsUnderWrites(RuleBasedStateMachine):
         glue "upsert" gives another politician an existing fact)."""
         getattr(self, f"_write_{store}")(kind, picks, word)
 
-    def _write_documents(self, uri, items, kind, picks, word) -> None:
+    def _write_documents(self, uri, items, kind, picks, word, reads) -> None:
         def store(demo):
             return demo.instance.source(uri).store
 
+        # Rewrite what the askings read, so that a repair has cached rows
+        # to take out (an upsert or a removal) as well as rows to add.
         items = sorted(items(store(self.demo)), key=lambda item: str(item[0]))
-        chosen = dict(items[pick % len(items)] for pick in picks)
+        read = [item for item in items if _reads(item[1], reads)] or items
+        chosen = dict(read[pick % len(read)] for pick in picks)
         if kind == "remove":
             self._write(lambda demo: [store(demo).remove(doc_id) for doc_id in chosen])
             return
@@ -130,13 +154,14 @@ class WarmAskingsUnderWrites(RuleBasedStateMachine):
                 document["id"] = 9_000_000 + 10 * self.revision + offset
         self._write(lambda demo: store(demo).add_all(copy.deepcopy(batch)))
 
-    def _write_fulltext(self, kind, picks, word) -> None:
+    def _write_fulltext(self, kind, picks, word, reads=HASHTAGS + WORDS) -> None:
         self._write_documents(
             TWEETS_URI, lambda store: [(doc.doc_id, doc.fields) for doc in store.documents()],
-            kind, picks, word)
+            kind, picks, word, reads)
 
-    def _write_json(self, kind, picks, word) -> None:
-        self._write_documents(TWEETS_JSON_URI, lambda store: store.items(), kind, picks, word)
+    def _write_json(self, kind, picks, word, reads=HASHTAGS + WORDS) -> None:
+        self._write_documents(TWEETS_JSON_URI, lambda store: store.items(), kind, picks,
+                              word, reads)
 
     def _write_glue(self, kind, picks, word) -> None:
         facts = sorted((t for t in self.demo.instance.graph

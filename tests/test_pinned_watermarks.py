@@ -1,5 +1,7 @@
-"""A pin is a watermark: snapshots of the RDF graph and of the full-text
-store read the live store at their own version instead of copying it.
+"""A pin is a watermark: snapshots of the RDF graph, the full-text store
+and the JSON store read the live store at their own version, and a
+database snapshot reads each table up to its row count, instead of
+copying the store.
 
 Counts and answers, not timings: a superseded snapshot of any store is
 freed by reference counting alone; a direct graph write reaches G∞
@@ -211,6 +213,7 @@ RDF_BOUND = RDFQuery.from_text("SELECT ?x ?o WHERE { ?x ttn:p1 ?o }")
 TEXT_ALL = FullTextQuery.create("text:urgence", {"id": "id", "who": "user.screen_name"})
 TEXT_BOUND = FullTextQuery.create("entities.hashtags:{tag}", {"id": "id", "n": "retweet_count"})
 JSON_ALL = JSONQuery.from_text("{ text: ?t, user.screen_name: ?u }")
+JSON_TAGGED = JSONQuery.from_text('{ user.screen_name: ?u, entities.hashtags: "vote" }')
 SQL_ALL = SQLQuery(sql="SELECT a AS a, b AS b FROM t")
 SQL_BOUND = SQLQuery(sql="SELECT b AS b FROM t WHERE a = {x}")
 
@@ -258,6 +261,24 @@ def _store_answers(store) -> tuple:
     return tuple(answers)
 
 
+def _json_answers(store) -> tuple:
+    """Every read of a JSON store, in an order a copy reproduces (ranks
+    as an order, index postings and dataguide samples as sets)."""
+    indexes = {path: store.index_for(path) for path in store.paths()}
+    guide = store.dataguide()
+    return ([doc_id for doc_id, _ in store.items()], store.documents(), store.paths(),
+            sorted(store.documents(), key=lambda doc: store.insertion_rank(str(doc["id"]))),
+            {path: (index.presence, {repr(k): ids for k, ids in index.postings.items()},
+                    index.occurrences, index.types, index.document_count,
+                    index.lookup_cmp(">=", 2), index.lookup_eq("anne"))
+             for path, index in indexes.items()},
+            {path: sorted(map(repr, values)) for path, values in store.values_by_path().items()},
+            [store.doc_ids_with_path(path) for path in ("user", "entities", "*.screen_name", "x")],
+            len(store), [str(i) in store and store.get(str(i)) for i in range(6)],
+            guide.document_count, {path: (info.count, info.types)
+                                   for path, info in guide.paths.items()})
+
+
 def _wrapper_answers(rdf, text, documents, sql) -> tuple:
     subjects = [{"x": uri(f"ttn:s{s}").value} for s in range(3)]
     return (_rows(rdf.execute(RDF_ALL)),
@@ -265,11 +286,15 @@ def _wrapper_answers(rdf, text, documents, sql) -> tuple:
             rdf.estimate(RDF_ALL),
             _rows(text.execute(TEXT_ALL)),
             [_rows(rows) for rows in text.execute_batch(TEXT_BOUND, [{"tag": t} for t in TAGS])],
-            _rows(documents.execute(JSON_ALL)),
-            [_rows(rows) for rows in documents.execute_batch(
+            [sorted(row.items()) for row in documents.execute(JSON_ALL)],  # rank order
+            [[sorted(row.items()) for row in rows] for rows in documents.execute_batch(
                 JSON_ALL, [{"u": name} for name in NAMES])],
+            # (Not a structural pattern: the lineage's axis statistics are
+            # exact for its newest store only.)
+            [documents.estimate(query, {"u"}, {"u": "anne"}) for query in (JSON_ALL, JSON_TAGGED)],
             _rows(sql.execute(SQL_ALL)),
-            [_rows(rows) for rows in sql.execute_batch(SQL_BOUND, [{"x": 1}, {"x": 2}])])
+            [_rows(rows) for rows in sql.execute_batch(SQL_BOUND, [{"x": 1}, {"x": 2}])],
+            sql.estimate(SQL_ALL), sql.size())
 
 
 class _World:
@@ -324,24 +349,26 @@ class _World:
         for table in self.database.tables():
             database_twin.create_table(table.schema).insert_many(table.rows)
         pinned = tuple(source.pin() for source in self.sources)
-        views = (self.graph.snapshot(), self.text.snapshot())
+        views = (self.graph.snapshot(), self.text.snapshot(), self.documents.snapshot())
         assert pinned[0].graph is views[0] and pinned[1].store is views[1]
+        assert pinned[2].store is views[2]
         twins = (RDFSource("rdf://t", graph_twin, entailment=True),
                  FullTextSource("solr://t", text_twin),
                  JSONSource("json://t", documents_twin),
                  RelationalSource("sql://t", database_twin))
         expected = (_graph_answers(graph_twin), _store_answers(text_twin),
-                    _wrapper_answers(*twins))
+                    _json_answers(documents_twin), _wrapper_answers(*twins))
         if query_now:  # read while the watermark stands, or only after writes
             self._check(views, pinned, expected)
         self.pins.append((views, pinned, expected))
 
     @staticmethod
     def _check(views, pinned, expected) -> None:
-        graph_view, store_view = views
+        graph_view, store_view, documents_view = views
         assert _graph_answers(graph_view) == expected[0]
         assert _store_answers(store_view) == expected[1]
-        assert _wrapper_answers(*pinned) == expected[2]
+        assert _json_answers(documents_view) == expected[2]
+        assert _wrapper_answers(*pinned) == expected[3]
 
     def check(self) -> None:
         for views, pinned, expected in self.pins:
@@ -371,12 +398,29 @@ def test_every_live_pin_answers_as_a_copy_taken_at_pin_time(ops):
     """Inserts, removals and upserts on all four stores, and pins, in any
     order; after every step each pin — the stores' snapshots and the
     four pinned wrappers, G∞ included — answers what a copy of the
-    stores taken at pin time answers (BM25 scores bit-equal)."""
+    stores taken at pin time answers (BM25 scores bit-equal, JSON rows
+    in rank order)."""
     world = _World()
     world.pin(query_now=False)
     for op, argument, flag in ops:
         world.apply(op, argument, flag)
         world.check()
+
+
+def test_a_json_pin_reads_through_upserts_and_removals():
+    """The draw the property above must be able to make, spelled out:
+    JSON upserts and removals with pins in between, each pin then read
+    after every later write."""
+    world = _World()
+    steps = [("pin", 0, True), ("docs", [(0, ((1,), 1, 1, 2)), (4, ((2, 4), 2, 0, 3))], False),
+             ("pin", 0, False), ("drop", 1, False), ("docs", [(1, ((0,), 0, 2, 0))], False),
+             ("pin", 0, True), ("docs", [(4, ((3,), 1, 1, 1)), (4, ((0, 1), 0, 0, 2))], False),
+             ("drop", 0, False), ("drop", 4, False), ("pin", 0, False),
+             ("docs", [(0, ((4,), 2, 1, 3))], False)]
+    for op, argument, flag in steps:
+        world.apply(op, argument, flag)
+        world.check()
+    assert len(world.pins) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +459,27 @@ def _fulltext_pin_bytes(size: int) -> int:
         _doc(size + i, ((i % 5,), i % 3, i % 3, 1)) for i in range(50)))
 
 
-@pytest.mark.parametrize("pin_bytes", [_glue_pin_bytes, _fulltext_pin_bytes],
-                         ids=["glue", "fulltext"])
+def _json_pin_bytes(size: int) -> int:
+    store = JSONDocumentStore("tweets")
+    store.add_all(_doc(i, ((i % 5, (i + 1) % 5), i % 3, i % 3, i % 4)) for i in range(size))
+    source = JSONSource("json://tweets", store)
+    source.pin().execute(JSON_ALL)
+    # Upserts: every posting set they touch was copied for the parent's pin.
+    return _pin_bytes(source, lambda: store.add_all(
+        _doc(i, ((i % 5,), i % 3, (i + 1) % 3, 1)) for i in range(50)))
+
+
+def _sql_pin_bytes(size: int) -> int:
+    database = _database()
+    database.table("t").insert_many({"a": i, "b": "x"} for i in range(1, size))
+    source = RelationalSource("sql://db", database)
+    return _pin_bytes(source, lambda: database.table("t").insert_many(
+        {"a": size + i, "b": "y"} for i in range(50)))
+
+
+@pytest.mark.parametrize("pin_bytes", [_glue_pin_bytes, _fulltext_pin_bytes,
+                                       _json_pin_bytes, _sql_pin_bytes],
+                         ids=["glue", "fulltext", "json", "sql"])
 def test_the_pin_after_a_write_does_not_grow_with_the_store(pin_bytes):
     small, large = pin_bytes(500), pin_bytes(2000)
     # Parent: a copy of every index (hundreds of kilobytes at 2,000).
@@ -431,13 +494,17 @@ def test_the_pin_after_a_write_does_not_grow_with_the_store(pin_bytes):
 @pytest.mark.stress
 def test_pinned_readers_race_a_writer():
     """A writer adds, removes and upserts while readers run wildcard
-    ``match``, ``search`` and keyword-bucket reads on pinned views: no
-    ``RuntimeError``, and every answer is the pin-time copy's."""
+    ``match``, ``search``, keyword-bucket, tree-pattern and path-index
+    reads on pinned views: no ``RuntimeError``, and every answer is the
+    pin-time copy's."""
     readers = int(os.environ.get("REPRO_STRESS_READERS", "4"))
     rounds = int(os.environ.get("REPRO_STRESS_QUERIES", "5")) * 2
     graph = Graph("g", [triple(f"ttn:s{i}", "ttn:p", f"ttn:o{i % 7}") for i in range(300)])
     store = tweet_store("s")
     store.add_all(_doc(i, ((i % 5, (i * 3) % 5), i % 3, i % 3, i % 4)) for i in range(300))
+    documents = JSONDocumentStore("j")
+    documents.add_all(_doc(i, ((i % 5, (i * 3) % 5), i % 3, i % 3, i % 4)) for i in range(300))
+    source = JSONSource("json://j", documents)
     stop = threading.Event()
     failures: list = []
 
@@ -451,17 +518,26 @@ def test_pinned_readers_race_a_writer():
                 store.add_all([_doc(1000 + i),
                                _doc(i % 300, ((i % 5,), i % 3, (i + 1) % 3, i))])
                 store.remove(str((i * 7) % 300))
+                documents.add_all([_doc(1000 + i),
+                                   _doc(i % 300, ((i % 5,), i % 3, (i + 1) % 3, i))])
+                documents.remove(str((i * 7) % 300))
         except Exception as error:  # noqa: BLE001 - reported below
             failures.append(error)
 
     def reader():
         try:
             for _ in range(rounds):
-                with graph.rwlock.read_locked(), store._rwlock.read_locked():
+                with graph.rwlock.read_locked(), store._rwlock.read_locked(), \
+                        documents._rwlock.read_locked():
                     view, twin = graph.snapshot(), set(graph)
-                    text_view, documents = store.snapshot(), store.documents()
+                    text_view, texts = store.snapshot(), store.documents()
+                    json_view, pinned = documents.snapshot(), source.pin()
+                    json_docs = documents.documents()
                 text_twin = tweet_store("twin")
-                text_twin.add_all(documents)
+                text_twin.add_all(texts)
+                json_twin = JSONDocumentStore("twin")
+                json_twin.add_all(json_docs)
+                json_source = JSONSource("json://twin", json_twin)
                 wildcard = TriplePattern(Variable("s"), Variable("p"), Variable("o"))
                 for _ in range(3):
                     assert set(view.match(wildcard)) == twin
@@ -474,6 +550,12 @@ def test_pinned_readers_race_a_writer():
                     for name in NAMES:
                         assert text_view.keyword_documents("user.screen_name", name) == \
                             text_twin.keyword_documents("user.screen_name", name)
+                    assert pinned.execute(JSON_ALL) == json_source.execute(JSON_ALL)
+                    assert pinned.execute_batch(JSON_ALL, [{"u": n} for n in NAMES]) == \
+                        json_source.execute_batch(JSON_ALL, [{"u": n} for n in NAMES])
+                    assert json_view.index_for("user.screen_name").presence == \
+                        json_twin.index_for("user.screen_name").presence
+                    assert json_view.documents() == json_docs
         except Exception as error:  # noqa: BLE001 - reported below
             failures.append(error)
 

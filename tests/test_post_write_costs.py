@@ -112,7 +112,8 @@ class TestJsonStatisticsReadThePathIndex:
         store.add_all(_tweet(10_000 + i) for i in range(10))
         calls: Counter = Counter()
         _spy(monkeypatch, JSONDataguide, "observe", calls)
-        plan = demo.instance.plan(cmq)
+        assert demo.instance.plan(cmq).cached      # a write keeps the plan
+        plan = demo.instance.plan(cmq, PlannerOptions(plan_cache=False))
         assert not plan.cached and calls["observe"] == 0
 
 

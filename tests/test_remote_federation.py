@@ -922,6 +922,9 @@ def test_the_memo_forgets_nothing_it_should_not_and_stays_bounded():
 # ---------------------------------------------------------------------------
 
 def test_plan_survives_writes_to_sources_it_cannot_reach():
+    """A write keeps every plan; what makes a key miss is a registration
+    change among the sources its atoms reach (not elsewhere) or a
+    statistics revision."""
     base = build_instance("plankey")
     more = FullTextStore("plankey-more", fields=[
         FieldConfig("text", "text"),
@@ -938,22 +941,25 @@ def test_plan_survives_writes_to_sources_it_cannot_reach():
     for cmq in (named, free):
         assert not base.plan(cmq).cached
         assert base.plan(cmq).cached
-    # Neither CMQ can reach the JSON source.
+    # Writes to sources reached or not, and to the glue graph.
     write(base, 0, 1)
+    write(base, 1, 2)
+    more.add({"id": 1, "text": "more", "user": {"screen_name": "u1"}})
+    write(base, 2, 3)
+    base.add_glue_triples([triple("ttn:P0", "ttn:twitterAccount", "u99")])
     assert base.plan(named).cached and base.plan(free).cached
     # ``named`` reaches the relational source, ``free`` does not.
-    write(base, 1, 2)
-    assert not base.plan(named).cached
+    profiles = base.source("sql://profiles")
+    base.register_relational("sql://profiles", profiles.database)
+    assert not base.plan(named).cached and base.plan(named).cached
     assert base.plan(free).cached
     # Every full-text source is a candidate of the free source variable.
-    more.add({"id": 1, "text": "more", "user": {"screen_name": "u1"}})
-    assert not base.plan(free).cached
-    assert base.plan(free).cached
-    write(base, 2, 3)
-    assert not base.plan(free).cached
+    base.register_fulltext("solr://more", more)
+    assert not base.plan(free).cached and base.plan(free).cached
     assert base.plan(named).cached
-    # The glue graph is in every key.
-    base.add_glue_triples([triple("ttn:P0", "ttn:twitterAccount", "u99")])
+    # The statistics revision is in every key.
+    query = named.atoms[-1].query
+    assert base.statistics().record(base.source("sql://profiles"), query, {"id"}, 7.0)
     assert not base.plan(named).cached and not base.plan(free).cached
 
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.cache.keys import canonical_query
 from repro.cache.lru import CacheStats
-from repro.cache.repair import RepairEngine, _fulltext_delta_source
+from repro.cache.repair import RepairEngine, _document_delta_source
 from repro.cache.results import CachedSource, SubQueryResultCache
 from repro.core import MixedInstance
 from repro.core.cmq import SourceAtom
@@ -412,7 +412,7 @@ class TestBatchRepair:
 
     def test_fulltext_delta_store_answers_like_a_rerun(self):
         """The delta store the repair builds for a full-text span
-        (``_fulltext_delta_source``) answers a batch through the same
+        (``_document_delta_source``) answers a batch through the same
         evaluation as the live store: one call per key answers the same
         rows in the same order, they close every repaired entry, and
         entry = stored + delta is the cold re-run's multiset."""
@@ -422,7 +422,8 @@ class TestBatchRepair:
         pre = source.version()
         write(2)
         write(3)
-        delta = _fulltext_delta_source(source, source.deltas_since(pre))
+        delta, replaced = _document_delta_source(source, source.deltas_since(pre))
+        assert replaced is None
         fresh = delta.execute_batch(query, keys)
         assert fresh == [delta.execute(query, dict(key)) for key in keys]
         assert sum(map(len, fresh)) == 2 * 5  # the catch-all key sees all five
@@ -447,15 +448,30 @@ class TestBatchRepair:
         assert engine.stats.fallbacks == {reason: len(keys)}
         assert engine.stats.attempts == len(keys) and engine.stats.repaired == 0
 
+    def _repaired(self, source, query, keys, write, ordered=True):
+        """Warm ``keys``, write, re-ask them in one batch: every key is
+        repaired without a source call, into the cold answer."""
+        proxy, engine, _ = _proxy(source)
+        proxy.execute_batch(query, keys)
+        write()
+        source.execute_batch = None  # a source call would raise
+        try:
+            warm = proxy.execute_batch(query, keys)
+        finally:
+            del source.execute_batch
+        for key, rows in zip(keys, warm):
+            cold = source.execute(query, dict(key))
+            assert rows == cold if ordered else _multiset(rows) == _multiset(cold)
+        assert not engine.stats.fallbacks
+        assert engine.stats.attempts == engine.stats.repaired == len(keys)
+
     def test_json_limit_and_upsert(self):
         source, query, keys, write = _json_case()
         limited = JSONQuery.from_text('{"k": ?k, "v": ?v}', limit=2)
         self._refused(source, limited, keys[:2], lambda: write(8), "shape")
-        self._refused(source, query, keys[:2],
-                      lambda: source.store.add({"id": "0", "k": 0, "v": 999}),
-                      "removals")
-        self._refused(source, query, keys[:2],
-                      lambda: source.store.remove("1"), "removals")
+        self._repaired(source, query, keys,
+                       lambda: source.store.add({"id": "0", "k": 0, "v": 999}))
+        self._repaired(source, query, keys, lambda: source.store.remove("1"))
 
     @pytest.mark.parametrize("query", [
         FullTextQuery.create("text:alpha", {"tag": "tag"}, limit=2),
@@ -473,8 +489,8 @@ class TestBatchRepair:
 
     def test_fulltext_removal(self):
         source, query, keys, _ = _fulltext_case()
-        self._refused(source, query, keys[:2],
-                      lambda: source.store.remove("0"), "removals")
+        self._repaired(source, query, keys, lambda: source.store.remove("0"),
+                       ordered=False)
 
     def test_delta_too_large(self):
         source, query, keys, write = _json_case()
@@ -519,6 +535,86 @@ class TestBatchRepair:
         source.store._journal = DeltaJournal(capacity=2)
         self._refused(source, query, keys,
                       lambda: [write(1) for _ in range(4)], "no_journal")
+
+
+# ---------------------------------------------------------------------------
+# Document upserts and removals are repaired, chains included
+# ---------------------------------------------------------------------------
+
+#: One write round: batches of documents (an id twice in a batch is
+#: written twice) or removals, repaired as one chain at the next asking.
+_ROUNDS = st.lists(st.lists(st.one_of(
+    st.tuples(st.just("write"), st.lists(st.integers(0, 13), min_size=1, max_size=4)),
+    st.tuples(st.just("remove"), st.integers(0, 13))), min_size=1, max_size=4),
+    min_size=1, max_size=3)
+
+
+def _json_documents():
+    store = JSONDocumentStore("docs")
+    return (store, JSONSource("json://docs", store), JSONQuery.from_text('{"k": ?k, "v": ?v}'),
+            [{"k": k} for k in range(3)] + [{}],
+            lambda i, revision: {"id": str(i), "k": (i + revision) % 3, "v": 100 * revision + i})
+
+
+def _fulltext_documents():
+    store = FullTextStore("ft", fields=[FieldConfig("text", "text"),
+                                        FieldConfig("tag", "keyword")])
+    return (store, FullTextSource("solr://ft", store),
+            FullTextQuery.create("text:alpha", {"tag": "tag", "v": "v"}),
+            [{"tag": f"t{k}"} for k in range(3)] + [{}],
+            lambda i, revision: {"id": i, "text": "alpha" if (i + revision) % 4 else "beta",
+                                 "tag": f"t{(i + revision) % 3}", "v": 100 * revision + i})
+
+
+class TestDocumentRewritesAreRepaired:
+    @pytest.mark.parametrize("case, ordered", [(_json_documents, True),
+                                               (_fulltext_documents, False)])
+    @given(rounds=_ROUNDS)
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    def test_a_repaired_chain_equals_a_rerun(self, case, ordered, rounds):
+        """Upserts, removals and inserts — a document written twice in one
+        batch, or rewritten, removed and written again across the batches
+        of one chain — are repaired without a source call into the cold
+        answer: the same multiset, and for JSON the same order."""
+        store, source, query, keys, document = case()
+        store.add_all(document(i, 0) for i in range(10))
+        proxy, engine, _ = _proxy(source)
+        proxy.execute_batch(query, keys)
+        revision = 0
+        for batches in rounds:
+            for op, argument in batches:
+                revision += 1
+                if op == "write":
+                    store.add_all(document(i, revision) for i in argument)
+                else:
+                    store.remove(str(argument))
+            source.execute_batch = None  # a source call would raise
+            try:
+                warm = proxy.execute_batch(query, keys)
+            finally:
+                del source.execute_batch
+            assert not engine.stats.fallbacks
+            for key, rows in zip(keys, warm):
+                cold = source.execute(query, dict(key))
+                assert rows == cold if ordered else _multiset(rows) == _multiset(cold)
+        assert engine.stats.repaired == engine.stats.attempts
+
+    def test_a_diverged_entry_falls_back(self):
+        """A replaced copy whose rows the entry does not hold (here: every
+        entry emptied behind the cache's back) makes the span fall back,
+        with the reason ``diverged``, to the cold answer."""
+        store, source, query, keys, document = _json_documents()
+        store.add_all(document(i, 0) for i in range(6))
+        proxy, engine, _ = _proxy(source)
+        proxy.execute_batch(query, keys)
+        for key in list(engine.cache.entries._entries):
+            engine.cache.insert_canonical(key, [])
+        store.add(document(0, 1))
+        warm = proxy.execute_batch(query, keys)
+        assert warm == [source.execute(query, dict(key)) for key in keys]
+        assert engine.stats.fallbacks == {"diverged": len(keys)}
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from repro.cache.repair import RepairEngine
 from repro.cache.results import CachedSource, SubQueryResultCache
 from repro.core import CMQBuilder, MixedInstance, PlannerOptions
 from repro.core.cmq import SourceAtom
+from repro.core.deltas import DeltaJournal
 from repro.core.sources import FullTextQuery, RDFQuery, SQLQuery
 from repro.datasets import DemoConfig, build_demo_instance
 from repro.datasets.loader import TWEETS_URI, party_vocabulary_query
@@ -295,6 +296,9 @@ class TestRepairIsOfferedEachKeyOnce:
         upserts = [copy.deepcopy(doc.fields) for doc in store.documents()[:5]]
         for document in upserts:
             document["retweet_count"] = document.get("retweet_count", 0) + 100
+        # A journal too short for the span: every stale key falls back.
+        store._journal = DeltaJournal(capacity=1)
+        store.add_all(upserts)
         store.add_all(upserts)
 
         offered: list[tuple] = []
