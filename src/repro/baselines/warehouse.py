@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.core.cmq import ConjunctiveMixedQuery, SourceAtom
 from repro.core.instance import MixedInstance
@@ -33,9 +34,9 @@ from repro.errors import MixedQueryError
 from repro.fulltext.document import Document
 from repro.fulltext.query import BooleanQuery, MatchAllQuery, PhraseQuery, Query, TermQuery
 from repro.json.pattern import Parameter as JSONParameter
-from repro.rdf.bgp import BGPQuery, evaluate_bgp
+from repro.rdf.bgp import BGPQuery, solve
 from repro.rdf.graph import Graph
-from repro.rdf.terms import Literal, Term, Triple, TriplePattern, URI, Variable, literal
+from repro.rdf.terms import Term, Triple, TriplePattern, URI, Variable, literal
 
 
 @dataclass
@@ -65,23 +66,22 @@ class RDFWarehouse:
         self.graph.add_all(self.instance.graph)
         self.stats.triples_per_source["#glue"] = len(self.graph) - before_total
         for source in self.instance.sources():
-            before = len(self.graph)
             if isinstance(source, RDFSource):
-                self.graph.add_all(source.graph)
+                exported = source.graph
             elif isinstance(source, RelationalSource):
-                self._export_relational(source)
+                exported = self._export_relational(source)
             elif isinstance(source, FullTextSource):
-                self._export_fulltext(source)
+                exported = self._export_fulltext(source)
             elif isinstance(source, JSONSource):
-                self._export_json(source)
+                exported = self._export_json(source)
             else:  # pragma: no cover - defensive
                 raise MixedQueryError(f"cannot export source model {source.model!r}")
-            self.stats.triples_per_source[source.uri] = len(self.graph) - before
+            self.stats.triples_per_source[source.uri] = self.graph.add_all(exported)
         self.stats.export_seconds = time.perf_counter() - start
         self.stats.exported_triples = len(self.graph)
         return self.stats
 
-    def _export_relational(self, source: RelationalSource) -> None:
+    def _export_relational(self, source: RelationalSource) -> Iterator[Triple]:
         for table in source.database.tables():
             for row_id, record in enumerate(table.scan()):
                 subject = URI(f"{source.uri}/{table.name}/{row_id}")
@@ -89,9 +89,9 @@ class RDFWarehouse:
                     if value is None:
                         continue
                     predicate = self.column_predicate(source.uri, table.name, column)
-                    self.graph.add(Triple(subject, predicate, literal(value)))
+                    yield Triple(subject, predicate, literal(value))
 
-    def _export_fulltext(self, source: FullTextSource) -> None:
+    def _export_fulltext(self, source: FullTextSource) -> Iterator[Triple]:
         store = source.store
         for doc in store.documents():
             subject = URI(f"{source.uri}/doc/{doc.doc_id}")
@@ -103,14 +103,14 @@ class RDFWarehouse:
                 if config is not None and config.field_type == "text":
                     # Analysed field: export the raw text plus one triple per
                     # stem so term queries become equality patterns.
-                    self.graph.add(Triple(subject, predicate, literal(value)))
+                    yield Triple(subject, predicate, literal(value))
                     term_predicate = self.term_predicate(source.uri, path)
                     for stem in store.analyzer.stems(str(value)):
-                        self.graph.add(Triple(subject, term_predicate, literal(stem)))
+                        yield Triple(subject, term_predicate, literal(stem))
                 else:
-                    self.graph.add(Triple(subject, predicate, literal(_normalize_keyword(value))))
+                    yield Triple(subject, predicate, literal(_normalize_keyword(value)))
 
-    def _export_json(self, source: JSONSource) -> None:
+    def _export_json(self, source: JSONSource) -> Iterator[Triple]:
         store = source.store
         for doc_id, fields in store.items():
             subject = URI(f"{source.uri}/doc/{doc_id}")
@@ -120,7 +120,7 @@ class RDFWarehouse:
                 predicate = self.field_predicate(source.uri, path)
                 # Tree-pattern equality is keyword-style (case-insensitive),
                 # so export the normalised form equality patterns match.
-                self.graph.add(Triple(subject, predicate, literal(_normalize_keyword(value))))
+                yield Triple(subject, predicate, literal(_normalize_keyword(value)))
 
     # ------------------------------------------------------------------
     # Vocabulary of the exported graph
@@ -147,8 +147,10 @@ class RDFWarehouse:
             patterns.extend(self._translate_atom(atom, index))
         head = tuple(Variable(v) for v in query.output_variables())
         bgp = BGPQuery(head=head, patterns=tuple(patterns), name=query.name)
-        bindings = evaluate_bgp(bgp, self.graph)
-        rows = [{v.name: _to_python(t) for v, t in row.items()} for row in bindings]
+        # Decoded through the graph's id -> value table, as the RDF wrapper does.
+        decode, names = self.graph.dictionary.__getitem__, [v.name for v in head]
+        rows = [dict(zip(names, map(decode, row)))
+                for row in solve(bgp.patterns, self.graph, (), [()], head)]
         result = MixedResult(variables=list(query.output_variables()), rows=rows)
         return result.distinct() if distinct else result
 
@@ -330,14 +332,6 @@ def _normalize_keyword(value: object) -> object:
     if isinstance(value, str):
         return value.lower()
     return value
-
-
-def _to_python(term: object) -> object:
-    if isinstance(term, URI):
-        return term.value
-    if isinstance(term, Literal):
-        return term.to_python()
-    return term
 
 
 def _parse_number(text: str) -> object:

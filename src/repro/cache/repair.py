@@ -32,12 +32,16 @@ full-text and json
     subtraction takes one occurrence per row, keeps the order of the
     rest, and a replaced row the entry lacks falls back (``diverged``).
 rdf
-    BGPs on non-entailment sources with a non-empty head, insert-only.
-    Repair is a seeded semi-naive step: each delta triple is unified
-    against each triple pattern and the full BGP re-evaluated over the
-    *current* graph from that seed (plus the probe's own bindings), so
-    joins between new and pre-existing triples are found; results are
-    deduplicated against the cached rows (BGP results are distinct).
+    BGPs with a non-empty head, insert-only, on any source — with
+    entailment too.  The delta is what the chain added to the graph the
+    BGP reads: the explicit triples, or ΔG∞, the triples G∞ gained, read
+    off G∞'s own journal (one record per saturation round).  Repair is a
+    seeded semi-naive step through the BGP engine: per pattern, the delta
+    triples it unifies with, joined with the probes' bindings, are the
+    first relation, and the other patterns are joined over the graph *at
+    the chain's end*, so joins between new and pre-existing triples, and
+    between two new ones, are found; results are deduplicated against
+    the cached rows (BGP results are distinct).
 
 Merged rows equal a cold re-execution as a *multiset*; for relational
 and JSON shapes even the order matches (writes take fresh insertion
@@ -49,7 +53,6 @@ callers that already must not rely on order.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from collections import Counter
 from typing import Optional
@@ -63,19 +66,16 @@ from repro.core.sources import (
     JSONQuery,
     JSONSource,
     RDFQuery,
+    RDFSource,
     RelationalSource,
     Row,
     SourceQuery,
     SQLQuery,
-    _binding_term_variants,
-    _to_python,
 )
-from repro.engine.batch import BindingBatch, SeenRows, as_batches, freeze, row_count
+from repro.engine.batch import BindingBatch, SeenRows, freeze, row_count
 from repro.fulltext.store import FullTextStore
 from repro.json.store import JSONDocumentStore
 from repro.obs.metrics import get_registry
-from repro.rdf.bgp import evaluate_bgp
-from repro.rdf.terms import Variable
 from repro.relational.database import Database
 
 
@@ -239,9 +239,8 @@ class RepairEngine:
                 return "shape"
             build = _document_delta_source
         elif not isinstance(query, RDFQuery) or not query.bgp.head \
-                or getattr(source, "entailment", False):
-            # Entailment: one explicit triple can derive unbounded new
-            # facts; head-less (ASK-style) shapes are not row streams.
+                or not isinstance(source, RDFSource):
+            # Head-less (ASK-style) shapes are not row streams.
             return "shape"
         if build is not _document_delta_source and any(r.kind != INSERT for r in relevant):
             # A removed triple may take rows any solution joined; a RESET
@@ -265,45 +264,30 @@ class RepairEngine:
         return out
 
     # -- rdf -----------------------------------------------------------------
-    def _apply_rdf(self, source, query: RDFQuery, canon: CanonicalQuery,
+    def _apply_rdf(self, source: RDFSource, query: RDFQuery, canon: CanonicalQuery,
                    bindings: list[Row], stored: list[list[BindingBatch]],
                    records: list[DeltaRecord]) -> list[list[BindingBatch]] | str:
-        graph = source.graph
-        bgp = query.bgp
-        delta_triples = [t for r in records for t in r.items]
-        if len(delta_triples) * max(1, len(bgp.patterns)) > self.MAX_DELTA_ITEMS:
+        found = _rdf_delta(source, records)
+        if found is None:
+            return "no_journal"
+        graph, delta = found
+        if len(delta) * len(query.bgp.patterns) > self.MAX_DELTA_ITEMS:
             return "delta_too_large"
-        seeds = [seed for triple in delta_triples for pattern in bgp.patterns
-                 if (seed := _unify(pattern, triple)) is not None]
-        if not seeds:
-            return stored
-        rename = canon.rename
+        with graph.reading() as store:
+            fetched = source.seeded_ids(store, query.bgp, bindings, delta)
+            decode = store.dictionary.__getitem__
+        columns = tuple(canon.rename.get(v.name, v.name) for v in query.bgp.output_variables())
         out: list[list[BindingBatch]] = []
-        for binding, base in zip(bindings, stored):
-            # Mirror RDFSource.execute: probe every numeric/CURIE spelling
-            # of the probe's bindings.
-            bound = [(variable, _binding_term_variants(binding[variable.name]))
-                     for variable in bgp.variables() if variable.name in binding]
-            combos = list(itertools.product(*(terms for _, terms in bound))) \
-                if bound else [()]
-            found: list[Row] = []
-            for seed in seeds:
-                for combo in combos:
-                    initial = dict(seed)
-                    if any(initial.setdefault(variable, term) != term
-                           for (variable, _), term in zip(bound, combo)):
-                        continue
-                    found.extend({rename.get(v.name, v.name): _to_python(t)
-                                  for v, t in result.items()}
-                                 for result in evaluate_bgp(bgp, graph,
-                                                            initial_binding=initial))
+        for base, rows in zip(stored, fetched):
+            if not rows:
+                out.append(base)
+                continue
             # BGP results are distinct: keep what the entry does not hold.
             seen = SeenRows()
             for batch in base:
                 seen.fresh(batch)
-            new = [BindingBatch(batch.columns, rows) for batch in as_batches(found)
-                   if (rows := seen.fresh(batch))]
-            out.append(_extended(base, new) if new else base)
+            new = seen.fresh(BindingBatch(columns, [tuple(map(decode, row)) for row in rows]))
+            out.append(_extended(base, [BindingBatch(columns, new)]) if new else base)
         return out
 
     # ------------------------------------------------------------------
@@ -401,17 +385,13 @@ def _subtracted(base: list[BindingBatch],
     return None if +owed else out
 
 
-def _unify(pattern, triple) -> Optional[dict]:
-    """Bind a triple pattern against one concrete triple (None = no match)."""
-    binding: dict = {}
-    for term, value in ((pattern.subject, triple.subject),
-                        (pattern.predicate, triple.predicate),
-                        (pattern.obj, triple.obj)):
-        if isinstance(term, Variable):
-            held = binding.get(term, value)
-            if held != value:
-                return None
-            binding[term] = value
-        elif term != value:
-            return None
-    return binding
+def _rdf_delta(source: RDFSource, records: list[DeltaRecord]):
+    """The graph an RDF entry is repaired on — G∞ under entailment — at the
+    chain's end, and the triples the chain added to it: ΔG∞, or the
+    explicit triples; None when the G∞ lineage cannot say (it did not
+    stand at both ends)."""
+    if not source.entailment:
+        return source.graph, [t for record in records for t in record.items]
+    graph = source.effective_graph()  # brings the lineage to the chain's end
+    delta = source.closure.delta(records[0].pre_version, records[-1].post_version)
+    return None if delta is None else (graph, delta)

@@ -67,6 +67,7 @@ class DeltaJournal:
     """A bounded, thread-safe log of a store's version transitions."""
 
     def __init__(self, capacity: int = 512):
+        self.capacity = capacity
         self._entries: deque[DeltaRecord] = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self._listeners: list[Callable[[DeltaRecord], None]] = []

@@ -20,11 +20,10 @@ import itertools
 import re
 import threading
 import time
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
-from repro.engine.batch import BindingBatch, as_batches
+from repro.engine.batch import BindingBatch, _row_constructor, as_batches
 from repro.errors import MixedQueryError
 from repro.fulltext.query import MatchAllQuery, Parameter
 from repro.fulltext.store import FullTextStore
@@ -35,12 +34,12 @@ from repro.json.matcher import TreePatternMatcher
 from repro.json.parser import parse_pattern
 from repro.json.pattern import Parameter as JSONParameter, TreePattern
 from repro.json.store import JSONDocumentStore
-from repro.rdf.bgp import BGPQuery, evaluate_bgp
+from repro.rdf.bgp import BGPQuery, solve
 from repro.rdf.entailment import saturate, saturate_delta
 from repro.rdf.graph import Graph
 from repro.rdf.schema import RDFSchema
 from repro.rdf.sparql import parse_bgp
-from repro.rdf.terms import Literal, Term, URI, Variable, literal, uri
+from repro.rdf.terms import Literal, Term, URI, literal, uri
 from repro.relational.database import Database
 from repro.relational.template import SQLTemplate, sql_template
 
@@ -483,12 +482,16 @@ class _Closure:
     ``(additions, removals)``).  Additions extend it in place by
     :func:`~repro.rdf.entailment.saturate_delta` over the journalled delta
     (the set difference only on a journal gap); a removal saturates anew.
+    ``versions`` maps each raw version the lineage stood at to G∞'s, so
+    what a raw span added to G∞ — ΔG∞ — is G∞'s own journal between the
+    two (:meth:`delta`).
     """
 
-    __slots__ = ("lock", "graph", "schema", "state")
+    __slots__ = ("lock", "graph", "schema", "state", "versions")
 
     def __init__(self):
         self.lock, self.graph, self.schema, self.state = threading.Lock(), None, None, (-1, -1)
+        self.versions: dict[int, int] = {}
 
     def at(self, source: Graph, snapshot: bool = False) -> Graph | None:
         """G∞ (a snapshot of it, when ``snapshot``) of ``source``, the graph
@@ -509,8 +512,20 @@ class _Closure:
             if self.graph is None:
                 self.graph, _ = saturate(source)
                 self.schema = RDFSchema.from_graph(self.graph)
-                self.state = state
+                self.state, self.versions = state, {}
+            self.versions[sum(state)] = self.graph.version
+            if len(self.versions) > self.graph.journal.capacity:
+                del self.versions[next(iter(self.versions))]
             return self.graph.snapshot() if snapshot else self.graph
+
+    def delta(self, pre: int, post: int) -> list | None:
+        """ΔG∞ of the raw span ``pre -> post``: the triples G∞ gained (None
+        when the lineage did not stand at both, or its journal lost them)."""
+        with self.lock:
+            versions = self.versions
+            records = (self.graph.deltas_since(versions[pre], versions[post])
+                       if pre in versions and post in versions else None)
+        return None if records is None else [t for record in records for t in record.items]
 
 
 class RDFSource(DataSource):
@@ -523,7 +538,8 @@ class RDFSource(DataSource):
         super().__init__(source_uri, name or graph.name, description)
         self.graph = graph
         self.entailment = entailment
-        self._closure = _Closure()
+        #: The G∞ lineage shared with the pins (read with entailment only).
+        self.closure = _Closure()
         #: A pin's own G∞ once read (None on a live wrapper).
         self._saturated: Graph | None = None
 
@@ -541,10 +557,10 @@ class RDFSource(DataSource):
         if not self.entailment:
             return self.graph
         if self.pinned_at is None:
-            return self._closure.at(self.graph)
+            return self.closure.at(self.graph)
         saturated = self._saturated
         if saturated is None:
-            saturated = self._closure.at(self.graph, snapshot=True)
+            saturated = self.closure.at(self.graph, snapshot=True)
             if saturated is None:
                 saturated, _ = saturate(self.graph)
             self._saturated = saturated
@@ -566,95 +582,61 @@ class RDFSource(DataSource):
 
         def build() -> "RDFSource":
             pinned = self._pinned_copy(graph=frozen, _saturated=None)
-            if self.entailment and self._closure.graph is not None:
-                pinned._saturated = self._closure.at(frozen, snapshot=True)
+            if self.entailment and self.closure.graph is not None:
+                pinned._saturated = self.closure.at(frozen, snapshot=True)
             return pinned
 
         return self._memoized_pin(frozen.version, build)
 
     @_instrumented_execute
     def execute(self, query: SourceQuery, bindings: Row | None = None) -> list[Row]:
-        if not isinstance(query, RDFQuery):
-            raise MixedQueryError(f"RDF source {self.uri} cannot evaluate {type(query).__name__}")
-        with self.effective_graph().reading() as graph:
-            return self._solutions(query, bindings or {}, graph)
-
-    def _solutions(self, query: RDFQuery, bindings: Row, graph: Graph) -> list[Row]:
-        bound = [(variable, _binding_term_variants(bindings[variable.name]))
-                 for variable in query.bgp.variables()
-                 if variable.name in bindings]
-        # Numeric bindings are probed under every spelling the mediator's
-        # ``==`` accepts (5 vs 5.0), like the digest sieve does; a term
-        # matches exactly one spelling, so the union has no duplicates.
-        combos = itertools.product(*(terms for _, terms in bound)) if bound else [()]
-        rows: list[Row] = []
-        for combo in combos:
-            initial: dict[Variable, Term] = {
-                variable: term for (variable, _), term in zip(bound, combo)}
-            for result in evaluate_bgp(query.bgp, graph, initial_binding=initial):
-                rows.append({v.name: _to_python(t) for v, t in result.items()})
-        return rows
+        return self.execute_batch(query, [bindings or {}])[0]
 
     @_instrumented_execute_batch
     def execute_batch(self, query: SourceQuery,
                       bindings_batch: Sequence[Row]) -> list[list[Row]]:
-        """Batched BGP evaluation: one graph pass serves every binding.
-
-        The BGP is evaluated once *without* bindings and its solutions
-        bucketed (at the RDF-term level, so URI/literal distinctions are
-        preserved) by the variables the batch binds; each binding is then
-        answered from its bucket instead of re-evaluating the BGP.
-        """
+        """Batched BGP evaluation: the whole flush seeds one join
+        (:meth:`seeded_ids`), and each output id is decoded once, through
+        the graph's term dictionary, by one compiled row constructor."""
         if not isinstance(query, RDFQuery):
             raise MixedQueryError(f"RDF source {self.uri} cannot evaluate {type(query).__name__}")
-        batch = [dict(b or {}) for b in bindings_batch]
-        if len(batch) <= 1:
-            return [self.execute(query, b) for b in batch]
+        make = _row_constructor(tuple(v.name for v in query.bgp.output_variables()), True)
         with self.effective_graph().reading() as graph:
-            var_by_name = {v.name: v for v in query.bgp.variables()}
-            projected = {v.name for v in query.bgp.output_variables()}
-            groups: dict[frozenset, list[int]] = {}
-            for index, bindings in enumerate(batch):
-                bound = frozenset(name for name in bindings if name in var_by_name)
-                groups.setdefault(bound, []).append(index)
-            results: list[list[Row]] = [[] for _ in batch]
-            solutions: list | None = None
-            for bound, indices in groups.items():
-                if not bound:
-                    rows = self._solutions(query, {}, graph)
-                    for index in indices:
-                        results[index] = [dict(r) for r in rows]
-                    continue
-                if not bound <= projected:
-                    # A binding on a projected-out body variable cannot be
-                    # bucketed from the (projected) solutions: evaluate those
-                    # bindings directly.
-                    for index in indices:
-                        results[index] = self._solutions(query, batch[index], graph)
-                    continue
-                if len(indices) == 1 and solutions is None:
-                    # A lone binding shape: a direct bound evaluation is
-                    # cheaper than materialising every BGP solution.
-                    results[indices[0]] = self._solutions(query, batch[indices[0]], graph)
-                    continue
-                if solutions is None:
-                    solutions = evaluate_bgp(query.bgp, graph)
-                order = sorted(bound)
-                variables = [var_by_name[name] for name in order]
-                buckets: dict[tuple, list] = defaultdict(list)
-                for solution in solutions:
-                    buckets[tuple(solution.get(v) for v in variables)].append(solution)
+            return [make(rows, graph.dictionary) for rows in self.seeded_ids(
+                graph, query.bgp, [bindings or {} for bindings in bindings_batch])]
+
+    @staticmethod
+    def seeded_ids(graph: Graph, bgp: BGPQuery, batch: Sequence[Row],
+                   delta: Iterable | None = None) -> list[list[tuple]]:
+        """Per binding of ``batch``, the distinct id tuples of ``bgp``'s
+        output variables on ``graph`` (read inside its ``reading()``) —
+        with ``delta``, of the solutions using one of its triples.  The
+        batch's bound values are the join's first relation (a semi-join):
+        one row per binding and spelling, each value as the ids of the
+        terms it may match under the sources' loose ``==``
+        (:func:`_binding_term_variants`: 5 and 5.0, a CURIE and its URI).
+        """
+        variables = {v.name: v for v in bgp.variables()}
+        output, ids = bgp.output_variables(), graph.dictionary.ids
+        groups: dict[tuple, list[int]] = {}
+        for index, bindings in enumerate(batch):
+            groups.setdefault(tuple(n for n in bindings if n in variables), []).append(index)
+        results: list[list[tuple]] = [[] for _ in batch]
+        for bound, indices in groups.items():
+            if not bound:
+                rows = solve(bgp.patterns, graph, (), [()], output, delta)
                 for index in indices:
-                    # Probe every numeric spelling, as in per-binding mode; a
-                    # solution's terms live in exactly one bucket, so the
-                    # concatenation has no duplicates.
-                    matched: list = []
-                    for key in itertools.product(
-                            *(_binding_term_variants(batch[index][name]) for name in order)):
-                        matched.extend(buckets.get(key, ()))
-                    results[index] = [{v.name: _to_python(t) for v, t in solution.items()}
-                                      for solution in matched]
-            return results
+                    results[index] = rows
+                continue
+            seeds = [(index,) for index in indices]
+            for name in bound:
+                seeds = [seed + (term_id,) for seed in seeds
+                         for term in _binding_term_variants(batch[seed[0]][name])
+                         if (term_id := ids.get(term)) is not None]
+            for row in solve(bgp.patterns, graph, (_BINDING, *map(variables.get, bound)),
+                             seeds, (_BINDING, *output), delta):
+                results[row[0]].append(row[1:])
+        return results
 
     def estimate(self, query: SourceQuery, bound_variables: set[str] | None = None) -> float:
         if not isinstance(query, RDFQuery):
@@ -1088,6 +1070,10 @@ def _to_rdf_term(value: object) -> Term:
     return literal(value)
 
 
+#: The column of a seeded relation holding each row's binding index.
+_BINDING = object()
+
+
 def _binding_term_variants(value: object) -> list[Term]:
     """RDF terms a mediator value may match under the sources' loose ``==``.
 
@@ -1114,14 +1100,6 @@ def _binding_term_variants(value: object) -> list[Term]:
         if candidate not in terms:
             terms.append(candidate)
     return terms
-
-
-def _to_python(term: object) -> object:
-    if isinstance(term, URI):
-        return term.value
-    if isinstance(term, Literal):
-        return term.to_python()
-    return term
 
 
 def _row_projector(store: FullTextStore,

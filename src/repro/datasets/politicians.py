@@ -175,38 +175,40 @@ def build_schema() -> RDFSchema:
 def build_glue_graph(politicians: list[Politician], parties: list[Party],
                      include_schema: bool = True) -> tuple[Graph, RDFSchema]:
     """Build the custom application RDF graph from the generated population."""
-    graph = Graph(name="glue")
     schema = build_schema()
-    if include_schema:
-        graph.add_all(schema.triples())
-
+    triples = list(schema.triples()) if include_schema else []
     foaf_name = URI(FOAF_NS + "name")
     for group in POLITICAL_GROUPS:
         group_uri = ttn(f"current_{group.replace('-', '_')}")
-        graph.add(Triple(group_uri, RDF_TYPE, ttn("current")))
-        graph.add(Triple(group_uri, ttn("label"), literal(group)))
+        triples += [Triple(group_uri, RDF_TYPE, ttn("current")),
+                    Triple(group_uri, ttn("label"), literal(group))]
 
     for party in parties:
-        graph.add(Triple(party.uri, RDF_TYPE, ttn("party")))
-        graph.add(Triple(party.uri, foaf_name, literal(party.name)))
-        graph.add(Triple(party.uri, ttn("partOfCurrent"),
-                         ttn(f"current_{party.group.replace('-', '_')}")))
-        graph.add(Triple(party.uri, ttn("currentLabel"), literal(party.group)))
-        graph.add(Triple(party.uri, ttn("europeanGroup"), literal(party.european_group)))
+        triples += [
+            Triple(party.uri, RDF_TYPE, ttn("party")),
+            Triple(party.uri, foaf_name, literal(party.name)),
+            Triple(party.uri, ttn("partOfCurrent"),
+                   ttn(f"current_{party.group.replace('-', '_')}")),
+            Triple(party.uri, ttn("currentLabel"), literal(party.group)),
+            Triple(party.uri, ttn("europeanGroup"), literal(party.european_group)),
+        ]
 
     for politician in politicians:
         subject = politician.uri
-        graph.add(Triple(subject, RDF_TYPE, ttn("politician")))
-        graph.add(Triple(subject, foaf_name, literal(politician.name)))
-        graph.add(Triple(subject, ttn("gender"), literal(politician.gender)))
-        graph.add(Triple(subject, ttn("position"), ttn(politician.position)))
-        graph.add(Triple(subject, ttn("memberOf"), ttn(politician.party_id)))
-        graph.add(Triple(subject, ttn("politicalGroup"), literal(politician.group)))
-        graph.add(Triple(subject, ttn("twitterAccount"), literal(politician.twitter_account)))
-        graph.add(Triple(subject, ttn("facebookAccount"), literal(politician.facebook_account)))
-        graph.add(Triple(subject, ttn("dbpediaURI"), uri(politician.dbpedia_uri)))
-        graph.add(Triple(subject, ttn("birthDepartment"), literal(politician.birth_department)))
-    return graph, schema
+        triples += [
+            Triple(subject, RDF_TYPE, ttn("politician")),
+            Triple(subject, foaf_name, literal(politician.name)),
+            Triple(subject, ttn("gender"), literal(politician.gender)),
+            Triple(subject, ttn("position"), ttn(politician.position)),
+            Triple(subject, ttn("memberOf"), ttn(politician.party_id)),
+            Triple(subject, ttn("politicalGroup"), literal(politician.group)),
+            Triple(subject, ttn("twitterAccount"), literal(politician.twitter_account)),
+            Triple(subject, ttn("facebookAccount"), literal(politician.facebook_account)),
+            Triple(subject, ttn("dbpediaURI"), uri(politician.dbpedia_uri)),
+            Triple(subject, ttn("birthDepartment"), literal(politician.birth_department)),
+        ]
+    # One build is one write batch: one version, one journal record.
+    return Graph(name="glue", triples=triples), schema
 
 
 def generate_landscape(count: int = 60, seed: int = 42) -> PoliticalLandscape:

@@ -41,23 +41,24 @@ def build_dbpedia_graph(politicians: Sequence[Politician], seed: int = 3) -> Gra
     highlights.
     """
     rng = random.Random(seed)
-    graph = Graph(name="dbpedia")
+    triples = []
     for politician in politicians:
         subject = uri(politician.dbpedia_uri)
-        graph.add(Triple(subject, RDF_TYPE, dbo("Politician")))
-        graph.add(Triple(subject, dbo("birthYear"),
-                         literal(1945 + rng.randrange(40))))
         department = politician.birth_department
-        graph.add(Triple(subject, dbo("birthPlace"),
-                         URI(f"http://data.ign.fr/id/departement/{department}")))
-        graph.add(Triple(subject, dbo("abstract"),
-                         literal(f"{politician.name} is a French politician "
-                                 f"({politician.group}).", language="en")))
-        graph.add(Triple(subject, dbo("twitterHandle"), literal(politician.twitter_account)))
+        triples += [
+            Triple(subject, RDF_TYPE, dbo("Politician")),
+            Triple(subject, dbo("birthYear"), literal(1945 + rng.randrange(40))),
+            Triple(subject, dbo("birthPlace"),
+                   URI(f"http://data.ign.fr/id/departement/{department}")),
+            Triple(subject, dbo("abstract"),
+                   literal(f"{politician.name} is a French politician "
+                           f"({politician.group}).", language="en")),
+            Triple(subject, dbo("twitterHandle"), literal(politician.twitter_account)),
+        ]
         if rng.random() < 0.4:
-            graph.add(Triple(subject, dbo("almaMater"),
-                             URI("http://dbpedia.org/resource/Sciences_Po")))
-    return graph
+            triples.append(Triple(subject, dbo("almaMater"),
+                                  URI("http://dbpedia.org/resource/Sciences_Po")))
+    return Graph(name="dbpedia", triples=triples)
 
 
 def build_ign_graph(seed: int = 4) -> Graph:
@@ -68,22 +69,23 @@ def build_ign_graph(seed: int = 4) -> Graph:
     machines").
     """
     rng = random.Random(seed)
-    graph = Graph(name="ign")
+    triples = []
     regions = sorted({region for _, _, region in DEPARTMENTS})
     for region in regions:
         region_uri = URI(f"http://data.ign.fr/id/region/{_slug(region)}")
-        graph.add(Triple(region_uri, RDF_TYPE, ign("Region")))
-        graph.add(Triple(region_uri, ign("nom"), literal(region)))
+        triples += [Triple(region_uri, RDF_TYPE, ign("Region")),
+                    Triple(region_uri, ign("nom"), literal(region))]
     for code, name, region in DEPARTMENTS:
         dept_uri = URI(f"http://data.ign.fr/id/departement/{code}")
         region_uri = URI(f"http://data.ign.fr/id/region/{_slug(region)}")
-        graph.add(Triple(dept_uri, RDF_TYPE, ign("Departement")))
-        graph.add(Triple(dept_uri, ign("codeINSEE"), literal(code)))
-        graph.add(Triple(dept_uri, ign("nom"), literal(name)))
-        graph.add(Triple(dept_uri, ign("region"), region_uri))
-        graph.add(Triple(dept_uri, ign("superficieKm2"),
-                         literal(round(1000 + rng.random() * 9000, 1))))
-    return graph
+        triples += [
+            Triple(dept_uri, RDF_TYPE, ign("Departement")),
+            Triple(dept_uri, ign("codeINSEE"), literal(code)),
+            Triple(dept_uri, ign("nom"), literal(name)),
+            Triple(dept_uri, ign("region"), region_uri),
+            Triple(dept_uri, ign("superficieKm2"), literal(round(1000 + rng.random() * 9000, 1))),
+        ]
+    return Graph(name="ign", triples=triples)
 
 
 def _slug(text: str) -> str:

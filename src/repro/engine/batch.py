@@ -133,14 +133,18 @@ class BindingBatch:
 
 
 @lru_cache(maxsize=MAX_ROW_CONSTRUCTORS)
-def _row_constructor(columns: tuple[str, ...]) -> Callable[[list[tuple]], list[Row]]:
+def _row_constructor(columns: tuple[str, ...],
+                     decoded: bool = False) -> Callable[..., list[Row]]:
     """``[dict(zip(columns, row)) for row in rows]`` compiled to one list of
-    ``{k0: v0, ...}`` literals; the columns enter as default arguments,
+    ``{k0: v0, ...}`` literals — when ``decoded``, of ``{k0: d[v0], ...}``,
+    each value looked up in a mapping ``d`` passed second (an RDF graph's
+    id -> Python value table); the columns enter as default arguments,
     never as source (as in ``collections.namedtuple``)."""
     at = range(len(columns))
     namespace = {f"k{i}": column for i, column in zip(at, columns)}
-    exec(f"def make(rows, {''.join(f'k{i}=k{i}, ' for i in at)}):\n"
-         f"    return [{{{', '.join(f'k{i}: v{i}' for i in at)}}}"
+    value = "d[v{}]" if decoded else "v{}"
+    exec(f"def make(rows, {'d, ' * decoded}{''.join(f'k{i}=k{i}, ' for i in at)}):\n"
+         f"    return [{{{', '.join(f'k{i}: ' + value.format(i) for i in at)}}}"
          f" for {''.join(f'v{i}, ' for i in at) or '_'} in rows]", namespace)
     return namespace["make"]
 

@@ -82,7 +82,10 @@ class PathIndex:
         out: set[str] = set()
         reference = normalize(value)
         for key, doc_ids in self.postings.items():
-            if compare(op, key, reference):
+            # 1 and True share a key, whichever was filed first: a bool
+            # key's documents may hold the number (candidates are verified).
+            if compare(op, key, reference) or (
+                    isinstance(key, bool) and compare(op, int(key), reference)):
                 out |= doc_ids
         return out
 

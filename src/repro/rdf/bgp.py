@@ -5,22 +5,27 @@ Evaluation returns every embedding of the body into the graph, projected
 on the head variables; the *answer* is the evaluation against the
 saturated graph G∞ (see :mod:`repro.rdf.entailment`).
 
-The evaluator orders patterns greedily by estimated selectivity (bound
-positions first, then smallest match count), which mirrors the
-"most selective sub-queries first" strategy of the paper's mediator.
+Evaluation is set-at-a-time over interned term ids (:func:`solve`): a
+relation seeded by the caller's bound values joins each pattern in turn
+by probing the index its constants and bound columns lead
+(:meth:`~repro.rdf.graph.Graph.probe`), in an order picked once from the
+graph's maintained counts — most selective connected pattern first, the
+paper's "most selective sub-queries first" — and is deduplicated on id
+tuples; the caller decodes each output value once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Iterable, Sequence
 
+from repro.engine.batch import tuple_getter
 from repro.errors import RDFError
 from repro.rdf.entailment import saturate
-from repro.rdf.graph import Graph
+from repro.rdf.graph import Graph, constant
 from repro.rdf.schema import RDFSchema
 from repro.rdf.terms import (
-    PatternTerm,
     Term,
     Triple,
     TriplePattern,
@@ -113,6 +118,43 @@ class EvaluationTrace:
     matched_triples: int = 0
 
 
+def solve(patterns: Sequence[TriplePattern], graph: Graph, columns: Sequence,
+          rows: list[tuple], project: Sequence, delta: Iterable[Triple] | None = None,
+          trace: EvaluationTrace | None = None) -> list[tuple]:
+    """The distinct id tuples over ``project`` of the body ``patterns``
+    joined with the relation ``rows`` over ``columns`` (variables, or a
+    marker the caller carries through) on ``graph``, a :class:`Graph`
+    read inside its ``reading()``.  With ``delta`` (triples of ``graph``),
+    only the solutions using one of them — the delta rule: the union, over
+    each pattern, of the relation joined with that pattern over ``delta``
+    first, then with the other patterns over ``graph``.
+    """
+    if any(not isinstance(t, Variable) and t not in graph.dictionary.ids
+           for p in patterns for t in p):
+        return []
+    starts = [(patterns, list(columns), rows)]
+    if delta is not None:
+        seeds = Graph("delta")
+        seeds.dictionary = graph.dictionary
+        seeds.add_all(delta)
+        starts = [(patterns[:i] + patterns[i + 1:], joined, _join(seeds, p, joined, rows))
+                  for i, p in enumerate(patterns) for joined in [list(columns)]]
+    found: dict[tuple, None] = {}
+    for body, joined, relation in starts:
+        for p in _order_patterns(body, graph, joined) if relation else ():
+            relation = _join(graph, p, joined, relation)
+            if trace is not None:
+                trace.pattern_order.append(p)
+                trace.intermediate_sizes.append(len(relation))
+                trace.matched_triples += len(relation)
+            if not relation:
+                break
+        if relation:
+            found.update(dict.fromkeys(map(tuple_getter(
+                [joined.index(c) for c in project]), relation)))
+    return list(found)
+
+
 def evaluate_bgp(query: BGPQuery, graph: Graph, initial_binding: Binding | None = None,
                  trace: EvaluationTrace | None = None) -> list[Binding]:
     """Evaluate ``query`` on ``graph`` (no entailment) and return projected bindings.
@@ -121,108 +163,71 @@ def evaluate_bgp(query: BGPQuery, graph: Graph, initial_binding: Binding | None 
     joins); the returned bindings contain only the query's output
     variables.
     """
-    order = _order_patterns(query.patterns, graph, initial_binding or {})
-    if trace is not None:
-        trace.pattern_order = list(order)
-
-    solutions: list[Binding] = [dict(initial_binding or {})]
-    for p in order:
-        next_solutions: list[Binding] = []
-        for solution in solutions:
-            bound = p.bind(solution)
-            for t in graph.match(bound):
-                if trace is not None:
-                    trace.matched_triples += 1
-                extended = _extend(solution, bound, t)
-                if extended is not None:
-                    next_solutions.append(extended)
-        solutions = next_solutions
-        if trace is not None:
-            trace.intermediate_sizes.append(len(solutions))
-        if not solutions:
-            break
-
+    initial = initial_binding or {}
     output = query.output_variables()
-    projected: list[Binding] = []
-    seen: set[tuple] = set()
-    for solution in solutions:
-        row = {v: solution[v] for v in output if v in solution}
-        key = tuple(row.get(v) for v in output)
-        if key not in seen:
-            seen.add(key)
-            projected.append(row)
-    return projected
+    with graph.reading() as store:
+        dictionary = store.dictionary
+        if any(term not in dictionary.ids for term in initial.values()):
+            return []
+        rows = solve(query.patterns, store, tuple(initial),
+                     [tuple(map(dictionary.ids.__getitem__, initial.values()))],
+                     output, trace=trace)
+    decode = dictionary.terms.__getitem__
+    return [dict(zip(output, map(decode, row))) for row in rows]
 
 
 def answer_bgp(query: BGPQuery, graph: Graph, schema: RDFSchema | None = None) -> list[Binding]:
     """Return the *answer* of ``query``: its evaluation against G∞."""
-    saturated, _ = saturate(graph, schema)
-    return evaluate_bgp(query, saturated)
+    return evaluate_bgp(query, saturate(graph, schema)[0])
 
 
 def evaluate_ask(patterns: Iterable[TriplePattern], graph: Graph) -> bool:
     """Boolean (ASK) evaluation: does at least one embedding exist?"""
-    patterns = tuple(patterns)
-    query = BGPQuery(head=(), patterns=patterns)
-    return bool(evaluate_bgp(query, graph))
+    return bool(evaluate_bgp(BGPQuery(head=(), patterns=tuple(patterns)), graph))
 
 
 def _order_patterns(patterns: Sequence[TriplePattern], graph: Graph,
-                    initial: Binding) -> list[TriplePattern]:
-    """Greedy selectivity ordering of the body patterns.
+                    bound: Sequence) -> list[TriplePattern]:
+    """Greedy selectivity ordering of the body patterns: at each step the
+    pattern connected to the bound variables (no Cartesian products) with
+    the lowest estimate — its :meth:`~repro.rdf.graph.Graph.count`, taken
+    once from the maintained counts, cut tenfold per bound position."""
+    remaining = [(p, [t for t in p if isinstance(t, Variable)], graph.count(p))
+                 for p in patterns]
+    bound, ordered = set(bound), []
 
-    At each step pick the pattern with the lowest estimated cardinality
-    given the variables already bound, preferring patterns connected to
-    the current set of bound variables (to avoid Cartesian products).
-    """
-    remaining = list(patterns)
-    bound_vars: set[Variable] = set(initial)
-    ordered: list[TriplePattern] = []
+    def score(item) -> tuple[int, int]:
+        _, names, count = item
+        for name in names:
+            if name in bound:
+                count = max(1, count // 10)
+        return (0 if not ordered or not names or bound.intersection(names) else 1), count
+
     while remaining:
-        def score(p: TriplePattern) -> tuple[int, int]:
-            connected = 0 if (not ordered or p.variables() & bound_vars or not p.variables()) else 1
-            # Estimate cardinality treating bound variables as constants.
-            estimate_pattern = TriplePattern(
-                *(Variable("__any__") if isinstance(term, Variable) and term not in bound_vars
-                  else (term if not isinstance(term, Variable) else _BOUND_MARKER)
-                  for term in p)
-            )
-            return connected, _estimate(estimate_pattern, graph)
-
         best = min(remaining, key=score)
         remaining.remove(best)
-        ordered.append(best)
-        bound_vars.update(best.variables())
+        ordered.append(best[0])
+        bound.update(best[1])
     return ordered
 
 
-#: Marker used during ordering for variables already bound: we do not know
-#: their value yet, but they behave like constants, so estimate them as a
-#: single bound position by reusing a fresh variable and dividing.
-_BOUND_MARKER = Variable("__bound__")
-
-
-def _estimate(p: TriplePattern, graph: Graph) -> int:
-    """Cardinality estimate for ordering purposes."""
-    concrete = TriplePattern(
-        *(Variable(f"v{i}") if isinstance(term, Variable) else term
-          for i, term in enumerate(p))
-    )
-    count = graph.count(concrete)
-    bound_positions = sum(1 for term in p if term is _BOUND_MARKER)
-    # Each already-bound variable behaves like an equality selection.
-    for _ in range(bound_positions):
-        count = max(1, count // 10)
-    return count
-
-
-def _extend(solution: Binding, bound_pattern: TriplePattern, t: Triple) -> Binding | None:
-    """Extend ``solution`` with the bindings induced by matching ``t``."""
-    extended = dict(solution)
-    for term, value in zip(bound_pattern, t):
-        if isinstance(term, Variable):
-            existing = extended.get(term)
-            if existing is not None and existing != value:
-                return None
-            extended[term] = value
-    return extended
+def _join(graph: Graph, pattern: TriplePattern, columns: list, rows: list[tuple]) -> list[tuple]:
+    """``rows`` joined with ``pattern``: an index probe on its constants
+    and the columns it shares; its new variables are appended to
+    ``columns`` (a variable it repeats binds one column, kept where the
+    positions agree)."""
+    at = {c: i for i, c in enumerate(columns)}
+    terms = tuple(pattern)
+    keys = {i: itemgetter(at[t]) if t in at else constant(graph.dictionary.ids[t])
+            for i, t in enumerate(terms) if not isinstance(t, Variable) or t in at}
+    free, rows = graph.probe(keys, rows)
+    new = [terms[i] for i in free]
+    width, first = len(columns), {}
+    for i, name in enumerate(new):
+        first.setdefault(name, i)
+    if len(first) < len(new):
+        pairs = [(width + first[name], width + i) for i, name in enumerate(new)]
+        keep = tuple_getter([*range(width), *(width + i for i in first.values())])
+        rows = [keep(row) for row in rows if all(row[a] == row[b] for a, b in pairs)]
+    columns.extend(first)
+    return rows

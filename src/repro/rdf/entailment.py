@@ -20,7 +20,9 @@ rdfs11      ``c rdfs:subClassOf d`` and ``d rdfs:subClassOf e``
 Saturation is computed by a semi-naive fixpoint: only the triples derived
 at the previous round are re-examined at the next one, so the cost is
 proportional to the number of derived triples rather than to the square of
-the graph size.
+the graph size.  Each round is one write batch of G∞ — one version and
+one journal record — so what a delta derives, ΔG∞, is a short record
+chain of G∞'s own journal.
 """
 
 from __future__ import annotations
@@ -79,8 +81,10 @@ def saturate(graph: Graph, schema: RDFSchema | None = None) -> tuple[Graph, Satu
         saturated.add_all(schema.triples())
 
     # rdfs5 / rdfs11: close the schema hierarchies first, they are small.
-    _close_hierarchy(saturated, merged_schema.subclasses, RDFS_SUBCLASS, "rdfs11", stats)
-    _close_hierarchy(saturated, merged_schema.subproperties, RDFS_SUBPROPERTY, "rdfs5", stats)
+    _close_hierarchy(saturated, merged_schema.subclasses, merged_schema.superclasses,
+                     RDFS_SUBCLASS, "rdfs11", stats)
+    _close_hierarchy(saturated, merged_schema.subproperties, merged_schema.superproperties,
+                     RDFS_SUBPROPERTY, "rdfs5", stats)
     # Re-extract so that the closures below see the transitive edges.
     merged_schema = RDFSchema.from_graph(saturated)
 
@@ -91,7 +95,7 @@ def saturate(graph: Graph, schema: RDFSchema | None = None) -> tuple[Graph, Satu
         derived: list[Triple] = []
         for t in frontier:
             derived.extend(_apply_instance_rules(t, merged_schema, stats))
-        frontier = [t for t in derived if saturated.add(t)]
+        frontier = saturated.add_batch(derived)
     stats.rounds = rounds
     stats.implicit_triples = len(saturated) - stats.explicit_triples
     return saturated, stats
@@ -124,24 +128,18 @@ def saturate_delta(saturated: Graph, new_triples: Iterable[Triple],
     if schema is None:
         schema = RDFSchema.from_graph(saturated)
     stats = SaturationStats()
-    frontier: list[Triple] = []
-    for t in new_triples:
-        if saturated.add(t):
-            schema.observe(t)
-            frontier.append(t)
+    frontier = saturated.add_batch(new_triples)
     stats.explicit_triples = len(saturated)
     rounds = 0
     while frontier:
         rounds += 1
         derived: list[Triple] = []
         for t in frontier:
+            schema.observe(t)
+        for t in frontier:
             derived.extend(_apply_instance_rules(t, schema, stats))
             derived.extend(_apply_schema_activations(t, saturated, stats))
-        frontier = []
-        for t in derived:
-            if saturated.add(t):
-                schema.observe(t)
-                frontier.append(t)
+        frontier = saturated.add_batch(derived)
     stats.rounds = rounds
     stats.implicit_triples = len(saturated) - stats.explicit_triples
     return stats
@@ -235,18 +233,12 @@ def _apply_schema_activations(t: Triple, graph: Graph,
     return out
 
 
-def _close_hierarchy(graph: Graph, edges: dict[Term, set[Term]], predicate, rule: str,
-                     stats: SaturationStats) -> None:
-    """Add the transitive closure of ``edges`` to ``graph`` as ``predicate`` triples."""
-    schema = RDFSchema()
-    target = schema.subclasses if predicate == RDFS_SUBCLASS else schema.subproperties
-    for child, parents in edges.items():
-        target[child].update(parents)
-    for child in list(edges):
-        closure = (schema.superclasses(child) if predicate == RDFS_SUBCLASS
-                   else schema.superproperties(child))
-        added = sum(1 for parent in closure if graph.add(Triple(child, predicate, parent)))
-        stats.record(rule, added)
+def _close_hierarchy(graph: Graph, edges: dict[Term, set[Term]], closure, predicate,
+                     rule: str, stats: SaturationStats) -> None:
+    """Add the transitive ``closure`` of ``edges`` to ``graph`` as ``predicate``
+    triples, in one batch."""
+    stats.record(rule, graph.add_all(
+        Triple(child, predicate, parent) for child in list(edges) for parent in closure(child)))
 
 
 def _merge_schema(target: RDFSchema, extra: RDFSchema) -> None:

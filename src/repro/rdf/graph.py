@@ -1,26 +1,29 @@
-"""In-memory RDF triple store with SPO/POS/OSP indexes.
+"""In-memory RDF triple store over interned term ids.
 
 The glue graph of a mixed instance, as well as every RDF data source
-(DBPedia-like, IGN-like), is stored in a :class:`Graph`.  The store keeps
-three permutation indexes so that any triple pattern with at least one
-constant is answered by dictionary lookups rather than a full scan.
+(DBPedia-like, IGN-like), is stored in a :class:`Graph`.  Every term is
+interned once to an integer id — an append-only dictionary: an id is
+never reused nor reassigned — and the store keeps three permutation
+indexes over the ids (SPO, POS, OSP), so that any triple pattern with at
+least one constant is answered by dictionary lookups rather than a full
+scan, and the BGP engine (:mod:`repro.rdf.bgp`) joins and deduplicates
+ints, not terms.  The term-level API (``add*``, ``remove*``, ``match``,
+``count``, iteration, ...) encodes and decodes at its edge.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import defaultdict
 from contextlib import nullcontext
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.core.deltas import (
     DeltaJournal, INSERT, REMOVE, RESET, CopyOnWrite, Snapshot, UndoLink, remembered)
-from repro.errors import RDFError
 from repro.locks import RWLock
 from repro.rdf.terms import (
     RDF_TYPE,
-    BlankNode,
     Literal,
-    PatternTerm,
     Term,
     Triple,
     TriplePattern,
@@ -28,6 +31,56 @@ from repro.rdf.terms import (
     Variable,
     triple as make_triple,
 )
+
+#: An id index level nothing is found in (never written).
+_NONE: dict = {}
+
+#: The fixed positions of a lookup (0 subject, 1 predicate, 2 object) ->
+#: the position order of the index answering it, the fixed ones leading:
+#: SPO, POS or OSP, picked by the first.
+_PATHS = {(): (0, 1, 2), (0,): (0, 1, 2), (1,): (1, 2, 0), (2,): (2, 0, 1),
+          (0, 1): (0, 1, 2), (1, 2): (1, 2, 0), (0, 2): (2, 0, 1), (0, 1, 2): (0, 1, 2)}
+
+
+class TermDictionary(dict):
+    """Term <-> integer id, append-only: an id is never reused nor
+    reassigned, so a graph, its snapshots and its copies (a graph and its
+    saturation G∞) share one dictionary and no read translates ids.  As a
+    mapping it takes an id to the term's Python value, filled on first
+    use: the one place a term is decoded for the mediator (a URI reads as
+    its string, a literal as :meth:`~repro.rdf.terms.Literal.to_python`).
+    """
+
+    __slots__ = ("ids", "terms", "_lock")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.ids: dict[Term, int] = {}
+        self.terms: list[Term] = []
+        self._lock = threading.Lock()
+
+    def intern(self, term: Term) -> int:
+        """The id of ``term``, a fresh one if it has none (its term is
+        stored before the id is published to lock-free readers)."""
+        found = self.ids.get(term)
+        if found is None:
+            with self._lock:
+                found = self.ids.get(term)
+                if found is None:
+                    self.terms.append(term)
+                    found = self.ids[term] = len(self.terms) - 1
+        return found
+
+    def __missing__(self, term_id: int) -> object:
+        term = self.terms[term_id]
+        value = self[term_id] = (term.value if isinstance(term, URI) else
+                                 term.to_python() if isinstance(term, Literal) else term)
+        return value
+
+
+def constant(value) -> Callable[[tuple], object]:
+    """A key getter of :meth:`Graph.probe` ignoring the row: ``value``."""
+    return lambda row: value
 
 
 class Graph:
@@ -43,17 +96,22 @@ class Graph:
 
     def __init__(self, name: str = "graph", triples: Iterable[Triple] | None = None):
         self.name = name
-        self._triples: set[Triple] = set()
-        self._spo: dict[Term, dict[Term, set[Term]]] = defaultdict(lambda: defaultdict(set))
-        self._pos: dict[Term, dict[Term, set[Term]]] = defaultdict(lambda: defaultdict(set))
-        self._osp: dict[Term, dict[Term, set[Term]]] = defaultdict(lambda: defaultdict(set))
+        self.dictionary = TermDictionary()
+        self._spo: dict[int, dict[int, set[int]]] = defaultdict(lambda: defaultdict(set))
+        self._pos: dict[int, dict[int, set[int]]] = defaultdict(lambda: defaultdict(set))
+        self._osp: dict[int, dict[int, set[int]]] = defaultdict(lambda: defaultdict(set))
+        #: Triples per predicate id, kept on write: a predicate-only count
+        #: is one lookup.
+        self._pcount: dict[int, int] = {}
+        self._size = 0
         self._additions = 0
         self._removals = 0
         #: Typed mutation log: one record per committed batch, shared
         #: with snapshots so pinned wrappers can replay the same history.
         self._journal = DeltaJournal()
         self._rwlock = RWLock()
-        #: The newest link of the undo chain snapshots read back through.
+        #: The newest link of the undo chain snapshots read back through
+        #: (id triple -> was it present before).
         self._undo = UndoLink()
         #: (version, weak reference to its snapshot): see ``remembered``.
         self._snapshot_state: tuple | None = None
@@ -74,14 +132,15 @@ class Graph:
             t = make_triple(subject, predicate, obj)
         return bool(self.add_batch((t,)))
 
-    def _add_unlocked(self, t: Triple) -> bool:
-        if t in self._triples:
+    def _add_ids(self, s: int, p: int, o: int) -> bool:
+        objects = self._spo[s][p]
+        if o in objects:
             return False
-        self._triples.add(t)
-        s, p, o = t.subject, t.predicate, t.obj
-        self._spo[s][p].add(o)
+        objects.add(o)
         self._pos[p][o].add(s)
         self._osp[o][s].add(p)
+        self._pcount[p] = self._pcount.get(p, 0) + 1
+        self._size += 1
         return True
 
     def add_all(self, triples: Iterable[Triple]) -> int:
@@ -98,13 +157,7 @@ class Graph:
         """Like :meth:`add_all`, but returns the triples actually new
         (callers maintaining derived state — saturation — need the exact
         delta, not just its size)."""
-        with self._rwlock.write_locked():
-            fresh = [t for t in triples if self._add_unlocked(t)]
-            if not fresh:
-                return []
-            entry = self._commit(INSERT, fresh)
-        self._journal.notify(entry)
-        return fresh
+        return self._write(INSERT, triples, self.dictionary.intern, self._add_ids)
 
     def remove(self, t: Triple) -> bool:
         """Remove a triple; returns True if it was present.
@@ -114,14 +167,16 @@ class Graph:
         """
         return bool(self.remove_all((t,)))
 
-    def _remove_unlocked(self, t: Triple) -> bool:
-        if t not in self._triples:
+    def _remove_ids(self, s: int | None, p: int | None, o: int | None) -> bool:
+        if o is None or o not in self._spo.get(s, _NONE).get(p, ()):
             return False
-        self._triples.discard(t)
-        s, p, o = t.subject, t.predicate, t.obj
         _discard_pruning(self._spo, s, p, o)
         _discard_pruning(self._pos, p, o, s)
         _discard_pruning(self._osp, o, s, p)
+        left = self._pcount.pop(p) - 1
+        if left:
+            self._pcount[p] = left
+        self._size -= 1
         return True
 
     def remove_all(self, triples: Iterable[Triple]) -> int:
@@ -130,27 +185,36 @@ class Graph:
         Like :meth:`add_all`, atomic with respect to snapshots and a
         single version bump per effective batch.
         """
+        return len(self._write(REMOVE, triples, self.dictionary.ids.get, self._remove_ids))
+
+    def _write(self, kind: str, triples: Iterable[Triple], encode, apply) -> list[Triple]:
+        """One batch under the write lock: the triples ``apply`` changed
+        (given their ``encode``-d ids), committed as one version."""
         with self._rwlock.write_locked():
-            gone = [t for t in triples if self._remove_unlocked(t)]
-            if not gone:
-                return 0
-            entry = self._commit(REMOVE, gone)
+            done, keys = [], []
+            for t in triples:
+                key = (encode(t.subject), encode(t.predicate), encode(t.obj))
+                if apply(*key):
+                    done.append(t)
+                    keys.append(key)
+            if not done:
+                return []
+            entry = self._commit(kind, done, keys)
         self._journal.notify(entry)
-        return len(gone)
+        return done
 
     def clear(self) -> None:
         """Remove every triple."""
         with self._rwlock.write_locked():
-            if not self._triples:
+            if not self._size:
                 return
-            entry = self._commit(RESET, tuple(self._triples))
-            self._triples.clear()
-            self._spo.clear()
-            self._pos.clear()
-            self._osp.clear()
+            entry = self._commit(RESET, (), self.probe({}, [()])[1])
+            for index in (self._spo, self._pos, self._osp, self._pcount):
+                index.clear()
+            self._size = 0
         self._journal.notify(entry)
 
-    def _commit(self, kind: str, triples: Iterable[Triple]):
+    def _commit(self, kind: str, triples: Iterable[Triple], keys: list[tuple]):
         """Count, journal and chain the undo link of one effective batch
         (under the write lock)."""
         pre = self._additions + self._removals
@@ -158,8 +222,8 @@ class Graph:
             self._additions += 1
         else:
             self._removals += 1
-        self._undo = self._undo.append((t, kind != INSERT) for t in triples)
-        return self._journal.record(pre, pre + 1, kind, () if kind == RESET else triples)
+        self._undo = self._undo.append((key, kind != INSERT) for key in keys)
+        return self._journal.record(pre, pre + 1, kind, triples)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -205,17 +269,27 @@ class Graph:
         return self._removals
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return self._size
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(self._triples)
+        terms = self.dictionary.terms
+        return (Triple(terms[s], terms[p], terms[o]) for s, p, o in self.probe({}, [()])[1])
 
     def __contains__(self, t: Triple) -> bool:
-        return t in self._triples
+        ids = self.dictionary.ids
+        return isinstance(t, Triple) and ids.get(t.obj, -1) in self._spo.get(
+            ids.get(t.subject), _NONE).get(ids.get(t.predicate), ())
 
     def copy(self, name: str | None = None) -> "Graph":
-        """Return an independent copy of the graph."""
-        return Graph(name or self.name, self)
+        """Return an independent copy of the graph over the same term
+        dictionary (one version: one batch, journalled as none)."""
+        with self.reading() as graph:
+            clone = Graph(name or self.name)
+            clone.dictionary = graph.dictionary
+            for key in graph.probe({}, [()])[1]:
+                clone._add_ids(*key)
+            clone._additions = int(clone._size > 0)
+        return clone
 
     # ------------------------------------------------------------------
     # Snapshot isolation
@@ -235,134 +309,113 @@ class Graph:
         itself (a snapshot yields what stands for its version)."""
         return nullcontext(self)
 
+    def _decoded(self, found: Iterable[int]) -> set[Term]:
+        return set(map(self.dictionary.terms.__getitem__, found))
+
     def subjects(self, predicate: Term | None = None, obj: Term | None = None) -> set[Term]:
         """Return the distinct subjects matching optional predicate/object.
 
         Answered directly from the permutation indexes — no
         :class:`Triple` objects are materialised.
         """
-        if predicate is None and obj is None:
-            return set(self._spo)
-        if predicate is not None and obj is not None:
-            return set(self._pos.get(predicate, {}).get(obj, ()))
-        if predicate is not None:
-            out: set[Term] = set()
-            for subjects in self._pos.get(predicate, {}).values():
-                out |= subjects
-            return out
-        return set(self._osp.get(obj, {}))
+        return self._ends(self._spo, self._osp, self._pos, predicate, obj)
 
     def predicates(self) -> set[Term]:
         """Return every distinct predicate in the graph."""
-        return set(self._pos.keys())
+        return self._decoded(self._pcount)
 
     def objects(self, subject: Term | None = None, predicate: Term | None = None) -> set[Term]:
         """Return the distinct objects matching optional subject/predicate.
 
         Like :meth:`subjects`, answered straight from the indexes.
         """
-        if subject is None and predicate is None:
-            return set(self._osp)
-        if subject is not None and predicate is not None:
-            return set(self._spo.get(subject, {}).get(predicate, ()))
-        if subject is not None:
-            out: set[Term] = set()
-            for objects in self._spo.get(subject, {}).values():
-                out |= objects
-            return out
-        return set(self._pos.get(predicate, {}))
+        return self._ends(self._osp, self._pos, self._spo, subject, predicate)
+
+    def _ends(self, every: dict, by_y: dict, by_x: dict, x: Term | None,
+              y: Term | None) -> set[Term]:
+        """The terms ``by_x[x][y]`` holds, either key free (``every``
+        indexes them first, ``by_y`` after ``y``)."""
+        ids = self.dictionary.ids
+        if x is None:
+            return self._decoded(every if y is None else by_y.get(ids.get(y), _NONE))
+        inner = by_x.get(ids.get(x), _NONE)
+        return self._decoded(set().union(*inner.values()) if y is None
+                             else inner.get(ids.get(y), ()))
 
     def value(self, subject: Term, predicate: Term) -> Term | None:
         """Return one object of ``subject predicate ?o`` or None."""
-        objects = self._spo.get(subject, {}).get(predicate)
-        if not objects:
-            return None
-        return next(iter(objects))
+        return next(iter(self.objects(subject, predicate)), None)
 
     def resources_of_type(self, rdf_class: URI) -> set[Term]:
         """Return every subject declared of type ``rdf_class`` (no entailment)."""
-        return set(self._pos.get(RDF_TYPE, {}).get(rdf_class, set()))
+        return self.subjects(RDF_TYPE, rdf_class)
 
     def predicate_counts(self) -> dict[Term, int]:
         """Return, for every predicate, the number of triples using it."""
-        return {
-            predicate: sum(len(subjects) for subjects in by_object.values())
-            for predicate, by_object in self._pos.items()
-        }
+        return {self.dictionary.terms[p]: count for p, count in self._pcount.items()}
 
     # ------------------------------------------------------------------
     # Pattern matching
     # ------------------------------------------------------------------
+    def probe(self, keys: dict[int, Callable[[tuple], int]],
+              rows: list[tuple]) -> tuple[tuple[int, ...], list[tuple]]:
+        """The id-level access path: each row of ``rows`` extended by the
+        free positions of every triple whose fixed positions hold the ids
+        ``keys`` give (position -> getter applied to the row: a column of
+        it, or a :func:`constant`); returns the free positions, in the
+        order appended, and the rows.  One comprehension over the index
+        whose leading levels are the fixed positions: probes hash C ints.
+        """
+        order = _PATHS[tuple(sorted(keys))]
+        index = (self._spo, self._pos, self._osp)[order[0]]
+        fixed = len(keys)
+        a, b, c = ([keys[position] for position in order[:fixed]] + [None] * 3)[:3]
+        if fixed == 3:
+            found = [row for row in rows if c(row) in index.get(a(row), _NONE).get(b(row), ())]
+        elif fixed == 2:
+            found = [row + (z,) for row in rows
+                     for z in index.get(a(row), _NONE).get(b(row), ())]
+        elif fixed == 1:
+            found = [row + (y, z) for row in rows
+                     for y, zs in index.get(a(row), _NONE).items() for z in zs]
+        else:
+            every = [(x, y, z) for x, ys in index.items() for y, zs in ys.items() for z in zs]
+            found = [row + t for row in rows for t in every]
+        return order[fixed:], found
+
     def match(self, pattern: TriplePattern) -> Iterator[Triple]:
         """Yield every triple matching ``pattern``.
 
         Equal variables in two positions of the pattern constrain the
         matched triple to repeat the same term in those positions.
         """
-        s, p, o = pattern.subject, pattern.predicate, pattern.obj
-        s_fixed = not isinstance(s, Variable)
-        p_fixed = not isinstance(p, Variable)
-        o_fixed = not isinstance(o, Variable)
-
-        if s_fixed and p_fixed and o_fixed:
-            t = Triple(s, p, o)
-            candidates: Iterable[Triple] = [t] if t in self._triples else []
-        elif s_fixed and p_fixed:
-            candidates = (Triple(s, p, obj) for obj in self._spo.get(s, {}).get(p, ()))
-        elif p_fixed and o_fixed:
-            candidates = (Triple(subj, p, o) for subj in self._pos.get(p, {}).get(o, ()))
-        elif s_fixed and o_fixed:
-            candidates = (Triple(s, pred, o) for pred in self._osp.get(o, {}).get(s, ()))
-        elif s_fixed:
-            candidates = (
-                Triple(s, pred, obj)
-                for pred, objs in self._spo.get(s, {}).items()
-                for obj in objs
-            )
-        elif p_fixed:
-            candidates = (
-                Triple(subj, p, obj)
-                for obj, subjs in self._pos.get(p, {}).items()
-                for subj in subjs
-            )
-        elif o_fixed:
-            candidates = (
-                Triple(subj, pred, o)
-                for subj, preds in self._osp.get(o, {}).items()
-                for pred in preds
-            )
-        else:
-            candidates = iter(self._triples)
-
-        repeated = _repeated_variable_positions(pattern)
-        if not repeated:
-            yield from candidates
-            return
-        for candidate in candidates:
-            values = (candidate.subject, candidate.predicate, candidate.obj)
-            if all(values[i] == values[j] for i, j in repeated):
-                yield candidate
+        terms, ids = tuple(pattern), self.dictionary.ids
+        if any(not isinstance(t, Variable) and t not in ids for t in terms):
+            return iter(())
+        keys = {i: constant(ids[t]) for i, t in enumerate(terms) if not isinstance(t, Variable)}
+        free, rows = self.probe(keys, [()])
+        spo, decode, repeated, out = list(terms), self.dictionary.terms, _repeated(terms), []
+        for row in rows:
+            for position, term_id in zip(free, row):
+                spo[position] = decode[term_id]
+            if all(spo[i] == spo[j] for i, j in repeated):
+                out.append(Triple(*spo))
+        return iter(out)
 
     def count(self, pattern: TriplePattern) -> int:
-        """Return the number of triples matching ``pattern``.
-
-        Fast paths avoid materialising matches for the common shapes used
-        by the planner's selectivity estimation.
-        """
-        s, p, o = pattern.subject, pattern.predicate, pattern.obj
-        if _repeated_variable_positions(pattern):
-            return sum(1 for _ in self.match(pattern))
-        s_fixed = not isinstance(s, Variable)
-        p_fixed = not isinstance(p, Variable)
-        o_fixed = not isinstance(o, Variable)
-        if not (s_fixed or p_fixed or o_fixed):
-            return len(self._triples)
-        if s_fixed and p_fixed and not o_fixed:
-            return len(self._spo.get(s, {}).get(p, ()))
-        if p_fixed and o_fixed and not s_fixed:
-            return len(self._pos.get(p, {}).get(o, ()))
-        if p_fixed and not s_fixed and not o_fixed:
-            return sum(len(v) for v in self._pos.get(p, {}).values())
+        """Return the number of triples matching ``pattern``: a
+        predicate-only count is the one maintained on write, one constant
+        besides the predicate the size of one index bucket."""
+        terms, ids = tuple(pattern), self.dictionary.ids
+        if any(not isinstance(t, Variable) and t not in ids for t in terms):
+            return 0
+        s, p, o = (None if isinstance(t, Variable) else ids[t] for t in terms)
+        if not _repeated(terms):
+            if s is None and o is None:
+                return self._size if p is None else self._pcount.get(p, 0)
+            if p is not None and (s is None or o is None):
+                return len(self._pos.get(p, _NONE).get(o, ()) if s is None
+                           else self._spo.get(s, _NONE).get(p, ()))
         return sum(1 for _ in self.match(pattern))
 
     # ------------------------------------------------------------------
@@ -376,50 +429,42 @@ class Graph:
 
     def terms(self) -> set[Term]:
         """Return every term (subject, predicate or object) in the graph."""
-        out: set[Term] = set()
-        for t in self:
-            out.update((t.subject, t.predicate, t.obj))
-        return out
+        return self._decoded(self._spo.keys() | self._pcount.keys() | self._osp.keys())
 
     def literals(self) -> set[Literal]:
         """Return every literal appearing in the object position."""
-        return {t.obj for t in self if isinstance(t.obj, Literal)}
+        return {t for t in self._decoded(self._osp) if isinstance(t, Literal)}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Graph(name={self.name!r}, triples={len(self)})"
 
 
 class GraphSnapshot(Snapshot, Graph, reads=(
-        "count", "subjects", "objects", "value", "predicates", "resources_of_type",
+        "match", "count", "subjects", "objects", "value", "predicates", "resources_of_type",
         "predicate_counts", "terms", "literals", "__len__", "__contains__")):
     """What :meth:`Graph.snapshot` returns: the graph read at one version,
     each read one :meth:`reading` of the live graph (a lazy answer —
-    ``match``, iteration — is materialised inside it).  It never writes."""
+    ``match``, iteration — is materialised inside it).  It never writes.
+    It shares the live graph's term dictionary."""
 
     def __init__(self, live: Graph, link: UndoLink):
-        self.name = live.name
+        self.name, self.dictionary = live.name, live.dictionary
         self._additions, self._removals = live._additions, live._removals
         self._journal, self._rwlock = live._journal, live._rwlock
         self._watch(live, link)
 
-    def _at(self, undo: dict[Triple, bool]) -> Graph:
-        """The live graph before the writes ``undo`` reverts (triple -> was
-        it present then): its triple set copied, its indexes copy-on-write."""
+    def _at(self, undo: dict[tuple, bool]) -> Graph:
+        """The live graph before the writes ``undo`` reverts (id triple ->
+        was it present then): its indexes copy-on-write."""
         live = self._live
         at = Graph(live.name)
-        at._triples = set(live._triples)
+        at.dictionary = live.dictionary
         at._spo, at._pos, at._osp = (CopyOnWrite(index, _private_inner)
                                      for index in (live._spo, live._pos, live._osp))
-        for t, present in undo.items():
-            if present:
-                at._add_unlocked(t)
-            else:
-                at._remove_unlocked(t)
+        at._pcount, at._size = dict(live._pcount), live._size
+        for key, present in undo.items():
+            (at._add_ids if present else at._remove_ids)(*key)
         return at
-
-    def match(self, pattern: TriplePattern) -> Iterator[Triple]:
-        with self.reading() as graph:
-            return iter(list(graph.match(pattern)))
 
     def __iter__(self) -> Iterator[Triple]:
         with self.reading() as graph:
@@ -427,31 +472,20 @@ class GraphSnapshot(Snapshot, Graph, reads=(
 
 
 def _private_inner(inner: dict | None) -> CopyOnWrite:
-    return CopyOnWrite(inner or {}, lambda terms: set(terms or ()))
+    return CopyOnWrite(inner or {}, lambda ids: set(ids or ()))
 
 
-def _discard_pruning(index: dict[Term, dict[Term, set[Term]]],
-                     a: Term, b: Term, value: Term) -> None:
-    """Discard ``value`` from ``index[a][b]``, pruning emptied buckets."""
-    inner = index.get(a)
-    if inner is None:
-        return
-    bucket = inner.get(b)
-    if bucket is None:
-        return
-    bucket.discard(value)
-    if not bucket:
+def _discard_pruning(index: dict[int, dict[int, set[int]]], a: int, b: int, value: int) -> None:
+    """Discard ``value`` from ``index[a][b]`` (present), pruning emptied buckets."""
+    inner = index[a]
+    inner[b].discard(value)
+    if not inner[b]:
         del inner[b]
         if not inner:
             del index[a]
 
 
-def _repeated_variable_positions(pattern: TriplePattern) -> list[tuple[int, int]]:
-    """Return index pairs of positions that hold the same variable."""
-    terms: list[PatternTerm] = [pattern.subject, pattern.predicate, pattern.obj]
-    pairs = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if isinstance(terms[i], Variable) and terms[i] == terms[j]:
-                pairs.append((i, j))
-    return pairs
+def _repeated(terms: tuple) -> list[tuple[int, int]]:
+    """Index pairs of positions that hold the same variable."""
+    return [(i, j) for i in range(3) for j in range(i + 1, 3)
+            if isinstance(terms[i], Variable) and terms[i] == terms[j]]

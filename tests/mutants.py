@@ -80,10 +80,53 @@ def subtract_the_written_copies(patch) -> None:
     patch.setattr(repair, "_document_delta_source", written_twice)
 
 
+def repair_from_explicit_delta(patch) -> None:
+    """A glue entry is repaired from the triples a write batch holds, not
+    from what it added to G∞."""
+    from repro.cache import repair
+
+    delta = repair._rdf_delta
+
+    def explicit(source, records):
+        found = delta(source, records)
+        return found and (found[0], [t for record in records for t in record.items])
+
+    patch.setattr(repair, "_rdf_delta", explicit)
+
+
+def seed_drops_spelling_variants(patch) -> None:
+    """A bound value seeds the BGP join under its first spelling only."""
+    from repro.core import sources
+
+    variants = sources._binding_term_variants
+    patch.setattr(sources, "_binding_term_variants", lambda value: variants(value)[:1])
+
+
+def repair_reads_pre_write_closure(patch) -> None:
+    """The patterns a repair does not seed read G∞ as it stood before the
+    write."""
+    from repro.cache import repair
+
+    delta = repair._rdf_delta
+
+    def stale(source, records):
+        found = delta(source, records)
+        if not found:
+            return found
+        graph, triples = found
+        before = graph.copy()
+        before.remove_all(triples)
+        return before, triples
+
+    patch.setattr(repair, "_rdf_delta", stale)
+
+
 MUTANTS = {mutant.__name__: mutant for mutant in (
     constants_out_of_the_binding_key, version_out_of_the_cache_key,
     repair_ignores_its_delta, headers_left_untranslated,
-    no_subtraction, subtract_the_written_copies)}
+    no_subtraction, subtract_the_written_copies,
+    repair_from_explicit_delta, seed_drops_spelling_variants,
+    repair_reads_pre_write_closure)}
 
 
 def _run(name: str) -> int:

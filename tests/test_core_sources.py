@@ -37,6 +37,25 @@ class TestRDFQueryAndSource:
         rows = source.execute(q, {"id": "mlepen"})
         assert len(rows) == 1 and rows[0]["x"].endswith("POL2")
 
+    def test_a_flush_seeds_every_spelling_of_its_values(self):
+        """A bound value matches whichever spelling the graph stores it
+        under (5 and 5.0; a CURIE as a URI and as a literal), per binding,
+        in one batch and one at a time alike."""
+        from repro.rdf import Graph, Literal, URI, literal, triple
+
+        graph = Graph("g", [triple("ttn:A", "ttn:rank", literal(5)),
+                            triple("ttn:B", "ttn:rank", literal(5.0)),
+                            triple("ttn:C", "ttn:rank", URI("seat:5")),
+                            triple("ttn:D", "ttn:rank", Literal("seat:5")),
+                            triple("ttn:E", "ttn:rank", literal(6))])
+        source = RDFSource("rdf://g", graph)
+        q = RDFQuery.from_text("SELECT ?x ?v WHERE { ?x ttn:rank ?v }")
+        batch = [{"v": 5}, {"v": 5.0}, {"v": "seat:5"}, {"v": 7}, {}]
+        answers = source.execute_batch(q, batch)
+        assert answers == [source.execute(q, bindings) for bindings in batch]
+        local = [sorted(row["x"].rsplit("#", 1)[-1] for row in rows) for rows in answers]
+        assert local == [["A", "B"], ["A", "B"], ["C", "D"], [], ["A", "B", "C", "D", "E"]]
+
     def test_entailment_option_exposes_implicit_triples(self, politics_graph, politics_schema):
         politics_graph.add_all(politics_schema.triples())
         source = RDFSource("rdf://glue", politics_graph, entailment=True)

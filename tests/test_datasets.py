@@ -205,6 +205,12 @@ class TestRDFSources:
                         and t.obj.value.endswith("Departement")]
         assert len(departements) == 20
 
+    def test_each_graph_is_built_as_one_batch(self):
+        landscape = generate_landscape(count=10, seed=1)
+        for graph in (landscape.graph, build_ign_graph(seed=1),
+                      build_dbpedia_graph(landscape.politicians, seed=2)):
+            assert graph.version == 1 and len(graph.journal) == 1, graph.name
+
 
 class TestDemoInstance:
     def test_all_sources_registered(self, demo):

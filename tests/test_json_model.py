@@ -217,6 +217,17 @@ class TestStore:
         assert store.remove("3") and len(store) == 2
         assert "3" not in store.index_for("text").presence
 
+    def test_a_comparison_finds_a_number_filed_under_an_equal_bool(self):
+        """1 and True share one posting key, whichever came first."""
+        store = JSONDocumentStore()
+        store.add({"id": 0, "a": True})
+        store.add({"id": 1, "a": 1})
+        assert store.index_for("a").lookup_cmp(">", 0) >= {"1"}
+        greater = TreePattern(leaves=(PatternLeaf(path="a", variable=None,
+                                                  predicates=(Predicate(op=">", value=0),)),))
+        assert TreePatternMatcher(store).match(greater) == \
+            TreePatternMatcher(store, accel=False).match(greater) == [{}]
+
     def test_missing_id_raises(self):
         with pytest.raises(JSONError):
             JSONDocumentStore().add({"text": "no id"})

@@ -3,25 +3,32 @@
 A hypothesis state machine interleaves warm askings of the five CMQ
 classes of the demonstration (qSIA over the full-text store, qSIA with
 a dynamically discovered source, qSIA over JSON + SQL, the party
-vocabulary, the fact check) with insert, upsert and remove batches on
-the full-text, JSON and glue stores and insert batches on the SQL store
-(the relational store has no other write).  Every asking draws one
-configuration — result cache on or off, delta repair on or off, through
-the service (two concurrent tickets: single-flight) or directly, bind
-batches of 1, 7 or 256 bindings, the digest sieve on or off (direct
-askings: the service takes no digests) — and every answer must be the
-oracle's multiset (:mod:`oracle`), undegraded.
+vocabulary, the fact check) and of a glue asking that reads an
+*entailed* fact (``memberOf`` ⊑ ``affiliatedWith``) with insert, upsert
+and remove batches on the full-text, JSON and glue stores and insert
+batches on the SQL store (the relational store has no other write).
+Every asking draws one configuration — result cache on or off, delta
+repair on or off, through the service (two concurrent tickets:
+single-flight) or directly, bind batches of 1, 7 or 256 bindings, the
+digest sieve on or off (direct askings: the service takes no digests) —
+and every answer must be the oracle's multiset (:mod:`oracle`),
+undegraded.  One metamorphic rule needs no oracle: a glue step bound to
+a value answers what the step materialised answers for that value,
+under every spelling the mediator's ``==`` equates.
 """
 
 from __future__ import annotations
 
 import copy
+from collections import Counter
 
 from hypothesis import HealthCheck, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
 from oracle import Oracle, multiset
+from repro.core.cmq import GLUE_SOURCE, CMQBuilder, SourceAtom
 from repro.core.planner import PlannerOptions
+from repro.core.sources import RDFQuery
 from repro.datasets import DemoConfig, build_demo_instance
 from repro.datasets.loader import (
     TWEETS_JSON_URI,
@@ -30,7 +37,7 @@ from repro.datasets.loader import (
     party_vocabulary_query,
     qsia_json_query,
 )
-from repro.rdf import triple
+from repro.rdf import Literal, URI, literal, triple, uri
 from repro.service import MediatorService, ServiceConfig
 
 CONFIG = DemoConfig(politicians=12, weeks=2, seed=7)
@@ -38,12 +45,26 @@ HASHTAGS = ("sia2016", "etatdurgence", "chomage")
 WORDS = ("france", "nation", "solidarite", "chomage")
 ASKS = ([("qsia", tag) for tag in HASHTAGS] + [("dynamic", tag) for tag in HASHTAGS]
         + [("qsia_json", tag) for tag in HASHTAGS] + [("party", word) for word in WORDS]
-        + [("factcheck", topic) for topic in ("chomage", "agriculture")])
-#: Glue facts the five classes read.
-GLUE_PREDICATES = ("twitterAccount", "position", "politicalGroup", "birthDepartment")
+        + [("factcheck", topic) for topic in ("chomage", "agriculture")]
+        + [("affiliation", "")])
+#: Glue facts the askings read; a ``memberOf`` fact entails an
+#: ``affiliatedWith`` one (and types), so what a glue insert adds to G∞
+#: is not what it writes.
+GLUE_PREDICATES = ("twitterAccount", "position", "politicalGroup", "birthDepartment",
+                   "memberOf", "rank", "seat")
+#: Per glue predicate, values the first politicians hold under two
+#: spellings each — a number as an integer and as a double literal, a
+#: CURIE as a URI and as a literal — and the bound values that must find
+#: both.
+SPELLED = {"rank": ((literal(5), literal(5.0)), (5, 5.0)),
+           "seat": ((URI("seat:5"), Literal("seat:5")), ("seat:5",))}
 
 
 def _cmq(cls: str, param: str, demo):
+    if cls == "affiliation":
+        return (CMQBuilder("affiliation", head=["x", "p", "id"])
+                .graph("SELECT ?x ?p ?id WHERE { ?x ttn:affiliatedWith ?p . "
+                       "?x ttn:twitterAccount ?id }").build())
     if cls == "qsia":
         return f'qSIA(t, id) :- qG(id), tweetContains(t, id, "{param}")'
     if cls == "dynamic":
@@ -70,11 +91,31 @@ def _reworded(document: dict, word: str, revision: int) -> dict:
     return document
 
 
+def _spelled(predicate: str, value=None):
+    """The glue step ``?x ttn:<predicate> ?v . ?x ttn:twitterAccount ?id``
+    alone: bound to ``value`` (a constant), or materialised (``None``)."""
+    query = RDFQuery.from_text(f"SELECT ?id ?v WHERE {{ ?x ttn:{predicate} ?v . "
+                               "?x ttn:twitterAccount ?id }")
+    atom = SourceAtom("spelled", query, source=GLUE_SOURCE,
+                      constants={} if value is None else {"v": value})
+    return CMQBuilder("spelled", head=["id"] if value is not None else ["id", "v"]) \
+        .atom(atom).build()
+
+
+def _politicians(demo) -> list:
+    return sorted(demo.instance.graph.subjects(predicate=uri("ttn:twitterAccount")), key=str)
+
+
 class WarmAskingsUnderWrites(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         self.demo = build_demo_instance(CONFIG)
         self.twin = build_demo_instance(CONFIG)
+        for demo in (self.demo, self.twin):
+            politicians = iter(_politicians(demo))
+            demo.instance.add_glue_triples(
+                triple(next(politicians), f"ttn:{predicate}", value)
+                for predicate, (values, _) in SPELLED.items() for value in values)
         self.oracle = Oracle(self.twin.instance)
         self.repair = self.demo.instance.cache.repair
         self.service = MediatorService(self.demo.instance,
@@ -125,6 +166,41 @@ class WarmAskingsUnderWrites(RuleBasedStateMachine):
         store = "json" if cls == "qsia_json" else "fulltext"
         getattr(self, f"_write_{store}")(kind, picks, word, reads=(param,))
         self.ask(ask, cache=True, repair=repair, service=service, batch=batch, sieve=False)
+
+    @rule(subject=st.integers(0, 10**6), donor=st.integers(0, 10**6),
+          predicates=st.sampled_from((("memberOf",), ("memberOf", "twitterAccount"),
+                                      ("twitterAccount",))),
+          batch=st.sampled_from((1, 7, 256)))
+    def ask_adopt_ask(self, subject, donor, predicates, batch) -> None:
+        """Ask the entailed affiliation warm, give a politician another's
+        party and/or account, ask again: the repair must seed from what
+        the write added to G∞ (a party entails an affiliation the write
+        does not hold), and join two new facts with each other."""
+        ask = ("affiliation", "")
+        self.ask(ask, cache=True, repair=True, service=False, batch=batch, sieve=False)
+        politicians = _politicians(self.demo)
+        taker, giver = (politicians[pick % len(politicians)] for pick in (subject, donor))
+        graph = self.demo.instance.graph
+        added = [triple(taker, uri(f"ttn:{name}"), obj) for name in predicates
+                 for obj in sorted(graph.objects(giver, uri(f"ttn:{name}")), key=str)]
+        self._write(lambda demo: demo.instance.add_glue_triples(added))
+        self.ask(ask, cache=True, repair=True, service=False, batch=batch, sieve=False)
+
+    @rule(predicate=st.sampled_from(sorted(SPELLED)), cache=st.booleans(),
+          repair=st.booleans())
+    def ask_spellings(self, predicate, cache, repair) -> None:
+        """Metamorphic: the glue step bound to a value answers what the
+        step materialised answers for it under the mediator's ``==``,
+        whichever spelling the value comes in (5 or 5.0; a CURIE, stored
+        as a URI and as a literal)."""
+        options = PlannerOptions(result_cache=cache)
+        self.demo.instance.cache.repair = self.repair if repair else None
+        rows = self.demo.instance.execute(_spelled(predicate), options=options).rows
+        for value in SPELLED[predicate][1]:
+            bound = self.demo.instance.execute(_spelled(predicate, value), options=options)
+            assert not bound.trace.degraded
+            assert multiset(bound) == Counter((row["id"],) for row in rows
+                                              if row["v"] == value), (predicate, value)
 
     # -- writes --------------------------------------------------------------
     @rule(store=st.sampled_from(("fulltext", "json", "glue", "sql")),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.rdf import Graph, Literal, pattern, triple, uri, var
+from repro.rdf import XSD_NS, Graph, Literal, pattern, triple, uri, var
 from repro.rdf.terms import Variable
 
 
@@ -258,3 +258,69 @@ class TestSubjectsObjectsFromIndexes:
         subjects = graph.subjects(predicate=uri("ttn:knows"))
         subjects.clear()
         assert graph.subjects(predicate=uri("ttn:knows"))
+
+
+class TestTermIds:
+    """Terms are interned once per dictionary; counts are kept on write."""
+
+    def test_predicate_counts_follow_writes(self, graph):
+        knows = pattern("?s", "ttn:knows", "?o")
+        before = graph.count(knows)
+        graph.add(triple("ttn:z", "ttn:knows", "ttn:a"))
+        assert graph.count(knows) == before + 1 == sum(1 for _ in graph.match(knows))
+        graph.remove(triple("ttn:z", "ttn:knows", "ttn:a"))
+        graph.remove_all(list(graph.match(knows)))
+        assert graph.count(knows) == 0 and uri("ttn:knows") not in graph.predicates()
+
+    def test_an_id_means_one_term_in_every_view(self, graph):
+        snapshot, copy = graph.snapshot(), graph.copy()
+        graph.add(triple("ttn:new", "ttn:knows", "ttn:a"))
+        copy.add(triple("ttn:other", "ttn:knows", "ttn:a"))
+        assert snapshot.dictionary is copy.dictionary is graph.dictionary
+        ids = graph.dictionary.ids
+        assert graph.dictionary.terms[ids[uri("ttn:new")]] == uri("ttn:new")
+        assert triple("ttn:new", "ttn:knows", "ttn:a") not in snapshot
+        assert triple("ttn:other", "ttn:knows", "ttn:a") not in graph
+
+    def test_the_dictionary_decodes_each_term_to_its_python_value(self):
+        g = Graph("g", [triple("ttn:a", "ttn:p", 5), triple("ttn:a", "ttn:q", "five")])
+        ids, values = g.dictionary.ids, g.dictionary
+        assert values[ids[uri("ttn:a")]] == uri("ttn:a").value
+        assert values[ids[Literal("5", datatype=XSD_NS + "integer")]] == 5
+        assert values[ids[Literal("five")]] == "five"
+
+    def test_a_batch_is_one_version_and_one_record(self):
+        g = Graph("g")
+        g.add_all(triple(f"ttn:s{i}", "ttn:p", i) for i in range(50))
+        assert g.version == 1 and len(g.journal) == 1 and len(g) == 50
+
+    def test_concurrent_interning_keeps_one_id_per_term(self):
+        """A graph and its copy intern into one dictionary from several
+        threads at once: every term gets exactly one id, and the id names
+        it."""
+        import sys
+        import threading
+
+        from repro.rdf.graph import TermDictionary
+
+        terms, interval = [uri(f"ttn:t{i}") for i in range(2000)], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                dictionary, start = TermDictionary(), threading.Barrier(6)
+
+                def intern() -> None:
+                    start.wait(timeout=30)
+                    for term in terms:
+                        dictionary.intern(term)
+
+                workers = [threading.Thread(target=intern) for _ in range(6)]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=30)
+                assert not any(worker.is_alive() for worker in workers)
+                assert len(dictionary.terms) == len(dictionary.ids) == len(terms)
+                assert all(dictionary.terms[dictionary.ids[t]] == t for t in terms)
+        finally:
+            sys.setswitchinterval(interval)

@@ -214,6 +214,21 @@ class TestIncrementalSaturation:
         stats = saturate_delta(saturated, [])
         assert stats.implicit_triples == 0
 
+    def test_one_absorbed_batch_moves_the_closure_once_per_round(self):
+        """Each fixpoint round is one write batch of G∞: the delta a batch
+        derives is a chain of at most ``rounds`` journal records."""
+        saturated, _ = saturate(self.graph)
+        before = saturated.version
+        delta = [triple("ttn:Marie", "ttn:worksFor", "ttn:Figaro"),
+                 triple("ttn:Marie", "rdf:type", "ttn:Journalist")]
+        stats = saturate_delta(saturated, delta)
+        assert 0 < saturated.version - before <= stats.rounds
+        records = saturated.deltas_since(before)
+        assert len(records) == saturated.version - before
+        derived = {t for record in records for t in record.items}
+        assert set(delta) < derived
+        assert triple("ttn:Marie", "ttn:paidBy", "ttn:Figaro") in derived
+
     def test_maintained_schema_threads_through_deltas(self):
         saturated, _ = saturate(self.graph)
         schema = RDFSchema.from_graph(saturated)
@@ -274,3 +289,18 @@ class TestRDFSourceStaleness:
         before = source.version()
         source.graph.add(triple("ttn:x", "ttn:p", "ttn:y"))
         assert source.version() == before + 1
+
+    def test_the_closure_says_what_a_raw_span_added_to_it(self):
+        """ΔG∞ of a raw span the lineage stood at both ends of: what the
+        span derived, entailed triples included; None for any other."""
+        source = self._source()
+        source.effective_graph()
+        pre = source.version()
+        source.add_triples([triple("ttn:Anna", "rdf:type", "ttn:Journalist")])
+        source.add_triples([triple("ttn:Bob", "rdf:type", "ttn:Journalist")])
+        assert source.closure.delta(pre, source.version()) is None  # not absorbed yet
+        source.effective_graph()
+        assert set(source.closure.delta(pre, source.version())) == {
+            triple(f"ttn:{name}", "rdf:type", f"ttn:{cls}")
+            for name in ("Anna", "Bob") for cls in ("Journalist", "Employee")}
+        assert source.closure.delta(pre + 1, source.version()) is None  # jumped over
