@@ -58,7 +58,7 @@ from repro.remote.transport import Transport
 LATENCY_WINDOW = 64
 
 #: The operations a wrapper sends, as ``stats()["calls_by_op"]`` lists them.
-OPS = ("pin", "version", "estimate", "execute", "execute_batch")
+OPS = ("pin", "version", "estimate", "execute_batch")
 
 
 class _SharedState:
@@ -205,26 +205,23 @@ class RemoteSource(DataSource):
 
     @_instrumented_execute
     def execute(self, query: SourceQuery, bindings: Row | None = None) -> list[Row]:
-        request = {"op": "execute", "query": protocol.encode_query(query),
-                   "bindings": protocol.encode_row(bindings or {})}
-        response = self._call(request)
-        return [protocol.decode_row(row) for row in response.get("rows") or []]
+        return self.execute_batch(query, [bindings or {}])[0]
 
     @_instrumented_execute_batch
     def execute_batch(self, query: SourceQuery,
                       bindings_batch: Sequence[Row]) -> list[list[Row]]:
+        """One ``execute_batch`` frame; each binding's answer arrives as
+        column-major batches (:func:`protocol.decode_answer`)."""
         request = {"op": "execute_batch",
                    "query": protocol.encode_query(query),
                    "bindings_batch": [protocol.encode_row(b)
                                       for b in bindings_batch]}
-        response = self._call(request)
-        groups = [[protocol.decode_row(row) for row in rows]
-                  for rows in response.get("groups") or []]
-        if len(groups) != len(bindings_batch):
+        answers = self._call(request).get("answers")
+        if not isinstance(answers, list) or len(answers) != len(bindings_batch):
             raise RemoteProtocolError(
-                f"{self.uri} answered {len(groups)} groups for "
-                f"{len(bindings_batch)} bindings")
-        return groups
+                f"{self.uri} did not answer each of {len(bindings_batch)} "
+                f"bindings: {str(answers)[:200]}")
+        return [protocol.decode_answer(answer) for answer in answers]
 
     def estimate(self, query: SourceQuery,
                  bound_variables: set[str] | None = None) -> float:
@@ -303,11 +300,11 @@ class RemoteSource(DataSource):
         request = dict(request, protocol=protocol.PROTOCOL_VERSION)
         if version is not None:
             request["version"] = version
-        # Only the execute ops must be answered from the pinned snapshot
-        # itself; estimates are advisory, so a (say) evicted-snapshot
-        # estimate answered live is not a failure.
+        # Only data must be answered from the pinned snapshot itself;
+        # estimates are advisory, so a (say) evicted-snapshot estimate
+        # answered live is not a failure.
         verify_version = (request.get("version") is not None
-                          and request["op"] in ("execute", "execute_batch"))
+                          and request["op"] == "execute_batch")
         registry = get_registry()
         with span("remote.call", source=self.uri, op=request["op"]) as sp:
             last_error: Optional[RemoteError] = None
@@ -443,7 +440,7 @@ class RemoteSource(DataSource):
 
         ``calls`` counts frames (every attempt); ``calls_by_op`` splits
         them into control (``pin`` / ``version`` / ``estimate``) and data
-        (``execute`` / ``execute_batch``); ``busy_s`` is what the frames
+        (``execute_batch``); ``busy_s`` is what the frames
         took end to end, ``server_s`` the share their servers reported
         spending in the handler and ``wire_s`` the rest.
         """

@@ -12,11 +12,21 @@ Requests are JSON objects ``{"op": ..., "protocol": PROTOCOL_VERSION,
 speaking another revision is answered with a
 :class:`~repro.errors.RemoteProtocolError` naming both.
 
-Binding rows and sub-queries travel through the codecs below.  Values
-that plain JSON cannot represent (tuples, dates, datetimes, and dicts
-whose keys collide with the tag) are wrapped in a one-key tag object
-``{"$": kind, "v": payload}``; everything else passes through verbatim,
-so the common case (strings and numbers) costs nothing.
+Sub-queries and the request's binding rows travel through the codecs
+below.  Values that plain JSON cannot represent (tuples, dates,
+datetimes, and dicts whose keys collide with the tag) are wrapped in a
+one-key tag object ``{"$": kind, "v": payload}``; everything else passes
+through verbatim, so the common case (strings and numbers) costs nothing.
+
+An answer travels as columns (revision 3).  The answer to one binding
+is a list of batches, each ``[columns, row_count, column_values,
+tagged]``: the header once, then one JSON array per column holding
+that column's ``row_count`` values in row order.  A column whose values
+are all ``str`` / ``int`` / ``float`` / ``bool`` / ``None`` ships
+verbatim; any other column ships through the value codec, and its index
+is listed in ``tagged`` — only those columns are decoded value by
+value.  ``row_count`` keeps a batch without columns (a BGP without
+output variables answering "yes") distinct from no rows at all.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ import datetime
 import json
 import socket
 import struct
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.core.sources import (
     FullTextQuery,
@@ -35,15 +45,16 @@ from repro.core.sources import (
     SourceQuery,
     SQLQuery,
 )
+from repro.engine.batch import BindingBatch, _row_constructor
 from repro.errors import RemoteProtocolError
 from repro.json.parser import parse_pattern
 from repro.rdf.bgp import BGPQuery
 from repro.rdf.terms import Literal, URI, Variable
 
 #: The revision of the wire format: ``hello`` advertises it and every
-#: request carries it (revision 1 carried none).  Bump it with any
-#: change an older peer would misread.
-PROTOCOL_VERSION = 2
+#: request carries it (revision 1 carried none; revision 2 answered a
+#: dict per row).  Bump it with any change an older peer would misread.
+PROTOCOL_VERSION = 3
 
 #: Upper bound on one frame; a peer announcing more is malformed.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
@@ -52,6 +63,9 @@ _LENGTH = struct.Struct("!I")
 
 #: The tag key of the value codec.
 _TAG = "$"
+
+#: The value types a column may hold to cross the wire verbatim.
+_PLAIN = frozenset((str, int, float, bool, type(None)))
 
 
 def revision_mismatch(client: object, server: object) -> str:
@@ -88,23 +102,36 @@ def encode_value(value: object) -> object:
 
 
 def decode_value(value: object) -> object:
-    """Inverse of :func:`encode_value`."""
+    """Inverse of :func:`encode_value`; a malformed tag object raises
+    :class:`~repro.errors.RemoteProtocolError`."""
     if isinstance(value, list):
         return [decode_value(item) for item in value]
     if isinstance(value, dict):
         tag = value.get(_TAG)
         if tag is None:
             return {k: decode_value(v) for k, v in value.items()}
-        if tag == "tuple":
-            return tuple(decode_value(item) for item in value["v"])
-        if tag == "dict":
-            return {k: decode_value(v) for k, v in value["v"].items()}
-        if tag == "datetime":
-            return datetime.datetime.fromisoformat(value["v"])
-        if tag == "date":
-            return datetime.date.fromisoformat(value["v"])
-        raise RemoteProtocolError(f"unknown value tag {tag!r}")
+        kind = _TAGGED.get(tag) if isinstance(tag, str) else None
+        if kind is None:
+            raise RemoteProtocolError(f"unknown value tag {tag!r}")
+        payload_type, decode = kind
+        payload = value.get("v")
+        if isinstance(payload, payload_type):
+            try:
+                return decode(payload)
+            except ValueError:  # an ISO date or datetime that is not one
+                pass
+        raise RemoteProtocolError(f"malformed {tag!r} value {value!r}")
     return value
+
+
+#: Per tag of the value codec: the JSON type of its payload, and how the
+#: payload decodes.
+_TAGGED = {
+    "tuple": (list, lambda items: tuple(map(decode_value, items))),
+    "dict": (dict, lambda items: {k: decode_value(v) for k, v in items.items()}),
+    "datetime": (str, datetime.datetime.fromisoformat),
+    "date": (str, datetime.date.fromisoformat),
+}
 
 
 def encode_row(row: Row) -> dict:
@@ -115,6 +142,59 @@ def decode_row(row: dict) -> Row:
     if not isinstance(row, dict):
         raise RemoteProtocolError("a binding row must decode from an object")
     return {name: decode_value(value) for name, value in row.items()}
+
+
+# ---------------------------------------------------------------------------
+# Answer codec
+# ---------------------------------------------------------------------------
+
+def encode_answer(batches: Sequence[BindingBatch]) -> list:
+    """Wire form of one binding's answer: per batch, ``[columns,
+    row_count, column_values, tagged]`` (see the module docstring)."""
+    encoded = []
+    for batch in batches:
+        if not batch.rows:
+            continue
+        values, tagged = [], []
+        for index, column in enumerate(zip(*batch.rows)):
+            if _PLAIN.issuperset(map(type, column)):
+                values.append(column)
+            else:
+                values.append([encode_value(value) for value in column])
+                tagged.append(index)
+        encoded.append([batch.columns, len(batch.rows), values, tagged])
+    return encoded
+
+
+def decode_answer(answer: object) -> list[Row]:
+    """Inverse of :func:`encode_answer`: the binding's rows, in order,
+    each batch's built by one compiled constructor over its columns."""
+    if not isinstance(answer, list):
+        raise RemoteProtocolError("an answer must decode from a list of batches")
+    rows: list[Row] = []
+    for batch in answer:
+        columns, count, values, tagged = _batch_fields(batch)
+        for index in tagged:
+            values[index] = [decode_value(value) for value in values[index]]
+        rows += _row_constructor(columns)(zip(*values) if values else [()] * count)
+    return rows
+
+
+def _batch_fields(batch: object) -> tuple[tuple[str, ...], int, list, list]:
+    """One encoded batch's fields, checked against each other."""
+    if isinstance(batch, list) and len(batch) == 4:
+        columns, count, values, tagged = batch
+        if (isinstance(columns, list) and all(type(c) is str for c in columns)
+                and len(set(columns)) == len(columns)
+                and type(count) is int and count >= 0
+                and isinstance(values, list) and len(values) == len(columns)
+                and all(type(v) is list and len(v) == count for v in values)
+                and isinstance(tagged, list)
+                and all(type(i) is int and 0 <= i < len(values) for i in tagged)):
+            return tuple(columns), count, values, tagged
+    raise RemoteProtocolError(
+        f"malformed answer batch (want [columns, row_count, column_values, "
+        f"tagged], each column row_count long): {str(batch)[:200]}")
 
 
 def encode_estimate(value: float) -> object:
@@ -152,13 +232,13 @@ def _encode_term(term: object) -> dict:
 
 def _decode_term(term: dict):
     tag = term.get(_TAG) if isinstance(term, dict) else None
-    if tag == "var":
-        return Variable(term["v"])
-    if tag == "uri":
-        return URI(term["v"])
-    if tag == "lit":
-        return Literal(term["v"], datatype=term.get("dt"),
-                       language=term.get("lang"))
+    value = term.get("v") if tag is not None else None
+    if tag == "var" and isinstance(value, str):
+        return Variable(value)
+    if tag == "uri" and isinstance(value, str):
+        return URI(value)
+    if tag == "lit" and value is not None:
+        return Literal(value, datatype=term.get("dt"), language=term.get("lang"))
     raise RemoteProtocolError(f"unknown RDF term encoding {term!r}")
 
 
@@ -185,30 +265,38 @@ def encode_query(query: SourceQuery) -> dict:
 
 
 def decode_query(payload: dict) -> SourceQuery:
-    """Inverse of :func:`encode_query`."""
+    """Inverse of :func:`encode_query`; a malformed payload raises
+    :class:`~repro.errors.RemoteProtocolError`, and text its model's
+    parser rejects raises that parser's error, as at planning."""
     if not isinstance(payload, dict):
         raise RemoteProtocolError("a sub-query must decode from an object")
     kind = payload.get("kind")
-    if kind == "sql":
-        return SQLQuery(sql=payload["sql"],
-                        output_columns=tuple(payload.get("output_columns") or ()))
-    if kind == "fulltext":
-        return FullTextQuery(
-            query_template=payload["template"],
-            output_fields=tuple((v, p) for v, p in payload.get("fields") or ()),
-            limit=payload.get("limit"), sort_by=payload.get("sort_by"))
-    if kind == "json":
-        return JSONQuery(pattern=parse_pattern(payload["pattern"]),
-                         limit=payload.get("limit"))
-    if kind == "rdf":
-        patterns = tuple(
-            tuple(_decode_term(t) for t in pattern)
-            for pattern in payload.get("patterns") or ())
-        bgp = BGPQuery.create(head=[Variable(n) for n in payload.get("head") or ()],
-                              patterns=patterns,
-                              name=payload.get("name") or "q")
-        return RDFQuery(bgp=bgp)
-    raise RemoteProtocolError(f"unknown sub-query kind {kind!r}")
+    if kind not in ("sql", "fulltext", "json", "rdf"):
+        raise RemoteProtocolError(f"unknown sub-query kind {kind!r}")
+    try:
+        if kind == "json":
+            return JSONQuery(pattern=parse_pattern(payload["pattern"]),
+                             limit=payload.get("limit"))
+        if kind == "rdf":
+            patterns = tuple(
+                tuple(_decode_term(t) for t in pattern)
+                for pattern in payload.get("patterns") or ())
+            bgp = BGPQuery.create(head=[Variable(n) for n in payload.get("head") or ()],
+                                  patterns=patterns,
+                                  name=payload.get("name") or "q")
+            return RDFQuery(bgp=bgp)
+        if kind == "sql":
+            query = SQLQuery(sql=payload["sql"],
+                             output_columns=tuple(payload.get("output_columns") or ()))
+        else:
+            query = FullTextQuery(
+                query_template=payload["template"],
+                output_fields=tuple((v, p) for v, p in payload.get("fields") or ()),
+                limit=payload.get("limit"), sort_by=payload.get("sort_by"))
+        query.template  # parse now: a template that is not text fails here, typed
+        return query
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise RemoteProtocolError(f"malformed {kind} sub-query: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,14 @@ operations mirror the :class:`~repro.core.sources.DataSource` protocol:
     Current store version (``null`` for unversioned sources).
 ``pin``
     Pin a server-side snapshot; returns its version.  Subsequent
-    ``execute`` / ``execute_batch`` requests carrying that version are
-    answered from the snapshot, so a remote plan observes one consistent
-    state even while the live store is written.  On an unchanged store
-    it costs what ``version`` does.
-``execute`` / ``execute_batch``
-    Evaluate one sub-query (for one binding, or a whole batch).
+    ``execute_batch`` requests carrying that version are answered from
+    the snapshot, so a remote plan observes one consistent state even
+    while the live store is written.  On an unchanged store it costs
+    what ``version`` does.
+``execute_batch``
+    Evaluate one sub-query for a batch of bindings (one binding is a
+    batch of one): the one data operation.  Each binding's answer ships
+    as column-major batches (:func:`~repro.remote.protocol.encode_answer`).
 ``estimate``
     The wrapper's cardinality estimate (``null`` encodes ``inf``).
 
@@ -93,27 +95,22 @@ class RemoteSourceHandler:
             return {"ok": True, "version": self.source.version()}
         if op == "pin":
             return {"ok": True, "version": self._pin()}
-        if op == "execute":
-            target = self._target(request.get("version"))
-            query = protocol.decode_query(request.get("query"))
-            bindings = protocol.decode_row(request.get("bindings") or {})
-            rows = target.execute(query, bindings)
-            return {"ok": True, "version": target.pinned_at,
-                    "rows": [protocol.encode_row(row) for row in rows]}
         if op == "execute_batch":
             target = self._target(request.get("version"))
             query = protocol.decode_query(request.get("query"))
-            batch = [protocol.decode_row(b)
-                     for b in request.get("bindings_batch") or []]
-            groups = target.execute_batch(query, batch)
+            batch = request.get("bindings_batch")
+            if not isinstance(batch, list):
+                raise RemoteProtocolError("bindings_batch must be a list of rows")
+            answers = target.answer_batch(query, [protocol.decode_row(b) for b in batch])
             return {"ok": True, "version": target.pinned_at,
-                    "groups": [[protocol.encode_row(row) for row in rows]
-                               for rows in groups]}
+                    "answers": [protocol.encode_answer(batches) for batches in answers]}
         if op == "estimate":
             target = self._target(request.get("version"))
             query = protocol.decode_query(request.get("query"))
-            bound = set(request.get("bound_variables") or ())
-            estimate = target.estimate(query, bound)
+            bound = request.get("bound_variables") or []
+            if not (isinstance(bound, list) and all(isinstance(n, str) for n in bound)):
+                raise RemoteProtocolError("bound_variables must be a list of names")
+            estimate = target.estimate(query, set(bound))
             return {"ok": True, "version": target.pinned_at,
                     "estimate": protocol.encode_estimate(estimate)}
         raise RemoteProtocolError(f"unknown operation {op!r}")

@@ -121,12 +121,26 @@ def repair_reads_pre_write_closure(patch) -> None:
     patch.setattr(repair, "_rdf_delta", stale)
 
 
+def wire_skips_tagged_columns(patch) -> None:
+    """A remote answer's tagged columns are read as they travel, so a
+    tuple arrives as its tag object."""
+    from repro.remote import protocol
+
+    decode = protocol.decode_answer
+
+    def untagged(answer):
+        return decode([[columns, count, values, []]
+                       for columns, count, values, _ in answer])
+
+    patch.setattr(protocol, "decode_answer", untagged)
+
+
 MUTANTS = {mutant.__name__: mutant for mutant in (
     constants_out_of_the_binding_key, version_out_of_the_cache_key,
     repair_ignores_its_delta, headers_left_untranslated,
     no_subtraction, subtract_the_written_copies,
     repair_from_explicit_delta, seed_drops_spelling_variants,
-    repair_reads_pre_write_closure)}
+    repair_reads_pre_write_closure, wire_skips_tagged_columns)}
 
 
 def _run(name: str) -> int:

@@ -10,11 +10,16 @@ batches on the SQL store (the relational store has no other write).
 Every asking draws one configuration — result cache on or off, delta
 repair on or off, through the service (two concurrent tickets:
 single-flight) or directly, bind batches of 1, 7 or 256 bindings, the
-digest sieve on or off (direct askings: the service takes no digests) —
-and every answer must be the oracle's multiset (:mod:`oracle`),
-undegraded.  One metamorphic rule needs no oracle: a glue step bound to
-a value answers what the step materialised answers for that value,
-under every spelling the mediator's ``==`` equates.
+digest sieve on or off (direct askings: the service takes no digests),
+locally or remotely — and every answer must be the oracle's multiset
+(:mod:`oracle`), undegraded.  A remote asking asks a front instance
+whose tweet, JSON, INSEE and DBpedia sources are :class:`RemoteSource`
+wrappers over the loopback wire, serving the live stores the writes
+reach; behind a ``FaultyTransport`` dropping or tampering with one
+frame in ten, its answer is the oracle's or is flagged degraded.  One
+metamorphic rule needs no oracle: a glue step bound to a value answers
+what the step materialised answers for that value, under every spelling
+the mediator's ``==`` equates.
 """
 
 from __future__ import annotations
@@ -26,18 +31,23 @@ from hypothesis import HealthCheck, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
 from oracle import Oracle, multiset
+from repro.core import MixedInstance
 from repro.core.cmq import GLUE_SOURCE, CMQBuilder, SourceAtom
 from repro.core.planner import PlannerOptions
 from repro.core.sources import RDFQuery
 from repro.datasets import DemoConfig, build_demo_instance
 from repro.datasets.loader import (
+    DBPEDIA_URI,
+    INSEE_URI,
     TWEETS_JSON_URI,
     TWEETS_URI,
     fact_checking_query,
     party_vocabulary_query,
     qsia_json_query,
+    register_demo_templates,
 )
 from repro.rdf import Literal, URI, literal, triple, uri
+from repro.remote import FaultyTransport, LocalTransport, RemoteOptions, RemoteSourceHandler
 from repro.service import MediatorService, ServiceConfig
 
 CONFIG = DemoConfig(politicians=12, weeks=2, seed=7)
@@ -46,7 +56,13 @@ WORDS = ("france", "nation", "solidarite", "chomage")
 ASKS = ([("qsia", tag) for tag in HASHTAGS] + [("dynamic", tag) for tag in HASHTAGS]
         + [("qsia_json", tag) for tag in HASHTAGS] + [("party", word) for word in WORDS]
         + [("factcheck", topic) for topic in ("chomage", "agriculture")]
-        + [("affiliation", "")])
+        + [("affiliation", ""), ("links", "sia2016")])
+#: The sources a remote asking reaches over the wire.
+REMOTE_URIS = (TWEETS_URI, TWEETS_JSON_URI, INSEE_URI, DBPEDIA_URI)
+#: No hedging, no backoff and no breaker: an injected fault is retried or
+#: degrades the asking it hits, never a later one.
+REMOTE_OPTIONS = RemoteOptions(timeout=5.0, retries=2, backoff_base=0.0, hedge_delay=0,
+                               breaker_failures=10**9)
 #: Glue facts the askings read; a ``memberOf`` fact entails an
 #: ``affiliatedWith`` one (and types), so what a glue insert adds to G∞
 #: is not what it writes.
@@ -69,6 +85,16 @@ def _cmq(cls: str, param: str, demo):
         return f'qSIA(t, id) :- qG(id), tweetContains(t, id, "{param}")'
     if cls == "dynamic":
         return f'qSIA(t, id) :- qG(id), tweetContains(t, id, "{param}")[dSolr]'
+    if cls == "links":
+        # A tweet's links are a list (a tuple in the answer): a column the
+        # wire must tag.
+        return (CMQBuilder("links", head=["t", "id", "urls"])
+                .graph("SELECT ?id WHERE { ?x ttn:position ttn:headOfState . "
+                       "?x ttn:twitterAccount ?id }")
+                .fulltext("tweetLinks", source=TWEETS_URI, query=f"entities.hashtags:{param}",
+                          fields={"t": "text", "id": "user.screen_name",
+                                  "urls": "entities.urls"})
+                .build())
     build = {"qsia_json": qsia_json_query, "party": party_vocabulary_query,
              "factcheck": fact_checking_query}[cls]
     return build(demo, param)
@@ -122,6 +148,27 @@ class WarmAskingsUnderWrites(RuleBasedStateMachine):
                                        ServiceConfig(workers=2, tracing=False))
         self.digests = None
         self.revision = 0
+        self.front, self.faults = self._front(self.demo.instance)
+        self.front_repair = self.front.cache.repair
+
+    @staticmethod
+    def _front(instance) -> tuple[MixedInstance, list]:
+        """An instance over ``instance``'s glue graph and sources, the
+        :data:`REMOTE_URIS` ones each reached through its own wire."""
+        front = MixedInstance(graph=instance.graph, name="front", schema=instance.schema)
+        faults = []
+        for index, source_uri in enumerate(instance.source_uris()):
+            source = instance.source(source_uri)
+            if source_uri not in REMOTE_URIS:
+                front.register(source)
+                continue
+            faults.append(FaultyTransport(
+                LocalTransport(RemoteSourceHandler(source).handle), seed=index))
+            front.register_remote(faults[-1], uri=source_uri, model=source.model,
+                                  name=source.name, size=source.size(),
+                                  options=REMOTE_OPTIONS)
+        register_demo_templates(front)
+        return front, faults
 
     def teardown(self) -> None:
         self.service.shutdown(wait=True)
@@ -135,13 +182,21 @@ class WarmAskingsUnderWrites(RuleBasedStateMachine):
 
     # -- askings -------------------------------------------------------------
     @rule(ask=st.sampled_from(ASKS), cache=st.booleans(), repair=st.booleans(),
-          service=st.booleans(), batch=st.sampled_from((1, 7, 256)), sieve=st.booleans())
-    def ask(self, ask, cache, repair, service, batch, sieve) -> None:
+          service=st.booleans(), batch=st.sampled_from((1, 7, 256)), sieve=st.booleans(),
+          remote=st.sampled_from((None, "clean", "faulty")))
+    def ask(self, ask, cache, repair, service, batch, sieve, remote=None) -> None:
+        """``remote`` asks the front instance (``service`` and ``sieve``
+        then do not apply), its wire clean or faulty."""
         cls, param = ask
         options = PlannerOptions(result_cache=cache, bind_batch_size=batch)
         self.demo.instance.cache.repair = self.repair if repair else None
         cmq = _cmq(cls, param, self.demo)
-        if service:
+        if remote is not None:
+            self.front.cache.repair = self.front_repair if repair else None
+            for transport in self.faults:
+                transport.fault_rate = 0.1 if remote == "faulty" else 0.0
+            results = [self.front.execute(cmq, options=options)]
+        elif service:
             tickets = [self.service.submit(cmq, options=options) for _ in range(2)]
             results = [ticket.result(timeout=60) for ticket in tickets]
         else:
@@ -151,8 +206,11 @@ class WarmAskingsUnderWrites(RuleBasedStateMachine):
                 cmq, options=options, digests=self.digests if sieve else None)]
         expected = self.oracle.answer(_cmq(cls, param, self.twin))
         for result in results:
+            if remote == "faulty" and result.trace.degraded:
+                continue
             assert not result.trace.degraded
-            assert multiset(result) == expected, (ask, cache, repair, service, batch, sieve)
+            assert multiset(result) == expected, (ask, cache, repair, service, batch, sieve,
+                                                  remote)
 
     @rule(ask=st.sampled_from(ASKS), kind=st.sampled_from(("upsert", "remove")),
           picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=3),

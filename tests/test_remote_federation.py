@@ -2,7 +2,9 @@
 
 The suite covers the layers of :mod:`repro.remote` bottom-up:
 
-* wire-protocol codec round trips (values, rows, all four query kinds);
+* wire-protocol codec round trips (values, rows, all four query kinds,
+  column-major answers), and typed errors for malformed frames and
+  peers of another revision;
 * `RemoteSource` ≡ in-process wrapper equivalence, over real TCP and over
   the in-process loopback (a hypothesis property across all four models);
 * the resilience mechanisms one by one — retries, hedged requests,
@@ -38,7 +40,8 @@ from hypothesis import strategies as st
 from repro.core import CMQBuilder, MixedInstance, PlannerOptions
 from repro.core.cmq import GLUE_SOURCE
 from repro.core.executor import MixedQueryExecutor
-from repro.core.sources import DataSource
+from repro.core.sources import DataSource, RDFQuery
+from repro.engine.batch import BindingBatch, as_batches, dict_rows
 from repro.errors import (
     CircuitOpenError,
     QueryTimeoutError,
@@ -51,6 +54,7 @@ from repro.fulltext.store import FieldConfig, FullTextStore
 from repro.json.store import JSONDocumentStore
 from repro.obs.explain import explain_analyze
 from repro.rdf import Graph, triple
+from repro.rdf.bgp import BGPQuery
 from repro.relational import Database
 from repro.remote import (
     CircuitBreaker,
@@ -218,6 +222,140 @@ def test_query_codec_roundtrip_all_kinds():
             assert (source.execute(decoded, bindings)
                     == source.execute(atom.query, bindings))
     assert seen_kinds == {"rdf", "sql", "fulltext", "json"}
+
+
+def _typed(value):
+    """``value`` with every type spelled out (``True`` is not ``1``, a
+    tuple is not a list) and NaN equal to itself."""
+    if isinstance(value, float) and value != value:
+        return ("nan",)
+    if isinstance(value, dict):
+        return ("dict", {key: _typed(item) for key, item in value.items()})
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, [_typed(item) for item in value])
+    return (type(value).__name__, value)
+
+
+def over_the_wire(answer: list) -> list:
+    """One binding's answer (batches) through a revision-3 frame."""
+    frame = {"ok": True, "answers": [protocol.encode_answer(answer)]}
+    return protocol.decode_answer(protocol.roundtrip(frame)["answers"][0])
+
+
+_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+              st.dates(), st.datetimes()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3).map(tuple), st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["$", "v", "k"]), inner, max_size=3)),
+    max_leaves=6)
+
+
+@st.composite
+def _batches(draw):
+    columns = draw(st.lists(st.sampled_from("abcd"), unique=True, max_size=3))
+    rows = draw(st.lists(st.tuples(*[_VALUES] * len(columns)), max_size=4))
+    return BindingBatch(columns, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(answer=st.lists(_batches(), max_size=3))
+def test_answer_codec_roundtrip(answer):
+    """Every value the mediator holds survives a revision-3 frame with its
+    type: None, bool, int, float (inf, NaN), str, tuple, list, dicts with a
+    ``"$"`` key, dates and datetimes, alone or mixed in one column."""
+    assert _typed(over_the_wire(answer)) == _typed(dict_rows(answer))
+
+
+def test_only_a_column_holding_a_non_json_value_is_tagged():
+    batch = BindingBatch(("s", "mixed", "plain"),
+                         [("a", 1, None), ("b", (1, 2), 2.5), ("c", date(2016, 1, 1), True)])
+    (encoded,) = protocol.encode_answer([batch])
+    assert encoded[1] == 3 and encoded[3] == [1]
+    rows = over_the_wire([batch])
+    assert rows == batch.dicts()
+    assert [type(row["plain"]) for row in rows] == [type(None), float, bool]
+
+
+def test_one_empty_row_stays_distinct_from_no_rows():
+    """A BGP without output variables answers "yes" as one empty row."""
+    for rows in ([], [{}], [{}, {}]):
+        assert over_the_wire(as_batches(rows)) == rows
+    base = build_instance("yes")
+    local = base.source("rdf://people")
+    remote = RemoteSource(LocalTransport(RemoteSourceHandler(local).handle),
+                          uri=local.uri, model=local.model, options=FAST)
+    for handle, expected in (("u0", [{}]), ("u1", [])):
+        query = RDFQuery(bgp=BGPQuery.create(head=[],
+                                             patterns=[("ttn:P0", "ttn:account", handle)]))
+        assert local.execute_batch(query, [{}, {}]) == [expected, expected]
+        assert remote.execute_batch(query, [{}, {}]) == [expected, expected]
+        assert remote.execute(query) == expected
+
+
+def test_a_key_set_change_inside_one_answer_keeps_row_order():
+    rows = [{"a": 1}, {"a": 2, "b": (3,)}, {"b": (4,), "a": 5}, {"a": 6}, {}, {"a": 7}]
+    batches = as_batches(rows)
+    assert len(batches) == 5
+    assert over_the_wire(batches) == rows
+
+
+@pytest.mark.parametrize("answer", [
+    [[["a"], 2, [[1]], []]],                 # a column shorter than the count
+    [[["a"], 1, [[1, 2]], []]],              # ... or longer
+    [[["a", "b"], 1, [[1]], []]],            # a column missing
+    [[[], -1, [], []]],                      # a negative count
+    [[["a"], 1, [[1]], [1]]],                # a tagged index out of range
+    [[["a", "a"], 1, [[1], [2]], []]],       # a column named twice
+    [[[1], 1, [[1]], []]],                   # a column name that is not one
+    [[["a"], 1, [[1]]]],                     # three fields
+    [{"a": [1]}],                            # a revision-2 row
+    {"a": [1]},                              # not a list of batches
+    [[["a"], 1, [[{"$": "tuple"}]], [0]]],   # a tagged value without payload
+], ids=lambda answer: str(answer)[:40])
+def test_a_malformed_answer_is_a_typed_error(answer):
+    with pytest.raises(RemoteProtocolError):
+        protocol.decode_answer(answer)
+
+
+# ---------------------------------------------------------------------------
+# A malformed request is answered with a typed error, not a crash
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("request_fields", [
+    {"query": {"kind": "sql"}, "bindings_batch": [{}]},
+    {"query": {"kind": "sql", "sql": 5}, "bindings_batch": [{}]},
+    {"query": {"kind": "rdf", "head": [],
+               "patterns": [[{"$": "var"}, {"$": "uri", "v": "ttn:a"},
+                             {"$": "uri", "v": "ttn:b"}]]},
+     "bindings_batch": [{}]},
+    {"query": {"kind": "rdf", "patterns": [[{"$": "uri", "v": "ttn:a"}]]},
+     "bindings_batch": [{}]},
+    {"query": "PROFILES", "bindings_batch": [{"id": {"$": "tuple"}}]},
+    {"query": "PROFILES", "bindings_batch": [{"id": {"$": "date", "v": "monday"}}]},
+    {"query": "PROFILES", "bindings_batch": [{"id": {"$": ["tuple"], "v": []}}]},
+    {"query": "PROFILES", "bindings_batch": {"id": "u0"}},
+], ids=["sql-without-text", "sql-not-text", "rdf-var-without-name", "rdf-short-pattern",
+        "tuple-without-payload", "date-not-iso", "unhashable-tag", "batch-not-a-list"])
+def test_a_malformed_request_gets_a_typed_error(request_fields, caplog):
+    base = build_instance("malformed")
+    source = base.source("sql://profiles")
+    handler = RemoteSourceHandler(source)
+    request = {"op": "execute_batch", "protocol": protocol.PROTOCOL_VERSION,
+               **request_fields}
+    if request["query"] == "PROFILES":
+        request["query"] = protocol.encode_query(atom_queries(base)["sql://profiles"])
+    with caplog.at_level("ERROR", logger="repro.remote.server"):
+        response = handler.handle(request)
+    assert not response["ok"]
+    assert response["error"]["type"] == "RemoteProtocolError", response
+    assert not caplog.records  # refused, not logged as an internal failure
+    # A client sending it gets the same type back, not a MixedQueryError.
+    remote = RemoteSource(HookTransport(LocalTransport(handler.handle),
+                                        lambda payload: payload.update(request)),
+                          uri=source.uri, model=source.model, options=FAST)
+    with pytest.raises(RemoteProtocolError):
+        remote.execute(atom_queries(base)["sql://profiles"], {"id": HANDLES[0]})
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +746,7 @@ def test_cost_model_prefers_bigger_batches_for_remote_sources():
 # ---------------------------------------------------------------------------
 
 CONTROL_OPS = ("pin", "version", "estimate")
-DATA_OPS = ("execute", "execute_batch")
+DATA_OPS = ("execute_batch",)
 
 
 def frames(instance: MixedInstance) -> dict:
@@ -972,7 +1110,7 @@ def test_planning_contacts_only_the_sources_the_atoms_reach():
     assert not plan.cached
     sent = frames(remote)
     assert sent.pop("json://tweets") == {
-        "pin": 1, "version": 0, "estimate": 2, "execute": 0, "execute_batch": 0}
+        "pin": 1, "version": 0, "estimate": 2, "execute_batch": 0}
     assert all(not any(ops.values()) for ops in sent.values())
 
 
@@ -1010,6 +1148,51 @@ def test_a_peer_of_another_revision_gets_a_typed_error_naming_both():
     assert remote.breaker.transitions == []
     with pytest.raises(RemoteProtocolError, match="revision mismatch"):
         RemoteSource(future)  # the hello is refused
+
+
+def test_a_revision_2_peer_gets_a_typed_error_in_both_directions():
+    """Revision 2 answered a dict per row; neither side may misread the
+    other, and each error names both revisions."""
+    assert protocol.PROTOCOL_VERSION == 3
+    base = build_instance("revision2")
+    source = base.source("sql://profiles")
+    query = atom_queries(base)["sql://profiles"]
+    # A revision-2 client asking this server.
+    old_client = HookTransport(LocalTransport(RemoteSourceHandler(source).handle),
+                               lambda payload: payload.update(protocol=2))
+    remote = RemoteSource(old_client, uri=source.uri, model=source.model, options=FAST)
+    with pytest.raises(RemoteProtocolError,
+                       match="the client speaks 2, the server speaks 3"):
+        remote.execute(query, {"id": HANDLES[0]})
+
+    # A revision-2 server asked by this client: its hello advertises 2, and
+    # it refuses every revision-3 frame the way revision 2 refused others.
+    class Revision2Server(Transport):
+        def request(self, payload, timeout=None):
+            if payload.get("protocol") != 2:
+                return {"ok": False, "error": {
+                    "type": "RemoteProtocolError",
+                    "message": protocol.revision_mismatch(payload.get("protocol"), 2)}}
+            return {"ok": True, "protocol": 2, "uri": source.uri, "model": source.model}
+
+    with pytest.raises(RemoteProtocolError,
+                       match="the client speaks 3, the server speaks 2"):
+        RemoteSource(Revision2Server())
+    remote = RemoteSource(Revision2Server(), uri=source.uri, model=source.model,
+                          options=FAST)
+    with pytest.raises(RemoteProtocolError,
+                       match="the client speaks 3, the server speaks 2"):
+        remote.execute(query, {"id": HANDLES[0]})
+    # Revision 2's answer layout, had it got through, is refused, not read
+    # as no rows.
+    class Revision2Answer(Transport):
+        def request(self, payload, timeout=None):
+            return {"ok": True, "groups": [[{"id": HANDLES[0], "f": 100}]]}
+
+    remote = RemoteSource(Revision2Answer(), uri=source.uri, model=source.model,
+                          options=FAST)
+    with pytest.raises(RemoteProtocolError, match="did not answer each"):
+        remote.execute(query, {"id": HANDLES[0]})
 
 
 def test_round_trips_split_into_control_data_wire_and_server():
