@@ -23,8 +23,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
-from repro.engine.batch import BindingBatch, _row_constructor, as_batches
+from repro.engine.batch import BindingBatch, _row_constructor, as_batches, tuple_getter
 from repro.errors import MixedQueryError
+from repro.fulltext.document import row_builder
 from repro.fulltext.query import MatchAllQuery, Parameter
 from repro.fulltext.store import FullTextStore
 from repro.fulltext.template import FullTextTemplate, fulltext_template
@@ -823,12 +824,12 @@ class FullTextSource(DataSource):
         alone.  Under a ``limit`` nothing narrows (top-k-then-filter is
         not filter-then-top-k): every binding filters the group's top-k.
 
-        A hit is projected once per call (per group for a ``_score``
-        output) into a value tuple the bindings reaching it share; the
-        bindings left over — non-``str`` values,
-        ``text`` / ``numeric`` / ``date`` / ``_score`` outputs — are
-        checked with ``_loose_equal`` on its columns, and a dict is built
-        per row returned.  The whole call is one read of the store.
+        A hit is projected off its stored row (:func:`_row_projector`: a
+        dict lookup and an ``itemgetter``) into a value tuple; the bindings
+        left over — non-``str`` values, ``text`` / ``numeric`` / ``date`` /
+        ``_score`` outputs — are checked with ``_loose_equal`` on its
+        columns, and a binding's rows are built as dicts by one compiled
+        constructor per header.  The whole call is one read of the store.
         """
         if not isinstance(query, FullTextQuery):
             raise MixedQueryError(
@@ -839,7 +840,6 @@ class FullTextSource(DataSource):
             batch = [b or {} for b in bindings_batch]
             paths = {variable: path for variable, path in query.output_fields}
             columns = {variable: i for i, variable in enumerate(paths)}
-            scored = "_score" in paths.values()
 
             def keyword(path: str) -> bool:
                 config = store.field_config(path)
@@ -855,12 +855,10 @@ class FullTextSource(DataSource):
                 groups.setdefault(key, []).append(index)
             results: list[list[Row]] = [[] for _ in batch]
             project = _row_projector(store, paths.values())
-            projected: dict[str, tuple] = {}
+            make = _row_constructor(tuple(paths))
             for indices in groups.values():
                 bound = template.bind(batch[indices[0]], in_lists)
                 matches, score = store.matches(bound), store.scorer(bound)
-                if scored:  # a score belongs to the group's query
-                    projected = {}
                 top = None if limit is None else store.rank(matches, score, query.sort_by,
                                                             limit=limit)
                 for index in indices:
@@ -881,14 +879,13 @@ class FullTextSource(DataSource):
                         ranked = store.rank(found, score, query.sort_by)
                     else:
                         ranked = top
-                    rows = results[index]
-                    for doc_id, relevance in ranked:
-                        values = projected.get(doc_id)
-                        if values is None:
-                            values = projected[doc_id] = project(doc_id, relevance)
-                        if not checks or all(_loose_equal(values[i], value)
-                                             for i, value in checks):
-                            rows.append(dict(zip(paths, values)))
+                    if not ranked:
+                        continue
+                    rows = itertools.starmap(project, ranked)
+                    if checks:
+                        rows = [values for values in rows if all(
+                            _loose_equal(values[i], value) for i, value in checks)]
+                    results[index] = make(rows)
             return results
 
     def estimate(self, query: SourceQuery, bound_variables: set[str] | None = None) -> float:
@@ -1104,31 +1101,25 @@ def _binding_term_variants(value: object) -> list[Term]:
 
 def _row_projector(store: FullTextStore,
                    paths: Iterable[str]) -> Callable[[str, float], tuple]:
-    """A document's output values, one per path: ``_score`` the score it
-    is given, a dotted path read off the stored fields, a one-value list
-    as its value and a longer one as a tuple.  Each path is split once."""
-    steps = []
-    for path in paths:
-        head, *rest = path.split(".")
-        steps.append((None, ()) if path == "_score" else (head, rest))
-    get = store.get
+    """A hit's output values, one per path, from its doc id and score.
 
-    def project(doc_id: str, score: float) -> tuple:
-        fields = get(doc_id).fields
-        values = []
-        for head, rest in steps:
-            if head is None:
-                values.append(score)
-                continue
-            value = fields.get(head)
-            for part in rest:
-                value = value.get(part) if isinstance(value, dict) else None
-            if isinstance(value, list):
-                value = value[0] if len(value) == 1 else tuple(value)
-            values.append(value)
-        return tuple(values)
-
-    return project
+    A declared field reads its cell of the hit's stored row, ``_score``
+    the score it is given, and an undeclared dotted path is read off the
+    document into a cell the way the store fills a row (a one-value list
+    as its value, a longer one as a tuple).  When every path is declared
+    a hit costs one dict lookup and one ``itemgetter``."""
+    paths, layout = tuple(paths), store.stored_fields
+    at = {name: i for i, name in enumerate(layout)}
+    at["_score"] = len(layout)
+    extra = tuple(dict.fromkeys(path for path in paths if path not in at))
+    at.update((path, len(layout) + 1 + i) for i, path in enumerate(extra))
+    pick, rows = tuple_getter([at[path] for path in paths]), store.stored_rows()
+    if extra:
+        read, get = row_builder(extra), store.get
+        return lambda doc_id, score: pick(rows[doc_id] + (score,) + read(get(doc_id).fields))
+    if "_score" in paths:
+        return lambda doc_id, score: pick(rows[doc_id] + (score,))
+    return lambda doc_id, score: pick(rows[doc_id])
 
 
 def _loose_equal(left: object, right: object) -> bool:

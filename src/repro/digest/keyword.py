@@ -403,8 +403,10 @@ class KeywordQueryEngine:
             hit = hit_by_node.get(node)
             if hit is not None:
                 value = hit.matched_values[0] if hit.matched_values else hit.keyword
-                escaped = str(value).replace("'", "''")
-                conditions.append(f"{node.position} LIKE '%{escaped}%'")
+                # The value's own ``%`` / ``_`` match only themselves.
+                escaped = (str(value).replace("\\", "\\\\").replace("%", "\\%")
+                           .replace("_", "\\_").replace("'", "''"))
+                conditions.append(f"{node.position} LIKE '%{escaped}%' ESCAPE '\\'")
         sql = f"SELECT {', '.join(select_items)} FROM {table}"
         if conditions:
             sql += " WHERE " + " AND ".join(conditions)

@@ -56,6 +56,46 @@ def path_getter(path: str) -> Callable[[dict[str, Any]], Any]:
     return functools.partial(_descend, parts=tuple(path.split(".")), default=None)
 
 
+@functools.lru_cache(maxsize=256)
+def row_builder(paths: tuple[str, ...]) -> Callable[[dict[str, Any]], tuple]:
+    """Compile dotted ``paths`` into one function of a field tree that
+    returns a *row*: one cell per path, ``doc.get(p)`` with a one-value
+    list read as its value and a longer list as a tuple.
+
+    The function is generated once per tuple of paths and descends each
+    prefix the paths share once (``user`` once for ``user.name`` and
+    ``user.id``); the keys enter as default arguments, never as source
+    (as in ``collections.namedtuple``).
+    """
+    keys: dict[str, str] = {}
+    nodes: dict[str, str] = {"": "fields"}
+    lines: list[str] = []
+
+    def read(prefix: str, key: str) -> str:
+        parent, name = nodes[prefix], keys.setdefault(key, f"k{len(keys)}")
+        if not prefix:  # the field tree itself is a dict
+            return f"{parent}.get({name})"
+        return f"{parent}.get({name}) if isinstance({parent}, dict) else None"
+
+    for i, path in enumerate(paths):
+        *heads, leaf = path.split(".")
+        prefix = ""
+        for head in heads:
+            node = f"{prefix}.{head}" if prefix else head
+            if node not in nodes:
+                value = read(prefix, head)
+                nodes[node] = f"n{len(nodes)}"
+                lines.append(f"{nodes[node]} = {value}")
+            prefix = node
+        lines.append(f"c{i} = {read(prefix, leaf)}")
+        lines.append(f"if isinstance(c{i}, list): c{i} = c{i}[0] if len(c{i}) == 1 else tuple(c{i})")
+    cells = "".join(f"c{i}, " for i in range(len(paths)))
+    namespace = {name: key for key, name in keys.items()}
+    exec(f"def row(fields, {''.join(f'{name}={name}, ' for name in namespace)}):\n"
+         + "".join(f"    {line}\n" for line in lines) + f"    return ({cells})", namespace)
+    return namespace["row"]
+
+
 def _descend(fields: dict[str, Any], parts: Sequence[str], default: Any) -> Any:
     current: Any = fields
     for part in parts:

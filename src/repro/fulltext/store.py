@@ -14,6 +14,18 @@ A store declares *field types*:
     names, ids;
 ``numeric`` / ``date``
     stored for range queries, sorting and faceting.
+
+Besides each document, the store keeps its **stored row** (Lucene's stored
+fields): a tuple with one cell per declared field, in declaration order,
+holding what a hit's output carries — the field's value, a one-value list
+as its value, a longer list as a tuple, a missing field as ``None``.  A
+write reads each declared field once, into the row, through one function
+compiled per store (:func:`~repro.fulltext.document.row_builder`), and
+derives the text stems and keyword keys from the row's cells; a removal
+derives what to take out of the indexes from the row it pops.  A read
+never walks a document's nested fields again to project a hit: the
+full-text wrapper picks its outputs off the row.  Values are JSON values:
+a tuple is read as a list of values.
 """
 
 from __future__ import annotations
@@ -21,14 +33,14 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import AbstractSet, Any, Callable, Iterable, Sequence
+from typing import AbstractSet, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.core.deltas import (
     DeltaJournal, INSERT, REMOVE, UPSERT, CopyOnWrite, Snapshot, UndoLink, remembered)
 from repro.errors import FullTextError
 from repro.fulltext.analysis import Analyzer
 from repro.locks import RWLock
-from repro.fulltext.document import Document, make_document, path_getter
+from repro.fulltext.document import Document, make_document, path_getter, row_builder
 from repro.fulltext.index import InvertedIndex
 from repro.fulltext.query import (
     BooleanQuery,
@@ -109,6 +121,13 @@ class FullTextStore:
         self._keyword_indexes: dict[str, dict[str, set[str]]] = {
             f.name: defaultdict(set) for f in fields if f.field_type == "keyword"
         }
+        #: doc id -> its stored row, one cell per :attr:`stored_fields`.
+        self._stored: dict[str, tuple] = {}
+        self._row_of = row_builder(self.stored_fields)
+        cell = {name: i for i, name in enumerate(self.stored_fields)}
+        #: (field, its cell) of each text field and of each keyword field.
+        self._text_cells = tuple((name, cell[name]) for name in self._text_indexes)
+        self._keyword_cells = tuple((name, cell[name]) for name in self._keyword_indexes)
         self._version = 0
         #: Typed mutation log (shared with snapshots).
         self._journal = DeltaJournal()
@@ -138,6 +157,15 @@ class FullTextStore:
     def field_configs(self) -> list[FieldConfig]:
         """The declared field configurations (delta-store construction)."""
         return list(self._fields.values())
+
+    @property
+    def stored_fields(self) -> tuple[str, ...]:
+        """The layout of a stored row: the declared fields, in order."""
+        return tuple(self._fields)
+
+    def stored_rows(self) -> Mapping[str, tuple]:
+        """doc id -> its stored row (read-only, not a copy)."""
+        return self._stored
 
     # ------------------------------------------------------------------
     # Indexing
@@ -187,58 +215,63 @@ class FullTextStore:
             old for old in dict(reversed(before)).values() if old is not None])
 
     def _index_unlocked(self, doc: Document) -> None:
-        self._documents[doc.doc_id] = doc
-        for field_name, index in self._text_indexes.items():
-            terms = self._text_terms(doc, field_name)
-            if terms is not None:
-                index.add(doc.doc_id, terms)
-        for field_name, buckets in self._keyword_indexes.items():
-            for keyword in self._keyword_terms(doc, field_name):
-                buckets[keyword].add(doc.doc_id)
+        doc_id = doc.doc_id
+        self._documents[doc_id] = doc
+        row = self._stored[doc_id] = self._row_of(doc.fields)
+        for field_name, terms in self._text_terms(doc, row):
+            self._text_indexes[field_name].add(doc_id, terms)
+        for field_name, at in self._keyword_cells:
+            cell = row[at]
+            if cell is not None:
+                buckets = self._keyword_indexes[field_name]
+                for keyword in _keyword_keys(cell):
+                    buckets[keyword].add(doc_id)
 
     def _deindex_unlocked(self, doc_id: str) -> Document | None:
         """Drop a document's entries; returns it (None: it did not exist).
 
         What the document put into the indexes is derived again from the
-        stored document (never mutated after ``add``), so only its own
+        stored row it pops (never mutated after ``add``), so only its own
         terms and keyword buckets are visited, and the ones it empties
         are deleted: the statistics count no dead term.
         """
         doc = self._documents.pop(doc_id, None)
         if doc is None:
             return None
-        for field_name, index in self._text_indexes.items():
-            terms = self._text_terms(doc, field_name)
-            if terms is not None:
-                index.remove(doc_id, terms)
-        for field_name, buckets in self._keyword_indexes.items():
-            for keyword in self._keyword_terms(doc, field_name):
-                doc_ids = buckets.get(keyword)
-                if doc_ids is not None:
-                    doc_ids.discard(doc_id)
-                    if not doc_ids:
-                        del buckets[keyword]
+        row = self._stored.pop(doc_id)
+        for field_name, terms in self._text_terms(doc, row):
+            self._text_indexes[field_name].remove(doc_id, terms)
+        for field_name, at in self._keyword_cells:
+            cell = row[at]
+            if cell is not None:
+                buckets = self._keyword_indexes[field_name]
+                for keyword in _keyword_keys(cell):
+                    doc_ids = buckets.get(keyword)
+                    if doc_ids is not None:
+                        doc_ids.discard(doc_id)
+                        if not doc_ids:
+                            del buckets[keyword]
         return doc
 
-    def _text_terms(self, doc: Document, field_name: str) -> list[str] | None:
-        """The stems ``doc`` is indexed under in a text field (None: absent)."""
-        value = doc.get(field_name)
-        if value is None:
-            return None
-        return self.analyzer.stems(self._stringify(value))
+    def _text_terms(self, doc: Document, row: tuple) -> list[tuple[str, list[str]]]:
+        """(text field, the stems ``doc`` is indexed under in it) for each
+        text field the document has, read off its stored ``row``.
 
-    def _keyword_terms(self, doc: Document, field_name: str) -> list[str]:
-        """The (lowercased) values ``doc`` is indexed under in a keyword field.
-
-        A ``null`` is no value, in a list as alone: ``_loose_equal`` in
-        the full-text wrapper never matches one either.
+        A list's values are joined by spaces.  A ``None`` cell is no value
+        unless the document holds ``[None]``, which reads as ``"None"``.
         """
-        value = doc.get(field_name)
-        if value is None:
-            return []
-        if isinstance(value, list):
-            return [str(v).lower() for v in value if v is not None]
-        return [str(value).lower()]
+        terms = []
+        for field_name, at in self._text_cells:
+            cell = row[at]
+            if cell is None:
+                cell = doc.get(field_name)
+                if cell is None:
+                    continue
+                text = self._stringify(cell)
+            else:
+                text = " ".join(map(str, cell)) if isinstance(cell, tuple) else str(cell)
+            terms.append((field_name, self.analyzer.stems(text)))
+        return terms
 
     def remove(self, doc_id: str) -> bool:
         """Remove a document from the store and all its indexes."""
@@ -629,8 +662,8 @@ class FullTextSnapshot(Snapshot, FullTextStore, reads=(
         "average_document_frequency", "__len__", "__contains__")):
     """What :meth:`FullTextStore.snapshot` returns: the store read at one
     version.  Every read is one :meth:`reading` of the live store; a
-    keyword bucket is handed out as a copy, and a scorer scores inside a
-    read of its own.  A snapshot never writes."""
+    keyword bucket and the stored rows are handed out as copies, and a
+    scorer scores inside a read of its own.  A snapshot never writes."""
 
     def __init__(self, live: FullTextStore, link: UndoLink):
         self.name, self.id_field, self.analyzer = live.name, live.id_field, live.analyzer
@@ -641,12 +674,14 @@ class FullTextSnapshot(Snapshot, FullTextStore, reads=(
     def _at(self, undo: dict[str, Document | None]) -> FullTextStore:
         """The live store as it stood at this version: the documents
         ``undo`` names (doc id -> document then, or None) are de-indexed
-        and indexed again, by the store's own code, into a copy of the
-        document map and copy-on-write views of the live indexes."""
+        and indexed again, by the store's own code, into copies of the
+        document and stored-row maps and copy-on-write views of the live
+        indexes."""
         live = self._live
         at = FullTextStore(live.name, live.field_configs(), live.default_field,
                            live.id_field, live.analyzer)
-        at._version, at._documents = self._version, dict(live._documents)
+        at._version, at._documents, at._stored = (
+            self._version, dict(live._documents), dict(live._stored))
         for name, index in live._text_indexes.items():
             twin = at._text_indexes[name]
             twin._postings = CopyOnWrite(index._postings, lambda postings: dict(postings or {}))
@@ -663,6 +698,10 @@ class FullTextSnapshot(Snapshot, FullTextStore, reads=(
         with self.reading() as store:
             return frozenset(store.keyword_documents(field_name, key))
 
+    def stored_rows(self) -> Mapping[str, tuple]:
+        with self.reading() as store:
+            return dict(store.stored_rows())
+
     def scorer(self, query: Query) -> Callable[[str], float]:
         made: list = [None, None]
 
@@ -673,6 +712,16 @@ class FullTextSnapshot(Snapshot, FullTextStore, reads=(
                 return made[1](doc_id)
 
         return score
+
+
+def _keyword_keys(cell: Any) -> Sequence[str]:
+    """The keys a keyword field's (non-``None``) stored cell is filed under:
+    each value's ``str(v).lower()``.  A ``null`` is no value, in a list as
+    alone: ``_loose_equal`` in the full-text wrapper never matches one
+    either."""
+    if isinstance(cell, tuple):
+        return [str(v).lower() for v in cell if v is not None]
+    return (str(cell).lower(),)
 
 
 def _within(value: Any, low: Any, high: Any, include_low: bool, include_high: bool) -> bool:

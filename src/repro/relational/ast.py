@@ -100,11 +100,15 @@ class ColumnRef(Expression):
 
 @dataclass(frozen=True)
 class BinaryOp(Expression):
-    """A binary operation (comparison, arithmetic, AND/OR, LIKE)."""
+    """A binary operation (comparison, arithmetic, AND/OR, LIKE).
+
+    ``escape`` is a LIKE's ``ESCAPE`` character: in the pattern it makes
+    the character after it (``%``, ``_`` or itself) literal."""
 
     operator: str
     left: Expression
     right: Expression
+    escape: Optional[str] = None
 
     def evaluate(self, scope: dict[str, object]) -> object:
         op = self.operator
@@ -119,7 +123,7 @@ class BinaryOp(Expression):
         if op in ("!=", "<>"):
             return left != right
         if op == "LIKE":
-            return _like(left, right)
+            return _like(left, right, self.escape)
         if left is None or right is None:
             return None
         if op == "<":
@@ -363,9 +367,26 @@ class InsertStatement:
 Statement = object  # SelectStatement | CreateTableStatement | InsertStatement
 
 
-def _like(value: object, pattern: object) -> object:
-    """SQL LIKE with ``%`` and ``_`` wildcards, case-insensitive."""
+def _like(value: object, pattern: object, escape: str | None = None) -> object:
+    """SQL LIKE with ``%`` and ``_`` wildcards, case-insensitive; after the
+    ``escape`` character, a character stands for itself."""
     if value is None or pattern is None:
         return None
-    regex = re.escape(str(pattern)).replace("%", ".*").replace("_", ".")
-    return re.fullmatch(regex, str(value), flags=re.IGNORECASE) is not None
+    return _like_regex(str(pattern), escape).fullmatch(str(value)) is not None
+
+
+@functools.lru_cache(maxsize=256)
+def _like_regex(pattern: str, escape: str | None) -> re.Pattern:
+    parts, characters = [], iter(pattern)
+    for character in characters:
+        if character == escape:
+            character = next(characters, None)
+            if character is None:
+                raise RelationalError(f"LIKE pattern {pattern!r} ends with its escape")
+            parts.append(re.escape(character))
+        else:
+            parts.append(_LIKE_WILDCARDS.get(character) or re.escape(character))
+    return re.compile("".join(parts), flags=re.IGNORECASE)
+
+
+_LIKE_WILDCARDS = {"%": ".*", "_": "."}

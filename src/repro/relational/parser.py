@@ -47,7 +47,7 @@ _KEYWORDS = {
     "SELECT", "DISTINCT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER",
     "LIMIT", "AS", "JOIN", "INNER", "LEFT", "OUTER", "ON", "AND", "OR", "NOT",
     "IN", "IS", "NULL", "LIKE", "ASC", "DESC", "CREATE", "TABLE", "PRIMARY",
-    "KEY", "REFERENCES", "INSERT", "INTO", "VALUES", "TRUE", "FALSE",
+    "KEY", "REFERENCES", "INSERT", "INTO", "VALUES", "TRUE", "FALSE", "ESCAPE",
 }
 
 _TOKEN_RE = re.compile(
@@ -395,7 +395,15 @@ class _SQLParser:
             operator = self._next().text
             return BinaryOp(operator, left, self._parse_additive())
         if self._accept_keyword("LIKE"):
-            return BinaryOp("LIKE", left, self._parse_additive())
+            pattern = self._parse_additive()
+            if not self._accept_keyword("ESCAPE"):
+                return BinaryOp("LIKE", left, pattern)
+            token = self._next()
+            escape = token.text[1:-1].replace("''", "'")
+            if token.kind != "string" or len(escape) != 1:
+                raise SQLParseError(f"ESCAPE takes one quoted character, got {token.text!r}",
+                                    position=token.position)
+            return BinaryOp("LIKE", left, pattern, escape)
         if self._accept_keyword("IS"):
             negated = bool(self._accept_keyword("NOT"))
             self._expect_keyword("NULL")

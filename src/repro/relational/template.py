@@ -132,7 +132,7 @@ class SQLTemplate:
             if isinstance(node, BinaryOp):
                 if isinstance(node.right, Parameter) and node.right.name in lists:
                     return InList(node.left, lists[node.right.name])
-                return BinaryOp(node.operator, bound(node.left), bound(node.right))
+                return dataclasses.replace(node, left=bound(node.left), right=bound(node.right))
             if isinstance(node, UnaryOp):
                 return UnaryOp(node.operator, bound(node.operand))
             if isinstance(node, IsNull):

@@ -135,12 +135,52 @@ def wire_skips_tagged_columns(patch) -> None:
     patch.setattr(protocol, "decode_answer", untagged)
 
 
+def stored_row_outlives_upsert(patch) -> None:
+    """A full-text de-index leaves the document's stored row, and the copy
+    indexed next keeps it: an upserted document projects its old fields."""
+    from repro.fulltext.store import FullTextStore
+
+    deindex, index = FullTextStore._deindex_unlocked, FullTextStore._index_unlocked
+
+    def leaving_the_row(self, doc_id):
+        row = self._stored.get(doc_id)
+        old = deindex(self, doc_id)
+        if row is not None:
+            self._stored[doc_id] = row
+        return old
+
+    def keeping_the_row(self, doc):
+        row = self._stored.get(doc.doc_id)
+        index(self, doc)
+        if row is not None:
+            self._stored[doc.doc_id] = row
+
+    patch.setattr(FullTextStore, "_deindex_unlocked", leaving_the_row)
+    patch.setattr(FullTextStore, "_index_unlocked", keeping_the_row)
+
+
+def snapshot_reads_live_stored_rows(patch) -> None:
+    """A full-text snapshot read back at its version projects the live
+    store's rows."""
+    from repro.fulltext.store import FullTextSnapshot
+
+    at = FullTextSnapshot._at
+
+    def live_rows(self, undo):
+        store = at(self, undo)
+        store._stored = self._live._stored
+        return store
+
+    patch.setattr(FullTextSnapshot, "_at", live_rows)
+
+
 MUTANTS = {mutant.__name__: mutant for mutant in (
     constants_out_of_the_binding_key, version_out_of_the_cache_key,
     repair_ignores_its_delta, headers_left_untranslated,
     no_subtraction, subtract_the_written_copies,
     repair_from_explicit_delta, seed_drops_spelling_variants,
-    repair_reads_pre_write_closure, wire_skips_tagged_columns)}
+    repair_reads_pre_write_closure, wire_skips_tagged_columns,
+    stored_row_outlives_upsert, snapshot_reads_live_stored_rows)}
 
 
 def _run(name: str) -> int:

@@ -599,9 +599,8 @@ class TestFullTextBindingPushdownDifferential:
         red, blue = source.execute_batch(query, batch)
         shared = [row["i"] for row in red if row in blue]
         assert shared == ["D01"]  # tags ["Red", "blue"]
-        # Projected once, though both bindings keep it.
-        assert set(projected.values()) == {1}
-        assert sum(projected.values()) == len(red) + len(blue) - 1
+        # Each binding projects the hits its own bucket leaves, and no other.
+        assert projected == Counter(row["i"] for row in red + blue)
 
     def test_a_demo_flush_equals_one_call_per_binding(self, demo):
         """120 party-shaped bindings (every author, upper-cased, unknown)
@@ -672,9 +671,10 @@ class TestFullTextProjectsOnlyWhatTheBindingCanAccept:
 class TestFullTextBatchBuildsEachHitOnce:
     """Counts, not clocks: a party-shaped flush — every author bound
     against ``text:soutien`` — costs one match set, no ``SearchHit``, one
-    projection per document and one dict per row.  Each count fails at
-    the parent of ISSUE 21, whose wrapper searched (a scored ``SearchHit``
-    per hit), built a dict per hit and copied one per row of a binding."""
+    projection per row kept and one constructed row per row returned (the
+    compiled constructor of the header builds them all).  A wrapper that
+    searched (a scored ``SearchHit`` per hit), or built rows for hits it
+    then dropped, fails a count."""
 
     FIELDS = {"t": "text", "id": "user.screen_name", "rt": "retweet_count", "week": "week"}
 
@@ -703,20 +703,21 @@ class TestFullTextBatchBuildsEachHitOnce:
                 counts["SearchHit"] += 1
                 super().__init__(*args, **kwargs)
 
-        class CountingDict(type):
-            """Stands for ``dict`` in the wrapper's module: calling it
-            counts and builds a dict, ``isinstance`` checks are unchanged."""
+        constructor = sources._row_constructor
 
-            def __call__(cls, *args, **kwargs):
-                counts["dict"] += 1
-                return dict(*args, **kwargs)
+        def counted_constructor(*args):
+            make = constructor(*args)
 
-            def __instancecheck__(cls, instance):
-                return isinstance(instance, dict)
+            def counted(*rows_and_decoder):
+                made = make(*rows_and_decoder)
+                counts["rows"] += len(made)
+                return made
+
+            return counted
 
         monkeypatch.setattr(fulltext_store.FullTextStore, "matches", counted_matches)
         monkeypatch.setattr(fulltext_store, "SearchHit", CountedHit)
-        monkeypatch.setattr(sources, "dict", CountingDict("dict", (), {}), raising=False)
+        monkeypatch.setattr(sources, "_row_constructor", counted_constructor)
         projected = _count_projections(monkeypatch)
         answer = source.execute_batch(query, batch)
         monkeypatch.undo()
@@ -733,11 +734,11 @@ class TestFullTextBatchBuildsEachHitOnce:
         assert rows > 100
         assert counts["matches"] == 1
         assert counts["SearchHit"] == 0
-        assert counts["dict"] == rows
+        assert counts["rows"] == rows
         # One author per tweet: each document lands in one binding's rows.
         assert set(projected.values()) == {1} and sum(projected.values()) == rows
 
-    def test_a_document_two_hashtags_share_is_projected_once(self, party, monkeypatch):
+    def test_a_document_two_hashtags_share_is_in_both_answers(self, party, monkeypatch):
         source, _ = party
         query = FullTextQuery.create("text:soutien", {**self.FIELDS, "g": "entities.hashtags"})
         batch = [{"g": "etatdurgence"}, {"g": "CHOMAGE"}]
@@ -747,9 +748,9 @@ class TestFullTextBatchBuildsEachHitOnce:
         first, second = answer
         assert [row["g"] for row in first if row in second] == [("EtatDurgence", "chomage")]
         assert counts["matches"] == 1 and counts["SearchHit"] == 0
-        assert counts["dict"] == len(first) + len(second)
-        assert projected["1"] == 1 and set(projected.values()) == {1}
-        assert sum(projected.values()) == len(first) + len(second) - 1
+        assert counts["rows"] == len(first) + len(second)
+        # Projected by each binding that keeps it, and by none other.
+        assert projected["1"] == 2 and sum(projected.values()) == len(first) + len(second)
 
 
 class TestPinnedWrapperKeepsItsClass:

@@ -6,6 +6,8 @@ from repro.core import MixedInstance
 from repro.datasets import build_demo_instance
 from repro.digest import DigestBuilder, KeywordQueryEngine, build_catalog
 from repro.errors import FullTextError, KeywordSearchError
+from repro.rdf import Graph
+from repro.relational import Database
 
 
 @pytest.fixture
@@ -173,6 +175,20 @@ class TestKeywordEngine:
         monkeypatch.setattr(instance, "execute", broken)
         with pytest.raises(TypeError):
             engine.search(["head of state", "SIA2016"])
+
+
+@pytest.mark.parametrize("keyword,found", [("a_b", ["a_b", "xa_by"]),
+                                           ("50%", ["50%", "x50%y"])])
+def test_a_relational_hit_matches_only_rows_containing_its_text(keyword, found):
+    """The SQL atom's ``LIKE`` escapes the value's own ``%`` and ``_``:
+    unescaped, ``'%a_b%'`` also matched ``axb`` and ``'%50%%'`` ``500``."""
+    database = Database("notes")
+    database.create_table_from_rows("notes", [{"code": code} for code in (
+        "a_b", "axb", "xa_by", "a%b", "50%", "500", "x50%y", "5_0")])
+    instance = MixedInstance(graph=Graph("g"), name="notes")
+    instance.register_relational("sql://notes", database)
+    outcome = KeywordQueryEngine(instance, catalog=build_catalog(instance)).search([keyword])
+    assert sorted(value for row in outcome.result.rows for value in row.values()) == found
 
 
 def test_a_name_with_a_space_runs_on_the_full_text_source_as_on_the_json_one():

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import FullTextError
 from repro.fulltext import (
@@ -398,3 +399,159 @@ class TestSearchCostDoesNotScaleWithTheCorpus:
         bm25_score(index, ["urgenc"], "0")
         index.average_document_length()
         assert lengths.full_reads <= 2
+
+
+# ---------------------------------------------------------------------------
+# Stored rows: each declared field read once per write, into one row
+# ---------------------------------------------------------------------------
+
+_ROW_FIELDS = [FieldConfig("text", "text"), FieldConfig("a.b", "keyword"),
+               FieldConfig("a.c", "text"), FieldConfig("tags", "keyword", multi_valued=True),
+               FieldConfig("n", "numeric"), FieldConfig("a.b.d", "keyword")]
+
+_ROW_TEXTS = ["urgence", "Budget vote", "a_b", "", "None", "none", "vote"]
+
+#: What the reads compared below ask: terms, phrases, keywords of every
+#: spelling a cell can be filed under, wildcards and a range.
+_ROW_QUERIES = ["text:urgence", "text:none", 'text:"budget vote"', "a.c:vote", "a.c:none",
+                "tags:none", "tags:a_b", "tags:1", "tags:true", "tags:urgence", "a.b:none",
+                "a.b:vote", "a.b:0", "a.b.d:urgence", "a.b.d:none", "*:*", "text:*",
+                "tags:*", "n:[0 TO 2]"]
+_ROW_TERMS = [("text", "urgence"), ("text", "None"), ("a.c", "budget vote"), ("tags", "NONE"),
+              ("tags", "a_b"), ("tags", "-1"), ("a.b", "False"), ("a.b.d", "vote")]
+
+_leaf = st.one_of(st.none(), st.booleans(), st.integers(-1, 2), st.sampled_from(_ROW_TEXTS))
+_value = st.one_of(_leaf, st.lists(_leaf, max_size=3))
+_node = st.one_of(_value, st.fixed_dictionaries({}, optional={
+    "b": st.one_of(_value, st.fixed_dictionaries({}, optional={"d": _value})), "c": _value}))
+_row_document = st.fixed_dictionaries({}, optional={
+    "text": _value, "a": _node, "tags": _value, "n": _value})
+#: A write batch: documents added (an id already stored is upserted, one
+#: id twice in a batch too), or one id removed.
+_row_write = st.one_of(
+    st.tuples(st.just("add"), st.lists(st.tuples(st.integers(0, 5), _row_document),
+                                       min_size=1, max_size=3)),
+    st.tuples(st.just("remove"), st.integers(0, 5)))
+
+
+class _WalkingStore(FullTextStore):
+    """The write path as it read documents before stored rows: every
+    field walked off the document, at index and at de-index time."""
+
+    def _index_unlocked(self, doc):
+        self._documents[doc.doc_id] = doc
+        for name, index in self._text_indexes.items():
+            terms = self._walked_terms(doc, name)
+            if terms is not None:
+                index.add(doc.doc_id, terms)
+        for name, buckets in self._keyword_indexes.items():
+            for key in self._walked_keys(doc, name):
+                buckets[key].add(doc.doc_id)
+
+    def _deindex_unlocked(self, doc_id):
+        doc = self._documents.pop(doc_id, None)
+        if doc is None:
+            return None
+        for name, index in self._text_indexes.items():
+            terms = self._walked_terms(doc, name)
+            if terms is not None:
+                index.remove(doc_id, terms)
+        for name, buckets in self._keyword_indexes.items():
+            for key in self._walked_keys(doc, name):
+                doc_ids = buckets.get(key)
+                if doc_ids is not None:
+                    doc_ids.discard(doc_id)
+                    if not doc_ids:
+                        del buckets[key]
+        return doc
+
+    def _walked_terms(self, doc, name):
+        value = doc.get(name)
+        return None if value is None else self.analyzer.stems(self._stringify(value))
+
+    @staticmethod
+    def _walked_keys(doc, name):
+        value = doc.get(name)
+        if value is None:
+            return []
+        if isinstance(value, list):
+            return [str(v).lower() for v in value if v is not None]
+        return [str(value).lower()]
+
+
+def _walked_row(doc):
+    """A document's row as the wrapper projected each cell before stored
+    rows: walked off the document, a one-value list as its value."""
+    cells = []
+    for config in _ROW_FIELDS:
+        value = doc.get(config.name)
+        if isinstance(value, list):
+            value = value[0] if len(value) == 1 else tuple(value)
+        cells.append(value)
+    return tuple(cells)
+
+
+def _reprs(rows):
+    """doc id -> its row's ``repr``, which tells ``True`` from ``1``."""
+    return {doc_id: repr(row) for doc_id, row in rows.items()}
+
+
+def _read_state(store):
+    """What one consistent read of ``store`` answers: match sets, term
+    documents, every keyword bucket and every text index's postings and
+    lengths."""
+    with store.reading() as read:
+        texts = {name: ({term: index.documents_with(term) for term in index.vocabulary()},
+                        dict(index._doc_lengths))
+                 for name, index in read._text_indexes.items()}
+        keywords = {name: {key: set(read.keyword_documents(name, key)) for key in buckets}
+                    for name, buckets in read._keyword_indexes.items()}
+        return (texts, keywords, {query: read.matches(query) for query in _ROW_QUERIES},
+                {term: read.term_documents(*term) for term in _ROW_TERMS})
+
+
+class TestStoredRows:
+    def test_a_row_is_what_the_walker_projected(self):
+        store = FullTextStore("rows", _ROW_FIELDS)
+        assert store.stored_fields == ("text", "a.b", "a.c", "tags", "n", "a.b.d")
+        store.add_all([{"id": 1, "text": ["x"], "a": {"b": {"d": [1, None]}, "c": []},
+                        "tags": [None], "n": [[2]]},
+                       {"id": 2, "a": [{"b": "no descent through a list"}], "tags": ("t",)}])
+        assert store.stored_rows() == {"1": ("x", {"d": [1, None]}, (), None, [2], (1, None)),
+                                       "2": (None, None, None, ("t",), None, None)}
+        # ``[None]`` is text ("None") but no keyword; a tuple is a list of values.
+        assert store.term_documents("tags", "none") == set()
+        assert store.term_documents("a.b.d", "1") == {"1"}
+        assert store.term_documents("tags", "t") == {"2"}
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(writes=st.lists(_row_write, min_size=1, max_size=8), pin_at=st.integers(0, 8))
+    def test_rows_and_indexes_follow_add_upsert_remove(self, writes, pin_at):
+        """Live, and in a snapshot pinned before later writes: every cell
+        is the walker's value, and every read equals a store whose write
+        path walks each document (for the snapshot, one built from the
+        documents standing at its pin)."""
+        store, walked = FullTextStore("rows", _ROW_FIELDS), _WalkingStore("rows", _ROW_FIELDS)
+        pinned = None
+        for step, (kind, items) in enumerate(writes):
+            if step == pin_at:
+                pinned = store.snapshot(), walked.documents()
+            for target in (store, walked):
+                if kind == "add":
+                    target.add_all([{**document, "id": doc_id} for doc_id, document in items])
+                else:
+                    target.remove(str(items))
+            assert _reprs(store.stored_rows()) == _reprs(
+                {doc.doc_id: _walked_row(store.get(doc.doc_id)) for doc in walked.documents()})
+            assert _read_state(store) == _read_state(walked)
+        if pinned is None:
+            return
+        snapshot, documents = pinned
+        then = _WalkingStore("rows", _ROW_FIELDS)
+        then.add_all(documents)
+        live = _reprs(store.stored_rows()), _read_state(store)
+        assert _reprs(snapshot.stored_rows()) == _reprs(
+            {doc.doc_id: _walked_row(doc) for doc in documents})
+        assert _read_state(snapshot) == _read_state(then)
+        # Reading the snapshot left the live store as it was.
+        assert (_reprs(store.stored_rows()), _read_state(store)) == live

@@ -16,7 +16,8 @@ locally or remotely — and every answer must be the oracle's multiset
 whose tweet, JSON, INSEE and DBpedia sources are :class:`RemoteSource`
 wrappers over the loopback wire, serving the live stores the writes
 reach; behind a ``FaultyTransport`` dropping or tampering with one
-frame in ten, its answer is the oracle's or is flagged degraded.  One
+frame in ten, its answer is the oracle's or is flagged degraded.  A pin
+held across a write answers what the oracle answered before it.  One
 metamorphic rule needs no oracle: a glue step bound to a value answers
 what the step materialised answers for that value, under every spelling
 the mediator's ``==`` equates.
@@ -56,7 +57,7 @@ WORDS = ("france", "nation", "solidarite", "chomage")
 ASKS = ([("qsia", tag) for tag in HASHTAGS] + [("dynamic", tag) for tag in HASHTAGS]
         + [("qsia_json", tag) for tag in HASHTAGS] + [("party", word) for word in WORDS]
         + [("factcheck", topic) for topic in ("chomage", "agriculture")]
-        + [("affiliation", ""), ("links", "sia2016")])
+        + [("affiliation", "")] + [("links", tag) for tag in HASHTAGS])
 #: The sources a remote asking reaches over the wire.
 REMOTE_URIS = (TWEETS_URI, TWEETS_JSON_URI, INSEE_URI, DBPEDIA_URI)
 #: No hedging, no backoff and no breaker: an injected fault is retried or
@@ -224,6 +225,25 @@ class WarmAskingsUnderWrites(RuleBasedStateMachine):
         store = "json" if cls == "qsia_json" else "fulltext"
         getattr(self, f"_write_{store}")(kind, picks, word, reads=(param,))
         self.ask(ask, cache=True, repair=repair, service=service, batch=batch, sieve=False)
+
+    @rule(ask=st.sampled_from(ASKS), picks=st.lists(st.integers(0, 10**6), min_size=1,
+                                                    max_size=3),
+          word=st.sampled_from(HASHTAGS + WORDS), cache=st.booleans(),
+          batch=st.sampled_from((1, 7, 256)))
+    def ask_held_pin(self, ask, picks, word, cache, batch) -> None:
+        """Pin, upsert documents the asking reads, then ask the held pin:
+        it answers what the twin answered before the write — the store read
+        back at the pin's version, rows and indexes alike."""
+        cls, param = ask
+        pinned = self.demo.instance.pin()
+        expected = self.oracle.answer(_cmq(cls, param, self.twin))
+        store = "json" if cls == "qsia_json" else "fulltext"
+        getattr(self, f"_write_{store}")("upsert", picks, word, reads=(param,))
+        options = PlannerOptions(result_cache=cache, bind_batch_size=batch)
+        result = pinned.execute(self.demo.instance, _cmq(cls, param, self.demo),
+                                options=options)
+        assert not result.trace.degraded
+        assert multiset(result) == expected, (ask, cache, batch)
 
     @rule(subject=st.integers(0, 10**6), donor=st.integers(0, 10**6),
           predicates=st.sampled_from((("memberOf",), ("memberOf", "twitterAccount"),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import RelationalError
+from repro.errors import RelationalError, SQLParseError
 from repro.relational import Database
 
 
@@ -28,6 +28,22 @@ class TestBasicSelect:
     def test_where_like(self, small_database):
         rows = small_database.query("SELECT name FROM departments WHERE name LIKE 'g%'")
         assert [r["name"] for r in rows] == ["Gironde"]
+
+    def test_like_escape_makes_a_wildcard_literal(self):
+        database = Database("d")
+        database.create_table_from_rows("t", [{"v": v} for v in ("a_b", "axb", "a!b", "50%",
+                                                                  "500")])
+
+        def matching(where):
+            return sorted(r["v"] for r in database.query(f"SELECT v FROM t WHERE {where}"))
+
+        assert matching("v LIKE 'a_b'") == ["a!b", "a_b", "axb"]
+        assert matching("v LIKE 'a!_b' ESCAPE '!'") == ["a_b"]
+        assert matching("v LIKE 'a!!b' ESCAPE '!'") == ["a!b"]
+        assert matching("v LIKE '50!%' ESCAPE '!'") == ["50%"]
+        for bad in ("v LIKE 'a' ESCAPE '!!'", "v LIKE 'a' ESCAPE v"):
+            with pytest.raises(SQLParseError):
+                matching(bad)
 
     def test_where_in_list(self, small_database):
         rows = small_database.query("SELECT name FROM departments WHERE code IN ('75', '29')")
