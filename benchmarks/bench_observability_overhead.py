@@ -46,8 +46,7 @@ def measure(tracing: bool, total_queries: int, workers: int = 8) -> dict:
     queries = workload(instance)
     config = ServiceConfig(workers=workers, tracing=tracing,
                            max_queue_depth=total_queries + 8,
-                           max_in_flight=total_queries + 16,
-                           task_workers=4)
+                           max_in_flight=total_queries + 16)
     options = None if tracing else PlannerOptions(tracing=False)
     with MediatorService(instance, config) as service:
         start = time.perf_counter()

@@ -188,8 +188,7 @@ def measure(workers: int, total_queries: int) -> dict[str, object]:
     instance = build_instance()
     queries = workload(instance)
     config = ServiceConfig(workers=workers, max_queue_depth=total_queries + 8,
-                           max_in_flight=total_queries + 16,
-                           task_workers=4)
+                           max_in_flight=total_queries + 16)
     with MediatorService(instance, config) as service, Writer(instance):
         start = time.perf_counter()
         tickets = [service.submit(queries[i % len(queries)])

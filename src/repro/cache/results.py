@@ -37,7 +37,6 @@ Sources whose ``version()`` is unknown (``None``) are never cached.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.cache.keys import CanonicalQuery, canonical_query
@@ -49,22 +48,6 @@ from repro.errors import MixedQueryError
 #: Memo sentinel: ``canonical_query`` answered "uncacheable" (``None``
 #: cannot live in the LRU directly — a missing key also reads ``None``).
 _UNCACHEABLE = object()
-
-
-@dataclass
-class MQOStats:
-    """Per-executor multi-query-optimization counter.
-
-    Filled in by the :class:`CachedSource` proxies of one executor while
-    the service's MQO coordinator shares work across in-flight queries,
-    then mirrored into the execution trace (``trace.shared_subqueries``).
-    Mutations happen under the executor's shared stats lock (the same
-    one guarding its :class:`CacheStats`).
-    """
-
-    #: Probes answered by a sub-plan evaluation another in-flight query
-    #: performed (single-flight: this executor waited instead of calling).
-    shared_subqueries: int = 0
 
 
 class SubQueryResultCache:
@@ -225,25 +208,15 @@ class CachedSource(DataSource):
     this proxy's hit/miss counts, so an execution's trace reports its
     own probes rather than a delta of the instance-wide counters (which
     other concurrent executions would pollute).
-
-    ``mqo`` is an optional multi-query coordinator (duck-typed —
-    :class:`repro.service.mqo.MQOCoordinator`): keyed cache misses are
-    then evaluated single-flight, so a sub-plan another in-flight query
-    is already evaluating is waited for instead of recomputed.
-    ``mqo_stats`` collects this executor's share of that cross-query
-    work for its trace.
     """
 
     def __init__(self, inner: DataSource, cache: SubQueryResultCache,
                  stats: CacheStats | None = None,
                  stats_lock: threading.Lock | None = None,
-                 mqo=None, mqo_stats: MQOStats | None = None,
                  repair=None):
         self.inner = inner
         self.cache = cache
         self.local_stats = stats
-        self.mqo = mqo
-        self.mqo_stats = mqo_stats
         # Optional delta-join repair engine (duck-typed —
         # :class:`repro.cache.repair.RepairEngine`): a miss whose probe
         # has an entry under an older source version is first offered
@@ -280,8 +253,7 @@ class CachedSource(DataSource):
         if pinned is self.inner:
             return self
         return CachedSource(pinned, self.cache, stats=self.local_stats,
-                            stats_lock=self._stats_lock, mqo=self.mqo,
-                            mqo_stats=self.mqo_stats, repair=self.repair)
+                            stats_lock=self._stats_lock, repair=self.repair)
 
     def version(self) -> Optional[int]:
         return self.inner.version()
@@ -352,11 +324,9 @@ class CachedSource(DataSource):
         """Answer ``batch`` from the cache, ``fetch``-ing only its misses.
 
         ``fetch`` is ONE call of the wrapped source for a list of
-        bindings.  Without a coordinator every miss goes into one such
-        call; with one, the keyed misses go through its single-flight
-        map first — this proxy then ships only those no in-flight query
-        is already evaluating, and is handed the others' answers in
-        canonical names.  What :meth:`peek` ``probed`` is not probed again.
+        bindings; every miss, keyed or not, goes into one such call and
+        the keyed answers are cached.  What :meth:`peek` ``probed`` is
+        not probed again.
         """
         version = self.inner.version()
         if version is None:
@@ -375,33 +345,10 @@ class CachedSource(DataSource):
         misses = [i for i, batches in enumerate(results) if batches is None]
         if not misses:
             return results
-
-        def ship(indices: list[int]) -> list[Optional[list[BindingBatch]]]:
-            """Ship ``batch[indices]`` in one call and cache the keyed
-            answers; returns the entries inserted (``None`` unkeyed)."""
-            fetched = fetch([batch[i] for i in indices])
-            inserted = []
-            for i, batches in zip(indices, fetched):
-                results[i] = batches
-                inserted.append(None if keys[i] is None
-                                else self.cache.insert(keys[i], canon, batches))
-            return inserted
-
-        if self.mqo is not None:
-            sharable = [i for i in misses if keys[i] is not None]
-            if sharable:
-                entries, shared = self.mqo.evaluate(
-                    [keys[i] for i in sharable],
-                    lambda positions: ship([sharable[p] for p in positions]))
-                for i, entry in zip(sharable, entries):
-                    if results[i] is None:
-                        results[i] = canon.original_batches(entry)
-                if shared and self.mqo_stats is not None:
-                    with self._stats_lock:
-                        self.mqo_stats.shared_subqueries += shared
-                misses = [i for i in misses if keys[i] is None]
-        if misses:
-            ship(misses)
+        for i, batches in zip(misses, fetch([batch[i] for i in misses])):
+            results[i] = batches
+            if keys[i] is not None:
+                self.cache.insert(keys[i], canon, batches)
         return results
 
     def peek(self, atom, canon: CanonicalQuery,

@@ -45,7 +45,7 @@ import threading
 import time
 
 from repro.cache.lru import CacheStats
-from repro.cache.results import CachedSource, MQOStats
+from repro.cache.results import CachedSource
 from repro.core.cmq import ConjunctiveMixedQuery, SourceAtom
 from repro.core.planner import (
     REPLAN_THRESHOLD,
@@ -100,7 +100,7 @@ class MixedQueryExecutor:
                  options: PlannerOptions | None = None, max_workers: int = 4,
                  digests=None, cache=None, statistics=None,
                  cancel_check=None, task_pool=None,
-                 metrics=None, deadline=None, mqo=None):
+                 metrics=None, deadline=None):
         self._sources = dict(sources)
         self._glue = glue
         self.options = options or PlannerOptions()
@@ -136,23 +136,17 @@ class MixedQueryExecutor:
         # shared with other executors).
         self._result_cache = None
         self._cache_stats = None
-        #: This executor's share of cross-query MQO work (``mqo`` is the
-        #: service's single-flight coordinator, duck-typed — the core
-        #: layer never imports :mod:`repro.service`).
-        self._mqo_stats = None
         self._targets: dict[str, DataSource] = self._sources
         self._target_glue: DataSource = glue
         if cache is not None and self.options.result_cache:
             self._result_cache = cache.results
             self._cache_stats = CacheStats()
-            self._mqo_stats = MQOStats() if mqo is not None else None
             stats_lock = threading.Lock()
             repair = getattr(cache, "repair", None)
 
             def proxy(source: DataSource) -> CachedSource:
                 return CachedSource(source, cache.results, stats=self._cache_stats,
-                                    stats_lock=stats_lock, mqo=mqo,
-                                    mqo_stats=self._mqo_stats, repair=repair)
+                                    stats_lock=stats_lock, repair=repair)
 
             self._targets = {uri: proxy(source)
                              for uri, source in self._sources.items()}
@@ -202,8 +196,6 @@ class MixedQueryExecutor:
         start = time.perf_counter()
         cache_stats = (self._cache_stats.snapshot()
                        if self._cache_stats is not None else None)
-        shared_before = (self._mqo_stats.shared_subqueries
-                         if self._mqo_stats is not None else None)
         plan = plan or self.planner.plan(query, options)
         trace = ExecutionTrace(atom_order=plan.atom_order(), plan_text=plan.explain(),
                                stages=[[plan.steps[i].atom.name for i in stage]
@@ -304,9 +296,6 @@ class MixedQueryExecutor:
             now = self._cache_stats
             trace.cache_hits = now.hits - cache_stats.hits
             trace.cache_misses = now.misses - cache_stats.misses
-        if shared_before is not None:
-            trace.shared_subqueries = (self._mqo_stats.shared_subqueries
-                                       - shared_before)
         return MixedResult(variables=output, rows=rows, trace=trace)
 
     # ------------------------------------------------------------------

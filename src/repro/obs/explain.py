@@ -64,9 +64,6 @@ class ExplainReport:
     cache_misses: int = 0
     sieved_bindings: int = 0
     replans: int = 0
-    #: MQO sharing: probes answered by another in-flight query's
-    #: evaluation.
-    shared_subqueries: int = 0
     #: True when at least one call served stale or partial rows because
     #: its source was down; ``degraded_atoms`` lists the affected
     #: ``(atom, source_uri, reason)`` triples.
@@ -134,8 +131,6 @@ class ExplainReport:
                 f"  remote: {self.remote_calls} round trip(s) · wire "
                 f"{wire * 1000.0:.2f} ms · server "
                 f"{self.remote_server_seconds * 1000.0:.2f} ms")
-        if self.shared_subqueries:
-            lines.append(f"  mqo: {self.shared_subqueries} shared sub-query(ies)")
         if include_plan and self.plan_text:
             lines.append("  plan:")
             lines.extend("    " + line for line in self.plan_text.splitlines())
@@ -208,7 +203,6 @@ def explain_analyze(result) -> ExplainReport:
         cache_misses=trace.cache_misses,
         sieved_bindings=trace.sieved_bindings,
         replans=trace.replans,
-        shared_subqueries=getattr(trace, "shared_subqueries", 0),
         degraded=getattr(trace, "degraded", False),
         degraded_atoms=list(getattr(trace, "degraded_atoms", ())),
         remote_calls=len(remote),

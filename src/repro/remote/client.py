@@ -248,7 +248,7 @@ class RemoteSource(DataSource):
         version paired with mutated remote content would let the result
         cache serve wrong rows.  A per-CMQ clone (:meth:`pin`) asks once:
         its first use sends the ``pin`` frame, under a lock because the
-        queries of one admission group share the clone, and every later
+        parallel source calls of one stage share the clone, and every later
         read is a field.  ``None`` — here or there — keeps the source
         uncacheable: slower, never wrong.
         """

@@ -7,10 +7,7 @@ Public entry points:
 * :class:`ServiceConfig` — the scheduler's knobs;
 * :class:`QueryTicket` — the future-like handle ``submit`` returns;
 * :class:`PinnedCatalog` / :func:`pin_instance` — the snapshot vector a
-  query observes (also reachable as ``MixedInstance.pin()``);
-* :class:`MQOCoordinator` / :class:`QueryGroup` — multi-query
-  optimization: single-flight evaluation of the sub-plans in-flight
-  queries share, and the batch-admission groups feeding it.
+  query observes (also reachable as ``MixedInstance.pin()``).
 """
 
 from repro.errors import (
@@ -30,7 +27,6 @@ from repro.service.mediator import (
     ServiceConfig,
     TIMED_OUT,
 )
-from repro.service.mqo import MQOCoordinator, QueryGroup
 from repro.service.snapshots import PinnedCatalog, pin_instance
 from repro.service.standing import (
     StandingDelta,
@@ -43,12 +39,10 @@ __all__ = [
     "CANCELLED",
     "DONE",
     "FAILED",
-    "MQOCoordinator",
     "MediatorService",
     "PENDING",
     "PinnedCatalog",
     "QueryCancelledError",
-    "QueryGroup",
     "QueryTicket",
     "QueryTimeoutError",
     "RUNNING",

@@ -45,7 +45,6 @@ from repro.errors import (
 )
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.spans import SpanTracer, attach, detach
-from repro.service.mqo import MQOCoordinator, QueryGroup
 from repro.service.snapshots import PinnedCatalog, pin_instance
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -54,6 +53,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.standing import StandingSubscription
 
 logger = logging.getLogger("repro.service.mediator")
+
+#: Threads of the service's intra-query pool (the source calls of one
+#: stage run in it in parallel, see :mod:`repro.engine.parallel`).
+_POOL_THREADS = 4
 
 
 @dataclass(frozen=True)
@@ -70,23 +73,11 @@ class ServiceConfig:
         (``None`` = unlimited).
     ``default_priority``
         Priority assigned when ``submit`` names none (lower runs first).
-    ``task_workers``
-        Size of the shared intra-query pool (the source calls of a
-        stage run in it in parallel, see :mod:`repro.engine.parallel`).
     ``tracing``
         Collect a per-ticket span tree (``query:<name>`` root, queue
         wait, planning, execution stages, source calls) exposed as
         :attr:`QueryTicket.span_tree`.  Turning it off skips all span
         allocation for served queries.
-    ``mqo``
-        Multi-query optimization: a worker dequeuing a ticket scoops up
-        to ``mqo_group_size - 1`` further pending tickets into a group
-        sharing ONE pinned snapshot vector, and every executor's cache
-        misses flow through the service's single-flight map
-        (:class:`~repro.service.mqo.MQOCoordinator`) — a sub-query
-        another in-flight query is already evaluating is waited for,
-        not evaluated again.  Off is the reference path the
-        equivalence tests compare against.
     """
 
     workers: int = 4
@@ -94,10 +85,7 @@ class ServiceConfig:
     max_in_flight: int = 128
     default_deadline: Optional[float] = None
     default_priority: int = 10
-    task_workers: int = 4
     tracing: bool = True
-    mqo: bool = True
-    mqo_group_size: int = 8
 
 
 #: Ticket life cycle states.
@@ -127,10 +115,6 @@ class QueryTicket:
         self.error: Optional[BaseException] = None
         #: The snapshot vector the query pinned (set when it starts).
         self.pinned: Optional[PinnedCatalog] = None
-        #: The admission group this ticket was batched into (None when
-        #: MQO is off or no compatible tickets were pending); members
-        #: share the group's pinned snapshot vector.
-        self.group: Optional[QueryGroup] = None
         self.submitted_at = time.monotonic()
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
@@ -286,11 +270,7 @@ class MediatorService:
         }
         if getattr(instance, "cache", None) is not None:
             instance.cache.register_metrics(self.metrics)
-        #: The single-flight map every executor's misses flow through
-        #: (None when ``config.mqo`` is off).
-        self.mqo = MQOCoordinator() if self.config.mqo else None
-        self.task_pool = WorkPool(self.config.task_workers,
-                                  name="mediator-tasks")
+        self.task_pool = WorkPool(_POOL_THREADS, name="mediator-tasks")
         #: Standing-query registry, created on first ``register_standing``
         #: (it owns a refresh thread and journal listeners — services
         #: that never register a standing CMQ pay nothing).
@@ -441,10 +421,8 @@ class MediatorService:
                     remote[uri] = stats_fn()
         if remote:
             out["remote"] = remote
-        if self.mqo is not None:
-            # The constant 0 outlives probe fusion only because
-            # benchmarks/e2e/layers.py still subtracts the key.
-            out["mqo"] = {**self.mqo.stats(), "fused_probes": 0}
+        # Read by benchmarks/e2e/layers.py until ROADMAP item 1(c) retires it.
+        out["mqo"] = {"shared_subqueries": 0, "fused_probes": 0, "groups": 0}
         if getattr(self.instance, "cache", None) is not None:
             # The streaming ingest story in one block: how many misses
             # were answered by delta-join repair instead of re-dispatch.
@@ -502,46 +480,7 @@ class MediatorService:
             with self._lock:
                 self._queued -= 1
                 self._queue_depth_gauge.set(self._queued)
-            if self.mqo is not None and item.ticket.group is None:
-                self._form_group(item.ticket)
             self._run_ticket(item.ticket)
-
-    def _form_group(self, ticket: QueryTicket) -> None:
-        """Group admission: batch pending tickets under ONE snapshot.
-
-        The dequeuing worker scoops up to ``mqo_group_size - 1`` further
-        pending tickets, pins one snapshot vector for the whole group
-        and puts the scooped members straight back (same priority and
-        sequence, so their order is preserved) — they only gained the
-        group tag, other workers still run them in parallel.  Sharing
-        the pinned versions makes every member's canonical sub-query
-        keys line up exactly, so single-flight can share work across
-        the group without ever mixing snapshot versions.
-        """
-        members: list[_QueueItem] = []
-        while len(members) + 1 < self.config.mqo_group_size:
-            try:
-                extra = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if extra.ticket is None:
-                # A shutdown sentinel sorts after every real ticket —
-                # nothing worth scooping can be behind it.  Put it back
-                # for the workers and stop.
-                self._queue.put(extra)
-                break
-            members.append(extra)
-        group = QueryGroup(pinned=pin_instance(self.instance),
-                           size=len(members) + 1)
-        ticket.group = group
-        for item in members:
-            item.ticket.group = group
-            # Not a new submission: ``_queued`` was never decremented
-            # for a scooped item, so re-enqueueing keeps the gauge
-            # balanced (it is decremented when a worker dequeues it).
-            self._queue.put(item)
-        if members:
-            self.mqo.group_formed(group.size)
 
     def _run_ticket(self, ticket: QueryTicket) -> None:
         if ticket.queue_span is not None:
@@ -549,47 +488,32 @@ class MediatorService:
         self._queue_wait_histogram.observe(time.monotonic() - ticket.submitted_at)
         token = attach(ticket.root_span) if ticket.root_span is not None else None
         try:
-            try:
-                ticket._cancel_check()
-            except QueryCancelledError as exc:
-                self._account(CANCELLED, ticket)
-                ticket._finish(CANCELLED, error=exc)
-                return
-            except QueryTimeoutError as exc:
-                self._account(TIMED_OUT, ticket)
-                ticket._finish(TIMED_OUT, error=exc)
-                return
+            ticket._cancel_check()
             ticket.status = RUNNING
             ticket.started_at = time.monotonic()
-            # The group's shared snapshot vector when batch admission
-            # grouped this ticket; otherwise pin *at execution start*,
-            # reflecting the freshest state available when it got a
-            # worker.
-            if ticket.group is not None:
-                ticket.pinned = ticket.group.pinned
-            else:
-                ticket.pinned = pin_instance(self.instance)
+            # Pin *at execution start*, reflecting the freshest state
+            # available when the ticket got a worker.  A failing pin
+            # fails this ticket, not the worker.
+            ticket.pinned = pin_instance(self.instance)
             executor = ticket.pinned.executor(
                 self.instance, options=ticket.options,
-                max_workers=self.config.task_workers,
+                max_workers=_POOL_THREADS,
                 cancel_check=ticket._cancel_check, task_pool=self.task_pool,
-                metrics=self.metrics, deadline=ticket._remaining,
-                mqo=self.mqo)
-            try:
-                result = executor.execute(ticket.query, distinct=ticket.distinct,
-                                          limit=ticket.limit)
-            except QueryCancelledError as exc:
-                self._account(CANCELLED, ticket)
-                ticket._finish(CANCELLED, error=exc)
-            except QueryTimeoutError as exc:
-                self._account(TIMED_OUT, ticket)
-                ticket._finish(TIMED_OUT, error=exc)
-            except BaseException as exc:  # noqa: BLE001 - reported via ticket
-                self._account(FAILED, ticket)
-                ticket._finish(FAILED, error=exc)
-            else:
-                self._account(DONE, ticket)
-                ticket._finish(DONE, result=result)
+                metrics=self.metrics, deadline=ticket._remaining)
+            result = executor.execute(ticket.query, distinct=ticket.distinct,
+                                      limit=ticket.limit)
+        except QueryCancelledError as exc:
+            self._account(CANCELLED, ticket)
+            ticket._finish(CANCELLED, error=exc)
+        except QueryTimeoutError as exc:
+            self._account(TIMED_OUT, ticket)
+            ticket._finish(TIMED_OUT, error=exc)
+        except BaseException as exc:  # noqa: BLE001 - reported via ticket
+            self._account(FAILED, ticket)
+            ticket._finish(FAILED, error=exc)
+        else:
+            self._account(DONE, ticket)
+            ticket._finish(DONE, result=result)
         finally:
             if token is not None:
                 detach(token)

@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass
 class PinnedCatalog:
-    """The wrappers one CMQ (or one admission group) evaluates against."""
+    """The wrappers one CMQ evaluates against."""
 
     sources: dict[str, DataSource]
     glue: DataSource
@@ -56,8 +56,7 @@ class PinnedCatalog:
     def executor(self, instance: "MixedInstance",
                  options: PlannerOptions | None = None, max_workers: int = 4,
                  cache: bool = True, cancel_check=None, task_pool=None,
-                 metrics=None, deadline=None, mqo=None,
-                 digests=None) -> MixedQueryExecutor:
+                 metrics=None, deadline=None, digests=None) -> MixedQueryExecutor:
         """An executor whose every dispatch hits the pinned snapshots.
 
         ``instance`` supplies the shared mediator cache and statistics
@@ -66,18 +65,16 @@ class PinnedCatalog:
         service answers independently).  ``metrics`` is the registry the
         executor records into (the service hands its own down);
         ``deadline`` is a callable returning the seconds remaining before
-        the ticket's deadline, bounding every dispatch wait; ``mqo`` is
-        the service's :class:`~repro.service.mqo.MQOCoordinator` so the
-        executor's cache misses share work with other in-flight queries;
-        ``digests`` a catalog from ``MixedInstance.build_digests`` for
-        the bind joins to sieve their bindings against.
+        the ticket's deadline, bounding every dispatch wait; ``digests``
+        a catalog from ``MixedInstance.build_digests`` for the bind joins
+        to sieve their bindings against.
         """
         return MixedQueryExecutor(
             self.sources, self.glue, options=options, max_workers=max_workers,
             digests=digests, cache=instance.cache if cache else None,
             statistics=instance.statistics(), cancel_check=cancel_check,
             task_pool=task_pool, metrics=metrics,
-            deadline=deadline, mqo=mqo)
+            deadline=deadline)
 
     def execute(self, instance: "MixedInstance", query, *,
                 options: PlannerOptions | None = None, distinct: bool = True,

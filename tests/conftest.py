@@ -38,12 +38,6 @@ def pytest_configure(config):
         "`pytest -m remote`.")
     config.addinivalue_line(
         "markers",
-        "mqo: multi-query optimization suites (group admission, "
-        "single-flight shared sub-plans, "
-        "group-vs-per-query equivalence including hypothesis property "
-        "tests); run in isolation with `pytest -m mqo`.")
-    config.addinivalue_line(
-        "markers",
         "streaming: streaming-ingestion suites (delta journals, "
         "batch version bumps, delta-join cache repair vs cold "
         "re-execution including hypothesis property tests, standing "

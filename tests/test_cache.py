@@ -21,13 +21,16 @@ from repro.core.sources import (
     RelationalSource,
     SQLQuery,
 )
-from repro.engine.batch import BindingBatch
+from repro.engine.batch import BindingBatch, dict_rows
 from repro.fulltext.store import FieldConfig, FullTextStore
 from repro.json.store import JSONDocumentStore
 from repro.rdf import Graph, triple
 from repro.relational import Database
+from repro.remote import LocalTransport, RemoteSource, RemoteSourceHandler
 
 NO_CACHE = PlannerOptions(result_cache=False, plan_cache=False)
+
+HANDLES = [f"u{i}" for i in range(6)]
 
 
 @pytest.fixture
@@ -554,3 +557,99 @@ class TestPlanCache:
                               "WHERE dept_code = {dept}")
                      .build())
         assert cmq_signature(a) != cmq_signature(different)
+
+
+# ---------------------------------------------------------------------------
+# The proxy's delegation, stale pointers and the canonical memo
+# ---------------------------------------------------------------------------
+
+def test_cached_source_delegates_cost_kind_trust_and_pin():
+    """A remote source seen through the cache proxy keeps remote pricing."""
+    database = Database("db")
+    database.create_table_from_rows(
+        "profiles", [{"handle": "u0", "followers": 100}])
+    inner = MixedInstance(graph=Graph("g"), name="inner", entailment=False)
+    wrapper = inner.register_relational("sql://profiles", database)
+    remote = RemoteSource(LocalTransport(RemoteSourceHandler(wrapper).handle))
+    proxy = CachedSource(remote, SubQueryResultCache())
+
+    assert proxy.cost_kind == "remote"
+    assert proxy.trust_wrapper_estimate is remote.trust_wrapper_estimate
+    pinned = proxy.pin()
+    assert isinstance(pinned, CachedSource)
+    # A remote clone pins with its first use, not at ``pin()``.
+    assert pinned.pinned_at is None
+    assert pinned.version() == wrapper.version()
+    assert pinned.pinned_at == pinned.inner.pinned_at == wrapper.version()
+    assert pinned.cost_kind == "remote"
+    assert pinned.cache is proxy.cache
+
+
+def sql_probe_key(cache, wrapper, version, value):
+    query = SQLQuery(sql="SELECT handle AS id, followers AS f FROM profiles "
+                         "WHERE handle = {id}")
+    canon = cache.canonicalize(query)
+    (key,) = cache.keys(wrapper, version, canon, [canon.key_of({"id": value})])
+    assert key is not None
+    return key, canon
+
+
+def test_stale_pointers_are_evicted_per_entry():
+    """LRU evictions drop exactly their own stale pointer, nothing else."""
+    database = Database("db")
+    database.create_table_from_rows(
+        "profiles", [{"handle": h, "followers": 1} for h in HANDLES])
+    inner = MixedInstance(graph=Graph("g"), name="inner", entailment=False)
+    wrapper = inner.register_relational("sql://profiles", database)
+    cache = SubQueryResultCache(max_entries=2)
+
+    keys = [sql_probe_key(cache, wrapper, 1, f"u{i}") for i in range(3)]
+    for (key, canon), i in zip(keys, range(3)):
+        cache.insert(key, canon, [{"id": f"u{i}", "f": i}])
+
+    # Entry 0 was evicted (capacity 2): its stale pointer is gone, the
+    # survivors' pointers still answer — no wholesale flush.
+    query = SQLQuery(sql="SELECT handle AS id, followers AS f FROM profiles "
+                         "WHERE handle = {id}")
+    assert cache.fetch_stale(wrapper, query, {"id": "u0"}) is None
+    assert dict_rows(cache.fetch_stale(wrapper, query, {"id": "u1"})) == [{"id": "u1", "f": 1}]
+    assert dict_rows(cache.fetch_stale(wrapper, query, {"id": "u2"})) == [{"id": "u2", "f": 2}]
+    # The index can never outgrow the entries map again.
+    assert len(cache._stale) == len(cache.entries) == 2
+
+
+def test_stale_pointer_redirected_to_newer_version_survives_old_eviction():
+    database = Database("db")
+    database.create_table_from_rows(
+        "profiles", [{"handle": h, "followers": 1} for h in HANDLES])
+    inner = MixedInstance(graph=Graph("g"), name="inner", entailment=False)
+    wrapper = inner.register_relational("sql://profiles", database)
+    cache = SubQueryResultCache(max_entries=2)
+
+    old_key, canon = sql_probe_key(cache, wrapper, 1, "u0")
+    new_key, _ = sql_probe_key(cache, wrapper, 2, "u0")
+    cache.insert(old_key, canon, [{"id": "u0", "f": 1}])
+    cache.insert(new_key, canon, [{"id": "u0", "f": 2}])  # pointer -> v2
+    filler, filler_canon = sql_probe_key(cache, wrapper, 1, "u1")
+    cache.insert(filler, filler_canon, [{"id": "u1", "f": 1}])  # evicts v1 entry
+
+    # Evicting the *old* version's entry must not drop the pointer that
+    # already targets the newer entry.
+    query = SQLQuery(sql="SELECT handle AS id, followers AS f FROM profiles "
+                         "WHERE handle = {id}")
+    assert dict_rows(cache.fetch_stale(wrapper, query, {"id": "u0"})) == [{"id": "u0", "f": 2}]
+
+
+def test_canonical_memo_is_a_bounded_lru(monkeypatch):
+    monkeypatch.setattr(SubQueryResultCache, "MAX_CANONICAL_MEMO", 4)
+    cache = SubQueryResultCache()
+    hot = SQLQuery(sql="SELECT a FROM hot WHERE a = {p}")
+    assert cache.canonicalize(hot) is not None
+    for i in range(8):
+        cold = SQLQuery(sql=f"SELECT a FROM t{i} WHERE a = {{p}}")
+        assert cache.canonicalize(cold) is not None
+        # Keep the hot query recent: it must never be flushed by cold
+        # forms aging through the memo.
+        assert cache.canonicalize(hot) is not None
+    assert len(cache._canonical) <= 4
+    assert hot in cache._canonical

@@ -431,6 +431,49 @@ class TestScheduler:
         with pytest.raises(ServiceError):
             service.submit(query)
 
+    def test_a_failing_pin_fails_its_ticket_and_the_worker_lives(
+            self, instance, query, monkeypatch):
+        source = instance.source("sql://profiles")
+        pin, pins = source.pin, []
+
+        def first_pin_raises():
+            pins.append(1)
+            if len(pins) == 1:
+                raise RuntimeError("pin failed")
+            return pin()
+
+        monkeypatch.setattr(source, "pin", first_pin_raises)
+        with MediatorService(instance, ServiceConfig(workers=1)) as service:
+            doomed = service.submit(query)
+            with pytest.raises(RuntimeError, match="pin failed"):
+                doomed.result(timeout=10)
+            assert doomed.status == "failed"
+            # The only worker survived and serves the next ticket.
+            assert service.execute(query, timeout=10).rows
+            assert service.statistics()["failed"] == 1
+
+    def test_stats_carry_the_keys_the_benchmark_reads(self, instance):
+        with MediatorService(instance, ServiceConfig(workers=1)) as service:
+            assert service.stats()["mqo"] == {
+                "shared_subqueries": 0, "fused_probes": 0, "groups": 0}
+
+    def test_shutdown_leaves_no_service_thread_and_no_ticket(self, instance):
+        before = set(threading.enumerate())
+        service = MediatorService(instance, ServiceConfig(workers=2))
+        tickets = [service.submit(q) for q in mixed_queries(instance)]
+        for ticket in tickets:
+            ticket.result(timeout=30)
+        service.register_standing(mixed_queries(instance)[0], lambda delta: None)
+        service.shutdown(wait=True)
+
+        prefixes = ("mediator-worker-", "mediator-tasks", "mediator-standing")
+        leaked = [thread.name for thread in threading.enumerate()
+                  if thread not in before and thread.name.startswith(prefixes)]
+        assert leaked == []
+        statistics = service.statistics()
+        assert statistics["queued"] == 0
+        assert statistics["in_flight"] == 0
+
 
 # ---------------------------------------------------------------------------
 # Pinned entailment: seeded saturation, no per-version full fixpoint

@@ -8,10 +8,10 @@ vocabulary, the fact check) and of a glue asking that reads an
 and remove batches on the full-text, JSON and glue stores and insert
 batches on the SQL store (the relational store has no other write).
 Every asking draws one configuration — result cache on or off, delta
-repair on or off, through the service (two concurrent tickets:
-single-flight) or directly, bind batches of 1, 7 or 256 bindings, the
-digest sieve on or off (direct askings: the service takes no digests),
-locally or remotely — and every answer must be the oracle's multiset
+repair on or off, through the service (two concurrent tickets) or
+directly, bind batches of 1, 7 or 256 bindings, the digest sieve on or
+off (direct askings: the service takes no digests), locally or
+remotely — and every answer must be the oracle's multiset
 (:mod:`oracle`), undegraded.  A remote asking asks a front instance
 whose tweet, JSON, INSEE and DBpedia sources are :class:`RemoteSource`
 wrappers over the loopback wire, serving the live stores the writes

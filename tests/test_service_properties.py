@@ -13,6 +13,10 @@ pinned after the prefix observes *exactly* the prefix state —
 * re-pinning an unchanged source returns the *same* frozen wrapper
   (copy-on-write memoisation), while any effective delta moves the
   version strictly forward.
+
+A second property serves random overlapping batches of CMQs over all
+four data models as concurrent tickets: each answer equals the query's
+own independent evaluation.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from repro.fulltext.store import FieldConfig, FullTextStore
 from repro.json.store import JSONDocumentStore
 from repro.rdf import Graph, triple
 from repro.relational import Database
+from repro.service import MediatorService, ServiceConfig
 
 pytestmark = pytest.mark.stress
 
@@ -36,7 +41,8 @@ TOPICS = ["politics", "sports"]
 SERIAL = PlannerOptions(result_cache=False, plan_cache=False)
 
 
-def build_instance() -> MixedInstance:
+def build_instance(cache: bool = False) -> MixedInstance:
+    """A four-model instance: glue + SQL + full-text + JSON + RDF."""
     glue = Graph("glue")
     for i, handle in enumerate(HANDLES):
         glue.add(triple(f"ttn:P{i}", "ttn:twitterAccount", handle))
@@ -56,11 +62,16 @@ def build_instance() -> MixedInstance:
                    "user": {"screen_name": handle}})
         documents.add({"id": i, "author": handle, "topic": topic,
                        "likes": i})
+    rdf_graph = Graph("handles")
+    for i, handle in enumerate(HANDLES):
+        rdf_graph.add(triple(f"ttn:A{i}", "ttn:handle", handle))
+        rdf_graph.add(triple(f"ttn:A{i}", "ttn:followers", 1000 * (i + 1)))
     instance = MixedInstance(graph=glue, name="prop", entailment=False,
-                             cache=False)
+                             cache=cache)
     instance.register_relational("sql://profiles", database)
     instance.register_fulltext("solr://posts", store)
     instance.register_json("json://tweets", documents)
+    instance.register_rdf("rdf://handles", rdf_graph)
     return instance
 
 
@@ -96,21 +107,23 @@ deltas = st.lists(
 
 
 def make_query(instance: MixedInstance, shape: int, topic: str):
+    """One of four CMQ shapes, each hitting a different model."""
     builder = instance.builder(f"prop_{shape}_{topic}")
+    builder.graph("SELECT ?id WHERE { ?x ttn:twitterAccount ?id }")
     if shape == 0:
-        builder.graph("SELECT ?id WHERE { ?x ttn:twitterAccount ?id }")
         builder.sql("prof", source="sql://profiles",
                     sql="SELECT handle AS id, followers AS f FROM profiles "
                         "WHERE handle = {id}")
     elif shape == 1:
-        builder.graph("SELECT ?id WHERE { ?x ttn:twitterAccount ?id }")
         builder.json("tweets", source="json://tweets",
                      pattern=f'{{ author: ?id, topic: "{topic}", likes: ?l }}')
-    else:
-        builder.graph("SELECT ?id WHERE { ?x ttn:twitterAccount ?id }")
+    elif shape == 2:
         builder.fulltext("posts", source="solr://posts",
                          query="user.screen_name:{id}",
                          fields={"t": "text", "id": "user.screen_name"})
+    else:
+        builder.rdf("acc", "SELECT ?id ?f WHERE { ?a ttn:handle ?id . "
+                           "?a ttn:followers ?f }", source="rdf://handles")
     return builder.build()
 
 
@@ -192,3 +205,27 @@ def test_versions_move_strictly_forward(ops):
         for uri in uris:
             assert current[uri] >= previous[uri]
         previous = current
+
+
+batches = st.lists(st.tuples(st.integers(min_value=0, max_value=3),
+                             st.sampled_from(TOPICS)),
+                   min_size=2, max_size=6)
+
+
+@given(batch=batches)
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_concurrent_tickets_answer_like_per_query_evaluation(batch):
+    """Answers served by concurrent tickets == independent per-query
+    evaluation, across random overlapping batches over all four data
+    models."""
+    instance = build_instance(cache=True)
+    queries = [make_query(instance, shape, topic) for shape, topic in batch]
+    pinned = instance.pin()
+    reference = [result_set(pinned.execute(instance, q, options=SERIAL,
+                                           cache=False, max_workers=1))
+                 for q in queries]
+    with MediatorService(instance, ServiceConfig(workers=4)) as service:
+        tickets = [service.submit(q) for q in queries]
+        served = [result_set(t.result(timeout=60)) for t in tickets]
+    assert served == reference
