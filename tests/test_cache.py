@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.cache import (
@@ -15,7 +18,9 @@ from repro.core import MixedInstance, PlannerOptions
 from repro.core.planner import REPLAN_THRESHOLD
 from repro.cache.results import SubQueryResultCache
 from repro.core.sources import (
+    DataSource,
     FullTextQuery,
+    FullTextSource,
     JSONQuery,
     RDFQuery,
     RelationalSource,
@@ -653,3 +658,124 @@ def test_canonical_memo_is_a_bounded_lru(monkeypatch):
         assert cache.canonicalize(hot) is not None
     assert len(cache._canonical) <= 4
     assert hot in cache._canonical
+
+
+# ---------------------------------------------------------------------------
+# The proxy's one fetch path: every miss ships in the caller's own call
+# ---------------------------------------------------------------------------
+
+def posts_by(variable: str) -> FullTextQuery:
+    """The posts of one account, spelled with the caller's own names."""
+    return FullTextQuery.create(
+        f"user.screen_name:{{{variable}}}",
+        {f"text_{variable}": "text", variable: "user.screen_name"})
+
+
+class GatedPosts(DataSource):
+    """A posts store behind a gate: a call records its bindings, then
+    blocks until released — so a test decides who is in flight when.
+    ``fail_first`` makes the first call raise once released."""
+
+    def __init__(self, fail_first: bool = False):
+        store = FullTextStore("posts", fields=[
+            FieldConfig("text", "text"),
+            FieldConfig("user.screen_name", "keyword"),
+        ], default_field="text")
+        for i in range(12):
+            handle = HANDLES[i % len(HANDLES)]
+            store.add({"id": i, "text": f"post {i} by {handle}",
+                       "user": {"screen_name": handle}})
+        self.inner = FullTextSource("solr://posts", store)
+        super().__init__(self.inner.uri)
+        self.model = self.inner.model
+        self.fail_first = fail_first
+        self.calls: list[list[dict]] = []
+        self._lock = threading.Lock()
+        self.gate = threading.Event()
+        self.gate.set()
+
+    def version(self):
+        return 1
+
+    def execute(self, query, bindings=None):
+        return self.execute_batch(query, [bindings or {}])[0]
+
+    def execute_batch(self, query, bindings_batch):
+        with self._lock:
+            self.calls.append([dict(b) for b in bindings_batch])
+            first = len(self.calls) == 1
+        assert self.gate.wait(5.0)
+        if first and self.fail_first:
+            raise RuntimeError("the source call died")
+        return self.inner.execute_batch(query, bindings_batch)
+
+    def expected(self, variable: str, handle: str) -> list[dict]:
+        return self.inner.execute(posts_by(variable), {variable: handle})
+
+
+def wait_for(condition, timeout: float = 5.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert condition()
+
+
+def test_a_probe_under_other_variable_names_hits_and_reads_in_its_own():
+    source, cache = GatedPosts(), SubQueryResultCache()
+    first = CachedSource(source, cache).execute_batch(posts_by("id"), [{"id": "u1"}])
+    second = CachedSource(source, cache).execute(posts_by("h"), {"h": "u1"})
+    assert source.calls == [[{"id": "u1"}]]  # the second proxy hit
+    assert first == [source.expected("id", "u1")]
+    assert second == source.expected("h", "u1") != []
+    assert cache.stats.hits == 1
+
+
+def test_a_failed_fetch_caches_nothing_and_the_next_call_re_evaluates():
+    source, cache = GatedPosts(fail_first=True), SubQueryResultCache()
+    proxy = CachedSource(source, cache)
+    with pytest.raises(RuntimeError, match="the source call died"):
+        proxy.execute(posts_by("id"), {"id": "u1"})
+    assert len(cache) == 0
+    assert proxy.execute(posts_by("h"), {"h": "u1"}) == source.expected("h", "u1")
+    assert source.calls == [[{"id": "u1"}], [{"h": "u1"}]]
+    assert len(cache) == 1
+
+
+def test_key_duplicated_inside_one_call_answers_every_position():
+    source = GatedPosts()
+    proxy = CachedSource(source, SubQueryResultCache())
+    batch = [{"id": "u1"}, {"id": "u2"}, {"id": "u1"}]
+    expected = [source.expected("id", handle) for handle in ("u1", "u2", "u1")]
+    assert proxy.execute_batch(posts_by("id"), batch) == expected
+    assert len(source.calls) == 1  # every miss went into one call
+    assert len(proxy.cache) == 2
+    # The repeat is served wholly from the cache.
+    assert proxy.execute_batch(posts_by("id"), batch) == expected
+    assert len(source.calls) == 1
+
+
+def test_concurrent_misses_of_one_probe_each_ship_their_own_call():
+    """No proxy waits on another's in-flight call: two callers that miss
+    the same probe at once both ship it, each reads its own names, and
+    the cache keeps one entry."""
+    source, cache = GatedPosts(), SubQueryResultCache()
+    source.gate.clear()
+    outcome: dict[str, object] = {}
+
+    def ask(name: str, variable: str) -> None:
+        outcome[name] = CachedSource(source, cache).execute(
+            posts_by(variable), {variable: "u1"})
+
+    threads = [threading.Thread(target=ask, args=("first", "id")),
+               threading.Thread(target=ask, args=("second", "h"))]
+    for thread in threads:
+        thread.start()
+    wait_for(lambda: len(source.calls) == 2)
+    source.gate.set()
+    for thread in threads:
+        thread.join(10.0)
+        assert not thread.is_alive()
+    assert sorted(source.calls, key=str) == [[{"h": "u1"}], [{"id": "u1"}]]
+    assert outcome == {"first": source.expected("id", "u1"),
+                       "second": source.expected("h", "u1")}
+    assert len(cache) == 1

@@ -452,6 +452,54 @@ class TestScheduler:
             assert service.execute(query, timeout=10).rows
             assert service.statistics()["failed"] == 1
 
+    def test_a_repeated_query_after_a_burst_is_served_from_the_cache(
+            self, instance, query):
+        """Concurrent tickets of one query each answer like direct
+        execution; once they finish, the cache serves the next ticket's
+        SQL probes without a source call."""
+        calls: list[int] = []
+
+        class CountingSource(DataSource):
+            model = "relational"
+
+            def __init__(self, inner):
+                super().__init__(inner.uri, name=inner.name)
+                self.inner = inner
+
+            def execute(self, q, bindings=None):
+                calls.append(1)
+                return self.inner.execute(q, bindings)
+
+            def execute_batch(self, q, batch):
+                calls.append(1)
+                return self.inner.execute_batch(q, batch)
+
+            def estimate(self, q, bound_variables=None):
+                return self.inner.estimate(q, bound_variables)
+
+            def version(self):
+                return self.inner.version()
+
+            def size(self):
+                return self.inner.size()
+
+            def pin(self):
+                if self.pinned_at is not None:
+                    return self
+                pinned_inner = self.inner.pin()
+                return self._memoized_pin(pinned_inner.version(),
+                                          lambda: CountingSource(pinned_inner))
+
+        expected = result_set(instance.execute(query))
+        instance.register(CountingSource(instance.source("sql://profiles")))
+        with MediatorService(instance, ServiceConfig(workers=4)) as service:
+            burst = [service.submit(query) for _ in range(4)]
+            assert [result_set(t.result(timeout=30)) for t in burst] == [expected] * 4
+            assert calls
+            shipped = len(calls)
+            assert result_set(service.execute(query, timeout=30)) == expected
+            assert len(calls) == shipped
+
     def test_stats_carry_the_keys_the_benchmark_reads(self, instance):
         with MediatorService(instance, ServiceConfig(workers=1)) as service:
             assert service.stats()["mqo"] == {
