@@ -2,8 +2,8 @@
 
 Compares, on the same CMQ workload:
 
-* the full TATOOINE strategy (cost-based order and bind joins, parallel
-  dispatch of independent sub-queries),
+* the full TATOOINE strategy (cost-based order and bind joins,
+  independent sub-queries dispatched as one stage),
 * the reference plan the oracles evaluate (body order, every sub-query
   materialised unless a parameter forces a bind join, one per stage),
 * the warehouse baseline (export everything to one RDF graph, then query).

@@ -1,6 +1,6 @@
 """Shared fixtures and reporting helpers for the benchmark harness.
 
-Each ``bench_*.py`` file regenerates one experiment of DESIGN.md (E1–E11).
+Each ``bench_*.py`` file regenerates one experiment of DESIGN.md (E1–E10).
 Benchmarks print the paper-style series they produce (who wins, by what
 factor, where crossovers fall); absolute timings depend on the machine and
 are reported by pytest-benchmark itself.

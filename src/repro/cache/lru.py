@@ -3,7 +3,7 @@
 Both mediator caches (sub-query results, query plans) sit on this map.
 Entries are keyed by fully canonical tuples built in
 :mod:`repro.cache.keys` / :mod:`repro.cache.plans`; the LRU itself is
-policy-free.  Executors may probe it from parallel dispatch threads, so
+policy-free.  Executors may probe it from pooled dispatch threads, so
 every operation takes the internal lock.
 """
 

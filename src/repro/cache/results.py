@@ -224,7 +224,7 @@ class CachedSource(DataSource):
         # since no source call happened.
         self.repair = repair
         # The stats object is shared by every proxy of one executor and
-        # bumped from parallel dispatch threads; the (equally shared)
+        # bumped from pooled dispatch threads; the (equally shared)
         # lock keeps the counters exact.
         self._stats_lock = stats_lock or threading.Lock()
 
@@ -245,7 +245,7 @@ class CachedSource(DataSource):
         would fall back to ``model``-keyed (local-call) pricing and lose
         the network-aware batch sizing its ``"remote"`` kind buys.
         """
-        return getattr(self.inner, "cost_kind", self.inner.model)
+        return self.inner.cost_kind
 
     def pin(self) -> "CachedSource":
         """A proxy over the pinned inner source (same cache, same stats)."""

@@ -5,8 +5,8 @@ stage, and every sub-query reaches its source through one route,
 :meth:`MixedQueryExecutor._dispatch`: lists of bindings are resolved to
 their target sources (static, dynamically discovered or every accepting
 source of a free source variable), shipped as one call per target
-source — all calls of a stage in one flat parallel batch — and each call
-is recorded on the trace.
+source — all calls of a stage in one flat batch — and each call is
+recorded on the trace.
 
 * a ``materialize`` step dispatches the single empty binding, and its
   rows are hash-joined with the current intermediate result; the
@@ -34,8 +34,10 @@ observed cardinality is compared with the planner's estimate, and when
 the q-error exceeds :data:`~repro.core.planner.REPLAN_THRESHOLD` the
 executor records feedback into the statistics layer, invalidates the
 stale plan-cache entry and re-plans the remaining steps from the real
-intermediate cardinality.  Calls are dispatched on up to
-``max_workers`` threads; ``max_workers=1`` runs them serially.
+intermediate cardinality.  A stage's local calls run on the query
+thread while its remote calls wait on the shared dispatch pool; under a
+deadline every call is pooled so the wait is bounded
+(:func:`repro.engine.parallel.run_calls`).
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from repro.engine.iterators import (
     Operator,
     Project,
 )
-from repro.engine.parallel import run_tasks
+from repro.engine.parallel import run_calls
 from repro.errors import (
     MixedQueryError,
     QueryTimeoutError,
@@ -97,14 +99,12 @@ class MixedQueryExecutor:
     """
 
     def __init__(self, sources: dict[str, DataSource], glue: DataSource,
-                 options: PlannerOptions | None = None, max_workers: int = 4,
+                 options: PlannerOptions | None = None,
                  digests=None, cache=None, statistics=None,
-                 cancel_check=None, task_pool=None,
-                 metrics=None, deadline=None):
+                 cancel_check=None, metrics=None, deadline=None):
         self._sources = dict(sources)
         self._glue = glue
         self.options = options or PlannerOptions()
-        self.max_workers = max_workers
         # Metrics sink; resolved lazily so tests that reset the global
         # registry see their fresh registry even on long-lived executors.
         self._metrics = metrics
@@ -119,8 +119,6 @@ class MixedQueryExecutor:
         #: surfaces QueryTimeoutError mid-stage instead of stalling the
         #: ticket indefinitely.
         self.deadline = deadline
-        # Service-owned shared pool (None = the process-wide one).
-        self._task_pool = task_pool
         self.planner = QueryPlanner(self._sources, glue, self.options,
                                     plan_cache=cache.plans if cache is not None else None,
                                     statistics=statistics)
@@ -458,8 +456,9 @@ class MixedQueryExecutor:
         (results concatenated per binding).  A materialize step passes
         the single empty binding and reaches ``source.execute``; a bind
         step's batch reaches ``source.execute_batch``.  The calls are
-        independent, so all of them run as one flat parallel batch.
-        Returns, per ``work`` entry, the batches of each binding.
+        independent, so all of them go to :func:`run_calls` as one flat
+        batch, a call waiting when its source is remote.  Returns, per
+        ``work`` entry, the batches of each binding.
         """
         results: list[list[list[BindingBatch]]] = [[[] for _ in bindings_list]
                                                    for _, bindings_list in work]
@@ -495,9 +494,8 @@ class MixedQueryExecutor:
                     sp.set(rows=sum(map(row_count, per_binding)))
             return per_binding, time.perf_counter() - started, degraded
 
-        outcomes = run_tasks(
-            [lambda c=c: call(*c) for c in calls],
-            max_workers=self.max_workers, pool=self._task_pool,
+        outcomes = run_calls(
+            [(lambda c=c: call(*c), c[1].cost_kind == "remote") for c in calls],
             timeout=self._remaining())
         for (slot, source, indices), (per_binding, elapsed, degraded) in zip(
                 calls, outcomes):

@@ -170,7 +170,7 @@ class MixedInstance:
     # Query entry points
     # ------------------------------------------------------------------
     def executor(self, options: PlannerOptions | None = None,
-                 max_workers: int = 4, digests=None) -> MixedQueryExecutor:
+                 digests=None) -> MixedQueryExecutor:
         """Build an executor over the *live* source catalog.
 
         For callers that hold an executor across queries: it reads the
@@ -181,8 +181,8 @@ class MixedInstance:
         then sieve bindings against the source value sets.
         """
         return MixedQueryExecutor(self._sources, self._glue_source,
-                                  options=options, max_workers=max_workers,
-                                  digests=digests, cache=self.cache,
+                                  options=options, digests=digests,
+                                  cache=self.cache,
                                   statistics=self.statistics())
 
     def planner(self, options: PlannerOptions | None = None) -> QueryPlanner:
@@ -198,8 +198,7 @@ class MixedInstance:
 
     def execute(self, query: ConjunctiveMixedQuery | str,
                 options: PlannerOptions | None = None, distinct: bool = True,
-                limit: int | None = None, max_workers: int = 4,
-                digests=None) -> MixedResult:
+                limit: int | None = None, digests=None) -> MixedResult:
         """Evaluate a CMQ (object or textual syntax) and return its result.
 
         The CMQ runs against :meth:`pin`, exactly as a served one does:
@@ -207,12 +206,12 @@ class MixedInstance:
         """
         return self.pin().execute(self, query, options=options,
                                   distinct=distinct, limit=limit,
-                                  max_workers=max_workers, digests=digests)
+                                  digests=digests)
 
     def explain_analyze(self, query: ConjunctiveMixedQuery | str,
                         options: PlannerOptions | None = None,
                         distinct: bool = True, limit: int | None = None,
-                        max_workers: int = 4, digests=None):
+                        digests=None):
         """Evaluate a CMQ and return its EXPLAIN ANALYZE report.
 
         The report (:class:`repro.obs.explain.ExplainReport`) merges the
@@ -223,8 +222,7 @@ class MixedInstance:
         from repro.obs.explain import explain_analyze
 
         result = self.execute(query, options=options, distinct=distinct,
-                              limit=limit, max_workers=max_workers,
-                              digests=digests)
+                              limit=limit, digests=digests)
         report = explain_analyze(result)
         if not isinstance(query, str):
             report.query = query.name

@@ -64,7 +64,7 @@ class PlannerOptions:
     plan_cache: bool = True
     #: Search join orders and materialize-vs-bind modes with the
     #: digest-backed cost model and group independent materialize steps
-    #: into parallel dispatch stages.  False plans the reference: body
+    #: into dispatch stages.  False plans the reference: body
     #: order, ``bind`` only where a required parameter or a dynamic
     #: source forces it, one step per stage, no re-planning.
     cost_based: bool = True
@@ -154,7 +154,7 @@ class PlanStep:
 
 @dataclass
 class QueryPlan:
-    """The full plan: ordered steps plus parallel dispatch stages."""
+    """The full plan: ordered steps plus dispatch stages."""
 
     query: ConjunctiveMixedQuery
     steps: list[PlanStep]
@@ -171,8 +171,7 @@ class QueryPlan:
         lines = [f"plan for {self.query.name}: "
                  f"total cost {self.total_cost:.1f}{suffix}"]
         for stage_number, stage in enumerate(self.stages):
-            parallel = " (parallel)" if len(stage) > 1 else ""
-            lines.append(f"  stage {stage_number}{parallel}:")
+            lines.append(f"  stage {stage_number}:")
             for index in stage:
                 lines.append(f"    {self.steps[index].describe()}")
         return "\n".join(lines)
@@ -418,8 +417,7 @@ class QueryPlanner:
                    bound_now: frozenset) -> tuple[PlanStep, float]:
         """Price one candidate step and return it with the resulting card."""
         sources, dynamic = self._resolve_sources(atom)
-        models = [getattr(source, "cost_kind", source.model)
-                  for source in sources]
+        models = [source.cost_kind for source in sources]
         cost_model = self.statistics.cost_model
         est_bound = estimate(index, bound_now)
         est_full = estimate(index, frozenset())

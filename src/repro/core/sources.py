@@ -294,6 +294,12 @@ class DataSource:
         self._pin_memo: Optional[tuple[int, "DataSource"]] = None
         self._instruments: Optional[tuple] = None
 
+    @property
+    def cost_kind(self) -> str:
+        """The cost-model kind pricing this wrapper's calls; ``"remote"``
+        also makes the executor overlap its calls' waits."""
+        return self.model
+
     # -- protocol -----------------------------------------------------------
     def execute(self, query: SourceQuery, bindings: Row | None = None) -> list[Row]:
         """Evaluate ``query`` with the given bindings and return rows."""

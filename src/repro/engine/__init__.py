@@ -2,7 +2,7 @@
 
 The Python counterpart of the paper's "in-house iterator-based execution
 engine (Java, approx. 10K lines)": Volcano-style operators over binding
-tuples plus a pooled dispatcher for independent source calls.  Operators
+tuples plus the dispatcher of a stage's independent source calls.  Operators
 exchange columnar :class:`BindingBatch` objects; dict rows only
 materialise at the interface boundary.
 
@@ -20,7 +20,7 @@ from repro.engine.iterators import (
     Operator,
     Project,
 )
-from repro.engine.parallel import WorkPool, run_tasks
+from repro.engine.parallel import run_calls
 
 __all__ = [
     "BatchBindJoin",
@@ -31,6 +31,5 @@ __all__ = [
     "MaterializedScan",
     "Operator",
     "Project",
-    "WorkPool",
-    "run_tasks",
+    "run_calls",
 ]

@@ -5,9 +5,9 @@ A :class:`SpanTracer` collects the spans of one traced unit of work
 the service opens a ``query:*`` root at submission, the executor nests
 ``execute`` under it, the planner nests ``plan``, each dispatch stage and
 each source call nests deeper still.  The *current* span travels in a
-:data:`contextvars.ContextVar`, and :class:`repro.engine.parallel
-.WorkPool` copies the submitting thread's context into its workers, so
-parentage survives parallel dispatch across threads.
+:data:`contextvars.ContextVar`, and :func:`repro.engine.parallel
+.run_calls` copies the submitting thread's context into each pooled
+call, so parentage survives dispatch across threads.
 
 The instrumentation is written to cost nothing when no trace is active:
 :func:`span` reads one context variable and yields ``None`` when there

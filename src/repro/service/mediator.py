@@ -18,9 +18,9 @@ many clients hit concurrently while feeds keep mutating the sources:
   cancelled tickets are dropped at dequeue, and a running executor
   checks between stages;
 * all workers share the instance's :class:`MediatorCache` and
-  :class:`StatisticsCatalog` (both thread-safe), plus one service-owned
-  :class:`~repro.engine.parallel.WorkPool` for intra-query source-call
-  parallelism — no per-stage pool churn.
+  :class:`StatisticsCatalog` (both thread-safe); a query's source calls
+  run on its worker, with remote waits and deadline-bounded calls on
+  the process-wide dispatch pool (:mod:`repro.engine.parallel`).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from typing import Optional, TYPE_CHECKING
 from repro.core.planner import PlannerOptions
 from repro.core.results import MixedResult
 from repro.core.sources import JSONSource
-from repro.engine.parallel import WorkPool
 from repro.errors import (
     AdmissionError,
     QueryCancelledError,
@@ -53,10 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.standing import StandingSubscription
 
 logger = logging.getLogger("repro.service.mediator")
-
-#: Threads of the service's intra-query pool (the source calls of one
-#: stage run in it in parallel, see :mod:`repro.engine.parallel`).
-_POOL_THREADS = 4
 
 
 @dataclass(frozen=True)
@@ -202,7 +197,7 @@ class QueryTicket:
         """Seconds left before the deadline (None when unbounded).
 
         Handed to the executor as its ``deadline`` callable so every
-        parallel dispatch wait is bounded by the ticket's budget — a hung
+        pooled dispatch wait is bounded by the ticket's budget — a hung
         source times the stage out mid-wait instead of after it.
         """
         if self.deadline is None:
@@ -270,7 +265,6 @@ class MediatorService:
         }
         if getattr(instance, "cache", None) is not None:
             instance.cache.register_metrics(self.metrics)
-        self.task_pool = WorkPool(_POOL_THREADS, name="mediator-tasks")
         #: Standing-query registry, created on first ``register_standing``
         #: (it owns a refresh thread and journal listeners — services
         #: that never register a standing CMQ pay nothing).
@@ -415,7 +409,7 @@ class MediatorService:
         remote: dict[str, object] = {}
         for uri in self.instance.source_uris():
             source = self.instance.source(uri)
-            if getattr(source, "cost_kind", None) == "remote":
+            if source.cost_kind == "remote":
                 stats_fn = getattr(source, "stats", None)
                 if callable(stats_fn):
                     remote[uri] = stats_fn()
@@ -461,7 +455,6 @@ class MediatorService:
         if wait:
             for worker in self._workers:
                 worker.join()
-        self.task_pool.shutdown(wait=wait)
 
     def __enter__(self) -> "MediatorService":
         return self
@@ -497,8 +490,7 @@ class MediatorService:
             ticket.pinned = pin_instance(self.instance)
             executor = ticket.pinned.executor(
                 self.instance, options=ticket.options,
-                max_workers=_POOL_THREADS,
-                cancel_check=ticket._cancel_check, task_pool=self.task_pool,
+                cancel_check=ticket._cancel_check,
                 metrics=self.metrics, deadline=ticket._remaining)
             result = executor.execute(ticket.query, distinct=ticket.distinct,
                                       limit=ticket.limit)

@@ -49,14 +49,14 @@ class PinnedCatalog:
         """
         versions: dict[str, Optional[int]] = {GLUE_SOURCE: self.glue.version()}
         for uri, source in self.sources.items():
-            remote = getattr(source, "cost_kind", None) == "remote"
+            remote = source.cost_kind == "remote"
             versions[uri] = source.pinned_at if remote else source.version()
         return versions
 
     def executor(self, instance: "MixedInstance",
-                 options: PlannerOptions | None = None, max_workers: int = 4,
-                 cache: bool = True, cancel_check=None, task_pool=None,
-                 metrics=None, deadline=None, digests=None) -> MixedQueryExecutor:
+                 options: PlannerOptions | None = None, cache: bool = True,
+                 cancel_check=None, metrics=None, deadline=None,
+                 digests=None) -> MixedQueryExecutor:
         """An executor whose every dispatch hits the pinned snapshots.
 
         ``instance`` supplies the shared mediator cache and statistics
@@ -70,21 +70,18 @@ class PinnedCatalog:
         to sieve their bindings against.
         """
         return MixedQueryExecutor(
-            self.sources, self.glue, options=options, max_workers=max_workers,
-            digests=digests, cache=instance.cache if cache else None,
+            self.sources, self.glue, options=options, digests=digests,
+            cache=instance.cache if cache else None,
             statistics=instance.statistics(), cancel_check=cancel_check,
-            task_pool=task_pool, metrics=metrics,
-            deadline=deadline)
+            metrics=metrics, deadline=deadline)
 
     def execute(self, instance: "MixedInstance", query, *,
                 options: PlannerOptions | None = None, distinct: bool = True,
-                limit: int | None = None, max_workers: int = 4,
-                cache: bool = True, digests=None):
+                limit: int | None = None, cache: bool = True, digests=None):
         """Evaluate one CMQ against the pinned snapshots (serial-friendly)."""
         if isinstance(query, str):
             query = instance.parse(query)
-        executor = self.executor(instance, options=options,
-                                 max_workers=max_workers, cache=cache,
+        executor = self.executor(instance, options=options, cache=cache,
                                  digests=digests)
         return executor.execute(query, distinct=distinct, limit=limit)
 

@@ -18,9 +18,9 @@ the result cache: the write that triggered the refresh has usually been
 delta-repaired (:mod:`repro.cache.repair`) by the time the refresh
 probes it, so refreshing is mostly cache hits, not source calls.
 
-Deltas are **multiset** diffs of the result rows.  Callbacks run on the
-service's task pool and are isolated: a raising callback is counted and
-logged, never allowed to wedge the refresh loop.
+Deltas are **multiset** diffs of the result rows.  Callbacks run inline
+on the refresh thread and are isolated: a raising callback is counted
+and logged, never allowed to wedge the refresh loop.
 """
 
 from __future__ import annotations
@@ -262,13 +262,10 @@ class StandingQueryRegistry:
 
     def _deliver(self, subscription: StandingSubscription,
                  delta: StandingDelta) -> None:
-        """Run the callback on the service's task pool, isolated."""
-
-        def invoke(payload: StandingDelta) -> None:
-            subscription.callback(payload)
-
+        """Run the callback inline on the refresh thread, isolated: a
+        raising callback is counted and logged, and the loop goes on."""
         try:
-            self.service.task_pool.map(invoke, [delta])
+            subscription.callback(delta)
         except Exception:  # noqa: BLE001 - callbacks never stop the loop
             subscription.callback_errors += 1
             logger.exception("standing callback of %s raised",

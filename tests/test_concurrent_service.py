@@ -196,7 +196,7 @@ class TestStressEquivalence:
             # is exact no matter what the writers did since).
             for ticket in tickets:
                 serial = ticket.pinned.execute(
-                    instance, ticket.query, cache=False, max_workers=1)
+                    instance, ticket.query, cache=False)
                 if result_set(ticket.result()) != result_set(serial):
                     violations.append(ticket.query.name)
 
@@ -514,7 +514,7 @@ class TestScheduler:
         service.register_standing(mixed_queries(instance)[0], lambda delta: None)
         service.shutdown(wait=True)
 
-        prefixes = ("mediator-worker-", "mediator-tasks", "mediator-standing")
+        prefixes = ("mediator-worker-", "mediator-standing")
         leaked = [thread.name for thread in threading.enumerate()
                   if thread not in before and thread.name.startswith(prefixes)]
         assert leaked == []

@@ -204,7 +204,7 @@ class TestExecutor:
     def test_materialize_stage_dispatches_its_calls_as_one_flat_batch(
             self, instance, small_tweet_store, monkeypatch):
         """Three materialize steps in one stage, one of them fanning out
-        to two full-text sources: four source calls, one ``run_tasks``
+        to two full-text sources: four source calls, one ``run_calls``
         batch, recorded in step order then source order."""
         import repro.core.executor as executor_module
 
@@ -218,13 +218,13 @@ class TestExecutor:
                     sql="SELECT rate AS rate FROM unemployment WHERE year = 2015")
                .build())
         batches = []
-        run_tasks = executor_module.run_tasks
+        run_calls = executor_module.run_calls
 
-        def recording(tasks, **kwargs):
-            batches.append(len(tasks))
-            return run_tasks(tasks, **kwargs)
+        def recording(calls, **kwargs):
+            batches.append(len(calls))
+            return run_calls(calls, **kwargs)
 
-        monkeypatch.setattr(executor_module, "run_tasks", recording)
+        monkeypatch.setattr(executor_module, "run_calls", recording)
         # The reference plan materialises every atom in body order; run
         # its three steps as one stage.
         plan = instance.plan(cmq, PlannerOptions(cost_based=False))

@@ -1,10 +1,14 @@
-"""Unit tests for the Volcano-style iterator operators.
+"""Unit tests for the Volcano-style iterator operators and the stage
+dispatcher ``run_calls``.
 
 The tests of ``CallbackScan``, ``Select``, ``Extend``, ``Sort``,
 ``Limit``, ``Union``, ``NestedLoopJoin``, ``BindJoin``, ``Aggregate`` /
 ``AggregateSpec``, ``run_parallel`` and ``ParallelStats`` went away with
 those symbols: the executor builds none of them.
 """
+
+import threading
+import time
 
 import pytest
 
@@ -15,9 +19,10 @@ from repro.engine import (
     HashJoin,
     MaterializedScan,
     Project,
-    run_tasks,
+    run_calls,
 )
 from repro.engine.batch import batches_from_rows
+from repro.errors import QueryTimeoutError
 
 PEOPLE = [
     {"id": "p1", "group": "left", "retweets": 10},
@@ -306,23 +311,44 @@ class TestOperatorProtocol:
             Operator().rows()
 
 
-class TestRunTasks:
-    def test_results_preserve_order(self):
-        outputs = run_tasks([lambda i=i: i for i in range(6)], max_workers=3)
-        assert outputs == list(range(6))
+class TestRunCalls:
+    """``run_calls`` pools only the calls that wait, or every call under a
+    deadline; everything else runs inline on the query thread."""
 
-    def test_sequential_mode(self):
-        assert run_tasks([lambda: 1, lambda: 2], max_workers=1) == [1, 2]
+    def test_a_local_stage_runs_on_the_callers_thread(self):
+        caller = threading.get_ident()
+        outputs = run_calls([(threading.get_ident, False)] * 3)
+        assert outputs == [caller] * 3
 
-    def test_timeout_bounds_even_a_single_hung_task(self):
-        import threading
+    def test_two_remote_calls_overlap(self):
+        def remote(value):
+            time.sleep(0.05)
+            return value
 
-        from repro.errors import QueryTimeoutError
+        started = time.perf_counter()
+        outputs = run_calls([(lambda: remote(1), True), (lambda: remote(2), True)])
+        elapsed = time.perf_counter() - started
+        assert outputs == [1, 2]
+        assert elapsed < 0.09
 
+    def test_a_local_call_runs_inline_beside_a_remote_one(self):
+        caller = threading.get_ident()
+
+        def remote():
+            time.sleep(0.02)
+            return "remote", threading.get_ident()
+
+        outputs = run_calls([(remote, True),
+                             (lambda: ("local", threading.get_ident()), False)])
+        assert [label for label, _ in outputs] == ["remote", "local"]
+        assert outputs[1][1] == caller
+        assert outputs[0][1] != caller
+
+    def test_timeout_bounds_even_a_single_hung_call(self):
         release = threading.Event()
         try:
             with pytest.raises(QueryTimeoutError):
-                run_tasks([release.wait], max_workers=1, timeout=0.05)
+                run_calls([(release.wait, False)], timeout=0.05)
         finally:
             release.set()
 

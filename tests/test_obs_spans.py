@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.engine.parallel import WorkPool, run_tasks
+from repro.engine.parallel import run_calls
 from repro.obs.spans import (
     SpanTracer,
     attach,
@@ -101,49 +101,41 @@ class TestSpanBasics:
 
 
 class TestCrossThreadPropagation:
-    def test_workpool_map_carries_the_current_span(self):
-        pool = WorkPool(max_workers=4, name="obs-test-dispatch")
-        try:
-            with trace("root") as root:
-                def work(i):
-                    parent = current_span()
-                    with span(f"task-{i}") as sp:
-                        return parent.span_id, sp.parent_id, threading.get_ident()
-
-                outcomes = pool.map(work, list(range(6)))
-            parents = {parent for parent, _, _ in outcomes}
-            assert parents == {root.span_id}
-            assert all(parent == span_parent for parent, span_parent, _ in outcomes)
-            # The pooled spans all landed in the root's tracer.
-            names = {s.name for s in root.tracer.spans}
-            assert {f"task-{i}" for i in range(6)} <= names
-        finally:
-            pool.shutdown()
-
-    def test_run_tasks_keeps_parentage_of_the_stage_span(self):
-        """The executor opens a stage span on the query's thread and
-        submits the stage's source calls as one flat ``run_tasks`` batch;
-        the pooled call spans must chain to the stage span."""
-        pool = WorkPool(max_workers=3, name="obs-test-tasks2")
-        try:
-            with trace("root") as root:
-                with span("stage") as stage_span:
-                    def call(j):
-                        with span(f"call-{j}") as call_span:
-                            return call_span.parent_id
-
-                    parents = run_tasks([lambda j=j: call(j) for j in range(6)],
-                                        max_workers=3, pool=pool)
-            assert parents == [stage_span.span_id] * 6
-            assert len(root.tracer) == 1 + 1 + 6
-        finally:
-            pool.shutdown()
-
-    def test_inline_fast_path_propagates_too(self):
-        pool = WorkPool(max_workers=1, name="obs-test-inline")
+    def test_pooled_calls_carry_the_current_span(self):
         with trace("root") as root:
-            outcomes = pool.map(
-                lambda i: current_span().span_id, [1, 2, 3])
+            def work(i):
+                parent = current_span()
+                with span(f"task-{i}") as sp:
+                    return parent.span_id, sp.parent_id, threading.get_ident()
+
+            outcomes = run_calls([(lambda i=i: work(i), True) for i in range(6)])
+        parents = {parent for parent, _, _ in outcomes}
+        assert parents == {root.span_id}
+        assert all(parent == span_parent for parent, span_parent, _ in outcomes)
+        # The pooled spans all landed in the root's tracer.
+        names = {s.name for s in root.tracer.spans}
+        assert {f"task-{i}" for i in range(6)} <= names
+
+    def test_run_calls_keeps_parentage_of_the_stage_span(self):
+        """The executor opens a stage span on the query's thread and
+        submits the stage's source calls as one flat ``run_calls`` batch;
+        the call spans, pooled under a deadline, must chain to the stage
+        span."""
+        with trace("root") as root:
+            with span("stage") as stage_span:
+                def call(j):
+                    with span(f"call-{j}") as call_span:
+                        return call_span.parent_id
+
+                parents = run_calls([(lambda j=j: call(j), False) for j in range(6)],
+                                    timeout=30.0)
+        assert parents == [stage_span.span_id] * 6
+        assert len(root.tracer) == 1 + 1 + 6
+
+    def test_inline_calls_propagate_too(self):
+        with trace("root") as root:
+            outcomes = run_calls(
+                [(lambda: current_span().span_id, False)] * 3)
         assert outcomes == [root.span_id] * 3
 
 

@@ -696,7 +696,7 @@ def test_executor_deadline_times_out_mid_stage_on_hung_source():
     cmq = _one_atom_query(instance, "solr://hung")
     started = time.monotonic()
     executor = MixedQueryExecutor(
-        {hung.uri: hung}, instance.glue_source, max_workers=2,
+        {hung.uri: hung}, instance.glue_source,
         deadline=lambda: 0.4 - (time.monotonic() - started))
     with pytest.raises(QueryTimeoutError):
         executor.execute(cmq)

@@ -36,8 +36,7 @@ pytestmark = pytest.mark.stress
 HANDLES = [f"u{i}" for i in range(6)]
 TOPICS = ["politics", "sports"]
 
-#: Cache-free evaluation so every run is independent (serial with
-#: ``max_workers=1``).
+#: Cache-free evaluation so every run is independent.
 SERIAL = PlannerOptions(result_cache=False, plan_cache=False)
 
 
@@ -155,14 +154,14 @@ def test_snapshot_isolation_under_random_interleavings(prefix, suffix, shape, to
     assert pinned.versions == live_versions
 
     before = result_set(pinned.execute(instance, query, options=SERIAL,
-                                       cache=False, max_workers=1))
+                                       cache=False))
 
     for delta in suffix:
         apply_delta(instance, delta)
 
     # The pin is immune to the suffix: identical rows, identical vector.
     after = result_set(pinned.execute(instance, query, options=SERIAL,
-                                      cache=False, max_workers=1))
+                                      cache=False))
     assert after == before
     assert pinned.versions == live_versions
 
@@ -223,7 +222,7 @@ def test_concurrent_tickets_answer_like_per_query_evaluation(batch):
     queries = [make_query(instance, shape, topic) for shape, topic in batch]
     pinned = instance.pin()
     reference = [result_set(pinned.execute(instance, q, options=SERIAL,
-                                           cache=False, max_workers=1))
+                                           cache=False))
                  for q in queries]
     with MediatorService(instance, ServiceConfig(workers=4)) as service:
         tickets = [service.submit(q) for q in queries]

@@ -10,6 +10,7 @@ registry's push deltas against a periodic full re-run.
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import Counter
 
@@ -739,6 +740,21 @@ class TestStandingQueries:
             self._wait(lambda: len(calls) >= 2)
             assert sub.callback_errors >= 1
             assert len(sub.rows) == 3
+
+    def test_callback_runs_on_the_refresh_thread(self):
+        glue = Graph("glue")
+        glue.add(triple("ttn:A", "ttn:p", 1))
+        inst = MixedInstance(graph=glue, name="cbt", entailment=False)
+        with MediatorService(inst, ServiceConfig(workers=1)) as service:
+            cmq = (inst.builder("w", head=["x", "v"])
+                   .graph("SELECT ?x ?v WHERE { ?x ttn:p ?v }")
+                   .build())
+            threads = []
+            service.register_standing(
+                cmq, lambda delta: threads.append(threading.current_thread().name))
+            glue.add(triple("ttn:B", "ttn:p", 2))
+            self._wait(lambda: len(threads) >= 1)
+            assert threads[0] == "mediator-standing"
 
 
 # ---------------------------------------------------------------------------
