@@ -1,11 +1,11 @@
-"""Shared-pool reuse in :mod:`repro.engine.parallel`.
+"""The one process-wide dispatch pool behind :func:`run_calls`.
 
-``run_tasks`` draws from process-wide :class:`WorkPool`\\ s (one per
-worker count) instead of building a ``ThreadPoolExecutor`` per stage.
-These tests pin the reuse behaviour, ordering and overlap.  (The
-``run_parallel`` / ``ParallelStats`` cases went away with those symbols;
-their reuse, ordering, overlap and no-deadlock cases live on here
-against ``run_tasks``.)
+``tests/test_engine_iterators.py::TestRunCalls`` pins the dispatch rule
+(local stages inline, remote calls overlap, deadlines bound hung calls).
+These tests pin the pool itself: it starts once and is reused, its
+threads are named and bounded, results keep call order, errors and
+deadlines surface on the query thread, and only pooled calls are counted
+in the ``pool="dispatch"`` instruments.
 """
 
 from __future__ import annotations
@@ -13,79 +13,43 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.engine.parallel import WorkPool, run_tasks, shared_pool
+import pytest
+
+from repro.engine import parallel
+from repro.engine.parallel import DISPATCH_THREADS, run_calls
+from repro.errors import QueryTimeoutError
+from repro.obs.metrics import MetricsRegistry, set_registry
 
 
-def tasks(n: int):
-    return [lambda i=i: [{"i": i, "j": j} for j in range(3)] for i in range(n)]
+def remote(value, seconds=0.01):
+    time.sleep(seconds)
+    return value
 
 
-class TestSharedPool:
-    def test_same_size_is_same_pool(self):
-        assert shared_pool(4) is shared_pool(4)
-
-    def test_sizes_are_distinct_pools(self):
-        assert shared_pool(4) is not shared_pool(3)
-
-    def test_run_tasks_reuses_one_executor(self):
-        pool = WorkPool(4, name="reuse-test")
-        for _ in range(5):
-            run_tasks(tasks(6), max_workers=4, pool=pool)
-        # One ThreadPoolExecutor constructed across five stages.
-        assert pool.times_created == 1
-        pool.shutdown()
-
-    def test_run_tasks_default_uses_shared_pool(self):
-        pool = shared_pool(4)
-        created_before = pool.times_created
-        outputs = run_tasks(tasks(5), max_workers=4)
-        assert [len(rows) for rows in outputs] == [3] * 5
-        assert pool.times_created <= max(1, created_before + 1)
-        # A second stage must not construct another executor.
-        after_first = pool.times_created
-        run_tasks(tasks(5), max_workers=4)
-        assert pool.times_created == after_first
-
-    def test_sequential_path_never_builds_a_pool(self):
-        pool = WorkPool(1, name="seq-test")
-        run_tasks(tasks(4), max_workers=1, pool=pool)
-        assert pool.times_created == 0
-
-    def test_pool_restarts_after_shutdown(self):
-        pool = WorkPool(2, name="restart-test")
-        assert pool.map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
-        pool.shutdown()
-        assert pool.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
-        assert pool.times_created == 2
-        pool.shutdown()
-
-    def test_more_tasks_than_workers_do_not_deadlock(self):
-        """A stage's flat batch may exceed the pool; a task that itself
-        fans out (into the process-wide pool) completes too."""
-        def inner(i):
-            return run_tasks([lambda j=j: (i, j) for j in range(4)],
-                             max_workers=2)
-
-        pool = WorkPool(2, name="saturated-test")
-        done = []
-        worker = threading.Thread(target=lambda: done.append(run_tasks(
-            [lambda i=i: inner(i) for i in range(8)], max_workers=2, pool=pool)))
-        worker.start()
-        worker.join(timeout=30)
-        assert not worker.is_alive()
-        assert done == [[[(i, j) for j in range(4)] for i in range(8)]]
-        pool.shutdown()
+def occupy_every_dispatch_thread():
+    """Return once every pool thread has finished whatever it ran before
+    (a call released late by an earlier test included)."""
+    barrier = threading.Barrier(DISPATCH_THREADS)
+    run_calls([(lambda: barrier.wait(timeout=5), True)] * DISPATCH_THREADS)
 
 
-class TestRunTasksSemantics:
-    def test_order_preserved_regardless_of_completion(self):
-        def slow():
-            time.sleep(0.05)
-            return 0
+class TestDispatchPool:
+    def test_pool_starts_once_and_is_reused_across_stages(self):
+        run_calls([(lambda: remote(1), True), (lambda: remote(2), True)])
+        first = parallel._executor
+        assert first is not None
+        for _ in range(3):
+            run_calls([(lambda: remote(3), True), (lambda: remote(4), True)])
+        assert parallel._executor is first
 
-        assert run_tasks([slow, lambda: 1], max_workers=2) == [0, 1]
+    def test_pooled_calls_run_on_named_dispatch_threads(self):
+        def name():
+            return threading.current_thread().name
 
-    def test_parallelism_actually_overlaps(self):
+        names = run_calls([(name, True), (name, True)])
+        assert all(n.startswith("repro-dispatch") for n in names)
+
+    def test_concurrency_is_bounded_by_the_pool_size(self):
         active = []
         peak = []
         lock = threading.Lock()
@@ -98,8 +62,83 @@ class TestRunTasksSemantics:
             with lock:
                 active.pop()
 
-        run_tasks([tracked] * 4, max_workers=4)
-        assert max(peak) >= 2
+        run_calls([(tracked, True)] * (2 * DISPATCH_THREADS))
+        assert 2 <= max(peak) <= DISPATCH_THREADS
 
-    def test_sequential_matches_parallel_results(self):
-        assert run_tasks(tasks(6), max_workers=1) == run_tasks(tasks(6), max_workers=4)
+    def test_more_waiting_calls_than_threads_keep_call_order(self):
+        calls = [(lambda i=i: remote(i, 0.005 * (10 - i)), True) for i in range(10)]
+        assert run_calls(calls) == list(range(10))
+
+    def test_a_pooled_call_may_run_a_local_stage_of_its_own(self):
+        """A local inner stage runs inline on the dispatch thread, so a
+        pooled call that fans out locally cannot starve the pool."""
+        def outer(i):
+            return run_calls([(lambda j=j: (i, j), False) for j in range(4)])
+
+        done = []
+        worker = threading.Thread(target=lambda: done.append(run_calls(
+            [(lambda i=i: outer(i), True) for i in range(8)])))
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert done == [[[(i, j) for j in range(4)] for i in range(8)]]
+
+
+class TestDispatchRule:
+    def test_a_lone_remote_call_runs_inline(self):
+        caller = threading.get_ident()
+        assert run_calls([(threading.get_ident, True)]) == [caller]
+
+    def test_an_empty_stage_returns_no_results(self):
+        assert run_calls([]) == []
+        assert run_calls([], timeout=1.0) == []
+
+    def test_a_deadline_pools_local_calls_too(self):
+        caller = threading.get_ident()
+        outputs = run_calls([(threading.get_ident, False)] * 2, timeout=5.0)
+        assert caller not in outputs
+
+    def test_calls_within_the_deadline_return_in_call_order(self):
+        calls = [(lambda: remote("slow", 0.03), False),
+                 (lambda: remote("fast", 0), True)]
+        assert run_calls(calls, timeout=5.0) == ["slow", "fast"]
+
+    def test_inline_and_pooled_dispatch_agree(self):
+        def rows(i):
+            return [{"i": i, "j": j} for j in range(3)]
+
+        local = [(lambda i=i: rows(i), False) for i in range(6)]
+        pooled = [(lambda i=i: rows(i), True) for i in range(6)]
+        assert run_calls(local) == run_calls(pooled) == run_calls(local, timeout=5.0)
+
+    @pytest.mark.parametrize("waits", [False, True])
+    def test_a_failing_call_raises_on_the_query_thread(self, waits):
+        def broken():
+            raise ValueError("source failed")
+
+        with pytest.raises(ValueError, match="source failed"):
+            run_calls([(broken, waits), (lambda: remote(1), True)])
+
+    def test_a_hung_remote_call_times_out_beside_a_finished_one(self):
+        release = threading.Event()
+        try:
+            with pytest.raises(QueryTimeoutError):
+                run_calls([(lambda: 1, False), (release.wait, True)], timeout=0.05)
+        finally:
+            release.set()
+
+
+class TestDispatchInstruments:
+    def test_only_pooled_calls_are_counted(self):
+        occupy_every_dispatch_thread()
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            run_calls([(lambda: remote(1), True), (lambda: 2, False), (lambda: 3, False)])
+            assert registry.value("pool_tasks_total", pool="dispatch") == 1
+            run_calls([(lambda: 1, False)] * 3, timeout=5.0)
+            assert registry.value("pool_tasks_total", pool="dispatch") == 4
+            assert registry.value("pool_active_tasks", pool="dispatch") == 0
+            assert registry.value("pool_task_seconds", pool="dispatch")["count"] == 4
+        finally:
+            set_registry(previous)
