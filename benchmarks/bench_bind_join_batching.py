@@ -3,8 +3,7 @@
 The classic mediator bottleneck: a bind join with a large intermediate
 result re-issues one sub-query per distinct binding.  This benchmark
 builds a bind-join-heavy CMQ with >= 1k intermediate bindings and
-measures, per strategy (per-binding, batched at several batch sizes,
-batched + digest sieve):
+measures, per strategy (per-binding, batched at several batch sizes):
 
 * the number of ``SubQueryCall``s shipped to the sources,
 * wall-clock time,
@@ -35,16 +34,10 @@ except ImportError:  # pragma: no cover - script mode
         for row in rows:
             print("  " + " | ".join(f"{k}={v}" for k, v in row.items()))
 
-#: Departments that exist in the relational source (the sieve keeps these).
-KNOWN_DEPTS = [f"{code:02d}" for code in range(1, 31)]
-
-
 def build_bench_instance(accounts: int = 1200) -> MixedInstance:
     """A mixed instance whose qG produces ``accounts`` distinct bindings.
 
-    * glue graph: one politician per account with a twitter handle and a
-      department code (two thirds of the codes do not exist in the
-      relational source, so the digest sieve has something to prove);
+    * glue graph: one politician per account with a twitter handle;
     * relational source: an ``accounts`` table keyed by handle;
     * full-text source: one profile document per handle.
     """
@@ -54,11 +47,8 @@ def build_bench_instance(accounts: int = 1200) -> MixedInstance:
     documents = []
     for i in range(accounts):
         handle = f"user{i:05d}"
-        dept = KNOWN_DEPTS[i % len(KNOWN_DEPTS)] if i % 3 == 0 else f"X{i:05d}"
         glue.add(triple(f"ttn:P{i}", "ttn:twitterAccount", handle))
-        glue.add(triple(f"ttn:P{i}", "ttn:deptCode", dept))
-        rows.append({"handle": handle, "followers": (i * 37) % 10_000,
-                     "dept": KNOWN_DEPTS[i % len(KNOWN_DEPTS)]})
+        rows.append({"handle": handle, "followers": (i * 37) % 10_000})
         documents.append({"id": i, "text": f"profile of {handle}",
                           "user": {"screen_name": handle}})
     database.create_table_from_rows("accounts", rows)
@@ -98,29 +88,18 @@ def fulltext_query(instance: MixedInstance):
             .build())
 
 
-def sieve_query(instance: MixedInstance):
-    """qG (dept codes, mostly absent from the source) |> SQL bind atom."""
-    return (instance.builder("qDepts", head=["dept", "f"])
-            .graph("SELECT ?dept WHERE { ?x ttn:deptCode ?dept }")
-            .sql("byDept", source="sql://accounts",
-                 sql="SELECT dept AS dept, followers AS f FROM accounts "
-                     "WHERE dept = {dept}")
-            .build())
-
-
-def run_strategies(instance, cmq, digests=None, batch_sizes=(64, 256, 1024)):
+def run_strategies(instance, cmq, batch_sizes=(64, 256, 1024)):
     """Evaluate one CMQ under every strategy; return comparable measurements."""
     measurements = []
 
-    def run(label, options, digests=None):
+    def run(label, options):
         start = time.perf_counter()
-        result = instance.execute(cmq, options=options, digests=digests)
+        result = instance.execute(cmq, options=options)
         elapsed = time.perf_counter() - start
         measurements.append({
             "strategy": label,
             "source calls": len(result.trace.calls),
             "rows fetched": result.trace.total_rows_fetched(),
-            "sieved": result.trace.sieved_bindings,
             "seconds": elapsed,
             "answers": len(result),
             "_rows": sorted(map(str, result.rows)),
@@ -129,8 +108,6 @@ def run_strategies(instance, cmq, digests=None, batch_sizes=(64, 256, 1024)):
     run("per-binding", PlannerOptions(bind_batch_size=1))
     for size in batch_sizes:
         run(f"batched({size})", PlannerOptions(bind_batch_size=size))
-    if digests is not None:
-        run("batched+sieve", PlannerOptions(), digests=digests)
 
     reference = measurements[0]["_rows"]
     for measurement in measurements[1:]:
@@ -164,17 +141,6 @@ def test_fulltext_bind_join_batching():
     assert measurements[1]["source calls"] * 5 <= measurements[0]["source calls"]
 
 
-def test_digest_sieve_prunes_bindings():
-    instance = build_bench_instance(accounts=900)
-    digests = instance.build_digests()
-    cmq = sieve_query(instance)
-    measurements = run_strategies(instance, cmq, digests=digests, batch_sizes=(256,))
-    report("E12: digest sieve", measurements)
-    sieved = measurements[-1]
-    assert sieved["strategy"] == "batched+sieve"
-    assert sieved["sieved"] > 0
-
-
 # ---------------------------------------------------------------------------
 # Script mode: the trajectory runner
 # ---------------------------------------------------------------------------
@@ -183,15 +149,12 @@ def main(argv: list[str]) -> None:
     smoke = "--smoke" in argv
     accounts = 300 if smoke else 1500
     instance = build_bench_instance(accounts=accounts)
-    digests = instance.build_digests()
 
     payload = {"benchmark": "bind_join_batching", "accounts": accounts,
                "smoke": smoke, "scenarios": {}}
     for name, cmq, extra in [
         ("sql", sql_query(instance), {}),
         ("fulltext", fulltext_query(instance), {"batch_sizes": (256,)}),
-        ("sieve", sieve_query(instance), {"digests": digests,
-                                          "batch_sizes": (256,)}),
     ]:
         measurements = run_strategies(instance, cmq, **extra)
         report(f"bind join batching [{name}]", measurements)

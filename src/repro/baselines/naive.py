@@ -3,7 +3,7 @@
 A CMQ's answer is defined by its simplest evaluation: sub-queries in
 body order, each materialised fully and hash-joined, a bind join only
 where a required parameter or a dynamically discovered source forces
-one, one sub-query per stage and no re-planning.  The test oracle
+one, one sub-query per stage, never retired on drift.  The test oracle
 (``tests/oracle.py``) and the repository benchmark's oracle evaluate
 every CMQ under these options.
 """

@@ -17,9 +17,10 @@ estimates by a batch).  :func:`plan_cache_key` builds a key from
 * the planner options;
 * the statistics revision — run-time cardinality feedback bumps it, so
   plans costed under superseded statistics are invalidated.  This
-  retires a plan whose estimates writes drifted: the adaptive executor
-  re-plans when a step's q-error exceeds ``REPLAN_THRESHOLD`` and
-  records it.
+  retires a plan whose estimates writes drifted: when a step of a
+  non-final stage ends its query with a q-error past
+  ``REPLAN_THRESHOLD``, the executor drops the plan and records the
+  feedback, and the next asking replans.
 
 A reachable source with an unknown version (``None``) makes the CMQ
 uncacheable: nothing about its data can be assumed.

@@ -12,8 +12,7 @@ recorded on the trace.
   rows are hash-joined with the current intermediate result; the
   materialize steps of one stage are dispatched together;
 * a ``bind`` step is a bind join: distinct bindings of the current
-  intermediate result are collected into planner-sized batches, sieved
-  against the source digests (when a catalog is available), and
+  intermediate result are collected into planner-sized batches and
   dispatched one batch at a time — the wrapper answers the whole batch
   natively (IN-lists, disjunctive queries, shared candidate sets) where
   its query language allows.  This is how bindings reach dependent
@@ -27,17 +26,16 @@ the last operator rows travel as ``BindingBatch`` objects (cache hits
 share the cache's row lists); the dict rows of :class:`MixedResult` are
 built once, before ``execute`` returns.
 
-With ``PlannerOptions(adaptive=True)`` (the default; the reference
-plan of ``cost_based=False`` never re-plans) execution is **adaptive**:
-the intermediate result materialises between stages, each step's
-observed cardinality is compared with the planner's estimate, and when
-the q-error exceeds :data:`~repro.core.planner.REPLAN_THRESHOLD` the
-executor records feedback into the statistics layer, invalidates the
-stale plan-cache entry and re-plans the remaining steps from the real
-intermediate cardinality.  A stage's local calls run on the query
-thread while its remote calls wait on the shared dispatch pool; under a
-deadline every call is pooled so the wait is bounded
-(:func:`repro.engine.parallel.run_calls`).
+Bind stages run lazily, as the last operator pulls rows.  When the
+query has run, each step's observed cardinality is compared with the
+planner's estimate: a cost-based plan whose step in a non-final stage
+is off by more than :data:`~repro.core.planner.REPLAN_THRESHOLD` is
+*retired* — its plan-cache entry is dropped and the stage's feedback
+recorded into the statistics layer, so the next asking replans (the
+reference plan of ``cost_based=False`` is never retired).  A stage's
+local calls run on the query thread while its remote calls wait on the
+shared dispatch pool; under a deadline every call is pooled so the wait
+is bounded (:func:`repro.engine.parallel.run_calls`).
 """
 
 from __future__ import annotations
@@ -85,10 +83,6 @@ logger = logging.getLogger("repro.core.executor")
 class MixedQueryExecutor:
     """Evaluates CMQs against a catalog of wrapped data sources.
 
-    ``digests`` is an optional :class:`repro.digest.graph.DigestCatalog`;
-    when given, batched bind joins sieve their bindings through the
-    target source's value-set summaries before shipping them.
-
     ``cache`` is an optional :class:`repro.cache.MediatorCache` (shared
     by every executor of an instance): sub-query results are then served
     from the cross-query result cache before any source dispatch —
@@ -100,7 +94,7 @@ class MixedQueryExecutor:
 
     def __init__(self, sources: dict[str, DataSource], glue: DataSource,
                  options: PlannerOptions | None = None,
-                 digests=None, cache=None, statistics=None,
+                 cache=None, statistics=None,
                  cancel_check=None, metrics=None, deadline=None):
         self._sources = dict(sources)
         self._glue = glue
@@ -108,9 +102,10 @@ class MixedQueryExecutor:
         # Metrics sink; resolved lazily so tests that reset the global
         # registry see their fresh registry even on long-lived executors.
         self._metrics = metrics
-        #: Optional callable invoked between stages; it raises (e.g.
-        #: QueryCancelledError / QueryTimeoutError) to abort execution
-        #: cooperatively — the mediator service wires it per ticket.
+        #: Optional callable invoked before each stage and each dispatch;
+        #: it raises (e.g. QueryCancelledError / QueryTimeoutError) to
+        #: abort execution cooperatively — the mediator service wires it
+        #: per ticket.
         self.cancel_check = cancel_check
         #: Optional callable returning the seconds left before this
         #: execution's deadline (None = unbounded).  Unlike the purely
@@ -122,16 +117,11 @@ class MixedQueryExecutor:
         self.planner = QueryPlanner(self._sources, glue, self.options,
                                     plan_cache=cache.plans if cache is not None else None,
                                     statistics=statistics)
-        self._sieve = None
-        if digests is not None:
-            from repro.digest.sieve import DigestSieve
-
-            self._sieve = DigestSieve(digests)
         # Dispatch goes through caching proxies when a mediator cache is
-        # configured; the planner (and the digest sieve) keep seeing the
-        # raw sources.  ``_cache_stats`` collects this executor's own
-        # hit/miss counts for the trace (the instance-wide counters are
-        # shared with other executors).
+        # configured; the planner keeps seeing the raw sources.
+        # ``_cache_stats`` collects this executor's own hit/miss counts
+        # for the trace (the instance-wide counters are shared with other
+        # executors).
         self._result_cache = None
         self._cache_stats = None
         self._targets: dict[str, DataSource] = self._sources
@@ -199,71 +189,17 @@ class MixedQueryExecutor:
                                stages=[[plan.steps[i].atom.name for i in stage]
                                        for stage in plan.stages],
                                plan_cached=plan.cached)
-        adaptive = options.adaptive and options.cost_based
-
         current: Operator | None = None
         #: The bind join of every executed bind step, by atom identity.
         joins: dict[int, BatchBindJoin] = {}
-        executed: list[PlanStep] = []
-        executed_stages: list[list[str]] = []
-        replanned_after: set[int] = set()
-        pending = [[plan.steps[i] for i in stage] for stage in plan.stages]
-        max_replans = len(plan.steps)
-        while pending:
+        for stage in plan.stages:
             if self.cancel_check is not None:
                 self.cancel_check()
-            steps = pending.pop(0)
+            steps = [plan.steps[i] for i in stage]
             if len(steps) == 1 and steps[0].mode == "bind" and current is not None:
                 current = self._bind_step(current, steps[0], trace, options, joins)
             else:
                 current = self._materialize_stage(current, steps, trace, options)
-            executed.extend(steps)
-            executed_stages.append([step.atom.name for step in steps])
-            if not (adaptive and pending):
-                continue
-            # Materialise the intermediate result so the stage's source
-            # calls have happened and actual cardinalities are known.
-            current = MaterializedScan(list(current.batches()), name="intermediate")
-            intermediate = current.estimated_size()
-            trace.intermediate_sizes.append(intermediate)
-            worst: tuple[float, PlanStep, StepObservation] | None = None
-            for step in steps:
-                observation = self._observe(step, trace, joins)
-                if observation is None:
-                    continue
-                error = observation.q_error()
-                if worst is None or error > worst[0]:
-                    worst = (error, step, observation)
-            if (worst is None or worst[0] <= REPLAN_THRESHOLD
-                    or trace.replans >= max_replans):
-                continue
-            # The estimate was off: invalidate the stale cached plan
-            # (computed under the *current* statistics revision, so drop
-            # it before feedback bumps the revision), record what was
-            # observed, and re-plan the remaining steps from the real
-            # intermediate cardinality.
-            self.planner.forget(query, options)
-            self._record_feedback(steps, trace)
-            logger.warning(
-                "re-planning %s after step %s: estimated %.0f row(s), "
-                "observed %d (q-error %.1f > threshold %.1f)",
-                query.name, worst[1].atom.name, worst[2].estimate,
-                worst[2].actual_rows, worst[0], REPLAN_THRESHOLD)
-            replanned_after.add(id(worst[1]))
-            bound: set[str] = set()
-            for step in executed:
-                bound |= step.atom.output_variables()
-                if step.atom.source_variable is not None:
-                    bound.add(step.atom.source_variable)
-            tail = self.planner.plan_tail(query, [s.atom for s in executed], bound,
-                                          float(intermediate), options)
-            pending = [[tail.steps[i] for i in stage] for stage in tail.stages]
-            trace.replanned = True
-            trace.replans += 1
-            trace.plan_text += (
-                f"\nre-planned after {worst[1].atom.name} "
-                f"(est. {worst[2].estimate:.0f}, actual {worst[2].actual_rows}):\n"
-                + tail.explain())
 
         if current is None:
             raise MixedQueryError(f"query {query.name!r} produced an empty plan")
@@ -278,17 +214,10 @@ class MixedQueryExecutor:
         if limit is not None:
             rows = rows[:limit]
         trace.total_seconds = time.perf_counter() - start
-        trace.intermediate_sizes.append(len(rows))
-        trace.sieved_bindings = sum(join.sieved_out for join in joins.values())
-        if trace.replanned:
-            # The executed schedule diverged from the planned one.
-            trace.atom_order = [step.atom.name for step in executed]
-            trace.stages = executed_stages
-        for step in executed:
-            observation = self._observe(step, trace, joins)
-            if observation is not None:
-                observation.replanned_after = id(step) in replanned_after
-                trace.steps.append(observation)
+        observations = [self._observe(step, trace, joins) for step in plan.steps]
+        trace.steps = [o for o in observations if o is not None]
+        if options.cost_based:
+            self._retire_if_drifted(query, plan, observations, trace, options)
         if cache_stats is not None:
             # Every probe is counted once, by this executor's own proxies.
             now = self._cache_stats
@@ -297,12 +226,40 @@ class MixedQueryExecutor:
         return MixedResult(variables=output, rows=rows, trace=trace)
 
     # ------------------------------------------------------------------
-    # Estimate-vs-actual bookkeeping (adaptive re-planning)
+    # Estimate-vs-actual bookkeeping (plan retirement)
     # ------------------------------------------------------------------
+    def _retire_if_drifted(self, query: ConjunctiveMixedQuery, plan: QueryPlan,
+                           observations: list[StepObservation | None],
+                           trace: ExecutionTrace, options: PlannerOptions) -> None:
+        """Retire the plan when a step of a non-final stage drifted.
+
+        The cached plan is dropped under the *current* statistics
+        revision, before the drifted stages' feedback bumps it; the next
+        asking then plans anew from the corrected statistics.  Drift in
+        the final stage retires nothing: no step was ordered after it.
+        """
+        for stage in plan.stages[:-1]:
+            drifted = [observations[i] for i in stage if observations[i] is not None
+                       and observations[i].q_error() > REPLAN_THRESHOLD]
+            if not drifted:
+                continue
+            if not trace.plan_retired:
+                self.planner.forget(query, options)
+                trace.plan_retired = True
+            self._record_feedback([plan.steps[i] for i in stage], trace)
+            for observation in drifted:
+                observation.drifted = True
+                logger.warning(
+                    "retiring the plan of %s after step %s: estimated %.0f "
+                    "row(s), observed %d (q-error %.1f > threshold %.1f)",
+                    query.name, observation.atom, observation.estimate,
+                    observation.actual_rows, observation.q_error(),
+                    REPLAN_THRESHOLD)
+
     @staticmethod
     def _observe(step: PlanStep, trace: ExecutionTrace,
                  joins: dict[int, BatchBindJoin]) -> StepObservation | None:
-        """What the trace knows about one step's calls so far.
+        """What the trace knows about one step's calls.
 
         Calls are matched by atom *identity*, not display name — two
         atoms of a self-join share a name but must not pool their rows.
@@ -354,17 +311,15 @@ class MixedQueryExecutor:
         registry = self._metrics if self._metrics is not None else get_registry()
         registry.counter("executor_queries_total").inc()
         registry.histogram("executor_query_seconds").observe(trace.total_seconds)
-        if trace.replans:
-            registry.counter("executor_replans_total").inc(trace.replans)
-        if trace.sieved_bindings:
-            registry.counter("sieve_sieved_bindings_total").inc(trace.sieved_bindings)
+        if trace.plan_retired:
+            registry.counter("executor_plans_retired_total").inc()
         if trace.cache_hits:
             registry.counter("result_cache_probe_hits_total").inc(trace.cache_hits)
         if trace.cache_misses:
             registry.counter("result_cache_probe_misses_total").inc(trace.cache_misses)
         shipped = sum(call.bindings_in for call in trace.calls if call.batched)
         if shipped:
-            registry.counter("sieve_shipped_bindings_total").inc(shipped)
+            registry.counter("executor_shipped_bindings_total").inc(shipped)
 
     # ------------------------------------------------------------------
     # Stage evaluation
@@ -387,6 +342,10 @@ class MixedQueryExecutor:
 
     def _materialize_stage(self, current: Operator | None, steps: list[PlanStep],
                            trace: ExecutionTrace, options: PlannerOptions) -> Operator:
+        if isinstance(current, BatchBindJoin):
+            # A hash join builds on its known-smaller side: run the bind
+            # join through first, so its result has a size.
+            current = MaterializedScan(list(current.batches()), name="intermediate")
         with _span("stage:materialize",
                    atoms=[step.atom.name for step in steps]) as sp:
             fetched = self._dispatch([(step, [{}]) for step in steps], trace, options)
@@ -413,12 +372,9 @@ class MixedQueryExecutor:
                     sp.set(rows=sum(map(row_count, per_binding)))
                 return per_binding
 
-        sieve = None
-        if self._sieve is not None and options.digest_sieve and step.use_sieve:
-            sieve = self._sieve.sieve_for(atom, self._step_sources(step))
         join = BatchBindJoin(current, fetch_batch, keys=sorted(atom.variables()),
                              batch_size=step.batch_size or DEFAULT_BATCH_SIZE,
-                             sieve=sieve, probe=self._cache_probe(step, atom, probed),
+                             probe=self._cache_probe(step, atom, probed),
                              name=f"bind:{atom.name}")
         joins[id(atom)] = join
         return join
@@ -460,6 +416,9 @@ class MixedQueryExecutor:
         batch, a call waiting when its source is remote.  Returns, per
         ``work`` entry, the batches of each binding.
         """
+        if self.cancel_check is not None:
+            # Bind stages dispatch lazily, while later stages pull rows.
+            self.cancel_check()
         results: list[list[list[BindingBatch]]] = [[[] for _ in bindings_list]
                                                    for _, bindings_list in work]
         calls: list[tuple[int, DataSource, list[int]]] = []

@@ -169,20 +169,16 @@ class MixedInstance:
     # ------------------------------------------------------------------
     # Query entry points
     # ------------------------------------------------------------------
-    def executor(self, options: PlannerOptions | None = None,
-                 digests=None) -> MixedQueryExecutor:
+    def executor(self, options: PlannerOptions | None = None) -> MixedQueryExecutor:
         """Build an executor over the *live* source catalog.
 
         For callers that hold an executor across queries: it reads the
         stores as they are at each call, with no snapshot isolation (and,
         for a remote source, a ``version`` round trip per read of its
-        version).  :meth:`execute` evaluates pinned instead.  ``digests``
-        may be a catalog from :meth:`build_digests`; batched bind joins
-        then sieve bindings against the source value sets.
+        version).  :meth:`execute` evaluates pinned instead.
         """
         return MixedQueryExecutor(self._sources, self._glue_source,
-                                  options=options, digests=digests,
-                                  cache=self.cache,
+                                  options=options, cache=self.cache,
                                   statistics=self.statistics())
 
     def planner(self, options: PlannerOptions | None = None) -> QueryPlanner:
@@ -198,20 +194,18 @@ class MixedInstance:
 
     def execute(self, query: ConjunctiveMixedQuery | str,
                 options: PlannerOptions | None = None, distinct: bool = True,
-                limit: int | None = None, digests=None) -> MixedResult:
+                limit: int | None = None) -> MixedResult:
         """Evaluate a CMQ (object or textual syntax) and return its result.
 
         The CMQ runs against :meth:`pin`, exactly as a served one does:
         it observes one version of every source for its whole plan.
         """
         return self.pin().execute(self, query, options=options,
-                                  distinct=distinct, limit=limit,
-                                  digests=digests)
+                                  distinct=distinct, limit=limit)
 
     def explain_analyze(self, query: ConjunctiveMixedQuery | str,
                         options: PlannerOptions | None = None,
-                        distinct: bool = True, limit: int | None = None,
-                        digests=None):
+                        distinct: bool = True, limit: int | None = None):
         """Evaluate a CMQ and return its EXPLAIN ANALYZE report.
 
         The report (:class:`repro.obs.explain.ExplainReport`) merges the
@@ -222,7 +216,7 @@ class MixedInstance:
         from repro.obs.explain import explain_analyze
 
         result = self.execute(query, options=options, distinct=distinct,
-                              limit=limit, digests=digests)
+                              limit=limit)
         report = explain_analyze(result)
         if not isinstance(query, str):
             report.query = query.name

@@ -14,7 +14,7 @@ The planner searches join orders and materialize-vs-bind mode
 assignments **cost-based**: cardinalities come from the digest-backed
 statistics layer (:mod:`repro.stats`), each candidate step is priced by
 the per-source cost model (call setup + row transfer + binding push,
-with sieve and batching discounts), and the enumerator runs dynamic
+with a batching discount), and the enumerator runs dynamic
 programming over atom subsets (a myopic one-step-at-a-time loop above
 :data:`DP_ATOM_LIMIT` atoms).  ``PlannerOptions(cost_based=False)`` is
 the *reference plan* the test and benchmark oracles evaluate: the same
@@ -52,9 +52,6 @@ class PlannerOptions:
     #: bindings); 0 lets the planner pick a size per step from the atom's
     #: cardinality estimate, 1 is the classical one call per binding.
     bind_batch_size: int = 0
-    #: Probe bindings against the source digests before shipping a batch
-    #: (only effective when the executor is given a digest catalog).
-    digest_sieve: bool = True
     #: Consult the instance's sub-query result cache before dispatching
     #: (only effective when the executor is given a mediator cache).
     result_cache: bool = True
@@ -66,12 +63,8 @@ class PlannerOptions:
     #: digest-backed cost model and group independent materialize steps
     #: into dispatch stages.  False plans the reference: body
     #: order, ``bind`` only where a required parameter or a dynamic
-    #: source forces it, one step per stage, no re-planning.
+    #: source forces it, one step per stage, never retired on drift.
     cost_based: bool = True
-    #: Re-plan the remaining steps mid-flight when a step's observed
-    #: cardinality is off by more than :data:`REPLAN_THRESHOLD` (needs
-    #: ``cost_based``; feedback is recorded into the statistics layer).
-    adaptive: bool = True
     #: Collect a structured span tree for every execution (planning,
     #: stages, source calls); the tree lands on ``ExecutionTrace.spans``.
     #: Disabling skips all span allocation — the observability off
@@ -87,8 +80,9 @@ class PlannerOptions:
 #: Atom count above which the DP enumerator gives way to the myopic loop.
 DP_ATOM_LIMIT = 10
 
-#: Estimate-vs-actual q-error (max of the two ratios) triggering a
-#: mid-flight replan of the remaining steps.
+#: Estimate-vs-actual q-error (max of the two ratios) of a step in a
+#: non-final stage past which the executor retires the plan at the end
+#: of the query: the next asking replans from the recorded feedback.
 REPLAN_THRESHOLD = 4.0
 
 
@@ -130,8 +124,6 @@ class PlanStep:
     estimate: float = float("inf")
     #: Bindings per source call for bind steps (0 = executor default).
     batch_size: int = 0
-    #: Allow the digest sieve on this step's batches.
-    use_sieve: bool = True
     #: Modelled cost of the step (cost-model units; 0 when not costed).
     cost: float = 0.0
     #: Estimated rows of the intermediate result *after* this step.
@@ -234,26 +226,6 @@ class QueryPlanner:
                        cost=round(plan.total_cost, 2))
             return plan
 
-    def plan_tail(self, query: ConjunctiveMixedQuery,
-                  done: Sequence[SourceAtom], bound: set[str], cardinality: float,
-                  options: PlannerOptions | None = None) -> QueryPlan:
-        """Re-plan the atoms of ``query`` not yet executed.
-
-        ``done`` are the already-executed atoms (by identity), ``bound``
-        the variables their results bind, ``cardinality`` the *observed*
-        size of the current intermediate result.  Used by the adaptive
-        executor after statistics feedback; tail plans are never cached.
-        """
-        options = options or self.options
-        with _span("replan", query=query.name,
-                   executed=len(done), cardinality=cardinality):
-            done_ids = {id(atom) for atom in done}
-            planned = {i for i, atom in enumerate(query.atoms)
-                       if id(atom) in done_ids}
-            return self._build_plan(query, options, planned=planned,
-                                    bound=set(bound),
-                                    initial_card=max(0.0, cardinality))
-
     def forget(self, query: ConjunctiveMixedQuery,
                options: PlannerOptions | None = None) -> bool:
         """Drop the cached plan of ``query`` under the current statistics."""
@@ -302,12 +274,9 @@ class QueryPlanner:
     # ------------------------------------------------------------------
     # Plan construction
     # ------------------------------------------------------------------
-    def _build_plan(self, query: ConjunctiveMixedQuery, options: PlannerOptions,
-                    planned: set[int] | None = None, bound: set[str] | None = None,
-                    initial_card: float = 1.0) -> QueryPlan:
+    def _build_plan(self, query: ConjunctiveMixedQuery,
+                    options: PlannerOptions) -> QueryPlan:
         atoms = list(query.atoms)
-        planned = set(planned or ())
-        bound = set(bound or ())
         produced_by = self._produced_by(atoms)
         memo: dict[tuple, float] = {}
 
@@ -317,12 +286,10 @@ class QueryPlanner:
                 memo[key] = self._stat_estimate(atoms[index], set(key[1]))
             return memo[key]
 
-        if options.cost_based and len(atoms) - len(planned) <= DP_ATOM_LIMIT:
-            steps = self._dp_steps(atoms, produced_by, options, planned, bound,
-                                   initial_card, estimate)
+        if options.cost_based and len(atoms) <= DP_ATOM_LIMIT:
+            steps = self._dp_steps(atoms, produced_by, options, estimate)
         else:
-            steps = self._myopic_steps(atoms, produced_by, options, planned, bound,
-                                       initial_card, estimate)
+            steps = self._myopic_steps(atoms, produced_by, options, estimate)
         stages = self._group_stages(steps, options)
         total = sum(step.cost for step in steps)
         return QueryPlan(query=query, steps=steps, stages=stages, options=options,
@@ -346,15 +313,13 @@ class QueryPlanner:
                                 + "; ".join(unresolved))
         return ready
 
-    def _dp_steps(self, atoms, produced_by, options, planned, bound,
-                  initial_card, estimate) -> list[PlanStep]:
+    def _dp_steps(self, atoms, produced_by, options, estimate) -> list[PlanStep]:
         """Cost-based enumeration: DP over atom subsets."""
-        start_key = frozenset(planned)
         # State: subset of planned atom indices -> (cost, card, steps, bound).
         by_size: dict[int, dict[frozenset, tuple]] = defaultdict(dict)
-        by_size[len(start_key)][start_key] = (0.0, initial_card, (), frozenset(bound))
+        by_size[0][frozenset()] = (0.0, 1.0, (), frozenset())
 
-        for size in range(len(start_key), len(atoms)):
+        for size in range(len(atoms)):
             if not by_size[size]:
                 break
             for key, (cost, card, steps, bound_now) in by_size[size].items():
@@ -384,13 +349,14 @@ class QueryPlanner:
         assert final is not None
         return list(final[2])
 
-    def _myopic_steps(self, atoms, produced_by, options, planned, bound,
-                      cardinality, estimate) -> list[PlanStep]:
+    def _myopic_steps(self, atoms, produced_by, options,
+                      estimate) -> list[PlanStep]:
         """One step at a time: the cheapest ready atom for a cost-based plan
         too large for the DP, the first ready one in body order for the
         reference plan."""
-        planned = set(planned)
-        bound = set(bound)
+        planned: set[int] = set()
+        bound: set[str] = set()
+        cardinality = 1.0
         steps: list[PlanStep] = []
         while len(planned) < len(atoms):
             ready = self._ready(atoms, planned, bound, produced_by)
@@ -443,8 +409,7 @@ class QueryPlanner:
         def bind_step() -> tuple[float, float, float, int]:
             batch = options.bind_batch_size or auto_batch_size(est_bound, cost_model,
                                                                models)
-            cost = cost_model.bind_cost(models, cardinality, est_bound, batch,
-                                        sieved=options.digest_sieve)
+            cost = cost_model.bind_cost(models, cardinality, est_bound, batch)
             return cost, est_bound, joined_card(est_bound), batch
 
         def materialize_step() -> tuple[float, float, float, int]:
@@ -469,8 +434,7 @@ class QueryPlanner:
 
         step = PlanStep(atom=atom, mode=mode,
                         sources=tuple(source.uri for source in sources),
-                        dynamic=dynamic, estimate=est, batch_size=batch,
-                        use_sieve=options.digest_sieve, cost=cost,
+                        dynamic=dynamic, estimate=est, batch_size=batch, cost=cost,
                         result_estimate=new_card,
                         bound_variables=frozenset(bound))
         return step, new_card

@@ -108,7 +108,7 @@ class StepObservation:
     ``estimate`` is the planner's prediction — rows per input binding
     for bind steps, total rows for materialize steps; ``actual_rows``
     and ``bindings`` are what the source calls really did.  ``q_error``
-    is the symmetric ratio the adaptive executor compares against
+    is the symmetric ratio the executor compares against
     :data:`repro.core.planner.REPLAN_THRESHOLD`.
     """
 
@@ -118,8 +118,9 @@ class StepObservation:
     actual_rows: int
     bindings: int = 0
     cost: float = 0.0
-    #: True when this observation triggered a mid-flight replan.
-    replanned_after: bool = False
+    #: True when this step's q-error retired the plan (a drifted step
+    #: of a non-final stage).
+    drifted: bool = False
     #: Identity of the observed atom object (matches SubQueryCall.atom_key,
     #: so EXPLAIN ANALYZE can attribute calls to self-joined atoms).
     atom_key: int = 0
@@ -146,11 +147,8 @@ class ExecutionTrace:
     atom_order: list[str] = field(default_factory=list)
     stages: list[list[str]] = field(default_factory=list)
     calls: list[SubQueryCall] = field(default_factory=list)
-    intermediate_sizes: list[int] = field(default_factory=list)
     total_seconds: float = 0.0
     plan_text: str = ""
-    #: Bindings the digest sieve proved matchless (never shipped).
-    sieved_bindings: int = 0
     #: Sub-query probes answered from the cross-query result cache.
     cache_hits: int = 0
     #: Sub-query probes that had to go to a source (and were then cached).
@@ -159,10 +157,9 @@ class ExecutionTrace:
     plan_cached: bool = False
     #: Per-step estimated vs. actual cardinalities (execution order).
     steps: list[StepObservation] = field(default_factory=list)
-    #: True when the executor re-planned the remaining steps mid-flight.
-    replanned: bool = False
-    #: Number of mid-flight replans.
-    replans: int = 0
+    #: True when a drifted step retired the plan: its cache entry was
+    #: dropped and feedback recorded, so the next asking replans.
+    plan_retired: bool = False
     #: The :class:`repro.obs.spans.SpanTracer` of this execution (None
     #: when tracing was disabled); ``spans.render()`` draws the tree.
     spans: "object | None" = None
@@ -192,8 +189,6 @@ class ExecutionTrace:
             f"source calls: {len(self.calls)}, rows fetched: {self.total_rows_fetched()}",
             f"total time: {self.total_seconds * 1000:.1f} ms",
         ]
-        if self.sieved_bindings:
-            lines.insert(3, f"digest sieve dropped {self.sieved_bindings} binding(s)")
         if self.cache_hits or self.cache_misses:
             lines.insert(3, f"result cache: {self.cache_hits} hit(s), "
                             f"{self.cache_misses} miss(es)")
@@ -203,13 +198,12 @@ class ExecutionTrace:
             detail = ", ".join(f"{atom}@{source} ({reason})"
                                for atom, source, reason in self.degraded_atoms)
             lines.insert(1, f"DEGRADED result: {detail}")
-        if self.replanned:
-            lines.insert(1, f"re-planned the remaining steps mid-flight "
-                            f"{self.replans} time(s)")
+        if self.plan_retired:
+            lines.insert(1, "plan retired: a step's estimate drifted")
         if self.steps:
             lines.append("per-step cost / est / actual rows:")
         for observation in self.steps:
-            marker = "  -> replanned tail" if observation.replanned_after else ""
+            marker = "  -> drifted, plan retired" if observation.drifted else ""
             lines.append(
                 f"  {observation.atom:<20} [{observation.mode}] "
                 f"cost {observation.cost:.1f}  est {observation.estimate:.0f}  "

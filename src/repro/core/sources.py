@@ -1081,11 +1081,11 @@ def _binding_term_variants(value: object) -> list[Term]:
     """RDF terms a mediator value may match under the sources' loose ``==``.
 
     The other wrappers compare ``5 == 5.0`` equal while RDF literals are
-    typed — probe both spellings (cf. the digest sieve's probe variants)
-    so a bind join through an RDF atom never misses a numeric match.
-    A CURIE-shaped string is probed both as the literal it converts to
-    and as the URI it round-trips from (``URI.value`` of a non-HTTP
-    identifier reads back as a plain string).
+    typed — probe both spellings so a bind join through an RDF atom
+    never misses a numeric match.  A CURIE-shaped string is probed both
+    as the literal it converts to and as the URI it round-trips from
+    (``URI.value`` of a non-HTTP identifier reads back as a plain
+    string).
     """
     terms: list[Term] = []
     values: list[object] = [value]

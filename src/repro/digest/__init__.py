@@ -18,11 +18,9 @@ from repro.digest.keyword import (
     KeywordQueryEngine,
     KeywordSearchOutcome,
 )
-from repro.digest.sieve import DigestSieve
 from repro.digest.valueset import ValueSetStats, ValueSetSummary
 
 __all__ = [
-    "DigestSieve",
     "BloomFilter",
     "DigestBuilder",
     "build_catalog",

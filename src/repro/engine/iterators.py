@@ -234,15 +234,13 @@ class BatchBindJoin(Operator):
     variable, emit ``{**left, **right}``".
 
     ``keys`` names the variables forming a binding (those of them a left
-    row carries); by default every variable of the row.  ``sieve`` is an
-    optional semi-join filter (typically backed by the source's digest
-    value sets): bindings it rejects are proven to have no match at the
-    source and are never shipped.  ``probe`` is an optional result-cache
-    lookup, once per flush after the sieve: given the ``(names, values)``
-    pair of each binding it returns an answer or ``None`` per binding,
-    and ONE ``fetch_batch`` call then ships the unanswered ones, in
-    order.  ``fetch_batch`` receives a list of binding dicts and must
-    return one answer per binding, in order.  An answer — from
+    row carries); by default every variable of the row.  ``probe`` is an
+    optional result-cache lookup, once per flush: given the
+    ``(names, values)`` pair of each binding it returns an answer or
+    ``None`` per binding, and ONE ``fetch_batch`` call then ships the
+    unanswered ones, in order.  ``fetch_batch`` receives a list of
+    binding dicts and must return one answer per binding, in order.  An
+    answer — from
     ``fetch_batch`` or ``probe`` — is a list of batches or a list of dict
     rows; either may be a *shared* list (a cache entry, the caller's own
     table): the operator reads it and never mutates it.
@@ -251,7 +249,6 @@ class BatchBindJoin(Operator):
     def __init__(self, left: Operator, fetch_batch: Callable[[list[Row]], list[list[Row]]],
                  keys: Sequence[str] | None = None,
                  batch_size: int = DEFAULT_BATCH_SIZE,
-                 sieve: Callable[[Row], bool] | None = None,
                  probe: Callable[[list[tuple]], Iterable[list[Row] | None]] | None = None,
                  name: str = "batchbind"):
         super().__init__(name)
@@ -259,11 +256,9 @@ class BatchBindJoin(Operator):
         self.fetch_batch = fetch_batch
         self.keys = list(keys) if keys is not None else None
         self.batch_size = max(1, batch_size)
-        self.sieve = sieve
         self.probe = probe
         self.calls = 0
         self.bindings_shipped = 0
-        self.sieved_out = 0
         self.cache_hits = 0
 
     def _produce_batches(self) -> Iterator[BindingBatch]:
@@ -311,14 +306,7 @@ class BatchBindJoin(Operator):
 
     def _flush(self, queued: dict[tuple, tuple],
                answers: dict[tuple, list[BindingBatch]]) -> None:
-        to_ship: list[tuple[tuple, tuple]] = []
-        for key, binding in queued.items():
-            if self.sieve is not None and not self.sieve(dict(zip(*binding))):
-                # The digest proves no source row can match this binding.
-                answers[key] = []
-                self.sieved_out += 1
-                continue
-            to_ship.append((key, binding))
+        to_ship = list(queued.items())
         if self.probe is not None and to_ship:
             missed = []
             for item, hit in zip(to_ship,

@@ -3,7 +3,7 @@
 :func:`fulltext_template` parses the text once (``{var}`` placeholders
 become :class:`~repro.fulltext.query.Parameter` nodes) and the
 :class:`FullTextTemplate` answers what the planner, the wrapper, the
-estimators, the digest sieve and the cache keys ask from the same AST the
+estimators and the cache keys ask from the same AST the
 store evaluates — analysis and execution cannot disagree.  A call never
 goes back through text: :meth:`FullTextTemplate.bind` returns a query
 whose parameters are exact terms holding the binding values themselves.

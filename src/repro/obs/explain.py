@@ -40,7 +40,8 @@ class ExplainStep:
     batched_calls: int
     rows_fetched: int
     seconds: float
-    replanned_after: bool = False
+    #: True when this step's q-error retired the plan.
+    drifted: bool = False
     #: Degradation reason of this step's worst call ("stale_cache" /
     #: "partial"), or None when every call answered fresh rows.
     degraded: Optional[str] = None
@@ -62,8 +63,8 @@ class ExplainReport:
     execute_seconds: Optional[float] = None
     cache_hits: int = 0
     cache_misses: int = 0
-    sieved_bindings: int = 0
-    replans: int = 0
+    #: True when a drifted step retired the plan (the next asking replans).
+    plan_retired: bool = False
     #: True when at least one call served stale or partial rows because
     #: its source was down; ``degraded_atoms`` lists the affected
     #: ``(atom, source_uri, reason)`` triples.
@@ -96,8 +97,8 @@ class ExplainReport:
             marks = []
             if step.batched_calls:
                 marks.append("batched")
-            if step.replanned_after:
-                marks.append("replanned tail")
+            if step.drifted:
+                marks.append("drifted")
             if step.degraded:
                 marks.append(f"DEGRADED: {step.degraded}")
             suffix = f"  [{', '.join(marks)}]" if marks else ""
@@ -122,9 +123,9 @@ class ExplainReport:
                          f"budget: {detail}")
         lines.append(
             f"  cache: {self.cache_hits} hit(s) / {self.cache_misses} "
-            f"miss(es) · sieve dropped {self.sieved_bindings} binding(s) · "
-            f"replans {self.replans} · plan "
-            + ("cached" if self.plan_cached else "built"))
+            f"miss(es) · plan "
+            + ("cached" if self.plan_cached else "built")
+            + (", retired" if self.plan_retired else ""))
         if self.remote_calls:
             wire = max(0.0, self.remote_seconds - self.remote_server_seconds)
             lines.append(
@@ -178,16 +179,13 @@ def explain_analyze(result) -> ExplainReport:
             batched_calls=sum(1 for c in calls if c.batched),
             rows_fetched=sum(c.rows_out for c in calls),
             seconds=sum(c.seconds for c in calls),
-            replanned_after=observation.replanned_after,
+            drifted=observation.drifted,
             degraded=next((c.degraded for c in calls
                            if getattr(c, "degraded", None)), None),
         ))
     spans = getattr(trace, "spans", None)
     queue_seconds = _span_total(spans, "queue")
     plan_seconds = _span_total(spans, "plan")
-    replan_seconds = _span_total(spans, "replan")
-    if plan_seconds is not None and replan_seconds is not None:
-        plan_seconds += replan_seconds
     remote = spans.find("remote.call") if spans is not None else []
     return ExplainReport(
         query=_query_name(result),
@@ -201,8 +199,7 @@ def explain_analyze(result) -> ExplainReport:
         execute_seconds=_span_total(spans, "execute"),
         cache_hits=trace.cache_hits,
         cache_misses=trace.cache_misses,
-        sieved_bindings=trace.sieved_bindings,
-        replans=trace.replans,
+        plan_retired=trace.plan_retired,
         degraded=getattr(trace, "degraded", False),
         degraded_atoms=list(getattr(trace, "degraded_atoms", ())),
         remote_calls=len(remote),

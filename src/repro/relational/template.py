@@ -1,8 +1,8 @@
 """A SQL sub-query parsed once, read by every layer, bound by value.
 
-The planner, the wrapper, the estimator, the digest sieve and cache
-repair all need to *understand* a SQL sub-query before it ships.
-:func:`sql_template` parses the text once (``{var}`` placeholders become
+The planner, the wrapper, the estimator and cache repair all need to
+*understand* a SQL sub-query before it ships.  :func:`sql_template`
+parses the text once (``{var}`` placeholders become
 :class:`~repro.relational.ast.Parameter` nodes) and the
 :class:`SQLTemplate` answers their questions from the same AST the
 executor runs — analysis and execution cannot disagree.  A call never

@@ -55,8 +55,7 @@ class PinnedCatalog:
 
     def executor(self, instance: "MixedInstance",
                  options: PlannerOptions | None = None, cache: bool = True,
-                 cancel_check=None, metrics=None, deadline=None,
-                 digests=None) -> MixedQueryExecutor:
+                 cancel_check=None, metrics=None, deadline=None) -> MixedQueryExecutor:
         """An executor whose every dispatch hits the pinned snapshots.
 
         ``instance`` supplies the shared mediator cache and statistics
@@ -65,24 +64,21 @@ class PinnedCatalog:
         service answers independently).  ``metrics`` is the registry the
         executor records into (the service hands its own down);
         ``deadline`` is a callable returning the seconds remaining before
-        the ticket's deadline, bounding every dispatch wait; ``digests``
-        a catalog from ``MixedInstance.build_digests`` for the bind joins
-        to sieve their bindings against.
+        the ticket's deadline, bounding every dispatch wait.
         """
         return MixedQueryExecutor(
-            self.sources, self.glue, options=options, digests=digests,
+            self.sources, self.glue, options=options,
             cache=instance.cache if cache else None,
             statistics=instance.statistics(), cancel_check=cancel_check,
             metrics=metrics, deadline=deadline)
 
     def execute(self, instance: "MixedInstance", query, *,
                 options: PlannerOptions | None = None, distinct: bool = True,
-                limit: int | None = None, cache: bool = True, digests=None):
+                limit: int | None = None, cache: bool = True):
         """Evaluate one CMQ against the pinned snapshots (serial-friendly)."""
         if isinstance(query, str):
             query = instance.parse(query)
-        executor = self.executor(instance, options=options, cache=cache,
-                                 digests=digests)
+        executor = self.executor(instance, options=options, cache=cache)
         return executor.execute(query, distinct=distinct, limit=limit)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

@@ -6,7 +6,7 @@ sub-query, bound-variable set) it answers, in order of preference:
 
 1. **feedback** — a cardinality observed at run time for the same
    canonical sub-query under the same bound variables (recorded by the
-   adaptive executor when an estimate turned out wrong);
+   executor when a drifted estimate retires a plan);
 2. **the estimate memo** — what 3. or 4. answered for the same source
    version, canonical sub-query, bound variables and constants (a
    bounded LRU; for a remote source a hit is a round trip saved);

@@ -10,10 +10,11 @@ Every plan alternative is priced in abstract *cost units* combining
 * a per-binding **push cost** for bind joins (serialising one binding
   into an IN-list / disjunctive query / parameter fill),
 
-with discounts for the digest sieve (bindings proven matchless never
-ship) and batched dispatch (one setup amortised over a whole batch).
-The constants are calibrated per source *kind*, not per instance: they
-only need to rank alternatives, not predict wall-clock time.
+with a discount for batched dispatch (one setup amortised over a whole
+batch) and a calibrated bias toward bind joins
+(:data:`BIND_BINDING_SHARE`).  The constants are calibrated per source
+*kind*, not per instance: they only need to rank alternatives, not
+predict wall-clock time.
 
 The same model also picks bind-join batch sizes: the size decreases
 monotonically with the estimated per-binding cost, fixing the historical
@@ -30,6 +31,12 @@ from typing import Sequence
 #: Bounds of the planner-chosen bind-join batch size.
 MIN_BIND_BATCH = 16
 MAX_BIND_BATCH = 1024
+
+#: Share of its input bindings a bind join is priced as shipping.  A
+#: calibration, not a model of anything that drops bindings: it biases
+#: the plan search toward bind joins, and the plans it picks ship fewer
+#: calls and rows on the qSIA workloads than the unbiased price's do.
+BIND_BINDING_SHARE = 0.75
 
 
 @dataclass(frozen=True)
@@ -79,19 +86,16 @@ class CostModel:
     """Prices plan steps; shared by the enumerator and the batch sizer."""
 
     def __init__(self, source_costs: dict[str, SourceCosts] | None = None,
-                 sieve_survival: float = 0.75,
                  batch_row_scale: float = 16.0,
                  mode_switch_margin: float = 0.8):
         self.source_costs = dict(DEFAULT_SOURCE_COSTS)
         if source_costs:
             self.source_costs.update(source_costs)
-        #: Expected fraction of bindings surviving the digest sieve.
-        self.sieve_survival = sieve_survival
         #: Rows-per-binding granularity of the batch-size decay.
         self.batch_row_scale = batch_row_scale
         #: Materialize replaces a bind join only when cheaper by this
         #: factor — bind joins additionally shrink downstream joins and
-        #: enable sieve/cache probes, which the per-step price cannot see.
+        #: enable cache probes, which the per-step price cannot see.
         self.mode_switch_margin = mode_switch_margin
 
     # ------------------------------------------------------------------
@@ -112,19 +116,16 @@ class CostModel:
         return setup + per_row * max(0.0, estimated_rows)
 
     def bind_cost(self, models: Sequence[str], input_bindings: float,
-                  rows_per_binding: float, batch_size: int,
-                  sieved: bool = False) -> float:
+                  rows_per_binding: float, batch_size: int) -> float:
         """Cost of a dependent join shipping ``input_bindings`` bindings.
 
-        One batch is one call per target source; the sieve discount
-        models bindings dropped before shipping (their rows never
-        transfer either, because a sieved binding provably has none).
+        One batch is one call per target source; calls, pushed bindings
+        and transferred rows are priced on :data:`BIND_BINDING_SHARE` of
+        the input bindings.
         """
         if not models:
             return float("inf")
-        bindings = max(0.0, input_bindings)
-        if sieved:
-            bindings *= self.sieve_survival
+        bindings = max(0.0, input_bindings) * BIND_BINDING_SHARE
         if math.isinf(bindings):
             return float("inf")
         calls = math.ceil(bindings / max(1, batch_size)) if bindings > 0 else 1

@@ -11,7 +11,7 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers",
         "optimizer: cost-based planner suites (estimation accuracy, "
-        "plan equivalence, adaptive re-planning); run in isolation with "
+        "plan equivalence, drifted-plan retirement); run in isolation with "
         "`pytest -m optimizer`.")
     config.addinivalue_line(
         "markers",

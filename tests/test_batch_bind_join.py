@@ -1,9 +1,8 @@
-"""Batched bind joins: wrapper batching, the digest sieve, equivalence.
+"""Batched bind joins: wrapper batching and equivalence.
 
 The equivalence harness at the bottom proves, for every source model,
 that the batched engine returns exactly the per-binding engine's rows
-while issuing strictly fewer ``SubQueryCall``s — and that the digest
-sieve never drops a true match.
+while issuing strictly fewer ``SubQueryCall``s.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core import CMQBuilder, MixedInstance, PlannerOptions
 from repro.core.planner import MAX_BIND_BATCH, MIN_BIND_BATCH, auto_batch_size
 from repro.core.sources import FullTextQuery, JSONQuery, RDFQuery, SQLQuery
-from repro.digest.sieve import DigestSieve
 from repro.json import JSONDocumentStore
 from repro.rdf import Graph, triple
 from repro.relational import Database, InList
@@ -49,14 +47,14 @@ def instance(politics_graph, small_database, small_tweet_store, json_store):
     return inst
 
 
-def assert_equivalent(instance, cmq, digests=None, per_binding=PER_BINDING):
+def assert_equivalent(instance, cmq, per_binding=PER_BINDING):
     """Run batched vs per-binding and assert identical result sets.
 
     Each run starts on cold caches: a warm result cache answers bindings
     before they ship, which would hide the calls the tests count.
     """
     instance.clear_caches()
-    batched = instance.execute(cmq, digests=digests)
+    batched = instance.execute(cmq)
     instance.clear_caches()
     reference = instance.execute(cmq, options=per_binding)
     assert sorted(map(str, batched.rows)) == sorted(map(str, reference.rows))
@@ -474,87 +472,9 @@ class TestBatchedExecutionEquivalence:
         reference = instance.execute(cmq, options=PER_BINDING)
         assert sorted(map(str, tiny.rows)) == sorted(map(str, reference.rows))
 
-
-# ---------------------------------------------------------------------------
-# Digest sieve
-# ---------------------------------------------------------------------------
-
-class TestDigestSieve:
-    @pytest.fixture
-    def catalog(self, instance):
-        return instance.build_digests()
-
-    def test_sieve_never_drops_a_true_match(self, instance, catalog):
-        # Every binding that has an answer must survive the sieve: with
-        # and without the catalog the result set is identical.
-        for cmq in self._queries(instance):
-            sieved = instance.execute(cmq, digests=catalog)
-            plain = instance.execute(cmq)
-            per_binding = instance.execute(cmq, options=PER_BINDING)
-            assert sorted(map(str, sieved.rows)) == sorted(map(str, plain.rows))
-            assert sorted(map(str, sieved.rows)) == sorted(map(str, per_binding.rows))
-
-    def _queries(self, instance):
-        yield (instance.builder("ft", head=["id", "t"])
-               .graph("SELECT ?id WHERE { ?x ttn:twitterAccount ?id }")
-               .fulltext("tweets", source="solr://tweets", query="*:*",
-                         fields={"t": "text", "id": "user.screen_name"})
-               .build())
-        yield (instance.builder("js", head=["id", "t"])
-               .graph("SELECT ?id WHERE { ?x ttn:twitterAccount ?id }")
-               .json("docs", source="json://tweets",
-                     pattern='{ user.screen_name: ?id, text: ?t }')
-               .build())
-        yield (instance.builder("rdfq", head=["id", "f"])
-               .graph("SELECT ?id WHERE { ?x ttn:twitterAccount ?id }")
-               .rdf("followers", source="rdf://handles",
-                    sparql_text="SELECT ?id ?f WHERE { ?u ttn:handle ?id . "
-                                "?u ttn:followers ?f }")
-               .build())
-
-    def test_sieve_drops_provably_absent_bindings(self, politics_graph, small_database):
-        graph = Graph("glue")
-        codes = ["75", "33", "29"]
-        for i in range(12):
-            code = codes[i] if i < 3 else f"X{i}"
-            graph.add(triple(f"ttn:P{i}", "ttn:deptCode", code))
-        inst = MixedInstance(graph=graph, name="sieve")
-        inst.register_relational("sql://insee", small_database)
-        catalog = inst.build_digests()
-        cmq = (inst.builder("q", head=["dept", "rate"])
-               .graph("SELECT ?dept WHERE { ?x ttn:deptCode ?dept }")
-               .sql("stats", source="sql://insee",
-                    sql="SELECT dept_code AS dept, rate AS rate FROM unemployment "
-                        "WHERE dept_code = {dept}")
-               .build())
-        sieved = inst.execute(cmq, digests=catalog)
-        reference = inst.execute(cmq, options=PER_BINDING)
-        assert sorted(map(str, sieved.rows)) == sorted(map(str, reference.rows))
-        assert sieved.trace.sieved_bindings == 9
-        shipped = [c for c in sieved.trace.calls if c.batched]
-        assert shipped and shipped[-1].bindings_in == 3
-
-    def test_sieve_keeps_numeric_bindings_across_int_float_spelling(self):
-        # str()-normalised digests spell 5 and 5.0 differently, but the
-        # sources compare them equal: the sieve must probe both forms.
-        from repro.digest.sieve import _might_match, _probe_variants
-        from repro.digest.valueset import ValueSetSummary
-
-        summary = ValueSetSummary([5, 7, 9])
-        assert not summary.might_contain(5.0)  # the spelling gap
-        assert _probe_variants(5.0) == [5.0, 5]
-        assert _might_match({"bucket": 5.0}, {"bucket": [summary]})
-        assert _might_match({"bucket": 7}, {"bucket": [summary]})
-        assert not _might_match({"bucket": 99}, {"bucket": [summary]})
-
-        # Sources compare 1 == True: a digested boolean column must not
-        # sieve out its 0/1 integer (or float) spellings.
-        flags = ValueSetSummary([True, False])
-        for value in (1, 0, 1.0, 0.0):
-            assert _might_match({"flag": value}, {"flag": [flags]})
-        assert not _might_match({"flag": 2}, {"flag": [flags]})
-
-        # End to end: a float glue binding must reach the int column.
+    def test_float_binding_reaches_int_column(self):
+        # The sources compare 5 == 5.0: a float glue binding must reach
+        # the int column it equals, batched as per binding.
         database = Database("nums")
         database.create_table_from_rows("measures", [
             {"bucket": 5, "label": "five"}, {"bucket": 7, "label": "seven"}])
@@ -563,47 +483,13 @@ class TestDigestSieve:
         graph.add(triple("ttn:B", "ttn:bucket", 7))
         inst = MixedInstance(graph=graph, name="nums")
         inst.register_relational("sql://nums", database)
-        catalog = inst.build_digests()
         cmq = (inst.builder("q", head=["bucket", "label"])
                .graph("SELECT ?bucket WHERE { ?x ttn:bucket ?bucket }")
                .sql("lookup", source="sql://nums",
                     sql="SELECT bucket AS bucket, label AS label FROM measures")
                .build())
-        sieved = inst.execute(cmq, digests=catalog)
-        reference = inst.execute(cmq, options=PER_BINDING)
-        assert sorted(map(str, sieved.rows)) == sorted(map(str, reference.rows))
-        assert {row["label"] for row in sieved.rows} == {"five", "seven"}
-
-    def test_sieve_for_returns_none_without_digest(self, instance):
-        from repro.digest.graph import DigestCatalog
-
-        sieve = DigestSieve(DigestCatalog())  # empty catalog: no digests
-        cmq = (instance.builder("q", head=["id", "t"])
-               .graph("SELECT ?id WHERE { ?x ttn:twitterAccount ?id }")
-               .fulltext("tweets", source="solr://tweets", query="*:*",
-                         fields={"t": "text", "id": "user.screen_name"})
-               .build())
-        atom = cmq.atoms[1]
-        assert sieve.sieve_for(atom, [instance.source("solr://tweets")]) is None
-
-    def test_sieve_skips_entailed_rdf_sources(self, instance, catalog):
-        sieve = DigestSieve(catalog)
-        cmq = (instance.builder("q", head=["id"])
-               .graph("SELECT ?id WHERE { ?x ttn:twitterAccount ?id }")
-               .build())
-        # The glue source saturates under entailment; its digest only
-        # covers the raw graph, so no sieve may be built for it.
-        assert sieve.sieve_for(cmq.atoms[0], [instance.glue_source]) is None
-
-    def test_sieve_can_be_disabled_by_options(self, instance, catalog):
-        cmq = (instance.builder("q", head=["id", "t"])
-               .graph("SELECT ?id WHERE { ?x ttn:twitterAccount ?id }")
-               .fulltext("tweets", source="solr://tweets", query="*:*",
-                         fields={"t": "text", "id": "user.screen_name"})
-               .build())
-        result = instance.execute(cmq, options=PlannerOptions(digest_sieve=False),
-                                  digests=catalog)
-        assert result.trace.sieved_bindings == 0
+        batched, _ = assert_equivalent(inst, cmq)
+        assert {row["label"] for row in batched.rows} == {"five", "seven"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """Unit tests for the mixed-query planner and executor over a small instance."""
 
+import math
+
 import pytest
 
 from repro.core import CMQBuilder, MixedInstance, PlannerOptions
-from repro.errors import PlanningError, UnknownSourceError
+from repro.core.sources import RelationalSource
+from repro.errors import PlanningError, QueryCancelledError, UnknownSourceError
+from repro.relational import Database
+from repro.stats.cost import BIND_BINDING_SHARE, CostModel
 
 
 @pytest.fixture
@@ -277,13 +282,86 @@ class TestExecutor:
         batched = model.bind_cost(["fulltext"], 100, 1.0, default.batch_size)
         per_binding = model.bind_cost(["fulltext"], 100, 1.0, 1)
         setup = model.costs_for("fulltext").call_setup
-        assert per_binding - batched == pytest.approx(99 * setup)
+        priced = math.ceil(100 * BIND_BINDING_SHARE)
+        assert per_binding - batched == pytest.approx((priced - 1) * setup)
+
+    @pytest.mark.parametrize("models, bindings, per_binding, batch, price", [
+        (("rdf",), 100, 1.0, 64, 4.25),
+        (("relational",), 10, 0.5, 16, 2.0975),
+        (("fulltext",), 1000, 3.0, 128, 112.5),
+        (("json",), 7, 2.0, 1, 18.273),
+        (("fulltext", "fulltext"), 40, 0.25, 16, 20.825),
+        (("remote",), 500, 10.0, 1024, 235.0),
+        (("custom",), 3, 1.0, 2, 6.072),
+        (("rdf",), 0, 5.0, 16, 1.0),
+        (("relational",), float("inf"), 1.0, 16, float("inf")),
+        ((), 10, 1.0, 16, float("inf")),
+    ])
+    def test_bind_cost_keeps_its_calibrated_prices(self, models, bindings,
+                                                   per_binding, batch, price):
+        """The bind-join prices every plan was chosen by, pinned: a bind
+        join is priced on three quarters of its input bindings."""
+        assert CostModel().bind_cost(models, bindings, per_binding, batch) \
+            == pytest.approx(price)
 
     def test_result_helpers(self, instance, qsia):
         result = instance.execute(qsia)
         assert result.column("id") == ["fhollande"]
         assert "fhollande" in result.to_table()
         assert len(result.sorted_by("id").rows) == len(result.rows)
+
+
+class TestCancellation:
+    def test_cancel_lands_between_two_bind_stages(self, politics_graph):
+        """Bind stages dispatch lazily, as the last operator pulls rows:
+        a cancel requested while the first bind stage ships stops the
+        query before the next bind stage ships anything."""
+        cancelled = []
+        shipped: dict[str, int] = {}
+
+        class Spy(RelationalSource):
+            def answer_batch(self, query, batch):
+                shipped[self.uri] = shipped.get(self.uri, 0) + 1
+                cancelled.append(True)
+                return super().answer_batch(query, batch)
+
+        handles = ["fhollande", "mlepen", "nsarkozy", "jlmelenchon", "ejoly"]
+        profiles = Database("profiles-db")
+        profiles.create_table_from_rows(
+            "profiles", [{"handle": h, "team": f"T{i % 2}"}
+                         for i, h in enumerate(handles)])
+        teams = Database("teams-db")
+        teams.create_table_from_rows(
+            "teams", [{"name": "T0", "city": "Paris"}, {"name": "T1", "city": "Lyon"}])
+        inst = MixedInstance(graph=politics_graph, name="cancel")
+        inst.register(Spy("sql://profiles", profiles))
+        inst.register(Spy("sql://teams", teams))
+        cmq = (inst.builder("q", head=["id", "city"])
+               .graph("SELECT ?id WHERE { ?x ttn:twitterAccount ?id }")
+               .sql("profile", source="sql://profiles",
+                    sql="SELECT handle AS id, team AS team FROM profiles "
+                        "WHERE handle = {id}")
+               .sql("team", source="sql://teams",
+                    sql="SELECT name AS team, city AS city FROM teams "
+                        "WHERE name = {team}")
+               .build())
+        options = PlannerOptions(result_cache=False)
+        plan = inst.plan(cmq, options)
+        assert [(step.atom.name, step.mode) for step in plan.steps] == [
+            ("qG", "materialize"), ("profile", "bind"), ("team", "bind")]
+        assert len(inst.execute(cmq, options=options)) > 0
+        shipped.clear()
+        cancelled.clear()
+
+        def cancel_check():
+            if cancelled:
+                raise QueryCancelledError("cancelled mid-query")
+
+        executor = inst.executor(options)
+        executor.cancel_check = cancel_check
+        with pytest.raises(QueryCancelledError):
+            executor.execute(cmq)
+        assert shipped == {"sql://profiles": 1}
 
 
 class TestInstanceRegistry:

@@ -201,26 +201,15 @@ class TestBatchBindJoin:
         assert sorted(shipped) == ["left", "right"]
         assert join.bindings_shipped == 2
 
-    def test_sieve_drops_bindings_without_calls(self):
-        def fetch_batch(bindings):
-            return [[{"id": b["id"], "hit": True}] for b in bindings]
+    def test_all_probe_hits_mean_no_call(self):
+        def fetch_batch(bindings):  # pragma: no cover - must not run
+            raise AssertionError("a flush the probe answered must not ship")
 
         join = BatchBindJoin(MaterializedScan(PEOPLE), fetch_batch, keys=["id"],
-                             sieve=lambda b: b["id"] == "p2", batch_size=10)
-        rows = join.rows()
-        assert [r["id"] for r in rows] == ["p2"]
-        assert join.sieved_out == 2
-        assert join.bindings_shipped == 1
-
-    def test_all_sieved_means_no_call(self):
-        def fetch_batch(bindings):  # pragma: no cover - must not run
-            raise AssertionError("sieved batch must not be shipped")
-
-        join = BatchBindJoin(MaterializedScan(PEOPLE), fetch_batch,
-                             sieve=lambda b: False, batch_size=2)
+                             probe=lambda bindings: [[] for _ in bindings],
+                             batch_size=2)
         assert join.rows() == []
-        assert join.calls == 0
-        assert join.sieved_out == 3
+        assert (join.calls, join.bindings_shipped, join.cache_hits) == (0, 0, 3)
 
     def test_probe_hit_answers_a_binding_without_shipping_it(self):
         shipped = []

@@ -3,7 +3,7 @@
 Hypothesis generates random CMQs over a four-model instance (glue RDF,
 relational, full-text, JSON) — random atom subsets, orders, constants
 and head projections — and every combination of
-``cost_based x adaptive x digest_sieve x caches`` must return exactly
+``cost_based x caches`` must return exactly
 the result set of the reference plan (everything materialised that can
 be, body order, one call per binding, no caches).  This is the harness
 future optimizer PRs regress against: a planner change that loses or
@@ -58,22 +58,17 @@ def build_instance() -> MixedInstance:
 
 
 INSTANCE = build_instance()
-DIGESTS = INSTANCE.build_digests()
 
 #: The oracles' reference plan (no reordering, no bind joins beyond the
 #: forced ones — required parameters, dynamic sources), those one call
-#: per binding, no sieve, no caches.
-REFERENCE = replace(naive_options(), bind_batch_size=1, digest_sieve=False,
+#: per binding, no caches.
+REFERENCE = replace(naive_options(), bind_batch_size=1,
                     result_cache=False, plan_cache=False)
 
-#: The 12 combinations of the four optimizer-relevant dimensions: the
-#: reference plan never re-plans, so ``adaptive`` splits cost-based
-#: plans only.
+#: The 4 combinations of the two optimizer-relevant dimensions.
 ALL_OPTION_COMBINATIONS = [
-    PlannerOptions(cost_based=cost_based, adaptive=adaptive,
-                   digest_sieve=sieve, result_cache=caches, plan_cache=caches)
-    for cost_based, adaptive in ((False, False), (True, False), (True, True))
-    for sieve in (False, True)
+    PlannerOptions(cost_based=cost_based, result_cache=caches, plan_cache=caches)
+    for cost_based in (False, True)
     for caches in (False, True)
 ]
 
@@ -142,7 +137,7 @@ def result_set(result):
 def test_every_option_combination_returns_identical_results(cmq):
     reference = result_set(INSTANCE.execute(cmq, options=REFERENCE))
     for options in ALL_OPTION_COMBINATIONS:
-        outcome = INSTANCE.execute(cmq, options=options, digests=DIGESTS)
+        outcome = INSTANCE.execute(cmq, options=options)
         assert result_set(outcome) == reference, (
             f"{options} diverged from the naive reference on {cmq.name}")
 

@@ -3,7 +3,7 @@
 The oracles define a CMQ's answer as its evaluation under
 :func:`repro.baselines.naive.naive_options`: body order (the first ready
 atom), ``bind`` only where a required parameter or a dynamic source
-forces it, one step per stage, no re-planning.  These tests pin that
+forces it, one step per stage, never retired on drift.  These tests pin that
 shape on the demo CMQs, check that no estimate — however wrong — moves
 it, and drive CMQs wider than :data:`repro.core.planner.DP_ATOM_LIMIT`
 through the one-step-at-a-time loop both plan kinds share above it.
@@ -111,16 +111,16 @@ class TestReferenceIgnoresEstimates:
             assert shape(plan) == (expected, one_step_stages(expected))
         result = lying.execute(lying_cmq(lying), options=naive_options())
         assert len(result) == VIP
-        assert not result.trace.replanned
+        assert not result.trace.plan_retired
         assert lying.statistics().feedback_count() == 0
 
     def test_the_lie_is_told(self):
         """Control: the cost-based plan believes the source, observes
-        1000x the estimate and re-plans."""
+        1000x the estimate and is retired."""
         instance = lying_instance(True)
         result = instance.execute(lying_cmq(instance))
         assert len(result) == VIP
-        assert result.trace.replanned
+        assert result.trace.plan_retired
 
 
 # ---------------------------------------------------------------------------
