@@ -20,6 +20,7 @@ statement and stay structural.
 
 from __future__ import annotations
 
+from dataclasses import astuple
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -110,7 +111,13 @@ class BindingKeyer:
 
 
 def canonical_query(query: SourceQuery) -> Optional[CanonicalQuery]:
-    """Canonicalise ``query``; ``None`` for unknown query types."""
+    """The canonical form of ``query`` (``None`` for unknown query types),
+    derived once per (immutable) query object and kept on it."""
+    return query.canonical if isinstance(query, SourceQuery) else None
+
+
+def canonicalise(query: SourceQuery) -> Optional[CanonicalQuery]:
+    """Derive the canonical form of ``query`` (use :func:`canonical_query`)."""
     if isinstance(query, RDFQuery):
         return _canonical_rdf(query)
     if isinstance(query, SQLQuery):
@@ -133,11 +140,14 @@ class _Namer:
 
 
 def _canonical_rdf(query: RDFQuery) -> CanonicalQuery:
+    # Constant terms enter as plain tuples (type name, fields): the key
+    # then hashes without a Python-level ``__hash__`` per term.
     canon = _Namer()
     patterns = []
     for pattern in query.bgp.patterns:
         patterns.append(tuple(("v", canon(term.name)) if isinstance(term, Variable)
-                              else term for term in pattern))
+                              else (type(term).__name__,) + astuple(term)
+                              for term in pattern))
     head = tuple(canon(v.name) for v in query.bgp.head)
     return CanonicalQuery("rdf", (tuple(patterns), head, bool(query.bgp.head)),
                           canon.mapping)

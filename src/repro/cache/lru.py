@@ -80,7 +80,14 @@ class LRUCache:
 
     def get(self, key: Hashable, record_miss: bool = True) -> Optional[object]:
         """The cached value, or ``None`` (values themselves are never None)."""
-        return self.get_many((key,), record_miss)[0]
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+                self.stats.hits += 1
+            elif record_miss and key is not None:
+                self.stats.misses += 1
+        return value
 
     def get_many(self, keys: Sequence[Optional[Hashable]],
                  record_miss: bool = True) -> list[Optional[object]]:

@@ -8,13 +8,13 @@ estimates by a batch).  :func:`plan_cache_key` builds a key from
 * the CMQ's *canonical signature* — atoms canonicalised with
   :func:`repro.cache.keys.canonical_query` and CMQ-level variables
   numbered by order of appearance, so queries equal up to variable
-  renaming share a plan;
+  renaming share a plan; derived once per (frozen) CMQ object;
 * the *catalog identity* — URI and cache token of every source the
   CMQ's atoms can reach (the named one, or every source accepting the
   sub-query of a free source variable) plus the glue graph's, so a
   registration change among them re-plans; a write to any source
   leaves the plan alone, and keying asks no other source anything;
-* the planner options;
+* the planner options, a frozen dataclass hashed as it is;
 * the statistics revision — run-time cardinality feedback bumps it, so
   plans costed under superseded statistics are invalidated.  This
   retires a plan whose estimates writes drifted: when a step of a
@@ -28,7 +28,6 @@ uncacheable: nothing about its data can be assumed.
 
 from __future__ import annotations
 
-from dataclasses import astuple
 from typing import Optional
 
 from repro.cache.keys import canonical_query
@@ -78,48 +77,41 @@ def plan_cache_key(query, sources: dict, glue, options,
     catalog = catalog_state(sources, glue)
     if catalog is None:
         return None
-    key = (signature, catalog, astuple(options), stats_revision)
-    try:
-        hash(key)
-    except TypeError:
-        return None
-    return key
+    return signature, catalog, options, stats_revision
 
 
 def catalog_state(sources: dict, glue) -> Optional[tuple]:
-    """(URI, identity token) per given source plus the glue's token.
+    """(URI, identity token) per given source, in URI order, then the
+    glue's ``(None, token)``.
 
     The identity token keeps a cache shared across instances safe: two
     catalogs can register different sources under the same URI (every
     glue graph lives under ``#glue``), and a plan resolved against one
     must never be served to the other.  A pin shares its source's token.
     """
-    parts = []
-    for uri in sorted(sources):
-        state = _source_state(sources[uri])
-        if state is None:
+    states = []
+    for uri, source in [*sorted(sources.items()), (None, glue)]:
+        token = getattr(source, "cache_token", None)
+        if token is None or source.version() is None:
             return None
-        parts.append((uri,) + state)
-    glue_state = _source_state(glue)
-    if glue_state is None:
-        return None
-    return tuple(parts), glue_state
-
-
-def _source_state(source) -> Optional[tuple]:
-    token = getattr(source, "cache_token", None)
-    if token is None or source.version() is None:
-        return None
-    return (token,)
+        states.append((uri, token))
+    return tuple(states)
 
 
 def cmq_signature(query) -> Optional[tuple]:
-    """Canonical signature of a CMQ, invariant under variable renaming.
+    """Canonical signature of a CMQ, invariant under variable renaming
+    (``None``: uncacheable), kept on the frozen CMQ as ``query.signature``."""
+    return query.signature
+
+
+def derive_signature(query) -> Optional[tuple]:
+    """Derive :func:`cmq_signature` (once per CMQ object).
 
     CMQ-level variables are numbered by order of appearance scanning the
     atoms in body order; each atom contributes its canonical sub-query
     key, its target (URI or canonical source variable) and the mapping
     from its canonical formal positions to CMQ variables or constants.
+    A constant that cannot be hashed makes the CMQ uncacheable.
     """
     cmq_names: dict[str, str] = {}
 
@@ -146,5 +138,10 @@ def cmq_signature(query) -> Optional[tuple]:
                 entries.append((formal_key,
                                 ("var", canon(atom.renames.get(formal, formal)))))
         atom_signatures.append((canonical.key, target, tuple(entries)))
-    head = tuple(canon(variable) for variable in query.output_variables())
-    return tuple(atom_signatures), head
+    signature = tuple(atom_signatures), tuple(canon(variable)
+                                              for variable in query.output_variables())
+    try:
+        hash(signature)
+    except TypeError:
+        return None
+    return signature

@@ -45,22 +45,11 @@ from repro.core.sources import DataSource, Row, SourceQuery
 from repro.engine.batch import BindingBatch, as_batches, dict_rows
 from repro.errors import MixedQueryError
 
-#: Memo sentinel: ``canonical_query`` answered "uncacheable" (``None``
-#: cannot live in the LRU directly — a missing key also reads ``None``).
-_UNCACHEABLE = object()
-
-
 class SubQueryResultCache:
     """LRU of sub-query results shared by every executor of an instance."""
 
-    #: Bound on the canonical-form memo (an LRU of its own, so a workload
-    #: of ever-changing query texts evicts cold forms one by one instead
-    #: of periodically flushing every hot query's memoised form).
-    MAX_CANONICAL_MEMO = 4096
-
     def __init__(self, max_entries: int = 4096):
         self.entries = LRUCache(max_entries, on_evict=self._entry_evicted)
-        self._canonical = LRUCache(self.MAX_CANONICAL_MEMO)
         self._lock = threading.RLock()
         # Version-independent index: logical probe (URI, token, query,
         # binding) -> the full key of the *latest* inserted entry.  It
@@ -92,18 +81,6 @@ class SubQueryResultCache:
         return self.entries.stats
 
     # ------------------------------------------------------------------
-    def canonicalize(self, query: SourceQuery) -> Optional[CanonicalQuery]:
-        """Memoised canonical form of ``query`` (None = uncacheable)."""
-        try:
-            memo = self._canonical.get(query, record_miss=False)
-            if memo is not None:
-                return None if memo is _UNCACHEABLE else memo
-            canon = canonical_query(query)
-            self._canonical.put(query, canon if canon is not None else _UNCACHEABLE)
-            return canon
-        except TypeError:  # unhashable query object
-            return None
-
     @staticmethod
     def keys(source, version: Optional[int], canon: CanonicalQuery,
              binding_keys: Iterable[Optional[tuple]]) -> list[Optional[tuple]]:
@@ -160,7 +137,7 @@ class SubQueryResultCache:
         path exists so an outage yields flagged stale rows instead of a
         failed query.  Touches no hit/miss counters.
         """
-        canon = self.canonicalize(query)
+        canon = canonical_query(query)
         probe = canon and self.keys(source, None, canon, [canon.key_of(bindings)])[0]
         if probe is None:
             return None
@@ -177,7 +154,6 @@ class SubQueryResultCache:
 
     def clear(self) -> None:
         self.entries.clear()
-        self._canonical.clear()
         with self._lock:
             self._stale.clear()
 
@@ -335,7 +311,7 @@ class CachedSource(DataSource):
             _, canon, keys = probed
             results: list = [None] * len(batch)
         else:
-            canon = self.cache.canonicalize(query)
+            canon = canonical_query(query)
             if canon is None:
                 return fetch(batch)
             keys = self.cache.keys(self.inner, version, canon, map(canon.key_of, batch))

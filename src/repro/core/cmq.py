@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache, partial
 from typing import Optional, Sequence
 
 from repro.core.sources import (
@@ -75,7 +76,8 @@ class SourceAtom:
     renames: dict[str, str] = field(default_factory=dict)
     constants: dict[str, object] = field(default_factory=dict)
     #: Memo: a header (or ``("canonical", header)``) -> its :meth:`translate`
-    #: spec; ``("slots", names)`` / ``("key", names)`` -> a binding's.
+    #: spec; ``("slots", names)`` / ``("key", names)`` -> a binding's;
+    #: ``"variables"`` -> :meth:`_variables`.
     _specs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -89,29 +91,32 @@ class SourceAtom:
             )
 
     # -- variable bookkeeping ------------------------------------------------
-    def output_variables(self) -> set[str]:
+    def output_variables(self) -> frozenset[str]:
         """CMQ variables this atom can bind."""
-        out = set()
-        for formal in self.query.output_variables():
-            if formal in self.constants:
-                continue
-            out.add(self.renames.get(formal, formal))
-        return out
+        return self._variables()[0]
 
-    def required_parameters(self) -> set[str]:
+    def required_parameters(self) -> frozenset[str]:
         """CMQ variables that must be bound before this atom can run."""
-        required = set()
-        for formal in self.query.required_parameters():
-            if formal in self.constants:
-                continue
-            required.add(self.renames.get(formal, formal))
-        if self.source_variable is not None:
-            required.add(self.source_variable)
-        return required
+        return self._variables()[1]
 
-    def variables(self) -> set[str]:
+    def variables(self) -> frozenset[str]:
         """Every CMQ variable mentioned by the atom."""
-        return self.output_variables() | self.required_parameters()
+        return self._variables()[2]
+
+    def _variables(self) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
+        """(output, required, every) CMQ variables, derived once per atom."""
+        found = self._specs.get("variables")
+        if found is None:
+            def actual(formals) -> frozenset[str]:
+                return frozenset(self.renames.get(formal, formal) for formal in formals
+                                 if formal not in self.constants)
+
+            out, required = (actual(self.query.output_variables()),
+                             actual(self.query.required_parameters()))
+            if self.source_variable is not None:
+                required |= {self.source_variable}
+            found = self._specs["variables"] = (out, required, out | required)
+        return found
 
     # -- execution helpers ---------------------------------------------------
     def _formal_slots(self, names: tuple[str, ...]) -> tuple[tuple[str, int], ...]:
@@ -212,15 +217,21 @@ class SourceAtom:
         return self.describe()
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConjunctiveMixedQuery:
-    """A full CMQ: head variables plus a conjunction of source atoms."""
+    """A full CMQ: head variables plus a conjunction of source atoms.
+
+    Immutable, so what planning derives from it — its :attr:`signature` —
+    is derived once per object and kept on it.
+    """
 
     name: str
     head: tuple[str, ...]
-    atoms: list[SourceAtom]
+    atoms: tuple[SourceAtom, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "head", tuple(self.head))
+        object.__setattr__(self, "atoms", tuple(self.atoms))
         if not self.atoms:
             raise MixedQueryError(f"CMQ {self.name!r} needs at least one atom")
         body_vars = self.variables()
@@ -255,6 +266,22 @@ class ConjunctiveMixedQuery:
         """True when at least one atom discovers its source at run time."""
         return any(a.source_variable is not None for a in self.atoms)
 
+    @cached_property
+    def signature(self) -> Optional[tuple]:
+        """The renaming-invariant plan-cache signature
+        (:func:`repro.cache.plans.cmq_signature`), derived once per object."""
+        from repro.cache.plans import derive_signature
+
+        return derive_signature(self)
+
+    @cached_property
+    def layout(self):
+        """The planner's bitmask view of the body
+        (:class:`repro.core.planner.Layout`), derived once per object."""
+        from repro.core.planner import Layout
+
+        return Layout(self)
+
     def __str__(self) -> str:  # pragma: no cover - trivial
         head = ", ".join(self.output_variables())
         body = ", ".join(a.describe() for a in self.atoms)
@@ -287,30 +314,24 @@ class CMQBuilder:
     def graph(self, sparql_text: str, name: str = "qG",
               renames: dict[str, str] | None = None) -> "CMQBuilder":
         """Add a BGP over the instance's custom RDF graph."""
-        query = RDFQuery.from_text(sparql_text, name=name)
-        self._atoms.append(SourceAtom(name=name, query=query, source=GLUE_SOURCE,
-                                      renames=renames or {}))
-        return self
+        return self.atom(SourceAtom(name=name, query=RDFQuery.from_text(sparql_text, name=name),
+                                    source=GLUE_SOURCE, renames=renames or {}))
 
     def rdf(self, name: str, sparql_text: str, source: str | None = None,
             source_variable: str | None = None,
             renames: dict[str, str] | None = None) -> "CMQBuilder":
         """Add a BGP shipped to an external RDF source."""
-        query = RDFQuery.from_text(sparql_text, name=name)
-        self._atoms.append(SourceAtom(name=name, query=query, source=source,
-                                      source_variable=source_variable,
-                                      renames=renames or {}))
-        return self
+        return self.atom(SourceAtom(name=name, query=RDFQuery.from_text(sparql_text, name=name),
+                                    source=source, source_variable=source_variable,
+                                    renames=renames or {}))
 
     def sql(self, name: str, sql: str, source: str | None = None,
             source_variable: str | None = None, renames: dict[str, str] | None = None,
             constants: dict[str, object] | None = None) -> "CMQBuilder":
         """Add a SQL sub-query shipped to a relational source."""
-        query = SQLQuery(sql=sql)
-        self._atoms.append(SourceAtom(name=name, query=query, source=source,
-                                      source_variable=source_variable,
-                                      renames=renames or {}, constants=constants or {}))
-        return self
+        return self.atom(SourceAtom(name=name, query=SQLQuery(sql=sql), source=source,
+                                    source_variable=source_variable,
+                                    renames=renames or {}, constants=constants or {}))
 
     def fulltext(self, name: str, query: str, fields: dict[str, str],
                  source: str | None = None, source_variable: str | None = None,
@@ -319,21 +340,18 @@ class CMQBuilder:
                  constants: dict[str, object] | None = None) -> "CMQBuilder":
         """Add a full-text sub-query shipped to a Solr-like source."""
         ft_query = FullTextQuery.create(query, fields, limit=limit, sort_by=sort_by)
-        self._atoms.append(SourceAtom(name=name, query=ft_query, source=source,
-                                      source_variable=source_variable,
-                                      renames=renames or {}, constants=constants or {}))
-        return self
+        return self.atom(SourceAtom(name=name, query=ft_query, source=source,
+                                    source_variable=source_variable,
+                                    renames=renames or {}, constants=constants or {}))
 
     def json(self, name: str, pattern: str, source: str | None = None,
              source_variable: str | None = None, limit: int | None = None,
              renames: dict[str, str] | None = None,
              constants: dict[str, object] | None = None) -> "CMQBuilder":
         """Add a tree-pattern sub-query shipped to a JSON document source."""
-        query = JSONQuery.from_text(pattern, limit=limit)
-        self._atoms.append(SourceAtom(name=name, query=query, source=source,
-                                      source_variable=source_variable,
-                                      renames=renames or {}, constants=constants or {}))
-        return self
+        return self.atom(SourceAtom(name=name, query=JSONQuery.from_text(pattern, limit=limit),
+                                    source=source, source_variable=source_variable,
+                                    renames=renames or {}, constants=constants or {}))
 
     def atom(self, atom: SourceAtom) -> "CMQBuilder":
         """Add an already-built atom."""
@@ -342,7 +360,7 @@ class CMQBuilder:
 
     def build(self) -> ConjunctiveMixedQuery:
         """Finalise and validate the CMQ."""
-        return ConjunctiveMixedQuery(name=self._name, head=self._head, atoms=list(self._atoms))
+        return ConjunctiveMixedQuery(name=self._name, head=self._head, atoms=self._atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +415,27 @@ class VariableArg:
 class AtomTemplateRegistry:
     """Registry of atom templates available to the textual CMQ syntax."""
 
+    #: Texts whose parsed CMQ :meth:`parse` keeps (a bounded LRU).
+    PARSE_MEMO_ENTRIES = 1024
+
     def __init__(self) -> None:
         self._templates: dict[str, AtomTemplate] = {}
+        self._parsed = lru_cache(self.PARSE_MEMO_ENTRIES)(partial(parse_cmq, registry=self))
 
     def register(self, template: AtomTemplate) -> AtomTemplate:
         """Register a template (replacing an existing one with the same name)."""
         self._templates[template.name] = template
+        self.forget_parsed()
         return template
+
+    def parse(self, text: str) -> ConjunctiveMixedQuery:
+        """:func:`parse_cmq` against this registry, one frozen CMQ per text
+        until a template is registered or :meth:`forget_parsed` is called."""
+        return self._parsed(text)
+
+    def forget_parsed(self) -> None:
+        """Drop every memoised parse."""
+        self._parsed.cache_clear()
 
     def register_graph_bgp(self, name: str, sparql_text: str,
                            parameters: Sequence[str]) -> AtomTemplate:

@@ -44,6 +44,7 @@ import logging
 import threading
 import time
 
+from repro.cache.keys import canonical_query
 from repro.cache.lru import CacheStats
 from repro.cache.results import CachedSource
 from repro.core.cmq import ConjunctiveMixedQuery, SourceAtom
@@ -185,7 +186,7 @@ class MixedQueryExecutor:
         cache_stats = (self._cache_stats.snapshot()
                        if self._cache_stats is not None else None)
         plan = plan or self.planner.plan(query, options)
-        trace = ExecutionTrace(atom_order=plan.atom_order(), plan_text=plan.explain(),
+        trace = ExecutionTrace(atom_order=plan.atom_order(), plan=plan,
                                stages=[[plan.steps[i].atom.name for i in stage]
                                        for stage in plan.stages],
                                plan_cached=plan.cached)
@@ -388,7 +389,7 @@ class MixedQueryExecutor:
         if self._result_cache is None or step.dynamic:
             return None
         target = self._target_glue if atom.is_glue() else self._targets.get(atom.source)
-        canon = self._result_cache.canonicalize(atom.query)
+        canon = canonical_query(atom.query)
         if not isinstance(target, CachedSource) or canon is None:
             return None
 

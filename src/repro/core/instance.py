@@ -18,7 +18,6 @@ from repro.core.cmq import (
     CMQBuilder,
     ConjunctiveMixedQuery,
     GLUE_SOURCE,
-    parse_cmq,
 )
 from repro.core.executor import MixedQueryExecutor
 from repro.core.planner import PlannerOptions, QueryPlan, QueryPlanner
@@ -223,8 +222,9 @@ class MixedInstance:
         return report
 
     def parse(self, text: str) -> ConjunctiveMixedQuery:
-        """Parse the textual CMQ syntax against the registered templates."""
-        return parse_cmq(text, self._templates)
+        """Parse the textual CMQ syntax against the registered templates
+        (one frozen CMQ per text: :meth:`AtomTemplateRegistry.parse`)."""
+        return self._templates.parse(text)
 
     def builder(self, name: str, head: Sequence[str] = ()) -> CMQBuilder:
         """Start building a CMQ programmatically."""
@@ -299,7 +299,9 @@ class MixedInstance:
     # Cache management
     # ------------------------------------------------------------------
     def clear_caches(self) -> None:
-        """Drop every cached sub-query result and plan."""
+        """Drop every cached sub-query result and plan, and every memoised
+        parse."""
+        self._templates.forget_parsed()
         if self.cache is not None:
             self.cache.clear()
 

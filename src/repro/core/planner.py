@@ -16,10 +16,17 @@ statistics layer (:mod:`repro.stats`), each candidate step is priced by
 the per-source cost model (call setup + row transfer + binding push,
 with a batching discount), and the enumerator runs dynamic
 programming over atom subsets (a myopic one-step-at-a-time loop above
-:data:`DP_ATOM_LIMIT` atoms).  ``PlannerOptions(cost_based=False)`` is
-the *reference plan* the test and benchmark oracles evaluate: the same
-loop picking the first ready atom in body order, binding only where a
-required parameter or a dynamic source forces it, one step per stage.
+:data:`DP_ATOM_LIMIT` atoms).  What follows from the CMQ alone is
+derived once per (immutable) CMQ object — its :class:`Layout`, each
+variable one bit — and what depends on the catalog and the statistics
+once per planning, in one price table: each atom's sources and one
+estimate per (atom, bound variables ∩ its variables), from which the
+search over bitmask states prices every step.
+
+``PlannerOptions(cost_based=False)`` is the *reference plan* the test
+and benchmark oracles evaluate: the same loop picking the first ready
+atom in body order, binding only where a required parameter or a
+dynamic source forces it, one step per stage.
 
 The planner produces a :class:`QueryPlan`: an ordered list of
 :class:`PlanStep` objects, each carrying the atom, the URI(s) of its
@@ -31,9 +38,8 @@ join).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.cache.plans import PlanCache, plan_cache_key
 from repro.core.cmq import ConjunctiveMixedQuery, SourceAtom
@@ -41,12 +47,12 @@ from repro.core.sources import DataSource
 from repro.errors import PlanningError
 from repro.obs.spans import span as _span
 from repro.stats.catalog import StatisticsCatalog
-from repro.stats.cost import CostModel, MAX_BIND_BATCH, MIN_BIND_BATCH
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlannerOptions:
-    """How a CMQ is planned and executed."""
+    """How a CMQ is planned and executed (immutable: derive variants with
+    ``dataclasses.replace``)."""
 
     #: Bindings per bind-join batch (one source call per batch of distinct
     #: bindings); 0 lets the planner pick a size per step from the atom's
@@ -80,27 +86,12 @@ class PlannerOptions:
 #: Atom count above which the DP enumerator gives way to the myopic loop.
 DP_ATOM_LIMIT = 10
 
+_INF = float("inf")
+
 #: Estimate-vs-actual q-error (max of the two ratios) of a step in a
 #: non-final stage past which the executor retires the plan at the end
 #: of the query: the next asking replans from the recorded feedback.
 REPLAN_THRESHOLD = 4.0
-
-
-def auto_batch_size(estimate: float, cost_model: CostModel | None = None,
-                    models: Sequence[str] = ()) -> int:
-    """Pick a bind-join batch size from the step's cardinality estimate.
-
-    Delegates to the cost model, which decreases the size monotonically
-    with the estimated per-binding transfer cost: selective sub-queries
-    batch maximally (the round-trip saving dominates), expensive or
-    unbounded ones get the minimum so results start streaming (and
-    populating the bind-join cache) early.  ``models`` carries the
-    target sources' cost kinds — network-far kinds (e.g. ``"remote"``)
-    decay more slowly, preferring fewer bigger batches per round trip.
-    """
-    from repro.stats.cost import DEFAULT_COST_MODEL
-
-    return (cost_model or DEFAULT_COST_MODEL).batch_size(estimate, models)
 
 
 @dataclass
@@ -207,19 +198,18 @@ class QueryPlanner:
         """
         options = options or self.options
         with _span("plan", query=query.name) as sp:
-            cache_key = self._cache_key(query, options)
+            resolved = [self._resolve_sources(atom) for atom in query.atoms]
+            cache_key = self._cache_key(query, options, resolved)
             if cache_key is not None:
                 hit = self._plan_cache.get(cache_key)
                 if hit is not None:
                     if sp is not None:
                         sp.set(cached=True)
                     return self._rebind(hit, query, options)
-            plan = self._build_plan(query, options)
+            plan, indices = self._build_plan(query, options, resolved)
             if cache_key is not None:
                 # Remember which body atom each step executes so a hit can be
                 # rebound to a renaming-equivalent query's own atoms.
-                indices = [next(i for i, atom in enumerate(query.atoms)
-                                if atom is step.atom) for step in plan.steps]
                 self._plan_cache.put(cache_key, (plan, indices))
             if sp is not None:
                 sp.set(cached=False, steps=len(plan.steps),
@@ -234,14 +224,14 @@ class QueryPlanner:
             return False
         return self._plan_cache.drop(cache_key)
 
-    def _cache_key(self, query: ConjunctiveMixedQuery,
-                   options: PlannerOptions) -> Optional[tuple]:
+    def _cache_key(self, query: ConjunctiveMixedQuery, options: PlannerOptions,
+                   resolved: Optional[list] = None) -> Optional[tuple]:
         if self._plan_cache is None or not options.plan_cache:
             return None
         revision = self._statistics.revision if self._statistics is not None else 0
-        reached = {source.uri: source
-                   for atom in query.atoms if not atom.is_glue()
-                   for source in self._resolve_sources(atom)[0]}
+        reached = {source.uri: source for atom, (sources, _) in
+                   zip(query.atoms, resolved or map(self._resolve_sources, query.atoms))
+                   if not atom.is_glue() for source in sources}
         return plan_cache_key(query, reached, self._glue, options,
                               stats_revision=revision)
 
@@ -256,17 +246,17 @@ class QueryPlanner:
         substituted.
         """
         plan, indices = hit
-        steps = []
-        bound: set[str] = set()
-        for step, index in zip(plan.steps, indices):
-            atom = query.atoms[index]
-            # bound_variables must carry the *requesting* query's names
-            # (the renaming differs), or feedback recorded from this plan
-            # would key on the cached query's variables.
-            steps.append(replace(step, atom=atom, bound_variables=frozenset(bound)))
-            bound.update(atom.output_variables())
-            if atom.source_variable is not None:
-                bound.add(atom.source_variable)
+        if plan.query is query:  # it shares the (never mutated) steps
+            steps = list(plan.steps)
+        else:
+            layout, bound, steps = query.layout, 0, []
+            for step, index in zip(plan.steps, indices):
+                # bound_variables must carry the *requesting* query's names
+                # (the renaming differs), or feedback recorded from this
+                # plan would key on the cached query's variables.
+                steps.append(replace(step, atom=layout.atoms[index],
+                                     bound_variables=layout.names(bound)))
+                bound |= layout.out[index]
         return QueryPlan(query=query, steps=steps,
                          stages=[list(stage) for stage in plan.stages],
                          options=options, cached=True, total_cost=plan.total_cost)
@@ -274,191 +264,92 @@ class QueryPlanner:
     # ------------------------------------------------------------------
     # Plan construction
     # ------------------------------------------------------------------
-    def _build_plan(self, query: ConjunctiveMixedQuery,
-                    options: PlannerOptions) -> QueryPlan:
-        atoms = list(query.atoms)
-        produced_by = self._produced_by(atoms)
-        memo: dict[tuple, float] = {}
-
-        def estimate(index: int, bound_now: frozenset) -> float:
-            key = (index, bound_now & frozenset(atoms[index].variables()))
-            if key not in memo:
-                memo[key] = self._stat_estimate(atoms[index], set(key[1]))
-            return memo[key]
-
-        if options.cost_based and len(atoms) <= DP_ATOM_LIMIT:
-            steps = self._dp_steps(atoms, produced_by, options, estimate)
+    def _build_plan(self, query: ConjunctiveMixedQuery, options: PlannerOptions,
+                    resolved: list[tuple[list[DataSource], bool]]
+                    ) -> tuple[QueryPlan, list[int]]:
+        """The plan of ``query`` (its atoms' ``resolved`` sources) and the
+        body index of each of its steps."""
+        layout = query.layout
+        price = _Prices(self.statistics, layout, resolved, options)
+        if options.cost_based and len(layout.atoms) <= DP_ATOM_LIMIT:
+            chain = self._dp_steps(layout, price)
         else:
-            steps = self._myopic_steps(atoms, produced_by, options, estimate)
-        stages = self._group_stages(steps, options)
-        total = sum(step.cost for step in steps)
-        return QueryPlan(query=query, steps=steps, stages=stages, options=options,
-                         total_cost=total)
+            chain = self._myopic_steps(layout, options, price)
+        steps = [PlanStep(atom=layout.atoms[i], mode=mode, sources=price.uris[i],
+                          dynamic=price.dynamic[i], estimate=estimate, batch_size=batch,
+                          cost=cost, result_estimate=card,
+                          bound_variables=layout.names(bound))
+                 for i, bound, (cost, card, mode, estimate, batch) in chain]
+        plan = QueryPlan(query=query, steps=steps, stages=self._group_stages(steps, options),
+                         options=options, total_cost=sum(step.cost for step in steps))
+        return plan, [i for i, _, _ in chain]
 
-    def _produced_by(self, atoms: list[SourceAtom]) -> dict[str, set[int]]:
-        produced_by: dict[str, set[int]] = {}
-        for index, atom in enumerate(atoms):
-            for variable in atom.output_variables():
-                produced_by.setdefault(variable, set()).add(index)
-        return produced_by
-
-    def _ready(self, atoms: list[SourceAtom], done, bound: set[str],
-               produced_by: dict[str, set[int]]) -> list[int]:
+    @staticmethod
+    def _ready(layout: "Layout", done: int, bound: int) -> list[int]:
         """Indices of the atoms not in ``done`` that can run given ``bound``."""
-        ready = [i for i in range(len(atoms)) if i not in done
-                 and self._is_ready(atoms[i], i, bound, produced_by)]
+        ready = [i for i, needs in enumerate(layout.needs)
+                 if not done >> i & 1 and not needs & ~bound]
         if not ready:
-            unresolved = [atoms[i].describe() for i in range(len(atoms)) if i not in done]
+            unresolved = [atom.describe() for i, atom in enumerate(layout.atoms)
+                          if not done >> i & 1]
             raise PlanningError("cannot order sub-queries: unresolved dependencies in "
                                 + "; ".join(unresolved))
         return ready
 
-    def _dp_steps(self, atoms, produced_by, options, estimate) -> list[PlanStep]:
-        """Cost-based enumeration: DP over atom subsets."""
-        # State: subset of planned atom indices -> (cost, card, steps, bound).
-        by_size: dict[int, dict[frozenset, tuple]] = defaultdict(dict)
-        by_size[0][frozenset()] = (0.0, 1.0, (), frozenset())
+    def _dp_steps(self, layout: "Layout", price: "_Prices") -> list[tuple]:
+        """Cost-based enumeration: DP over atom subsets.
 
-        for size in range(len(atoms)):
-            if not by_size[size]:
-                break
-            for key, (cost, card, steps, bound_now) in by_size[size].items():
-                bound_set = set(bound_now)
-                ready = self._ready(atoms, key, bound_set, produced_by)
-                # Deterministic tie-break: equal-cost plans fall back to the
-                # paper's preference (connected, then selective, then body order).
-                ready.sort(key=lambda i: (
-                    0 if (not bound_set or atoms[i].variables() & bound_set) else 1,
-                    estimate(i, bound_now), i))
+        A state maps a bitmask of planned atoms to ``(cost, cardinality,
+        steps, bound variables)``; a step is ``(index, bound, priced)``.
+        """
+        states: dict[int, tuple] = {0: (0.0, 1.0, (), 0)}
+        for _ in layout.atoms:
+            following: dict[int, tuple] = {}
+            for done, (cost, card, steps, bound) in states.items():
+                ready = self._ready(layout, done, bound)
+                if len(ready) > 1:
+                    # Deterministic tie-break: equal-cost plans fall back to the
+                    # paper's preference (connected, then selective, then body order).
+                    ready.sort(key=lambda i: (0 if not bound or bound & layout.vars[i] else 1,
+                                              price.estimate(i, bound), i))
                 for i in ready:
-                    step, new_card = self._cost_step(
-                        atoms[i], bound_set, not key, card, options, estimate, i,
-                        bound_now)
-                    new_bound = bound_now | frozenset(atoms[i].output_variables())
-                    if atoms[i].source_variable is not None:
-                        new_bound |= {atoms[i].source_variable}
-                    next_key = key | {i}
-                    current = by_size[size + 1].get(next_key)
-                    candidate = (cost + step.cost, new_card, steps + (step,), new_bound)
+                    priced = price(i, bound, card, not done)
+                    key = done | 1 << i
+                    current = following.get(key)
+                    total = cost + priced[0]
                     # States are created in preference order, so a later
                     # candidate must be clearly (>1%) cheaper to displace
                     # one — near-ties keep the selective-first order.
-                    if current is None or candidate[0] < current[0] * 0.99 - 1e-12:
-                        by_size[size + 1][next_key] = candidate
-        final = by_size[len(atoms)].get(frozenset(range(len(atoms))))
-        assert final is not None
-        return list(final[2])
+                    if current is None or total < current[0] * 0.99 - 1e-12:
+                        following[key] = (total, priced[1], steps + ((i, bound, priced),),
+                                          bound | layout.out[i])
+            states = following
+        return list(states[(1 << len(layout.atoms)) - 1][2])
 
-    def _myopic_steps(self, atoms, produced_by, options,
-                      estimate) -> list[PlanStep]:
+    def _myopic_steps(self, layout: "Layout", options: PlannerOptions,
+                      price: "_Prices") -> list[tuple]:
         """One step at a time: the cheapest ready atom for a cost-based plan
         too large for the DP, the first ready one in body order for the
         reference plan."""
-        planned: set[int] = set()
-        bound: set[str] = set()
-        cardinality = 1.0
-        steps: list[PlanStep] = []
-        while len(planned) < len(atoms):
-            ready = self._ready(atoms, planned, bound, produced_by)
-            bound_now = frozenset(bound)
-            priced = []
+        done = bound = 0
+        card = 1.0
+        steps = []
+        for _ in layout.atoms:
+            ready = self._ready(layout, done, bound)
+            ranked = []
             for i in ready if options.cost_based else ready[:1]:
-                step, new_card = self._cost_step(atoms[i], bound, not planned,
-                                                 cardinality, options, estimate, i,
-                                                 bound_now)
-                connected = 0 if (not bound or atoms[i].variables() & bound) else 1
-                priced.append(((step.cost, connected, estimate(i, bound_now), i),
-                               step, new_card))
-            rank, step, cardinality = min(priced, key=lambda entry: entry[0])
-            index = rank[-1]
-            steps.append(step)
-            planned.add(index)
-            bound.update(atoms[index].output_variables())
-            if atoms[index].source_variable is not None:
-                bound.add(atoms[index].source_variable)
+                priced = price(i, bound, card, not done)
+                connected = 0 if not bound or bound & layout.vars[i] else 1
+                ranked.append(((priced[0], connected, price.estimate(i, bound), i), priced))
+            rank, priced = min(ranked, key=lambda entry: entry[0])
+            i = rank[-1]
+            steps.append((i, bound, priced))
+            done |= 1 << i
+            bound |= layout.out[i]
+            card = priced[1]
         return steps
 
-    def _cost_step(self, atom: SourceAtom, bound: set[str], first: bool,
-                   cardinality: float, options: PlannerOptions, estimate, index: int,
-                   bound_now: frozenset) -> tuple[PlanStep, float]:
-        """Price one candidate step and return it with the resulting card."""
-        sources, dynamic = self._resolve_sources(atom)
-        models = [source.cost_kind for source in sources]
-        cost_model = self.statistics.cost_model
-        est_bound = estimate(index, bound_now)
-        est_full = estimate(index, frozenset())
-        shares = bool(atom.variables() & bound)
-        has_required = bool(atom.required_parameters())
-
-        def joined_card(per_binding: float) -> float:
-            """Join size under the containment assumption (System-R style).
-
-            ``est_full / per_binding`` recovers the atom's distinct count
-            on the join keys; once the intermediate result carries more
-            distinct probe values than that, the join cannot exceed the
-            atom's own size (|R||S| / max(dR, dS) with dR ~ |R|).  Atoms
-            with required parameters are genuinely parameterised — each
-            binding expands by ``per_binding`` — so no cap applies.
-            """
-            if (has_required or not shares or per_binding <= 0
-                    or est_full <= 0 or est_full == float("inf")):
-                return cardinality * per_binding
-            distinct = est_full / per_binding
-            return est_full * cardinality / max(cardinality, distinct)
-
-        def bind_step() -> tuple[float, float, float, int]:
-            batch = options.bind_batch_size or auto_batch_size(est_bound, cost_model,
-                                                               models)
-            cost = cost_model.bind_cost(models, cardinality, est_bound, batch)
-            return cost, est_bound, joined_card(est_bound), batch
-
-        def materialize_step() -> tuple[float, float, float, int]:
-            cost = cost_model.materialize_cost(models, est_full)
-            if shares:
-                return cost, est_full, joined_card(est_bound), 0
-            return cost, est_full, cardinality * est_full, 0
-
-        if first:
-            mode, (cost, est, new_card, batch) = "materialize", materialize_step()
-        elif has_required or dynamic:
-            mode, (cost, est, new_card, batch) = "bind", bind_step()
-        elif options.cost_based and shares:
-            bind_priced = bind_step()
-            mat_priced = materialize_step()
-            if mat_priced[0] < cost_model.mode_switch_margin * bind_priced[0]:
-                mode, (cost, est, new_card, batch) = "materialize", mat_priced
-            else:
-                mode, (cost, est, new_card, batch) = "bind", bind_priced
-        else:
-            mode, (cost, est, new_card, batch) = "materialize", materialize_step()
-
-        step = PlanStep(atom=atom, mode=mode,
-                        sources=tuple(source.uri for source in sources),
-                        dynamic=dynamic, estimate=est, batch_size=batch, cost=cost,
-                        result_estimate=new_card,
-                        bound_variables=frozenset(bound))
-        return step, new_card
-
     # ------------------------------------------------------------------
-    def _is_ready(self, atom: SourceAtom, index: int, bound: set[str],
-                  produced_by: dict[str, set[int]]) -> bool:
-        for variable in atom.required_parameters():
-            if variable in bound:
-                continue
-            producers = produced_by.get(variable, set()) - {index}
-            if variable == atom.source_variable and not producers:
-                # Free source variable: the atom runs on every accepting
-                # source, no dependency (paper: "evaluated on every data
-                # source of the mixed instance that accepts it").
-                continue
-            if producers:
-                return False
-            raise PlanningError(
-                f"variable {variable!r} required by {atom.name!r} is never produced "
-                "by any other sub-query"
-            )
-        return True
-
     def _resolve_sources(self, atom: SourceAtom) -> tuple[list[DataSource], bool]:
         if atom.is_glue():
             return [self._glue], False
@@ -483,28 +374,127 @@ class QueryPlanner:
         bound_formals.update(atom.constants)
         return bound_formals
 
-    def _stat_estimate(self, atom: SourceAtom, bound: set[str]) -> float:
-        """Digest-backed estimate through the statistics layer."""
-        sources, dynamic = self._resolve_sources(atom)
-        if not sources:
-            return float("inf")
-        bound_formals = self._bound_formals(atom, bound)
-        estimates = [self.statistics.estimate(source, atom.query, bound_formals,
-                                              atom.constants)
-                     for source in sources]
-        return sum(estimates) if dynamic else min(estimates)
-
-    def _group_stages(self, steps: list[PlanStep], options: PlannerOptions) -> list[list[int]]:
+    @staticmethod
+    def _group_stages(steps: list[PlanStep], options: PlannerOptions) -> list[list[int]]:
+        """A run of materialize steps of a cost-based plan is one stage;
+        every other step is a stage of its own."""
         stages: list[list[int]] = []
-        current: list[int] = []
+        run = None
         for index, step in enumerate(steps):
-            if step.mode == "materialize" and options.cost_based:
-                current.append(index)
-                continue
-            if current:
-                stages.append(current)
-                current = []
-            stages.append([index])
-        if current:
-            stages.append(current)
+            if not (options.cost_based and step.mode == "materialize"):
+                run = None
+                stages.append([index])
+            elif run is None:
+                run = [index]
+                stages.append(run)
+            else:
+                run.append(index)
         return stages
+
+
+class Layout:
+    """The planner's view of a CMQ body, derived once per (immutable) CMQ
+    object as ``query.layout``.
+
+    Each variable is one bit.  Per atom: the variables it mentions
+    (``vars``), binds when it runs — outputs and source variable —
+    (``out``) and needs another atom to bind first (``needs``; a free
+    source variable is none of them: the atom is "evaluated on every data
+    source of the mixed instance that accepts it"), whether it has
+    required parameters, and ``(formal, bit)`` per output formal.
+    """
+
+    def __init__(self, query: ConjunctiveMixedQuery):
+        atoms = self.atoms = query.atoms
+        bits = self.bits = {name: 1 << k for k, name in enumerate(
+            dict.fromkeys(v for atom in atoms for v in atom.variables()))}
+        self.vars = [sum(bits[v] for v in atom.variables()) for atom in atoms]
+        self.out = [sum(bits[v] for v in atom.output_variables())
+                    | bits.get(atom.source_variable, 0) for atom in atoms]
+        self.required = [bool(atom.required_parameters()) for atom in atoms]
+        self.needs = []
+        for index, atom in enumerate(atoms):
+            needs = 0
+            for variable in atom.required_parameters():
+                if any(variable in other.output_variables()
+                       for j, other in enumerate(atoms) if j != index):
+                    needs |= bits[variable]
+                elif variable != atom.source_variable:
+                    raise PlanningError(
+                        f"variable {variable!r} required by {atom.name!r} is never "
+                        "produced by any other sub-query")
+            self.needs.append(needs)
+        self.formals = [[(formal, bits[atom.renames.get(formal, formal)])
+                         for formal in atom.query.output_variables()
+                         if formal not in atom.constants] for atom in atoms]
+
+    def names(self, mask: int) -> frozenset[str]:
+        """The variables of a bitmask."""
+        return frozenset(name for name, bit in self.bits.items() if mask & bit)
+
+
+class _Prices:
+    """The price table of one planning: each atom's resolved sources and
+    cost kinds, each (atom, bound variables ∩ its variables) estimated
+    once, and every candidate step priced from them."""
+
+    def __init__(self, statistics: StatisticsCatalog, layout: Layout,
+                 resolved: list[tuple[list[DataSource], bool]], options: PlannerOptions):
+        self.statistics = statistics
+        self.cost_model = statistics.cost_model
+        self.layout = layout
+        self.batch_size, self.cost_based = options.bind_batch_size, options.cost_based
+        self.sources, self.dynamic = zip(*resolved)
+        self.uris = [tuple(source.uri for source in sources) for sources in self.sources]
+        self.models = [[source.cost_kind for source in sources] for sources in self.sources]
+        #: ``(index, bound ∩ vars)`` -> estimated rows (per binding when bound).
+        self.table: dict[tuple[int, int], float] = {}
+        self.full = [self.estimate(i, 0) for i in range(len(resolved))]
+        self.materialize = [self.cost_model.materialize_cost(models, full)
+                            for models, full in zip(self.models, self.full)]
+
+    def estimate(self, i: int, bound: int) -> float:
+        """Digest-backed rows per binding of atom ``i`` under ``bound``."""
+        key = (i, bound & self.layout.vars[i])
+        estimate = self.table.get(key)
+        if estimate is None:
+            atom = self.layout.atoms[i]
+            formals = {formal for formal, bit in self.layout.formals[i] if key[1] & bit}
+            formals.update(atom.constants)
+            estimates = [self.statistics.estimate(source, atom.query, formals,
+                                                  atom.constants)
+                         for source in self.sources[i]]
+            estimate = self.table[key] = (
+                _INF if not estimates else
+                sum(estimates) if self.dynamic[i] else min(estimates))
+        return estimate
+
+    def __call__(self, i: int, bound: int, card: float, first: bool) -> tuple:
+        """Price atom ``i`` run after ``card`` rows with ``bound`` bound:
+        ``(cost, cardinality after it, mode, estimate, batch size)``."""
+        shares = bound & self.layout.vars[i]
+        estimate = self.table.get((i, shares))
+        if estimate is None:
+            estimate = self.estimate(i, bound)
+        full, materialize = self.full[i], self.materialize[i]
+        required = self.layout.required[i]
+        # Join size under the containment assumption (System-R style):
+        # ``full / estimate`` recovers the atom's distinct count on the
+        # join keys; once the intermediate result carries more distinct
+        # probe values than that, the join cannot exceed the atom's own
+        # size (|R||S| / max(dR, dS) with dR ~ |R|).  Atoms with required
+        # parameters are genuinely parameterised — each binding expands
+        # by ``estimate`` — so no cap applies.
+        if required or not shares or estimate <= 0 or full <= 0 or full == _INF:
+            joined = card * estimate
+        else:
+            joined = full * card / max(card, full / estimate)
+        forced = required or self.dynamic[i]
+        if first or not (forced or self.cost_based and shares):
+            return materialize, joined if shares else card * full, "materialize", full, 0
+        batch = self.batch_size or self.cost_model.batch_size(estimate, self.models[i])
+        bind = (self.cost_model.bind_cost(self.models[i], card, estimate, batch),
+                joined, "bind", estimate, batch)
+        if not forced and materialize < self.cost_model.mode_switch_margin * bind[0]:
+            return materialize, joined, "materialize", full, 0
+        return bind

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 from repro.engine.batch import dedupe
@@ -148,7 +149,9 @@ class ExecutionTrace:
     stages: list[list[str]] = field(default_factory=list)
     calls: list[SubQueryCall] = field(default_factory=list)
     total_seconds: float = 0.0
-    plan_text: str = ""
+    #: The :class:`~repro.core.planner.QueryPlan` that ran; :attr:`plan_text`
+    #: renders it on first read.
+    plan: "object | None" = field(default=None, repr=False, compare=False)
     #: Sub-query probes answered from the cross-query result cache.
     cache_hits: int = 0
     #: Sub-query probes that had to go to a source (and were then cached).
@@ -168,6 +171,11 @@ class ExecutionTrace:
     degraded: bool = False
     #: ``(atom, source_uri, reason)`` per degraded call.
     degraded_atoms: list[tuple[str, str, str]] = field(default_factory=list)
+
+    @cached_property
+    def plan_text(self) -> str:
+        """The plan's EXPLAIN text (``""`` without a plan)."""
+        return self.plan.explain() if self.plan is not None else ""
 
     def calls_to(self, source_uri: str) -> int:
         """Number of sub-query calls shipped to ``source_uri``."""

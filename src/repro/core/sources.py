@@ -71,6 +71,14 @@ class SourceQuery:
         """Data models able to evaluate this sub-query."""
         raise NotImplementedError
 
+    @functools.cached_property
+    def canonical(self):
+        """The renaming-invariant cache form
+        (:func:`repro.cache.keys.canonical_query`), derived once per object."""
+        from repro.cache.keys import canonicalise
+
+        return canonicalise(self)
+
 
 @dataclass(frozen=True)
 class RDFQuery(SourceQuery):

@@ -94,23 +94,23 @@ class StatisticsCatalog:
         and remote sources alike — never ``inf`` (a dark source must be
         asked again) and never for a source without a version.
         """
-        bound = set(bound or ())
-        values = dict(values or {})
-        keyed = self._keyed(source, query, bound)
+        keyed = self._keyed(source, query, bound or ())
         memo_key = None
         if keyed is not None:
             key, canonical = keyed
-            with self._lock:
-                observed = self._feedback.get(key)
+            # One dict read needs no lock: ``record`` writes under it.
+            observed = self._feedback.get(key)
             if observed is not None:
                 return observed
             version = source.version()
-            constants = canonical.key_of(values)
+            constants = canonical.key_of(values) if values else ()
             if version is not None and constants is not None:
                 memo_key = (key, version, constants)
                 remembered = self.estimates.get(memo_key)
                 if remembered is not None:
                     return remembered
+        bound = set(bound or ())
+        values = dict(values or {})
         estimate = None
         if not getattr(source, "trust_wrapper_estimate", False):
             estimate = self._derive(source, query, bound, values)
@@ -151,9 +151,10 @@ class StatisticsCatalog:
         future CMQs benefit.  An effective change bumps the revision,
         invalidating every plan-cache entry stamped with the old one.
         """
-        key = self.feedback_key(source, query, set(bound))
-        if key is None:
+        keyed = self._keyed(source, query, bound)
+        if keyed is None:
             return False
+        key = keyed[0]
         with self._lock:
             previous = self._feedback.get(key)
             self._feedback[key] = observed
@@ -161,12 +162,6 @@ class StatisticsCatalog:
                 self._revision += 1
                 return True
         return False
-
-    def feedback_key(self, source: DataSource, query: SourceQuery,
-                     bound: set[str]) -> Optional[tuple]:
-        """Canonical feedback key, or ``None`` for uncanonicalisable input."""
-        keyed = self._keyed(source, query, bound)
-        return None if keyed is None else keyed[0]
 
     @staticmethod
     def _keyed(source: DataSource, query: SourceQuery,

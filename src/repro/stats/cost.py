@@ -97,11 +97,25 @@ class CostModel:
         #: factor — bind joins additionally shrink downstream joins and
         #: enable cache probes, which the per-step price cannot see.
         self.mode_switch_margin = mode_switch_margin
+        self._combined: dict[tuple[str, ...], tuple[float, float, float, float]] = {}
 
     # ------------------------------------------------------------------
     def costs_for(self, model: str) -> SourceCosts:
         """The constants of one source kind (fallback for unknown kinds)."""
         return self.source_costs.get(model, FALLBACK_SOURCE_COSTS)
+
+    def _combine(self, models: Sequence[str]) -> tuple[float, float, float, float]:
+        """Summed call setup, then the largest per-row, per-binding and call
+        setup constants of ``models`` (non-empty), read once per combination:
+        :attr:`source_costs` is configuration, fixed at construction."""
+        key = tuple(models)
+        combined = self._combined.get(key)
+        if combined is None:
+            costs = [self.costs_for(m) for m in models]
+            combined = self._combined[key] = (
+                sum(c.call_setup for c in costs), max(c.per_row for c in costs),
+                max(c.per_binding for c in costs), max(c.call_setup for c in costs))
+        return combined
 
     def materialize_cost(self, models: Sequence[str], estimated_rows: float) -> float:
         """Cost of fetching a sub-query's whole result.
@@ -111,8 +125,7 @@ class CostModel:
         """
         if not models:
             return float("inf")
-        setup = sum(self.costs_for(m).call_setup for m in models)
-        per_row = max(self.costs_for(m).per_row for m in models)
+        setup, per_row, _, _ = self._combine(models)
         return setup + per_row * max(0.0, estimated_rows)
 
     def bind_cost(self, models: Sequence[str], input_bindings: float,
@@ -129,9 +142,7 @@ class CostModel:
         if math.isinf(bindings):
             return float("inf")
         calls = math.ceil(bindings / max(1, batch_size)) if bindings > 0 else 1
-        setup = sum(self.costs_for(m).call_setup for m in models)
-        per_binding = max(self.costs_for(m).per_binding for m in models)
-        per_row = max(self.costs_for(m).per_row for m in models)
+        setup, per_row, per_binding, _ = self._combine(models)
         rows_out = bindings * max(0.0, rows_per_binding)
         return calls * setup + bindings * per_binding + rows_out * per_row
 
@@ -158,7 +169,7 @@ class CostModel:
             return MIN_BIND_BATCH
         decay = max(0.0, rows_per_binding - 1.0) / self.batch_row_scale
         if models:
-            setup = max(self.costs_for(m).call_setup for m in models)
+            setup = self._combine(models)[3]
             if setup > NETWORK_SETUP_THRESHOLD:
                 decay /= setup / NETWORK_SETUP_THRESHOLD
         size = int(MAX_BIND_BATCH / (1.0 + decay))

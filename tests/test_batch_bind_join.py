@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import CMQBuilder, MixedInstance, PlannerOptions
-from repro.core.planner import MAX_BIND_BATCH, MIN_BIND_BATCH, auto_batch_size
+from repro.stats.cost import DEFAULT_COST_MODEL, MAX_BIND_BATCH, MIN_BIND_BATCH
 from repro.core.sources import FullTextQuery, JSONQuery, RDFQuery, SQLQuery
 from repro.json import JSONDocumentStore
 from repro.rdf import Graph, triple
@@ -379,9 +379,10 @@ class TestPlannerBatching:
         assert all(s.batch_size == 7 for s in plan.steps if s.mode == "bind")
 
     def test_auto_batch_size_bounds(self):
-        assert auto_batch_size(1) == MAX_BIND_BATCH
-        assert auto_batch_size(10 ** 9) == MIN_BIND_BATCH
-        assert MIN_BIND_BATCH <= auto_batch_size(float("inf")) <= MAX_BIND_BATCH
+        batch_size = DEFAULT_COST_MODEL.batch_size
+        assert batch_size(1) == MAX_BIND_BATCH
+        assert batch_size(10 ** 9) == MIN_BIND_BATCH
+        assert MIN_BIND_BATCH <= batch_size(float("inf")) <= MAX_BIND_BATCH
 
     def test_per_binding_is_batch_size_one(self, instance):
         cmq = (instance.builder("q", head=["t", "id"])

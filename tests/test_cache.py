@@ -593,7 +593,7 @@ def test_cached_source_delegates_cost_kind_trust_and_pin():
 def sql_probe_key(cache, wrapper, version, value):
     query = SQLQuery(sql="SELECT handle AS id, followers AS f FROM profiles "
                          "WHERE handle = {id}")
-    canon = cache.canonicalize(query)
+    canon = canonical_query(query)
     (key,) = cache.keys(wrapper, version, canon, [canon.key_of({"id": value})])
     assert key is not None
     return key, canon
@@ -645,19 +645,14 @@ def test_stale_pointer_redirected_to_newer_version_survives_old_eviction():
     assert dict_rows(cache.fetch_stale(wrapper, query, {"id": "u0"})) == [{"id": "u0", "f": 2}]
 
 
-def test_canonical_memo_is_a_bounded_lru(monkeypatch):
-    monkeypatch.setattr(SubQueryResultCache, "MAX_CANONICAL_MEMO", 4)
-    cache = SubQueryResultCache()
-    hot = SQLQuery(sql="SELECT a FROM hot WHERE a = {p}")
-    assert cache.canonicalize(hot) is not None
-    for i in range(8):
-        cold = SQLQuery(sql=f"SELECT a FROM t{i} WHERE a = {{p}}")
-        assert cache.canonicalize(cold) is not None
-        # Keep the hot query recent: it must never be flushed by cold
-        # forms aging through the memo.
-        assert cache.canonicalize(hot) is not None
-    assert len(cache._canonical) <= 4
-    assert hot in cache._canonical
+def test_canonical_form_is_kept_on_the_query():
+    query = SQLQuery(sql="SELECT a FROM hot WHERE a = {p}")
+    canon = canonical_query(query)
+    assert canon is not None and canonical_query(query) is canon is query.canonical
+    # An equal query object derives its own form, under the same key.
+    twin = SQLQuery(sql="SELECT a FROM hot WHERE a = {p}")
+    assert canonical_query(twin) is not canon
+    assert canonical_query(twin).key == canon.key
 
 
 # ---------------------------------------------------------------------------

@@ -435,10 +435,10 @@ class TestFeedbackAndBatchSize:
                               SQLQuery("SELECT a AS a FROM t")) == 7.0
 
     def test_auto_batch_size_is_monotone(self):
-        from repro.core.planner import auto_batch_size
+        from repro.stats.cost import DEFAULT_COST_MODEL
 
         estimates = [0, 1, 2, 8, 64, 256, 1024, 4096, 4097, 10 ** 9, float("inf")]
-        sizes = [auto_batch_size(e) for e in estimates]
+        sizes = [DEFAULT_COST_MODEL.batch_size(e) for e in estimates]
         assert sizes[0] == sizes[1] == MAX_BIND_BATCH
         assert sizes[-1] == MIN_BIND_BATCH
         assert all(MIN_BIND_BATCH <= s <= MAX_BIND_BATCH for s in sizes)

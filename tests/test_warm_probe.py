@@ -252,13 +252,14 @@ class TestAWarmFlushIsOneProbe:
                 return original(*args, **kwargs)
             monkeypatch.setattr(owner, attribute, counted)
 
-        for owner, attribute in ((SubQueryResultCache, "canonicalize"),
-                                 (SourceAtom, "formal_bindings"),
+        for owner, attribute in ((SourceAtom, "formal_bindings"),
                                  (CanonicalQuery, "keyer"), (CanonicalQuery, "key_of"),
                                  (CanonicalQuery, "binding_key")):
             spy(owner, attribute)
-        monkeypatch.setattr("repro.cache.results.canonical_query",
-                            lambda query: calls.update(["canonical_query"]))
+        # A sub-query's canonical form is derived once per query object:
+        # the warm run must derive none anew.
+        monkeypatch.setattr("repro.cache.keys.canonicalise",
+                            lambda query: calls.update(["canonicalise"]))
         flushes = []
         original_peek = CachedSource.peek
 
