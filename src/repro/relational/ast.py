@@ -1,26 +1,19 @@
-"""Abstract syntax tree and expression evaluation for the SQL subset.
+"""Abstract syntax tree for the SQL subset.
 
-Expressions are evaluated against *row scopes*: dictionaries mapping
-(optionally qualified) column names to values.  The same expression nodes
-are reused by the executor's WHERE/HAVING/ON evaluation and by projection.
+The nodes are plain data: the executor compiles them into closures over
+row tuples (:mod:`repro.relational.executor`), and the template reads
+them to analyse a sub-query (:mod:`repro.relational.template`).
 """
 
 from __future__ import annotations
 
 import functools
-import re
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
-
-from repro.errors import RelationalError
 
 
 class Expression:
     """Base class of every scalar expression node."""
-
-    def evaluate(self, scope: dict[str, object]) -> object:
-        """Evaluate the expression against a row scope."""
-        raise NotImplementedError
 
     def children(self) -> tuple["Expression", ...]:
         """The direct sub-expressions, in source order."""
@@ -44,9 +37,6 @@ class LiteralValue(Expression):
 
     value: object
 
-    def evaluate(self, scope: dict[str, object]) -> object:
-        return self.value
-
     def __str__(self) -> str:  # pragma: no cover - trivial
         return repr(self.value)
 
@@ -62,9 +52,6 @@ class Parameter(Expression):
 
     name: str
 
-    def evaluate(self, scope: dict[str, object]) -> object:
-        raise RelationalError(f"parameter {{{self.name}}} is not bound")
-
     def __str__(self) -> str:  # pragma: no cover - trivial
         return "{" + self.name + "}"
 
@@ -79,20 +66,6 @@ class ColumnRef(Expression):
     @property
     def qualified(self) -> str:
         return f"{self.table}.{self.name}" if self.table else self.name
-
-    def evaluate(self, scope: dict[str, object]) -> object:
-        key = self.qualified.lower()
-        if key in scope:
-            return scope[key]
-        # Unqualified lookup: accept a unique suffix match "alias.name".
-        if self.table is None:
-            suffix = "." + self.name.lower()
-            matches = [k for k in scope if k.endswith(suffix)]
-            if len(matches) == 1:
-                return scope[matches[0]]
-            if len(matches) > 1:
-                raise RelationalError(f"ambiguous column reference {self.name!r}")
-        raise RelationalError(f"unknown column {self.qualified!r}")
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.qualified
@@ -110,42 +83,6 @@ class BinaryOp(Expression):
     right: Expression
     escape: Optional[str] = None
 
-    def evaluate(self, scope: dict[str, object]) -> object:
-        op = self.operator
-        if op == "AND":
-            return bool(self.left.evaluate(scope)) and bool(self.right.evaluate(scope))
-        if op == "OR":
-            return bool(self.left.evaluate(scope)) or bool(self.right.evaluate(scope))
-        left = self.left.evaluate(scope)
-        right = self.right.evaluate(scope)
-        if op in ("=", "=="):
-            return left == right
-        if op in ("!=", "<>"):
-            return left != right
-        if op == "LIKE":
-            return _like(left, right, self.escape)
-        if left is None or right is None:
-            return None
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                return None
-            return left / right
-        raise RelationalError(f"unsupported operator {op!r}")
-
     def children(self) -> tuple[Expression, ...]:
         return (self.left, self.right)
 
@@ -160,14 +97,6 @@ class UnaryOp(Expression):
     operator: str
     operand: Expression
 
-    def evaluate(self, scope: dict[str, object]) -> object:
-        value = self.operand.evaluate(scope)
-        if self.operator == "NOT":
-            return not bool(value)
-        if self.operator == "-":
-            return None if value is None else -value
-        raise RelationalError(f"unsupported unary operator {self.operator!r}")
-
     def children(self) -> tuple[Expression, ...]:
         return (self.operand,)
 
@@ -178,10 +107,6 @@ class IsNull(Expression):
 
     operand: Expression
     negated: bool = False
-
-    def evaluate(self, scope: dict[str, object]) -> object:
-        is_null = self.operand.evaluate(scope) is None
-        return not is_null if self.negated else is_null
 
     def children(self) -> tuple[Expression, ...]:
         return (self.operand,)
@@ -197,19 +122,12 @@ class InList(Expression):
 
     @functools.cached_property
     def _members(self) -> tuple[frozenset, tuple[Expression, ...]]:
-        # Literal members are evaluated once per node, not once per scanned
+        # Literal members are hashed once per node, not once per scanned
         # row (a batched bind join ships up to 256 of them per statement).
-        constants = frozenset(v.evaluate({}) for v in self.values
+        constants = frozenset(v.value for v in self.values
                               if isinstance(v, LiteralValue))
         return constants, tuple(v for v in self.values
                                 if not isinstance(v, LiteralValue))
-
-    def evaluate(self, scope: dict[str, object]) -> object:
-        value = self.operand.evaluate(scope)
-        constants, per_row = self._members
-        result = value in constants or (
-            bool(per_row) and value in {v.evaluate(scope) for v in per_row})
-        return not result if self.negated else result
 
     def children(self) -> tuple[Expression, ...]:
         return (self.operand, *self.values)
@@ -234,38 +152,8 @@ class FunctionCall(Expression):
     def is_aggregate(self) -> bool:
         return self.name.upper() in AGGREGATE_FUNCTIONS
 
-    def evaluate(self, scope: dict[str, object]) -> object:
-        upper = self.name.upper()
-        if self.is_aggregate:
-            # During the aggregation phase, the executor pre-computes the
-            # value and stores it in the scope under the call's key.
-            key = self.result_key()
-            if key in scope:
-                return scope[key]
-            raise RelationalError(
-                f"aggregate {upper} used outside GROUP BY evaluation"
-            )
-        arguments = [a.evaluate(scope) for a in self.arguments]
-        if upper == "UPPER":
-            return None if arguments[0] is None else str(arguments[0]).upper()
-        if upper == "LOWER":
-            return None if arguments[0] is None else str(arguments[0]).lower()
-        if upper == "LENGTH":
-            return None if arguments[0] is None else len(str(arguments[0]))
-        if upper == "ABS":
-            return None if arguments[0] is None else abs(arguments[0])
-        if upper == "ROUND":
-            digits = int(arguments[1]) if len(arguments) > 1 else 0
-            return None if arguments[0] is None else round(arguments[0], digits)
-        if upper == "COALESCE":
-            for a in arguments:
-                if a is not None:
-                    return a
-            return None
-        raise RelationalError(f"unsupported function {self.name!r}")
-
     def result_key(self) -> str:
-        """Scope key under which the executor publishes the aggregate value."""
+        """The key naming this aggregate's value: calls spelled alike share it."""
         return str(self).lower()
 
     def children(self) -> tuple[Expression, ...]:
@@ -363,30 +251,3 @@ class InsertStatement:
     columns: list[str]
     rows: list[list[object]]
 
-
-Statement = object  # SelectStatement | CreateTableStatement | InsertStatement
-
-
-def _like(value: object, pattern: object, escape: str | None = None) -> object:
-    """SQL LIKE with ``%`` and ``_`` wildcards, case-insensitive; after the
-    ``escape`` character, a character stands for itself."""
-    if value is None or pattern is None:
-        return None
-    return _like_regex(str(pattern), escape).fullmatch(str(value)) is not None
-
-
-@functools.lru_cache(maxsize=256)
-def _like_regex(pattern: str, escape: str | None) -> re.Pattern:
-    parts, characters = [], iter(pattern)
-    for character in characters:
-        if character == escape:
-            character = next(characters, None)
-            if character is None:
-                raise RelationalError(f"LIKE pattern {pattern!r} ends with its escape")
-            parts.append(re.escape(character))
-        else:
-            parts.append(_LIKE_WILDCARDS.get(character) or re.escape(character))
-    return re.compile("".join(parts), flags=re.IGNORECASE)
-
-
-_LIKE_WILDCARDS = {"%": ".*", "_": "."}

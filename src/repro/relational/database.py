@@ -162,8 +162,7 @@ class Database:
 
     def execute_select(self, statement: SelectStatement) -> ResultSet:
         """Run an already-parsed SELECT statement."""
-        executor = SelectExecutor({t.name: t for t in self.tables()})
-        return executor.execute(statement)
+        return SelectExecutor(self._tables).execute(statement)
 
     def query(self, sql: str) -> list[dict[str, object]]:
         """Run a SELECT and return rows as dictionaries (convenience)."""

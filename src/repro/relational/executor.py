@@ -1,29 +1,42 @@
 """Execution of parsed SELECT statements against a :class:`Database`.
 
-The executor produces :class:`ResultSet` objects: a list of output column
-names plus rows (tuples).  Joins are evaluated with a hash join when the
-ON condition is a simple equality between two column references, falling
-back to a nested loop otherwise.
+A statement is compiled on every call: each column reference resolves
+once, against the catalog's layout (``alias.column`` -> tuple position),
+and every clause becomes a closure run over the stored row tuples.  A
+join concatenates tuples (hashed on one position for a column equality,
+a nested loop otherwise); a group is its first row extended by its
+aggregate values.  ``tests/sql_reference.py`` keeps the dict-scope
+interpreter this replaced, as the reference the tests compare against.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
+import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.errors import RelationalError
-from repro.relational.aggregates import compute_aggregate
 from repro.relational.ast import (
     BinaryOp,
     ColumnRef,
     Expression,
     FunctionCall,
+    InList,
+    IsNull,
     Join,
+    LiteralValue,
+    Parameter,
     SelectItem,
     SelectStatement,
     TableRef,
+    UnaryOp,
 )
 from repro.relational.table import Table
+
+#: A compiled expression: the value it takes on one row tuple.
+Compiled = Callable[[tuple], object]
 
 
 @dataclass
@@ -58,22 +71,29 @@ class SelectExecutor:
     def __init__(self, tables: dict[str, Table]):
         self._tables = {name.lower(): table for name, table in tables.items()}
 
-    # ------------------------------------------------------------------
     def execute(self, statement: SelectStatement) -> ResultSet:
         """Run ``statement`` (its parameters, if it had any, already bound)."""
-        scopes = self._build_scopes(statement)
+        rows, layout, width = self._from(statement)
+        scope = _Scope(layout)
         if statement.where is not None:
-            scopes = [s for s in scopes if _is_true(statement.where.evaluate(s))]
-
-        if self._needs_aggregation(statement):
-            rows, columns = self._aggregate(statement, scopes)
+            rows = filter(scope.compile(statement.where), rows)
+        items = self._expand_stars(statement, layout)
+        columns = [item.output_name() for item in items]
+        grouped = bool(statement.group_by) or any(
+            item.expression.aggregates() for item in statement.items if not item.star)
+        if grouped:
+            rows, scope = self._group(statement, items, rows, scope, width)
+        project = _tuple_builder(scope, [item.expression for item in items])
+        if statement.order_by:
+            # Stable: rows tied on every term keep their input order.
+            sort_key = self._sort_key(statement, items, scope, grouped)
+            keyed = sorted([(project(row), sort_key(row)) for row in rows],
+                           key=operator.itemgetter(1))
+            rows = [row for row, _ in keyed]
         else:
-            rows, columns = self._project(statement, scopes)
-
+            rows = list(map(project, rows))
         if statement.distinct:
             rows = list(dict.fromkeys(rows))
-        if statement.order_by:
-            rows = self._order(statement, rows, columns)
         if statement.limit is not None:
             rows = rows[: statement.limit]
         return ResultSet(columns=columns, rows=rows)
@@ -81,171 +101,341 @@ class SelectExecutor:
     # ------------------------------------------------------------------
     # FROM / JOIN
     # ------------------------------------------------------------------
-    def _build_scopes(self, statement: SelectStatement) -> list[dict[str, object]]:
+    def _from(self, statement: SelectStatement) -> tuple[Iterable[tuple], dict[str, int], int]:
+        """The joined input rows, their layout and their width."""
         if statement.table is None:
-            return [{}]
-        scopes = self._table_scopes(statement.table)
+            return [()], {}, 0
+        rows, layout = self._source(statement.table)
+        width = len(layout)
         for join in statement.joins:
-            scopes = self._apply_join(scopes, join)
-        return scopes
+            right, right_layout = self._source(join.table)
+            # A repeated alias.column names the right table's copy.
+            layout = {**layout, **{key: width + position
+                                   for key, position in right_layout.items()}}
+            rows = _join(rows, right, join, _Scope(layout), width, len(right_layout))
+            width += len(right_layout)
+        return rows, layout, width
 
-    def _table_scopes(self, ref: TableRef) -> list[dict[str, object]]:
-        table = self._table(ref.name)
+    def _source(self, ref: TableRef) -> tuple[Table, dict[str, int]]:
+        """A table and its layout: ``alias.column`` -> position in its rows."""
+        table = self._tables.get(ref.name.lower())
+        if table is None:
+            raise RelationalError(f"unknown table {ref.name!r}")
         alias = ref.effective_alias.lower()
-        names = [c.lower() for c in table.schema.column_names()]
-        scopes = []
-        for row in table.rows:
-            scope = {f"{alias}.{name}": value for name, value in zip(names, row)}
-            scopes.append(scope)
-        return scopes
-
-    def _apply_join(self, left_scopes: list[dict[str, object]], join: Join) -> list[dict[str, object]]:
-        right_scopes = self._table_scopes(join.table)
-        condition = join.condition
-        equi = _equi_join_columns(condition) if condition is not None else None
-
-        joined: list[dict[str, object]] = []
-        if equi is not None:
-            left_key, right_key = self._resolve_equi_sides(equi, left_scopes, right_scopes)
-            if left_key is not None and right_key is not None:
-                buckets: dict[object, list[dict[str, object]]] = {}
-                for rs in right_scopes:
-                    buckets.setdefault(rs.get(right_key), []).append(rs)
-                for ls in left_scopes:
-                    matches = buckets.get(ls.get(left_key), [])
-                    for rs in matches:
-                        joined.append({**ls, **rs})
-                    if not matches and join.kind == "LEFT":
-                        joined.append({**ls, **{k: None for k in (right_scopes[0] if right_scopes else {})}})
-                return joined
-
-        # Fallback: nested loop.
-        right_columns = list(right_scopes[0].keys()) if right_scopes else []
-        for ls in left_scopes:
-            matched = False
-            for rs in right_scopes:
-                combined = {**ls, **rs}
-                if condition is None or _is_true(condition.evaluate(combined)):
-                    joined.append(combined)
-                    matched = True
-            if not matched and join.kind == "LEFT":
-                joined.append({**ls, **{k: None for k in right_columns}})
-        return joined
-
-    def _resolve_equi_sides(self, equi: tuple[ColumnRef, ColumnRef],
-                            left_scopes: list[dict[str, object]],
-                            right_scopes: list[dict[str, object]]) -> tuple[str | None, str | None]:
-        """Figure out which side of an equality belongs to which input."""
-        left_columns = set(left_scopes[0]) if left_scopes else set()
-        right_columns = set(right_scopes[0]) if right_scopes else set()
-        first, second = equi
-        first_key = _scope_key(first, left_columns) or _scope_key(first, right_columns)
-        second_key = _scope_key(second, left_columns) or _scope_key(second, right_columns)
-        if first_key in left_columns and second_key in right_columns:
-            return first_key, second_key
-        if second_key in left_columns and first_key in right_columns:
-            return second_key, first_key
-        return None, None
+        return table, {f"{alias}.{name.lower()}": position
+                       for position, name in enumerate(table.schema.column_names())}
 
     # ------------------------------------------------------------------
-    # Projection / aggregation
+    # Aggregation / ordering
     # ------------------------------------------------------------------
-    def _project(self, statement: SelectStatement,
-                 scopes: list[dict[str, object]]) -> tuple[list[tuple], list[str]]:
-        items = self._expand_stars(statement, scopes)
-        columns = [item.output_name() for item in items]
-        rows = [tuple(item.expression.evaluate(scope) for item in items) for scope in scopes]
-        return rows, columns
-
-    def _needs_aggregation(self, statement: SelectStatement) -> bool:
+    def _group(self, statement: SelectStatement, items: list[SelectItem],
+               rows: Iterable[tuple], scope: "_Scope", width: int) -> tuple[list[tuple], "_Scope"]:
+        """One row per group: its first input row (NULLs for an empty
+        group) extended by the group's aggregate values, filtered by
+        HAVING; and the scope that reads those rows."""
+        calls: dict[str, FunctionCall] = {}
+        for expression in [*(item.expression for item in items), statement.having,
+                           *(order.expression for order in statement.order_by)]:
+            for call in expression.aggregates() if expression is not None else ():
+                calls.setdefault(call.result_key(), call)
+        arguments = [scope.compile(call.arguments[0])
+                     if call.arguments and not call.star else None
+                     for call in calls.values()]
+        groups: dict[tuple, list[tuple]] = {}
         if statement.group_by:
-            return True
-        return any(item.expression.aggregates() for item in statement.items if not item.star)
-
-    def _aggregate(self, statement: SelectStatement,
-                   scopes: list[dict[str, object]]) -> tuple[list[tuple], list[str]]:
-        items = self._expand_stars(statement, scopes)
-        columns = [item.output_name() for item in items]
-
-        groups: dict[tuple, list[dict[str, object]]] = {}
-        if statement.group_by:
-            for scope in scopes:
-                key = tuple(expr.evaluate(scope) for expr in statement.group_by)
-                groups.setdefault(key, []).append(scope)
+            group_key = _tuple_builder(scope, statement.group_by)
+            for row in rows:
+                groups.setdefault(group_key(row), []).append(row)
         else:
-            groups[()] = list(scopes)
-
-        aggregate_calls: list[FunctionCall] = []
-        for item in items:
-            aggregate_calls.extend(item.expression.aggregates())
+            groups[()] = list(rows)
+        empty = (None,) * width
+        grouped = [(members[0] if members else empty) + tuple(
+            compute_aggregate(call, members if argument is None else list(map(argument, members)))
+            for call, argument in zip(calls.values(), arguments))
+            for members in groups.values()]
+        scope = _Scope(scope.layout, {key: width + i for i, key in enumerate(calls)})
         if statement.having is not None:
-            aggregate_calls.extend(statement.having.aggregates())
+            grouped = list(filter(scope.compile(statement.having), grouped))
+        return grouped, scope
 
-        rows: list[tuple] = []
-        for key, group_scopes in groups.items():
-            representative = dict(group_scopes[0]) if group_scopes else {}
-            for call in aggregate_calls:
-                representative[call.result_key()] = compute_aggregate(call, group_scopes)
-            if statement.having is not None and not _is_true(statement.having.evaluate(representative)):
-                continue
-            rows.append(tuple(item.expression.evaluate(representative) for item in items))
-        return rows, columns
+    def _sort_key(self, statement: SelectStatement, items: list[SelectItem],
+                  scope: "_Scope", grouped: bool) -> Compiled:
+        """ORDER BY over the rows being projected: an output name first,
+        then an input column.  Under DISTINCT or aggregation a term may
+        read only outputs, group keys and aggregates."""
+        outputs: dict[str, Compiled] = {}
+        for item in items:
+            outputs.setdefault(item.output_name().lower(), scope.compile(item.expression))
+        if statement.distinct or grouped:
+            allowed = [item.expression for item in items] + list(statement.group_by)
+            for order in statement.order_by:
+                _check_sortable(order.expression, allowed, outputs, scope)
+        order_scope = _Scope(scope.layout, scope.aggregates, outputs)
+        terms = [(order_scope.compile(order.expression), order.descending)
+                 for order in statement.order_by]
+        return lambda row: tuple([_Reversible(term(row), descending)
+                                  for term, descending in terms])
 
+    # ------------------------------------------------------------------
     def _expand_stars(self, statement: SelectStatement,
-                      scopes: list[dict[str, object]]) -> list[SelectItem]:
+                      layout: dict[str, int]) -> list[SelectItem]:
         items: list[SelectItem] = []
-        available = list(scopes[0].keys()) if scopes else self._default_columns(statement)
         for item in statement.items:
             if not item.star:
                 items.append(item)
                 continue
-            for key in available:
-                if item.star_table and not key.startswith(item.star_table.lower() + "."):
-                    continue
-                name = key.split(".", 1)[1] if "." in key else key
-                table = key.split(".", 1)[0] if "." in key else None
-                items.append(SelectItem(expression=ColumnRef(name=name, table=table), alias=name))
+            prefix = item.star_table.lower() + "." if item.star_table else ""
+            for key in layout:
+                if key.startswith(prefix):
+                    table, name = key.split(".", 1)
+                    items.append(SelectItem(expression=ColumnRef(name=name, table=table),
+                                            alias=name))
         if not items:
             raise RelationalError("SELECT produced no output columns")
         return items
 
-    def _default_columns(self, statement: SelectStatement) -> list[str]:
-        keys: list[str] = []
-        refs = [statement.table] if statement.table else []
-        refs.extend(join.table for join in statement.joins)
-        for ref in refs:
-            table = self._table(ref.name)
-            alias = ref.effective_alias.lower()
-            keys.extend(f"{alias}.{c.lower()}" for c in table.schema.column_names())
-        return keys
 
-    # ------------------------------------------------------------------
-    def _order(self, statement: SelectStatement, rows: list[tuple],
-               columns: list[str]) -> list[tuple]:
-        lowered = [c.lower() for c in columns]
+def _join(left: Iterable[tuple], right: Iterable[tuple], join: Join, scope: "_Scope",
+          width: int, right_width: int) -> list[tuple]:
+    """``left`` rows (``width`` wide) joined with ``right`` rows, as
+    ``scope`` lays out the concatenated tuples: left order, then right
+    order; an unmatched left row of a LEFT join is padded with NULLs."""
+    pad = (None,) * right_width if join.kind == "LEFT" else None
+    joined: list[tuple] = []
+    sides = _equi_join_positions(join.condition, scope, width)
+    if sides is not None:
+        # The nested loop's ``=`` over one column of each input, hashed.
+        left_position, right_position = sides
+        buckets: dict[object, list[tuple]] = {}
+        for row in right:
+            buckets.setdefault(row[right_position], []).append(row)
+        for row in left:
+            matches = buckets.get(row[left_position])
+            if matches:
+                joined.extend([row + match for match in matches])
+            elif pad is not None:
+                joined.append(row + pad)
+        return joined
+    keep = None if join.condition is None else scope.compile(join.condition)
+    right = list(right)
+    for row in left:
+        matched = False
+        for match in right:
+            combined = row + match
+            if keep is None or keep(combined):
+                joined.append(combined)
+                matched = True
+        if not matched and pad is not None:
+            joined.append(row + pad)
+    return joined
 
-        def sort_key(row: tuple):
-            key = []
-            scope = dict(zip(lowered, row))
-            for item in statement.order_by:
-                expression = item.expression
-                if isinstance(expression, ColumnRef) and expression.qualified.lower() in lowered:
-                    value = row[lowered.index(expression.qualified.lower())]
-                else:
-                    try:
-                        value = expression.evaluate(scope)
-                    except RelationalError:
-                        value = None
-                key.append(_Reversible(value, item.descending))
-            return tuple(key)
 
-        return sorted(rows, key=sort_key)
+def _equi_join_positions(condition: Expression | None, scope: "_Scope",
+                         width: int) -> tuple[int, int] | None:
+    """For an ON condition ``a.x = b.y`` reading one column of each input
+    (the left one ``width`` wide), the left position and the right one
+    within a right row; None otherwise."""
+    if not (isinstance(condition, BinaryOp) and condition.operator == "="
+            and isinstance(condition.left, ColumnRef)
+            and isinstance(condition.right, ColumnRef)):
+        return None
+    first, second = sorted(map(scope.position, (condition.left, condition.right)))
+    return (first, second - width) if first < width <= second else None
 
-    def _table(self, name: str) -> Table:
-        table = self._tables.get(name.lower())
-        if table is None:
-            raise RelationalError(f"unknown table {name!r}")
-        return table
+
+class _Scope:
+    """What a compiled expression may read: input columns by position,
+    aggregate values by position (in a group row) and, for ORDER BY,
+    output columns by name."""
+
+    def __init__(self, layout: dict[str, int], aggregates: dict[str, int] | None = None,
+                 outputs: dict[str, Compiled] | None = None):
+        self.layout = layout
+        self.aggregates = aggregates or {}
+        self.outputs = outputs or {}
+
+    def position(self, ref: ColumnRef) -> int:
+        """Resolve ``ref``: its qualified name, else a unique ``alias.name``."""
+        key = ref.qualified.lower()
+        if key in self.layout:
+            return self.layout[key]
+        if ref.table is None:
+            suffix = "." + ref.name.lower()
+            matches = [k for k in self.layout if k.endswith(suffix)]
+            if len(matches) == 1:
+                return self.layout[matches[0]]
+            if len(matches) > 1:
+                raise RelationalError(f"ambiguous column reference {ref.name!r}")
+        raise RelationalError(f"unknown column {ref.qualified!r}")
+
+    def _column(self, node: Expression) -> int | None:
+        """The position ``node`` reads, when it is a bare input column."""
+        if isinstance(node, ColumnRef) and node.qualified.lower() not in self.outputs:
+            return self.position(node)
+        return None
+
+    def compile(self, node: Expression) -> Compiled:
+        """``node`` as a closure over one row tuple."""
+        if isinstance(node, ColumnRef):
+            output = self.outputs.get(node.qualified.lower())
+            return output or operator.itemgetter(self.position(node))
+        if isinstance(node, LiteralValue):
+            value = node.value
+            return lambda row: value
+        if isinstance(node, BinaryOp):
+            return self._binary(node)
+        if isinstance(node, UnaryOp):
+            operand = self.compile(node.operand)
+            if node.operator == "NOT":
+                return lambda row: not operand(row)
+            if node.operator == "-":
+                return lambda row: None if (value := operand(row)) is None else -value
+            raise RelationalError(f"unsupported unary operator {node.operator!r}")
+        if isinstance(node, IsNull):
+            operand, negated = self.compile(node.operand), node.negated
+            return lambda row: (operand(row) is None) is not negated
+        if isinstance(node, InList):
+            return self._in_list(node)
+        if isinstance(node, FunctionCall):
+            return self._function(node)
+        if isinstance(node, Parameter):
+            raise RelationalError(f"parameter {{{node.name}}} is not bound")
+        raise RelationalError(f"cannot evaluate {node!r}")
+
+    def _binary(self, node: BinaryOp) -> Compiled:
+        op = node.operator
+        position = self._column(node.left)
+        if op == "=" and position is not None and isinstance(node.right, LiteralValue):
+            value = node.right.value
+            return lambda row: row[position] == value
+        left, right = self.compile(node.left), self.compile(node.right)
+        if op == "AND":
+            return lambda row: bool(left(row)) and bool(right(row))
+        if op == "OR":
+            return lambda row: bool(left(row)) or bool(right(row))
+        if op in ("=", "=="):
+            return lambda row: left(row) == right(row)
+        if op in ("!=", "<>"):
+            return lambda row: left(row) != right(row)
+        if op == "LIKE":
+            escape = node.escape
+            return lambda row: _like(left(row), right(row), escape)
+        apply = _NULL_PROPAGATING.get(op)
+        if apply is None:
+            raise RelationalError(f"unsupported operator {op!r}")
+
+        def null_propagating(row: tuple) -> object:
+            a, b = left(row), right(row)
+            return None if a is None or b is None else apply(a, b)
+        return null_propagating
+
+    def _in_list(self, node: InList) -> Compiled:
+        constants, per_row = node._members
+        negated = node.negated
+        position = None if per_row else self._column(node.operand)
+        if position is not None:
+            return lambda row: (row[position] in constants) is not negated
+        operand = self.compile(node.operand)
+        members = [self.compile(value) for value in per_row]
+
+        def contains(row: tuple) -> bool:
+            value = operand(row)
+            return (value in constants or (
+                bool(members) and value in {member(row) for member in members})) is not negated
+        return contains
+
+    def _function(self, node: FunctionCall) -> Compiled:
+        name = node.name.upper()
+        if node.is_aggregate:
+            position = self.aggregates.get(node.result_key())
+            if position is None:
+                raise RelationalError(f"aggregate {name} used outside GROUP BY evaluation")
+            return operator.itemgetter(position)
+        function = _SCALAR_FUNCTIONS.get(name)
+        if function is None:
+            raise RelationalError(f"unsupported function {node.name!r}")
+        arguments = [self.compile(argument) for argument in node.arguments]
+        return lambda row: function([argument(row) for argument in arguments])
+
+
+def _tuple_builder(scope: _Scope, expressions: list[Expression]) -> Compiled:
+    """One tuple of ``expressions``' values per row: ``itemgetter`` when
+    every expression is a bare column."""
+    positions = [scope._column(expression) for expression in expressions]
+    if None not in positions:
+        if len(positions) == 1:
+            position = positions[0]
+            return lambda row: (row[position],)
+        return operator.itemgetter(*positions)
+    compiled = [scope.compile(expression) for expression in expressions]
+    return lambda row: tuple([value(row) for value in compiled])
+
+
+def _check_sortable(term: Expression, allowed: list[Expression],
+                    outputs: dict[str, Compiled], scope: _Scope) -> None:
+    """Raise unless ``term`` reads only outputs, group keys and aggregates."""
+    if term in allowed or (isinstance(term, FunctionCall) and term.is_aggregate):
+        return
+    if isinstance(term, ColumnRef):
+        if term.qualified.lower() in outputs or scope.position(term) in {
+                scope.position(e) for e in allowed if isinstance(e, ColumnRef)}:
+            return
+        raise RelationalError(f"ORDER BY {term.qualified!r} is not an output, "
+                              "a group key or an aggregate")
+    for child in term.children():
+        _check_sortable(child, allowed, outputs, scope)
+
+
+def compute_aggregate(call: FunctionCall, values: list[object]) -> object:
+    """One aggregate over the values its argument takes in a group (for
+    ``COUNT(*)``, one entry per row).  Other aggregates skip NULLs, as in
+    SQL; ``DISTINCT`` is honoured for every aggregate."""
+    name = call.name.upper()
+    if call.star:
+        if name != "COUNT":
+            raise RelationalError(f"{name}(*) is not a valid aggregate")
+        return len(values)
+    if not call.arguments:
+        raise RelationalError(f"aggregate {name} needs an argument")
+    values = [v for v in values if v is not None]
+    if call.distinct:
+        values = list(dict.fromkeys(values))
+    if name == "COUNT":
+        return len(values)
+    if not values:
+        return None
+    if name == "SUM":
+        return sum(values)
+    if name == "AVG":
+        return sum(values) / len(values)
+    if name == "MIN":
+        return min(values)
+    if name == "MAX":
+        return max(values)
+    raise RelationalError(f"unsupported aggregate {name}")
+
+
+def _round(arguments: list) -> object:
+    digits = int(arguments[1]) if len(arguments) > 1 else 0
+    return None if arguments[0] is None else round(arguments[0], digits)
+
+
+#: Scalar functions, each over its argument values.
+_SCALAR_FUNCTIONS: dict[str, Callable[[list], object]] = {
+    "UPPER": lambda a: None if a[0] is None else str(a[0]).upper(),
+    "LOWER": lambda a: None if a[0] is None else str(a[0]).lower(),
+    "LENGTH": lambda a: None if a[0] is None else len(str(a[0])),
+    "ABS": lambda a: None if a[0] is None else abs(a[0]),
+    "ROUND": _round,
+    "COALESCE": lambda a: next((value for value in a if value is not None), None),
+}
+
+#: Operators whose value is NULL when either operand is; ``/ 0`` is NULL too.
+_NULL_PROPAGATING: dict[str, Callable[[object, object], object]] = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": lambda a, b: None if b == 0 else a / b,
+}
 
 
 class _Reversible:
@@ -275,24 +465,23 @@ class _Reversible:
         return isinstance(other, _Reversible) and self.value == other.value
 
 
-def _is_true(value: object) -> bool:
-    return bool(value) and value is not None
+def _like(value: object, pattern: object, escape: str | None = None) -> object:
+    """SQL LIKE with ``%`` and ``_`` wildcards, case-insensitive; after the
+    ``escape`` character, a character stands for itself."""
+    if value is None or pattern is None:
+        return None
+    return _like_regex(str(pattern), escape).fullmatch(str(value)) is not None
 
 
-def _equi_join_columns(condition: Expression) -> tuple[ColumnRef, ColumnRef] | None:
-    """Detect ``a.x = b.y`` conditions eligible for a hash join."""
-    if (isinstance(condition, BinaryOp) and condition.operator == "="
-            and isinstance(condition.left, ColumnRef) and isinstance(condition.right, ColumnRef)):
-        return condition.left, condition.right
-    return None
-
-
-def _scope_key(ref: ColumnRef, available: Iterable[str]) -> str | None:
-    """Resolve a column reference to a scope key among ``available``."""
-    available = set(available)
-    if ref.table:
-        key = ref.qualified.lower()
-        return key if key in available else None
-    suffix = "." + ref.name.lower()
-    matches = [k for k in available if k.endswith(suffix)]
-    return matches[0] if len(matches) == 1 else None
+@functools.lru_cache(maxsize=256)
+def _like_regex(pattern: str, escape: str | None) -> re.Pattern:
+    parts, characters = [], iter(pattern)
+    for character in characters:
+        if character == escape:
+            character = next(characters, None)
+            if character is None:
+                raise RelationalError(f"LIKE pattern {pattern!r} ends with its escape")
+            parts.append(re.escape(character))
+        else:
+            parts.append({"%": ".*", "_": "."}.get(character) or re.escape(character))
+    return re.compile("".join(parts), flags=re.IGNORECASE)

@@ -454,16 +454,11 @@ class _SQLParser:
         return self._parse_primary()
 
     def _parse_primary(self) -> Expression:
+        token = self._peek()
+        if token and (token.kind in ("string", "number") or token.kind == "keyword"
+                      and token.upper in ("NULL", "TRUE", "FALSE")):
+            return LiteralValue(self._parse_literal_value())
         token = self._next()
-        if token.kind == "string":
-            return LiteralValue(token.text[1:-1].replace("''", "'"))
-        if token.kind == "number":
-            value = float(token.text) if "." in token.text else int(token.text)
-            return LiteralValue(value)
-        if token.kind == "keyword" and token.upper == "NULL":
-            return LiteralValue(None)
-        if token.kind == "keyword" and token.upper in ("TRUE", "FALSE"):
-            return LiteralValue(token.upper == "TRUE")
         if token.kind == "parameter":
             return Parameter(token.text[1:-1])
         if token.text == "(":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from collections import defaultdict
 from typing import Callable, Iterable, Iterator
 
@@ -210,6 +211,9 @@ class TableSnapshot(Table):
     @property
     def rows(self) -> list[tuple]:
         return self._live_rows[:self._count]
+
+    def __iter__(self) -> Iterator[tuple]:
+        return itertools.islice(self._live_rows, self._count)
 
     def __len__(self) -> int:
         return self._count

@@ -191,3 +191,72 @@ class TestParameterBindings:
         template = sql_template("SELECT name FROM departments WHERE code = {wanted_code}")
         result = small_database.execute_select(template.bind({"wanted_code": "75"}))
         assert result.column("name") == ["Paris"]
+
+
+class TestCompiledColumns:
+    """Columns resolve against the catalog when a statement compiles, so
+    answers and errors do not depend on which rows happen to exist."""
+
+    @pytest.fixture
+    def database(self):
+        db = Database("d")
+        db.execute("CREATE TABLE d (name TEXT, pop INTEGER)")
+        # Insertion order is neither the name order nor the pop order.
+        db.execute("INSERT INTO d (name, pop) VALUES ('b', 2), ('c', 3), ('a', 1), ('e', 2)")
+        db.execute("CREATE TABLE g (k INTEGER, v TEXT)")
+        db.execute("INSERT INTO g (k, v) VALUES (1, 'x'), (2, 'y')")
+        db.execute("CREATE TABLE e (k INTEGER, v TEXT)")
+        return db
+
+    def names(self, database, sql):
+        return [row[0] for row in database.execute(sql).rows]
+
+    def test_order_by_a_column_not_selected(self, database):
+        assert self.names(database, "SELECT name FROM d ORDER BY pop") == ["a", "b", "e", "c"]
+        assert self.names(database, "SELECT t.name FROM d t ORDER BY t.pop DESC, name") == \
+            ["c", "b", "e", "a"]
+        # An output name is read before an input column of the same name.
+        assert self.names(database, "SELECT name AS pop FROM d ORDER BY pop") == \
+            ["a", "b", "c", "e"]
+
+    def test_order_by_under_distinct_or_aggregation_reads_outputs(self, database):
+        assert self.names(database, "SELECT DISTINCT name FROM d ORDER BY d.name DESC") == \
+            ["e", "c", "b", "a"]
+        assert self.names(database, "SELECT pop FROM d GROUP BY pop "
+                                    "ORDER BY COUNT(*) DESC, pop") == [2, 1, 3]
+        for sql in ("SELECT DISTINCT name FROM d ORDER BY pop",
+                    "SELECT pop, COUNT(*) AS n FROM d GROUP BY pop ORDER BY name",
+                    "SELECT COUNT(*) AS n FROM d ORDER BY pop"):
+            with pytest.raises(RelationalError):
+                database.execute(sql)
+
+    @pytest.mark.parametrize("on", ["g.k = e.k", "g.k < e.k"], ids=["equi", "nested-loop"])
+    def test_left_join_against_an_empty_table_pads_with_nulls(self, database, on):
+        assert database.query(f"SELECT g.k, e.v FROM g LEFT JOIN e ON {on}") == [
+            {"k": 1, "v": None}, {"k": 2, "v": None}]
+        assert database.execute(f"SELECT * FROM g LEFT JOIN e ON {on}").rows == [
+            (1, "x", None, None), (2, "y", None, None)]
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT zz FROM e WHERE nosuch = 1",
+        "SELECT e.k FROM e WHERE nosuch = 1",
+        "SELECT nosuch FROM e",
+        "SELECT k FROM g JOIN e ON g.k = e.k",
+        "SELECT g.k FROM g JOIN e ON g.k = e.nosuch",
+        "SELECT e.k FROM e GROUP BY nosuch",
+        "SELECT e.k FROM e ORDER BY nosuch",
+    ])
+    def test_unknown_or_ambiguous_column_raises_on_an_empty_table(self, database, sql):
+        with pytest.raises(RelationalError):
+            database.execute(sql)
+
+    def test_aggregate_over_no_rows_reads_nulls(self, database):
+        assert database.execute("SELECT k, COUNT(*) AS n FROM e").rows == [(None, 0)]
+
+    def test_a_snapshot_scans_up_to_its_watermark(self, database):
+        snapshot = database.snapshot()
+        database.execute("INSERT INTO g (k, v) VALUES (3, 'z')")
+        database.execute("INSERT INTO e (k, v) VALUES (1, 'p')")
+        assert snapshot.execute("SELECT g.k, e.v FROM g LEFT JOIN e ON g.k = e.k").rows == \
+            [(1, None), (2, None)]
+        assert len(database.execute("SELECT k FROM g")) == 3

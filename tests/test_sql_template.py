@@ -8,6 +8,7 @@ every shape the batch rewrite and the repair gate must refuse; the
 invariant at the bottom ties analysis to execution.
 """
 
+import functools
 import math
 
 import pytest
@@ -239,12 +240,13 @@ def test_in_list_binding_replaces_the_equality(database):
 # IN lists: constant members are evaluated once per statement, not per row
 # ---------------------------------------------------------------------------
 
-class _CountingLiteral(LiteralValue):
-    evaluations = 0
+class _CountingInList(InList):
+    builds = 0
 
-    def evaluate(self, scope):
-        type(self).evaluations += 1
-        return self.value
+    @functools.cached_property
+    def _members(self):
+        type(self).builds += 1
+        return InList._members.func(self)
 
 
 @pytest.mark.parametrize("negated, members, expected", [
@@ -254,13 +256,13 @@ class _CountingLiteral(LiteralValue):
     (False, ["x"], []),
 ])
 def test_in_list_members_are_evaluated_once(database, negated, members, expected):
-    _CountingLiteral.evaluations = 0
+    _CountingInList.builds = 0
     statement = SelectStatement(
         items=[SelectItem(ColumnRef("id"))], table=TableRef("t"),
-        where=InList(ColumnRef("id"), tuple(_CountingLiteral(m) for m in members),
-                     negated=negated))
+        where=_CountingInList(ColumnRef("id"), tuple(LiteralValue(m) for m in members),
+                              negated=negated))
     assert database.execute_select(statement).column("id") == expected
-    assert _CountingLiteral.evaluations == len(members)  # 6 rows scanned
+    assert _CountingInList.builds == 1  # 6 rows scanned
 
 
 def test_in_list_null_member_and_row_dependent_members(database):
