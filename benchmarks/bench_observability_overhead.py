@@ -5,8 +5,8 @@ negligible.  This bench reuses the mixed latency-bound workload from
 :mod:`bench_service_concurrency` and drives it through the
 :class:`~repro.service.MediatorService` twice per repetition — once
 with tracing enabled (the default) and once with
-``ServiceConfig(tracing=False)`` plus ``PlannerOptions(tracing=False)``
-— interleaved so machine noise hits both arms equally.  The best
+``ServiceConfig(tracing=False)``, the one switch for served queries —
+interleaved so machine noise hits both arms equally.  The best
 repetition of each arm is compared: tracing-on throughput must stay
 within 5% of tracing-off.
 
@@ -23,7 +23,6 @@ import time
 from pathlib import Path
 
 from bench_service_concurrency import build_instance, workload
-from repro.core import PlannerOptions
 from repro.obs.metrics import reset_registry
 from repro.service import MediatorService, ServiceConfig
 
@@ -47,10 +46,9 @@ def measure(tracing: bool, total_queries: int, workers: int = 8) -> dict:
     config = ServiceConfig(workers=workers, tracing=tracing,
                            max_queue_depth=total_queries + 8,
                            max_in_flight=total_queries + 16)
-    options = None if tracing else PlannerOptions(tracing=False)
     with MediatorService(instance, config) as service:
         start = time.perf_counter()
-        tickets = [service.submit(queries[i % len(queries)], options=options)
+        tickets = [service.submit(queries[i % len(queries)])
                    for i in range(total_queries)]
         for ticket in tickets:
             ticket.result(timeout=300)

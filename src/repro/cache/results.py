@@ -171,12 +171,12 @@ class CachedSource(DataSource):
 
     Everything the executor needs (`uri`, `model`, `accepts`,
     ``estimate``, ...) delegates to the wrapped source; only
-    ``answer`` / ``answer_batch`` interpose the cache.  The source
-    version is snapshotted once per call, not per binding.
+    ``answer_batch`` interposes the cache.  The source version is
+    snapshotted once per call, not per binding.
 
-    ``answer``, ``answer_batch``, :meth:`peek` and :meth:`peek_stale`
-    serve the mediator lists of :class:`~repro.engine.batch.BindingBatch`;
-    a hit *shares* the entry's row lists (immutable tuples, lists never
+    ``answer_batch``, :meth:`peek` and :meth:`peek_stale` serve the
+    mediator lists of :class:`~repro.engine.batch.BindingBatch`; a hit
+    *shares* the entry's row lists (immutable tuples, lists never
     mutated: no copy).  ``execute`` / ``execute_batch``, the public
     :class:`DataSource` protocol, give the same answers as fresh dicts.
 
@@ -266,54 +266,31 @@ class CachedSource(DataSource):
                 self.local_stats.misses += len(missed)
         return stored
 
-    def _inner_batch(self, query: SourceQuery,
-                     batch: list[Row]) -> list[list[BindingBatch]]:
-        """The wrapped source's answer to ``batch``: one entry per binding."""
-        fetched = self.inner.answer_batch(query, batch)
-        if len(fetched) != len(batch):
-            raise MixedQueryError(
-                f"source {self.inner.uri!r} answered {len(fetched)} bindings "
-                f"of a {len(batch)}-binding batch")
-        return fetched
-
     # -- cached protocol ----------------------------------------------------
     def execute(self, query: SourceQuery, bindings: Row | None = None) -> list[Row]:
-        return dict_rows(self.answer(query, bindings))
+        return self.execute_batch(query, [bindings or {}])[0]
 
     def execute_batch(self, query: SourceQuery,
                       bindings_batch: Sequence[Row]) -> list[list[Row]]:
         return list(map(dict_rows, self.answer_batch(query, bindings_batch)))
 
-    def answer(self, query: SourceQuery, bindings: Row | None = None) -> list[BindingBatch]:
-        return self._answer(
-            query, [bindings or {}],
-            lambda misses: [self.inner.answer(query, misses[0])])[0]
-
     def answer_batch(self, query: SourceQuery, bindings_batch: Sequence[Row],
                      probed: tuple | None = None) -> list[list[BindingBatch]]:
-        return self._answer(query, [dict(b or {}) for b in bindings_batch],
-                            lambda misses: self._inner_batch(query, misses), probed)
+        """Answer the batch from the cache, shipping only its misses.
 
-    def _answer(self, query: SourceQuery, batch: list[Row],
-                fetch: Callable[[list[Row]], list[list[BindingBatch]]],
-                probed: tuple | None = None) -> list[list[BindingBatch]]:
-        """Answer ``batch`` from the cache, ``fetch``-ing only its misses.
-
-        ``fetch`` is ONE call of the wrapped source for a list of
-        bindings; every miss, keyed or not, goes into one such call and
-        the keyed answers are cached.  What :meth:`peek` ``probed`` is
-        not probed again.
+        Every miss, keyed or not, goes into ONE ``answer_batch`` call of
+        the wrapped source and the keyed answers are cached.  What
+        :meth:`peek` ``probed`` is not probed again.
         """
+        batch = [dict(b or {}) for b in bindings_batch]
         version = self.inner.version()
-        if version is None:
-            return fetch(batch)
+        canon = None if version is None else canonical_query(query)
+        if canon is None:
+            return self._fetch(query, batch)
         if probed is not None and probed[0] == version and len(probed[2]) == len(batch):
             _, canon, keys = probed
             results: list = [None] * len(batch)
         else:
-            canon = canonical_query(query)
-            if canon is None:
-                return fetch(batch)
             keys = self.cache.keys(self.inner, version, canon, map(canon.key_of, batch))
             results = [None if entry is None else canon.original_batches(entry)
                        for entry in self._probe(version, query, canon, keys,
@@ -321,11 +298,20 @@ class CachedSource(DataSource):
         misses = [i for i, batches in enumerate(results) if batches is None]
         if not misses:
             return results
-        for i, batches in zip(misses, fetch([batch[i] for i in misses])):
+        for i, batches in zip(misses, self._fetch(query, [batch[i] for i in misses])):
             results[i] = batches
             if keys[i] is not None:
                 self.cache.insert(keys[i], canon, batches)
         return results
+
+    def _fetch(self, query: SourceQuery, batch: list[Row]) -> list[list[BindingBatch]]:
+        """The wrapped source's answer to ``batch``: one entry per binding."""
+        fetched = self.inner.answer_batch(query, batch)
+        if len(fetched) != len(batch):
+            raise MixedQueryError(
+                f"source {self.inner.uri!r} answered {len(fetched)} bindings "
+                f"of a {len(batch)}-binding batch")
+        return fetched
 
     def peek(self, atom, canon: CanonicalQuery,
              bindings: Sequence[tuple[tuple[str, ...], tuple]],

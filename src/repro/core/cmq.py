@@ -184,17 +184,12 @@ class SourceAtom:
             out.append(batch if columns == batch.columns else BindingBatch(columns, rows))
         return out
 
-    def execute_on(self, source: DataSource,
-                   bindings: Row | None = None) -> list[BindingBatch]:
-        """Run the atom's sub-query on ``source`` under ``bindings``."""
-        return self.translate(source.answer(self.query,
-                                            self.formal_bindings(bindings or {})))
-
     def execute_batch_on(self, source: DataSource, bindings_batch: Sequence[Row],
                          probed: tuple | None = None) -> list[list[BindingBatch]]:
         """Run the atom's sub-query on ``source`` for a whole binding batch.
 
-        One mediator-level call: the wrapper batches natively when it can
+        One mediator-level call — a materialize step's is the batch of
+        one empty binding: the wrapper batches natively when it can
         (IN-lists, disjunctive queries, shared candidate sets).  Returns
         the translated batches of each input binding, in order.
         """

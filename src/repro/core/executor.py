@@ -8,8 +8,8 @@ source of a free source variable), shipped as one call per target
 source — all calls of a stage in one flat batch — and each call is
 recorded on the trace.
 
-* a ``materialize`` step dispatches the single empty binding, and its
-  rows are hash-joined with the current intermediate result; the
+* a ``materialize`` step dispatches the batch of one empty binding, and
+  its rows are hash-joined with the current intermediate result; the
   materialize steps of one stage are dispatched together;
 * a ``bind`` step is a bind join: distinct bindings of the current
   intermediate result are collected into planner-sized batches and
@@ -76,7 +76,7 @@ from repro.errors import (
     UnknownSourceError,
 )
 from repro.obs.metrics import get_registry
-from repro.obs.spans import SpanTracer, attach, current_span, detach, span as _span
+from repro.obs.spans import span as _span
 
 logger = logging.getLogger("repro.core.executor")
 
@@ -149,33 +149,21 @@ class MixedQueryExecutor:
         A pre-built ``plan`` may be supplied; it runs under the options
         it was planned with.
 
-        With ``PlannerOptions(tracing=True)`` (the default) the whole
-        evaluation is wrapped in an ``execute`` span — nested under the
-        service's per-query root when one is active, otherwise the root
-        of a fresh :class:`~repro.obs.spans.SpanTracer` — and the tracer
-        lands on ``result.trace.spans``.
+        Spans follow the caller: inside an open trace (the service's
+        per-query root, :func:`repro.obs.spans.trace`) the evaluation
+        nests as an ``execute`` span and the caller's tracer lands on
+        ``result.trace.spans``; outside one nothing is traced, like
+        every other :mod:`repro.obs.spans` helper.
         """
         # The options of this execution, resolved once: a pre-built plan
         # runs under the options it was planned with, start to finish.
         options = (plan.options if plan is not None and plan.options is not None
                    else self.options)
-        if not options.tracing:
+        with _span("execute", query=query.name) as sp:
             result = self._execute(query, plan, distinct, limit, options)
-            self._record_metrics(result.trace)
-            return result
-        parent = current_span()
-        if parent is not None:
-            root = parent.tracer.start("execute", parent=parent, query=query.name)
-        else:
-            root = SpanTracer(f"execute:{query.name}").start(
-                "execute", query=query.name)
-        token = attach(root)
-        try:
-            result = self._execute(query, plan, distinct, limit, options)
-        finally:
-            detach(token)
-        root.end(rows=len(result.rows), calls=len(result.trace.calls))
-        result.trace.spans = root.tracer
+            if sp is not None:
+                sp.set(rows=len(result.rows), calls=len(result.trace.calls))
+                result.trace.spans = sp.tracer
         self._record_metrics(result.trace)
         return result
 
@@ -198,9 +186,9 @@ class MixedQueryExecutor:
                 self.cancel_check()
             steps = [plan.steps[i] for i in stage]
             if len(steps) == 1 and steps[0].mode == "bind" and current is not None:
-                current = self._bind_step(current, steps[0], trace, options, joins)
+                current = self._bind_step(current, steps[0], trace, joins)
             else:
-                current = self._materialize_stage(current, steps, trace, options)
+                current = self._materialize_stage(current, steps, trace)
 
         if current is None:
             raise MixedQueryError(f"query {query.name!r} produced an empty plan")
@@ -342,14 +330,14 @@ class MixedQueryExecutor:
         return remaining
 
     def _materialize_stage(self, current: Operator | None, steps: list[PlanStep],
-                           trace: ExecutionTrace, options: PlannerOptions) -> Operator:
+                           trace: ExecutionTrace) -> Operator:
         if isinstance(current, BatchBindJoin):
             # A hash join builds on its known-smaller side: run the bind
             # join through first, so its result has a size.
             current = MaterializedScan(list(current.batches()), name="intermediate")
         with _span("stage:materialize",
                    atoms=[step.atom.name for step in steps]) as sp:
-            fetched = self._dispatch([(step, [{}]) for step in steps], trace, options)
+            fetched = self._dispatch([(step, [{}]) for step in steps], trace)
             if sp is not None:
                 sp.set(rows=sum(row_count(batches) for (batches,) in fetched))
         operator = current
@@ -360,7 +348,6 @@ class MixedQueryExecutor:
         return operator
 
     def _bind_step(self, current: Operator, step: PlanStep, trace: ExecutionTrace,
-                   options: PlannerOptions,
                    joins: dict[int, BatchBindJoin]) -> Operator:
         atom = step.atom
         probed: list = [None]  # the last probe's misses, which ship next
@@ -368,7 +355,7 @@ class MixedQueryExecutor:
         def fetch_batch(bindings: list[Row]) -> list[list[BindingBatch]]:
             found, probed[0] = probed[0], None
             with _span(f"bind:{atom.name}", bindings=len(bindings)) as sp:
-                (per_binding,) = self._dispatch([(step, bindings)], trace, options, found)
+                (per_binding,) = self._dispatch([(step, bindings)], trace, found)
                 if sp is not None:
                     sp.set(rows=sum(map(row_count, per_binding)))
                 return per_binding
@@ -403,19 +390,19 @@ class MixedQueryExecutor:
     # Dispatch: the one route from a plan step to its source(s)
     # ------------------------------------------------------------------
     def _dispatch(self, work: list[tuple[PlanStep, list[Row]]],
-                  trace: ExecutionTrace, options: PlannerOptions,
+                  trace: ExecutionTrace,
                   probed: tuple | None = None) -> list[list[list[BindingBatch]]]:
         """Ship each step's bindings; one call per (step, target source).
 
         Static atoms hit their single source; dynamic atoms group their
         bindings by the source URI each one resolves to; a free source
         variable fans every binding out to every accepting source
-        (results concatenated per binding).  A materialize step passes
-        the single empty binding and reaches ``source.execute``; a bind
-        step's batch reaches ``source.execute_batch``.  The calls are
-        independent, so all of them go to :func:`run_calls` as one flat
-        batch, a call waiting when its source is remote.  Returns, per
-        ``work`` entry, the batches of each binding.
+        (results concatenated per binding).  Every call is one
+        :meth:`SourceAtom.execute_batch_on` — a materialize step's batch
+        is its one empty binding.  The calls are independent, so all of
+        them go to :func:`run_calls` as one flat batch, a call waiting
+        when its source is remote.  Returns, per ``work`` entry, the
+        batches of each binding.
         """
         if self.cancel_check is not None:
             # Bind stages dispatch lazily, while later stages pull rows.
@@ -440,14 +427,10 @@ class MixedQueryExecutor:
                 started = time.perf_counter()
                 degraded = None
                 try:
-                    if step.mode == "bind":
-                        per_binding = atom.execute_batch_on(source, batch, probed)
-                    else:
-                        per_binding = [atom.execute_on(source, bindings)
-                                       for bindings in batch]
+                    per_binding = atom.execute_batch_on(source, batch, probed)
                 except Exception as exc:
                     per_binding, degraded = self._handle_dispatch_error(
-                        exc, atom, source, batch, options)
+                        exc, atom, source, batch)
                     if sp is not None:
                         sp.set(degraded=degraded)
                 if sp is not None:
@@ -488,22 +471,18 @@ class MixedQueryExecutor:
 
     def _handle_dispatch_error(self, exc: Exception, atom: SourceAtom,
                                source: DataSource, batch: list[Row],
-                               options: PlannerOptions,
                                ) -> tuple[list[list[BindingBatch]], str]:
         """Degrade or re-raise one failed dispatch.
 
         A typed :class:`~repro.errors.RemoteError` (the source is down
-        past its retry budget) degrades gracefully when the options allow
-        it: each binding is answered from the latest *stale* cached rows
-        if any exist, else with no rows — and the call is flagged so the
-        trace / EXPLAIN ANALYZE report the query as degraded rather than
-        silently incomplete.  Any other repro error propagates unchanged;
+        past its retry budget) degrades: each binding is answered from
+        the latest *stale* cached rows if any exist, else with no rows —
+        and the call is flagged so the trace / EXPLAIN ANALYZE report
+        the query as degraded rather than silently incomplete.  Any other repro error propagates unchanged;
         an unexpected (non-repro) exception is wrapped so the failed
         ticket carries the source URI and atom that caused it.
         """
         if isinstance(exc, RemoteError):
-            if not options.graceful_degradation:
-                raise exc
             per_binding: list[list[BindingBatch]] = []
             stale_hits = 0
             peek_stale = getattr(source, "peek_stale", None)

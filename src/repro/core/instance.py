@@ -33,6 +33,7 @@ from repro.core.sources import (
 from repro.errors import UnknownSourceError
 from repro.fulltext.store import FullTextStore
 from repro.json.store import JSONDocumentStore
+from repro.obs.spans import trace
 from repro.rdf.graph import Graph
 from repro.rdf.schema import RDFSchema
 from repro.relational.database import Database
@@ -210,12 +211,14 @@ class MixedInstance:
         The report (:class:`repro.obs.explain.ExplainReport`) merges the
         planner's per-step costs and cardinality estimates with the
         observed calls, rows and span timings; ``print(report)`` renders
-        the plan-vs-reality table.
+        the plan-vs-reality table.  The execution runs under a trace of
+        its own, which fills the report's phase timings.
         """
         from repro.obs.explain import explain_analyze
 
-        result = self.execute(query, options=options, distinct=distinct,
-                              limit=limit)
+        with trace("explain_analyze"):
+            result = self.execute(query, options=options, distinct=distinct,
+                                  limit=limit)
         report = explain_analyze(result)
         if not isinstance(query, str):
             report.query = query.name

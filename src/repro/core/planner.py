@@ -52,7 +52,11 @@ from repro.stats.catalog import StatisticsCatalog
 @dataclass(frozen=True)
 class PlannerOptions:
     """How a CMQ is planned and executed (immutable: derive variants with
-    ``dataclasses.replace``)."""
+    ``dataclasses.replace``).
+
+    Tracing is not an option: an execution is traced when it runs inside
+    an open trace (:func:`repro.obs.spans.trace`, a served query's root).
+    """
 
     #: Bindings per bind-join batch (one source call per batch of distinct
     #: bindings); 0 lets the planner pick a size per step from the atom's
@@ -71,16 +75,6 @@ class PlannerOptions:
     #: order, ``bind`` only where a required parameter or a dynamic
     #: source forces it, one step per stage, never retired on drift.
     cost_based: bool = True
-    #: Collect a structured span tree for every execution (planning,
-    #: stages, source calls); the tree lands on ``ExecutionTrace.spans``.
-    #: Disabling skips all span allocation — the observability off
-    #: switch benchmarked by ``bench_observability_overhead``.
-    tracing: bool = True
-    #: When a source fails with a typed RemoteError past its retry
-    #: budget, answer its bindings from stale cached rows (or with no
-    #: rows) and flag ``trace.degraded`` instead of failing the whole
-    #: CMQ.  False restores fail-fast semantics.
-    graceful_degradation: bool = True
 
 
 #: Atom count above which the DP enumerator gives way to the myopic loop.

@@ -163,8 +163,8 @@ class ExecutionTrace:
     #: True when a drifted step retired the plan: its cache entry was
     #: dropped and feedback recorded, so the next asking replans.
     plan_retired: bool = False
-    #: The :class:`repro.obs.spans.SpanTracer` of this execution (None
-    #: when tracing was disabled); ``spans.render()`` draws the tree.
+    #: The :class:`repro.obs.spans.SpanTracer` of the trace this execution
+    #: ran inside (None outside one); ``spans.render()`` draws the tree.
     spans: "object | None" = None
     #: True when at least one source call served degraded (stale or
     #: partial) rows because its source was down past its retry budget.

@@ -6,8 +6,10 @@ over its data" (paper §1).  Each wrapper here adapts one substrate
 (RDF graph, relational database, full-text store, JSON document store)
 to the mediator's protocol:
 
-* :meth:`DataSource.execute` takes a :class:`SourceQuery` plus the current
-  binding tuple and returns binding rows (variable name → Python value);
+* :meth:`DataSource.execute_batch` takes a :class:`SourceQuery` plus a
+  batch of binding tuples and returns, per binding, its binding rows
+  (variable name → Python value) — the one entry the mediator calls, a
+  materialize step's being the batch of one empty binding;
 * :meth:`DataSource.estimate` returns a cardinality estimate used by the
   planner's "most selective sub-queries first" rule.
 """
@@ -235,45 +237,24 @@ class JSONQuery(SourceQuery):
 #: never serve each other's cached rows.
 _CACHE_TOKENS = itertools.count()
 
-#: Thread-local dispatch depth guard: ``execute_batch`` implementations
-#: delegate to ``self.execute`` (single-binding batches, per-binding
-#: fallbacks), and only the *outermost* mediator-facing call may count.
-_DISPATCH_LOCAL = threading.local()
 
+def _instrumented(method):
+    """Record per-source metrics around a wrapper's ``execute_batch``: the
+    one entry the mediator calls, once per source call."""
 
-def _instrumented(batched: bool):
-    """Record per-source metrics around a wrapper's ``execute`` (or, when
-    ``batched``, ``execute_batch``)."""
+    @functools.wraps(method)
+    def call(self, query, bindings_batch):
+        started = time.perf_counter()
+        try:
+            result = method(self, query, bindings_batch)
+        except Exception:
+            self._record_error()
+            raise
+        self._record_call(sum(len(rows) for rows in result),
+                          time.perf_counter() - started, len(bindings_batch))
+        return result
 
-    def decorate(method):
-        @functools.wraps(method)
-        def call(self, query, bindings=None):
-            if getattr(_DISPATCH_LOCAL, "active", False):
-                return method(self, query, bindings)
-            _DISPATCH_LOCAL.active = True
-            started = time.perf_counter()
-            try:
-                result = method(self, query, bindings)
-            except Exception:
-                self._record_error()
-                raise
-            finally:
-                _DISPATCH_LOCAL.active = False
-            if batched:
-                self._record_call(sum(len(rows) for rows in result),
-                                  time.perf_counter() - started,
-                                  batched=True, bindings=len(bindings))
-            else:
-                self._record_call(len(result), time.perf_counter() - started)
-            return result
-
-        return call
-
-    return decorate
-
-
-_instrumented_execute = _instrumented(batched=False)
-_instrumented_execute_batch = _instrumented(batched=True)
+    return call
 
 
 class DataSource:
@@ -310,7 +291,10 @@ class DataSource:
 
     # -- protocol -----------------------------------------------------------
     def execute(self, query: SourceQuery, bindings: Row | None = None) -> list[Row]:
-        """Evaluate ``query`` with the given bindings and return rows."""
+        """Evaluate ``query`` with the given bindings and return rows.
+
+        The wrappers define it as their batch of one binding; the
+        mediator never calls it (:meth:`execute_batch` is its entry)."""
         raise NotImplementedError
 
     def execute_batch(self, query: SourceQuery,
@@ -321,13 +305,10 @@ class DataSource:
         must equal ``self.execute(query, bindings_batch[i])``.  Wrappers
         override this with native IN-list / disjunctive pushdown where
         the source language allows it; this base implementation is the
-        per-binding fallback for sources that cannot batch.
+        per-binding fallback for a source that only defines
+        :meth:`execute`.
         """
         return [self.execute(query, bindings) for bindings in bindings_batch]
-
-    def answer(self, query: SourceQuery, bindings: Row | None = None) -> list[BindingBatch]:
-        """:meth:`execute`, as the batches the mediator works on."""
-        return as_batches(self.execute(query, bindings))
 
     def answer_batch(self, query: SourceQuery,
                      bindings_batch: Sequence[Row]) -> list[list[BindingBatch]]:
@@ -460,7 +441,6 @@ class DataSource:
         cached = (
             registry,
             registry.counter("source_calls_total", source=self.uri),
-            registry.counter("source_batched_calls_total", source=self.uri),
             registry.counter("source_rows_total", source=self.uri),
             registry.counter("source_bindings_total", source=self.uri),
             registry.histogram("source_call_seconds", source=self.uri),
@@ -469,19 +449,15 @@ class DataSource:
         self._instruments = cached
         return cached
 
-    def _record_call(self, rows: int, seconds: float, batched: bool = False,
-                     bindings: int = 0) -> None:
-        (_, calls, batched_calls, rows_total, bindings_total, latency,
-         _) = self._source_instruments()
+    def _record_call(self, rows: int, seconds: float, bindings: int) -> None:
+        _, calls, rows_total, bindings_total, latency, _ = self._source_instruments()
         calls.inc()
-        if batched:
-            batched_calls.inc()
-            bindings_total.inc(bindings)
+        bindings_total.inc(bindings)
         rows_total.inc(rows)
         latency.observe(seconds)
 
     def _record_error(self) -> None:
-        self._source_instruments()[6].inc()
+        self._source_instruments()[5].inc()
 
     def size(self) -> int:
         """Number of base items (triples, rows, documents) in the source."""
@@ -603,11 +579,10 @@ class RDFSource(DataSource):
 
         return self._memoized_pin(frozen.version, build)
 
-    @_instrumented_execute
     def execute(self, query: SourceQuery, bindings: Row | None = None) -> list[Row]:
         return self.execute_batch(query, [bindings or {}])[0]
 
-    @_instrumented_execute_batch
+    @_instrumented
     def execute_batch(self, query: SourceQuery,
                       bindings_batch: Sequence[Row]) -> list[list[Row]]:
         """Batched BGP evaluation: the whole flush seeds one join
@@ -691,21 +666,10 @@ class RelationalSource(DataSource):
         return self._memoized_pin(
             frozen.version, lambda: self._pinned_copy(database=frozen))
 
-    @_instrumented_execute
     def execute(self, query: SourceQuery, bindings: Row | None = None) -> list[Row]:
-        if not isinstance(query, SQLQuery):
-            raise MixedQueryError(
-                f"relational source {self.uri} cannot evaluate {type(query).__name__}"
-            )
-        bindings = bindings or {}
-        rows = self._run(query.template.bind(bindings))
-        # Post-filter on bindings over output columns the SQL did not consume.
-        filters = self._post_filters(query, bindings)
-        if filters:
-            rows = [r for r in rows if all(r.get(k) == v for k, v in filters)]
-        return rows
+        return self.execute_batch(query, [bindings or {}])[0]
 
-    @_instrumented_execute_batch
+    @_instrumented
     def execute_batch(self, query: SourceQuery,
                       bindings_batch: Sequence[Row]) -> list[list[Row]]:
         """Batched SQL evaluation with native IN-list pushdown.
@@ -722,8 +686,8 @@ class RelationalSource(DataSource):
         * Otherwise (an equality under ``OR`` / ``NOT`` or in a
           ``JOIN ... ON``, a range parameter) — one statement per
           distinct parameter tuple, values told apart by type as in the
-          cache keys; a statement without parameters has one tuple, so
-          it runs once.  Still a single mediator call.
+          cache keys; a statement without parameters, or a lone binding,
+          has one tuple, so it runs once.  Still a single mediator call.
 
         Either way each binding's rows are then cut out by the usual
         post-filters on output columns.
@@ -733,12 +697,10 @@ class RelationalSource(DataSource):
                 f"relational source {self.uri} cannot evaluate {type(query).__name__}"
             )
         batch = [dict(b or {}) for b in bindings_batch]
-        if len(batch) <= 1:
-            return [self.execute(query, b) for b in batch]
         template = query.template
         required = sorted(template.parameters)
         echoes = template.batch_echoes
-        if echoes and all(var in b and b[var] is not None and _scalar(b[var])
+        if len(batch) > 1 and echoes and all(var in b and b[var] is not None and _scalar(b[var])
                           for b in batch for var in required):
             rows = self._run(template.bind({}, in_lists={
                 var: dict.fromkeys(b[var] for b in batch) for var in required}))
@@ -753,7 +715,7 @@ class RelationalSource(DataSource):
         groups: dict[tuple, list[int]] = {}
         for index, b in enumerate(batch):
             # A binding that lacks a parameter keys apart (shorter tuple)
-            # and fails in ``bind`` like a lone call would.
+            # and fails in ``bind``.
             values = [b[var] for var in required if var in b]
             key = tuple((type(v).__name__, v if _scalar(v) else repr(v))
                         for v in values)
@@ -814,11 +776,10 @@ class FullTextSource(DataSource):
         return self._memoized_pin(
             frozen.version, lambda: self._pinned_copy(store=frozen))
 
-    @_instrumented_execute
     def execute(self, query: SourceQuery, bindings: Row | None = None) -> list[Row]:
-        return self.execute_batch(query, [bindings])[0]
+        return self.execute_batch(query, [bindings or {}])[0]
 
-    @_instrumented_execute_batch
+    @_instrumented
     def execute_batch(self, query: SourceQuery,
                       bindings_batch: Sequence[Row]) -> list[list[Row]]:
         """Batched full-text evaluation: one match set per group of bindings.
@@ -953,9 +914,8 @@ class JSONSource(DataSource):
             lambda: self._pinned_copy(store=frozen,
                                       matcher=TreePatternMatcher(frozen)))
 
-    @_instrumented_execute
     def execute(self, query: SourceQuery, bindings: Row | None = None) -> list[Row]:
-        return self.execute_batch(query, [bindings])[0]
+        return self.execute_batch(query, [bindings or {}])[0]
 
     @staticmethod
     def _split_bindings(query: JSONQuery, bindings: Row) -> tuple[Row, Row]:
@@ -978,7 +938,7 @@ class JSONSource(DataSource):
                     and variable not in parameters}
         return parameters, pushdown
 
-    @_instrumented_execute_batch
+    @_instrumented
     def execute_batch(self, query: SourceQuery,
                       bindings_batch: Sequence[Row]) -> list[list[Row]]:
         """Batched tree-pattern evaluation, in one read of the store.

@@ -398,19 +398,24 @@ class KeywordQueryEngine:
             table = next(iter(by_table))
         select_items = []
         conditions = []
+        constants: dict[str, object] = {}
         for node in nodes:
             select_items.append(f"{node.position} AS {variables[node]}")
             hit = hit_by_node.get(node)
             if hit is not None:
                 value = hit.matched_values[0] if hit.matched_values else hit.keyword
-                # The value's own ``%`` / ``_`` match only themselves.
+                # Bound as a value, never pasted into the SQL text; the
+                # value's own ``%`` / ``_`` match only themselves.
                 escaped = (str(value).replace("\\", "\\\\").replace("%", "\\%")
-                           .replace("_", "\\_").replace("'", "''"))
-                conditions.append(f"{node.position} LIKE '%{escaped}%' ESCAPE '\\'")
+                           .replace("_", "\\_"))
+                parameter = f"k{len(constants)}"
+                constants[parameter] = f"%{escaped}%"
+                conditions.append(f"{node.position} LIKE {{{parameter}}} ESCAPE '\\'")
         sql = f"SELECT {', '.join(select_items)} FROM {table}"
         if conditions:
             sql += " WHERE " + " AND ".join(conditions)
-        return SourceAtom(name=f"sql_{_safe(table)}", query=SQLQuery(sql=sql), source=source_uri)
+        return SourceAtom(name=f"sql_{_safe(table)}", query=SQLQuery(sql=sql),
+                          source=source_uri, constants=constants)
 
     # ------------------------------------------------------------------
     @staticmethod

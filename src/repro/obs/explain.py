@@ -4,7 +4,7 @@ The planner predicts (cardinality estimates, modelled costs, stage
 layout), the executor records what actually happened
 (:class:`~repro.core.results.SubQueryCall` per dispatch,
 :class:`~repro.core.results.StepObservation` per step, a span tree when
-tracing is on).  :func:`explain_analyze` folds the three into one
+it ran inside a trace).  :func:`explain_analyze` folds the three into one
 per-step plan-vs-reality report — the mediator's equivalent of a
 database's ``EXPLAIN ANALYZE``.
 
@@ -57,7 +57,8 @@ class ExplainReport:
     plan_cached: bool = False
     rows: int = 0
     total_seconds: float = 0.0
-    #: Phase timings from the span tree (None when tracing was off).
+    #: Phase timings from the span tree (None when the execution ran
+    #: outside a trace).
     queue_seconds: Optional[float] = None
     plan_seconds: Optional[float] = None
     execute_seconds: Optional[float] = None
@@ -77,7 +78,7 @@ class ExplainReport:
     remote_calls: int = 0
     remote_seconds: float = 0.0
     remote_server_seconds: float = 0.0
-    #: The backing :class:`~repro.obs.spans.SpanTracer` (None when off).
+    #: The backing :class:`~repro.obs.spans.SpanTracer` (None untraced).
     span_tree: Optional[object] = None
 
     # ------------------------------------------------------------------
@@ -157,7 +158,8 @@ def explain_analyze(result) -> ExplainReport:
 
     ``result.trace`` must be present (every executor execution attaches
     one).  Span-derived phase timings are filled in when the execution
-    was traced (``PlannerOptions.tracing`` / ``ServiceConfig.tracing``).
+    ran inside a trace: :meth:`MixedInstance.explain_analyze` opens one,
+    a served query has one unless ``ServiceConfig(tracing=False)``.
     """
     trace = getattr(result, "trace", None)
     if trace is None:

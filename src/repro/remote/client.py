@@ -39,8 +39,7 @@ from repro.core.sources import (
     DataSource,
     Row,
     SourceQuery,
-    _instrumented_execute,
-    _instrumented_execute_batch,
+    _instrumented,
 )
 from repro.errors import (
     CircuitOpenError,
@@ -203,11 +202,10 @@ class RemoteSource(DataSource):
 
     # -- DataSource protocol ----------------------------------------------
 
-    @_instrumented_execute
     def execute(self, query: SourceQuery, bindings: Row | None = None) -> list[Row]:
         return self.execute_batch(query, [bindings or {}])[0]
 
-    @_instrumented_execute_batch
+    @_instrumented
     def execute_batch(self, query: SourceQuery,
                       bindings_batch: Sequence[Row]) -> list[list[Row]]:
         """One ``execute_batch`` frame; each binding's answer arrives as

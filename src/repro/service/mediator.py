@@ -71,8 +71,10 @@ class ServiceConfig:
     ``tracing``
         Collect a per-ticket span tree (``query:<name>`` root, queue
         wait, planning, execution stages, source calls) exposed as
-        :attr:`QueryTicket.span_tree`.  Turning it off skips all span
-        allocation for served queries.
+        :attr:`QueryTicket.span_tree`.  The one switch for served
+        queries: the executor only traces inside an open trace, so
+        turning it off skips all span allocation and leaves
+        ``result.trace.spans`` ``None``.
     """
 
     workers: int = 4

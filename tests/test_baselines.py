@@ -115,10 +115,9 @@ class TestWarehouseQueries:
 
 
 class TestReferenceOptions:
-    def test_planner_options_are_the_six_deployment_knobs(self):
+    def test_planner_options_are_the_four_deployment_knobs(self):
         assert [field.name for field in fields(PlannerOptions)] == [
-            "bind_batch_size", "result_cache", "plan_cache",
-            "cost_based", "tracing", "graceful_degradation"]
+            "bind_batch_size", "result_cache", "plan_cache", "cost_based"]
 
     def test_naive_options_disable_everything(self):
         assert naive_options() == PlannerOptions(cost_based=False)

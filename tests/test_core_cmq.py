@@ -79,14 +79,14 @@ class TestSourceAtom:
         # Header-only: the rows are the source batch's own list.
         assert batch.rows is source_batch.rows
 
-    def test_execute_on_applies_constants_filter(self, small_tweet_store):
+    def test_execute_batch_on_applies_constants_filter(self, small_tweet_store):
         from repro.core import FullTextSource
 
         source = FullTextSource("solr://tweets", small_tweet_store)
         q = FullTextQuery.create("*:*", {"t": "text", "id": "user.screen_name"})
         atom = SourceAtom(name="a", query=q, source="solr://tweets",
                           constants={"id": "mlepen"})
-        rows = dict_rows(atom.execute_on(source))
+        rows = dict_rows(atom.execute_batch_on(source, [{}])[0])
         assert len(rows) == 1 and "id" not in rows[0]
 
     def test_describe_mentions_target(self):

@@ -1,12 +1,29 @@
 """Unit tests for the mixed-query planner and executor over a small instance."""
 
 import math
+import threading
+from collections import Counter
 
 import pytest
 
 from repro.core import CMQBuilder, MixedInstance, PlannerOptions
-from repro.core.sources import RelationalSource
+from repro.core.sources import (
+    FullTextSource,
+    JSONSource,
+    RDFSource,
+    RelationalSource,
+    SQLQuery,
+)
+from repro.datasets import (
+    DemoConfig,
+    build_demo_instance,
+    fact_checking_query,
+    party_vocabulary_query,
+    qsia_json_query,
+    qsia_query,
+)
 from repro.errors import PlanningError, QueryCancelledError, UnknownSourceError
+from repro.obs.metrics import reset_registry
 from repro.relational import Database
 from repro.stats.cost import BIND_BINDING_SHARE, CostModel
 
@@ -253,8 +270,8 @@ class TestExecutor:
             ("materialize", 1), ("bind", 1)]
 
     def test_sources_are_reached_from_one_method_only(self):
-        """One dispatcher: a second route to ``atom.execute_on`` /
-        ``execute_batch_on`` or a second ``SubQueryCall`` site is a fork."""
+        """One dispatcher: a second route to ``atom.execute_batch_on`` or a
+        second ``SubQueryCall`` site is a fork."""
         import ast
         import inspect
 
@@ -267,7 +284,7 @@ class TestExecutor:
         for method in cls.body:
             for node in ast.walk(method):
                 if (isinstance(node, ast.Attribute)
-                        and node.attr in ("execute_on", "execute_batch_on")):
+                        and node.attr == "execute_batch_on"):
                     reaching.add(method.name)
                 if (isinstance(node, ast.Call)
                         and getattr(node.func, "id", None) == "SubQueryCall"):
@@ -393,3 +410,81 @@ class TestInstanceRegistry:
     def test_has_source(self, instance):
         assert instance.has_source("solr://tweets")
         assert not instance.has_source("solr://facebook")
+
+
+class TestOneCallShape:
+    """Every source call is one ``execute_batch``: a materialize step ships
+    the batch of one empty binding, a bind step its flush."""
+
+    WRAPPERS = (RDFSource, RelationalSource, FullTextSource, JSONSource)
+
+    @pytest.fixture(scope="class")
+    def demo(self):
+        return build_demo_instance(DemoConfig(politicians=12, weeks=2, seed=42))
+
+    @staticmethod
+    def one_cmq_per_class(demo) -> list:
+        """qsia, dynamic, qsia_json, party and factcheck: the stream's classes."""
+        dynamic = demo.instance.parse(
+            'qSIA(t, id) :- qG(id), tweetContains(t, id, "sia2016")[dSolr]')
+        return [qsia_query(demo), dynamic, qsia_json_query(demo),
+                party_vocabulary_query(demo, "emploi"), fact_checking_query(demo)]
+
+    def entries(self, monkeypatch) -> list[tuple[str, str]]:
+        """``(source uri, method)`` of every outermost wrapper entry."""
+        seen: list[tuple[str, str]] = []
+        local = threading.local()
+        for cls in self.WRAPPERS:
+            for name in ("execute", "execute_batch"):
+                def spy(source, *args, _original=cls.__dict__[name], _name=name, **kwargs):
+                    depth = getattr(local, "depth", 0)
+                    if depth == 0:
+                        seen.append((source.uri, _name))
+                    local.depth = depth + 1
+                    try:
+                        return _original(source, *args, **kwargs)
+                    finally:
+                        local.depth = depth
+                monkeypatch.setattr(cls, name, spy)
+        return seen
+
+    @pytest.mark.parametrize("result_cache", [False, True])
+    def test_the_mediator_enters_a_wrapper_once_per_call_through_execute_batch(
+            self, demo, monkeypatch, result_cache):
+        entries = self.entries(monkeypatch)
+        registry = reset_registry()
+        try:
+            demo.instance.clear_caches()
+            options = PlannerOptions(result_cache=result_cache)
+            calls: Counter = Counter()
+            for cmq in self.one_cmq_per_class(demo):
+                result = demo.instance.execute(cmq, options=options)
+                assert result.rows, cmq.name
+                modes = {call.batched for call in result.trace.calls}
+                assert modes == {False, True}, cmq.name  # both step kinds ran
+                calls.update(call.source_uri for call in result.trace.calls)
+            assert {name for _, name in entries} == {"execute_batch"}
+            entered = Counter(uri for uri, _ in entries)
+            if result_cache:
+                assert entered <= calls  # a call answered from the cache enters nothing
+            else:
+                assert entered == calls
+            counted = {uri: registry.value("source_calls_total", source=uri)
+                       for uri in demo.instance.source_uris() + ["#glue"]}
+            assert counted == {uri: (entered[uri] or None) for uri in counted}
+        finally:
+            reset_registry()
+
+    def test_a_direct_execute_counts_one_call(self):
+        database = Database("db")
+        database.create_table_from_rows("t", [{"k": 1}, {"k": 2}])
+        source = RelationalSource("sql://t", database)
+        registry = reset_registry()
+        try:
+            rows = source.execute(SQLQuery("SELECT k AS k FROM t WHERE k = {k}"), {"k": 2})
+            assert rows == [{"k": 2}]
+            assert registry.value("source_calls_total", source="sql://t") == 1
+            assert registry.value("source_bindings_total", source="sql://t") == 1
+            assert registry.value("source_rows_total", source="sql://t") == 1
+        finally:
+            reset_registry()

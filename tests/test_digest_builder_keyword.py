@@ -178,17 +178,24 @@ class TestKeywordEngine:
 
 
 @pytest.mark.parametrize("keyword,found", [("a_b", ["a_b", "xa_by"]),
-                                           ("50%", ["50%", "x50%y"])])
+                                           ("50%", ["50%", "x50%y"]),
+                                           ("o'b", ["o'b", "xo'by"])])
 def test_a_relational_hit_matches_only_rows_containing_its_text(keyword, found):
-    """The SQL atom's ``LIKE`` escapes the value's own ``%`` and ``_``:
-    unescaped, ``'%a_b%'`` also matched ``axb`` and ``'%50%%'`` ``500``."""
+    """The SQL atom binds ``%value%`` to its ``LIKE``, with the value's own
+    ``%`` and ``_`` escaped: unescaped, ``'%a_b%'`` also matched ``axb``
+    and ``'%50%%'`` ``500``; a ``'`` never reaches the SQL text."""
     database = Database("notes")
     database.create_table_from_rows("notes", [{"code": code} for code in (
-        "a_b", "axb", "xa_by", "a%b", "50%", "500", "x50%y", "5_0")])
+        "a_b", "axb", "xa_by", "a%b", "50%", "500", "x50%y", "5_0",
+        "o'b", "o'c", "b'o", "xo'by")])
     instance = MixedInstance(graph=Graph("g"), name="notes")
     instance.register_relational("sql://notes", database)
     outcome = KeywordQueryEngine(instance, catalog=build_catalog(instance)).search([keyword])
     assert sorted(value for row in outcome.result.rows for value in row.values()) == found
+    (atom,) = outcome.best.query.atoms
+    assert atom.query.sql.endswith("LIKE {k0} ESCAPE '\\'") and keyword not in atom.query.sql
+    escaped = keyword.replace("%", "\\%").replace("_", "\\_")
+    assert atom.constants == {"k0": f"%{escaped}%"}
 
 
 def test_a_name_with_a_space_runs_on_the_full_text_source_as_on_the_json_one():

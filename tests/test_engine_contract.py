@@ -105,9 +105,9 @@ class TestSpanRecorderSurface:
         assert callable(RepairEngine.__dict__["repair"])
 
     def test_a_wrapper_patched_on_its_class_sees_every_source_call(self, monkeypatch):
-        """The mediator reaches a wrapper through ``answer`` /
-        ``answer_batch``; both must go through the class's ``execute`` /
-        ``execute_batch`` attribute, or the recorder loses the call."""
+        """The mediator reaches a wrapper through ``answer_batch`` only; it
+        must go through the class's ``execute_batch`` attribute, once per
+        call, or the recorder loses the call."""
         database = Database("db")
         database.create_table_from_rows("t", [{"k": 1}])
         source = RelationalSource("sql://t", database)
@@ -121,6 +121,6 @@ class TestSpanRecorderSurface:
                 return _original(*args, **kwargs)
             monkeypatch.setattr(RelationalSource, attribute, traced)
         cached = CachedSource(source, SubQueryResultCache(8))
-        assert [batch.dicts() for batch in cached.answer(query, {})] == [[{"k": 1}]]
+        assert [batch.dicts() for batch in cached.answer_batch(query, [{}])[0]] == [[{"k": 1}]]
         assert len(cached.answer_batch(query, [{"k": 1}, {"k": 2}])) == 2
-        assert seen[0] == "execute" and "execute_batch" in seen
+        assert seen == ["execute_batch", "execute_batch"]

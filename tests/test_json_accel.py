@@ -181,7 +181,7 @@ class TestEquivalence:
         for i in range(6):
             store.add({"id": i, "a": {"b": i}, "c": f"t{i % 2}"})
         pattern = parse_pattern("{ a.b: ?x, c: ?y }")
-        (batch,) = JSONSource("json://cols", store).answer(JSONQuery(pattern))
+        (batch,) = JSONSource("json://cols", store).answer_batch(JSONQuery(pattern), [{}])[0]
         assert isinstance(batch, BindingBatch)
         assert batch.columns == ("x", "y")
         assert batch.dicts() == TreePatternMatcher(store).match(pattern)

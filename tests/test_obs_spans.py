@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from repro.datasets import DemoConfig, build_demo_instance, qsia_json_query
 from repro.engine.parallel import run_calls
 from repro.obs.spans import (
     SpanTracer,
@@ -18,6 +19,7 @@ from repro.obs.spans import (
     span_under,
     trace,
 )
+from repro.service import MediatorService, ServiceConfig
 
 pytestmark = pytest.mark.obs
 
@@ -137,6 +139,54 @@ class TestCrossThreadPropagation:
             outcomes = run_calls(
                 [(lambda: current_span().span_id, False)] * 3)
         assert outcomes == [root.span_id] * 3
+
+
+class TestSpansFollowTheCaller:
+    """The executor traces like every other span helper: inside an open
+    trace, and nowhere else."""
+
+    @pytest.fixture(scope="class")
+    def demo(self):
+        return build_demo_instance(DemoConfig(politicians=12, weeks=2, seed=42))
+
+    def test_a_query_outside_a_trace_builds_no_spans(self, demo):
+        assert current_span() is None
+        result = demo.instance.execute(qsia_json_query(demo))
+        assert result.rows and result.trace.spans is None
+
+    def test_a_service_without_tracing_builds_no_spans(self, demo):
+        with MediatorService(demo.instance, ServiceConfig(workers=1, tracing=False)) as service:
+            ticket = service.submit(qsia_json_query(demo))
+            result = ticket.result(timeout=30)
+        assert result.rows and result.trace.spans is None
+        assert ticket.span_tree is None
+
+    def test_a_query_inside_a_trace_nests_under_it(self, demo):
+        with trace("t") as root:
+            result = demo.instance.execute(qsia_json_query(demo))
+        tracer = result.trace.spans
+        assert tracer is root.tracer
+        (execute,) = tracer.find("execute")
+        assert execute.parent_id == root.span_id
+        parents = {s.span_id: s.parent_id for s in tracer.spans}
+
+        def under_execute(s) -> bool:
+            parent = s.parent_id
+            while parent is not None and parent != execute.span_id:
+                parent = parents[parent]
+            return parent == execute.span_id
+
+        names = {s.name.split(":")[0] for s in tracer.spans if under_execute(s)}
+        assert {"plan", "stage", "call"} <= names
+        calls = [s for s in tracer.find("call") if under_execute(s)]
+        assert len(calls) == len(result.trace.calls)
+
+    def test_explain_analyze_opens_its_own_trace(self, demo):
+        assert current_span() is None
+        report = demo.instance.explain_analyze(qsia_json_query(demo))
+        assert report.plan_seconds is not None and report.plan_seconds > 0.0
+        assert report.execute_seconds is not None and report.execute_seconds > 0.0
+        assert current_span() is None
 
 
 class TestMonotonicClocks:

@@ -583,33 +583,23 @@ def test_stale_cache_degradation_is_flagged_in_trace_and_explain():
     assert "DEGRADED result" in rendered and "stale_cache" in rendered
 
 
-def test_degradation_can_be_disabled():
-    base = build_instance("nodegrade")
-    remote, transports = remote_wrap(
-        base, fault=lambda uri, transport: FaultyTransport(transport))
-    cmq = queries(remote)[0]
-    remote.execute(cmq)  # warm
-    for transport in transports.values():
-        transport.outages = ((0, 10 ** 9),)
-    with pytest.raises(RemoteError):
-        remote.execute(cmq, options=PlannerOptions(graceful_degradation=False))
-
-
 def test_prebuilt_plan_executes_under_its_own_options():
-    """``execute(q, plan=...)`` runs under the options the plan was built
-    with, dispatch included: a fail-fast plan raises on a default
-    (degrading) executor instead of mixing the two option sets."""
+    """``execute(q, plan=...)`` runs the plan it is given, under the
+    options it was built with, through the one failure policy: a
+    reference plan (``cost_based=False``) degrades and flags its result
+    on a default executor, and is not retired."""
     base = build_instance("planopts")
     remote, transports = remote_wrap(
         base, fault=lambda uri, transport: FaultyTransport(transport))
     cmq = queries(remote)[0]
-    plan = remote.plan(cmq, PlannerOptions(graceful_degradation=False))
+    plan = remote.plan(cmq, PlannerOptions(cost_based=False))
     for transport in transports.values():
         transport.outages = ((0, 10 ** 9),)
     executor = remote.executor()
-    assert executor.options.graceful_degradation
-    with pytest.raises(RemoteError):
-        executor.execute(cmq, plan=plan)
+    assert executor.options.cost_based
+    prebuilt = executor.execute(cmq, plan=plan)
+    assert prebuilt.trace.plan is plan and prebuilt.trace.degraded
+    assert not prebuilt.trace.plan_retired
     assert executor.execute(cmq).trace.degraded
 
 

@@ -471,7 +471,7 @@ class TestTheCopiesAreGone:
         cache = SubQueryResultCache()
         proxy = CachedSource(source, cache, repair=RepairEngine(cache))
         query = SQLQuery("SELECT site AS site, n AS n FROM readings WHERE site = {site}")
-        (old,) = proxy.answer(query, {"site": "s"})
+        (old,) = proxy.answer_batch(query, [{"site": "s"}])[0]
         old_rows = list(old.rows)
         database.table("readings").insert_many(
             [{"site": "s", "n": m + index} for index in range(d)])
@@ -483,7 +483,7 @@ class TestTheCopiesAreGone:
                 converted["rows"] += len(batch)
                 yield batch
         monkeypatch.setattr(batch_module, "batches_from_rows", counting)
-        (new,) = proxy.answer(query, {"site": "s"})
+        (new,) = proxy.answer_batch(query, [{"site": "s"}])[0]
         assert proxy.repair.stats.as_dict()["rows_appended"] == d
         assert converted["rows"] == d  # only the delta was converted
         assert len(new.rows) == m + d and new.rows is not old.rows
