@@ -30,6 +30,7 @@ from repro.core.sources import (
     RelationalSource,
     SQLQuery,
 )
+from repro.engine.batch import BindingBatch, tuple_decoder
 from repro.errors import MixedQueryError
 from repro.fulltext.document import Document
 from repro.fulltext.query import BooleanQuery, MatchAllQuery, PhraseQuery, Query, TermQuery
@@ -148,9 +149,8 @@ class RDFWarehouse:
         head = tuple(Variable(v) for v in query.output_variables())
         bgp = BGPQuery(head=head, patterns=tuple(patterns), name=query.name)
         # Decoded through the graph's id -> value table, as the RDF wrapper does.
-        decode, names = self.graph.dictionary.__getitem__, [v.name for v in head]
-        rows = [dict(zip(names, map(decode, row)))
-                for row in solve(bgp.patterns, self.graph, (), [()], head)]
+        rows = BindingBatch([v.name for v in head], tuple_decoder(len(head))(
+            solve(bgp.patterns, self.graph, (), [()], head), self.graph.dictionary)).dicts()
         result = MixedResult(variables=list(query.output_variables()), rows=rows)
         return result.distinct() if distinct else result
 

@@ -72,7 +72,7 @@ from repro.core.sources import (
     SourceQuery,
     SQLQuery,
 )
-from repro.engine.batch import BindingBatch, SeenRows, freeze, row_count
+from repro.engine.batch import BindingBatch, SeenRows, freeze, row_count, tuple_decoder
 from repro.fulltext.store import FullTextStore
 from repro.json.store import JSONDocumentStore
 from repro.obs.metrics import get_registry
@@ -251,8 +251,8 @@ class RepairEngine:
         written, replaced = self._delta_source(source, records[0].pre_version,
                                                records[-1].post_version,
                                                lambda: build(source, records))
-        fetched = written.answer_batch(query, bindings)
-        gone = replaced.answer_batch(query, bindings) if replaced else [[]] * len(bindings)
+        fetched = written.execute_batch(query, bindings)
+        gone = replaced.execute_batch(query, bindings) if replaced else [[]] * len(bindings)
         out = []
         for base, old, new in zip(stored, gone, fetched):
             base = _subtracted(base, canon.canonical_batches(old))
@@ -275,8 +275,9 @@ class RepairEngine:
             return "delta_too_large"
         with graph.reading() as store:
             fetched = source.seeded_ids(store, query.bgp, bindings, delta)
-            decode = store.dictionary.__getitem__
+            dictionary = store.dictionary
         columns = tuple(canon.rename.get(v.name, v.name) for v in query.bgp.output_variables())
+        decode = tuple_decoder(len(columns))
         out: list[list[BindingBatch]] = []
         for base, rows in zip(stored, fetched):
             if not rows:
@@ -286,7 +287,7 @@ class RepairEngine:
             seen = SeenRows()
             for batch in base:
                 seen.fresh(batch)
-            new = seen.fresh(BindingBatch(columns, [tuple(map(decode, row)) for row in rows]))
+            new = seen.fresh(BindingBatch(columns, decode(rows, dictionary)))
             out.append(_extended(base, [BindingBatch(columns, new)]) if new else base)
         return out
 

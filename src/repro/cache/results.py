@@ -26,9 +26,10 @@ entry's own row lists under a renamed header, shared by every reader; a
 repair publishes a new entry.
 
 :class:`CachedSource` wraps a :class:`~repro.core.sources.DataSource`
-with the cache for the duration of a dispatch.  A probe is per call —
-one LRU pass, one repair call for its stale keys — and only its misses
-go to the wrapped source, so a batched bind join ships IN-lists /
+for a dispatch; its ``execute_batch`` answers in batches, as every
+source does.  A probe is per call — one LRU pass, one repair call for
+its stale keys — and only its misses go to the wrapped source's
+``execute_batch``, so a batched bind join ships IN-lists /
 disjunctions of uncached bindings; a flush the bind join probed
 (:meth:`CachedSource.peek`) is not keyed, probed or repaired again.
 Sources whose ``version()`` is unknown (``None``) are never cached.
@@ -42,7 +43,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from repro.cache.keys import CanonicalQuery, canonical_query
 from repro.cache.lru import CacheStats, LRUCache
 from repro.core.sources import DataSource, Row, SourceQuery
-from repro.engine.batch import BindingBatch, as_batches, dict_rows
+from repro.engine.batch import BindingBatch, as_batches
 from repro.errors import MixedQueryError
 
 class SubQueryResultCache:
@@ -171,14 +172,13 @@ class CachedSource(DataSource):
 
     Everything the executor needs (`uri`, `model`, `accepts`,
     ``estimate``, ...) delegates to the wrapped source; only
-    ``answer_batch`` interposes the cache.  The source version is
+    :meth:`execute_batch` interposes the cache.  The source version is
     snapshotted once per call, not per binding.
 
-    ``answer_batch``, :meth:`peek` and :meth:`peek_stale` serve the
-    mediator lists of :class:`~repro.engine.batch.BindingBatch`; a hit
-    *shares* the entry's row lists (immutable tuples, lists never
-    mutated: no copy).  ``execute`` / ``execute_batch``, the public
-    :class:`DataSource` protocol, give the same answers as fresh dicts.
+    :meth:`execute_batch`, :meth:`peek` and :meth:`peek_stale` serve
+    lists of :class:`~repro.engine.batch.BindingBatch`, as every source
+    does; a hit *shares* the entry's row lists (immutable tuples, lists
+    never mutated: no copy); ``execute`` answers fresh dicts.
 
     ``stats`` is an optional per-executor :class:`CacheStats` receiving
     this proxy's hit/miss counts, so an execution's trace reports its
@@ -267,18 +267,11 @@ class CachedSource(DataSource):
         return stored
 
     # -- cached protocol ----------------------------------------------------
-    def execute(self, query: SourceQuery, bindings: Row | None = None) -> list[Row]:
-        return self.execute_batch(query, [bindings or {}])[0]
-
-    def execute_batch(self, query: SourceQuery,
-                      bindings_batch: Sequence[Row]) -> list[list[Row]]:
-        return list(map(dict_rows, self.answer_batch(query, bindings_batch)))
-
-    def answer_batch(self, query: SourceQuery, bindings_batch: Sequence[Row],
-                     probed: tuple | None = None) -> list[list[BindingBatch]]:
+    def execute_batch(self, query: SourceQuery, bindings_batch: Sequence[Row],
+                      probed: tuple | None = None) -> list[list[BindingBatch]]:
         """Answer the batch from the cache, shipping only its misses.
 
-        Every miss, keyed or not, goes into ONE ``answer_batch`` call of
+        Every miss, keyed or not, goes into ONE ``execute_batch`` call of
         the wrapped source and the keyed answers are cached.  What
         :meth:`peek` ``probed`` is not probed again.
         """
@@ -306,7 +299,7 @@ class CachedSource(DataSource):
 
     def _fetch(self, query: SourceQuery, batch: list[Row]) -> list[list[BindingBatch]]:
         """The wrapped source's answer to ``batch``: one entry per binding."""
-        fetched = self.inner.answer_batch(query, batch)
+        fetched = self.inner.execute_batch(query, batch)
         if len(fetched) != len(batch):
             raise MixedQueryError(
                 f"source {self.inner.uri!r} answered {len(fetched)} bindings "
@@ -320,7 +313,7 @@ class CachedSource(DataSource):
         the CMQ names of ``atom``, keyed by its compiled keyers: ONE
         :meth:`_probe`.  Returns ``(answers, probed)``: an entry's own rows
         under the atom's translated header (or ``None``), and the misses'
-        keys for :meth:`answer_batch`."""
+        keys for :meth:`execute_batch`."""
         version = self.inner.version()
         if version is None:
             return [None] * len(bindings), None

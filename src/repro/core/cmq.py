@@ -194,8 +194,8 @@ class SourceAtom:
         the translated batches of each input binding, in order.
         """
         formal_batch = [self.formal_bindings(bindings or {}) for bindings in bindings_batch]
-        answers = (source.answer_batch(self.query, formal_batch) if probed is None
-                   else source.answer_batch(self.query, formal_batch, probed))
+        answers = (source.execute_batch(self.query, formal_batch) if probed is None
+                   else source.execute_batch(self.query, formal_batch, probed))
         return [self.translate(batches) for batches in answers]
 
     def is_glue(self) -> bool:

@@ -7,9 +7,10 @@ over its data" (paper §1).  Each wrapper here adapts one substrate
 to the mediator's protocol:
 
 * :meth:`DataSource.execute_batch` takes a :class:`SourceQuery` plus a
-  batch of binding tuples and returns, per binding, its binding rows
-  (variable name → Python value) — the one entry the mediator calls, a
-  materialize step's being the batch of one empty binding;
+  batch of binding tuples and returns, per binding, its answer as
+  :class:`~repro.engine.batch.BindingBatch` objects over the tuples the
+  store holds — the one entry every caller uses, a materialize step's
+  being the batch of one empty binding (``execute``: one, as dicts);
 * :meth:`DataSource.estimate` returns a cardinality estimate used by the
   planner's "most selective sub-queries first" rule.
 """
@@ -25,7 +26,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
-from repro.engine.batch import BindingBatch, _row_constructor, as_batches, tuple_getter
+from repro.engine.batch import (
+    BindingBatch, Row, as_answer, as_batches, dict_rows, row_count, tuple_decoder, tuple_getter)
 from repro.errors import MixedQueryError
 from repro.fulltext.document import row_builder
 from repro.fulltext.query import MatchAllQuery, Parameter
@@ -45,9 +47,6 @@ from repro.rdf.sparql import parse_bgp
 from repro.rdf.terms import Literal, Term, URI, literal, uri
 from repro.relational.database import Database
 from repro.relational.template import SQLTemplate, sql_template
-
-#: A binding row at the mediator level: variable name -> Python value.
-Row = dict[str, object]
 
 #: CURIE shape: letter-led prefix, exactly one colon — timestamps and
 #: clock values ("2016-09-01T12:00:00") must not qualify.
@@ -250,7 +249,7 @@ def _instrumented(method):
         except Exception:
             self._record_error()
             raise
-        self._record_call(sum(len(rows) for rows in result),
+        self._record_call(sum(map(row_count, result)),
                           time.perf_counter() - started, len(bindings_batch))
         return result
 
@@ -291,29 +290,18 @@ class DataSource:
 
     # -- protocol -----------------------------------------------------------
     def execute(self, query: SourceQuery, bindings: Row | None = None) -> list[Row]:
-        """Evaluate ``query`` with the given bindings and return rows.
-
-        The wrappers define it as their batch of one binding; the
-        mediator never calls it (:meth:`execute_batch` is its entry)."""
-        raise NotImplementedError
+        """``query``'s rows under ``bindings`` as dicts: the batch of one, the
+        public edge.  A source defines this or :meth:`execute_batch`."""
+        return dict_rows(self.execute_batch(query, [bindings or {}])[0])
 
     def execute_batch(self, query: SourceQuery,
-                      bindings_batch: Sequence[Row]) -> list[list[Row]]:
-        """Answer a whole batch of bindings in one mediator call.
-
-        Returns one row list per input binding, in order; entry ``i``
-        must equal ``self.execute(query, bindings_batch[i])``.  Wrappers
-        override this with native IN-list / disjunctive pushdown where
-        the source language allows it; this base implementation is the
-        per-binding fallback for a source that only defines
-        :meth:`execute`.
-        """
-        return [self.execute(query, bindings) for bindings in bindings_batch]
-
-    def answer_batch(self, query: SourceQuery,
-                     bindings_batch: Sequence[Row]) -> list[list[BindingBatch]]:
-        """:meth:`execute_batch`, as the batches the mediator works on."""
-        return [as_batches(rows) for rows in self.execute_batch(query, bindings_batch)]
+                      bindings_batch: Sequence[Row]) -> list[list[BindingBatch]]:
+        """Answer a whole batch of bindings in one call: per binding, in
+        order, its rows as schema-uniform batches (``[]`` for none).
+        Wrappers push the batch down natively (IN-lists, disjunctions);
+        this base is the per-binding loop of a source defining only
+        :meth:`execute`."""
+        return [as_batches(self.execute(query, bindings)) for bindings in bindings_batch]
 
     def estimate(self, query: SourceQuery, bound_variables: set[str] | None = None) -> float:
         """Estimated number of rows the sub-query would return."""
@@ -580,19 +568,20 @@ class RDFSource(DataSource):
         return self._memoized_pin(frozen.version, build)
 
     def execute(self, query: SourceQuery, bindings: Row | None = None) -> list[Row]:
-        return self.execute_batch(query, [bindings or {}])[0]
+        return dict_rows(self.execute_batch(query, [bindings or {}])[0])
 
     @_instrumented
     def execute_batch(self, query: SourceQuery,
-                      bindings_batch: Sequence[Row]) -> list[list[Row]]:
+                      bindings_batch: Sequence[Row]) -> list[list[BindingBatch]]:
         """Batched BGP evaluation: the whole flush seeds one join
         (:meth:`seeded_ids`), and each output id is decoded once, through
-        the graph's term dictionary, by one compiled row constructor."""
+        the graph's term dictionary, by one compiled tuple decoder."""
         if not isinstance(query, RDFQuery):
             raise MixedQueryError(f"RDF source {self.uri} cannot evaluate {type(query).__name__}")
-        make = _row_constructor(tuple(v.name for v in query.bgp.output_variables()), True)
+        columns = tuple(v.name for v in query.bgp.output_variables())
+        decode = tuple_decoder(len(columns))
         with self.effective_graph().reading() as graph:
-            return [make(rows, graph.dictionary) for rows in self.seeded_ids(
+            return [as_answer(columns, decode(rows, graph.dictionary)) for rows in self.seeded_ids(
                 graph, query.bgp, [bindings or {} for bindings in bindings_batch])]
 
     @staticmethod
@@ -667,11 +656,11 @@ class RelationalSource(DataSource):
             frozen.version, lambda: self._pinned_copy(database=frozen))
 
     def execute(self, query: SourceQuery, bindings: Row | None = None) -> list[Row]:
-        return self.execute_batch(query, [bindings or {}])[0]
+        return dict_rows(self.execute_batch(query, [bindings or {}])[0])
 
     @_instrumented
     def execute_batch(self, query: SourceQuery,
-                      bindings_batch: Sequence[Row]) -> list[list[Row]]:
+                      bindings_batch: Sequence[Row]) -> list[list[BindingBatch]]:
         """Batched SQL evaluation with native IN-list pushdown.
 
         Both strategies bind the parsed template by value: a binding is
@@ -702,14 +691,14 @@ class RelationalSource(DataSource):
         echoes = template.batch_echoes
         if len(batch) > 1 and echoes and all(var in b and b[var] is not None and _scalar(b[var])
                           for b in batch for var in required):
-            rows = self._run(template.bind({}, in_lists={
+            answer = self._run(template.bind({}, in_lists={
                 var: dict.fromkeys(b[var] for b in batch) for var in required}))
             specs = []
             for b in batch:
                 spec = self._post_filters(query, b)
                 spec.extend((echoes[var], b[var]) for var in required)
                 specs.append(spec)
-            return _partition_exact(rows, specs)
+            return _partition_exact(answer, specs)
 
         # One execution per distinct (type-tagged) parameter tuple.
         groups: dict[tuple, list[int]] = {}
@@ -720,18 +709,22 @@ class RelationalSource(DataSource):
             key = tuple((type(v).__name__, v if _scalar(v) else repr(v))
                         for v in values)
             groups.setdefault(key, []).append(index)
-        results: list[list[Row]] = [[] for _ in batch]
+        results: list[list[BindingBatch]] = [[] for _ in batch]
         for indices in groups.values():
-            rows = self._run(template.bind(batch[indices[0]]))
-            parts = _partition_exact(rows, [self._post_filters(query, batch[i])
-                                            for i in indices])
+            answer = self._run(template.bind(batch[indices[0]]))
+            parts = _partition_exact(answer, [self._post_filters(query, batch[i])
+                                              for i in indices])
             for index, part in zip(indices, parts):
                 results[index] = part
         return results
 
-    def _run(self, statement) -> list[Row]:
+    def _run(self, statement) -> BindingBatch:
+        """The result as one batch; a repeated output name keeps its last value."""
         result = self.database.execute_select(statement)
-        return [dict(zip(result.columns, row)) for row in result.rows]
+        at = {column: i for i, column in enumerate(result.columns)}
+        if len(at) == len(result.columns):
+            return BindingBatch(result.columns, result.rows)
+        return BindingBatch(at, list(map(tuple_getter(list(at.values())), result.rows)))
 
     def estimate(self, query: SourceQuery, bound_variables: set[str] | None = None) -> float:
         if not isinstance(query, SQLQuery):
@@ -777,11 +770,11 @@ class FullTextSource(DataSource):
             frozen.version, lambda: self._pinned_copy(store=frozen))
 
     def execute(self, query: SourceQuery, bindings: Row | None = None) -> list[Row]:
-        return self.execute_batch(query, [bindings or {}])[0]
+        return dict_rows(self.execute_batch(query, [bindings or {}])[0])
 
     @_instrumented
     def execute_batch(self, query: SourceQuery,
-                      bindings_batch: Sequence[Row]) -> list[list[Row]]:
+                      bindings_batch: Sequence[Row]) -> list[list[BindingBatch]]:
         """Batched full-text evaluation: one match set per group of bindings.
 
         Bindings that bind the template's parameters alike form a group,
@@ -803,8 +796,8 @@ class FullTextSource(DataSource):
         dict lookup and an ``itemgetter``) into a value tuple; the bindings
         left over — non-``str`` values, ``text`` / ``numeric`` / ``date`` /
         ``_score`` outputs — are checked with ``_loose_equal`` on its
-        columns, and a binding's rows are built as dicts by one compiled
-        constructor per header.  The whole call is one read of the store.
+        columns, and a binding's tuples are its batch.  The whole call is
+        one read of the store.
         """
         if not isinstance(query, FullTextQuery):
             raise MixedQueryError(
@@ -828,9 +821,8 @@ class FullTextSource(DataSource):
             for index, b in enumerate(batch):
                 key = tuple(str(b[var]) if var in b else None for var in others)
                 groups.setdefault(key, []).append(index)
-            results: list[list[Row]] = [[] for _ in batch]
-            project = _row_projector(store, paths.values())
-            make = _row_constructor(tuple(paths))
+            results: list[list[BindingBatch]] = [[] for _ in batch]
+            project, header = _row_projector(store, paths.values()), tuple(paths)
             for indices in groups.values():
                 bound = template.bind(batch[indices[0]], in_lists)
                 matches, score = store.matches(bound), store.scorer(bound)
@@ -856,11 +848,11 @@ class FullTextSource(DataSource):
                         ranked = top
                     if not ranked:
                         continue
-                    rows = itertools.starmap(project, ranked)
+                    rows = list(itertools.starmap(project, ranked))
                     if checks:
                         rows = [values for values in rows if all(
                             _loose_equal(values[i], value) for i, value in checks)]
-                    results[index] = make(rows)
+                    results[index] = as_answer(header, rows)
             return results
 
     def estimate(self, query: SourceQuery, bound_variables: set[str] | None = None) -> float:
@@ -915,7 +907,7 @@ class JSONSource(DataSource):
                                       matcher=TreePatternMatcher(frozen)))
 
     def execute(self, query: SourceQuery, bindings: Row | None = None) -> list[Row]:
-        return self.execute_batch(query, [bindings or {}])[0]
+        return dict_rows(self.execute_batch(query, [bindings or {}])[0])
 
     @staticmethod
     def _split_bindings(query: JSONQuery, bindings: Row) -> tuple[Row, Row]:
@@ -940,7 +932,7 @@ class JSONSource(DataSource):
 
     @_instrumented
     def execute_batch(self, query: SourceQuery,
-                      bindings_batch: Sequence[Row]) -> list[list[Row]]:
+                      bindings_batch: Sequence[Row]) -> list[list[BindingBatch]]:
         """Batched tree-pattern evaluation, in one read of the store.
 
         The candidate set of the pattern's constant predicates is
@@ -954,8 +946,9 @@ class JSONSource(DataSource):
         calls = [self._split_bindings(query, bindings or {}) for bindings in bindings_batch]
         # A pin's snapshot yields the store at its version: match on that.
         with self.store.reading() as store:
-            return TreePatternMatcher(store, self.matcher.accel).match_batch(
-                query.pattern, calls, limit=query.limit)
+            return [as_answer(query.pattern.columns, rows)
+                    for rows in TreePatternMatcher(store, self.matcher.accel).match_batch(
+                        query.pattern, calls, limit=query.limit)]
 
     def estimate(self, query: SourceQuery, bound_variables: set[str] | None = None,
                  values: dict[str, object] | None = None) -> float:
@@ -1122,35 +1115,36 @@ def _scalar(value: object) -> bool:
     return value is None or isinstance(value, (str, int, float, bool))
 
 
-def _partition_exact(rows: list[Row],
-                     specs: list[list[tuple[str, object]]]) -> list[list[Row]]:
-    """Distribute ``rows`` to one result list per ``(column, value)`` spec.
+def _partition_exact(answer: BindingBatch,
+                     specs: list[list[tuple[str, object]]]) -> list[list[BindingBatch]]:
+    """Distribute ``answer``'s rows to one answer per ``(column, value)`` spec.
 
     Matching uses plain ``==`` (the relational post-filter semantics);
     a hash index per distinct column tuple avoids rescanning the rows
-    for every binding.
+    for every binding.  Rows are shared, never copied.
     """
-    results: list[list[Row]] = []
-    indexes: dict[tuple[str, ...], dict | None] = {}
+    results: list[list[BindingBatch]] = []
+    indexes: dict[tuple[str, ...], tuple[Callable, dict | None]] = {}
     for spec in specs:
         if not spec:
-            results.append([dict(r) for r in rows])
+            results.append(as_answer(answer.columns, answer.rows))
             continue
         columns = tuple(c for c, _ in spec)
         if columns not in indexes:
-            index: dict | None = {}
-            for r in rows:
-                key = tuple(r.get(c) for c in columns)
+            key_of, index = answer.projector(columns), {}
+            for row in answer.rows:
+                key = key_of(row)
                 if not all(_scalar(v) for v in key):
                     index = None
                     break
-                index.setdefault(key, []).append(r)
-            indexes[columns] = index
-        index = indexes[columns]
+                index.setdefault(key, []).append(row)
+            indexes[columns] = key_of, index
+        key_of, index = indexes[columns]
         wanted = tuple(v for _, v in spec)
         if index is not None and all(_scalar(v) for v in wanted):
-            matched = index.get(wanted, ())
+            matched = index.get(wanted, [])
         else:
-            matched = [r for r in rows if all(r.get(c) == v for c, v in spec)]
-        results.append([dict(r) for r in matched])
+            matched = [row for row in answer.rows
+                       if all(a == v for a, v in zip(key_of(row), wanted))]
+        results.append(as_answer(answer.columns, matched))
     return results

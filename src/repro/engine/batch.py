@@ -1,11 +1,11 @@
 """Binding batches: the one row currency inside the mediator.
 
 A :class:`BindingBatch` is a column header stored once plus one value
-tuple per binding.  Sub-query results enter the mediator as batches
-(:func:`as_batches` is the single coercion from a wrapper's dict rows)
-and stay batches through the result cache, the atom's translation, the
-joins, projection and deduplication; dict rows are built again exactly
-once, for the client.  Rows are immutable, so readers *share* them.
+tuple per binding.  Each wrapper answers in batches over the tuples its
+store already holds, and they stay batches through the wire, the result
+cache, the atom's translation, the joins, projection and deduplication;
+dict rows are built exactly once, for the client.  Rows are immutable,
+so readers *share* them.
 
 Batches are *schema-uniform by construction*: :func:`batches_from_rows`
 starts a new batch whenever the key set of the incoming row changes, so
@@ -26,7 +26,7 @@ Row = dict[str, object]
 #: Default number of bindings per bind-join flush.
 DEFAULT_BATCH_SIZE = 256
 
-#: Bound on the memo of compiled dict-row constructors, one per header.
+#: Bound on the memo of compiled row constructors, one per header.
 MAX_ROW_CONSTRUCTORS = 512
 
 
@@ -133,20 +133,32 @@ class BindingBatch:
 
 
 @lru_cache(maxsize=MAX_ROW_CONSTRUCTORS)
-def _row_constructor(columns: tuple[str, ...],
-                     decoded: bool = False) -> Callable[..., list[Row]]:
+def _row_constructor(columns: tuple[str, ...]) -> Callable[[Iterable[tuple]], list[Row]]:
     """``[dict(zip(columns, row)) for row in rows]`` compiled to one list of
-    ``{k0: v0, ...}`` literals — when ``decoded``, of ``{k0: d[v0], ...}``,
-    each value looked up in a mapping ``d`` passed second (an RDF graph's
-    id -> Python value table); the columns enter as default arguments,
+    ``{k0: v0, ...}`` literals; the columns enter as default arguments,
     never as source (as in ``collections.namedtuple``)."""
     at = range(len(columns))
     namespace = {f"k{i}": column for i, column in zip(at, columns)}
-    value = "d[v{}]" if decoded else "v{}"
-    exec(f"def make(rows, {'d, ' * decoded}{''.join(f'k{i}=k{i}, ' for i in at)}):\n"
-         f"    return [{{{', '.join(f'k{i}: ' + value.format(i) for i in at)}}}"
+    exec(f"def make(rows, {''.join(f'k{i}=k{i}, ' for i in at)}):\n"
+         f"    return [{{{', '.join(f'k{i}: v{i}' for i in at)}}}"
          f" for {''.join(f'v{i}, ' for i in at) or '_'} in rows]", namespace)
     return namespace["make"]
+
+
+@lru_cache(maxsize=MAX_ROW_CONSTRUCTORS)
+def tuple_decoder(width: int) -> Callable[[Iterable[tuple], Mapping], list[tuple]]:
+    """``[tuple(d[v] for v in row) for row in rows]`` compiled for rows of
+    ``width`` ids (``d``: an RDF graph's id -> Python value table)."""
+    at = range(width)
+    exec(f"def decode(rows, d):\n"
+         f"    return [({''.join(f'd[v{i}], ' for i in at)})"
+         f" for {''.join(f'v{i}, ' for i in at) or '_'} in rows]", namespace := {})
+    return namespace["decode"]
+
+
+def as_answer(columns: Sequence[str], rows: list[tuple]) -> list[BindingBatch]:
+    """One binding's answer over ``columns``: its one batch, or ``[]``."""
+    return [BindingBatch(columns, rows)] if rows else []
 
 
 def batches_from_rows(rows: Iterable[Row]) -> Iterator[BindingBatch]:
@@ -174,8 +186,8 @@ def batches_from_rows(rows: Iterable[Row]) -> Iterator[BindingBatch]:
 
 def as_batches(answer: Iterable) -> list[BindingBatch]:
     """An answer as schema-uniform batches: the engine's one input edge.
-    Batches pass through untouched; dict rows (a wrapper's answer, a
-    test's literal rows) are grouped by :func:`batches_from_rows`."""
+    Batches pass through untouched; dict rows (a source defining only
+    ``execute``, a test's rows) are grouped by :func:`batches_from_rows`."""
     if not isinstance(answer, list):
         answer = list(answer)
     if not answer or isinstance(answer[0], BindingBatch):

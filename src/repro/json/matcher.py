@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, TYPE_CHECKING
 
+from repro.engine.batch import BindingBatch, Row
 from repro.errors import JSONError
 from repro.json.accel import CompiledPattern, iter_child_items
 from repro.json.index import compare, normalize
@@ -35,9 +36,6 @@ from repro.obs.spans import span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.json.store import JSONDocumentStore
-
-#: A binding row: variable name -> value.
-Row = dict[str, object]
 
 _MISSING = object()
 
@@ -108,6 +106,13 @@ def match_document(pattern: TreePattern, document: dict,
     join) — matching rows are aligned to the pushed value so the
     mediator's exact-equality joins accept them.
     """
+    return BindingBatch(pattern.columns,
+                        _document_tuples(pattern, document, parameters, pushdown)).dicts()
+
+
+def _document_tuples(pattern: TreePattern, document: dict, parameters: dict[str, object] | None,
+                     pushdown: Row | None) -> list[tuple]:
+    """:func:`match_document`'s rows as value tuples over ``pattern.columns``."""
     keeps: list[list[object]] = []
     for leaf in pattern.leaves:
         values = leaf_values(document, leaf.path)
@@ -119,13 +124,14 @@ def match_document(pattern: TreePattern, document: dict,
         if not keep:
             return []
         keeps.append(keep)
-    return _rows_from_keeps(pattern, keeps, pushdown or {})
+    return _tuples_from_keeps(pattern, keeps, pushdown or {})
 
 
-def _rows_from_keeps(pattern: TreePattern, keeps: list[list[object]],
-                     pushdown: Row) -> list[Row]:
-    """Binding rows from per-leaf kept values (shared by both matchers)."""
-    rows: list[Row] = [{}]
+def _tuples_from_keeps(pattern: TreePattern, keeps: list[list[object]],
+                       pushdown: Row) -> list[tuple]:
+    """Binding tuples over ``pattern.columns`` from per-leaf kept values
+    (shared by both matchers); a variable's later leaves must agree."""
+    rows: list[tuple] = [()]
     for leaf, keep in zip(pattern.leaves, keeps):
         if leaf.variable is None:
             continue
@@ -134,23 +140,15 @@ def _rows_from_keeps(pattern: TreePattern, keeps: list[list[object]],
             if not any(compare("=", v, bound) for v in keep):
                 return []
             keep = [bound]
-        rows = _extend(rows, leaf.variable, _dedupe(keep))
+        values, i = _dedupe(keep), pattern.columns.index(leaf.variable)
+        if i < len(rows[0]):
+            rows = [row for row in rows
+                    if any(normalize(row[i]) == normalize(v) for v in values)]
+        else:
+            rows = [row + (value,) for row in rows for value in values]
         if not rows:
             return []
     return rows
-
-
-def _extend(rows: list[Row], variable: str, values: list[object]) -> list[Row]:
-    out: list[Row] = []
-    for row in rows:
-        if variable in row:
-            # The same variable constrained at a second path must agree.
-            if any(normalize(row[variable]) == normalize(v) for v in values):
-                out.append(row)
-            continue
-        for value in values:
-            out.append({**row, variable: value})
-    return out
 
 
 def _dedupe(values: Iterable[object]) -> list[object]:
@@ -184,30 +182,27 @@ class TreePatternMatcher:
               pushdown: Row | None = None,
               limit: int | None = None) -> list[Row]:
         """Binding rows of every matching document (index-pruned)."""
-        pushdown = pushdown or {}
-        candidate_ids = self.candidates(pattern, parameters=parameters,
-                                        pushdown=pushdown)
-        return self._verify(pattern, candidate_ids, parameters, pushdown, limit)
+        return BindingBatch(pattern.columns, self.match_batch(
+            pattern, [(parameters, pushdown)], limit)[0]).dicts()
 
     # ------------------------------------------------------------------
     def match_batch(self, pattern: TreePattern,
                     calls: list[tuple[dict[str, object], Row]],
-                    limit: int | None = None) -> list[list[Row]]:
-        """Answer many ``(parameters, pushdown)`` calls in one pass.
+                    limit: int | None = None) -> list[list[tuple]]:
+        """Answer many ``(parameters, pushdown)`` calls in one pass, as tuples.
 
         The candidate set of the pattern's *constant* predicates is
         computed once; each call then only adds its own index lookups
         (resolved parameters and pushed-down bindings) before the
         surviving candidates are verified.  The result list is aligned
-        with ``calls`` and each entry equals what :meth:`match` would
-        have returned for that call.
+        with ``calls`` and each entry is what that call alone answers.
         """
         if len(calls) <= 1:
-            return [self.match(pattern, parameters=parameters, pushdown=pushdown,
-                               limit=limit)
+            return [self._verify(pattern, self.candidates(pattern, parameters, pushdown or {}),
+                                 parameters, pushdown or {}, limit)
                     for parameters, pushdown in calls]
         base = set(self.candidates(pattern))
-        results: list[list[Row]] = []
+        results: list[list[tuple]] = []
         for parameters, pushdown in calls:
             pushdown = pushdown or {}
             restriction = base
@@ -233,20 +228,18 @@ class TreePatternMatcher:
     # ------------------------------------------------------------------
     def _verify(self, pattern: TreePattern, doc_ids: list[str],
                 parameters: dict[str, object] | None,
-                pushdown: Row, limit: int | None) -> list[Row]:
+                pushdown: Row, limit: int | None) -> list[tuple]:
         """Verify candidate documents, accelerated when possible."""
         if not doc_ids:
             return []
         compiled = self._compile(pattern, parameters)
         if compiled is None:
-            rows: list[Row] = []
+            rows: list[tuple] = []
             for doc_id in doc_ids:
                 document = self.store.get(doc_id)
                 if document is None:  # pragma: no cover - defensive
                     continue
-                rows.extend(match_document(pattern, document,
-                                           parameters=parameters,
-                                           pushdown=pushdown))
+                rows.extend(_document_tuples(pattern, document, parameters, pushdown))
                 if limit is not None and len(rows) >= limit:
                     return rows[:limit]
             return rows
@@ -255,9 +248,9 @@ class TreePatternMatcher:
 
     def _verify_accel(self, compiled: CompiledPattern, pattern: TreePattern,
                       doc_ids: list[str], parameters, pushdown: Row,
-                      limit: int | None) -> list[Row]:
+                      limit: int | None) -> list[tuple]:
         view = compiled.view
-        rows: list[Row] = []
+        rows: list[tuple] = []
         with span("json.accel.probe", leaves=len(pattern.leaves),
                   candidates=len(doc_ids)) as sp:
             matched = [0] * len(pattern.leaves) if sp is not None else None
@@ -269,9 +262,7 @@ class TreePatternMatcher:
                     # shared ordinal past our watermark): walk the tree.
                     if document is None:  # pragma: no cover - defensive
                         continue
-                    doc_rows = match_document(pattern, document,
-                                              parameters=parameters,
-                                              pushdown=pushdown)
+                    doc_rows = _document_tuples(pattern, document, parameters, pushdown)
                 else:
                     keeps = compiled.leaf_keeps(ordinal)
                     if matched is not None and keeps is not None:
@@ -279,7 +270,7 @@ class TreePatternMatcher:
                             matched[index] += 1
                     if keeps is None:
                         continue
-                    doc_rows = _rows_from_keeps(pattern, keeps, pushdown)
+                    doc_rows = _tuples_from_keeps(pattern, keeps, pushdown)
                 rows.extend(doc_rows)
                 if limit is not None and len(rows) >= limit:
                     rows = rows[:limit]

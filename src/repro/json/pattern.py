@@ -17,6 +17,7 @@ denote the same tag.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -195,6 +196,11 @@ class TreePattern:
     def variables(self) -> set[str]:
         """Mediator variables the pattern binds."""
         return {leaf.variable for leaf in self.leaves if leaf.variable}
+
+    @functools.cached_property
+    def columns(self) -> tuple[str, ...]:
+        """The variables in leaf order: the header of its binding tuples."""
+        return tuple(dict.fromkeys(leaf.variable for leaf in self.leaves if leaf.variable))
 
     def parameters(self) -> set[str]:
         """Run-time parameters the pattern needs before evaluation."""

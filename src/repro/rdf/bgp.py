@@ -82,9 +82,9 @@ class BGPQuery:
         return out
 
     def output_variables(self) -> tuple[Variable, ...]:
-        """Head variables, or all body variables (sorted) if the head is empty."""
+        """Head variables (each once), or all body variables (sorted) if none."""
         if self.head:
-            return self.head
+            return tuple(dict.fromkeys(self.head))
         return tuple(sorted(self.variables(), key=lambda v: v.name))
 
     def bind(self, bindings: Binding) -> "BGPQuery":

@@ -41,6 +41,7 @@ from repro.core.sources import (
     SourceQuery,
     _instrumented,
 )
+from repro.engine.batch import BindingBatch, dict_rows
 from repro.errors import (
     CircuitOpenError,
     MixedQueryError,
@@ -203,11 +204,11 @@ class RemoteSource(DataSource):
     # -- DataSource protocol ----------------------------------------------
 
     def execute(self, query: SourceQuery, bindings: Row | None = None) -> list[Row]:
-        return self.execute_batch(query, [bindings or {}])[0]
+        return dict_rows(self.execute_batch(query, [bindings or {}])[0])
 
     @_instrumented
     def execute_batch(self, query: SourceQuery,
-                      bindings_batch: Sequence[Row]) -> list[list[Row]]:
+                      bindings_batch: Sequence[Row]) -> list[list[BindingBatch]]:
         """One ``execute_batch`` frame; each binding's answer arrives as
         column-major batches (:func:`protocol.decode_answer`)."""
         request = {"op": "execute_batch",

@@ -18,7 +18,8 @@ datetimes, and dicts whose keys collide with the tag) are wrapped in a
 one-key tag object ``{"$": kind, "v": payload}``; everything else passes
 through verbatim, so the common case (strings and numbers) costs nothing.
 
-An answer travels as columns (revision 3).  The answer to one binding
+An answer travels as columns (revision 3), encoded from the serving
+wrapper's batches and decoded into batches.  The answer to one binding
 is a list of batches, each ``[columns, row_count, column_values,
 tagged]``: the header once, then one JSON array per column holding
 that column's ``row_count`` values in row order.  A column whose values
@@ -45,7 +46,7 @@ from repro.core.sources import (
     SourceQuery,
     SQLQuery,
 )
-from repro.engine.batch import BindingBatch, _row_constructor
+from repro.engine.batch import BindingBatch
 from repro.errors import RemoteProtocolError
 from repro.json.parser import parse_pattern
 from repro.rdf.bgp import BGPQuery
@@ -166,18 +167,19 @@ def encode_answer(batches: Sequence[BindingBatch]) -> list:
     return encoded
 
 
-def decode_answer(answer: object) -> list[Row]:
-    """Inverse of :func:`encode_answer`: the binding's rows, in order,
-    each batch's built by one compiled constructor over its columns."""
+def decode_answer(answer: object) -> list[BindingBatch]:
+    """Inverse of :func:`encode_answer`: the binding's batches, in order,
+    each batch's rows zipped from its columns."""
     if not isinstance(answer, list):
         raise RemoteProtocolError("an answer must decode from a list of batches")
-    rows: list[Row] = []
+    batches: list[BindingBatch] = []
     for batch in answer:
         columns, count, values, tagged = _batch_fields(batch)
         for index in tagged:
             values[index] = [decode_value(value) for value in values[index]]
-        rows += _row_constructor(columns)(zip(*values) if values else [()] * count)
-    return rows
+        if count:
+            batches.append(BindingBatch(columns, list(zip(*values)) if values else [()] * count))
+    return batches
 
 
 def _batch_fields(batch: object) -> tuple[tuple[str, ...], int, list, list]:

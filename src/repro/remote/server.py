@@ -101,7 +101,7 @@ class RemoteSourceHandler:
             batch = request.get("bindings_batch")
             if not isinstance(batch, list):
                 raise RemoteProtocolError("bindings_batch must be a list of rows")
-            answers = target.answer_batch(query, [protocol.decode_row(b) for b in batch])
+            answers = target.execute_batch(query, [protocol.decode_row(b) for b in batch])
             return {"ok": True, "version": target.pinned_at,
                     "answers": [protocol.encode_answer(batches) for batches in answers]}
         if op == "estimate":

@@ -174,13 +174,42 @@ def snapshot_reads_live_stored_rows(patch) -> None:
     patch.setattr(FullTextSnapshot, "_at", live_rows)
 
 
+def rdf_header_sorted(patch) -> None:
+    """An RDF answer's header lists its variables sorted, while its rows
+    keep the query's order."""
+    from repro.core.sources import RDFSource
+    from repro.engine.batch import BindingBatch
+
+    execute_batch = RDFSource.execute_batch
+
+    def sorted_header(self, query, bindings_batch):
+        return [[BindingBatch(sorted(batch.columns), batch.rows) for batch in answer]
+                for answer in execute_batch(self, query, bindings_batch)]
+
+    patch.setattr(RDFSource, "execute_batch", sorted_header)
+
+
+def remote_header_reversed(patch) -> None:
+    """A remote answer's header is read back to front."""
+    from repro.engine.batch import BindingBatch
+    from repro.remote import protocol
+
+    decode = protocol.decode_answer
+
+    def reversed_header(answer):
+        return [BindingBatch(batch.columns[::-1], batch.rows) for batch in decode(answer)]
+
+    patch.setattr(protocol, "decode_answer", reversed_header)
+
+
 MUTANTS = {mutant.__name__: mutant for mutant in (
     constants_out_of_the_binding_key, version_out_of_the_cache_key,
     repair_ignores_its_delta, headers_left_untranslated,
     no_subtraction, subtract_the_written_copies,
     repair_from_explicit_delta, seed_drops_spelling_variants,
     repair_reads_pre_write_closure, wire_skips_tagged_columns,
-    stored_row_outlives_upsert, snapshot_reads_live_stored_rows)}
+    stored_row_outlives_upsert, snapshot_reads_live_stored_rows,
+    rdf_header_sorted, remote_header_reversed)}
 
 
 def _run(name: str) -> int:

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core import CMQBuilder, MixedInstance, PlannerOptions
 from repro.stats.cost import DEFAULT_COST_MODEL, MAX_BIND_BATCH, MIN_BIND_BATCH
 from repro.core.sources import FullTextQuery, JSONQuery, RDFQuery, SQLQuery
+from repro.engine.batch import dict_rows
 from repro.json import JSONDocumentStore
 from repro.rdf import Graph, triple
 from repro.relational import Database, InList
@@ -85,7 +86,7 @@ def _spy_statements(source, action) -> list:
 class TestExecuteBatch:
     def assert_batch_matches_loop(self, source, query, batch):
         reference = [source.execute(query, bindings) for bindings in batch]
-        batched = source.execute_batch(query, batch)
+        batched = list(map(dict_rows, source.execute_batch(query, batch)))
         assert len(batched) == len(batch)
         for expected, got in zip(reference, batched):
             assert sorted(map(str, expected)) == sorted(map(str, got))
@@ -126,7 +127,7 @@ class TestExecuteBatch:
                              "OR rate > 9.0")
         batch = [{"dept": "75"}, {"dept": "zz"}]
         self.assert_batch_matches_loop(source, query, batch)
-        assert source.execute_batch(query, batch)[1]  # the OR branch's rows
+        assert dict_rows(source.execute_batch(query, batch)[1])  # the OR branch's rows
         assert len(_spy_statements(
             source, lambda: source.execute_batch(query, batch))) == 2
 
@@ -139,7 +140,8 @@ class TestExecuteBatch:
                              "AND (rate > 9.0 OR year = 2014)")
         batch = [{"dept": "75"}, {"dept": "33"}, {"dept": "29"}, {"dept": "zz"}]
         self.assert_batch_matches_loop(source, query, batch)
-        assert [len(rows) for rows in source.execute_batch(query, batch)] == [1, 1, 0, 0]
+        assert [len(rows) for rows in map(dict_rows, source.execute_batch(query, batch))] == \
+            [1, 1, 0, 0]
         statements = _spy_statements(source, lambda: source.execute_batch(query, batch))
         assert len(statements) == 1
         assert isinstance(statements[0].where.left, InList)
@@ -195,7 +197,7 @@ class TestExecuteBatch:
                              "FROM unemployment WHERE dept_code = {dept} LIMIT 1")
         batch = [{"dept": "75"}, {"dept": "33"}, {"dept": "29"}]
         self.assert_batch_matches_loop(source, query, batch)
-        for rows in source.execute_batch(query, batch):
+        for rows in list(map(dict_rows, source.execute_batch(query, batch))):
             assert len(rows) == 1
         assert len(_spy_statements(
             source, lambda: source.execute_batch(query, batch))) == 3
@@ -230,7 +232,7 @@ class TestExecuteBatch:
             with pytest.raises(TypeError):
                 source.execute_batch(query, batch)
             return
-        assert source.execute_batch(query, batch) == reference
+        assert list(map(dict_rows, source.execute_batch(query, batch))) == reference
 
     def test_fulltext_without_placeholders(self, instance):
         source = instance.source("solr://tweets")
@@ -274,7 +276,7 @@ class TestExecuteBatch:
                                      {"t": "text", "id": "user.screen_name"})
         batch = [{"id": "fhollande"}, {"id": "missing"}]
         self.assert_batch_matches_loop(source, query, batch)
-        assert source.execute_batch(query, batch)[1]  # the OR branch's hits
+        assert dict_rows(source.execute_batch(query, batch)[1])  # the OR branch's hits
         negated = FullTextQuery.create("NOT user.screen_name:{id}",
                                        {"t": "text", "id2": "user.screen_name"})
         self.assert_batch_matches_loop(source, negated,
@@ -313,7 +315,7 @@ class TestExecuteBatch:
                                    "?u ttn:followers ?f }")
         batch = [{"f": 1_500_000}, {"f": 900_000}, {"f": -1}]
         self.assert_batch_matches_loop(source, query, batch)
-        assert source.execute_batch(query, batch)[0] == [{"h": "fhollande"}]
+        assert dict_rows(source.execute_batch(query, batch)[0]) == [{"h": "fhollande"}]
 
     def test_rdf_batch_distinguishes_uri_and_literal(self, instance):
         graph = Graph("mixed-values")
@@ -350,7 +352,7 @@ class TestExecuteBatch:
 
         fixed = Fixed("stub://fixed")
         query = FullTextQuery.create("*:*", {"x": "x"})
-        assert fixed.execute_batch(query, [{"x": 1}, {"x": 2}]) == [
+        assert list(map(dict_rows, fixed.execute_batch(query, [{"x": 1}, {"x": 2}]))) == [
             [{"x": 1}], [{"x": 2}]]
 
 

@@ -444,7 +444,8 @@ class TestCachedSource:
 
         inner.execute_batch = spy
         try:
-            results = proxy.execute_batch(query, [{"dept": "75"}, {"dept": "62"}])
+            results = list(map(dict_rows,
+                               proxy.execute_batch(query, [{"dept": "75"}, {"dept": "62"}])))
         finally:
             inner.execute_batch = original
         assert len(shipped) == 1 and shipped[0] == [{"dept": "62"}]
@@ -717,7 +718,8 @@ def wait_for(condition, timeout: float = 5.0) -> None:
 
 def test_a_probe_under_other_variable_names_hits_and_reads_in_its_own():
     source, cache = GatedPosts(), SubQueryResultCache()
-    first = CachedSource(source, cache).execute_batch(posts_by("id"), [{"id": "u1"}])
+    first = list(map(dict_rows, CachedSource(source, cache).execute_batch(
+        posts_by("id"), [{"id": "u1"}])))
     second = CachedSource(source, cache).execute(posts_by("h"), {"h": "u1"})
     assert source.calls == [[{"id": "u1"}]]  # the second proxy hit
     assert first == [source.expected("id", "u1")]
@@ -741,11 +743,11 @@ def test_key_duplicated_inside_one_call_answers_every_position():
     proxy = CachedSource(source, SubQueryResultCache())
     batch = [{"id": "u1"}, {"id": "u2"}, {"id": "u1"}]
     expected = [source.expected("id", handle) for handle in ("u1", "u2", "u1")]
-    assert proxy.execute_batch(posts_by("id"), batch) == expected
+    assert list(map(dict_rows, proxy.execute_batch(posts_by("id"), batch))) == expected
     assert len(source.calls) == 1  # every miss went into one call
     assert len(proxy.cache) == 2
     # The repeat is served wholly from the cache.
-    assert proxy.execute_batch(posts_by("id"), batch) == expected
+    assert list(map(dict_rows, proxy.execute_batch(posts_by("id"), batch))) == expected
     assert len(source.calls) == 1
 
 

@@ -27,6 +27,7 @@ from repro.cache.lru import LRUCache
 from repro.cache.results import CachedSource, SubQueryResultCache
 from repro.core import CMQBuilder, MixedInstance
 from repro.core.sources import DataSource, SQLQuery
+from repro.engine.batch import dict_rows
 from repro.errors import AdmissionError, QueryCancelledError, QueryTimeoutError
 from repro.fulltext.store import FieldConfig, FullTextStore
 from repro.json.store import JSONDocumentStore
@@ -728,7 +729,7 @@ class TestResultCacheConcurrency:
         results: dict[int, list] = {}
 
         def run(seed: int) -> None:
-            results[seed] = proxy.execute_batch(query, batch)
+            results[seed] = list(map(dict_rows, proxy.execute_batch(query, batch)))
 
         threads = [threading.Thread(target=run, args=(i,)) for i in range(6)]
         for thread in threads:

@@ -337,10 +337,10 @@ class TestCancellation:
         shipped: dict[str, int] = {}
 
         class Spy(RelationalSource):
-            def answer_batch(self, query, batch):
+            def execute_batch(self, query, batch):
                 shipped[self.uri] = shipped.get(self.uri, 0) + 1
                 cancelled.append(True)
-                return super().answer_batch(query, batch)
+                return super().execute_batch(query, batch)
 
         handles = ["fhollande", "mlepen", "nsarkozy", "jlmelenchon", "ejoly"]
         profiles = Database("profiles-db")

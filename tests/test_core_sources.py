@@ -13,6 +13,7 @@ from repro.core import FullTextQuery, FullTextSource, RDFQuery, RDFSource, Relat
 from repro.core.sources import _loose_equal
 from repro.datasets import DemoConfig, build_demo_instance
 from repro.datasets.loader import TWEETS_URI
+from repro.engine.batch import dict_rows
 from repro.errors import MixedQueryError, SQLParseError
 from repro.fulltext import FieldConfig, FullTextStore
 from repro.fulltext.query import BooleanQuery, TermQuery, parse_query
@@ -51,7 +52,7 @@ class TestRDFQueryAndSource:
         source = RDFSource("rdf://g", graph)
         q = RDFQuery.from_text("SELECT ?x ?v WHERE { ?x ttn:rank ?v }")
         batch = [{"v": 5}, {"v": 5.0}, {"v": "seat:5"}, {"v": 7}, {}]
-        answers = source.execute_batch(q, batch)
+        answers = list(map(dict_rows, source.execute_batch(q, batch)))
         assert answers == [source.execute(q, bindings) for bindings in batch]
         local = [sorted(row["x"].rsplit("#", 1)[-1] for row in rows) for rows in answers]
         assert local == [["A", "B"], ["A", "B"], ["C", "D"], [], ["A", "B", "C", "D", "E"]]
@@ -477,7 +478,8 @@ class TestFullTextBindingPushdownDifferential:
         for raw in batches:
             batch = [_binding(query, values) for values in raw]
             expected = [_reference(source, query, b) for b in batch]
-            assert source.execute_batch(query, batch) == expected, (template, batch)
+            assert list(map(dict_rows, source.execute_batch(query, batch))) == expected, \
+                (template, batch)
 
     def test_str_binding_on_a_keyword_output_is_anded_into_the_query_as_ast(self):
         """The AND is the intersection of the template's match set (the
@@ -550,7 +552,7 @@ class TestFullTextBindingPushdownDifferential:
     def _assert_batch_is_the_reference(self, source, query, batch):
         expected = [_reference(source, query, b) for b in batch]
         assert [source.execute(query, b) for b in batch] == expected
-        assert source.execute_batch(query, batch) == expected
+        assert list(map(dict_rows, source.execute_batch(query, batch))) == expected
         return expected
 
     def test_a_score_output_ranks_each_binding_as_the_reference(self):
@@ -596,7 +598,7 @@ class TestFullTextBindingPushdownDifferential:
         batch = [{"g": "red"}, {"g": "BLUE"}]
         self._assert_batch_is_the_reference(source, query, batch)
         projected = _count_projections(monkeypatch)
-        red, blue = source.execute_batch(query, batch)
+        red, blue = list(map(dict_rows, source.execute_batch(query, batch)))
         shared = [row["i"] for row in red if row in blue]
         assert shared == ["D01"]  # tags ["Red", "blue"]
         # Each binding projects the hits its own bucket leaves, and no other.
@@ -612,7 +614,7 @@ class TestFullTextBindingPushdownDifferential:
         accounts = sorted(str(p.twitter_account) for p in demo.politicians)
         variants = accounts + [a.upper() for a in accounts] + ["nobody", "France"]
         batch = [{"id": v} for v in itertools.islice(itertools.cycle(variants), 120)]
-        answer = source.execute_batch(query, batch)
+        answer = list(map(dict_rows, source.execute_batch(query, batch)))
         assert answer == [source.execute(query, b) for b in batch]
         assert sum(map(len, answer)) > 100 and sum(1 for rows in answer if not rows) >= 2
 
@@ -636,7 +638,7 @@ class TestFullTextBindingPushdownProperty:
         batch = [_binding(query, values) for values in raw]
         expected = [_reference(source, query, b) for b in batch]
         assert [source.execute(query, b) for b in batch] == expected
-        assert source.execute_batch(query, batch) == expected
+        assert list(map(dict_rows, source.execute_batch(query, batch))) == expected
 
 
 class TestFullTextProjectsOnlyWhatTheBindingCanAccept:
@@ -671,10 +673,10 @@ class TestFullTextProjectsOnlyWhatTheBindingCanAccept:
 class TestFullTextBatchBuildsEachHitOnce:
     """Counts, not clocks: a party-shaped flush — every author bound
     against ``text:soutien`` — costs one match set, no ``SearchHit``, one
-    projection per row kept and one constructed row per row returned (the
-    compiled constructor of the header builds them all).  A wrapper that
-    searched (a scored ``SearchHit`` per hit), or built rows for hits it
-    then dropped, fails a count."""
+    projection per row kept and one batch row per row returned (a
+    binding's projected tuples are its batch).  A wrapper that searched
+    (a scored ``SearchHit`` per hit), or built rows for hits it then
+    dropped, fails a count."""
 
     FIELDS = {"t": "text", "id": "user.screen_name", "rt": "retweet_count", "week": "week"}
 
@@ -703,23 +705,17 @@ class TestFullTextBatchBuildsEachHitOnce:
                 counts["SearchHit"] += 1
                 super().__init__(*args, **kwargs)
 
-        constructor = sources._row_constructor
+        as_answer = sources.as_answer
 
-        def counted_constructor(*args):
-            make = constructor(*args)
-
-            def counted(*rows_and_decoder):
-                made = make(*rows_and_decoder)
-                counts["rows"] += len(made)
-                return made
-
-            return counted
+        def counted_answer(columns, rows):
+            counts["rows"] += len(rows)
+            return as_answer(columns, rows)
 
         monkeypatch.setattr(fulltext_store.FullTextStore, "matches", counted_matches)
         monkeypatch.setattr(fulltext_store, "SearchHit", CountedHit)
-        monkeypatch.setattr(sources, "_row_constructor", counted_constructor)
+        monkeypatch.setattr(sources, "as_answer", counted_answer)
         projected = _count_projections(monkeypatch)
-        answer = source.execute_batch(query, batch)
+        answer = list(map(dict_rows, source.execute_batch(query, batch)))
         monkeypatch.undo()
         return answer, counts, projected
 

@@ -20,6 +20,7 @@ from repro.core.sources import (
     RelationalSource,
     SQLQuery,
 )
+from repro.engine.batch import dict_rows
 from repro.engine.iterators import BatchBindJoin, Distinct, HashJoin, MaterializedScan
 from repro.relational import Database
 from repro.remote import RemoteSource, protocol
@@ -83,7 +84,7 @@ class TestMicroCacheSurface:
         assert cache.stats.hits == 1 and cache.stats.misses == 1
         hit[0]["topic"] = "mutated"  # the caller's copy, not the entry
         assert cached.execute(query, {}) == bare
-        assert cached.execute_batch(query, [{}, {}]) == [bare, bare]
+        assert list(map(dict_rows, cached.execute_batch(query, [{}, {}]))) == [bare, bare]
         cache.clear()
         assert cached.execute(query, {}) == bare and cache.stats.misses == 2
 
@@ -105,7 +106,7 @@ class TestSpanRecorderSurface:
         assert callable(RepairEngine.__dict__["repair"])
 
     def test_a_wrapper_patched_on_its_class_sees_every_source_call(self, monkeypatch):
-        """The mediator reaches a wrapper through ``answer_batch`` only; it
+        """The mediator reaches a wrapper through ``execute_batch`` only; it
         must go through the class's ``execute_batch`` attribute, once per
         call, or the recorder loses the call."""
         database = Database("db")
@@ -121,6 +122,6 @@ class TestSpanRecorderSurface:
                 return _original(*args, **kwargs)
             monkeypatch.setattr(RelationalSource, attribute, traced)
         cached = CachedSource(source, SubQueryResultCache(8))
-        assert [batch.dicts() for batch in cached.answer_batch(query, [{}])[0]] == [[{"k": 1}]]
-        assert len(cached.answer_batch(query, [{"k": 1}, {"k": 2}])) == 2
+        assert [batch.dicts() for batch in cached.execute_batch(query, [{}])[0]] == [[{"k": 1}]]
+        assert len(cached.execute_batch(query, [{"k": 1}, {"k": 2}])) == 2
         assert seen == ["execute_batch", "execute_batch"]

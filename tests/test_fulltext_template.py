@@ -7,6 +7,7 @@ from repro.core import FullTextQuery, FullTextSource
 from repro.cache.keys import canonical_query
 from repro.datasets import build_demo_instance
 from repro.datasets.loader import TWEETS_URI
+from repro.engine.batch import dict_rows
 from repro.errors import FullTextError, MixedQueryError, ParseError
 from repro.fulltext import FieldConfig, FullTextStore
 from repro.fulltext.query import BooleanQuery, NotQuery, Parameter, PhraseQuery, TermQuery
@@ -188,7 +189,7 @@ def test_a_bound_value_matches_the_documents_holding_it(kind):
         assert _ids(source.execute(query, {"p": value})) == expected, value
     for values in (VALUES, [v for v in VALUES if isinstance(v, str)]):
         batch = [{"p": value} for value in values]
-        answers = source.execute_batch(query, batch)
+        answers = list(map(dict_rows, source.execute_batch(query, batch)))
         assert answers == [source.execute(query, b) for b in batch]
         assert [_ids(rows) for rows in answers] == \
             [_holds(source.store, path, value) for value in values]
@@ -309,7 +310,7 @@ def test_binding_never_raises_and_a_batch_is_its_bindings(kind, values):
     source, path = _SOURCE, _FIELDS[kind]
     query = FullTextQuery.create(f"{path}:{{p}} NOT author:nobody", {"i": "id", "v": path})
     batch = [{"p": value} for value in values]
-    answers = source.execute_batch(query, batch)
+    answers = list(map(dict_rows, source.execute_batch(query, batch)))
     assert answers == [source.execute(query, b) for b in batch]
     for value, rows in zip(values, answers):
         assert _ids(rows) == _holds(source.store, path, value) - {"d12"}

@@ -173,15 +173,15 @@ class TestEquivalence:
         calls = [({"low": k}, {}) for k in range(4)] + [({"low": 0}, {"w": 4})]
         accel = TreePatternMatcher(store)
         batched = accel.match_batch(pattern, calls)
-        assert batched == [accel.match(pattern, parameters=p, pushdown=push)
-                           for p, push in calls]
+        assert [BindingBatch(pattern.columns, rows).dicts() for rows in batched] == \
+            [accel.match(pattern, parameters=p, pushdown=push) for p, push in calls]
 
     def test_a_json_answer_enters_the_mediator_as_one_binding_batch(self):
         store = JSONDocumentStore("cols")
         for i in range(6):
             store.add({"id": i, "a": {"b": i}, "c": f"t{i % 2}"})
         pattern = parse_pattern("{ a.b: ?x, c: ?y }")
-        (batch,) = JSONSource("json://cols", store).answer_batch(JSONQuery(pattern), [{}])[0]
+        (batch,) = JSONSource("json://cols", store).execute_batch(JSONQuery(pattern), [{}])[0]
         assert isinstance(batch, BindingBatch)
         assert batch.columns == ("x", "y")
         assert batch.dicts() == TreePatternMatcher(store).match(pattern)

@@ -35,6 +35,7 @@ from repro.core import (
     SQLQuery,
 )
 from repro.core.sources import JSONSource
+from repro.engine.batch import dict_rows
 from repro.fulltext import tweet_store
 from repro.fulltext.query import parse_query
 from repro.json.store import JSONDocumentStore
@@ -282,18 +283,20 @@ def _json_answers(store) -> tuple:
 def _wrapper_answers(rdf, text, documents, sql) -> tuple:
     subjects = [{"x": uri(f"ttn:s{s}").value} for s in range(3)]
     return (_rows(rdf.execute(RDF_ALL)),
-            [_rows(rows) for rows in rdf.execute_batch(RDF_BOUND, subjects)],
+            [_rows(rows) for rows in map(dict_rows, rdf.execute_batch(RDF_BOUND, subjects))],
             rdf.estimate(RDF_ALL),
             _rows(text.execute(TEXT_ALL)),
-            [_rows(rows) for rows in text.execute_batch(TEXT_BOUND, [{"tag": t} for t in TAGS])],
+            [_rows(rows) for rows in map(dict_rows, text.execute_batch(
+                TEXT_BOUND, [{"tag": t} for t in TAGS]))],
             [sorted(row.items()) for row in documents.execute(JSON_ALL)],  # rank order
-            [[sorted(row.items()) for row in rows] for rows in documents.execute_batch(
-                JSON_ALL, [{"u": name} for name in NAMES])],
+            [[sorted(row.items()) for row in rows] for rows in map(
+                dict_rows, documents.execute_batch(JSON_ALL, [{"u": name} for name in NAMES]))],
             # (Not a structural pattern: the lineage's axis statistics are
             # exact for its newest store only.)
             [documents.estimate(query, {"u"}, {"u": "anne"}) for query in (JSON_ALL, JSON_TAGGED)],
             _rows(sql.execute(SQL_ALL)),
-            [_rows(rows) for rows in sql.execute_batch(SQL_BOUND, [{"x": 1}, {"x": 2}])],
+            [_rows(rows) for rows in map(
+                dict_rows, sql.execute_batch(SQL_BOUND, [{"x": 1}, {"x": 2}]))],
             sql.estimate(SQL_ALL), sql.size())
 
 
@@ -551,8 +554,9 @@ def test_pinned_readers_race_a_writer():
                         assert text_view.keyword_documents("user.screen_name", name) == \
                             text_twin.keyword_documents("user.screen_name", name)
                     assert pinned.execute(JSON_ALL) == json_source.execute(JSON_ALL)
-                    assert pinned.execute_batch(JSON_ALL, [{"u": n} for n in NAMES]) == \
-                        json_source.execute_batch(JSON_ALL, [{"u": n} for n in NAMES])
+                    assert list(map(dict_rows, pinned.execute_batch(
+                        JSON_ALL, [{"u": n} for n in NAMES]))) == list(map(dict_rows,
+                            json_source.execute_batch(JSON_ALL, [{"u": n} for n in NAMES])))
                     assert json_view.index_for("user.screen_name").presence == \
                         json_twin.index_for("user.screen_name").presence
                     assert json_view.documents() == json_docs

@@ -237,9 +237,9 @@ def _typed(value):
 
 
 def over_the_wire(answer: list) -> list:
-    """One binding's answer (batches) through a revision-3 frame."""
+    """One binding's answer (batches) through a revision-3 frame, as dict rows."""
     frame = {"ok": True, "answers": [protocol.encode_answer(answer)]}
-    return protocol.decode_answer(protocol.roundtrip(frame)["answers"][0])
+    return dict_rows(protocol.decode_answer(protocol.roundtrip(frame)["answers"][0]))
 
 
 _VALUES = st.recursive(
@@ -288,8 +288,8 @@ def test_one_empty_row_stays_distinct_from_no_rows():
     for handle, expected in (("u0", [{}]), ("u1", [])):
         query = RDFQuery(bgp=BGPQuery.create(head=[],
                                              patterns=[("ttn:P0", "ttn:account", handle)]))
-        assert local.execute_batch(query, [{}, {}]) == [expected, expected]
-        assert remote.execute_batch(query, [{}, {}]) == [expected, expected]
+        assert list(map(dict_rows, local.execute_batch(query, [{}, {}]))) == [expected, expected]
+        assert list(map(dict_rows, remote.execute_batch(query, [{}, {}]))) == [expected, expected]
         assert remote.execute(query) == expected
 
 
@@ -419,8 +419,8 @@ def test_remote_equivalence_property(loopback_pair, data):
              for handle in data.draw(st.lists(st.sampled_from(HANDLES),
                                               min_size=1, max_size=5))]
     local, wrapped = base.source(uri), remote.source(uri)
-    assert (wrapped.execute_batch(query, batch)
-            == local.execute_batch(query, batch))
+    assert (list(map(dict_rows, wrapped.execute_batch(query, batch)))
+            == list(map(dict_rows, local.execute_batch(query, batch))))
     assert wrapped.execute(query, batch[0]) == local.execute(query, batch[0])
     assert wrapped.estimate(query, {"id"}) == local.estimate(query, {"id"})
 

@@ -1,6 +1,6 @@
 """``BindingBatch`` is the one row currency inside the mediator.
 
-Three kinds of test:
+Four kinds of test:
 
 * *differential* — the batch operators against ten-line dict-row
   references kept here, over rows with mixed schemas, absent variables,
@@ -12,7 +12,11 @@ Three kinds of test:
 * *isolation* — what the per-caller dict copies used to guarantee:
   nothing a client does to ``result.rows`` reaches the cache;
 * *counts* — the copies are gone: conversions, freezes, dicts built and
-  row lists shared, counted (not timed).
+  row lists shared, counted (not timed);
+* *one currency* — wrappers answer in batches: no dict row is built
+  between a store and the result, and the tuple builders' edge cases
+  (a repeated SQL output name, a JSON pattern without variables, a
+  cached SQL answer under a later insert) answer as the dict rows did.
 """
 
 from __future__ import annotations
@@ -30,10 +34,12 @@ import repro.engine.batch as batch_module
 import repro.engine.iterators as iterators_module
 from repro.cache.repair import RepairEngine
 from repro.cache.results import CachedSource, SubQueryResultCache
+from repro.core import MixedInstance
 from repro.core.planner import PlannerOptions
 from repro.core.results import MixedResult
 from repro.core.sources import (
     FullTextSource,
+    JSONQuery,
     JSONSource,
     RDFSource,
     RelationalSource,
@@ -46,12 +52,15 @@ from repro.datasets.loader import (
     fact_checking_query,
     party_vocabulary_query,
     qsia_json_query,
+    qsia_query,
 )
 from repro.datasets.tweets import Tweet
 from repro.engine import BatchBindJoin, BindingBatch, Distinct, HashJoin, MaterializedScan, Project
 from repro.engine.batch import as_batches, dict_rows, freeze
+from repro.json import JSONDocumentStore
 from repro.rdf import triple
 from repro.relational import Database
+from repro.remote import LocalTransport, RemoteSourceHandler, protocol
 from repro.service import MediatorService, ServiceConfig
 
 # ---------------------------------------------------------------------------
@@ -471,7 +480,7 @@ class TestTheCopiesAreGone:
         cache = SubQueryResultCache()
         proxy = CachedSource(source, cache, repair=RepairEngine(cache))
         query = SQLQuery("SELECT site AS site, n AS n FROM readings WHERE site = {site}")
-        (old,) = proxy.answer_batch(query, [{"site": "s"}])[0]
+        (old,) = proxy.execute_batch(query, [{"site": "s"}])[0]
         old_rows = list(old.rows)
         database.table("readings").insert_many(
             [{"site": "s", "n": m + index} for index in range(d)])
@@ -483,10 +492,136 @@ class TestTheCopiesAreGone:
                 converted["rows"] += len(batch)
                 yield batch
         monkeypatch.setattr(batch_module, "batches_from_rows", counting)
-        (new,) = proxy.answer_batch(query, [{"site": "s"}])[0]
+        (new,) = proxy.execute_batch(query, [{"site": "s"}])[0]
         assert proxy.repair.stats.as_dict()["rows_appended"] == d
-        assert converted["rows"] == d  # only the delta was converted
+        assert converted["rows"] == 0  # nothing is converted: the delta's tuples are its batch
         assert len(new.rows) == m + d and new.rows is not old.rows
         assert all(now is then for now, then in zip(new.rows, old_rows))
         # The superseded entry was published: it is left exactly as it was.
         assert len(old.rows) == m and all(a is b for a, b in zip(old.rows, old_rows))
+
+
+# ---------------------------------------------------------------------------
+# (d) One currency from the store to the result
+# ---------------------------------------------------------------------------
+
+#: ``(rows, multiset digest)`` of each class's answer on the 12-politician
+#: demo, captured at the parent commit (10ab3c4), when every wrapper still
+#: answered dict rows.
+ONE_CURRENCY_GOLDEN = {
+    "qsia": (1, "654514f6778dadbe"),
+    "dynamic": (1, "654514f6778dadbe"),
+    "qsia_json": (8, "9684efe7d6cc6558"),
+    "party": (14, "30b746105aade6c0"),
+    "factcheck": (8, "f84f115329cc5f56"),
+}
+
+
+def _remote_twin(instance: MixedInstance) -> MixedInstance:
+    """``instance`` with every source behind a loopback wire."""
+    remote = MixedInstance(graph=instance.graph, name=instance.name + "-remote",
+                           schema=instance.schema,
+                           entailment=instance.glue_source.entailment)
+    for uri in instance.source_uris():
+        source = instance.source(uri)
+        remote.register_remote(LocalTransport(RemoteSourceHandler(source).handle),
+                               uri=uri, model=source.model, name=source.name,
+                               size=source.size())
+    return remote
+
+
+class TestNoDictRowOnTheWayToTheResult:
+    """Wrappers answer ``execute_batch`` in batches: between a store and
+    ``MixedResult`` no dict row is built and grouped again, whether the
+    result cache is off or on (miss, then hit), the CMQ is served, or the
+    sources sit behind the wire.  Fails at the parent."""
+
+    @pytest.fixture(scope="class")
+    def demo(self):
+        return build_demo_instance(DemoConfig(politicians=12, weeks=2, seed=42))
+
+    @pytest.mark.parametrize("way", ["no_cache", "cache", "served", "remote"])
+    def test_no_dict_row_is_grouped_and_the_answers_are_the_parents(self, demo, way,
+                                                                     monkeypatch):
+        instance = _remote_twin(demo.instance) if way == "remote" else demo.instance
+        cmqs = {
+            "qsia": qsia_query(demo),
+            "dynamic": demo.instance.parse(
+                'qSIA(t, id) :- qG(id), tweetContains(t, id, "sia2016")[dSolr]'),
+            "qsia_json": qsia_json_query(demo),
+            "party": party_vocabulary_query(demo, "emploi"),
+            "factcheck": fact_checking_query(demo),
+        }
+        options = PlannerOptions(result_cache=way != "no_cache")
+        instance.clear_caches()
+        grouped = Counter()
+        real = batch_module.batches_from_rows
+
+        def counting(rows):
+            grouped["calls"] += 1
+            return real(rows)
+        monkeypatch.setattr(batch_module, "batches_from_rows", counting)
+        with MediatorService(instance, ServiceConfig(workers=1)) as service:
+            for name, cmq in cmqs.items():
+                for _ in range(2):
+                    result = (service.execute(cmq) if way == "served"
+                              else instance.execute(cmq, options=options))
+                    assert (len(result.rows), _digest(result.rows, ordered=False)) == \
+                        ONE_CURRENCY_GOLDEN[name], (name, way)
+                if way != "no_cache":
+                    assert result.trace.cache_hits and not result.trace.cache_misses
+        assert grouped["calls"] == 0
+
+
+class TestTupleBuilders:
+    """Each wrapper's batch is the tuples its store already holds; these
+    are the shapes where that could differ from the dict rows the parent
+    built (each answer here is the parent's)."""
+
+    def test_a_repeated_output_name_keeps_its_last_value(self):
+        database = Database("db")
+        database.create_table_from_rows("t", [{"a": 1, "b": 2}, {"a": 3, "b": 4}])
+        instance = MixedInstance(name="repeat", entailment=False)
+        source = instance.register_relational("sql://t", database)
+        query = SQLQuery("SELECT a AS x, b AS x FROM t")
+        assert source.execute(query) == [{"x": 2}, {"x": 4}]
+        assert source.execute(query, {"x": 4}) == [{"x": 4}]
+        assert source.execute(query, {"x": 3}) == []
+        (batch,) = source.execute_batch(query, [{}])[0]
+        assert batch.columns == ("x",) and batch.rows == [(2,), (4,)]
+        cmq = (instance.builder("q", head=["x"])
+               .sql("t", source="sql://t", sql="SELECT a AS x, b AS x FROM t").build())
+        assert instance.execute(cmq).rows == [{"x": 2}, {"x": 4}]
+
+    def test_a_pattern_without_variables_answers_one_empty_row_per_document(self):
+        store = JSONDocumentStore("docs")
+        store.add_all([{"id": 1, "a": 1}, {"id": 2, "a": 2}, {"id": 3, "b": 1}])
+        source = JSONSource("json://docs", store)
+        present, absent = JSONQuery.from_text("{ a: * }"), JSONQuery.from_text("{ a: 5 }")
+        assert source.execute(present) == [{}, {}]
+        assert source.execute(absent) == []
+        (batch,) = source.execute_batch(present, [{}])[0]
+        assert batch.columns == () and batch.rows == [(), ()]
+        assert source.execute_batch(absent, [{}, {}]) == [[], []]
+
+    def test_a_cached_sql_answer_is_untouched_by_a_later_insert(self):
+        database = Database("db")
+        database.create_table_from_rows("t", [{"k": "a", "v": 1}, {"k": "a", "v": 2}])
+        source = RelationalSource("sql://t", database)
+        proxy = CachedSource(source, SubQueryResultCache())
+        query = SQLQuery("SELECT k AS k, v AS v FROM t WHERE k = {k}")
+        (first,) = proxy.execute_batch(query, [{"k": "a"}])[0]
+        (hit,) = proxy.execute_batch(query, [{"k": "a"}])[0]
+        assert hit.rows is first.rows  # shared, not copied
+        held = list(first.rows)
+        database.table("t").insert_many([{"k": "a", "v": 3}])
+        (fresh,) = proxy.execute_batch(query, [{"k": "a"}])[0]
+        assert fresh.rows == [("a", 1), ("a", 2), ("a", 3)]
+        assert first.rows == held == [("a", 1), ("a", 2)]  # never mutated
+
+    def test_a_remote_answer_decodes_into_batches(self):
+        batch = BindingBatch(("a", "b"), [(1, (2,)), (3, None)])
+        frame = protocol.roundtrip({"answers": [protocol.encode_answer([batch])]})
+        (decoded,) = protocol.decode_answer(frame["answers"][0])
+        assert isinstance(decoded, BindingBatch) and protocol.PROTOCOL_VERSION == 3
+        assert decoded.columns == batch.columns and decoded.rows == batch.rows

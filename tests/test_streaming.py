@@ -397,7 +397,7 @@ class TestBatchRepair:
             # a later version than the early ones); from then on, all.
             asked = late if step == 0 else keys
             one_by_one = [per_key.execute(query, dict(key)) for key in asked]
-            assert batched.execute_batch(query, asked) == one_by_one
+            assert list(map(dict_rows, batched.execute_batch(query, asked))) == one_by_one
             atom = SourceAtom("q", query, source=source.uri)
             answers, _ = peeked.peek(atom, canonical_query(query),
                                      [(tuple(key), tuple(key.values())) for key in asked])
@@ -419,16 +419,16 @@ class TestBatchRepair:
         entry = stored + delta is the cold re-run's multiset."""
         source, query, keys, write = _fulltext_case()
         proxy, engine, _ = _proxy(source)
-        stored = proxy.execute_batch(query, keys)
+        stored = list(map(dict_rows, proxy.execute_batch(query, keys)))
         pre = source.version()
         write(2)
         write(3)
         delta, replaced = _document_delta_source(source, source.deltas_since(pre))
         assert replaced is None
-        fresh = delta.execute_batch(query, keys)
+        fresh = list(map(dict_rows, delta.execute_batch(query, keys)))
         assert fresh == [delta.execute(query, dict(key)) for key in keys]
         assert sum(map(len, fresh)) == 2 * 5  # the catch-all key sees all five
-        repaired = proxy.execute_batch(query, keys)
+        repaired = list(map(dict_rows, proxy.execute_batch(query, keys)))
         assert engine.stats.repaired == len(keys) and not engine.stats.fallbacks
         for key, old, new, rows in zip(keys, stored, fresh, repaired):
             assert rows == old + new
@@ -442,7 +442,7 @@ class TestBatchRepair:
         proxy, engine, _ = _proxy(source)
         proxy.execute_batch(query, keys)
         write()
-        warm = proxy.execute_batch(query, keys)
+        warm = list(map(dict_rows, proxy.execute_batch(query, keys)))
         for key, rows in zip(keys, warm):
             cold = source.execute(query, dict(key))
             assert rows == cold if ordered else _multiset(rows) == _multiset(cold)
@@ -457,7 +457,7 @@ class TestBatchRepair:
         write()
         source.execute_batch = None  # a source call would raise
         try:
-            warm = proxy.execute_batch(query, keys)
+            warm = list(map(dict_rows, proxy.execute_batch(query, keys)))
         finally:
             del source.execute_batch
         for key, rows in zip(keys, warm):
@@ -499,7 +499,7 @@ class TestBatchRepair:
         engine.MAX_DELTA_ITEMS = 3
         proxy.execute_batch(query, keys)
         write(4)
-        assert proxy.execute_batch(query, keys) == \
+        assert list(map(dict_rows, proxy.execute_batch(query, keys))) == \
             [source.execute(query, dict(key)) for key in keys]
         assert engine.stats.fallbacks == {"delta_too_large": len(keys)}
         # RDF counts seeds: delta triples x triple patterns.
@@ -508,7 +508,7 @@ class TestBatchRepair:
         engine.MAX_DELTA_ITEMS = 3
         proxy.execute_batch(query, keys)
         write(1)  # one batch of two triples, against two patterns
-        for key, rows in zip(keys, proxy.execute_batch(query, keys)):
+        for key, rows in zip(keys, list(map(dict_rows, proxy.execute_batch(query, keys)))):
             assert _multiset(rows) == _multiset(source.execute(query, dict(key)))
         assert engine.stats.fallbacks == {"delta_too_large": len(keys)}
 
@@ -595,7 +595,7 @@ class TestDocumentRewritesAreRepaired:
                     store.remove(str(argument))
             source.execute_batch = None  # a source call would raise
             try:
-                warm = proxy.execute_batch(query, keys)
+                warm = list(map(dict_rows, proxy.execute_batch(query, keys)))
             finally:
                 del source.execute_batch
             assert not engine.stats.fallbacks
@@ -615,7 +615,7 @@ class TestDocumentRewritesAreRepaired:
         for key in list(engine.cache.entries._entries):
             engine.cache.insert_canonical(key, [])
         store.add(document(0, 1))
-        warm = proxy.execute_batch(query, keys)
+        warm = list(map(dict_rows, proxy.execute_batch(query, keys)))
         assert warm == [source.execute(query, dict(key)) for key in keys]
         assert engine.stats.fallbacks == {"diverged": len(keys)}
 

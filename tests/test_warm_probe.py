@@ -160,7 +160,7 @@ def _peek(proxy: CachedSource, atom: SourceAtom, handles: list[str]):
 class TestEntriesAreHitByTheProbe:
     def test_an_entry_a_miss_inserted_is_hit(self):
         _, proxy, atom = _profiles()
-        proxy.answer_batch(atom.query, [{"id": h} for h in HANDLES])
+        proxy.execute_batch(atom.query, [{"id": h} for h in HANDLES])
         assert proxy.local_stats.misses == len(HANDLES)
         hits = _peek(proxy, atom, HANDLES)
         assert hits == [[{"who": h, "f": i}] for i, h in enumerate(HANDLES)]
@@ -168,14 +168,15 @@ class TestEntriesAreHitByTheProbe:
 
     def test_an_entry_a_repair_inserted_is_hit(self):
         database, proxy, atom = _profiles()
-        proxy.answer_batch(atom.query, [{"id": h} for h in HANDLES])
+        proxy.execute_batch(atom.query, [{"id": h} for h in HANDLES])
         database.table("profiles").insert({"handle": "u1", "followers": 100})
         repaired = _peek(proxy, atom, HANDLES)
         assert repaired[1] == [{"who": "u1", "f": 1}, {"who": "u1", "f": 100}]
         assert proxy.repair.stats.repaired == len(HANDLES)
         # The repaired entries now serve the per-call path as plain hits.
         misses, hits = proxy.local_stats.misses, proxy.cache.stats.hits
-        answered = proxy.execute_batch(atom.query, [{"id": h} for h in HANDLES])
+        answered = list(map(dict_rows,
+                            proxy.execute_batch(atom.query, [{"id": h} for h in HANDLES])))
         assert answered[1] == [{"id": "u1", "f": 1}, {"id": "u1", "f": 100}]
         assert proxy.local_stats.misses == misses
         assert proxy.cache.stats.hits == hits + len(HANDLES)
