@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.cache.keys import CanonicalQuery
 from repro.cache.lru import LRUCache
@@ -148,27 +148,26 @@ class RepairEngine:
         self._delta_lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    def repair(self, source, version: int, query: SourceQuery,
-               canon: CanonicalQuery,
-               probes: list[tuple[tuple, Row]],
+    def repair(self, source, version: int, query: SourceQuery, canon: CanonicalQuery,
+               keys: list[tuple], binding: Callable[[int], Row],
                ) -> list[Optional[list[BindingBatch]]]:
         """Repair the latest prior entry of every probe up to ``version``.
 
-        ``probes`` are the ``(key, bindings)`` pairs of one query that
-        just missed.  Per probe, in order: on success the merged entry
-        (batches in *canonical* variable names), inserted under its key
-        — stamping it at the current version; ``None`` for "fall back to
-        a plain miss".  The prior entry is never mutated: the old rows
-        are shared with the new entry, not copied.  Never raises: any
-        evaluation error is a counted fallback of the keys it was
-        evaluated with.
+        ``keys`` of one query just missed; ``binding(i)``, the bindings of
+        ``keys[i]``, is asked only of a key with a prior entry.  Per key, in
+        order: on success the merged entry (batches in *canonical* variable
+        names), inserted under its key — stamping it at the current
+        version; ``None`` for "fall back to a plain miss".  The prior entry
+        is never mutated: the old rows are shared with the new entry, not
+        copied.  Never raises: any evaluation error is a counted fallback
+        of the keys it was evaluated with.
         """
-        out: list[Optional[list[BindingBatch]]] = [None] * len(probes)
+        out: list[Optional[list[BindingBatch]]] = [None] * len(keys)
         if not isinstance(version, int):
             return out
         # Prior version -> the probes whose merge base was cached under it.
         spans: dict[int, list[tuple[int, list[BindingBatch]]]] = {}
-        for index, (key, _) in enumerate(probes):
+        for index, key in enumerate(keys):
             prior = self.cache.prior_entry(key)
             if prior is None:
                 continue
@@ -186,7 +185,7 @@ class RepairEngine:
             stored = [entry for _, entry in members]
             try:
                 merged = self._apply(source, query, canon,
-                                     [probes[index][1] for index, _ in members],
+                                     [binding(index) for index, _ in members],
                                      stored, records)
             except Exception:  # noqa: BLE001 - repair must never break reads
                 self.stats.fallback("error", len(members))
@@ -195,7 +194,7 @@ class RepairEngine:
                 self.stats.fallback(merged, len(members))
                 continue
             for (index, base), entry in zip(members, merged):
-                self.cache.insert_canonical(probes[index][0], entry)
+                self.cache.insert_canonical(keys[index], entry)
                 self.stats.success(row_count(entry) - row_count(base),
                                    pure_restamp=entry is base)
                 out[index] = entry

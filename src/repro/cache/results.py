@@ -253,7 +253,8 @@ class CachedSource(DataSource):
         missed = [i for i, key in enumerate(keys) if key is not None and stored[i] is None]
         if self.repair is not None and missed:
             repaired = self.repair.repair(self.inner, version, query, canon,
-                                          [(keys[i], binding(i)) for i in missed])
+                                          [keys[i] for i in missed],
+                                          lambda at: binding(missed[at]))
             for i, merged in zip(missed, repaired):
                 stored[i] = merged
             missed = [i for i in missed if stored[i] is None]

@@ -24,6 +24,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.engine.batch import (
@@ -807,7 +808,6 @@ class FullTextSource(DataSource):
             template, limit = query.template, query.limit
             batch = [b or {} for b in bindings_batch]
             paths = {variable: path for variable, path in query.output_fields}
-            columns = {variable: i for i, variable in enumerate(paths)}
 
             def keyword(path: str) -> bool:
                 config = store.field_config(path)
@@ -817,38 +817,41 @@ class FullTextSource(DataSource):
                       if keyword(path) and all(var in b for b in batch)}
             in_lists = {var: [b[var] for b in batch] for var in pooled}
             others = sorted(template.parameters - set(pooled))
+            post = {variable: (path if keyword(path) else None, i) for i, (variable, path)
+                    in enumerate(paths.items()) if variable not in template.parameters}
             groups: dict[tuple, list[int]] = {}
             for index, b in enumerate(batch):
-                key = tuple(str(b[var]) if var in b else None for var in others)
+                key = tuple([str(b[var]) if var in b else None for var in others])
                 groups.setdefault(key, []).append(index)
             results: list[list[BindingBatch]] = [[] for _ in batch]
             project, header = _row_projector(store, paths.values()), tuple(paths)
+            rank, bucket, sort_by = store.rank, store.keyword_documents, query.sort_by
             for indices in groups.values():
                 bound = template.bind(batch[indices[0]], in_lists)
                 matches, score = store.matches(bound), store.scorer(bound)
-                top = None if limit is None else store.rank(matches, score, query.sort_by,
-                                                            limit=limit)
+                top = None if limit is None else rank(matches, score, sort_by, limit=limit)
                 for index in indices:
                     b = batch[index]
-                    buckets = [(path, str(b[var]).lower()) for var, path in pooled.items()]
+                    buckets = [bucket(path, str(b[var]).lower()) for var, path in pooled.items()]
                     checks = []
-                    for variable, value in self._post_filters(query, b):
-                        if isinstance(value, str) and keyword(paths[variable]):
-                            buckets.append((paths[variable], value.lower()))
+                    for variable, value in b.items():
+                        if (spec := post.get(variable)) is None:
+                            continue
+                        if spec[0] is not None and isinstance(value, str):
+                            buckets.append(bucket(spec[0], value.lower()))
                         else:
-                            checks.append((columns[variable], value))
+                            checks.append((spec[1], value))
                     if top is None:
                         found = matches
-                        # Smallest first: each ``&`` costs the smaller operand.
-                        for bucket in sorted((store.keyword_documents(path, key)
-                                              for path, key in buckets), key=len):
-                            found = bucket & found
-                        ranked = store.rank(found, score, query.sort_by)
+                        buckets.sort(key=len)  # each ``&`` costs the smaller operand
+                        for ids in buckets:
+                            found = ids & found
+                        ranked = rank(found, score, sort_by)
                     else:
                         ranked = top
                     if not ranked:
                         continue
-                    rows = list(itertools.starmap(project, ranked))
+                    rows = project(ranked)
                     if checks:
                         rows = [values for values in rows if all(
                             _loose_equal(values[i], value) for i, value in checks)]
@@ -1067,26 +1070,26 @@ def _binding_term_variants(value: object) -> list[Term]:
 
 
 def _row_projector(store: FullTextStore,
-                   paths: Iterable[str]) -> Callable[[str, float], tuple]:
-    """A hit's output values, one per path, from its doc id and score.
+                   paths: Iterable[str]) -> Callable[[list[tuple[str, float]]], list[tuple]]:
+    """The output values of ranked ``(doc id, score)`` hits, one per path.
 
     A declared field reads its cell of the hit's stored row, ``_score``
     the score it is given, and an undeclared dotted path is read off the
     document into a cell the way the store fills a row (a one-value list
-    as its value, a longer one as a tuple).  When every path is declared
-    a hit costs one dict lookup and one ``itemgetter``."""
+    as its value, a longer one as a tuple).  Without ``_score`` and
+    undeclared paths, hits are mapped through C builtins alone."""
     paths, layout = tuple(paths), store.stored_fields
     at = {name: i for i, name in enumerate(layout)}
     at["_score"] = len(layout)
     extra = tuple(dict.fromkeys(path for path in paths if path not in at))
     at.update((path, len(layout) + 1 + i) for i, path in enumerate(extra))
     pick, rows = tuple_getter([at[path] for path in paths]), store.stored_rows()
-    if extra:
-        read, get = row_builder(extra), store.get
-        return lambda doc_id, score: pick(rows[doc_id] + (score,) + read(get(doc_id).fields))
-    if "_score" in paths:
-        return lambda doc_id, score: pick(rows[doc_id] + (score,))
-    return lambda doc_id, score: pick(rows[doc_id])
+    if not extra and "_score" not in paths:
+        return lambda ranked: list(map(pick, map(rows.__getitem__, map(itemgetter(0), ranked))))
+    read, get = row_builder(extra), store.get
+    return lambda ranked: [
+        pick(rows[doc_id] + (score,) + (read(get(doc_id).fields) if extra else ()))
+        for doc_id, score in ranked]
 
 
 def _loose_equal(left: object, right: object) -> bool:

@@ -49,7 +49,17 @@ def freeze(value: object) -> object:
 
 def dedupe(items: Iterable, keys: Iterable[tuple], seen: set) -> list:
     """The ``items`` whose key is new to ``seen`` (then added), in order;
-    a key is a row's value tuple, frozen only when it cannot be hashed."""
+    a key is a row's value tuple, frozen only when it cannot be hashed.
+    Rows keyed by themselves (``keys is items``) into an empty ``seen``
+    go through ``dict.fromkeys``: each row is hashed once, not twice."""
+    if keys is items and not seen:
+        try:
+            fresh = dict.fromkeys(items)
+        except TypeError:  # an unhashable row: the loop below freezes it
+            pass
+        else:
+            seen.update(fresh)  # from a dict: its stored hashes, no row hashed again
+            return list(fresh)
     keep = []
     for item, key in zip(items, keys):
         try:
@@ -224,6 +234,27 @@ class SeenRows:
         keys = (batch.rows if columns == batch.columns
                 else map(batch.projector(columns), batch.rows))
         return dedupe(batch.rows, keys, seen)
+
+
+@lru_cache(maxsize=MAX_ROW_CONSTRUCTORS)
+def row_merger(left_columns: tuple[str, ...], right_columns: tuple[str, ...],
+               ) -> tuple[tuple[str, ...], Callable[[list[tuple[tuple, list[tuple]]]], list[tuple]]]:
+    """:func:`merge_spec`'s header, and ``merge(run)``: one comprehension
+    compiled for the two headers over a run of ``(left_row, right_rows)``
+    pairs, keeping the right rows that agree with their left row on every
+    shared column (``not l != r``: a NaN never agrees).  Only positions
+    enter the source."""
+    out_columns, _ = merge_spec(left_columns, right_columns)
+    right_at = {c: j for j, c in enumerate(right_columns)}
+    cells = "".join(f"r{right_at[c]}, " if c in right_at else f"l{left_columns.index(c)}, "
+                    for c in out_columns)
+    agree = "".join(f" if not l{i} != r{right_at[c]}"
+                    for i, c in enumerate(left_columns) if c in right_at)
+    lefts = "".join(f"l{i}, " for i in range(len(left_columns)))
+    rights = "".join(f"r{j}, " for j in range(len(right_columns)))
+    exec(f"def merge(run):\n    return [({cells}) for {f'({lefts})' if lefts else '_'}, rights"
+         f" in run for {rights or '_'} in rights{agree}]", namespace := {})
+    return out_columns, namespace["merge"]
 
 
 def merge_spec(left_columns: Sequence[str], right_columns: Sequence[str],

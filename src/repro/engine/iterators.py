@@ -30,6 +30,7 @@ from repro.engine.batch import (
     freeze,
     merge_spec,
     row_count,
+    row_merger,
     tuple_getter,
 )
 from repro.errors import MixedQueryError
@@ -269,7 +270,6 @@ class BatchBindJoin(Operator):
         pending: list[tuple[tuple[str, ...], tuple, tuple]] = []
         ready: list[tuple[tuple[str, ...], tuple, tuple]] = []
         queued: dict[tuple, tuple] = {}  # call key -> (names, unfrozen values)
-        specs: dict[tuple, tuple] = {}
         for batch in self.left.batches():
             self.stats.consumed += len(batch)
             columns = batch.columns
@@ -298,11 +298,11 @@ class BatchBindJoin(Operator):
                     queued = {}
                     ready += pending
                     pending = []
-            yield from self._join(ready, answers, specs)
+            yield from self._join(ready, answers)
             ready = []
         if queued:
             self._flush(queued, answers)
-        yield from self._join(pending, answers, specs)
+        yield from self._join(pending, answers)
 
     def _flush(self, queued: dict[tuple, tuple],
                answers: dict[tuple, list[BindingBatch]]) -> None:
@@ -333,34 +333,20 @@ class BatchBindJoin(Operator):
 
     @staticmethod
     def _join(left: list[tuple[tuple[str, ...], tuple, tuple]],
-              answers: dict[tuple, list[BindingBatch]],
-              specs: dict[tuple, tuple]) -> Iterator[BindingBatch]:
-        """Merge each left row with its fetched rows, in order."""
-        header: tuple[str, ...] | None = None
-        merged: list[tuple] = []
+              answers: dict[tuple, list[BindingBatch]]) -> Iterator[BindingBatch]:
+        """Merge each left row with its fetched rows, in order: each run of
+        (left row, fetched rows) under one pair of headers is one call of
+        its compiled :func:`row_merger`."""
+        runs: list[tuple[tuple, list[tuple[tuple, list[tuple]]]]] = []
         for columns, row, key in left:
             for fetched in answers[key]:
-                spec = specs.get((columns, fetched.columns))
-                if spec is None:
-                    out_columns, merge = merge_spec(columns, fetched.columns)
-                    positions = fetched.positions()
-                    shared = [(i, positions[c]) for i, c in enumerate(columns)
-                              if c in positions]
-                    spec = specs[(columns, fetched.columns)] = (out_columns, merge, shared)
-                out_columns, merge, shared = spec
-                if out_columns is not header:
-                    if merged:
-                        yield BindingBatch(header, merged)
-                        merged = []
-                    header = out_columns
-                for right_row in fetched.rows:
-                    for i, j in shared:
-                        if row[i] != right_row[j]:
-                            break
-                    else:
-                        merged.append(merge(row + right_row))
-        if merged:
-            yield BindingBatch(header, merged)
+                if not runs or runs[-1][0] != (columns, fetched.columns):
+                    runs.append(((columns, fetched.columns), []))
+                runs[-1][1].append((row, fetched.rows))
+        for headers, run in runs:
+            out_columns, merge = row_merger(*headers)
+            if rows := merge(run):
+                yield BindingBatch(out_columns, rows)
 
     def children(self) -> Sequence[Operator]:
         return (self.left,)

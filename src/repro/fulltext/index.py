@@ -83,6 +83,10 @@ class InvertedIndex:
         """Number of terms indexed for ``doc_id``."""
         return self._doc_lengths.get(doc_id, 0)
 
+    def document_lengths(self) -> Mapping[str, int]:
+        """doc id -> its number of indexed terms (read-only, not a copy)."""
+        return self._doc_lengths
+
     def average_document_length(self) -> float:
         """Mean document length (used by BM25); O(1)."""
         if not self._doc_lengths:

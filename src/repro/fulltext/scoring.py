@@ -4,11 +4,11 @@ BM25 splits into what depends on the *search* — the index's average
 document length, the ``idf`` and postings of every query term, the
 ``k1`` / ``b`` terms — and what depends on the *hit*: its length and its
 term frequencies.  :func:`bm25_scorer` computes the first part once and
-returns a function of the document, so a search pays the per-search part
-once whatever the number of hits, and nothing in it reads more of the
-index than the query terms' postings (the average length is an aggregate
-the index's writes maintain).  :func:`bm25_score` is that scorer applied
-to one document; the arithmetic and its order are those of the textbook
+returns a function of a list of documents (one kernel per term), so a
+search pays the per-search part once whatever the number of hits, and
+nothing in it reads more of the index than the query terms' postings
+and the document lengths.  :func:`bm25_score` is that scorer applied to
+one document; the arithmetic and its order are those of the textbook
 formula, so both give the same float for the same index state.
 """
 
@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from operator import add
+from typing import Callable, Sequence
 
 from repro.fulltext.index import InvertedIndex
 
@@ -40,36 +41,45 @@ def tf_idf_score(index: InvertedIndex, terms: list[str], doc_id: str) -> float:
     return score
 
 
-def bm25_scorer(index: InvertedIndex, terms: list[str],
-                parameters: BM25Parameters | None = None) -> Callable[[str], float]:
-    """Okapi BM25 for a bag of query terms, as a function of the doc id."""
+def bm25_scorer(index: InvertedIndex, terms: list[str], parameters: BM25Parameters | None = None,
+                ) -> Callable[[Sequence[str]], list[float]]:
+    """Okapi BM25 for a bag of query terms, as a function of a list of doc
+    ids (their scores, in order): the sum of one kernel per weighted term,
+    or the one kernel itself.  A kernel is one comprehension over the ids."""
     parameters = parameters or BM25Parameters()
     k1, b = parameters.k1, parameters.b
     k1_plus_one = k1 + 1.0
     one_minus_b = 1.0 - b
     average_length = index.average_document_length() or 1.0
-    document_length = index.document_length
+    length_of = index.document_lengths().get
+
+    def kernel(posting_of: Callable, idf: float) -> Callable[[Sequence[str]], list[float]]:
+        return lambda doc_ids: [
+            idf * ((tf := posting.term_frequency) * k1_plus_one)
+            / (tf + k1 * (one_minus_b + b * length_of(doc_id, 0) / average_length))
+            if (posting := posting_of(doc_id)) is not None else 0.0 for doc_id in doc_ids]
+
     # A repeated query term counts once per repetition; a term no
     # document holds contributes to no score.
-    weighted = [(postings, index.idf(term))
-                for term in terms
-                if (postings := index.postings_by_document(term))]
+    kernels = [kernel(postings.get, index.idf(term)) for term in terms
+               if (postings := index.postings_by_document(term))]
+    return kernels[0] if len(kernels) == 1 else summed(kernels)
 
-    def score(doc_id: str) -> float:
-        length_norm = k1 * (one_minus_b + b * document_length(doc_id) / average_length)
-        total = 0.0
-        for postings, idf in weighted:
-            posting = postings.get(doc_id)
-            if posting is None:
-                continue
-            tf = posting.term_frequency
-            total += idf * (tf * k1_plus_one) / (tf + length_norm)
-        return total
 
-    return score
+def summed(scorers: list[Callable[[Sequence[str]], list[float]]],
+           ) -> Callable[[Sequence[str]], list[float]]:
+    """The scores of a list of doc ids under each of ``scorers``, added up
+    in order from ``0.0`` (the textbook's loop over terms)."""
+    def scores(doc_ids: Sequence[str]) -> list[float]:
+        totals = [0.0] * len(doc_ids)
+        for more in scorers:
+            totals = list(map(add, totals, more(doc_ids)))
+        return totals
+
+    return scores
 
 
 def bm25_score(index: InvertedIndex, terms: list[str], doc_id: str,
                parameters: BM25Parameters | None = None) -> float:
     """Okapi BM25 score of ``doc_id`` for a bag of query terms."""
-    return bm25_scorer(index, terms, parameters)(doc_id)
+    return bm25_scorer(index, terms, parameters)([doc_id])[0]

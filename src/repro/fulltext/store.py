@@ -33,6 +33,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import AbstractSet, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.core.deltas import (
@@ -53,7 +54,7 @@ from repro.fulltext.query import (
     TermQuery,
     parse_query,
 )
-from repro.fulltext.scoring import bm25_scorer
+from repro.fulltext.scoring import bm25_scorer, summed
 
 _NO_DOCUMENTS: frozenset[str] = frozenset()
 
@@ -123,6 +124,8 @@ class FullTextStore:
         }
         #: doc id -> its stored row, one cell per :attr:`stored_fields`.
         self._stored: dict[str, tuple] = {}
+        #: top-level key -> documents carrying it (see ``_match_stored``).
+        self._top_keys: dict[str, int] = {}
         self._row_of = row_builder(self.stored_fields)
         cell = {name: i for i, name in enumerate(self.stored_fields)}
         #: (field, its cell) of each text field and of each keyword field.
@@ -218,6 +221,8 @@ class FullTextStore:
         doc_id = doc.doc_id
         self._documents[doc_id] = doc
         row = self._stored[doc_id] = self._row_of(doc.fields)
+        for key in doc.fields:
+            self._top_keys[key] = self._top_keys.get(key, 0) + 1
         for field_name, terms in self._text_terms(doc, row):
             self._text_indexes[field_name].add(doc_id, terms)
         for field_name, at in self._keyword_cells:
@@ -239,6 +244,8 @@ class FullTextStore:
         if doc is None:
             return None
         row = self._stored.pop(doc_id)
+        for key in doc.fields:
+            self._top_keys[key] -= 1
         for field_name, terms in self._text_terms(doc, row):
             self._text_indexes[field_name].remove(doc_id, terms)
         for field_name, at in self._keyword_cells:
@@ -439,7 +446,7 @@ class FullTextStore:
         """The ids of the documents matching ``query``, unranked (a new set)."""
         return self._evaluate(parse_query(query) if isinstance(query, str) else query)
 
-    def rank(self, doc_ids: Iterable[str], score: Callable[[str], float],
+    def rank(self, doc_ids: Iterable[str], score: Callable[[Sequence[str]], list[float]],
              sort_by: str | None = None, descending: bool = True,
              limit: int | None = None) -> list[tuple[str, float]]:
         """The first ``limit`` of ``doc_ids`` in search order, each with
@@ -450,19 +457,22 @@ class FullTextStore:
         comes after every document with it, in either direction.  The id
         breaks ties, so the order of ``doc_ids`` never shows and ranking a
         subset of a match set keeps its members' relative order.  ``score``
-        is called once per document ranked by relevance, and under
-        ``sort_by`` once per document kept.
+        (a list of ids -> their scores) is called once: on every document
+        ranked by relevance, under ``sort_by`` on the documents kept.
+        Relevance stable-sorts the sorted ids on the float score: the
+        ``(-score, id)`` order, in C.
         """
         if not sort_by:
-            keyed = sorted([(-score(doc_id), doc_id) for doc_id in doc_ids])
-            return [(doc_id, -key) for key, doc_id in keyed[:limit]]
+            ranked = list(zip(ids := sorted(doc_ids), score(ids)))
+            ranked.sort(key=itemgetter(1), reverse=True)
+            return ranked[:limit]
         value_of, documents = path_getter(sort_by), self._documents
         keyed = [(value_of(documents[doc_id].fields), doc_id) for doc_id in doc_ids]
         ranked = [doc_id for _, doc_id in sorted(
             (pair for pair in keyed if pair[0] is not None), reverse=descending)]
         ranked += sorted((doc_id for value, doc_id in keyed if value is None),
                          reverse=descending)
-        return [(doc_id, score(doc_id)) for doc_id in ranked[:limit]]
+        return list(zip(kept := ranked[:limit], score(kept)))
 
     def keyword_documents(self, field_name: str, key: str) -> AbstractSet[str]:
         """The ids filed under ``key`` — a stored value's ``str(v).lower()``
@@ -588,6 +598,8 @@ class FullTextStore:
         return matches
 
     def _match_stored(self, field_name: str, term: str) -> set[str]:
+        if not self._top_keys.get(field_name.split(".", 1)[0]):
+            return set()
         lowered = term.lower()
         out = set()
         for doc_id, doc in self._documents.items():
@@ -623,28 +635,18 @@ class FullTextStore:
         walk(query)
         return terms
 
-    def scorer(self, query: Query) -> Callable[[str], float]:
-        """Relevance of a document to ``query``: BM25 summed over the text
-        fields the query names (1.0 when no text term contributes).
+    def scorer(self, query: Query) -> Callable[[Sequence[str]], list[float]]:
+        """Relevance to ``query`` of a list of doc ids, as their scores in
+        order: BM25 summed over the text fields the query names (1.0 when
+        no text term contributes).
 
         Everything that does not depend on the document is computed here,
         once per search, not once per hit.
         """
-        scorers = [bm25_scorer(self._text_indexes[field_name], terms)
-                   for field_name, terms in self._scoring_terms(query).items() if terms]
-        if not scorers:
-            return lambda doc_id: 1.0
-        if len(scorers) == 1:
-            only = scorers[0]
-            return lambda doc_id: only(doc_id) or 1.0
-
-        def score(doc_id: str) -> float:
-            total = 0.0
-            for scorer in scorers:
-                total += scorer(doc_id)
-            return total if total else 1.0
-
-        return score
+        fields = [bm25_scorer(self._text_indexes[field_name], terms)
+                  for field_name, terms in self._scoring_terms(query).items() if terms]
+        scores = fields[0] if len(fields) == 1 else summed(fields)
+        return lambda doc_ids: [score or 1.0 for score in scores(doc_ids)]
 
     @staticmethod
     def _stringify(value: Any) -> str:
@@ -680,8 +682,8 @@ class FullTextSnapshot(Snapshot, FullTextStore, reads=(
         live = self._live
         at = FullTextStore(live.name, live.field_configs(), live.default_field,
                            live.id_field, live.analyzer)
-        at._version, at._documents, at._stored = (
-            self._version, dict(live._documents), dict(live._stored))
+        at._version, at._documents, at._stored, at._top_keys = (
+            self._version, dict(live._documents), dict(live._stored), dict(live._top_keys))
         for name, index in live._text_indexes.items():
             twin = at._text_indexes[name]
             twin._postings = CopyOnWrite(index._postings, lambda postings: dict(postings or {}))
@@ -702,16 +704,16 @@ class FullTextSnapshot(Snapshot, FullTextStore, reads=(
         with self.reading() as store:
             return dict(store.stored_rows())
 
-    def scorer(self, query: Query) -> Callable[[str], float]:
+    def scorer(self, query: Query) -> Callable[[Sequence[str]], list[float]]:
         made: list = [None, None]
 
-        def score(doc_id: str) -> float:
+        def scores(doc_ids: Sequence[str]) -> list[float]:
             with self.reading() as store:
                 if made[0] is not store:
                     made[:] = store, store.scorer(query)
-                return made[1](doc_id)
+                return made[1](doc_ids)
 
-        return score
+        return scores
 
 
 def _keyword_keys(cell: Any) -> Sequence[str]:

@@ -1,12 +1,14 @@
 """Mutation check of the differential harness: every mutant must be killed.
 
 A mutant is one deliberate bug, applied by monkeypatching the program
-(nothing on disk changes).  The script runs ``test_oracle_harness.py``
-once per mutant, each in a fresh interpreter, and calls the mutant
-*killed* when the harness fails; a mutant that survives is a bug the
-harness cannot see.  The unmutated harness runs first and must pass.
-Not a tier-1 test — it runs the harness once per mutant, about ten
-seconds each::
+(nothing on disk changes).  The script runs the row-kernel tests
+(``test_row_kernels.py``) and then ``test_oracle_harness.py`` once per
+mutant, each in a fresh interpreter, and calls the mutant *killed* when
+they fail; a mutant that survives is a bug they cannot see.  The kernel
+tests catch what two equally mutated instances cannot tell apart — the
+order of tied hits, a loose match on a shared column.  The unmutated
+run comes first and must pass.  Not a tier-1 test — it runs the harness
+once per mutant, about ten seconds each::
 
     PYTHONPATH=src python tests/mutants.py            # every mutant
     PYTHONPATH=src python tests/mutants.py NAME ...   # the named ones
@@ -24,6 +26,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 HARNESS = HERE / "test_oracle_harness.py"
+KERNELS = HERE / "test_row_kernels.py"
 
 
 def constants_out_of_the_binding_key(patch) -> None:
@@ -202,6 +205,37 @@ def remote_header_reversed(patch) -> None:
     patch.setattr(protocol, "decode_answer", reversed_header)
 
 
+def rank_without_id_tie_break(patch) -> None:
+    """Relevance ranks hits on the score alone: tied hits keep the order
+    the match set happens to list them in."""
+    from repro.fulltext.store import FullTextStore
+
+    rank = FullTextStore.rank
+
+    def untied(self, doc_ids, score, sort_by=None, descending=True, limit=None):
+        if sort_by:
+            return rank(self, doc_ids, score, sort_by, descending, limit)
+        ranked = list(zip(ids := list(doc_ids), score(ids)))
+        ranked.sort(key=lambda hit: hit[1], reverse=True)
+        return ranked if limit is None else ranked[:limit]
+
+    patch.setattr(FullTextStore, "rank", untied)
+
+
+def merge_without_shared_check(patch) -> None:
+    """A bind join merges a left row with every fetched row, agreeing on
+    the shared columns or not."""
+    from repro.engine import iterators
+    from repro.engine.batch import merge_spec
+
+    def unchecked(left_columns, right_columns):
+        out_columns, merge = merge_spec(left_columns, right_columns)
+        return out_columns, lambda run: [merge(row + right) for row, rights in run
+                                         for right in rights]
+
+    patch.setattr(iterators, "row_merger", unchecked)
+
+
 MUTANTS = {mutant.__name__: mutant for mutant in (
     constants_out_of_the_binding_key, version_out_of_the_cache_key,
     repair_ignores_its_delta, headers_left_untranslated,
@@ -209,7 +243,8 @@ MUTANTS = {mutant.__name__: mutant for mutant in (
     repair_from_explicit_delta, seed_drops_spelling_variants,
     repair_reads_pre_write_closure, wire_skips_tagged_columns,
     stored_row_outlives_upsert, snapshot_reads_live_stored_rows,
-    rdf_header_sorted, remote_header_reversed)}
+    rdf_header_sorted, remote_header_reversed, rank_without_id_tie_break,
+    merge_without_shared_check)}
 
 
 def _run(name: str) -> int:
@@ -223,7 +258,7 @@ def _run(name: str) -> int:
     patch = pytest.MonkeyPatch()
     if name != "none":
         MUTANTS[name](patch)
-    return pytest.main(["-q", "-x", "-p", "no:cacheprovider", str(HARNESS)])
+    return pytest.main(["-q", "-x", "-p", "no:cacheprovider", str(KERNELS), str(HARNESS)])
 
 
 def main(argv: list[str]) -> int:

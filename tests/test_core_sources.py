@@ -420,9 +420,9 @@ def _count_projections(monkeypatch) -> Counter:
     def counting(*args):
         project = make(*args)
 
-        def counted(doc_id, *rest):
-            projected[doc_id] += 1
-            return project(doc_id, *rest)
+        def counted(ranked):
+            projected.update(doc_id for doc_id, _ in ranked)
+            return project(ranked)
 
         return counted
 

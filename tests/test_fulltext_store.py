@@ -17,7 +17,11 @@ from repro.fulltext import (
     parse_query,
     tf_idf_score,
 )
+from repro.core import FullTextQuery
+from repro.datasets import DemoConfig, build_demo_instance
+from repro.datasets.loader import FACEBOOK_URI
 from repro.fulltext.query import BooleanQuery, PhraseQuery, RangeQuery, TermQuery
+from repro.fulltext.store import facebook_store
 
 
 class TestDocument:
@@ -555,3 +559,54 @@ class TestStoredRows:
         assert _read_state(snapshot) == _read_state(then)
         # Reading the snapshot left the live store as it was.
         assert (_reprs(store.stored_rows()), _read_state(store)) == live
+
+
+# ---------------------------------------------------------------------------
+# A stored-value scan of a path no document starts with reads nothing
+# ---------------------------------------------------------------------------
+
+def _posts() -> FullTextStore:
+    store = facebook_store()
+    store.add_all([{"id": "p1", "message": "la france", "group": "PS"},
+                   {"id": "p2", "message": "la nation", "group": "LR"}])
+    return store
+
+
+class TestStoredValueScan:
+    def test_a_fan_out_to_a_store_without_the_path_reads_no_document(self, monkeypatch):
+        """``dynamic`` asks the Facebook store for tweets' hashtags: its
+        posts carry no ``entities``, so the call answers nothing, as the
+        scan it skips would."""
+        demo = build_demo_instance(DemoConfig(politicians=12, weeks=2, seed=42))
+        source = demo.instance.source(FACEBOOK_URI)
+        query = FullTextQuery.create("entities.hashtags:{tag}",
+                                     {"t": "text", "id": "user.screen_name"})
+        reads = []
+        get = Document.get
+        monkeypatch.setattr(Document, "get",
+                            lambda self, path, default=None: reads.append(path)
+                            or get(self, path, default))
+        assert source.execute_batch(query, [{"tag": "sia2016"}, {"tag": "chomage"}]) == [[], []]
+        assert reads == []
+
+    def test_a_path_a_document_starts_with_is_still_scanned(self):
+        store = _posts()
+        assert store.matches("group:ps") == {"p1"}
+        assert store.matches("group.name:ps") == set()
+        assert store.matches("entities.hashtags:sia2016") == set()
+
+    def test_the_key_count_follows_writes_and_snapshots(self):
+        store = _posts()
+        before = store.snapshot()
+        store.add({"id": "p3", "message": "x", "entities": {"hashtags": ["sia2016"]}})
+        during = store.snapshot()
+        assert store.matches("entities.hashtags:sia2016") == {"p3"}
+        # A view taken before the write that adds the path answers nothing.
+        assert before.matches("entities.hashtags:SIA2016") == set()
+        store.add({"id": "p3", "message": "x"})
+        assert store.matches("entities.hashtags:sia2016") == set()
+        assert during.matches("entities.hashtags:sia2016") == {"p3"}
+        store.remove("p1")
+        store.remove("p2")
+        assert store.matches("group:ps") == set()
+        assert before.matches("group:ps") == {"p1"}

@@ -306,9 +306,9 @@ class TestRepairIsOfferedEachKeyOnce:
         offered: list[tuple] = []
         original = RepairEngine.repair
 
-        def repair(self, source, version, query, canon, probes):
-            offered.extend(key for key, _ in probes)
-            return original(self, source, version, query, canon, probes)
+        def repair(self, source, version, query, canon, keys, binding):
+            offered.extend(keys)
+            return original(self, source, version, query, canon, keys, binding)
         monkeypatch.setattr(RepairEngine, "repair", repair)
         stats = instance.cache.repair.stats
         attempts, fallbacks = stats.attempts, sum(stats.fallbacks.values())
@@ -317,6 +317,41 @@ class TestRepairIsOfferedEachKeyOnce:
         assert offered and len(offered) == len(set(offered))
         assert stats.attempts - attempts == len(offered)
         assert sum(stats.fallbacks.values()) - fallbacks == len(offered)
+        instance.clear_caches()
+        assert sorted(map(str, instance.execute(cmq).rows)) == sorted(map(str, after.rows))
+
+
+class TestRepairAsksBindingsOnlyOfPriorEntries:
+    def test_a_cold_party_cmq_builds_no_binding_for_repair(self, monkeypatch):
+        """A probe hands repair a binding only for a key with a prior
+        entry: none on a cold CMQ, one per repair attempt after a write."""
+        demo = build_demo_instance(DemoConfig(politicians=24, weeks=2, seed=42))
+        instance = demo.instance
+        cmq = party_vocabulary_query(demo, "france")
+        asked: list[int] = []
+        probe = CachedSource._probe
+
+        def counting(self, version, query, canon, keys, binding):
+            def counted(i):
+                asked.append(i)
+                return binding(i)
+            return probe(self, version, query, canon, keys, counted)
+
+        monkeypatch.setattr(CachedSource, "_probe", counting)
+        assert instance.cache.repair is not None
+        instance.clear_caches()
+        cold = instance.execute(cmq)
+        assert cold.rows and asked == []
+
+        store = instance.source(TWEETS_URI).store
+        upserts = [copy.deepcopy(doc.fields) for doc in store.documents()[:5]]
+        for document in upserts:
+            document["retweet_count"] = document.get("retweet_count", 0) + 100
+        store.add_all(upserts)
+        stats = instance.cache.repair.stats
+        attempts = stats.attempts
+        after = instance.execute(cmq)
+        assert asked and len(asked) == stats.attempts - attempts
         instance.clear_caches()
         assert sorted(map(str, instance.execute(cmq).rows)) == sorted(map(str, after.rows))
 
