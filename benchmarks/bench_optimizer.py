@@ -38,7 +38,7 @@ from dataclasses import replace
 
 from repro.baselines import naive_options
 from repro.core import MixedInstance, PlannerOptions
-from repro.core.sources import RelationalSource
+from repro.relational.source import RelationalSource
 from repro.fulltext.store import FieldConfig, FullTextStore
 from repro.rdf import Graph, triple
 from repro.relational import Database

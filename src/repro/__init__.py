@@ -38,16 +38,10 @@ from repro.core.cmq import CMQBuilder, ConjunctiveMixedQuery, GLUE_SOURCE, parse
 from repro.core.instance import MixedInstance
 from repro.core.planner import PlannerOptions
 from repro.core.results import MixedResult
-from repro.core.sources import (
-    FullTextQuery,
-    FullTextSource,
-    JSONQuery,
-    JSONSource,
-    RDFQuery,
-    RDFSource,
-    RelationalSource,
-    SQLQuery,
-)
+from repro.fulltext.source import FullTextQuery, FullTextSource
+from repro.json.source import JSONQuery, JSONSource
+from repro.rdf.source import RDFQuery, RDFSource
+from repro.relational.source import RelationalSource, SQLQuery
 from repro.errors import ReproError
 
 __version__ = "1.0.0"

@@ -20,16 +20,10 @@ from typing import Iterator
 from repro.core.cmq import ConjunctiveMixedQuery, SourceAtom
 from repro.core.instance import MixedInstance
 from repro.core.results import MixedResult
-from repro.core.sources import (
-    FullTextQuery,
-    FullTextSource,
-    JSONQuery,
-    JSONSource,
-    RDFQuery,
-    RDFSource,
-    RelationalSource,
-    SQLQuery,
-)
+from repro.fulltext.source import FullTextQuery, FullTextSource
+from repro.json.source import JSONQuery, JSONSource
+from repro.rdf.source import RDFQuery, RDFSource
+from repro.relational.source import RelationalSource, SQLQuery
 from repro.engine.batch import BindingBatch, tuple_decoder
 from repro.errors import MixedQueryError
 from repro.fulltext.document import Document

@@ -24,14 +24,11 @@ from dataclasses import astuple
 from operator import itemgetter
 from typing import Iterable, Optional
 
-from repro.core.sources import (
-    FullTextQuery,
-    JSONQuery,
-    RDFQuery,
-    Row,
-    SourceQuery,
-    SQLQuery,
-)
+from repro.core.sources import Row, SourceQuery
+from repro.fulltext.source import FullTextQuery
+from repro.json.source import JSONQuery
+from repro.rdf.source import RDFQuery
+from repro.relational.source import SQLQuery
 from repro.engine.batch import BindingBatch
 from repro.json.pattern import Parameter as JSONParameter
 from repro.rdf.terms import Variable

@@ -60,18 +60,11 @@ from typing import Callable, Optional
 from repro.cache.keys import CanonicalQuery
 from repro.cache.lru import LRUCache
 from repro.core.deltas import INSERT, DeltaRecord
-from repro.core.sources import (
-    FullTextQuery,
-    FullTextSource,
-    JSONQuery,
-    JSONSource,
-    RDFQuery,
-    RDFSource,
-    RelationalSource,
-    Row,
-    SourceQuery,
-    SQLQuery,
-)
+from repro.core.sources import Row, SourceQuery
+from repro.fulltext.source import FullTextQuery, FullTextSource
+from repro.json.source import JSONQuery, JSONSource
+from repro.rdf.source import RDFQuery, RDFSource
+from repro.relational.source import RelationalSource, SQLQuery
 from repro.engine.batch import BindingBatch, SeenRows, freeze, row_count, tuple_decoder
 from repro.fulltext.store import FullTextStore
 from repro.json.store import JSONDocumentStore

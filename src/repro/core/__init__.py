@@ -22,19 +22,11 @@ from repro.core.instance import MixedInstance
 from repro.core.planner import PlannerOptions, PlanStep, QueryPlan, QueryPlanner
 from repro.core.results import ExecutionTrace, MixedResult, StepObservation, SubQueryCall
 from repro.stats import CostModel, StatisticsCatalog
-from repro.core.sources import (
-    DataSource,
-    FullTextQuery,
-    FullTextSource,
-    JSONQuery,
-    JSONSource,
-    RDFQuery,
-    RDFSource,
-    RelationalSource,
-    Row,
-    SourceQuery,
-    SQLQuery,
-)
+from repro.core.sources import DataSource, Row, SourceQuery
+from repro.fulltext.source import FullTextQuery, FullTextSource
+from repro.json.source import JSONQuery, JSONSource
+from repro.rdf.source import RDFQuery, RDFSource
+from repro.relational.source import RelationalSource, SQLQuery
 
 __all__ = [
     "MediatorCache",

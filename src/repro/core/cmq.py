@@ -26,15 +26,11 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, partial
 from typing import Optional, Sequence
 
-from repro.core.sources import (
-    DataSource,
-    FullTextQuery,
-    JSONQuery,
-    RDFQuery,
-    Row,
-    SourceQuery,
-    SQLQuery,
-)
+from repro.core.sources import DataSource, Row, SourceQuery
+from repro.fulltext.source import FullTextQuery
+from repro.json.source import JSONQuery
+from repro.rdf.source import RDFQuery
+from repro.relational.source import SQLQuery
 from repro.engine.batch import BindingBatch, tuple_getter
 from repro.errors import MixedQueryError, ParseError
 

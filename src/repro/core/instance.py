@@ -22,14 +22,11 @@ from repro.core.cmq import (
 from repro.core.executor import MixedQueryExecutor
 from repro.core.planner import PlannerOptions, QueryPlan, QueryPlanner
 from repro.core.results import MixedResult
-from repro.core.sources import (
-    DataSource,
-    FullTextSource,
-    JSONSource,
-    RDFSource,
-    RelationalSource,
-    SourceQuery,
-)
+from repro.core.sources import DataSource, SourceQuery
+from repro.fulltext.source import FullTextSource
+from repro.json.source import JSONSource
+from repro.rdf.source import RDFSource
+from repro.relational.source import RelationalSource
 from repro.errors import UnknownSourceError
 from repro.fulltext.store import FullTextStore
 from repro.json.store import JSONDocumentStore

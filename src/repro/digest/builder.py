@@ -20,13 +20,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.cmq import GLUE_SOURCE
-from repro.core.sources import (
-    DataSource,
-    FullTextSource,
-    JSONSource,
-    RDFSource,
-    RelationalSource,
-)
+from repro.core.sources import DataSource
+from repro.fulltext.source import FullTextSource
+from repro.json.source import JSONSource
+from repro.rdf.source import RDFSource
+from repro.relational.source import RelationalSource
 from repro.digest.dataguide import JSONDataguide
 from repro.digest.graph import DigestCatalog, DigestNode, SourceDigest
 from repro.digest.valueset import ValueSetSummary

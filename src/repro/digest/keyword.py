@@ -22,17 +22,11 @@ import networkx as nx
 
 from repro.core.cmq import ConjunctiveMixedQuery, GLUE_SOURCE, SourceAtom
 from repro.core.results import MixedResult
-from repro.core.sources import (
-    DataSource,
-    FullTextQuery,
-    FullTextSource,
-    JSONQuery,
-    JSONSource,
-    RDFQuery,
-    RDFSource,
-    RelationalSource,
-    SQLQuery,
-)
+from repro.core.sources import DataSource
+from repro.fulltext.source import FullTextQuery, FullTextSource
+from repro.json.source import JSONQuery, JSONSource
+from repro.rdf.source import RDFQuery, RDFSource
+from repro.relational.source import RelationalSource, SQLQuery
 from repro.digest.graph import DigestCatalog, DigestNode
 from repro.errors import KeywordSearchError, ReproError
 from repro.json.pattern import PatternLeaf, Predicate, TreePattern

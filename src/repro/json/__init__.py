@@ -11,10 +11,9 @@ substrate:
 * :mod:`repro.json.store` — an in-memory document store maintaining one
   inverted :class:`~repro.json.index.PathIndex` per dotted path;
 * :mod:`repro.json.matcher` — index-assisted pattern evaluation with a
-  naive reference implementation.
-
-The mediator-facing wrapper (:class:`repro.core.sources.JSONSource`)
-lives with the other source wrappers in :mod:`repro.core.sources`.
+  naive reference implementation;
+* :mod:`repro.json.source` — the mediator-facing wrapper
+  (:class:`~repro.json.source.JSONSource`) and its sub-query type.
 """
 
 from repro.json.accel import (

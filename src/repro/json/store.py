@@ -1,6 +1,6 @@
 """In-memory JSON document store with per-path indexes.
 
-The store is the substrate behind :class:`repro.core.sources.JSONSource`:
+The store is the substrate behind :class:`repro.json.source.JSONSource`:
 it keeps native (nested) JSON documents, maintains one
 :class:`~repro.json.index.PathIndex` per observed dotted path — which is
 also where the planner's estimates and the

@@ -38,14 +38,11 @@ import socket
 import struct
 from typing import Optional, Sequence
 
-from repro.core.sources import (
-    FullTextQuery,
-    JSONQuery,
-    RDFQuery,
-    Row,
-    SourceQuery,
-    SQLQuery,
-)
+from repro.core.sources import Row, SourceQuery
+from repro.fulltext.source import FullTextQuery
+from repro.json.source import JSONQuery
+from repro.rdf.source import RDFQuery
+from repro.relational.source import SQLQuery
 from repro.engine.batch import BindingBatch
 from repro.errors import RemoteProtocolError
 from repro.json.parser import parse_pattern

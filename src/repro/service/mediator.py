@@ -35,7 +35,7 @@ from typing import Optional, TYPE_CHECKING
 
 from repro.core.planner import PlannerOptions
 from repro.core.results import MixedResult
-from repro.core.sources import JSONSource
+from repro.json.source import JSONSource
 from repro.errors import (
     AdmissionError,
     QueryCancelledError,

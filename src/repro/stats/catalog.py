@@ -30,18 +30,11 @@ from typing import Optional
 from repro.cache.keys import CanonicalQuery, canonical_query
 from repro.cache.lru import LRUCache
 from repro.core.deltas import INSERT
-from repro.core.sources import (
-    DataSource,
-    FullTextQuery,
-    FullTextSource,
-    JSONQuery,
-    JSONSource,
-    RDFQuery,
-    RDFSource,
-    RelationalSource,
-    SourceQuery,
-    SQLQuery,
-)
+from repro.core.sources import DataSource, SourceQuery
+from repro.fulltext.source import FullTextQuery, FullTextSource
+from repro.json.source import JSONQuery, JSONSource
+from repro.rdf.source import RDFQuery, RDFSource
+from repro.relational.source import RelationalSource, SQLQuery
 from repro.digest.valueset import ValueSetSummary
 from repro.stats.cost import CostModel, DEFAULT_COST_MODEL
 from repro.stats import estimators

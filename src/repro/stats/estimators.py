@@ -11,7 +11,7 @@ one source, using only summaries the mediator already maintains:
 * **full-text** — inverted-index document frequencies per query clause.
 
 JSON tree patterns have one estimator, the wrapper's own
-(:meth:`repro.core.sources.JSONSource.estimate`): its statistics are the
+(:meth:`repro.json.source.JSONSource.estimate`): its statistics are the
 store's per-path indexes, which the wrapper already holds.
 
 Every estimator returns ``None`` when it cannot derive a safe number
@@ -26,15 +26,9 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.core.sources import (
-    FullTextQuery,
-    FullTextSource,
-    RDFQuery,
-    RDFSource,
-    RelationalSource,
-    SQLQuery,
-    _to_rdf_term,
-)
+from repro.fulltext.source import FullTextQuery, FullTextSource
+from repro.rdf.source import RDFQuery, RDFSource, to_rdf_term
+from repro.relational.source import RelationalSource, SQLQuery
 from repro.digest.valueset import ValueSetSummary
 from repro.fulltext.query import MatchAllQuery, Parameter as FullTextParameter, TermQuery
 from repro.rdf.terms import URI, Variable
@@ -150,7 +144,7 @@ def estimate_bgp(source: RDFSource, query: RDFQuery, bound: set[str],
     with source.effective_graph().reading() as graph:
         bgp = query.bgp
         if values:
-            binding = {variable: _to_rdf_term(values[variable.name])
+            binding = {variable: to_rdf_term(values[variable.name])
                        for variable in bgp.variables() if variable.name in values}
             if binding:
                 bgp = bgp.bind(binding)

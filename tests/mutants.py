@@ -99,10 +99,10 @@ def repair_from_explicit_delta(patch) -> None:
 
 def seed_drops_spelling_variants(patch) -> None:
     """A bound value seeds the BGP join under its first spelling only."""
-    from repro.core import sources
+    from repro.rdf import source
 
-    variants = sources._binding_term_variants
-    patch.setattr(sources, "_binding_term_variants", lambda value: variants(value)[:1])
+    variants = source._binding_term_variants
+    patch.setattr(source, "_binding_term_variants", lambda value: variants(value)[:1])
 
 
 def repair_reads_pre_write_closure(patch) -> None:
@@ -180,7 +180,7 @@ def snapshot_reads_live_stored_rows(patch) -> None:
 def rdf_header_sorted(patch) -> None:
     """An RDF answer's header lists its variables sorted, while its rows
     keep the query's order."""
-    from repro.core.sources import RDFSource
+    from repro.rdf.source import RDFSource
     from repro.engine.batch import BindingBatch
 
     execute_batch = RDFSource.execute_batch

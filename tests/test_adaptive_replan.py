@@ -14,7 +14,7 @@ import pytest
 from repro.baselines.naive import naive_options
 from repro.core import MixedInstance, PlannerOptions
 from repro.core.planner import REPLAN_THRESHOLD
-from repro.core.sources import RelationalSource
+from repro.relational.source import RelationalSource
 from repro.obs.metrics import reset_registry
 from repro.relational import Database
 

@@ -12,7 +12,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import CMQBuilder, MixedInstance, PlannerOptions
 from repro.stats.cost import DEFAULT_COST_MODEL, MAX_BIND_BATCH, MIN_BIND_BATCH
-from repro.core.sources import FullTextQuery, JSONQuery, RDFQuery, SQLQuery
+from repro.fulltext.source import FullTextQuery
+from repro.json.source import JSONQuery
+from repro.rdf.source import RDFQuery
+from repro.relational.source import SQLQuery
 from repro.engine.batch import dict_rows
 from repro.json import JSONDocumentStore
 from repro.rdf import Graph, triple
@@ -218,7 +221,7 @@ class TestExecuteBatch:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_relational_batch_equals_the_loop(self, small_database, select, compared,
                                               shape, tail, distinct, values, rate):
-        from repro.core.sources import RelationalSource
+        from repro.relational.source import RelationalSource
 
         source = RelationalSource("sql://diff", small_database)
         where = shape.replace("{eq}", compared + " = {dept}")

@@ -17,15 +17,11 @@ from repro.cache import (
 from repro.core import MixedInstance, PlannerOptions
 from repro.core.planner import REPLAN_THRESHOLD
 from repro.cache.results import SubQueryResultCache
-from repro.core.sources import (
-    DataSource,
-    FullTextQuery,
-    FullTextSource,
-    JSONQuery,
-    RDFQuery,
-    RelationalSource,
-    SQLQuery,
-)
+from repro.core.sources import DataSource
+from repro.fulltext.source import FullTextQuery, FullTextSource
+from repro.json.source import JSONQuery
+from repro.rdf.source import RDFQuery
+from repro.relational.source import RelationalSource, SQLQuery
 from repro.engine.batch import BindingBatch, dict_rows
 from repro.fulltext.store import FieldConfig, FullTextStore
 from repro.json.store import JSONDocumentStore

@@ -26,7 +26,8 @@ import pytest
 from repro.cache.lru import LRUCache
 from repro.cache.results import CachedSource, SubQueryResultCache
 from repro.core import CMQBuilder, MixedInstance
-from repro.core.sources import DataSource, SQLQuery
+from repro.core.sources import DataSource
+from repro.relational.source import SQLQuery
 from repro.engine.batch import dict_rows
 from repro.errors import AdmissionError, QueryCancelledError, QueryTimeoutError
 from repro.fulltext.store import FieldConfig, FullTextStore
@@ -530,7 +531,7 @@ class TestScheduler:
 
 class TestPinnedEntailment:
     def _source(self):
-        from repro.core.sources import RDFSource
+        from repro.rdf.source import RDFSource
 
         graph = Graph("ent")
         graph.add(triple("ttn:politician", "rdfs:subClassOf", "ttn:person"))
@@ -538,7 +539,7 @@ class TestPinnedEntailment:
         return RDFSource("rdf://ent", graph, entailment=True)
 
     def _people(self, source):
-        from repro.core.sources import RDFQuery
+        from repro.rdf.source import RDFQuery
 
         query = RDFQuery.from_text(
             "SELECT ?s WHERE { ?s rdf:type ttn:person }")
@@ -554,7 +555,7 @@ class TestPinnedEntailment:
         assert self._people(source) == ["X", "Y"]
 
     def test_pin_seeds_saturation_without_full_fixpoint(self, monkeypatch):
-        import repro.core.sources as sources_mod
+        import repro.rdf.source as rdf_source
 
         source = self._source()
         assert self._people(source) == ["X"]  # live saturation in sync
@@ -562,7 +563,7 @@ class TestPinnedEntailment:
         def forbidden(*args, **kwargs):  # pragma: no cover - failure path
             raise AssertionError("pin() ran a full from-scratch saturation")
 
-        monkeypatch.setattr(sources_mod, "saturate", forbidden)
+        monkeypatch.setattr(rdf_source, "saturate", forbidden)
         # Seeded from the in-sync live saturation: no fixpoint.
         assert self._people(source.pin()) == ["X"]
         # Deltas through add_triples keep the live saturation in sync,

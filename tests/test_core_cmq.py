@@ -11,7 +11,8 @@ from repro.core import (
     SourceAtom,
     parse_cmq,
 )
-from repro.core.sources import FullTextQuery, SQLQuery
+from repro.fulltext.source import FullTextQuery
+from repro.relational.source import SQLQuery
 from repro.engine.batch import BindingBatch, dict_rows
 from repro.errors import MixedQueryError, ParseError
 

@@ -7,13 +7,10 @@ from collections import Counter
 import pytest
 
 from repro.core import CMQBuilder, MixedInstance, PlannerOptions
-from repro.core.sources import (
-    FullTextSource,
-    JSONSource,
-    RDFSource,
-    RelationalSource,
-    SQLQuery,
-)
+from repro.fulltext.source import FullTextSource
+from repro.json.source import JSONSource
+from repro.rdf.source import RDFSource
+from repro.relational.source import RelationalSource, SQLQuery
 from repro.datasets import (
     DemoConfig,
     build_demo_instance,
@@ -402,7 +399,7 @@ class TestInstanceRegistry:
             instance.source("sql://absent")
 
     def test_accepting_sources(self, instance):
-        from repro.core.sources import FullTextQuery
+        from repro.fulltext.source import FullTextQuery
 
         q = FullTextQuery.create("*:*", {"t": "text"})
         assert [s.uri for s in instance.accepting_sources(q)] == ["solr://tweets"]

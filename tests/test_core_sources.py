@@ -7,10 +7,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.core.sources as sources
+import repro.fulltext.source as fulltext_source
 import repro.fulltext.store as fulltext_store
 from repro.core import FullTextQuery, FullTextSource, RDFQuery, RDFSource, RelationalSource, SQLQuery
-from repro.core.sources import _loose_equal
+from repro.fulltext.source import _loose_equal
 from repro.datasets import DemoConfig, build_demo_instance
 from repro.datasets.loader import TWEETS_URI
 from repro.engine.batch import dict_rows
@@ -415,7 +415,7 @@ def _count_projections(monkeypatch) -> Counter:
     """Count, per document id, the value tuples the full-text wrapper
     projects from here on."""
     projected: Counter = Counter()
-    make = sources._row_projector
+    make = fulltext_source._row_projector
 
     def counting(*args):
         project = make(*args)
@@ -426,7 +426,7 @@ def _count_projections(monkeypatch) -> Counter:
 
         return counted
 
-    monkeypatch.setattr(sources, "_row_projector", counting)
+    monkeypatch.setattr(fulltext_source, "_row_projector", counting)
     return projected
 
 
@@ -705,7 +705,7 @@ class TestFullTextBatchBuildsEachHitOnce:
                 counts["SearchHit"] += 1
                 super().__init__(*args, **kwargs)
 
-        as_answer = sources.as_answer
+        as_answer = fulltext_source.as_answer
 
         def counted_answer(columns, rows):
             counts["rows"] += len(rows)
@@ -713,7 +713,7 @@ class TestFullTextBatchBuildsEachHitOnce:
 
         monkeypatch.setattr(fulltext_store.FullTextStore, "matches", counted_matches)
         monkeypatch.setattr(fulltext_store, "SearchHit", CountedHit)
-        monkeypatch.setattr(sources, "as_answer", counted_answer)
+        monkeypatch.setattr(fulltext_source, "as_answer", counted_answer)
         projected = _count_projections(monkeypatch)
         answer = list(map(dict_rows, source.execute_batch(query, batch)))
         monkeypatch.undo()
@@ -805,7 +805,7 @@ class TestPinnedWrapperKeepsItsClass:
         self._check(source, lambda: store.add({"id": 2, "text": "two"}))
 
     def test_json(self):
-        from repro.core.sources import JSONSource
+        from repro.json.source import JSONSource
         from repro.json.store import JSONDocumentStore
 
         store = JSONDocumentStore("j")

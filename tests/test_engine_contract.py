@@ -13,13 +13,10 @@ import copy
 
 from repro.cache.repair import RepairEngine
 from repro.cache.results import CachedSource, SubQueryResultCache
-from repro.core.sources import (
-    FullTextSource,
-    JSONSource,
-    RDFSource,
-    RelationalSource,
-    SQLQuery,
-)
+from repro.fulltext.source import FullTextSource
+from repro.json.source import JSONSource
+from repro.rdf.source import RDFSource
+from repro.relational.source import RelationalSource, SQLQuery
 from repro.engine.batch import dict_rows
 from repro.engine.iterators import BatchBindJoin, Distinct, HashJoin, MaterializedScan
 from repro.relational import Database

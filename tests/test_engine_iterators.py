@@ -390,7 +390,7 @@ class TestSQLIsReadInOnePlace:
             inside_sql_query = {
                 id(node) for cls in ast.walk(tree)
                 if isinstance(cls, ast.ClassDef) and cls.name == "SQLQuery"
-                and relative == "core/sources.py" for node in ast.walk(cls)}
+                and relative == "relational/source.py" for node in ast.walk(cls)}
             called = {id(node.func) for node in ast.walk(tree)
                       if isinstance(node, ast.Call)}
             for node in ast.walk(tree):

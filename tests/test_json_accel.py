@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import JSONQuery, StatisticsCatalog
-from repro.core.sources import JSONSource
+from repro.json.source import JSONSource
 from repro.datasets.loader import TWEETS_JSON_URI
 from repro.engine.batch import BindingBatch
 from repro.json import (

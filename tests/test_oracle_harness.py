@@ -37,7 +37,7 @@ from oracle import Oracle, multiset
 from repro.core import MixedInstance
 from repro.core.cmq import GLUE_SOURCE, CMQBuilder, SourceAtom
 from repro.core.planner import PlannerOptions
-from repro.core.sources import RDFQuery
+from repro.rdf.source import RDFQuery
 from repro.datasets import DemoConfig, build_demo_instance
 from repro.datasets.loader import (
     DBPEDIA_URI,

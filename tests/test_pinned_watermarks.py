@@ -24,7 +24,7 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import repro.core.sources as sources
+import repro.rdf.source as rdf_source
 from repro.core import (
     FullTextQuery,
     FullTextSource,
@@ -34,7 +34,7 @@ from repro.core import (
     RelationalSource,
     SQLQuery,
 )
-from repro.core.sources import JSONSource
+from repro.json.source import JSONSource
 from repro.engine.batch import dict_rows
 from repro.fulltext import tweet_store
 from repro.fulltext.query import parse_query
@@ -160,7 +160,7 @@ def test_a_direct_graph_write_reaches_the_closure_through_the_journal(monkeypatc
     assert len(source.execute(query)) == len(source.pin().execute(query)) == 2500
 
     fed: list = []
-    real = sources.saturate_delta
+    real = rdf_source.saturate_delta
 
     def recorded(saturated, delta, schema=None):
         fed.append(list(delta))
@@ -170,7 +170,7 @@ def test_a_direct_graph_write_reaches_the_closure_through_the_journal(monkeypatc
     graph.add(added)                         # past the wrapper
     calls: Counter = Counter()
     with monkeypatch.context() as patch:
-        patch.setattr(sources, "saturate_delta", recorded)
+        patch.setattr(rdf_source, "saturate_delta", recorded)
         _spy(patch, Graph, "__iter__", calls)
         live = source.execute(query)         # parent: a scan of the whole graph
         pinned = source.pin().execute(query)

@@ -21,13 +21,10 @@ from repro.cache.results import CachedSource, SubQueryResultCache
 from repro.core import JSONQuery, StatisticsCatalog
 from repro.core.cmq import SourceAtom
 from repro.core.planner import PlannerOptions
-from repro.core.sources import (
-    DataSource,
-    FullTextQuery,
-    FullTextSource,
-    JSONSource,
-    RDFSource,
-)
+from repro.core.sources import DataSource
+from repro.fulltext.source import FullTextQuery, FullTextSource
+from repro.json.source import JSONSource
+from repro.rdf.source import RDFSource
 from repro.datasets import DemoConfig, build_demo_instance
 from repro.datasets.loader import (
     TWEETS_JSON_URI,

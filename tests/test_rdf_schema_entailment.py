@@ -244,14 +244,14 @@ class TestRDFSourceStaleness:
     """Regression: the saturation cache must track versions, not sizes."""
 
     def _source(self):
-        from repro.core.sources import RDFSource
+        from repro.rdf.source import RDFSource
         graph = Graph("src")
         graph.add(triple("ttn:Journalist", "rdfs:subClassOf", "ttn:Employee"))
         graph.add(triple("ttn:Samuel", "rdf:type", "ttn:Journalist"))
         return RDFSource("rdf://src", graph, entailment=True)
 
     def test_equal_size_mutation_is_not_served_stale(self):
-        from repro.core.sources import RDFQuery
+        from repro.rdf.source import RDFQuery
         query = RDFQuery.from_text("SELECT ?x WHERE { ?x rdf:type ttn:Employee }")
         source = self._source()
         assert source.execute(query)  # saturating query

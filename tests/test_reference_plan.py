@@ -17,7 +17,7 @@ from oracle import Oracle, multiset
 from repro.baselines.naive import naive_options
 from repro.core import MixedInstance, PlannerOptions
 from repro.core.planner import DP_ATOM_LIMIT, QueryPlanner
-from repro.core.sources import RelationalSource
+from repro.relational.source import RelationalSource
 from repro.datasets import (
     fact_checking_query,
     party_vocabulary_query,

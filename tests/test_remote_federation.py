@@ -40,7 +40,8 @@ from hypothesis import strategies as st
 from repro.core import CMQBuilder, MixedInstance, PlannerOptions
 from repro.core.cmq import GLUE_SOURCE
 from repro.core.executor import MixedQueryExecutor
-from repro.core.sources import DataSource, RDFQuery
+from repro.core.sources import DataSource
+from repro.rdf.source import RDFQuery
 from repro.engine.batch import BindingBatch, as_batches, dict_rows
 from repro.errors import (
     CircuitOpenError,
@@ -968,7 +969,7 @@ def test_an_evicted_server_snapshot_is_a_typed_retried_error():
 # ---------------------------------------------------------------------------
 
 def test_memoised_estimates_are_the_unmemoised_numbers():
-    from repro.core.sources import JSONQuery, JSONSource
+    from repro.json.source import JSONQuery, JSONSource
     from repro.datasets import DemoConfig, build_demo_instance
     from repro.datasets.loader import TWEETS_JSON_URI
     from test_statistics_estimation import (
@@ -1012,7 +1013,7 @@ def test_memoised_estimates_are_the_unmemoised_numbers():
 
 
 def test_the_memo_forgets_nothing_it_should_not_and_stays_bounded():
-    from repro.core.sources import JSONQuery
+    from repro.json.source import JSONQuery
 
     base = build_instance("memo")
     remote, transports = remote_wrap(

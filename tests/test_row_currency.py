@@ -37,14 +37,10 @@ from repro.cache.results import CachedSource, SubQueryResultCache
 from repro.core import MixedInstance
 from repro.core.planner import PlannerOptions
 from repro.core.results import MixedResult
-from repro.core.sources import (
-    FullTextSource,
-    JSONQuery,
-    JSONSource,
-    RDFSource,
-    RelationalSource,
-    SQLQuery,
-)
+from repro.fulltext.source import FullTextSource
+from repro.json.source import JSONQuery, JSONSource
+from repro.rdf.source import RDFSource
+from repro.relational.source import RelationalSource, SQLQuery
 from repro.datasets import DemoConfig, build_demo_instance
 from repro.datasets.loader import (
     TWEETS_JSON_URI,

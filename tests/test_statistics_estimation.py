@@ -18,7 +18,10 @@ from repro.core import (
     SQLQuery,
     StatisticsCatalog,
 )
-from repro.core.sources import FullTextSource, JSONSource, RDFSource, RelationalSource
+from repro.fulltext.source import FullTextSource
+from repro.json.source import JSONSource
+from repro.rdf.source import RDFSource
+from repro.relational.source import RelationalSource
 from repro.fulltext.store import FieldConfig, FullTextStore
 from repro.json.store import JSONDocumentStore
 from repro.rdf import Graph, triple

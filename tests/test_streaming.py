@@ -25,16 +25,10 @@ from repro.cache.results import CachedSource, SubQueryResultCache
 from repro.core import MixedInstance
 from repro.core.cmq import SourceAtom
 from repro.core.deltas import DeltaJournal, INSERT, REMOVE, UPSERT
-from repro.core.sources import (
-    FullTextQuery,
-    FullTextSource,
-    JSONQuery,
-    JSONSource,
-    RDFQuery,
-    RDFSource,
-    RelationalSource,
-    SQLQuery,
-)
+from repro.fulltext.source import FullTextQuery, FullTextSource
+from repro.json.source import JSONQuery, JSONSource
+from repro.rdf.source import RDFQuery, RDFSource
+from repro.relational.source import RelationalSource, SQLQuery
 from repro.engine.batch import dict_rows
 from repro.fulltext.store import FieldConfig, FullTextStore
 from repro.json.store import JSONDocumentStore

@@ -30,7 +30,9 @@ from repro.cache.results import CachedSource, SubQueryResultCache
 from repro.core import CMQBuilder, MixedInstance, PlannerOptions
 from repro.core.cmq import SourceAtom
 from repro.core.deltas import DeltaJournal
-from repro.core.sources import FullTextQuery, RDFQuery, SQLQuery
+from repro.fulltext.source import FullTextQuery
+from repro.rdf.source import RDFQuery
+from repro.relational.source import SQLQuery
 from repro.datasets import DemoConfig, build_demo_instance
 from repro.datasets.loader import TWEETS_URI, party_vocabulary_query
 from repro.engine import batch as batch_module
