@@ -128,7 +128,8 @@ def run_skewed_join_order(posts: int, glue_authors: int) -> dict:
 class LyingSource(RelationalSource):
     """Advertises ~10 rows whatever the sub-query really returns."""
 
-    trust_wrapper_estimate = True
+    def derive_estimate(self, query, bound, values, catalog):
+        return self.estimate(query, bound)
 
     def estimate(self, query, bound_variables=None):
         return 10.0

@@ -2,14 +2,14 @@
 
 Two sub-queries that differ only in the *names* of their variables ask
 the source for exactly the same rows, so they must share one cache
-entry.  :func:`canonical_query` therefore rewrites every query shape
-(BGP, SQL, full-text, JSON tree pattern) into a canonical structure in
-which variables are numbered by order of appearance, together with the
-renaming that maps the query's own variable names onto the canonical
-ones.  Binding tuples and the *headers* of cached batches are translated
-through that renaming on the way in and out of the cache (the row lists
-are shared, never copied), so a hit produced under one spelling is
-served verbatim under another.
+entry.  Each query type therefore derives its canonical structure
+(:meth:`~repro.core.sources.SourceQuery.derive_canonical`, beside its
+model), in which variables are numbered by order of appearance by a
+:class:`Namer`, together with the renaming that maps the query's own
+variable names onto the canonical ones.  Binding tuples and the
+*headers* of cached batches are translated through that renaming on the
+way in and out of the cache (the row lists are shared, never copied), so
+a hit produced under one spelling is served verbatim under another.
 
 Canonicalisation is conservative: only the positions the mediator
 treats as variables are renamed (BGP variables, SQL and full-text
@@ -20,18 +20,11 @@ statement and stay structural.
 
 from __future__ import annotations
 
-from dataclasses import astuple
 from operator import itemgetter
 from typing import Iterable, Optional
 
 from repro.core.sources import Row, SourceQuery
-from repro.fulltext.source import FullTextQuery
-from repro.json.source import JSONQuery
-from repro.rdf.source import RDFQuery
-from repro.relational.source import SQLQuery
 from repro.engine.batch import BindingBatch
-from repro.json.pattern import Parameter as JSONParameter
-from repro.rdf.terms import Variable
 
 
 class CanonicalQuery:
@@ -113,20 +106,7 @@ def canonical_query(query: SourceQuery) -> Optional[CanonicalQuery]:
     return query.canonical if isinstance(query, SourceQuery) else None
 
 
-def canonicalise(query: SourceQuery) -> Optional[CanonicalQuery]:
-    """Derive the canonical form of ``query`` (use :func:`canonical_query`)."""
-    if isinstance(query, RDFQuery):
-        return _canonical_rdf(query)
-    if isinstance(query, SQLQuery):
-        return _canonical_sql(query)
-    if isinstance(query, FullTextQuery):
-        return _canonical_fulltext(query)
-    if isinstance(query, JSONQuery):
-        return _canonical_json(query)
-    return None
-
-
-class _Namer:
+class Namer:
     """Allocates ``?0``, ``?1``, ... per distinct original name."""
 
     def __init__(self) -> None:
@@ -134,64 +114,6 @@ class _Namer:
 
     def __call__(self, name: str) -> str:
         return self.mapping.setdefault(name, f"?{len(self.mapping)}")
-
-
-def _canonical_rdf(query: RDFQuery) -> CanonicalQuery:
-    # Constant terms enter as plain tuples (type name, fields): the key
-    # then hashes without a Python-level ``__hash__`` per term.
-    canon = _Namer()
-    patterns = []
-    for pattern in query.bgp.patterns:
-        patterns.append(tuple(("v", canon(term.name)) if isinstance(term, Variable)
-                              else (type(term).__name__,) + astuple(term)
-                              for term in pattern))
-    head = tuple(canon(v.name) for v in query.bgp.head)
-    return CanonicalQuery("rdf", (tuple(patterns), head, bool(query.bgp.head)),
-                          canon.mapping)
-
-
-def _canonical_sql(query: SQLQuery) -> CanonicalQuery:
-    # Keyed on the parsed statement: ``{x}`` inside a quoted string is a
-    # literal, not a parameter, and must neither be renamed nor shared.
-    template = query.template
-    return CanonicalQuery("sql", (template.canonical_text, query.output_columns),
-                          template.canonical_names)
-
-
-def _canonical_fulltext(query: FullTextQuery) -> CanonicalQuery:
-    # Keyed on the parsed query: ``{x}`` inside a phrase is literal text,
-    # not a parameter, and must neither be renamed nor shared.
-    template = query.template
-    canon = _Namer()
-    canon.mapping.update(template.canonical_names)
-    # Output variables are canonicalised in (path, name) order so that the
-    # assignment does not depend on how the variables were spelled (two
-    # variables on one path receive symmetric names — and identical values).
-    fields = tuple((canon(variable), path)
-                   for variable, path in sorted(query.output_fields,
-                                                key=lambda pair: (pair[1], pair[0])))
-    return CanonicalQuery("fulltext", (template.canonical_text, fields, query.limit,
-                                       query.sort_by), canon.mapping)
-
-
-def _canonical_json(query: JSONQuery) -> CanonicalQuery:
-    canon = _Namer()
-    leaves = []
-    for leaf in query.pattern.leaves:
-        predicates = []
-        for predicate in leaf.predicates:
-            if isinstance(predicate.value, JSONParameter):
-                predicates.append((predicate.op, ("param", canon(predicate.value.name))))
-            else:
-                # Tag constants with their type: 1 == True == 1.0 under
-                # Python equality, but the pattern's comparison semantics
-                # may distinguish them.
-                predicates.append((predicate.op,
-                                   ("const", type(predicate.value).__name__,
-                                    predicate.value)))
-        variable = canon(leaf.variable) if leaf.variable is not None else None
-        leaves.append((leaf.path, variable, tuple(predicates)))
-    return CanonicalQuery("json", (tuple(leaves), query.limit), canon.mapping)
 
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})

@@ -12,36 +12,17 @@ the delta alone**, merges the delta's contribution into the old rows,
 and re-stamps the entry under the new version — the hot path then hits
 without ever re-dispatching to the source.
 
-Soundness is per model and deliberately conservative; anything outside
+Soundness is per model and deliberately conservative, so each wrapper
+states it beside its store (:meth:`~repro.core.sources.DataSource.repair_delta`:
+the gates, and the sources a delta's rows are read from); anything outside
 the gates falls back to plain invalidation (a recorded miss), never to a
-wrong answer:
-
-relational
-    single-table SELECT without joins, aggregates, GROUP BY, HAVING,
-    ORDER BY, LIMIT or DISTINCT.  Insert-only deltas *scoped to the
-    queried table* are evaluated by running the very same SQL against a
-    one-table delta database (reusing the wrapper's placeholder and
-    post-filter semantics); deltas scoped to other tables re-stamp the
-    entry verbatim — the database-wide version moved, the rows did not.
-full-text and json
-    queries without ``limit`` (full-text: nor ``sort_by`` or a ``_score``
-    output, which depend on corpus-global statistics).  A document's rows
-    are its own, so inserts, upserts and removals all repair: the entry
-    becomes ``(entry - f(replaced)) + f(written)``, ``f`` the query over a
-    delta store of the chain's net replaced (or written) copies; the
-    subtraction takes one occurrence per row, keeps the order of the
-    rest, and a replaced row the entry lacks falls back (``diverged``).
-rdf
-    BGPs with a non-empty head, insert-only, on any source — with
-    entailment too.  The delta is what the chain added to the graph the
-    BGP reads: the explicit triples, or ΔG∞, the triples G∞ gained, read
-    off G∞'s own journal (one record per saturation round).  Repair is a
-    seeded semi-naive step through the BGP engine: per pattern, the delta
-    triples it unifies with, joined with the probes' bindings, are the
-    first relation, and the other patterns are joined over the graph *at
-    the chain's end*, so joins between new and pre-existing triples, and
-    between two new ones, are found; results are deduplicated against
-    the cached rows (BGP results are distinct).
+wrong answer.  The engine keeps what is model-free: the size gate, one
+delta build per version span, and the merge — an entry becomes
+``(entry - f(replaced)) + f(written)``, ``f`` the query over the wrapper's
+delta sources; the subtraction takes one occurrence per row, keeps the
+order of the rest, and a replaced row the entry lacks falls back
+(``diverged``); a query whose answers are sets (``query.distinct``) adds
+only the rows the entry lacks.
 
 Merged rows equal a cold re-execution as a *multiset*; for relational
 and JSON shapes even the order matches (writes take fresh insertion
@@ -59,17 +40,10 @@ from typing import Callable, Optional
 
 from repro.cache.keys import CanonicalQuery
 from repro.cache.lru import LRUCache
-from repro.core.deltas import INSERT, DeltaRecord
+from repro.core.deltas import DeltaRecord
 from repro.core.sources import Row, SourceQuery
-from repro.fulltext.source import FullTextQuery, FullTextSource
-from repro.json.source import JSONQuery, JSONSource
-from repro.rdf.source import RDFQuery, RDFSource
-from repro.relational.source import RelationalSource, SQLQuery
-from repro.engine.batch import BindingBatch, SeenRows, freeze, row_count, tuple_decoder
-from repro.fulltext.store import FullTextStore
-from repro.json.store import JSONDocumentStore
+from repro.engine.batch import BindingBatch, SeenRows, freeze, row_count
 from repro.obs.metrics import get_registry
-from repro.relational.database import Database
 
 
 class RepairStats:
@@ -137,8 +111,8 @@ class RepairEngine:
         # (uri, token, pre, post) -> delta DataSource wrappers.  Shared
         # across probes and queries: one ingest batch is repaired against
         # one delta store no matter how many cached entries it touches.
-        self._delta_sources = LRUCache(self.MAX_DELTA_SOURCES)
-        self._delta_lock = threading.Lock()
+        self._spans = LRUCache(self.MAX_DELTA_SOURCES)
+        self._spans_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def repair(self, source, version: int, query: SourceQuery, canon: CanonicalQuery,
@@ -208,41 +182,11 @@ class RepairEngine:
         """
         if sum(len(r.items) + len(r.replaced) for r in records) > self.MAX_DELTA_ITEMS:
             return "delta_too_large"
-        build, relevant = None, records
-        if isinstance(query, SQLQuery):
-            if not query.template.repair_simple:
-                return "shape"
-            table = query.template.tables[0].lower()
-            relevant = [r for r in records if r.scope is None or r.scope == table]
-            if not relevant:
-                # The database version moved, the queried table did not:
-                # yesterday's rows are today's rows.
-                return stored
-            build = _sql_delta_source
-        elif isinstance(query, FullTextQuery):
-            if query.limit is not None or query.sort_by is not None \
-                    or "_score" in query.fields().values():
-                # Ranking, truncation and scores depend on corpus-global
-                # statistics every insert perturbs.
-                return "shape"
-            build = _document_delta_source
-        elif isinstance(query, JSONQuery):
-            if query.limit is not None:
-                return "shape"
-            build = _document_delta_source
-        elif not isinstance(query, RDFQuery) or not query.bgp.head \
-                or not isinstance(source, RDFSource):
-            # Head-less (ASK-style) shapes are not row streams.
-            return "shape"
-        if build is not _document_delta_source and any(r.kind != INSERT for r in relevant):
-            # A removed triple may take rows any solution joined; a RESET
-            # (a CREATE or DROP) replaces a whole table.
-            return "removals"
-        if build is None:
-            return self._apply_rdf(source, query, canon, bindings, stored, records)
-        written, replaced = self._delta_source(source, records[0].pre_version,
-                                               records[-1].post_version,
-                                               lambda: build(source, records))
+        delta = source.repair_delta(query, records, self)
+        if delta is None or isinstance(delta, str):
+            # None: the version moved, the queried rows did not.
+            return stored if delta is None else delta
+        written, replaced = delta
         fetched = written.execute_batch(query, bindings)
         gone = replaced.execute_batch(query, bindings) if replaced else [[]] * len(bindings)
         out = []
@@ -250,98 +194,33 @@ class RepairEngine:
             base = _subtracted(base, canon.canonical_batches(old))
             if base is None:
                 return "diverged"
+            new = canon.canonical_batches(new)
+            if query.distinct:
+                # Set answers: keep what the entry does not hold.
+                seen = SeenRows()
+                for batch in base:
+                    seen.fresh(batch)
+                new = [BindingBatch(batch.columns, rows) for batch in new
+                       if (rows := seen.fresh(batch))]
+                if not new:
+                    out.append(base)
+                    continue
             # What a chain wrote took fresh insertion ranks (the relational
             # and JSON cold order), so it goes last.
-            out.append(_extended(base, canon.canonical_batches(new)))
+            out.append(_extended(base, new))
         return out
 
-    # -- rdf -----------------------------------------------------------------
-    def _apply_rdf(self, source: RDFSource, query: RDFQuery, canon: CanonicalQuery,
-                   bindings: list[Row], stored: list[list[BindingBatch]],
-                   records: list[DeltaRecord]) -> list[list[BindingBatch]] | str:
-        found = _rdf_delta(source, records)
-        if found is None:
-            return "no_journal"
-        graph, delta = found
-        if len(delta) * len(query.bgp.patterns) > self.MAX_DELTA_ITEMS:
-            return "delta_too_large"
-        with graph.reading() as store:
-            fetched = source.seeded_ids(store, query.bgp, bindings, delta)
-            dictionary = store.dictionary
-        columns = tuple(canon.rename.get(v.name, v.name) for v in query.bgp.output_variables())
-        decode = tuple_decoder(len(columns))
-        out: list[list[BindingBatch]] = []
-        for base, rows in zip(stored, fetched):
-            if not rows:
-                out.append(base)
-                continue
-            # BGP results are distinct: keep what the entry does not hold.
-            seen = SeenRows()
-            for batch in base:
-                seen.fresh(batch)
-            new = seen.fresh(BindingBatch(columns, decode(rows, dictionary)))
-            out.append(_extended(base, [BindingBatch(columns, new)]) if new else base)
-        return out
-
-    # ------------------------------------------------------------------
-    def _delta_source(self, source, pre: int, post: int, build):
-        """The ``(written, replaced)`` delta wrappers of a (source, span), built once."""
-        key = (source.uri, source.cache_token, pre, post)
-        with self._delta_lock:
-            built = self._delta_sources.get(key, record_miss=False)
+    def spanned(self, source, records: list[DeltaRecord], build):
+        """``build(records)``, the delta sources of a (source, version span),
+        built once."""
+        key = (source.uri, source.cache_token, records[0].pre_version,
+               records[-1].post_version)
+        with self._spans_lock:
+            built = self._spans.get(key, record_miss=False)
             if built is None:
-                built = build()
-                self._delta_sources.put(key, built)
+                built = build(records)
+                self._spans.put(key, built)
         return built
-
-
-# ---------------------------------------------------------------------------
-# Delta-store construction (one per version span, memoised by the engine)
-# ---------------------------------------------------------------------------
-
-def _sql_delta_source(source: RelationalSource,
-                      records: list[DeltaRecord]) -> tuple[RelationalSource, None]:
-    """A one-off database holding only the chain's inserted rows.
-
-    Every table with journalled inserts is created under the live
-    schema, so any simple single-table SELECT of the workload can run
-    against it unmodified.
-    """
-    delta_db = Database(f"{source.database.name}+delta")
-    for record in records:
-        if record.kind != INSERT or record.scope is None or not record.items:
-            continue
-        if not delta_db.has_table(record.scope):
-            delta_db.create_table(source.database.table(record.scope).schema)
-        delta_db.table(record.scope).insert_many(record.items)
-    return RelationalSource(source.uri, delta_db, name=source.name), None
-
-
-def _document_delta_source(source, records: list[DeltaRecord]):
-    """Sources over what a chain of document batches did, net: the copies
-    it wrote that still stand, in write order (a rewrite moves a document
-    last, as its fresh insertion rank does), and the copies standing
-    before it that it replaced or removed (None when there are none)."""
-    store, json = source.store, isinstance(source, JSONSource)
-    id_of = store.id_of if json else (lambda doc: doc.doc_id)
-    before, after = {}, {}
-    for record in records:
-        for old in record.replaced:
-            if after.pop(id_of(old), None) is None:  # not a copy the chain wrote
-                before.setdefault(id_of(old), old)
-        for new in record.items:
-            after.pop(id_of(new), None)
-            after[id_of(new)] = new
-
-    def source_of(documents: dict):
-        name = f"{store.name}+delta"
-        delta = (JSONDocumentStore(name, store.id_field, store.text_path) if json else
-                 FullTextStore(name, store.field_configs(), store.default_field,
-                               store.id_field, store.analyzer))
-        delta.add_all(documents.values())
-        return (JSONSource if json else FullTextSource)(source.uri, delta, name=source.name)
-
-    return source_of(after), (source_of(before) if before else None)
 
 
 # ---------------------------------------------------------------------------
@@ -376,15 +255,3 @@ def _subtracted(base: list[BindingBatch],
     out = [BindingBatch(batch.columns, rows) for batch in base
            if (rows := [row for row in batch.rows if kept(batch.columns, row)])]
     return None if +owed else out
-
-
-def _rdf_delta(source: RDFSource, records: list[DeltaRecord]):
-    """The graph an RDF entry is repaired on — G∞ under entailment — at the
-    chain's end, and the triples the chain added to it: ΔG∞, or the
-    explicit triples; None when the G∞ lineage cannot say (it did not
-    stand at both ends)."""
-    if not source.entailment:
-        return source.graph, [t for record in records for t in record.items]
-    graph = source.effective_graph()  # brings the lineage to the chain's end
-    delta = source.closure.delta(records[0].pre_version, records[-1].post_version)
-    return None if delta is None else (graph, delta)

@@ -210,7 +210,6 @@ class CachedSource(DataSource):
     description = _delegated("description")
     model = _delegated("model")
     cache_token = _delegated("cache_token")
-    trust_wrapper_estimate = _delegated("trust_wrapper_estimate")
     pinned_at = _delegated("pinned_at")
 
     @property

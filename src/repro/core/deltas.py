@@ -63,6 +63,23 @@ class DeltaRecord:
     replaced: tuple = ()
 
 
+def document_deltas(records: list[DeltaRecord], id_of: Callable, over: Callable):
+    """What a chain of document batches did, net, as ``over(documents)``
+    builds it: the copies it wrote that still stand, in write order (a
+    rewrite moves a document last, as its fresh insertion rank does), and
+    the copies standing before it that it replaced or removed (None when
+    there are none)."""
+    before, after = {}, {}
+    for record in records:
+        for old in record.replaced:
+            if after.pop(id_of(old), None) is None:  # not a copy the chain wrote
+                before.setdefault(id_of(old), old)
+        for new in record.items:
+            after.pop(id_of(new), None)
+            after[id_of(new)] = new
+    return over(after.values()), (over(before.values()) if before else None)
+
+
 class DeltaJournal:
     """A bounded, thread-safe log of a store's version transitions."""
 

@@ -12,8 +12,14 @@ and adapts it to the protocol defined here (:mod:`repro.rdf.source`,
   :class:`~repro.engine.batch.BindingBatch` objects over the tuples the
   store holds — the one entry every caller uses, a materialize step's
   being the batch of one empty binding (``execute``: one, as dicts);
-* :meth:`DataSource.estimate` returns a cardinality estimate used by the
-  planner's "most selective sub-queries first" rule.
+* :meth:`DataSource.estimate` returns a cardinality estimate, the cost
+  model's input when the statistics catalog derives none.
+
+What the cache and statistics layers ask of a model is asked here too,
+and answered in its package: a query's renaming-invariant cache form
+(:meth:`SourceQuery.derive_canonical`), a wrapper's digest-backed
+estimate (:meth:`DataSource.derive_estimate`) and how a delta chain
+changes its cached answers (:meth:`DataSource.repair_delta`).
 """
 
 from __future__ import annotations
@@ -49,6 +55,10 @@ class SourceQuery:
     #: The data model able to evaluate this sub-query (a wrapper's ``model``).
     model = ""
 
+    #: True when no answer of this query type holds a row twice (a BGP's):
+    #: cache repair then adds only the rows an entry lacks.
+    distinct = False
+
     def output_variables(self) -> set[str]:
         """Variables this sub-query can bind."""
         raise NotImplementedError
@@ -61,9 +71,12 @@ class SourceQuery:
     def canonical(self):
         """The renaming-invariant cache form
         (:func:`repro.cache.keys.canonical_query`), derived once per object."""
-        from repro.cache.keys import canonicalise
+        return self.derive_canonical()
 
-        return canonicalise(self)
+    def derive_canonical(self):
+        """Derive the :class:`~repro.cache.keys.CanonicalQuery` (use
+        :attr:`canonical`); ``None``: the query type is never cached."""
+        return None
 
 
 #: Process-wide allocator of per-wrapper cache identities (never reused,
@@ -108,11 +121,6 @@ class DataSource:
     #: a pin serves live data.
     store_attribute: Optional[str] = None
 
-    #: When True, the statistics layer uses this wrapper's ``estimate()``
-    #: verbatim instead of deriving digest-backed numbers — the escape
-    #: hatch for wrappers that carry their own (remote) statistics.
-    trust_wrapper_estimate = False
-
     #: Version this wrapper is pinned at, or ``None`` for a live wrapper.
     #: Pinned wrappers are produced by :meth:`pin` over store snapshots;
     #: their underlying data never changes, so queries running against
@@ -153,6 +161,27 @@ class DataSource:
     def estimate(self, query: SourceQuery, bound_variables: set[str] | None = None) -> float:
         """Estimated number of rows the sub-query would return."""
         raise NotImplementedError
+
+    def derive_estimate(self, query: SourceQuery, bound: set[str],
+                        values: Row, catalog) -> Optional[float]:
+        """A digest-backed estimate of ``query``'s rows for the statistics
+        ``catalog`` (:class:`~repro.stats.catalog.StatisticsCatalog`), or
+        ``None`` to ask :meth:`estimate`: ``bound`` are the formals bound
+        when the step runs, ``values`` those whose constant value is known
+        at plan time.  A wrapper carrying its own statistics (a remote
+        one) derives none."""
+        return None
+
+    def repair_delta(self, query: SourceQuery, records: list, engine):
+        """What the delta chain ``records`` does to cached answers of
+        ``query``, for the cache repair ``engine``
+        (:class:`~repro.cache.repair.RepairEngine`): the name of the
+        soundness gate that refuses; ``None`` when the rows stand as they
+        are; or ``(written, replaced)``, sources whose answers an entry
+        gains and loses (``replaced`` may be ``None``), built once per
+        version span through ``engine.spanned``.  Nothing is repaired by
+        default."""
+        return "shape"
 
     @property
     def _store(self):

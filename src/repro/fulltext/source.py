@@ -7,10 +7,12 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
+from repro.cache.keys import CanonicalQuery, Namer
+from repro.core.deltas import document_deltas
 from repro.core.sources import DataSource, SourceQuery, _instrumented
 from repro.engine.batch import BindingBatch, Row, as_answer, dict_rows, tuple_getter
 from repro.fulltext.document import row_builder
-from repro.fulltext.query import MatchAllQuery, Parameter
+from repro.fulltext.query import MatchAllQuery, Parameter, TermQuery
 from repro.fulltext.store import FullTextStore
 from repro.fulltext.template import FullTextTemplate, fulltext_template
 
@@ -59,6 +61,21 @@ class FullTextQuery(SourceQuery):
 
     def required_parameters(self) -> set[str]:
         return set(self.template.parameters)
+
+    def derive_canonical(self) -> CanonicalQuery:
+        # Keyed on the parsed query: ``{x}`` inside a phrase is literal text,
+        # not a parameter, and must neither be renamed nor shared.
+        template = self.template
+        canon = Namer()
+        canon.mapping.update(template.canonical_names)
+        # Output variables are canonicalised in (path, name) order so that the
+        # assignment does not depend on how the variables were spelled (two
+        # variables on one path receive symmetric names — and identical values).
+        fields = tuple((canon(variable), path)
+                       for variable, path in sorted(self.output_fields,
+                                                    key=lambda pair: (pair[1], pair[0])))
+        return CanonicalQuery("fulltext", (template.canonical_text, fields, self.limit,
+                                           self.sort_by), canon.mapping)
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.query_template
@@ -175,6 +192,90 @@ class FullTextSource(DataSource):
         for _ in query.output_variables() & bound_variables:
             base = max(1.0, base / 10.0)
         return base
+
+    def derive_estimate(self, query: FullTextQuery, bound: set[str], values: Row,
+                        catalog) -> Optional[float]:
+        """Document-frequency estimate of a conjunctive template over the
+        inverted index; ``None`` for a clause it cannot price."""
+        with self.store.reading() as store:
+            total = len(store)
+            if total == 0:
+                return 0.0
+            # Constant clauses intersect their postings *exactly* (the indexes
+            # are in memory), so correlated or disjoint terms are priced right;
+            # only run-time parameters fall back to selectivity arithmetic.
+            matched: Optional[set] = None
+            selectivity = 1.0
+            for clause in query.template.conjuncts:
+                if isinstance(clause, MatchAllQuery):
+                    continue
+                if not isinstance(clause, (TermQuery, Parameter)):
+                    return None
+                path = clause.field or store.default_field
+                if path is None:
+                    return None
+                if isinstance(clause, TermQuery):
+                    term = clause.term
+                elif clause.name in values:
+                    term = str(values[clause.name])
+                else:
+                    average = store.average_document_frequency(path)
+                    if average is None:
+                        return None
+                    selectivity *= min(1.0, average / total)
+                    continue
+                documents = store.term_documents(path, term)
+                if documents is None:
+                    return None
+                matched = documents if matched is None else matched & documents
+            base = float(len(matched)) if matched is not None else float(total)
+            cardinality = base * selectivity
+            fields = query.fields()
+            required = query.required_parameters()
+            for variable in (query.output_variables() & bound) - required:
+                path = fields.get(variable)
+                if path is None or path == "_score":
+                    cardinality *= 0.1
+                    continue
+                if variable in values:
+                    frequency = store.document_frequency(path, str(values[variable]))
+                    if frequency is not None:
+                        cardinality *= frequency / total
+                        continue
+                distinct = store.distinct_term_count(path)
+                if distinct:
+                    cardinality /= distinct
+                else:
+                    cardinality *= 0.1
+            if query.limit is not None:
+                cardinality = min(cardinality, float(query.limit))
+            return max(0.0, cardinality)
+
+    def repair_delta(self, query: FullTextQuery, records: list, engine):
+        """A query without ``limit``, ``sort_by`` or a ``_score`` output
+        repairs.  A document's rows are its own, so inserts, upserts and
+        removals all do: an entry gains the rows of the copies the chain
+        wrote and loses those of the copies it replaced
+        (:meth:`_delta_sources`)."""
+        if query.limit is not None or query.sort_by is not None \
+                or "_score" in query.fields().values():
+            # Ranking, truncation and scores depend on corpus-global
+            # statistics every insert perturbs.
+            return "shape"
+        return engine.spanned(self, records, self._delta_sources)
+
+    def _delta_sources(self, records: list):
+        """Wrappers over delta stores of the chain's net written and
+        replaced copies (:func:`~repro.core.deltas.document_deltas`)."""
+        store = self.store
+
+        def over(documents):
+            delta = FullTextStore(f"{store.name}+delta", store.field_configs(),
+                                  store.default_field, store.id_field, store.analyzer)
+            delta.add_all(documents)
+            return FullTextSource(self.uri, delta, name=self.name)
+
+        return document_deltas(records, lambda doc: doc.doc_id, over)
 
 
 def _row_projector(store: FullTextStore,

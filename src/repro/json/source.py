@@ -6,6 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from repro.cache.keys import CanonicalQuery, Namer
+from repro.core.deltas import document_deltas
 from repro.core.sources import DataSource, SourceQuery, _instrumented
 from repro.engine.batch import BindingBatch, Row, as_answer, dict_rows
 from repro.errors import MixedQueryError
@@ -42,6 +44,25 @@ class JSONQuery(SourceQuery):
 
     def required_parameters(self) -> set[str]:
         return self.pattern.parameters()
+
+    def derive_canonical(self) -> CanonicalQuery:
+        canon = Namer()
+        leaves = []
+        for leaf in self.pattern.leaves:
+            predicates = []
+            for predicate in leaf.predicates:
+                if isinstance(predicate.value, JSONParameter):
+                    predicates.append((predicate.op, ("param", canon(predicate.value.name))))
+                else:
+                    # Tag constants with their type: 1 == True == 1.0 under
+                    # Python equality, but the pattern's comparison semantics
+                    # may distinguish them.
+                    predicates.append((predicate.op,
+                                       ("const", type(predicate.value).__name__,
+                                        predicate.value)))
+            variable = canon(leaf.variable) if leaf.variable is not None else None
+            leaves.append((leaf.path, variable, tuple(predicates)))
+        return CanonicalQuery("json", (tuple(leaves), self.limit), canon.mapping)
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.pattern.to_text()
@@ -107,6 +128,32 @@ class JSONSource(DataSource):
             return [as_answer(query.pattern.columns, rows)
                     for rows in TreePatternMatcher(store, self.matcher.accel).match_batch(
                         query.pattern, calls, limit=query.limit)]
+
+    def derive_estimate(self, query: JSONQuery, bound: set[str], values: Row,
+                        catalog) -> float:
+        """The path-index estimate, priced with the atom's constants."""
+        return self.estimate(query, bound, values)
+
+    def repair_delta(self, query: JSONQuery, records: list, engine):
+        """A query without ``limit`` repairs.  A document's rows are its
+        own, so inserts, upserts and removals all do: an entry gains the
+        rows of the copies the chain wrote and loses those of the copies
+        it replaced (:meth:`_delta_sources`)."""
+        if query.limit is not None:
+            return "shape"
+        return engine.spanned(self, records, self._delta_sources)
+
+    def _delta_sources(self, records: list):
+        """Wrappers over delta stores of the chain's net written and
+        replaced copies (:func:`~repro.core.deltas.document_deltas`)."""
+        store = self.store
+
+        def over(documents):
+            delta = JSONDocumentStore(f"{store.name}+delta", store.id_field, store.text_path)
+            delta.add_all(documents)
+            return JSONSource(self.uri, delta, name=self.name)
+
+        return document_deltas(records, store.id_of, over)
 
     def estimate(self, query: SourceQuery, bound_variables: set[str] | None = None,
                  values: dict[str, object] | None = None) -> float:

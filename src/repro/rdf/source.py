@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import re
 import threading
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import astuple, dataclass
+from typing import Iterable, Optional, Sequence
 
+from repro.cache.keys import CanonicalQuery, Namer
+from repro.core.deltas import INSERT
 from repro.core.sources import DataSource, SourceQuery, _instrumented
 from repro.engine.batch import BindingBatch, Row, as_answer, dict_rows, tuple_decoder
 from repro.rdf.bgp import BGPQuery, solve
@@ -15,7 +17,7 @@ from repro.rdf.entailment import saturate, saturate_delta
 from repro.rdf.graph import Graph
 from repro.rdf.schema import RDFSchema
 from repro.rdf.sparql import parse_bgp
-from repro.rdf.terms import Literal, Term, URI, literal, uri
+from repro.rdf.terms import Literal, Term, URI, Variable, literal, uri
 
 
 #: CURIE shape: letter-led prefix, exactly one colon — timestamps and
@@ -32,6 +34,7 @@ class RDFQuery(SourceQuery):
 
     bgp: BGPQuery
     model = "rdf"
+    distinct = True
 
     @classmethod
     def from_text(cls, sparql_text: str, name: str = "q") -> "RDFQuery":
@@ -40,6 +43,19 @@ class RDFQuery(SourceQuery):
 
     def output_variables(self) -> set[str]:
         return {v.name for v in self.bgp.output_variables()}
+
+    def derive_canonical(self) -> CanonicalQuery:
+        # Constant terms enter as plain tuples (type name, fields): the key
+        # then hashes without a Python-level ``__hash__`` per term.
+        canon = Namer()
+        patterns = []
+        for pattern in self.bgp.patterns:
+            patterns.append(tuple(("v", canon(term.name)) if isinstance(term, Variable)
+                                  else (type(term).__name__,) + astuple(term)
+                                  for term in pattern))
+        head = tuple(canon(v.name) for v in self.bgp.head)
+        return CanonicalQuery("rdf", (tuple(patterns), head, bool(self.bgp.head)),
+                              canon.mapping)
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return str(self.bgp)
@@ -154,13 +170,9 @@ class RDFSource(DataSource):
     def execute_batch(self, query: SourceQuery,
                       bindings_batch: Sequence[Row]) -> list[list[BindingBatch]]:
         """Batched BGP evaluation: the whole flush seeds one join
-        (:meth:`seeded_ids`), and each output id is decoded once, through
-        the graph's term dictionary, by one compiled tuple decoder."""
-        columns = tuple(v.name for v in query.bgp.output_variables())
-        decode = tuple_decoder(len(columns))
-        with self.effective_graph().reading() as graph:
-            return [as_answer(columns, decode(rows, graph.dictionary)) for rows in self.seeded_ids(
-                graph, query.bgp, [bindings or {} for bindings in bindings_batch])]
+        (:meth:`seeded_ids`, :func:`_answers`)."""
+        return _answers(self.effective_graph(), query,
+                        [bindings or {} for bindings in bindings_batch])
 
     @staticmethod
     def seeded_ids(graph: Graph, bgp: BGPQuery, batch: Sequence[Row],
@@ -206,6 +218,128 @@ class RDFSource(DataSource):
         for variable in query.output_variables() & bound_variables:
             estimate = max(1.0, estimate / 10.0)
         return estimate
+
+    def derive_estimate(self, query: RDFQuery, bound: set[str], values: Row,
+                        catalog) -> Optional[float]:
+        """Index-count estimate of a BGP: per-pattern triple counts from the
+        graph's permutation indexes, with join-variable reductions from
+        position distinct counts."""
+        with self.effective_graph().reading() as graph:
+            bgp = query.bgp
+            if values:
+                binding = {variable: to_rdf_term(values[variable.name])
+                           for variable in bgp.variables() if variable.name in values}
+                if binding:
+                    bgp = bgp.bind(binding)
+            patterns = list(bgp.patterns)
+            if not patterns:
+                return 0.0
+            counted = sorted((graph.count(p), i, p) for i, p in enumerate(patterns))
+            if counted[0][0] == 0:
+                return 0.0
+            cardinality: Optional[float] = None
+            seen: set[str] = set()
+            for count, _, pattern in counted:
+                names = _pattern_variables(pattern)
+                if cardinality is None:
+                    cardinality = float(count)
+                else:
+                    shared = names & seen
+                    if shared:
+                        reduction = max(_distinct_at(graph, pattern, name)
+                                        for name in shared)
+                        cardinality *= count / max(1.0, reduction)
+                    else:
+                        cardinality *= count
+                seen |= names
+            assert cardinality is not None
+            # Mediator-bound variables with unknown values: each fixes the
+            # variable to one of its distinct values.
+            for name in (query.output_variables() & bound) - set(values):
+                distincts = [_distinct_at(graph, p, name) for p in patterns
+                             if name in _pattern_variables(p)]
+                if distincts:
+                    cardinality /= max(1.0, max(distincts))
+            return max(0.0, cardinality)
+
+    def repair_delta(self, query: RDFQuery, records: list, engine):
+        """BGPs with a non-empty head repair, insert-only, on any source —
+        with entailment too.  The delta is what the chain added to the
+        graph the BGP reads: the explicit triples, or ΔG∞, the triples G∞
+        gained, read off G∞'s own journal (:meth:`_delta_graph`).  Repair
+        is a seeded semi-naive step through the BGP engine: per pattern,
+        the delta triples it unifies with, joined with the probes'
+        bindings, are the first relation, and the other patterns are
+        joined over the graph *at the chain's end*, so joins between new
+        and pre-existing triples, and between two new ones, are found
+        (BGP results are distinct: the engine keeps the rows an entry
+        lacks)."""
+        if not query.bgp.head:
+            # Head-less (ASK-style) shapes are not row streams.
+            return "shape"
+        if any(r.kind != INSERT for r in records):
+            # A removed triple may take rows any solution joined.
+            return "removals"
+        found = self._delta_graph(records)
+        if found is None:
+            return "no_journal"
+        graph, delta = found
+        if len(delta) * len(query.bgp.patterns) > engine.MAX_DELTA_ITEMS:
+            return "delta_too_large"
+        return _Seeded(graph, delta), None
+
+    def _delta_graph(self, records: list):
+        """The graph an entry is repaired on — G∞ under entailment — at the
+        chain's end, and the triples the chain added to it: ΔG∞, or the
+        explicit triples; None when the G∞ lineage cannot say (it did not
+        stand at both ends)."""
+        if not self.entailment:
+            return self.graph, [t for record in records for t in record.items]
+        graph = self.effective_graph()  # brings the lineage to the chain's end
+        delta = self.closure.delta(records[0].pre_version, records[-1].post_version)
+        return None if delta is None else (graph, delta)
+
+
+class _Seeded:
+    """Cache repair's written side of an RDF delta: per binding, the
+    answers on ``graph`` of the solutions using one of ``delta``'s triples."""
+
+    def __init__(self, graph: Graph, delta: list):
+        self.graph, self.delta = graph, delta
+
+    def execute_batch(self, query: RDFQuery,
+                      bindings_batch: Sequence[Row]) -> list[list[BindingBatch]]:
+        return _answers(self.graph, query, bindings_batch, self.delta)
+
+
+def _answers(graph: Graph, query: RDFQuery, batch: Sequence[Row],
+             delta: Iterable | None = None) -> list[list[BindingBatch]]:
+    """Per binding of ``batch``, ``query``'s answer on ``graph`` (with
+    ``delta``: of the solutions using one of its triples), each output id
+    decoded once, through the graph's term dictionary, by one compiled
+    tuple decoder."""
+    columns = tuple(v.name for v in query.bgp.output_variables())
+    decode = tuple_decoder(len(columns))
+    with graph.reading() as store:
+        return [as_answer(columns, decode(rows, store.dictionary))
+                for rows in RDFSource.seeded_ids(store, query.bgp, batch, delta)]
+
+
+def _pattern_variables(pattern) -> set[str]:
+    return {term.name for term in (pattern.subject, pattern.predicate, pattern.obj)
+            if isinstance(term, Variable)}
+
+
+def _distinct_at(graph, pattern, name: str) -> float:
+    """Distinct values the graph holds at ``name``'s position in ``pattern``."""
+    predicate = pattern.predicate if isinstance(pattern.predicate, URI) else None
+    if isinstance(pattern.subject, Variable) and pattern.subject.name == name:
+        obj = pattern.obj if not isinstance(pattern.obj, Variable) else None
+        return float(len(graph.subjects(predicate=predicate, obj=obj)) or 1)
+    if isinstance(pattern.obj, Variable) and pattern.obj.name == name:
+        subject = pattern.subject if not isinstance(pattern.subject, Variable) else None
+        return float(len(graph.objects(subject=subject, predicate=predicate)) or 1)
+    return float(len(graph.predicates()) or 1)
 
 
 def to_rdf_term(value: object) -> Term:

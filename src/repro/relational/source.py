@@ -4,12 +4,24 @@ the mediator (:mod:`repro.core.sources`)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
+from repro.cache.keys import CanonicalQuery
+from repro.core.deltas import INSERT
 from repro.core.sources import DataSource, SourceQuery, _instrumented
 from repro.engine.batch import BindingBatch, Row, as_answer, dict_rows, tuple_getter
+from repro.relational.ast import BinaryOp, ColumnRef, Expression, LiteralValue, Parameter
 from repro.relational.database import Database
 from repro.relational.template import SQLTemplate, sql_template
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.digest.valueset import ValueSetSummary
+
+#: Default selectivity of a WHERE conjunct the estimator cannot price.
+UNKNOWN_PREDICATE_SELECTIVITY = 1.0 / 3.0
+
+#: Comparisons of a column the value-set summaries can price.
+_COMPARISONS = ("=", "<=", ">=", "<>", "!=", "<", ">")
 
 
 @dataclass(frozen=True)
@@ -42,6 +54,13 @@ class SQLQuery(SourceQuery):
 
     def required_parameters(self) -> set[str]:
         return set(self.template.parameters)
+
+    def derive_canonical(self) -> CanonicalQuery:
+        # Keyed on the parsed statement: ``{x}`` inside a quoted string is a
+        # literal, not a parameter, and must neither be renamed nor shared.
+        template = self.template
+        return CanonicalQuery("sql", (template.canonical_text, self.output_columns),
+                              template.canonical_names)
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return " ".join(self.sql.split())
@@ -142,8 +161,130 @@ class RelationalSource(DataSource):
             estimate = max(1.0, estimate / 10.0)
         return estimate
 
+    def derive_estimate(self, query: SQLQuery, bound: set[str], values: Row,
+                        catalog) -> Optional[float]:
+        """Histogram / top-k estimate of a SELECT over the catalog's column
+        summaries (top-k frequencies for equality predicates, equi-width
+        histograms for ranges, distinct counts for join keys and parameter
+        bindings); ``None`` for a shape it does not model."""
+        template = query.template
+        # Shapes the estimator does not model (OR / NOT / LIKE / IN, DISTINCT,
+        # LIMIT, grouping, aggregates) go to the wrapper's fallback estimate.
+        if not (template.conjunctive and template.batch_safe
+                and not template.statement.distinct and template.tables):
+            return None
+        database = self.database
+        cardinality = 1.0
+        for table in template.tables:
+            if not database.has_table(table):
+                return None
+            cardinality *= max(1, len(database.table(table)))
+
+        def resolve(column: ColumnRef) -> Optional[ValueSetSummary]:
+            if column.table:
+                return catalog.column_summary(self, column.table, column.name)
+            for table in template.tables:
+                summary = catalog.column_summary(self, table, column.name)
+                if summary is not None:
+                    return summary
+            return None
+
+        selectivity = 1.0
+        for conjunct in template.conjuncts:
+            selectivity *= _conjunct_selectivity(conjunct, resolve, values)
+
+        # Bindings arriving on plain output columns restrict the result to
+        # one value of that column: 1/distinct, or the value's own frequency
+        # when it is a known constant.
+        for variable in (query.output_variables() & bound) - template.parameters:
+            column = template.plain_outputs.get(variable)
+            summary = resolve(column) if column is not None else None
+            if summary is None:
+                selectivity *= 0.1
+            elif variable in values:
+                selectivity *= summary.selectivity(values[variable])
+            else:
+                selectivity *= 1.0 / max(1, summary.distinct_values)
+        return max(0.0, cardinality * selectivity)
+
+    def repair_delta(self, query: SQLQuery, records: list, engine):
+        """A single-table SELECT without joins, aggregates, GROUP BY,
+        HAVING, ORDER BY, LIMIT or DISTINCT repairs.  Insert-only deltas
+        *scoped to the queried table* are evaluated by running the very
+        same SQL against a one-table delta database (reusing the wrapper's
+        placeholder and post-filter semantics); deltas scoped to other
+        tables leave the rows as they are — the database-wide version
+        moved, the rows did not."""
+        if not query.template.repair_simple:
+            return "shape"
+        table = query.template.tables[0].lower()
+        relevant = [r for r in records if r.scope is None or r.scope == table]
+        if not relevant:
+            return None
+        if any(r.kind != INSERT for r in relevant):
+            # A RESET (a CREATE or DROP) replaces a whole table.
+            return "removals"
+        return engine.spanned(self, records, self._delta_sources)
+
+    def _delta_sources(self, records: list) -> tuple["RelationalSource", None]:
+        """A one-off database holding only the chain's inserted rows.
+
+        Every table with journalled inserts is created under the live
+        schema, so any simple single-table SELECT of the workload can run
+        against it unmodified.
+        """
+        delta_db = Database(f"{self.database.name}+delta")
+        for record in records:
+            if record.kind != INSERT or record.scope is None or not record.items:
+                continue
+            if not delta_db.has_table(record.scope):
+                delta_db.create_table(self.database.table(record.scope).schema)
+            delta_db.table(record.scope).insert_many(record.items)
+        return RelationalSource(self.uri, delta_db, name=self.name), None
+
     def size(self) -> int:
         return sum(len(t) for t in self.database.tables())
+
+
+def _conjunct_selectivity(conjunct: Expression,
+                          resolve: Callable[[ColumnRef], Optional[ValueSetSummary]],
+                          values: Row) -> float:
+    """Selectivity of one top-level WHERE conjunct (``column op operand``)."""
+    if not (isinstance(conjunct, BinaryOp) and conjunct.operator in _COMPARISONS
+            and isinstance(conjunct.left, ColumnRef)):
+        return UNKNOWN_PREDICATE_SELECTIVITY
+    op, rhs = conjunct.operator, conjunct.right
+    summary = resolve(conjunct.left)
+    if isinstance(rhs, Parameter) and rhs.name in values:
+        rhs = LiteralValue(values[rhs.name])
+    if op in ("<>", "!="):
+        return 0.9
+    if op == "=":
+        if isinstance(rhs, LiteralValue):
+            if summary is None:
+                return 0.1
+            return summary.selectivity(rhs.value)
+        if isinstance(rhs, Parameter):
+            if summary is None:
+                return 0.1
+            return 1.0 / max(1, summary.distinct_values)
+        if isinstance(rhs, ColumnRef):
+            right = resolve(rhs)
+            distinct = max(
+                summary.distinct_values if summary is not None else 0,
+                right.distinct_values if right is not None else 0,
+            )
+            return 1.0 / max(1, distinct)
+        return UNKNOWN_PREDICATE_SELECTIVITY
+    # Range comparison: price from the histogram when the column is numeric.
+    if isinstance(rhs, (LiteralValue, Parameter)):
+        if (isinstance(rhs, LiteralValue) and summary is not None
+                and isinstance(rhs.value, (int, float))):
+            selectivity = summary.range_selectivity(op, float(rhs.value))
+            if selectivity is not None:
+                return selectivity
+        return 0.3
+    return UNKNOWN_PREDICATE_SELECTIVITY
 
 
 def _scalar(value: object) -> bool:

@@ -141,10 +141,6 @@ class RemoteSource(DataSource):
 
     model = "remote"
 
-    # The catalog must not dig into this wrapper for digest statistics —
-    # estimates come from the remote peer.
-    trust_wrapper_estimate = True
-
     #: True on the clones ``pin()`` hands out, one per CMQ.
     _per_query = False
     #: On a clone: the ``pin`` frame was sent (answered or not).

@@ -3,9 +3,11 @@
 The planner prices sub-queries with estimates derived, instead of from
 each wrapper's ad-hoc ``estimate()``, from the *digest structures* the
 mediator already maintains — histograms and top-k summaries for range/equality
-predicates, value-set distinct counts for join keys, dataguide path
-counts for JSON tree patterns, inverted-index document frequencies for
-full-text — plus a calibrated per-source cost model, and closes the
+predicates, value-set distinct counts for join keys, per-path index
+postings for JSON tree patterns, inverted-index document frequencies for
+full-text, each derived by its wrapper
+(:meth:`~repro.core.sources.DataSource.derive_estimate`) — plus a
+calibrated per-source cost model, and closes the
 loop with run-time feedback (observed cardinalities override future
 estimates, and the statistics revision stamps plan-cache entries so
 feedback invalidates stale plans).

@@ -10,12 +10,14 @@ sub-query, bound-variable set) it answers, in order of preference:
 2. **the estimate memo** — what 3. or 4. answered for the same source
    version, canonical sub-query, bound variables and constants (a
    bounded LRU; for a remote source a hit is a round trip saved);
-3. **digest-backed estimators** (:mod:`repro.stats.estimators`) over
-   histograms, value-set distinct counts, per-path index counts and
-   inverted-index document frequencies;
-4. the wrapper's own ``estimate()`` as a fallback (also used when a
-   wrapper sets ``trust_wrapper_estimate`` to advertise that it carries
-   better statistics than the mediator can derive).
+3. **the wrapper's digest-backed estimate**
+   (:meth:`~repro.core.sources.DataSource.derive_estimate`), derived
+   beside its store: relational value-set summaries (top-k frequencies
+   and histograms, kept here per column and version), RDF index counts
+   with join-variable reductions, full-text document frequencies and
+   JSON per-path index postings;
+4. the wrapper's own ``estimate()`` when 3. derives none — always for a
+   remote wrapper, whose peer holds the statistics.
 
 Recording feedback bumps :attr:`revision`.  The revision is part of
 every plan-cache key, so cached plans built from superseded statistics
@@ -31,13 +33,8 @@ from repro.cache.keys import CanonicalQuery, canonical_query
 from repro.cache.lru import LRUCache
 from repro.core.deltas import INSERT
 from repro.core.sources import DataSource, SourceQuery
-from repro.fulltext.source import FullTextQuery, FullTextSource
-from repro.json.source import JSONQuery, JSONSource
-from repro.rdf.source import RDFQuery, RDFSource
-from repro.relational.source import RelationalSource, SQLQuery
 from repro.digest.valueset import ValueSetSummary
 from repro.stats.cost import CostModel, DEFAULT_COST_MODEL
-from repro.stats import estimators
 
 
 #: Entries of the estimate memo (a few hundred bytes each).
@@ -103,34 +100,17 @@ class StatisticsCatalog:
                 if remembered is not None:
                     return remembered
         bound = set(bound or ())
-        values = dict(values or {})
-        estimate = None
-        if not getattr(source, "trust_wrapper_estimate", False):
-            estimate = self._derive(source, query, bound, values)
+        try:
+            estimate = source.derive_estimate(query, bound, dict(values or {}), self)
+        except Exception:
+            # Any estimator hiccup (odd syntax, missing metadata) must
+            # never fail planning — the wrapper fallback takes over.
+            estimate = None
         if estimate is None:
             estimate = source.estimate(query, bound)
         if memo_key is not None and estimate != float("inf"):
             self.estimates.put(memo_key, estimate)
         return estimate
-
-    def _derive(self, source: DataSource, query: SourceQuery,
-                bound: set[str], values: dict[str, object]) -> Optional[float]:
-        try:
-            if isinstance(source, RelationalSource) and isinstance(query, SQLQuery):
-                return estimators.estimate_sql(
-                    source, query, bound, values,
-                    lambda table, column: self.column_summary(source, table, column))
-            if isinstance(source, RDFSource) and isinstance(query, RDFQuery):
-                return estimators.estimate_bgp(source, query, bound, values)
-            if isinstance(source, FullTextSource) and isinstance(query, FullTextQuery):
-                return estimators.estimate_fulltext(source, query, bound, values)
-            if isinstance(source, JSONSource) and isinstance(query, JSONQuery):
-                return source.estimate(query, bound, values)
-        except Exception:
-            # Any estimator hiccup (odd syntax, missing metadata) must
-            # never fail planning — the wrapper fallback takes over.
-            return None
-        return None
 
     # ------------------------------------------------------------------
     # Feedback
@@ -177,9 +157,10 @@ class StatisticsCatalog:
     # ------------------------------------------------------------------
     # Relational column summaries
     # ------------------------------------------------------------------
-    def column_summary(self, source: RelationalSource, table: str,
+    def column_summary(self, source: DataSource, table: str,
                        column: str) -> Optional[ValueSetSummary]:
-        """Value-set summary of one column, cached per source version.
+        """Value-set summary of one column of a relational wrapper's
+        database, cached per source version.
 
         Under streaming ingestion a version bump no longer forces a full
         column re-scan: when the delta journal shows only inserts between
@@ -209,21 +190,29 @@ class StatisticsCatalog:
                     with self._lock:
                         self.summaries_built += 1
         with self._lock:
-            self._column_summaries[key] = summary
-            # Drop summaries of superseded versions of the same column.
-            stale = [k for k in self._column_summaries
-                     if k[0] == key[0] and k[2:] == key[2:] and k[1] != version]
-            for k in stale:
-                del self._column_summaries[k]
+            return self._keep(key, summary)
+
+    def _keep(self, key: tuple, summary: Optional[ValueSetSummary]) -> Optional[ValueSetSummary]:
+        """File ``summary`` under ``key`` unless another planner filed one
+        first (then that one is kept and returned), and drop the summaries
+        of superseded versions of the same column.  Call under the lock."""
+        summary = self._column_summaries.setdefault(key, summary)
+        stale = [k for k in self._column_summaries
+                 if k[0] == key[0] and k[2:] == key[2:] and k[1] != key[1]]
+        for k in stale:
+            del self._column_summaries[k]
         return summary
 
-    def _absorb_column_delta(self, source: RelationalSource, key: tuple,
+    def _absorb_column_delta(self, source: DataSource, key: tuple,
                              column: str) -> Optional[ValueSetSummary]:
         """Carry a prior-version summary forward over insert-only deltas.
 
         ``None`` means "rebuild from a full scan": no prior summary, a
-        gap in the journal, or deltas that are not pure inserts for the
-        summarised table.
+        gap in the journal, deltas that are not pure inserts for the
+        summarised table, or a prior another planner carried forward
+        meanwhile.  The absorb and the filing under ``key`` are one step
+        under the lock, so two planners missing the same key absorb the
+        inserts once.
         """
         table = key[2]
         with self._lock:
@@ -240,11 +229,15 @@ class StatisticsCatalog:
         relevant = [r for r in records if r.scope is None or r.scope == table]
         if any(r.kind != INSERT for r in relevant):
             return None
-        summary.absorb([row.get(column)
-                        for record in relevant for row in record.items])
         with self._lock:
+            if key in self._column_summaries:
+                return self._column_summaries[key]
+            if self._column_summaries.get(prior_key) is not summary:
+                return None
+            summary.absorb([row.get(column)
+                            for record in relevant for row in record.items])
             self.summaries_absorbed += 1
-        return summary
+            return self._keep(key, summary)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"StatisticsCatalog(revision={self._revision}, "

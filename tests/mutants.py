@@ -72,29 +72,31 @@ def no_subtraction(patch) -> None:
 def subtract_the_written_copies(patch) -> None:
     """An upsert subtracts the rows of the copies it wrote, not of the
     copies it replaced."""
-    from repro.cache import repair
+    from repro.fulltext.source import FullTextSource
+    from repro.json.source import JSONSource
 
-    deltas = repair._document_delta_source
+    for wrapper in (FullTextSource, JSONSource):
+        deltas = wrapper._delta_sources
 
-    def written_twice(source, records):
-        written, _ = deltas(source, records)
-        return written, written
+        def written_twice(source, records, deltas=deltas):
+            written, _ = deltas(source, records)
+            return written, written
 
-    patch.setattr(repair, "_document_delta_source", written_twice)
+        patch.setattr(wrapper, "_delta_sources", written_twice)
 
 
 def repair_from_explicit_delta(patch) -> None:
     """A glue entry is repaired from the triples a write batch holds, not
     from what it added to G∞."""
-    from repro.cache import repair
+    from repro.rdf.source import RDFSource
 
-    delta = repair._rdf_delta
+    delta = RDFSource._delta_graph
 
     def explicit(source, records):
         found = delta(source, records)
         return found and (found[0], [t for record in records for t in record.items])
 
-    patch.setattr(repair, "_rdf_delta", explicit)
+    patch.setattr(RDFSource, "_delta_graph", explicit)
 
 
 def seed_drops_spelling_variants(patch) -> None:
@@ -108,9 +110,9 @@ def seed_drops_spelling_variants(patch) -> None:
 def repair_reads_pre_write_closure(patch) -> None:
     """The patterns a repair does not seed read G∞ as it stood before the
     write."""
-    from repro.cache import repair
+    from repro.rdf.source import RDFSource
 
-    delta = repair._rdf_delta
+    delta = RDFSource._delta_graph
 
     def stale(source, records):
         found = delta(source, records)
@@ -121,7 +123,7 @@ def repair_reads_pre_write_closure(patch) -> None:
         before.remove_all(triples)
         return before, triples
 
-    patch.setattr(repair, "_rdf_delta", stale)
+    patch.setattr(RDFSource, "_delta_graph", stale)
 
 
 def wire_skips_tagged_columns(patch) -> None:

@@ -1,8 +1,8 @@
 """Plan retirement: a plan whose estimate drifted is dropped at the end.
 
 A stub source advertises a deliberately wrong cardinality
-(``trust_wrapper_estimate`` routes the lie past the digest-backed
-estimators).  The first asking runs the misplan to the end; because a
+(its ``derive_estimate`` hook hands the lie to the statistics catalog in
+place of the digest-backed estimate).  The first asking runs the misplan to the end; because a
 step of a non-final stage is off by more than ``REPLAN_THRESHOLD``, the
 executor then drops the cached plan and records the stage's feedback
 into the statistics layer.  The next asking replans from the corrected
@@ -27,7 +27,8 @@ VIP = 12
 class LyingSource(RelationalSource):
     """Claims every sub-query returns ~2 rows, whatever the truth."""
 
-    trust_wrapper_estimate = True
+    def derive_estimate(self, query, bound, values, catalog):
+        return self.estimate(query, bound)
 
     def estimate(self, query, bound_variables=None):
         return 2.0

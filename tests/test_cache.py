@@ -576,7 +576,6 @@ def test_cached_source_delegates_cost_kind_trust_and_pin():
     proxy = CachedSource(remote, SubQueryResultCache())
 
     assert proxy.cost_kind == "remote"
-    assert proxy.trust_wrapper_estimate is remote.trust_wrapper_estimate
     pinned = proxy.pin()
     assert isinstance(pinned, CachedSource)
     # A remote clone pins with its first use, not at ``pin()``.

@@ -756,7 +756,8 @@ class TestPinnedWrapperKeepsItsClass:
     @staticmethod
     def _subclass(base):
         class Tagged(base):
-            trust_wrapper_estimate = True
+            def derive_estimate(self, query, bound, values, catalog):
+                return self.estimate(query, bound)
 
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)

@@ -12,7 +12,6 @@ from repro.errors import FullTextError, MixedQueryError, ParseError
 from repro.fulltext import FieldConfig, FullTextStore
 from repro.fulltext.query import BooleanQuery, NotQuery, Parameter, PhraseQuery, TermQuery
 from repro.fulltext.template import fulltext_template
-from repro.stats.estimators import estimate_fulltext
 
 # ---------------------------------------------------------------------------
 # What a template knows
@@ -103,10 +102,10 @@ def test_lower_case_or_is_an_or_for_the_estimator_too():
     source = _source()
     for text in ("body:budget or body:vote", "body:budget OR body:vote",
                  "NOT body:budget", 'body:"budget vote"', "count:[1 TO 5]"):
-        assert estimate_fulltext(source, FullTextQuery.create(text, {"i": "id"}),
-                                 set(), {}) is None
+        assert source.derive_estimate(FullTextQuery.create(text, {"i": "id"}),
+                                      set(), {}, None) is None
     both = FullTextQuery.create("body:budget and body:vote", {"i": "id"})
-    assert estimate_fulltext(source, both, set(), {}) == \
+    assert source.derive_estimate(both, set(), {}, None) == \
         len(source.store.search(both.query_template, limit=None).hits)
 
 

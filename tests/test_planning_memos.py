@@ -13,9 +13,8 @@ from collections import Counter
 
 import pytest
 
-import repro.cache.keys as keys
 import repro.cache.plans as plans
-from repro.core import PlannerOptions
+from repro.core import FullTextQuery, JSONQuery, PlannerOptions, RDFQuery, SQLQuery
 from repro.datasets import (
     DemoConfig,
     build_demo_instance,
@@ -36,20 +35,21 @@ def demo():
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts, per object, every call of the given module functions."""
+    """Counts, per object, every call of the given functions (module
+    functions, or methods counted per instance)."""
     calls: Counter = Counter()
 
-    def count(module, name):
-        original = getattr(module, name)
+    def count(owner, name):
+        original = getattr(owner, name)
 
         def counting(argument):
             calls[id(argument)] += 1
             return original(argument)
-        monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(owner, name, counting)
 
     def install(*targets):
-        for module, name in targets:
-            count(module, name)
+        for owner, name in targets:
+            count(owner, name)
         return calls
     return install
 
@@ -59,9 +59,8 @@ class TestCanonicalForm:
                              ids=["qsia_json", "factcheck"])
     def test_derived_once_per_sub_query_across_one_execution(self, demo, counted,
                                                              build):
-        calls = counted(*[(keys, name) for name in (
-            "_canonical_rdf", "_canonical_sql", "_canonical_fulltext",
-            "_canonical_json")])
+        calls = counted(*[(query_type, "derive_canonical") for query_type in (
+            RDFQuery, SQLQuery, FullTextQuery, JSONQuery)])
         cmq = build(demo)
         result = demo.instance.execute(cmq)
         assert result.trace.calls

@@ -73,7 +73,8 @@ VIP = 12
 class UnderReporting(RelationalSource):
     """Reports a thousandth of every sub-query's true size."""
 
-    trust_wrapper_estimate = True
+    def derive_estimate(self, query, bound, values, catalog):
+        return self.estimate(query, bound)
 
     def estimate(self, query, bound_variables=None):
         return POSTS / 1000

@@ -8,7 +8,11 @@ says once what they all do.
   nothing under ``src/`` or ``tests/`` relies on that;
 * a query of another model is refused once, for every wrapper and for a
   remote source, before it reaches the store or the wire, and counts as a
-  source error.
+  source error;
+* the cache and statistics layers name no model: no module under
+  ``repro/cache`` or ``repro/stats`` imports a model package (each model
+  answers their questions through the protocol's hooks), and no module
+  under ``src/`` reads ``trust_wrapper_estimate``.
 """
 
 from __future__ import annotations
@@ -102,6 +106,37 @@ def test_no_module_imports_a_moved_name_from_the_protocol_module():
                     continue
                 offenders += [f"{path.relative_to(ROOT)}:{node.lineno} {name}"
                               for name in sorted(names & MOVED)]
+    assert offenders == []
+
+
+MODELS = ("repro.rdf", "repro.relational", "repro.fulltext", "repro.json")
+#: The retired flag that let a wrapper's ``estimate()`` overrule the catalog.
+RETIRED = "trust_wrapper_estimate"
+
+
+def _imported(node: ast.AST) -> list[str]:
+    """The modules an import statement names (``from m import n``: ``m``
+    and ``m.n``, either of which may be a package's module)."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module:
+        return [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+    return []
+
+
+def test_the_cache_and_statistics_layers_name_no_model():
+    offenders = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        layer = path.relative_to(ROOT / "src" / "repro").parts[0]
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if layer in ("cache", "stats"):
+                offenders += [f"{path.relative_to(ROOT)}:{node.lineno} imports {module}"
+                              for module in _imported(node)
+                              if any(module == model or module.startswith(model + ".")
+                                     for model in MODELS)]
+            if RETIRED in (getattr(node, "attr", None), getattr(node, "id", None),
+                           getattr(node, "value", None)):
+                offenders.append(f"{path.relative_to(ROOT)}:{node.lineno} reads {RETIRED}")
     assert offenders == []
 
 

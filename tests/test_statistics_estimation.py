@@ -250,7 +250,7 @@ class TestFullTextEstimates:
         actual = source.store.count("user.screen_name:u0")
         assert q_error(estimate, actual) <= 1.2
 
-    #: atom -> per binding case of ``_DEMO_CASES``, (``estimate_fulltext``,
+    #: atom -> per binding case of ``_DEMO_CASES``, (``derive_estimate``,
     #: ``FullTextSource.estimate``) as recorded at the parent of ISSUE 18,
     #: when both read the template's text: no plan may move.
     _DEMO_CASES = [(set(), {}), ({"id"}, {}), ({"id"}, {"id": "aduval3"}),
@@ -282,8 +282,6 @@ class TestFullTextEstimates:
         from repro.datasets import qsia_query
         from repro.datasets.loader import (
             TWEETS_URI, fact_checking_query, party_vocabulary_query)
-        from repro.stats.estimators import estimate_fulltext
-
         queries = {f"{template} template": demo.instance.templates.get(template).query
                    for template in ("tweetContains", "tweetMentions")}
         for cmq in (qsia_query(demo), party_vocabulary_query(demo, "securite"),
@@ -292,7 +290,7 @@ class TestFullTextEstimates:
                            if isinstance(atom.query, FullTextQuery))
         source, query = demo.instance.source(TWEETS_URI), queries[name]
         for (bound, values), recorded in zip(self._DEMO_CASES, self._DEMO_RECORDED[name]):
-            assert (estimate_fulltext(source, query, bound, values),
+            assert (source.derive_estimate(query, bound, values, None),
                     source.estimate(query, bound)) == pytest.approx(recorded), (bound, values)
 
 
@@ -429,7 +427,8 @@ class TestFeedbackAndBatchSize:
         db.create_table_from_rows("t", [{"a": i} for i in range(10)])
 
         class Lying(RelationalSource):
-            trust_wrapper_estimate = True
+            def derive_estimate(self, query, bound, values, catalog):
+                return self.estimate(query, bound)
 
             def estimate(self, query, bound_variables=None):
                 return 7.0

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.cache.keys import canonical_query
 from repro.cache.lru import CacheStats
-from repro.cache.repair import RepairEngine, _document_delta_source
+from repro.cache.repair import RepairEngine
 from repro.cache.results import CachedSource, SubQueryResultCache
 from repro.core import MixedInstance
 from repro.core.cmq import SourceAtom
@@ -407,7 +407,7 @@ class TestBatchRepair:
 
     def test_fulltext_delta_store_answers_like_a_rerun(self):
         """The delta store the repair builds for a full-text span
-        (``_document_delta_source``) answers a batch through the same
+        (``FullTextSource._delta_sources``) answers a batch through the same
         evaluation as the live store: one call per key answers the same
         rows in the same order, they close every repaired entry, and
         entry = stored + delta is the cold re-run's multiset."""
@@ -417,7 +417,7 @@ class TestBatchRepair:
         pre = source.version()
         write(2)
         write(3)
-        delta, replaced = _document_delta_source(source, source.deltas_since(pre))
+        delta, replaced = source._delta_sources(source.deltas_since(pre))
         assert replaced is None
         fresh = list(map(dict_rows, delta.execute_batch(query, keys)))
         assert fresh == [delta.execute(query, dict(key)) for key in keys]
@@ -774,6 +774,36 @@ class TestStatisticsAbsorption:
         assert absorbed.total_values == 110
         assert absorbed.might_contain(1005) and absorbed.might_contain(50)
         assert not absorbed.might_contain(424242)
+
+    def test_two_planners_missing_one_version_absorb_its_inserts_once(self):
+        """Two threads miss the same (column, version) and both read the
+        journal before either files a summary: the inserts are absorbed
+        into the prior summary once, not once per thread."""
+        from repro.stats.catalog import StatisticsCatalog
+
+        db = Database("d")
+        db.create_table_from_rows("t", [{"c": i} for i in range(100)])
+        source = RelationalSource("sql://d", db)
+        catalog = StatisticsCatalog()
+        catalog.column_summary(source, "t", "c")
+        db.table("t").insert_many([{"c": 1000 + i} for i in range(10)])
+        barrier, deltas_since = threading.Barrier(2), source.deltas_since
+
+        def held(*args):
+            barrier.wait(timeout=10)
+            return deltas_since(*args)
+
+        source.deltas_since = held
+        found = []
+        threads = [threading.Thread(target=lambda: found.append(
+            catalog.column_summary(source, "t", "c"))) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(found) == 2 and found[0] is found[1]
+        assert found[0].total_values == 110
+        assert catalog.summaries_absorbed == 1 and catalog.summaries_built == 1
 
     def test_absorbed_summary_tracks_top_k_and_histogram(self):
         from repro.stats.catalog import StatisticsCatalog

@@ -31,6 +31,7 @@ from repro.core import CMQBuilder, MixedInstance, PlannerOptions
 from repro.core.cmq import SourceAtom
 from repro.core.deltas import DeltaJournal
 from repro.fulltext.source import FullTextQuery
+from repro.json.source import JSONQuery
 from repro.rdf.source import RDFQuery
 from repro.relational.source import SQLQuery
 from repro.datasets import DemoConfig, build_demo_instance
@@ -261,8 +262,9 @@ class TestAWarmFlushIsOneProbe:
             spy(owner, attribute)
         # A sub-query's canonical form is derived once per query object:
         # the warm run must derive none anew.
-        monkeypatch.setattr("repro.cache.keys.canonicalise",
-                            lambda query: calls.update(["canonicalise"]))
+        for query_type in (RDFQuery, SQLQuery, FullTextQuery, JSONQuery):
+            monkeypatch.setattr(query_type, "derive_canonical",
+                                lambda query: calls.update(["derive_canonical"]))
         flushes = []
         original_peek = CachedSource.peek
 
