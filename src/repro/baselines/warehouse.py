@@ -12,7 +12,6 @@ measuring both the export (refresh) cost and the per-query cost.
 
 from __future__ import annotations
 
-import re
 import time
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -32,6 +31,7 @@ from repro.json.pattern import Parameter as JSONParameter
 from repro.rdf.bgp import BGPQuery, solve
 from repro.rdf.graph import Graph
 from repro.rdf.terms import Term, Triple, TriplePattern, URI, Variable, literal
+from repro.relational.ast import BinaryOp, ColumnRef, LiteralValue, Parameter
 
 
 @dataclass
@@ -228,53 +228,39 @@ class RDFWarehouse:
             "warehouse baseline only translates conjunctive full-text queries"
         )
 
-    _SQL_RE = re.compile(
-        r"^\s*select\s+(?P<items>.+?)\s+from\s+(?P<table>[A-Za-z_][\w]*)"
-        r"(?:\s+where\s+(?P<where>.+))?\s*$",
-        re.IGNORECASE | re.DOTALL,
-    )
-
     def _translate_sql(self, atom: SourceAtom, index: int) -> list[TriplePattern]:
         assert isinstance(atom.query, SQLQuery)
         if atom.source is None:
             raise MixedQueryError(
                 "warehouse baseline needs a fixed source URI for SQL atoms"
             )
-        match = self._SQL_RE.match(atom.query.sql)
-        if not match:
-            raise MixedQueryError(
-                f"warehouse baseline cannot translate the SQL of atom {atom.name!r}"
-            )
-        table = match.group("table")
+        template = atom.query.template
+        statement = template.statement
+        untranslatable = MixedQueryError(
+            "warehouse baseline only translates SELECT columns FROM one table WHERE "
+            f"column = value AND ... (atom {atom.name!r})")
+        if (len(template.tables) != 1 or statement.joins or statement.distinct
+                or statement.group_by or statement.having or statement.limit is not None
+                or len(template.plain_outputs) != len(statement.items)):
+            raise untranslatable
+        table = template.tables[0]
         row_var = Variable(f"row{index}")
-        patterns: list[TriplePattern] = []
-        for item in match.group("items").split(","):
-            parts = re.split(r"\s+as\s+", item.strip(), flags=re.IGNORECASE)
-            column = parts[0].strip().split(".")[-1]
-            alias = parts[1].strip() if len(parts) > 1 else column
-            if alias in atom.constants:
-                obj: Term | Variable = literal(atom.constants[alias])
+        patterns = [TriplePattern(row_var, self.column_predicate(atom.source, table, column.name),
+                                  self._rename_term(Variable(output), atom))
+                    for output, column in template.plain_outputs.items()]
+        for condition in template.conjuncts:
+            if not (isinstance(condition, BinaryOp) and condition.operator == "="
+                    and isinstance(condition.left, ColumnRef)):
+                raise untranslatable
+            value = condition.right
+            if isinstance(value, Parameter):
+                obj = self._rename_term(Variable(value.name), atom)
+            elif isinstance(value, LiteralValue) and value.value is not None:
+                obj = literal(value.value)
             else:
-                obj = Variable(atom.renames.get(alias, alias))
-            patterns.append(TriplePattern(row_var, self.column_predicate(atom.source, table, column), obj))
-        where = match.group("where")
-        if where:
-            for condition in re.split(r"\s+and\s+", where, flags=re.IGNORECASE):
-                eq = re.match(r"\s*([A-Za-z_][\w.]*)\s*=\s*(.+)\s*", condition)
-                if not eq:
-                    raise MixedQueryError(
-                        f"warehouse baseline only translates equality WHERE clauses "
-                        f"(atom {atom.name!r})"
-                    )
-                column = eq.group(1).split(".")[-1]
-                raw_value = eq.group(2).strip()
-                if raw_value.startswith("{") and raw_value.endswith("}"):
-                    obj = Variable(atom.renames.get(raw_value[1:-1], raw_value[1:-1]))
-                elif raw_value.startswith("'") and raw_value.endswith("'"):
-                    obj = literal(raw_value[1:-1])
-                else:
-                    obj = literal(_parse_number(raw_value))
-                patterns.append(TriplePattern(row_var, self.column_predicate(atom.source, table, column), obj))
+                raise untranslatable
+            patterns.append(TriplePattern(
+                row_var, self.column_predicate(atom.source, table, condition.left.name), obj))
         return patterns
 
     def _translate_json(self, atom: SourceAtom, index: int) -> list[TriplePattern]:
@@ -327,12 +313,3 @@ def _normalize_keyword(value: object) -> object:
         return value.lower()
     return value
 
-
-def _parse_number(text: str) -> object:
-    try:
-        return int(text)
-    except ValueError:
-        try:
-            return float(text)
-        except ValueError:
-            return text

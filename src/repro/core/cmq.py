@@ -21,7 +21,6 @@ This module provides:
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, partial
 from typing import Optional, Sequence
@@ -33,6 +32,7 @@ from repro.rdf.source import RDFQuery
 from repro.relational.source import SQLQuery
 from repro.engine.batch import BindingBatch, tuple_getter
 from repro.errors import MixedQueryError, ParseError
+from repro.lexing import Token, TokenStream, grammar, tokenize, unquote
 
 #: Sentinel source URI designating the mixed instance's custom RDF graph.
 GLUE_SOURCE = "#glue"
@@ -479,8 +479,14 @@ class AtomTemplateRegistry:
         return sorted(self._templates)
 
 
-_ATOM_RE = re.compile(
-    r"\s*(?P<name>[A-Za-z_][\w]*)\s*\((?P<args>[^)]*)\)\s*(?:\[\s*(?P<source>[^\]]+)\s*\])?\s*"
+_CMQ_TOKEN_RE = grammar(
+    r"""
+      (?P<string>"(?:[^"\\]|\\.)*")
+    | (?P<number>[+-]?\d+(?:\.\d+)?)
+    | (?P<name>[A-Za-z_][\w]*)
+    | (?P<source>\[[^\]]+\])
+    | (?P<punct>:-|[(),])
+    """
 )
 
 
@@ -493,77 +499,60 @@ def parse_cmq(text: str, registry: AtomTemplateRegistry) -> ConjunctiveMixedQuer
 
     Atom names must be registered in ``registry``; a ``[d]`` annotation is
     a source URI if quoted or containing ``://`` / ``#``, a source variable
-    otherwise.
+    otherwise.  A string constant takes the N-Triples escapes (``\\"``,
+    ``\\\\``, ``\\n``, ...) and may hold ``,``, ``(`` and ``)``.
     """
-    if ":-" not in text:
-        raise ParseError("a CMQ needs a ':-' separating head and body")
-    head_text, body_text = text.split(":-", 1)
-    head_match = _ATOM_RE.fullmatch(head_text)
-    if not head_match:
-        raise ParseError(f"malformed CMQ head: {head_text.strip()!r}")
-    name = head_match.group("name")
-    head = tuple(a.name for a in _parse_arguments(head_match.group("args"))
-                 if isinstance(a, VariableArg))
-
+    stream = TokenStream(text, tokenize(text, _CMQ_TOKEN_RE))
+    name, arguments, _ = _atom(stream)
+    head = tuple(a.name for a in arguments if isinstance(a, VariableArg))
+    stream.expect(":-")
     atoms: list[SourceAtom] = []
-    for atom_text in _split_atoms(body_text):
-        match = _ATOM_RE.fullmatch(atom_text)
-        if not match:
-            raise ParseError(f"malformed CMQ atom: {atom_text.strip()!r}")
-        template = registry.get(match.group("name"))
-        arguments = _parse_arguments(match.group("args"))
-        source_text = match.group("source")
-        source_uri, source_variable = _parse_source(source_text)
-        atoms.append(template.instantiate(arguments, source=source_uri,
-                                          source_variable=source_variable))
+    while True:
+        atom_name, arguments, source = _atom(stream)
+        atoms.append(registry.get(atom_name).instantiate(arguments, *source))
+        if not stream.accept(","):
+            break
+    stream.expect_end()
     return ConjunctiveMixedQuery(name=name, head=head, atoms=atoms)
 
 
-def _split_atoms(body_text: str) -> list[str]:
-    parts, depth, current = [], 0, []
-    for ch in body_text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if "".join(current).strip():
-        parts.append("".join(current))
-    return [p for p in parts if p.strip()]
-
-
-def _parse_arguments(args_text: str) -> list[object]:
+def _atom(stream: TokenStream) -> tuple[str, list[object], tuple[str | None, str | None]]:
+    """``name(arguments)[source]``: the name, the arguments and the
+    ``(source URI, source variable)`` pair, ``(None, None)`` without one."""
+    token = stream.next()
+    if token.kind != "name":
+        raise ParseError(f"expected an atom name, got {token.text!r}", position=token.position)
+    stream.expect("(")
     arguments: list[object] = []
-    for raw in _split_atoms(args_text):
-        token = raw.strip()
-        if not token:
-            continue
-        if token.startswith('"') and token.endswith('"'):
-            arguments.append(token[1:-1])
-        elif re.fullmatch(r"[+-]?\d+", token):
-            arguments.append(int(token))
-        elif re.fullmatch(r"[+-]?\d+\.\d+", token):
-            arguments.append(float(token))
-        elif re.fullmatch(r"[A-Za-z_][\w]*", token):
-            arguments.append(VariableArg(token))
-        else:
-            raise ParseError(f"cannot interpret CMQ argument {token!r}")
-    return arguments
+    if not stream.accept(")"):
+        arguments.append(_argument(stream.next()))
+        while stream.accept(","):
+            arguments.append(_argument(stream.next()))
+        stream.expect(")")
+    source = stream.peek()
+    if source is None or source.kind != "source":
+        return token.text, arguments, (None, None)
+    stream.next()
+    return token.text, arguments, _source(source)
 
 
-def _parse_source(source_text: str | None) -> tuple[str | None, str | None]:
-    if source_text is None:
-        return None, None
-    token = source_text.strip()
-    if token.startswith('"') and token.endswith('"'):
-        return token[1:-1], None
-    if "://" in token or token.startswith("#"):
-        return token, None
-    return None, token
+def _source(token: Token) -> tuple[str | None, str | None]:
+    inner = token.text[1:-1].strip()
+    if inner.startswith('"') and inner.endswith('"'):
+        return unquote(inner, token.position + token.text.index('"')), None
+    if "://" in inner or inner.startswith("#"):
+        return inner, None
+    return None, inner
+
+
+def _argument(token: Token) -> object:
+    if token.kind == "string":
+        return unquote(token.text, token.position)
+    if token.kind == "number":
+        return float(token.text) if "." in token.text else int(token.text)
+    if token.kind == "name":
+        return VariableArg(token.text)
+    raise ParseError(f"cannot interpret CMQ argument {token.text!r}", position=token.position)
 
 
 def rename_atom(atom: SourceAtom, renames: dict[str, str]) -> SourceAtom:

@@ -21,8 +21,9 @@ class ParseError(ReproError):
     message:
         Human readable description of the problem.
     position:
-        Optional character offset (or line number, depending on the parser)
-        where the problem was detected.
+        Optional character offset into the parsed text where the problem
+        was detected: where the offending token starts, or the length of
+        the text when it ended too early.
     """
 
     def __init__(self, message: str, position: int | None = None):

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ParseError
+from repro.lexing import Token, TokenStream, grammar, tokenize
 
 
 class Query:
@@ -113,7 +114,7 @@ class MatchAllQuery(Query):
         return "*:*"
 
 
-_QUERY_TOKEN_RE = re.compile(
+_QUERY_TOKEN_RE = grammar(
     r"""
       (?P<phrase>"[^"]*")
     | (?P<range>\[[^\]]*\])
@@ -123,70 +124,32 @@ _QUERY_TOKEN_RE = re.compile(
     | (?P<matchall>\*:\*|\*)
     | (?P<parameter>\{[A-Za-z_]\w*\}(?![^\s():]))
     | (?P<word>[^\s():]+)
-    """,
-    re.VERBOSE,
+    """
 )
-
-_KEYWORD_OPERATORS = {"AND", "OR", "NOT"}
 
 
 def parse_query(text: str) -> Query:
     """Parse a query string into a :class:`Query` tree."""
-    tokens = _tokenize(text)
-    if not tokens:
+    parser = _QueryParser(text, tokenize(text, _QUERY_TOKEN_RE))
+    if parser.peek() is None:
         return MatchAllQuery()
-    parser = _QueryParser(tokens)
     query = parser.parse_or()
     parser.expect_end()
     return query
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    position = 0
-    while position < len(text):
-        if text[position].isspace():
-            position += 1
-            continue
-        match = _QUERY_TOKEN_RE.match(text, position)
-        if not match:
-            raise ParseError(f"cannot tokenise query near {text[position:position + 15]!r}",
-                             position=position)
-        kind = match.lastgroup or ""
-        tokens.append((kind, match.group()))
-        position = match.end()
-    return tokens
-
-
-class _QueryParser:
-    def __init__(self, tokens: list[tuple[str, str]]):
-        self._tokens = tokens
-        self._index = 0
-
-    def _peek(self) -> tuple[str, str] | None:
-        return self._tokens[self._index] if self._index < len(self._tokens) else None
-
-    def _next(self) -> tuple[str, str]:
-        token = self._peek()
-        if token is None:
-            raise ParseError("unexpected end of query")
-        self._index += 1
-        return token
-
-    def expect_end(self) -> None:
-        if self._peek() is not None:
-            raise ParseError(f"unexpected trailing token {self._peek()[1]!r}")
+class _QueryParser(TokenStream):
+    def _at_operator(self, operator: str) -> bool:
+        """True when the next token is the boolean ``operator``, any case."""
+        token = self.peek()
+        return token is not None and token.kind == "word" and token.text.upper() == operator
 
     # precedence: OR < AND < NOT < primary
     def parse_or(self) -> Query:
         operands = [self.parse_and()]
-        while True:
-            token = self._peek()
-            if token and token[0] == "word" and token[1].upper() == "OR":
-                self._next()
-                operands.append(self.parse_and())
-            else:
-                break
+        while self._at_operator("OR"):
+            self.next()
+            operands.append(self.parse_and())
         if len(operands) == 1:
             return operands[0]
         return BooleanQuery("OR", tuple(operands))
@@ -194,15 +157,13 @@ class _QueryParser:
     def parse_and(self) -> Query:
         operands = [self.parse_not()]
         while True:
-            token = self._peek()
-            if token is None:
-                break
-            if token[0] == "word" and token[1].upper() == "AND":
-                self._next()
+            if self._at_operator("AND"):
+                self.next()
                 operands.append(self.parse_not())
-            elif token[0] == "word" and token[1].upper() == "OR":
+            elif self._at_operator("OR"):
                 break
-            elif token[0] in ("word", "parameter", "phrase", "lparen", "matchall"):
+            elif (token := self.peek()) is not None and token.kind in (
+                    "word", "parameter", "phrase", "lparen", "matchall"):
                 # Implicit AND between adjacent clauses (Lucene default is OR,
                 # but AND matches the conjunctive spirit of CMQs).
                 operands.append(self.parse_not())
@@ -213,25 +174,23 @@ class _QueryParser:
         return BooleanQuery("AND", tuple(operands))
 
     def parse_not(self) -> Query:
-        token = self._peek()
-        if token and token[0] == "word" and token[1].upper() == "NOT":
-            self._next()
+        if self._at_operator("NOT"):
+            self.next()
             return NotQuery(self.parse_not())
         return self.parse_primary()
 
     def parse_primary(self) -> Query:
-        kind, text = self._next()
-        if kind == "lparen":
+        token = self.next()
+        if token.kind == "lparen":
             query = self.parse_or()
-            if self._next()[0] != "rparen":
-                raise ParseError("expected )")
+            self.expect(")")
             return query
-        if kind == "matchall":
+        if token.kind == "matchall":
             return MatchAllQuery()
         field = None
-        if kind == "word" and (self._peek() or ("",))[0] == "colon":
-            self._next()
-            field, (kind, text) = text, self._next()
+        if token.kind == "word" and self.accept(":"):
+            field, token = token.text, self.next()
+        kind, text = token.kind, token.text
         if kind == "phrase":
             return PhraseQuery(field, tuple(text[1:-1].split()))
         if kind == "parameter":
@@ -239,17 +198,18 @@ class _QueryParser:
         if kind == "word":
             return TermQuery(field, text)
         if field is not None and kind == "range":
-            return _parse_range(field, text)
+            return _parse_range(field, token)
         if field is not None and kind == "matchall":
             return TermQuery(field, "*")
-        raise ParseError(f"unexpected token {text!r}" + (f" after {field}:" if field else ""))
+        raise ParseError(f"unexpected token {text!r}" + (f" after {field}:" if field else ""),
+                         position=token.position)
 
 
-def _parse_range(field: str, text: str) -> RangeQuery:
-    inner = text[1:-1].strip()
+def _parse_range(field: str, token: Token) -> RangeQuery:
+    inner = token.text[1:-1].strip()
     parts = re.split(r"\s+TO\s+", inner, flags=re.IGNORECASE)
     if len(parts) != 2:
-        raise ParseError(f"malformed range query {text!r}")
+        raise ParseError(f"malformed range query {token.text!r}", position=token.position)
     low = _range_bound(parts[0])
     high = _range_bound(parts[1])
     return RangeQuery(field=field, low=low, high=high)

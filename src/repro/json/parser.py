@@ -29,9 +29,8 @@ Constraining the same path twice merges the predicates into one leaf.
 
 from __future__ import annotations
 
-import re
-
 from repro.errors import ParseError
+from repro.lexing import Token, TokenStream, grammar, tokenize, unquote
 from repro.json.pattern import (
     Parameter,
     PatternLeaf,
@@ -40,97 +39,38 @@ from repro.json.pattern import (
     make_pattern,
 )
 
-_TOKEN_RE = re.compile(
+_TOKEN_RE = grammar(
     r"""
-      (?P<ws>\s+)
-    | (?P<string>"(?:[^"\\]|\\.)*")
+      (?P<string>"(?:[^"\\]|\\.)*")
     | (?P<number>-?\d+(?:\.\d+)?)
     | (?P<ident>[A-Za-z_][\w]*)
     | (?P<punct>\*\*|!=|>=|<=|[{}:,?.*=<>])
-    """,
-    re.VERBOSE,
+    """
 )
 
 _COMPARISON_TOKENS = {"=", "!=", ">", ">=", "<", "<="}
 _KEYWORD_CONSTANTS = {"true": True, "false": False, "null": None}
 
 
-class _Token:
-    __slots__ = ("kind", "text", "position")
-
-    def __init__(self, kind: str, text: str, position: int):
-        self.kind = kind
-        self.text = text
-        self.position = position
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    position = 0
-    while position < len(text):
-        match = _TOKEN_RE.match(text, position)
-        if match is None:
-            raise ParseError(f"unexpected character {text[position]!r} in tree pattern",
-                             position=position)
-        kind = match.lastgroup or "ws"
-        if kind != "ws":
-            tokens.append(_Token(kind, match.group(), position))
-        position = match.end()
-    return tokens
-
-
-class _Parser:
+class _Parser(TokenStream):
     """Recursive-descent parser over the token stream."""
 
-    def __init__(self, tokens: list[_Token], length: int):
-        self.tokens = tokens
-        self.index = 0
-        self.length = length
-
-    # -- token plumbing ------------------------------------------------------
-    def peek(self, offset: int = 0) -> _Token | None:
-        index = self.index + offset
-        return self.tokens[index] if index < len(self.tokens) else None
-
-    def next(self) -> _Token:
-        token = self.peek()
-        if token is None:
-            raise ParseError("unexpected end of tree pattern", position=self.length)
-        self.index += 1
-        return token
-
-    def expect(self, text: str) -> _Token:
-        token = self.next()
-        if token.text != text:
-            raise ParseError(f"expected {text!r}, found {token.text!r}",
-                             position=token.position)
-        return token
-
-    def at(self, text: str) -> bool:
-        token = self.peek()
-        return token is not None and token.text == text
-
-    # -- grammar -------------------------------------------------------------
     def parse(self) -> TreePattern:
         self.expect("{")
         leaves = self.members(prefix="")
-        self.expect("}")
-        trailing = self.peek()
-        if trailing is not None:
-            raise ParseError(f"trailing input after tree pattern: {trailing.text!r}",
-                             position=trailing.position)
+        self.expect_end()
         return make_pattern(leaves)
 
     def members(self, prefix: str) -> list[PatternLeaf]:
+        """The members of an object whose ``{`` is read, through its ``}``."""
         leaves: list[PatternLeaf] = []
-        if self.at("}"):
+        if self.accept("}"):
             return leaves
         while True:
             leaves.extend(self.member(prefix))
-            if self.at(","):
-                self.next()
-                continue
-            return leaves
+            if not self.accept(","):
+                self.expect("}")
+                return leaves
 
     def member(self, prefix: str) -> list[PatternLeaf]:
         path = self.key(prefix)
@@ -139,8 +79,7 @@ class _Parser:
 
     def key(self, prefix: str) -> str:
         parts = [self.key_segment()]
-        while self.at("."):
-            self.next()
+        while self.accept("."):
             parts.append(self.key_segment())
         part = ".".join(parts)
         return f"{prefix}.{part}" if prefix else part
@@ -148,7 +87,7 @@ class _Parser:
     def key_segment(self) -> str:
         token = self.next()
         if token.kind == "string":
-            return _unquote(token.text)
+            return unquote(token.text, token.position)
         if token.kind == "ident":
             return token.text
         if token.text in ("*", "**"):
@@ -166,51 +105,33 @@ class _Parser:
         return token.text
 
     def spec(self, path: str) -> list[PatternLeaf]:
-        token = self.peek()
-        if token is None:
-            raise ParseError("unexpected end of tree pattern", position=self.length)
+        token = self.next()
         # "{" opens either a {param} reference or a nested object.
-        if token.text == "{":
-            if self._is_parameter_ahead():
-                parameter = self.parameter()
-                return [PatternLeaf(path=path,
-                                    predicates=(Predicate("=", parameter),))]
-            self.next()
-            leaves = self.members(prefix=path)
-            self.expect("}")
-            return leaves
+        if token.text == "{" and not self._parameter_ahead():
+            return self.members(prefix=path)
         if token.text == "?":
-            self.next()
             variable = self.ident()
             predicates: tuple[Predicate, ...] = ()
             ahead = self.peek()
             if ahead is not None and ahead.text in _COMPARISON_TOKENS:
                 op = self.next().text
-                predicates = (Predicate(op, self.operand()),)
+                predicates = (Predicate(op, self.value(self.next())),)
             return [PatternLeaf(path=path, variable=variable, predicates=predicates)]
         if token.text == "*":
-            self.next()
             return [PatternLeaf(path=path)]
         if token.text in _COMPARISON_TOKENS:
-            op = self.next().text
-            return [PatternLeaf(path=path, predicates=(Predicate(op, self.operand()),))]
-        return [PatternLeaf(path=path, predicates=(Predicate("=", self.operand()),))]
+            predicate = Predicate(token.text, self.value(self.next()))
+            return [PatternLeaf(path=path, predicates=(predicate,))]
+        return [PatternLeaf(path=path, predicates=(Predicate("=", self.value(token)),))]
 
-    def _is_parameter_ahead(self) -> bool:
-        one, two = self.peek(1), self.peek(2)
-        return (one is not None and one.kind == "ident"
-                and two is not None and two.text == "}")
+    def _parameter_ahead(self) -> bool:
+        name, close = self.peek(), self.peek(1)
+        return close is not None and close.text == "}" and name.kind == "ident"
 
-    def parameter(self) -> Parameter:
-        self.expect("{")
-        name = self.ident()
-        self.expect("}")
-        return Parameter(name)
-
-    def operand(self) -> object:
-        token = self.next()
+    def value(self, token: Token) -> object:
+        """The constant or ``{param}`` that ``token`` starts."""
         if token.kind == "string":
-            return _unquote(token.text)
+            return unquote(token.text, token.position)
         if token.kind == "number":
             return float(token.text) if "." in token.text else int(token.text)
         if token.kind == "ident":
@@ -219,21 +140,18 @@ class _Parser:
             # A bare word is a string constant (handy in atom templates).
             return token.text
         if token.text == "{":
-            self.index -= 1
-            return self.parameter()
+            name = self.ident()
+            self.expect("}")
+            return Parameter(name)
         raise ParseError(f"cannot interpret tree-pattern value {token.text!r}",
                          position=token.position)
 
 
 def parse_pattern(text: str) -> TreePattern:
     """Parse the textual tree-pattern syntax into a :class:`TreePattern`."""
-    return _Parser(_tokenize(text), len(text)).parse()
+    return _Parser(text, tokenize(text, _TOKEN_RE)).parse()
 
 
 def pattern_to_text(pattern: TreePattern) -> str:
     """Render ``pattern`` in the canonical textual form (round-trips)."""
     return pattern.to_text()
-
-
-def _unquote(text: str) -> str:
-    return re.sub(r"\\(.)", r"\1", text[1:-1])

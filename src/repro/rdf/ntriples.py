@@ -10,36 +10,39 @@ graph back to N-Triples.
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Iterator
 
 from repro.errors import ParseError
+from repro.lexing import Token, TokenStream, grammar, tokenize, unquote
 from repro.rdf.graph import Graph
 from repro.rdf.terms import (
     DEFAULT_PREFIXES,
     RDF_TYPE,
     BlankNode,
     Literal,
+    PatternTerm,
     Term,
     Triple,
     URI,
+    Variable,
     XSD_NS,
 )
 
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<uri><[^>]*>)
-    | (?P<literal>"(?:[^"\\]|\\.)*"(?:@[A-Za-z-]+|\^\^<[^>]*>|\^\^[A-Za-z_][\w.-]*:[A-Za-z_][\w.-]*)?)
-    | (?P<bnode>_:[A-Za-z_][\w-]*)
-    | (?P<prefix_decl>@prefix)
-    | (?P<qname>[A-Za-z_][\w.-]*?:[A-Za-z_][\w.-]*)
-    | (?P<prefix_name>[A-Za-z_][\w.-]*:)
+#: The RDF terms and punctuation Turtle and SPARQL share.  A local name
+#: never ends in ``.``, so ``ex:c.`` ends its statement.
+TERM_GROUPS = r"""
+      (?P<comment>\#[^\n]*)
+    | (?P<uri><[^>]*>)
+    | (?P<string>"(?:[^"\\]|\\.)*")
+    | (?P<langtag>@[A-Za-z-]+)
+    | (?P<datatype>\^\^)
+    | (?P<qname>[A-Za-z_][\w.-]*:(?:[A-Za-z_](?:[\w.-]*[\w-])?)?)
     | (?P<a>\ba\b)
     | (?P<number>[+-]?\d+(?:\.\d+)?)
     | (?P<punct>[;,.])
-    """,
-    re.VERBOSE,
-)
+"""
+
+_TURTLE_RE = grammar(r"(?P<bnode>_:[A-Za-z_][\w-]*) |" + TERM_GROUPS)
 
 
 def parse_ntriples(text: str, graph_name: str = "parsed") -> Graph:
@@ -51,16 +54,17 @@ def parse_ntriples(text: str, graph_name: str = "parsed") -> Graph:
 
 def iter_triples(text: str) -> Iterator[Triple]:
     """Yield the triples of a N-Triples / Turtle-subset document."""
-    prefixes = dict(DEFAULT_PREFIXES)
-    statements = _split_statements(text)
-    for line_no, statement in statements:
-        tokens = _tokenize(statement, line_no)
-        if not tokens:
+    reader = TermReader(text, tokenize(text, _TURTLE_RE), dict(DEFAULT_PREFIXES))
+    while reader.peek() is not None:
+        if reader.accept("."):
             continue
-        if tokens[0][0] == "prefix_decl":
-            _handle_prefix(tokens, prefixes, line_no)
-            continue
-        yield from _parse_statement(tokens, prefixes, line_no)
+        if reader.accept("@prefix"):
+            reader.declare_prefix()
+        else:
+            for subject, predicate, obj in reader.statement():
+                yield Triple(subject, predicate, obj)
+        if not reader.accept("."):
+            reader.expect_end()
 
 
 def serialize_ntriples(graph: Graph | Iterable[Triple]) -> str:
@@ -69,179 +73,84 @@ def serialize_ntriples(graph: Graph | Iterable[Triple]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-# ---------------------------------------------------------------------------
-# Internal helpers
-# ---------------------------------------------------------------------------
+class TermReader(TokenStream):
+    """Reads RDF terms, and statements with the ``;`` and ``,``
+    abbreviations, off tokens of :data:`TERM_GROUPS`: a Turtle document's,
+    and the WHERE block of a SPARQL query (whose ``?var`` tokens it reads
+    as variables)."""
 
-def _split_statements(text: str) -> list[tuple[int, str]]:
-    """Split the document into ``.``-terminated statements, tracking lines."""
-    statements: list[tuple[int, str]] = []
-    current: list[str] = []
-    start_line = 1
-    in_string = False
-    in_uri = False
-    in_comment = False
-    escaped = False
-    line = 1
-    for index, ch in enumerate(text):
-        if ch == "\n":
-            line += 1
-            in_comment = False
-        if in_comment:
-            continue
-        if in_string:
-            current.append(ch)
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-            continue
-        if in_uri:
-            current.append(ch)
-            if ch == ">":
-                in_uri = False
-            continue
-        if ch == '"':
-            in_string = True
-            current.append(ch)
-            continue
-        if ch == "<":
-            in_uri = True
-            current.append(ch)
-            continue
-        if ch == "#":
-            # Comment until end of line (URIs with fragments are handled above).
-            in_comment = True
-            continue
-        if ch == ".":
-            following = text[index + 1] if index + 1 < len(text) else " "
-            if following.isspace() or following == "#":
-                statement = "".join(current).strip()
-                if statement:
-                    statements.append((start_line, statement))
-                current = []
-                start_line = line
-                continue
-        current.append(ch)
-    tail = "".join(current).strip()
-    if tail:
-        statements.append((start_line, tail))
-    return statements
+    def __init__(self, text: str, tokens: list[Token], prefixes: dict[str, str]):
+        super().__init__(text, tokens)
+        self.prefixes = prefixes
 
+    def declare_prefix(self) -> None:
+        """Read ``name: <iri>`` after ``@prefix`` or ``PREFIX``."""
+        name, iri = self.next(), self.next()
+        if name.kind != "qname" or iri.kind != "uri":
+            raise ParseError("malformed prefix declaration", position=name.position)
+        self.prefixes[name.text.partition(":")[0]] = iri.text[1:-1]
 
-def _tokenize(statement: str, line_no: int) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    position = 0
-    while position < len(statement):
-        if statement[position].isspace():
-            position += 1
-            continue
-        match = _TOKEN_RE.match(statement, position)
-        if not match:
-            raise ParseError(
-                f"cannot tokenise {statement[position:position + 20]!r}", position=line_no
-            )
-        kind = match.lastgroup or ""
-        tokens.append((kind, match.group()))
-        position = match.end()
-    return tokens
-
-
-def _handle_prefix(tokens: list[tuple[str, str]], prefixes: dict[str, str], line_no: int) -> None:
-    if len(tokens) != 3 or tokens[2][0] != "uri" or tokens[1][0] not in ("prefix_name", "qname"):
-        raise ParseError("malformed @prefix declaration", position=line_no)
-    declared = tokens[1][1]
-    if not declared.endswith(":"):
-        declared += ":"
-    prefix = declared.split(":", 1)[0]
-    prefixes[prefix] = tokens[2][1][1:-1]
-
-
-def _parse_statement(tokens: list[tuple[str, str]], prefixes: dict[str, str],
-                     line_no: int) -> Iterator[Triple]:
-    """Parse one Turtle statement (with ``;`` and ``,`` abbreviations)."""
-    index = 0
-
-    def next_term() -> Term:
-        nonlocal index
-        if index >= len(tokens):
-            raise ParseError("unexpected end of statement", position=line_no)
-        kind, text = tokens[index]
-        index += 1
-        return _token_to_term(kind, text, prefixes, line_no)
-
-    subject = next_term()
-    while index < len(tokens):
-        predicate = next_term()
-        if not isinstance(predicate, URI):
-            raise ParseError(f"predicate must be a URI, got {predicate}", position=line_no)
+    def statement(self) -> list[tuple[PatternTerm, PatternTerm, PatternTerm]]:
+        """The ``(subject, predicate, object)`` triples of one statement,
+        up to its ``.``."""
+        subject = self.term()
+        triples = []
         while True:
-            obj = next_term()
-            yield Triple(subject, predicate, obj)
-            if index < len(tokens) and tokens[index] == ("punct", ","):
-                index += 1
-                continue
-            break
-        if index < len(tokens) and tokens[index] == ("punct", ";"):
-            index += 1
-            if index >= len(tokens):
-                break
-            continue
-        break
-    if index < len(tokens):
-        raise ParseError(
-            f"unexpected trailing tokens: {tokens[index:]}", position=line_no
-        )
+            start = self.index
+            predicate = self.term()
+            if isinstance(predicate, (Literal, BlankNode)):
+                raise ParseError(f"predicate must be a URI, got {predicate}",
+                                 position=self.tokens[start].position)
+            triples.append((subject, predicate, self.term()))
+            while self.accept(","):
+                triples.append((subject, predicate, self.term()))
+            if not self.accept(";"):
+                return triples
+            after = self.peek()
+            if after is None or after.text in (".", "}"):
+                return triples
 
+    def term(self) -> PatternTerm:
+        token = self.next()
+        kind = token.kind
+        if kind == "qname":
+            return URI(self._expand(token))
+        if kind == "var":
+            return Variable(token.text[1:])
+        if kind == "uri":
+            return URI(token.text[1:-1])
+        if kind == "string":
+            return self._literal(unquote(token.text, token.position))
+        if kind == "a":
+            return RDF_TYPE
+        if kind == "number":
+            return Literal(token.text, datatype=XSD_NS + (
+                "decimal" if "." in token.text else "integer"))
+        if kind == "bnode":
+            return BlankNode(token.text[2:])
+        raise ParseError(f"unexpected token {token.text!r}", position=token.position)
 
-def _token_to_term(kind: str, text: str, prefixes: dict[str, str], line_no: int) -> Term:
-    if kind == "uri":
-        return URI(text[1:-1])
-    if kind == "bnode":
-        return BlankNode(text[2:])
-    if kind == "a":
-        return RDF_TYPE
-    if kind == "qname":
-        prefix, local = text.split(":", 1)
-        if prefix not in prefixes:
-            raise ParseError(f"unknown prefix {prefix!r}", position=line_no)
-        return URI(prefixes[prefix] + local)
-    if kind == "number":
-        datatype = XSD_NS + ("integer" if re.match(r"^[+-]?\d+$", text) else "decimal")
-        return Literal(text, datatype=datatype)
-    if kind == "literal":
-        return _parse_literal(text, prefixes, line_no)
-    raise ParseError(f"unexpected token {text!r}", position=line_no)
+    def _literal(self, value: str) -> Literal:
+        """The literal of ``value`` and the language tag or ``^^`` datatype
+        that may follow it."""
+        after = self.peek()
+        if after is not None and after.kind == "langtag":
+            self.index += 1
+            return Literal(value, language=after.text[1:])
+        if self.accept("^^"):
+            datatype = self.next()
+            if datatype.kind == "uri":
+                return Literal(value, datatype=datatype.text[1:-1])
+            if datatype.kind == "qname":
+                return Literal(value, datatype=self._expand(datatype))
+            raise ParseError(f"malformed datatype {datatype.text!r}", position=datatype.position)
+        return Literal(value)
 
-
-def _parse_literal(text: str, prefixes: dict[str, str], line_no: int) -> Literal:
-    match = re.match(
-        r'^"(?P<value>(?:[^"\\]|\\.)*)"'
-        r'(?:@(?P<lang>[A-Za-z-]+)|\^\^<(?P<dtype>[^>]*)>|\^\^(?P<dtq>[A-Za-z_][\w.-]*:[A-Za-z_][\w.-]*))?$',
-        text,
-    )
-    if not match:
-        raise ParseError(f"malformed literal {text!r}", position=line_no)
-    value = _unescape(match.group("value"))
-    datatype = match.group("dtype")
-    if match.group("dtq"):
-        prefix, local = match.group("dtq").split(":", 1)
-        if prefix not in prefixes:
-            raise ParseError(f"unknown prefix {prefix!r}", position=line_no)
-        datatype = prefixes[prefix] + local
-    return Literal(value, datatype=datatype, language=match.group("lang"))
-
-
-def _unescape(value: str) -> str:
-    return (
-        value.replace("\\\\", "\x00")
-        .replace('\\"', '"')
-        .replace("\\n", "\n")
-        .replace("\\t", "\t")
-        .replace("\x00", "\\")
-    )
+    def _expand(self, token: Token) -> str:
+        prefix, _, local = token.text.partition(":")
+        if prefix not in self.prefixes:
+            raise ParseError(f"unknown prefix {prefix!r}", position=token.position)
+        return self.prefixes[prefix] + local
 
 
 def _escape(value: str) -> str:

@@ -9,45 +9,36 @@ grammar supported here:
     query     := prologue? SELECT (DISTINCT)? vars WHERE '{' triples '}' modifiers?
     prologue  := (PREFIX name ':' '<' iri '>')*
     vars      := '*' | var+
-    triples   := triple ('.' triple)* '.'?
-    triple    := term term term
+    triples   := (subject objects (';' objects)* ';'? '.'?)*
+    objects   := predicate object (',' object)*
     modifiers := (LIMIT int)?
 
-Terms may be ``<iri>``, ``prefix:local``, ``?var``, quoted literals or
-numbers.  ``a`` abbreviates ``rdf:type``.
+Terms may be ``<iri>``, ``prefix:local``, ``?var``, numbers, or quoted
+literals with an ``@lang`` tag or a ``^^<iri>`` / ``^^prefix:local``
+datatype; ``a`` abbreviates ``rdf:type``.  The WHERE block is read by
+Turtle's statement reader (:class:`~repro.rdf.ntriples.TermReader`), so
+``;`` and ``,`` share a subject or a subject and predicate, and a
+literal decodes its escapes as N-Triples does.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from repro.errors import ParseError
+from repro.lexing import grammar, tokenize
 from repro.rdf.bgp import BGPQuery
-from repro.rdf.terms import (
-    DEFAULT_PREFIXES,
-    RDF_TYPE,
-    Literal,
-    PatternTerm,
-    TriplePattern,
-    URI,
-    Variable,
-    XSD_NS,
-)
+from repro.rdf.ntriples import TERM_GROUPS, TermReader
+from repro.rdf.terms import DEFAULT_PREFIXES, TriplePattern, Variable
 
-_SPARQL_TOKEN_RE = re.compile(
+_SPARQL_TOKEN_RE = grammar(
     r"""
       (?P<keyword>\b(?:PREFIX|SELECT|DISTINCT|WHERE|LIMIT)\b)
     | (?P<var>\?[A-Za-z_][\w]*)
-    | (?P<uri><[^>]*>)
-    | (?P<literal>"(?:[^"\\]|\\.)*"(?:@[A-Za-z-]+|\^\^<[^>]*>)?)
-    | (?P<number>[+-]?\d+(?:\.\d+)?)
-    | (?P<a>\ba\b)
-    | (?P<qname>[A-Za-z_][\w.-]*:[A-Za-z_][\w.-]*|[A-Za-z_][\w.-]*:)
     | (?P<star>\*)
-    | (?P<punct>[{}.;,])
-    """,
-    re.VERBOSE | re.IGNORECASE,
+    | (?P<brace>[{}])
+    | """ + TERM_GROUPS,
+    ignore_case=True,
 )
 
 
@@ -62,172 +53,37 @@ class ParsedSelect:
 
 def parse_sparql(text: str, name: str = "q") -> ParsedSelect:
     """Parse a SELECT query in the supported subset."""
-    tokens = _tokenize(text)
-    parser = _Parser(tokens, name=name)
-    return parser.parse_select()
+    reader = TermReader(text, tokenize(text, _SPARQL_TOKEN_RE), dict(DEFAULT_PREFIXES))
+    while reader.accept("PREFIX"):
+        reader.declare_prefix()
+    reader.expect("SELECT")
+    distinct = bool(reader.accept("DISTINCT"))
+    head: list[Variable] = []
+    if not reader.accept("*"):
+        while (token := reader.peek()) is not None and token.kind == "var":
+            head.append(reader.term())
+        if not head:
+            raise ParseError("SELECT needs at least one variable or *",
+                             position=token.position if token else reader.length)
+    reader.expect("WHERE")
+    brace = reader.expect("{")
+    patterns: list[TriplePattern] = []
+    while not reader.accept("}"):
+        patterns.extend(TriplePattern(*triple) for triple in reader.statement())
+        reader.accept(".")
+    if not patterns:
+        raise ParseError("empty group pattern", position=brace.position)
+    limit = None
+    if reader.accept("LIMIT"):
+        token = reader.next()
+        if token.kind != "number":
+            raise ParseError("LIMIT requires an integer", position=token.position)
+        limit = int(float(token.text))
+    reader.expect_end()
+    query = BGPQuery(head=tuple(head), patterns=tuple(patterns), name=name)
+    return ParsedSelect(query=query, distinct=distinct, limit=limit)
 
 
 def parse_bgp(text: str, name: str = "q") -> BGPQuery:
     """Parse a SELECT query and return only its BGP."""
     return parse_sparql(text, name=name).query
-
-
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]], name: str):
-        self._tokens = tokens
-        self._index = 0
-        self._name = name
-        self._prefixes = dict(DEFAULT_PREFIXES)
-
-    # -- token stream helpers -------------------------------------------------
-    def _peek(self) -> tuple[str, str] | None:
-        if self._index < len(self._tokens):
-            return self._tokens[self._index]
-        return None
-
-    def _next(self) -> tuple[str, str]:
-        token = self._peek()
-        if token is None:
-            raise ParseError("unexpected end of query", position=self._index)
-        self._index += 1
-        return token
-
-    def _expect_keyword(self, keyword: str) -> None:
-        kind, text = self._next()
-        if kind != "keyword" or text.upper() != keyword:
-            raise ParseError(f"expected {keyword}, got {text!r}", position=self._index)
-
-    def _expect_punct(self, punct: str) -> None:
-        kind, text = self._next()
-        if kind != "punct" or text != punct:
-            raise ParseError(f"expected {punct!r}, got {text!r}", position=self._index)
-
-    # -- grammar ----------------------------------------------------------------
-    def parse_select(self) -> ParsedSelect:
-        self._parse_prologue()
-        self._expect_keyword("SELECT")
-        distinct = False
-        token = self._peek()
-        if token and token[0] == "keyword" and token[1].upper() == "DISTINCT":
-            self._next()
-            distinct = True
-        head = self._parse_projection()
-        self._expect_keyword("WHERE")
-        patterns = self._parse_group()
-        limit = self._parse_modifiers()
-        if head == "*":
-            query = BGPQuery(head=(), patterns=tuple(patterns), name=self._name)
-        else:
-            query = BGPQuery(head=tuple(head), patterns=tuple(patterns), name=self._name)
-        return ParsedSelect(query=query, distinct=distinct, limit=limit)
-
-    def _parse_prologue(self) -> None:
-        while True:
-            token = self._peek()
-            if not token or token[0] != "keyword" or token[1].upper() != "PREFIX":
-                return
-            self._next()
-            kind, prefix_text = self._next()
-            if kind != "qname" or not prefix_text.endswith(":"):
-                raise ParseError(f"malformed PREFIX name {prefix_text!r}", position=self._index)
-            kind, iri = self._next()
-            if kind != "uri":
-                raise ParseError("PREFIX requires an <iri>", position=self._index)
-            self._prefixes[prefix_text[:-1]] = iri[1:-1]
-
-    def _parse_projection(self) -> list[Variable] | str:
-        token = self._peek()
-        if token and token[0] == "star":
-            self._next()
-            return "*"
-        head: list[Variable] = []
-        while True:
-            token = self._peek()
-            if not token or token[0] != "var":
-                break
-            self._next()
-            head.append(Variable(token[1][1:]))
-        if not head:
-            raise ParseError("SELECT needs at least one variable or *", position=self._index)
-        return head
-
-    def _parse_group(self) -> list[TriplePattern]:
-        self._expect_punct("{")
-        patterns: list[TriplePattern] = []
-        while True:
-            token = self._peek()
-            if token is None:
-                raise ParseError("unterminated group pattern", position=self._index)
-            if token == ("punct", "}"):
-                self._next()
-                break
-            subject = self._parse_term()
-            predicate = self._parse_term()
-            obj = self._parse_term()
-            patterns.append(TriplePattern(subject, predicate, obj))
-            token = self._peek()
-            if token == ("punct", "."):
-                self._next()
-        if not patterns:
-            raise ParseError("empty group pattern", position=self._index)
-        return patterns
-
-    def _parse_modifiers(self) -> int | None:
-        token = self._peek()
-        if token and token[0] == "keyword" and token[1].upper() == "LIMIT":
-            self._next()
-            kind, value = self._next()
-            if kind != "number":
-                raise ParseError("LIMIT requires an integer", position=self._index)
-            return int(float(value))
-        return None
-
-    def _parse_term(self) -> PatternTerm:
-        kind, text = self._next()
-        if kind == "var":
-            return Variable(text[1:])
-        if kind == "uri":
-            return URI(text[1:-1])
-        if kind == "a":
-            return RDF_TYPE
-        if kind == "qname":
-            prefix, _, local = text.partition(":")
-            if prefix not in self._prefixes:
-                raise ParseError(f"unknown prefix {prefix!r}", position=self._index)
-            return URI(self._prefixes[prefix] + local)
-        if kind == "number":
-            datatype = XSD_NS + ("integer" if re.match(r"^[+-]?\d+$", text) else "decimal")
-            return Literal(text, datatype=datatype)
-        if kind == "literal":
-            return _parse_literal_token(text)
-        raise ParseError(f"unexpected token {text!r} in triple pattern", position=self._index)
-
-
-def _parse_literal_token(text: str) -> Literal:
-    match = re.match(
-        r'^"(?P<value>(?:[^"\\]|\\.)*)"(?:@(?P<lang>[A-Za-z-]+)|\^\^<(?P<dtype>[^>]*)>)?$', text
-    )
-    if not match:
-        raise ParseError(f"malformed literal {text!r}")
-    value = match.group("value").replace('\\"', '"')
-    return Literal(value, datatype=match.group("dtype"), language=match.group("lang"))
-
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    position = 0
-    while position < len(text):
-        if text[position].isspace():
-            position += 1
-            continue
-        if text[position] == "#":
-            end = text.find("\n", position)
-            position = len(text) if end == -1 else end
-            continue
-        match = _SPARQL_TOKEN_RE.match(text, position)
-        if not match:
-            raise ParseError(f"cannot tokenise {text[position:position + 20]!r}", position=position)
-        kind = match.lastgroup or ""
-        tokens.append((kind, match.group()))
-        position = match.end()
-    return tokens

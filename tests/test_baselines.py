@@ -7,6 +7,7 @@ import pytest
 from repro.baselines import RDFWarehouse, naive_options
 from repro.core import MixedInstance, PlannerOptions
 from repro.errors import MixedQueryError
+from repro.relational import Database
 
 
 @pytest.fixture
@@ -112,6 +113,42 @@ class TestWarehouseQueries:
         warehouse.export()
         with pytest.raises(MixedQueryError):
             warehouse.execute(cmq)
+
+
+class TestWarehouseSQLTranslation:
+    """The SQL sub-query is read off its parsed template: what it translates
+    answers as the mediator does, and what it cannot is refused."""
+
+    @pytest.fixture
+    def table_instance(self, politics_graph):
+        database = Database("db")
+        database.create_table_from_rows("t", [
+            {"a": 1, "b": 2, "name": "Saint and Co"},
+            {"a": 3, "b": 4, "name": "Other"},
+            {"a": 5, "b": 6, "name": "Third"}])
+        inst = MixedInstance(graph=politics_graph, name="table")
+        inst.register_relational("sql://db", database)
+        return inst
+
+    def _cmq(self, instance, where):
+        return (instance.builder("q", head=["n"])
+                .sql("names", source="sql://db", sql=f"SELECT name AS n FROM t WHERE {where}")
+                .build())
+
+    def test_disjunctive_where_is_refused_not_answered_empty(self, table_instance):
+        cmq = self._cmq(table_instance, "a = 1 OR b = 4")
+        assert len(table_instance.execute(cmq)) == 2
+        warehouse = RDFWarehouse(table_instance)
+        warehouse.export()
+        with pytest.raises(MixedQueryError, match="names"):
+            warehouse.execute(cmq)
+
+    def test_string_constant_holding_a_keyword_answers_as_the_mediator(self, table_instance):
+        cmq = self._cmq(table_instance, "name = 'Saint and Co'")
+        warehouse = RDFWarehouse(table_instance)
+        warehouse.export()
+        rows = warehouse.execute(cmq).rows
+        assert rows == table_instance.execute(cmq).rows == [{"n": "Saint and Co"}]
 
 
 class TestReferenceOptions:

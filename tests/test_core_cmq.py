@@ -176,6 +176,16 @@ class TestTemplatesAndParsing:
         cmq = parse_cmq('q(dept) :- deptPopulation(dept, 1000000)', registry)
         assert cmq.atoms[0].constants == {"pop": 1000000}
 
+    @pytest.mark.parametrize("spelled, value", [
+        ('"a, b"', "a, b"),
+        ('"sia(2016)"', "sia(2016)"),
+        (r'"say \"hi\""', 'say "hi"'),
+    ])
+    def test_parse_string_constant_with_separators_and_escapes(self, registry, spelled, value):
+        cmq = parse_cmq(f"q(t) :- tweetContains(t, id, {spelled})[solr://tweets]", registry)
+        assert cmq.atoms[0].constants == {"tag": value}
+        assert cmq.atoms[0].source == "solr://tweets"
+
     def test_parse_missing_separator_raises(self, registry):
         with pytest.raises(ParseError):
             parse_cmq("qSIA(t, id) qG(id)", registry)

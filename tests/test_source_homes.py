@@ -12,7 +12,10 @@ says once what they all do.
 * the cache and statistics layers name no model: no module under
   ``repro/cache`` or ``repro/stats`` imports a model package (each model
   answers their questions through the protocol's hooks), and no module
-  under ``src/`` reads ``trust_wrapper_estimate``.
+  under ``src/`` reads ``trust_wrapper_estimate``;
+* every query language is read through ``repro.lexing``: each of the six
+  readers imports it, the CMQ reader and the warehouse baseline import no
+  ``re``, and none of the retired hand-rolled lexers is defined again.
 """
 
 from __future__ import annotations
@@ -137,6 +140,41 @@ def test_the_cache_and_statistics_layers_name_no_model():
             if RETIRED in (getattr(node, "attr", None), getattr(node, "id", None),
                            getattr(node, "value", None)):
                 offenders.append(f"{path.relative_to(ROOT)}:{node.lineno} reads {RETIRED}")
+    assert offenders == []
+
+
+#: The module of each query language's reader, under ``src/repro``.
+READERS = ("relational/parser.py", "fulltext/query.py", "json/parser.py",
+           "rdf/sparql.py", "rdf/ntriples.py", "core/cmq.py")
+#: Modules that read text through the readers' tokens, never through ``re``.
+NO_REGEX = ("core/cmq.py", "baselines/warehouse.py")
+#: Hand-rolled lexers and regex readers the shared lexer replaced.
+RETIRED_LEXERS = {"_tokenize", "_split_statements", "_parse_literal_token",
+                  "_split_atoms", "_ATOM_RE", "_SQL_RE"}
+
+
+def _defined(node: ast.AST) -> list[str]:
+    """The names a definition or an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [target.id for target in targets if isinstance(target, ast.Name)]
+    return []
+
+
+def test_every_query_language_is_read_through_the_shared_lexer():
+    offenders = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        module = path.relative_to(ROOT / "src" / "repro").as_posix()
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        imported = {name for node in nodes for name in _imported(node)}
+        if module in READERS and "repro.lexing" not in imported:
+            offenders.append(f"{module} does not import repro.lexing")
+        if module in NO_REGEX and imported & {"re", "regex"}:
+            offenders.append(f"{module} imports re")
+        offenders += [f"{module}:{node.lineno} defines {name}" for node in nodes
+                      for name in _defined(node) if name in RETIRED_LEXERS]
     assert offenders == []
 
 
