@@ -40,7 +40,7 @@ from typing import Callable, Optional
 
 from repro.cache.keys import CanonicalQuery
 from repro.cache.lru import LRUCache
-from repro.core.deltas import DeltaRecord
+from repro.core.deltas import MAX_DELTA_ITEMS, DeltaRecord
 from repro.core.sources import Row, SourceQuery
 from repro.engine.batch import BindingBatch, SeenRows, freeze, row_count
 from repro.obs.metrics import get_registry
@@ -101,9 +101,9 @@ class RepairEngine:
 
     #: Bound on memoised delta sources (one per (source, version span)).
     MAX_DELTA_SOURCES = 64
-    #: A chain this large is cheaper to re-execute than to repair; it
-    #: also bounds the seeded-BGP work (seeds x patterns).
-    MAX_DELTA_ITEMS = 4096
+    #: The gate's bound on a chain: the change logs' budget
+    #: (:data:`~repro.core.deltas.MAX_DELTA_ITEMS`).
+    MAX_DELTA_ITEMS = MAX_DELTA_ITEMS
 
     def __init__(self, cache) -> None:
         self.cache = cache
@@ -180,7 +180,7 @@ class RepairEngine:
 
         Returning a key's ``stored`` entry itself signals a pure re-stamp.
         """
-        if sum(len(r.items) + len(r.replaced) for r in records) > self.MAX_DELTA_ITEMS:
+        if sum(record.size for record in records) > self.MAX_DELTA_ITEMS:
             return "delta_too_large"
         delta = source.repair_delta(query, records, self)
         if delta is None or isinstance(delta, str):

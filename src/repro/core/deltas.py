@@ -1,29 +1,24 @@
-"""Typed mutation deltas emitted by the stores alongside version bumps.
+"""One change log per store: a typed record of each committed write batch.
 
-Every store owns a :class:`DeltaJournal`; each committed mutation batch
-appends one :class:`DeltaRecord` spanning ``pre_version -> post_version``
-with the *kind* of the change and its items.  The incremental cache
-repair engine (:mod:`repro.cache.repair`) replays the records between a
-cached entry's version and the store's current version to merge the
-delta's contribution into cached sub-query results instead of
-re-executing them.
+Every store owns one :class:`DeltaJournal`; each committed mutation batch
+appends one :class:`DeltaRecord` spanning ``pre_version -> post_version``:
+the *kind* of the change, its items and what it overwrote.  Cache repair
+(:mod:`repro.cache.repair`), the statistics absorb and the JSON
+accelerator replay the records between two versions
+(:meth:`DeltaJournal.since`); standing queries are woken by the log's
+listeners; and a :class:`Snapshot` of the RDF graph, the full-text or the
+JSON store, a watermark, not a copy, holds the record of its version and
+walks ``record.next`` to revert what later batches overwrote.
 
-The journal is deliberately conservative: :meth:`DeltaJournal.since`
-returns the records only when they form an **unbroken chain** of version
-transitions from ``version`` to ``upto``.  Any bump the journal did not
-see (a code path that forgot to record, a trimmed history, a concurrent
-rebuild) breaks the chain and the method returns ``None`` — the caller
-falls back to plain invalidation.  Wrong answers are impossible; the
-journal can only ever *miss* repair opportunities.
-
-Snapshots share their parent's journal object (records are immutable and
-appends are lock-protected), so pinned read-only wrappers can replay the
-same history up to their own pinned version.
-
-A snapshot of the RDF graph, the full-text or the JSON store is a
-watermark, not a copy: each batch also chains an :class:`UndoLink` of
-what it overwrote, which a :class:`Snapshot` reverts to read the store at
-its version.
+The log answers from a window of its newest records, trimmed by one item
+budget, :data:`MAX_DELTA_ITEMS`, the repair gate's own bound in the gate's
+measure (:attr:`DeltaRecord.size`): a record leaves the window once the
+span from it to the head exceeds the budget, so the log drops only spans
+repair would refuse.  A held snapshot keeps its chain alive, window or not.
+:meth:`DeltaJournal.since` answers only an **unbroken chain** of version
+transitions; any bump the log did not see or no longer holds returns
+``None`` and the caller falls back to plain invalidation.  Wrong answers
+are impossible; the log can only ever *miss* repair opportunities.
 """
 
 from __future__ import annotations
@@ -31,7 +26,8 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import deque
-from dataclasses import dataclass
+from contextlib import nullcontext
+from itertools import islice
 from typing import Callable, Iterable, Optional
 
 #: Record kinds.  Any kind of a document store is repairable; of the
@@ -41,26 +37,49 @@ REMOVE = "remove"
 UPSERT = "upsert"
 RESET = "reset"
 
+#: The most items a repaired span may carry (:attr:`DeltaRecord.size`,
+#: summed): a longer span is cheaper to re-execute than to repair, and no
+#: log keeps one.  It also bounds the seeded-BGP work (seeds x patterns).
+MAX_DELTA_ITEMS = 4096
 
-@dataclass(frozen=True)
+
 class DeltaRecord:
-    """One committed mutation batch: ``pre_version -> post_version``.
+    """One committed mutation batch ``pre_version -> post_version``, and
+    a link of its store's change chain.
 
     ``items`` carries what the batch added or removed (rows, triples, the
-    documents stored; a document removal leaves it empty).  ``replaced``
-    carries the documents a full-text or JSON batch replaced or removed,
-    as they stood before it (its undo link's objects, not copies).
-    ``scope`` narrows the change to a sub-container (the table name for
-    relational stores), letting queries over *other* containers re-stamp
-    without any delta evaluation.
+    documents stored; a document removal leaves it empty).  ``before``
+    pairs each key the batch wrote with what it overwrote, each pre-image
+    referenced once: a graph's id triple with whether it was present; a
+    full-text doc id with its document, or None; a JSON doc id with its
+    document and insertion rank, or None.  ``scope`` narrows the change
+    to a sub-container (the table name for relational stores), letting
+    queries over *other* containers re-stamp without any delta
+    evaluation.  ``next`` is the store's next batch (None at the head).
     """
 
-    pre_version: int
-    post_version: int
-    kind: str
-    items: tuple = ()
-    scope: Optional[str] = None
-    replaced: tuple = ()
+    __slots__ = ("pre_version", "post_version", "kind", "items", "scope", "before",
+                 "size", "next")
+
+    def __init__(self, pre_version: int, kind: str, items: Iterable = (),
+                 scope: Optional[str] = None, before: Iterable = ()):
+        self.pre_version, self.post_version, self.kind = pre_version, pre_version + 1, kind
+        self.items, self.scope, self.before = tuple(items), scope, tuple(before)
+        #: What the batch weighs against :data:`MAX_DELTA_ITEMS`.
+        self.size = len(self.items) + len(self.replaced)
+        self.next: Optional[DeltaRecord] = None
+
+    @property
+    def replaced(self) -> tuple:
+        """The documents a full-text or JSON batch replaced or removed, as
+        they stood before it: each key's first pre-image, a JSON one
+        without its rank.  A graph's pre-images are presence flags: it
+        replaces no document."""
+        if self.kind == INSERT:
+            return ()
+        firsts = dict(reversed(self.before)).values()
+        return tuple(old[0] if isinstance(old, tuple) else old
+                     for old in firsts if old is not None and not isinstance(old, bool))
 
 
 def document_deltas(records: list[DeltaRecord], id_of: Callable, over: Callable):
@@ -81,52 +100,61 @@ def document_deltas(records: list[DeltaRecord], id_of: Callable, over: Callable)
 
 
 class DeltaJournal:
-    """A bounded, thread-safe log of a store's version transitions."""
+    """A store's change log: the window of its newest records, and the
+    listeners woken after each batch (thread-safe)."""
 
-    def __init__(self, capacity: int = 512):
-        self.capacity = capacity
-        self._entries: deque[DeltaRecord] = deque(maxlen=capacity)
+    def __init__(self) -> None:
+        #: The newest record, which a snapshot taken now watches from (at
+        #: first a record of no batch).
+        self.head = DeltaRecord(-1, RESET)
+        #: The window, ending at the head; ``_items`` is its size.
+        self._records: deque[DeltaRecord] = deque()
+        self._items = 0
         self._lock = threading.Lock()
         self._listeners: list[Callable[[DeltaRecord], None]] = []
 
-    def record(self, pre_version: int, post_version: int, kind: str, items: Iterable = (),
-               scope: str | None = None, replaced: Iterable = ()) -> DeltaRecord:
-        """Append one record (call under the store's write lock)."""
-        entry = DeltaRecord(pre_version, post_version, kind,
-                            tuple(items), scope, tuple(replaced))
+    def record(self, pre_version: int, kind: str, items: Iterable = (),
+               scope: str | None = None, before: Iterable = ()) -> DeltaRecord:
+        """Append the record of one batch ``pre_version -> pre_version + 1``
+        and chain it to the head (call under the store's write lock)."""
+        entry = DeltaRecord(pre_version, kind, items, scope, before)
         with self._lock:
-            self._entries.append(entry)
+            records = self._records
+            if pre_version != self.head.post_version:  # an unrecorded bump
+                records.clear()
+                self._items = 0
+            self.head.next = entry
+            self.head = entry
+            records.append(entry)
+            self._items += entry.size
+            while self._items > MAX_DELTA_ITEMS:
+                self._items -= records.popleft().size
         return entry
 
     def since(self, version: int, upto: int) -> Optional[list[DeltaRecord]]:
         """The unbroken chain of records from ``version`` to ``upto``.
 
         Returns the records oldest-first, ``[]`` when the versions are
-        equal, and ``None`` when the chain has a gap (an unrecorded bump
-        or trimmed history) — the caller must then fall back to
-        invalidation.
+        equal, and ``None`` when the window does not hold the span (an
+        unrecorded bump or a trimmed span) — the caller must then fall
+        back to invalidation.  The window's versions run contiguously to
+        the head's, so the span is counted back from the head.
         """
         if version == upto:
             return []
-        if version > upto:
-            return None
         with self._lock:
-            entries = list(self._entries)
-        chain: list[DeltaRecord] = []
-        expected = upto
-        for entry in reversed(entries):
-            if entry.post_version > expected:
-                continue
-            if entry.post_version != expected:
+            records, head = self._records, self.head.post_version
+            if not version < upto <= head or head - version > len(records):
                 return None
-            chain.append(entry)
-            expected = entry.pre_version
-            if expected <= version:
-                break
-        if expected != version:
-            return None
+            chain = list(islice(reversed(records), head - upto, head - version))
         chain.reverse()
         return chain
+
+    @property
+    def oldest(self) -> int:
+        """The oldest version :meth:`since` chains from to the head."""
+        with self._lock:
+            return self._records[0].pre_version if self._records else self.head.post_version
 
     # ------------------------------------------------------------------
     # Change listeners (standing queries)
@@ -138,10 +166,8 @@ class DeltaJournal:
 
     def unsubscribe(self, listener: Callable[[DeltaRecord], None]) -> None:
         with self._lock:
-            try:
+            if listener in self._listeners:
                 self._listeners.remove(listener)
-            except ValueError:
-                pass
 
     def notify(self, entry: DeltaRecord) -> None:
         """Fire the listeners (call *outside* the store's write lock)."""
@@ -154,39 +180,63 @@ class DeltaJournal:
                 pass
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._records)
 
 
-class UndoLink:
-    """One committed write batch, as what it overwrote: ``before`` pairs
-    every key it changed with its value before (a graph: triple -> was it
-    present; a full-text store: doc id -> its document, or None; a JSON
-    store: doc id -> its document and insertion rank, or None).  A store
-    holds its newest link and a snapshot the link of its version, so a
-    link lives as long as the oldest snapshot that may need it: the chain
-    needs no compaction rule."""
+class Journalled:
+    """Mixin of a store with one change log, ``_journal``, shared with its
+    snapshots, a ``_version`` counter (for :meth:`_log`) and a read-write
+    lock; ``_snapshot_type`` builds its snapshot."""
 
-    __slots__ = ("before", "next")
+    _snapshot_type: Callable
+    #: (version, weak reference to its snapshot): see :meth:`snapshot`.
+    _snapshot_state: Optional[tuple] = None
 
-    def __init__(self, before: tuple = ()):
-        self.before, self.next = before, None
+    @property
+    def journal(self) -> DeltaJournal:
+        """The store's typed mutation log (shared with snapshots)."""
+        return self._journal
 
-    def append(self, before: Iterable) -> "UndoLink":
-        """Chain the next batch's link (call under the store's write lock)."""
-        self.next = UndoLink(tuple(before))
-        return self.next
+    def deltas_since(self, version: int, upto: int | None = None):
+        """The unbroken delta chain ``version -> upto`` (None on a gap)."""
+        return self._journal.since(version, self.version if upto is None else upto)
+
+    def _log(self, kind: str, items: Iterable = (), before: Iterable = ()) -> DeltaRecord:
+        """Bump ``_version`` and log one effective batch (under the store's
+        write lock); ``before`` pairs each key written with its pre-image."""
+        self._version += 1
+        return self._journal.record(self._version - 1, kind, items, before=before)
+
+    def snapshot(self):
+        """A read-only view of the store at its current version, cut under
+        its read lock: a watermark, not a copy, so a pin costs nothing
+        whatever the store holds.  The snapshot of a version is remembered
+        weakly: neither store nor snapshot keeps one alive."""
+        with self._rwlock.read_locked():
+            state, version = self._snapshot_state, self.version
+            snapshot = state[1]() if state is not None and state[0] == version else None
+            if snapshot is None:
+                snapshot = self._snapshot_type(self)
+                self._snapshot_state = (version, weakref.ref(snapshot))
+            return snapshot
+
+    def reading(self):
+        """A context yielding what one consistent read reads: the store
+        itself (a snapshot yields what stands for its version)."""
+        return nullcontext(self)
 
 
 class Snapshot:
     """Mixin of a store snapshot that is a watermark over its live store.
 
-    ``with snapshot.reading() as store`` holds the live store's read lock
-    for one read; ``store`` is the live store while nothing was written
-    since (the live read path, nothing filtered), else ``self._at(undo)``,
-    the store as it stood rebuilt from ``undo`` (each key written since,
-    mapped to its value then) over :class:`CopyOnWrite` views of the live
-    indexes, memoised per chain position.  No writer runs under the read
+    A snapshot holds the record of its version, the head of the live
+    store's log when it was taken.  ``with snapshot.reading() as store``
+    holds the live store's read lock for one read; ``store`` is the live
+    store while nothing was written since (the live read path, nothing
+    filtered), else ``self._at(undo)``, the store as it stood rebuilt from
+    ``undo`` (each key the records since wrote, mapped to its first
+    pre-image) over :class:`CopyOnWrite` views of the live indexes,
+    memoised per chain position.  No writer runs under the read
     lock, so no read iterates a container a writer resizes.  A subclass's
     ``reads`` are the store methods answered in one such read each.
     """
@@ -196,8 +246,9 @@ class Snapshot:
         for name in reads:
             setattr(cls, name, _read_through(name))
 
-    def _watch(self, live, link: UndoLink) -> None:
-        self._live, self._memo = live, (link, {}, None)
+    def _watch(self, live) -> None:
+        """Watch ``live`` from its log's head (under its read lock)."""
+        self._live, self._memo = live, (live.journal.head, {}, None)
 
     def snapshot(self):
         return self
@@ -211,15 +262,15 @@ class Snapshot:
         try:
             if live.version == self.version:
                 return live
-            link, undo, store = self._memo
-            if store is None or link.next is not None:
+            record, undo, store = self._memo
+            if store is None or record.next is not None:
                 undo = dict(undo)
-                while link.next is not None:
-                    link = link.next
-                    for key, value in link.before:
+                while record.next is not None:
+                    record = record.next
+                    for key, value in record.before:
                         undo.setdefault(key, value)
                 store = self._at(undo)
-                self._memo = (link, undo, store)
+                self._memo = (record, undo, store)
             return store
         except BaseException:
             live._rwlock.release_read()
@@ -236,17 +287,6 @@ def _read_through(name: str):
 
     read.__name__ = name
     return read
-
-
-def remembered(store, version: int, build: Callable):
-    """``store``'s live snapshot of ``version``, else a new ``build()``,
-    remembered weakly: neither store nor snapshot keeps a snapshot alive."""
-    state = store._snapshot_state
-    snapshot = state[1]() if state is not None and state[0] == version else None
-    if snapshot is None:
-        snapshot = build()
-        store._snapshot_state = (version, weakref.ref(snapshot))
-    return snapshot
 
 
 class CopyOnWrite(dict):

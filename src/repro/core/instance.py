@@ -248,7 +248,9 @@ class MixedInstance:
                       catalog=None, limit: int | None = None):
         """Answer a keyword query: generate candidate CMQs and evaluate the best.
 
-        Returns a :class:`repro.digest.keyword.KeywordSearchOutcome`.
+        A ``catalog`` built earlier is first brought up to the sources'
+        versions (the digests of moved sources are rebuilt).  Returns a
+        :class:`repro.digest.keyword.KeywordSearchOutcome`.
         """
         from repro.digest.keyword import KeywordQueryEngine
 

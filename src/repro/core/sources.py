@@ -209,19 +209,11 @@ class DataSource:
         return None if self.store_attribute is None else self._store.journal
 
     def deltas_since(self, version: int, upto: int | None = None):
-        """The unbroken delta chain ``version -> upto`` (None on a gap).
-
-        ``upto`` defaults to the wrapper's current version.  A ``None``
-        return (no journal, unknown version, or a transition the journal
-        did not see) tells the caller to fall back to invalidation.
-        """
-        journal = self.journal()
-        if journal is None:
-            return None
-        target = self.version() if upto is None else upto
-        if target is None:
-            return None
-        return journal.since(version, target)
+        """The store's unbroken delta chain ``version -> upto`` (``upto``
+        defaults to its current version).  A ``None`` return (no store, or
+        a transition its log does not hold) tells the caller to fall back
+        to invalidation."""
+        return None if self.store_attribute is None else self._store.deltas_since(version, upto)
 
     def accepts(self, query: SourceQuery) -> bool:
         """True when this source can evaluate ``query``."""

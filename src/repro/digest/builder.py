@@ -184,17 +184,35 @@ def build_catalog(instance: "MixedInstance", bloom_bits_per_value: int = 16,
     """Build the digest catalog of a mixed instance.
 
     Returns a :class:`DigestCatalog` holding one digest per registered
-    source plus one for the glue graph, with cross-source join-candidate
-    edges already discovered.
+    source plus one for the glue graph, each stamped with its source's
+    version, with cross-source join-candidate edges already discovered.
     """
-    builder = DigestBuilder(bloom_bits_per_value=bloom_bits_per_value,
-                            histogram_buckets=histogram_buckets)
     catalog = DigestCatalog()
-    catalog.add(builder.build_rdf(instance.glue_source))
-    for source in instance.sources():
-        catalog.add(builder.build(source))
-    catalog.discover_join_edges(min_overlap=min_overlap)
+    catalog.builder = DigestBuilder(bloom_bits_per_value=bloom_bits_per_value,
+                                    histogram_buckets=histogram_buckets)
+    catalog.min_overlap = min_overlap
+    refresh_catalog(instance, catalog)
     return catalog
+
+
+def refresh_catalog(instance: "MixedInstance", catalog: DigestCatalog) -> bool:
+    """Rebuild each digest of ``catalog`` not stamped with its source's
+    current version (read before the build: a racing write leaves it
+    stale), then rediscover the join edges; True when any was rebuilt.
+    A catalog :func:`build_catalog` did not make is left as it is."""
+    builder = catalog.builder
+    if builder is None:
+        return False
+    moved = False
+    for source in [instance.glue_source, *instance.sources()]:
+        version = source.version()
+        digest = catalog.digests.get(source.uri)
+        if digest is None or digest.version != version:
+            digest = catalog.add(builder.build(source))
+            digest.version, moved = version, True
+    if moved:
+        catalog.discover_join_edges(min_overlap=catalog.min_overlap)
+    return moved
 
 
 def _joinable(term: object) -> object:

@@ -15,9 +15,7 @@ shortest join paths traverse to bridge sources.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
-
-import networkx as nx
+from typing import Iterator, Optional
 
 from repro.digest.valueset import ValueSetSummary
 from repro.errors import DigestError
@@ -69,6 +67,8 @@ class SourceDigest:
     edges: list[DigestEdge] = field(default_factory=list)
     value_sets: dict[tuple[str, str, str], ValueSetSummary] = field(default_factory=dict)
     metadata: dict[str, object] = field(default_factory=dict)
+    #: The source version the digest was built at (None: unknown).
+    version: Optional[int] = None
 
     # ------------------------------------------------------------------
     def add_node(self, node: DigestNode, values: ValueSetSummary | None = None) -> DigestNode:
@@ -125,6 +125,9 @@ class DigestCatalog:
     def __init__(self) -> None:
         self.digests: dict[str, SourceDigest] = {}
         self.join_edges: list[DigestEdge] = []
+        #: Set by :func:`~repro.digest.builder.build_catalog`, to rebuild alike.
+        self.builder = None
+        self.min_overlap = 0.05
 
     # ------------------------------------------------------------------
     def add(self, digest: SourceDigest) -> SourceDigest:
@@ -189,16 +192,18 @@ class DigestCatalog:
     # ------------------------------------------------------------------
     # Graph view
     # ------------------------------------------------------------------
-    def to_networkx(self) -> "nx.Graph":
-        """Build the combined (undirected) digest graph for path search."""
-        graph = nx.Graph()
+    def adjacency(self) -> dict[DigestNode, dict[DigestNode, DigestEdge]]:
+        """The combined (undirected) digest graph for path search: node ->
+        neighbour -> the edge joining them, neighbours in edge-insertion
+        order (a repeated pair keeps its first position and its last edge)."""
+        graph: dict[DigestNode, dict[DigestNode, DigestEdge]] = {}
         for digest in self.digests.values():
             for node in digest.nodes:
-                graph.add_node(node)
-            for edge in digest.edges:
-                graph.add_edge(edge.source, edge.target, weight=edge.weight, kind=edge.kind)
-        for edge in self.join_edges:
-            graph.add_edge(edge.source, edge.target, weight=edge.weight, kind=edge.kind)
+                graph.setdefault(node, {})
+        edges = [edge for digest in self.digests.values() for edge in digest.edges]
+        for edge in edges + self.join_edges:
+            graph.setdefault(edge.source, {})[edge.target] = edge
+            graph.setdefault(edge.target, {})[edge.source] = edge
         return graph
 
     def lookup_keyword(self, keyword: str) -> list[DigestNode]:

@@ -14,11 +14,10 @@ engine (paper §2.2):
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, TYPE_CHECKING
-
-import networkx as nx
 
 from repro.core.cmq import ConjunctiveMixedQuery, GLUE_SOURCE, SourceAtom
 from repro.core.results import MixedResult
@@ -27,6 +26,7 @@ from repro.fulltext.source import FullTextQuery, FullTextSource
 from repro.json.source import JSONQuery, JSONSource
 from repro.rdf.source import RDFQuery, RDFSource
 from repro.relational.source import RelationalSource, SQLQuery
+from repro.digest.builder import refresh_catalog
 from repro.digest.graph import DigestCatalog, DigestNode
 from repro.errors import KeywordSearchError, ReproError
 from repro.json.pattern import PatternLeaf, Predicate, TreePattern
@@ -94,7 +94,7 @@ class KeywordQueryEngine:
         self.catalog = catalog if catalog is not None else instance.build_digests()
         self.max_hits_per_keyword = max_hits_per_keyword
         self.max_evaluated_candidates = max_evaluated_candidates
-        self._graph = self.catalog.to_networkx()
+        self._graph = self.catalog.adjacency()
 
     # ------------------------------------------------------------------
     # Entry point
@@ -133,7 +133,11 @@ class KeywordQueryEngine:
     # Step 1: keyword lookup in the digests
     # ------------------------------------------------------------------
     def lookup(self, keywords: Sequence[str]) -> list[list[KeywordHit]]:
-        """Return, per keyword, its matching digest nodes (best first)."""
+        """Return, per keyword, its matching digest nodes (best first),
+        after rebuilding the digests of the sources that moved since the
+        catalog stamped them (:func:`~repro.digest.builder.refresh_catalog`)."""
+        if refresh_catalog(self.instance, self.catalog):  # a source moved
+            self._graph = self.catalog.adjacency()
         hits_per_keyword: list[list[KeywordHit]] = []
         for keyword in keywords:
             nodes = self.catalog.lookup_keyword(keyword)
@@ -214,10 +218,7 @@ class KeywordQueryEngine:
             best_path = None
             best_cost = float("inf")
             for start in covered:
-                try:
-                    cost, path = nx.single_source_dijkstra(graph, start, target, weight="weight")
-                except nx.NetworkXNoPath:
-                    continue
+                cost, path = shortest_path(graph, start, target)
                 if cost < best_cost:
                     best_cost, best_path = cost, path
             if best_path is None:
@@ -279,8 +280,8 @@ class KeywordQueryEngine:
         graph = self._graph
         for i, left in enumerate(path):
             for right in path[i + 1:]:
-                data = graph.get_edge_data(left, right)
-                if data and data.get("kind") == "join-candidate":
+                edge = graph[left].get(right)
+                if edge is not None and edge.kind == "join-candidate":
                     union(left, right)
 
         variables: dict[DigestNode, str] = {}
@@ -424,6 +425,32 @@ class KeywordQueryEngine:
             if _squeeze(display) == needle or needle in _squeeze(display):
                 return obj
         return None
+
+
+def shortest_path(graph: dict, start: DigestNode,
+                  target: DigestNode) -> tuple[float, Optional[list[DigestNode]]]:
+    """The cost of the cheapest path ``start`` -> ``target`` over an
+    :meth:`~repro.digest.graph.DigestCatalog.adjacency` map and the path
+    (``(inf, None)``: none), ties broken as networkx's Dijkstra breaks
+    them: neighbours in insertion order, equal costs in push order."""
+    done: dict[DigestNode, float] = {}
+    seen, paths = {start: 0}, {start: [start]}
+    pushes = itertools.count()
+    fringe = [(0, next(pushes), start)]
+    while fringe:
+        cost, _, node = heapq.heappop(fringe)
+        if node in done:
+            continue
+        done[node] = cost
+        if node == target:
+            return cost, paths[node]
+        for neighbour, edge in graph[node].items():
+            further = cost + edge.weight
+            if neighbour not in done and (neighbour not in seen or further < seen[neighbour]):
+                seen[neighbour] = further
+                heapq.heappush(fringe, (further, next(pushes), neighbour))
+                paths[neighbour] = paths[node] + [neighbour]
+    return float("inf"), None
 
 
 def _safe(text: str) -> str:

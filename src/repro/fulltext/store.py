@@ -31,13 +31,12 @@ a tuple is read as a list of values.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import AbstractSet, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.core.deltas import (
-    DeltaJournal, INSERT, REMOVE, UPSERT, CopyOnWrite, Snapshot, UndoLink, remembered)
+    INSERT, REMOVE, UPSERT, CopyOnWrite, DeltaJournal, Journalled, Snapshot)
 from repro.errors import FullTextError
 from repro.fulltext.analysis import Analyzer
 from repro.locks import RWLock
@@ -103,7 +102,7 @@ class SearchResult:
         return iter(self.hits)
 
 
-class FullTextStore:
+class FullTextStore(Journalled):
     """An in-memory document store with Lucene-flavoured querying."""
 
     def __init__(self, name: str, fields: Sequence[FieldConfig],
@@ -132,30 +131,17 @@ class FullTextStore:
         self._text_cells = tuple((name, cell[name]) for name in self._text_indexes)
         self._keyword_cells = tuple((name, cell[name]) for name in self._keyword_indexes)
         self._version = 0
-        #: Typed mutation log (shared with snapshots).
+        #: The change log (shared with snapshots, which read back
+        #: through its chain).
         self._journal = DeltaJournal()
         #: field -> (version, average df); see average_document_frequency.
         self._average_df_cache: dict[str, tuple[int, float | None]] = {}
         self._rwlock = RWLock()
-        #: The newest link of the undo chain snapshots read back through.
-        self._undo = UndoLink()
-        #: (version, weak reference to its snapshot): see ``remembered``.
-        self._snapshot_state: tuple | None = None
 
     @property
     def version(self) -> int:
         """Monotonic mutation counter (used for cache invalidation)."""
         return self._version
-
-    @property
-    def journal(self) -> DeltaJournal:
-        """The store's typed mutation log (shared with snapshots)."""
-        return self._journal
-
-    def deltas_since(self, version: int, upto: int | None = None):
-        """The unbroken delta chain ``version -> upto`` (None on a gap)."""
-        target = self._version if upto is None else upto
-        return self._journal.since(version, target)
 
     def field_configs(self) -> list[FieldConfig]:
         """The declared field configurations (delta-store construction)."""
@@ -202,20 +188,10 @@ class FullTextStore:
                 added.append(doc)
             if added:
                 replaced = any(old is not None for _, old in before)
-                entry = self._commit(UPSERT if replaced else INSERT, added, before)
+                entry = self._log(UPSERT if replaced else INSERT, added, before)
         if entry is not None:
             self._journal.notify(entry)
         return len(added)
-
-    def _commit(self, kind: str, items: Iterable, before: list):
-        """Count, journal and chain the undo link of one effective batch
-        (under the write lock); the record names the copies it replaced."""
-        pre = self._version
-        self._version += 1
-        self._undo = self._undo.append(before)
-        # What stood before: the first value each doc id had in ``before``.
-        return self._journal.record(pre, pre + 1, kind, items, replaced=[
-            old for old in dict(reversed(before)).values() if old is not None])
 
     def _index_unlocked(self, doc: Document) -> None:
         doc_id = doc.doc_id
@@ -286,28 +262,9 @@ class FullTextStore:
             old = self._deindex_unlocked(doc_id)
             if old is None:
                 return False
-            entry = self._commit(REMOVE, (), ((doc_id, old),))
+            entry = self._log(REMOVE, (), ((doc_id, old),))
         self._journal.notify(entry)
         return True
-
-    # ------------------------------------------------------------------
-    # Snapshot isolation
-    # ------------------------------------------------------------------
-    def snapshot(self) -> "FullTextStore":
-        """A read-only view of the store at its current version.
-
-        A watermark, not a copy (:class:`~repro.core.deltas.Snapshot`): a
-        pin costs nothing whatever the store holds, a write batch one undo
-        link.
-        """
-        with self._rwlock.read_locked():
-            return remembered(self, self._version, lambda: FullTextSnapshot(self, self._undo))
-
-    def reading(self):
-        """A context yielding what one consistent read reads: the store
-        itself (a snapshot yields what stands for its version; a bucket or
-        a scorer taken from it is good inside the context only)."""
-        return nullcontext(self)
 
     # ------------------------------------------------------------------
     # Access
@@ -665,13 +622,15 @@ class FullTextSnapshot(Snapshot, FullTextStore, reads=(
     """What :meth:`FullTextStore.snapshot` returns: the store read at one
     version.  Every read is one :meth:`reading` of the live store; a
     keyword bucket and the stored rows are handed out as copies, and a
-    scorer scores inside a read of its own.  A snapshot never writes."""
+    scorer scores inside a read of its own (a bucket or a scorer taken
+    from a :meth:`reading` is good inside it only).  A snapshot never
+    writes."""
 
-    def __init__(self, live: FullTextStore, link: UndoLink):
+    def __init__(self, live: FullTextStore):
         self.name, self.id_field, self.analyzer = live.name, live.id_field, live.analyzer
         self._fields, self.default_field = live._fields, live.default_field
         self._version, self._journal, self._rwlock = live._version, live._journal, live._rwlock
-        self._watch(live, link)
+        self._watch(live)
 
     def _at(self, undo: dict[str, Document | None]) -> FullTextStore:
         """The live store as it stood at this version: the documents
@@ -714,6 +673,9 @@ class FullTextSnapshot(Snapshot, FullTextStore, reads=(
                 return made[1](doc_ids)
 
         return scores
+
+
+FullTextStore._snapshot_type = FullTextSnapshot
 
 
 def _keyword_keys(cell: Any) -> Sequence[str]:

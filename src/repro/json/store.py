@@ -13,11 +13,10 @@ from __future__ import annotations
 import copy
 import itertools
 import threading
-from contextlib import nullcontext
 from typing import Any, Iterable, TYPE_CHECKING
 
 from repro.core.deltas import (
-    INSERT, REMOVE, UPSERT, CopyOnWrite, DeltaJournal, Snapshot, UndoLink, remembered)
+    INSERT, REMOVE, UPSERT, CopyOnWrite, DeltaJournal, Journalled, Snapshot)
 from repro.errors import JSONError
 from repro.fulltext.document import Document
 from repro.json.accel import EncodingView, StoreEncoding
@@ -45,7 +44,7 @@ class _EncodingLineage:
         self.version = -1
 
 
-class JSONDocumentStore:
+class JSONDocumentStore(Journalled):
     """A named collection of JSON documents, indexed by dotted path."""
 
     def __init__(self, name: str = "documents", id_field: str = "id",
@@ -61,12 +60,10 @@ class JSONDocumentStore:
         self._ranks: dict[str, int] = {}
         self._next_rank = 0
         self._version = 0
+        #: The change log (shared with snapshots, which read back
+        #: through its chain).
         self._journal = DeltaJournal()
         self._rwlock = RWLock()
-        #: The newest link of the undo chain snapshots read back through.
-        self._undo = UndoLink()
-        #: (version, weak reference to its snapshot): see ``remembered``.
-        self._snapshot_state: tuple | None = None
         #: Columnar XPath-accelerator replica, shared with every snapshot
         #: (built lazily by whoever needs it first; appended on insert
         #: and upsert; a removal starts a new lineage).
@@ -78,16 +75,6 @@ class JSONDocumentStore:
     def version(self) -> int:
         """Monotonic mutation counter (used for cache invalidation)."""
         return self._version
-
-    @property
-    def journal(self) -> DeltaJournal:
-        """The store's typed mutation log (shared with snapshots)."""
-        return self._journal
-
-    def deltas_since(self, version: int, upto: int | None = None):
-        """The unbroken delta chain ``version -> upto`` (None on a gap)."""
-        target = self._version if upto is None else upto
-        return self._journal.since(version, target)
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -124,7 +111,7 @@ class JSONDocumentStore:
                 # meaning "unchanged".
                 if added:
                     replaced = any(old is not None for _, old in before)
-                    entry = self._commit(UPSERT if replaced else INSERT, added, before)
+                    entry = self._log(UPSERT if replaced else INSERT, added, before)
         if entry is not None:
             self._journal.notify(entry)
         return len(added)
@@ -139,19 +126,9 @@ class JSONDocumentStore:
             # and the next accelerated query encodes from scratch.
             # Snapshots keep the old lineage.
             self._lineage = _EncodingLineage()
-            entry = self._commit(REMOVE, (), ((doc_id, old),))
+            entry = self._log(REMOVE, (), ((doc_id, old),))
         self._journal.notify(entry)
         return True
-
-    def _commit(self, kind: str, items: list, before: list):
-        """Count, journal and chain the undo link of one effective batch
-        (under the write lock)."""
-        pre = self._version
-        self._version += 1
-        self._undo = self._undo.append(before)
-        # What stood before: the first value each doc id had in ``before``.
-        return self._journal.record(pre, pre + 1, kind, items, replaced=[
-            old[0] for old in dict(reversed(before)).values() if old is not None])
 
     # ------------------------------------------------------------------
     def _prepare(self, document: dict[str, Any]) -> tuple[str, dict[str, Any]]:
@@ -200,21 +177,6 @@ class JSONDocumentStore:
                 index = PathIndex(path)
                 self._indexes[path] = index
             index.add(doc_id, value)
-
-    # ------------------------------------------------------------------
-    # Snapshot isolation
-    # ------------------------------------------------------------------
-    def snapshot(self) -> "JSONDocumentStore":
-        """A read-only view of the store at its current version: a
-        watermark, not a copy (:class:`~repro.core.deltas.Snapshot`), in
-        this store's accelerator lineage."""
-        with self._rwlock.read_locked():
-            return remembered(self, self._version, lambda: JSONSnapshot(self, self._undo))
-
-    def reading(self):
-        """A context yielding what one consistent read reads: the store
-        itself (a snapshot yields what stands for its version)."""
-        return nullcontext(self)
 
     # ------------------------------------------------------------------
     # XPath-accelerator encoding
@@ -380,14 +342,15 @@ class JSONSnapshot(Snapshot, JSONDocumentStore, reads=(
         "get", "documents", "items", "paths", "values_by_path", "doc_ids_with_path",
         "insertion_rank", "dataguide", "encoding_view", "__len__", "__contains__")):
     """What :meth:`JSONDocumentStore.snapshot` returns: the store read at
-    one version, a wrapper matching on what one :meth:`reading` yields;
-    any other read is a reading of its own.  It never writes."""
+    one version, in the store's accelerator lineage: a wrapper matching
+    on what one :meth:`reading` yields; any other read is a reading of
+    its own.  It never writes."""
 
-    def __init__(self, live: JSONDocumentStore, link: UndoLink):
+    def __init__(self, live: JSONDocumentStore):
         self.name, self.id_field, self.text_path = live.name, live.id_field, live.text_path
         self._version, self._journal, self._rwlock = live._version, live._journal, live._rwlock
         self._lineage = live._lineage
-        self._watch(live, link)
+        self._watch(live)
 
     def _at(self, undo: dict[str, tuple | None]) -> JSONDocumentStore:
         """The live store at this version: what ``undo`` names (doc id ->
@@ -409,6 +372,9 @@ class JSONSnapshot(Snapshot, JSONDocumentStore, reads=(
     def index_for(self, path: str) -> PathIndex | None:
         with self.reading() as store:
             return copy.deepcopy(store.index_for(path))
+
+
+JSONDocumentStore._snapshot_type = JSONSnapshot
 
 
 def _private_index(index: PathIndex) -> PathIndex:

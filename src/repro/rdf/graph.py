@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import threading
 from collections import defaultdict
-from contextlib import nullcontext
 from typing import Callable, Iterable, Iterator
 
 from repro.core.deltas import (
-    DeltaJournal, INSERT, REMOVE, RESET, CopyOnWrite, Snapshot, UndoLink, remembered)
+    INSERT, REMOVE, RESET, CopyOnWrite, DeltaJournal, Journalled, Snapshot)
 from repro.locks import RWLock
 from repro.rdf.terms import (
     RDF_TYPE,
@@ -83,7 +82,7 @@ def constant(value) -> Callable[[tuple], object]:
     return lambda row: value
 
 
-class Graph:
+class Graph(Journalled):
     """A set of RDF triples with pattern-matching access paths.
 
     Parameters
@@ -106,15 +105,10 @@ class Graph:
         self._size = 0
         self._additions = 0
         self._removals = 0
-        #: Typed mutation log: one record per committed batch, shared
-        #: with snapshots so pinned wrappers can replay the same history.
+        #: The change log: one record per committed batch, shared with
+        #: snapshots, which read back through its chain.
         self._journal = DeltaJournal()
         self._rwlock = RWLock()
-        #: The newest link of the undo chain snapshots read back through
-        #: (id triple -> was it present before).
-        self._undo = UndoLink()
-        #: (version, weak reference to its snapshot): see ``remembered``.
-        self._snapshot_state: tuple | None = None
         if triples:
             self.add_all(triples)
 
@@ -215,15 +209,15 @@ class Graph:
         self._journal.notify(entry)
 
     def _commit(self, kind: str, triples: Iterable[Triple], keys: list[tuple]):
-        """Count, journal and chain the undo link of one effective batch
-        (under the write lock)."""
+        """Count and log one effective batch, each id triple it wrote with
+        whether it was present before (under the write lock)."""
         pre = self._additions + self._removals
         if kind == INSERT:
             self._additions += 1
         else:
             self._removals += 1
-        self._undo = self._undo.append((key, kind != INSERT) for key in keys)
-        return self._journal.record(pre, pre + 1, kind, triples)
+        return self._journal.record(pre, kind, triples,
+                                    before=((key, kind != INSERT) for key in keys))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -247,16 +241,6 @@ class Graph:
         see a removal paired with an addition.
         """
         return self._additions + self._removals
-
-    @property
-    def journal(self) -> DeltaJournal:
-        """The store's typed mutation log (shared with snapshots)."""
-        return self._journal
-
-    def deltas_since(self, version: int, upto: int | None = None):
-        """The unbroken delta chain ``version -> upto`` (None on a gap)."""
-        target = self.version if upto is None else upto
-        return self._journal.since(version, target)
 
     @property
     def additions(self) -> int:
@@ -294,21 +278,6 @@ class Graph:
     # ------------------------------------------------------------------
     # Snapshot isolation
     # ------------------------------------------------------------------
-    def snapshot(self) -> "Graph":
-        """A read-only view of the graph at its current version.
-
-        A watermark, not a copy (:class:`~repro.core.deltas.Snapshot`): a
-        pin costs nothing whatever the graph holds, a write batch one undo
-        link.  ``version`` and the counters are the graph's at the time.
-        """
-        with self._rwlock.read_locked():
-            return remembered(self, self.version, lambda: GraphSnapshot(self, self._undo))
-
-    def reading(self):
-        """A context yielding what one consistent read reads: the graph
-        itself (a snapshot yields what stands for its version)."""
-        return nullcontext(self)
-
     def _decoded(self, found: Iterable[int]) -> set[Term]:
         return set(map(self.dictionary.terms.__getitem__, found))
 
@@ -445,13 +414,14 @@ class GraphSnapshot(Snapshot, Graph, reads=(
     """What :meth:`Graph.snapshot` returns: the graph read at one version,
     each read one :meth:`reading` of the live graph (a lazy answer —
     ``match``, iteration — is materialised inside it).  It never writes.
-    It shares the live graph's term dictionary."""
+    It shares the live graph's term dictionary; its ``version`` and
+    counters are the graph's at the time."""
 
-    def __init__(self, live: Graph, link: UndoLink):
+    def __init__(self, live: Graph):
         self.name, self.dictionary = live.name, live.dictionary
         self._additions, self._removals = live._additions, live._removals
         self._journal, self._rwlock = live._journal, live._rwlock
-        self._watch(live, link)
+        self._watch(live)
 
     def _at(self, undo: dict[tuple, bool]) -> Graph:
         """The live graph before the writes ``undo`` reverts (id triple ->
@@ -469,6 +439,9 @@ class GraphSnapshot(Snapshot, Graph, reads=(
     def __iter__(self) -> Iterator[Triple]:
         with self.reading() as graph:
             return iter(list(graph))
+
+
+Graph._snapshot_type = GraphSnapshot
 
 
 def _private_inner(inner: dict | None) -> CopyOnWrite:

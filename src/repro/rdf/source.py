@@ -68,8 +68,10 @@ class _Closure:
     :func:`~repro.rdf.entailment.saturate_delta` over the journalled delta
     (the set difference only on a journal gap); a removal saturates anew.
     ``versions`` maps each raw version the lineage stood at to G∞'s, so
-    what a raw span added to G∞ — ΔG∞ — is G∞'s own journal between the
-    two (:meth:`delta`).
+    what a raw span added to G∞ — ΔG∞ — is G∞'s own log between the two
+    (:meth:`delta`).  A raw version is dropped once G∞'s log no longer
+    chains from its G∞ version (:attr:`~repro.core.deltas.DeltaJournal.oldest`):
+    it keeps what repair can use, and so does the map.
     """
 
     __slots__ = ("lock", "graph", "schema", "state", "versions")
@@ -98,9 +100,10 @@ class _Closure:
                 self.graph, _ = saturate(source)
                 self.schema = RDFSchema.from_graph(self.graph)
                 self.state, self.versions = state, {}
-            self.versions[sum(state)] = self.graph.version
-            if len(self.versions) > self.graph.journal.capacity:
-                del self.versions[next(iter(self.versions))]
+            versions, oldest = self.versions, self.graph.journal.oldest
+            versions[sum(state)] = self.graph.version
+            while next(iter(versions.values())) < oldest:  # G∞'s log dropped it
+                del versions[next(iter(versions))]
             return self.graph.snapshot() if snapshot else self.graph
 
     def delta(self, pre: int, post: int) -> list | None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.deltas import DeltaJournal, RESET, remembered
+from repro.core.deltas import RESET, DeltaJournal, Journalled
 from repro.errors import RelationalError, SchemaError
 from repro.locks import RWLock
 from repro.relational.ast import CreateTableStatement, InsertStatement, SelectStatement
@@ -20,7 +20,7 @@ from repro.relational.table import Table, TableSnapshot
 from repro.relational.types import DataType, infer_type, parse_type
 
 
-class Database:
+class Database(Journalled):
     """A named collection of tables accepting SQL statements."""
 
     def __init__(self, name: str = "db"):
@@ -34,23 +34,11 @@ class Database:
         # One lock for the catalog and every table, so a snapshot is a
         # consistent cut of the whole database.
         self._rwlock = RWLock()
-        #: (version, weak reference to its snapshot): see ``remembered``.
-        self._snapshot_state: tuple | None = None
 
     @property
     def version(self) -> int:
         """Monotonic mutation counter over the catalog and every table."""
         return self._catalog_version + sum(t.version for t in self._tables.values())
-
-    @property
-    def journal(self) -> DeltaJournal:
-        """The database-wide typed mutation log (shared with snapshots)."""
-        return self._journal
-
-    def deltas_since(self, version: int, upto: int | None = None):
-        """The unbroken delta chain ``version -> upto`` (None on a gap)."""
-        target = self.version if upto is None else upto
-        return self._journal.since(version, target)
 
     # ------------------------------------------------------------------
     # Catalog
@@ -66,7 +54,7 @@ class Database:
                           version_of=lambda: self.version)
             self._tables[key] = table
             self._catalog_version += 1
-            self._journal.record(pre, pre + 1, RESET, scope=key)
+            self._journal.record(pre, RESET, scope=key)
             return table
 
     def create_table_from_rows(self, name: str, rows: Iterable[dict[str, object]],
@@ -127,17 +115,7 @@ class Database:
             pre = self.version
             self._catalog_version += 1 + self._tables[name.lower()].version
             del self._tables[name.lower()]
-            self._journal.record(pre, pre + 1, RESET, scope=name.lower())
-
-    # ------------------------------------------------------------------
-    # Snapshot isolation
-    # ------------------------------------------------------------------
-    def snapshot(self) -> "Database":
-        """A read-only view of the database at its current version, cut
-        under the read lock: the table map, each table read up to its row
-        count (a watermark).  Memoised weakly (``remembered``)."""
-        with self._rwlock.read_locked():
-            return remembered(self, self.version, lambda: DatabaseSnapshot(self))
+            self._journal.record(pre, RESET, scope=name.lower())
 
     # ------------------------------------------------------------------
     # SQL entry point
@@ -203,7 +181,8 @@ class Database:
 
 class DatabaseSnapshot(Database):
     """What :meth:`Database.snapshot` returns: the table map of the cut,
-    each table a :class:`TableSnapshot`.  It never writes."""
+    each table a :class:`TableSnapshot` read up to its row count (a
+    watermark).  It never writes."""
 
     def __init__(self, live: Database):
         self.name, self._journal = live.name, live._journal
@@ -212,3 +191,6 @@ class DatabaseSnapshot(Database):
 
     def snapshot(self) -> "Database":
         return self
+
+
+Database._snapshot_type = DatabaseSnapshot

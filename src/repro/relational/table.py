@@ -119,8 +119,7 @@ class Table:
                 # version equality has to keep meaning "unchanged".
                 if inserted:
                     self._version += 1
-                    entry = self._journal.record(pre, pre + 1, INSERT,
-                                                 inserted,
+                    entry = self._journal.record(pre, INSERT, inserted,
                                                  scope=self.name.lower())
         if entry is not None:
             self._journal.notify(entry)
@@ -205,7 +204,7 @@ class TableSnapshot(Table):
     positions only grow); it never writes."""
 
     def __init__(self, live: Table):
-        self.schema, self._indexes, self._journal = live.schema, live._indexes, live._journal
+        self.schema, self._indexes = live.schema, live._indexes
         self._live_rows, self._count, self._version = live.rows, len(live.rows), live._version
 
     @property

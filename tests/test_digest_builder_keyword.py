@@ -89,12 +89,20 @@ class TestCatalog:
         assert frozenset(("departments.code", "unemployment.dept_code")) in fk_pairs
 
     def test_networkx_graph_connects_sources(self, catalog):
-        import networkx as nx
-
-        graph = catalog.to_networkx()
-        sources = {n.source_uri for n in graph.nodes}
+        graph = catalog.adjacency()
+        sources = {n.source_uri for n in graph}
         assert len(sources) == 3
-        assert nx.number_connected_components(graph) < len(graph.nodes)
+        components, seen = 0, set()
+        for node in graph:
+            if node not in seen:
+                components += 1
+                stack = [node]
+                while stack:
+                    reached = stack.pop()
+                    if reached not in seen:
+                        seen.add(reached)
+                        stack.extend(graph[reached])
+        assert components < len(graph)
 
     def test_total_size(self, catalog):
         assert catalog.total_size_in_bytes() > 0
@@ -141,6 +149,22 @@ class TestKeywordEngine:
         outcome = engine.search(["Gironde"])
         assert outcome.result is not None
         assert any("Gironde" in str(v) for row in outcome.result.rows for v in row.values())
+
+    def test_a_catalog_built_before_a_write_finds_what_it_wrote(self, instance, catalog):
+        engine = KeywordQueryEngine(instance, catalog=catalog)
+        engine.search(["SIA2016"])
+        tweets = instance.source("solr://tweets")
+        tweets.store.add({
+            "id": 9, "text": "Le zorblatt arrive au salon", "created_at": "2016-03-02T08:00:00",
+            "user": {"screen_name": "fhollande"}, "entities": {"hashtags": ["SIA2016"]}})
+        outcome = engine.search(["zorblatt"])
+        assert outcome.result is not None and len(outcome.result) == 1
+        assert catalog.digest("solr://tweets").version == tweets.version()
+        assert catalog.join_edges  # rediscovered over the rebuilt digest
+        # The next search finds every source at its stamp: nothing is rebuilt.
+        digests = dict(catalog.digests)
+        engine.search(["zorblatt"])
+        assert all(catalog.digests[uri] is digest for uri, digest in digests.items())
 
     def test_single_keyword_single_node_path(self, instance, catalog):
         engine = KeywordQueryEngine(instance, catalog=catalog)

@@ -24,6 +24,7 @@ from repro.cache.repair import RepairEngine
 from repro.cache.results import CachedSource, SubQueryResultCache
 from repro.core import MixedInstance
 from repro.core.cmq import SourceAtom
+from repro.core import deltas
 from repro.core.deltas import DeltaJournal, INSERT, REMOVE, UPSERT
 from repro.fulltext.source import FullTextQuery, FullTextSource
 from repro.json.source import JSONQuery, JSONSource
@@ -132,24 +133,25 @@ class TestBatchVersionBumps:
 # ---------------------------------------------------------------------------
 
 class TestDeltaJournal:
-    def test_chain_with_gap_returns_none(self):
-        journal = DeltaJournal(capacity=4)
+    def test_chain_with_gap_returns_none(self, monkeypatch):
+        monkeypatch.setattr(deltas, "MAX_DELTA_ITEMS", 4)
+        journal = DeltaJournal()
         for v in range(8):
-            journal.record(v, v + 1, INSERT, (v,))
-        # Versions 0..4 fell off the ring: the chain from 0 has a gap.
+            journal.record(v, INSERT, (v,))
+        # Versions 0..4 fell out of the 4-item window: the chain from 0 has a gap.
         assert journal.since(0, 8) is None
         chain = journal.since(4, 8)
         assert chain is not None and [r.pre_version for r in chain] == [4, 5, 6, 7]
 
-    def test_gap_falls_back_to_plain_miss_with_correct_rows(self):
+    def test_gap_falls_back_to_plain_miss_with_correct_rows(self, monkeypatch):
+        monkeypatch.setattr(deltas, "MAX_DELTA_ITEMS", 2)  # tiny history
         store = JSONDocumentStore("docs")
-        store._journal = DeltaJournal(capacity=2)  # tiny history
         store.add_all([{"id": "0", "v": 0}])
         source = JSONSource("json://d", store)
         proxy, engine, _ = _proxy(source)
         query = JSONQuery.from_text('{"v": ?v}')
         proxy.execute(query)
-        for i in range(1, 5):  # 4 bumps > capacity: chain breaks
+        for i in range(1, 5):  # 4 one-item bumps > the budget: chain breaks
             store.add({"id": str(i), "v": i})
         warm = proxy.execute(query)
         assert _multiset(warm) == _multiset(source.execute(query))
@@ -527,9 +529,9 @@ class TestBatchRepair:
             lambda: graph.add(triple("ttn:Y", "rdf:type", "ttn:politician")),
             ordered=False)
 
-    def test_journal_gap(self):
+    def test_journal_gap(self, monkeypatch):
         source, query, keys, write = _json_case()
-        source.store._journal = DeltaJournal(capacity=2)
+        monkeypatch.setattr(deltas, "MAX_DELTA_ITEMS", 2)
         self._refused(source, query, keys,
                       lambda: [write(1) for _ in range(4)], "no_journal")
 

@@ -29,7 +29,7 @@ from repro.cache.repair import RepairEngine
 from repro.cache.results import CachedSource, SubQueryResultCache
 from repro.core import CMQBuilder, MixedInstance, PlannerOptions
 from repro.core.cmq import SourceAtom
-from repro.core.deltas import DeltaJournal
+from repro.core import deltas
 from repro.fulltext.source import FullTextQuery
 from repro.json.source import JSONQuery
 from repro.rdf.source import RDFQuery
@@ -302,8 +302,9 @@ class TestRepairIsOfferedEachKeyOnce:
         upserts = [copy.deepcopy(doc.fields) for doc in store.documents()[:5]]
         for document in upserts:
             document["retweet_count"] = document.get("retweet_count", 0) + 100
-        # A journal too short for the span: every stale key falls back.
-        store._journal = DeltaJournal(capacity=1)
+        # A log budget of one batch (items plus replaced copies), too
+        # short for the span: every stale key falls back.
+        monkeypatch.setattr(deltas, "MAX_DELTA_ITEMS", 2 * len(upserts))
         store.add_all(upserts)
         store.add_all(upserts)
 
