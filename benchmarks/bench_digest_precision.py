@@ -11,10 +11,12 @@ budget while size grows linearly.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 from conftest import report
 
-from repro.digest import DigestBuilder, ValueSetSummary
+from repro.digest import ValueSetSummary, build_catalog
 
 _BITS = [2, 4, 8, 16, 32]
 
@@ -42,19 +44,14 @@ def test_bloom_budget(benchmark, bits):
 def test_precision_space_tradeoff_table(benchmark, demo_small):
     """The headline E9 series over the real demo instance digests."""
     def sweep():
-        from repro.digest import DigestCatalog
-
         rows = []
         probes = [f"absent-keyword-{i}" for i in range(200)]
         for bits in _BITS:
             # exact_limit=0 forces every value set onto its Bloom filter, which
             # is the regime the precision/space trade-off is about (large
             # sources cannot keep exact sets).
-            builder = DigestBuilder(bloom_bits_per_value=bits, exact_limit=0)
-            catalog = DigestCatalog()
-            catalog.add(builder.build_rdf(demo_small.instance.glue_source))
-            for source in demo_small.instance.sources():
-                catalog.add(builder.build(source))
+            catalog = build_catalog(demo_small.instance, summarize=partial(
+                ValueSetSummary, bloom_bits_per_value=bits, exact_limit=0))
             false_hits = sum(1 for keyword in probes for _ in catalog.lookup_keyword(keyword))
             rows.append({"bits/value": bits,
                          "digest size (KiB)": round(catalog.total_size_in_bytes() / 1024, 1),

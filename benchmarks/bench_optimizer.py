@@ -128,7 +128,7 @@ def run_skewed_join_order(posts: int, glue_authors: int) -> dict:
 class LyingSource(RelationalSource):
     """Advertises ~10 rows whatever the sub-query really returns."""
 
-    def derive_estimate(self, query, bound, values, catalog):
+    def derive_estimate(self, query, bound, values):
         return self.estimate(query, bound)
 
     def estimate(self, query, bound_variables=None):

@@ -14,14 +14,14 @@ Run with:  python examples/keyword_search.py
 from __future__ import annotations
 
 from repro.datasets import DemoConfig, build_demo_instance
-from repro.digest import KeywordQueryEngine
+from repro.digest.keyword import KeywordQueryEngine
 
 
 def main() -> None:
     demo = build_demo_instance(DemoConfig(politicians=40, weeks=4))
     instance = demo.instance
 
-    catalog = instance.build_digests(bloom_bits_per_value=16, histogram_buckets=16)
+    catalog = instance.build_digests()
     print("digest catalog:")
     for uri, digest in sorted(catalog.digests.items()):
         print(f"  {uri:<18} {len(digest.nodes):>3} positions, "

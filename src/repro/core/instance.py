@@ -23,6 +23,7 @@ from repro.core.executor import MixedQueryExecutor
 from repro.core.planner import PlannerOptions, QueryPlan, QueryPlanner
 from repro.core.results import MixedResult
 from repro.core.sources import DataSource, SourceQuery
+from repro.digest.graph import DigestCatalog, refresh_catalog
 from repro.fulltext.source import FullTextSource
 from repro.json.source import JSONSource
 from repro.rdf.source import RDFSource
@@ -62,6 +63,8 @@ class MixedInstance:
         # shared by every planner and executor of this instance.
         self._statistics: Optional[StatisticsCatalog] = None
         self._statistics_lock = threading.Lock()
+        # The digest catalog keyword search reads, refreshed per lookup.
+        self._digests = DigestCatalog()
 
     # ------------------------------------------------------------------
     # Source registry
@@ -231,25 +234,26 @@ class MixedInstance:
         return CMQBuilder(name, head=head)
 
     # ------------------------------------------------------------------
-    # Digests and keyword querying (lazy imports to avoid cycles)
+    # Digests and keyword querying (the engine imported lazily: it builds CMQs)
     # ------------------------------------------------------------------
-    def build_digests(self, bloom_bits_per_value: int = 16,
-                      histogram_buckets: int = 16):
-        """Build the digest of every source plus the glue graph.
+    def build_digests(self):
+        """The instance's digest catalog, brought up to its sources'
+        versions: one digest per source plus the glue graph, and the
+        cross-source join edges.  Kept from call to call, so only the
+        digests of sources that moved are filed again.
 
-        Returns a :class:`repro.digest.catalog.DigestCatalog`.
+        Returns a :class:`repro.digest.graph.DigestCatalog`.
         """
-        from repro.digest.builder import build_catalog
-
-        return build_catalog(self, bloom_bits_per_value=bloom_bits_per_value,
-                             histogram_buckets=histogram_buckets)
+        refresh_catalog(self, self._digests)
+        return self._digests
 
     def keyword_query(self, keywords: Sequence[str], max_queries: int = 3,
                       catalog=None, limit: int | None = None):
         """Answer a keyword query: generate candidate CMQs and evaluate the best.
 
-        A ``catalog`` built earlier is first brought up to the sources'
-        versions (the digests of moved sources are rebuilt).  Returns a
+        The keywords are looked up in ``catalog``, by default the
+        instance's own (:meth:`build_digests`), first brought up to the
+        sources' versions.  Returns a
         :class:`repro.digest.keyword.KeywordSearchOutcome`.
         """
         from repro.digest.keyword import KeywordQueryEngine

@@ -15,10 +15,14 @@ and adapts it to the protocol defined here (:mod:`repro.rdf.source`,
 * :meth:`DataSource.estimate` returns a cardinality estimate, the cost
   model's input when the statistics catalog derives none.
 
-What the cache and statistics layers ask of a model is asked here too,
-and answered in its package: a query's renaming-invariant cache form
-(:meth:`SourceQuery.derive_canonical`), a wrapper's digest-backed
-estimate (:meth:`DataSource.derive_estimate`) and how a delta chain
+What the cache, statistics and digest layers ask of a model is asked
+here too, and answered in its package: a query's renaming-invariant cache
+form (:meth:`SourceQuery.derive_canonical`), a wrapper's digest
+(:meth:`DataSource.derive_digest`, kept by :meth:`DataSource.digest`
+once per wrapper lineage and carried over inserts by
+:meth:`DataSource.absorb_digest`), its digest-backed estimate
+(:meth:`DataSource.derive_estimate`), the sub-query a keyword search
+asks of it (:meth:`DataSource.keyword_atom`) and how a delta chain
 changes its cached answers (:meth:`DataSource.repair_delta`).
 """
 
@@ -32,8 +36,10 @@ import threading
 import time
 from typing import Optional, Sequence
 
+from repro.digest.graph import SourceDigest
+from repro.digest.valueset import ValueSetSummary
 from repro.engine.batch import BindingBatch, Row, as_batches, dict_rows, row_count
-from repro.errors import MixedQueryError
+from repro.errors import KeywordSearchError, MixedQueryError
 from repro.obs.metrics import get_registry
 
 
@@ -110,6 +116,14 @@ def _instrumented(method):
     return call
 
 
+class _DigestLineage:
+    """The one digest a live wrapper and its pins share, at one version."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.digest: Optional[SourceDigest] = None
+
+
 class DataSource:
     """Base class of the mediator's source wrappers."""
 
@@ -136,6 +150,7 @@ class DataSource:
         self._pin_lock = threading.Lock()
         self._pin_memo: Optional[tuple[int, "DataSource"]] = None
         self._instruments: Optional[tuple] = None
+        self._digest_lineage = _DigestLineage()
 
     @property
     def cost_kind(self) -> str:
@@ -163,14 +178,70 @@ class DataSource:
         raise NotImplementedError
 
     def derive_estimate(self, query: SourceQuery, bound: set[str],
-                        values: Row, catalog) -> Optional[float]:
+                        values: Row) -> Optional[float]:
         """A digest-backed estimate of ``query``'s rows for the statistics
-        ``catalog`` (:class:`~repro.stats.catalog.StatisticsCatalog`), or
+        catalog (:class:`~repro.stats.catalog.StatisticsCatalog`), or
         ``None`` to ask :meth:`estimate`: ``bound`` are the formals bound
         when the step runs, ``values`` those whose constant value is known
         at plan time.  A wrapper carrying its own statistics (a remote
         one) derives none."""
         return None
+
+    def derive_digest(self, summarize=ValueSetSummary) -> Optional[SourceDigest]:
+        """The digest of the data as it stands: its positions, their value
+        sets (each ``summarize(values, keyword_aliases=...)``) and the
+        edges between them, stamped with the version read first.  A
+        wrapper whose data lives elsewhere (a remote one) derives none."""
+        return None
+
+    def absorb_digest(self, digest: SourceDigest, records: list) -> bool:
+        """Fold the delta chain ``records`` into ``digest`` in place; False
+        (nothing folded: derive it again) for a change it cannot fold."""
+        return False
+
+    def digest(self) -> Optional[SourceDigest]:
+        """The digest of this wrapper's version, shared by the live wrapper
+        and its pins (as they share ``cache_token``) and kept at one
+        version, the newest asked for.  A newer version is reached by
+        absorbing the journal's chain (:meth:`absorb_digest`) under the
+        lineage's lock, so two readers missing one version fold it once;
+        any other change derives the digest again.  An older version is
+        derived and not kept."""
+        version, lineage = self.version(), self._digest_lineage
+        if version is None:
+            return self.derive_digest()
+        kept = lineage.digest
+        if kept is not None and kept.version == version:
+            return kept
+        if kept is not None and kept.version < version:
+            since = kept.version
+            records = self.deltas_since(since, version)
+            with lineage.lock:
+                current = lineage.digest
+                if current.version == version:  # another reader got there
+                    return current
+                if (current is kept and kept.version == since and records is not None
+                        and self.absorb_digest(kept, records)):
+                    kept.version = version
+                    return kept
+        fresh = self.derive_digest()
+        if fresh is None:
+            return None
+        with lineage.lock:
+            current = lineage.digest
+            if current is not None and current.version == fresh.version:
+                return current
+            if current is None or current.version < fresh.version:
+                lineage.digest = fresh
+        return fresh
+
+    def keyword_atom(self, nodes: list, variables: dict, hits: dict) -> tuple:
+        """The sub-query a keyword search asks of this source along one
+        join path: ``(atom name, sub-query, constants)``.  ``nodes`` are
+        the path's positions in this source's digest, ``variables`` the
+        CMQ variable of each path node, ``hits`` the keyword hit (its
+        ``keyword`` and ``matched_values``) of each node that has one."""
+        raise KeywordSearchError(f"cannot generate a sub-query for source model {self.model!r}")
 
     def repair_delta(self, query: SourceQuery, records: list, engine):
         """What the delta chain ``records`` does to cached answers of

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Iterable
-
-from repro.fulltext.document import Document
+from typing import Any, Iterable, Iterator
 
 
 @dataclass
@@ -47,22 +45,18 @@ class JSONDataguide:
 
     # ------------------------------------------------------------------
     @classmethod
-    def build(cls, documents: Iterable[Document | dict[str, Any]],
-              name: str = "dataguide") -> "JSONDataguide":
+    def build(cls, documents: Iterable[Any], name: str = "dataguide") -> "JSONDataguide":
         """Build a dataguide from documents (raw dicts are accepted)."""
         guide = cls(name=name)
         for doc in documents:
             guide.observe(doc)
         return guide
 
-    def observe(self, document: Document | dict[str, Any]) -> None:
-        """Add one document's paths to the dataguide."""
+    def observe(self, document: Any) -> None:
+        """Add one document's paths to the dataguide: a raw dict, or a
+        stored document carrying its field tree as ``fields``."""
         self.document_count += 1
-        if isinstance(document, Document):
-            leaves = document.flat_fields()
-        else:
-            leaves = Document(doc_id="_", fields=dict(document)).flat_fields()
-        for path, value in leaves:
+        for path, value in leaves(getattr(document, "fields", document)):
             info = self.paths.get(path)
             if info is None:
                 info = PathInfo(path=path)
@@ -108,3 +102,22 @@ class JSONDataguide:
 
     def __len__(self) -> int:
         return len(self.paths)
+
+
+def leaves(value: Any, prefix: str = "") -> Iterator[tuple[str, Any]]:
+    """The ``(dotted_path, scalar_value)`` pairs of a JSON value's leaves;
+    a list contributes each element under its own path."""
+    # Explicit stack: pathological documents (depth 10k+) must not blow
+    # Python's recursion limit.  Children are pushed reversed so the
+    # yield order matches the natural depth-first, left-to-right order.
+    stack: list[tuple[str, Any]] = [(prefix, value)]
+    while stack:
+        prefix, value = stack.pop()
+        if isinstance(value, dict):
+            items = [(f"{prefix}.{key}" if prefix else str(key), child)
+                     for key, child in value.items()]
+            stack.extend(reversed(items))
+        elif isinstance(value, list):
+            stack.extend((prefix, child) for child in reversed(value))
+        else:
+            yield prefix, value

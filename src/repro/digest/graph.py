@@ -14,11 +14,15 @@ shortest join paths traverse to bridge sources.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from repro.digest.valueset import ValueSetSummary
 from repro.errors import DigestError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.instance import MixedInstance
 
 
 @dataclass(frozen=True)
@@ -85,6 +89,12 @@ class SourceDigest:
         self.edges.append(edge)
         return edge
 
+    def link_all(self, nodes: list[DigestNode]) -> None:
+        """Join every pair of ``nodes``, the positions of one container."""
+        for i, left in enumerate(nodes):
+            for right in nodes[i + 1:]:
+                self.add_edge(left, right, kind="same-container")
+
     def node(self, container: str, position: str) -> DigestNode:
         """Return the node for ``container.position``."""
         for candidate in self.nodes:
@@ -119,21 +129,34 @@ class SourceDigest:
         return len(self.nodes)
 
 
+#: Least estimated overlap for two positions of different sources to be
+#: join candidates.
+MIN_JOIN_OVERLAP = 0.05
+
+
 class DigestCatalog:
     """All source digests of a mixed instance plus cross-source join edges."""
 
     def __init__(self) -> None:
         self.digests: dict[str, SourceDigest] = {}
         self.join_edges: list[DigestEdge] = []
-        #: Set by :func:`~repro.digest.builder.build_catalog`, to rebuild alike.
-        self.builder = None
-        self.min_overlap = 0.05
+        #: The wrapper (its ``cache_token``) and version of each source
+        #: when its digest (or its lack of one) was filed, by
+        #: :func:`refresh_catalog`.
+        self.stamps: dict[str, tuple[int, Optional[int]]] = {}
+        #: The :class:`ValueSetSummary` factory the digests are derived
+        #: with (set by :func:`build_catalog`); ``None`` files each
+        #: wrapper's shared digest (:meth:`~repro.core.sources.DataSource.digest`).
+        self.summarize: Optional[Callable[..., ValueSetSummary]] = None
+        self._adjacency: Optional[dict] = None
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    def add(self, digest: SourceDigest) -> SourceDigest:
-        """Register the digest of one source."""
-        self.digests[digest.source_uri] = digest
-        return digest
+    @property
+    def undigested(self) -> list[str]:
+        """Sources filed without a digest (a remote wrapper: its peer
+        holds the data), whose values keyword search does not see."""
+        return [uri for uri in self.stamps if uri not in self.digests]
 
     def digest(self, source_uri: str) -> SourceDigest:
         """Return the digest of ``source_uri``."""
@@ -154,40 +177,32 @@ class DigestCatalog:
     # ------------------------------------------------------------------
     # Cross-source join discovery
     # ------------------------------------------------------------------
-    def discover_join_edges(self, min_overlap: float = 0.05,
-                            max_pairs: int | None = None) -> list[DigestEdge]:
+    def discover_join_edges(self) -> list[DigestEdge]:
         """Probe value sets across sources and record join-candidate edges.
 
         Two positions from *different* sources are connected when a sample
         of one side's values hits the other side's value summary with
-        frequency at least ``min_overlap``.  The edge weight is
+        frequency at least :data:`MIN_JOIN_OVERLAP`.  The edge weight is
         ``1 - overlap`` so that stronger joins yield shorter paths.
         """
-        self.join_edges = []
-        nodes = [n for n in self.all_nodes() if self.values_of(n) is not None]
-        pairs_checked = 0
-        for i, left in enumerate(nodes):
-            for right in nodes[i + 1:]:
+        edges = []
+        nodes = [(n, v) for n in self.all_nodes() if (v := self.values_of(n)) is not None]
+        for i, (left, left_values) in enumerate(nodes):
+            for right, right_values in nodes[i + 1:]:
                 if left.source_uri == right.source_uri:
-                    continue
-                if max_pairs is not None and pairs_checked >= max_pairs:
-                    return self.join_edges
-                pairs_checked += 1
-                left_values = self.values_of(left)
-                right_values = self.values_of(right)
-                if left_values is None or right_values is None:
                     continue
                 overlap = max(left_values.overlap_estimate(right_values),
                               right_values.overlap_estimate(left_values))
-                if overlap >= min_overlap:
+                if overlap >= MIN_JOIN_OVERLAP:
                     # Stronger overlap and more identifier-like positions
                     # (many distinct values) make better join keys, hence
                     # shorter path weights.
                     distinct = min(left_values.distinct_values, right_values.distinct_values)
                     weight = max(0.05, 1.0 - overlap) + 1.0 / (1.0 + distinct)
-                    self.join_edges.append(DigestEdge(source=left, target=right,
-                                                      kind="join-candidate", weight=weight))
-        return self.join_edges
+                    edges.append(DigestEdge(source=left, target=right,
+                                            kind="join-candidate", weight=weight))
+        self.join_edges, self._adjacency = edges, None
+        return edges
 
     # ------------------------------------------------------------------
     # Graph view
@@ -195,16 +210,22 @@ class DigestCatalog:
     def adjacency(self) -> dict[DigestNode, dict[DigestNode, DigestEdge]]:
         """The combined (undirected) digest graph for path search: node ->
         neighbour -> the edge joining them, neighbours in edge-insertion
-        order (a repeated pair keeps its first position and its last edge)."""
-        graph: dict[DigestNode, dict[DigestNode, DigestEdge]] = {}
-        for digest in self.digests.values():
-            for node in digest.nodes:
-                graph.setdefault(node, {})
-        edges = [edge for digest in self.digests.values() for edge in digest.edges]
-        for edge in edges + self.join_edges:
-            graph.setdefault(edge.source, {})[edge.target] = edge
-            graph.setdefault(edge.target, {})[edge.source] = edge
-        return graph
+        order (a repeated pair keeps its first position and its last edge).
+        Built once per change of the catalog, under the lock
+        :func:`refresh_catalog` holds, so a graph built from a catalog
+        being refreshed is never kept."""
+        with self._lock:
+            if self._adjacency is None:
+                graph: dict[DigestNode, dict[DigestNode, DigestEdge]] = {}
+                for digest in self.digests.values():
+                    for node in digest.nodes:
+                        graph.setdefault(node, {})
+                edges = [edge for digest in self.digests.values() for edge in digest.edges]
+                for edge in edges + self.join_edges:
+                    graph.setdefault(edge.source, {})[edge.target] = edge
+                    graph.setdefault(edge.target, {})[edge.source] = edge
+                self._adjacency = graph
+            return self._adjacency
 
     def lookup_keyword(self, keyword: str) -> list[DigestNode]:
         """Nodes of any digest matching ``keyword``."""
@@ -219,3 +240,48 @@ class DigestCatalog:
 
     def __len__(self) -> int:
         return len(self.digests)
+
+
+def build_catalog(instance: "MixedInstance",
+                  summarize: Optional[Callable[..., ValueSetSummary]] = None) -> DigestCatalog:
+    """A digest catalog of ``instance``: one digest per registered source
+    plus one for the glue graph, with cross-source join-candidate edges
+    discovered.  ``summarize`` sets the precision/space trade-off of
+    every value set (e.g. ``partial(ValueSetSummary,
+    bloom_bits_per_value=4)``); the catalog is then the caller's own, its
+    digests derived apart from the wrappers' shared ones."""
+    catalog = DigestCatalog()
+    catalog.summarize = summarize
+    refresh_catalog(instance, catalog)
+    return catalog
+
+
+def refresh_catalog(instance: "MixedInstance", catalog: DigestCatalog) -> None:
+    """Bring ``catalog`` up to the current wrapper and version of each
+    source of ``instance`` (the version read before the digest: a racing
+    write leaves it stale): the digest of each source that moved or was
+    registered again is filed again, then the join edges are
+    rediscovered.  The digest and stamp maps are replaced, not changed in
+    place, so a lookup running meanwhile reads a whole map."""
+    with catalog._lock:
+        sources = [instance.glue_source, *instance.sources()]
+        stamps = {source.uri: (source.cache_token, source.version()) for source in sources}
+        if stamps == catalog.stamps:
+            return
+        digests = {}
+        for source in sources:
+            if catalog.stamps.get(source.uri) == stamps[source.uri]:
+                digest = catalog.digests.get(source.uri)
+            elif catalog.summarize is None:
+                digest = source.digest()
+            else:
+                digest = source.derive_digest(catalog.summarize)
+            if digest is not None:
+                digests[source.uri] = digest
+        catalog.digests, catalog.stamps = digests, stamps
+        catalog.discover_join_edges()
+
+
+def safe_name(text: str) -> str:
+    """``text`` as an identifier fragment of a generated query."""
+    return "".join(ch if ch.isalnum() else "_" for ch in text.strip().lower()).strip("_") or "x"

@@ -19,23 +19,18 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, TYPE_CHECKING
 
-from repro.core.cmq import ConjunctiveMixedQuery, GLUE_SOURCE, SourceAtom
+from repro.core.cmq import ConjunctiveMixedQuery, SourceAtom
 from repro.core.results import MixedResult
-from repro.core.sources import DataSource
-from repro.fulltext.source import FullTextQuery, FullTextSource
-from repro.json.source import JSONQuery, JSONSource
-from repro.rdf.source import RDFQuery, RDFSource
-from repro.relational.source import RelationalSource, SQLQuery
-from repro.digest.builder import refresh_catalog
-from repro.digest.graph import DigestCatalog, DigestNode
+from repro.digest.graph import DigestCatalog, DigestNode, refresh_catalog, safe_name
 from repro.errors import KeywordSearchError, ReproError
-from repro.json.pattern import PatternLeaf, Predicate, TreePattern
-from repro.rdf.bgp import BGPQuery
-from repro.rdf.terms import Literal, Term, TriplePattern, URI, Variable
-from repro.relational.database import Database
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.instance import MixedInstance
+
+#: Digest hits kept per keyword, best first.
+MAX_HITS_PER_KEYWORD = 5
+#: Ranked candidates evaluated at most when the cheapest come back empty.
+MAX_EVALUATED_CANDIDATES = 12
 
 
 @dataclass
@@ -45,6 +40,11 @@ class KeywordHit:
     keyword: str
     node: DigestNode
     matched_values: list[str] = field(default_factory=list)
+
+    @property
+    def value(self) -> object:
+        """The first stored value the keyword matched, or the keyword."""
+        return self.matched_values[0] if self.matched_values else self.keyword
 
     def describe(self) -> str:
         return f"{self.keyword!r} @ {self.node.source_uri}:{self.node.label()}"
@@ -73,11 +73,15 @@ class KeywordSearchOutcome:
     candidates: list[GeneratedQuery]
     best: Optional[GeneratedQuery] = None
     result: Optional[MixedResult] = None
+    #: Sources without a digest, whose data the keywords were not looked up in.
+    undigested: list[str] = field(default_factory=list)
 
     def summary(self) -> str:
         lines = [f"keywords: {self.keywords}",
                  f"digest hits: {len(self.hits)}",
                  f"candidate queries: {len(self.candidates)}"]
+        if self.undigested:
+            lines.append(f"sources without a digest: {', '.join(self.undigested)}")
         if self.best is not None:
             lines.append(f"best: {self.best.describe()}")
         if self.result is not None:
@@ -88,13 +92,9 @@ class KeywordSearchOutcome:
 class KeywordQueryEngine:
     """Generates and evaluates CMQs from keyword queries."""
 
-    def __init__(self, instance: "MixedInstance", catalog: DigestCatalog | None = None,
-                 max_hits_per_keyword: int = 5, max_evaluated_candidates: int = 12):
+    def __init__(self, instance: "MixedInstance", catalog: DigestCatalog | None = None):
         self.instance = instance
         self.catalog = catalog if catalog is not None else instance.build_digests()
-        self.max_hits_per_keyword = max_hits_per_keyword
-        self.max_evaluated_candidates = max_evaluated_candidates
-        self._graph = self.catalog.adjacency()
 
     # ------------------------------------------------------------------
     # Entry point
@@ -110,12 +110,13 @@ class KeywordQueryEngine:
         ranked = self.generate_queries(hits_per_keyword, max_queries=None)
         candidates = ranked[:max_queries]
         outcome = KeywordSearchOutcome(keywords=list(keywords), hits=all_hits,
-                                       candidates=candidates)
+                                       candidates=candidates,
+                                       undigested=self.catalog.undigested)
         if evaluate:
             # Walk beyond the displayed top-k when the cheapest join paths
             # all come back empty (frequent in instances where one source
             # offers many cheap same-container paths).
-            for candidate in ranked[:max(max_queries, self.max_evaluated_candidates)]:
+            for candidate in ranked[:max(max_queries, MAX_EVALUATED_CANDIDATES)]:
                 try:
                     result = self.instance.execute(candidate.query, limit=limit)
                 except ReproError:  # a candidate its sources cannot run is skipped
@@ -134,10 +135,9 @@ class KeywordQueryEngine:
     # ------------------------------------------------------------------
     def lookup(self, keywords: Sequence[str]) -> list[list[KeywordHit]]:
         """Return, per keyword, its matching digest nodes (best first),
-        after rebuilding the digests of the sources that moved since the
-        catalog stamped them (:func:`~repro.digest.builder.refresh_catalog`)."""
-        if refresh_catalog(self.instance, self.catalog):  # a source moved
-            self._graph = self.catalog.adjacency()
+        after filing again the digests of the sources that moved since the
+        catalog stamped them (:func:`~repro.digest.graph.refresh_catalog`)."""
+        refresh_catalog(self.instance, self.catalog)
         hits_per_keyword: list[list[KeywordHit]] = []
         for keyword in keywords:
             nodes = self.catalog.lookup_keyword(keyword)
@@ -147,9 +147,12 @@ class KeywordQueryEngine:
                 matched = values.matching_values(keyword) if values is not None else []
                 hits.append(KeywordHit(keyword=keyword, node=node, matched_values=matched))
             hits.sort(key=lambda h: (not h.matched_values, h.node.label()))
-            hits_per_keyword.append(hits[: self.max_hits_per_keyword])
+            hits_per_keyword.append(hits[:MAX_HITS_PER_KEYWORD])
             if not hits:
-                raise KeywordSearchError(f"keyword {keyword!r} matches no digest position")
+                unseen = self.catalog.undigested
+                raise KeywordSearchError(
+                    f"keyword {keyword!r} matches no digest position"
+                    + (f" (sources without a digest: {', '.join(unseen)})" if unseen else ""))
         return hits_per_keyword
 
     # ------------------------------------------------------------------
@@ -207,7 +210,7 @@ class KeywordQueryEngine:
             return None, float("inf")
         if len(nodes) == 1:
             return list(nodes), 0.0
-        graph = self._graph
+        graph = self.catalog.adjacency()
         for node in nodes:
             if node not in graph:
                 return None, float("inf")
@@ -243,25 +246,15 @@ class KeywordQueryEngine:
             by_source.setdefault(node.source_uri, []).append(node)
 
         for source_uri, nodes in by_source.items():
-            source = self.instance.source(source_uri)
-            if isinstance(source, RDFSource):
-                atom = self._rdf_atom(source, source_uri, nodes, variables, hit_by_node)
-            elif isinstance(source, FullTextSource):
-                atom = self._fulltext_atom(source, source_uri, nodes, variables, hit_by_node)
-            elif isinstance(source, RelationalSource):
-                atom = self._sql_atom(source, source_uri, nodes, variables, hit_by_node)
-            elif isinstance(source, JSONSource):
-                atom = self._json_atom(source, source_uri, nodes, variables, hit_by_node)
-            else:
-                raise KeywordSearchError(
-                    f"cannot generate a sub-query for source model {source.model!r}"
-                )
+            name, query, constants = self.instance.source(source_uri).keyword_atom(
+                nodes, variables, hit_by_node)
+            atom = SourceAtom(name=name, query=query, source=source_uri, constants=constants)
             atoms.append(atom)
             head.extend(v for v in sorted(atom.output_variables()) if v not in head)
 
         if not atoms:
             raise KeywordSearchError("join path produced no sub-query")
-        name = "kw_" + "_".join(_safe(hit.keyword) for hit in hits)
+        name = "kw_" + "_".join(safe_name(hit.keyword) for hit in hits)
         return ConjunctiveMixedQuery(name=name, head=tuple(head), atoms=atoms)
 
     def _assign_variables(self, path: list[DigestNode]) -> dict[DigestNode, str]:
@@ -277,7 +270,7 @@ class KeywordQueryEngine:
         def union(a: DigestNode, b: DigestNode) -> None:
             parent[find(a)] = find(b)
 
-        graph = self._graph
+        graph = self.catalog.adjacency()
         for i, left in enumerate(path):
             for right in path[i + 1:]:
                 edge = graph[left].get(right)
@@ -294,137 +287,6 @@ class KeywordQueryEngine:
                 counter += 1
             variables[node] = names[root]
         return variables
-
-    # ------------------------------------------------------------------
-    # Per-model atom generation
-    # ------------------------------------------------------------------
-    def _rdf_atom(self, source: RDFSource, source_uri: str, nodes: list[DigestNode],
-                  variables: dict[DigestNode, str],
-                  hit_by_node: dict[DigestNode, KeywordHit]) -> SourceAtom:
-        graph = source.graph
-        predicates = {p.local_name if isinstance(p, URI) else str(p): p
-                      for p in graph.predicates()}
-        patterns: list[TriplePattern] = []
-        output: list[Variable] = []
-        for node in nodes:
-            prop = predicates.get(node.position)
-            if prop is None:
-                raise KeywordSearchError(
-                    f"property {node.position!r} not found in RDF source {source_uri!r}"
-                )
-            subject = Variable(f"e_{_safe(node.container)}")
-            hit = hit_by_node.get(node)
-            if hit is not None:
-                term = self._find_rdf_constant(graph, prop, hit.keyword)
-                if term is not None:
-                    patterns.append(TriplePattern(subject, prop, term))
-                    continue
-            value_var = Variable(variables[node])
-            patterns.append(TriplePattern(subject, prop, value_var))
-            if value_var not in output:
-                output.append(value_var)
-        if not patterns:
-            raise KeywordSearchError("RDF join-path segment produced no triple pattern")
-        if not output:
-            # Every position was constrained to a constant: expose the subject.
-            output = [patterns[0].subject] if isinstance(patterns[0].subject, Variable) else []
-        bgp = BGPQuery(head=tuple(output), patterns=tuple(patterns), name="qG")
-        atom_source = GLUE_SOURCE if source_uri == GLUE_SOURCE else source_uri
-        return SourceAtom(name=f"rdf_{_safe(nodes[0].container)}", query=RDFQuery(bgp=bgp),
-                          source=atom_source)
-
-    def _fulltext_atom(self, source: FullTextSource, source_uri: str,
-                       nodes: list[DigestNode], variables: dict[DigestNode, str],
-                       hit_by_node: dict[DigestNode, KeywordHit]) -> SourceAtom:
-        clauses: list[str] = []
-        constants: dict[str, object] = {}
-        fields: dict[str, str] = {}
-        for node in nodes:
-            hit = hit_by_node.get(node)
-            if hit is not None:
-                parameter = f"k{len(constants)}"
-                constants[parameter] = hit.matched_values[0] if hit.matched_values \
-                    else hit.keyword
-                clauses.append(f"{node.position}:{{{parameter}}}")
-            fields[variables[node]] = node.position
-        # Always expose the default text field so journalists see the content.
-        if source.store.default_field and source.store.default_field not in fields.values():
-            fields[f"txt_{_safe(source.store.name)}"] = source.store.default_field
-        query_text = " AND ".join(clauses) if clauses else "*:*"
-        query = FullTextQuery.create(query_text, fields, limit=None)
-        return SourceAtom(name=f"ft_{_safe(source.store.name)}", query=query,
-                          source=source_uri, constants=constants)
-
-    def _json_atom(self, source: JSONSource, source_uri: str,
-                   nodes: list[DigestNode], variables: dict[DigestNode, str],
-                   hit_by_node: dict[DigestNode, KeywordHit]) -> SourceAtom:
-        leaves: list[PatternLeaf] = []
-        for node in nodes:
-            hit = hit_by_node.get(node)
-            predicates: tuple[Predicate, ...] = ()
-            if hit is not None:
-                value = hit.matched_values[0] if hit.matched_values else hit.keyword
-                predicates = (Predicate("=", value),)
-            leaves.append(PatternLeaf(path=node.position, variable=variables[node],
-                                      predicates=predicates))
-        # Always expose the main content path so journalists see the text.
-        text_path = source.store.text_path
-        if text_path and all(leaf.path != text_path for leaf in leaves):
-            leaves.append(PatternLeaf(path=text_path,
-                                      variable=f"txt_{_safe(source.store.name)}"))
-        pattern = TreePattern(leaves=tuple(leaves))
-        return SourceAtom(name=f"json_{_safe(source.store.name)}",
-                          query=JSONQuery(pattern=pattern), source=source_uri)
-
-    def _sql_atom(self, source: RelationalSource, source_uri: str,
-                  nodes: list[DigestNode], variables: dict[DigestNode, str],
-                  hit_by_node: dict[DigestNode, KeywordHit]) -> SourceAtom:
-        by_table: dict[str, list[DigestNode]] = {}
-        for node in nodes:
-            by_table.setdefault(node.container, []).append(node)
-        if len(by_table) > 1:
-            # Keep the generated SQL simple: restrict to the table holding a
-            # keyword hit (or the first one), other tables reached through
-            # separate atoms would need FK traversal.
-            hit_tables = [t for t, ns in by_table.items() if any(n in hit_by_node for n in ns)]
-            table = hit_tables[0] if hit_tables else next(iter(by_table))
-            nodes = by_table[table]
-        else:
-            table = next(iter(by_table))
-        select_items = []
-        conditions = []
-        constants: dict[str, object] = {}
-        for node in nodes:
-            select_items.append(f"{node.position} AS {variables[node]}")
-            hit = hit_by_node.get(node)
-            if hit is not None:
-                value = hit.matched_values[0] if hit.matched_values else hit.keyword
-                # Bound as a value, never pasted into the SQL text; the
-                # value's own ``%`` / ``_`` match only themselves.
-                escaped = (str(value).replace("\\", "\\\\").replace("%", "\\%")
-                           .replace("_", "\\_"))
-                parameter = f"k{len(constants)}"
-                constants[parameter] = f"%{escaped}%"
-                conditions.append(f"{node.position} LIKE {{{parameter}}} ESCAPE '\\'")
-        sql = f"SELECT {', '.join(select_items)} FROM {table}"
-        if conditions:
-            sql += " WHERE " + " AND ".join(conditions)
-        return SourceAtom(name=f"sql_{_safe(table)}", query=SQLQuery(sql=sql),
-                          source=source_uri, constants=constants)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _find_rdf_constant(graph, prop: URI, keyword: str) -> Term | None:
-        """Find the concrete RDF term whose display form matches ``keyword``."""
-        needle = _squeeze(keyword)
-        for triple_ in graph.match(TriplePattern(Variable("s"), prop, Variable("o"))):
-            obj = triple_.obj
-            display = obj.local_name if isinstance(obj, URI) else (
-                obj.value if isinstance(obj, Literal) else str(obj)
-            )
-            if _squeeze(display) == needle or needle in _squeeze(display):
-                return obj
-        return None
 
 
 def shortest_path(graph: dict, start: DigestNode,
@@ -451,11 +313,3 @@ def shortest_path(graph: dict, start: DigestNode,
                 heapq.heappush(fringe, (further, next(pushes), neighbour))
                 paths[neighbour] = paths[node] + [neighbour]
     return float("inf"), None
-
-
-def _safe(text: str) -> str:
-    return "".join(ch if ch.isalnum() else "_" for ch in text.strip().lower()).strip("_") or "x"
-
-
-def _squeeze(text: str) -> str:
-    return "".join(ch for ch in str(text).lower() if ch.isalnum())

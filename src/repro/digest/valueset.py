@@ -25,6 +25,9 @@ _WORD_RE = re.compile(r"[\w]+", re.UNICODE)
 #: Value sets at most this large are also kept exactly.
 EXACT_SET_LIMIT = 512
 
+#: Buckets of a numeric value set's histogram.
+HISTOGRAM_BUCKETS = 32
+
 
 @dataclass
 class ValueSetStats:
@@ -48,7 +51,7 @@ class ValueSetSummary:
     """
 
     def __init__(self, values: Sequence[object], bloom_bits_per_value: int = 16,
-                 histogram_buckets: int = 16, exact_limit: int = EXACT_SET_LIMIT,
+                 exact_limit: int = EXACT_SET_LIMIT,
                  top_k: int = 20, keyword_aliases: Sequence[object] | None = None):
         self._exact_limit = exact_limit
         cleaned = [v for v in values if v is not None]
@@ -79,7 +82,7 @@ class ValueSetSummary:
 
         numeric_values = [v for v in cleaned if isinstance(v, (int, float)) and not isinstance(v, bool)]
         self.numeric = bool(numeric_values) and len(numeric_values) == len(cleaned)
-        self.histogram = EquiWidthHistogram(numeric_values, buckets=histogram_buckets) if self.numeric else None
+        self.histogram = EquiWidthHistogram(numeric_values, buckets=HISTOGRAM_BUCKETS) if self.numeric else None
         self.top_k = TopKSummary(normalized, k=top_k)
 
     # ------------------------------------------------------------------
@@ -89,8 +92,8 @@ class ValueSetSummary:
         """Fold an insert-only delta into the summary, in place.
 
         Built for streaming ingestion: instead of re-scanning a column
-        after every batch, the statistics catalog feeds just the inserted
-        values here.  Membership stays free of false negatives (Bloom
+        after every batch, the wrapper keeping the digest feeds just the
+        inserted values here.  Membership stays free of false negatives (Bloom
         filters only gain bits; the exact set degrades to Bloom-only past
         its limit), while the histogram absorbs out-of-range values by
         clamping into the edge buckets and the top-k counts drift toward
@@ -105,10 +108,11 @@ class ValueSetSummary:
         self.total_values += len(cleaned)
         fresh = sorted(set(normalized))
         if self.exact is not None:
-            self.exact.update(fresh)
-            self.distinct_values = len(self.exact)
-            if len(self.exact) > self._exact_limit:
-                self.exact = None
+            # Rebound, not grown in place: a reader iterating the set it
+            # started with (``matches_keyword``) is not disturbed.
+            exact = self.exact | set(fresh)
+            self.distinct_values = len(exact)
+            self.exact = exact if len(exact) <= self._exact_limit else None
         else:
             self.distinct_values += sum(
                 1 for v in fresh if not self.bloom.might_contain(v))
@@ -130,8 +134,7 @@ class ValueSetSummary:
     def _absorb_histogram(self, values: Sequence[float]) -> None:
         histogram = self.histogram
         if not histogram.buckets:
-            self.histogram = EquiWidthHistogram(values,
-                                                buckets=len(histogram.buckets) or 16)
+            self.histogram = EquiWidthHistogram(values, buckets=HISTOGRAM_BUCKETS)
             return
         span = histogram.high - histogram.low
         width = (span / len(histogram.buckets)) or 1.0
@@ -164,8 +167,9 @@ class ValueSetSummary:
     def might_contain(self, value: object) -> bool:
         """Value-level membership test (exact when the exact set is kept)."""
         needle = _normalize(value)
-        if self.exact is not None:
-            return needle in self.exact
+        exact = self.exact
+        if exact is not None:
+            return needle in exact
         return self.bloom.might_contain(needle)
 
     def matches_keyword(self, keyword: str) -> bool:
@@ -177,7 +181,8 @@ class ValueSetSummary:
         """
         needle = _normalize(keyword)
         squeezed = _squeeze(needle)
-        for exact_set in (self.exact, self.alias_exact):
+        exact, alias_exact = self.exact, self.alias_exact
+        for exact_set in (exact, alias_exact):
             if exact_set is None:
                 continue
             for value in exact_set:
@@ -185,7 +190,7 @@ class ValueSetSummary:
                     return True
                 if needle in _tokens(value) or squeezed in _tokens(value):
                     return True
-        if self.exact is not None and self.alias_exact is not None:
+        if exact is not None and alias_exact is not None:
             return False
         if (self.bloom.might_contain(needle) or self.bloom.might_contain(squeezed)
                 or self.alias_bloom.might_contain(needle)
@@ -196,12 +201,13 @@ class ValueSetSummary:
 
     def matching_values(self, keyword: str, limit: int = 5) -> list[str]:
         """Concrete stored values matching ``keyword`` (exact sets only)."""
-        if self.exact is None:
+        exact = self.exact
+        if exact is None:
             return []
         needle = _normalize(keyword)
         squeezed = _squeeze(needle)
         matches = []
-        for value in sorted(self.exact):
+        for value in sorted(exact):
             if needle == value or squeezed == _squeeze(value) or needle in _tokens(value):
                 matches.append(value)
                 if len(matches) >= limit:
@@ -215,18 +221,19 @@ class ValueSetSummary:
         Bloom filter), which is how cross-source join candidates are
         detected when building the combined digest graph.
         """
-        if self.exact:
-            sample = list(self.exact)[:sample_limit]
+        exact = self.exact
+        if exact:
+            sample = list(exact)[:sample_limit]
             if not sample:
                 return 0.0
             hits = sum(1 for value in sample if other.might_contain(value))
             return hits / len(sample)
         # Without an exact sample, fall back to a coarse histogram overlap.
-        if self.numeric and other.numeric and self.histogram and other.histogram:
-            if self.histogram.total == 0:
+        mine, theirs = self.histogram, other.histogram
+        if self.numeric and other.numeric and mine and theirs:
+            if mine.total == 0:
                 return 0.0
-            overlap = self.histogram.estimate_range(other.histogram.low, other.histogram.high)
-            return overlap / self.histogram.total
+            return mine.estimate_range(theirs.low, theirs.high) / mine.total
         return 0.0
 
     # ------------------------------------------------------------------
@@ -244,12 +251,13 @@ class ValueSetSummary:
         ``None`` when the position is not numeric (the caller falls back
         to a default guess); supported operators: ``<  <=  >  >=``.
         """
-        if not self.numeric or self.histogram is None:
+        histogram = self.histogram
+        if not self.numeric or histogram is None:
             return None
         if op in ("<", "<="):
-            return self.histogram.estimate_selectivity(None, value)
+            return histogram.estimate_selectivity(None, value)
         if op in (">", ">="):
-            return self.histogram.estimate_selectivity(value, None)
+            return histogram.estimate_selectivity(value, None)
         return None
 
     def stats(self) -> ValueSetStats:
@@ -258,13 +266,14 @@ class ValueSetSummary:
                       + self.alias_bloom.size_in_bytes())
         if self.histogram is not None:
             bytes_used += self.histogram.size_in_bytes()
-        if self.exact is not None:
-            bytes_used += sum(len(v) for v in self.exact)
+        exact = self.exact
+        if exact is not None:
+            bytes_used += sum(len(v) for v in exact)
         return ValueSetStats(
             total_values=self.total_values,
             distinct_values=self.distinct_values,
             numeric=self.numeric,
-            exact_kept=self.exact is not None,
+            exact_kept=exact is not None,
             bytes_used=bytes_used,
         )
 

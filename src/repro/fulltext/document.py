@@ -12,6 +12,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
+from repro.digest.dataguide import leaves
 from repro.errors import FullTextError
 
 
@@ -28,7 +29,7 @@ class Document:
 
     def flat_fields(self) -> Iterator[tuple[str, Any]]:
         """Yield ``(dotted_path, scalar_value)`` pairs for every leaf."""
-        yield from _flatten("", self.fields)
+        yield from leaves(self.fields)
 
     def text_of(self, paths: list[str]) -> str:
         """Concatenate the string values found at ``paths``."""
@@ -119,20 +120,3 @@ def make_document(source: dict[str, Any], id_field: str = "id") -> Document:
         raise FullTextError(f"document is missing its id field {id_field!r}: {source}")
     doc.doc_id = str(raw_id)
     return doc
-
-
-def _flatten(prefix: str, value: Any) -> Iterator[tuple[str, Any]]:
-    # Explicit stack: pathological documents (depth 10k+) must not blow
-    # Python's recursion limit.  Children are pushed reversed so the
-    # yield order matches the natural depth-first, left-to-right order.
-    stack: list[tuple[str, Any]] = [(prefix, value)]
-    while stack:
-        prefix, value = stack.pop()
-        if isinstance(value, dict):
-            items = [(f"{prefix}.{key}" if prefix else str(key), child)
-                     for key, child in value.items()]
-            stack.extend(reversed(items))
-        elif isinstance(value, list):
-            stack.extend((prefix, child) for child in reversed(value))
-        else:
-            yield prefix, value

@@ -10,6 +10,9 @@ from typing import Callable, Iterable, Optional, Sequence
 from repro.cache.keys import CanonicalQuery, Namer
 from repro.core.deltas import document_deltas
 from repro.core.sources import DataSource, SourceQuery, _instrumented
+from repro.digest.dataguide import JSONDataguide
+from repro.digest.graph import DigestNode, SourceDigest, safe_name
+from repro.digest.valueset import ValueSetSummary
 from repro.engine.batch import BindingBatch, Row, as_answer, dict_rows, tuple_getter
 from repro.fulltext.document import row_builder
 from repro.fulltext.query import MatchAllQuery, Parameter, TermQuery
@@ -193,8 +196,8 @@ class FullTextSource(DataSource):
             base = max(1.0, base / 10.0)
         return base
 
-    def derive_estimate(self, query: FullTextQuery, bound: set[str], values: Row,
-                        catalog) -> Optional[float]:
+    def derive_estimate(self, query: FullTextQuery, bound: set[str],
+                        values: Row) -> Optional[float]:
         """Document-frequency estimate of a conjunctive template over the
         inverted index; ``None`` for a clause it cannot price."""
         with self.store.reading() as store:
@@ -251,6 +254,49 @@ class FullTextSource(DataSource):
                 cardinality = min(cardinality, float(query.limit))
             return max(0.0, cardinality)
 
+    def derive_digest(self, summarize=ValueSetSummary) -> SourceDigest:
+        """One node per dataguide path of the collection, all joined: an
+        analysed text field is valued with its (unstemmed) tokens, the
+        surface forms users type; any other with its stored values."""
+        store = self.store
+        digest = SourceDigest(self.uri, self.model, version=self.version())
+        dataguide = JSONDataguide.build(store.documents(), name=store.name)
+        nodes = []
+        for path in dataguide.path_names():
+            config = store.field_config(path)
+            if config is not None and config.field_type == "text":
+                values = [token for text in store.field_values(path)
+                          for token in store.analyzer.analyze(str(text)).tokens]
+            else:
+                values = store.field_values(path) or [
+                    v for document in store.documents() for v in _leaf_values(document, path)]
+            nodes.append(digest.add_node(DigestNode(self.uri, store.name, path, kind="field"),
+                                         summarize(values)))
+        digest.link_all(nodes)
+        digest.metadata["dataguide_paths"] = len(dataguide)
+        digest.metadata["documents"] = len(store)
+        return digest
+
+    def keyword_atom(self, nodes: list[DigestNode], variables: dict, hits: dict) -> tuple:
+        """A conjunction of ``path:{k}`` clauses, one bound constant per
+        hit, projecting the path's fields and the default text field."""
+        store = self.store
+        clauses: list[str] = []
+        constants: dict[str, object] = {}
+        fields: dict[str, str] = {}
+        for node in nodes:
+            hit = hits.get(node)
+            if hit is not None:
+                parameter = f"k{len(constants)}"
+                constants[parameter] = hit.value
+                clauses.append(f"{node.position}:{{{parameter}}}")
+            fields[variables[node]] = node.position
+        # Always expose the default text field so journalists see the content.
+        if store.default_field and store.default_field not in fields.values():
+            fields[f"txt_{safe_name(store.name)}"] = store.default_field
+        query = FullTextQuery.create(" AND ".join(clauses) if clauses else "*:*", fields)
+        return f"ft_{safe_name(store.name)}", query, constants
+
     def repair_delta(self, query: FullTextQuery, records: list, engine):
         """A query without ``limit``, ``sort_by`` or a ``_score`` output
         repairs.  A document's rows are its own, so inserts, upserts and
@@ -299,6 +345,13 @@ def _row_projector(store: FullTextStore,
     return lambda ranked: [
         pick(rows[doc_id] + (score,) + (read(get(doc_id).fields) if extra else ()))
         for doc_id, score in ranked]
+
+
+def _leaf_values(document, path: str) -> list[object]:
+    value = document.get(path)
+    if value is None:
+        return []
+    return list(value) if isinstance(value, list) else [value]
 
 
 def _loose_equal(left: object, right: object) -> bool:

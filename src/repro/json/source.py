@@ -9,12 +9,14 @@ from typing import Optional, Sequence
 from repro.cache.keys import CanonicalQuery, Namer
 from repro.core.deltas import document_deltas
 from repro.core.sources import DataSource, SourceQuery, _instrumented
+from repro.digest.graph import DigestNode, SourceDigest, safe_name
+from repro.digest.valueset import ValueSetSummary
 from repro.engine.batch import BindingBatch, Row, as_answer, dict_rows
 from repro.errors import MixedQueryError
 from repro.json.accel import structural_row_estimate as accel_structural_row_estimate
 from repro.json.matcher import TreePatternMatcher
 from repro.json.parser import parse_pattern
-from repro.json.pattern import Parameter as JSONParameter, TreePattern
+from repro.json.pattern import Parameter as JSONParameter, PatternLeaf, Predicate, TreePattern
 from repro.json.store import JSONDocumentStore
 
 
@@ -129,10 +131,38 @@ class JSONSource(DataSource):
                     for rows in TreePatternMatcher(store, self.matcher.accel).match_batch(
                         query.pattern, calls, limit=query.limit)]
 
-    def derive_estimate(self, query: JSONQuery, bound: set[str], values: Row,
-                        catalog) -> float:
+    def derive_estimate(self, query: JSONQuery, bound: set[str], values: Row) -> float:
         """The path-index estimate, priced with the atom's constants."""
         return self.estimate(query, bound, values)
+
+    def derive_digest(self, summarize=ValueSetSummary) -> SourceDigest:
+        """One node per dataguide path, all joined, valued with the
+        path's index keys; read off what every write maintains."""
+        store = self.store
+        digest = SourceDigest(self.uri, self.model, version=self.version())
+        dataguide = store.dataguide()
+        values_by_path = store.values_by_path()
+        digest.link_all([digest.add_node(DigestNode(self.uri, store.name, path, kind="field"),
+                                         summarize(values_by_path.get(path, [])))
+                         for path in dataguide.path_names()])
+        digest.metadata["dataguide_paths"] = len(dataguide)
+        digest.metadata["documents"] = len(store)
+        return digest
+
+    def keyword_atom(self, nodes: list[DigestNode], variables: dict, hits: dict) -> tuple:
+        """A tree pattern with one leaf per path position, a hit's leaf
+        constrained to equal its value, plus the text path's leaf."""
+        leaves = [PatternLeaf(path=node.position, variable=variables[node],
+                              predicates=(Predicate("=", hits[node].value),) if node in hits
+                              else ())
+                  for node in nodes]
+        # Always expose the main content path so journalists see the text.
+        text_path = self.store.text_path
+        if text_path and all(leaf.path != text_path for leaf in leaves):
+            leaves.append(PatternLeaf(path=text_path,
+                                      variable=f"txt_{safe_name(self.store.name)}"))
+        query = JSONQuery(pattern=TreePattern(leaves=tuple(leaves)))
+        return f"json_{safe_name(self.store.name)}", query, {}
 
     def repair_delta(self, query: JSONQuery, records: list, engine):
         """A query without ``limit`` repairs.  A document's rows are its

@@ -13,10 +13,11 @@ from __future__ import annotations
 import copy
 import itertools
 import threading
-from typing import Any, Iterable, TYPE_CHECKING
+from typing import Any, Iterable
 
 from repro.core.deltas import (
     INSERT, REMOVE, UPSERT, CopyOnWrite, DeltaJournal, Journalled, Snapshot)
+from repro.digest.dataguide import JSONDataguide, PathInfo
 from repro.errors import JSONError
 from repro.fulltext.document import Document
 from repro.json.accel import EncodingView, StoreEncoding
@@ -24,8 +25,6 @@ from repro.json.index import PathIndex
 from repro.json.pattern import is_wildcard_path, path_matches
 from repro.locks import RWLock
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.digest.dataguide import JSONDataguide
 
 
 class _EncodingLineage:
@@ -312,17 +311,13 @@ class JSONDocumentStore(Journalled):
         """Monotonic insertion order of ``doc_id`` (for deterministic output)."""
         return self._ranks.get(doc_id, -1)
 
-    def dataguide(self) -> "JSONDataguide":
+    def dataguide(self) -> JSONDataguide:
         """The structural summary of the collection, as of now.
 
         Read off the path indexes (occurrences and value types per path),
         which every write maintains: O(paths), never a pass over the
         documents.  ``sample_values`` are index keys, i.e. normalised.
         """
-        # Imported lazily: repro.digest builds digests *of* sources and
-        # already depends on repro.core, which depends on this package.
-        from repro.digest.dataguide import JSONDataguide, PathInfo
-
         guide = JSONDataguide(name=self.name)
         with self._rwlock.read_locked():
             guide.document_count = len(self._documents)

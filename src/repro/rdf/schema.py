@@ -4,7 +4,7 @@ The paper relies on the four central RDFS properties — ``rdfs:subClassOf``,
 ``rdfs:subPropertyOf``, ``rdfs:domain`` and ``rdfs:range`` — to derive the
 implicit triples of a graph.  :class:`RDFSchema` extracts those statements
 from a graph and exposes the transitive closures the entailment engine and
-the digest builder need.
+the digests need.
 """
 
 from __future__ import annotations

@@ -11,13 +11,17 @@ from typing import Iterable, Optional, Sequence
 from repro.cache.keys import CanonicalQuery, Namer
 from repro.core.deltas import INSERT
 from repro.core.sources import DataSource, SourceQuery, _instrumented
+from repro.digest.graph import DigestNode, SourceDigest, safe_name
+from repro.digest.valueset import ValueSetSummary
 from repro.engine.batch import BindingBatch, Row, as_answer, dict_rows, tuple_decoder
+from repro.errors import KeywordSearchError
 from repro.rdf.bgp import BGPQuery, solve
 from repro.rdf.entailment import saturate, saturate_delta
 from repro.rdf.graph import Graph
 from repro.rdf.schema import RDFSchema
 from repro.rdf.sparql import parse_bgp
-from repro.rdf.terms import Literal, Term, URI, Variable, literal, uri
+from repro.rdf.summary import RDFSummary, SummaryNode
+from repro.rdf.terms import Literal, Term, TriplePattern, URI, Variable, literal, uri
 
 
 #: CURIE shape: letter-led prefix, exactly one colon — timestamps and
@@ -222,8 +226,8 @@ class RDFSource(DataSource):
             estimate = max(1.0, estimate / 10.0)
         return estimate
 
-    def derive_estimate(self, query: RDFQuery, bound: set[str], values: Row,
-                        catalog) -> Optional[float]:
+    def derive_estimate(self, query: RDFQuery, bound: set[str],
+                        values: Row) -> Optional[float]:
         """Index-count estimate of a BGP: per-pattern triple counts from the
         graph's permutation indexes, with join-variable reductions from
         position distinct counts."""
@@ -264,6 +268,65 @@ class RDFSource(DataSource):
                 if distincts:
                     cardinality /= max(1.0, max(distincts))
             return max(0.0, cardinality)
+
+    def derive_digest(self, summarize=ValueSetSummary) -> SourceDigest:
+        """Nodes from the graph's structural summary: one per property of
+        each summary node, valued with what a query returns there (URIs
+        also by their local names, for keywords only); edges join the
+        properties of a summary node and follow each summary edge."""
+        digest = SourceDigest(self.uri, self.model, version=self.version())
+        summary = RDFSummary.build(self.graph)
+        nodes_by_summary: dict[str, list[DigestNode]] = {}
+        for node_id, summary_node in summary.nodes.items():
+            container = _container_label(summary_node)
+            property_nodes = []
+            for prop in sorted(summary_node.properties, key=str):
+                values = summary.values.get((node_id, prop), set())
+                node = DigestNode(self.uri, container, _local_name(prop), kind="rdf-property")
+                digest.add_node(node, summarize(
+                    [_joinable(v) for v in values],
+                    keyword_aliases=[v.local_name for v in values if isinstance(v, URI)]))
+                property_nodes.append(node)
+            nodes_by_summary[node_id] = property_nodes
+            digest.link_all(property_nodes)
+        for edge in summary.edges:
+            for left in nodes_by_summary.get(edge.source, []):
+                if left.position != _local_name(edge.prop):
+                    continue
+                for right in nodes_by_summary.get(edge.target, []):
+                    digest.add_edge(left, right, kind="reference", weight=0.5)
+        digest.metadata["summary_nodes"] = len(summary.nodes)
+        digest.metadata["triples"] = len(self.graph)
+        return digest
+
+    def keyword_atom(self, nodes: list[DigestNode], variables: dict, hits: dict) -> tuple:
+        """A BGP with one pattern per path property, on the subject of its
+        summary class; a hit's property takes the stored term matching the
+        keyword as its object."""
+        graph = self.graph
+        predicates = {_local_name(p): p for p in graph.predicates()}
+        patterns: list[TriplePattern] = []
+        output: list[Variable] = []
+        for node in nodes:
+            prop = predicates.get(node.position)
+            if prop is None:
+                raise KeywordSearchError(
+                    f"property {node.position!r} not found in RDF source {self.uri!r}")
+            subject = Variable(f"e_{safe_name(node.container)}")
+            hit = hits.get(node)
+            term = _find_object(graph, prop, hit.keyword) if hit is not None else None
+            if term is not None:
+                patterns.append(TriplePattern(subject, prop, term))
+                continue
+            value_var = Variable(variables[node])
+            patterns.append(TriplePattern(subject, prop, value_var))
+            if value_var not in output:
+                output.append(value_var)
+        if not output:
+            # Every position was constrained to a constant: expose the subject.
+            output = [patterns[0].subject]
+        bgp = BGPQuery(head=tuple(output), patterns=tuple(patterns), name="qG")
+        return f"rdf_{safe_name(nodes[0].container)}", RDFQuery(bgp=bgp), {}
 
     def repair_delta(self, query: RDFQuery, records: list, engine):
         """BGPs with a non-empty head repair, insert-only, on any source —
@@ -343,6 +406,40 @@ def _distinct_at(graph, pattern, name: str) -> float:
         subject = pattern.subject if not isinstance(pattern.subject, Variable) else None
         return float(len(graph.objects(subject=subject, predicate=predicate)) or 1)
     return float(len(graph.predicates()) or 1)
+
+
+def _local_name(term: Term) -> str:
+    return term.local_name if isinstance(term, URI) else str(term)
+
+
+def _joinable(term: object) -> object:
+    """The value a query returns for ``term``."""
+    if isinstance(term, URI):
+        return term.value
+    if isinstance(term, Literal):
+        return term.to_python()
+    return term
+
+
+def _container_label(summary_node: SummaryNode) -> str:
+    """A summary node's first class's local name, or its own id's."""
+    classes = sorted(_local_name(c) for c in summary_node.classes)
+    return classes[0] if classes else summary_node.node_id.split("#", 1)[-1]
+
+
+def _find_object(graph: Graph, prop: URI, keyword: str) -> Term | None:
+    """The first object of ``prop`` whose display form matches ``keyword``."""
+    needle = _squeeze(keyword)
+    for found in graph.match(TriplePattern(Variable("s"), prop, Variable("o"))):
+        display = _squeeze(found.obj.value if isinstance(found.obj, Literal)
+                           else _local_name(found.obj))
+        if needle in display:
+            return found.obj
+    return None
+
+
+def _squeeze(text: str) -> str:
+    return "".join(ch for ch in str(text).lower() if ch.isalnum())
 
 
 def to_rdf_term(value: object) -> Term:

@@ -1,6 +1,6 @@
 """Relational schemas: columns, primary keys and foreign keys.
 
-Foreign keys matter beyond integrity checking: the digest builder turns
+Foreign keys matter beyond integrity checking: the relational wrapper turns
 each key/foreign-key constraint into an edge of the source's digest graph
 (paper §2.2), which is what the keyword search walks to find join paths.
 """

@@ -4,18 +4,17 @@ the mediator (:mod:`repro.core.sources`)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.cache.keys import CanonicalQuery
 from repro.core.deltas import INSERT
 from repro.core.sources import DataSource, SourceQuery, _instrumented
+from repro.digest.graph import DigestNode, SourceDigest, safe_name
+from repro.digest.valueset import ValueSetSummary
 from repro.engine.batch import BindingBatch, Row, as_answer, dict_rows, tuple_getter
 from repro.relational.ast import BinaryOp, ColumnRef, Expression, LiteralValue, Parameter
 from repro.relational.database import Database
 from repro.relational.template import SQLTemplate, sql_template
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.digest.valueset import ValueSetSummary
 
 #: Default selectivity of a WHERE conjunct the estimator cannot price.
 UNKNOWN_PREDICATE_SELECTIVITY = 1.0 / 3.0
@@ -161,12 +160,13 @@ class RelationalSource(DataSource):
             estimate = max(1.0, estimate / 10.0)
         return estimate
 
-    def derive_estimate(self, query: SQLQuery, bound: set[str], values: Row,
-                        catalog) -> Optional[float]:
-        """Histogram / top-k estimate of a SELECT over the catalog's column
-        summaries (top-k frequencies for equality predicates, equi-width
-        histograms for ranges, distinct counts for join keys and parameter
-        bindings); ``None`` for a shape it does not model."""
+    def derive_estimate(self, query: SQLQuery, bound: set[str],
+                        values: Row) -> Optional[float]:
+        """Histogram / top-k estimate of a SELECT over the column summaries
+        of the shared digest (:meth:`digest`): top-k frequencies for
+        equality predicates, equi-width histograms for ranges, distinct
+        counts for join keys and parameter bindings; ``None`` for a shape
+        it does not model."""
         template = query.template
         # Shapes the estimator does not model (OR / NOT / LIKE / IN, DISTINCT,
         # LIMIT, grouping, aggregates) go to the wrapper's fallback estimate.
@@ -180,11 +180,13 @@ class RelationalSource(DataSource):
                 return None
             cardinality *= max(1, len(database.table(table)))
 
+        digest = self.digest()
+        summaries = {(node.container.lower(), node.position.lower()): digest.values_of(node)
+                     for node in digest.nodes}
+
         def resolve(column: ColumnRef) -> Optional[ValueSetSummary]:
-            if column.table:
-                return catalog.column_summary(self, column.table, column.name)
-            for table in template.tables:
-                summary = catalog.column_summary(self, table, column.name)
+            for table in [column.table] if column.table else template.tables:
+                summary = summaries.get((table.lower(), column.name.lower()))
                 if summary is not None:
                     return summary
             return None
@@ -206,6 +208,74 @@ class RelationalSource(DataSource):
             else:
                 selectivity *= 1.0 / max(1, summary.distinct_values)
         return max(0.0, cardinality * selectivity)
+
+    def derive_digest(self, summarize=ValueSetSummary) -> SourceDigest:
+        """One node per attribute, its column's values summarised; edges
+        join the attributes of a table and follow each foreign key.  Read
+        off one snapshot, so the digest is exactly its version's."""
+        database = self.database.snapshot()
+        digest = SourceDigest(self.uri, self.model, version=database.version)
+        nodes_by_column: dict[tuple[str, str], DigestNode] = {}
+        for table in database.tables():
+            table_nodes = []
+            for column in table.schema.columns:
+                node = digest.add_node(
+                    DigestNode(self.uri, table.name, column.name, kind="column"),
+                    summarize(table.column_values(column.name)))
+                nodes_by_column[(table.name.lower(), column.name.lower())] = node
+                table_nodes.append(node)
+            digest.link_all(table_nodes)
+        for table in database.tables():
+            for fk in table.schema.foreign_keys:
+                left = nodes_by_column.get((table.name.lower(), fk.column.lower()))
+                right = nodes_by_column.get((fk.referenced_table.lower(),
+                                             fk.referenced_column.lower()))
+                if left is not None and right is not None:
+                    digest.add_edge(left, right, kind="foreign-key", weight=0.5)
+        digest.metadata["tables"] = database.table_names()
+        return digest
+
+    def absorb_digest(self, digest: SourceDigest, records: list) -> bool:
+        """Insert-only records fold their rows into the value sets of their
+        table's columns (:meth:`~repro.digest.valueset.ValueSetSummary.absorb`);
+        a CREATE or DROP (a reset) does not fold."""
+        if any(r.kind != INSERT or r.scope is None for r in records):
+            return False
+        for record in records:
+            for node in digest.nodes:
+                if node.container.lower() == record.scope:
+                    digest.values_of(node).absorb([row.get(node.position)
+                                                   for row in record.items])
+        return True
+
+    def keyword_atom(self, nodes: list[DigestNode], variables: dict, hits: dict) -> tuple:
+        """A SELECT of the path's columns of one table (the one holding a
+        keyword hit, or the first), each hit a bound ``LIKE`` constant."""
+        by_table: dict[str, list[DigestNode]] = {}
+        for node in nodes:
+            by_table.setdefault(node.container, []).append(node)
+        # Keep the generated SQL simple: other tables reached through
+        # separate atoms would need FK traversal.
+        hit_tables = [t for t, ns in by_table.items() if any(n in hits for n in ns)]
+        table = hit_tables[0] if hit_tables else next(iter(by_table))
+        select_items = []
+        conditions = []
+        constants: dict[str, object] = {}
+        for node in by_table[table]:
+            select_items.append(f"{node.position} AS {variables[node]}")
+            hit = hits.get(node)
+            if hit is not None:
+                # Bound as a value, never pasted into the SQL text; the
+                # value's own ``%`` / ``_`` match only themselves.
+                escaped = (str(hit.value).replace("\\", "\\\\").replace("%", "\\%")
+                           .replace("_", "\\_"))
+                parameter = f"k{len(constants)}"
+                constants[parameter] = f"%{escaped}%"
+                conditions.append(f"{node.position} LIKE {{{parameter}}} ESCAPE '\\'")
+        sql = f"SELECT {', '.join(select_items)} FROM {table}"
+        if conditions:
+            sql += " WHERE " + " AND ".join(conditions)
+        return f"sql_{safe_name(table)}", SQLQuery(sql=sql), constants
 
     def repair_delta(self, query: SQLQuery, records: list, engine):
         """A single-table SELECT without joins, aggregates, GROUP BY,

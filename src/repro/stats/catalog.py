@@ -12,14 +12,17 @@ sub-query, bound-variable set) it answers, in order of preference:
    bounded LRU; for a remote source a hit is a round trip saved);
 3. **the wrapper's digest-backed estimate**
    (:meth:`~repro.core.sources.DataSource.derive_estimate`), derived
-   beside its store: relational value-set summaries (top-k frequencies
-   and histograms, kept here per column and version), RDF index counts
-   with join-variable reductions, full-text document frequencies and
-   JSON per-path index postings;
+   beside its store: the relational value-set summaries of the wrapper's
+   shared digest (top-k frequencies and histograms, the very summaries
+   keyword search looks values up in), RDF index counts with
+   join-variable reductions, full-text document frequencies and JSON
+   per-path index postings;
 4. the wrapper's own ``estimate()`` when 3. derives none — always for a
    remote wrapper, whose peer holds the statistics.
 
-Recording feedback bumps :attr:`revision`.  The revision is part of
+The catalog keeps only the feedback, the memo and the revision: what
+an estimate reads lives with the wrapper.  Recording feedback bumps
+:attr:`revision`.  The revision is part of
 every plan-cache key, so cached plans built from superseded statistics
 are invalidated by construction.
 """
@@ -31,9 +34,7 @@ from typing import Optional
 
 from repro.cache.keys import CanonicalQuery, canonical_query
 from repro.cache.lru import LRUCache
-from repro.core.deltas import INSERT
 from repro.core.sources import DataSource, SourceQuery
-from repro.digest.valueset import ValueSetSummary
 from repro.stats.cost import CostModel, DEFAULT_COST_MODEL
 
 
@@ -44,22 +45,14 @@ ESTIMATE_MEMO_ENTRIES = 4096
 class StatisticsCatalog:
     """Digest-backed cardinality statistics with run-time feedback."""
 
-    def __init__(self, cost_model: CostModel | None = None,
-                 histogram_buckets: int = 32):
+    def __init__(self, cost_model: CostModel | None = None):
         self.cost_model = cost_model or DEFAULT_COST_MODEL
-        self.histogram_buckets = histogram_buckets
         self._feedback: dict[tuple, float] = {}
         #: (feedback key, source version, constant values) -> estimate;
         #: ``.stats`` counts its hits and misses.
         self.estimates = LRUCache(ESTIMATE_MEMO_ENTRIES)
         self._revision = 0
         self._lock = threading.Lock()
-        #: (source token, source version, table, column) -> summary.
-        self._column_summaries: dict[tuple, Optional[ValueSetSummary]] = {}
-        #: Streaming maintenance counters: full column scans vs. prior
-        #: summaries carried forward by absorbing insert-only deltas.
-        self.summaries_built = 0
-        self.summaries_absorbed = 0
 
     # ------------------------------------------------------------------
     @property
@@ -101,7 +94,7 @@ class StatisticsCatalog:
                     return remembered
         bound = set(bound or ())
         try:
-            estimate = source.derive_estimate(query, bound, dict(values or {}), self)
+            estimate = source.derive_estimate(query, bound, dict(values or {}))
         except Exception:
             # Any estimator hiccup (odd syntax, missing metadata) must
             # never fail planning — the wrapper fallback takes over.
@@ -153,91 +146,6 @@ class StatisticsCatalog:
         """Number of recorded observations."""
         with self._lock:
             return len(self._feedback)
-
-    # ------------------------------------------------------------------
-    # Relational column summaries
-    # ------------------------------------------------------------------
-    def column_summary(self, source: DataSource, table: str,
-                       column: str) -> Optional[ValueSetSummary]:
-        """Value-set summary of one column of a relational wrapper's
-        database, cached per source version.
-
-        Under streaming ingestion a version bump no longer forces a full
-        column re-scan: when the delta journal shows only inserts between
-        the cached summary's version and the current one, the inserted
-        values are absorbed into the prior summary in place
-        (:meth:`~repro.digest.valueset.ValueSetSummary.absorb`) and the
-        summary is re-keyed under the new version.
-        """
-        version = source.version()
-        if version is None:
-            return None
-        key = (source.cache_token, version, table.lower(), column.lower())
-        with self._lock:
-            if key in self._column_summaries:
-                return self._column_summaries[key]
-        summary: Optional[ValueSetSummary] = None
-        if source.database.has_table(table):
-            table_obj = source.database.table(table)
-            actual = next((c.name for c in table_obj.schema.columns
-                           if c.name.lower() == column.lower()), None)
-            if actual is not None:
-                summary = self._absorb_column_delta(source, key, actual)
-                if summary is None:
-                    summary = ValueSetSummary(
-                        table_obj.column_values(actual),
-                        histogram_buckets=self.histogram_buckets)
-                    with self._lock:
-                        self.summaries_built += 1
-        with self._lock:
-            return self._keep(key, summary)
-
-    def _keep(self, key: tuple, summary: Optional[ValueSetSummary]) -> Optional[ValueSetSummary]:
-        """File ``summary`` under ``key`` unless another planner filed one
-        first (then that one is kept and returned), and drop the summaries
-        of superseded versions of the same column.  Call under the lock."""
-        summary = self._column_summaries.setdefault(key, summary)
-        stale = [k for k in self._column_summaries
-                 if k[0] == key[0] and k[2:] == key[2:] and k[1] != key[1]]
-        for k in stale:
-            del self._column_summaries[k]
-        return summary
-
-    def _absorb_column_delta(self, source: DataSource, key: tuple,
-                             column: str) -> Optional[ValueSetSummary]:
-        """Carry a prior-version summary forward over insert-only deltas.
-
-        ``None`` means "rebuild from a full scan": no prior summary, a
-        gap in the journal, deltas that are not pure inserts for the
-        summarised table, or a prior another planner carried forward
-        meanwhile.  The absorb and the filing under ``key`` are one step
-        under the lock, so two planners missing the same key absorb the
-        inserts once.
-        """
-        table = key[2]
-        with self._lock:
-            prior = [(k, s) for k, s in self._column_summaries.items()
-                     if k[0] == key[0] and k[2:] == key[2:]
-                     and isinstance(k[1], int) and k[1] < key[1]
-                     and s is not None]
-        if not prior:
-            return None
-        prior_key, summary = max(prior, key=lambda pair: pair[0][1])
-        records = source.deltas_since(prior_key[1], key[1])
-        if records is None:
-            return None
-        relevant = [r for r in records if r.scope is None or r.scope == table]
-        if any(r.kind != INSERT for r in relevant):
-            return None
-        with self._lock:
-            if key in self._column_summaries:
-                return self._column_summaries[key]
-            if self._column_summaries.get(prior_key) is not summary:
-                return None
-            summary.absorb([row.get(column)
-                            for record in relevant for row in record.items])
-            self.summaries_absorbed += 1
-            return self._keep(key, summary)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"StatisticsCatalog(revision={self._revision}, "

@@ -27,7 +27,7 @@ VIP = 12
 class LyingSource(RelationalSource):
     """Claims every sub-query returns ~2 rows, whatever the truth."""
 
-    def derive_estimate(self, query, bound, values, catalog):
+    def derive_estimate(self, query, bound, values):
         return self.estimate(query, bound)
 
     def estimate(self, query, bound_variables=None):

@@ -756,7 +756,7 @@ class TestPinnedWrapperKeepsItsClass:
     @staticmethod
     def _subclass(base):
         class Tagged(base):
-            def derive_estimate(self, query, bound, values, catalog):
+            def derive_estimate(self, query, bound, values):
                 return self.estimate(query, bound)
 
             def __init__(self, *args, **kwargs):

@@ -1,13 +1,23 @@
 """Unit tests for digest building, join discovery and keyword querying."""
 
+import threading
+from functools import partial
+
 import pytest
 
 from repro.core import MixedInstance
-from repro.datasets import build_demo_instance
-from repro.digest import DigestBuilder, KeywordQueryEngine, build_catalog
+from repro.core.cmq import GLUE_SOURCE
+from repro.datasets import DemoConfig, build_demo_instance
+from repro.digest import DigestCatalog, ValueSetSummary, build_catalog, refresh_catalog
+from repro.digest.keyword import KeywordQueryEngine
 from repro.errors import FullTextError, KeywordSearchError
+from repro.fulltext.source import FullTextSource
+from repro.json.source import JSONSource
 from repro.rdf import Graph
+from repro.rdf.source import RDFSource
 from repro.relational import Database
+from repro.relational.source import RelationalSource
+from repro.remote import LocalTransport, RemoteSourceHandler
 
 
 @pytest.fixture
@@ -25,45 +35,45 @@ def catalog(instance):
 
 class TestDigestBuilding:
     def test_relational_digest_has_node_per_attribute(self, instance):
-        digest = DigestBuilder().build(instance.source("sql://insee"))
+        digest = instance.source("sql://insee").derive_digest()
         labels = {n.label() for n in digest.nodes}
         assert "departments.code" in labels and "unemployment.rate" in labels
 
     def test_relational_digest_foreign_key_edge(self, instance):
-        digest = DigestBuilder().build(instance.source("sql://insee"))
+        digest = instance.source("sql://insee").derive_digest()
         assert any(e.kind == "foreign-key" for e in digest.edges)
 
     def test_relational_value_sets(self, instance):
-        digest = DigestBuilder().build(instance.source("sql://insee"))
+        digest = instance.source("sql://insee").derive_digest()
         node = digest.node("departments", "code")
         assert digest.values_of(node).might_contain("75")
 
     def test_fulltext_digest_uses_dataguide_paths(self, instance):
-        digest = DigestBuilder().build(instance.source("solr://tweets"))
+        digest = instance.source("solr://tweets").derive_digest()
         positions = {n.position for n in digest.nodes}
         assert "user.screen_name" in positions and "entities.hashtags" in positions
 
     def test_fulltext_text_field_indexes_tokens(self, instance):
-        digest = DigestBuilder().build(instance.source("solr://tweets"))
+        digest = instance.source("solr://tweets").derive_digest()
         node = digest.node("mini_tweets", "text")
         assert digest.values_of(node).matches_keyword("solidarite")
 
     def test_rdf_digest_positions_are_properties(self, instance):
-        digest = DigestBuilder().build(instance.glue_source)
+        digest = instance.glue_source.derive_digest()
         positions = {n.position for n in digest.nodes}
         assert "twitterAccount" in positions and "position" in positions
 
     def test_rdf_digest_keyword_alias_on_uri_values(self, instance):
-        digest = DigestBuilder().build(instance.glue_source)
+        digest = instance.glue_source.derive_digest()
         hits = digest.lookup_keyword("head of state")
         assert any(n.position == "position" for n in hits)
 
     def test_lookup_by_position_name(self, instance):
-        digest = DigestBuilder().build(instance.source("sql://insee"))
+        digest = instance.source("sql://insee").derive_digest()
         assert any(n.position == "rate" for n in digest.lookup_keyword("rate"))
 
     def test_size_in_bytes_positive(self, instance):
-        digest = DigestBuilder().build(instance.source("sql://insee"))
+        digest = instance.source("sql://insee").derive_digest()
         assert digest.size_in_bytes() > 0
 
 
@@ -108,8 +118,8 @@ class TestCatalog:
         assert catalog.total_size_in_bytes() > 0
 
     def test_bloom_budget_changes_size(self, instance):
-        small = build_catalog(instance, bloom_bits_per_value=4)
-        large = build_catalog(instance, bloom_bits_per_value=32)
+        small = build_catalog(instance, summarize=partial(ValueSetSummary, bloom_bits_per_value=4))
+        large = build_catalog(instance, summarize=partial(ValueSetSummary, bloom_bits_per_value=32))
         assert large.total_size_in_bytes() > small.total_size_in_bytes()
 
 
@@ -238,3 +248,97 @@ def test_a_name_with_a_space_runs_on_the_full_text_source_as_on_the_json_one():
     assert tweets == sorted(row["txt_tweets_json"]
                             for row in demo.instance.execute(json).rows)
     assert tweets
+
+
+def test_keyword_search_on_a_federated_instance_reports_what_it_cannot_see():
+    """Behind a remote wrapper the data lives with the peer: the source
+    derives no digest, contributes no hit, and the outcome names it
+    (the engine used to refuse the whole search with a ``DigestError``)."""
+    instance = build_demo_instance(DemoConfig(politicians=12, weeks=2, seed=42)).instance
+    remote = [uri for uri in instance.source_uris() if uri.startswith("sql://")]
+    for uri in remote:
+        local = instance.source(uri)
+        instance.register_remote(LocalTransport(RemoteSourceHandler(local).handle),
+                                 uri=uri, model=local.model, name=local.name)
+    outcome = instance.keyword_query(["head of state", "SIA2016"])
+    assert outcome.undigested == remote == instance.build_digests().undigested
+    assert outcome.candidates and outcome.result
+    assert all(atom.source not in remote for candidate in outcome.candidates
+               for atom in candidate.query.atoms)
+    gap = f"sources without a digest: {', '.join(remote)}"
+    assert gap in outcome.summary()
+    # A keyword only a remote source holds is not found, and the error says why.
+    with pytest.raises(KeywordSearchError, match=gap):
+        instance.keyword_query(["Gironde", "unemployment"])
+
+
+def test_a_source_registered_again_is_filed_again():
+    """The kept catalog stamps each source with its wrapper, not only its
+    version: a URI registered again as remote, whose peer reports the
+    same version, no longer answers from the local digest it replaced."""
+    instance = build_demo_instance(DemoConfig(politicians=12, weeks=2, seed=42)).instance
+    local = instance.source("sql://insee")
+    assert instance.keyword_query(["Gironde", "unemployment"]).result
+    instance.register_remote(LocalTransport(RemoteSourceHandler(local).handle),
+                             uri=local.uri, model=local.model, name=local.name)
+    assert instance.source(local.uri).version() == local.version()
+    assert instance.build_digests().undigested == [local.uri]
+    outcome = instance.keyword_query(["head of state", "SIA2016"])
+    assert outcome.undigested == [local.uri]
+    assert all(atom.source != local.uri for candidate in outcome.candidates
+               for atom in candidate.query.atoms)
+
+
+def test_a_graph_built_while_the_catalog_is_refreshed_is_not_kept():
+    """The path-search graph is memoised on the instance's one catalog: a
+    build racing a refresh must not store a graph of the digests the
+    refresh replaced."""
+    instance = build_demo_instance(DemoConfig(politicians=12, weeks=2, seed=42)).instance
+    catalog = instance.build_digests()
+    building, refreshed = threading.Event(), threading.Event()
+
+    class Held(list):
+        def __radd__(self, other):  # the graph joins the digests' edges to these
+            building.set()
+            refreshed.wait(timeout=0.5)  # the refresh cannot run meanwhile
+            return other + list(self)
+
+    catalog.join_edges, catalog._adjacency = Held(catalog.join_edges), None
+    builder = threading.Thread(target=catalog.adjacency)
+    builder.start()
+    building.wait(timeout=10)
+    instance.source("solr://tweets").store.add({
+        "id": 999_999, "text": "zorblatt", "created_at": "2016-03-02T08:00:00",
+        "user": {"screen_name": "someone"}, "zorblatt_field": "x"})
+    refresh_catalog(instance, catalog)
+    refreshed.set()
+    builder.join()
+    assert {node.position for node in catalog.adjacency()} >= {"zorblatt_field"}
+
+
+def test_the_instance_keeps_its_catalog_and_refreshes_only_what_moved(monkeypatch):
+    """Each ``keyword_query()`` used to derive every digest and rediscover
+    every join edge; the instance now keeps one catalog."""
+    instance = build_demo_instance(DemoConfig(politicians=12, weeks=2, seed=42)).instance
+    derived: list[str] = []
+    for wrapper in (RDFSource, RelationalSource, FullTextSource, JSONSource):
+        def counted(self, *args, _derive=wrapper.derive_digest, **kwargs):
+            derived.append(self.uri)
+            return _derive(self, *args, **kwargs)
+        monkeypatch.setattr(wrapper, "derive_digest", counted)
+    discoveries = []
+    discover = DigestCatalog.discover_join_edges
+    monkeypatch.setattr(DigestCatalog, "discover_join_edges",
+                        lambda self: discoveries.append(self) or discover(self))
+    instance.keyword_query(["head of state", "SIA2016"])
+    assert sorted(derived) == sorted([GLUE_SOURCE, *instance.source_uris()])
+    assert len(discoveries) == 1
+    derived.clear()
+    instance.keyword_query(["head of state", "SIA2016"])
+    assert derived == [] and len(discoveries) == 1
+    instance.source("solr://tweets").store.add({
+        "id": 999_999, "text": "zorblatt", "created_at": "2016-03-02T08:00:00",
+        "user": {"screen_name": "someone"}})
+    outcome = instance.keyword_query(["zorblatt"])
+    assert derived == ["solr://tweets"] and len(discoveries) == 2
+    assert outcome.result is not None and len(outcome.result) == 1

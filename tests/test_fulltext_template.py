@@ -103,9 +103,9 @@ def test_lower_case_or_is_an_or_for_the_estimator_too():
     for text in ("body:budget or body:vote", "body:budget OR body:vote",
                  "NOT body:budget", 'body:"budget vote"', "count:[1 TO 5]"):
         assert source.derive_estimate(FullTextQuery.create(text, {"i": "id"}),
-                                      set(), {}, None) is None
+                                      set(), {}) is None
     both = FullTextQuery.create("body:budget and body:vote", {"i": "id"})
-    assert source.derive_estimate(both, set(), {}, None) == \
+    assert source.derive_estimate(both, set(), {}) == \
         len(source.store.search(both.query_template, limit=None).hits)
 
 

@@ -73,7 +73,7 @@ VIP = 12
 class UnderReporting(RelationalSource):
     """Reports a thousandth of every sub-query's true size."""
 
-    def derive_estimate(self, query, bound, values, catalog):
+    def derive_estimate(self, query, bound, values):
         return self.estimate(query, bound)
 
     def estimate(self, query, bound_variables=None):

@@ -9,10 +9,11 @@ says once what they all do.
 * a query of another model is refused once, for every wrapper and for a
   remote source, before it reaches the store or the wire, and counts as a
   source error;
-* the cache and statistics layers name no model: no module under
-  ``repro/cache`` or ``repro/stats`` imports a model package (each model
-  answers their questions through the protocol's hooks), and no module
-  under ``src/`` reads ``trust_wrapper_estimate``;
+* the cache, statistics and digest layers name no model: no module under
+  ``repro/cache``, ``repro/stats`` or ``repro/digest`` imports a model
+  package (each model answers their questions through the protocol's
+  hooks, its digest and keyword sub-query included), and no module under
+  ``src/`` reads ``trust_wrapper_estimate``;
 * every query language is read through ``repro.lexing``: each of the six
   readers imports it, the CMQ reader and the warehouse baseline import no
   ``re``, and none of the retired hand-rolled lexers is defined again.
@@ -132,7 +133,7 @@ def test_the_cache_and_statistics_layers_name_no_model():
     for path in sorted((ROOT / "src").rglob("*.py")):
         layer = path.relative_to(ROOT / "src" / "repro").parts[0]
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if layer in ("cache", "stats"):
+            if layer in ("cache", "stats", "digest"):
                 offenders += [f"{path.relative_to(ROOT)}:{node.lineno} imports {module}"
                               for module in _imported(node)
                               if any(module == model or module.startswith(model + ".")

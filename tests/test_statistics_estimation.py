@@ -290,7 +290,7 @@ class TestFullTextEstimates:
                            if isinstance(atom.query, FullTextQuery))
         source, query = demo.instance.source(TWEETS_URI), queries[name]
         for (bound, values), recorded in zip(self._DEMO_CASES, self._DEMO_RECORDED[name]):
-            assert (source.derive_estimate(query, bound, values, None),
+            assert (source.derive_estimate(query, bound, values),
                     source.estimate(query, bound)) == pytest.approx(recorded), (bound, values)
 
 
@@ -427,7 +427,7 @@ class TestFeedbackAndBatchSize:
         db.create_table_from_rows("t", [{"a": i} for i in range(10)])
 
         class Lying(RelationalSource):
-            def derive_estimate(self, query, bound, values, catalog):
+            def derive_estimate(self, query, bound, values):
                 return self.estimate(query, bound)
 
             def estimate(self, query, bound_variables=None):

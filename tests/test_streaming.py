@@ -751,79 +751,3 @@ class TestStandingQueries:
             glue.add(triple("ttn:B", "ttn:p", 2))
             self._wait(lambda: len(threads) >= 1)
             assert threads[0] == "mediator-standing"
-
-
-# ---------------------------------------------------------------------------
-# Statistics absorption
-# ---------------------------------------------------------------------------
-
-class TestStatisticsAbsorption:
-    def test_column_summary_absorbs_insert_only_deltas(self):
-        from repro.stats.catalog import StatisticsCatalog
-
-        db = Database("d")
-        db.create_table_from_rows("t", [{"c": i, "s": f"v{i}"}
-                                        for i in range(100)])
-        source = RelationalSource("sql://d", db)
-        catalog = StatisticsCatalog()
-        summary = catalog.column_summary(source, "t", "c")
-        assert catalog.summaries_built == 1
-        db.table("t").insert_many([{"c": 1000 + i, "s": "new"}
-                                   for i in range(10)])
-        absorbed = catalog.column_summary(source, "t", "c")
-        assert absorbed is summary  # carried forward, not rebuilt
-        assert catalog.summaries_absorbed == 1 and catalog.summaries_built == 1
-        assert absorbed.total_values == 110
-        assert absorbed.might_contain(1005) and absorbed.might_contain(50)
-        assert not absorbed.might_contain(424242)
-
-    def test_two_planners_missing_one_version_absorb_its_inserts_once(self):
-        """Two threads miss the same (column, version) and both read the
-        journal before either files a summary: the inserts are absorbed
-        into the prior summary once, not once per thread."""
-        from repro.stats.catalog import StatisticsCatalog
-
-        db = Database("d")
-        db.create_table_from_rows("t", [{"c": i} for i in range(100)])
-        source = RelationalSource("sql://d", db)
-        catalog = StatisticsCatalog()
-        catalog.column_summary(source, "t", "c")
-        db.table("t").insert_many([{"c": 1000 + i} for i in range(10)])
-        barrier, deltas_since = threading.Barrier(2), source.deltas_since
-
-        def held(*args):
-            barrier.wait(timeout=10)
-            return deltas_since(*args)
-
-        source.deltas_since = held
-        found = []
-        threads = [threading.Thread(target=lambda: found.append(
-            catalog.column_summary(source, "t", "c"))) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(found) == 2 and found[0] is found[1]
-        assert found[0].total_values == 110
-        assert catalog.summaries_absorbed == 1 and catalog.summaries_built == 1
-
-    def test_absorbed_summary_tracks_top_k_and_histogram(self):
-        from repro.stats.catalog import StatisticsCatalog
-
-        db = Database("d")
-        db.create_table_from_rows("t", [{"s": f"v{i}", "n": float(i)}
-                                        for i in range(50)])
-        source = RelationalSource("sql://d", db)
-        catalog = StatisticsCatalog()
-        catalog.column_summary(source, "t", "s")
-        catalog.column_summary(source, "t", "n")
-        db.table("t").insert_many([{"s": "hot", "n": 25.0}] * 20)
-        s = catalog.column_summary(source, "t", "s")
-        n = catalog.column_summary(source, "t", "n")
-        assert catalog.summaries_absorbed == 2
-        assert s.top_k.frequency("hot") == 20
-        assert n.numeric and n.histogram.total == 70
-        # Out-of-range values clamp into the edge buckets.
-        db.table("t").insert_many([{"s": "x", "n": 10_000.0}])
-        n2 = catalog.column_summary(source, "t", "n")
-        assert n2.histogram.total == 71
