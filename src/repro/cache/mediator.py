@@ -19,7 +19,7 @@ class MediatorCache:
         self.results = SubQueryResultCache(result_entries)
         self.plans = PlanCache(plan_entries)
         # Delta-join repair of version-orphaned result entries; shared by
-        # every CachedSource proxy so a streaming write repairs each
+        # every CachedSource layer so a streaming write repairs each
         # affected entry once, instance-wide.
         self.repair = RepairEngine(self.results)
 

@@ -87,7 +87,7 @@ class RepairEngine:
     """Applies delta chains to cached sub-query results.
 
     One engine serves one :class:`SubQueryResultCache`; it is probed by
-    every :class:`CachedSource` proxy with the stale keys of a whole
+    every :class:`CachedSource` layer with the stale keys of a whole
     call — the bindings of a bind-join flush, or the one binding of a
     single probe.  Repair is set-at-a-time: the keys are grouped by the
     version their prior entry was cached under, the soundness gates are

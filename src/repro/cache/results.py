@@ -1,4 +1,4 @@
-"""The cross-query sub-query result cache and its dispatch proxy.
+"""The cross-query sub-query result cache and its source layer.
 
 The mediator's dominant cost is shipping sub-queries to sources; across
 a repeated workload (the paper's data-journalism scenario: the same
@@ -25,9 +25,12 @@ under *canonical* variable names, immutable once inserted: a hit is the
 entry's own row lists under a renamed header, shared by every reader; a
 repair publishes a new entry.
 
-:class:`CachedSource` wraps a :class:`~repro.core.sources.DataSource`
-for a dispatch; its ``execute_batch`` answers in batches, as every
-source does.  A probe is per call — one LRU pass, one repair call for
+:class:`CachedSource` layers the cache over a
+:class:`~repro.core.sources.DataSource`.  The layer is transparent: it
+answers ``execute_batch`` in batches, as every source does, and every
+other read is the wrapped source's own, so an executor keeps one
+catalog — a layer per source — for its planner, its statistics and its
+dispatch.  A probe is per call — one LRU pass, one repair call for
 its stale keys — and only its misses go to the wrapped source's
 ``execute_batch``, so a batched bind join ships IN-lists /
 disjunctions of uncached bindings; a flush the bind join probed
@@ -38,12 +41,13 @@ Sources whose ``version()`` is unknown (``None``) are never cached.
 from __future__ import annotations
 
 import threading
+from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.cache.keys import CanonicalQuery, canonical_query
 from repro.cache.lru import CacheStats, LRUCache
 from repro.core.sources import DataSource, Row, SourceQuery
-from repro.engine.batch import BindingBatch, as_batches
+from repro.engine.batch import BindingBatch, as_batches, dict_rows
 from repro.errors import MixedQueryError
 
 class SubQueryResultCache:
@@ -85,9 +89,10 @@ class SubQueryResultCache:
     @staticmethod
     def keys(source, version: Optional[int], canon: CanonicalQuery,
              binding_keys: Iterable[Optional[tuple]]) -> list[Optional[tuple]]:
-        """The full cache key of each probe (``None``: uncacheable): the raw
-        wrapper ``source``'s URI *and* identity token enter it, a wrapper
-        without one (a subclass skipping ``DataSource.__init__``) has none."""
+        """The full cache key of each probe (``None``: uncacheable): the
+        ``source``'s URI *and* identity token enter it (a layer's are its
+        wrapped source's), a wrapper without one (a subclass skipping
+        ``DataSource.__init__``) has none."""
         token = getattr(source, "cache_token", None)
         if token is None:
             return [None for _ in binding_keys]
@@ -162,26 +167,24 @@ class SubQueryResultCache:
         return len(self.entries)
 
 
-def _delegated(attribute: str) -> property:
-    """A read-only attribute of :class:`CachedSource`'s wrapped source."""
-    return property(lambda self: getattr(self.inner, attribute))
+class CachedSource:
+    """A source with the result cache in front of it: a transparent layer.
 
+    Its own methods are what the cache changes: :meth:`execute_batch`
+    (and :meth:`execute`, its dict edge), the bind join's per-flush
+    :meth:`peek`, and :meth:`pin`.  Every other name that
+    :class:`~repro.core.sources.DataSource` declares (``uri``,
+    ``version``, ``estimate``, ``digest``, ``repair_delta``, ``journal``,
+    ...) reads through to the wrapped source's own answer.  The layer is
+    deliberately not a ``DataSource``: a base default would then answer
+    in the source's place.
 
-class CachedSource(DataSource):
-    """A dispatch proxy consulting the result cache before its source.
-
-    Everything the executor needs (`uri`, `model`, `accepts`,
-    ``estimate``, ...) delegates to the wrapped source; only
-    :meth:`execute_batch` interposes the cache.  The source version is
-    snapshotted once per call, not per binding.
-
-    :meth:`execute_batch`, :meth:`peek` and :meth:`peek_stale` serve
-    lists of :class:`~repro.engine.batch.BindingBatch`, as every source
-    does; a hit *shares* the entry's row lists (immutable tuples, lists
-    never mutated: no copy); ``execute`` answers fresh dicts.
+    A hit *shares* the entry's row lists (immutable tuples, lists never
+    mutated: no copy).  The source version is read once per call, not
+    per binding.
 
     ``stats`` is an optional per-executor :class:`CacheStats` receiving
-    this proxy's hit/miss counts, so an execution's trace reports its
+    this layer's hit/miss counts, so an execution's trace reports its
     own probes rather than a delta of the instance-wide counters (which
     other concurrent executions would pollute).
     """
@@ -199,48 +202,18 @@ class CachedSource(DataSource):
         # for repair; success re-stamps the entry and counts as a hit,
         # since no source call happened.
         self.repair = repair
-        # The stats object is shared by every proxy of one executor and
+        # The stats object is shared by every layer of one executor and
         # bumped from pooled dispatch threads; the (equally shared)
         # lock keeps the counters exact.
         self._stats_lock = stats_lock or threading.Lock()
 
-    # -- delegation ---------------------------------------------------------
-    uri = _delegated("uri")
-    name = _delegated("name")
-    description = _delegated("description")
-    model = _delegated("model")
-    cache_token = _delegated("cache_token")
-    pinned_at = _delegated("pinned_at")
-
-    @property
-    def cost_kind(self) -> str:
-        """The wrapped source's cost-model kind.
-
-        Without this delegation a remote source seen through the proxy
-        would fall back to ``model``-keyed (local-call) pricing and lose
-        the network-aware batch sizing its ``"remote"`` kind buys.
-        """
-        return self.inner.cost_kind
-
     def pin(self) -> "CachedSource":
-        """A proxy over the pinned inner source (same cache, same stats)."""
+        """A layer over the pinned inner source (same cache, same stats)."""
         pinned = self.inner.pin()
         if pinned is self.inner:
             return self
         return CachedSource(pinned, self.cache, stats=self.local_stats,
                             stats_lock=self._stats_lock, repair=self.repair)
-
-    def version(self) -> Optional[int]:
-        return self.inner.version()
-
-    def accepts(self, query: SourceQuery) -> bool:
-        return self.inner.accepts(query)
-
-    def estimate(self, query: SourceQuery, bound_variables: set[str] | None = None) -> float:
-        return self.inner.estimate(query, bound_variables)
-
-    def size(self) -> int:
-        return self.inner.size()
 
     def _probe(self, version: int, query: SourceQuery, canon: CanonicalQuery,
                keys: list[Optional[tuple]],
@@ -267,6 +240,10 @@ class CachedSource(DataSource):
         return stored
 
     # -- cached protocol ----------------------------------------------------
+    def execute(self, query: SourceQuery, bindings: Row | None = None) -> list[Row]:
+        """``query``'s rows under ``bindings`` as fresh dicts, through the cache."""
+        return dict_rows(self.execute_batch(query, [bindings or {}])[0])
+
     def execute_batch(self, query: SourceQuery, bindings_batch: Sequence[Row],
                       probed: tuple | None = None) -> list[list[BindingBatch]]:
         """Answer the batch from the cache, shipping only its misses.
@@ -324,16 +301,14 @@ class CachedSource(DataSource):
         return ([None if entry is None else atom.translate(entry, canon) for entry in stored],
                 (version, canon, [key for key, entry in zip(keys, stored) if entry is None]))
 
-    def peek_stale(self, query: SourceQuery,
-                   bindings: Row) -> Optional[list[BindingBatch]]:
-        """Version-independent cache probe for graceful degradation.
-
-        Unlike :meth:`peek` this takes one binding, works while
-        ``inner.version()`` is unknowable (the source is down) and may
-        return batches cached under an *older* version — the caller flags
-        them as degraded.
-        """
-        return self.cache.fetch_stale(self.inner, query, bindings)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"CachedSource({self.inner!r})"
+
+
+# Read through as class properties, derived from the protocol so none is
+# missed: planning and dispatch read ``uri``, ``cache_token``, ``version``
+# and ``accepts`` some twenty times a query, and a property costs a tenth
+# of the failed lookup a ``__getattr__`` fallback pays on CPython 3.11.
+for _name in {*DataSource.__annotations__, *vars(DataSource)} - {*vars(CachedSource)}:
+    if not _name.startswith("__"):
+        setattr(CachedSource, _name, property(attrgetter(f"inner.{_name}")))

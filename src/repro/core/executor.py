@@ -6,7 +6,9 @@ stage, and every sub-query reaches its source through one route,
 their target sources (static, dynamically discovered or every accepting
 source of a free source variable), shipped as one call per target
 source — all calls of a stage in one flat batch — and each call is
-recorded on the trace.
+recorded on the trace.  Planning, statistics feedback, cache probes and
+dispatch read one catalog, built with the executor: with a result cache,
+each source is its :class:`~repro.cache.results.CachedSource` layer.
 
 * a ``materialize`` step dispatches the batch of one empty binding, and
   its rows are hash-joined with the current intermediate result; the
@@ -85,20 +87,19 @@ class MixedQueryExecutor:
     """Evaluates CMQs against a catalog of wrapped data sources.
 
     ``cache`` is an optional :class:`repro.cache.MediatorCache` (shared
-    by every executor of an instance): sub-query results are then served
-    from the cross-query result cache before any source dispatch —
-    including one probe per flush inside batched bind joins, so a batch
-    ships only cache misses — and plans are reused through the plan
-    cache.  ``PlannerOptions(result_cache=False, plan_cache=False)``
-    opts out per executor.
+    by every executor of an instance): each source of the catalog is
+    then its cache layer, so sub-query results are served from the
+    cross-query result cache before any source dispatch — including one
+    probe per flush inside batched bind joins, so a batch ships only
+    cache misses — and plans are reused through the plan cache.
+    ``PlannerOptions(result_cache=False, plan_cache=False)`` opts out
+    per executor.
     """
 
     def __init__(self, sources: dict[str, DataSource], glue: DataSource,
                  options: PlannerOptions | None = None,
                  cache=None, statistics=None,
                  cancel_check=None, metrics=None, deadline=None):
-        self._sources = dict(sources)
-        self._glue = glue
         self.options = options or PlannerOptions()
         # Metrics sink; resolved lazily so tests that reset the global
         # registry see their fresh registry even on long-lived executors.
@@ -115,31 +116,30 @@ class MixedQueryExecutor:
         #: surfaces QueryTimeoutError mid-stage instead of stalling the
         #: ticket indefinitely.
         self.deadline = deadline
-        self.planner = QueryPlanner(self._sources, glue, self.options,
-                                    plan_cache=cache.plans if cache is not None else None,
-                                    statistics=statistics)
-        # Dispatch goes through caching proxies when a mediator cache is
-        # configured; the planner keeps seeing the raw sources.
-        # ``_cache_stats`` collects this executor's own hit/miss counts
-        # for the trace (the instance-wide counters are shared with other
-        # executors).
+        # One catalog, built once: with a result cache, each source is seen
+        # through its transparent cache layer — by the planner, the
+        # statistics feedback and dispatch alike.  ``_cache_stats``
+        # collects this executor's own hit/miss counts for the trace (the
+        # instance-wide counters are shared with other executors).
         self._result_cache = None
         self._cache_stats = None
-        self._targets: dict[str, DataSource] = self._sources
-        self._target_glue: DataSource = glue
         if cache is not None and self.options.result_cache:
             self._result_cache = cache.results
             self._cache_stats = CacheStats()
             stats_lock = threading.Lock()
             repair = getattr(cache, "repair", None)
 
-            def proxy(source: DataSource) -> CachedSource:
+            def layer(source: DataSource) -> CachedSource:
                 return CachedSource(source, cache.results, stats=self._cache_stats,
                                     stats_lock=stats_lock, repair=repair)
 
-            self._targets = {uri: proxy(source)
-                             for uri, source in self._sources.items()}
-            self._target_glue = proxy(glue)
+            sources = {uri: layer(source) for uri, source in sources.items()}
+            glue = layer(glue)
+        self._sources = dict(sources)
+        self._glue = glue
+        self.planner = QueryPlanner(self._sources, glue, self.options,
+                                    plan_cache=cache.plans if cache is not None else None,
+                                    statistics=statistics)
 
     # ------------------------------------------------------------------
     def execute(self, query: ConjunctiveMixedQuery, plan: QueryPlan | None = None,
@@ -208,7 +208,7 @@ class MixedQueryExecutor:
         if options.cost_based:
             self._retire_if_drifted(query, plan, observations, trace, options)
         if cache_stats is not None:
-            # Every probe is counted once, by this executor's own proxies.
+            # Every probe is counted once, by this executor's own cache layers.
             now = self._cache_stats
             trace.cache_hits = now.hits - cache_stats.hits
             trace.cache_misses = now.misses - cache_stats.misses
@@ -280,7 +280,9 @@ class MixedQueryExecutor:
         for step in steps:
             bound_formals = self.planner._bound_formals(
                 step.atom, set(step.bound_variables))
-            for source in self._step_sources(step):
+            sources = ([self._glue] if step.atom.is_glue()
+                       else [self._sources[uri] for uri in step.sources])
+            for source in sources:
                 calls = [c for c in trace.calls if c.atom_key == id(step.atom)
                          and c.source_uri == source.uri]
                 if calls:
@@ -288,12 +290,6 @@ class MixedQueryExecutor:
                         source, step.atom.query, bound_formals,
                         sum(c.rows_out for c in calls)
                         / sum(c.bindings_in for c in calls))
-
-    def _step_sources(self, step: PlanStep) -> list[DataSource]:
-        """The raw sources a step names, in this executor's own catalog."""
-        if step.atom.is_glue():
-            return [self._glue]
-        return [self._sources[uri] for uri in step.sources]
 
     def _record_metrics(self, trace: ExecutionTrace) -> None:
         """Fold one execution's trace into the metrics registry."""
@@ -371,13 +367,13 @@ class MixedQueryExecutor:
         """Result-cache probe for a static bind step: the sub-query is
         canonicalised once, a flush is one :meth:`CachedSource.peek`; a
         hit is never shipped, the misses' keys go to ``probed[0]`` for the
-        dispatch that ships them.  Dynamic atoms rely on the proxy alone.
+        dispatch that ships them.  Dynamic atoms rely on the layer alone.
         """
         if self._result_cache is None or step.dynamic:
             return None
-        target = self._target_glue if atom.is_glue() else self._targets.get(atom.source)
+        target = self._glue if atom.is_glue() else self._sources.get(atom.source)
         canon = canonical_query(atom.query)
-        if not isinstance(target, CachedSource) or canon is None:
+        if target is None or canon is None:
             return None
 
         def probe(bindings: list[tuple]) -> list[list[BindingBatch] | None]:
@@ -411,10 +407,10 @@ class MixedQueryExecutor:
                                                    for _, bindings_list in work]
         calls: list[tuple[int, DataSource, list[int]]] = []
         for slot, (step, bindings_list) in enumerate(work):
-            by_source: dict[str, tuple[DataSource, list[int]]] = {}
+            by_source: dict[int, tuple[DataSource, list[int]]] = {}
             for index, bindings in enumerate(bindings_list):
                 for source in self._resolve_runtime_sources(step.atom, bindings):
-                    by_source.setdefault(source.uri, (source, []))[1].append(index)
+                    by_source.setdefault(id(source), (source, []))[1].append(index)
             calls.extend((slot, source, indices)
                          for source, indices in by_source.values())
 
@@ -485,11 +481,10 @@ class MixedQueryExecutor:
         if isinstance(exc, RemoteError):
             per_binding: list[list[BindingBatch]] = []
             stale_hits = 0
-            peek_stale = getattr(source, "peek_stale", None)
+            cache = self._result_cache
             for bindings in batch:
-                stale = None
-                if peek_stale is not None:
-                    stale = peek_stale(atom.query, atom.formal_bindings(bindings))
+                stale = None if cache is None else cache.fetch_stale(
+                    source, atom.query, atom.formal_bindings(bindings))
                 if stale is None:
                     per_binding.append([])
                 else:
@@ -515,7 +510,7 @@ class MixedQueryExecutor:
     def _resolve_runtime_sources(self, atom: SourceAtom,
                                  bindings: Row) -> list[DataSource]:
         if atom.is_glue():
-            return [self._target_glue]
+            return [self._glue]
         if atom.source is not None:
             return [self._source(atom.source)]
         # Dynamic source: a bound source variable identifies one source;
@@ -523,7 +518,7 @@ class MixedQueryExecutor:
         if atom.source_variable and atom.source_variable in bindings:
             uri = bindings[atom.source_variable]
             return [self._source(str(uri))]
-        candidates = [s for s in self._targets.values() if s.accepts(atom.query)]
+        candidates = [s for s in self._sources.values() if s.accepts(atom.query)]
         if not candidates:
             raise UnknownSourceError(
                 f"no registered source accepts the sub-query of atom {atom.name!r}"
@@ -531,7 +526,7 @@ class MixedQueryExecutor:
         return candidates
 
     def _source(self, uri: str) -> DataSource:
-        source = self._targets.get(uri)
+        source = self._sources.get(uri)
         if source is None:
             raise UnknownSourceError(f"no source registered under URI {uri!r}")
         return source

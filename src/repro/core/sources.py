@@ -141,6 +141,12 @@ class DataSource:
     #: them observe one consistent state for their whole plan.
     pinned_at: Optional[int] = None
 
+    #: Set per wrapper; ``cache_token`` is never reused, and pins share it.
+    uri: str
+    name: str
+    description: str
+    cache_token: int
+
     def __init__(self, source_uri: str, name: str | None = None,
                  description: str = ""):
         self.uri = source_uri

@@ -3,15 +3,20 @@
 The precision of the value-set representations stored in source digests
 "is controlled by parameters dividing up the available space; histograms
 and Bloom filters are used" (paper §2.2).  This Bloom filter is a plain
-bit-array implementation with double hashing, parameterised by bits per
-inserted value so the digest-precision benchmark (E9) can sweep the
-space/precision trade-off.
+bit-array implementation parameterised by bits per inserted value so the
+digest-precision benchmark (E9) can sweep the space/precision trade-off.
+
+Each of a value's ``hash_count`` positions is its own 32-bit word of one
+SHAKE-128 digest: double hashing (``h1 + i * h2``) over ``values x bits``
+positions probes few distinct bits when ``h2`` shares a factor with the
+size, far above :meth:`BloomFilter.false_positive_rate`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import struct
 from typing import Iterable
 
 
@@ -68,11 +73,10 @@ class BloomFilter:
 
     # ------------------------------------------------------------------
     def _positions(self, value: object) -> list[int]:
-        normalized = _normalize(value)
-        digest = hashlib.sha1(normalized.encode("utf-8")).digest()
-        h1 = int.from_bytes(digest[:8], "big")
-        h2 = int.from_bytes(digest[8:16], "big") or 1
-        return [(h1 + i * h2) % self.size for i in range(self.hash_count)]
+        """``hash_count`` independent positions: one 32-bit word each."""
+        count, size = self.hash_count, self.size
+        digest = hashlib.shake_128(_normalize(value).encode("utf-8")).digest(4 * count)
+        return [word % size for word in struct.unpack(f">{count}I", digest)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"BloomFilter(size={self.size}, hashes={self.hash_count}, "

@@ -79,6 +79,11 @@ class ValueSetSummary:
         self.alias_bloom = BloomFilter(max(1, len(alias_distinct)),
                                        bits_per_value=bloom_bits_per_value)
         self.alias_bloom.add_all(alias_distinct)
+        # What a keyword matches exactly — each kept value, whole and
+        # squeezed, and its tokens — and whether that is all (both exact
+        # sets kept): one pair, rebound whole, never mutated.
+        self._keywords = (_word_set([*(self.exact or ()), *(self.alias_exact or ())]),
+                          self.exact is not None and self.alias_exact is not None)
 
         numeric_values = [v for v in cleaned if isinstance(v, (int, float)) and not isinstance(v, bool)]
         self.numeric = bool(numeric_values) and len(numeric_values) == len(cleaned)
@@ -108,11 +113,17 @@ class ValueSetSummary:
         self.total_values += len(cleaned)
         fresh = sorted(set(normalized))
         if self.exact is not None:
-            # Rebound, not grown in place: a reader iterating the set it
+            # Rebound, not grown in place: a reader holding the sets it
             # started with (``matches_keyword``) is not disturbed.
             exact = self.exact | set(fresh)
             self.distinct_values = len(exact)
-            self.exact = exact if len(exact) <= self._exact_limit else None
+            if len(exact) <= self._exact_limit:
+                self.exact = exact
+                words, complete = self._keywords
+                self._keywords = (words | _word_set(fresh), complete)
+            else:
+                self.exact = None
+                self._keywords = (_word_set(self.alias_exact or ()), False)
         else:
             self.distinct_values += sum(
                 1 for v in fresh if not self.bloom.might_contain(v))
@@ -181,16 +192,10 @@ class ValueSetSummary:
         """
         needle = _normalize(keyword)
         squeezed = _squeeze(needle)
-        exact, alias_exact = self.exact, self.alias_exact
-        for exact_set in (exact, alias_exact):
-            if exact_set is None:
-                continue
-            for value in exact_set:
-                if needle == value or squeezed == _squeeze(value):
-                    return True
-                if needle in _tokens(value) or squeezed in _tokens(value):
-                    return True
-        if exact is not None and alias_exact is not None:
+        words, complete = self._keywords
+        if needle in words or squeezed in words:
+            return True
+        if complete:
             return False
         if (self.bloom.might_contain(needle) or self.bloom.might_contain(squeezed)
                 or self.alias_bloom.might_contain(needle)
@@ -288,6 +293,16 @@ def _normalize(value: object) -> str:
 
 def _squeeze(value: str) -> str:
     return "".join(_WORD_RE.findall(value)).lower()
+
+
+def _word_set(values: Iterable[str]) -> frozenset[str]:
+    """Each value, its squeezed form and its tokens."""
+    words: set[str] = set()
+    for value in values:
+        words.add(value)
+        words.add(_squeeze(value))
+        words.update(_tokens(value))
+    return frozenset(words)
 
 
 def _tokens(value: str) -> set[str]:

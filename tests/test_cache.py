@@ -460,13 +460,55 @@ class TestCachedSource:
         assert cache.results.invalidate_source("sql://insee") == 1
         assert len(cache.results) == 1
 
-    def test_delegation(self, instance):
-        inner = instance.source("sql://insee")
-        proxy = CachedSource(inner, MediatorCache().results)
-        assert proxy.uri == inner.uri
-        assert proxy.model == "relational"
-        assert proxy.size() == inner.size()
-        assert proxy.version() == inner.version()
+    def test_delegation(self):
+        """Every read other than the cached ones is the wrapped source's:
+        the statistics catalog, the digest, repair and the change log see
+        the same answers through the layer as over the bare wrapper."""
+        from repro.cache.repair import RepairEngine
+        from repro.stats.catalog import StatisticsCatalog
+
+        database = Database("db")
+        database.create_table_from_rows("people", [
+            {"id": i, "city": f"c{i % 5}"} for i in range(100)])
+        inner = RelationalSource("sql://people", database)
+        cache = SubQueryResultCache()
+        layer = CachedSource(inner, cache, repair=RepairEngine(cache))
+        assert layer.uri == inner.uri and layer.name == inner.name
+        assert layer.model == "relational"
+        assert layer.size() == inner.size() == 100
+        assert layer.version() == inner.version()
+        query = SQLQuery(sql="SELECT id AS id, city AS city FROM people "
+                             "WHERE city = {city}")
+
+        assert (StatisticsCatalog().estimate(layer, query, {"city"})
+                == StatisticsCatalog().estimate(inner, query, {"city"}))
+        assert layer.estimate(query, {"city"}) == inner.estimate(query, {"city"})
+        assert (layer.derive_estimate(query, {"city"}, {})
+                == inner.derive_estimate(query, {"city"}, {}))
+        assert layer.digest() is inner.digest()
+        assert layer.cache_token == inner.cache_token
+        assert layer.cost_kind == inner.cost_kind == "relational"
+        assert layer.accepts(query) and not layer.accepts(RDFQuery.from_text(
+            "SELECT ?x WHERE { ?x ttn:p ?y }"))
+        assert layer.journal() is inner.journal() is not None
+        for name in {*DataSource.__annotations__, *vars(DataSource)}:
+            if not name.startswith("__") and name not in ("pin", "execute", "execute_batch"):
+                assert getattr(layer, name) == getattr(inner, name), name
+
+        before = inner.version()
+        database.execute("INSERT INTO people (id, city) VALUES (100, 'c1')")
+        records = inner.deltas_since(before)
+        assert records and layer.deltas_since(before) == records
+        engine = RepairEngine(SubQueryResultCache())
+        assert (layer.repair_delta(query, records, engine)
+                == inner.repair_delta(query, records, engine))
+        assert layer.repair_delta(query, records, engine) not in ("shape", None)
+
+        pinned = layer.pin()
+        assert isinstance(pinned, CachedSource)
+        assert pinned.inner is inner.pin()
+        assert pinned.pinned_at == inner.version()
+        assert pinned.digest() is inner.pin().digest()
 
 
 # ---------------------------------------------------------------------------
