@@ -1,7 +1,8 @@
 """Cross-query caching for the mediator.
 
-Sub-query results are cached under variable-renaming-invariant keys and
-re-stamped or invalidated by per-source version counters; query plans
+Sub-query results are cached under variable-renaming-invariant keys,
+each entry stamped with its source's version and repaired or replaced
+once a write makes it stale; query plans
 are cached under canonical CMQ signatures plus the identities of the
 sources they reach, and outlive writes.  See
 :class:`~repro.cache.mediator.MediatorCache` for the entry point.

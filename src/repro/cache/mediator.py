@@ -18,7 +18,7 @@ class MediatorCache:
     def __init__(self, result_entries: int = 4096, plan_entries: int = 256):
         self.results = SubQueryResultCache(result_entries)
         self.plans = PlanCache(plan_entries)
-        # Delta-join repair of version-orphaned result entries; shared by
+        # Delta-join repair of stale result entries; shared by
         # every CachedSource layer so a streaming write repairs each
         # affected entry once, instance-wide.
         self.repair = RepairEngine(self.results)

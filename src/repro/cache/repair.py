@@ -1,16 +1,16 @@
 """Incremental delta-join repair of cached sub-query results.
 
 Without repair, every source mutation bumps the source version and
-orphans *all* of that source's cached sub-query results at once — a
+makes *all* of that source's cached sub-query results stale at once — a
 streaming ingest turns the result cache into a pure miss machine.  This
 module closes the loop between the stores' typed delta journals
-(:mod:`repro.core.deltas`) and the :class:`SubQueryResultCache`: on a
-cache miss whose probe has an entry cached under an *older* version, the
-:class:`RepairEngine` fetches the unbroken delta chain between the two
-versions and, for repair-sound query shapes, evaluates the query **over
-the delta alone**, merges the delta's contribution into the old rows,
-and re-stamps the entry under the new version — the hot path then hits
-without ever re-dispatching to the source.
+(:mod:`repro.core.deltas`) and the :class:`SubQueryResultCache`: a probe
+whose entry is stamped with an *older* version hands that entry to the
+:class:`RepairEngine`, which fetches the unbroken delta chain between the
+two versions and, for repair-sound query shapes, evaluates the query
+**over the delta alone**, merges the delta's contribution into the old
+rows, and re-stamps the entry with the new version — the hot path then
+hits without ever re-dispatching to the source.
 
 Soundness is per model and deliberately conservative, so each wrapper
 states it beside its store (:meth:`~repro.core.sources.DataSource.repair_delta`:
@@ -51,15 +51,15 @@ class RepairStats:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.attempts = 0      # misses with a prior-version entry to repair
+        self.attempts = 0      # probes whose entry is stamped older
         self.repaired = 0      # entries re-stamped after delta evaluation
         self.restamped = 0     # of which: pure re-stamps (delta elsewhere)
         self.rows_appended = 0
         self.fallbacks: dict[str, int] = {}
 
-    def attempt(self) -> None:
+    def attempt(self, keys: int) -> None:
         with self._lock:
-            self.attempts += 1
+            self.attempts += keys
 
     def success(self, appended: int, pure_restamp: bool) -> None:
         with self._lock:
@@ -90,7 +90,7 @@ class RepairEngine:
     every :class:`CachedSource` layer with the stale keys of a whole
     call — the bindings of a bind-join flush, or the one binding of a
     single probe.  Repair is set-at-a-time: the keys are grouped by the
-    version their prior entry was cached under, the soundness gates are
+    version their entry is stamped with, the soundness gates are
     checked once per (query, version span), and the delta source is
     evaluated with ONE ``execute_batch`` for the group; only merging and
     re-stamping happen per key, and :class:`RepairStats` keeps counting
@@ -116,32 +116,26 @@ class RepairEngine:
 
     # ------------------------------------------------------------------
     def repair(self, source, version: int, query: SourceQuery, canon: CanonicalQuery,
-               keys: list[tuple], binding: Callable[[int], Row],
-               ) -> list[Optional[list[BindingBatch]]]:
-        """Repair the latest prior entry of every probe up to ``version``.
+               keys: list[tuple], bases: list[tuple[int, list[BindingBatch]]],
+               binding: Callable[[int], Row]) -> list[Optional[list[BindingBatch]]]:
+        """Repair every probe's entry up to ``version``.
 
-        ``keys`` of one query just missed; ``binding(i)``, the bindings of
-        ``keys[i]``, is asked only of a key with a prior entry.  Per key, in
-        order: on success the merged entry (batches in *canonical* variable
-        names), inserted under its key — stamping it at the current
-        version; ``None`` for "fall back to a plain miss".  The prior entry
-        is never mutated: the old rows are shared with the new entry, not
-        copied.  Never raises: any evaluation error is a counted fallback
-        of the keys it was evaluated with.
+        ``keys`` of one query found their entries ``bases`` — each a
+        ``(version, batches)`` stamped older than ``version``, batches in
+        *canonical* variable names — and ``binding(i)`` are the bindings of
+        ``keys[i]``.  Per key, in order: on success the merged batches,
+        inserted under the key stamped at ``version``; ``None`` for "fall
+        back to a plain miss".  A base is never mutated: the old rows are
+        shared with the new entry, not copied.  Never raises: any
+        evaluation error is a counted fallback of the keys it was
+        evaluated with.
         """
         out: list[Optional[list[BindingBatch]]] = [None] * len(keys)
-        if not isinstance(version, int):
-            return out
-        # Prior version -> the probes whose merge base was cached under it.
+        self.stats.attempt(len(bases))
+        # Base version -> the probes whose entry was stamped with it.
         spans: dict[int, list[tuple[int, list[BindingBatch]]]] = {}
-        for index, key in enumerate(keys):
-            prior = self.cache.prior_entry(key)
-            if prior is None:
-                continue
-            pre = prior[0][2]
-            if isinstance(pre, int) and pre < version:
-                self.stats.attempt()
-                spans.setdefault(pre, []).append((index, prior[1]))
+        for index, (pre, stored) in enumerate(bases):
+            spans.setdefault(pre, []).append((index, stored))
         registry = get_registry()
         for pre, members in spans.items():
             registry.counter("cache_repair_batches_total").inc()
@@ -161,7 +155,7 @@ class RepairEngine:
                 self.stats.fallback(merged, len(members))
                 continue
             for (index, base), entry in zip(members, merged):
-                self.cache.insert_canonical(keys[index], entry)
+                self.cache.insert_canonical(keys[index], version, entry)
                 self.stats.success(row_count(entry) - row_count(base),
                                    pure_restamp=entry is base)
                 out[index] = entry
@@ -216,7 +210,7 @@ class RepairEngine:
         key = (source.uri, source.cache_token, records[0].pre_version,
                records[-1].post_version)
         with self._spans_lock:
-            built = self._spans.get(key, record_miss=False)
+            built = self._spans.get(key)
             if built is None:
                 built = build(records)
                 self._spans.put(key, built)

@@ -7,8 +7,7 @@ calls recompute answers the mediator has already seen.
 :class:`SubQueryResultCache` memoises per-source sub-query results under
 a fully canonical key::
 
-    (source URI, source identity token, source version,
-     canonical query, canonical binding)
+    (source URI, source identity token, canonical query, canonical binding)
 
 The identity token (allocated per wrapper, never reused) keeps a cache
 shared across several instances safe: two glue graphs both live under
@@ -16,11 +15,14 @@ the ``#glue`` URI, yet can never serve each other's rows.
 
 *Source versions* make invalidation precise: every store (RDF graph,
 relational tables, full-text store, JSON store) bumps a version counter
-on mutation, so an update to one source orphans exactly that source's
-entries — results of every other source keep serving hits, and the
-orphaned entries age out of the LRU.
+on mutation, and each entry is stamped with the version it was read at.
+A probe hits only an entry stamped with the version it reads, so a write
+makes exactly that source's entries stale, in place — results of every
+other source keep serving hits.  A stale entry is the repair engine's
+merge base; a repair, or the next miss, replaces it.  One probe has one
+entry, whatever the number of writes.
 
-An entry is a list of :class:`~repro.engine.batch.BindingBatch` objects
+An entry's batches are :class:`~repro.engine.batch.BindingBatch` objects
 under *canonical* variable names, immutable once inserted: a hit is the
 entry's own row lists under a renamed header, shared by every reader; a
 repair publishes a new entry.
@@ -31,10 +33,11 @@ answers ``execute_batch`` in batches, as every source does, and every
 other read is the wrapped source's own, so an executor keeps one
 catalog — a layer per source — for its planner, its statistics and its
 dispatch.  A probe is per call — one LRU pass, one repair call for
-its stale keys — and only its misses go to the wrapped source's
-``execute_batch``, so a batched bind join ships IN-lists /
-disjunctions of uncached bindings; a flush the bind join probed
-(:meth:`CachedSource.peek`) is not keyed, probed or repaired again.
+the keys whose entry is older than the call's version — and only its
+misses go to the wrapped source's ``execute_batch``, so a batched bind
+join ships IN-lists / disjunctions of uncached bindings; a flush the
+bind join probed (:meth:`CachedSource.peek`) is not keyed, probed or
+repaired again.
 Sources whose ``version()`` is unknown (``None``) are never cached.
 """
 
@@ -51,35 +54,11 @@ from repro.engine.batch import BindingBatch, as_batches, dict_rows
 from repro.errors import MixedQueryError
 
 class SubQueryResultCache:
-    """LRU of sub-query results shared by every executor of an instance."""
+    """LRU of sub-query results shared by every executor of an instance:
+    one entry per probe, ``(version, batches)``."""
 
     def __init__(self, max_entries: int = 4096):
-        self.entries = LRUCache(max_entries, on_evict=self._entry_evicted)
-        self._lock = threading.RLock()
-        # Version-independent index: logical probe (URI, token, query,
-        # binding) -> the full key of the *latest* inserted entry.  It
-        # powers graceful degradation — when a remote source is down its
-        # current version is unknowable, yet the mediator can still find
-        # the freshest rows it ever cached for the probe.  Pointers are
-        # dropped by ``_entry_evicted`` when the LRU evicts their target,
-        # so the index never outgrows (or outlives) the entries map.
-        self._stale: dict[tuple, tuple] = {}
-
-    def _entry_evicted(self, key: tuple, value: object) -> None:
-        """LRU eviction callback: drop the stale pointer of one entry.
-
-        Only when the pointer still targets the evicted key — a newer
-        version's insert may have redirected it already.
-        """
-        logical = self._logical(key)
-        with self._lock:
-            if self._stale.get(logical) == key:
-                del self._stale[logical]
-
-    @staticmethod
-    def _logical(key: tuple) -> tuple:
-        """The full key minus the source version."""
-        return (key[0], key[1], key[3], key[4])
+        self.entries = LRUCache(max_entries)
 
     @property
     def stats(self) -> CacheStats:
@@ -87,9 +66,9 @@ class SubQueryResultCache:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def keys(source, version: Optional[int], canon: CanonicalQuery,
+    def keys(source, canon: CanonicalQuery,
              binding_keys: Iterable[Optional[tuple]]) -> list[Optional[tuple]]:
-        """The full cache key of each probe (``None``: uncacheable): the
+        """The cache key of each probe (``None``: uncacheable): the
         ``source``'s URI *and* identity token enter it (a layer's are its
         wrapped source's), a wrapper without one (a subclass skipping
         ``DataSource.__init__``) has none."""
@@ -97,46 +76,23 @@ class SubQueryResultCache:
         if token is None:
             return [None for _ in binding_keys]
         uri, query = source.uri, canon.key
-        return [None if key is None else (uri, token, version, query, key)
+        return [None if key is None else (uri, token, query, key)
                 for key in binding_keys]
 
-    def insert(self, key: tuple, canon: CanonicalQuery,
-               rows: list) -> list[BindingBatch]:
+    def insert(self, key: tuple, version: int, canon: CanonicalQuery, rows: list) -> None:
         """Insert an answer (batches or dict rows) in the query's own
-        names; returns the stored entry (canonical names)."""
-        batches = canon.canonical_batches(as_batches(rows))
-        self.insert_canonical(key, batches)
-        return batches
+        names, read at ``version``."""
+        self.insert_canonical(key, version, canon.canonical_batches(as_batches(rows)))
 
-    def insert_canonical(self, key: tuple, batches: list[BindingBatch]) -> None:
-        """Insert batches already in canonical variable names (repair)."""
-        self.entries.put(key, batches)
-        with self._lock:
-            self._stale[self._logical(key)] = key
-
-    def prior_entry(self, key: tuple) -> Optional[tuple[tuple, list[BindingBatch]]]:
-        """The latest surviving entry of this probe under an older version.
-
-        Input is the full key of a probe that just *missed*; the stale
-        index locates the newest entry ever inserted for the same
-        logical probe.  Returns ``(prior_key, stored_batches)``, still
-        in canonical names (they are the repair engine's
-        merge base, not an answer), or ``None`` when the probe was never
-        cached or its entry has aged out of the LRU.
-        """
-        logical = self._logical(key)
-        with self._lock:
-            prior_key = self._stale.get(logical)
-        if prior_key is None or prior_key == key:
-            return None
-        stored = self.entries.get(prior_key, record_miss=False)
-        if stored is None:
-            return None
-        return prior_key, stored
+    def insert_canonical(self, key: tuple, version: int,
+                         batches: list[BindingBatch]) -> None:
+        """Stamp batches already in canonical variable names (repair) with
+        ``version``, replacing the probe's entry: the last insert wins."""
+        self.entries.put(key, (version, batches))
 
     def fetch_stale(self, source, query: SourceQuery,
                     bindings: Row) -> Optional[list[BindingBatch]]:
-        """The latest rows ever cached for this probe, any version.
+        """The rows last cached for this probe, at whatever version.
 
         Serving them is *degraded* reading: the source may have mutated
         since.  Callers must flag the result (``trace.degraded``) — this
@@ -144,24 +100,12 @@ class SubQueryResultCache:
         failed query.  Touches no hit/miss counters.
         """
         canon = canonical_query(query)
-        probe = canon and self.keys(source, None, canon, [canon.key_of(bindings)])[0]
-        if probe is None:
-            return None
-        with self._lock:
-            key = self._stale.get(self._logical(probe))
-        stored = None if key is None else self.entries.get(key, record_miss=False)
-        return None if stored is None else canon.original_batches(stored)
-
-    # ------------------------------------------------------------------
-    def invalidate_source(self, source_uri: str) -> int:
-        """Eagerly drop every entry of one source (versioning already
-        prevents stale hits; this just frees the slots)."""
-        return self.entries.invalidate_where(lambda key: key[0] == source_uri)
+        key = canon and self.keys(source, canon, [canon.key_of(bindings)])[0]
+        entry = None if key is None else self.entries.peek(key)
+        return None if entry is None else canon.original_batches(entry[1])
 
     def clear(self) -> None:
         self.entries.clear()
-        with self._lock:
-            self._stale.clear()
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -197,10 +141,10 @@ class CachedSource:
         self.cache = cache
         self.local_stats = stats
         # Optional delta-join repair engine (duck-typed —
-        # :class:`repro.cache.repair.RepairEngine`): a miss whose probe
-        # has an entry under an older source version is first offered
-        # for repair; success re-stamps the entry and counts as a hit,
-        # since no source call happened.
+        # :class:`repro.cache.repair.RepairEngine`): an entry stamped
+        # with an older source version is offered for repair; success
+        # re-stamps the entry and counts as a hit, since no source call
+        # happened.
         self.repair = repair
         # The stats object is shared by every layer of one executor and
         # bumped from pooled dispatch threads; the (equally shared)
@@ -218,25 +162,42 @@ class CachedSource:
     def _probe(self, version: int, query: SourceQuery, canon: CanonicalQuery,
                keys: list[Optional[tuple]],
                binding: Callable[[int], Row]) -> list[Optional[list[BindingBatch]]]:
-        """Each key's entry (canonical names) or ``None``, counted: one LRU
-        pass, then ONE repair call for the stale keys, with ``binding(i)``
-        (a repaired entry reads as a hit: no source call happened)."""
-        stored = self.cache.entries.get_many(keys, record_miss=self.repair is None)
-        missed = [i for i, key in enumerate(keys) if key is not None and stored[i] is None]
-        if self.repair is not None and missed:
-            repaired = self.repair.repair(self.inner, version, query, canon,
-                                          [keys[i] for i in missed],
-                                          lambda at: binding(missed[at]))
-            for i, merged in zip(missed, repaired):
-                stored[i] = merged
-            missed = [i for i in missed if stored[i] is None]
-            if missed:
-                self.cache.entries.miss(len(missed))
+        """Each key's entry (canonical names) or ``None``, each probe counted
+        once.  One LRU pass sorts the keys by their entry's stamp: the
+        probe's ``version`` is a hit; an older one is a repair base, and
+        the bases go to ONE repair call, with ``binding(i)`` (a repaired
+        key reads as a hit: no source call happened); anything else — no
+        entry, a newer stamp (its key is set to ``None`` in ``keys``: an
+        older pin's answer never replaces it), a base repair declined — is
+        a miss."""
+        found = self.cache.entries.get_many(keys, lambda entry: entry[0] == version)
+        stored: list = [None] * len(keys)
+        older: list[int] = []
+        newer = 0
+        for i, entry in enumerate(found):
+            if entry is None:
+                continue
+            if entry[0] == version:
+                stored[i] = entry[1]
+            elif entry[0] < version:
+                older.append(i)
+            else:
+                keys[i] = None
+                newer += 1
+        if older or newer:
+            repaired = 0
+            if self.repair is not None and older:
+                for i, merged in zip(older, self.repair.repair(
+                        self.inner, version, query, canon, [keys[i] for i in older],
+                        [found[i] for i in older], lambda at: binding(older[at]))):
+                    stored[i] = merged
+                    repaired += merged is not None
+            self.cache.entries.count(repaired, len(older) - repaired + newer)
         if self.local_stats is not None:
-            probed = len(keys) - keys.count(None)
+            hits = len(stored) - stored.count(None)
             with self._stats_lock:
-                self.local_stats.hits += probed - len(missed)
-                self.local_stats.misses += len(missed)
+                self.local_stats.hits += hits
+                self.local_stats.misses += len(keys) - keys.count(None) + newer - hits
         return stored
 
     # -- cached protocol ----------------------------------------------------
@@ -261,7 +222,7 @@ class CachedSource:
             _, canon, keys = probed
             results: list = [None] * len(batch)
         else:
-            keys = self.cache.keys(self.inner, version, canon, map(canon.key_of, batch))
+            keys = self.cache.keys(self.inner, canon, map(canon.key_of, batch))
             results = [None if entry is None else canon.original_batches(entry)
                        for entry in self._probe(version, query, canon, keys,
                                                 batch.__getitem__)]
@@ -271,7 +232,7 @@ class CachedSource:
         for i, batches in zip(misses, self._fetch(query, [batch[i] for i in misses])):
             results[i] = batches
             if keys[i] is not None:
-                self.cache.insert(keys[i], canon, batches)
+                self.cache.insert(keys[i], version, canon, batches)
         return results
 
     def _fetch(self, query: SourceQuery, batch: list[Row]) -> list[list[BindingBatch]]:
@@ -294,7 +255,7 @@ class CachedSource:
         version = self.inner.version()
         if version is None:
             return [None] * len(bindings), None
-        keys = self.cache.keys(self.inner, version, canon, [
+        keys = self.cache.keys(self.inner, canon, [
             atom.binding_keyer(canon, names)(values) for names, values in bindings])
         stored = self._probe(version, atom.query, canon, keys,
                              lambda i: atom.formal_bindings(dict(zip(*bindings[i]))))

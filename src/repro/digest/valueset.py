@@ -13,6 +13,7 @@ associated to each position in the schema" (paper §2.2).  A
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -224,7 +225,10 @@ class ValueSetSummary:
 
         Uses the exact sample when available (probing the other side's
         Bloom filter), which is how cross-source join candidates are
-        detected when building the combined digest graph.
+        detected when building the combined digest graph.  Against a side
+        that keeps no exact set, no more hits than the filter's expected
+        false positives (``len(sample) x rate``, rounded up) is no overlap,
+        unless the sample is one value: its hit is all the evidence it has.
         """
         exact = self.exact
         if exact:
@@ -232,6 +236,9 @@ class ValueSetSummary:
             if not sample:
                 return 0.0
             hits = sum(1 for value in sample if other.might_contain(value))
+            if (other.exact is None and len(sample) > 1
+                    and hits <= math.ceil(len(sample) * other.bloom.false_positive_rate())):
+                return 0.0
             return hits / len(sample)
         # Without an exact sample, fall back to a coarse histogram overlap.
         mine, theirs = self.histogram, other.histogram

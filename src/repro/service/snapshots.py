@@ -12,8 +12,8 @@ it (:meth:`repro.remote.RemoteSource.pin`).  Writers keep mutating the
 live stores, later queries pin later versions, but no query ever sees a
 half-applied delta.  Because pinned wrappers share their live wrapper's
 cache token and version, the cross-query result cache remains shared
-(and sound: the version in the key now really describes immutable
-content).  ``MixedInstance.execute`` and the mediator service both
+(and sound: the version an entry is stamped with really describes
+immutable content).  ``MixedInstance.execute`` and the mediator service both
 evaluate through :meth:`PinnedCatalog.executor`.
 """
 
@@ -54,31 +54,32 @@ class PinnedCatalog:
         return versions
 
     def executor(self, instance: "MixedInstance",
-                 options: PlannerOptions | None = None, cache: bool = True,
+                 options: PlannerOptions | None = None,
                  cancel_check=None, metrics=None, deadline=None) -> MixedQueryExecutor:
         """An executor whose every dispatch hits the pinned snapshots.
 
         ``instance`` supplies the shared mediator cache and statistics
-        catalog (``cache=False`` detaches this executor from the shared
-        result/plan caches — the equivalence harness uses that to verify
-        service answers independently).  ``metrics`` is the registry the
+        catalog (``PlannerOptions(result_cache=False, plan_cache=False)``
+        keeps this executor off the shared result/plan caches — the
+        equivalence harness uses that to verify service answers
+        independently).  ``metrics`` is the registry the
         executor records into (the service hands its own down);
         ``deadline`` is a callable returning the seconds remaining before
         the ticket's deadline, bounding every dispatch wait.
         """
         return MixedQueryExecutor(
             self.sources, self.glue, options=options,
-            cache=instance.cache if cache else None,
+            cache=instance.cache,
             statistics=instance.statistics(), cancel_check=cancel_check,
             metrics=metrics, deadline=deadline)
 
     def execute(self, instance: "MixedInstance", query, *,
                 options: PlannerOptions | None = None, distinct: bool = True,
-                limit: int | None = None, cache: bool = True):
+                limit: int | None = None):
         """Evaluate one CMQ against the pinned snapshots (serial-friendly)."""
         if isinstance(query, str):
             query = instance.parse(query)
-        executor = self.executor(instance, options=options, cache=cache)
+        executor = self.executor(instance, options=options)
         return executor.execute(query, distinct=distinct, limit=limit)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

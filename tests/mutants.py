@@ -38,13 +38,24 @@ def constants_out_of_the_binding_key(patch) -> None:
                   lambda self, slots, constants=None: keyer(self, slots))
 
 
-def version_out_of_the_cache_key(patch) -> None:
+def stamp_matches_every_version(patch) -> None:
     """A cache entry outlives every write to its source."""
     from repro.cache.results import SubQueryResultCache
 
-    keys = SubQueryResultCache.keys
-    patch.setattr(SubQueryResultCache, "keys", staticmethod(
-        lambda source, version, canon, binding_keys: keys(source, 0, canon, binding_keys)))
+    class Stamp(int):
+        """A version stamp the probe's check takes for any version."""
+
+        __hash__ = int.__hash__
+
+        def __eq__(self, other: object) -> bool:
+            return True
+
+        def __ne__(self, other: object) -> bool:
+            return False
+
+    insert = SubQueryResultCache.insert_canonical
+    patch.setattr(SubQueryResultCache, "insert_canonical",
+                  lambda self, key, version, batches: insert(self, key, Stamp(version), batches))
 
 
 def repair_ignores_its_delta(patch) -> None:
@@ -239,7 +250,7 @@ def merge_without_shared_check(patch) -> None:
 
 
 MUTANTS = {mutant.__name__: mutant for mutant in (
-    constants_out_of_the_binding_key, version_out_of_the_cache_key,
+    constants_out_of_the_binding_key, stamp_matches_every_version,
     repair_ignores_its_delta, headers_left_untranslated,
     no_subtraction, subtract_the_written_copies,
     repair_from_explicit_delta, seed_drops_spelling_variants,

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro.cache import (
+    CacheStats,
     CachedSource,
     LRUCache,
     MediatorCache,
@@ -16,6 +17,7 @@ from repro.cache import (
 )
 from repro.core import MixedInstance, PlannerOptions
 from repro.core.planner import REPLAN_THRESHOLD
+from repro.cache.repair import RepairEngine
 from repro.cache.results import SubQueryResultCache
 from repro.core.sources import DataSource
 from repro.fulltext.source import FullTextQuery, FullTextSource
@@ -114,15 +116,8 @@ class TestLRUCache:
 
     def test_peek_does_not_record_miss(self):
         lru = LRUCache(4)
-        assert lru.get("nope", record_miss=False) is None
+        assert lru.peek("nope") is None
         assert lru.stats.misses == 0
-
-    def test_invalidate_where(self):
-        lru = LRUCache(8)
-        lru.put(("s1", 0), 1)
-        lru.put(("s2", 0), 2)
-        assert lru.invalidate_where(lambda key: key[0] == "s1") == 1
-        assert ("s2", 0) in lru and ("s1", 0) not in lru
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +291,8 @@ class TestResultCache:
         instance.source("sql://insee").database.execute(
             "INSERT INTO unemployment (dept_code, rate) VALUES ('99', 42.0)")
         after = instance.execute(cmq)
-        # Glue entries still hit; the SQL entries were orphaned by the
-        # version bump but delta-repaired from the insert journal, so
+        # Glue entries still hit; the SQL entries went stale with the
+        # version bump but were delta-repaired from the insert journal, so
         # they serve as hits too — and the fresh row is in the answer.
         assert after.trace.cache_hits > 0
         assert after.trace.cache_misses == 0
@@ -446,19 +441,6 @@ class TestCachedSource:
             inner.execute_batch = original
         assert len(shipped) == 1 and shipped[0] == [{"dept": "62"}]
         assert [len(r) for r in results] == [1, 1]
-
-    def test_invalidate_source_frees_only_that_sources_entries(self, instance):
-        cache = MediatorCache()
-        query = SQLQuery(sql="SELECT dept_code AS dept, rate AS rate "
-                             "FROM unemployment WHERE dept_code = {dept}")
-        sql_proxy = CachedSource(instance.source("sql://insee"), cache.results)
-        glue_proxy = CachedSource(instance.glue_source, cache.results)
-        sql_proxy.execute(query, {"dept": "75"})
-        glue_proxy.execute(
-            RDFQuery.from_text("SELECT ?d WHERE { ?x ttn:deptCode ?d }"))
-        assert len(cache.results) == 2
-        assert cache.results.invalidate_source("sql://insee") == 1
-        assert len(cache.results) == 1
 
     def test_delegation(self):
         """Every read other than the cached ones is the wrapped source's:
@@ -628,17 +610,18 @@ def test_cached_source_delegates_cost_kind_trust_and_pin():
     assert pinned.cache is proxy.cache
 
 
-def sql_probe_key(cache, wrapper, version, value):
+def sql_probe_key(cache, wrapper, value):
     query = SQLQuery(sql="SELECT handle AS id, followers AS f FROM profiles "
                          "WHERE handle = {id}")
     canon = canonical_query(query)
-    (key,) = cache.keys(wrapper, version, canon, [canon.key_of({"id": value})])
+    (key,) = cache.keys(wrapper, canon, [canon.key_of({"id": value})])
     assert key is not None
     return key, canon
 
 
 def test_stale_pointers_are_evicted_per_entry():
-    """LRU evictions drop exactly their own stale pointer, nothing else."""
+    """An LRU eviction drops exactly its own entry's degraded read, nothing
+    else, and a degraded read finds the probe's newest insert."""
     database = Database("db")
     database.create_table_from_rows(
         "profiles", [{"handle": h, "followers": 1} for h in HANDLES])
@@ -646,41 +629,108 @@ def test_stale_pointers_are_evicted_per_entry():
     wrapper = inner.register_relational("sql://profiles", database)
     cache = SubQueryResultCache(max_entries=2)
 
-    keys = [sql_probe_key(cache, wrapper, 1, f"u{i}") for i in range(3)]
+    keys = [sql_probe_key(cache, wrapper, f"u{i}") for i in range(3)]
     for (key, canon), i in zip(keys, range(3)):
-        cache.insert(key, canon, [{"id": f"u{i}", "f": i}])
+        cache.insert(key, 1, canon, [{"id": f"u{i}", "f": i}])
+    key, canon = keys[2]
+    cache.insert(key, 2, canon, [{"id": "u2", "f": 20}])
 
-    # Entry 0 was evicted (capacity 2): its stale pointer is gone, the
-    # survivors' pointers still answer — no wholesale flush.
+    # Entry 0 was evicted (capacity 2); the survivors still answer — no
+    # wholesale flush — and u2's v2 insert replaced its v1 entry.
     query = SQLQuery(sql="SELECT handle AS id, followers AS f FROM profiles "
                          "WHERE handle = {id}")
     assert cache.fetch_stale(wrapper, query, {"id": "u0"}) is None
     assert dict_rows(cache.fetch_stale(wrapper, query, {"id": "u1"})) == [{"id": "u1", "f": 1}]
-    assert dict_rows(cache.fetch_stale(wrapper, query, {"id": "u2"})) == [{"id": "u2", "f": 2}]
-    # The index can never outgrow the entries map again.
-    assert len(cache._stale) == len(cache.entries) == 2
+    assert dict_rows(cache.fetch_stale(wrapper, query, {"id": "u2"})) == [{"id": "u2", "f": 20}]
+    assert len(cache) == 2
 
 
-def test_stale_pointer_redirected_to_newer_version_survives_old_eviction():
+# ---------------------------------------------------------------------------
+# One entry per probe: a write makes an entry stale in place
+# ---------------------------------------------------------------------------
+
+PROFILE = SQLQuery(sql="SELECT handle AS id, followers AS f FROM profiles "
+                       "WHERE handle = {id}")
+
+
+def _profiles(handles: list[str], repair: bool = True):
     database = Database("db")
     database.create_table_from_rows(
-        "profiles", [{"handle": h, "followers": 1} for h in HANDLES])
+        "profiles", [{"handle": h, "followers": 0} for h in handles])
     inner = MixedInstance(graph=Graph("g"), name="inner", entailment=False)
     wrapper = inner.register_relational("sql://profiles", database)
-    cache = SubQueryResultCache(max_entries=2)
+    cache = SubQueryResultCache()
+    engine = RepairEngine(cache) if repair else None
+    proxy = CachedSource(wrapper, cache, stats=CacheStats(), repair=engine)
+    return database.table("profiles"), wrapper, proxy
 
-    old_key, canon = sql_probe_key(cache, wrapper, 1, "u0")
-    new_key, _ = sql_probe_key(cache, wrapper, 2, "u0")
-    cache.insert(old_key, canon, [{"id": "u0", "f": 1}])
-    cache.insert(new_key, canon, [{"id": "u0", "f": 2}])  # pointer -> v2
-    filler, filler_canon = sql_probe_key(cache, wrapper, 1, "u1")
-    cache.insert(filler, filler_canon, [{"id": "u1", "f": 1}])  # evicts v1 entry
 
-    # Evicting the *old* version's entry must not drop the pointer that
-    # already targets the newer entry.
-    query = SQLQuery(sql="SELECT handle AS id, followers AS f FROM profiles "
-                         "WHERE handle = {id}")
-    assert dict_rows(cache.fetch_stale(wrapper, query, {"id": "u0"})) == [{"id": "u0", "f": 2}]
+@pytest.mark.parametrize("repair", [True, False])
+def test_writes_leave_one_entry_per_probe(repair):
+    """50 one-row writes, each followed by the same 10 probes: the cache
+    holds 10 entries (a version in the key left 500) and every answer is
+    the source's at the probe's version."""
+    handles = [f"u{i}" for i in range(10)]
+    table, wrapper, proxy = _profiles(handles, repair)
+    probes = [{"id": h} for h in handles]
+    for write in range(1, 51):
+        table.insert({"handle": handles[write % 10], "followers": write})
+        answers = list(map(dict_rows, proxy.execute_batch(PROFILE, probes)))
+        pinned = wrapper.pin()
+        assert answers == [pinned.execute(PROFILE, probe) for probe in probes]
+    assert len(proxy.cache) == 10
+    if repair:
+        assert proxy.repair.stats.repaired == 49 * 10
+
+
+def test_each_probe_counts_once(monkeypatch):
+    """A fresh or repaired probe is one hit, an unrepaired one is one miss,
+    and a degraded read counts nothing."""
+    table, wrapper, proxy = _profiles(HANDLES)
+    stats, engine = proxy.cache.stats, proxy.repair
+
+    def counts():
+        local = proxy.local_stats
+        assert (local.hits, local.misses) == (stats.hits, stats.misses)
+        return stats.hits, stats.misses
+
+    probe = [{"id": "u0"}]
+    proxy.execute_batch(PROFILE, probe)
+    assert counts() == (0, 1)
+    proxy.execute_batch(PROFILE, probe)
+    assert counts() == (1, 1)
+    table.insert({"handle": "u0", "followers": 1})
+    proxy.execute_batch(PROFILE, probe)
+    assert counts() == (2, 1) and engine.stats.repaired == 1
+    monkeypatch.setattr(engine, "MAX_DELTA_ITEMS", 0)
+    table.insert({"handle": "u0", "followers": 2})
+    proxy.execute_batch(PROFILE, probe)
+    assert counts() == (2, 2) and engine.stats.fallbacks == {"delta_too_large": 1}
+    assert dict_rows(proxy.cache.fetch_stale(wrapper, PROFILE, probe[0])) == [
+        {"id": "u0", "f": f} for f in (0, 1, 2)]
+    assert counts() == (2, 2)
+
+
+def test_a_pin_older_than_the_entry_misses_and_reads_its_snapshot():
+    """An entry stamped newer than the probe is neither a hit nor a
+    repair base: the pinned probe reads its own snapshot."""
+    table, wrapper, proxy = _profiles(HANDLES)
+    probe = [{"id": "u0"}]
+    pinned = proxy.pin()
+    table.insert({"handle": "u0", "followers": 1})
+    assert len(dict_rows(proxy.execute_batch(PROFILE, probe)[0])) == 2
+    misses = proxy.cache.stats.misses
+    assert dict_rows(pinned.execute_batch(PROFILE, probe)[0]) == [{"id": "u0", "f": 0}]
+    assert proxy.cache.stats.misses == misses + 1
+    assert proxy.repair.stats.attempts == 0
+    # The older pin's answer did not replace the newer entry: a live
+    # probe still hits it, with no repair.
+    key, _ = sql_probe_key(proxy.cache, wrapper, "u0")
+    assert proxy.cache.entries.peek(key)[0] == wrapper.version()
+    hits = proxy.cache.stats.hits
+    assert len(dict_rows(proxy.execute_batch(PROFILE, probe)[0])) == 2
+    assert proxy.cache.stats.hits == hits + 1
+    assert proxy.repair.stats.attempts == 0
 
 
 def test_canonical_form_is_kept_on_the_query():

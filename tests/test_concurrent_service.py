@@ -25,7 +25,7 @@ import pytest
 
 from repro.cache.lru import LRUCache
 from repro.cache.results import CachedSource, SubQueryResultCache
-from repro.core import CMQBuilder, MixedInstance
+from repro.core import CMQBuilder, MixedInstance, PlannerOptions
 from repro.core.sources import DataSource
 from repro.relational.source import SQLQuery
 from repro.engine.batch import dict_rows
@@ -198,7 +198,8 @@ class TestStressEquivalence:
             # is exact no matter what the writers did since).
             for ticket in tickets:
                 serial = ticket.pinned.execute(
-                    instance, ticket.query, cache=False)
+                    instance, ticket.query,
+                    options=PlannerOptions(result_cache=False, plan_cache=False))
                 if result_set(ticket.result()) != result_set(serial):
                     violations.append(ticket.query.name)
 

@@ -1,5 +1,7 @@
 """Unit tests for Bloom filters, histograms, value-set summaries and dataguides."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,7 @@ from repro.digest import (
     TopKSummary,
     ValueSetSummary,
 )
-from repro.digest.valueset import _normalize, _squeeze, _tokens
+from repro.digest.valueset import EXACT_SET_LIMIT, _normalize, _squeeze, _tokens
 
 
 class TestBloomFilter:
@@ -157,6 +159,40 @@ class TestValueSetSummary:
         right = ValueSetSummary([f"code{i}" for i in range(10)])
         assert left.overlap_estimate(right) == pytest.approx(0.5, abs=0.1)
         assert right.overlap_estimate(left) == pytest.approx(1.0, abs=0.05)
+
+    def test_one_bloom_hit_is_no_overlap(self):
+        """Against a side that keeps no exact set, a sample's single hit may
+        be a Bloom false positive (a birth year "found" among tweet ids),
+        so it is no overlap; two hits, one against an exact set, or the
+        hit of a one-value sample, are."""
+        tweets = [f"tweet{i}" for i in range(EXACT_SET_LIMIT + 100)]
+        large = ValueSetSummary(tweets)
+        assert large.exact is None
+        candidates = [f"year{y}" for y in range(100_000)]
+        false_positive = next(v for v in candidates if large.might_contain(v))
+        absent = [v for v in candidates if not large.might_contain(v)][:9]
+        years = ValueSetSummary([false_positive, *absent])
+        assert years.overlap_estimate(large) == 0.0
+        shared = ValueSetSummary([tweets[0], tweets[1], *absent[:8]])
+        assert shared.overlap_estimate(large) == pytest.approx(0.2)
+        exact = ValueSetSummary([false_positive, "tweet0"])
+        assert years.overlap_estimate(exact) == pytest.approx(0.1)
+        assert ValueSetSummary(["tweet7"]).overlap_estimate(large) == 1.0
+
+    def test_false_hits_are_measured_against_the_stated_rate(self):
+        """Hits up to the expected false positives, rounded up, are no
+        overlap; one more is."""
+        large = ValueSetSummary([f"tweet{i}" for i in range(EXACT_SET_LIMIT + 100)],
+                                bloom_bits_per_value=2)
+        rate = large.bloom.false_positive_rate()
+        present = [v for v in (f"v{i}" for i in range(20_000)) if large.might_contain(v)]
+        absent = [v for v in (f"w{i}" for i in range(20_000)) if not large.might_contain(v)]
+        expected = math.ceil(150 * rate)
+        assert 1 < expected < len(present)
+        noise = ValueSetSummary([*present[:expected], *absent[:150 - expected]])
+        assert noise.overlap_estimate(large) == 0.0
+        signal = ValueSetSummary([*present[:expected + 1], *absent[:149 - expected]])
+        assert signal.overlap_estimate(large) == pytest.approx((expected + 1) / 150)
 
     def test_numeric_summary_uses_histogram(self):
         summary = ValueSetSummary(list(range(1000)))

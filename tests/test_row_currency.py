@@ -370,7 +370,8 @@ def warm_party():
 
 
 def _entries(instance) -> dict:
-    return dict(instance.cache.results.entries._entries)
+    return {key: batches for key, (_, batches)
+            in instance.cache.results.entries._entries.items()}
 
 
 class TestIsolation:

@@ -153,15 +153,13 @@ def test_snapshot_isolation_under_random_interleavings(prefix, suffix, shape, to
     # mix of pre- and post-delta versions.
     assert pinned.versions == live_versions
 
-    before = result_set(pinned.execute(instance, query, options=SERIAL,
-                                       cache=False))
+    before = result_set(pinned.execute(instance, query, options=SERIAL))
 
     for delta in suffix:
         apply_delta(instance, delta)
 
     # The pin is immune to the suffix: identical rows, identical vector.
-    after = result_set(pinned.execute(instance, query, options=SERIAL,
-                                      cache=False))
+    after = result_set(pinned.execute(instance, query, options=SERIAL))
     assert after == before
     assert pinned.versions == live_versions
 
@@ -221,8 +219,7 @@ def test_concurrent_tickets_answer_like_per_query_evaluation(batch):
     instance = build_instance(cache=True)
     queries = [make_query(instance, shape, topic) for shape, topic in batch]
     pinned = instance.pin()
-    reference = [result_set(pinned.execute(instance, q, options=SERIAL,
-                                           cache=False))
+    reference = [result_set(pinned.execute(instance, q, options=SERIAL))
                  for q in queries]
     with MediatorService(instance, ServiceConfig(workers=4)) as service:
         tickets = [service.submit(q) for q in queries]

@@ -1,7 +1,7 @@
 """Streaming ingestion: delta journals, cache repair, standing queries.
 
 Covers the version-churn fixes (one ingest batch = ONE version bump per
-store), the delta-join repair of version-orphaned cache entries
+store), the delta-join repair of stale cache entries
 (`repro.cache.repair`) — including a hypothesis property test that a
 repaired entry equals a cold re-execution across all four data models
 under random insert/remove interleavings — and the standing-query
@@ -608,8 +608,8 @@ class TestDocumentRewritesAreRepaired:
         store.add_all(document(i, 0) for i in range(6))
         proxy, engine, _ = _proxy(source)
         proxy.execute_batch(query, keys)
-        for key in list(engine.cache.entries._entries):
-            engine.cache.insert_canonical(key, [])
+        for key, (version, _) in list(engine.cache.entries._entries.items()):
+            engine.cache.insert_canonical(key, version, [])
         store.add(document(0, 1))
         warm = list(map(dict_rows, proxy.execute_batch(query, keys)))
         assert warm == [source.execute(query, dict(key)) for key in keys]

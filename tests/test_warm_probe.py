@@ -311,9 +311,9 @@ class TestRepairIsOfferedEachKeyOnce:
         offered: list[tuple] = []
         original = RepairEngine.repair
 
-        def repair(self, source, version, query, canon, keys, binding):
+        def repair(self, source, version, query, canon, keys, bases, binding):
             offered.extend(keys)
-            return original(self, source, version, query, canon, keys, binding)
+            return original(self, source, version, query, canon, keys, bases, binding)
         monkeypatch.setattr(RepairEngine, "repair", repair)
         stats = instance.cache.repair.stats
         attempts, fallbacks = stats.attempts, sum(stats.fallbacks.values())
