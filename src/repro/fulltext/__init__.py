@@ -16,7 +16,7 @@ from repro.fulltext.analysis import (
     tokenize,
 )
 from repro.fulltext.document import Document, make_document
-from repro.fulltext.index import InvertedIndex, Posting
+from repro.fulltext.index import InvertedIndex
 from repro.fulltext.query import (
     BooleanQuery,
     MatchAllQuery,
@@ -50,7 +50,6 @@ __all__ = [
     "Document",
     "make_document",
     "InvertedIndex",
-    "Posting",
     "BooleanQuery",
     "MatchAllQuery",
     "NotQuery",

@@ -1,6 +1,8 @@
 """Inverted index and postings for the full-text substrate.
 
-The aggregates a search reads — the number of documents and their total
+A term's postings map each document holding it to the tuple of its
+positions there; the term frequency is the length of that tuple.  The
+aggregates a search reads — the number of documents and their total
 length — are maintained by the writes (``add`` / ``remove``), so the read
 side never recomputes them from the per-document lengths.
 """
@@ -8,17 +10,7 @@ side never recomputes them from the per-document lengths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping
-
-
-@dataclass
-class Posting:
-    """One document entry in a term's postings list."""
-
-    doc_id: str
-    term_frequency: int
-    positions: tuple[int, ...] = ()
 
 
 class InvertedIndex:
@@ -26,7 +18,7 @@ class InvertedIndex:
 
     def __init__(self, field_name: str):
         self.field_name = field_name
-        self._postings: dict[str, dict[str, Posting]] = {}
+        self._postings: dict[str, dict[str, tuple[int, ...]]] = {}
         self._doc_lengths: dict[str, int] = {}
         #: Sum of ``_doc_lengths`` (kept by the writes: BM25 reads the
         #: average length on every search).
@@ -39,9 +31,7 @@ class InvertedIndex:
         for position, term in enumerate(terms):
             positions.setdefault(term, []).append(position)
         for term, where in positions.items():
-            self._postings.setdefault(term, {})[doc_id] = Posting(
-                doc_id=doc_id, term_frequency=len(where), positions=tuple(where)
-            )
+            self._postings.setdefault(term, {})[doc_id] = tuple(where)
         self._total_length += len(terms) - self._doc_lengths.get(doc_id, 0)
         self._doc_lengths[doc_id] = len(terms)
 
@@ -59,12 +49,8 @@ class InvertedIndex:
         self._total_length -= self._doc_lengths.pop(doc_id, 0)
 
     # ------------------------------------------------------------------
-    def postings(self, term: str) -> list[Posting]:
-        """Return the postings list of ``term`` (empty if unseen)."""
-        return list(self._postings.get(term, {}).values())
-
-    def postings_by_document(self, term: str) -> Mapping[str, Posting]:
-        """The postings of ``term`` keyed by doc id (read-only, not a copy)."""
+    def postings_by_document(self, term: str) -> Mapping[str, tuple[int, ...]]:
+        """doc id -> positions of ``term`` there (read-only, not a copy)."""
         return self._postings.get(term, {})
 
     def documents_with(self, term: str) -> set[str]:
@@ -105,8 +91,7 @@ class InvertedIndex:
 
     def term_frequency(self, term: str, doc_id: str) -> int:
         """Occurrences of ``term`` in ``doc_id``."""
-        posting = self._postings.get(term, {}).get(doc_id)
-        return posting.term_frequency if posting else 0
+        return len(self._postings.get(term, {}).get(doc_id, ()))
 
     def __len__(self) -> int:
         return len(self._postings)

@@ -531,7 +531,7 @@ class FullTextStore(Journalled):
             return set()
         matches = set()
         for doc_id in candidates:
-            positions = [dict.fromkeys(p.positions) for p in
+            positions = [dict.fromkeys(p) for p in
                          (index.postings_by_document(s).get(doc_id) for s in stems)
                          if p is not None]
             if len(positions) != len(stems):

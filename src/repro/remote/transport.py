@@ -6,9 +6,7 @@ implementations:
 * :class:`TCPTransport` — pooled keep-alive connections to a
   :class:`~repro.remote.server.SourceServer`;
 * :class:`LocalTransport` — in-process loopback to a
-  :class:`~repro.remote.server.RemoteSourceHandler`, with optional
-  simulated round-trip time (used by benchmarks to model 5–50 ms RTTs
-  without real sockets);
+  :class:`~repro.remote.server.RemoteSourceHandler`, without sockets;
 * :class:`FaultyTransport` — a *deterministic* fault-injection proxy
   around any other transport, for reproducible chaos tests.
 
@@ -134,22 +132,13 @@ class LocalTransport(Transport):
     """In-process loopback to a server-side handler.
 
     Every payload is serialised and re-parsed in both directions, so the
-    loopback exercises exactly the fidelity limits of the TCP path; an
-    optional ``rtt`` sleep models network latency for benchmarks.
+    loopback exercises exactly the fidelity limits of the TCP path.
     """
 
-    def __init__(self, handler: Callable[[dict], dict], rtt: float = 0.0):
+    def __init__(self, handler: Callable[[dict], dict]):
         self._handler = handler
-        self.rtt = rtt
 
     def request(self, payload: dict, timeout: Optional[float] = None) -> dict:
-        if self.rtt:
-            if timeout is not None and self.rtt > timeout:
-                time.sleep(timeout)
-                raise SourceTimeoutError(
-                    f"simulated RTT {self.rtt * 1000:.0f}ms exceeds the "
-                    f"{timeout}s call timeout")
-            time.sleep(self.rtt)
         response = self._handler(protocol.roundtrip(payload))
         return protocol.roundtrip(response)
 

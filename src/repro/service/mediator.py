@@ -417,7 +417,7 @@ class MediatorService:
                     remote[uri] = stats_fn()
         if remote:
             out["remote"] = remote
-        # Read by benchmarks/e2e/layers.py until ROADMAP item 1(c) retires it.
+        # Read by benchmarks/e2e/layers.py until ROADMAP item 2 retires it.
         out["mqo"] = {"shared_subqueries": 0, "fused_probes": 0, "groups": 0}
         if getattr(self.instance, "cache", None) is not None:
             # The streaming ingest story in one block: how many misses

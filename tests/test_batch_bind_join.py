@@ -17,6 +17,7 @@ from repro.json.source import JSONQuery
 from repro.rdf.source import RDFQuery
 from repro.relational.source import SQLQuery
 from repro.engine.batch import dict_rows
+from repro.fulltext.store import FieldConfig, FullTextStore
 from repro.json import JSONDocumentStore
 from repro.rdf import Graph, triple
 from repro.relational import Database, InList
@@ -567,3 +568,55 @@ class TestBatchSizeOneIsTheReference:
         if name in ("free_source_variable", "required_parameter"):
             # These atoms cannot be materialised: the bind join is forced.
             assert len(bind_calls) > 1
+
+
+# ---------------------------------------------------------------------------
+# Batching cuts the source calls of a wide bind join
+# ---------------------------------------------------------------------------
+
+class TestBatchingCutsSourceCalls:
+    """A bind join over 300 bindings: each batch size makes at least five
+    times fewer source calls than one call per binding, for the same rows."""
+
+    ACCOUNTS = 300
+
+    @pytest.fixture(scope="class")
+    def accounts(self):
+        glue = Graph("accounts-glue")
+        database = Database("accounts-db")
+        store = FullTextStore("profiles", fields=[FieldConfig("text", "text"),
+                                                  FieldConfig("user.screen_name", "keyword")],
+                              default_field="text")
+        rows = []
+        for i in range(self.ACCOUNTS):
+            handle = f"user{i:05d}"
+            glue.add(triple(f"ttn:P{i}", "ttn:twitterAccount", handle))
+            rows.append({"handle": handle, "followers": (i * 37) % 10_000})
+            store.add({"id": i, "text": f"profile of {handle}",
+                       "user": {"screen_name": handle}})
+        database.create_table_from_rows("accounts", rows)
+        inst = MixedInstance(graph=glue, name="accounts", entailment=False, cache=False)
+        inst.register_relational("sql://accounts", database)
+        inst.register_fulltext("solr://profiles", store)
+        return inst
+
+    @pytest.mark.parametrize("model", ["sql", "fulltext"])
+    def test_five_times_fewer_calls_same_rows(self, accounts, model):
+        builder = (accounts.builder("qAccounts", head=["id", "v"])
+                   .graph("SELECT ?id WHERE { ?x ttn:twitterAccount ?id }"))
+        if model == "sql":
+            builder.sql("followers", source="sql://accounts",
+                        sql="SELECT handle AS id, followers AS v FROM accounts "
+                            "WHERE handle = {id}")
+        else:
+            builder.fulltext("profile", source="solr://profiles",
+                             query="user.screen_name:{id}",
+                             fields={"v": "text", "id": "user.screen_name"})
+        cmq = builder.build()
+        per_binding = accounts.execute(cmq, options=PER_BINDING)
+        assert len(per_binding) == self.ACCOUNTS
+        assert len(per_binding.trace.calls) > self.ACCOUNTS
+        for size in (0, 64, 256):
+            batched = accounts.execute(cmq, options=PlannerOptions(bind_batch_size=size))
+            assert sorted(map(str, batched.rows)) == sorted(map(str, per_binding.rows))
+            assert 5 * len(batched.trace.calls) <= len(per_binding.trace.calls)

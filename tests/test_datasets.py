@@ -8,6 +8,7 @@ from repro.datasets import (
     INSEE_URI,
     POLITICAL_GROUPS,
     STATE_OF_EMERGENCY,
+    TWEETS_JSON_URI,
     TWEETS_URI,
     TweetGeneratorConfig,
     build_dbpedia_graph,
@@ -215,8 +216,8 @@ class TestRDFSources:
 class TestDemoInstance:
     def test_all_sources_registered(self, demo):
         uris = set(demo.instance.source_uris())
-        assert {TWEETS_URI, INSEE_URI, "solr://facebook", "sql://elections",
-                "rdf://dbpedia", "rdf://ign"} <= uris
+        assert uris == {TWEETS_URI, TWEETS_JSON_URI, INSEE_URI, "solr://facebook",
+                        "sql://elections", "rdf://dbpedia", "rdf://ign"}
 
     def test_templates_registered(self, demo):
         assert "qG" in demo.instance.templates

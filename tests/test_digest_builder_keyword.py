@@ -122,6 +122,20 @@ class TestCatalog:
         large = build_catalog(instance, summarize=partial(ValueSetSummary, bloom_bits_per_value=32))
         assert large.total_size_in_bytes() > small.total_size_in_bytes()
 
+    def test_more_bloom_bits_cost_space_and_add_no_spurious_hits(self, demo):
+        """The precision/space trade-off on the demo catalog, every value
+        set on its Bloom filter: the digest grows with the bits per value,
+        and the keyword hits of absent keywords do not."""
+        probes = [f"absent-keyword-{i}" for i in range(50)]
+        sizes, spurious = [], []
+        for bits in (2, 8, 32):
+            catalog = build_catalog(demo.instance, summarize=partial(
+                ValueSetSummary, bloom_bits_per_value=bits, exact_limit=0))
+            sizes.append(catalog.total_size_in_bytes())
+            spurious.append(sum(len(catalog.lookup_keyword(p)) for p in probes))
+        assert sizes == sorted(set(sizes))
+        assert spurious == sorted(spurious, reverse=True)
+
 
 class TestKeywordEngine:
     def test_lookup_hits_per_keyword(self, instance, catalog):

@@ -106,6 +106,14 @@ class TestE4QSIAScenario:
                 reference = rows
             assert rows == reference
 
+    def test_a_free_source_variable_probes_more_sources_for_the_same_tweets(self, demo):
+        cold = PlannerOptions(result_cache=False)
+        fixed = demo.instance.execute(qsia_query(demo), options=cold)
+        dynamic = demo.instance.execute(demo.instance.parse(
+            'qSIA(t, id) :- qG(id), tweetContains(t, id, "sia2016")[dSolr]'), options=cold)
+        assert set(dynamic.column("t")) == set(fixed.column("t"))
+        assert len(dynamic.trace.calls) > len(fixed.trace.calls)
+
     def test_qsia_warehouse_equivalence(self, demo):
         query = qsia_query(demo)
         warehouse = RDFWarehouse(demo.instance)
@@ -187,6 +195,12 @@ class TestE5KeywordSearch:
         candidate_sources = {atom.source for candidate in outcome.candidates
                              for atom in candidate.query.atoms}
         assert {"rdf://ign", INSEE_URI} & candidate_sources
+
+    def test_a_keyword_pair_joins_a_department_to_its_statistics(self, demo, demo_catalog):
+        outcome = demo.instance.keyword_query(["Gironde", "unemployment"],
+                                              catalog=demo_catalog)
+        # IGN's department name joins INSEE's statistics on the department code.
+        assert {atom.source for atom in outcome.best.query.atoms} == {"rdf://ign", INSEE_URI}
 
 
 class TestE8JSONTreePatterns:

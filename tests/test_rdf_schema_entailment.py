@@ -165,6 +165,29 @@ class TestIncrementalSaturation:
         scratch, _ = saturate(merged)
         assert set(incremental) == set(scratch)
 
+    def test_a_small_delta_fires_ten_times_fewer_rules_than_a_full_saturation(self):
+        """What makes absorbing a write batch cheaper than re-saturating:
+        the fixpoint starts from the delta, not from the graph."""
+        graph = Graph("stream")
+        graph.add_all([triple("ttn:Tweet", "rdfs:subClassOf", "ttn:Document"),
+                       triple("ttn:retweetOf", "rdfs:subPropertyOf", "ttn:derivedFrom"),
+                       triple("ttn:postedBy", "rdfs:domain", "ttn:Tweet"),
+                       triple("ttn:postedBy", "rdfs:range", "ttn:Account")])
+        for i in range(500):
+            graph.add(triple(f"ttn:T{i}", "ttn:postedBy", f"ttn:U{i % 50}"))
+            if i % 3 == 0:
+                graph.add(triple(f"ttn:T{i}", "ttn:retweetOf", f"ttn:T{i // 2}"))
+        incremental, _ = saturate(graph)
+        delta = [t for i in range(500, 505)
+                 for t in (triple(f"ttn:T{i}", "ttn:postedBy", f"ttn:U{i % 97}"),
+                           triple(f"ttn:T{i}", "ttn:retweetOf", f"ttn:T{i - 500}"))]
+        absorbed = saturate_delta(incremental, delta)
+        graph.add_all(delta)
+        scratch, full = saturate(graph)
+        assert set(incremental) == set(scratch)
+        assert 10 * sum(absorbed.rule_applications.values()) \
+            <= sum(full.rule_applications.values())
+
     def test_data_delta(self):
         self.assert_delta_equals_scratch([
             triple("ttn:Marie", "ttn:worksFor", "ttn:Figaro"),

@@ -248,3 +248,46 @@ class TestMyopicLoop:
         with pytest.raises(PlanningError, match="cannot order") as raised:
             instance.plan(cmq, PlannerOptions(cost_based=cost_based))
         assert "chicken" in str(raised.value) and "hen" in str(raised.value)
+
+
+# ---------------------------------------------------------------------------
+# The cost-based plan against the reference on a skewed column
+# ---------------------------------------------------------------------------
+
+def skewed_instance(posts: int = 2000, members: int = 300) -> MixedInstance:
+    """A members glue graph and a posts table whose ``topic`` is 90 %
+    'politics'; one politics post in ten is by a member."""
+    shared = members // 10
+    rows = []
+    for i in range(posts):
+        if i < posts * 9 // 10:
+            author = f"auth:a{i % shared}" if i % 10 == 0 else f"auth:b{i % (7 * members)}"
+            rows.append({"author": author, "topic": "politics"})
+        else:
+            rows.append({"author": f"auth:c{i}", "topic": f"niche{i % 25}"})
+    database = Database("posts-db")
+    database.create_table_from_rows("posts", rows)
+    glue = Graph("members")
+    for i in range(members):
+        glue.add(triple(f"auth:a{i}", "ttn:memberOf", f"ttn:party{i % 5}"))
+    instance = MixedInstance(graph=glue, name="skew", entailment=False, cache=False)
+    instance.register_relational("sql://posts", database)
+    return instance
+
+
+class TestCostBasedPlanOnSkew:
+    def test_starts_at_the_glue_and_ships_half_the_rows_or_fewer(self):
+        """Body order materialises the skewed SQL atom; the planner prices
+        it from the column's top-k summary, starts at ``qG`` and binds it."""
+        instance = skewed_instance()
+        cmq = (instance.builder("qSkew", head=["a", "p"])
+               .sql("politicsPosts", source="sql://posts",
+                    sql="SELECT author AS a FROM posts WHERE topic = 'politics'")
+               .graph("SELECT ?a ?p WHERE { ?a ttn:memberOf ?p }")
+               .build())
+        reference = instance.execute(cmq, options=naive_options())
+        cost_based = instance.execute(cmq)
+        assert reference.rows and multiset(cost_based) == multiset(reference)
+        assert reference.trace.atom_order[0] == "politicsPosts"
+        assert cost_based.trace.atom_order[0] == "qG"
+        assert 2 * cost_based.trace.total_rows_fetched() <= reference.trace.total_rows_fetched()

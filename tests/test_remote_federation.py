@@ -488,6 +488,7 @@ def test_retries_recover_from_transient_faults():
                 == base.source("sql://profiles").execute(query, {"id": handle}))
     assert remote.stats()["retries"] > 0
     assert faulty.injected["timeout"] + faulty.injected["reset"] > 0
+    assert remote.stats()["breaker"] == "closed"
 
 
 def test_circuit_breaker_state_machine_with_scripted_clock():
@@ -1257,3 +1258,40 @@ def test_chaos_faults_never_produce_wrong_rows():
     assert sum(sum(counts.values()) for counts in injected.values()) > 0, injected
     assert sum(remote.source(uri).stats()["retries"]
                for uri in remote.source_uris()) > 0
+
+
+def test_batching_cuts_remote_calls_and_keeps_the_rows():
+    """A remote bind join over 100 bindings: the batched plan sends at
+    least five times fewer frames than one call per binding."""
+    glue = Graph("accounts-glue")
+    database = Database("accounts-db")
+    for i in range(100):
+        glue.add(triple(f"ttn:P{i}", "ttn:twitterAccount", f"user{i:05d}"))
+    database.create_table_from_rows(
+        "accounts", [{"handle": f"user{i:05d}", "followers": (i * 37) % 10_000}
+                     for i in range(100)])
+    local = MixedInstance(graph=glue, name="accounts", entailment=False, cache=False)
+    source = local.register_relational("sql://accounts", database)
+    remote = MixedInstance(graph=glue, name="accounts-remote", entailment=False,
+                           cache=False)
+    wrapper = remote.register_remote(LocalTransport(RemoteSourceHandler(source).handle),
+                                     uri=source.uri, model=source.model,
+                                     name=source.name, size=source.size(), options=FAST)
+
+    def cmq(instance):
+        return (instance.builder("qRemote", head=["id", "f"])
+                .graph("SELECT ?id WHERE { ?x ttn:twitterAccount ?id }")
+                .sql("followers", source="sql://accounts",
+                     sql="SELECT handle AS id, followers AS f FROM accounts "
+                         "WHERE handle = {id}")
+                .build())
+
+    expected = result_set(local.execute(cmq(local)))
+    frames = []
+    for options in (PlannerOptions(bind_batch_size=1), PlannerOptions()):
+        before = wrapper.stats()["calls"]
+        assert result_set(remote.execute(cmq(remote), options=options)) == expected
+        frames.append(wrapper.stats()["calls"] - before)
+    per_binding, batched = frames
+    assert per_binding >= 100
+    assert 5 * batched <= per_binding

@@ -649,6 +649,103 @@ class TestWarmCacheUnderWrites:
         repair = inst.cache.repair.stats.as_dict()
         assert repair["repaired"] > 0 and not repair["fallbacks"]
 
+    HANDLES = ["fhollande", "mlepen", "njdam"]
+    DEPTS = ["75", "62", "33"]
+
+    def five_stores(self) -> MixedInstance:
+        glue = Graph("stream-glue")
+        for i, (handle, dept) in enumerate(zip(self.HANDLES, self.DEPTS)):
+            glue.add(triple(f"ttn:P{i}", "ttn:twitterAccount", handle))
+            glue.add(triple(f"ttn:P{i}", "ttn:deptCode", dept))
+        database = Database("insee")
+        database.create_table_from_rows(
+            "unemployment", [{"dept_code": dept, "year": 2015, "rate": 7.0 + i}
+                             for i, dept in enumerate(self.DEPTS)])
+        posts = FullTextStore("posts", fields=[FieldConfig("text", "text"),
+                                               FieldConfig("user.screen_name", "keyword")],
+                              default_field="text")
+        posts.add_all([{"id": i, "text": "campagne en cours", "user": {"screen_name": handle}}
+                       for i, handle in enumerate(self.HANDLES)])
+        tweets = JSONDocumentStore("tweets")
+        tweets.add_all([{"id": str(i), "author": handle, "likes": 10 * i}
+                        for i, handle in enumerate(self.HANDLES)])
+        profiles = Graph("profiles")
+        for i, handle in enumerate(self.HANDLES):
+            profiles.add(triple(f"ttn:U{i}", "ttn:handle", handle))
+            profiles.add(triple(f"ttn:U{i}", "ttn:followers", 1000 * (i + 1)))
+        inst = MixedInstance(graph=glue, name="five-stores", entailment=False)
+        inst.register_relational("sql://insee", database)
+        inst.register_fulltext("solr://posts", posts)
+        inst.register_json("json://tweets", tweets)
+        inst.register_rdf("rdf://profiles", profiles)
+        return inst
+
+    def panel(self, inst) -> list:
+        """One CMQ per data model, each but the RDF one probed from the glue."""
+        accounts = "SELECT ?id WHERE { ?x ttn:twitterAccount ?id }"
+        return [
+            inst.builder("rates", head=["dept", "rate"])
+            .graph("SELECT ?dept WHERE { ?x ttn:deptCode ?dept }")
+            .sql("stats", source="sql://insee",
+                 sql="SELECT dept_code AS dept, rate AS rate FROM unemployment "
+                     "WHERE dept_code = {dept}").build(),
+            inst.builder("posts", head=["id", "t"]).graph(accounts)
+            .fulltext("posts", source="solr://posts", query="user.screen_name:{id}",
+                      fields={"t": "text", "id": "user.screen_name"}).build(),
+            inst.builder("tweets", head=["id", "likes"]).graph(accounts)
+            .json("tweets", source="json://tweets",
+                  pattern="{ author: ?id, likes: ?likes }").build(),
+            inst.builder("followers", head=["id", "f"])
+            .rdf("prof", "SELECT ?id ?f WHERE { ?u ttn:handle ?id . ?u ttn:followers ?f }",
+                 source="rdf://profiles").build(),
+        ]
+
+    def ingest(self, inst, tick: int) -> None:
+        """One batch into each of the five stores: new facts about known
+        entities, so the panel's probe bindings stay the same."""
+        inst.graph.add_all([triple(f"ttn:Evt{tick}", "ttn:observedAt", tick)])
+        inst.source("sql://insee").database.execute(
+            "INSERT INTO unemployment (dept_code, year, rate) VALUES " + ", ".join(
+                f"('{dept}', {2016 + tick}, {7.0 + tick % 4})" for dept in self.DEPTS))
+        inst.source("solr://posts").store.add_all([
+            {"id": 1000 + 10 * tick + i, "text": f"reaction {tick} en direct",
+             "user": {"screen_name": handle}} for i, handle in enumerate(self.HANDLES)])
+        inst.source("json://tweets").store.add_all([
+            {"id": f"t{tick}-{i}", "author": handle, "likes": tick + i}
+            for i, handle in enumerate(self.HANDLES)])
+        inst.source("rdf://profiles").graph.add_all([
+            triple(f"ttn:U{i}", "ttn:followers", 1000 * (i + 1) + tick + 1)
+            for i in range(len(self.HANDLES))])
+
+    def replay(self, repair: bool, rounds: int = 3):
+        inst = self.five_stores()
+        if not repair:
+            inst.cache.repair = None  # a write strands every entry of its source
+        panel = self.panel(inst)
+        for cmq in panel:
+            inst.execute(cmq)
+        answers, hits, misses = [], 0, 0
+        for tick in range(rounds):
+            self.ingest(inst, tick)
+            for cmq in panel:
+                result = inst.execute(cmq)
+                hits += result.trace.cache_hits
+                misses += result.trace.cache_misses
+                answers.append(_multiset(result.rows))
+        return inst, answers, hits, misses
+
+    def test_five_store_stream_is_repaired_to_the_cold_answers(self):
+        """Each round writes all five stores; every warm re-run of the
+        four-model panel is answered from repaired entries, equal to the
+        answers of the run whose writes strand the cache."""
+        repaired, warm, hits, misses = self.replay(repair=True)
+        _, cold, cold_hits, cold_misses = self.replay(repair=False)
+        assert warm == cold
+        assert misses == 0 and hits > 0
+        stats = repaired.cache.repair.stats.as_dict()
+        assert stats["repaired"] > 0 and not stats["fallbacks"]
+        assert hits / (hits + misses) >= 5 * cold_hits / (cold_hits + cold_misses)
+
 
 # ---------------------------------------------------------------------------
 # Standing queries
