@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Sequence
 
 
@@ -35,10 +35,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         """Fraction of probes answered from the cache (0.0 when unprobed)."""
         return self.hits / self.probes if self.probes else 0.0
-
-    def snapshot(self) -> "CacheStats":
-        """An independent copy (used to compute per-execution deltas)."""
-        return replace(self)
 
     def as_dict(self) -> dict[str, object]:
         return {

@@ -10,8 +10,8 @@ from repro.cache.results import SubQueryResultCache
 class MediatorCache:
     """Shared caches of one mixed instance.
 
-    Executors are built per query; the caches live here so that results
-    and plans survive across queries (and across executors).  Create
+    Executors are built per pinned snapshot; the caches live here so
+    that results and plans survive across pins (and across executors).  Create
     with ``MixedInstance(cache=...)`` or let the instance build its own.
     """
 

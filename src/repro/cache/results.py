@@ -37,21 +37,49 @@ the keys whose entry is older than the call's version — and only its
 misses go to the wrapped source's ``execute_batch``, so a batched bind
 join ships IN-lists / disjunctions of uncached bindings; a flush the
 bind join probed (:meth:`CachedSource.peek`) is not keyed, probed or
-repaired again.
+repaired again.  A layer holds no per-execution state: each probe's
+counts go to the tally of the execution making it (:func:`counting`).
 Sources whose ``version()`` is unknown (``None``) are never cached.
 """
 
 from __future__ import annotations
 
-import threading
+from contextlib import contextmanager
+from contextvars import ContextVar
 from operator import attrgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.cache.keys import CanonicalQuery, canonical_query
 from repro.cache.lru import CacheStats, LRUCache
 from repro.core.sources import DataSource, Row, SourceQuery
 from repro.engine.batch import BindingBatch, as_batches, dict_rows
 from repro.errors import MixedQueryError
+
+
+class ProbeTally(list):
+    """The ``(hits, misses)`` of each probe one execution made."""
+
+    hits = property(lambda self: sum(pair[0] for pair in self))
+    misses = property(lambda self: sum(pair[1] for pair in self))
+
+
+#: The tally of the execution in progress.  A pooled call runs in a copy
+#: of its caller's context (:func:`repro.engine.parallel.run_calls`), so
+#: it appends to the same list, and one ``append`` needs no lock.
+_TALLY: ContextVar[Optional[ProbeTally]] = ContextVar("probe_tally", default=None)
+
+
+@contextmanager
+def counting() -> Iterator[ProbeTally]:
+    """Count every probe made inside the block, on whichever thread its
+    calls run, into one fresh tally (an enclosing one counts none of them)."""
+    tally = ProbeTally()
+    token = _TALLY.set(tally)
+    try:
+        yield tally
+    finally:
+        _TALLY.reset(token)
+
 
 class SubQueryResultCache:
     """LRU of sub-query results shared by every executor of an instance:
@@ -115,8 +143,8 @@ class CachedSource:
     """A source with the result cache in front of it: a transparent layer.
 
     Its own methods are what the cache changes: :meth:`execute_batch`
-    (and :meth:`execute`, its dict edge), the bind join's per-flush
-    :meth:`peek`, and :meth:`pin`.  Every other name that
+    (and :meth:`execute`, its dict edge) and the bind join's per-flush
+    :meth:`peek`.  Every other name that
     :class:`~repro.core.sources.DataSource` declares (``uri``,
     ``version``, ``estimate``, ``digest``, ``repair_delta``, ``journal``,
     ...) reads through to the wrapped source's own answer.  The layer is
@@ -125,39 +153,19 @@ class CachedSource:
 
     A hit *shares* the entry's row lists (immutable tuples, lists never
     mutated: no copy).  The source version is read once per call, not
-    per binding.
-
-    ``stats`` is an optional per-executor :class:`CacheStats` receiving
-    this layer's hit/miss counts, so an execution's trace reports its
-    own probes rather than a delta of the instance-wide counters (which
-    other concurrent executions would pollute).
+    per binding.  The layer keeps nothing of an execution's own, so
+    concurrent executions share it.
     """
 
-    def __init__(self, inner: DataSource, cache: SubQueryResultCache,
-                 stats: CacheStats | None = None,
-                 stats_lock: threading.Lock | None = None,
-                 repair=None):
+    def __init__(self, inner: DataSource, cache: SubQueryResultCache, repair=None):
         self.inner = inner
         self.cache = cache
-        self.local_stats = stats
         # Optional delta-join repair engine (duck-typed —
         # :class:`repro.cache.repair.RepairEngine`): an entry stamped
         # with an older source version is offered for repair; success
         # re-stamps the entry and counts as a hit, since no source call
         # happened.
         self.repair = repair
-        # The stats object is shared by every layer of one executor and
-        # bumped from pooled dispatch threads; the (equally shared)
-        # lock keeps the counters exact.
-        self._stats_lock = stats_lock or threading.Lock()
-
-    def pin(self) -> "CachedSource":
-        """A layer over the pinned inner source (same cache, same stats)."""
-        pinned = self.inner.pin()
-        if pinned is self.inner:
-            return self
-        return CachedSource(pinned, self.cache, stats=self.local_stats,
-                            stats_lock=self._stats_lock, repair=self.repair)
 
     def _probe(self, version: int, query: SourceQuery, canon: CanonicalQuery,
                keys: list[Optional[tuple]],
@@ -193,11 +201,10 @@ class CachedSource:
                     stored[i] = merged
                     repaired += merged is not None
             self.cache.entries.count(repaired, len(older) - repaired + newer)
-        if self.local_stats is not None:
+        tally = _TALLY.get()
+        if tally is not None:
             hits = len(stored) - stored.count(None)
-            with self._stats_lock:
-                self.local_stats.hits += hits
-                self.local_stats.misses += len(keys) - keys.count(None) + newer - hits
+            tally.append((hits, len(keys) - keys.count(None) + newer - hits))
         return stored
 
     # -- cached protocol ----------------------------------------------------
@@ -270,6 +277,7 @@ class CachedSource:
 # missed: planning and dispatch read ``uri``, ``cache_token``, ``version``
 # and ``accepts`` some twenty times a query, and a property costs a tenth
 # of the failed lookup a ``__getattr__`` fallback pays on CPython 3.11.
-for _name in {*DataSource.__annotations__, *vars(DataSource)} - {*vars(CachedSource)}:
+# ``pin`` is not read through: a layer is built over a pin, never pinned.
+for _name in {*DataSource.__annotations__, *vars(DataSource)} - {*vars(CachedSource), "pin"}:
     if not _name.startswith("__"):
         setattr(CachedSource, _name, property(attrgetter(f"inner.{_name}")))

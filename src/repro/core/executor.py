@@ -9,6 +9,8 @@ source — all calls of a stage in one flat batch — and each call is
 recorded on the trace.  Planning, statistics feedback, cache probes and
 dispatch read one catalog, built with the executor: with a result cache,
 each source is its :class:`~repro.cache.results.CachedSource` layer.
+An execution's own state is not the executor's, so one executor per
+pinned snapshot serves every CMQ asked of it, concurrently too.
 
 * a ``materialize`` step dispatches the batch of one empty binding, and
   its rows are hash-joined with the current intermediate result; the
@@ -43,12 +45,11 @@ is bounded (:func:`repro.engine.parallel.run_calls`).
 from __future__ import annotations
 
 import logging
-import threading
 import time
+from typing import Callable, NamedTuple, Optional
 
 from repro.cache.keys import canonical_query
-from repro.cache.lru import CacheStats
-from repro.cache.results import CachedSource
+from repro.cache.results import CachedSource, counting
 from repro.core.cmq import ConjunctiveMixedQuery, SourceAtom
 from repro.core.planner import (
     REPLAN_THRESHOLD,
@@ -77,10 +78,32 @@ from repro.errors import (
     SourceDispatchError,
     UnknownSourceError,
 )
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.spans import span as _span
 
 logger = logging.getLogger("repro.core.executor")
+
+
+class _Execution(NamedTuple):
+    """One execution's own state: its trace and its caller's controls
+    (see :meth:`MixedQueryExecutor.execute`)."""
+
+    trace: ExecutionTrace
+    cancel_check: Optional[Callable[[], None]]
+    deadline: Optional[Callable[[], Optional[float]]]
+    metrics: MetricsRegistry
+
+    def check(self) -> None:
+        if self.cancel_check is not None:
+            self.cancel_check()
+
+    def remaining(self) -> float | None:
+        """Seconds left before the deadline (None = unbounded); once it has
+        passed, raises QueryTimeoutError, so no stage dispatches any more."""
+        remaining = None if self.deadline is None else self.deadline()
+        if remaining is not None and remaining <= 0:
+            raise QueryTimeoutError("query deadline exceeded mid-stage")
+        return remaining
 
 
 class MixedQueryExecutor:
@@ -93,45 +116,23 @@ class MixedQueryExecutor:
     probe per flush inside batched bind joins, so a batch ships only
     cache misses — and plans are reused through the plan cache.
     ``PlannerOptions(result_cache=False, plan_cache=False)`` opts out
-    per executor.
+    per executor.  :meth:`execute` may run on several threads at once.
     """
 
     def __init__(self, sources: dict[str, DataSource], glue: DataSource,
                  options: PlannerOptions | None = None,
-                 cache=None, statistics=None,
-                 cancel_check=None, metrics=None, deadline=None):
+                 cache=None, statistics=None):
         self.options = options or PlannerOptions()
-        # Metrics sink; resolved lazily so tests that reset the global
-        # registry see their fresh registry even on long-lived executors.
-        self._metrics = metrics
-        #: Optional callable invoked before each stage and each dispatch;
-        #: it raises (e.g. QueryCancelledError / QueryTimeoutError) to
-        #: abort execution cooperatively — the mediator service wires it
-        #: per ticket.
-        self.cancel_check = cancel_check
-        #: Optional callable returning the seconds left before this
-        #: execution's deadline (None = unbounded).  Unlike the purely
-        #: cooperative ``cancel_check``, the remaining budget bounds the
-        #: *wait* on every pooled dispatch, so a single hung source call
-        #: surfaces QueryTimeoutError mid-stage instead of stalling the
-        #: ticket indefinitely.
-        self.deadline = deadline
         # One catalog, built once: with a result cache, each source is seen
         # through its transparent cache layer — by the planner, the
-        # statistics feedback and dispatch alike.  ``_cache_stats``
-        # collects this executor's own hit/miss counts for the trace (the
-        # instance-wide counters are shared with other executors).
+        # statistics feedback and dispatch alike.
         self._result_cache = None
-        self._cache_stats = None
         if cache is not None and self.options.result_cache:
             self._result_cache = cache.results
-            self._cache_stats = CacheStats()
-            stats_lock = threading.Lock()
             repair = getattr(cache, "repair", None)
 
             def layer(source: DataSource) -> CachedSource:
-                return CachedSource(source, cache.results, stats=self._cache_stats,
-                                    stats_lock=stats_lock, repair=repair)
+                return CachedSource(source, cache.results, repair=repair)
 
             sources = {uri: layer(source) for uri, source in sources.items()}
             glue = layer(glue)
@@ -143,11 +144,17 @@ class MixedQueryExecutor:
 
     # ------------------------------------------------------------------
     def execute(self, query: ConjunctiveMixedQuery, plan: QueryPlan | None = None,
-                distinct: bool = True, limit: int | None = None) -> MixedResult:
+                distinct: bool = True, limit: int | None = None, *,
+                cancel_check: Optional[Callable[[], None]] = None,
+                deadline: Optional[Callable[[], Optional[float]]] = None,
+                metrics: Optional[MetricsRegistry] = None) -> MixedResult:
         """Evaluate ``query`` and return its :class:`MixedResult`.
 
         A pre-built ``plan`` may be supplied; it runs under the options
-        it was planned with.
+        it was planned with.  ``cancel_check``, called before each stage
+        and dispatch, raises to abort; ``deadline`` returns the seconds
+        left and bounds the wait on every pooled dispatch; ``metrics`` is
+        the registry to record into (the global one by default).
 
         Spans follow the caller: inside an open trace (the service's
         per-query root, :func:`repro.obs.spans.trace`) the evaluation
@@ -159,41 +166,43 @@ class MixedQueryExecutor:
         # runs under the options it was planned with, start to finish.
         options = (plan.options if plan is not None and plan.options is not None
                    else self.options)
-        with _span("execute", query=query.name) as sp:
-            result = self._execute(query, plan, distinct, limit, options)
+        registry = metrics if metrics is not None else get_registry()
+        # The trace counts this execution's own probes, whatever runs beside it.
+        with _span("execute", query=query.name) as sp, counting() as tally:
+            result = self._execute(query, plan, distinct, limit, options,
+                                   cancel_check, deadline, registry)
+            result.trace.cache_hits = tally.hits
+            result.trace.cache_misses = tally.misses
             if sp is not None:
                 sp.set(rows=len(result.rows), calls=len(result.trace.calls))
                 result.trace.spans = sp.tracer
-        self._record_metrics(result.trace)
+        self._record_metrics(result.trace, registry)
         return result
 
     def _execute(self, query: ConjunctiveMixedQuery, plan: QueryPlan | None,
-                 distinct: bool, limit: int | None,
-                 options: PlannerOptions) -> MixedResult:
+                 distinct: bool, limit: int | None, options: PlannerOptions,
+                 cancel_check, deadline, registry: MetricsRegistry) -> MixedResult:
         start = time.perf_counter()
-        cache_stats = (self._cache_stats.snapshot()
-                       if self._cache_stats is not None else None)
         plan = plan or self.planner.plan(query, options)
         trace = ExecutionTrace(atom_order=plan.atom_order(), plan=plan,
                                stages=[[plan.steps[i].atom.name for i in stage]
                                        for stage in plan.stages],
                                plan_cached=plan.cached)
+        run = _Execution(trace, cancel_check, deadline, registry)
         current: Operator | None = None
         #: The bind join of every executed bind step, by atom identity.
         joins: dict[int, BatchBindJoin] = {}
         for stage in plan.stages:
-            if self.cancel_check is not None:
-                self.cancel_check()
+            run.check()
             steps = [plan.steps[i] for i in stage]
             if len(steps) == 1 and steps[0].mode == "bind" and current is not None:
-                current = self._bind_step(current, steps[0], trace, joins)
+                current = self._bind_step(current, steps[0], run, joins)
             else:
-                current = self._materialize_stage(current, steps, trace)
+                current = self._materialize_stage(current, steps, run)
 
         if current is None:
             raise MixedQueryError(f"query {query.name!r} produced an empty plan")
-        if self.cancel_check is not None:
-            self.cancel_check()
+        run.check()
 
         output = list(query.output_variables())
         operator: Operator = Project(current, output)
@@ -207,11 +216,6 @@ class MixedQueryExecutor:
         trace.steps = [o for o in observations if o is not None]
         if options.cost_based:
             self._retire_if_drifted(query, plan, observations, trace, options)
-        if cache_stats is not None:
-            # Every probe is counted once, by this executor's own cache layers.
-            now = self._cache_stats
-            trace.cache_hits = now.hits - cache_stats.hits
-            trace.cache_misses = now.misses - cache_stats.misses
         return MixedResult(variables=output, rows=rows, trace=trace)
 
     # ------------------------------------------------------------------
@@ -291,9 +295,9 @@ class MixedQueryExecutor:
                         sum(c.rows_out for c in calls)
                         / sum(c.bindings_in for c in calls))
 
-    def _record_metrics(self, trace: ExecutionTrace) -> None:
+    @staticmethod
+    def _record_metrics(trace: ExecutionTrace, registry: MetricsRegistry) -> None:
         """Fold one execution's trace into the metrics registry."""
-        registry = self._metrics if self._metrics is not None else get_registry()
         registry.counter("executor_queries_total").inc()
         registry.histogram("executor_query_seconds").observe(trace.total_seconds)
         if trace.plan_retired:
@@ -309,31 +313,15 @@ class MixedQueryExecutor:
     # ------------------------------------------------------------------
     # Stage evaluation
     # ------------------------------------------------------------------
-    def _remaining(self) -> float | None:
-        """Seconds left before the execution deadline (None = unbounded).
-
-        Raises :class:`~repro.errors.QueryTimeoutError` directly when the
-        budget is already exhausted, so stages stop dispatching the
-        moment the deadline passes.
-        """
-        if self.deadline is None:
-            return None
-        remaining = self.deadline()
-        if remaining is None:
-            return None
-        if remaining <= 0:
-            raise QueryTimeoutError("query deadline exceeded mid-stage")
-        return remaining
-
     def _materialize_stage(self, current: Operator | None, steps: list[PlanStep],
-                           trace: ExecutionTrace) -> Operator:
+                           run: _Execution) -> Operator:
         if isinstance(current, BatchBindJoin):
             # A hash join builds on its known-smaller side: run the bind
             # join through first, so its result has a size.
             current = MaterializedScan(list(current.batches()), name="intermediate")
         with _span("stage:materialize",
                    atoms=[step.atom.name for step in steps]) as sp:
-            fetched = self._dispatch([(step, [{}]) for step in steps], trace)
+            fetched = self._dispatch([(step, [{}]) for step in steps], run)
             if sp is not None:
                 sp.set(rows=sum(row_count(batches) for (batches,) in fetched))
         operator = current
@@ -343,7 +331,7 @@ class MixedQueryExecutor:
         assert operator is not None
         return operator
 
-    def _bind_step(self, current: Operator, step: PlanStep, trace: ExecutionTrace,
+    def _bind_step(self, current: Operator, step: PlanStep, run: _Execution,
                    joins: dict[int, BatchBindJoin]) -> Operator:
         atom = step.atom
         probed: list = [None]  # the last probe's misses, which ship next
@@ -351,7 +339,7 @@ class MixedQueryExecutor:
         def fetch_batch(bindings: list[Row]) -> list[list[BindingBatch]]:
             found, probed[0] = probed[0], None
             with _span(f"bind:{atom.name}", bindings=len(bindings)) as sp:
-                (per_binding,) = self._dispatch([(step, bindings)], trace, found)
+                (per_binding,) = self._dispatch([(step, bindings)], run, found)
                 if sp is not None:
                     sp.set(rows=sum(map(row_count, per_binding)))
                 return per_binding
@@ -385,8 +373,7 @@ class MixedQueryExecutor:
     # ------------------------------------------------------------------
     # Dispatch: the one route from a plan step to its source(s)
     # ------------------------------------------------------------------
-    def _dispatch(self, work: list[tuple[PlanStep, list[Row]]],
-                  trace: ExecutionTrace,
+    def _dispatch(self, work: list[tuple[PlanStep, list[Row]]], run: _Execution,
                   probed: tuple | None = None) -> list[list[list[BindingBatch]]]:
         """Ship each step's bindings; one call per (step, target source).
 
@@ -400,9 +387,8 @@ class MixedQueryExecutor:
         when its source is remote.  Returns, per ``work`` entry, the
         batches of each binding.
         """
-        if self.cancel_check is not None:
-            # Bind stages dispatch lazily, while later stages pull rows.
-            self.cancel_check()
+        run.check()  # bind stages dispatch lazily, while later stages pull rows
+        trace = run.trace
         results: list[list[list[BindingBatch]]] = [[[] for _ in bindings_list]
                                                    for _, bindings_list in work]
         calls: list[tuple[int, DataSource, list[int]]] = []
@@ -426,7 +412,7 @@ class MixedQueryExecutor:
                     per_binding = atom.execute_batch_on(source, batch, probed)
                 except Exception as exc:
                     per_binding, degraded = self._handle_dispatch_error(
-                        exc, atom, source, batch)
+                        exc, atom, source, batch, run)
                     if sp is not None:
                         sp.set(degraded=degraded)
                 if sp is not None:
@@ -435,7 +421,7 @@ class MixedQueryExecutor:
 
         outcomes = run_calls(
             [(lambda c=c: call(*c), c[1].cost_kind == "remote") for c in calls],
-            timeout=self._remaining())
+            timeout=run.remaining())
         for (slot, source, indices), (per_binding, elapsed, degraded) in zip(
                 calls, outcomes):
             step = work[slot][0]
@@ -466,7 +452,7 @@ class MixedQueryExecutor:
         return results
 
     def _handle_dispatch_error(self, exc: Exception, atom: SourceAtom,
-                               source: DataSource, batch: list[Row],
+                               source: DataSource, batch: list[Row], run: _Execution,
                                ) -> tuple[list[list[BindingBatch]], str]:
         """Degrade or re-raise one failed dispatch.
 
@@ -495,10 +481,8 @@ class MixedQueryExecutor:
                 "degrading atom %s on %s after %s: %s (%d/%d binding(s) "
                 "served from stale cache)", atom.name, source.uri,
                 type(exc).__name__, exc, stale_hits, len(batch))
-            registry = (self._metrics if self._metrics is not None
-                        else get_registry())
-            registry.counter("executor_degraded_calls_total",
-                             source=source.uri, reason=reason).inc()
+            run.metrics.counter("executor_degraded_calls_total",
+                                source=source.uri, reason=reason).inc()
             return per_binding, reason
         if isinstance(exc, ReproError):
             raise exc

@@ -19,7 +19,6 @@ from repro.core.cmq import (
     ConjunctiveMixedQuery,
     GLUE_SOURCE,
 )
-from repro.core.executor import MixedQueryExecutor
 from repro.core.planner import PlannerOptions, QueryPlan, QueryPlanner
 from repro.core.results import MixedResult
 from repro.core.sources import DataSource, SourceQuery
@@ -65,6 +64,8 @@ class MixedInstance:
         self._statistics_lock = threading.Lock()
         # The digest catalog keyword search reads, refreshed per lookup.
         self._digests = DigestCatalog()
+        # The last pinned catalog, reused while no pin moves (:meth:`pin`).
+        self._pinned = None
 
     # ------------------------------------------------------------------
     # Source registry
@@ -169,18 +170,6 @@ class MixedInstance:
     # ------------------------------------------------------------------
     # Query entry points
     # ------------------------------------------------------------------
-    def executor(self, options: PlannerOptions | None = None) -> MixedQueryExecutor:
-        """Build an executor over the *live* source catalog.
-
-        For callers that hold an executor across queries: it reads the
-        stores as they are at each call, with no snapshot isolation (and,
-        for a remote source, a ``version`` round trip per read of its
-        version).  :meth:`execute` evaluates pinned instead.
-        """
-        return MixedQueryExecutor(self._sources, self._glue_source,
-                                  options=options, cache=self.cache,
-                                  statistics=self.statistics())
-
     def planner(self, options: PlannerOptions | None = None) -> QueryPlanner:
         """Build a planner over the current source catalog."""
         return QueryPlanner(self._sources, self._glue_source, options,
@@ -284,11 +273,11 @@ class MixedInstance:
         Returns a :class:`repro.service.snapshots.PinnedCatalog`: a
         consistent ``(source, version)`` vector of read-only wrappers
         over store snapshots (a remote source pins its snapshot when the
-        query first uses it).  Executors built from it (see
-        :meth:`PinnedCatalog.executor`) observe exactly that state for
-        their whole plan, no matter how the live stores keep mutating —
-        this is what :meth:`execute` and the mediator service pin per
-        query.
+        query first uses it).  Its executor (:meth:`PinnedCatalog.executor`)
+        observes exactly that state for the whole plan, no matter how the
+        live stores keep mutating — this is what :meth:`execute` and the
+        mediator service pin per query.  While no source moves, every
+        pin returns the same catalog, so its executor is built once.
         """
         from repro.service.snapshots import pin_instance
 

@@ -15,8 +15,9 @@ many clients hit concurrently while feeds keep mutating the sources:
   never inside one (a remote source is pinned by the first frame the
   query sends it, not at admission);
 * **deadlines and cancellation** are enforced cooperatively: expired or
-  cancelled tickets are dropped at dequeue, and a running executor
-  checks between stages;
+  cancelled tickets are dropped at dequeue, and a running execution
+  checks between stages (tickets on one pin share its executor; the
+  checks are each execution's own);
 * all workers share the instance's :class:`MediatorCache` and
   :class:`StatisticsCatalog` (both thread-safe); a query's source calls
   run on its worker, with remote waits and deadline-bounded calls on
@@ -198,7 +199,7 @@ class QueryTicket:
     def _remaining(self) -> Optional[float]:
         """Seconds left before the deadline (None when unbounded).
 
-        Handed to the executor as its ``deadline`` callable so every
+        Handed to the execution as its ``deadline`` callable so every
         pooled dispatch wait is bounded by the ticket's budget — a hung
         source times the stage out mid-wait instead of after it.
         """
@@ -490,12 +491,11 @@ class MediatorService:
             # available when the ticket got a worker.  A failing pin
             # fails this ticket, not the worker.
             ticket.pinned = pin_instance(self.instance)
-            executor = ticket.pinned.executor(
-                self.instance, options=ticket.options,
-                cancel_check=ticket._cancel_check,
-                metrics=self.metrics, deadline=ticket._remaining)
-            result = executor.execute(ticket.query, distinct=ticket.distinct,
-                                      limit=ticket.limit)
+            executor = ticket.pinned.executor(self.instance, options=ticket.options)
+            result = executor.execute(
+                ticket.query, distinct=ticket.distinct, limit=ticket.limit,
+                cancel_check=ticket._cancel_check, deadline=ticket._remaining,
+                metrics=self.metrics)
         except QueryCancelledError as exc:
             self._account(CANCELLED, ticket)
             ticket._finish(CANCELLED, error=exc)

@@ -15,11 +15,17 @@ cache token and version, the cross-query result cache remains shared
 (and sound: the version an entry is stamped with really describes
 immutable content).  ``MixedInstance.execute`` and the mediator service both
 evaluate through :meth:`PinnedCatalog.executor`.
+
+An executor holds nothing of one execution's own, so a catalog builds
+one per options value, and :func:`pin_instance` returns the previous
+catalog while no pin moved: CMQs between two writes share one executor
+(a remote source's per-CMQ clone always moves).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
 from repro.core.cmq import GLUE_SOURCE
@@ -37,6 +43,9 @@ class PinnedCatalog:
 
     sources: dict[str, DataSource]
     glue: DataSource
+    #: The executor built per (options, cache, repair engine) it reads.
+    _executors: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     @property
     def versions(self) -> dict[str, Optional[int]]:
@@ -54,24 +63,24 @@ class PinnedCatalog:
         return versions
 
     def executor(self, instance: "MixedInstance",
-                 options: PlannerOptions | None = None,
-                 cancel_check=None, metrics=None, deadline=None) -> MixedQueryExecutor:
-        """An executor whose every dispatch hits the pinned snapshots.
+                 options: PlannerOptions | None = None) -> MixedQueryExecutor:
+        """The executor whose every dispatch hits the pinned snapshots,
+        built on first asking and shared by every later one.
 
         ``instance`` supplies the shared mediator cache and statistics
         catalog (``PlannerOptions(result_cache=False, plan_cache=False)``
         keeps this executor off the shared result/plan caches — the
         equivalence harness uses that to verify service answers
-        independently).  ``metrics`` is the registry the
-        executor records into (the service hands its own down);
-        ``deadline`` is a callable returning the seconds remaining before
-        the ticket's deadline, bounding every dispatch wait.
+        independently).  Switching the cache's repair engine builds anew:
+        the layers hold the engine they were built with.
         """
-        return MixedQueryExecutor(
-            self.sources, self.glue, options=options,
-            cache=instance.cache,
-            statistics=instance.statistics(), cancel_check=cancel_check,
-            metrics=metrics, deadline=deadline)
+        cache = instance.cache
+        key = (options or PlannerOptions(), cache, getattr(cache, "repair", None))
+        if key not in self._executors:
+            self._executors.setdefault(key, MixedQueryExecutor(
+                self.sources, self.glue, options=key[0], cache=cache,
+                statistics=instance.statistics()))
+        return self._executors[key]
 
     def execute(self, instance: "MixedInstance", query, *,
                 options: PlannerOptions | None = None, distinct: bool = True,
@@ -79,8 +88,8 @@ class PinnedCatalog:
         """Evaluate one CMQ against the pinned snapshots (serial-friendly)."""
         if isinstance(query, str):
             query = instance.parse(query)
-        executor = self.executor(instance, options=options)
-        return executor.execute(query, distinct=distinct, limit=limit)
+        return self.executor(instance, options=options).execute(
+            query, distinct=distinct, limit=limit)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"PinnedCatalog(versions={self.versions})"
@@ -91,11 +100,24 @@ def pin_instance(instance: "MixedInstance") -> PinnedCatalog:
 
     Each local pin is atomic per store (snapshot under the store's
     lock, memoised per version: an unchanged catalog pins in
-    microseconds); a remote pin is a clone and no round trip.  Source
-    registration is expected to have finished before concurrent serving
-    starts — the registry itself is not versioned.
+    microseconds); a remote pin is a clone and no round trip.  The
+    instance's last catalog, kept in one slot, is returned while it pins
+    exactly these wrappers.  Source registration is expected to have
+    finished before concurrent serving starts — the registry itself is
+    not versioned.
     """
-    return PinnedCatalog(
-        sources={uri: source.pin()
-                 for uri, source in instance.registered_sources().items()},
-        glue=instance.glue_source.pin())
+    sources = {uri: source.pin()
+               for uri, source in instance.registered_sources().items()}
+    glue = instance.glue_source.pin()
+    previous = instance._pinned
+    if previous is not None and _same_pins(previous, sources, glue):
+        return previous
+    catalog = instance._pinned = PinnedCatalog(sources=sources, glue=glue)
+    return catalog
+
+
+def _same_pins(catalog: PinnedCatalog, sources: dict[str, DataSource],
+               glue: DataSource) -> bool:
+    """Whether ``catalog`` pins exactly these wrappers under these URIs."""
+    return catalog.glue is glue and list(catalog.sources) == list(sources) and all(
+        map(operator.is_, catalog.sources.values(), sources.values()))

@@ -249,6 +249,15 @@ def merge_without_shared_check(patch) -> None:
     patch.setattr(iterators, "row_merger", unchecked)
 
 
+def pinned_catalog_outlives_a_write(patch) -> None:
+    """An instance's last pinned catalog is reused after a write: its URIs
+    are compared, not the wrappers pinned under them."""
+    from repro.service import snapshots
+
+    patch.setattr(snapshots, "_same_pins",
+                  lambda catalog, sources, glue: list(catalog.sources) == list(sources))
+
+
 MUTANTS = {mutant.__name__: mutant for mutant in (
     constants_out_of_the_binding_key, stamp_matches_every_version,
     repair_ignores_its_delta, headers_left_untranslated,
@@ -257,7 +266,7 @@ MUTANTS = {mutant.__name__: mutant for mutant in (
     repair_reads_pre_write_closure, wire_skips_tagged_columns,
     stored_row_outlives_upsert, snapshot_reads_live_stored_rows,
     rdf_header_sorted, remote_header_reversed, rank_without_id_tie_break,
-    merge_without_shared_check)}
+    merge_without_shared_check, pinned_catalog_outlives_a_write)}
 
 
 def _run(name: str) -> int:

@@ -8,7 +8,6 @@ import time
 import pytest
 
 from repro.cache import (
-    CacheStats,
     CachedSource,
     LRUCache,
     MediatorCache,
@@ -18,7 +17,7 @@ from repro.cache import (
 from repro.core import MixedInstance, PlannerOptions
 from repro.core.planner import REPLAN_THRESHOLD
 from repro.cache.repair import RepairEngine
-from repro.cache.results import SubQueryResultCache
+from repro.cache.results import SubQueryResultCache, counting
 from repro.core.sources import DataSource
 from repro.fulltext.source import FullTextQuery, FullTextSource
 from repro.json.source import JSONQuery
@@ -486,7 +485,9 @@ class TestCachedSource:
                 == inner.repair_delta(query, records, engine))
         assert layer.repair_delta(query, records, engine) not in ("shape", None)
 
-        pinned = layer.pin()
+        # A layer is built over a pin; it is never pinned itself.
+        assert not hasattr(layer, "pin")
+        pinned = CachedSource(inner.pin(), cache, repair=layer.repair)
         assert isinstance(pinned, CachedSource)
         assert pinned.inner is inner.pin()
         assert pinned.pinned_at == inner.version()
@@ -557,7 +558,7 @@ class TestPlanCache:
         # The plan executes the *renamed* query's own atoms.
         assert plan.query is renamed
         assert all(step.atom in renamed.atoms for step in plan.steps)
-        result = instance.executor().execute(renamed, plan=plan)
+        result = instance.pin().executor(instance).execute(renamed, plan=plan)
         assert {row["d"] for row in result.rows} == {"75", "62"}
 
     def test_different_options_plan_separately(self, instance):
@@ -600,7 +601,7 @@ def test_cached_source_delegates_cost_kind_trust_and_pin():
     proxy = CachedSource(remote, SubQueryResultCache())
 
     assert proxy.cost_kind == "remote"
-    pinned = proxy.pin()
+    pinned = CachedSource(remote.pin(), proxy.cache)
     assert isinstance(pinned, CachedSource)
     # A remote clone pins with its first use, not at ``pin()``.
     assert pinned.pinned_at is None
@@ -661,7 +662,7 @@ def _profiles(handles: list[str], repair: bool = True):
     wrapper = inner.register_relational("sql://profiles", database)
     cache = SubQueryResultCache()
     engine = RepairEngine(cache) if repair else None
-    proxy = CachedSource(wrapper, cache, stats=CacheStats(), repair=engine)
+    proxy = CachedSource(wrapper, cache, repair=engine)
     return database.table("profiles"), wrapper, proxy
 
 
@@ -689,26 +690,26 @@ def test_each_probe_counts_once(monkeypatch):
     table, wrapper, proxy = _profiles(HANDLES)
     stats, engine = proxy.cache.stats, proxy.repair
 
-    def counts():
-        local = proxy.local_stats
-        assert (local.hits, local.misses) == (stats.hits, stats.misses)
-        return stats.hits, stats.misses
+    with counting() as tally:
+        def counts():
+            assert (tally.hits, tally.misses) == (stats.hits, stats.misses)
+            return stats.hits, stats.misses
 
-    probe = [{"id": "u0"}]
-    proxy.execute_batch(PROFILE, probe)
-    assert counts() == (0, 1)
-    proxy.execute_batch(PROFILE, probe)
-    assert counts() == (1, 1)
-    table.insert({"handle": "u0", "followers": 1})
-    proxy.execute_batch(PROFILE, probe)
-    assert counts() == (2, 1) and engine.stats.repaired == 1
-    monkeypatch.setattr(engine, "MAX_DELTA_ITEMS", 0)
-    table.insert({"handle": "u0", "followers": 2})
-    proxy.execute_batch(PROFILE, probe)
-    assert counts() == (2, 2) and engine.stats.fallbacks == {"delta_too_large": 1}
-    assert dict_rows(proxy.cache.fetch_stale(wrapper, PROFILE, probe[0])) == [
-        {"id": "u0", "f": f} for f in (0, 1, 2)]
-    assert counts() == (2, 2)
+        probe = [{"id": "u0"}]
+        proxy.execute_batch(PROFILE, probe)
+        assert counts() == (0, 1)
+        proxy.execute_batch(PROFILE, probe)
+        assert counts() == (1, 1)
+        table.insert({"handle": "u0", "followers": 1})
+        proxy.execute_batch(PROFILE, probe)
+        assert counts() == (2, 1) and engine.stats.repaired == 1
+        monkeypatch.setattr(engine, "MAX_DELTA_ITEMS", 0)
+        table.insert({"handle": "u0", "followers": 2})
+        proxy.execute_batch(PROFILE, probe)
+        assert counts() == (2, 2) and engine.stats.fallbacks == {"delta_too_large": 1}
+        assert dict_rows(proxy.cache.fetch_stale(wrapper, PROFILE, probe[0])) == [
+            {"id": "u0", "f": f} for f in (0, 1, 2)]
+        assert counts() == (2, 2)
 
 
 def test_a_pin_older_than_the_entry_misses_and_reads_its_snapshot():
@@ -716,7 +717,7 @@ def test_a_pin_older_than_the_entry_misses_and_reads_its_snapshot():
     repair base: the pinned probe reads its own snapshot."""
     table, wrapper, proxy = _profiles(HANDLES)
     probe = [{"id": "u0"}]
-    pinned = proxy.pin()
+    pinned = CachedSource(wrapper.pin(), proxy.cache, repair=proxy.repair)
     table.insert({"handle": "u0", "followers": 1})
     assert len(dict_rows(proxy.execute_batch(PROFILE, probe)[0])) == 2
     misses = proxy.cache.stats.misses

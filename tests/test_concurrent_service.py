@@ -23,10 +23,13 @@ import time
 
 import pytest
 
+from oracle import Oracle, multiset
 from repro.cache.lru import LRUCache
 from repro.cache.results import CachedSource, SubQueryResultCache
-from repro.core import CMQBuilder, MixedInstance, PlannerOptions
+from repro.core import CMQBuilder, MixedInstance, MixedQueryExecutor, PlannerOptions
 from repro.core.sources import DataSource
+from repro.rdf.source import RDFSource
+from repro.remote import LocalTransport, RemoteSourceHandler
 from repro.relational.source import SQLQuery
 from repro.engine.batch import dict_rows
 from repro.errors import AdmissionError, QueryCancelledError, QueryTimeoutError
@@ -740,3 +743,144 @@ class TestResultCacheConcurrency:
             thread.join(timeout=60)
         for seed in range(6):
             assert results[seed] == expected
+
+
+# ---------------------------------------------------------------------------
+# One executor per pin: an execution's own state is not the executor's
+# ---------------------------------------------------------------------------
+
+def spy_executors(monkeypatch) -> list:
+    """Every executor built from now on, in order."""
+    built: list = []
+    init = MixedQueryExecutor.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MixedQueryExecutor, "__init__", spy)
+    return built
+
+
+class TestOneExecutorPerPin:
+    ASKINGS = 4
+
+    def test_one_executor_per_distinct_pin(self, monkeypatch):
+        """Served tickets and direct askings pin one catalog while no
+        source moves: one executor; a write, and a registration, make one
+        more each.  A remote source's per-CMQ clone is never the same
+        wrapper, so each asking of a federated instance builds its own."""
+        instance = build_instance()
+        queries = mixed_queries(instance)
+        built = spy_executors(monkeypatch)
+        with MediatorService(instance, ServiceConfig(workers=2, tracing=False)) as service:
+            tickets = [service.submit(queries[i % len(queries)])
+                       for i in range(self.ASKINGS)]
+            assert all(ticket.result(timeout=60) for ticket in tickets)
+            for i in range(self.ASKINGS):
+                instance.execute(queries[i % len(queries)])
+            assert len(built) == 1
+            assert {id(ticket.pinned) for ticket in tickets} == {id(instance.pin())}
+
+            instance.source("sql://profiles").database.table("profiles").insert(
+                {"handle": "u99", "followers": 1})
+            service.execute(queries[0], timeout=60)
+            instance.execute(queries[1])
+            assert len(built) == 2
+
+            extra = Database("extra-db")
+            extra.create_table_from_rows("t", [{"k": "k0"}])
+            instance.register_relational("sql://extra", extra)
+            service.execute(queries[0], timeout=60)
+            instance.execute(queries[1])
+            assert len(built) == 3
+
+        front = MixedInstance(graph=instance.graph, name="front", entailment=False)
+        for uri in instance.source_uris():
+            front.register_remote(
+                LocalTransport(RemoteSourceHandler(instance.source(uri)).handle), uri=uri)
+        expected = result_set(instance.execute(queries[0]))
+        built.clear()
+        answers = [result_set(front.execute(mixed_queries(front)[0]))
+                   for _ in range(self.ASKINGS)]
+        assert len(built) == self.ASKINGS
+        assert answers == [expected] * self.ASKINGS
+
+    def test_concurrent_executions_count_their_own_probes(self, monkeypatch):
+        """Two threads on one executor, in lockstep at every probe: each
+        trace counts the hits and misses of its serial run, one of them
+        with every call pooled under a deadline."""
+        instance = build_instance()
+        query = mixed_queries(instance)[0]
+        executor = instance.pin().executor(instance, PlannerOptions(cost_based=False))
+        cold = executor.execute(query).trace
+        warm = executor.execute(query).trace
+        assert cold.cache_misses > 0 and cold.cache_hits == 0
+        assert warm.cache_hits == cold.cache_misses and warm.cache_misses == 0
+
+        barrier = threading.Barrier(2, timeout=10)
+        probe = CachedSource._probe
+
+        def lockstep(self, *args):
+            found = probe(self, *args)
+            barrier.wait()
+            return found
+
+        monkeypatch.setattr(CachedSource, "_probe", lockstep)
+        for serial in (cold, warm):
+            if serial is cold:
+                instance.clear_caches()
+            traces: dict[str, object] = {}
+            errors: list[BaseException] = []
+
+            def run(name: str, **controls) -> None:
+                try:
+                    traces[name] = executor.execute(query, **controls).trace
+                except BaseException as exc:  # noqa: BLE001 - surfaced below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=run, args=("inline",)),
+                       threading.Thread(target=run, args=("pooled",),
+                                        kwargs={"deadline": lambda: 60.0})]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not errors, errors[0]
+            for trace in traces.values():
+                assert (trace.cache_hits, trace.cache_misses) == (
+                    serial.cache_hits, serial.cache_misses)
+
+    @pytest.mark.parametrize("stop", ["cancel", "deadline"])
+    def test_a_stopped_ticket_leaves_its_sibling_on_the_same_executor(
+            self, monkeypatch, stop):
+        """Two tickets on one pin run on one executor; while both wait in
+        a glue call, one is cancelled or runs past its deadline: it stops,
+        and its sibling finishes with the oracle's answer."""
+        instance, twin = build_instance(), build_instance()
+        query = mixed_queries(instance)[-1]
+        expected = Oracle(twin).answer(mixed_queries(twin)[-1])
+        built = spy_executors(monkeypatch)
+        arrived, release = threading.Semaphore(0), threading.Event()
+        execute_batch = RDFSource.execute_batch
+
+        def gated(self, *args, **kwargs):
+            arrived.release()
+            release.wait(10)
+            return execute_batch(self, *args, **kwargs)
+
+        monkeypatch.setattr(RDFSource, "execute_batch", gated)
+        with MediatorService(instance, ServiceConfig(workers=2)) as service:
+            doomed = service.submit(query, deadline=2.0 if stop == "deadline" else None)
+            sibling = service.submit(query)
+            assert arrived.acquire(timeout=10) and arrived.acquire(timeout=10)
+            if stop == "cancel":
+                assert doomed.cancel()
+            else:
+                assert doomed.wait(timeout=10)
+            release.set()
+            assert sibling.wait(timeout=30) and doomed.wait(timeout=30)
+        assert doomed.status == ("cancelled" if stop == "cancel" else "timed_out")
+        assert sibling.status == "done"
+        assert multiset(sibling.result()) == expected
+        assert doomed.pinned is sibling.pinned and len(built) == 1

@@ -248,7 +248,7 @@ class TestExecutor:
         # its three steps as one stage.
         plan = instance.plan(cmq, PlannerOptions(cost_based=False))
         plan.stages = [[0, 1, 2]]
-        result = instance.executor().execute(cmq, plan=plan)
+        result = instance.pin().executor(instance).execute(cmq, plan=plan)
         assert batches == [4]
         assert result.trace.stages == [["anytweets", "qG", "stats"]]
         assert [(c.atom, c.source_uri) for c in result.trace.calls] == [
@@ -371,10 +371,9 @@ class TestCancellation:
             if cancelled:
                 raise QueryCancelledError("cancelled mid-query")
 
-        executor = inst.executor(options)
-        executor.cancel_check = cancel_check
+        executor = inst.pin().executor(inst, options)
         with pytest.raises(QueryCancelledError):
-            executor.execute(cmq)
+            executor.execute(cmq, cancel_check=cancel_check)
         assert shipped == {"sql://profiles": 1}
 
 
@@ -390,7 +389,7 @@ class TestInstanceRegistry:
         stats = instance.statistics()
         assert isinstance(stats, StatisticsCatalog)
         assert instance.statistics() is stats
-        assert instance.executor().planner.statistics is stats
+        assert instance.pin().executor(instance).planner.statistics is stats
 
     def test_source_lookup(self, instance):
         assert instance.source("sql://insee").model == "relational"

@@ -15,9 +15,8 @@ import gc
 from collections import Counter
 
 from repro.cache.keys import canonical_query
-from repro.cache.lru import CacheStats
 from repro.cache.repair import RepairEngine
-from repro.cache.results import CachedSource, SubQueryResultCache
+from repro.cache.results import CachedSource, SubQueryResultCache, counting
 from repro.core import JSONQuery, StatisticsCatalog
 from repro.core.cmq import SourceAtom
 from repro.core.planner import PlannerOptions
@@ -169,7 +168,7 @@ class TestRepairIsSetAtATime:
         source = FullTextSource("solr://tweets", store)
         cache = SubQueryResultCache()
         engine = RepairEngine(cache)
-        proxy = CachedSource(source, cache, stats=CacheStats(), repair=engine)
+        proxy = CachedSource(source, cache, repair=engine)
         query = FullTextQuery.create("text:alpha", {"t": "text", "id": "author"})
         left = [{"id": f"a{i}"} for i in range(self.KEYS)]
         atom = SourceAtom("q", query, source="solr://tweets")
@@ -192,9 +191,11 @@ class TestRepairIsSetAtATime:
         _spy(monkeypatch, RepairEngine, "repair", calls)
         reset_registry()
         warm = join()
-        rows = warm.rows()
+        with counting() as tally:
+            rows = warm.rows()
         assert len(rows) == 3 * self.KEYS + 50
         assert warm.cache_hits == self.KEYS and warm.calls == 0
+        assert (tally.hits, tally.misses) == (self.KEYS, 0)
         # One probe per flush, one repair call, one pass over the delta
         # store for all the keys (parent: one search per key).
         assert calls["repair"] == 1

@@ -597,7 +597,7 @@ def test_prebuilt_plan_executes_under_its_own_options():
     plan = remote.plan(cmq, PlannerOptions(cost_based=False))
     for transport in transports.values():
         transport.outages = ((0, 10 ** 9),)
-    executor = remote.executor()
+    executor = remote.pin().executor(remote)
     assert executor.options.cost_based
     prebuilt = executor.execute(cmq, plan=plan)
     assert prebuilt.trace.plan is plan and prebuilt.trace.degraded
@@ -687,11 +687,9 @@ def test_executor_deadline_times_out_mid_stage_on_hung_source():
     hung = instance.register(HungSource("solr://hung", delay=3.0))
     cmq = _one_atom_query(instance, "solr://hung")
     started = time.monotonic()
-    executor = MixedQueryExecutor(
-        {hung.uri: hung}, instance.glue_source,
-        deadline=lambda: 0.4 - (time.monotonic() - started))
+    executor = MixedQueryExecutor({hung.uri: hung}, instance.glue_source)
     with pytest.raises(QueryTimeoutError):
-        executor.execute(cmq)
+        executor.execute(cmq, deadline=lambda: 0.4 - (time.monotonic() - started))
     assert time.monotonic() - started < 2.5  # not the 3s the source hangs
 
 

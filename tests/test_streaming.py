@@ -19,7 +19,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.keys import canonical_query
-from repro.cache.lru import CacheStats
 from repro.cache.repair import RepairEngine
 from repro.cache.results import CachedSource, SubQueryResultCache
 from repro.core import MixedInstance
@@ -51,8 +50,7 @@ def _multiset(rows: list[dict]) -> Counter:
 def _proxy(source):
     cache = SubQueryResultCache()
     engine = RepairEngine(cache)
-    stats = CacheStats()
-    return CachedSource(source, cache, stats=stats, repair=engine), engine, stats
+    return CachedSource(source, cache, repair=engine), engine
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +146,7 @@ class TestDeltaJournal:
         store = JSONDocumentStore("docs")
         store.add_all([{"id": "0", "v": 0}])
         source = JSONSource("json://d", store)
-        proxy, engine, _ = _proxy(source)
+        proxy, engine = _proxy(source)
         query = JSONQuery.from_text('{"v": ?v}')
         proxy.execute(query)
         for i in range(1, 5):  # 4 one-item bumps > the budget: chain breaks
@@ -182,7 +180,7 @@ class TestRepairedEqualsCold:
         store = JSONDocumentStore("docs")
         store.add_all([{"id": str(i), "k": i % 3, "v": i} for i in range(8)])
         source = JSONSource("json://docs", store)
-        proxy, _, _ = _proxy(source)
+        proxy, _ = _proxy(source)
         query = JSONQuery.from_text('{"k": ?k, "v": ?v}')
         _check(proxy, source, query)
         counter = 100
@@ -205,7 +203,7 @@ class TestRepairedEqualsCold:
             graph.add(triple(f"ttn:S{i}", "ttn:handle", f"h{i % 3}"))
             graph.add(triple(f"ttn:S{i}", "ttn:score", i))
         source = RDFSource("rdf://g", graph)
-        proxy, _, _ = _proxy(source)
+        proxy, _ = _proxy(source)
         query = RDFQuery.from_text(
             "SELECT ?h ?s WHERE { ?x ttn:handle ?h . ?x ttn:score ?s }")
         bound = RDFQuery.from_text(
@@ -233,7 +231,7 @@ class TestRepairedEqualsCold:
         store.add_all([{"id": i, "text": f"alpha doc {i}", "tag": f"t{i % 3}"}
                        for i in range(6)])
         source = FullTextSource("solr://ft", store)
-        proxy, _, _ = _proxy(source)
+        proxy, _ = _proxy(source)
         query = FullTextQuery(query_template="alpha",
                               output_fields=(("tag", "tag"),), limit=None)
         _check(proxy, source, query)
@@ -260,7 +258,7 @@ class TestRepairedEqualsCold:
         db.execute("CREATE TABLE t (k INTEGER, v TEXT)")
         db.execute("INSERT INTO t (k, v) VALUES (0, 'seed'), (1, 'seed')")
         source = RelationalSource("sql://d", db)
-        proxy, engine, _ = _proxy(source)
+        proxy, engine = _proxy(source)
         query = SQLQuery(sql="SELECT k AS k, v AS v FROM t")
         bound = SQLQuery(sql="SELECT v AS v FROM t WHERE k = {k}")
         _check(proxy, source, query)
@@ -288,7 +286,7 @@ class TestRepairedEqualsCold:
         db.execute("CREATE TABLE t (k INTEGER, v TEXT)")
         db.execute("INSERT INTO t (k, v) VALUES (0, 'seed'), (1, 'seed')")
         source = RelationalSource("sql://d", db)
-        proxy, engine, _ = _proxy(source)
+        proxy, engine = _proxy(source)
         query = SQLQuery(sql=sql)
         _check(proxy, source, query)
         db.execute("INSERT INTO t (k, v) VALUES (7, 'late'), (8, 'seed')")
@@ -379,9 +377,9 @@ class TestBatchRepair:
         ``repro.cache.repair`` does not promise: hits interleave by score,
         BGP solutions come in index order)."""
         source, query, keys, write = case()
-        batched, batch_engine, _ = _proxy(source)
-        peeked, _, _ = _proxy(source)
-        per_key, key_engine, _ = _proxy(source)
+        batched, batch_engine = _proxy(source)
+        peeked, _ = _proxy(source)
+        per_key, key_engine = _proxy(source)
         early, late = keys[::2], keys[1::2]
         for proxy in (batched, peeked):
             proxy.execute_batch(query, early)
@@ -414,7 +412,7 @@ class TestBatchRepair:
         rows in the same order, they close every repaired entry, and
         entry = stored + delta is the cold re-run's multiset."""
         source, query, keys, write = _fulltext_case()
-        proxy, engine, _ = _proxy(source)
+        proxy, engine = _proxy(source)
         stored = list(map(dict_rows, proxy.execute_batch(query, keys)))
         pre = source.version()
         write(2)
@@ -435,7 +433,7 @@ class TestBatchRepair:
         """Warm ``keys``, write, re-ask them in one batch: the answers are
         the cold ones (wrong when the gate is dropped) and every key is a
         counted fallback."""
-        proxy, engine, _ = _proxy(source)
+        proxy, engine = _proxy(source)
         proxy.execute_batch(query, keys)
         write()
         warm = list(map(dict_rows, proxy.execute_batch(query, keys)))
@@ -448,7 +446,7 @@ class TestBatchRepair:
     def _repaired(self, source, query, keys, write, ordered=True):
         """Warm ``keys``, write, re-ask them in one batch: every key is
         repaired without a source call, into the cold answer."""
-        proxy, engine, _ = _proxy(source)
+        proxy, engine = _proxy(source)
         proxy.execute_batch(query, keys)
         write()
         source.execute_batch = None  # a source call would raise
@@ -491,7 +489,7 @@ class TestBatchRepair:
 
     def test_delta_too_large(self):
         source, query, keys, write = _json_case()
-        proxy, engine, _ = _proxy(source)
+        proxy, engine = _proxy(source)
         engine.MAX_DELTA_ITEMS = 3
         proxy.execute_batch(query, keys)
         write(4)
@@ -500,7 +498,7 @@ class TestBatchRepair:
         assert engine.stats.fallbacks == {"delta_too_large": len(keys)}
         # RDF counts seeds: delta triples x triple patterns.
         source, query, keys, write = _rdf_case()
-        proxy, engine, _ = _proxy(source)
+        proxy, engine = _proxy(source)
         engine.MAX_DELTA_ITEMS = 3
         proxy.execute_batch(query, keys)
         write(1)  # one batch of two triples, against two patterns
@@ -579,7 +577,7 @@ class TestDocumentRewritesAreRepaired:
         answer: the same multiset, and for JSON the same order."""
         store, source, query, keys, document = case()
         store.add_all(document(i, 0) for i in range(10))
-        proxy, engine, _ = _proxy(source)
+        proxy, engine = _proxy(source)
         proxy.execute_batch(query, keys)
         revision = 0
         for batches in rounds:
@@ -606,7 +604,7 @@ class TestDocumentRewritesAreRepaired:
         with the reason ``diverged``, to the cold answer."""
         store, source, query, keys, document = _json_documents()
         store.add_all(document(i, 0) for i in range(6))
-        proxy, engine, _ = _proxy(source)
+        proxy, engine = _proxy(source)
         proxy.execute_batch(query, keys)
         for key, (version, _) in list(engine.cache.entries._entries.items()):
             engine.cache.insert_canonical(key, version, [])

@@ -24,9 +24,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cache.keys import CanonicalQuery, canonical_query
-from repro.cache.lru import CacheStats
 from repro.cache.repair import RepairEngine
-from repro.cache.results import CachedSource, SubQueryResultCache
+from repro.cache.results import CachedSource, SubQueryResultCache, counting
 from repro.core import CMQBuilder, MixedInstance, PlannerOptions
 from repro.core.cmq import SourceAtom
 from repro.core import deltas
@@ -146,7 +145,7 @@ def _profiles() -> tuple[Database, CachedSource, SourceAtom]:
     instance = MixedInstance(graph=Graph("g"), name="profiles", entailment=False)
     source = instance.register_relational("sql://profiles", database)
     cache = SubQueryResultCache()
-    proxy = CachedSource(source, cache, stats=CacheStats(), repair=RepairEngine(cache))
+    proxy = CachedSource(source, cache, repair=RepairEngine(cache))
     query = SQLQuery(sql="SELECT handle AS id, followers AS f FROM profiles "
                          "WHERE handle = {id}")
     # The CMQ calls the formal ``id`` ``who``: keys go through the renaming.
@@ -163,26 +162,28 @@ def _peek(proxy: CachedSource, atom: SourceAtom, handles: list[str]):
 class TestEntriesAreHitByTheProbe:
     def test_an_entry_a_miss_inserted_is_hit(self):
         _, proxy, atom = _profiles()
-        proxy.execute_batch(atom.query, [{"id": h} for h in HANDLES])
-        assert proxy.local_stats.misses == len(HANDLES)
-        hits = _peek(proxy, atom, HANDLES)
-        assert hits == [[{"who": h, "f": i}] for i, h in enumerate(HANDLES)]
-        assert proxy.local_stats.hits == len(HANDLES)
+        with counting() as tally:
+            proxy.execute_batch(atom.query, [{"id": h} for h in HANDLES])
+            assert tally.misses == len(HANDLES)
+            hits = _peek(proxy, atom, HANDLES)
+            assert hits == [[{"who": h, "f": i}] for i, h in enumerate(HANDLES)]
+            assert tally.hits == len(HANDLES)
 
     def test_an_entry_a_repair_inserted_is_hit(self):
         database, proxy, atom = _profiles()
-        proxy.execute_batch(atom.query, [{"id": h} for h in HANDLES])
-        database.table("profiles").insert({"handle": "u1", "followers": 100})
-        repaired = _peek(proxy, atom, HANDLES)
-        assert repaired[1] == [{"who": "u1", "f": 1}, {"who": "u1", "f": 100}]
-        assert proxy.repair.stats.repaired == len(HANDLES)
-        # The repaired entries now serve the per-call path as plain hits.
-        misses, hits = proxy.local_stats.misses, proxy.cache.stats.hits
-        answered = list(map(dict_rows,
-                            proxy.execute_batch(atom.query, [{"id": h} for h in HANDLES])))
-        assert answered[1] == [{"id": "u1", "f": 1}, {"id": "u1", "f": 100}]
-        assert proxy.local_stats.misses == misses
-        assert proxy.cache.stats.hits == hits + len(HANDLES)
+        with counting() as tally:
+            proxy.execute_batch(atom.query, [{"id": h} for h in HANDLES])
+            database.table("profiles").insert({"handle": "u1", "followers": 100})
+            repaired = _peek(proxy, atom, HANDLES)
+            assert repaired[1] == [{"who": "u1", "f": 1}, {"who": "u1", "f": 100}]
+            assert proxy.repair.stats.repaired == len(HANDLES)
+            # The repaired entries now serve the per-call path as plain hits.
+            misses, hits = tally.misses, proxy.cache.stats.hits
+            answered = list(map(dict_rows,
+                                proxy.execute_batch(atom.query, [{"id": h} for h in HANDLES])))
+            assert answered[1] == [{"id": "u1", "f": 1}, {"id": "u1", "f": 100}]
+            assert tally.misses == misses
+            assert proxy.cache.stats.hits == hits + len(HANDLES)
 
 
 # ---------------------------------------------------------------------------
