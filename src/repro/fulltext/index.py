@@ -1,15 +1,17 @@
 """Inverted index and postings for the full-text substrate.
 
-A term's postings map each document holding it to the tuple of its
-positions there; the term frequency is the length of that tuple.  The
-aggregates a search reads — the number of documents and their total
-length — are maintained by the writes (``add`` / ``remove``), so the read
-side never recomputes them from the per-document lengths.
+A term's postings map each document holding it to the term's frequency
+there, a small int; no positions are kept (a phrase checks adjacency on
+a candidate's stems, derived again).  The aggregates a search reads —
+the number of documents and their total length — are maintained by the
+writes (``add`` / ``remove``), so the read side never recomputes them
+from the per-document lengths.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Iterable, Mapping
 
 
@@ -18,7 +20,7 @@ class InvertedIndex:
 
     def __init__(self, field_name: str):
         self.field_name = field_name
-        self._postings: dict[str, dict[str, tuple[int, ...]]] = {}
+        self._postings: dict[str, dict[str, int]] = {}
         self._doc_lengths: dict[str, int] = {}
         #: Sum of ``_doc_lengths`` (kept by the writes: BM25 reads the
         #: average length on every search).
@@ -27,11 +29,8 @@ class InvertedIndex:
     # ------------------------------------------------------------------
     def add(self, doc_id: str, terms: list[str]) -> None:
         """Index ``terms`` (already analysed) for ``doc_id``."""
-        positions: dict[str, list[int]] = {}
-        for position, term in enumerate(terms):
-            positions.setdefault(term, []).append(position)
-        for term, where in positions.items():
-            self._postings.setdefault(term, {})[doc_id] = tuple(where)
+        for term, frequency in Counter(terms).items():
+            self._postings.setdefault(term, {})[doc_id] = frequency
         self._total_length += len(terms) - self._doc_lengths.get(doc_id, 0)
         self._doc_lengths[doc_id] = len(terms)
 
@@ -49,8 +48,8 @@ class InvertedIndex:
         self._total_length -= self._doc_lengths.pop(doc_id, 0)
 
     # ------------------------------------------------------------------
-    def postings_by_document(self, term: str) -> Mapping[str, tuple[int, ...]]:
-        """doc id -> positions of ``term`` there (read-only, not a copy)."""
+    def postings_by_document(self, term: str) -> Mapping[str, int]:
+        """doc id -> frequency of ``term`` there (read-only, not a copy)."""
         return self._postings.get(term, {})
 
     def documents_with(self, term: str) -> set[str]:
@@ -91,7 +90,7 @@ class InvertedIndex:
 
     def term_frequency(self, term: str, doc_id: str) -> int:
         """Occurrences of ``term`` in ``doc_id``."""
-        return len(self._postings.get(term, {}).get(doc_id, ()))
+        return self._postings.get(term, {}).get(doc_id, 0)
 
     def __len__(self) -> int:
         return len(self._postings)

@@ -53,11 +53,11 @@ def bm25_scorer(index: InvertedIndex, terms: list[str], parameters: BM25Paramete
     average_length = index.average_document_length() or 1.0
     length_of = index.document_lengths().get
 
-    def kernel(positions_of: Callable, idf: float) -> Callable[[Sequence[str]], list[float]]:
+    def kernel(frequency_of: Callable, idf: float) -> Callable[[Sequence[str]], list[float]]:
         return lambda doc_ids: [
-            idf * ((tf := len(positions)) * k1_plus_one)
+            idf * (tf * k1_plus_one)
             / (tf + k1 * (one_minus_b + b * length_of(doc_id, 0) / average_length))
-            if (positions := positions_of(doc_id)) is not None else 0.0 for doc_id in doc_ids]
+            if (tf := frequency_of(doc_id)) is not None else 0.0 for doc_id in doc_ids]
 
     # A repeated query term counts once per repetition; a term no
     # document holds contributes to no score.

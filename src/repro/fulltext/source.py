@@ -167,6 +167,8 @@ class FullTextSource(DataSource):
                         buckets.sort(key=len)  # each ``&`` costs the smaller operand
                         for ids in buckets:
                             found = ids & found
+                        if not found:
+                            continue
                         ranked = rank(found, score, sort_by)
                     else:
                         ranked = top

@@ -529,19 +529,20 @@ class FullTextStore(Journalled):
             candidates = docs if candidates is None else candidates & docs
         if not candidates:
             return set()
-        matches = set()
+        # The index keeps no positions: a candidate's stems are derived
+        # again, and the phrase is a run of them.
+        width, matches = len(stems), set()
         for doc_id in candidates:
-            positions = [dict.fromkeys(p) for p in
-                         (index.postings_by_document(s).get(doc_id) for s in stems)
-                         if p is not None]
-            if len(positions) != len(stems):
-                continue
-            first_positions = positions[0]
-            for start in first_positions:
-                if all((start + offset) in positions[offset] for offset in range(1, len(stems))):
-                    matches.add(doc_id)
-                    break
+            terms = self._indexed_stems(doc_id, field_name)
+            if any(terms[at:at + width] == stems for at in range(len(terms) - width + 1)):
+                matches.add(doc_id)
         return matches
+
+    def _indexed_stems(self, doc_id: str, field_name: str) -> list[str]:
+        """The stems ``doc_id`` is indexed under in text field
+        ``field_name``, in order: the indexing analysis, run again."""
+        terms = self._text_terms(self._documents[doc_id], self._stored[doc_id])
+        return dict(terms).get(field_name, [])
 
     def _evaluate_range(self, query: RangeQuery) -> set[str]:
         matches = set()

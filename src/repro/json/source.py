@@ -137,16 +137,17 @@ class JSONSource(DataSource):
 
     def derive_digest(self, summarize=ValueSetSummary) -> SourceDigest:
         """One node per dataguide path, all joined, valued with the
-        path's index keys; read off what every write maintains."""
-        store = self.store
+        path's index keys, each once per document filed under it; read
+        off what every write maintains."""
         digest = SourceDigest(self.uri, self.model, version=self.version())
-        dataguide = store.dataguide()
-        values_by_path = store.values_by_path()
-        digest.link_all([digest.add_node(DigestNode(self.uri, store.name, path, kind="field"),
-                                         summarize(values_by_path.get(path, [])))
-                         for path in dataguide.path_names()])
+        with self.store.reading() as store:
+            dataguide = store.dataguide()
+            digest.link_all([digest.add_node(
+                DigestNode(self.uri, store.name, path, kind="field"),
+                summarize([key for key, ids in store.index_for(path).postings.items()
+                           for _ in ids])) for path in dataguide.path_names()])
         digest.metadata["dataguide_paths"] = len(dataguide)
-        digest.metadata["documents"] = len(store)
+        digest.metadata["documents"] = dataguide.document_count
         return digest
 
     def keyword_atom(self, nodes: list[DigestNode], variables: dict, hits: dict) -> tuple:

@@ -5,7 +5,9 @@ it keeps native (nested) JSON documents, maintains one
 :class:`~repro.json.index.PathIndex` per observed dotted path — which is
 also where the planner's estimates and the
 :class:`~repro.digest.dataguide.JSONDataguide` structural summary of the
-digests read their path statistics from.
+digests read their path statistics from.  It keeps no per-document
+leaf list: a removal or an upsert walks the stored copy's leaves again
+(a stored copy is never mutated after ``add``).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Any, Iterable
 
 from repro.core.deltas import (
     INSERT, REMOVE, UPSERT, CopyOnWrite, DeltaJournal, Journalled, Snapshot)
-from repro.digest.dataguide import JSONDataguide, PathInfo
+from repro.digest.dataguide import JSONDataguide, PathInfo, leaves
 from repro.errors import JSONError
 from repro.fulltext.document import Document
 from repro.json.accel import EncodingView, StoreEncoding
@@ -54,7 +56,6 @@ class JSONDocumentStore(Journalled):
         #: queries, like the full-text store's default field).
         self.text_path = text_path
         self._documents: dict[str, dict[str, Any]] = {}
-        self._leaves: dict[str, list[tuple[str, object]]] = {}
         self._indexes: dict[str, PathIndex] = {}
         self._ranks: dict[str, int] = {}
         self._next_rank = 0
@@ -149,11 +150,12 @@ class JSONDocumentStore(Journalled):
         return None if raw_id is None else str(raw_id)
 
     def _deindex_unlocked(self, doc_id: str) -> tuple[dict[str, Any], int] | None:
-        """Drop a document's entries everywhere; returns it and its rank."""
+        """Drop a document's entries everywhere (its leaves walked again off
+        the stored copy); returns it and its rank."""
         document = self._documents.pop(doc_id, None)
         if document is None:
             return None
-        for path, value in self._leaves.pop(doc_id, []):
+        for path, value in leaves(document):
             index = self._indexes.get(path)
             if index is not None:
                 index.remove(doc_id, value)
@@ -164,13 +166,11 @@ class JSONDocumentStore(Journalled):
     def _index_unlocked(self, doc_id: str, stored: dict[str, Any],
                         rank: int | None = None) -> None:
         """Store and index one (validated, copied) document at ``rank``."""
-        leaves = list(Document(doc_id=doc_id, fields=stored).flat_fields())
         self._documents[doc_id] = stored
-        self._leaves[doc_id] = leaves
         if rank is None:
             rank, self._next_rank = self._next_rank, self._next_rank + 1
         self._ranks[doc_id] = rank
-        for path, value in leaves:
+        for path, value in leaves(stored):
             index = self._indexes.get(path)
             if index is None:
                 index = PathIndex(path)
@@ -279,14 +279,6 @@ class JSONDocumentStore(Journalled):
         """The :class:`PathIndex` of ``path`` (None when never observed)."""
         return self._indexes.get(path)
 
-    def values_by_path(self) -> dict[str, list[object]]:
-        """Raw leaf values grouped by path, in one pass over the store."""
-        grouped: dict[str, list[object]] = {}
-        for leaves in self._leaves.values():
-            for path, value in leaves:
-                grouped.setdefault(path, []).append(value)
-        return grouped
-
     def doc_ids_with_path(self, path: str) -> set[str]:
         """Documents exhibiting ``path`` — a leaf path (via its index), an
         interior node (via the indexes of its descendant leaves), or a
@@ -334,7 +326,7 @@ class JSONDocumentStore(Journalled):
 
 
 class JSONSnapshot(Snapshot, JSONDocumentStore, reads=(
-        "get", "documents", "items", "paths", "values_by_path", "doc_ids_with_path",
+        "get", "documents", "items", "paths", "doc_ids_with_path",
         "insertion_rank", "dataguide", "encoding_view", "__len__", "__contains__")):
     """What :meth:`JSONDocumentStore.snapshot` returns: the store read at
     one version, in the store's accelerator lineage: a wrapper matching
@@ -354,7 +346,7 @@ class JSONSnapshot(Snapshot, JSONDocumentStore, reads=(
         live = self._live
         at = JSONDocumentStore(live.name, live.id_field, live.text_path)
         at._version, at._lineage, at._ranks = self._version, self._lineage, dict(live._ranks)
-        at._documents, at._leaves = dict(live._documents), dict(live._leaves)
+        at._documents = dict(live._documents)
         at._indexes = CopyOnWrite(live._indexes, _private_index)
         for doc_id, old in undo.items():
             at._deindex_unlocked(doc_id)

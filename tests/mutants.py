@@ -2,11 +2,14 @@
 
 A mutant is one deliberate bug, applied by monkeypatching the program
 (nothing on disk changes).  The script runs the row-kernel tests
-(``test_row_kernels.py``) and then ``test_oracle_harness.py`` once per
-mutant, each in a fresh interpreter, and calls the mutant *killed* when
-they fail; a mutant that survives is a bug they cannot see.  The kernel
-tests catch what two equally mutated instances cannot tell apart — the
-order of tied hits, a loose match on a shared column.  The unmutated
+(``test_row_kernels.py``), the compact-store tests
+(``test_compact_stores.py``) and then ``test_oracle_harness.py`` once
+per mutant, each in a fresh interpreter, and calls the mutant *killed*
+when they fail; a mutant that survives is a bug they cannot see.  The
+kernel and store tests catch what two equally mutated instances cannot
+tell apart — the order of tied hits, a loose match on a shared column,
+a phrase no asking of the harness reads, an index entry a matcher's
+verification hides.  The unmutated
 run comes first and must pass.  Not a tier-1 test — it runs the harness
 once per mutant, about ten seconds each::
 
@@ -27,6 +30,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 HARNESS = HERE / "test_oracle_harness.py"
 KERNELS = HERE / "test_row_kernels.py"
+STORES = HERE / "test_compact_stores.py"
 
 
 def constants_out_of_the_binding_key(patch) -> None:
@@ -258,6 +262,41 @@ def pinned_catalog_outlives_a_write(patch) -> None:
                   lambda catalog, sources, glue: list(catalog.sources) == list(sources))
 
 
+def phrase_ignores_adjacency(patch) -> None:
+    """A phrase matches every document holding all of its stems, in any
+    order and apart: a bag of stems."""
+    from repro.fulltext.store import FullTextStore
+
+    def bag(self, query):
+        index = self._text_indexes[query.field or self.default_field]
+        stems = [stem for term in query.terms for stem in self.analyzer.stems(term)]
+        return set.intersection(*map(index.documents_with, stems)) if stems else set()
+
+    patch.setattr(FullTextStore, "_evaluate_phrase", bag)
+
+
+def json_deindex_drops_a_leaf(patch) -> None:
+    """A JSON de-index leaves the document's last leaf in its path index."""
+    from repro.digest.dataguide import leaves
+    from repro.json.index import PathIndex
+    from repro.json.store import JSONDocumentStore
+
+    deindex = JSONDocumentStore._deindex_unlocked
+
+    def dropping(self, doc_id):
+        document = self._documents.get(doc_id)
+        old = deindex(self, doc_id)
+        walked = list(leaves(document)) if document is not None else []
+        if walked:
+            path, value = walked[-1]
+            if self._indexes.get(path) is None:
+                self._indexes[path] = PathIndex(path)
+            self._indexes[path].add(doc_id, value)
+        return old
+
+    patch.setattr(JSONDocumentStore, "_deindex_unlocked", dropping)
+
+
 MUTANTS = {mutant.__name__: mutant for mutant in (
     constants_out_of_the_binding_key, stamp_matches_every_version,
     repair_ignores_its_delta, headers_left_untranslated,
@@ -266,7 +305,8 @@ MUTANTS = {mutant.__name__: mutant for mutant in (
     repair_reads_pre_write_closure, wire_skips_tagged_columns,
     stored_row_outlives_upsert, snapshot_reads_live_stored_rows,
     rdf_header_sorted, remote_header_reversed, rank_without_id_tie_break,
-    merge_without_shared_check, pinned_catalog_outlives_a_write)}
+    merge_without_shared_check, pinned_catalog_outlives_a_write,
+    phrase_ignores_adjacency, json_deindex_drops_a_leaf)}
 
 
 def _run(name: str) -> int:
@@ -280,7 +320,8 @@ def _run(name: str) -> int:
     patch = pytest.MonkeyPatch()
     if name != "none":
         MUTANTS[name](patch)
-    return pytest.main(["-q", "-x", "-p", "no:cacheprovider", str(KERNELS), str(HARNESS)])
+    return pytest.main(["-q", "-x", "-p", "no:cacheprovider", str(KERNELS), str(STORES),
+                        str(HARNESS)])
 
 
 def main(argv: list[str]) -> int:

@@ -4,9 +4,13 @@ The answer to a CMQ is what a *twin* of the instance under test returns:
 the same data, built the same way and given the same writes, evaluated
 without any cache (``cache=None``) under the reference plan
 (:func:`repro.baselines.naive.naive_options`: body order, no bind joins
-beyond the forced ones, one step per stage).  Answers are compared as
-multisets of rows, whatever their order.  ``benchmarks/e2e`` keeps its
-own copy of this oracle (it hashes the multiset instead of holding it).
+beyond the forced ones, one step per stage), on a catalog it pins source
+by source for each answer rather than through the instance's memoised
+pin (:func:`repro.service.snapshots.pin_instance`): a bug in that memo
+cannot serve the twin the same stale catalog it serves the instance
+under test.  Answers are compared as multisets of rows, whatever their
+order.  ``benchmarks/e2e`` keeps its own copy of this oracle (it hashes
+the multiset instead of holding it).
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from collections import Counter
 
 from repro.baselines.naive import naive_options
 from repro.engine.batch import freeze
+from repro.service.snapshots import PinnedCatalog
 
 
 def multiset(result) -> Counter:
@@ -34,4 +39,8 @@ class Oracle:
 
     def answer(self, cmq) -> Counter:
         """The multiset ``cmq`` (an object over the twin, or text) answers."""
-        return multiset(self.twin.execute(cmq, options=self.options))
+        twin = self.twin
+        catalog = PinnedCatalog({uri: source.pin()
+                                 for uri, source in twin.registered_sources().items()},
+                                twin.glue_source.pin())
+        return multiset(catalog.execute(twin, cmq, options=self.options))

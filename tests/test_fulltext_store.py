@@ -469,6 +469,10 @@ class _WalkingStore(FullTextStore):
                         del buckets[key]
         return doc
 
+    def _indexed_stems(self, doc_id, field_name):
+        # A phrase's adjacency check walks the document too: no stored row.
+        return self._walked_terms(self._documents[doc_id], field_name) or []
+
     def _walked_terms(self, doc, name):
         value = doc.get(name)
         return None if value is None else self.analyzer.stems(self._stringify(value))

@@ -21,7 +21,9 @@ metamorphic rule needs no oracle: a glue step bound to a value answers
 what the step materialised answers for that value, under every spelling
 the mediator's ``==`` equates.  Outside the machine, one fixed check asks
 each class warm under each of its constants in turn, so no draw decides
-whether askings that differ only in a constant are ever compared.
+whether askings that differ only in a constant are ever compared, and
+another asks qSIA directly on both sides of a removal, so no remote draw
+decides whether a catalog pinned before a write is caught.
 """
 
 from __future__ import annotations
@@ -353,3 +355,20 @@ def test_askings_differing_only_in_a_constant_share_no_entry(cls):
         if ask_cls == cls:
             result = demo.instance.execute(_cmq(cls, param, demo))
             assert multiset(result) == oracle.answer(_cmq(cls, param, twin)), param
+
+
+def test_a_local_asking_after_a_write_reads_the_write():
+    """Ask qSIA directly, remove tweets it reads, ask directly again: the
+    second answer is the oracle's, which moved.  The oracle's twin pins
+    its sources itself, so an instance serving a catalog pinned before
+    the write is caught here with no remote asking."""
+    machine = WarmAskingsUnderWrites()
+    try:
+        ask = ("qsia", "sia2016")
+        before = machine.oracle.answer(_cmq(*ask, machine.twin))
+        machine.ask(ask, cache=False, repair=False, service=False, batch=7)
+        machine._write_fulltext("remove", [0, 1, 2, 3], "chomage", reads=("sia2016",))
+        assert machine.oracle.answer(_cmq(*ask, machine.twin)) != before
+        machine.ask(ask, cache=False, repair=False, service=False, batch=7)
+    finally:
+        machine.teardown()

@@ -36,6 +36,7 @@ from repro.core import (
 )
 from repro.json.source import JSONSource
 from repro.engine.batch import dict_rows
+from repro.digest.dataguide import leaves
 from repro.fulltext import tweet_store
 from repro.fulltext.query import parse_query
 from repro.json.store import JSONDocumentStore
@@ -262,6 +263,15 @@ def _store_answers(store) -> tuple:
     return tuple(answers)
 
 
+def _values_by_path(store) -> dict:
+    """Path -> the leaf values found there, walked off every document."""
+    grouped: dict = {}
+    for document in store.documents():
+        for path, value in leaves(document):
+            grouped.setdefault(path, []).append(value)
+    return grouped
+
+
 def _json_answers(store) -> tuple:
     """Every read of a JSON store, in an order a copy reproduces (ranks
     as an order, index postings and dataguide samples as sets)."""
@@ -273,7 +283,7 @@ def _json_answers(store) -> tuple:
                     index.occurrences, index.types, index.document_count,
                     index.lookup_cmp(">=", 2), index.lookup_eq("anne"))
              for path, index in indexes.items()},
-            {path: sorted(map(repr, values)) for path, values in store.values_by_path().items()},
+            {path: sorted(map(repr, values)) for path, values in _values_by_path(store).items()},
             [store.doc_ids_with_path(path) for path in ("user", "entities", "*.screen_name", "x")],
             len(store), [str(i) in store and store.get(str(i)) for i in range(6)],
             guide.document_count, {path: (info.count, info.types)
