@@ -1,11 +1,14 @@
 """Per-path inverted indexes over a JSON document collection.
 
 A :class:`PathIndex` maps every *normalised* leaf value observed at one
-dotted path to the set of documents carrying it.  Array elements are
-indexed individually, matching the existential tree-pattern semantics.
-The indexes serve two purposes: candidate pruning before the matcher
-verifies documents (predicate pushdown), and cardinality statistics for
-the planner's selectivity ordering.
+dotted path to the documents carrying it: a 1-tuple while one does, a
+set from the second on (values held once, ids and texts, cost no set),
+back to a 1-tuple when removals leave one.  Array elements are indexed
+individually, matching the existential tree-pattern semantics.  Only the
+number of documents holding the path is kept (they are the union of the
+buckets).  The indexes serve two purposes: candidate pruning before the
+matcher verifies documents (predicate pushdown), and cardinality
+statistics for the planner's selectivity ordering.
 """
 
 from __future__ import annotations
@@ -25,12 +28,10 @@ class PathIndex:
 
     def __init__(self, path: str):
         self.path = path
-        self.postings: dict[object, set[str]] = {}
-        self.presence: set[str] = set()
-        #: doc id -> values it holds at the path beyond its first.  Sparse
-        #: (most paths hold one value per document); it is what lets
-        #: ``remove`` decide presence without scanning the postings.
-        self._extra_values: dict[str, int] = {}
+        #: Key -> ``(doc_id,)`` or a set of two or more ids.
+        self.postings: dict[object, tuple[str] | set[str]] = {}
+        #: Number of documents in which the path occurs.
+        self.document_count = 0
         self.occurrences = 0
         #: Type name -> occurrences of values of that type (what the
         #: store's dataguide reports, maintained here so a write never
@@ -38,42 +39,55 @@ class PathIndex:
         self.types: dict[str, int] = {}
 
     # -- maintenance ---------------------------------------------------------
-    def add(self, doc_id: str, value: object) -> None:
-        """Index one leaf value of one document."""
-        key = normalize(value)
-        self.postings.setdefault(key, set()).add(doc_id)
-        if doc_id in self.presence:
-            self._extra_values[doc_id] = self._extra_values.get(doc_id, 0) + 1
-        else:
-            self.presence.add(doc_id)
-        self.occurrences += 1
-        name = type(value).__name__
-        self.types[name] = self.types.get(name, 0) + 1
+    def add(self, doc_id: str, values: list[object]) -> None:
+        """Index every value one (newly indexed) document holds at the path."""
+        self.document_count += 1
+        postings, types = self.postings, self.types
+        for value in values:
+            key = normalize(value)
+            bucket = postings.get(key)
+            if bucket is None:
+                postings[key] = (doc_id,)
+            elif type(bucket) is set:
+                bucket.add(doc_id)
+            elif bucket[0] != doc_id:
+                postings[key] = {bucket[0], doc_id}
+            self.occurrences += 1
+            name = type(value).__name__
+            types[name] = types.get(name, 0) + 1
 
-    def remove(self, doc_id: str, value: object) -> None:
-        """Drop one previously indexed value of ``doc_id``."""
-        key = normalize(value)
-        bucket = self.postings.get(key)
-        if bucket is not None:
-            bucket.discard(doc_id)
-            if not bucket:
-                del self.postings[key]
-        self.occurrences = max(0, self.occurrences - 1)
-        name = type(value).__name__
-        if self.types.get(name, 0) > 1:
-            self.types[name] -= 1
-        else:
-            self.types.pop(name, None)
-        extra = self._extra_values.pop(doc_id, 0)
-        if extra > 1:
-            self._extra_values[doc_id] = extra - 1
-        elif not extra:
-            self.presence.discard(doc_id)
+    def remove(self, doc_id: str, values: list[object]) -> None:
+        """Drop every value ``doc_id`` held at the path (what ``add`` took)."""
+        self.document_count -= 1
+        postings = self.postings
+        for value in values:
+            key = normalize(value)
+            bucket = postings.get(key)
+            if type(bucket) is set:
+                bucket.discard(doc_id)
+                if len(bucket) == 1:
+                    postings[key] = tuple(bucket)
+            elif bucket is not None and bucket[0] == doc_id:
+                del postings[key]
+            self.occurrences = max(0, self.occurrences - 1)
+            name = type(value).__name__
+            if self.types.get(name, 0) > 1:
+                self.types[name] -= 1
+            else:
+                self.types.pop(name, None)
 
     # -- lookups -------------------------------------------------------------
+    def documents(self) -> set[str]:
+        """Documents in which the path occurs (the union of the buckets)."""
+        return set().union(*self.postings.values())
+
     def lookup_eq(self, value: object) -> set[str]:
         """Documents carrying ``value`` (keyword-style equality) at the path."""
         return set(self.postings.get(normalize(value), ()))
+
+    def count_eq(self, value: object) -> int:
+        """How many documents carry ``value`` (the bucket is not copied)."""
+        return len(self.postings.get(normalize(value), ()))
 
     def lookup_cmp(self, op: str, value: object) -> set[str]:
         """Documents with *some* element at the path satisfying ``op value``."""
@@ -86,15 +100,10 @@ class PathIndex:
             # key's documents may hold the number (candidates are verified).
             if compare(op, key, reference) or (
                     isinstance(key, bool) and compare(op, int(key), reference)):
-                out |= doc_ids
+                out.update(doc_ids)
         return out
 
     # -- statistics ----------------------------------------------------------
-    @property
-    def document_count(self) -> int:
-        """Number of documents in which the path occurs."""
-        return len(self.presence)
-
     def average_postings(self) -> float:
         """Expected matches of an equality with an unknown (bound) value."""
         if not self.postings:

@@ -324,20 +324,19 @@ class TreePatternMatcher:
                     return []
                 restrictions.append(restriction)
                 continue
-            # index.presence is shared state: intersect without mutating it
-            # (set & set walks the smaller side, so a selective predicate
-            # keeps the whole chain cheap even on a large store).
-            restriction = index.presence
-            for predicate in leaf.predicates:
-                resolved = _resolve_quietly(predicate, parameters)
-                if resolved is None or resolved.op == "!=":
-                    continue
-                restriction = restriction & index.lookup_cmp(resolved.op, resolved.value)
+            # Each lookup is a fresh set within the path's documents; the
+            # smallest starts the intersection (set & set walks the smaller
+            # side, so a selective predicate keeps the chain cheap).
+            lookups = [index.lookup_cmp(resolved.op, resolved.value) for resolved in
+                       (_resolve_quietly(predicate, parameters) for predicate in leaf.predicates)
+                       if resolved is not None and resolved.op != "!="]
             if leaf.variable is not None and leaf.variable in pushdown:
-                restriction = restriction & index.lookup_eq(pushdown[leaf.variable])
-            restrictions.append(restriction)
+                lookups.append(index.lookup_eq(pushdown[leaf.variable]))
+            if not lookups and index.document_count < len(self.store):
+                lookups.append(index.documents())  # not in every document: the path prunes
+            restrictions.extend(lookups)
         if not restrictions:
-            return []
+            return [doc_id for doc_id, _ in self.store.items()]
         restrictions.sort(key=len)
         candidates = restrictions[0]
         for restriction in restrictions[1:]:

@@ -235,14 +235,14 @@ class JSONSource(DataSource):
                             continue
                         known = values[known.name]
                     if predicate.op == "=":
-                        leaf_estimate = min(leaf_estimate, float(len(index.lookup_eq(known))))
+                        leaf_estimate = min(leaf_estimate, float(index.count_eq(known)))
                     elif predicate.op != "!=":
                         leaf_estimate = min(leaf_estimate,
                                             float(len(index.lookup_cmp(predicate.op, known))))
                 if leaf.variable is not None and leaf.variable in bound:
                     if leaf.variable in values:
                         leaf_estimate = min(leaf_estimate,
-                                            float(len(index.lookup_eq(values[leaf.variable]))))
+                                            float(index.count_eq(values[leaf.variable])))
                     else:
                         leaf_estimate = min(leaf_estimate, index.average_postings())
                 estimate = min(estimate, leaf_estimate)

@@ -5,9 +5,10 @@ it keeps native (nested) JSON documents, maintains one
 :class:`~repro.json.index.PathIndex` per observed dotted path — which is
 also where the planner's estimates and the
 :class:`~repro.digest.dataguide.JSONDataguide` structural summary of the
-digests read their path statistics from.  It keeps no per-document
-leaf list: a removal or an upsert walks the stored copy's leaves again
-(a stored copy is never mutated after ``add``).
+digests read their path statistics from; each index takes (and gives
+back) what one document holds at its path in one call.  It keeps no
+per-document leaf list: a removal or an upsert walks the stored copy's
+leaves again (a stored copy is never mutated after ``add``).
 """
 
 from __future__ import annotations
@@ -155,11 +156,11 @@ class JSONDocumentStore(Journalled):
         document = self._documents.pop(doc_id, None)
         if document is None:
             return None
-        for path, value in leaves(document):
+        for path, values in _leaves_by_path(document).items():
             index = self._indexes.get(path)
             if index is not None:
-                index.remove(doc_id, value)
-                if not index.presence:
+                index.remove(doc_id, values)
+                if not index.document_count:
                     del self._indexes[path]
         return document, self._ranks.pop(doc_id)
 
@@ -170,12 +171,12 @@ class JSONDocumentStore(Journalled):
         if rank is None:
             rank, self._next_rank = self._next_rank, self._next_rank + 1
         self._ranks[doc_id] = rank
-        for path, value in leaves(stored):
+        for path, values in _leaves_by_path(stored).items():
             index = self._indexes.get(path)
             if index is None:
                 index = PathIndex(path)
                 self._indexes[path] = index
-            index.add(doc_id, value)
+            index.add(doc_id, values)
 
     # ------------------------------------------------------------------
     # XPath-accelerator encoding
@@ -287,16 +288,16 @@ class JSONDocumentStore(Journalled):
             out: set[str] = set()
             for indexed_path, index in self._indexes.items():
                 if path_matches(path, indexed_path, prefix=True):
-                    out |= index.presence
+                    out |= index.documents()
             return out
         index = self._indexes.get(path)
         if index is not None:
-            return set(index.presence)
+            return index.documents()
         prefix = path + "."
         out = set()
         for indexed_path, descendant in self._indexes.items():
             if indexed_path.startswith(prefix):
-                out |= descendant.presence
+                out |= descendant.documents()
         return out
 
     def insertion_rank(self, doc_id: str) -> int:
@@ -365,12 +366,20 @@ JSONDocumentStore._snapshot_type = JSONSnapshot
 
 
 def _private_index(index: PathIndex) -> PathIndex:
-    """A copy of ``index`` (each posting set copied on first access)."""
+    """A copy of ``index`` (1-tuples shared, each set copied on first access)."""
     twin = PathIndex(index.path)
-    twin.postings = CopyOnWrite(index.postings, lambda ids: set(ids or ()))
-    twin.presence, twin._extra_values = set(index.presence), dict(index._extra_values)
-    twin.occurrences, twin.types = index.occurrences, dict(index.types)
+    twin.postings = CopyOnWrite(index.postings, lambda ids: set(ids) if type(ids) is set else ids)
+    twin.document_count, twin.occurrences = index.document_count, index.occurrences
+    twin.types = dict(index.types)
     return twin
+
+
+def _leaves_by_path(document: dict[str, Any]) -> dict[str, list[Any]]:
+    """Dotted path -> every leaf value ``document`` holds there."""
+    grouped: dict[str, list[Any]] = {}
+    for path, value in leaves(document):
+        grouped.setdefault(path, []).append(value)
+    return grouped
 
 
 def _copy_json(value: Any) -> Any:

@@ -291,10 +291,46 @@ def json_deindex_drops_a_leaf(patch) -> None:
             path, value = walked[-1]
             if self._indexes.get(path) is None:
                 self._indexes[path] = PathIndex(path)
-            self._indexes[path].add(doc_id, value)
+            self._indexes[path].add(doc_id, [value])
         return old
 
     patch.setattr(JSONDocumentStore, "_deindex_unlocked", dropping)
+
+
+def unrestricted_leaf_skipped(patch) -> None:
+    """An unrestricted leaf is skipped even when some documents lack its path."""
+    from repro.json.matcher import TreePatternMatcher
+    from repro.json.pattern import TreePattern
+
+    candidates = TreePatternMatcher.candidates
+
+    def skipping(self, pattern, parameters=None, pushdown=None):
+        kept = tuple(leaf for leaf in pattern.leaves
+                     if self.store.index_for(leaf.path) is None or leaf.predicates
+                     or leaf.variable in (pushdown or {}))
+        if not kept:
+            return [doc_id for doc_id, _ in self.store.items()]
+        return candidates(self, TreePattern(kept), parameters, pushdown)
+
+    patch.setattr(TreePatternMatcher, "candidates", skipping)
+
+
+def removal_keeps_the_removed_id(patch) -> None:
+    """A removal that leaves one id keeps the removed id."""
+    from repro.json.index import PathIndex, normalize
+
+    remove = PathIndex.remove
+
+    def keeping(self, doc_id, values):
+        values = list(values)
+        shrinking = {key for key in map(normalize, values)
+                     if (bucket := dict.get(self.postings, key)) is not None
+                     and type(bucket) is set and len(bucket) == 2 and doc_id in bucket}
+        remove(self, doc_id, values)
+        for key in shrinking:
+            self.postings[key] = (doc_id,)
+
+    patch.setattr(PathIndex, "remove", keeping)
 
 
 MUTANTS = {mutant.__name__: mutant for mutant in (
@@ -306,7 +342,8 @@ MUTANTS = {mutant.__name__: mutant for mutant in (
     stored_row_outlives_upsert, snapshot_reads_live_stored_rows,
     rdf_header_sorted, remote_header_reversed, rank_without_id_tie_break,
     merge_without_shared_check, pinned_catalog_outlives_a_write,
-    phrase_ignores_adjacency, json_deindex_drops_a_leaf)}
+    phrase_ignores_adjacency, json_deindex_drops_a_leaf, unrestricted_leaf_skipped,
+    removal_keeps_the_removed_id)}
 
 
 def _run(name: str) -> int:

@@ -1,16 +1,19 @@
 """The compact stores answer what the per-document structures answered.
 
 The full-text index keeps a term frequency per (term, document), no
-positions; the JSON store keeps no per-document leaf list.  Each test
-here holds a read that used them to a reference built without them: a
-phrase to a naive scan of every document's stems, BM25 to a ``Counter``
-of each document's terms, the JSON digest to a walk over every
-document's leaves.  One structural test holds the layouts themselves.
+positions; the JSON store keeps no per-document leaf list, and its path
+indexes no set of the documents holding a path nor a set per value held
+once.  Each test here holds a read that used them to a reference built
+without them: a phrase to a naive scan of every document's stems, BM25
+to a ``Counter`` of each document's terms, the JSON digest and the
+matcher's candidates to a walk over every document's leaves.  Two
+structural tests hold the layouts themselves.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 from collections import Counter
 
 from hypothesis import given, settings, strategies as st
@@ -26,7 +29,11 @@ from repro.fulltext.query import PhraseQuery
 from repro.fulltext.scoring import bm25_scorer
 from repro.fulltext.source import FullTextSource
 from repro.fulltext.store import FieldConfig, FullTextStore
-from repro.json.index import normalize
+from repro.json import index as json_index
+from repro.json.index import compare, normalize
+from repro.json.matcher import TreePatternMatcher, match_document
+from repro.json.pattern import (
+    COMPARISONS, Parameter, PatternLeaf, Predicate, TreePattern, path_matches)
 from repro.json.source import JSONSource
 from repro.json.store import JSONDocumentStore
 
@@ -170,6 +177,33 @@ class TestCompactLayout:
             for store in (documents, pinned[1], json):
                 assert _leaf_lists(store) == []
 
+    def test_json_path_indexes_of_unique_values_hold_no_sets(self):
+        """2,000 documents with a unique ``id`` and ``text`` each: those
+        paths hold 1-tuple buckets only, and what the path indexes allocate
+        stays under 900 B per document (1,470 when each path kept a
+        presence set and each value a set, 556 with 1-tuples and a count)."""
+        documents = [{"id": i, "text": f"Tweet {i} on the budget",
+                      "created_at": f"2016-01-{i % 28 + 1:02d}T{i % 24:02d}:00:{i:06d}",
+                      "user": {"screen_name": f"user{i % 40}"},
+                      "entities": {"hashtags": ["sia2016", f"tag{i % 9}"][:1 + i % 2]},
+                      "retweet_count": i % 7} for i in range(2000)]
+        store = JSONDocumentStore("guard")
+        tracemalloc.start()
+        try:
+            store.add_all(documents)
+            traced = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        for path in ("id", "text", "created_at"):
+            index = store.index_for(path)
+            assert index.document_count == 2000 and len(index.postings) == 2000
+            assert {type(ids) for ids in index.postings.values()} == {tuple}
+        assert {type(ids) for ids in store.index_for("user.screen_name").postings.values()} \
+            == {set}
+        allocated = sum(stat.size for stat in traced.filter_traces(
+            [tracemalloc.Filter(True, json_index.__file__)]).statistics("filename"))
+        assert allocated / len(documents) < 900
+
 
 # ---------------------------------------------------------------------------
 # The JSON de-index: leaves walked again off the stored copy
@@ -186,10 +220,11 @@ _JSON_DOCUMENT = st.fixed_dictionaries({}, optional={
 
 
 def _index_state(store) -> dict:
-    """Path -> what its index holds (keys equal under ``==`` are one)."""
+    """Path -> what its index holds, each bucket with its form (keys
+    equal under ``==`` are one)."""
     with store.reading() as read:
-        return {path: (index.postings, index.presence, index._extra_values,
-                       index.occurrences, index.types)
+        return {path: ({key: (type(ids), set(ids)) for key, ids in index.postings.items()},
+                       index.document_count, index.occurrences, index.types)
                 for path in read.paths() for index in (read.index_for(path),)}
 
 
@@ -222,6 +257,114 @@ class TestJSONDeindex:
         if pinned is not None:
             snapshot, documents = pinned
             assert _index_state(snapshot) == _index_state(_fresh(documents))
+
+
+# ---------------------------------------------------------------------------
+# JSON candidates: the index pruning against a walk over every document
+# ---------------------------------------------------------------------------
+
+#: Pattern paths: ``id`` and ``kind`` are in every document, the leaf
+#: paths after them in some, ``user`` is interior and ``*.name`` a wildcard.
+_PATTERN_PATHS = ["id", "kind", "n", "tags", "user.name", "user.ids", "user", "*.name"]
+_PATTERN_LEAVES = st.lists(st.tuples(
+    st.sampled_from(_PATTERN_PATHS), st.booleans(),
+    st.lists(st.builds(Predicate, st.sampled_from(COMPARISONS),
+                       st.one_of(_LEAF, st.just(Parameter("p")))), max_size=2)),
+    min_size=1, max_size=3, unique_by=lambda leaf: leaf[0])
+_PUSHDOWN = st.dictionaries(st.sampled_from(["v0", "v1", "v2"]), _LEAF, max_size=2)
+
+
+def _pattern(leaves) -> TreePattern:
+    return TreePattern(tuple(PatternLeaf(path, f"v{i}" if binds else None, tuple(predicates))
+                             for i, (path, binds, predicates) in enumerate(leaves)))
+
+
+def _walked_candidates(documents, pattern, parameters=None, pushdown=None) -> list[str]:
+    """Ids, in insertion order, of the documents holding every leaf's path
+    and, at a path some document holds a value at, a value meeting each
+    resolved predicate but ``!=`` and the pushed-down value."""
+    pushdown = pushdown or {}
+    held = []
+    for document in documents:
+        values: dict[str, list] = {}
+        for path, value in leaves(document):
+            values.setdefault(path, []).append(value)
+        held.append((str(document["id"]), values))
+    valued = {path for _, values in held for path in values}
+
+    def meets(op, value, reference) -> bool:
+        key, reference = normalize(value), normalize(reference)
+        if op == "=":
+            return key == reference
+        return compare(op, key, reference) or (
+            isinstance(key, bool) and compare(op, int(key), reference))
+
+    def kept(leaf, values) -> bool:
+        if leaf.path not in valued:
+            return any(path_matches(leaf.path, path, prefix=True) for path in values)
+        found = values.get(leaf.path, [])
+        for predicate in leaf.predicates:
+            reference = predicate.value
+            if isinstance(reference, Parameter):
+                if reference.name not in (parameters or {}):
+                    continue
+                reference = parameters[reference.name]
+            if predicate.op != "!=" and not any(meets(predicate.op, v, reference)
+                                                for v in found):
+                return False
+        if leaf.variable in pushdown and not any(
+                meets("=", v, pushdown[leaf.variable]) for v in found):
+            return False
+        return bool(found)
+
+    return [doc_id for doc_id, values in held
+            if all(kept(leaf, values) for leaf in pattern.leaves)]
+
+
+class TestJSONCandidates:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(writes=st.lists(st.one_of(
+        st.tuples(st.just("add"), st.lists(st.tuples(st.integers(0, 5), _LEAF, _JSON_DOCUMENT),
+                                           min_size=1, max_size=3)),
+        st.tuples(st.just("remove"), st.integers(0, 5))), min_size=1, max_size=6),
+        pin_at=st.integers(0, 6), leaves_=_PATTERN_LEAVES,
+        parameters=st.one_of(st.none(), st.fixed_dictionaries({"p": _LEAF})),
+        pushdown=_PUSHDOWN,
+        calls=st.lists(st.tuples(st.fixed_dictionaries({"p": _LEAF}), _PUSHDOWN),
+                       min_size=2, max_size=3))
+    def test_candidates_are_a_document_walks(self, writes, pin_at, leaves_, parameters,
+                                             pushdown, calls):
+        """Through add, upsert and remove batches (lists repeat values; two
+        paths are in every document), live and in a snapshot pinned before
+        later writes: the candidates, the batch's base set among them, are
+        the documents a walk keeps, and every call of a batch answers what
+        the naive semantics does over every document."""
+        pattern = _pattern(leaves_)
+        store, pinned = JSONDocumentStore("docs"), None
+
+        def check(read, documents):
+            with read.reading() as store:
+                matcher = TreePatternMatcher(store)
+                assert matcher.candidates(pattern, parameters, pushdown) == \
+                    _walked_candidates(documents, pattern, parameters, pushdown)
+                assert matcher.candidates(pattern) == _walked_candidates(documents, pattern)
+                answers = matcher.match_batch(pattern, calls)
+            for (bound, pushed), rows in zip(calls, answers):
+                assert [dict(zip(pattern.columns, row)) for row in rows] == [
+                    row for document in documents
+                    for row in match_document(pattern, document, bound, pushed)]
+
+        for step, (kind, items) in enumerate(writes):
+            if step == pin_at:
+                pinned = store.snapshot(), store.documents()
+            if kind == "add":
+                store.add_all([{**document, "id": f"d{key}", "kind": value}
+                               for key, value, document in items])
+            else:
+                store.remove(f"d{items}")
+            check(store, store.documents())
+        if pinned is not None:
+            check(*pinned)
 
 
 # ---------------------------------------------------------------------------

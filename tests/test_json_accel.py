@@ -331,51 +331,50 @@ class TestPathIndexCOW:
         for i in range(5):
             store.add({"id": i, "a": f"k{i % 2}"})
         live = store.index_for("a")
-        postings, presence = live.postings, live.presence
+        postings = live.postings
         snap = store.snapshot()
         with snap.reading() as pinned:
             assert pinned is store
         store.add({"id": 99, "a": "fresh"})
         assert store.index_for("a") is live
-        assert live.postings is postings and live.presence is presence
+        assert live.postings is postings
         frozen = snap.index_for("a")
-        assert frozen is not live and frozen.presence == {"0", "1", "2", "3", "4"}
+        assert frozen is not live and frozen.documents() == {"0", "1", "2", "3", "4"}
         assert frozen.lookup_eq("fresh") == set()
         assert frozen.lookup_eq("k0") == {"0", "2", "4"}
         assert store.index_for("a").lookup_eq("fresh") == {"99"}
 
     def test_presence_follows_the_values_a_document_still_holds(self):
-        """Two values at one path: the document stays present after one is
-        removed and leaves with the second — on the live index and on a
-        snapshot's copy of it, neither disturbed by the other's writes."""
+        """A document's values at one path come and go together: its
+        buckets shrink back to 1-tuples and the count drops once — on the
+        live index and on a snapshot's copy of it, neither disturbed by
+        the other's writes."""
         from repro.json import PathIndex
 
         live = PathIndex("tags")
-        live.add("d", "red")
-        live.add("d", "blue")
-        live.add("e", "red")
-        live.remove("d", "red")
-        assert "d" in live.presence and live.lookup_eq("red") == {"e"}
-        live.remove("d", "blue")
-        assert "d" not in live.presence and live.presence == {"e"}
+        live.add("d", ["red", "blue", "red"])
+        live.add("e", ["red"])
+        assert live.postings == {"red": {"d", "e"}, "blue": ("d",)}
+        assert live.document_count == 2 and live.occurrences == 4
+        live.remove("d", ["red", "blue", "red"])
+        assert live.postings == {"red": ("e",)} and live.documents() == {"e"}
+        assert live.document_count == 1 and live.occurrences == 1
 
         store = JSONDocumentStore("tags")
         store.add_all([{"id": "d", "tags": ["red", "blue"]}, {"id": "e", "tags": ["red"]}])
         snap = store.snapshot()
         store.add({"id": "d", "other": True})
         twin = snap.index_for("tags")
-        assert twin.presence == {"d", "e"} and twin.lookup_eq("red") == {"d", "e"}
-        twin.remove("d", "blue")
-        assert "d" in twin.presence
-        twin.remove("d", "red")
-        assert twin.presence == {"e"}
-        assert snap.index_for("tags").presence == {"d", "e"}
-        assert store.index_for("tags").presence == {"e"}
+        assert twin.documents() == {"d", "e"} and twin.lookup_eq("red") == {"d", "e"}
+        twin.remove("d", ["red", "blue"])
+        assert twin.documents() == {"e"} and twin.postings == {"red": ("e",)}
+        assert snap.index_for("tags").documents() == {"d", "e"}
+        assert store.index_for("tags").documents() == {"e"}
         assert store.index_for("tags").document_count == 1
 
     def test_remove_does_not_scan_the_postings(self):
-        """No clocks: removing one leaf may not walk every distinct value
-        of the path (it did, once per removed leaf, to decide presence)."""
+        """No clocks: removing one document may not walk every distinct
+        value of the path (it once did, per removed leaf, to decide presence)."""
         from repro.json import PathIndex
 
         class CountingPostings(dict):
@@ -387,12 +386,12 @@ class TestPathIndexCOW:
 
         index = PathIndex("user.id")
         for number in range(50):
-            index.add(f"doc{number}", number)
+            index.add(f"doc{number}", [number])
         index.postings = CountingPostings(index.postings)
         for number in range(50):
-            index.remove(f"doc{number}", number)
+            index.remove(f"doc{number}", [number])
         assert CountingPostings.scans == 0
-        assert not index.presence and not index.postings
+        assert not index.document_count and not index.postings
 
     def test_upsert_keeps_presence_exact_through_the_store(self):
         store = JSONDocumentStore("upsert")
@@ -400,11 +399,11 @@ class TestPathIndexCOW:
         store.add({"id": 2, "tags": ["a"]})
         snap = store.snapshot()
         store.add({"id": 1, "tags": ["b"]})
-        assert store.index_for("tags").presence == {"1", "2"}
+        assert store.index_for("tags").documents() == {"1", "2"}
         assert store.index_for("tags").lookup_eq("a") == {"2"}
         store.add({"id": 1, "other": True})
-        assert store.index_for("tags").presence == {"2"}
-        assert snap.index_for("tags").presence == {"1", "2"}
+        assert store.index_for("tags").documents() == {"2"}
+        assert snap.index_for("tags").documents() == {"1", "2"}
         assert snap.index_for("tags").lookup_eq("a") == {"1", "2"}
 
 

@@ -215,7 +215,7 @@ class TestStore:
         assert len(store) == 3
         assert store.index_for("entities.hashtags").lookup_eq("agriculture") == set()
         assert store.remove("3") and len(store) == 2
-        assert "3" not in store.index_for("text").presence
+        assert "3" not in store.index_for("text").documents()
 
     def test_a_comparison_finds_a_number_filed_under_an_equal_bool(self):
         """1 and True share one posting key, whichever came first."""

@@ -279,7 +279,7 @@ def _json_answers(store) -> tuple:
     guide = store.dataguide()
     return ([doc_id for doc_id, _ in store.items()], store.documents(), store.paths(),
             sorted(store.documents(), key=lambda doc: store.insertion_rank(str(doc["id"]))),
-            {path: (index.presence, {repr(k): ids for k, ids in index.postings.items()},
+            {path: (index.documents(), {repr(k): ids for k, ids in index.postings.items()},
                     index.occurrences, index.types, index.document_count,
                     index.lookup_cmp(">=", 2), index.lookup_eq("anne"))
              for path, index in indexes.items()},
@@ -567,8 +567,8 @@ def test_pinned_readers_race_a_writer():
                     assert list(map(dict_rows, pinned.execute_batch(
                         JSON_ALL, [{"u": n} for n in NAMES]))) == list(map(dict_rows,
                             json_source.execute_batch(JSON_ALL, [{"u": n} for n in NAMES])))
-                    assert json_view.index_for("user.screen_name").presence == \
-                        json_twin.index_for("user.screen_name").presence
+                    assert json_view.index_for("user.screen_name").documents() == \
+                        json_twin.index_for("user.screen_name").documents()
                     assert json_view.documents() == json_docs
         except Exception as error:  # noqa: BLE001 - reported below
             failures.append(error)

@@ -345,6 +345,36 @@ _WRITTEN_GOLDEN = [
 ]
 
 
+#: (class, atom, source) -> ``derive_estimate`` with nothing bound, then
+#: with each formal bound (sorted), priced with the atom's constants; a
+#: JSON atom then with each formal bound to a value of the first stored
+#: tweet (counted off its bucket).  Recorded before the path indexes kept
+#: 1-tuple buckets and a document count: no estimate, so no plan, moves.
+_CLASS_ATOMS_RECORDED = {
+    ('qsia', 'qG', '#glue'): [1.0, 0.041666666666666664],
+    ('qsia', 'tweetContains', 'solr://tweets'): [1.0, 0.041666666666666664, 0.008130081300813009],
+    ('dynamic', 'qG', '#glue'): [1.0, 0.041666666666666664],
+    ('dynamic', 'tweetContains', 'solr://facebook'): [None, None, None, None],
+    ('dynamic', 'tweetContains', 'solr://tweets'): [1.0, 0.041666666666666664, 0.008130081300813009, 1.0],
+    ('qsia_json sia2016', 'qG', '#glue'): [1.0, 0.07692307692307693, 0.041666666666666664],
+    ('qsia_json sia2016', 'tweetJson', 'json://tweets'): [1.0, 1.0, 1.0, 1.0, 1.0],
+    ('qsia_json sia2016', 'unemployment', 'sql://insee'): [8.0, 8.0, 0.057971014492753624, 4.0],
+    ('qsia_json etatdurgence', 'qG', '#glue'): [1.0, 0.07692307692307693, 0.041666666666666664],
+    ('qsia_json etatdurgence', 'tweetJson', 'json://tweets'): [174.0, 15.041666666666666, 1.0, 13.0, 1.0],
+    ('qsia_json etatdurgence', 'unemployment', 'sql://insee'): [8.0, 8.0, 0.057971014492753624, 4.0],
+    ('qsia_json chomage', 'qG', '#glue'): [1.0, 0.07692307692307693, 0.041666666666666664],
+    ('qsia_json chomage', 'tweetJson', 'json://tweets'): [44.0, 15.041666666666666, 1.0, 13.0, 1.0],
+    ('qsia_json chomage', 'unemployment', 'sql://insee'): [8.0, 8.0, 0.057971014492753624, 4.0],
+    ('party', 'qG', '#glue'): [24.0, 4.0, 1.0],
+    ('party', 'tweetMentions', 'solr://tweets'): [24.0, 1.0, 2.4000000000000004, 0.1951219512195122, 6.0],
+    ('factcheck', 'qG', '#glue'): [1.0, 0.07692307692307693, 0.041666666666666664],
+    ('factcheck', 'claims', 'solr://tweets'): [17.0, 0.7083333333333334, 0.13821138211382114],
+    ('factcheck', 'datasetRegistry', 'sql://insee'): [1.0, 0.5, 0.3333333333333333],
+    ('factcheck', 'statistics', 'sql://elections'): [None, None, None, None],
+    ('factcheck', 'statistics', 'sql://insee'): [8.0, 8.0, 0.057971014492753624, 4.0],
+}
+
+
 def _assert_golden(source: JSONSource, golden: list) -> None:
     for text, bound, values, wrapper, catalog in golden:
         query = JSONQuery.from_text(text)
@@ -395,6 +425,38 @@ class TestJSONEstimates:
 
         demo = build_demo_instance(DemoConfig(politicians=12, weeks=2, seed=42))
         _assert_golden(demo.instance.source(TWEETS_JSON_URI), _DEMO_GOLDEN)
+
+    def test_atoms_of_the_five_classes_estimate_as_recorded(self):
+        from repro.datasets import DemoConfig, build_demo_instance, qsia_query
+        from repro.datasets.loader import (
+            TWEETS_JSON_URI, fact_checking_query, party_vocabulary_query, qsia_json_query)
+
+        demo = build_demo_instance(DemoConfig(politicians=24, weeks=4, seed=42))
+        instance = demo.instance
+        classes = {"qsia": qsia_query(demo), "dynamic": instance.parse(
+            'qSIA(t, id) :- qG(id), tweetContains(t, id, "sia2016")[dSolr]'),
+            **{f"qsia_json {tag}": qsia_json_query(demo, tag)
+               for tag in ("sia2016", "etatdurgence", "chomage")},
+            "party": party_vocabulary_query(demo, "emploi"),
+            "factcheck": fact_checking_query(demo)}
+        first = instance.source(TWEETS_JSON_URI).store.documents()[0]
+        known = {"id": first["user"]["screen_name"], "t": first["text"]}
+        estimates = {}
+        for label, cmq in classes.items():
+            for atom in cmq.atoms:
+                formals = sorted(atom.query.output_variables()
+                                 | atom.query.required_parameters())
+                for source in ([instance.source(atom.source)] if atom.source else
+                               [s for s in instance.sources()
+                                if s.model == atom.query.model]):
+                    def price(bound, values):
+                        return source.derive_estimate(atom.query, set(bound), values)
+                    estimates[label, atom.name, source.uri] = (
+                        [price((), dict(atom.constants))]
+                        + [price((f,), dict(atom.constants)) for f in formals]
+                        + [price((f,), {f: known[f]}) for f in formals
+                           if source.model == "json"])
+        assert estimates == _CLASS_ATOMS_RECORDED
 
     def test_fixture_atoms_estimate_as_at_the_parent(self, source):
         _assert_golden(source, _FIXTURE_GOLDEN)
