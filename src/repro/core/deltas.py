@@ -3,12 +3,12 @@
 Every store owns one :class:`DeltaJournal`; each committed mutation batch
 appends one :class:`DeltaRecord` spanning ``pre_version -> post_version``:
 the *kind* of the change, its items and what it overwrote.  Cache repair
-(:mod:`repro.cache.repair`), the statistics absorb and the JSON
-accelerator replay the records between two versions
-(:meth:`DeltaJournal.since`); standing queries are woken by the log's
-listeners; and a :class:`Snapshot` of the RDF graph, the full-text or the
-JSON store, a watermark, not a copy, holds the record of its version and
-walks ``record.next`` to revert what later batches overwrote.
+(:mod:`repro.cache.repair`) and the statistics absorb replay the
+records between two versions (:meth:`DeltaJournal.since`); standing
+queries are woken by the log's listeners; and a :class:`Snapshot` of
+the RDF graph, the full-text or the JSON store, a watermark, not a copy,
+holds the record of its version and walks ``record.next`` to revert
+what later batches overwrote.
 
 The log answers from a window of its newest records, trimmed by one item
 budget, :data:`MAX_DELTA_ITEMS`, the repair gate's own bound in the gate's

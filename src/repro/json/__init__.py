@@ -10,21 +10,18 @@ substrate:
   (``{ user.screen_name: ?id, entities.hashtags: "sia2016" }``);
 * :mod:`repro.json.store` — an in-memory document store maintaining one
   inverted :class:`~repro.json.index.PathIndex` per dotted path;
-* :mod:`repro.json.matcher` — index-assisted pattern evaluation with a
-  naive reference implementation;
+* :mod:`repro.json.matcher` — the one matcher: index-assisted candidate
+  pruning, then a walk of each candidate's tree, held to a naive
+  reference implementation;
 * :mod:`repro.json.source` — the mediator-facing wrapper
-  (:class:`~repro.json.source.JSONSource`) and its sub-query type.
+  (:class:`~repro.json.source.JSONSource`) and its sub-query type;
+* :mod:`repro.json.accel` — the XPath-accelerator encoding, which no
+  query reads: kept only for the benchmark's traced pass, until ROADMAP
+  item 2 deletes it.
 """
 
-from repro.json.accel import (
-    CompiledPattern,
-    EncodingView,
-    StoreEncoding,
-    compile_path_ops,
-    iter_child_items,
-)
 from repro.json.index import PathIndex, compare, normalize
-from repro.json.matcher import TreePatternMatcher, leaf_values, match_document
+from repro.json.matcher import TreePatternMatcher, iter_child_items, leaf_values, match_document
 from repro.json.parser import parse_pattern, pattern_to_text
 from repro.json.pattern import (
     Parameter,
@@ -54,9 +51,5 @@ __all__ = [
     "make_pattern",
     "path_matches",
     "JSONDocumentStore",
-    "CompiledPattern",
-    "EncodingView",
-    "StoreEncoding",
-    "compile_path_ops",
     "iter_child_items",
 ]

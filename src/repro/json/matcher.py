@@ -1,27 +1,28 @@
-"""Tree-pattern evaluation: accelerated matching with a naive core.
+"""Tree-pattern evaluation: the index-assisted walk and its naive reference.
 
 :func:`match_document` is the reference (naive) semantics: evaluate a
 pattern against one document and produce its binding rows.
-:class:`TreePatternMatcher` wraps it with index-based candidate pruning —
+:class:`TreePatternMatcher` is the one matcher the JSON source uses:
 equality and comparison predicates (including pushed-down bindings from a
-bind join) are first answered from the store's per-path indexes — and,
-by default (``accel=True``), verifies the surviving candidates against
-the store's XPath-accelerator encoding (:mod:`repro.json.accel`): each
-pattern leaf compiles to structural range probes over the columnar
-``(pre, post, level, path-id, value-id)`` arrays, so the per-document
-hot path is a handful of :mod:`bisect` calls instead of a tree walk.
-With ``accel=False`` candidates are verified by walking the document
-tree (:func:`match_document`).  The two paths must agree; the test
-suite checks them against each other.
+bind join) are first answered from the store's per-path indexes, and the
+surviving candidates are verified by walking each document's tree with
+the pattern compiled once per call (:class:`_Walk`: paths split,
+parameters resolved, a pushed-down value folded into its leaf's test).
+The test suite holds the matcher to per-document :func:`match_document`
+scans.
+
+:func:`iter_child_items` defines the node model the wildcard walk
+follows: object members become child nodes under their key; a list value
+*fans out* — each element becomes a node under the list's key (nested
+lists stay opaque); empty lists contribute no nodes.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, TYPE_CHECKING
+from typing import Any, Iterable, Iterator, TYPE_CHECKING
 
 from repro.engine.batch import BindingBatch, Row
 from repro.errors import JSONError
-from repro.json.accel import CompiledPattern, iter_child_items
 from repro.json.index import compare, normalize
 from repro.json.pattern import (
     Parameter,
@@ -31,13 +32,24 @@ from repro.json.pattern import (
     _nfa_closure,
     is_wildcard_path,
 )
-from repro.obs.metrics import get_registry
-from repro.obs.spans import span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.json.store import JSONDocumentStore
 
 _MISSING = object()
+
+
+def iter_child_items(value: Any) -> Iterator[tuple[str, Any]]:
+    """The ``(key, raw)`` child nodes of one raw value, in document order
+    (the node model of the module docstring)."""
+    if not isinstance(value, dict):
+        return
+    for key, child in value.items():
+        if isinstance(child, list):
+            for item in child:
+                yield key, item
+        else:
+            yield key, child
 
 
 def leaf_values(document: dict, path: str) -> list[object]:
@@ -49,8 +61,12 @@ def leaf_values(document: dict, path: str) -> list[object]:
     """
     if is_wildcard_path(path):
         return _wildcard_leaf_values(document, path.split("."))
-    current: list[object] = [document]
-    for part in path.split("."):
+    return _fanned_values([document], path.split("."))
+
+
+def _fanned_values(current: list[object], segments: Iterable[str]) -> list[object]:
+    """The level-by-level walk of a concrete path from the nodes ``current``."""
+    for part in segments:
         next_level: list[object] = []
         for value in current:
             if isinstance(value, list):
@@ -106,13 +122,6 @@ def match_document(pattern: TreePattern, document: dict,
     join) — matching rows are aligned to the pushed value so the
     mediator's exact-equality joins accept them.
     """
-    return BindingBatch(pattern.columns,
-                        _document_tuples(pattern, document, parameters, pushdown)).dicts()
-
-
-def _document_tuples(pattern: TreePattern, document: dict, parameters: dict[str, object] | None,
-                     pushdown: Row | None) -> list[tuple]:
-    """:func:`match_document`'s rows as value tuples over ``pattern.columns``."""
     keeps: list[list[object]] = []
     for leaf in pattern.leaves:
         values = leaf_values(document, leaf.path)
@@ -124,13 +133,14 @@ def _document_tuples(pattern: TreePattern, document: dict, parameters: dict[str,
         if not keep:
             return []
         keeps.append(keep)
-    return _tuples_from_keeps(pattern, keeps, pushdown or {})
+    return BindingBatch(pattern.columns,
+                        _tuples_from_keeps(pattern, keeps, pushdown or {})).dicts()
 
 
 def _tuples_from_keeps(pattern: TreePattern, keeps: list[list[object]],
                        pushdown: Row) -> list[tuple]:
-    """Binding tuples over ``pattern.columns`` from per-leaf kept values
-    (shared by both matchers); a variable's later leaves must agree."""
+    """Binding tuples over ``pattern.columns`` from per-leaf kept values;
+    a variable's later leaves must agree."""
     rows: list[tuple] = [()]
     for leaf, keep in zip(pattern.leaves, keeps):
         if leaf.variable is None:
@@ -167,14 +177,102 @@ def _dedupe(values: Iterable[object]) -> list[object]:
     return out
 
 
+def _path_values(document: dict, segments: list[str]) -> list[object]:
+    """:func:`leaf_values` of a concrete path already split: dicts are
+    followed key by key until a list fans the walk out."""
+    current: Any = document
+    for depth, part in enumerate(segments):
+        if isinstance(current, dict):
+            current = current.get(part, _MISSING)
+            if current is _MISSING:
+                return []
+        elif isinstance(current, list):
+            return _fanned_values([current], segments[depth:])
+        else:
+            return []
+    return list(current) if isinstance(current, list) else [current]
+
+
+def _equal_to(value: object):
+    key = normalize(value)
+    return lambda v: normalize(v) == key
+
+
+def _compared(predicate: Predicate):
+    if predicate.op == "=":
+        return _equal_to(predicate.value)
+    op, value = predicate.op, predicate.value
+    return lambda v: compare(op, v, value)
+
+
+def _all_of(tests: list):
+    """The conjunction of ``tests`` (None when there is none)."""
+    if len(tests) <= 1:
+        return tests[0] if tests else None
+    return lambda v: all(test(v) for test in tests)
+
+
+class _Walk:
+    """A pattern compiled for one call of the matcher.
+
+    Per leaf: its path split once (a wildcard path is walked through its
+    NFA), its predicates resolved once into one test,
+    the value pushed down on its variable folded in as one more equality
+    (the leaf then binds that value), and the column its variable
+    extends or, on a later leaf of the same variable, must agree with.
+    """
+
+    __slots__ = ("leaves",)
+
+    def __init__(self, pattern: TreePattern, parameters: dict[str, object] | None,
+                 pushdown: Row):
+        self.leaves = []
+        columns, seen = pattern.columns, set()
+        for leaf in pattern.leaves:
+            tests = [_compared(p.resolve(parameters)) for p in leaf.predicates]
+            bound, column, extends = _MISSING, None, False
+            if leaf.variable is not None:
+                bound = pushdown.get(leaf.variable, _MISSING)
+                if bound is not _MISSING:
+                    tests.append(_equal_to(bound))
+                column, extends = columns.index(leaf.variable), leaf.variable not in seen
+                seen.add(leaf.variable)
+            self.leaves.append((leaf.path.split("."), is_wildcard_path(leaf.path),
+                                _all_of(tests), bound, column, extends))
+
+    def rows(self, document: dict) -> list[tuple]:
+        """The document's binding tuples (what :func:`match_document` gives)."""
+        rows: list[tuple] = [()]
+        for segments, wildcard, test, bound, column, extends in self.leaves:
+            if wildcard:
+                values = _wildcard_leaf_values(document, segments)
+            else:
+                values = _path_values(document, segments)
+            if test is not None:
+                values = [v for v in values if test(v)]
+            if not values:
+                return []
+            if column is None:
+                continue
+            if bound is not _MISSING:
+                values = [bound]
+            elif len(values) > 1:
+                values = _dedupe(values)
+            if extends:
+                rows = [row + (value,) for row in rows for value in values]
+            else:
+                rows = [row for row in rows
+                        if any(normalize(row[column]) == normalize(v) for v in values)]
+                if not rows:
+                    return []
+        return rows
+
+
 class TreePatternMatcher:
     """Evaluates tree patterns over a :class:`JSONDocumentStore`."""
 
-    def __init__(self, store: "JSONDocumentStore", accel: bool = True):
+    def __init__(self, store: "JSONDocumentStore"):
         self.store = store
-        #: Verify candidates against the columnar encoding (False = walk
-        #: the document trees; kept as the reference semantics).
-        self.accel = accel
 
     # ------------------------------------------------------------------
     def match(self, pattern: TreePattern,
@@ -229,76 +327,19 @@ class TreePatternMatcher:
     def _verify(self, pattern: TreePattern, doc_ids: list[str],
                 parameters: dict[str, object] | None,
                 pushdown: Row, limit: int | None) -> list[tuple]:
-        """Verify candidate documents, accelerated when possible."""
+        """The rows of the candidates, walked in order, up to ``limit``."""
         if not doc_ids:
             return []
-        compiled = self._compile(pattern, parameters)
-        if compiled is None:
-            rows: list[tuple] = []
-            for doc_id in doc_ids:
-                document = self.store.get(doc_id)
-                if document is None:  # pragma: no cover - defensive
-                    continue
-                rows.extend(_document_tuples(pattern, document, parameters, pushdown))
-                if limit is not None and len(rows) >= limit:
-                    return rows[:limit]
-            return rows
-        return self._verify_accel(compiled, pattern, doc_ids, parameters,
-                                  pushdown, limit)
-
-    def _verify_accel(self, compiled: CompiledPattern, pattern: TreePattern,
-                      doc_ids: list[str], parameters, pushdown: Row,
-                      limit: int | None) -> list[tuple]:
-        view = compiled.view
+        walk, get = _Walk(pattern, parameters, pushdown).rows, self.store.get
         rows: list[tuple] = []
-        with span("json.accel.probe", leaves=len(pattern.leaves),
-                  candidates=len(doc_ids)) as sp:
-            matched = [0] * len(pattern.leaves) if sp is not None else None
-            for doc_id in doc_ids:
-                document = self.store.get(doc_id)
-                ordinal = view.ordinal(doc_id, document)
-                if ordinal is None:
-                    # Outside the pinned view (or an upsert repointed the
-                    # shared ordinal past our watermark): walk the tree.
-                    if document is None:  # pragma: no cover - defensive
-                        continue
-                    doc_rows = _document_tuples(pattern, document, parameters, pushdown)
-                else:
-                    keeps = compiled.leaf_keeps(ordinal)
-                    if matched is not None and keeps is not None:
-                        for index in range(len(keeps)):
-                            matched[index] += 1
-                    if keeps is None:
-                        continue
-                    doc_rows = _tuples_from_keeps(pattern, keeps, pushdown)
-                rows.extend(doc_rows)
-                if limit is not None and len(rows) >= limit:
-                    rows = rows[:limit]
-                    break
-            if sp is not None:
-                stats = view.encoding.axis_stats(pattern, view.node_limit)
-                axes = []
-                for index, leaf in enumerate(pattern.leaves):
-                    estimated = (stats["leaves"][index]["documents"]
-                                 if stats is not None else None)
-                    axes.append({"path": leaf.path, "estimated": estimated,
-                                 "actual": matched[index]})
-                sp.set(axes=axes, rows=len(rows))
-        get_registry().counter("json.accel.probe_rows").inc(len(rows))
+        for doc_id in doc_ids:
+            document = get(doc_id)
+            if document is None:  # pragma: no cover - defensive
+                continue
+            rows.extend(walk(document))
+            if limit is not None and len(rows) >= limit:
+                return rows[:limit]
         return rows
-
-    def _compile(self, pattern: TreePattern,
-                 parameters: dict[str, object] | None) -> Optional[CompiledPattern]:
-        """Compile against the store's encoding (None = reference path)."""
-        if not self.accel:
-            return None
-        getter = getattr(self.store, "encoding_view", None)
-        if getter is None:
-            return None
-        view = getter()
-        resolved = [[p.resolve(parameters) for p in leaf.predicates]
-                    for leaf in pattern.leaves]
-        return view.compile(pattern, resolved)
 
     # ------------------------------------------------------------------
     def candidates(self, pattern: TreePattern,
@@ -314,10 +355,11 @@ class TreePatternMatcher:
         restrictions: list[set[str]] = []
         for leaf in pattern.leaves:
             index = self.store.index_for(leaf.path)
-            if index is None:
-                # Interior (non-leaf) or wildcard path: no value index, but
-                # presence can still prune through the indexes of the leaf
-                # paths it matches (or prefixes).
+            if index is None or self.store.holds_below(leaf.path):
+                # Interior (non-leaf) or wildcard path, or a leaf path that is
+                # an interior node in some documents (which its value index
+                # cannot see): presence alone prunes, through the indexes of
+                # the paths it matches or prefixes.
                 restriction = self.store.doc_ids_with_path(leaf.path)
                 if not restriction:
                     # The path was never observed: nothing can match.

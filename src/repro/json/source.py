@@ -13,7 +13,6 @@ from repro.digest.graph import DigestNode, SourceDigest, safe_name
 from repro.digest.valueset import ValueSetSummary
 from repro.engine.batch import BindingBatch, Row, as_answer, dict_rows
 from repro.errors import MixedQueryError
-from repro.json.accel import structural_row_estimate as accel_structural_row_estimate
 from repro.json.matcher import TreePatternMatcher
 from repro.json.parser import parse_pattern
 from repro.json.pattern import Parameter as JSONParameter, PatternLeaf, Predicate, TreePattern
@@ -80,16 +79,6 @@ class JSONSource(DataSource):
                  name: str | None = None, description: str = ""):
         super().__init__(source_uri, name or store.name, description)
         self.store = store
-        self.matcher = TreePatternMatcher(store)
-
-    @property
-    def cost_kind(self) -> str:
-        """The cost-model kind: structural range joins when accelerated."""
-        return "json_accel" if getattr(self.matcher, "accel", False) else self.model
-
-    def _over_snapshot(self, frozen: JSONDocumentStore) -> "JSONSource":
-        """The wrapper over a snapshot of the store, with its own matcher."""
-        return self._pinned_copy(store=frozen, matcher=TreePatternMatcher(frozen))
 
     def execute(self, query: SourceQuery, bindings: Row | None = None) -> list[Row]:
         return dict_rows(self.execute_batch(query, [bindings or {}])[0])
@@ -128,7 +117,7 @@ class JSONSource(DataSource):
         # A pin's snapshot yields the store at its version: match on that.
         with self.store.reading() as store:
             return [as_answer(query.pattern.columns, rows)
-                    for rows in TreePatternMatcher(store, self.matcher.accel).match_batch(
+                    for rows in TreePatternMatcher(store).match_batch(
                         query.pattern, calls, limit=query.limit)]
 
     def derive_estimate(self, query: JSONQuery, bound: set[str], values: Row) -> float:
@@ -190,10 +179,9 @@ class JSONSource(DataSource):
                  values: dict[str, object] | None = None) -> float:
         """Path-index estimate of a tree pattern (the one JSON estimator).
 
-        Every number is read off what a write already maintains — the
-        per-path indexes and, for purely structural patterns, the
-        accelerator encoding — so the first estimate after a write costs
-        no pass over the documents.  ``values`` carries the bindings whose
+        Every number is read off what a write already maintains, the
+        per-path indexes, so the first estimate after a write costs no
+        pass over the documents.  ``values`` carries the bindings whose
         constant value is known at plan time (the statistics catalog
         passes the atom's constants): those are priced from the exact
         postings of the value instead of the path's average.
@@ -205,14 +193,6 @@ class JSONSource(DataSource):
         pattern = query.pattern
         limit = float("inf") if query.limit is None else float(query.limit)
         with self.store.reading() as store:
-            if (self.matcher.accel
-                    and all(not leaf.predicates for leaf in pattern.leaves)
-                    and not (pattern.variables() & bound)):
-                # Purely structural pattern: the accelerator encoding answers
-                # the per-axis cardinalities exactly (documents *and* fan-out).
-                rows = accel_structural_row_estimate(store.encoding_view(), pattern)
-                if rows is not None:
-                    return min(rows, limit)
             estimate = float(len(store))
             for leaf in pattern.leaves:
                 index = store.index_for(leaf.path)
@@ -246,10 +226,17 @@ class JSONSource(DataSource):
                     else:
                         leaf_estimate = min(leaf_estimate, index.average_postings())
                 estimate = min(estimate, leaf_estimate)
+            if not pattern.variables() & bound and not any(leaf.predicates
+                                                          for leaf in pattern.leaves):
+                # A purely structural pattern binds every value a document
+                # holds at a variable's path: scale by each path's fan-out.
+                for leaf in pattern.leaves:
+                    index = store.index_for(leaf.path)
+                    if leaf.variable is not None and index is not None and index.document_count:
+                        estimate *= max(1.0, index.occurrences / index.document_count)
             if any(leaf.constant_equality() is not None for leaf in pattern.leaves):
                 # The per-path indexes can answer the conjunction of constant
                 # predicates exactly (candidate-set intersection), which beats
                 # the independent per-leaf minima above.
-                estimate = min(estimate, float(len(
-                    TreePatternMatcher(store, self.matcher.accel).candidates(pattern))))
+                estimate = min(estimate, float(len(TreePatternMatcher(store).candidates(pattern))))
             return min(estimate, limit)

@@ -8,14 +8,17 @@ also where the planner's estimates and the
 digests read their path statistics from; each index takes (and gives
 back) what one document holds at its path in one call.  It keeps no
 per-document leaf list: a removal or an upsert walks the stored copy's
-leaves again (a stored copy is never mutated after ``add``).
+leaves again (a stored copy is never mutated after ``add``).  Nor does
+it keep a second, columnar copy of the documents: tree patterns are
+verified by walking the stored copies (:mod:`repro.json.matcher`), and
+:meth:`JSONDocumentStore.encoding_view` builds the XPath-accelerator
+encoding only when asked, for the benchmark that still times it.
 """
 
 from __future__ import annotations
 
 import copy
 import itertools
-import threading
 from typing import Any, Iterable
 
 from repro.core.deltas import (
@@ -23,27 +26,10 @@ from repro.core.deltas import (
 from repro.digest.dataguide import JSONDataguide, PathInfo, leaves
 from repro.errors import JSONError
 from repro.fulltext.document import Document
-from repro.json.accel import EncodingView, StoreEncoding
+from repro.json.accel import StoreEncoding
 from repro.json.index import PathIndex
 from repro.json.pattern import is_wildcard_path, path_matches
 from repro.locks import RWLock
-
-
-
-class _EncodingLineage:
-    """The one accelerator encoding a live store and its snapshots share.
-
-    ``version`` is the store version whose documents the encoding
-    covers: a store ahead of it appends what was written since, a store
-    at or behind it only reads.
-    """
-
-    __slots__ = ("lock", "encoding", "version")
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.encoding: StoreEncoding | None = None
-        self.version = -1
 
 
 class JSONDocumentStore(Journalled):
@@ -65,12 +51,9 @@ class JSONDocumentStore(Journalled):
         #: through its chain).
         self._journal = DeltaJournal()
         self._rwlock = RWLock()
-        #: Columnar XPath-accelerator replica, shared with every snapshot
-        #: (built lazily by whoever needs it first; appended on insert
-        #: and upsert; a removal starts a new lineage).
-        self._lineage = _EncodingLineage()
-        #: ``(version, view)``: this store's view at that version.
-        self._accel_view: tuple[int, EncodingView] | None = None
+        #: ``(version, interior paths)``: every proper prefix of an indexed
+        #: path, as of that version (:meth:`holds_below`).
+        self._interior: tuple[int, set[str]] | None = None
 
     @property
     def version(self) -> int:
@@ -92,8 +75,7 @@ class JSONDocumentStore(Journalled):
         snapshot sees all of it or none of it — and the whole batch is
         ONE version bump, so one ingest invalidates derived state once,
         not once per document.  A replaced copy is de-indexed, the new one
-        indexed (at a fresh insertion rank) and encoded (the accelerator
-        encoding is kept).
+        indexed (at a fresh insertion rank).
         """
         entry = None
         with self._rwlock.write_locked():
@@ -123,10 +105,6 @@ class JSONDocumentStore(Journalled):
             old = self._deindex_unlocked(doc_id)
             if old is None:
                 return False
-            # The encoding is append-only: a removal starts a new lineage
-            # and the next accelerated query encodes from scratch.
-            # Snapshots keep the old lineage.
-            self._lineage = _EncodingLineage()
             entry = self._log(REMOVE, (), ((doc_id, old),))
         self._journal.notify(entry)
         return True
@@ -181,72 +159,13 @@ class JSONDocumentStore(Journalled):
     # ------------------------------------------------------------------
     # XPath-accelerator encoding
     # ------------------------------------------------------------------
-    def encoding_view(self) -> EncodingView:
-        """A consistent columnar view over this store's documents.
-
-        The encoding is owned by the *lineage* — the live store and all
-        its snapshots — not by any one of them.  Whoever needs it first
-        encodes its own documents and publishes the result; a store ahead
-        of the lineage appends the documents journalled since (an upsert
-        repoints the document's ordinal at its fresh copy, leaving the
-        old interval dead), so a document object is encoded once however
-        many snapshots query it.  A store behind the lineage appends
-        nothing.  Only :meth:`remove` and the compaction of dead copies
-        start a new encoding; views handed out earlier keep the old one.
-
-        The view is clamped at the lineage's watermark of the moment and
-        memoised per store version.  What keeps a pinned reader on its
-        own version is the identity check of
-        :meth:`EncodingView.ordinal`: an id whose encoded copy is not the
-        object this store holds (upserted before or after the pin, or
-        never encoded) is verified by the reference tree-walk instead.
-        """
+    def encoding_view(self) -> StoreEncoding:
+        """A columnar encoding of the documents stored now, built afresh
+        under the read lock and kept nowhere (no query reads one)."""
         with self._rwlock.read_locked():
-            memo = self._accel_view
-            if memo is not None and memo[0] == self._version:
-                return memo[1]
-            lineage = self._lineage
-            with lineage.lock:
-                encoding = lineage.encoding
-                ahead = self._version > lineage.version
-                if (encoding is not None and ahead and encoding.doc_count
-                        > 2 * len(self._documents) + 64):
-                    encoding = None  # dead upsert copies dominate: compact
-                if encoding is None:
-                    encoding = lineage.encoding = StoreEncoding()
-                    encoding.extend(self._documents.items())
-                    lineage.version = self._version
-                elif ahead:
-                    encoding.extend(self._written_since(lineage.version))
-                    lineage.version = self._version
-                view = encoding.view_for(encoding.doc_count)
-            self._accel_view = (self._version, view)
-            return view
-
-    def _written_since(self, version: int) -> Iterable[tuple[str, dict[str, Any]]]:
-        """The current documents written after ``version``.
-
-        Read off the journal; on a gap every document is offered, and
-        :meth:`StoreEncoding.extend` skips the ones already encoded.
-        """
-        records = self._journal.since(version, self._version)
-        if records is None:
-            return self._documents.items()
-        written = {}
-        for record in records:
-            for document in record.items:
-                doc_id = self.id_of(document)
-                if self._documents.get(doc_id) is document:
-                    written[doc_id] = document
-        return written.items()
-
-    def encoding_counts(self) -> tuple[int, int]:
-        """``(live, dead)`` document ordinals of the lineage's encoding."""
-        encoding = self._lineage.encoding
-        if encoding is None:
-            return 0, 0
-        live = len(encoding.ordinals)
-        return live, encoding.doc_count - live
+            encoding = StoreEncoding()
+            encoding.extend(self._documents.items())
+            return encoding
 
     # ------------------------------------------------------------------
     # Access
@@ -281,24 +200,30 @@ class JSONDocumentStore(Journalled):
         return self._indexes.get(path)
 
     def doc_ids_with_path(self, path: str) -> set[str]:
-        """Documents exhibiting ``path`` — a leaf path (via its index), an
-        interior node (via the indexes of its descendant leaves), or a
-        wildcard path (via every indexed path it can match a prefix of)."""
+        """Documents exhibiting ``path``, as a leaf or as an interior node:
+        the union of the indexes of every path it matches or prefixes (a
+        wildcard path through its NFA)."""
         if is_wildcard_path(path):
-            out: set[str] = set()
-            for indexed_path, index in self._indexes.items():
-                if path_matches(path, indexed_path, prefix=True):
-                    out |= index.documents()
-            return out
-        index = self._indexes.get(path)
-        if index is not None:
-            return index.documents()
-        prefix = path + "."
-        out = set()
-        for indexed_path, descendant in self._indexes.items():
-            if indexed_path.startswith(prefix):
-                out |= descendant.documents()
+            def held(indexed: str) -> bool:
+                return path_matches(path, indexed, prefix=True)
+        else:
+            def held(indexed: str) -> bool:
+                return indexed == path or indexed.startswith(path + ".")
+        out: set[str] = set()
+        for indexed_path, index in self._indexes.items():
+            if held(indexed_path):
+                out |= index.documents()
         return out
+
+    def holds_below(self, path: str) -> bool:
+        """Whether some document holds a leaf below ``path`` (so ``path`` is
+        an interior node there, which its own index cannot see)."""
+        memo = self._interior
+        if memo is None or memo[0] != self._version:
+            memo = self._interior = (self._version, {
+                indexed[:at] for indexed in self._indexes
+                for at, char in enumerate(indexed) if char == "."})
+        return path in memo[1]
 
     def insertion_rank(self, doc_id: str) -> int:
         """Monotonic insertion order of ``doc_id`` (for deterministic output)."""
@@ -327,17 +252,15 @@ class JSONDocumentStore(Journalled):
 
 
 class JSONSnapshot(Snapshot, JSONDocumentStore, reads=(
-        "get", "documents", "items", "paths", "doc_ids_with_path",
+        "get", "documents", "items", "paths", "doc_ids_with_path", "holds_below",
         "insertion_rank", "dataguide", "encoding_view", "__len__", "__contains__")):
     """What :meth:`JSONDocumentStore.snapshot` returns: the store read at
-    one version, in the store's accelerator lineage: a wrapper matching
-    on what one :meth:`reading` yields; any other read is a reading of
-    its own.  It never writes."""
+    one version: a wrapper matching on what one :meth:`reading` yields;
+    any other read is a reading of its own.  It never writes."""
 
     def __init__(self, live: JSONDocumentStore):
         self.name, self.id_field, self.text_path = live.name, live.id_field, live.text_path
         self._version, self._journal, self._rwlock = live._version, live._journal, live._rwlock
-        self._lineage = live._lineage
         self._watch(live)
 
     def _at(self, undo: dict[str, tuple | None]) -> JSONDocumentStore:
@@ -346,7 +269,7 @@ class JSONSnapshot(Snapshot, JSONDocumentStore, reads=(
         into copies of the maps and copy-on-write views of the indexes."""
         live = self._live
         at = JSONDocumentStore(live.name, live.id_field, live.text_path)
-        at._version, at._lineage, at._ranks = self._version, self._lineage, dict(live._ranks)
+        at._version, at._ranks = self._version, dict(live._ranks)
         at._documents = dict(live._documents)
         at._indexes = CopyOnWrite(live._indexes, _private_index)
         for doc_id, old in undo.items():

@@ -36,7 +36,6 @@ from typing import Optional, TYPE_CHECKING
 
 from repro.core.planner import PlannerOptions
 from repro.core.results import MixedResult
-from repro.json.source import JSONSource
 from repro.errors import (
     AdmissionError,
     QueryCancelledError,
@@ -387,23 +386,6 @@ class MediatorService:
         out["deadline_misses"] = self._deadline_miss_counter.value
         out["latency_seconds"] = self._latency_histogram.summary()
         out["queue_wait_seconds"] = self._queue_wait_histogram.summary()
-        # The JSON accelerator instruments the process-global registry
-        # (stores are shared across services, unlike the per-service
-        # queue/latency instruments above).
-        accel_registry = get_registry()
-        ordinals = [source.store.encoding_counts()
-                    for source in self.instance.sources()
-                    if isinstance(source, JSONSource)]
-        out["json_accel"] = {
-            "builds": accel_registry.counter("json.accel.builds").value,
-            "probe_rows": accel_registry.counter("json.accel.probe_rows").value,
-            "docs_encoded": accel_registry.counter(
-                "json.accel.docs_encoded_total").value,
-            # Of the encodings the instance's JSON stores share with their
-            # snapshots: documents reachable / superseded by an upsert.
-            "live_ordinals": sum(live for live, _ in ordinals),
-            "dead_ordinals": sum(dead for _, dead in ordinals),
-        }
         # Remote wrappers expose their resilience state (circuit-breaker
         # state, retry/hedge counters, latency p95) and their round
         # trips (frames by op, wire vs. server seconds) — surface it per

@@ -57,13 +57,7 @@ class SourceCosts:
 DEFAULT_SOURCE_COSTS: dict[str, SourceCosts] = {
     "rdf": SourceCosts(call_setup=1.0, per_row=0.02, per_binding=0.01),
     "relational": SourceCosts(call_setup=2.0, per_row=0.01, per_binding=0.008),
-    "json": SourceCosts(call_setup=3.0, per_row=0.02, per_binding=0.012),
-    # JSON stores backed by the XPath-accelerator encoding: candidate
-    # verification is a structural range join (bisect probes over the
-    # columnar arrays), not a tree walk — cheaper setup and per-binding
-    # probes than the naive "json" kind (a source advertises this kind
-    # through its ``cost_kind`` attribute).
-    "json_accel": SourceCosts(call_setup=1.5, per_row=0.012, per_binding=0.01),
+    "json": SourceCosts(call_setup=1.5, per_row=0.012, per_binding=0.01),
     "fulltext": SourceCosts(call_setup=5.0, per_row=0.03, per_binding=0.02),
     # Sources reached over the network (RemoteSource wrappers): one call
     # pays a full round trip, dwarfing any local dispatch overhead, while

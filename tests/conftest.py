@@ -26,10 +26,10 @@ def pytest_configure(config):
         "with `pytest -m obs`.")
     config.addinivalue_line(
         "markers",
-        "json_accel: JSON XPath-accelerator suites (columnar encoding, "
-        "structural range joins, accelerator-vs-reference equivalence "
-        "including hypothesis property tests); run in isolation with "
-        "`pytest -m json_accel`.")
+        "json_accel: JSON matcher suites (the index-assisted walk held "
+        "to per-document reference scans, pinned readers and deep "
+        "documents, including hypothesis property tests); run in "
+        "isolation with `pytest -m json_accel`.")
     config.addinivalue_line(
         "markers",
         "remote: remote source federation suites (wire protocol, "

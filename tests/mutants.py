@@ -3,13 +3,15 @@
 A mutant is one deliberate bug, applied by monkeypatching the program
 (nothing on disk changes).  The script runs the row-kernel tests
 (``test_row_kernels.py``), the compact-store tests
-(``test_compact_stores.py``) and then ``test_oracle_harness.py`` once
-per mutant, each in a fresh interpreter, and calls the mutant *killed*
-when they fail; a mutant that survives is a bug they cannot see.  The
+(``test_compact_stores.py``), the JSON matcher's differential against
+per-document reference scans (``test_json_accel.py::TestEquivalence``)
+and then ``test_oracle_harness.py`` once per mutant, each in a fresh
+interpreter, and calls the mutant *killed* when they fail; a mutant that
+survives is a bug they cannot see.  The
 kernel and store tests catch what two equally mutated instances cannot
 tell apart — the order of tied hits, a loose match on a shared column,
 a phrase no asking of the harness reads, an index entry a matcher's
-verification hides.  The unmutated
+verification hides, a walk that drops a pushed-down value.  The unmutated
 run comes first and must pass.  Not a tier-1 test — it runs the harness
 once per mutant, about ten seconds each::
 
@@ -31,6 +33,8 @@ HERE = Path(__file__).resolve().parent
 HARNESS = HERE / "test_oracle_harness.py"
 KERNELS = HERE / "test_row_kernels.py"
 STORES = HERE / "test_compact_stores.py"
+#: The JSON matcher against per-document reference scans.
+MATCHER = f"{HERE / 'test_json_accel.py'}::TestEquivalence"
 
 
 def constants_out_of_the_binding_key(patch) -> None:
@@ -333,6 +337,20 @@ def removal_keeps_the_removed_id(patch) -> None:
     patch.setattr(PathIndex, "remove", keeping)
 
 
+def pushdown_ignored_under_a_predicate(patch) -> None:
+    """The walk ignores a pushed-down binding when its leaf has a predicate."""
+    from repro.json.matcher import _Walk
+
+    compile_walk = _Walk.__init__
+
+    def ignoring(self, pattern, parameters, pushdown):
+        predicated = {leaf.variable for leaf in pattern.leaves if leaf.predicates}
+        compile_walk(self, pattern, parameters,
+                     {name: value for name, value in pushdown.items() if name not in predicated})
+
+    patch.setattr(_Walk, "__init__", ignoring)
+
+
 MUTANTS = {mutant.__name__: mutant for mutant in (
     constants_out_of_the_binding_key, stamp_matches_every_version,
     repair_ignores_its_delta, headers_left_untranslated,
@@ -343,7 +361,7 @@ MUTANTS = {mutant.__name__: mutant for mutant in (
     rdf_header_sorted, remote_header_reversed, rank_without_id_tie_break,
     merge_without_shared_check, pinned_catalog_outlives_a_write,
     phrase_ignores_adjacency, json_deindex_drops_a_leaf, unrestricted_leaf_skipped,
-    removal_keeps_the_removed_id)}
+    removal_keeps_the_removed_id, pushdown_ignored_under_a_predicate)}
 
 
 def _run(name: str) -> int:
@@ -358,7 +376,7 @@ def _run(name: str) -> int:
     if name != "none":
         MUTANTS[name](patch)
     return pytest.main(["-q", "-x", "-p", "no:cacheprovider", str(KERNELS), str(STORES),
-                        str(HARNESS)])
+                        MATCHER, str(HARNESS)])
 
 
 def main(argv: list[str]) -> int:

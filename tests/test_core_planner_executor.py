@@ -303,7 +303,7 @@ class TestExecutor:
         (("rdf",), 100, 1.0, 64, 4.25),
         (("relational",), 10, 0.5, 16, 2.0975),
         (("fulltext",), 1000, 3.0, 128, 112.5),
-        (("json",), 7, 2.0, 1, 18.273),
+        (("json",), 7, 2.0, 1, 9.1785),
         (("fulltext", "fulltext"), 40, 0.25, 16, 20.825),
         (("remote",), 500, 10.0, 1024, 235.0),
         (("custom",), 3, 1.0, 2, 6.072),

@@ -813,4 +813,3 @@ class TestPinnedWrapperKeepsItsClass:
         store.add({"id": 1, "a": "x"})
         source = self._subclass(JSONSource)("json://j", store)
         self._check(source, lambda: store.add({"id": 2, "a": "y"}))
-        assert source.pin().matcher.store is source.pin().store

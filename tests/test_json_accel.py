@@ -1,13 +1,14 @@
-"""JSON XPath-accelerator: columnar structural joins vs the tree walker.
+"""The one JSON matcher against per-document reference scans.
 
-The accelerated matcher (``TreePatternMatcher(store)``) must return
-exactly the rows of the reference tree-walking matcher
-(``accel=False``) for every pattern shape: child/descendant axes,
-``*``/``**`` wildcards, value predicates across every comparison,
-bound ``{param}`` predicates and pushed-down bindings.  The suite also
-pins the snapshot contract (watermarked views never see post-pin
-writes), the copy-on-write path indexes, deep-document iterative
-encoding, the exact axis statistics, and the accelerator metrics.
+The index-assisted walk (``TreePatternMatcher(store)``) must return
+exactly the rows of scanning every stored document, in insertion order,
+with the naive :func:`~repro.json.matcher.match_document`, for every
+pattern shape: child and wildcard (``*``/``**``) paths, value predicates
+across every comparison, bound ``{param}`` predicates and pushed-down
+bindings.  The suite also pins the snapshot contract (a pinned reader
+answers its own version under any interleaving of writes), the
+copy-on-write path indexes, deep documents without recursion, and the
+catalog's estimates on a small workload.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.core import JSONQuery, StatisticsCatalog
 from repro.json.source import JSONSource
-from repro.datasets.loader import TWEETS_JSON_URI
 from repro.engine.batch import BindingBatch
 from repro.json import (
     JSONDocumentStore,
@@ -27,12 +27,10 @@ from repro.json import (
     Predicate,
     TreePatternMatcher,
     make_pattern,
+    match_document,
     parse_pattern,
 )
-from repro.json.accel import structural_row_estimate
 from repro.json.pattern import COMPARISONS
-from repro.obs.metrics import get_registry, reset_registry
-from repro.service import MediatorService
 
 pytestmark = pytest.mark.json_accel
 
@@ -107,14 +105,21 @@ def _store(documents) -> JSONDocumentStore:
     return store
 
 
+def _scan(store, pattern, parameters=None, pushdown=None, limit=None):
+    """The reference: every stored document in insertion order, matched
+    one by one with the naive semantics, cut at ``limit``."""
+    with store.reading() as read:
+        rows = [row for _, document in read.items()
+                for row in match_document(pattern, document, parameters, pushdown)]
+    return rows if limit is None else rows[:limit]
+
+
 def _both(store, pattern, **kwargs):
-    reference = TreePatternMatcher(store, accel=False).match(pattern, **kwargs)
-    accelerated = TreePatternMatcher(store).match(pattern, **kwargs)
-    return reference, accelerated
+    return _scan(store, pattern, **kwargs), TreePatternMatcher(store).match(pattern, **kwargs)
 
 
 # ---------------------------------------------------------------------------
-# Equivalence: accelerated == reference, exactly
+# Equivalence: matcher == reference scan, exactly
 # ---------------------------------------------------------------------------
 
 class TestEquivalence:
@@ -124,10 +129,10 @@ class TestEquivalence:
     def test_random_patterns_match_reference(self, documents, spec):
         pattern, parameters, pushdown = spec
         store = _store(documents)
-        reference, accelerated = _both(store, pattern,
-                                       parameters=parameters,
-                                       pushdown=pushdown)
-        assert accelerated == reference
+        reference, matched = _both(store, pattern,
+                                   parameters=parameters,
+                                   pushdown=pushdown)
+        assert matched == reference
 
     @given(documents=_DOCUMENTS, spec=_patterns(),
            limit=st.integers(min_value=0, max_value=5))
@@ -136,11 +141,11 @@ class TestEquivalence:
     def test_limits_match_reference(self, documents, spec, limit):
         pattern, parameters, pushdown = spec
         store = _store(documents)
-        reference, accelerated = _both(store, pattern,
-                                       parameters=parameters,
-                                       pushdown=pushdown, limit=limit)
-        assert accelerated == reference
-        assert len(accelerated) <= limit
+        reference, matched = _both(store, pattern,
+                                   parameters=parameters,
+                                   pushdown=pushdown, limit=limit)
+        assert matched == reference
+        assert len(matched) <= limit
 
     def test_every_comparison_operator(self):
         store = JSONDocumentStore("ops")
@@ -153,9 +158,22 @@ class TestEquivalence:
                             predicates=(Predicate(op=op, value=3),)),
                 PatternLeaf(path="tag", variable="t"),
             ])
-            reference, accelerated = _both(store, pattern)
-            assert accelerated == reference
+            reference, matched = _both(store, pattern)
+            assert matched == reference
             assert reference  # every operator selects something here
+
+    def test_a_pushed_down_value_aligns_a_predicated_leaf(self):
+        """A leaf holding several values that pass its predicate binds the
+        pushed-down one alone, whether or not its path has an index."""
+        store = JSONDocumentStore("push")
+        for i in range(6):
+            store.add({"id": i, "tags": ["x", "y", f"t{i}"], "n": {"m": [i, i + 1]}})
+        for text, pushdown in (('{ tags: ?v != "z" }', {"v": "y"}),
+                               ("{ n.m: ?v >= 1, id: ?w }", {"v": 3}),
+                               ("{ **.m: ?v > 0 }", {"v": 2})):
+            reference, matched = _both(store, parse_pattern(text), pushdown=pushdown)
+            assert matched == reference
+            assert reference and all(row["v"] == pushdown["v"] for row in reference)
 
     def test_wildcard_axes_and_batch_calls(self):
         store = JSONDocumentStore("wild")
@@ -166,15 +184,16 @@ class TestEquivalence:
         for text in ("{ **.c: ?v }", "{ a.*.c: ?v }", "{ a.**: ?v }",
                      "{ *.b.c: ?v, e: ?w }", '{ **.c: ?v > 1 }'):
             pattern = parse_pattern(text)
-            reference, accelerated = _both(store, pattern)
-            assert accelerated == reference
+            reference, matched = _both(store, pattern)
+            assert matched == reference
             assert reference
         pattern = parse_pattern("{ e: ?w, a.b.c: {low} }")
         calls = [({"low": k}, {}) for k in range(4)] + [({"low": 0}, {"w": 4})]
-        accel = TreePatternMatcher(store)
-        batched = accel.match_batch(pattern, calls)
+        matcher = TreePatternMatcher(store)
+        batched = matcher.match_batch(pattern, calls)
         assert [BindingBatch(pattern.columns, rows).dicts() for rows in batched] == \
-            [accel.match(pattern, parameters=p, pushdown=push) for p, push in calls]
+            [matcher.match(pattern, parameters=p, pushdown=push) for p, push in calls] == \
+            [_scan(store, pattern, p, push) for p, push in calls]
 
     def test_a_json_answer_enters_the_mediator_as_one_binding_batch(self):
         store = JSONDocumentStore("cols")
@@ -188,25 +207,20 @@ class TestEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Snapshots: pinned views never see post-pin writes
+# Snapshots: pinned readers never see post-pin writes
 # ---------------------------------------------------------------------------
 
 class TestSnapshotIsolation:
-    def test_pinned_view_shares_encoding_but_keeps_watermark(self):
+    def test_a_pinned_reader_keeps_its_rows_after_inserts(self):
         store = JSONDocumentStore("pin")
         for i in range(6):
             store.add({"id": i, "a": {"b": i}})
         pattern = parse_pattern("{ a.b: ?v }")
         before = TreePatternMatcher(store).match(pattern)
         snap = store.snapshot()
-        pinned_view = snap.encoding_view()
         for i in range(6, 12):
             store.add({"id": i, "a": {"b": i}})
-        # Append-only sharing: one encoding object, two watermarks.
-        assert snap.encoding_view().encoding is store.encoding_view().encoding
-        assert snap.encoding_view().doc_limit == pinned_view.doc_limit == 6
-        assert store.encoding_view().doc_limit == 12
-        assert TreePatternMatcher(snap).match(pattern) == before
+        assert TreePatternMatcher(snap).match(pattern) == before == _scan(snap, pattern)
         assert len(TreePatternMatcher(store).match(pattern)) == 12
 
     @given(batches=st.lists(st.lists(
@@ -229,12 +243,12 @@ class TestSnapshotIsolation:
                 pattern, parameters=parameters, pushdown=pushdown)
             pinned.append((snap, rows))
         # Every pin still answers exactly what it answered at pin time,
-        # in both modes, despite all the writes that followed.
+        # matched or scanned, despite all the writes that followed.
         for snap, rows in pinned:
-            reference, accelerated = _both(snap, pattern,
-                                           parameters=parameters,
-                                           pushdown=pushdown)
-            assert accelerated == rows
+            reference, matched = _both(snap, pattern,
+                                       parameters=parameters,
+                                       pushdown=pushdown)
+            assert matched == rows
             assert reference == rows
 
     @given(ops=st.lists(st.one_of(
@@ -244,18 +258,15 @@ class TestSnapshotIsolation:
             min_size=1, max_size=3)),
         st.tuples(st.just("remove"), st.integers(min_value=0, max_value=5)),
         st.tuples(st.just("snapshot"), st.booleans()),
-        st.tuples(st.just("view"), st.integers(min_value=0, max_value=8))),
+        st.tuples(st.just("read"), st.integers(min_value=0, max_value=8))),
         min_size=2, max_size=12), spec=_patterns())
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_a_pinned_reader_sees_its_version_under_any_interleaving(self, ops, spec):
-        """One encoding per lineage, whoever builds it and whenever.
-
-        Writes (inserts and upserts of ids 0-5), removals, snapshots and
-        ``encoding_view()`` calls on the live store or on any snapshot, in
-        any order: every snapshot — taken before the lineage's encoding
-        existed, or upserted since — answers from its own documents.
-        """
+        """Writes (inserts and upserts of ids 0-5), removals, snapshots
+        and reads of the live store or of any snapshot, in any order: every
+        snapshot answers from its own documents, whatever was read, written
+        or upserted before or since."""
         pattern, parameters, pushdown = spec
         kwargs = {"parameters": parameters, "pushdown": pushdown}
         store = JSONDocumentStore("lineage")
@@ -268,19 +279,22 @@ class TestSnapshotIsolation:
                 store.remove(str(argument))
             elif op == "snapshot":
                 snap = store.snapshot()
-                expected = TreePatternMatcher(snap, accel=False).match(pattern, **kwargs)
+                expected = _scan(snap, pattern, **kwargs)
                 if argument:  # query it right away, or only after more writes
                     assert TreePatternMatcher(snap).match(pattern, **kwargs) == expected
                 pinned.append((snap, expected))
             else:
                 readers = [store] + [snap for snap, _ in pinned]
-                readers[argument % len(readers)].encoding_view()
-        assert _both(store, pattern, **kwargs)[0] == _both(store, pattern, **kwargs)[1]
+                reader = readers[argument % len(readers)]
+                assert TreePatternMatcher(reader).match(pattern, **kwargs) == \
+                    _scan(reader, pattern, **kwargs)
+        reference, matched = _both(store, pattern, **kwargs)
+        assert matched == reference
         for snap, expected in pinned:
-            reference, accelerated = _both(snap, pattern, **kwargs)
-            assert accelerated == reference == expected
+            reference, matched = _both(snap, pattern, **kwargs)
+            assert matched == reference == expected
 
-    def test_removal_rebuilds_and_stays_correct(self):
+    def test_a_removal_leaves_the_pin_whole(self):
         store = JSONDocumentStore("rm")
         for i in range(8):
             store.add({"id": i, "a": {"b": i}})
@@ -288,10 +302,9 @@ class TestSnapshotIsolation:
         snap = store.snapshot()
         assert len(TreePatternMatcher(store).match(pattern)) == 8
         store.remove("3")
-        reference, accelerated = _both(store, pattern)
-        assert accelerated == reference
-        assert {row["v"] for row in accelerated} == {0, 1, 2, 4, 5, 6, 7}
-        assert store.encoding_view().doc_limit == 7
+        reference, matched = _both(store, pattern)
+        assert matched == reference
+        assert {row["v"] for row in matched} == {0, 1, 2, 4, 5, 6, 7}
         # The pre-removal snapshot still sees all eight documents.
         assert len(TreePatternMatcher(snap).match(pattern)) == 8
 
@@ -301,7 +314,7 @@ class TestSnapshotIsolation:
 # ---------------------------------------------------------------------------
 
 class TestDeepDocuments:
-    def test_depth_10k_document_encodes_and_matches(self):
+    def test_depth_10k_document_indexes_and_matches(self):
         document: dict = {"id": "deep"}
         node = document
         for _ in range(10_000):
@@ -312,9 +325,8 @@ class TestDeepDocuments:
         store = JSONDocumentStore("deep")
         store.add(document)  # indexing must not recurse
         pattern = parse_pattern("{ **.x: ?v }")
-        reference, accelerated = _both(store, pattern)
-        assert accelerated == reference == [{"v": 1}]
-        assert store.encoding_view().encoding.node_count >= 10_000
+        reference, matched = _both(store, pattern)
+        assert matched == reference == [{"v": 1}]
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +420,7 @@ class TestPathIndexCOW:
 
 
 # ---------------------------------------------------------------------------
-# Exact axis statistics and the structural row estimate
+# The catalog's estimates, read off the path indexes
 # ---------------------------------------------------------------------------
 
 class TestAxisStatistics:
@@ -416,18 +428,14 @@ class TestAxisStatistics:
         lo, hi = sorted((max(estimate, 1e-9), max(actual, 1e-9)))
         return hi / lo
 
-    def test_axis_stats_counts_are_exact(self):
+    def test_a_structural_estimate_counts_the_values_a_path_fans_out_to(self):
         store = JSONDocumentStore("axis")
         store.add({"id": 0, "t": [1, 2, 3]})
         store.add({"id": 1, "t": [4]})
         store.add({"id": 2, "u": "no-t"})
-        view = store.encoding_view()
-        pattern = parse_pattern("{ t: ?v }")
-        stats = view.encoding.axis_stats(pattern, view.node_limit)
-        assert stats["leaves"] == [{"path": "t", "documents": 2, "nodes": 4}]
-        assert stats["documents"] == 2
-        estimate = structural_row_estimate(view, pattern)
-        assert estimate == len(TreePatternMatcher(store).match(pattern)) == 4
+        query = JSONQuery.from_text("{ t: ?v }")
+        source = JSONSource("json://axis", store)
+        assert source.estimate(query) == len(source.execute(query)) == 4
 
     def test_catalog_qerror_within_two_on_bench_workload(self):
         store = JSONDocumentStore("tweets")
@@ -447,45 +455,3 @@ class TestAxisStatistics:
             actual = len(source.execute(query))
             assert actual > 0
             assert self._q(catalog.estimate(source, query), actual) <= 2.0
-
-    def test_accel_source_reports_distinct_cost_kind(self):
-        store = JSONDocumentStore("kind")
-        store.add({"id": 0, "a": 1})
-        source = JSONSource("json://kind", store)
-        assert source.cost_kind == "json_accel"
-        source.matcher.accel = False
-        assert source.cost_kind == source.model
-
-
-# ---------------------------------------------------------------------------
-# Metrics: builds/probe_rows counters surface through the service
-# ---------------------------------------------------------------------------
-
-class TestMetrics:
-    def test_counters_advance_and_service_surfaces_them(self, demo):
-        reset_registry()
-        store = JSONDocumentStore("metrics")
-        for i in range(10):
-            store.add({"id": i, "a": {"b": i}})
-        matcher = TreePatternMatcher(store)
-        rows = matcher.match(parse_pattern("{ a.b: ?v }"))
-        assert len(rows) == 10
-        registry = get_registry()
-        assert registry.counter("json.accel.builds").value >= 1
-        assert registry.counter("json.accel.probe_rows").value >= 10
-        # Documents encoded, not builds: an upsert batch of three adds three.
-        assert registry.counter("json.accel.docs_encoded_total").value == 10
-        store.add_all({"id": i, "a": {"b": -i}} for i in range(3))
-        matcher.match(parse_pattern("{ a.b: ?v }"))
-        assert registry.counter("json.accel.docs_encoded_total").value == 13
-        assert store.encoding_counts() == (10, 3)
-        with MediatorService(demo.instance) as service:
-            stats = service.stats()
-        assert stats["json_accel"]["builds"] >= 1
-        assert stats["json_accel"]["probe_rows"] >= 10
-        assert stats["json_accel"]["docs_encoded"] == 13
-        # The instance's own JSON stores: every ordinal of the shared
-        # encoding is live until an upsert supersedes a copy.
-        live, dead = demo.instance.source(TWEETS_JSON_URI).store.encoding_counts()
-        assert (stats["json_accel"]["live_ordinals"],
-                stats["json_accel"]["dead_ordinals"]) == (live, dead)

@@ -1,12 +1,12 @@
 """The first read after a write pays for the batch, not for the store.
 
 Counts, not timings, so they hold on any host: every derived structure
-the first post-write read consults — JSON path statistics, the
-accelerator encoding, repaired cache entries, the pinned glue
-saturation — is advanced by what the write changed, and a cached plan
-keeps no superseded snapshot alive.  Each test fails at the parent
-commit of ISSUE 16, where the structure was rebuilt from (or kept alive
-for) the whole store.
+the first post-write read consults — JSON path statistics, repaired
+cache entries, the pinned glue saturation — is advanced by what the
+write changed, no read encodes a JSON document, and a cached plan keeps
+no superseded snapshot alive.  Each test fails on a tree where the
+structure is rebuilt from (or kept alive for) the whole store, or, for
+the encoding, where the first JSON query encodes every stored document.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from repro.datasets import DemoConfig, build_demo_instance
 from repro.datasets.loader import (
     TWEETS_JSON_URI,
     TWEETS_URI,
+    fact_checking_query,
     party_vocabulary_query,
     qsia_json_query,
     qsia_query,
@@ -93,7 +94,7 @@ class TestJsonStatisticsReadThePathIndex:
     def test_planning_after_a_write_observes_no_document(self, monkeypatch):
         calls = self._per_document_operations(monkeypatch, n=200, b=20)
         assert calls["observe"] == 0          # parent: n + b per rebuilt dataguide
-        assert calls["_encode"] == 20         # the structural pattern: the batch
+        assert calls["_encode"] == 0          # no estimate reads an encoding
 
     def test_the_cost_does_not_grow_with_the_store(self, monkeypatch):
         small = self._per_document_operations(monkeypatch, n=100, b=20)
@@ -114,11 +115,11 @@ class TestJsonStatisticsReadThePathIndex:
 
 
 # ---------------------------------------------------------------------------
-# 2. One accelerator encoding per store lineage
+# 2. No query encodes a document
 # ---------------------------------------------------------------------------
 
-class TestOneEncodingPerLineage:
-    def test_next_query_after_an_upsert_batch_encodes_the_batch(self, monkeypatch):
+class TestNoQueryEncodes:
+    def test_next_query_after_an_upsert_batch_encodes_nothing(self, monkeypatch):
         n, b = 120, 15
         store = JSONDocumentStore("tweets")
         store.add_all(_tweet(i) for i in range(n))
@@ -130,23 +131,35 @@ class TestOneEncodingPerLineage:
         _spy(monkeypatch, StoreEncoding, "_encode", calls)
         repinned = store.snapshot()
         assert len(TreePatternMatcher(repinned).match(pattern)) == n
-        assert calls["_encode"] == b          # parent: n (the snapshot re-encoded)
-        # Later pins and the live store encode nothing more.
         TreePatternMatcher(store).match(pattern)
         TreePatternMatcher(store.snapshot()).match(pattern)
-        assert calls["_encode"] == b
+        assert calls["_encode"] == 0          # parent: b (the upserted copies)
 
-    def test_live_store_and_snapshots_share_one_encoding(self):
-        store = JSONDocumentStore("tweets")
-        store.add_all(_tweet(i) for i in range(30))
-        first = store.snapshot().encoding_view()       # a snapshot encodes first
-        store.add_all(_tweet(i) for i in range(30, 40))
-        assert store.encoding_view().encoding is first.encoding
-        assert store.snapshot().encoding_view().encoding is first.encoding
-        assert store.encoding_counts() == (40, 0)
-        store.add(_tweet(3))                           # an upsert: one dead copy
-        store.encoding_view()
-        assert store.encoding_counts() == (40, 1)
+    def test_a_cold_demo_pass_and_two_write_batches_encode_nothing(self, monkeypatch):
+        """The five demo CMQ classes cold, a keyword query, then an insert
+        batch and an upsert batch each followed by the panel: no
+        document is ever encoded (the parent encoded every stored tweet
+        on the first JSON query, and each upserted copy after)."""
+        demo = build_demo_instance(DemoConfig(politicians=12, weeks=2, seed=42))
+        instance = demo.instance
+        calls: Counter = Counter()
+        _spy(monkeypatch, StoreEncoding, "_encode", calls)
+        panel = [qsia_query(demo),
+                 instance.parse('qSIA(t, id) :- qG(id), tweetContains(t, id, "sia2016")[dSolr]'),
+                 qsia_json_query(demo), qsia_json_query(demo, "etatdurgence"),
+                 party_vocabulary_query(demo, "emploi"), fact_checking_query(demo)]
+        assert instance.execute(qsia_json_query(demo)).rows
+        for cmq in panel:
+            instance.execute(cmq)
+        assert instance.keyword_query(["head of state", "SIA2016"])
+        store = instance.source(TWEETS_JSON_URI).store
+        first = store.documents()[:5]
+        for batch in ([_tweet(20_000 + i) for i in range(5)],
+                      [{**document, "retweet_count": 999} for document in first]):
+            store.add_all(batch)
+            for cmq in panel:
+                instance.execute(cmq)
+        assert calls["_encode"] == 0
 
 
 # ---------------------------------------------------------------------------

