@@ -6,6 +6,11 @@ from repro.cache.plans import PlanCache
 from repro.cache.repair import RepairEngine
 from repro.cache.results import SubQueryResultCache
 
+#: Entries of the instance-wide sub-query result cache.
+RESULT_ENTRIES = 4096
+#: Entries of the instance-wide plan cache.
+PLAN_ENTRIES = 256
+
 
 class MediatorCache:
     """Shared caches of one mixed instance.
@@ -15,9 +20,9 @@ class MediatorCache:
     with ``MixedInstance(cache=...)`` or let the instance build its own.
     """
 
-    def __init__(self, result_entries: int = 4096, plan_entries: int = 256):
-        self.results = SubQueryResultCache(result_entries)
-        self.plans = PlanCache(plan_entries)
+    def __init__(self):
+        self.results = SubQueryResultCache(RESULT_ENTRIES)
+        self.plans = PlanCache(PLAN_ENTRIES)
         # Delta-join repair of stale result entries; shared by
         # every CachedSource layer so a streaming write repairs each
         # affected entry once, instance-wide.

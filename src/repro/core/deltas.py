@@ -23,6 +23,7 @@ are impossible; the log can only ever *miss* repair opportunities.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import weakref
 from collections import deque
@@ -41,6 +42,9 @@ RESET = "reset"
 #: summed): a longer span is cheaper to re-execute than to repair, and no
 #: log keeps one.  It also bounds the seeded-BGP work (seeds x patterns).
 MAX_DELTA_ITEMS = 4096
+
+#: True while this context replays writes into a snapshot's rebuilt store.
+_REPLAYING = contextvars.ContextVar("replaying", default=False)
 
 
 class DeltaRecord:
@@ -269,7 +273,11 @@ class Snapshot:
                     record = record.next
                     for key, value in record.before:
                         undo.setdefault(key, value)
-                store = self._at(undo)
+                token = _REPLAYING.set(True)
+                try:
+                    store = self._at(undo)
+                finally:
+                    _REPLAYING.reset(token)
                 self._memo = (record, undo, store)
             return store
         except BaseException:
@@ -291,15 +299,17 @@ def _read_through(name: str):
 
 class CopyOnWrite(dict):
     """A shallow copy of an index whose inner containers become
-    ``private(value)`` (``None`` when missing) on first access, so writes
-    never reach the index it copies."""
+    ``private(value)`` (``None`` when missing) on first access during a
+    replay, so its writes never reach the index it copies.  Later reads
+    share the live containers (no writer runs under the read lock), so
+    ``_own`` holds just the keys the replay touched."""
 
     def __init__(self, index: dict, private: Callable):
         super().__init__(index)
         self._private, self._own = private, set()
 
     def __getitem__(self, key):
-        if key not in self._own or key not in self:
+        if key not in self or (_REPLAYING.get() and key not in self._own):
             self._own.add(key)
             dict.__setitem__(self, key, self._private(dict.get(self, key)))
         return dict.__getitem__(self, key)

@@ -47,6 +47,7 @@ from repro.core.sources import DataSource
 from repro.errors import PlanningError
 from repro.obs.spans import span as _span
 from repro.stats.catalog import StatisticsCatalog
+from repro.stats.cost import MODE_SWITCH_MARGIN
 
 
 @dataclass(frozen=True)
@@ -489,6 +490,6 @@ class _Prices:
         batch = self.batch_size or self.cost_model.batch_size(estimate, self.models[i])
         bind = (self.cost_model.bind_cost(self.models[i], card, estimate, batch),
                 joined, "bind", estimate, batch)
-        if not forced and materialize < self.cost_model.mode_switch_margin * bind[0]:
+        if not forced and materialize < MODE_SWITCH_MARGIN * bind[0]:
             return materialize, joined, "materialize", full, 0
         return bind

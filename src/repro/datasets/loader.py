@@ -13,7 +13,6 @@ templates used by the textual CMQ syntax.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.core.instance import MixedInstance
 from repro.datasets.insee import build_elections_database, build_insee_database
@@ -39,6 +38,11 @@ INSEE_URI = "sql://insee"
 ELECTIONS_URI = "sql://elections"
 DBPEDIA_URI = "rdf://dbpedia"
 IGN_URI = "rdf://ign"
+
+#: Topics tweeted about beside the configured one (fewer weeks, half rate).
+EXTRA_TOPICS = ("agriculture", "unemployment")
+#: Facebook posts generated per politician.
+FACEBOOK_POSTS_PER_POLITICIAN = 2
 
 
 @dataclass
@@ -70,10 +74,6 @@ class DemoConfig:
     weeks: int = 4
     tweets_per_politician_per_week: float = 3.0
     topic: Topic = field(default_factory=lambda: STATE_OF_EMERGENCY)
-    extra_topics: Sequence[str] = ("agriculture", "unemployment")
-    facebook_posts_per_politician: int = 2
-    include_figure2_tweet: bool = True
-    include_claim_tweet: bool = True
     seed: int = 42
 
 
@@ -89,45 +89,41 @@ def build_demo_instance(config: DemoConfig | None = None) -> DemoInstance:
                              tweets_per_politician_per_week=config.tweets_per_politician_per_week,
                              seed=config.seed + 1),
     )
-    for extra in config.extra_topics:
-        topic = TOPICS[extra] if isinstance(extra, str) else extra
+    for extra in EXTRA_TOPICS:
         tweet_objects.extend(generate_tweet_objects(
             landscape.politicians,
-            TweetGeneratorConfig(topic=topic, weeks=min(2, config.weeks),
+            TweetGeneratorConfig(topic=TOPICS[extra], weeks=min(2, config.weeks),
                                  tweets_per_politician_per_week=max(
                                      1.0, config.tweets_per_politician_per_week / 2),
                                  seed=config.seed + 13),
         ))
-    if config.include_figure2_tweet:
-        figure2 = figure2_example_tweet()
-        head = landscape.head_of_state()
-        # Attribute the Figure 2 tweet to the synthetic head of state so the
-        # qSIA scenario joins it through the glue graph.
-        figure2["user"]["screen_name"] = head.twitter_account
-        figure2["user"]["name"] = head.name
-        figure2["group"] = head.group
-        tweet_objects.append(Tweet.from_record(figure2))
-    if config.include_claim_tweet:
-        # A guaranteed presidential claim about unemployment so the
-        # fact-checking scenario (E6) always has something to check.
-        head = landscape.head_of_state()
-        tweet_objects.append(Tweet(
-            tweet_id=464_244_999_000_000_001,
-            created_at="2015-12-03T09:15:00",
-            week="2015-W49",
-            text=("Le chomage baisse dans tous les departements depuis trois "
-                  "trimestres, les chiffres le prouvent #chomage"),
-            user_id=int(head.politician_id[3:]),
-            user_name=head.name,
-            screen_name=head.twitter_account,
-            user_description=f"{head.position} - {head.group}",
-            followers_count=head.followers,
-            retweet_count=1250,
-            favorite_count=2100,
-            hashtags=("chomage",),
-            group=head.group,
-            party_id=head.party_id,
-        ))
+    figure2 = figure2_example_tweet()
+    head = landscape.head_of_state()
+    # Attribute the Figure 2 tweet to the synthetic head of state so the
+    # qSIA scenario joins it through the glue graph.
+    figure2["user"]["screen_name"] = head.twitter_account
+    figure2["user"]["name"] = head.name
+    figure2["group"] = head.group
+    tweet_objects.append(Tweet.from_record(figure2))
+    # A guaranteed presidential claim about unemployment so the
+    # fact-checking scenario (E6) always has something to check.
+    tweet_objects.append(Tweet(
+        tweet_id=464_244_999_000_000_001,
+        created_at="2015-12-03T09:15:00",
+        week="2015-W49",
+        text=("Le chomage baisse dans tous les departements depuis trois "
+              "trimestres, les chiffres le prouvent #chomage"),
+        user_id=int(head.politician_id[3:]),
+        user_name=head.name,
+        screen_name=head.twitter_account,
+        user_description=f"{head.position} - {head.group}",
+        followers_count=head.followers,
+        retweet_count=1250,
+        favorite_count=2100,
+        hashtags=("chomage",),
+        group=head.group,
+        party_id=head.party_id,
+    ))
     tweets = [tweet.record() for tweet in tweet_objects]
     store = tweet_store()
     store.add_all(tweets)
@@ -140,7 +136,7 @@ def build_demo_instance(config: DemoConfig | None = None) -> DemoInstance:
     json_store.add_all(tweet.to_json() for tweet in tweet_objects)
 
     posts = generate_facebook_posts(landscape.politicians, topic=config.topic,
-                                    posts_per_politician=config.facebook_posts_per_politician,
+                                    posts_per_politician=FACEBOOK_POSTS_PER_POLITICIAN,
                                     seed=config.seed + 2)
     fb_store = facebook_store()
     fb_store.add_all(posts)

@@ -172,11 +172,11 @@ def build_schema() -> RDFSchema:
     return schema
 
 
-def build_glue_graph(politicians: list[Politician], parties: list[Party],
-                     include_schema: bool = True) -> tuple[Graph, RDFSchema]:
+def build_glue_graph(politicians: list[Politician],
+                     parties: list[Party]) -> tuple[Graph, RDFSchema]:
     """Build the custom application RDF graph from the generated population."""
     schema = build_schema()
-    triples = list(schema.triples()) if include_schema else []
+    triples = list(schema.triples())
     foaf_name = URI(FOAF_NS + "name")
     for group in POLITICAL_GROUPS:
         group_uri = ttn(f"current_{group.replace('-', '_')}")

@@ -23,6 +23,13 @@ from repro.datasets.vocabulary import FILLER_TERMS, STATE_OF_EMERGENCY, Topic
 #: in June 2015; the state-of-emergency weeks start mid-November 2015).
 DEFAULT_START = date(2015, 11, 16)
 
+#: Share of on-topic tweets that carry the topic's hashtag.
+HASHTAG_PROBABILITY = 0.75
+#: Share of tweets made of filler words only.
+OFF_TOPIC_PROBABILITY = 0.2
+#: Words drawn per tweet (before the hashtag).
+WORDS_PER_TWEET = 14
+
 
 @dataclass(frozen=True)
 class Tweet:
@@ -110,9 +117,6 @@ class TweetGeneratorConfig:
     weeks: int = 4
     tweets_per_politician_per_week: float = 3.0
     start: date = DEFAULT_START
-    hashtag_probability: float = 0.75
-    off_topic_probability: float = 0.2
-    words_per_tweet: int = 14
     seed: int = 7
 
 
@@ -134,7 +138,7 @@ def generate_tweet_objects(politicians: Sequence[Politician],
                 moment = datetime.combine(week_start, datetime.min.time()) + timedelta(
                     days=rng.randrange(7), hours=rng.randrange(7, 23), minutes=rng.randrange(60)
                 )
-                off_topic = rng.random() < config.off_topic_probability
+                off_topic = rng.random() < OFF_TOPIC_PROBABILITY
                 text, hashtags = _compose_text(rng, config, politician.group, phase.label,
                                                week_index, off_topic)
                 tweets.append(Tweet(
@@ -223,11 +227,11 @@ def _compose_text(rng: random.Random, config: TweetGeneratorConfig, group: str,
                   phase_label: str, week_index: int, off_topic: bool) -> tuple[str, list[str]]:
     topic = config.topic
     if off_topic:
-        words = [rng.choice(FILLER_TERMS) for _ in range(config.words_per_tweet)]
+        words = [rng.choice(FILLER_TERMS) for _ in range(WORDS_PER_TWEET)]
         return " ".join(words), []
-    words = _pick_words(rng, topic, group, phase_label, count=config.words_per_tweet)
+    words = _pick_words(rng, topic, group, phase_label, count=WORDS_PER_TWEET)
     hashtags = []
-    if rng.random() < config.hashtag_probability:
+    if rng.random() < HASHTAG_PROBABILITY:
         hashtags.append(topic.hashtag)
         words.append(f"#{topic.hashtag}")
     return " ".join(words), hashtags

@@ -12,6 +12,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
+#: Sample values a :class:`PathInfo` keeps per path.
+MAX_SAMPLES = 5
 
 @dataclass
 class PathInfo:
@@ -21,13 +23,12 @@ class PathInfo:
     count: int = 0
     types: set[str] = field(default_factory=set)
     sample_values: list[object] = field(default_factory=list)
-    max_samples: int = 5
 
     def observe(self, value: object) -> None:
         """Record one occurrence of ``value`` at this path."""
         self.count += 1
         self.types.add(type(value).__name__)
-        if len(self.sample_values) < self.max_samples and value is not None:
+        if len(self.sample_values) < MAX_SAMPLES and value is not None:
             self.sample_values.append(value)
 
     @property

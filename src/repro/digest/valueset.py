@@ -29,6 +29,9 @@ EXACT_SET_LIMIT = 512
 #: Buckets of a numeric value set's histogram.
 HISTOGRAM_BUCKETS = 32
 
+#: Exact values an overlap estimate probes the other side with.
+OVERLAP_SAMPLE_LIMIT = 200
+
 
 @dataclass
 class ValueSetStats:
@@ -220,7 +223,7 @@ class ValueSetSummary:
                     break
         return matches
 
-    def overlap_estimate(self, other: "ValueSetSummary", sample_limit: int = 200) -> float:
+    def overlap_estimate(self, other: "ValueSetSummary") -> float:
         """Estimated fraction of this set's values present in ``other``.
 
         Uses the exact sample when available (probing the other side's
@@ -232,7 +235,7 @@ class ValueSetSummary:
         """
         exact = self.exact
         if exact:
-            sample = list(exact)[:sample_limit]
+            sample = list(exact)[:OVERLAP_SAMPLE_LIMIT]
             if not sample:
                 return 0.0
             hits = sum(1 for value in sample if other.might_contain(value))

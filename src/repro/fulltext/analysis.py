@@ -52,6 +52,9 @@ _ENGLISH_SUFFIXES = ("ations", "ation", "ingly", "ings", "ing", "edly", "ed",
 #: bound only caps what a stream of never-repeating tokens can hold.
 _TOKEN_MEMO_SIZE = 1 << 15
 
+#: Shorter normalised tokens are dropped by every :class:`Analyzer`.
+MIN_TOKEN_LENGTH = 2
+
 
 @dataclass(frozen=True)
 class AnalyzedText:
@@ -70,7 +73,6 @@ class Analyzer:
 
     language: str = "fr"
     keep_hashtags: bool = True
-    min_token_length: int = 2
     extra_stopwords: frozenset[str] = field(default_factory=frozenset)
 
     def stopwords(self) -> frozenset[str]:
@@ -96,7 +98,7 @@ class Analyzer:
                     tokens.append(raw.lower())
                 continue
             token = normalize(raw)
-            if len(token) < self.min_token_length or token in stop or token.isdigit():
+            if len(token) < MIN_TOKEN_LENGTH or token in stop or token.isdigit():
                 continue
             tokens.append(token)
         stems = tuple(stem(t, self.language) if not t.startswith("#") else t for t in tokens)

@@ -81,13 +81,13 @@ class PathIndex:
         """Documents in which the path occurs (the union of the buckets)."""
         return set().union(*self.postings.values())
 
+    def bucket(self, value: object) -> tuple[str] | set[str] | tuple[()]:
+        """Documents carrying ``value`` at the path (the bucket: read-only)."""
+        return self.postings.get(normalize(value), ())
+
     def lookup_eq(self, value: object) -> set[str]:
         """Documents carrying ``value`` (keyword-style equality) at the path."""
-        return set(self.postings.get(normalize(value), ()))
-
-    def count_eq(self, value: object) -> int:
-        """How many documents carry ``value`` (the bucket is not copied)."""
-        return len(self.postings.get(normalize(value), ()))
+        return set(self.bucket(value))
 
     def lookup_cmp(self, op: str, value: object) -> set[str]:
         """Documents with *some* element at the path satisfying ``op value``."""

@@ -19,7 +19,7 @@ lists stay opaque); empty lists contribute no nodes.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, TYPE_CHECKING
+from typing import Any, Collection, Iterable, Iterator, TYPE_CHECKING
 
 from repro.engine.batch import BindingBatch, Row
 from repro.errors import JSONError
@@ -351,47 +351,54 @@ class TreePatternMatcher:
         predicates are not pruned; everything is re-verified),
         in insertion order so results stay deterministic.
         """
-        pushdown = pushdown or {}
-        restrictions: list[set[str]] = []
+        matched = self._intersection(pattern, parameters, pushdown or {})
+        if matched is None:
+            return [doc_id for doc_id, _ in self.store.items()]
+        return sorted(matched, key=self.store.insertion_rank)
+
+    def candidate_count(self, pattern: TreePattern) -> int:
+        """``len(self.candidates(pattern))``, counted without copying a
+        bucket or ranking a candidate."""
+        matched = self._intersection(pattern, None, {})
+        return len(self.store) if matched is None else len(matched)
+
+    def _intersection(self, pattern: TreePattern, parameters: dict[str, object] | None,
+                      pushdown: Row) -> Collection[str] | None:
+        """The ids every leaf's index lookups admit, read-only (a lone
+        restriction as it is), or None when no leaf prunes."""
+        restrictions: list[Collection[str]] = []
         for leaf in pattern.leaves:
             index = self.store.index_for(leaf.path)
             if index is None or self.store.holds_below(leaf.path):
                 # Interior (non-leaf) or wildcard path, or a leaf path that is
                 # an interior node in some documents (which its value index
                 # cannot see): presence alone prunes, through the indexes of
-                # the paths it matches or prefixes.
-                restriction = self.store.doc_ids_with_path(leaf.path)
-                if not restriction:
-                    # The path was never observed: nothing can match.
-                    return []
-                restrictions.append(restriction)
+                # the paths it matches or prefixes (none: nothing matches).
+                restrictions.append(self.store.doc_ids_with_path(leaf.path))
                 continue
-            # Each lookup is a fresh set within the path's documents; the
-            # smallest starts the intersection (set & set walks the smaller
-            # side, so a selective predicate keeps the chain cheap).
-            lookups = [index.lookup_cmp(resolved.op, resolved.value) for resolved in
+            lookups = [index.bucket(resolved.value) if resolved.op == "="
+                       else index.lookup_cmp(resolved.op, resolved.value) for resolved in
                        (_resolve_quietly(predicate, parameters) for predicate in leaf.predicates)
                        if resolved is not None and resolved.op != "!="]
             if leaf.variable is not None and leaf.variable in pushdown:
-                lookups.append(index.lookup_eq(pushdown[leaf.variable]))
+                lookups.append(index.bucket(pushdown[leaf.variable]))
             if not lookups and index.document_count < len(self.store):
                 lookups.append(index.documents())  # not in every document: the path prunes
             restrictions.extend(lookups)
         if not restrictions:
-            return [doc_id for doc_id, _ in self.store.items()]
-        restrictions.sort(key=len)
-        candidates = restrictions[0]
-        for restriction in restrictions[1:]:
-            candidates = candidates & restriction
-            if not candidates:
-                return []
-        return sorted(candidates, key=self.store.insertion_rank)
+            return None
+        # Set & set walks the smaller side, so the smallest restriction
+        # first keeps a selective chain cheap.
+        first, *rest = sorted(restrictions, key=len)
+        if not rest:
+            return first
+        return (set(first) if type(first) is tuple else first).intersection(*rest)
 
     def selectivity(self, pattern: TreePattern) -> float:
         """Fraction of the store the index pruning retains (1.0 = no pruning)."""
         if len(self.store) == 0:
             return 1.0
-        return len(self.candidates(pattern)) / len(self.store)
+        return self.candidate_count(pattern) / len(self.store)
 
 
 def _resolve_quietly(predicate: Predicate,

@@ -215,14 +215,14 @@ class JSONSource(DataSource):
                             continue
                         known = values[known.name]
                     if predicate.op == "=":
-                        leaf_estimate = min(leaf_estimate, float(index.count_eq(known)))
+                        leaf_estimate = min(leaf_estimate, float(len(index.bucket(known))))
                     elif predicate.op != "!=":
                         leaf_estimate = min(leaf_estimate,
                                             float(len(index.lookup_cmp(predicate.op, known))))
                 if leaf.variable is not None and leaf.variable in bound:
                     if leaf.variable in values:
                         leaf_estimate = min(leaf_estimate,
-                                            float(index.count_eq(values[leaf.variable])))
+                                            float(len(index.bucket(values[leaf.variable]))))
                     else:
                         leaf_estimate = min(leaf_estimate, index.average_postings())
                 estimate = min(estimate, leaf_estimate)
@@ -238,5 +238,5 @@ class JSONSource(DataSource):
                 # The per-path indexes can answer the conjunction of constant
                 # predicates exactly (candidate-set intersection), which beats
                 # the independent per-leaf minima above.
-                estimate = min(estimate, float(len(TreePatternMatcher(store).candidates(pattern))))
+                estimate = min(estimate, float(TreePatternMatcher(store).candidate_count(pattern)))
             return min(estimate, limit)

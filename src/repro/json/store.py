@@ -23,7 +23,7 @@ from typing import Any, Iterable
 
 from repro.core.deltas import (
     INSERT, REMOVE, UPSERT, CopyOnWrite, DeltaJournal, Journalled, Snapshot)
-from repro.digest.dataguide import JSONDataguide, PathInfo, leaves
+from repro.digest.dataguide import MAX_SAMPLES, JSONDataguide, PathInfo, leaves
 from repro.errors import JSONError
 from repro.fulltext.document import Document
 from repro.json.accel import StoreEncoding
@@ -242,7 +242,7 @@ class JSONDocumentStore(Journalled):
             for path, index in self._indexes.items():
                 info = PathInfo(path, count=index.occurrences, types=set(index.types))
                 info.sample_values = [key for key in itertools.islice(
-                    index.postings, info.max_samples) if key is not None]
+                    index.postings, MAX_SAMPLES) if key is not None]
                 guide.paths[path] = info
         return guide
 

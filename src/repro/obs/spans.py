@@ -32,6 +32,9 @@ from typing import Iterator, Optional
 
 logger = logging.getLogger("repro.obs.spans")
 
+#: Attributes :meth:`SpanTracer.render` prints per span.
+RENDERED_ATTRIBUTES = 4
+
 #: The span the calling context is currently inside (None = not tracing).
 _CURRENT: contextvars.ContextVar[Optional["Span"]] = contextvars.ContextVar(
     "repro_current_span", default=None)
@@ -160,7 +163,7 @@ class SpanTracer:
         return json.dumps({"trace": self.name, "spans": self.to_dicts()},
                           indent=indent, default=str)
 
-    def render(self, max_attributes: int = 4) -> str:
+    def render(self) -> str:
         """A flame-style text tree: indentation, duration, % of root."""
         with self._lock:
             spans = list(self.spans)
@@ -179,7 +182,7 @@ class SpanTracer:
             attrs = " ".join(
                 f"{key}={_short(value)}"
                 for key, value in itertools.islice(span_.attributes.items(),
-                                                   max_attributes))
+                                                   RENDERED_ATTRIBUTES))
             label = "  " * depth + span_.name
             lines.append(f"{label:<44} {span_.seconds * 1000.0:9.2f} ms "
                          f"{share:5.1f}%  {bar:<10}"

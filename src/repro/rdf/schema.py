@@ -101,17 +101,17 @@ class RDFSchema:
     # ------------------------------------------------------------------
     # Closures
     # ------------------------------------------------------------------
-    def superclasses(self, rdf_class: Term, include_self: bool = False) -> set[Term]:
+    def superclasses(self, rdf_class: Term) -> set[Term]:
         """Return every (transitive) superclass of ``rdf_class``."""
-        return _transitive(self.subclasses, rdf_class, include_self)
+        return _transitive(self.subclasses, rdf_class, False)
 
-    def superproperties(self, prop: Term, include_self: bool = False) -> set[Term]:
+    def superproperties(self, prop: Term) -> set[Term]:
         """Return every (transitive) superproperty of ``prop``."""
-        return _transitive(self.subproperties, prop, include_self)
+        return _transitive(self.subproperties, prop, False)
 
-    def subclasses_of(self, rdf_class: Term, include_self: bool = True) -> set[Term]:
-        """Return every (transitive) subclass of ``rdf_class``."""
-        return _transitive(_invert(self.subclasses), rdf_class, include_self)
+    def subclasses_of(self, rdf_class: Term) -> set[Term]:
+        """Return ``rdf_class`` and every (transitive) subclass of it."""
+        return _transitive(_invert(self.subclasses), rdf_class, True)
 
     def classes(self) -> set[Term]:
         """Return every class mentioned by the schema."""

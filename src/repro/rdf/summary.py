@@ -17,6 +17,9 @@ from dataclasses import dataclass, field
 from repro.rdf.graph import Graph
 from repro.rdf.terms import RDF_TYPE, Literal, Term, URI
 
+#: Member resources a summary node keeps as samples.
+MAX_SAMPLES = 5
+
 
 @dataclass
 class SummaryNode:
@@ -69,7 +72,7 @@ class RDFSummary:
 
     # ------------------------------------------------------------------
     @classmethod
-    def build(cls, graph: Graph, max_samples: int = 5) -> "RDFSummary":
+    def build(cls, graph: Graph) -> "RDFSummary":
         """Build the summary of ``graph``."""
         summary = cls(graph_name=graph.name)
         outgoing: dict[Term, set[Term]] = defaultdict(set)
@@ -92,7 +95,7 @@ class RDFSummary:
                 node_id=node_id,
                 properties=signature,
                 member_count=len(members),
-                sample_members=members[:max_samples],
+                sample_members=members[:MAX_SAMPLES],
             )
             for member in members:
                 node.classes.update(classes.get(member, ()))

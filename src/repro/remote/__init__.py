@@ -13,8 +13,8 @@ remote without changing the mediator protocol:
   connections, an in-process loopback, and a *deterministic*
   fault-injection proxy for reproducible chaos tests;
 * :mod:`repro.remote.resilience` — per-source call timeouts, retries
-  with exponential backoff + jitter, hedged requests, and a
-  closed/open/half-open circuit breaker;
+  with exponential backoff + jitter, hedged requests at a stated delay
+  (off by default), and a closed/open/half-open circuit breaker;
 * :mod:`repro.remote.client` — :class:`RemoteSource`, the
   :class:`~repro.core.sources.DataSource` wrapper speaking the protocol
   behind ``execute`` / ``execute_batch`` / ``estimate`` / ``version`` /

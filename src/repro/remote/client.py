@@ -9,10 +9,10 @@ lives in the resilience layer wrapped around every call:
 * a per-call network **timeout** (:attr:`RemoteOptions.timeout`);
 * **retries** with exponential backoff + deterministic jitter — calls
   are idempotent reads, so a timed-out call may safely be re-issued;
-* **hedged requests**: when a call exceeds the p95 of recent latencies
-  (or an explicit ``hedge_delay``), a duplicate is raced against it and
-  the first response wins — tail latency without duplicated rows,
-  because both legs carry the identical read;
+* **hedged requests**: when a call outlasts a stated ``hedge_delay``
+  (off by default), a duplicate is raced against it and the first
+  response wins — tail latency without duplicated rows, because both
+  legs carry the identical read;
 * a per-source **circuit breaker** failing fast while a source is down,
   with half-open probes (:class:`~repro.remote.resilience.CircuitBreaker`);
 * **snapshot pinning**: ``pin()`` hands a CMQ its own clone without a
@@ -54,7 +54,7 @@ from repro.remote import protocol
 from repro.remote.resilience import CircuitBreaker, RemoteOptions
 from repro.remote.transport import Transport
 
-#: Recent latency observations kept per source for p95-derived hedging.
+#: Recent latency observations kept per source for ``stats()["latency_p95_s"]``.
 LATENCY_WINDOW = 64
 
 #: The operations a wrapper sends, as ``stats()["calls_by_op"]`` lists them.
@@ -72,7 +72,6 @@ class _SharedState:
     def __init__(self, uri: str, transport: Transport, options: RemoteOptions,
                  clock: Callable[[], float], seed: int):
         self.transport = transport
-        self.options = options
         self.lock = threading.Lock()
         self.rng = random.Random(seed)
         self.latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
@@ -90,8 +89,7 @@ class _SharedState:
         registry = get_registry()
         self.breaker = CircuitBreaker(
             uri, failures=options.breaker_failures,
-            reset_after=options.breaker_reset, probes=options.breaker_probes,
-            clock=clock,
+            reset_after=options.breaker_reset, clock=clock,
             on_transition=lambda old, new: registry.counter(
                 "remote_breaker_transitions_total",
                 source=uri, to=new).inc())
@@ -102,17 +100,6 @@ class _SharedState:
                 self.hedge_pool = concurrent.futures.ThreadPoolExecutor(
                     max_workers=4, thread_name_prefix="remote-hedge")
             return self.hedge_pool
-
-    def hedge_delay(self) -> Optional[float]:
-        """Seconds before hedging one call, or ``None`` to not hedge."""
-        options = self.options
-        if options.hedge_delay is not None:
-            return options.hedge_delay if options.hedge_delay > 0 else None
-        with self.lock:
-            if len(self.latencies) < options.hedge_min_samples:
-                return None
-            ordered = sorted(self.latencies)
-        return ordered[min(len(ordered) - 1, int(len(ordered) * 0.95))]
 
     def jitter(self) -> float:
         with self.lock:
@@ -358,15 +345,14 @@ class RemoteSource(DataSource):
             shared.calls_by_op[op] += 1
         registry = get_registry()
         registry.counter("remote_calls_total", source=self.uri, op=op).inc()
-        delay = shared.hedge_delay()
         started = time.perf_counter()
         server = 0.0
         try:
-            if delay is None:
+            if self.options.hedge_delay > 0:
+                response = self._hedged(request, self.options.hedge_delay)
+            else:
                 response = shared.transport.request(
                     request, timeout=self.options.timeout)
-            else:
-                response = self._hedged(request, delay)
             server = (response.get("server_us") or 0) / 1e6
         finally:
             elapsed = time.perf_counter() - started

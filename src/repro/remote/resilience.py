@@ -1,9 +1,9 @@
 """Resilience policies for remote source calls.
 
-:class:`RemoteOptions` bundles the per-source knobs (timeout, retry
-budget, backoff, hedging, breaker thresholds); :class:`CircuitBreaker`
-implements the classic closed / open / half-open state machine with an
-injectable clock so tests can script time.
+:class:`RemoteOptions` bundles the per-source settings (timeout, retry
+budget, backoff, a fixed hedge delay, breaker thresholds);
+:class:`CircuitBreaker` implements the classic closed / open / half-open
+state machine with an injectable clock so tests can script time.
 """
 
 from __future__ import annotations
@@ -18,10 +18,13 @@ from repro.errors import CircuitOpenError
 
 logger = logging.getLogger(__name__)
 
+#: The largest jitter fraction added to a retry's backoff.
+BACKOFF_JITTER = 0.5
+
 
 @dataclass(frozen=True)
 class RemoteOptions:
-    """Resilience knobs of one :class:`~repro.remote.client.RemoteSource`.
+    """Resilience settings of one :class:`~repro.remote.client.RemoteSource`.
 
     Attributes
     ----------
@@ -30,40 +33,31 @@ class RemoteOptions:
     retries:
         Extra attempts after the first for *idempotent reads* that fail
         with a transport-level :class:`~repro.errors.RemoteError`.
-    backoff_base / backoff_max / backoff_jitter:
+    backoff_base / backoff_max:
         Exponential backoff between retries: attempt *n* sleeps
-        ``min(backoff_base * 2**n, backoff_max)`` plus a deterministic
-        jitter fraction drawn from the source's seeded RNG.
+        ``min(backoff_base * 2**n, backoff_max)``, stretched by up to
+        :data:`BACKOFF_JITTER` (a fraction drawn from the seeded RNG).
     hedge_delay:
         Seconds to wait before launching a hedged duplicate of a slow
-        call.  ``None`` derives the delay from the p95 of recent call
-        latencies (once ``hedge_min_samples`` are available); ``0``
-        disables hedging.
-    hedge_min_samples:
-        Latency observations needed before p95-derived hedging kicks in.
+        call; ``0`` (the default) never hedges.
     breaker_failures:
         Consecutive failures that trip the breaker open.
     breaker_reset:
-        Seconds the breaker stays open before admitting half-open probes.
-    breaker_probes:
-        Successful half-open probes required to close the breaker again.
+        Seconds the breaker stays open before admitting a half-open probe.
     """
 
     timeout: float = 1.0
     retries: int = 2
     backoff_base: float = 0.05
     backoff_max: float = 1.0
-    backoff_jitter: float = 0.5
-    hedge_delay: Optional[float] = None
-    hedge_min_samples: int = 8
+    hedge_delay: float = 0.0
     breaker_failures: int = 5
     breaker_reset: float = 1.0
-    breaker_probes: int = 1
 
     def backoff(self, attempt: int, jitter: float = 0.0) -> float:
         """Sleep before retry ``attempt`` (0-based), jitter in [0, 1)."""
         base = min(self.backoff_base * (2 ** attempt), self.backoff_max)
-        return base * (1.0 + self.backoff_jitter * jitter)
+        return base * (1.0 + BACKOFF_JITTER * jitter)
 
 
 class CircuitBreaker:
@@ -72,9 +66,9 @@ class CircuitBreaker:
     ``breaker_failures`` consecutive failures open the circuit; while
     open, :meth:`before_call` fails fast with
     :class:`~repro.errors.CircuitOpenError` without touching the
-    network.  After ``breaker_reset`` seconds the breaker admits up to
-    ``breaker_probes`` concurrent probe calls (half-open); enough probe
-    successes close it, any probe failure re-opens it.
+    network.  After ``breaker_reset`` seconds the breaker admits one
+    probe call at a time (half-open); a probe success closes it, a probe
+    failure re-opens it.
 
     The clock is injectable so tests can drive the state machine
     deterministically.
@@ -85,21 +79,18 @@ class CircuitBreaker:
     HALF_OPEN = "half_open"
 
     def __init__(self, name: str, failures: int = 5, reset_after: float = 1.0,
-                 probes: int = 1,
                  clock: Callable[[], float] = time.monotonic,
                  on_transition: Optional[Callable[[str, str], None]] = None):
         self.name = name
         self.failures = max(1, failures)
         self.reset_after = reset_after
-        self.probes = max(1, probes)
         self._clock = clock
         self._on_transition = on_transition
         self._lock = threading.Lock()
         self._state = self.CLOSED
         self._consecutive_failures = 0
         self._opened_at = 0.0
-        self._probe_successes = 0
-        self._probes_in_flight = 0
+        self._probe_in_flight = False
         self.transitions: list[tuple[str, str]] = []
 
     @property
@@ -114,9 +105,8 @@ class CircuitBreaker:
             self._maybe_half_open()
             if self._state == self.CLOSED:
                 return
-            if self._state == self.HALF_OPEN and \
-                    self._probes_in_flight < self.probes:
-                self._probes_in_flight += 1
+            if self._state == self.HALF_OPEN and not self._probe_in_flight:
+                self._probe_in_flight = True
                 return
             remaining = self.reset_after - (self._clock() - self._opened_at)
             raise CircuitOpenError(
@@ -127,15 +117,11 @@ class CircuitBreaker:
         with self._lock:
             self._consecutive_failures = 0
             if self._state == self.HALF_OPEN:
-                self._probes_in_flight = max(0, self._probes_in_flight - 1)
-                self._probe_successes += 1
-                if self._probe_successes >= self.probes:
-                    self._transition(self.CLOSED)
+                self._transition(self.CLOSED)
 
     def record_failure(self) -> None:
         with self._lock:
             if self._state == self.HALF_OPEN:
-                self._probes_in_flight = max(0, self._probes_in_flight - 1)
                 self._opened_at = self._clock()
                 self._transition(self.OPEN)
                 return
@@ -155,8 +141,7 @@ class CircuitBreaker:
     def _transition(self, new_state: str) -> None:
         old_state, self._state = self._state, new_state
         if new_state == self.HALF_OPEN:
-            self._probe_successes = 0
-            self._probes_in_flight = 0
+            self._probe_in_flight = False
         elif new_state == self.CLOSED:
             self._consecutive_failures = 0
         self.transitions.append((old_state, new_state))

@@ -30,6 +30,11 @@ from repro.errors import (
 )
 from repro.remote import protocol
 
+#: Idle keep-alive sockets a :class:`TCPTransport` keeps for reuse.
+POOL_SIZE = 4
+#: Seconds a :class:`TCPTransport` waits to open a connection.
+CONNECT_TIMEOUT = 2.0
+
 
 class Transport:
     """One request/response exchange with a remote source."""
@@ -44,18 +49,15 @@ class Transport:
 class TCPTransport(Transport):
     """Pooled keep-alive TCP connections speaking the framed protocol.
 
-    Idle sockets are kept in a bounded pool and reused across requests,
-    so a stream of sub-query calls pays connection setup once.  Any
-    socket that errors (timeout, reset, EOF) is discarded rather than
-    returned to the pool.
+    Up to :data:`POOL_SIZE` idle sockets are kept and reused across
+    requests, so a stream of sub-query calls pays connection setup once.
+    Any socket that errors (timeout, reset, EOF) is discarded rather
+    than returned to the pool.
     """
 
-    def __init__(self, host: str, port: int, pool_size: int = 4,
-                 connect_timeout: float = 2.0):
+    def __init__(self, host: str, port: int):
         self.host = host
         self.port = port
-        self.pool_size = pool_size
-        self.connect_timeout = connect_timeout
         self._idle: deque[socket.socket] = deque()
         self._lock = threading.Lock()
         #: Total sockets ever opened — lets tests assert keep-alive reuse.
@@ -103,7 +105,7 @@ class TCPTransport(Transport):
                 return self._idle.popleft()
         try:
             sock = socket.create_connection(
-                (self.host, self.port), timeout=self.connect_timeout)
+                (self.host, self.port), timeout=CONNECT_TIMEOUT)
         except OSError as exc:
             raise SourceUnavailableError(
                 f"cannot connect to {self.host}:{self.port}: {exc}") from exc
@@ -113,7 +115,7 @@ class TCPTransport(Transport):
 
     def _checkin(self, sock: socket.socket) -> None:
         with self._lock:
-            if len(self._idle) < self.pool_size:
+            if len(self._idle) < POOL_SIZE:
                 self._idle.append(sock)
                 return
         try:

@@ -63,11 +63,6 @@ class ServiceConfig:
     ``max_queue_depth`` / ``max_in_flight``
         Admission control: at most ``max_queue_depth`` tickets waiting,
         at most ``max_in_flight`` tickets queued + running overall.
-    ``default_deadline``
-        Seconds granted to a query when ``submit`` names none
-        (``None`` = unlimited).
-    ``default_priority``
-        Priority assigned when ``submit`` names none (lower runs first).
     ``tracing``
         Collect a per-ticket span tree (``query:<name>`` root, queue
         wait, planning, execution stages, source calls) exposed as
@@ -75,15 +70,18 @@ class ServiceConfig:
         queries: the executor only traces inside an open trace, so
         turning it off skips all span allocation and leaves
         ``result.trace.spans`` ``None``.
+
+    A ticket's priority and deadline are arguments of :meth:`~MediatorService.submit`.
     """
 
     workers: int = 4
     max_queue_depth: int = 64
     max_in_flight: int = 128
-    default_deadline: Optional[float] = None
-    default_priority: int = 10
     tracing: bool = True
 
+
+#: The priority of a ticket whose ``submit`` names none (lower runs first).
+DEFAULT_PRIORITY = 10
 
 #: Ticket life cycle states.
 PENDING = "pending"
@@ -284,7 +282,7 @@ class MediatorService:
     # Client API
     # ------------------------------------------------------------------
     def submit(self, query: "ConjunctiveMixedQuery | str",
-               priority: int | None = None, deadline: float | None = None,
+               priority: int = DEFAULT_PRIORITY, deadline: float | None = None,
                options: PlannerOptions | None = None, distinct: bool = True,
                limit: int | None = None) -> QueryTicket:
         """Enqueue one CMQ (object or textual syntax); returns its ticket.
@@ -295,12 +293,9 @@ class MediatorService:
         """
         if isinstance(query, str):
             query = self.instance.parse(query)
-        relative = deadline if deadline is not None else self.config.default_deadline
-        absolute = time.monotonic() + relative if relative is not None else None
-        ticket = QueryTicket(
-            query,
-            priority=self.config.default_priority if priority is None else priority,
-            deadline=absolute, options=options, distinct=distinct, limit=limit)
+        absolute = time.monotonic() + deadline if deadline is not None else None
+        ticket = QueryTicket(query, priority=priority, deadline=absolute,
+                             options=options, distinct=distinct, limit=limit)
         with self._lock:
             if self._stopping:
                 raise ServiceError("the mediator service is shut down")
@@ -336,7 +331,7 @@ class MediatorService:
         return ticket
 
     def execute(self, query: "ConjunctiveMixedQuery | str",
-                priority: int | None = None, deadline: float | None = None,
+                priority: int = DEFAULT_PRIORITY, deadline: float | None = None,
                 options: PlannerOptions | None = None, distinct: bool = True,
                 limit: int | None = None,
                 timeout: float | None = None) -> MixedResult:

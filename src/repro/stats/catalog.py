@@ -35,7 +35,7 @@ from typing import Optional
 from repro.cache.keys import CanonicalQuery, canonical_query
 from repro.cache.lru import LRUCache
 from repro.core.sources import DataSource, SourceQuery
-from repro.stats.cost import CostModel, DEFAULT_COST_MODEL
+from repro.stats.cost import DEFAULT_COST_MODEL
 
 
 #: Entries of the estimate memo (a few hundred bytes each).
@@ -45,8 +45,8 @@ ESTIMATE_MEMO_ENTRIES = 4096
 class StatisticsCatalog:
     """Digest-backed cardinality statistics with run-time feedback."""
 
-    def __init__(self, cost_model: CostModel | None = None):
-        self.cost_model = cost_model or DEFAULT_COST_MODEL
+    def __init__(self):
+        self.cost_model = DEFAULT_COST_MODEL
         self._feedback: dict[tuple, float] = {}
         #: (feedback key, source version, constant values) -> estimate;
         #: ``.stats`` counts its hits and misses.

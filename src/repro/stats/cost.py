@@ -75,33 +75,29 @@ NETWORK_SETUP_THRESHOLD = 8.0
 #: Used for wrapper models the table does not know (custom sources).
 FALLBACK_SOURCE_COSTS = SourceCosts(call_setup=3.0, per_row=0.02, per_binding=0.012)
 
+#: Rows-per-binding granularity of the batch-size decay.
+BATCH_ROW_SCALE = 16.0
+#: Materialize replaces a bind join only when cheaper by this factor —
+#: bind joins additionally shrink downstream joins and enable cache
+#: probes, which the per-step price cannot see.
+MODE_SWITCH_MARGIN = 0.8
+
 
 class CostModel:
     """Prices plan steps; shared by the enumerator and the batch sizer."""
 
-    def __init__(self, source_costs: dict[str, SourceCosts] | None = None,
-                 batch_row_scale: float = 16.0,
-                 mode_switch_margin: float = 0.8):
-        self.source_costs = dict(DEFAULT_SOURCE_COSTS)
-        if source_costs:
-            self.source_costs.update(source_costs)
-        #: Rows-per-binding granularity of the batch-size decay.
-        self.batch_row_scale = batch_row_scale
-        #: Materialize replaces a bind join only when cheaper by this
-        #: factor — bind joins additionally shrink downstream joins and
-        #: enable cache probes, which the per-step price cannot see.
-        self.mode_switch_margin = mode_switch_margin
+    def __init__(self):
         self._combined: dict[tuple[str, ...], tuple[float, float, float, float]] = {}
 
     # ------------------------------------------------------------------
     def costs_for(self, model: str) -> SourceCosts:
         """The constants of one source kind (fallback for unknown kinds)."""
-        return self.source_costs.get(model, FALLBACK_SOURCE_COSTS)
+        return DEFAULT_SOURCE_COSTS.get(model, FALLBACK_SOURCE_COSTS)
 
     def _combine(self, models: Sequence[str]) -> tuple[float, float, float, float]:
         """Summed call setup, then the largest per-row, per-binding and call
         setup constants of ``models`` (non-empty), read once per combination:
-        :attr:`source_costs` is configuration, fixed at construction."""
+        :data:`DEFAULT_SOURCE_COSTS` is fixed."""
         key = tuple(models)
         combined = self._combined.get(key)
         if combined is None:
@@ -161,7 +157,7 @@ class CostModel:
         """
         if math.isnan(rows_per_binding) or math.isinf(rows_per_binding):
             return MIN_BIND_BATCH
-        decay = max(0.0, rows_per_binding - 1.0) / self.batch_row_scale
+        decay = max(0.0, rows_per_binding - 1.0) / BATCH_ROW_SCALE
         if models:
             setup = self._combine(models)[3]
             if setup > NETWORK_SETUP_THRESHOLD:
@@ -170,5 +166,5 @@ class CostModel:
         return min(MAX_BIND_BATCH, max(MIN_BIND_BATCH, size))
 
 
-#: Shared default instance (used when no model is configured explicitly).
+#: The instance every statistics catalog prices with.
 DEFAULT_COST_MODEL = CostModel()

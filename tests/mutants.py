@@ -198,6 +198,15 @@ def snapshot_reads_live_stored_rows(patch) -> None:
     patch.setattr(FullTextSnapshot, "_at", live_rows)
 
 
+def snapshot_replay_writes_live(patch) -> None:
+    """A copy-on-write view's ``get`` never copies, so a snapshot's replay
+    writes into the live store's containers."""
+    from repro.core.deltas import CopyOnWrite
+
+    patch.setattr(CopyOnWrite, "get",
+                  lambda self, key, default=None: dict.get(self, key, default))
+
+
 def rdf_header_sorted(patch) -> None:
     """An RDF answer's header lists its variables sorted, while its rows
     keep the query's order."""
@@ -358,6 +367,7 @@ MUTANTS = {mutant.__name__: mutant for mutant in (
     repair_from_explicit_delta, seed_drops_spelling_variants,
     repair_reads_pre_write_closure, wire_skips_tagged_columns,
     stored_row_outlives_upsert, snapshot_reads_live_stored_rows,
+    snapshot_replay_writes_live,
     rdf_header_sorted, remote_header_reversed, rank_without_id_tie_break,
     merge_without_shared_check, pinned_catalog_outlives_a_write,
     phrase_ignores_adjacency, json_deindex_drops_a_leaf, unrestricted_leaf_skipped,

@@ -261,9 +261,11 @@ def test_snapshots_and_deltas_since_match_deep_copies(model_type, count, seed, b
         model.apply(kind, keys, revision)
         if kind == "write" and model_type is not _GraphModel:
             assert store.version == before + 1 and len(written[-1].items) == len(keys)
-    # A snapshot reads what a deep copy taken at its version holds.
+    # A snapshot reads what a deep copy taken at its version holds, and
+    # rebuilding it wrote nothing into the live store.
     for snapshot, state in held:
         assert model.reads(snapshot) == _expected_reads(model_type, state)
+    assert model.reads(store) == _expected_reads(model_type, model.copy())
     # The log chains exactly the batches written, from every version its
     # window holds; it dropped only spans over the budget.
     head = store.version
@@ -279,3 +281,36 @@ def test_snapshots_and_deltas_since_match_deep_copies(model_type, count, seed, b
             upto = (version + head) // 2
             assert store.deltas_since(version, upto) == written[version:upto]
     assert store.journal.oldest == head - len(store.journal)
+
+
+def test_a_read_only_pass_copies_only_what_the_replay_wrote():
+    """A snapshot one write behind rebuilds its store over copy-on-write
+    views of the live indexes.  Reading every bucket of it afterwards
+    shares the live containers: ``_own`` holds just the keys the replay
+    of the one written document touched."""
+    fulltext = FullTextStore("ft", fields=[FieldConfig("text", "text"),
+                                           FieldConfig("user", "keyword")])
+    fulltext.add_all({"id": str(i), "text": f"alpha w{i % 7}", "user": f"u{i % 120}"}
+                     for i in range(2000))
+    documents = JSONDocumentStore("docs")
+    documents.add_all({"id": str(i), "user": {"screen_name": f"u{i % 120}"}}
+                      for i in range(2000))
+    behind = fulltext.snapshot(), documents.snapshot()
+    fulltext.add_all([{"id": "new", "text": "alpha w8", "user": "u7"}])
+    documents.add_all([{"id": "new", "user": {"screen_name": "u7"}}])
+
+    with behind[0].reading() as store:
+        buckets, postings = store._keyword_indexes["user"], store._text_indexes["text"]._postings
+        replayed = set(buckets._own), set(postings._own)
+        assert replayed == ({"u7"}, {"alpha", "w8"})
+        for key in list(buckets):
+            store.keyword_documents("user", key)
+        assert (store.count("text:w1"), store.count("text:alpha")) == (286, 2000)
+        assert (set(buckets._own), set(postings._own)) == replayed
+    with behind[1].reading() as store:
+        index = store.index_for("user.screen_name")
+        replayed = set(index.postings._own)
+        assert replayed == {"u7"}
+        assert sum(len(index.lookup_eq(key)) for key in list(index.postings)) == 2000
+        assert set(index.postings._own) == replayed
+    assert len(behind[0]) == len(behind[1]) == 2000

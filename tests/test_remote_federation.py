@@ -470,6 +470,22 @@ def test_hedged_request_cuts_tail_without_duplicating_rows():
     remote.close()
 
 
+def test_default_options_never_hedge():
+    """Nine quick calls, then a slow one: without a stated ``hedge_delay``
+    the slow call is waited for, never raced."""
+    base = build_instance("unhedged")
+    source = base.source("sql://profiles")
+    transport = SteppedTransport(RemoteSourceHandler(source), delays=[0.0] * 9 + [0.2])
+    remote = RemoteSource(transport, uri=source.uri, model=source.model)
+    query = atom_queries(base)["sql://profiles"]
+    for _ in range(10):
+        assert remote.execute(query, {"id": HANDLES[1]}) == \
+            source.execute(query, {"id": HANDLES[1]})
+    stats = remote.stats()
+    assert (stats["calls"], stats["hedges"], transport._index) == (10, 0, 10)
+    remote.close()
+
+
 def test_retries_recover_from_transient_faults():
     base = build_instance("retry")
     handler = RemoteSourceHandler(base.source("sql://profiles"))
@@ -493,7 +509,7 @@ def test_retries_recover_from_transient_faults():
 
 def test_circuit_breaker_state_machine_with_scripted_clock():
     now = [0.0]
-    breaker = CircuitBreaker("src", failures=2, reset_after=5.0, probes=1,
+    breaker = CircuitBreaker("src", failures=2, reset_after=5.0,
                              clock=lambda: now[0])
     breaker.record_failure()
     assert breaker.state == CircuitBreaker.CLOSED

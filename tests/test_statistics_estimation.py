@@ -419,6 +419,18 @@ class TestJSONEstimates:
         assert actual == 10
         assert q_error(estimate, actual) <= 1.5
 
+    def test_an_estimate_counts_candidates_without_ranking_them(self, source, monkeypatch):
+        from repro.json.matcher import TreePatternMatcher
+
+        query = JSONQuery.from_text('{ author: "a3", topic: "politics", likes: ?l }')
+        assert len(TreePatternMatcher(source.store).candidates(query.pattern)) == 8
+
+        def ranked(self, doc_id):
+            raise AssertionError(f"an estimate ranked candidate {doc_id}")
+
+        monkeypatch.setattr(JSONDocumentStore, "insertion_rank", ranked)
+        assert source.estimate(query) == 8.0
+
     def test_demo_atoms_estimate_as_at_the_parent(self):
         from repro.datasets import DemoConfig, build_demo_instance
         from repro.datasets.loader import TWEETS_JSON_URI
