@@ -55,64 +55,66 @@ class RDFWarehouse:
     # Export
     # ------------------------------------------------------------------
     def export(self) -> WarehouseStats:
-        """Materialise the glue graph and every registered source as RDF."""
+        """Materialise the glue graph and every registered source as RDF,
+        each store read in one reading."""
         start = time.perf_counter()
         before_total = len(self.graph)
-        self.graph.add_all(self.instance.graph)
+        with self.instance.graph.reading() as glue:
+            self.graph.add_all(glue)
         self.stats.triples_per_source["#glue"] = len(self.graph) - before_total
         for source in self.instance.sources():
             if isinstance(source, RDFSource):
-                exported = source.graph
+                exported = None  # the graph's own triples
             elif isinstance(source, RelationalSource):
-                exported = self._export_relational(source)
+                exported = self._export_relational
             elif isinstance(source, FullTextSource):
-                exported = self._export_fulltext(source)
+                exported = self._export_fulltext
             elif isinstance(source, JSONSource):
-                exported = self._export_json(source)
+                exported = self._export_json
             else:  # pragma: no cover - defensive
                 raise MixedQueryError(f"cannot export source model {source.model!r}")
-            self.stats.triples_per_source[source.uri] = self.graph.add_all(exported)
+            with getattr(source, source.store_attribute).reading() as store:
+                self.stats.triples_per_source[source.uri] = self.graph.add_all(
+                    store if exported is None else exported(source.uri, store))
         self.stats.export_seconds = time.perf_counter() - start
         self.stats.exported_triples = len(self.graph)
         return self.stats
 
-    def _export_relational(self, source: RelationalSource) -> Iterator[Triple]:
-        for table in source.database.tables():
+    def _export_relational(self, uri: str, database) -> Iterator[Triple]:
+        for table in database.tables():
             for row_id, record in enumerate(table.scan()):
-                subject = URI(f"{source.uri}/{table.name}/{row_id}")
+                subject = URI(f"{uri}/{table.name}/{row_id}")
                 for column, value in record.items():
                     if value is None:
                         continue
-                    predicate = self.column_predicate(source.uri, table.name, column)
+                    predicate = self.column_predicate(uri, table.name, column)
                     yield Triple(subject, predicate, literal(value))
 
-    def _export_fulltext(self, source: FullTextSource) -> Iterator[Triple]:
-        store = source.store
+    def _export_fulltext(self, uri: str, store) -> Iterator[Triple]:
         for doc in store.documents():
-            subject = URI(f"{source.uri}/doc/{doc.doc_id}")
+            subject = URI(f"{uri}/doc/{doc.doc_id}")
             for path, value in doc.flat_fields():
                 if value is None:
                     continue
-                predicate = self.field_predicate(source.uri, path)
+                predicate = self.field_predicate(uri, path)
                 config = store.field_config(path)
                 if config is not None and config.field_type == "text":
                     # Analysed field: export the raw text plus one triple per
                     # stem so term queries become equality patterns.
                     yield Triple(subject, predicate, literal(value))
-                    term_predicate = self.term_predicate(source.uri, path)
+                    term_predicate = self.term_predicate(uri, path)
                     for stem in store.analyzer.stems(str(value)):
                         yield Triple(subject, term_predicate, literal(stem))
                 else:
                     yield Triple(subject, predicate, literal(_normalize_keyword(value)))
 
-    def _export_json(self, source: JSONSource) -> Iterator[Triple]:
-        store = source.store
+    def _export_json(self, uri: str, store) -> Iterator[Triple]:
         for doc_id, fields in store.items():
-            subject = URI(f"{source.uri}/doc/{doc_id}")
+            subject = URI(f"{uri}/doc/{doc_id}")
             for path, value in Document(doc_id=doc_id, fields=fields).flat_fields():
                 if value is None:
                     continue
-                predicate = self.field_predicate(source.uri, path)
+                predicate = self.field_predicate(uri, path)
                 # Tree-pattern equality is keyword-style (case-insensitive),
                 # so export the normalised form equality patterns match.
                 yield Triple(subject, predicate, literal(_normalize_keyword(value)))

@@ -10,6 +10,12 @@ the RDF graph, the full-text or the JSON store, a watermark, not a copy,
 holds the record of its version and walks ``record.next`` to revert
 what later batches overwrote.
 
+A store's data has one read path, live or pinned: ``with
+store.reading() as s``, one consistent read under the live store's read
+lock (:meth:`Journalled.reading`, :meth:`Snapshot.__enter__`).  A
+snapshot holds no data, so a direct data call on it raises
+``AttributeError``.
+
 The log answers from a window of its newest records, trimmed by one item
 budget, :data:`MAX_DELTA_ITEMS`, the repair gate's own bound in the gate's
 measure (:attr:`DeltaRecord.size`): a record leaves the window once the
@@ -27,7 +33,6 @@ import contextvars
 import threading
 import weakref
 from collections import deque
-from contextlib import nullcontext
 from itertools import islice
 from typing import Callable, Iterable, Optional
 
@@ -187,14 +192,9 @@ class DeltaJournal:
         return len(self._records)
 
 
-class Journalled:
-    """Mixin of a store with one change log, ``_journal``, shared with its
-    snapshots, a ``_version`` counter (for :meth:`_log`) and a read-write
-    lock; ``_snapshot_type`` builds its snapshot."""
-
-    _snapshot_type: Callable
-    #: (version, weak reference to its snapshot): see :meth:`snapshot`.
-    _snapshot_state: Optional[tuple] = None
+class Logged:
+    """What a store and its snapshots share: a ``_journal`` and the chain
+    of its records between two versions."""
 
     @property
     def journal(self) -> DeltaJournal:
@@ -204,6 +204,17 @@ class Journalled:
     def deltas_since(self, version: int, upto: int | None = None):
         """The unbroken delta chain ``version -> upto`` (None on a gap)."""
         return self._journal.since(version, self.version if upto is None else upto)
+
+
+class Journalled(Logged):
+    """Mixin of a store with one change log, ``_journal``, shared with its
+    snapshots, a ``_version`` counter (for :meth:`_log`) and a read-write
+    lock, ``_rwlock``; ``_snapshot_type`` builds its snapshot.  Its data
+    is read inside :meth:`reading`, and only there."""
+
+    _snapshot_type: Callable
+    #: (version, weak reference to its snapshot): see :meth:`snapshot`.
+    _snapshot_state: Optional[tuple] = None
 
     def _log(self, kind: str, items: Iterable = (), before: Iterable = ()) -> DeltaRecord:
         """Bump ``_version`` and log one effective batch (under the store's
@@ -225,34 +236,41 @@ class Journalled:
             return snapshot
 
     def reading(self):
-        """A context yielding what one consistent read reads: the store
-        itself (a snapshot yields what stands for its version)."""
-        return nullcontext(self)
+        """One consistent read: ``with store.reading() as s`` holds the
+        store's read lock for the block, so no writer resizes what the
+        read iterates; ``s`` is the store."""
+        return self
+
+    def __enter__(self):
+        self._rwlock.acquire_read()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._rwlock.release_read()
 
 
-class Snapshot:
+class Snapshot(Logged):
     """Mixin of a store snapshot that is a watermark over its live store.
 
-    A snapshot holds the record of its version, the head of the live
-    store's log when it was taken.  ``with snapshot.reading() as store``
-    holds the live store's read lock for one read; ``store`` is the live
-    store while nothing was written since (the live read path, nothing
-    filtered), else ``self._at(undo)``, the store as it stood rebuilt from
-    ``undo`` (each key the records since wrote, mapped to its first
-    pre-image) over :class:`CopyOnWrite` views of the live indexes,
-    memoised per chain position.  No writer runs under the read
-    lock, so no read iterates a container a writer resizes.  A subclass's
-    ``reads`` are the store methods answered in one such read each.
+    A snapshot holds its ``version``, the record of it (the head of the
+    live store's log when it was taken) and the configuration a wrapper
+    reads (name, id field, fields, analyzer, term dictionary), but no
+    data: ``with snapshot.reading() as store`` is the one way to read
+    it.  The block holds the live store's read lock; ``store`` is
+    the live store while nothing was written since (the live read path,
+    nothing filtered), else ``self._at(undo)``, the store as it stood
+    rebuilt from ``undo`` (each key the records since wrote, mapped to its
+    first pre-image) over :class:`CopyOnWrite` views of the live indexes,
+    memoised per chain position.  No writer runs under the read lock, so
+    no read iterates a container a writer resizes, and what ``store``
+    hands out is good inside the block only.
     """
 
-    def __init_subclass__(cls, reads: Iterable[str] = (), **kwargs):
-        super().__init_subclass__(**kwargs)
-        for name in reads:
-            setattr(cls, name, _read_through(name))
-
     def _watch(self, live) -> None:
-        """Watch ``live`` from its log's head (under its read lock)."""
+        """Watch ``live`` from its log's head, at its version (under its
+        read lock)."""
         self._live, self._memo = live, (live.journal.head, {}, None)
+        self.version, self._journal = live.version, live.journal
 
     def snapshot(self):
         return self
@@ -286,15 +304,6 @@ class Snapshot:
 
     def __exit__(self, *exc_info) -> None:
         self._live._rwlock.release_read()
-
-
-def _read_through(name: str):
-    def read(self, *args, **kwargs):
-        with self.reading() as store:
-            return getattr(store, name)(*args, **kwargs)
-
-    read.__name__ = name
-    return read
 
 
 class CopyOnWrite(dict):

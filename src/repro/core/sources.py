@@ -409,7 +409,8 @@ class DataSource:
         """Number of base items (triples, rows, documents) in the source."""
         if self.store_attribute is None:
             raise NotImplementedError
-        return len(self._store)
+        with self._store.reading() as store:
+            return len(store)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}(uri={self.uri!r}, size={self.size()})"

@@ -116,7 +116,6 @@ class TweetGeneratorConfig:
     topic: Topic = field(default_factory=lambda: STATE_OF_EMERGENCY)
     weeks: int = 4
     tweets_per_politician_per_week: float = 3.0
-    start: date = DEFAULT_START
     seed: int = 7
 
 
@@ -129,7 +128,7 @@ def generate_tweet_objects(politicians: Sequence[Politician],
     tweet_id = 464_244_000_000_000_000
     for week_index in range(config.weeks):
         phase = config.topic.phases[min(week_index, len(config.topic.phases) - 1)]
-        week_start = config.start + timedelta(weeks=week_index)
+        week_start = DEFAULT_START + timedelta(weeks=week_index)
         for politician in politicians:
             expected = config.tweets_per_politician_per_week * politician.activity
             count = _poisson(rng, expected)
@@ -140,7 +139,7 @@ def generate_tweet_objects(politicians: Sequence[Politician],
                 )
                 off_topic = rng.random() < OFF_TOPIC_PROBABILITY
                 text, hashtags = _compose_text(rng, config, politician.group, phase.label,
-                                               week_index, off_topic)
+                                               off_topic)
                 tweets.append(Tweet(
                     tweet_id=tweet_id,
                     created_at=moment.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -167,8 +166,7 @@ def generate_tweets(politicians: Sequence[Politician],
 
 
 def generate_facebook_posts(politicians: Sequence[Politician], topic: Topic | None = None,
-                            posts_per_politician: int = 3, seed: int = 11,
-                            start: date = DEFAULT_START) -> list[dict]:
+                            posts_per_politician: int = 3, seed: int = 11) -> list[dict]:
     """Generate Facebook-post documents (longer texts, like/share/comment counts)."""
     topic = topic or STATE_OF_EMERGENCY
     rng = random.Random(seed)
@@ -182,7 +180,7 @@ def generate_facebook_posts(politicians: Sequence[Politician], topic: Topic | No
             for _ in range(3):
                 words = _pick_words(rng, topic, politician.group, phase.label, count=12)
                 sentences.append(" ".join(words).capitalize() + ".")
-            moment = datetime.combine(start, datetime.min.time()) + timedelta(
+            moment = datetime.combine(DEFAULT_START, datetime.min.time()) + timedelta(
                 weeks=index, days=rng.randrange(7), hours=rng.randrange(8, 22)
             )
             posts.append({
@@ -224,7 +222,7 @@ def figure2_example_tweet() -> dict:
 # ---------------------------------------------------------------------------
 
 def _compose_text(rng: random.Random, config: TweetGeneratorConfig, group: str,
-                  phase_label: str, week_index: int, off_topic: bool) -> tuple[str, list[str]]:
+                  phase_label: str, off_topic: bool) -> tuple[str, list[str]]:
     topic = config.topic
     if off_topic:
         words = [rng.choice(FILLER_TERMS) for _ in range(WORDS_PER_TWEET)]

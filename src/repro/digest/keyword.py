@@ -40,6 +40,8 @@ class KeywordHit:
     keyword: str
     node: DigestNode
     matched_values: list[str] = field(default_factory=list)
+    #: The keyword matched the position's name only, none of its values.
+    name_only: bool = False
 
     @property
     def value(self) -> object:
@@ -145,7 +147,9 @@ class KeywordQueryEngine:
             for node in nodes:
                 values = self.catalog.values_of(node)
                 matched = values.matching_values(keyword) if values is not None else []
-                hits.append(KeywordHit(keyword=keyword, node=node, matched_values=matched))
+                name_only = not matched and (values is None or not values.matches_keyword(keyword))
+                hits.append(KeywordHit(keyword=keyword, node=node, matched_values=matched,
+                                       name_only=name_only))
             hits.sort(key=lambda h: (not h.matched_values, h.node.label()))
             hits_per_keyword.append(hits[:MAX_HITS_PER_KEYWORD])
             if not hits:
@@ -235,9 +239,10 @@ class KeywordQueryEngine:
 
     # ------------------------------------------------------------------
     def _build_query(self, path: list[DigestNode], hits: list[KeywordHit]) -> ConjunctiveMixedQuery:
-        """Generate a CMQ from the nodes of one join path."""
+        """Generate a CMQ from the nodes of one join path (a hit on a
+        position's name alone constrains no value)."""
         variables = self._assign_variables(path)
-        hit_by_node = {hit.node: hit for hit in hits}
+        hit_by_node = {hit.node: hit for hit in hits if not hit.name_only}
 
         atoms: list[SourceAtom] = []
         head: list[str] = []

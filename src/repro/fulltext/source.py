@@ -16,7 +16,7 @@ from repro.digest.valueset import ValueSetSummary
 from repro.engine.batch import BindingBatch, Row, as_answer, dict_rows, tuple_getter
 from repro.fulltext.document import row_builder
 from repro.fulltext.query import MatchAllQuery, Parameter, TermQuery
-from repro.fulltext.store import FullTextStore
+from repro.fulltext.store import FullTextStore, empty_like
 from repro.fulltext.template import FullTextTemplate, fulltext_template
 
 
@@ -185,7 +185,7 @@ class FullTextSource(DataSource):
         if not isinstance(query, FullTextQuery):
             return float("inf")
         bound_variables = bound_variables or set()
-        base = float(len(self.store) if query.limit is None else query.limit)
+        base = float(self.size() if query.limit is None else query.limit)
         # One factor per distinct parameter and per constant clause naming
         # its field (a bare default-field term is not counted).
         restrictions = len(query.template.parameters) + sum(
@@ -260,23 +260,24 @@ class FullTextSource(DataSource):
         """One node per dataguide path of the collection, all joined: an
         analysed text field is valued with its (unstemmed) tokens, the
         surface forms users type; any other with its stored values."""
-        store = self.store
-        digest = SourceDigest(self.uri, self.model, version=self.version())
-        dataguide = JSONDataguide.build(store.documents(), name=store.name)
-        nodes = []
-        for path in dataguide.path_names():
-            config = store.field_config(path)
-            if config is not None and config.field_type == "text":
-                values = [token for text in store.field_values(path)
-                          for token in store.analyzer.analyze(str(text)).tokens]
-            else:
-                values = store.field_values(path) or [
-                    v for document in store.documents() for v in _leaf_values(document, path)]
-            nodes.append(digest.add_node(DigestNode(self.uri, store.name, path, kind="field"),
-                                         summarize(values)))
+        with self.store.reading() as store:
+            digest = SourceDigest(self.uri, self.model, version=self.version())
+            documents = store.documents()
+            dataguide = JSONDataguide.build(documents, name=store.name)
+            nodes = []
+            for path in dataguide.path_names():
+                config = store.field_config(path)
+                if config is not None and config.field_type == "text":
+                    values = [token for text in store.field_values(path)
+                              for token in store.analyzer.analyze(str(text)).tokens]
+                else:
+                    values = store.field_values(path) or [
+                        v for document in documents for v in _leaf_values(document, path)]
+                nodes.append(digest.add_node(DigestNode(self.uri, store.name, path, kind="field"),
+                                             summarize(values)))
         digest.link_all(nodes)
         digest.metadata["dataguide_paths"] = len(dataguide)
-        digest.metadata["documents"] = len(store)
+        digest.metadata["documents"] = len(documents)
         return digest
 
     def keyword_atom(self, nodes: list[DigestNode], variables: dict, hits: dict) -> tuple:
@@ -318,8 +319,7 @@ class FullTextSource(DataSource):
         store = self.store
 
         def over(documents):
-            delta = FullTextStore(f"{store.name}+delta", store.field_configs(),
-                                  store.default_field, store.id_field, store.analyzer)
+            delta = empty_like(store, f"{store.name}+delta")
             delta.add_all(documents)
             return FullTextSource(self.uri, delta, name=self.name)
 

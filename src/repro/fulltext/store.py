@@ -25,7 +25,9 @@ derives the text stems and keyword keys from the row's cells; a removal
 derives what to take out of the indexes from the row it pops.  A read
 never walks a document's nested fields again to project a hit: the
 full-text wrapper picks its outputs off the row.  Values are JSON values:
-a tuple is read as a list of values.
+a tuple is read as a list of values.  A read runs inside ``with
+store.reading() as s``, under the read lock; a :class:`FullTextSnapshot`
+is read there and nowhere else.
 """
 
 from __future__ import annotations
@@ -142,10 +144,6 @@ class FullTextStore(Journalled):
     def version(self) -> int:
         """Monotonic mutation counter (used for cache invalidation)."""
         return self._version
-
-    def field_configs(self) -> list[FieldConfig]:
-        """The declared field configurations (delta-store construction)."""
-        return list(self._fields.values())
 
     @property
     def stored_fields(self) -> tuple[str, ...]:
@@ -616,21 +614,15 @@ class FullTextStore(Journalled):
         return f"FullTextStore(name={self.name!r}, documents={len(self)})"
 
 
-class FullTextSnapshot(Snapshot, FullTextStore, reads=(
-        "search", "matches", "rank", "count", "facet", "get", "documents", "field_values",
-        "term_documents", "document_frequency", "distinct_term_count",
-        "average_document_frequency", "__len__", "__contains__")):
+class FullTextSnapshot(Snapshot):
     """What :meth:`FullTextStore.snapshot` returns: the store read at one
-    version.  Every read is one :meth:`reading` of the live store; a
-    keyword bucket and the stored rows are handed out as copies, and a
-    scorer scores inside a read of its own (a bucket or a scorer taken
-    from a :meth:`reading` is good inside it only).  A snapshot never
-    writes."""
+    version, through :meth:`reading` alone.  It keeps the store's
+    configuration (``name``, ``id_field``, its fields, ``default_field``,
+    ``analyzer``) and never writes."""
 
     def __init__(self, live: FullTextStore):
         self.name, self.id_field, self.analyzer = live.name, live.id_field, live.analyzer
         self._fields, self.default_field = live._fields, live.default_field
-        self._version, self._journal, self._rwlock = live._version, live._journal, live._rwlock
         self._watch(live)
 
     def _at(self, undo: dict[str, Document | None]) -> FullTextStore:
@@ -640,10 +632,9 @@ class FullTextSnapshot(Snapshot, FullTextStore, reads=(
         document and stored-row maps and copy-on-write views of the live
         indexes."""
         live = self._live
-        at = FullTextStore(live.name, live.field_configs(), live.default_field,
-                           live.id_field, live.analyzer)
+        at = empty_like(live, live.name)
         at._version, at._documents, at._stored, at._top_keys = (
-            self._version, dict(live._documents), dict(live._stored), dict(live._top_keys))
+            self.version, dict(live._documents), dict(live._stored), dict(live._top_keys))
         for name, index in live._text_indexes.items():
             twin = at._text_indexes[name]
             twin._postings = CopyOnWrite(index._postings, lambda postings: dict(postings or {}))
@@ -656,27 +647,14 @@ class FullTextSnapshot(Snapshot, FullTextStore, reads=(
                 at._index_unlocked(doc)
         return at
 
-    def keyword_documents(self, field_name: str, key: str) -> AbstractSet[str]:
-        with self.reading() as store:
-            return frozenset(store.keyword_documents(field_name, key))
-
-    def stored_rows(self) -> Mapping[str, tuple]:
-        with self.reading() as store:
-            return dict(store.stored_rows())
-
-    def scorer(self, query: Query) -> Callable[[Sequence[str]], list[float]]:
-        made: list = [None, None]
-
-        def scores(doc_ids: Sequence[str]) -> list[float]:
-            with self.reading() as store:
-                if made[0] is not store:
-                    made[:] = store, store.scorer(query)
-                return made[1](doc_ids)
-
-        return scores
-
 
 FullTextStore._snapshot_type = FullTextSnapshot
+
+
+def empty_like(store: FullTextStore | FullTextSnapshot, name: str) -> FullTextStore:
+    """An empty store named ``name``, configured like ``store``."""
+    return FullTextStore(name, list(store._fields.values()), store.default_field,
+                         store.id_field, store.analyzer)
 
 
 def _keyword_keys(cell: Any) -> Sequence[str]:

@@ -128,8 +128,8 @@ class JSONSource(DataSource):
         """One node per dataguide path, all joined, valued with the
         path's index keys, each once per document filed under it; read
         off what every write maintains."""
-        digest = SourceDigest(self.uri, self.model, version=self.version())
         with self.store.reading() as store:
+            digest = SourceDigest(self.uri, self.model, version=self.version())
             dataguide = store.dataguide()
             digest.link_all([digest.add_node(
                 DigestNode(self.uri, store.name, path, kind="field"),

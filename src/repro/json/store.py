@@ -12,12 +12,13 @@ leaves again (a stored copy is never mutated after ``add``).  Nor does
 it keep a second, columnar copy of the documents: tree patterns are
 verified by walking the stored copies (:mod:`repro.json.matcher`), and
 :meth:`JSONDocumentStore.encoding_view` builds the XPath-accelerator
-encoding only when asked, for the benchmark that still times it.
+encoding only when asked, for the benchmark that still times it.  A read
+runs inside ``with store.reading() as s``, under the read lock; a
+:class:`JSONSnapshot` is read there and nowhere else.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 from typing import Any, Iterable
 
@@ -237,13 +238,12 @@ class JSONDocumentStore(Journalled):
         documents.  ``sample_values`` are index keys, i.e. normalised.
         """
         guide = JSONDataguide(name=self.name)
-        with self._rwlock.read_locked():
-            guide.document_count = len(self._documents)
-            for path, index in self._indexes.items():
-                info = PathInfo(path, count=index.occurrences, types=set(index.types))
-                info.sample_values = [key for key in itertools.islice(
-                    index.postings, MAX_SAMPLES) if key is not None]
-                guide.paths[path] = info
+        guide.document_count = len(self._documents)
+        for path, index in self._indexes.items():
+            info = PathInfo(path, count=index.occurrences, types=set(index.types))
+            info.sample_values = [key for key in itertools.islice(
+                index.postings, MAX_SAMPLES) if key is not None]
+            guide.paths[path] = info
         return guide
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
@@ -251,16 +251,15 @@ class JSONDocumentStore(Journalled):
                 f"paths={len(self.paths())})")
 
 
-class JSONSnapshot(Snapshot, JSONDocumentStore, reads=(
-        "get", "documents", "items", "paths", "doc_ids_with_path", "holds_below",
-        "insertion_rank", "dataguide", "encoding_view", "__len__", "__contains__")):
+class JSONSnapshot(Snapshot):
     """What :meth:`JSONDocumentStore.snapshot` returns: the store read at
-    one version: a wrapper matching on what one :meth:`reading` yields;
-    any other read is a reading of its own.  It never writes."""
+    one version, through :meth:`reading` alone.  It keeps the store's
+    configuration (``name``, ``id_field``, ``text_path``, ``id_of``) and
+    never writes."""
 
     def __init__(self, live: JSONDocumentStore):
         self.name, self.id_field, self.text_path = live.name, live.id_field, live.text_path
-        self._version, self._journal, self._rwlock = live._version, live._journal, live._rwlock
+        self.id_of = live.id_of
         self._watch(live)
 
     def _at(self, undo: dict[str, tuple | None]) -> JSONDocumentStore:
@@ -269,7 +268,7 @@ class JSONSnapshot(Snapshot, JSONDocumentStore, reads=(
         into copies of the maps and copy-on-write views of the indexes."""
         live = self._live
         at = JSONDocumentStore(live.name, live.id_field, live.text_path)
-        at._version, at._ranks = self._version, dict(live._ranks)
+        at._version, at._ranks = self.version, dict(live._ranks)
         at._documents = dict(live._documents)
         at._indexes = CopyOnWrite(live._indexes, _private_index)
         for doc_id, old in undo.items():
@@ -279,10 +278,6 @@ class JSONSnapshot(Snapshot, JSONDocumentStore, reads=(
         if any(old is not None for old in undo.values()):  # restored: back in rank order
             at._documents = dict(sorted(at._documents.items(), key=lambda i: at._ranks[i[0]]))
         return at
-
-    def index_for(self, path: str) -> PathIndex | None:
-        with self.reading() as store:
-            return copy.deepcopy(store.index_for(path))
 
 
 JSONDocumentStore._snapshot_type = JSONSnapshot

@@ -3,11 +3,13 @@
 Each store (RDF :class:`~repro.rdf.graph.Graph`, relational
 :class:`~repro.relational.database.Database` and its tables, the
 full-text and JSON document stores) owns one :class:`RWLock`: mutators
-take the write side; :meth:`snapshot`, and each read of a watermark
-snapshot, take the read side.  The lock lives in a near-dependency-free
-module (only the stdlib-backed :mod:`repro.obs.metrics`) so the store
-packages can import it without pulling in the service layer (which
-would cycle back through ``repro.core``).
+take the write side; :meth:`snapshot` and every ``with store.reading()``
+block, of the live store or of a watermark snapshot, take the read side
+(a relational snapshot, a row-count cut, takes none).  The lock lives in
+a near-dependency-free module (only the stdlib-backed
+:mod:`repro.obs.metrics`) so the store packages can import it without
+pulling in the service layer (which would cycle back through
+``repro.core``).
 
 Contention is observable: an acquisition that actually had to wait
 records its wait time into the ``rwlock_wait_seconds`` histogram of the

@@ -8,7 +8,9 @@ indexes over the ids (SPO, POS, OSP), so that any triple pattern with at
 least one constant is answered by dictionary lookups rather than a full
 scan, and the BGP engine (:mod:`repro.rdf.bgp`) joins and deduplicates
 ints, not terms.  The term-level API (``add*``, ``remove*``, ``match``,
-``count``, iteration, ...) encodes and decodes at its edge.
+``count``, iteration, ...) encodes and decodes at its edge.  A read runs
+inside ``with graph.reading() as g``, under the read lock; a
+:class:`GraphSnapshot` is read there and nowhere else.
 """
 
 from __future__ import annotations
@@ -223,15 +225,6 @@ class Graph(Journalled):
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def rwlock(self) -> RWLock:
-        """The store's reader-writer lock.
-
-        Mutators take the write side internally; a snapshot's reads take
-        the read side (:meth:`reading`).
-        """
-        return self._rwlock
-
-    @property
     def version(self) -> int:
         """Monotonic mutation counter (bumped by every effective change).
 
@@ -408,19 +401,15 @@ class Graph(Journalled):
         return f"Graph(name={self.name!r}, triples={len(self)})"
 
 
-class GraphSnapshot(Snapshot, Graph, reads=(
-        "match", "count", "subjects", "objects", "value", "predicates", "resources_of_type",
-        "predicate_counts", "terms", "literals", "__len__", "__contains__")):
+class GraphSnapshot(Snapshot):
     """What :meth:`Graph.snapshot` returns: the graph read at one version,
-    each read one :meth:`reading` of the live graph (a lazy answer —
-    ``match``, iteration — is materialised inside it).  It never writes.
-    It shares the live graph's term dictionary; its ``version`` and
-    counters are the graph's at the time."""
+    through :meth:`reading` alone.  It never writes.  It shares the live
+    graph's term dictionary; its ``version`` and cut counters
+    (``additions``, ``removals``) are the graph's at the time."""
 
     def __init__(self, live: Graph):
         self.name, self.dictionary = live.name, live.dictionary
-        self._additions, self._removals = live._additions, live._removals
-        self._journal, self._rwlock = live._journal, live._rwlock
+        self.additions, self.removals = live._additions, live._removals
         self._watch(live)
 
     def _at(self, undo: dict[tuple, bool]) -> Graph:
@@ -432,13 +421,10 @@ class GraphSnapshot(Snapshot, Graph, reads=(
         at._spo, at._pos, at._osp = (CopyOnWrite(index, _private_inner)
                                      for index in (live._spo, live._pos, live._osp))
         at._pcount, at._size = dict(live._pcount), live._size
+        at._additions, at._removals = self.additions, self.removals
         for key, present in undo.items():
             (at._add_ids if present else at._remove_ids)(*key)
         return at
-
-    def __iter__(self) -> Iterator[Triple]:
-        with self.reading() as graph:
-            return iter(list(graph))
 
 
 Graph._snapshot_type = GraphSnapshot

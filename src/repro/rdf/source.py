@@ -87,21 +87,21 @@ class _Closure:
     def at(self, source: Graph, snapshot: bool = False) -> Graph | None:
         """G∞ (a snapshot of it, when ``snapshot``) of ``source``, the graph
         or a snapshot of it — None when the lineage is already past it."""
-        with self.lock, source.rwlock.read_locked():
+        with self.lock, source.reading() as graph:
             state = (source.additions, source.removals)
             if self.graph is not None and state != self.state:
                 if sum(state) < sum(self.state):
                     return None
                 if state[1] == self.state[1]:
                     records = source.deltas_since(sum(self.state), sum(state))
-                    delta = ([t for t in source if t not in self.graph] if records is None
+                    delta = ([t for t in graph if t not in self.graph] if records is None
                              else [t for record in records for t in record.items])
                     saturate_delta(self.graph, delta, schema=self.schema)
                     self.state = state
                 else:
                     self.graph = None
             if self.graph is None:
-                self.graph, _ = saturate(source)
+                self.graph, _ = saturate(graph)
                 self.schema = RDFSchema.from_graph(self.graph)
                 self.state, self.versions = state, {}
             versions, oldest = self.versions, self.graph.journal.oldest
@@ -149,7 +149,8 @@ class RDFSource(DataSource):
         if saturated is None:
             saturated = self.closure.at(self.graph, snapshot=True)
             if saturated is None:
-                saturated, _ = saturate(self.graph)
+                with self.graph.reading() as graph:
+                    saturated, _ = saturate(graph)
             self._saturated = saturated
         return saturated
 
@@ -274,8 +275,9 @@ class RDFSource(DataSource):
         each summary node, valued with what a query returns there (URIs
         also by their local names, for keywords only); edges join the
         properties of a summary node and follow each summary edge."""
-        digest = SourceDigest(self.uri, self.model, version=self.version())
-        summary = RDFSummary.build(self.graph)
+        with self.graph.reading() as graph:
+            digest = SourceDigest(self.uri, self.model, version=self.version())
+            summary, triples = RDFSummary.build(graph), len(graph)
         nodes_by_summary: dict[str, list[DigestNode]] = {}
         for node_id, summary_node in summary.nodes.items():
             container = _container_label(summary_node)
@@ -296,32 +298,32 @@ class RDFSource(DataSource):
                 for right in nodes_by_summary.get(edge.target, []):
                     digest.add_edge(left, right, kind="reference", weight=0.5)
         digest.metadata["summary_nodes"] = len(summary.nodes)
-        digest.metadata["triples"] = len(self.graph)
+        digest.metadata["triples"] = triples
         return digest
 
     def keyword_atom(self, nodes: list[DigestNode], variables: dict, hits: dict) -> tuple:
         """A BGP with one pattern per path property, on the subject of its
         summary class; a hit's property takes the stored term matching the
         keyword as its object."""
-        graph = self.graph
-        predicates = {_local_name(p): p for p in graph.predicates()}
         patterns: list[TriplePattern] = []
         output: list[Variable] = []
-        for node in nodes:
-            prop = predicates.get(node.position)
-            if prop is None:
-                raise KeywordSearchError(
-                    f"property {node.position!r} not found in RDF source {self.uri!r}")
-            subject = Variable(f"e_{safe_name(node.container)}")
-            hit = hits.get(node)
-            term = _find_object(graph, prop, hit.keyword) if hit is not None else None
-            if term is not None:
-                patterns.append(TriplePattern(subject, prop, term))
-                continue
-            value_var = Variable(variables[node])
-            patterns.append(TriplePattern(subject, prop, value_var))
-            if value_var not in output:
-                output.append(value_var)
+        with self.graph.reading() as graph:
+            predicates = {_local_name(p): p for p in graph.predicates()}
+            for node in nodes:
+                prop = predicates.get(node.position)
+                if prop is None:
+                    raise KeywordSearchError(
+                        f"property {node.position!r} not found in RDF source {self.uri!r}")
+                subject = Variable(f"e_{safe_name(node.container)}")
+                hit = hits.get(node)
+                term = _find_object(graph, prop, hit.keyword) if hit is not None else None
+                if term is not None:
+                    patterns.append(TriplePattern(subject, prop, term))
+                    continue
+                value_var = Variable(variables[node])
+                patterns.append(TriplePattern(subject, prop, value_var))
+                if value_var not in output:
+                    output.append(value_var)
         if not output:
             # Every position was constrained to a constant: expose the subject.
             output = [patterns[0].subject]

@@ -7,9 +7,10 @@ capability (the SQL subset) that the mediator ships sub-queries to.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Iterable
 
-from repro.core.deltas import RESET, DeltaJournal, Journalled
+from repro.core.deltas import RESET, DeltaJournal, Journalled, Logged
 from repro.errors import RelationalError, SchemaError
 from repro.locks import RWLock
 from repro.relational.ast import CreateTableStatement, InsertStatement, SelectStatement
@@ -20,7 +21,45 @@ from repro.relational.table import Table, TableSnapshot
 from repro.relational.types import DataType, infer_type, parse_type
 
 
-class Database(Journalled):
+class Tables:
+    """The read side of a database, shared by a :class:`Database` and its
+    snapshots: the table map ``_tables`` and SELECT over it."""
+
+    _tables: dict[str, Table]
+
+    def table(self, name: str) -> Table:
+        """Return a table by (case-insensitive) name."""
+        table = self._tables.get(name.lower())
+        if table is None:
+            raise RelationalError(f"database {self.name!r} has no table {name!r}")
+        return table
+
+    def has_table(self, name: str) -> bool:
+        """True when a table with ``name`` exists."""
+        return name.lower() in self._tables
+
+    def tables(self) -> list[Table]:
+        """Return every table, in name order."""
+        return [self._tables[k] for k in sorted(self._tables)]
+
+    def table_names(self) -> list[str]:
+        """Return the declared table names, in name order."""
+        return [t.name for t in self.tables()]
+
+    def __len__(self) -> int:
+        """Rows over every table: the source's size."""
+        return sum(len(t) for t in self._tables.values())
+
+    def execute_select(self, statement: SelectStatement) -> ResultSet:
+        """Run an already-parsed SELECT statement."""
+        return SelectExecutor(self._tables).execute(statement)
+
+    def statistics(self) -> dict[str, dict[str, object]]:
+        """Per-table statistics, used by digests and the planner."""
+        return {t.name: t.statistics() for t in self.tables()}
+
+
+class Database(Journalled, Tables):
     """A named collection of tables accepting SQL statements."""
 
     def __init__(self, name: str = "db"):
@@ -86,25 +125,6 @@ class Database(Journalled):
             table.insert_many(rows)
         return table
 
-    def table(self, name: str) -> Table:
-        """Return a table by (case-insensitive) name."""
-        table = self._tables.get(name.lower())
-        if table is None:
-            raise RelationalError(f"database {self.name!r} has no table {name!r}")
-        return table
-
-    def has_table(self, name: str) -> bool:
-        """True when a table with ``name`` exists."""
-        return name.lower() in self._tables
-
-    def tables(self) -> list[Table]:
-        """Return every table, in name order."""
-        return [self._tables[k] for k in sorted(self._tables)]
-
-    def table_names(self) -> list[str]:
-        """Return the declared table names, in name order."""
-        return [t.name for t in self.tables()]
-
     def drop_table(self, name: str) -> None:
         """Remove a table from the catalog."""
         with self._rwlock.write_locked():
@@ -129,7 +149,8 @@ class Database(Journalled):
         """
         statement = parse_sql(sql)
         if isinstance(statement, SelectStatement):
-            return self.execute_select(statement)
+            with self.reading() as database:
+                return database.execute_select(statement)
         if isinstance(statement, CreateTableStatement):
             self._execute_create(statement)
             return ResultSet(columns=["status"], rows=[("created",)])
@@ -137,10 +158,6 @@ class Database(Journalled):
             count = self._execute_insert(statement)
             return ResultSet(columns=["inserted"], rows=[(count,)])
         raise RelationalError(f"unsupported statement type: {type(statement).__name__}")
-
-    def execute_select(self, statement: SelectStatement) -> ResultSet:
-        """Run an already-parsed SELECT statement."""
-        return SelectExecutor(self._tables).execute(statement)
 
     def query(self, sql: str) -> list[dict[str, object]]:
         """Run a SELECT and return rows as dictionaries (convenience)."""
@@ -171,26 +188,25 @@ class Database(Journalled):
         # One statement = one batch = one version bump (insert_many).
         return table.insert_many(rows)
 
-    def statistics(self) -> dict[str, dict[str, object]]:
-        """Per-table statistics, used by digests and the planner."""
-        return {t.name: t.statistics() for t in self.tables()}
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Database(name={self.name!r}, tables={self.table_names()})"
 
 
-class DatabaseSnapshot(Database):
+class DatabaseSnapshot(Logged, Tables):
     """What :meth:`Database.snapshot` returns: the table map of the cut,
     each table a :class:`TableSnapshot` read up to its row count (a
-    watermark).  It never writes."""
+    watermark over rows that are only ever appended), so its
+    :meth:`reading` yields itself and takes no lock.  It never writes."""
 
     def __init__(self, live: Database):
-        self.name, self._journal = live.name, live._journal
-        self._catalog_version = live._catalog_version
+        self.name, self._journal, self.version = live.name, live._journal, live.version
         self._tables = {key: TableSnapshot(table) for key, table in live._tables.items()}
 
-    def snapshot(self) -> "Database":
+    def snapshot(self) -> "DatabaseSnapshot":
         return self
+
+    def reading(self):
+        return nullcontext(self)
 
 
 Database._snapshot_type = DatabaseSnapshot

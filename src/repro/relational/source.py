@@ -102,46 +102,40 @@ class RelationalSource(DataSource):
         Either way each binding's rows are then cut out by the usual
         post-filters on output columns.
         """
-        batch = [dict(b or {}) for b in bindings_batch]
-        template = query.template
-        required = sorted(template.parameters)
-        echoes = template.batch_echoes
-        if len(batch) > 1 and echoes and all(var in b and b[var] is not None and _scalar(b[var])
-                          for b in batch for var in required):
-            answer = self._run(template.bind({}, in_lists={
-                var: dict.fromkeys(b[var] for b in batch) for var in required}))
-            specs = []
-            for b in batch:
-                spec = self._post_filters(query, b)
-                spec.extend((echoes[var], b[var]) for var in required)
-                specs.append(spec)
-            return _partition_exact(answer, specs)
+        with self.database.reading() as database:
+            batch = [dict(b or {}) for b in bindings_batch]
+            template = query.template
+            required = sorted(template.parameters)
+            echoes = template.batch_echoes
+            if len(batch) > 1 and echoes and all(
+                    var in b and b[var] is not None and _scalar(b[var])
+                    for b in batch for var in required):
+                answer = _run(database, template.bind({}, in_lists={
+                    var: dict.fromkeys(b[var] for b in batch) for var in required}))
+                specs = []
+                for b in batch:
+                    spec = self._post_filters(query, b)
+                    spec.extend((echoes[var], b[var]) for var in required)
+                    specs.append(spec)
+                return _partition_exact(answer, specs)
 
-        # One execution per distinct (type-tagged) parameter tuple.
-        groups: dict[tuple, list[int]] = {}
-        for index, b in enumerate(batch):
-            # A binding that lacks a parameter keys apart (shorter tuple)
-            # and fails in ``bind``.
-            values = [b[var] for var in required if var in b]
-            key = tuple((type(v).__name__, v if _scalar(v) else repr(v))
-                        for v in values)
-            groups.setdefault(key, []).append(index)
-        results: list[list[BindingBatch]] = [[] for _ in batch]
-        for indices in groups.values():
-            answer = self._run(template.bind(batch[indices[0]]))
-            parts = _partition_exact(answer, [self._post_filters(query, batch[i])
-                                              for i in indices])
-            for index, part in zip(indices, parts):
-                results[index] = part
-        return results
-
-    def _run(self, statement) -> BindingBatch:
-        """The result as one batch; a repeated output name keeps its last value."""
-        result = self.database.execute_select(statement)
-        at = {column: i for i, column in enumerate(result.columns)}
-        if len(at) == len(result.columns):
-            return BindingBatch(result.columns, result.rows)
-        return BindingBatch(at, list(map(tuple_getter(list(at.values())), result.rows)))
+            # One execution per distinct (type-tagged) parameter tuple.
+            groups: dict[tuple, list[int]] = {}
+            for index, b in enumerate(batch):
+                # A binding that lacks a parameter keys apart (shorter tuple)
+                # and fails in ``bind``.
+                values = [b[var] for var in required if var in b]
+                key = tuple((type(v).__name__, v if _scalar(v) else repr(v))
+                            for v in values)
+                groups.setdefault(key, []).append(index)
+            results: list[list[BindingBatch]] = [[] for _ in batch]
+            for indices in groups.values():
+                answer = _run(database, template.bind(batch[indices[0]]))
+                parts = _partition_exact(answer, [self._post_filters(query, batch[i])
+                                                  for i in indices])
+                for index, part in zip(indices, parts):
+                    results[index] = part
+            return results
 
     def estimate(self, query: SourceQuery, bound_variables: set[str] | None = None) -> float:
         if not isinstance(query, SQLQuery):
@@ -149,9 +143,10 @@ class RelationalSource(DataSource):
         bound_variables = bound_variables or set()
         template = query.template
         estimate = 1.0
-        for table_name in template.tables:
-            if self.database.has_table(table_name):
-                estimate *= max(1, len(self.database.table(table_name)))
+        with self.database.reading() as database:
+            for table_name in template.tables:
+                if database.has_table(table_name):
+                    estimate *= max(1, len(database.table(table_name)))
         if template.statement.where is not None:
             estimate = max(1.0, estimate / 10.0)
         for _ in query.output_variables() & bound_variables:
@@ -173,12 +168,12 @@ class RelationalSource(DataSource):
         if not (template.conjunctive and template.batch_safe
                 and not template.statement.distinct and template.tables):
             return None
-        database = self.database
         cardinality = 1.0
-        for table in template.tables:
-            if not database.has_table(table):
-                return None
-            cardinality *= max(1, len(database.table(table)))
+        with self.database.reading() as database:
+            for table in template.tables:
+                if not database.has_table(table):
+                    return None
+                cardinality *= max(1, len(database.table(table)))
 
         digest = self.digest()
         summaries = {(node.container.lower(), node.position.lower()): digest.values_of(node)
@@ -213,26 +208,26 @@ class RelationalSource(DataSource):
         """One node per attribute, its column's values summarised; edges
         join the attributes of a table and follow each foreign key.  Read
         off one snapshot, so the digest is exactly its version's."""
-        database = self.database.snapshot()
-        digest = SourceDigest(self.uri, self.model, version=database.version)
-        nodes_by_column: dict[tuple[str, str], DigestNode] = {}
-        for table in database.tables():
-            table_nodes = []
-            for column in table.schema.columns:
-                node = digest.add_node(
-                    DigestNode(self.uri, table.name, column.name, kind="column"),
-                    summarize(table.column_values(column.name)))
-                nodes_by_column[(table.name.lower(), column.name.lower())] = node
-                table_nodes.append(node)
-            digest.link_all(table_nodes)
-        for table in database.tables():
-            for fk in table.schema.foreign_keys:
-                left = nodes_by_column.get((table.name.lower(), fk.column.lower()))
-                right = nodes_by_column.get((fk.referenced_table.lower(),
-                                             fk.referenced_column.lower()))
-                if left is not None and right is not None:
-                    digest.add_edge(left, right, kind="foreign-key", weight=0.5)
-        digest.metadata["tables"] = database.table_names()
+        with self.database.snapshot().reading() as database:
+            digest = SourceDigest(self.uri, self.model, version=database.version)
+            nodes_by_column: dict[tuple[str, str], DigestNode] = {}
+            for table in database.tables():
+                table_nodes = []
+                for column in table.schema.columns:
+                    node = digest.add_node(
+                        DigestNode(self.uri, table.name, column.name, kind="column"),
+                        summarize(table.column_values(column.name)))
+                    nodes_by_column[(table.name.lower(), column.name.lower())] = node
+                    table_nodes.append(node)
+                digest.link_all(table_nodes)
+            for table in database.tables():
+                for fk in table.schema.foreign_keys:
+                    left = nodes_by_column.get((table.name.lower(), fk.column.lower()))
+                    right = nodes_by_column.get((fk.referenced_table.lower(),
+                                                 fk.referenced_column.lower()))
+                    if left is not None and right is not None:
+                        digest.add_edge(left, right, kind="foreign-key", weight=0.5)
+            digest.metadata["tables"] = database.table_names()
         return digest
 
     def absorb_digest(self, digest: SourceDigest, records: list) -> bool:
@@ -304,16 +299,23 @@ class RelationalSource(DataSource):
         against it unmodified.
         """
         delta_db = Database(f"{self.database.name}+delta")
-        for record in records:
-            if record.kind != INSERT or record.scope is None or not record.items:
-                continue
-            if not delta_db.has_table(record.scope):
-                delta_db.create_table(self.database.table(record.scope).schema)
-            delta_db.table(record.scope).insert_many(record.items)
+        with self.database.reading() as database:
+            for record in records:
+                if record.kind != INSERT or record.scope is None or not record.items:
+                    continue
+                if not delta_db.has_table(record.scope):
+                    delta_db.create_table(database.table(record.scope).schema)
+                delta_db.table(record.scope).insert_many(record.items)
         return RelationalSource(self.uri, delta_db, name=self.name), None
 
-    def size(self) -> int:
-        return sum(len(t) for t in self.database.tables())
+
+def _run(database, statement) -> BindingBatch:
+    """The result as one batch; a repeated output name keeps its last value."""
+    result = database.execute_select(statement)
+    at = {column: i for i, column in enumerate(result.columns)}
+    if len(at) == len(result.columns):
+        return BindingBatch(result.columns, result.rows)
+    return BindingBatch(at, list(map(tuple_getter(list(at.values())), result.rows)))
 
 
 def _conjunct_selectivity(conjunct: Expression,

@@ -36,7 +36,67 @@ class Index:
         return sum(len(rows) for rows in self._entries.values())
 
 
-class Table:
+class Rows:
+    """The read side of a table, shared by a :class:`Table` and its
+    snapshots: ``schema``, the stored ``rows`` and their ``_indexes``."""
+
+    @property
+    def name(self) -> str:
+        return self.schema.name
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self) -> Iterator[tuple]:
+        return iter(self.rows)
+
+    def scan(self, predicate: Callable[[dict[str, object]], bool] | None = None) -> Iterator[dict[str, object]]:
+        """Yield rows as dictionaries, optionally filtered by ``predicate``."""
+        names = self.schema.column_names()
+        for row in self.rows:
+            record = dict(zip(names, row))
+            if predicate is None or predicate(record):
+                yield record
+
+    def lookup(self, column: str, value: object) -> list[dict[str, object]]:
+        """Return the rows where ``column == value``, via index when available."""
+        names, rows = self.schema.column_names(), self.rows
+        key = column.lower()
+        if key in self._indexes:
+            return [dict(zip(names, rows[row_id]))
+                    for row_id in self._indexes[key].lookup(value) if row_id < len(rows)]
+        position = self.schema.column_index(column)
+        return [dict(zip(names, row)) for row in rows if row[position] == value]
+
+    def has_index(self, column: str) -> bool:
+        """True when a hash index exists on ``column``."""
+        return column.lower() in self._indexes
+
+    def distinct_values(self, column: str) -> set[object]:
+        """Return the distinct non-NULL values of ``column``."""
+        position = self.schema.column_index(column)
+        return {row[position] for row in self.rows if row[position] is not None}
+
+    def column_values(self, column: str) -> list[object]:
+        """Return every value (including duplicates) of ``column``."""
+        position = self.schema.column_index(column)
+        return [row[position] for row in self.rows]
+
+    def statistics(self) -> dict[str, object]:
+        """Basic per-table statistics used by the mediator's planner."""
+        return {
+            "rows": len(self),
+            "columns": len(self.schema.columns),
+            "distinct": {
+                c.name: len(self.distinct_values(c.name)) for c in self.schema.columns
+            },
+        }
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+        return f"Table({self.name!r}, rows={len(self.rows)})"
+
+
+class Table(Rows):
     """An in-memory table: a schema plus a list of tuples.
 
     Rows are stored as tuples in insertion order; hash indexes can be added
@@ -140,72 +200,14 @@ class Table:
             self._indexes[key] = index
             return index
 
-    # ------------------------------------------------------------------
-    # Access
-    # ------------------------------------------------------------------
-    @property
-    def name(self) -> str:
-        return self.schema.name
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self) -> Iterator[tuple]:
-        return iter(self.rows)
-
-    def scan(self, predicate: Callable[[dict[str, object]], bool] | None = None) -> Iterator[dict[str, object]]:
-        """Yield rows as dictionaries, optionally filtered by ``predicate``."""
-        names = self.schema.column_names()
-        for row in self.rows:
-            record = dict(zip(names, row))
-            if predicate is None or predicate(record):
-                yield record
-
-    def lookup(self, column: str, value: object) -> list[dict[str, object]]:
-        """Return the rows where ``column == value``, via index when available."""
-        names, rows = self.schema.column_names(), self.rows
-        key = column.lower()
-        if key in self._indexes:
-            return [dict(zip(names, rows[row_id]))
-                    for row_id in self._indexes[key].lookup(value) if row_id < len(rows)]
-        position = self.schema.column_index(column)
-        return [dict(zip(names, row)) for row in rows if row[position] == value]
-
-    def has_index(self, column: str) -> bool:
-        """True when a hash index exists on ``column``."""
-        return column.lower() in self._indexes
-
-    def distinct_values(self, column: str) -> set[object]:
-        """Return the distinct non-NULL values of ``column``."""
-        position = self.schema.column_index(column)
-        return {row[position] for row in self.rows if row[position] is not None}
-
-    def column_values(self, column: str) -> list[object]:
-        """Return every value (including duplicates) of ``column``."""
-        position = self.schema.column_index(column)
-        return [row[position] for row in self.rows]
-
-    def statistics(self) -> dict[str, object]:
-        """Basic per-table statistics used by the mediator's planner."""
-        return {
-            "rows": len(self),
-            "columns": len(self.schema.columns),
-            "distinct": {
-                c.name: len(self.distinct_values(c.name)) for c in self.schema.columns
-            },
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Table({self.name!r}, rows={len(self.rows)})"
-
-
-class TableSnapshot(Table):
+class TableSnapshot(Rows):
     """A table read up to its row count at the cut (rows and index
     positions only grow); it never writes."""
 
     def __init__(self, live: Table):
         self.schema, self._indexes = live.schema, live._indexes
-        self._live_rows, self._count, self._version = live.rows, len(live.rows), live._version
+        self._live_rows, self._count = live.rows, len(live.rows)
 
     @property
     def rows(self) -> list[tuple]:

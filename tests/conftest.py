@@ -26,10 +26,10 @@ def pytest_configure(config):
         "with `pytest -m obs`.")
     config.addinivalue_line(
         "markers",
-        "json_accel: JSON matcher suites (the index-assisted walk held "
+        "json_matcher: JSON matcher suites (the index-assisted walk held "
         "to per-document reference scans, pinned readers and deep "
         "documents, including hypothesis property tests); run in "
-        "isolation with `pytest -m json_accel`.")
+        "isolation with `pytest -m json_matcher`.")
     config.addinivalue_line(
         "markers",
         "remote: remote source federation suites (wire protocol, "

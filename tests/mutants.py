@@ -4,14 +4,16 @@ A mutant is one deliberate bug, applied by monkeypatching the program
 (nothing on disk changes).  The script runs the row-kernel tests
 (``test_row_kernels.py``), the compact-store tests
 (``test_compact_stores.py``), the JSON matcher's differential against
-per-document reference scans (``test_json_accel.py::TestEquivalence``)
+per-document reference scans (``test_json_matcher.py::TestEquivalence``),
+the read-protocol tests (``test_digest_maintenance.py::TestReadProtocol``)
 and then ``test_oracle_harness.py`` once per mutant, each in a fresh
 interpreter, and calls the mutant *killed* when they fail; a mutant that
 survives is a bug they cannot see.  The
 kernel and store tests catch what two equally mutated instances cannot
 tell apart — the order of tied hits, a loose match on a shared column,
 a phrase no asking of the harness reads, an index entry a matcher's
-verification hides, a walk that drops a pushed-down value.  The unmutated
+verification hides, a walk that drops a pushed-down value, a read a
+concurrent writer tears.  The unmutated
 run comes first and must pass.  Not a tier-1 test — it runs the harness
 once per mutant, about ten seconds each::
 
@@ -34,7 +36,9 @@ HARNESS = HERE / "test_oracle_harness.py"
 KERNELS = HERE / "test_row_kernels.py"
 STORES = HERE / "test_compact_stores.py"
 #: The JSON matcher against per-document reference scans.
-MATCHER = f"{HERE / 'test_json_accel.py'}::TestEquivalence"
+MATCHER = f"{HERE / 'test_json_matcher.py'}::TestEquivalence"
+#: Digests derived while a writer commits, and snapshots read only in a reading.
+READS = f"{HERE / 'test_digest_maintenance.py'}::TestReadProtocol"
 
 
 def constants_out_of_the_binding_key(patch) -> None:
@@ -138,7 +142,8 @@ def repair_reads_pre_write_closure(patch) -> None:
         if not found:
             return found
         graph, triples = found
-        before = graph.copy()
+        with graph.reading() as current:
+            before = current.copy()
         before.remove_all(triples)
         return before, triples
 
@@ -205,6 +210,15 @@ def snapshot_replay_writes_live(patch) -> None:
 
     patch.setattr(CopyOnWrite, "get",
                   lambda self, key, default=None: dict.get(self, key, default))
+
+
+def live_reading_unlocked(patch) -> None:
+    """A live store's reading yields the store without its read lock."""
+    from contextlib import nullcontext
+
+    from repro.core.deltas import Journalled
+
+    patch.setattr(Journalled, "reading", lambda self: nullcontext(self))
 
 
 def rdf_header_sorted(patch) -> None:
@@ -367,7 +381,7 @@ MUTANTS = {mutant.__name__: mutant for mutant in (
     repair_from_explicit_delta, seed_drops_spelling_variants,
     repair_reads_pre_write_closure, wire_skips_tagged_columns,
     stored_row_outlives_upsert, snapshot_reads_live_stored_rows,
-    snapshot_replay_writes_live,
+    snapshot_replay_writes_live, live_reading_unlocked,
     rdf_header_sorted, remote_header_reversed, rank_without_id_tie_break,
     merge_without_shared_check, pinned_catalog_outlives_a_write,
     phrase_ignores_adjacency, json_deindex_drops_a_leaf, unrestricted_leaf_skipped,
@@ -386,7 +400,7 @@ def _run(name: str) -> int:
     if name != "none":
         MUTANTS[name](patch)
     return pytest.main(["-q", "-x", "-p", "no:cacheprovider", str(KERNELS), str(STORES),
-                        MATCHER, str(HARNESS)])
+                        MATCHER, READS, str(HARNESS)])
 
 
 def main(argv: list[str]) -> int:

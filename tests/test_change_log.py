@@ -264,7 +264,8 @@ def test_snapshots_and_deltas_since_match_deep_copies(model_type, count, seed, b
     # A snapshot reads what a deep copy taken at its version holds, and
     # rebuilding it wrote nothing into the live store.
     for snapshot, state in held:
-        assert model.reads(snapshot) == _expected_reads(model_type, state)
+        with snapshot.reading() as pinned:
+            assert model.reads(pinned) == _expected_reads(model_type, state)
     assert model.reads(store) == _expected_reads(model_type, model.copy())
     # The log chains exactly the batches written, from every version its
     # window holds; it dropped only spans over the budget.
@@ -313,4 +314,5 @@ def test_a_read_only_pass_copies_only_what_the_replay_wrote():
         assert replayed == {"u7"}
         assert sum(len(index.lookup_eq(key)) for key in list(index.postings)) == 2000
         assert set(index.postings._own) == replayed
-    assert len(behind[0]) == len(behind[1]) == 2000
+    with behind[0].reading() as text, behind[1].reading() as docs:
+        assert len(text) == len(docs) == 2000

@@ -95,9 +95,10 @@ class TestPhraseMatches:
         if pinned is None:
             return
         snapshot, documents = pinned
-        for words in phrases:
-            assert snapshot.matches(PhraseQuery("text", tuple(words))) == _naive_phrase(
-                store, documents, words), words
+        with snapshot.reading() as frozen:
+            for words in phrases:
+                assert frozen.matches(PhraseQuery("text", tuple(words))) == _naive_phrase(
+                    store, documents, words), words
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,24 @@ def test_a_name_with_a_space_runs_on_the_full_text_source_as_on_the_json_one():
     assert tweets
 
 
+def test_a_keyword_matching_only_a_position_name_constrains_no_value():
+    """``unemployment`` names the table of ``unemployment.dept_code`` but
+    matches none of its values: the position joins the path without a
+    ``LIKE '%unemployment%'``, which found no row, so the cheapest
+    candidate (IGN ``codeINSEE`` to ``dept_code``) answers."""
+    demo = build_demo_instance(DemoConfig(politicians=18, weeks=4,
+                                          tweets_per_politician_per_week=2.0, seed=42))
+    outcome = demo.instance.keyword_query(["Gironde", "unemployment"])
+    cheapest = outcome.candidates[0]
+    assert [hit.node.label() for hit in cheapest.hits] == [
+        "Departement.nom", "unemployment.dept_code"]
+    assert demo.instance.execute(cheapest.query).rows
+    assert [hit.name_only for hit in cheapest.hits] == [False, True]
+    sql = next(atom for atom in cheapest.query.atoms if atom.source == "sql://insee")
+    assert sql.query.sql == "SELECT dept_code AS v1 FROM unemployment" and not sql.constants
+    assert outcome.best is cheapest
+
+
 def test_keyword_search_on_a_federated_instance_reports_what_it_cannot_see():
     """Behind a remote wrapper the data lives with the peer: the source
     derives no digest, contributes no hit, and the outcome names it

@@ -4,17 +4,26 @@ A relational wrapper's digest serves both keyword search and the
 planner's column estimates.  It is shared by the live wrapper and its
 pins and moves to a newer version by absorbing the journal's insert-only
 records; any other change derives it again.  A differential property test
-holds the kept digest to a freshly derived one.
+holds the kept digest to a freshly derived one.  Every model derives its
+digest in one reading of its store, so a digest derived while a writer
+commits is exactly the version it is stamped with.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.fulltext.source import FullTextSource
+from repro.fulltext.store import tweet_store
+from repro.json.source import JSONSource
+from repro.json.store import JSONDocumentStore
+from repro.rdf import Graph, TriplePattern, Variable, triple
+from repro.rdf.source import RDFSource
 from repro.relational import Database
 from repro.relational.source import RelationalSource, SQLQuery
 from repro.stats.catalog import StatisticsCatalog
@@ -206,3 +215,111 @@ def test_the_kept_digest_matches_a_fresh_one(batches, reset):
         db.drop_table("u")
     assert source.digest() is not first
     _assert_matches_a_fresh_derivation(source)
+
+
+# ---------------------------------------------------------------------------
+# One read protocol: a digest derived under writes is its version's
+# ---------------------------------------------------------------------------
+
+def _tweet(i: int) -> dict:
+    return {"id": i, "text": f"vote budget w{i % 97} urgence", "retweet_count": i % 11,
+            "user": {"screen_name": f"u{i % 50}"}, "entities": {"hashtags": [f"h{i % 13}"]}}
+
+
+def _fulltext(size: int):
+    store = tweet_store("s")
+    store.add_all(_tweet(i) for i in range(size))
+    return store, FullTextSource, lambda batch: store.add_all(
+        _tweet(size + 5 * batch + k) for k in range(5))
+
+
+def _json(size: int):
+    store = JSONDocumentStore("j")
+    store.add_all(_tweet(i) for i in range(size))
+    return store, JSONSource, lambda batch: store.add_all(
+        _tweet(size + 5 * batch + k) for k in range(5))
+
+
+def _fact(i: int) -> list:
+    return [triple(f"ttn:s{i}", "rdf:type", f"ttn:C{i % 3}"),
+            triple(f"ttn:s{i}", "ttn:name", f"n{i}"), triple(f"ttn:s{i}", "ttn:p", i % 29)]
+
+
+def _rdf(size: int):
+    graph = Graph("g", [t for i in range(size // 3) for t in _fact(i)])
+    return graph, RDFSource, lambda batch: graph.add_all(
+        t for k in range(2) for t in _fact(size + 2 * batch + k))
+
+
+def _relational(size: int):
+    database = Database("d")
+    database.create_table_from_rows("t", [{"n": i, "s": f"v{i % 41}"} for i in range(size)])
+    return database, RelationalSource, lambda batch: database.table("t").insert_many(
+        {"n": size + 5 * batch + k, "s": f"v{k}"} for k in range(5))
+
+
+def _exact(values, keyword_aliases=()) -> tuple:
+    """A value set as the multiset it summarises (order aside)."""
+    return sorted(map(repr, values)), sorted(map(repr, keyword_aliases))
+
+
+class TestReadProtocol:
+    @pytest.mark.parametrize("pinned", [False, True], ids=["live", "pinned"])
+    @pytest.mark.parametrize("world, size", [(_fulltext, 2000), (_json, 2000),
+                                             (_rdf, 5000), (_relational, 2000)],
+                             ids=["fulltext", "json", "rdf", "relational"])
+    def test_a_digest_derived_under_writes_is_its_stamped_version(self, world, size, pinned):
+        """A writer commits small batches while the wrapper derives its
+        digest: no read iterates a container the writer resizes, and each
+        digest's value sets are those of a snapshot at its version."""
+        store, wrapper, write = world(size)
+        source = wrapper("src://s", store)
+        reader = source.pin() if pinned else source
+        views = {store.version: store.snapshot()}
+        stop, wrote, failures = threading.Event(), threading.Event(), []
+
+        def writer():
+            batch = 0
+            try:
+                while not stop.is_set():
+                    write(batch)
+                    batch += 1
+                    views[store.version] = store.snapshot()
+                    wrote.set()
+            except Exception as error:  # noqa: BLE001 - reported below
+                failures.append(error)
+                wrote.set()
+
+        thread = threading.Thread(target=writer)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        thread.start()
+        try:
+            wrote.wait(timeout=60)
+            digests = [reader.derive_digest(_exact) for _ in range(3)]
+        finally:
+            stop.set()
+            thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert not failures, failures[0]
+        for digest in digests:
+            expected = wrapper("src://s", views[digest.version]).derive_digest(_exact)
+            assert digest.value_sets == expected.value_sets
+            assert digest.metadata == expected.metadata
+
+    @pytest.mark.parametrize("make, read", [
+        (lambda: JSONDocumentStore("j"), lambda view: view.documents()),
+        (lambda: tweet_store("s"), lambda view: view.documents()),
+        (lambda: tweet_store("s"), lambda view: view.search("text:vote")),
+        (lambda: Graph("g", _fact(0)), lambda view: view.match(
+            TriplePattern(Variable("s"), Variable("p"), Variable("o"))))],
+        ids=["json", "fulltext", "fulltext-search", "rdf"])
+    def test_a_snapshot_is_read_through_reading_only(self, make, read):
+        """A snapshot holds no data: a direct read raises, the same read
+        inside ``reading()`` answers."""
+        view = make().snapshot()
+        with pytest.raises(AttributeError):
+            read(view)
+        with view.reading() as frozen:
+            read(frozen)

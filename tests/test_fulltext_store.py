@@ -306,13 +306,14 @@ class TestScoringInvariants:
         _seeded_writes(small_tweet_store, rng, steps=25)
         frozen = small_tweet_store.snapshot()
         queries = ["text:urgence", "text:budget OR text:vote", "entities.hashtags:sia2016"]
-        before = [[(h.document.doc_id, h.score) for h in frozen.search(q, limit=None)]
-                  for q in queries]
         with frozen.reading() as store:
+            before = [[(h.document.doc_id, h.score) for h in store.search(q, limit=None)]
+                      for q in queries]
             average = store._text_indexes["text"].average_document_length()
         _seeded_writes(small_tweet_store, rng, steps=25)
-        assert [[(h.document.doc_id, h.score) for h in frozen.search(q, limit=None)]
-                for q in queries] == before
+        with frozen.reading() as store:
+            assert [[(h.document.doc_id, h.score) for h in store.search(q, limit=None)]
+                    for q in queries] == before
         # The live indexes read back at the snapshot's version.
         with frozen.reading() as store:
             assert store is not small_tweet_store
@@ -558,9 +559,10 @@ class TestStoredRows:
         then = _WalkingStore("rows", _ROW_FIELDS)
         then.add_all(documents)
         live = _reprs(store.stored_rows()), _read_state(store)
-        assert _reprs(snapshot.stored_rows()) == _reprs(
-            {doc.doc_id: _walked_row(doc) for doc in documents})
-        assert _read_state(snapshot) == _read_state(then)
+        with snapshot.reading() as frozen:
+            assert _reprs(frozen.stored_rows()) == _reprs(
+                {doc.doc_id: _walked_row(doc) for doc in documents})
+            assert _read_state(frozen) == _read_state(then)
         # Reading the snapshot left the live store as it was.
         assert (_reprs(store.stored_rows()), _read_state(store)) == live
 
@@ -606,11 +608,14 @@ class TestStoredValueScan:
         during = store.snapshot()
         assert store.matches("entities.hashtags:sia2016") == {"p3"}
         # A view taken before the write that adds the path answers nothing.
-        assert before.matches("entities.hashtags:SIA2016") == set()
+        with before.reading() as frozen:
+            assert frozen.matches("entities.hashtags:SIA2016") == set()
         store.add({"id": "p3", "message": "x"})
         assert store.matches("entities.hashtags:sia2016") == set()
-        assert during.matches("entities.hashtags:sia2016") == {"p3"}
+        with during.reading() as frozen:
+            assert frozen.matches("entities.hashtags:sia2016") == {"p3"}
         store.remove("p1")
         store.remove("p2")
         assert store.matches("group:ps") == set()
-        assert before.matches("group:ps") == {"p1"}
+        with before.reading() as frozen:
+            assert frozen.matches("group:ps") == {"p1"}

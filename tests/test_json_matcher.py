@@ -13,6 +13,8 @@ catalog's estimates on a small workload.
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -32,7 +34,7 @@ from repro.json import (
 )
 from repro.json.pattern import COMPARISONS
 
-pytestmark = pytest.mark.json_accel
+pytestmark = pytest.mark.json_matcher
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +116,14 @@ def _scan(store, pattern, parameters=None, pushdown=None, limit=None):
     return rows if limit is None else rows[:limit]
 
 
+def _match(store, pattern, **kwargs):
+    """The matcher's rows, in one reading of ``store`` (a store or a snapshot)."""
+    with store.reading() as read:
+        return TreePatternMatcher(read).match(pattern, **kwargs)
+
+
 def _both(store, pattern, **kwargs):
-    return _scan(store, pattern, **kwargs), TreePatternMatcher(store).match(pattern, **kwargs)
+    return _scan(store, pattern, **kwargs), _match(store, pattern, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +228,7 @@ class TestSnapshotIsolation:
         snap = store.snapshot()
         for i in range(6, 12):
             store.add({"id": i, "a": {"b": i}})
-        assert TreePatternMatcher(snap).match(pattern) == before == _scan(snap, pattern)
+        assert _match(snap, pattern) == before == _scan(snap, pattern)
         assert len(TreePatternMatcher(store).match(pattern)) == 12
 
     @given(batches=st.lists(st.lists(
@@ -239,8 +247,7 @@ class TestSnapshotIsolation:
                 store.add({"id": next_id, **doc})
                 next_id += 1
             snap = store.snapshot()
-            rows = TreePatternMatcher(snap).match(
-                pattern, parameters=parameters, pushdown=pushdown)
+            rows = _match(snap, pattern, parameters=parameters, pushdown=pushdown)
             pinned.append((snap, rows))
         # Every pin still answers exactly what it answered at pin time,
         # matched or scanned, despite all the writes that followed.
@@ -281,13 +288,12 @@ class TestSnapshotIsolation:
                 snap = store.snapshot()
                 expected = _scan(snap, pattern, **kwargs)
                 if argument:  # query it right away, or only after more writes
-                    assert TreePatternMatcher(snap).match(pattern, **kwargs) == expected
+                    assert _match(snap, pattern, **kwargs) == expected
                 pinned.append((snap, expected))
             else:
                 readers = [store] + [snap for snap, _ in pinned]
                 reader = readers[argument % len(readers)]
-                assert TreePatternMatcher(reader).match(pattern, **kwargs) == \
-                    _scan(reader, pattern, **kwargs)
+                assert _match(reader, pattern, **kwargs) == _scan(reader, pattern, **kwargs)
         reference, matched = _both(store, pattern, **kwargs)
         assert matched == reference
         for snap, expected in pinned:
@@ -306,7 +312,7 @@ class TestSnapshotIsolation:
         assert matched == reference
         assert {row["v"] for row in matched} == {0, 1, 2, 4, 5, 6, 7}
         # The pre-removal snapshot still sees all eight documents.
-        assert len(TreePatternMatcher(snap).match(pattern)) == 8
+        assert len(_match(snap, pattern)) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +356,11 @@ class TestPathIndexCOW:
         store.add({"id": 99, "a": "fresh"})
         assert store.index_for("a") is live
         assert live.postings is postings
-        frozen = snap.index_for("a")
-        assert frozen is not live and frozen.documents() == {"0", "1", "2", "3", "4"}
-        assert frozen.lookup_eq("fresh") == set()
-        assert frozen.lookup_eq("k0") == {"0", "2", "4"}
+        with snap.reading() as pinned:
+            frozen = pinned.index_for("a")
+            assert frozen is not live and frozen.documents() == {"0", "1", "2", "3", "4"}
+            assert frozen.lookup_eq("fresh") == set()
+            assert frozen.lookup_eq("k0") == {"0", "2", "4"}
         assert store.index_for("a").lookup_eq("fresh") == {"99"}
 
     def test_presence_follows_the_values_a_document_still_holds(self):
@@ -376,11 +383,13 @@ class TestPathIndexCOW:
         store.add_all([{"id": "d", "tags": ["red", "blue"]}, {"id": "e", "tags": ["red"]}])
         snap = store.snapshot()
         store.add({"id": "d", "other": True})
-        twin = snap.index_for("tags")
+        with snap.reading() as pinned:
+            twin = copy.deepcopy(pinned.index_for("tags"))
         assert twin.documents() == {"d", "e"} and twin.lookup_eq("red") == {"d", "e"}
         twin.remove("d", ["red", "blue"])
         assert twin.documents() == {"e"} and twin.postings == {"red": ("e",)}
-        assert snap.index_for("tags").documents() == {"d", "e"}
+        with snap.reading() as pinned:
+            assert pinned.index_for("tags").documents() == {"d", "e"}
         assert store.index_for("tags").documents() == {"e"}
         assert store.index_for("tags").document_count == 1
 
@@ -415,8 +424,9 @@ class TestPathIndexCOW:
         assert store.index_for("tags").lookup_eq("a") == {"2"}
         store.add({"id": 1, "other": True})
         assert store.index_for("tags").documents() == {"2"}
-        assert snap.index_for("tags").documents() == {"1", "2"}
-        assert snap.index_for("tags").lookup_eq("a") == {"1", "2"}
+        with snap.reading() as pinned:
+            assert pinned.index_for("tags").documents() == {"1", "2"}
+            assert pinned.index_for("tags").lookup_eq("a") == {"1", "2"}
 
 
 # ---------------------------------------------------------------------------

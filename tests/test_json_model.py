@@ -269,10 +269,11 @@ class TestStore:
                 store.remove(str(argument))
             else:
                 readers.append(store.snapshot())
-        for reader in readers:
-            guide = reader.dataguide()
-            built = JSONDataguide.build(reader.documents())
-            assert guide.document_count == built.document_count == len(reader)
+        for view in readers:
+            with view.reading() as reader:
+                guide = reader.dataguide()
+                built = JSONDataguide.build(reader.documents())
+                assert guide.document_count == built.document_count == len(reader)
             assert guide.path_names() == built.path_names()
             for path, info in built.paths.items():
                 assert guide.info(path).count == info.count

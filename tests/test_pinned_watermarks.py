@@ -378,9 +378,11 @@ class _World:
     @staticmethod
     def _check(views, pinned, expected) -> None:
         graph_view, store_view, documents_view = views
-        assert _graph_answers(graph_view) == expected[0]
-        assert _store_answers(store_view) == expected[1]
-        assert _json_answers(documents_view) == expected[2]
+        with graph_view.reading() as graph, store_view.reading() as store, \
+                documents_view.reading() as documents:
+            assert _graph_answers(graph) == expected[0]
+            assert _store_answers(store) == expected[1]
+            assert _json_answers(documents) == expected[2]
         assert _wrapper_answers(*pinned) == expected[3]
 
     def check(self) -> None:
@@ -540,8 +542,7 @@ def test_pinned_readers_race_a_writer():
     def reader():
         try:
             for _ in range(rounds):
-                with graph.rwlock.read_locked(), store._rwlock.read_locked(), \
-                        documents._rwlock.read_locked():
+                with graph.reading(), store.reading(), documents.reading():
                     view, twin = graph.snapshot(), set(graph)
                     text_view, texts = store.snapshot(), store.documents()
                     json_view, pinned = documents.snapshot(), source.pin()
@@ -553,23 +554,27 @@ def test_pinned_readers_race_a_writer():
                 json_source = JSONSource("json://twin", json_twin)
                 wildcard = TriplePattern(Variable("s"), Variable("p"), Variable("o"))
                 for _ in range(3):
-                    assert set(view.match(wildcard)) == twin
-                    assert len(view) == len(twin)
+                    with view.reading() as frozen:
+                        assert set(frozen.match(wildcard)) == twin
+                        assert len(frozen) == len(twin)
                     for query in ("text:urgence", "text:budget OR text:vote"):
-                        assert [(h.document.doc_id, h.score) for h in
-                                text_view.search(query, limit=None)] == \
-                            [(h.document.doc_id, h.score) for h in
-                             text_twin.search(query, limit=None)]
+                        with text_view.reading() as frozen:
+                            assert [(h.document.doc_id, h.score) for h in
+                                    frozen.search(query, limit=None)] == \
+                                [(h.document.doc_id, h.score) for h in
+                                 text_twin.search(query, limit=None)]
                     for name in NAMES:
-                        assert text_view.keyword_documents("user.screen_name", name) == \
-                            text_twin.keyword_documents("user.screen_name", name)
+                        with text_view.reading() as frozen:
+                            assert frozen.keyword_documents("user.screen_name", name) == \
+                                text_twin.keyword_documents("user.screen_name", name)
                     assert pinned.execute(JSON_ALL) == json_source.execute(JSON_ALL)
                     assert list(map(dict_rows, pinned.execute_batch(
                         JSON_ALL, [{"u": n} for n in NAMES]))) == list(map(dict_rows,
                             json_source.execute_batch(JSON_ALL, [{"u": n} for n in NAMES])))
-                    assert json_view.index_for("user.screen_name").documents() == \
-                        json_twin.index_for("user.screen_name").documents()
-                    assert json_view.documents() == json_docs
+                    with json_view.reading() as frozen:
+                        assert frozen.index_for("user.screen_name").documents() == \
+                            json_twin.index_for("user.screen_name").documents()
+                        assert frozen.documents() == json_docs
         except Exception as error:  # noqa: BLE001 - reported below
             failures.append(error)
 

@@ -19,6 +19,7 @@ from repro.cache.repair import RepairEngine
 from repro.cache.results import CachedSource, SubQueryResultCache, counting
 from repro.core import JSONQuery, StatisticsCatalog
 from repro.core.cmq import SourceAtom
+from repro.core.deltas import Snapshot
 from repro.core.planner import PlannerOptions
 from repro.core.sources import DataSource
 from repro.fulltext.source import FullTextQuery, FullTextSource
@@ -43,6 +44,7 @@ from repro.json.store import JSONDocumentStore
 from repro.obs.metrics import get_registry, reset_registry
 from repro.rdf import Graph, RDFSchema, triple
 from repro.relational import Database
+from repro.relational.database import DatabaseSnapshot
 from repro.service import MediatorService, ServiceConfig
 
 
@@ -125,14 +127,16 @@ class TestNoQueryEncodes:
         store.add_all(_tweet(i) for i in range(n))
         pattern = parse_pattern("{ text: ?t, user.screen_name: ?id }")
         pinned = store.snapshot()
-        assert len(TreePatternMatcher(pinned).match(pattern)) == n
+        with pinned.reading() as frozen:
+            assert len(TreePatternMatcher(frozen).match(pattern)) == n
         store.add_all({**_tweet(i), "retweet_count": 99} for i in range(b))
         calls: Counter = Counter()
         _spy(monkeypatch, StoreEncoding, "_encode", calls)
-        repinned = store.snapshot()
-        assert len(TreePatternMatcher(repinned).match(pattern)) == n
+        with store.snapshot().reading() as frozen:
+            assert len(TreePatternMatcher(frozen).match(pattern)) == n
         TreePatternMatcher(store).match(pattern)
-        TreePatternMatcher(store.snapshot()).match(pattern)
+        with store.snapshot().reading() as frozen:
+            TreePatternMatcher(frozen).match(pattern)
         assert calls["_encode"] == 0          # parent: b (the upserted copies)
 
     def test_a_cold_demo_pass_and_two_write_batches_encode_nothing(self, monkeypatch):
@@ -250,7 +254,9 @@ class TestRepairIsSetAtATime:
 # 4. Plans reference sources by URI and pin no snapshot
 # ---------------------------------------------------------------------------
 
-STORES = (DataSource, Graph, FullTextStore, JSONDocumentStore, Database)
+#: The stores and their snapshots (which no longer subclass them).
+SNAPSHOTS = (Snapshot, DatabaseSnapshot)
+STORES = (DataSource, Graph, FullTextStore, JSONDocumentStore, Database) + SNAPSHOTS
 
 
 def _reachable(roots: list) -> list:
@@ -285,7 +291,8 @@ class TestPlansPinNoSnapshot:
             gc.collect()
             return Counter(
                 (type(store).__name__, store.name) for store in gc.get_objects()
-                if isinstance(store, (FullTextStore, JSONDocumentStore, Database, Graph))
+                if isinstance(store, (FullTextStore, JSONDocumentStore, Database, Graph)
+                              + SNAPSHOTS)
                 and not store.name.endswith("+delta"))
 
         # Demo instances other tests left alive carry the same store names
@@ -351,7 +358,8 @@ class TestPinnedSaturationIsSeededFromTheDelta:
     def test_seeding_from_the_previous_pin_tests_the_delta_only(self, monkeypatch):
         source = self._source()
         first = source.pin()
-        assert len(first.effective_graph()) > 2 * self.SIZE
+        with first.effective_graph().reading() as saturated:
+            assert len(saturated) > 2 * self.SIZE
         # Written past the wrapper, so the live saturation is out of sync
         # and the next pin is seeded from the previous one.
         added = [triple(f"ttn:Q{i}", "rdf:type", "ttn:politician") for i in range(3)]
@@ -368,4 +376,5 @@ class TestPinnedSaturationIsSeededFromTheDelta:
         from repro.rdf.entailment import saturate
 
         expected, _ = saturate(source.graph)
-        assert set(second.effective_graph()) == set(expected)
+        with second.effective_graph().reading() as saturated:
+            assert set(saturated) == set(expected)

@@ -279,7 +279,8 @@ class TestTermIds:
         assert snapshot.dictionary is copy.dictionary is graph.dictionary
         ids = graph.dictionary.ids
         assert graph.dictionary.terms[ids[uri("ttn:new")]] == uri("ttn:new")
-        assert triple("ttn:new", "ttn:knows", "ttn:a") not in snapshot
+        with snapshot.reading() as frozen:
+            assert triple("ttn:new", "ttn:knows", "ttn:a") not in frozen
         assert triple("ttn:other", "ttn:knows", "ttn:a") not in graph
 
     def test_the_dictionary_decodes_each_term_to_its_python_value(self):

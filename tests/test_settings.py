@@ -30,6 +30,6 @@ def test_configuration_objects_have_only_the_fields_callers_set():
         "DemoConfig": ("politicians", "weeks", "tweets_per_politician_per_week",
                        "topic", "seed"),
         "TweetGeneratorConfig": ("topic", "weeks", "tweets_per_politician_per_week",
-                                 "start", "seed"),
+                                 "seed"),
         "Analyzer": ("language", "keep_hashtags", "extra_stopwords"),
     }

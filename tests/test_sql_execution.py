@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import RelationalError, SQLParseError
 from repro.relational import Database
+from repro.relational.parser import parse_sql
 
 
 class TestBasicSelect:
@@ -257,6 +258,7 @@ class TestCompiledColumns:
         snapshot = database.snapshot()
         database.execute("INSERT INTO g (k, v) VALUES (3, 'z')")
         database.execute("INSERT INTO e (k, v) VALUES (1, 'p')")
-        assert snapshot.execute("SELECT g.k, e.v FROM g LEFT JOIN e ON g.k = e.k").rows == \
-            [(1, None), (2, None)]
+        with snapshot.reading() as frozen:
+            assert frozen.execute_select(parse_sql(
+                "SELECT g.k, e.v FROM g LEFT JOIN e ON g.k = e.k")).rows == [(1, None), (2, None)]
         assert len(database.execute("SELECT k FROM g")) == 3
