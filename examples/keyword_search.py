@@ -30,7 +30,7 @@ def main() -> None:
     print(f"  cross-source join candidates discovered: {len(catalog.join_edges)}")
     print()
 
-    engine = KeywordQueryEngine(instance, catalog=catalog)
+    engine = KeywordQueryEngine(instance)
     for keywords in (["head of state", "SIA2016"],
                      ["Gironde", "unemployment"],
                      ["ecologists", "urgence"]):

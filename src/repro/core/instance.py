@@ -22,7 +22,6 @@ from repro.core.cmq import (
 from repro.core.planner import PlannerOptions, QueryPlan, QueryPlanner
 from repro.core.results import MixedResult
 from repro.core.sources import DataSource, SourceQuery
-from repro.digest.graph import DigestCatalog, refresh_catalog
 from repro.fulltext.source import FullTextSource
 from repro.json.source import JSONSource
 from repro.rdf.source import RDFSource
@@ -62,8 +61,9 @@ class MixedInstance:
         # shared by every planner and executor of this instance.
         self._statistics: Optional[StatisticsCatalog] = None
         self._statistics_lock = threading.Lock()
-        # The digest catalog keyword search reads, refreshed per lookup.
-        self._digests = DigestCatalog()
+        # The last digest catalog and the digests it was built from
+        # (:meth:`PinnedCatalog.digests`), reused while none moves.
+        self._catalog = None
         # The last pinned catalog, reused while no pin moves (:meth:`pin`).
         self._pinned = None
 
@@ -226,28 +226,23 @@ class MixedInstance:
     # Digests and keyword querying (the engine imported lazily: it builds CMQs)
     # ------------------------------------------------------------------
     def build_digests(self):
-        """The instance's digest catalog, brought up to its sources'
-        versions: one digest per source plus the glue graph, and the
-        cross-source join edges.  Kept from call to call, so only the
-        digests of sources that moved are filed again.
+        """The digest catalog at :meth:`pin`: one digest per source plus
+        the glue graph, and the cross-source join edges.  While no digest
+        moves, every call returns the same catalog.
 
         Returns a :class:`repro.digest.graph.DigestCatalog`.
         """
-        refresh_catalog(self, self._digests)
-        return self._digests
+        return self.pin().digests(self)
 
     def keyword_query(self, keywords: Sequence[str], max_queries: int = 3,
-                      catalog=None, limit: int | None = None):
-        """Answer a keyword query: generate candidate CMQs and evaluate the best.
-
-        The keywords are looked up in ``catalog``, by default the
-        instance's own (:meth:`build_digests`), first brought up to the
-        sources' versions.  Returns a
-        :class:`repro.digest.keyword.KeywordSearchOutcome`.
+                      limit: int | None = None):
+        """Answer a keyword query: generate candidate CMQs and evaluate the
+        best, all on one pin (the digests looked up and every candidate).
+        Returns a :class:`repro.digest.keyword.KeywordSearchOutcome`.
         """
         from repro.digest.keyword import KeywordQueryEngine
 
-        engine = KeywordQueryEngine(self, catalog=catalog)
+        engine = KeywordQueryEngine(self)
         return engine.search(keywords, max_queries=max_queries, limit=limit)
 
     def statistics(self) -> StatisticsCatalog:

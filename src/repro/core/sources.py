@@ -212,10 +212,12 @@ class DataSource:
         absorbing the journal's chain (:meth:`absorb_digest`) under the
         lineage's lock, so two readers missing one version fold it once;
         any other change derives the digest again.  An older version is
-        derived and not kept."""
-        version, lineage = self.version(), self._digest_lineage
-        if version is None:
+        derived and not kept.  A wrapper without a store derives its
+        digest each time, without asking its version (a remote one
+        derives none and sends no frame)."""
+        if self.store_attribute is None:
             return self.derive_digest()
+        version, lineage = self.version(), self._digest_lineage
         kept = lineage.digest
         if kept is not None and kept.version == version:
             return kept

@@ -6,23 +6,19 @@ constraint, etc.), and to each node we attach the representation of the
 set of data values corresponding to it" (§2.2).
 
 A :class:`SourceDigest` is the digest of one source; a
-:class:`DigestCatalog` gathers the digests of every source of a mixed
-instance plus the *cross-source join edges* discovered by probing value
-sets against each other — those edges are what the keyword engine's
-shortest join paths traverse to bridge sources.
+:class:`DigestCatalog` gathers the digests of one pin of a mixed instance
+(every source at one version) plus the *cross-source join edges*
+discovered by probing value sets against each other — those edges are
+what the keyword engine's shortest join paths traverse to bridge sources.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.digest.valueset import ValueSetSummary
 from repro.errors import DigestError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.instance import MixedInstance
 
 
 @dataclass(frozen=True)
@@ -135,29 +131,24 @@ MIN_JOIN_OVERLAP = 0.05
 
 
 class DigestCatalog:
-    """All source digests of a mixed instance plus cross-source join edges."""
+    """The digests of one pin of a mixed instance plus the cross-source
+    join edges between them.  Its maps, edges and graph never change once
+    built (a relational digest it holds still absorbs the inserts a later
+    pin asks it for, in place).
 
-    def __init__(self) -> None:
-        self.digests: dict[str, SourceDigest] = {}
-        self.join_edges: list[DigestEdge] = []
-        #: The wrapper (its ``cache_token``) and version of each source
-        #: when its digest (or its lack of one) was filed, by
-        #: :func:`refresh_catalog`.
-        self.stamps: dict[str, tuple[int, Optional[int]]] = {}
-        #: The :class:`ValueSetSummary` factory the digests are derived
-        #: with (set by :func:`build_catalog`); ``None`` files each
-        #: wrapper's shared digest (:meth:`~repro.core.sources.DataSource.digest`).
-        self.summarize: Optional[Callable[..., ValueSetSummary]] = None
-        self._adjacency: Optional[dict] = None
-        self._lock = threading.Lock()
+    ``digests`` maps each pinned source (the glue graph included) to its
+    digest, ``None`` for a source without one (a remote wrapper: its
+    peer holds the data).  The join edges are discovered once, here.
+    """
+
+    def __init__(self, digests: dict[str, Optional[SourceDigest]]) -> None:
+        self.digests = {uri: digest for uri, digest in digests.items() if digest is not None}
+        #: Sources without a digest, whose values keyword search does not see.
+        self.undigested = [uri for uri, digest in digests.items() if digest is None]
+        self.join_edges = self.discover_join_edges()
+        self._adjacency = self._graph()
 
     # ------------------------------------------------------------------
-    @property
-    def undigested(self) -> list[str]:
-        """Sources filed without a digest (a remote wrapper: its peer
-        holds the data), whose values keyword search does not see."""
-        return [uri for uri in self.stamps if uri not in self.digests]
-
     def digest(self, source_uri: str) -> SourceDigest:
         """Return the digest of ``source_uri``."""
         if source_uri not in self.digests:
@@ -178,7 +169,7 @@ class DigestCatalog:
     # Cross-source join discovery
     # ------------------------------------------------------------------
     def discover_join_edges(self) -> list[DigestEdge]:
-        """Probe value sets across sources and record join-candidate edges.
+        """Probe value sets across sources for join-candidate edges.
 
         Two positions from *different* sources are connected when a sample
         of one side's values hits the other side's value summary with
@@ -201,31 +192,27 @@ class DigestCatalog:
                     weight = max(0.05, 1.0 - overlap) + 1.0 / (1.0 + distinct)
                     edges.append(DigestEdge(source=left, target=right,
                                             kind="join-candidate", weight=weight))
-        self.join_edges, self._adjacency = edges, None
         return edges
 
     # ------------------------------------------------------------------
     # Graph view
     # ------------------------------------------------------------------
+    def _graph(self) -> dict[DigestNode, dict[DigestNode, DigestEdge]]:
+        graph: dict[DigestNode, dict[DigestNode, DigestEdge]] = {}
+        for digest in self.digests.values():
+            for node in digest.nodes:
+                graph.setdefault(node, {})
+        edges = [edge for digest in self.digests.values() for edge in digest.edges]
+        for edge in edges + self.join_edges:
+            graph.setdefault(edge.source, {})[edge.target] = edge
+            graph.setdefault(edge.target, {})[edge.source] = edge
+        return graph
+
     def adjacency(self) -> dict[DigestNode, dict[DigestNode, DigestEdge]]:
         """The combined (undirected) digest graph for path search: node ->
         neighbour -> the edge joining them, neighbours in edge-insertion
-        order (a repeated pair keeps its first position and its last edge).
-        Built once per change of the catalog, under the lock
-        :func:`refresh_catalog` holds, so a graph built from a catalog
-        being refreshed is never kept."""
-        with self._lock:
-            if self._adjacency is None:
-                graph: dict[DigestNode, dict[DigestNode, DigestEdge]] = {}
-                for digest in self.digests.values():
-                    for node in digest.nodes:
-                        graph.setdefault(node, {})
-                edges = [edge for digest in self.digests.values() for edge in digest.edges]
-                for edge in edges + self.join_edges:
-                    graph.setdefault(edge.source, {})[edge.target] = edge
-                    graph.setdefault(edge.target, {})[edge.source] = edge
-                self._adjacency = graph
-            return self._adjacency
+        order (a repeated pair keeps its first position and its last edge)."""
+        return self._adjacency
 
     def lookup_keyword(self, keyword: str) -> list[DigestNode]:
         """Nodes of any digest matching ``keyword``."""
@@ -240,46 +227,6 @@ class DigestCatalog:
 
     def __len__(self) -> int:
         return len(self.digests)
-
-
-def build_catalog(instance: "MixedInstance",
-                  summarize: Optional[Callable[..., ValueSetSummary]] = None) -> DigestCatalog:
-    """A digest catalog of ``instance``: one digest per registered source
-    plus one for the glue graph, with cross-source join-candidate edges
-    discovered.  ``summarize`` sets the precision/space trade-off of
-    every value set (e.g. ``partial(ValueSetSummary,
-    bloom_bits_per_value=4)``); the catalog is then the caller's own, its
-    digests derived apart from the wrappers' shared ones."""
-    catalog = DigestCatalog()
-    catalog.summarize = summarize
-    refresh_catalog(instance, catalog)
-    return catalog
-
-
-def refresh_catalog(instance: "MixedInstance", catalog: DigestCatalog) -> None:
-    """Bring ``catalog`` up to the current wrapper and version of each
-    source of ``instance`` (the version read before the digest: a racing
-    write leaves it stale): the digest of each source that moved or was
-    registered again is filed again, then the join edges are
-    rediscovered.  The digest and stamp maps are replaced, not changed in
-    place, so a lookup running meanwhile reads a whole map."""
-    with catalog._lock:
-        sources = [instance.glue_source, *instance.sources()]
-        stamps = {source.uri: (source.cache_token, source.version()) for source in sources}
-        if stamps == catalog.stamps:
-            return
-        digests = {}
-        for source in sources:
-            if catalog.stamps.get(source.uri) == stamps[source.uri]:
-                digest = catalog.digests.get(source.uri)
-            elif catalog.summarize is None:
-                digest = source.digest()
-            else:
-                digest = source.derive_digest(catalog.summarize)
-            if digest is not None:
-                digests[source.uri] = digest
-        catalog.digests, catalog.stamps = digests, stamps
-        catalog.discover_join_edges()
 
 
 def safe_name(text: str) -> str:

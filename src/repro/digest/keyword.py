@@ -10,6 +10,12 @@ engine (paper §2.2):
    cross-source join-candidate edges come from value-set overlap probing,
 3. generates one Conjunctive Mixed Query per retained join path, and
 4. evaluates the most promising generated queries over the instance.
+
+A search reads one pin of the instance
+(:class:`~repro.service.snapshots.PinnedCatalog`): the digests it looks
+the keywords up in, the sub-queries and estimates of its candidates and
+every candidate's answer are of one version of each source, so a write
+landing mid-search reaches the next search only.
 """
 
 from __future__ import annotations
@@ -21,11 +27,12 @@ from typing import Optional, Sequence, TYPE_CHECKING
 
 from repro.core.cmq import ConjunctiveMixedQuery, SourceAtom
 from repro.core.results import MixedResult
-from repro.digest.graph import DigestCatalog, DigestNode, refresh_catalog, safe_name
+from repro.digest.graph import DigestCatalog, DigestNode, safe_name
 from repro.errors import KeywordSearchError, ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.instance import MixedInstance
+    from repro.service.snapshots import PinnedCatalog
 
 #: Digest hits kept per keyword, best first.
 MAX_HITS_PER_KEYWORD = 5
@@ -92,11 +99,14 @@ class KeywordSearchOutcome:
 
 
 class KeywordQueryEngine:
-    """Generates and evaluates CMQs from keyword queries."""
+    """Generates and evaluates CMQs from keyword queries, one search at a
+    time: :meth:`lookup` pins the instance, and the later steps read
+    that pin (:attr:`pinned`) and its digest catalog (:attr:`catalog`)."""
 
-    def __init__(self, instance: "MixedInstance", catalog: DigestCatalog | None = None):
+    def __init__(self, instance: "MixedInstance"):
         self.instance = instance
-        self.catalog = catalog if catalog is not None else instance.build_digests()
+        self.pinned: Optional["PinnedCatalog"] = None
+        self.catalog: Optional[DigestCatalog] = None
 
     # ------------------------------------------------------------------
     # Entry point
@@ -120,7 +130,7 @@ class KeywordQueryEngine:
             # offers many cheap same-container paths).
             for candidate in ranked[:max(max_queries, MAX_EVALUATED_CANDIDATES)]:
                 try:
-                    result = self.instance.execute(candidate.query, limit=limit)
+                    result = self.pinned.execute(self.instance, candidate.query, limit=limit)
                 except ReproError:  # a candidate its sources cannot run is skipped
                     continue
                 if outcome.best is None:
@@ -136,10 +146,10 @@ class KeywordQueryEngine:
     # Step 1: keyword lookup in the digests
     # ------------------------------------------------------------------
     def lookup(self, keywords: Sequence[str]) -> list[list[KeywordHit]]:
-        """Return, per keyword, its matching digest nodes (best first),
-        after filing again the digests of the sources that moved since the
-        catalog stamped them (:func:`~repro.digest.graph.refresh_catalog`)."""
-        refresh_catalog(self.instance, self.catalog)
+        """Pin the instance and return, per keyword, its matching nodes
+        (best first) in the digests at that pin."""
+        self.pinned = self.instance.pin()
+        self.catalog = self.pinned.digests(self.instance)
         hits_per_keyword: list[list[KeywordHit]] = []
         for keyword in keywords:
             nodes = self.catalog.lookup_keyword(keyword)
@@ -197,16 +207,8 @@ class KeywordQueryEngine:
         conjunction exactly, so such candidates are dropped before they
         are ranked or evaluated.
         """
-        for atom in query.atoms:
-            if atom.source is None:
-                continue
-            try:
-                source = self.instance.source(atom.source)
-            except Exception:  # noqa: BLE001 - unresolvable sources fail later
-                continue
-            if source.estimate(atom.query) == 0.0:
-                return True
-        return False
+        return any(self.pinned.source(atom.source).estimate(atom.query) == 0.0
+                   for atom in query.atoms)
 
     def _connect(self, nodes: list[DigestNode]) -> tuple[Optional[list[DigestNode]], float]:
         """Connect hit nodes with shortest paths (greedy Steiner heuristic)."""
@@ -251,7 +253,7 @@ class KeywordQueryEngine:
             by_source.setdefault(node.source_uri, []).append(node)
 
         for source_uri, nodes in by_source.items():
-            name, query, constants = self.instance.source(source_uri).keyword_atom(
+            name, query, constants = self.pinned.source(source_uri).keyword_atom(
                 nodes, variables, hit_by_node)
             atom = SourceAtom(name=name, query=query, source=source_uri, constants=constants)
             atoms.append(atom)

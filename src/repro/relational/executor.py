@@ -289,7 +289,13 @@ class _Scope:
             if node.operator == "NOT":
                 return lambda row: not operand(row)
             if node.operator == "-":
-                return lambda row: None if (value := operand(row)) is None else -value
+                def negate(row: tuple) -> object:
+                    value = operand(row)
+                    try:
+                        return None if value is None else -value
+                    except TypeError as exc:
+                        raise _type_error("-", exc) from None
+                return negate
             raise RelationalError(f"unsupported unary operator {node.operator!r}")
         if isinstance(node, IsNull):
             operand, negated = self.compile(node.operand), node.negated
@@ -326,7 +332,12 @@ class _Scope:
 
         def null_propagating(row: tuple) -> object:
             a, b = left(row), right(row)
-            return None if a is None or b is None else apply(a, b)
+            if a is None or b is None:
+                return None
+            try:
+                return apply(a, b)
+            except TypeError as exc:
+                raise _type_error(op, exc) from None
         return null_propagating
 
     def _in_list(self, node: InList) -> Compiled:
@@ -355,7 +366,13 @@ class _Scope:
         if function is None:
             raise RelationalError(f"unsupported function {node.name!r}")
         arguments = [self.compile(argument) for argument in node.arguments]
-        return lambda row: function([argument(row) for argument in arguments])
+
+        def call(row: tuple) -> object:
+            try:
+                return function([argument(row) for argument in arguments])
+            except TypeError as exc:
+                raise _type_error(name, exc) from None
+        return call
 
 
 def _tuple_builder(scope: _Scope, expressions: list[Expression]) -> Compiled:
@@ -404,15 +421,28 @@ def compute_aggregate(call: FunctionCall, values: list[object]) -> object:
         return len(values)
     if not values:
         return None
-    if name == "SUM":
-        return sum(values)
-    if name == "AVG":
-        return sum(values) / len(values)
-    if name == "MIN":
-        return min(values)
-    if name == "MAX":
-        return max(values)
-    raise RelationalError(f"unsupported aggregate {name}")
+    function = _AGGREGATES.get(name)
+    if function is None:
+        raise RelationalError(f"unsupported aggregate {name}")
+    try:
+        return function(values)
+    except TypeError as exc:
+        raise _type_error(name, exc) from None
+
+
+def _type_error(operation: str, exc: TypeError) -> RelationalError:
+    """An operator, function or aggregate applied to a value of a type it
+    does not take (``'a' + 1``, ``ABS('a')``): the statement is refused."""
+    return RelationalError(f"{operation} cannot take these operands: {exc}")
+
+
+#: Aggregates other than COUNT, each over a group's non-NULL values.
+_AGGREGATES: dict[str, Callable[[list], object]] = {
+    "SUM": sum,
+    "AVG": lambda values: sum(values) / len(values),
+    "MIN": min,
+    "MAX": max,
+}
 
 
 def _round(arguments: list) -> object:

@@ -38,7 +38,8 @@ class Index:
 
 class Rows:
     """The read side of a table, shared by a :class:`Table` and its
-    snapshots: ``schema``, the stored ``rows`` and their ``_indexes``."""
+    snapshots: ``schema``, the stored rows (the first ``len(self)`` of
+    ``_live_rows``, read in place) and their ``_indexes``."""
 
     @property
     def name(self) -> str:
@@ -53,20 +54,20 @@ class Rows:
     def scan(self, predicate: Callable[[dict[str, object]], bool] | None = None) -> Iterator[dict[str, object]]:
         """Yield rows as dictionaries, optionally filtered by ``predicate``."""
         names = self.schema.column_names()
-        for row in self.rows:
+        for row in self:
             record = dict(zip(names, row))
             if predicate is None or predicate(record):
                 yield record
 
     def lookup(self, column: str, value: object) -> list[dict[str, object]]:
         """Return the rows where ``column == value``, via index when available."""
-        names, rows = self.schema.column_names(), self.rows
+        names, rows, count = self.schema.column_names(), self._live_rows, len(self)
         key = column.lower()
         if key in self._indexes:
             return [dict(zip(names, rows[row_id]))
-                    for row_id in self._indexes[key].lookup(value) if row_id < len(rows)]
+                    for row_id in self._indexes[key].lookup(value) if row_id < count]
         position = self.schema.column_index(column)
-        return [dict(zip(names, row)) for row in rows if row[position] == value]
+        return [dict(zip(names, row)) for row in self if row[position] == value]
 
     def has_index(self, column: str) -> bool:
         """True when a hash index exists on ``column``."""
@@ -75,12 +76,12 @@ class Rows:
     def distinct_values(self, column: str) -> set[object]:
         """Return the distinct non-NULL values of ``column``."""
         position = self.schema.column_index(column)
-        return {row[position] for row in self.rows if row[position] is not None}
+        return {row[position] for row in self if row[position] is not None}
 
     def column_values(self, column: str) -> list[object]:
         """Return every value (including duplicates) of ``column``."""
         position = self.schema.column_index(column)
-        return [row[position] for row in self.rows]
+        return [row[position] for row in self]
 
     def statistics(self) -> dict[str, object]:
         """Basic per-table statistics used by the mediator's planner."""
@@ -93,7 +94,7 @@ class Rows:
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Table({self.name!r}, rows={len(self.rows)})"
+        return f"Table({self.name!r}, rows={len(self)})"
 
 
 class Table(Rows):
@@ -127,6 +128,10 @@ class Table(Rows):
     def version(self) -> int:
         """Monotonic mutation counter (used for cache invalidation)."""
         return self._version
+
+    @property
+    def _live_rows(self) -> list[tuple]:
+        return self.rows
 
     # ------------------------------------------------------------------
     # Mutation

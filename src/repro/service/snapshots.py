@@ -14,7 +14,9 @@ half-applied delta.  Because pinned wrappers share their live wrapper's
 cache token and version, the cross-query result cache remains shared
 (and sound: the version an entry is stamped with really describes
 immutable content).  ``MixedInstance.execute`` and the mediator service both
-evaluate through :meth:`PinnedCatalog.executor`.
+evaluate through :meth:`PinnedCatalog.executor`; a keyword search reads
+its digests (:meth:`PinnedCatalog.digests`) and runs its candidates on
+one pin.
 
 An executor holds nothing of one execution's own, so a catalog builds
 one per options value, and :func:`pin_instance` returns the previous
@@ -32,6 +34,7 @@ from repro.core.cmq import GLUE_SOURCE
 from repro.core.executor import MixedQueryExecutor
 from repro.core.planner import PlannerOptions
 from repro.core.sources import DataSource
+from repro.digest.graph import DigestCatalog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.instance import MixedInstance
@@ -62,6 +65,10 @@ class PinnedCatalog:
             versions[uri] = source.pinned_at if remote else source.version()
         return versions
 
+    def source(self, uri: str) -> DataSource:
+        """The pinned wrapper of ``uri`` (``GLUE_SOURCE``: the glue graph's)."""
+        return self.glue if uri == GLUE_SOURCE else self.sources[uri]
+
     def executor(self, instance: "MixedInstance",
                  options: PlannerOptions | None = None) -> MixedQueryExecutor:
         """The executor whose every dispatch hits the pinned snapshots,
@@ -81,6 +88,23 @@ class PinnedCatalog:
                 self.sources, self.glue, options=key[0], cache=cache,
                 statistics=instance.statistics()))
         return self._executors[key]
+
+    def digests(self, instance: "MixedInstance") -> DigestCatalog:
+        """The digest catalog of these pins: each wrapper's digest
+        (:meth:`~repro.core.sources.DataSource.digest`), the glue graph's
+        first and then the sources' in URI order, and the join edges
+        between them.  The instance keeps its last catalog in one slot,
+        reused while every wrapper's digest is the same object at the
+        same version (a remote clone, which has none, never moves it)."""
+        wrappers = [self.glue, *(self.sources[uri] for uri in sorted(self.sources))]
+        digests = {source.uri: source.digest() for source in wrappers}
+        stamps = {uri: (digest, digest and digest.version) for uri, digest in digests.items()}
+        kept = instance._catalog
+        if kept is not None and _same_digests(kept[0], stamps):
+            return kept[1]
+        catalog = DigestCatalog(digests)
+        instance._catalog = stamps, catalog
+        return catalog
 
     def execute(self, instance: "MixedInstance", query, *,
                 options: PlannerOptions | None = None, distinct: bool = True,
@@ -114,6 +138,13 @@ def pin_instance(instance: "MixedInstance") -> PinnedCatalog:
         return previous
     catalog = instance._pinned = PinnedCatalog(sources=sources, glue=glue)
     return catalog
+
+
+def _same_digests(kept: dict, stamps: dict) -> bool:
+    """Whether ``stamps`` file the very digests of ``kept``, at its versions."""
+    return list(kept) == list(stamps) and all(
+        now is then and version == since
+        for (then, since), (now, version) in zip(kept.values(), stamps.values()))
 
 
 def _same_pins(catalog: PinnedCatalog, sources: dict[str, DataSource],

@@ -13,7 +13,7 @@ kernel and store tests catch what two equally mutated instances cannot
 tell apart — the order of tied hits, a loose match on a shared column,
 a phrase no asking of the harness reads, an index entry a matcher's
 verification hides, a walk that drops a pushed-down value, a read a
-concurrent writer tears.  The unmutated
+concurrent writer tears, a keyword search a write lands inside.  The unmutated
 run comes first and must pass.  Not a tier-1 test — it runs the harness
 once per mutant, about ten seconds each::
 
@@ -374,6 +374,26 @@ def pushdown_ignored_under_a_predicate(patch) -> None:
     patch.setattr(_Walk, "__init__", ignoring)
 
 
+def keyword_candidates_on_fresh_pins(patch) -> None:
+    """A keyword search evaluates each candidate through
+    ``instance.execute``, on a pin of its own: a write landing after the
+    candidates were generated reaches their answers."""
+    from types import SimpleNamespace
+
+    from repro.digest.keyword import KeywordQueryEngine
+
+    lookup = KeywordQueryEngine.lookup
+
+    def fresh_pins(self, keywords):
+        hits = lookup(self, keywords)
+        self.pinned = SimpleNamespace(
+            source=self.pinned.source,
+            execute=lambda instance, query, **options: instance.execute(query, **options))
+        return hits
+
+    patch.setattr(KeywordQueryEngine, "lookup", fresh_pins)
+
+
 MUTANTS = {mutant.__name__: mutant for mutant in (
     constants_out_of_the_binding_key, stamp_matches_every_version,
     repair_ignores_its_delta, headers_left_untranslated,
@@ -385,7 +405,8 @@ MUTANTS = {mutant.__name__: mutant for mutant in (
     rdf_header_sorted, remote_header_reversed, rank_without_id_tie_break,
     merge_without_shared_check, pinned_catalog_outlives_a_write,
     phrase_ignores_adjacency, json_deindex_drops_a_leaf, unrestricted_leaf_skipped,
-    removal_keeps_the_removed_id, pushdown_ignored_under_a_predicate)}
+    removal_keeps_the_removed_id, pushdown_ignored_under_a_predicate,
+    keyword_candidates_on_fresh_pins)}
 
 
 def _run(name: str) -> int:

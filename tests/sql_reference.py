@@ -17,7 +17,10 @@ follows on every input, whatever its row count:
   right table, even an empty one;
 * ORDER BY reads an output name first, then an input column; under
   DISTINCT or aggregation a term may read only outputs, group keys and
-  aggregates; DISTINCT keeps a row where it first sorts.
+  aggregates; DISTINCT keeps a row where it first sorts;
+* an operator, function or aggregate given a value of a type it does
+  not take (``'a' + 1``, ``ABS('a')``) refuses the statement with
+  :class:`RelationalError`.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ def evaluate(node: Expression, scope: Scope) -> object:
         if node.operator == "NOT":
             return not bool(value)
         if node.operator == "-":
-            return None if value is None else -value
+            return None if value is None else _typed("-", lambda: -value)
         raise RelationalError(f"unsupported unary operator {node.operator!r}")
     if isinstance(node, IsNull):
         is_null = evaluate(node.operand, scope) is None
@@ -110,6 +113,10 @@ def _binary(node: BinaryOp, scope: Scope) -> object:
         return _like(left, right, node.escape)
     if left is None or right is None:
         return None
+    return _typed(op, lambda: _arithmetic(op, left, right))
+
+
+def _arithmetic(op: str, left: object, right: object) -> object:
     if op == "<":
         return left < right
     if op == "<=":
@@ -131,6 +138,15 @@ def _binary(node: BinaryOp, scope: Scope) -> object:
     raise RelationalError(f"unsupported operator {op!r}")
 
 
+def _typed(operation: str, compute):
+    """``compute()``; a value of a type ``operation`` does not take
+    (``'a' + 1``, ``ABS('a')``) refuses the statement."""
+    try:
+        return compute()
+    except TypeError as exc:
+        raise RelationalError(f"{operation} cannot take these operands: {exc}") from None
+
+
 def _function(node: FunctionCall, scope: Scope) -> object:
     upper = node.name.upper()
     if node.is_aggregate:
@@ -140,6 +156,10 @@ def _function(node: FunctionCall, scope: Scope) -> object:
             return scope[key]
         raise RelationalError(f"aggregate {upper} used outside GROUP BY evaluation")
     arguments = [evaluate(a, scope) for a in node.arguments]
+    return _typed(upper, lambda: _scalar(node, upper, arguments))
+
+
+def _scalar(node: FunctionCall, upper: str, arguments: list[object]) -> object:
     if upper == "UPPER":
         return None if arguments[0] is None else str(arguments[0]).upper()
     if upper == "LOWER":
@@ -201,13 +221,13 @@ def compute_aggregate(call: FunctionCall, scopes: list[Scope]) -> object:
     if not values:
         return None
     if name == "SUM":
-        return sum(values)
+        return _typed(name, lambda: sum(values))
     if name == "AVG":
-        return sum(values) / len(values)
+        return _typed(name, lambda: sum(values) / len(values))
     if name == "MIN":
-        return min(values)
+        return _typed(name, lambda: min(values))
     if name == "MAX":
-        return max(values)
+        return _typed(name, lambda: max(values))
     raise RelationalError(f"unsupported aggregate {name}")
 
 

@@ -17,6 +17,7 @@ from repro.json.source import JSONQuery
 from repro.rdf.source import RDFQuery
 from repro.relational.source import SQLQuery
 from repro.engine.batch import dict_rows
+from repro.errors import RelationalError
 from repro.fulltext.store import FieldConfig, FullTextStore
 from repro.json import JSONDocumentStore
 from repro.rdf import Graph, triple
@@ -232,8 +233,8 @@ class TestExecuteBatch:
                  for v in values]
         try:
             reference = [source.execute(query, b) for b in batch]
-        except TypeError:  # rate > '75': the engine refuses, batched or not
-            with pytest.raises(TypeError):
+        except RelationalError:  # rate > '75': the engine refuses, batched or not
+            with pytest.raises(RelationalError):
                 source.execute_batch(query, batch)
             return
         assert list(map(dict_rows, source.execute_batch(query, batch))) == reference

@@ -1,5 +1,6 @@
 """Unit tests for digest building, join discovery and keyword querying."""
 
+import sys
 import threading
 from functools import partial
 
@@ -8,7 +9,7 @@ import pytest
 from repro.core import MixedInstance
 from repro.core.cmq import GLUE_SOURCE
 from repro.datasets import DemoConfig, build_demo_instance
-from repro.digest import DigestCatalog, ValueSetSummary, build_catalog, refresh_catalog
+from repro.digest import DigestCatalog, ValueSetSummary
 from repro.digest.keyword import KeywordQueryEngine
 from repro.errors import FullTextError, KeywordSearchError
 from repro.fulltext.source import FullTextSource
@@ -18,6 +19,7 @@ from repro.rdf.source import RDFSource
 from repro.relational import Database
 from repro.relational.source import RelationalSource
 from repro.remote import LocalTransport, RemoteSourceHandler
+from repro.service.snapshots import PinnedCatalog
 
 
 @pytest.fixture
@@ -30,7 +32,14 @@ def instance(politics_graph, small_database, small_tweet_store):
 
 @pytest.fixture
 def catalog(instance):
-    return build_catalog(instance)
+    return instance.build_digests()
+
+
+def derived_catalog(instance, summarize) -> DigestCatalog:
+    """A catalog of digests derived apart from the wrappers' shared ones,
+    every value set ``summarize(values, keyword_aliases=...)``."""
+    sources = [instance.glue_source, *instance.sources()]
+    return DigestCatalog({source.uri: source.derive_digest(summarize) for source in sources})
 
 
 class TestDigestBuilding:
@@ -118,8 +127,8 @@ class TestCatalog:
         assert catalog.total_size_in_bytes() > 0
 
     def test_bloom_budget_changes_size(self, instance):
-        small = build_catalog(instance, summarize=partial(ValueSetSummary, bloom_bits_per_value=4))
-        large = build_catalog(instance, summarize=partial(ValueSetSummary, bloom_bits_per_value=32))
+        small = derived_catalog(instance, partial(ValueSetSummary, bloom_bits_per_value=4))
+        large = derived_catalog(instance, partial(ValueSetSummary, bloom_bits_per_value=32))
         assert large.total_size_in_bytes() > small.total_size_in_bytes()
 
     def test_more_bloom_bits_cost_space_and_add_no_spurious_hits(self, demo):
@@ -129,7 +138,7 @@ class TestCatalog:
         probes = [f"absent-keyword-{i}" for i in range(50)]
         sizes, spurious = [], []
         for bits in (2, 8, 32):
-            catalog = build_catalog(demo.instance, summarize=partial(
+            catalog = derived_catalog(demo.instance, partial(
                 ValueSetSummary, bloom_bits_per_value=bits, exact_limit=0))
             sizes.append(catalog.total_size_in_bytes())
             spurious.append(sum(len(catalog.lookup_keyword(p)) for p in probes))
@@ -138,89 +147,90 @@ class TestCatalog:
 
 
 class TestKeywordEngine:
-    def test_lookup_hits_per_keyword(self, instance, catalog):
-        engine = KeywordQueryEngine(instance, catalog=catalog)
+    def test_lookup_hits_per_keyword(self, instance):
+        engine = KeywordQueryEngine(instance)
         hits = engine.lookup(["head of state", "SIA2016"])
         assert len(hits) == 2 and all(hits)
 
-    def test_unknown_keyword_raises(self, instance, catalog):
-        engine = KeywordQueryEngine(instance, catalog=catalog)
+    def test_unknown_keyword_raises(self, instance):
+        engine = KeywordQueryEngine(instance)
         with pytest.raises(KeywordSearchError):
             engine.lookup(["zzz-not-anywhere-zzz"])
 
-    def test_empty_keywords_raise(self, instance, catalog):
-        engine = KeywordQueryEngine(instance, catalog=catalog)
+    def test_empty_keywords_raise(self, instance):
+        engine = KeywordQueryEngine(instance)
         with pytest.raises(KeywordSearchError):
             engine.search([])
 
-    def test_paper_example_generates_qsia_like_query(self, instance, catalog):
-        engine = KeywordQueryEngine(instance, catalog=catalog)
+    def test_paper_example_generates_qsia_like_query(self, instance):
+        engine = KeywordQueryEngine(instance)
         outcome = engine.search(["head of state", "SIA2016"])
         assert outcome.candidates
         assert outcome.result is not None and len(outcome.result) >= 1
         answer = outcome.result.rows[0]
         assert any("SIA2016" in str(v) or "sia2016" in str(v).lower() for v in answer.values())
 
-    def test_generated_query_is_a_cmq_over_two_sources(self, instance, catalog):
-        engine = KeywordQueryEngine(instance, catalog=catalog)
+    def test_generated_query_is_a_cmq_over_two_sources(self, instance):
+        engine = KeywordQueryEngine(instance)
         outcome = engine.search(["head of state", "SIA2016"])
         best = outcome.best
         sources = {a.source for a in best.query.atoms}
         assert len(sources) == 2
 
-    def test_relational_keyword_search(self, instance, catalog):
-        engine = KeywordQueryEngine(instance, catalog=catalog)
+    def test_relational_keyword_search(self, instance):
+        engine = KeywordQueryEngine(instance)
         outcome = engine.search(["Gironde"])
         assert outcome.result is not None
         assert any("Gironde" in str(v) for row in outcome.result.rows for v in row.values())
 
     def test_a_catalog_built_before_a_write_finds_what_it_wrote(self, instance, catalog):
-        engine = KeywordQueryEngine(instance, catalog=catalog)
+        engine = KeywordQueryEngine(instance)
         engine.search(["SIA2016"])
+        assert engine.catalog is catalog
         tweets = instance.source("solr://tweets")
         tweets.store.add({
             "id": 9, "text": "Le zorblatt arrive au salon", "created_at": "2016-03-02T08:00:00",
             "user": {"screen_name": "fhollande"}, "entities": {"hashtags": ["SIA2016"]}})
         outcome = engine.search(["zorblatt"])
         assert outcome.result is not None and len(outcome.result) == 1
-        assert catalog.digest("solr://tweets").version == tweets.version()
-        assert catalog.join_edges  # rediscovered over the rebuilt digest
-        # The next search finds every source at its stamp: nothing is rebuilt.
-        digests = dict(catalog.digests)
+        assert engine.catalog.digest("solr://tweets").version == tweets.version()
+        assert engine.catalog.join_edges  # rediscovered over the rebuilt digest
+        # The next search finds every digest where it was: nothing is rebuilt.
+        digests = dict(engine.catalog.digests)
         engine.search(["zorblatt"])
-        assert all(catalog.digests[uri] is digest for uri, digest in digests.items())
+        assert all(engine.catalog.digests[uri] is digest for uri, digest in digests.items())
 
-    def test_single_keyword_single_node_path(self, instance, catalog):
-        engine = KeywordQueryEngine(instance, catalog=catalog)
+    def test_single_keyword_single_node_path(self, instance):
+        engine = KeywordQueryEngine(instance)
         outcome = engine.search(["parlement"])
         assert outcome.candidates and len(outcome.candidates[0].path) == 1
 
-    def test_max_queries_limits_candidates(self, instance, catalog):
-        engine = KeywordQueryEngine(instance, catalog=catalog)
+    def test_max_queries_limits_candidates(self, instance):
+        engine = KeywordQueryEngine(instance)
         outcome = engine.search(["head of state", "SIA2016"], max_queries=1)
         assert len(outcome.candidates) == 1
 
-    def test_outcome_summary_text(self, instance, catalog):
-        engine = KeywordQueryEngine(instance, catalog=catalog)
+    def test_outcome_summary_text(self, instance):
+        engine = KeywordQueryEngine(instance)
         outcome = engine.search(["head of state", "SIA2016"])
         summary = outcome.summary()
         assert "keywords" in summary and "candidate" in summary
 
     def test_a_failing_source_is_skipped_but_a_programming_error_is_not(
-            self, instance, catalog, monkeypatch):
-        engine = KeywordQueryEngine(instance, catalog=catalog)
+            self, instance, monkeypatch):
+        engine = KeywordQueryEngine(instance)
 
-        def refuse(query, **kwargs):
+        def refuse(pinned, instance, query, **kwargs):
             raise FullTextError("source refuses")
 
-        monkeypatch.setattr(instance, "execute", refuse)
+        monkeypatch.setattr(PinnedCatalog, "execute", refuse)
         outcome = engine.search(["head of state", "SIA2016"])
         assert outcome.candidates and outcome.best is None
 
-        def broken(query, **kwargs):
+        def broken(pinned, instance, query, **kwargs):
             raise TypeError("a defect, not a failed candidate")
 
-        monkeypatch.setattr(instance, "execute", broken)
+        monkeypatch.setattr(PinnedCatalog, "execute", broken)
         with pytest.raises(TypeError):
             engine.search(["head of state", "SIA2016"])
 
@@ -238,7 +248,7 @@ def test_a_relational_hit_matches_only_rows_containing_its_text(keyword, found):
         "o'b", "o'c", "b'o", "xo'by")])
     instance = MixedInstance(graph=Graph("g"), name="notes")
     instance.register_relational("sql://notes", database)
-    outcome = KeywordQueryEngine(instance, catalog=build_catalog(instance)).search([keyword])
+    outcome = KeywordQueryEngine(instance).search([keyword])
     assert sorted(value for row in outcome.result.rows for value in row.values()) == found
     (atom,) = outcome.best.query.atoms
     assert atom.query.sql.endswith("LIKE {k0} ESCAPE '\\'") and keyword not in atom.query.sql
@@ -250,7 +260,7 @@ def test_a_name_with_a_space_runs_on_the_full_text_source_as_on_the_json_one():
     """The ``ft_solr_tweets`` candidate for ``"Anne Hollier"`` quoted the value
     into a phrase over a keyword field, raised, and was silently skipped."""
     demo = build_demo_instance()
-    engine = KeywordQueryEngine(demo.instance, catalog=demo.instance.build_digests())
+    engine = KeywordQueryEngine(demo.instance)
     candidates = {candidate.query.atoms[0].name: candidate.query
                   for candidate in engine.generate_queries(engine.lookup(["Anne Hollier"]),
                                                            max_queries=None)
@@ -286,12 +296,7 @@ def test_keyword_search_on_a_federated_instance_reports_what_it_cannot_see():
     """Behind a remote wrapper the data lives with the peer: the source
     derives no digest, contributes no hit, and the outcome names it
     (the engine used to refuse the whole search with a ``DigestError``)."""
-    instance = build_demo_instance(DemoConfig(politicians=12, weeks=2, seed=42)).instance
-    remote = [uri for uri in instance.source_uris() if uri.startswith("sql://")]
-    for uri in remote:
-        local = instance.source(uri)
-        instance.register_remote(LocalTransport(RemoteSourceHandler(local).handle),
-                                 uri=uri, model=local.model, name=local.name)
+    instance, remote = _federated()
     outcome = instance.keyword_query(["head of state", "SIA2016"])
     assert outcome.undigested == remote == instance.build_digests().undigested
     assert outcome.candidates and outcome.result
@@ -321,31 +326,101 @@ def test_a_source_registered_again_is_filed_again():
                for atom in candidate.query.atoms)
 
 
-def test_a_graph_built_while_the_catalog_is_refreshed_is_not_kept():
-    """The path-search graph is memoised on the instance's one catalog: a
-    build racing a refresh must not store a graph of the digests the
-    refresh replaced."""
+def test_a_built_catalog_never_changes_and_the_next_one_holds_a_write():
+    """A catalog is a value built from one pin's digests: a write leaves
+    it, its join edges and its path-search graph as they were, and the
+    catalog of the pin after the write holds what it wrote."""
     instance = build_demo_instance(DemoConfig(politicians=12, weeks=2, seed=42)).instance
     catalog = instance.build_digests()
-    building, refreshed = threading.Event(), threading.Event()
-
-    class Held(list):
-        def __radd__(self, other):  # the graph joins the digests' edges to these
-            building.set()
-            refreshed.wait(timeout=0.5)  # the refresh cannot run meanwhile
-            return other + list(self)
-
-    catalog.join_edges, catalog._adjacency = Held(catalog.join_edges), None
-    builder = threading.Thread(target=catalog.adjacency)
-    builder.start()
-    building.wait(timeout=10)
+    digests, edges, graph = dict(catalog.digests), list(catalog.join_edges), catalog.adjacency()
+    neighbours = {node: list(graph[node]) for node in graph}
     instance.source("solr://tweets").store.add({
         "id": 999_999, "text": "zorblatt", "created_at": "2016-03-02T08:00:00",
         "user": {"screen_name": "someone"}, "zorblatt_field": "x"})
-    refresh_catalog(instance, catalog)
-    refreshed.set()
-    builder.join()
-    assert {node.position for node in catalog.adjacency()} >= {"zorblatt_field"}
+    after = instance.build_digests()
+    assert after is not catalog
+    assert {node.position for node in after.adjacency()} >= {"zorblatt_field"}
+    assert catalog.digests.keys() == digests.keys()
+    assert all(catalog.digests[uri] is digest for uri, digest in digests.items())
+    assert catalog.join_edges == edges and catalog.adjacency() is graph
+    assert {node: list(graph[node]) for node in graph} == neighbours
+    assert "zorblatt_field" not in {node.position for node in graph}
+
+
+def test_searches_racing_a_writer_each_read_one_pin():
+    """Searches share the instance's one catalog slot, unlocked, while a
+    writer adds tweets: each search finds its keyword in the digest of
+    the version it pinned and answers with exactly that version's tweets."""
+    instance = build_demo_instance(DemoConfig(politicians=12, weeks=2, seed=42)).instance
+    tweets = instance.source("solr://tweets")
+    counts = {tweets.version(): 0}
+
+    def write():
+        for i in range(1, 9):
+            tweets.store.add({"id": 900_000 + i, "text": f"zorblatt {i}",
+                              "created_at": "2016-03-02T08:00:00",
+                              "user": {"screen_name": "someone"}})
+            counts[tweets.version()] = i
+            searched.clear()
+            searched.wait(timeout=10)  # let a search land between writes
+
+    seen, failures, searched = [], [], threading.Event()
+
+    def search():
+        engine = KeywordQueryEngine(instance)
+        try:
+            while not done.is_set():
+                try:
+                    outcome = engine.search(["zorblatt"])
+                except KeywordSearchError:  # pinned before the first write
+                    continue
+                seen.append((engine.pinned.versions["solr://tweets"],
+                             engine.catalog.digest("solr://tweets").version,
+                             len(outcome.result)))
+                searched.set()
+        except Exception as error:  # noqa: BLE001 - reported below
+            failures.append(error)
+
+    done = threading.Event()
+    searchers = [threading.Thread(target=search) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in searchers:
+            thread.start()
+        write()
+    finally:
+        done.set()
+        for thread in searchers:
+            thread.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in searchers)
+    assert not failures, failures[0]
+    assert len({pinned for pinned, _, _ in seen}) > 1
+    assert all(pinned == filed and answered == counts[pinned]
+               for pinned, filed, answered in seen)
+
+
+def _federated():
+    """The demo instance with its SQL sources served remotely."""
+    instance = build_demo_instance(DemoConfig(politicians=12, weeks=2, seed=42)).instance
+    remote = [uri for uri in instance.source_uris() if uri.startswith("sql://")]
+    for uri in remote:
+        local = instance.source(uri)
+        instance.register_remote(LocalTransport(RemoteSourceHandler(local).handle),
+                                 uri=uri, model=local.model, name=local.name)
+    return instance, remote
+
+
+def test_building_the_catalog_sends_no_frame_to_a_remote_source():
+    """A remote wrapper has no store, so its digest is ``None`` without
+    a question: each search sent two ``version`` frames per remote
+    source only to learn that."""
+    instance, remote = _federated()
+    wrappers = [instance.source(uri) for uri in remote]
+    sent = [wrapper.stats()["calls_by_op"] for wrapper in wrappers]
+    assert instance.build_digests().undigested == remote
+    assert [wrapper.stats()["calls_by_op"] for wrapper in wrappers] == sent
 
 
 def test_the_instance_keeps_its_catalog_and_refreshes_only_what_moved(monkeypatch):

@@ -18,11 +18,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.datasets import DemoConfig, build_demo_instance
+from repro.datasets.rdf_sources import ign
+from repro.digest.keyword import KeywordQueryEngine
 from repro.fulltext.source import FullTextSource
 from repro.fulltext.store import tweet_store
 from repro.json.source import JSONSource
 from repro.json.store import JSONDocumentStore
-from repro.rdf import Graph, TriplePattern, Variable, triple
+from repro.rdf import URI, Graph, TriplePattern, Variable, literal, triple
 from repro.rdf.source import RDFSource
 from repro.relational import Database
 from repro.relational.source import RelationalSource, SQLQuery
@@ -323,3 +326,35 @@ class TestReadProtocol:
             read(view)
         with view.reading() as frozen:
             read(frozen)
+
+    def test_a_write_landing_mid_search_does_not_reach_its_answer(self, monkeypatch):
+        """A keyword search reads one pin: a write landing between its
+        candidates' generation and their evaluation — a second IGN
+        department named Gironde, INSEE code 99, with its unemployment
+        row — leaves the answer that of the version the search began at
+        (each candidate on a pin of its own answered ``33, 99``)."""
+        instance = build_demo_instance(DemoConfig(
+            politicians=18, weeks=4, tweets_per_politician_per_week=2.0, seed=42)).instance
+        keywords = ["Gironde", "unemployment"]
+        before = instance.keyword_query(keywords)
+        assert sorted(row["v1"] for row in before.result.rows) == ["33"]
+        generate = KeywordQueryEngine.generate_queries
+
+        def then_write(engine, *args, **kwargs):
+            candidates = generate(engine, *args, **kwargs)
+            department = URI("http://data.ign.fr/id/departement/99")
+            instance.source("rdf://ign").graph.add_all([
+                triple(department, "rdf:type", ign("Departement")),
+                triple(department, ign("codeINSEE"), literal("99")),
+                triple(department, ign("nom"), literal("Gironde"))])
+            instance.source("sql://insee").database.table("unemployment").insert(
+                {"dept_code": "99", "year": 2016, "quarter": 1, "rate": 9.9})
+            return candidates
+
+        monkeypatch.setattr(KeywordQueryEngine, "generate_queries", then_write)
+        during = instance.keyword_query(keywords)
+        monkeypatch.undo()
+        assert during.best.query == before.best.query
+        assert during.result.rows == before.result.rows
+        after = instance.execute(before.best.query)  # the write reaches later reads
+        assert sorted(row["v1"] for row in after.rows) == ["33", "99"]

@@ -160,9 +160,8 @@ class TestE7PartyVocabulary:
 
 
 class TestE5KeywordSearch:
-    def test_keyword_search_regenerates_qsia(self, demo, demo_catalog):
-        outcome = demo.instance.keyword_query(["head of state", "SIA2016"],
-                                              catalog=demo_catalog)
+    def test_keyword_search_regenerates_qsia(self, demo):
+        outcome = demo.instance.keyword_query(["head of state", "SIA2016"])
         assert outcome.best is not None
         assert outcome.result is not None and len(outcome.result) >= 1
         # The generated CMQ reaches the tweets — through the glue + Solr
@@ -175,17 +174,17 @@ class TestE5KeywordSearch:
                          if isinstance(value, str)}
         assert qsia_texts & keyword_texts
 
-    def test_keyword_search_reaches_json_source(self, demo, demo_catalog):
+    def test_keyword_search_reaches_json_source(self, demo):
         # The JSON store indexes every dotted path, so a hashtag keyword has
         # a candidate route through the native document source too.
-        outcome = demo.instance.keyword_query(["SIA2016"], catalog=demo_catalog)
+        outcome = demo.instance.keyword_query(["SIA2016"])
         assert outcome.result is not None and len(outcome.result) >= 1
         candidate_sources = {atom.source for candidate in outcome.candidates
                              for atom in candidate.query.atoms}
         assert TWEETS_JSON_URI in candidate_sources or TWEETS_URI in candidate_sources
 
-    def test_keyword_search_across_relational_and_rdf(self, demo, demo_catalog):
-        outcome = demo.instance.keyword_query(["Gironde"], catalog=demo_catalog)
+    def test_keyword_search_across_relational_and_rdf(self, demo):
+        outcome = demo.instance.keyword_query(["Gironde"])
         assert outcome.result is not None and len(outcome.result) >= 1
         # The keyword hits both the IGN RDF source and the INSEE table; every
         # retained candidate targets one of them through its "name" position.
@@ -196,9 +195,8 @@ class TestE5KeywordSearch:
                              for atom in candidate.query.atoms}
         assert {"rdf://ign", INSEE_URI} & candidate_sources
 
-    def test_a_keyword_pair_joins_a_department_to_its_statistics(self, demo, demo_catalog):
-        outcome = demo.instance.keyword_query(["Gironde", "unemployment"],
-                                              catalog=demo_catalog)
+    def test_a_keyword_pair_joins_a_department_to_its_statistics(self, demo):
+        outcome = demo.instance.keyword_query(["Gironde", "unemployment"])
         # IGN's department name joins INSEE's statistics on the department code.
         assert {atom.source for atom in outcome.best.query.atoms} == {"rdf://ign", INSEE_URI}
 

@@ -1,9 +1,11 @@
 """Unit tests for row storage, primary keys and secondary indexes."""
 
+import tracemalloc
+
 import pytest
 
 from repro.errors import SchemaError
-from repro.relational import Column, DataType, Table, TableSchema
+from repro.relational import Column, Database, DataType, Table, TableSchema
 
 
 @pytest.fixture
@@ -86,3 +88,34 @@ class TestAccess:
     def test_index_distinct_count(self, table):
         index = table.create_index("population")
         assert index.distinct_count() == 3
+
+
+class TestSnapshot:
+    @pytest.fixture
+    def database(self):
+        database = Database("d")
+        database.create_table_from_rows("t", [{"code": str(i), "n": i % 7} for i in range(50_000)])
+        database.table("t").create_index("code")
+        return database
+
+    def test_a_lookup_reads_the_rows_in_place(self, database):
+        """A snapshot's row list is the live one, read up to its count:
+        an indexed lookup copied the whole table first (about 400 KB)."""
+        frozen = database.snapshot().table("t")
+        tracemalloc.start()
+        try:
+            assert frozen.lookup("code", "49999") == [{"code": "49999", "n": 49999 % 7}]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000
+
+    def test_a_snapshot_stops_at_its_cut(self, database):
+        frozen = database.snapshot().table("t")
+        database.table("t").insert_many([{"code": "new", "n": 0}, {"code": "49999", "n": 1}])
+        assert len(frozen) == 50_000 and frozen.lookup("code", "new") == []
+        assert frozen.lookup("code", "49999") == [{"code": "49999", "n": 49999 % 7}]
+        assert frozen.lookup("n", 1) == [row for row in frozen.scan() if row["n"] == 1]
+        assert len(frozen.column_values("code")) == 50_000
+        assert "new" not in frozen.distinct_values("code")
+        assert len(database.table("t").lookup("code", "49999")) == 2

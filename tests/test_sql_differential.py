@@ -9,7 +9,9 @@ DISTINCT, ORDER BY with DESC over NULLs, and LIMIT.  Both executors must
 return the same columns and the same rows in the same order, or both
 raise :class:`RelationalError`.  Expressions are drawn well typed, so a
 statement either runs or is rejected for a column it names (unknown,
-ambiguous, or not readable by ORDER BY under DISTINCT or aggregation).
+ambiguous, or not readable by ORDER BY under DISTINCT or aggregation),
+or for an ORDER BY term that reads an alias of another type than the
+input column it shadows (``SELECT 'a' AS k ... ORDER BY -(k)``).
 """
 
 from __future__ import annotations
@@ -217,6 +219,7 @@ _PINNED_ROWS = [(1, 1, None, "a"), (2, 1, 1.5, None), (None, None, 0.0, "A"),
     "SELECT a.s, COUNT(*), SUM(b.y) FROM a LEFT JOIN b ON a.k = b.k GROUP BY a.k",
     "SELECT * FROM a LEFT JOIN b ON a.k < b.k ORDER BY a.x DESC, a.id",
     "SELECT b.t, COUNT(*) AS n FROM b",
+    "SELECT 'a' AS k FROM a ORDER BY -(k), ROUND(k, 1)",
 ])
 @given(a_rows=_rows, b_rows=_rows, sqls=st.lists(_statements(), min_size=4, max_size=4))
 def test_compiled_executor_matches_the_reference(a_rows, b_rows, sqls):
