@@ -200,21 +200,23 @@ class DataSource:
         wrapper whose data lives elsewhere (a remote one) derives none."""
         return None
 
-    def absorb_digest(self, digest: SourceDigest, records: list) -> bool:
-        """Fold the delta chain ``records`` into ``digest`` in place; False
-        (nothing folded: derive it again) for a change it cannot fold."""
-        return False
+    def absorb_digest(self, digest: SourceDigest, records: list) -> Optional[SourceDigest]:
+        """A copy of ``digest`` with the delta chain ``records`` folded in,
+        ``digest`` itself left as it stands (a catalog may hold it); None
+        (derive it again) for a change it cannot fold."""
+        return None
 
     def digest(self) -> Optional[SourceDigest]:
         """The digest of this wrapper's version, shared by the live wrapper
         and its pins (as they share ``cache_token``) and kept at one
         version, the newest asked for.  A newer version is reached by
-        absorbing the journal's chain (:meth:`absorb_digest`) under the
-        lineage's lock, so two readers missing one version fold it once;
-        any other change derives the digest again.  An older version is
-        derived and not kept.  A wrapper without a store derives its
-        digest each time, without asking its version (a remote one
-        derives none and sends no frame)."""
+        absorbing the journal's chain into a copy (:meth:`absorb_digest`:
+        a digest once handed out never changes) under the lineage's lock,
+        so two readers missing one version fold it once; any other change
+        derives the digest again.  An older version is derived and not
+        kept.  A wrapper without a store derives its digest each time,
+        without asking its version (a remote one derives none and sends
+        no frame)."""
         if self.store_attribute is None:
             return self.derive_digest()
         version, lineage = self.version(), self._digest_lineage
@@ -229,9 +231,10 @@ class DataSource:
                 if current.version == version:  # another reader got there
                     return current
                 if (current is kept and kept.version == since and records is not None
-                        and self.absorb_digest(kept, records)):
-                    kept.version = version
-                    return kept
+                        and (absorbed := self.absorb_digest(kept, records)) is not None):
+                    absorbed.version = version
+                    lineage.digest = absorbed
+                    return absorbed
         fresh = self.derive_digest()
         if fresh is None:
             return None

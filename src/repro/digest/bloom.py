@@ -14,6 +14,7 @@ size, far above :meth:`BloomFilter.false_positive_rate`.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 import struct
@@ -41,6 +42,12 @@ class BloomFilter:
         for position in self._positions(value):
             self._bits[position // 8] |= 1 << (position % 8)
         self.inserted += 1
+
+    def copy(self) -> BloomFilter:
+        """A filter holding the same bits, grown independently of this one."""
+        twin = copy.copy(self)
+        twin._bits = bytearray(self._bits)
+        return twin
 
     def add_all(self, values: Iterable[object]) -> None:
         """Insert every value of ``values``."""

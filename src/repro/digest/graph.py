@@ -132,9 +132,9 @@ MIN_JOIN_OVERLAP = 0.05
 
 class DigestCatalog:
     """The digests of one pin of a mixed instance plus the cross-source
-    join edges between them.  Its maps, edges and graph never change once
-    built (a relational digest it holds still absorbs the inserts a later
-    pin asks it for, in place).
+    join edges between them.  Its maps, edges, graph and digests never
+    change once built (a later pin's inserts are absorbed into a copy of
+    a digest).
 
     ``digests`` maps each pinned source (the glue graph included) to its
     digest, ``None`` for a source without one (a remote wrapper: its

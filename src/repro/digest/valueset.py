@@ -13,13 +13,14 @@ associated to each position in the schema" (paper §2.2).  A
 
 from __future__ import annotations
 
+import copy
 import math
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from repro.digest.bloom import BloomFilter
-from repro.digest.histogram import EquiWidthHistogram, TopKSummary
+from repro.digest.histogram import Bucket, EquiWidthHistogram, TopKSummary
 
 _WORD_RE = re.compile(r"[\w]+", re.UNICODE)
 
@@ -97,6 +98,20 @@ class ValueSetSummary:
     # ------------------------------------------------------------------
     # Incremental maintenance
     # ------------------------------------------------------------------
+    def copy(self) -> ValueSetSummary:
+        """A copy :meth:`absorb` can grow while this summary stays as it
+        stands: what ``absorb`` changes in place (the Bloom filters, the
+        histogram's buckets, the top-k) is copied, the sets it rebinds are
+        shared."""
+        twin = copy.copy(self)
+        twin.bloom, twin.token_bloom = self.bloom.copy(), self.token_bloom.copy()
+        twin.top_k = copy.copy(self.top_k)
+        if self.histogram is not None:
+            twin.histogram = copy.copy(self.histogram)
+            twin.histogram.buckets = [Bucket(bucket.low, bucket.high, bucket.count)
+                                      for bucket in self.histogram.buckets]
+        return twin
+
     def absorb(self, values: Iterable[object]) -> None:
         """Fold an insert-only delta into the summary, in place.
 

@@ -6,6 +6,12 @@ posts; hashtags are extracted into their own field (Figure 2,
 chain for French and English text, implemented without external
 dependencies (a light suffix-stripping stemmer is enough for the
 vocabulary analytics of Figure 3).
+
+A corpus repeats a few hundred distinct raw tokens across thousands of
+texts, so each raw token is analysed once per analyzer configuration
+(:func:`_analyze_token`, a bounded memo): a text costs one tokenising
+pass and one memo lookup per token.  :meth:`Analyzer.stems`, what every
+store write and query term reads, builds nothing else.
 """
 
 from __future__ import annotations
@@ -47,9 +53,10 @@ _FRENCH_SUFFIXES = (
 _ENGLISH_SUFFIXES = ("ations", "ation", "ingly", "ings", "ing", "edly", "ed",
                      "ness", "ies", "ly", "es", "s")
 
-#: Entries kept by the memos of :func:`normalize` and :func:`stem`: both
-#: are pure and a corpus repeats a few thousand distinct tokens, so the
-#: bound only caps what a stream of never-repeating tokens can hold.
+#: Entries kept by the memos of :func:`normalize`, :func:`stem` and
+#: :func:`_analyze_token`: all are pure and a corpus repeats a few
+#: thousand distinct tokens, so the bound only caps what a stream of
+#: never-repeating tokens can hold.
 _TOKEN_MEMO_SIZE = 1 << 15
 
 #: Shorter normalised tokens are dropped by every :class:`Analyzer`.
@@ -88,26 +95,41 @@ class Analyzer:
         cleaned = _URL_RE.sub(" ", text)
         hashtags = tuple(tag.lower() for tag in _HASHTAG_RE.findall(cleaned))
         mentions = tuple(m.lower() for m in _MENTION_RE.findall(cleaned))
-        stop = self.stopwords()
-        tokens: list[str] = []
-        for raw in _TOKEN_RE.findall(cleaned):
-            if raw.startswith("@"):
-                continue
-            if raw.startswith("#"):
-                if self.keep_hashtags:
-                    tokens.append(raw.lower())
-                continue
-            token = normalize(raw)
-            if len(token) < MIN_TOKEN_LENGTH or token in stop or token.isdigit():
-                continue
-            tokens.append(token)
-        stems = tuple(stem(t, self.language) if not t.startswith("#") else t for t in tokens)
-        return AnalyzedText(tokens=tuple(tokens), stems=stems,
+        kept = self._kept(cleaned)
+        return AnalyzedText(tokens=tuple(token for token, _ in kept),
+                            stems=tuple(stemmed for _, stemmed in kept),
                             hashtags=hashtags, mentions=mentions, urls=urls)
 
     def stems(self, text: str) -> list[str]:
-        """Shortcut returning only the stemmed tokens of ``text``."""
-        return list(self.analyze(text).stems)
+        """The stemmed tokens of ``text`` (``analyze(text).stems``)."""
+        if "http" in text:
+            text = _URL_RE.sub(" ", text)
+        return [stemmed for _, stemmed in self._kept(text)]
+
+    def _kept(self, cleaned: str) -> list[tuple[str, str]]:
+        """``(token, stem)`` of each token of ``cleaned`` (URLs removed)
+        that the analysis keeps, in order."""
+        language, keep_hashtags, extra = self.language, self.keep_hashtags, self.extra_stopwords
+        return [kept for raw in _TOKEN_RE.findall(cleaned)
+                if (kept := _analyze_token(raw, language, keep_hashtags, extra)) is not None]
+
+
+@functools.lru_cache(maxsize=_TOKEN_MEMO_SIZE)
+def _analyze_token(raw: str, language: str, keep_hashtags: bool,
+                   extra_stopwords: frozenset[str]) -> tuple[str, str] | None:
+    """``(token, stem)`` of one raw token under an analyzer's configuration,
+    or ``None`` when the analysis drops it: a mention, a hashtag unless
+    kept (it is its own stem), a normalised token shorter than
+    :data:`MIN_TOKEN_LENGTH`, a stop word or a number."""
+    if raw.startswith("@"):
+        return None
+    if raw.startswith("#"):
+        return (raw.lower(), raw.lower()) if keep_hashtags else None
+    token = normalize(raw)
+    if (len(token) < MIN_TOKEN_LENGTH or token.isdigit() or token in extra_stopwords
+            or token in (FRENCH_STOPWORDS if language == "fr" else ENGLISH_STOPWORDS)):
+        return None
+    return token, stem(token, language)
 
 
 def tokenize(text: str) -> list[str]:

@@ -11,7 +11,6 @@ from the per-document lengths.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Iterable, Mapping
 
 
@@ -29,8 +28,16 @@ class InvertedIndex:
     # ------------------------------------------------------------------
     def add(self, doc_id: str, terms: list[str]) -> None:
         """Index ``terms`` (already analysed) for ``doc_id``."""
-        for term, frequency in Counter(terms).items():
-            self._postings.setdefault(term, {})[doc_id] = frequency
+        frequencies: dict[str, int] = {}
+        for term in terms:
+            frequencies[term] = frequencies.get(term, 0) + 1
+        postings = self._postings
+        for term, frequency in frequencies.items():
+            held = postings.get(term)
+            if held is None:
+                postings[term] = {doc_id: frequency}
+            else:
+                held[doc_id] = frequency
         self._total_length += len(terms) - self._doc_lengths.get(doc_id, 0)
         self._doc_lengths[doc_id] = len(terms)
 

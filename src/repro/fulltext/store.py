@@ -172,21 +172,24 @@ class FullTextStore(Journalled):
 
         The write lock is held across the whole batch, so a concurrent
         snapshot sees all of it or none of it — and the whole batch is
-        ONE version bump (one ingest = one invalidation).
+        ONE version bump (one ingest = one invalidation), even when a
+        document without an id stops it mid-way: what landed is logged.
         """
         entry = None
         with self._rwlock.write_locked():
             added: list[Document] = []
             before: list[tuple[str, Document | None]] = []
-            for source in sources:
-                doc = source if isinstance(source, Document) \
-                    else make_document(source, self.id_field)
-                before.append((doc.doc_id, self._deindex_unlocked(doc.doc_id)))
-                self._index_unlocked(doc)
-                added.append(doc)
-            if added:
-                replaced = any(old is not None for _, old in before)
-                entry = self._log(UPSERT if replaced else INSERT, added, before)
+            try:
+                for source in sources:
+                    doc = source if isinstance(source, Document) \
+                        else make_document(source, self.id_field)
+                    before.append((doc.doc_id, self._deindex_unlocked(doc.doc_id)))
+                    self._index_unlocked(doc)
+                    added.append(doc)
+            finally:
+                if added:
+                    replaced = any(old is not None for _, old in before)
+                    entry = self._log(UPSERT if replaced else INSERT, added, before)
         if entry is not None:
             self._journal.notify(entry)
         return len(added)
@@ -195,16 +198,21 @@ class FullTextStore(Journalled):
         doc_id = doc.doc_id
         self._documents[doc_id] = doc
         row = self._stored[doc_id] = self._row_of(doc.fields)
+        top_keys = self._top_keys
         for key in doc.fields:
-            self._top_keys[key] = self._top_keys.get(key, 0) + 1
+            top_keys[key] = top_keys.get(key, 0) + 1
         for field_name, terms in self._text_terms(doc, row):
             self._text_indexes[field_name].add(doc_id, terms)
         for field_name, at in self._keyword_cells:
             cell = row[at]
-            if cell is not None:
-                buckets = self._keyword_indexes[field_name]
+            if cell is None:
+                continue
+            buckets = self._keyword_indexes[field_name]
+            if isinstance(cell, tuple):
                 for keyword in _keyword_keys(cell):
                     buckets[keyword].add(doc_id)
+            else:
+                buckets[str(cell).lower()].add(doc_id)
 
     def _deindex_unlocked(self, doc_id: str) -> Document | None:
         """Drop a document's entries; returns it (None: it did not exist).

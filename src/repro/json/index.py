@@ -42,9 +42,10 @@ class PathIndex:
     def add(self, doc_id: str, values: list[object]) -> None:
         """Index every value one (newly indexed) document holds at the path."""
         self.document_count += 1
+        self.occurrences += len(values)
         postings, types = self.postings, self.types
         for value in values:
-            key = normalize(value)
+            key = value.lower() if type(value) is str else normalize(value)
             bucket = postings.get(key)
             if bucket is None:
                 postings[key] = (doc_id,)
@@ -52,7 +53,6 @@ class PathIndex:
                 bucket.add(doc_id)
             elif bucket[0] != doc_id:
                 postings[key] = {bucket[0], doc_id}
-            self.occurrences += 1
             name = type(value).__name__
             types[name] = types.get(name, 0) + 1
 

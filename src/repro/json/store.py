@@ -6,7 +6,9 @@ it keeps native (nested) JSON documents, maintains one
 also where the planner's estimates and the
 :class:`~repro.digest.dataguide.JSONDataguide` structural summary of the
 digests read their path statistics from; each index takes (and gives
-back) what one document holds at its path in one call.  It keeps no
+back) what one document holds at its path in one call.  An insert walks
+the incoming document once, making the stored copy and grouping its
+leaves by path in the same pass (:func:`_copy_and_group`).  It keeps no
 per-document leaf list: a removal or an upsert walks the stored copy's
 leaves again (a stored copy is never mutated after ``add``).  Nor does
 it keep a second, columnar copy of the documents: tree patterns are
@@ -84,9 +86,9 @@ class JSONDocumentStore(Journalled):
             before: list[tuple[str, tuple | None]] = []
             try:
                 for document in documents:
-                    doc_id, stored = self._prepare(document)
+                    doc_id, stored, grouped = self._prepare(document)
                     before.append((doc_id, self._deindex_unlocked(doc_id)))
-                    self._index_unlocked(doc_id, stored)
+                    self._index_unlocked(doc_id, stored, grouped=grouped)
                     added.append(stored)
             finally:
                 # Even a partially applied batch (a malformed document
@@ -111,18 +113,20 @@ class JSONDocumentStore(Journalled):
         return True
 
     # ------------------------------------------------------------------
-    def _prepare(self, document: dict[str, Any]) -> tuple[str, dict[str, Any]]:
-        """Validate one incoming document; returns ``(doc_id, copy)``."""
+    def _prepare(self, document: dict[str, Any]
+                 ) -> tuple[str, dict[str, Any], dict[str, list[Any]]]:
+        """Validate one incoming document; returns ``(doc_id, copy, its
+        leaves by path)``."""
         if not isinstance(document, dict):
             raise JSONError(f"JSON store {self.name!r} only stores objects, "
                             f"got {type(document).__name__}")
-        stored = _copy_json(document)
+        stored, grouped = _copy_and_group(document)
         doc_id = self.id_of(stored)
         if doc_id is None:
             raise JSONError(
                 f"document is missing its id field {self.id_field!r}: {document}"
             )
-        return doc_id, stored
+        return doc_id, stored, grouped
 
     def id_of(self, document: dict[str, Any]) -> str | None:
         """The id ``document`` is filed under (None: it has no id field)."""
@@ -144,17 +148,21 @@ class JSONDocumentStore(Journalled):
         return document, self._ranks.pop(doc_id)
 
     def _index_unlocked(self, doc_id: str, stored: dict[str, Any],
-                        rank: int | None = None) -> None:
-        """Store and index one (validated, copied) document at ``rank``."""
+                        rank: int | None = None,
+                        grouped: dict[str, list[Any]] | None = None) -> None:
+        """Store and index one (validated, copied) document at ``rank``;
+        ``grouped`` is its leaves by path, when the caller has them."""
         self._documents[doc_id] = stored
         if rank is None:
             rank, self._next_rank = self._next_rank, self._next_rank + 1
         self._ranks[doc_id] = rank
-        for path, values in _leaves_by_path(stored).items():
-            index = self._indexes.get(path)
+        indexes = self._indexes
+        if grouped is None:
+            grouped = _leaves_by_path(stored)
+        for path, values in grouped.items():
+            index = indexes.get(path)
             if index is None:
-                index = PathIndex(path)
-                self._indexes[path] = index
+                index = indexes[path] = PathIndex(path)
             index.add(doc_id, values)
 
     # ------------------------------------------------------------------
@@ -300,37 +308,45 @@ def _leaves_by_path(document: dict[str, Any]) -> dict[str, list[Any]]:
     return grouped
 
 
-def _copy_json(value: Any) -> Any:
-    """Structural copy of a JSON tree without recursion.
+def _copy_and_group(document: dict[str, Any]
+                    ) -> tuple[dict[str, Any], dict[str, list[Any]]]:
+    """A structural copy of ``document`` and its leaves by path
+    (``_leaves_by_path`` of the copy), from one walk without recursion.
 
-    Replaces ``copy.deepcopy`` on the insert path: pathologically deep
-    documents (depth 10k+) must not blow the interpreter's recursion
-    limit.  Dict and list containers are copied; every other value —
-    immutable in well-formed JSON — is shared.
+    Pathologically deep documents (depth 10k+) must not blow the
+    interpreter's recursion limit, so each open container is a frame on
+    an explicit stack, resumed where it left off after a child container:
+    leaves are met in ``leaves``' depth-first, left-to-right order, which
+    fixes the order of the paths and of their values.  Dict and list
+    containers are copied; every other value — immutable in well-formed
+    JSON — is shared.
     """
-    if isinstance(value, dict):
-        root: Any = {}
-    elif isinstance(value, list):
-        root = []
-    else:
-        return value
-    stack: list[tuple[Any, Any]] = [(value, root)]
+    root: dict[str, Any] = {}
+    grouped: dict[str, list[Any]] = {}
+    stack: list[tuple[str, Any, Any]] = [("", iter(document.items()), root)]
     while stack:
-        source, target = stack.pop()
-        if isinstance(source, dict):
-            for key, child in source.items():
+        prefix, children, target = stack.pop()
+        if type(target) is dict:
+            for key, child in children:
+                path = f"{prefix}.{key}" if prefix else str(key)
                 if isinstance(child, (dict, list)):
-                    twin: Any = {} if isinstance(child, dict) else []
-                    stack.append((child, twin))
-                    target[key] = twin
-                else:
-                    target[key] = child
+                    target[key] = twin = {} if isinstance(child, dict) else []
+                    stack += (prefix, children, target), (path, _children(child), twin)
+                    break
+                target[key] = child
+                grouped.setdefault(path, []).append(child)
         else:
-            for child in source:
+            for child in children:
                 if isinstance(child, (dict, list)):
                     twin = {} if isinstance(child, dict) else []
-                    stack.append((child, twin))
                     target.append(twin)
-                else:
-                    target.append(child)
-    return root
+                    stack += (prefix, children, target), (prefix, _children(child), twin)
+                    break
+                target.append(child)
+                grouped.setdefault(prefix, []).append(child)
+    return root, grouped
+
+
+def _children(container: dict[str, Any] | list[Any]) -> Any:
+    """An iterator over a container's ``(key, child)`` pairs or elements."""
+    return iter(container.items() if isinstance(container, dict) else container)

@@ -3,7 +3,7 @@ the mediator (:mod:`repro.core.sources`)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from repro.cache.keys import CanonicalQuery
@@ -229,18 +229,22 @@ class RelationalSource(DataSource):
             digest.metadata["tables"] = database.table_names()
         return digest
 
-    def absorb_digest(self, digest: SourceDigest, records: list) -> bool:
-        """Insert-only records fold their rows into the value sets of their
-        table's columns (:meth:`~repro.digest.valueset.ValueSetSummary.absorb`);
-        a CREATE or DROP (a reset) does not fold."""
+    def absorb_digest(self, digest: SourceDigest, records: list) -> Optional[SourceDigest]:
+        """Insert-only records fold their rows into copies of the value sets
+        of their table's columns
+        (:meth:`~repro.digest.valueset.ValueSetSummary.absorb`), filed in a
+        copy of ``digest``; a CREATE or DROP (a reset) does not fold."""
         if any(r.kind != INSERT or r.scope is None for r in records):
-            return False
+            return None
+        absorbed = replace(digest, value_sets=dict(digest.value_sets))
         for record in records:
             for node in digest.nodes:
                 if node.container.lower() == record.scope:
-                    digest.values_of(node).absorb([row.get(node.position)
-                                                   for row in record.items])
-        return True
+                    summary = absorbed.value_sets[node.key]
+                    if summary is digest.value_sets[node.key]:  # first touch
+                        summary = absorbed.value_sets[node.key] = summary.copy()
+                    summary.absorb([row.get(node.position) for row in record.items])
+        return absorbed
 
     def keyword_atom(self, nodes: list[DigestNode], variables: dict, hits: dict) -> tuple:
         """A SELECT of the path's columns of one table (the one holding a

@@ -13,7 +13,8 @@ kernel and store tests catch what two equally mutated instances cannot
 tell apart — the order of tied hits, a loose match on a shared column,
 a phrase no asking of the harness reads, an index entry a matcher's
 verification hides, a walk that drops a pushed-down value, a read a
-concurrent writer tears, a keyword search a write lands inside.  The unmutated
+concurrent writer tears, a keyword search a write lands inside, a token
+analysed under another analyzer's configuration.  The unmutated
 run comes first and must pass.  Not a tier-1 test — it runs the harness
 once per mutant, about ten seconds each::
 
@@ -394,6 +395,21 @@ def keyword_candidates_on_fresh_pins(patch) -> None:
     patch.setattr(KeywordQueryEngine, "lookup", fresh_pins)
 
 
+def token_memo_ignores_configuration(patch) -> None:
+    """The token memo is keyed by the raw token alone: an analyzer reads
+    what one of another language, hashtag rule or stop-word set filed."""
+    from repro.fulltext import analysis
+
+    analyze_token, memo = analysis._analyze_token.__wrapped__, {}
+
+    def by_token(raw, language, keep_hashtags, extra_stopwords):
+        if raw not in memo:
+            memo[raw] = analyze_token(raw, language, keep_hashtags, extra_stopwords)
+        return memo[raw]
+
+    patch.setattr(analysis, "_analyze_token", by_token)
+
+
 MUTANTS = {mutant.__name__: mutant for mutant in (
     constants_out_of_the_binding_key, stamp_matches_every_version,
     repair_ignores_its_delta, headers_left_untranslated,
@@ -406,7 +422,7 @@ MUTANTS = {mutant.__name__: mutant for mutant in (
     merge_without_shared_check, pinned_catalog_outlives_a_write,
     phrase_ignores_adjacency, json_deindex_drops_a_leaf, unrestricted_leaf_skipped,
     removal_keeps_the_removed_id, pushdown_ignored_under_a_predicate,
-    keyword_candidates_on_fresh_pins)}
+    keyword_candidates_on_fresh_pins, token_memo_ignores_configuration)}
 
 
 def _run(name: str) -> int:

@@ -12,18 +12,25 @@ structural tests hold the layouts themselves.
 
 from __future__ import annotations
 
+import copy
+import itertools
 import math
+import re
 import tracemalloc
 from collections import Counter
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import FullTextQuery
 from repro.datasets import DemoConfig, build_demo_instance
 from repro.datasets.loader import TWEETS_JSON_URI, TWEETS_URI, party_vocabulary_query
 from repro.digest.dataguide import leaves
 from repro.digest.valueset import ValueSetSummary
+from repro.errors import FullTextError, JSONError
 from repro.fulltext import bm25_score, tweet_store
+from repro.fulltext.analysis import (
+    MIN_TOKEN_LENGTH, AnalyzedText, Analyzer, normalize as normalize_token, stem)
 from repro.fulltext.index import InvertedIndex
 from repro.fulltext.query import PhraseQuery
 from repro.fulltext.scoring import bm25_scorer
@@ -494,3 +501,343 @@ class TestRankOnlyHits:
             demo.instance.execute(party_vocabulary_query(demo, word))
         assert sum(hits) > 0
         assert len(ranks) == sum(hits) < sum(bindings)
+
+
+# ---------------------------------------------------------------------------
+# Analysis: each raw token analysed once per configuration
+# ---------------------------------------------------------------------------
+
+_REF_TOKEN_RE = re.compile(r"[#@]?[\w'À-ſ-]+", re.UNICODE)
+_REF_HASHTAG_RE = re.compile(r"#(\w+)", re.UNICODE)
+_REF_MENTION_RE = re.compile(r"@(\w+)", re.UNICODE)
+_REF_URL_RE = re.compile(r"https?://\S+")
+
+
+def _reference_analysis(analyzer: Analyzer, text: str) -> AnalyzedText:
+    """The analysis chain without a token memo: every token of every text
+    normalised, filtered and stemmed again."""
+    urls = tuple(_REF_URL_RE.findall(text))
+    cleaned = _REF_URL_RE.sub(" ", text)
+    hashtags = tuple(tag.lower() for tag in _REF_HASHTAG_RE.findall(cleaned))
+    mentions = tuple(m.lower() for m in _REF_MENTION_RE.findall(cleaned))
+    stop = analyzer.stopwords()
+    tokens: list[str] = []
+    for raw in _REF_TOKEN_RE.findall(cleaned):
+        if raw.startswith("@"):
+            continue
+        if raw.startswith("#"):
+            if analyzer.keep_hashtags:
+                tokens.append(raw.lower())
+            continue
+        token = normalize_token(raw)
+        if len(token) < MIN_TOKEN_LENGTH or token in stop or token.isdigit():
+            continue
+        tokens.append(token)
+    stems = tuple(stem(t, analyzer.language) if not t.startswith("#") else t for t in tokens)
+    return AnalyzedText(tokens=tuple(tokens), stems=stems, hashtags=hashtags,
+                        mentions=mentions, urls=urls)
+
+
+#: One process-wide memo serves every configuration: these differ on the
+#: same raw tokens (a stop word, a kept hashtag, a language's suffixes).
+_ANALYZERS = (Analyzer(), Analyzer(extra_stopwords=frozenset({"budget", "accord", "solidarite"})),
+              Analyzer(keep_hashtags=False), Analyzer(language="en"),
+              Analyzer(language="en", keep_hashtags=False,
+                       extra_stopwords=frozenset({"working", "budget"})))
+_PIECES = ["http://t.co/ab12", "https://ex.org/a?b=1", "http", "#SIA2016", "#Etat_urgence", "#",
+           "@fhollande", "@Le_Pen", "@", "l'accord", "qu'il", "l'd'accord", "d'Élysée", "L'",
+           "Élysée", "été", "ça", "naïve", "perquisitions", "abusives", "2016", "42", "a", "x",
+           "le", "the", "and", "Budget", "budget", "solidarité", "working", "factories", "-",
+           "'", "--x--", "votes", "urgences"]
+_SEPARATORS = [" ", " ", ", ", "", "!", "\n"]
+_TEXT = st.lists(st.tuples(st.sampled_from(_PIECES) | st.text("abéÉ#@'-:/h2 ", max_size=5),
+                           st.sampled_from(_SEPARATORS)),
+                 max_size=10).map(lambda parts: "".join(p + s for p, s in parts))
+
+
+class TestTokenMemo:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(asked=st.lists(st.tuples(st.integers(0, len(_ANALYZERS) - 1), _TEXT),
+                          min_size=1, max_size=10))
+    @example(asked=[(0, "budget #SIA2016 working"), (1, "budget #SIA2016 working"),
+                    (2, "budget #SIA2016 working"), (3, "budget #SIA2016 working"),
+                    (4, "budget #SIA2016 working")])
+    def test_analysis_is_the_reference_chain(self, asked):
+        """Analyzers of every configuration, interleaved in one process:
+        ``analyze`` and ``stems`` answer what the unmemoised chain does."""
+        for which, text in asked:
+            analyzer = _ANALYZERS[which]
+            expected = _reference_analysis(analyzer, text)
+            assert analyzer.analyze(text) == expected, (which, text)
+            assert analyzer.stems(text) == list(expected.stems), (which, text)
+
+
+# ---------------------------------------------------------------------------
+# Bulk ingest: store state as a naive replay of the writes builds it
+# ---------------------------------------------------------------------------
+
+#: Leaves and containers of every shape: ``1``, ``1.0`` and ``True`` at one
+#: path, ``None``, empty containers, nested lists and lists of objects.
+_JSON_VALUE = st.recursive(
+    st.sampled_from([1, 1.0, True, False, 0, None, "x", "X", "y", 2.5, ""]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(["a", "b", "c"]), children, max_size=3),
+    max_leaves=8)
+_JSON_BODY = st.dictionaries(st.sampled_from(["a", "b", "c", "id"]), _JSON_VALUE, max_size=3)
+#: Stands for a malformed document: not an object, or no id.
+_MALFORMED = st.sampled_from([["not", "an", "object"], {"a": 1}])
+_JSON_BATCH = st.lists(st.tuples(st.integers(0, 4), _JSON_BODY).map(
+    lambda item: {**item[1], "id": item[0]}) | _MALFORMED, min_size=1, max_size=4)
+_WRITES = st.lists(st.tuples(st.just("add"), _JSON_BATCH)
+                   | st.tuples(st.just("remove"), st.integers(0, 4)), min_size=1, max_size=6)
+
+
+class _ReplayedJSON:
+    """The JSON store's state replayed naively: ``leaves`` of each
+    document, ``normalize``d keys, a list of ids per key."""
+
+    def __init__(self):
+        self.documents, self.ranks, self.indexes, self.version = {}, {}, {}, 0
+        self._next = 0
+
+    def add(self, doc_id: str, document: dict) -> None:
+        self.remove(doc_id)
+        self.documents[doc_id], self.ranks[doc_id] = document, self._next
+        self._next += 1
+        for path, values in _grouped(document).items():
+            index = self.indexes.setdefault(path, {"postings": {}, "count": 0,
+                                                   "occurrences": 0, "types": {}})
+            index["count"] += 1
+            for value in values:
+                ids = index["postings"].setdefault(normalize(value), [])
+                if doc_id not in ids:
+                    ids.append(doc_id)
+                index["occurrences"] += 1
+                name = type(value).__name__
+                index["types"][name] = index["types"].get(name, 0) + 1
+
+    def remove(self, doc_id: str) -> bool:
+        document = self.documents.pop(doc_id, None)
+        if document is None:
+            return False
+        del self.ranks[doc_id]
+        for path, values in _grouped(document).items():
+            index = self.indexes[path]
+            index["count"] -= 1
+            for value in values:
+                ids = index["postings"].get(normalize(value))
+                if ids is not None and doc_id in ids:
+                    ids.remove(doc_id)
+                    if not ids:
+                        del index["postings"][normalize(value)]
+                index["occurrences"] -= 1
+                name = type(value).__name__
+                index["types"][name] -= 1
+                if not index["types"][name]:
+                    del index["types"][name]
+            if not index["count"]:
+                del self.indexes[path]
+        return True
+
+    def state(self) -> tuple:
+        return (repr(list(self.documents.items())), list(self.ranks.items()), self.version,
+                [(path, [(repr(key), sorted(ids), len(ids) == 1)
+                         for key, ids in index["postings"].items()],
+                  index["count"], index["occurrences"], list(index["types"].items()))
+                 for path, index in self.indexes.items()])
+
+
+def _grouped(document: dict) -> dict[str, list]:
+    grouped: dict[str, list] = {}
+    for path, value in leaves(document):
+        grouped.setdefault(path, []).append(value)
+    return grouped
+
+
+def _json_state(store: JSONDocumentStore) -> tuple:
+    """Every structure a JSON write fills, in its order (``repr`` tells
+    ``True`` from ``1``; a bucket's form is whether it is a 1-tuple)."""
+    return (repr(list(store._documents.items())), list(store._ranks.items()), store.version,
+            [(path, [(repr(key), sorted(ids), type(ids) is tuple)
+                     for key, ids in index.postings.items()],
+              index.document_count, index.occurrences, list(index.types.items()))
+             for path, index in store._indexes.items()])
+
+
+def _containers(value) -> list:
+    """Every dict and list of a JSON value, the value itself included."""
+    found, stack = [], [value]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, (dict, list)):
+            found.append(value)
+            stack.extend(value.values() if isinstance(value, dict) else value)
+    return found
+
+
+_FT_SCALAR = st.sampled_from([None, 1, True, 2.5, "Budget", "budget", "x"]) | _TEXT
+_FT_VALUE = (_FT_SCALAR | st.lists(_FT_SCALAR, max_size=3)
+             | st.dictionaries(st.sampled_from(["name", "id"]), _FT_SCALAR, max_size=2))
+_FT_FIELDS = [FieldConfig("text", "text"), FieldConfig("tags", "keyword", multi_valued=True),
+              FieldConfig("user.name", "keyword"), FieldConfig("n", "numeric")]
+_FT_BATCH = st.lists(st.tuples(st.integers(0, 4), st.dictionaries(
+    st.sampled_from(["text", "tags", "user", "n", "other"]), _FT_VALUE, max_size=4)).map(
+        lambda item: {**item[1], "id": item[0]}) | st.just({"text": "no id"}),
+    min_size=1, max_size=4)
+
+
+def _get(fields: dict, path: str):
+    for part in path.split("."):
+        if not isinstance(fields, dict) or part not in fields:
+            return None
+        fields = fields[part]
+    return fields
+
+
+class _ReplayedText:
+    """The full-text store's state replayed naively: each field read off
+    the document, the text analysed by the reference chain."""
+
+    def __init__(self, analyzer: Analyzer):
+        self.analyzer, self.version = analyzer, 0
+        self.documents, self.rows, self.top_keys = {}, {}, {}
+        self.postings, self.lengths = {"text": {}}, {"text": {}}
+        self.keywords = {"tags": {}, "user.name": {}}
+
+    def _terms(self, fields: dict) -> list[str] | None:
+        value = _get(fields, "text")
+        if value is None:
+            return None
+        text = " ".join(map(str, value)) if isinstance(value, list) else str(value)
+        return list(_reference_analysis(self.analyzer, text).stems)
+
+    @staticmethod
+    def _keys(fields: dict, name: str) -> list[str]:
+        value = _get(fields, name)
+        if isinstance(value, list):
+            return [str(v).lower() for v in value if v is not None]
+        return [] if value is None else [str(value).lower()]
+
+    def add(self, source: dict) -> None:
+        doc_id = str(source["id"])
+        self.remove(doc_id)
+        fields = self.documents[doc_id] = dict(source)
+        row = []
+        for config in _FT_FIELDS:
+            cell = _get(fields, config.name)
+            if isinstance(cell, list):
+                cell = cell[0] if len(cell) == 1 else tuple(cell)
+            row.append(cell)
+        self.rows[doc_id] = tuple(row)
+        for key in fields:
+            self.top_keys[key] = self.top_keys.get(key, 0) + 1
+        terms = self._terms(fields)
+        if terms is not None:
+            for term, frequency in Counter(terms).items():
+                self.postings["text"].setdefault(term, {})[doc_id] = frequency
+            self.lengths["text"][doc_id] = len(terms)
+        for name, buckets in self.keywords.items():
+            for key in self._keys(fields, name):
+                buckets.setdefault(key, set()).add(doc_id)
+
+    def remove(self, doc_id: str) -> bool:
+        fields = self.documents.pop(doc_id, None)
+        if fields is None:
+            return False
+        del self.rows[doc_id]
+        for key in fields:
+            self.top_keys[key] -= 1
+        for term in self._terms(fields) or ():
+            postings = self.postings["text"].get(term)
+            if postings is not None and postings.pop(doc_id, None) is not None \
+                    and not postings:
+                del self.postings["text"][term]
+        self.lengths["text"].pop(doc_id, None)
+        for name, buckets in self.keywords.items():
+            for key in self._keys(fields, name):
+                if key in buckets:
+                    buckets[key].discard(doc_id)
+                    if not buckets[key]:
+                        del buckets[key]
+        return True
+
+    def state(self) -> tuple:
+        return ([(doc_id, repr(fields)) for doc_id, fields in self.documents.items()],
+                repr(list(self.rows.items())), list(self.top_keys.items()), self.version,
+                [(term, list(postings.items())) for term, postings in self.postings["text"].items()],
+                list(self.lengths["text"].items()), sum(self.lengths["text"].values()),
+                {name: [(key, sorted(ids)) for key, ids in buckets.items()]
+                 for name, buckets in self.keywords.items()})
+
+
+def _text_state(store: FullTextStore) -> tuple:
+    index = store._text_indexes["text"]
+    return ([(doc_id, repr(doc.fields)) for doc_id, doc in store._documents.items()],
+            repr(list(store._stored.items())), list(store._top_keys.items()), store.version,
+            [(term, list(postings.items())) for term, postings in index._postings.items()],
+            list(index._doc_lengths.items()), index._total_length,
+            {name: [(key, sorted(ids)) for key, ids in buckets.items()]
+             for name, buckets in store._keyword_indexes.items()})
+
+
+class TestBulkIngest:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(writes=_WRITES)
+    def test_json_state_is_the_naive_replay(self, writes):
+        """Batches with upserts, malformed documents and removals: after
+        each write the store holds what the replay holds, in its orders,
+        its stored copies share no container with what was added, and a
+        batch broken mid-way still bumps the version exactly once."""
+        store, replay, added = JSONDocumentStore("docs"), _ReplayedJSON(), []
+        for kind, items in writes:
+            if kind == "remove":
+                removed = replay.remove(str(items))
+                replay.version += removed
+                assert store.remove(str(items)) == removed
+            else:
+                landed = 0
+                for document in items:
+                    if not isinstance(document, dict) or "id" not in document:
+                        break
+                    replay.add(str(document["id"]), copy.deepcopy(document))
+                    added.append(document)
+                    landed += 1
+                replay.version += landed > 0
+                if landed < len(items):
+                    with pytest.raises(JSONError):
+                        store.add_all(items)
+                else:
+                    assert store.add_all(items) == landed
+            assert _json_state(store) == replay.state()
+        stored = {id(c) for document in store.documents() for c in _containers(document)}
+        assert not stored & {id(c) for document in added for c in _containers(document)}
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(writes=st.lists(st.tuples(st.just("add"), _FT_BATCH)
+                           | st.tuples(st.just("remove"), st.integers(0, 4)),
+                           min_size=1, max_size=6),
+           which=st.integers(0, len(_ANALYZERS) - 1))
+    def test_full_text_state_is_the_naive_replay(self, writes, which):
+        """Batches with upserts, documents without an id and removals, under
+        each analyzer: after each write the store's documents, stored rows,
+        top-level key counts, postings, lengths and keyword buckets are the
+        replay's, in their orders, and a batch broken mid-way still bumps
+        the version exactly once."""
+        store = FullTextStore("docs", _FT_FIELDS, analyzer=_ANALYZERS[which])
+        replay = _ReplayedText(_ANALYZERS[which])
+        for kind, items in writes:
+            if kind == "remove":
+                removed = replay.remove(str(items))
+                replay.version += removed
+                assert store.remove(str(items)) == removed
+            else:
+                landed = list(itertools.takewhile(lambda source: "id" in source, items))
+                for source in landed:
+                    replay.add(source)
+                replay.version += bool(landed)
+                if len(landed) < len(items):
+                    with pytest.raises(FullTextError):
+                        store.add_all(items)
+                else:
+                    assert store.add_all(items) == len(items)
+            assert _text_state(store) == replay.state()

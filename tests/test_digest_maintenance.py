@@ -3,7 +3,8 @@
 A relational wrapper's digest serves both keyword search and the
 planner's column estimates.  It is shared by the live wrapper and its
 pins and moves to a newer version by absorbing the journal's insert-only
-records; any other change derives it again.  A differential property test
+records into a copy (a digest once handed out never changes); any other
+change derives it again.  A differential property test
 holds the kept digest to a freshly derived one.  Every model derives its
 digest in one reading of its store, so a digest derived while a writer
 commits is exactly the version it is stamped with.
@@ -65,9 +66,11 @@ class TestDigestAbsorption:
         db.table("t").insert_many([{"c": 1000 + i, "s": "new"}
                                    for i in range(10)])
         absorbed = _summary(source, "t", "c")
-        assert absorbed is summary  # carried forward, not rebuilt
-        assert source.digest() is digest and digest.version == source.version()
-        assert derivations == ["sql://d"]
+        kept = source.digest()
+        assert absorbed is not summary and kept is not digest  # folded into copies
+        assert kept.version == source.version() > digest.version
+        assert summary.total_values == 100 and not summary.might_contain(1005)
+        assert derivations == ["sql://d"]  # absorbed, not derived again
         assert absorbed.total_values == 110
         assert absorbed.might_contain(1005) and absorbed.might_contain(50)
         assert not absorbed.might_contain(424242)
@@ -118,25 +121,26 @@ class TestDigestAbsorption:
         db.table("t").insert_many([{"s": "hot", "n": 25.0}] * 20)
         s = _summary(source, "t", "s")
         n = _summary(source, "t", "n")
-        assert s is s0 and n is n0  # carried forward, not rebuilt
-        assert derivations == ["sql://d"]
+        assert derivations == ["sql://d"]  # absorbed, not derived again
         assert s.top_k.frequency("hot") == 20
         assert n.numeric and n.histogram.total == 70
+        assert s0.top_k.frequency("hot") == 0 and n0.histogram.total == 50
         # Out-of-range values clamp into the edge buckets.
         db.table("t").insert_many([{"s": "x", "n": 10_000.0}])
         n2 = _summary(source, "t", "n")
-        assert n2 is n and n2.histogram.total == 71
+        assert n2.histogram.total == 71 and n.histogram.total == 70
+        assert sum(bucket.count for bucket in n.histogram.buckets) == 70
         assert derivations == ["sql://d"]
 
     def test_keyword_lookups_survive_inserts_absorbed_meanwhile(self):
         """Keyword search and the planner read the one digest: a lookup
-        walking a value set while a planner absorbs inserts into it reads
-        the set it started with."""
+        walking a digest while a planner absorbs inserts reads the digest
+        it started with, which the inserts never reach."""
         db = Database("d")
         db.create_table_from_rows("t", [{"s": f"v{i}"} for i in range(100)])
         source = RelationalSource("sql://d", db)
         digest = source.digest()
-        stop, failures = threading.Event(), []
+        version, stop, failures = digest.version, threading.Event(), []
 
         def look_up():
             try:
@@ -150,12 +154,32 @@ class TestDigestAbsorption:
         try:
             for batch in range(50):
                 db.table("t").insert_many([{"s": f"w{batch}_{i}"} for i in range(10)])
-                assert source.digest() is digest
+                assert source.digest().nodes is digest.nodes  # absorbed
         finally:
             stop.set()
             reader.join()
         assert failures == []
+        assert digest.lookup_keyword("w49_9") == [] and digest.version == version
         assert _summary(source, "t", "s").exact is None  # grown past its limit
+
+    def test_a_catalog_is_not_changed_by_a_later_insert(self):
+        """A digest, once handed out, never changes: an insert folded into
+        the next catalog's relational digest does not reach the catalog
+        built before it."""
+        demo = build_demo_instance(DemoConfig(politicians=18, weeks=4,
+                                              tweets_per_politician_per_week=2.0, seed=42))
+        old = demo.instance.build_digests()
+        digest = old.digest("sql://insee")
+        version, node = digest.version, digest.node("unemployment", "dept_code")
+        demo.insee.execute("INSERT INTO unemployment (dept_code, year, quarter, rate) "
+                           "VALUES ('zz', 2020, 1, 9.0)")
+        new = demo.instance.build_digests()
+        assert new.values_of(new.digest("sql://insee").node("unemployment", "dept_code")
+                             ).might_contain("zz")
+        assert node in new.lookup_keyword("zz")
+        assert not old.values_of(node).might_contain("zz")
+        assert node not in old.lookup_keyword("zz")
+        assert old.digest("sql://insee") is digest and digest.version == version
 
     def test_a_pin_older_than_the_kept_digest_derives_its_own(self, derivations):
         db = Database("d")
@@ -210,13 +234,13 @@ def test_the_kept_digest_matches_a_fresh_one(batches, reset):
     first = source.digest()
     for table, rows in batches:
         db.table(table).insert_many(rows)
-        assert source.digest() is first  # absorbed, not derived again
+        assert source.digest().nodes is first.nodes  # absorbed, not derived again
         _assert_matches_a_fresh_derivation(source)
     if reset == "create":
         db.create_table_from_rows("v", [{"n": 7, "s": "lyon"}])
     else:
         db.drop_table("u")
-    assert source.digest() is not first
+    assert source.digest().nodes is not first.nodes
     _assert_matches_a_fresh_derivation(source)
 
 
