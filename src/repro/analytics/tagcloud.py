@@ -118,17 +118,21 @@ def build_tag_cloud(vocabularies: dict[str, GroupVocabulary], title: str,
     when the same term is distinctive for several groups, the group with
     the highest PMI keeps it (and provides the colour), matching the
     "colored according to the political group of the author" rendering.
+    The cloud does not depend on the order of ``vocabularies``: groups are
+    walked in sorted order, a PMI tie goes to the first group, and entries
+    are ordered by ``(-weight, group, term)``.
     """
     colors = {**GROUP_COLORS, **(colors or {})}
     best_entry: dict[str, TagCloudEntry] = {}
-    for group, vocabulary in vocabularies.items():
+    for group, vocabulary in sorted(vocabularies.items()):
         color = colors.get(group, DEFAULT_COLOR)
         for scored in vocabulary.top(terms_per_group):
             existing = best_entry.get(scored.term)
             if existing is None or scored.pmi > existing.weight:
                 best_entry[scored.term] = TagCloudEntry(term=scored.term, weight=scored.pmi,
                                                         group=group, color=color)
-    return TagCloud(title=title, entries=sorted(best_entry.values(), key=lambda e: -e.weight))
+    return TagCloud(title=title, entries=sorted(best_entry.values(),
+                                                key=lambda e: (-e.weight, e.group, e.term)))
 
 
 def weekly_tag_clouds(weekly_vocabularies: dict[str, dict[str, GroupVocabulary]],

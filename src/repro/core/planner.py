@@ -23,6 +23,17 @@ once per planning, in one price table: each atom's sources and one
 estimate per (atom, bound variables ∩ its variables), from which the
 search over bitmask states prices every step.
 
+A bind step that no required parameter or dynamic source forces is
+*covering* when its distinct shipped bindings times its per-binding
+estimate reach the atom's whole estimate — the containment assumption
+the join-size estimate makes too.  Such a join fetches every row
+materialising fetches, plus one pushed binding each, so the step is
+priced and planned as a materialise step and hash-joined.  Shipped
+bindings are distinct values (the batched bind join dedups): per shared
+variable, its distinct count among the atoms already joined.  A
+covering step that ships a single binding costs the same either way and
+keeps its bind.
+
 ``PlannerOptions(cost_based=False)`` is the *reference plan* the test
 and benchmark oracles evaluate: the same loop picking the first ready
 atom in body order, binding only where a required parameter or a
@@ -308,7 +319,7 @@ class QueryPlanner:
                     ready.sort(key=lambda i: (0 if not bound or bound & layout.vars[i] else 1,
                                               price.estimate(i, bound), i))
                 for i in ready:
-                    priced = price(i, bound, card, not done)
+                    priced = price(i, bound, card, done)
                     key = done | 1 << i
                     current = following.get(key)
                     total = cost + priced[0]
@@ -333,7 +344,7 @@ class QueryPlanner:
             ready = self._ready(layout, done, bound)
             ranked = []
             for i in ready if options.cost_based else ready[:1]:
-                priced = price(i, bound, card, not done)
+                priced = price(i, bound, card, done)
                 connected = 0 if not bound or bound & layout.vars[i] else 1
                 ranked.append(((priced[0], connected, price.estimate(i, bound), i), priced))
             rank, priced = min(ranked, key=lambda entry: entry[0])
@@ -464,9 +475,25 @@ class _Prices:
                 sum(estimates) if self.dynamic[i] else min(estimates))
         return estimate
 
-    def __call__(self, i: int, bound: int, card: float, first: bool) -> tuple:
-        """Price atom ``i`` run after ``card`` rows with ``bound`` bound:
-        ``(cost, cardinality after it, mode, estimate, batch size)``."""
+    def shipped(self, shares: int, card: float, done: int) -> float:
+        """Distinct bindings a bind join on the ``shares`` variables ships
+        after ``card`` rows of the atoms in ``done``: the batched bind join
+        dedups, so at most the product over those variables of each one's
+        distinct count among the joined atoms (``full_j / estimate(j, v)``,
+        capped at ``full_j``)."""
+        distinct = 1.0
+        while shares:
+            bit = shares & -shares
+            shares ^= bit
+            distinct *= min(self.full[j] / max(1.0, self.estimate(j, bit))
+                            for j, out in enumerate(self.layout.out)
+                            if done >> j & 1 and out & bit)
+        return min(card, distinct)
+
+    def __call__(self, i: int, bound: int, card: float, done: int) -> tuple:
+        """Price atom ``i`` run after ``card`` rows of the atoms in ``done``
+        with ``bound`` bound: ``(cost, cardinality after it, mode,
+        estimate, batch size)``."""
         shares = bound & self.layout.vars[i]
         estimate = self.table.get((i, shares))
         if estimate is None:
@@ -485,8 +512,15 @@ class _Prices:
         else:
             joined = full * card / max(card, full / estimate)
         forced = required or self.dynamic[i]
-        if first or not (forced or self.cost_based and shares):
+        if not done or not (forced or self.cost_based and shares):
             return materialize, joined if shares else card * full, "materialize", full, 0
+        if not forced:
+            # A covering step (see the module docstring) is materialised;
+            # one shipped binding keeps the bind, and an atom of unknown
+            # size (a dark source) covers nothing.
+            shipped = self.shipped(shares, card, done)
+            if shipped > 1 and full < _INF and shipped * estimate >= full:
+                return materialize, joined, "materialize", full, 0
         batch = self.batch_size or self.cost_model.batch_size(estimate, self.models[i])
         bind = (self.cost_model.bind_cost(self.models[i], card, estimate, batch),
                 joined, "bind", estimate, batch)

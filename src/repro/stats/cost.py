@@ -16,6 +16,13 @@ batch) and a calibrated bias toward bind joins
 *kind*, not per instance: they only need to rank alternatives, not
 predict wall-clock time.
 
+The bias and :data:`MODE_SWITCH_MARGIN` apply to a selective bind join
+only.  A *covering* one — its distinct bindings times its per-binding
+estimate reach the atom's whole estimate — fetches every row
+materialising fetches, plus one pushed binding each, so the planner
+prices it as a materialise step (see :mod:`repro.core.planner`); one
+shipped binding keeps the bind.
+
 The same model also picks bind-join batch sizes: the size decreases
 monotonically with the estimated per-binding cost, fixing the historical
 discontinuity where an estimate of ``inf`` yielded a mid-size batch

@@ -4,7 +4,9 @@ import pytest
 
 from repro.analytics import (
     GROUP_COLORS,
+    GroupVocabulary,
     PMIVocabularyAnalyzer,
+    ScoredTerm,
     build_tag_cloud,
     bucket_by_week,
     influence_score,
@@ -105,6 +107,20 @@ class TestTagCloud:
         weekly = {"2015-W48": self.make_vocabularies(), "2015-W47": self.make_vocabularies()}
         clouds = weekly_tag_clouds(weekly)
         assert [c.title for c in clouds] == ["2015-W47", "2015-W48"]
+
+    def test_cloud_does_not_depend_on_the_group_order(self):
+        # "etat" ties between two groups, and three terms tie on weight.
+        scored = {"left": [("etat", 2.0), ("loi", 1.5)],
+                  "right": [("etat", 2.0), ("ordre", 1.5)],
+                  "center": [("vote", 1.5)]}
+        vocabularies = {group: GroupVocabulary(group, [ScoredTerm(term, pmi, 2, 4)
+                                                       for term, pmi in terms])
+                        for group, terms in scored.items()}
+        forward = build_tag_cloud(vocabularies, title="w")
+        backward = build_tag_cloud(dict(reversed(vocabularies.items())), title="w")
+        assert forward.entries == backward.entries
+        assert [(e.term, e.group) for e in forward.entries] == [
+            ("etat", "left"), ("vote", "center"), ("loi", "left"), ("ordre", "right")]
 
     def test_empty_cloud_text(self):
         from repro.analytics import TagCloud

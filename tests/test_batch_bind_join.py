@@ -365,24 +365,27 @@ class TestExecuteBatch:
 # Planner knobs
 # ---------------------------------------------------------------------------
 
+def head_of_state_tweets(instance):
+    """Every tweet of the head of state's account: one binding reaches a
+    share of the atom, so the full-text step is a bind join (over every
+    account it would cover the atom and be materialised)."""
+    return (instance.builder("q", head=["t", "id"])
+            .graph("SELECT ?id WHERE { ?x ttn:position ttn:headOfState . "
+                   "?x ttn:twitterAccount ?id }")
+            .fulltext("tweets", source="solr://tweets", query="*:*",
+                      fields={"t": "text", "id": "user.screen_name"})
+            .build())
+
+
 class TestPlannerBatching:
     def test_bind_steps_carry_batch_size(self, instance):
-        cmq = (instance.builder("q", head=["t", "id"])
-               .graph("SELECT ?id WHERE { ?x ttn:twitterAccount ?id }")
-               .fulltext("tweets", source="solr://tweets", query="*:*",
-                         fields={"t": "text", "id": "user.screen_name"})
-               .build())
-        plan = instance.plan(cmq)
+        plan = instance.plan(head_of_state_tweets(instance))
         bind_steps = [s for s in plan.steps if s.mode == "bind"]
         assert bind_steps and all(s.batch_size >= MIN_BIND_BATCH for s in bind_steps)
 
     def test_explicit_batch_size_wins(self, instance):
-        cmq = (instance.builder("q", head=["t", "id"])
-               .graph("SELECT ?id WHERE { ?x ttn:twitterAccount ?id }")
-               .fulltext("tweets", source="solr://tweets", query="*:*",
-                         fields={"t": "text", "id": "user.screen_name"})
-               .build())
-        plan = instance.plan(cmq, PlannerOptions(bind_batch_size=7))
+        plan = instance.plan(head_of_state_tweets(instance), PlannerOptions(bind_batch_size=7))
+        assert any(s.mode == "bind" for s in plan.steps)
         assert all(s.batch_size == 7 for s in plan.steps if s.mode == "bind")
 
     def test_auto_batch_size_bounds(self):
@@ -392,12 +395,8 @@ class TestPlannerBatching:
         assert MIN_BIND_BATCH <= batch_size(float("inf")) <= MAX_BIND_BATCH
 
     def test_per_binding_is_batch_size_one(self, instance):
-        cmq = (instance.builder("q", head=["t", "id"])
-               .graph("SELECT ?id WHERE { ?x ttn:twitterAccount ?id }")
-               .fulltext("tweets", source="solr://tweets", query="*:*",
-                         fields={"t": "text", "id": "user.screen_name"})
-               .build())
-        plan = instance.plan(cmq, PER_BINDING)
+        plan = instance.plan(head_of_state_tweets(instance), PER_BINDING)
+        assert any(s.mode == "bind" for s in plan.steps)
         assert all(s.batch_size == 1 for s in plan.steps if s.mode == "bind")
 
 

@@ -15,7 +15,6 @@ from repro.datasets import (
     DemoConfig,
     build_demo_instance,
     fact_checking_query,
-    party_vocabulary_query,
     qsia_json_query,
     qsia_query,
 )
@@ -23,6 +22,7 @@ from repro.errors import PlanningError, QueryCancelledError, UnknownSourceError
 from repro.obs.metrics import reset_registry
 from repro.relational import Database
 from repro.stats.cost import BIND_BINDING_SHARE, CostModel
+from test_covering_bind import one_group_vocabulary_query
 
 
 @pytest.fixture
@@ -420,11 +420,14 @@ class TestOneCallShape:
 
     @staticmethod
     def one_cmq_per_class(demo) -> list:
-        """qsia, dynamic, qsia_json, party and factcheck: the stream's classes."""
+        """qsia, dynamic, qsia_json, party and factcheck: the stream's
+        classes (party over one group's accounts: over all of them its
+        full-text step covers the atom and is materialised)."""
         dynamic = demo.instance.parse(
             'qSIA(t, id) :- qG(id), tweetContains(t, id, "sia2016")[dSolr]')
         return [qsia_query(demo), dynamic, qsia_json_query(demo),
-                party_vocabulary_query(demo, "emploi"), fact_checking_query(demo)]
+                one_group_vocabulary_query(demo, "extreme-left", "emploi"),
+                fact_checking_query(demo)]
 
     def entries(self, monkeypatch) -> list[tuple[str, str]]:
         """``(source uri, method)`` of every outermost wrapper entry."""

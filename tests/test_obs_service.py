@@ -64,9 +64,13 @@ def profile_query(instance: MixedInstance):
 
 
 def wide_query(instance: MixedInstance, topic: str = "politics"):
-    """A three-model join: glue graph, profiles table, JSON documents."""
+    """A three-model join: glue graph, profiles table, JSON documents.
+
+    One party's three accounts of eight, so the profiles step binds: over
+    every account it would cover the table and be materialised."""
     builder = instance.builder(f"wide_{topic}", head=["id", "f", "l"])
-    builder.graph("SELECT ?id WHERE { ?x ttn:twitterAccount ?id }")
+    builder.graph("SELECT ?id WHERE { ?x ttn:memberOf ttn:PARTY0 . "
+                  "?x ttn:twitterAccount ?id }")
     builder.sql("prof", source="sql://profiles",
                 sql="SELECT handle AS id, followers AS f FROM profiles")
     builder.json("tweets", source="json://tweets",

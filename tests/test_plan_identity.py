@@ -150,9 +150,9 @@ EXPECTED = {
         ((0,), (1,),),
         7.619999999999999),
     ('party/merci', True, 0): (
-        (('qG', M, 0), ('tweetMentions', B, 987),),
-        ((0,), (1,),),
-        7.695),
+        (('qG', M, 0), ('tweetMentions', M, 0),),
+        ((0, 1),),
+        7.619999999999999),
     ('party/merci', True, 1): (
         (('qG', M, 0), ('tweetMentions', M, 0),),
         ((0, 1),),
@@ -166,9 +166,9 @@ EXPECTED = {
         ((0,), (1,),),
         7.529999999999999),
     ('party/urgence', True, 0): (
-        (('qG', M, 0), ('tweetMentions', B, 995),),
-        ((0,), (1,),),
-        7.6274999999999995),
+        (('qG', M, 0), ('tweetMentions', M, 0),),
+        ((0, 1),),
+        7.529999999999999),
     ('party/urgence', True, 1): (
         (('qG', M, 0), ('tweetMentions', M, 0),),
         ((0, 1),),
@@ -234,11 +234,11 @@ EXPECTED = {
         ((0,), (1,), (2,), (3,), (4,), (5,), (6,), (7,), (8,), (9,),),
         26.30375),
     ('wide/10', True, 0): (
-        (('regionLabel', M, 0), ('profiles', M, 0), ('lookup', B, 1024), ('accounts', B, 1024),
+        (('profiles', M, 0), ('lookup', B, 1024), ('accounts', B, 1024), ('regionLabel', M, 0),
          ('regionOf', B, 1024), ('parties', B, 1024), ('partyLabel', B, 1024),
          ('politics', B, 1024), ('tweetJson', B, 1024), ('posts', B, 963),),
-        ((0, 1), (2,), (3,), (4,), (5,), (6,), (7,), (8,), (9,),),
-        21.900999999999996),
+        ((0,), (1,), (2,), (3,), (4,), (5,), (6,), (7,), (8,), (9,),),
+        21.834999999999997),
     ('wide/10', True, 1): (
         (('regionLabel', M, 0), ('regionOf', M, 0), ('accounts', M, 0), ('parties', M, 0),
          ('partyLabel', M, 0), ('profiles', M, 0), ('lookup', B, 1), ('politics', B, 1),
@@ -258,12 +258,12 @@ EXPECTED = {
         ((0,), (1,), (2,), (3,), (4,), (5,), (6,), (7,), (8,), (9,), (10,), (11,),),
         28.940250000000002),
     ('wide/12', True, 0): (
-        (('partyLabel', M, 0), ('parties', B, 963), ('accountAgain', M, 0), ('regionOf', M, 0),
-         ('accounts', B, 1024), ('tweetJson', B, 1024), ('likesOf', B, 1024),
-         ('profiles', B, 1024), ('lookup', B, 1024), ('regionLabel', B, 1024),
+        (('partyLabel', M, 0), ('parties', M, 0), ('accounts', M, 0), ('regionOf', M, 0),
+         ('accountAgain', M, 0), ('tweetJson', M, 0), ('likesOf', B, 1024),
+         ('regionLabel', M, 0), ('profiles', B, 1024), ('lookup', B, 1024),
          ('politics', B, 1024), ('posts', B, 963),),
-        ((0,), (1,), (2, 3), (4,), (5,), (6,), (7,), (8,), (9,), (10,), (11,),),
-        24.54475),
+        ((0, 1, 2, 3, 4, 5), (6,), (7,), (8,), (9,), (10,), (11,),),
+        24.805),
     ('wide/12', True, 1): (
         (('partyLabel', M, 0), ('parties', M, 0), ('accounts', M, 0), ('regionOf', M, 0),
          ('accountAgain', M, 0), ('tweetJson', M, 0), ('regionLabel', M, 0),

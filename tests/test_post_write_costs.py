@@ -46,6 +46,7 @@ from repro.rdf import Graph, RDFSchema, triple
 from repro.relational import Database
 from repro.relational.database import DatabaseSnapshot
 from repro.service import MediatorService, ServiceConfig
+from test_covering_bind import one_group_vocabulary_query
 
 
 def _spy(monkeypatch, owner, attribute: str, calls: Counter, label: str | None = None):
@@ -229,7 +230,9 @@ class TestRepairIsSetAtATime:
     def test_the_executor_probes_once_per_flush(self, monkeypatch):
         demo = build_demo_instance(DemoConfig(politicians=40, weeks=2, seed=42))
         instance = demo.instance
-        cmq = party_vocabulary_query(demo, "france")
+        # One group's nine accounts: over every account the full-text step
+        # covers its atom and is materialised, with no bind join to probe.
+        cmq = one_group_vocabulary_query(demo, "left", "france")
         options = PlannerOptions(bind_batch_size=1024)
         cold = instance.execute(cmq, options=options)
         instance.source(TWEETS_URI).store.add_all(
