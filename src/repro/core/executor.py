@@ -189,22 +189,24 @@ class MixedQueryExecutor:
                                        for stage in plan.stages],
                                plan_cached=plan.cached)
         run = _Execution(trace, cancel_check, deadline, registry)
+        output = list(query.output_variables())
         current: Operator | None = None
         #: The bind join of every executed bind step, by atom identity.
         joins: dict[int, BatchBindJoin] = {}
         for stage in plan.stages:
             run.check()
             steps = [plan.steps[i] for i in stage]
+            # The last join emits the answer's header: Project passes its rows on.
+            columns = output if stage is plan.stages[-1] else None
             if len(steps) == 1 and steps[0].mode == "bind" and current is not None:
-                current = self._bind_step(current, steps[0], run, joins)
+                current = self._bind_step(current, steps[0], run, joins, columns)
             else:
-                current = self._materialize_stage(current, steps, run)
+                current = self._materialize_stage(current, steps, run, columns)
 
         if current is None:
             raise MixedQueryError(f"query {query.name!r} produced an empty plan")
         run.check()
 
-        output = list(query.output_variables())
         operator: Operator = Project(current, output)
         if distinct:
             operator = Distinct(operator)
@@ -314,7 +316,7 @@ class MixedQueryExecutor:
     # Stage evaluation
     # ------------------------------------------------------------------
     def _materialize_stage(self, current: Operator | None, steps: list[PlanStep],
-                           run: _Execution) -> Operator:
+                           run: _Execution, columns: list[str] | None) -> Operator:
         if isinstance(current, BatchBindJoin):
             # A hash join builds on its known-smaller side: run the bind
             # join through first, so its result has a size.
@@ -325,14 +327,15 @@ class MixedQueryExecutor:
             if sp is not None:
                 sp.set(rows=sum(row_count(batches) for (batches,) in fetched))
         operator = current
-        for step, (batches,) in zip(steps, fetched):
+        for index, (step, (batches,)) in enumerate(zip(steps, fetched), 1):
             scan = MaterializedScan(batches, name=step.atom.name)
-            operator = scan if operator is None else HashJoin(operator, scan)
+            operator = scan if operator is None else HashJoin(
+                operator, scan, columns=columns if index == len(steps) else None)
         assert operator is not None
         return operator
 
     def _bind_step(self, current: Operator, step: PlanStep, run: _Execution,
-                   joins: dict[int, BatchBindJoin]) -> Operator:
+                   joins: dict[int, BatchBindJoin], columns: list[str] | None) -> Operator:
         atom = step.atom
         probed: list = [None]  # the last probe's misses, which ship next
 
@@ -347,7 +350,7 @@ class MixedQueryExecutor:
         join = BatchBindJoin(current, fetch_batch, keys=sorted(atom.variables()),
                              batch_size=step.batch_size or DEFAULT_BATCH_SIZE,
                              probe=self._cache_probe(step, atom, probed),
-                             name=f"bind:{atom.name}")
+                             name=f"bind:{atom.name}", columns=columns)
         joins[id(atom)] = join
         return join
 

@@ -236,42 +236,61 @@ class SeenRows:
         return dedupe(batch.rows, keys, seen)
 
 
+def _key_expression(names: Mapping[str, str], keys: Sequence[str]) -> str:
+    """A hash key as source: the bare cell of one key, a tuple of several,
+    ``None`` for a key column the header lacks (``names``: column -> cell)."""
+    cells = [names.get(key, "None") for key in keys]
+    return cells[0] if len(cells) == 1 else f"({''.join(f'{cell}, ' for cell in cells)})"
+
+
 @lru_cache(maxsize=MAX_ROW_CONSTRUCTORS)
-def row_merger(left_columns: tuple[str, ...], right_columns: tuple[str, ...],
-               ) -> tuple[tuple[str, ...], Callable[[list[tuple[tuple, list[tuple]]]], list[tuple]]]:
-    """:func:`merge_spec`'s header, and ``merge(run)``: one comprehension
-    compiled for the two headers over a run of ``(left_row, right_rows)``
-    pairs, keeping the right rows that agree with their left row on every
-    shared column (``not l != r``: a NaN never agrees).  Only positions
-    enter the source."""
-    out_columns, _ = merge_spec(left_columns, right_columns)
-    right_at = {c: j for j, c in enumerate(right_columns)}
-    cells = "".join(f"r{right_at[c]}, " if c in right_at else f"l{left_columns.index(c)}, "
-                    for c in out_columns)
-    agree = "".join(f" if not l{i} != r{right_at[c]}"
-                    for i, c in enumerate(left_columns) if c in right_at)
-    lefts = "".join(f"l{i}, " for i in range(len(left_columns)))
-    rights = "".join(f"r{j}, " for j in range(len(right_columns)))
-    exec(f"def merge(run):\n    return [({cells}) for {f'({lefts})' if lefts else '_'}, rights"
-         f" in run for {rights or '_'} in rights{agree}]", namespace := {})
-    return out_columns, namespace["merge"]
+def key_reader(columns: tuple[str, ...], keys: tuple[str, ...],
+               ) -> Callable[[Iterable[tuple]], list]:
+    """``keys_of(rows)``: the hash key of each row over ``columns``, in the
+    form :func:`row_merger`'s probe looks it up by, in one comprehension."""
+    names = {c: f"v{i}" for i, c in enumerate(columns)}
+    exec(f"def keys_of(rows):\n    return [{_key_expression(names, keys)}"
+         f" for {''.join(f'{v}, ' for v in names.values()) or '_'} in rows]",
+         namespace := {})
+    return namespace["keys_of"]
 
 
-def merge_spec(left_columns: Sequence[str], right_columns: Sequence[str],
-               ) -> tuple[tuple[str, ...], Callable[[tuple], tuple]]:
-    """How to merge a left and a right row tuple into one output tuple.
+@lru_cache(maxsize=MAX_ROW_CONSTRUCTORS)
+def row_merger(outer_columns: tuple[str, ...], inner_columns: tuple[str, ...], *,
+               outer_is_left: bool = True, agree: bool = True,
+               key: tuple[str, ...] | None = None, columns: tuple[str, ...] | None = None,
+               ) -> tuple[tuple[str, ...], Callable[..., list[tuple]]]:
+    """The merge of a join's two headers, one comprehension compiled per
+    pair: ``(out_columns, merge)``.
 
-    Mirrors ``{**left, **right}``: the output header is the left columns
-    followed by the right-only columns, and a column present on both
-    sides takes the *right* value.  Returns ``(out_columns, merge)``;
-    ``merge`` is one compiled getter over ``left_row + right_row``.
+    Each outer row meets its inner rows.  A merged row mirrors
+    ``{**left, **right}``, the outer row being the left one when
+    ``outer_is_left``: the header is the left columns followed by the
+    right-only ones, and a column on both sides takes the *right* value.
+    ``columns``, when given, is the header instead, each of its columns
+    read off that merged row (``None`` when neither side has it).
+    ``agree`` keeps only the inner rows equal to their outer row on every
+    shared column (``not l != r``: a NaN never agrees).
+
+    Without ``key``, ``merge(run)`` reads a run of ``(outer_row,
+    inner_rows)`` pairs (the bind join).  With the join's ``key``
+    columns, ``merge(rows, get)`` finds each outer row's inner rows as
+    ``get(KEY, ())``, ``KEY`` inlined as :func:`key_reader` reads it (the
+    hash join's probe).  Only positions enter the source.
     """
-    left_columns = tuple(left_columns)
-    left_positions = {c: i for i, c in enumerate(left_columns)}
-    right_positions = {c: i for i, c in enumerate(right_columns)}
-    width = len(left_columns)
-    out_columns = left_columns + tuple(c for c in right_columns
-                                       if c not in left_positions)
-    return out_columns, tuple_getter([
-        width + right_positions[c] if c in right_positions else left_positions[c]
-        for c in out_columns])
+    outer = {c: f"o{i}" for i, c in enumerate(outer_columns)}
+    inner = {c: f"i{j}" for j, c in enumerate(inner_columns)}
+    left, right = (outer, inner) if outer_is_left else (inner, outer)
+    if columns is None:
+        columns = tuple(left) + tuple(c for c in right if c not in left)
+    cells = "".join(f"{right.get(c) or left.get(c, 'None')}, " for c in columns)
+    checks = "".join(f" if not {o} != {inner[c]}" for c, o in outer.items()
+                     if agree and c in inner)
+    outer_row = f"({''.join(f'{o}, ' for o in outer.values())})" if outer else "_"
+    inner_row = "".join(f"{i}, " for i in inner.values()) or "_"
+    head, rows, found = (("run", f"{outer_row}, found in run", "found") if key is None else
+                         ("rows, get", f"{outer_row} in rows",
+                          f"get({_key_expression(outer, key)}, ())"))
+    exec(f"def merge({head}):\n    return [({cells}) for {rows}"
+         f" for {inner_row} in {found}{checks}]", namespace := {})
+    return columns, namespace["merge"]

@@ -11,7 +11,10 @@ Operators exchange :class:`~repro.engine.batch.BindingBatch` objects
 (shared column header + immutable tuple rows): an operator implements
 ``_produce_batches`` and nothing else.  Inputs given as dict rows are
 coerced once by :func:`~repro.engine.batch.as_batches`; dict rows are
-built again only in :meth:`Operator.rows`, for the caller.
+built again only in :meth:`Operator.rows`, for the caller.  Both joins
+merge rows set-at-a-time, one compiled comprehension per pair of headers
+(:func:`~repro.engine.batch.row_merger`); a join handed ``columns`` (the
+plan's last) emits the answer's header, so :class:`Project` shares its rows.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from repro.engine.batch import (
     as_batches,
     dict_rows,
     freeze,
-    merge_spec,
+    key_reader,
     row_count,
     row_merger,
     tuple_getter,
@@ -145,19 +148,32 @@ class HashJoin(Operator):
     """Equi-join on the variables shared by both inputs (natural join).
 
     The hash table is built on the side whose size hint is smaller (the
-    right side when the hints cannot tell) and the other side is
-    *streamed* batch-wise against it with explicit ``keys``.  When
-    ``keys`` is not given they are inferred from the variables present
-    on both sides, which requires collecting the probe side's batches
-    first (still columnar — no per-row dict materialisation).
+    right side when the hints cannot tell), one table per build header,
+    bucketing rows by their key: the bare cell of one key, a tuple of
+    several, ``None`` for a key column a row lacks.  Keys match by
+    equality or identity (a shared NaN matches itself); an unhashable key
+    is frozen (:func:`~repro.engine.batch.freeze`) on both sides.  The
+    other side is *streamed* batch-wise, each probe batch meeting each
+    table in one compiled :func:`~repro.engine.batch.row_merger`; a
+    merged row is ``{**left, **right}`` in the operator's orientation (the
+    right value wins on a shared non-key column).  When ``keys`` is not
+    given they are inferred from the variables present on both sides,
+    which requires collecting the probe side's batches first.
+
+    Row order: with one build header, the nested loop's "for each probe
+    row, each build row with its key"; with several, the same multiset,
+    table by table within each probe batch.  ``columns`` is an output
+    header (the plan's last join: the answer's), ``None`` for a column
+    neither side has.
     """
 
     def __init__(self, left: Operator, right: Operator, keys: Sequence[str] | None = None,
-                 name: str = "hashjoin"):
+                 name: str = "hashjoin", columns: Sequence[str] | None = None):
         super().__init__(name)
         self.left = left
         self.right = right
         self.keys = list(keys) if keys is not None else None
+        self.columns = tuple(columns) if columns is not None else None
 
     def _produce_batches(self) -> Iterator[BindingBatch]:
         left_size = self.left.estimated_size()
@@ -178,40 +194,39 @@ class HashJoin(Operator):
             probe_batches = list(probe_batches)
             keys = sorted({c for batch in build_batches for c in batch.columns}
                           & {c for batch in probe_batches for c in batch.columns})
+        keys = tuple(keys)
+        try:
+            tables = self._bucket(build_batches, keys, None)
+        except TypeError:  # an unhashable key: every build key is frozen
+            tables = self._bucket(build_batches, keys, freeze)
 
-        # Build phase: bucket the build side by its key tuple (without
-        # keys that is one bucket: the cross product).
-        buckets: dict[tuple, list[tuple[tuple[str, ...], tuple]]] = defaultdict(list)
-        for batch in build_batches:
-            key_of = batch.projector(keys)
-            for row in batch.rows:
-                buckets[key_of(row)].append((batch.columns, row))
-
-        # Probe phase: stream the other side against the table; a merged
-        # row is {**left_row, **right_row} in the operator's orientation.
-        specs: dict[tuple, tuple] = {}
         for probe_batch in probe_batches:
             self.stats.consumed += len(probe_batch)
-            probe_columns = probe_batch.columns
-            key_of = probe_batch.projector(keys)
-            header: tuple[str, ...] | None = None
-            rows: list[tuple] = []
-            for probe_row in probe_batch.rows:
-                for build_columns, build_row in buckets.get(key_of(probe_row), ()):
-                    spec = specs.get((probe_columns, build_columns))
-                    if spec is None:
-                        spec = specs[(probe_columns, build_columns)] = (
-                            merge_spec(build_columns, probe_columns) if build_is_left
-                            else merge_spec(probe_columns, build_columns))
-                    if spec[0] is not header:
-                        if rows:
-                            yield BindingBatch(header, rows)
-                            rows = []
-                        header = spec[0]
-                    rows.append(spec[1](build_row + probe_row if build_is_left
-                                        else probe_row + build_row))
-            if rows:
-                yield BindingBatch(header, rows)
+            for build_columns, table in tables.items():
+                out_columns, merge = row_merger(
+                    probe_batch.columns, build_columns, outer_is_left=not build_is_left,
+                    agree=False, key=keys, columns=self.columns)
+                try:
+                    rows = merge(probe_batch.rows, table.get)
+                except TypeError:  # an unhashable probe key: look it up frozen
+                    rows = merge(probe_batch.rows,
+                                 lambda key, absent: table.get(freeze(key), absent))
+                if rows:
+                    yield BindingBatch(out_columns, rows)
+
+    @staticmethod
+    def _bucket(batches: list[BindingBatch], keys: tuple[str, ...],
+                convert: Callable[[object], object] | None,
+                ) -> dict[tuple[str, ...], dict[object, list[tuple]]]:
+        """The build rows of each header by their (``convert``-ed) key."""
+        tables: dict[tuple[str, ...], defaultdict] = {}
+        for batch in batches:
+            table = tables.setdefault(batch.columns, defaultdict(list))
+            found = key_reader(batch.columns, keys)(batch.rows)
+            for key, row in zip(found if convert is None else map(convert, found),
+                                batch.rows):
+                table[key].append(row)
+        return tables
 
     def describe(self) -> str:
         keys = self.keys if self.keys is not None else "natural"
@@ -244,16 +259,18 @@ class BatchBindJoin(Operator):
     answer — from
     ``fetch_batch`` or ``probe`` — is a list of batches or a list of dict
     rows; either may be a *shared* list (a cache entry, the caller's own
-    table): the operator reads it and never mutates it.
+    table): the operator reads it and never mutates it.  ``columns``,
+    when given, is the output header, as for :class:`HashJoin`.
     """
 
     def __init__(self, left: Operator, fetch_batch: Callable[[list[Row]], list[list[Row]]],
                  keys: Sequence[str] | None = None,
                  batch_size: int = DEFAULT_BATCH_SIZE,
                  probe: Callable[[list[tuple]], Iterable[list[Row] | None]] | None = None,
-                 name: str = "batchbind"):
+                 name: str = "batchbind", columns: Sequence[str] | None = None):
         super().__init__(name)
         self.left = left
+        self.columns = tuple(columns) if columns is not None else None
         self.fetch_batch = fetch_batch
         self.keys = list(keys) if keys is not None else None
         self.batch_size = max(1, batch_size)
@@ -331,8 +348,7 @@ class BatchBindJoin(Operator):
         for (key, _), rows in zip(to_ship, fetched):
             answers[key] = as_batches(rows)
 
-    @staticmethod
-    def _join(left: list[tuple[tuple[str, ...], tuple, tuple]],
+    def _join(self, left: list[tuple[tuple[str, ...], tuple, tuple]],
               answers: dict[tuple, list[BindingBatch]]) -> Iterator[BindingBatch]:
         """Merge each left row with its fetched rows, in order: each run of
         (left row, fetched rows) under one pair of headers is one call of
@@ -344,7 +360,7 @@ class BatchBindJoin(Operator):
                     runs.append(((columns, fetched.columns), []))
                 runs[-1][1].append((row, fetched.rows))
         for headers, run in runs:
-            out_columns, merge = row_merger(*headers)
+            out_columns, merge = row_merger(*headers, columns=self.columns)
             if rows := merge(run):
                 yield BindingBatch(out_columns, rows)
 

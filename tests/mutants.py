@@ -12,11 +12,12 @@ survives is a bug they cannot see.  The
 kernel and store tests catch what two equally mutated instances cannot
 tell apart — the order of tied hits, a loose match on a shared column,
 a phrase no asking of the harness reads, an index entry a matcher's
-verification hides, a walk that drops a pushed-down value, a read a
-concurrent writer tears, a keyword search a write lands inside, a token
-analysed under another analyzer's configuration.  The unmutated
-run comes first and must pass.  Not a tier-1 test — it runs the harness
-once per mutant, about ten seconds each::
+verification hides, a walk that drops a pushed-down value, a hash
+probe on one key of several, a read a concurrent writer tears, a keyword
+search a write lands inside, a token analysed under another analyzer's
+configuration.  The unmutated run comes first and must pass.  Not a
+tier-1 test — it runs the harness once per mutant, about ten seconds
+each::
 
     PYTHONPATH=src python tests/mutants.py            # every mutant
     PYTHONPATH=src python tests/mutants.py NAME ...   # the named ones
@@ -271,14 +272,26 @@ def merge_without_shared_check(patch) -> None:
     """A bind join merges a left row with every fetched row, agreeing on
     the shared columns or not."""
     from repro.engine import iterators
-    from repro.engine.batch import merge_spec
+    from repro.engine.batch import row_merger
 
-    def unchecked(left_columns, right_columns):
-        out_columns, merge = merge_spec(left_columns, right_columns)
-        return out_columns, lambda run: [merge(row + right) for row, rights in run
-                                         for right in rights]
+    patch.setattr(iterators, "row_merger", lambda outer_columns, inner_columns, **how:
+                  row_merger(outer_columns, inner_columns, **{**how, "agree": False}))
 
-    patch.setattr(iterators, "row_merger", unchecked)
+
+def hash_probe_on_the_first_key(patch) -> None:
+    """A hash join buckets and probes on its first join key alone, so rows
+    differing on another key join."""
+    from repro.engine import iterators
+    from repro.engine.batch import key_reader, row_merger
+
+    def first(how: dict) -> dict:
+        key = how.get("key")
+        return how if key is None else {**how, "key": key[:1]}
+
+    patch.setattr(iterators, "key_reader",
+                  lambda columns, keys: key_reader(columns, keys[:1]))
+    patch.setattr(iterators, "row_merger", lambda outer_columns, inner_columns, **how:
+                  row_merger(outer_columns, inner_columns, **first(how)))
 
 
 def pinned_catalog_outlives_a_write(patch) -> None:
@@ -419,7 +432,8 @@ MUTANTS = {mutant.__name__: mutant for mutant in (
     stored_row_outlives_upsert, snapshot_reads_live_stored_rows,
     snapshot_replay_writes_live, live_reading_unlocked,
     rdf_header_sorted, remote_header_reversed, rank_without_id_tie_break,
-    merge_without_shared_check, pinned_catalog_outlives_a_write,
+    merge_without_shared_check, hash_probe_on_the_first_key,
+    pinned_catalog_outlives_a_write,
     phrase_ignores_adjacency, json_deindex_drops_a_leaf, unrestricted_leaf_skipped,
     removal_keeps_the_removed_id, pushdown_ignored_under_a_predicate,
     keyword_candidates_on_fresh_pins, token_memo_ignores_configuration)}

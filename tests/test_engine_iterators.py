@@ -283,6 +283,28 @@ class TestHashJoinStreaming:
         assert sorted(r["v"] for r in rows) == ["left", "left2"]
 
 
+class TestUnhashableJoinValues:
+    """A list-valued key: the hash join keys both sides through
+    ``freeze``, as the bind join keys its calls."""
+
+    LIST_ROW = {"a": [1, 2], "x": 1}
+    OTHER_ROW = {"a": [3], "x": 2}
+    FETCHED = {"a": [1, 2], "y": 2}
+
+    @pytest.mark.parametrize("left, right", [
+        ([LIST_ROW], [FETCHED, {"a": (3,), "y": 3}]),  # builds on the left
+        ([LIST_ROW, OTHER_ROW], [FETCHED]),            # builds on the right
+    ])
+    def test_both_joins_answer_alike_whichever_side_builds(self, left, right):
+        def fetch_batch(bindings):
+            return [[row for row in right if row["a"] == binding["a"]]
+                    for binding in bindings]
+
+        bound = BatchBindJoin(MaterializedScan(left), fetch_batch).rows()
+        assert bound == [{"a": [1, 2], "x": 1, "y": 2}]
+        assert HashJoin(MaterializedScan(left), MaterializedScan(right)).rows() == bound
+
+
 class TestOperatorProtocol:
     def test_one_production_method_serves_batches_and_rows(self):
         from repro.engine import Operator

@@ -57,6 +57,33 @@ _right_rows = st.lists(
 )
 
 
+#: One NaN object: equal to nothing, but the same key as itself.
+_NAN = float("nan")
+
+
+def _join_side(columns: list[str]):
+    """Join inputs over ``columns``: rows of one header (any subset of the
+    columns, so a key may be absent from every row) or of mixed headers;
+    cells from a small domain holding ``None`` and one shared NaN."""
+    cells = st.sampled_from([0, 1, 2, None, _NAN])
+    one_header = st.sets(st.sampled_from(columns)).flatmap(
+        lambda header: st.lists(st.fixed_dictionaries({c: cells for c in sorted(header)}),
+                                max_size=8))
+    mixed = st.lists(st.dictionaries(st.sampled_from(columns), cells), max_size=8)
+    return one_header | mixed
+
+
+class _Hinted(MaterializedScan):
+    """A scan whose size hint is given, to choose the side a join builds."""
+
+    def __init__(self, rows, hint):
+        super().__init__(rows)
+        self._hint = hint
+
+    def estimated_size(self):
+        return self._hint
+
+
 def _row_key(row: dict) -> list[tuple[str, str]]:
     """Order-stable, type-safe comparison key for binding rows."""
     return sorted((k, f"{type(v).__name__}:{v}") for k, v in row.items())
@@ -114,12 +141,31 @@ class TestRDFProperties:
 # ---------------------------------------------------------------------------
 
 class TestEngineProperties:
-    @given(_rows, _rows)
-    @settings(max_examples=50, deadline=None)
-    def test_hash_join_equals_nested_loop_semantics(self, left, right):
-        hash_rows = HashJoin(MaterializedScan(left), MaterializedScan(right), keys=["a"]).rows()
-        reference = [{**l, **r} for l in left for r in right if l["a"] == r["a"]]
-        assert sorted(map(_row_key, hash_rows)) == sorted(map(_row_key, reference))
+    @given(_join_side(["a", "b", "c"]), _join_side(["a", "b", "d"]),
+           st.sampled_from([None, [], ["a"], ["b"], ["a", "b"], ["b", "a"]]),
+           st.booleans(), st.sampled_from([None, ["d", "a", "z"], ["c", "b"]]))
+    @settings(max_examples=300, deadline=None)
+    def test_hash_join_equals_nested_loop_semantics(self, left, right, keys, build_left,
+                                                    columns):
+        """Natural keys and explicit ones (narrower than the shared
+        columns: the right value wins), mixed headers, a key absent from
+        some rows (``None`` on both sides), a shared NaN, either side
+        building, and the projected output: the probe-major nested loop's
+        rows, in its order when the build side has one header."""
+        hints = (0, 1) if build_left else (None, None)
+        hash_rows = HashJoin(_Hinted(left, hints[0]), _Hinted(right, hints[1]),
+                             keys=keys, columns=columns).rows()
+        if keys is None:
+            keys = sorted({c for row in left for c in row} & {c for row in right for c in row})
+        probe, build = (right, left) if build_left else (left, right)
+        reference = [{**b, **p} if build_left else {**p, **b} for p in probe for b in build
+                     if all(p.get(k) is b.get(k) or p.get(k) == b.get(k) for k in keys)]
+        if columns is not None:
+            reference = [{c: row.get(c) for c in columns} for row in reference]
+        if len({frozenset(row) for row in build}) <= 1:
+            assert hash_rows == reference
+        else:
+            assert sorted(map(_row_key, hash_rows)) == sorted(map(_row_key, reference))
 
     @given(_rows)
     @settings(max_examples=50, deadline=None)

@@ -481,6 +481,34 @@ class TestTheCopiesAreGone:
         assert first_ids == second_ids and len(first_ids) > k // 2  # some bindings: no rows
         assert first_ids <= cached
 
+    def test_the_final_projection_passes_the_last_joins_row_lists_on(self, monkeypatch):
+        """The plan's last join, bind or hash, emits the answer's header,
+        so ``Project`` yields the join's own row lists (the parent copied
+        each row again into the output column order)."""
+        demo = build_demo_instance(FULL)
+        joined: list[BindingBatch] = []
+        projected: list[BindingBatch] = []
+        for cls, emitted in ((HashJoin, joined), (BatchBindJoin, joined),
+                             (Project, projected)):
+            def recorded(self, real=cls.batches, emitted=emitted):
+                for batch in real(self):
+                    emitted.append(batch)
+                    yield batch
+            monkeypatch.setattr(cls, "batches", recorded)
+        for cmq, modes in ((one_group_vocabulary_query(demo, "right", "urgence"),
+                            ["materialize", "bind"]),
+                           (party_vocabulary_query(demo, "urgence"),
+                            ["materialize", "materialize"])):
+            joined.clear()
+            projected.clear()
+            result = demo.instance.execute(cmq)
+            assert [step.mode for step in result.trace.steps] == modes
+            assert projected and joined
+            assert all(batch.columns == tuple(result.variables) for batch in projected)
+            assert all(any(batch.rows is rows.rows for rows in joined)
+                       for batch in projected)
+            assert sum(map(len, projected)) == len(result.rows)
+
     def test_an_insert_only_repair_builds_nothing_per_old_row(self, monkeypatch):
         m, d = 400, 3
         database = Database("db")

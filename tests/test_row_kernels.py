@@ -1,6 +1,6 @@
 """The per-row kernels of the cold CMQ path agree with their plain loops.
 
-Full-text ranking, Distinct's deduplication and the bind join's merge
+Full-text ranking, Distinct's deduplication and the two joins' merges
 run their row loops in C builtins; each test here states the loop they
 replaced and checks the kernel against it on generated inputs: tied
 scores, values equal under ``==`` but not identical (``1``, ``True``,
@@ -13,7 +13,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.engine.batch import dedupe, freeze
-from repro.engine.iterators import BatchBindJoin, MaterializedScan
+from repro.engine.iterators import BatchBindJoin, HashJoin, MaterializedScan
 from repro.fulltext.index import InvertedIndex
 from repro.fulltext.scoring import BM25Parameters, bm25_scorer
 from repro.fulltext.store import FieldConfig, FullTextStore
@@ -185,3 +185,45 @@ def test_the_merge_takes_the_right_value_of_a_shared_column():
     rows = _bind_join([{"id": 1, "x": 0}], [{"id": 1.0, "t": "u"}])
     assert rows == [{"id": 1.0, "x": 0, "t": "u"}]
     assert isinstance(rows[0]["id"], float)
+
+
+# ---------------------------------------------------------------------------
+# The hash join's probe
+# ---------------------------------------------------------------------------
+
+def _same_key(a: object, b: object) -> bool:
+    """Two key cells match: one object, or equal once frozen."""
+    return a is b or freeze(a) == freeze(b)
+
+
+def _hash_nested_loop(left: list[dict], right: list[dict], keys: list[str]) -> list[dict]:
+    """The hash join's definition: for each probe row, each build row
+    matching it on every key, ``{**left, **right}``; the smaller side
+    builds."""
+    build_is_left = len(left) < len(right)
+    probe, build = (right, left) if build_is_left else (left, right)
+    return [{**b, **p} if build_is_left else {**p, **b} for p in probe for b in build
+            if all(_same_key(p[k], b[k]) for k in keys)]
+
+
+KEYED = st.sampled_from(["foo", "Foo", 1, 1.0, True, NAN]) \
+    | st.builds(list, st.sampled_from([(1,), (1, 2)]))
+LEFT_KEYED = st.lists(st.fixed_dictionaries({"id": KEYED, "x": st.integers(0, 2),
+                                             "t": st.sampled_from(["u", "v"])}), max_size=6)
+RIGHT_KEYED = st.lists(st.fixed_dictionaries({"x": st.integers(0, 2), "id": KEYED,
+                                              "r": st.integers(0, 3)}), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(left=LEFT_KEYED, right=RIGHT_KEYED, keys=st.sampled_from([["id", "x"], ["x", "id"]]))
+def test_the_hash_join_probe_is_the_nested_loop_on_every_key(left, right, keys):
+    joined = HashJoin(MaterializedScan(left), MaterializedScan(right), keys=keys).rows()
+    assert _same_rows(joined, _hash_nested_loop(left, right, keys))
+
+
+def test_a_key_narrower_than_the_shared_columns_takes_the_right_value():
+    """Keyed on ``id`` alone, rows differing on ``x`` still join, and
+    the merged row holds the right one's ``x``."""
+    rows = HashJoin(MaterializedScan([{"id": 1, "x": 0}]),
+                    MaterializedScan([{"x": 2, "id": 1.0}]), keys=["id"]).rows()
+    assert rows == [{"id": 1.0, "x": 2}]
