@@ -8,27 +8,36 @@ module closes the loop between the stores' typed delta journals
 whose entry is stamped with an *older* version hands that entry to the
 :class:`RepairEngine`, which fetches the unbroken delta chain between the
 two versions and, for repair-sound query shapes, evaluates the query
-**over the delta alone**, merges the delta's contribution into the old
-rows, and re-stamps the entry with the new version — the hot path then
-hits without ever re-dispatching to the source.
+**on what the delta changed**, merges the delta's contribution into the
+old rows, and re-stamps the entry with the new version — the hot path
+then hits without ever re-dispatching to the source.
 
 Soundness is per model and deliberately conservative, so each wrapper
 states it beside its store (:meth:`~repro.core.sources.DataSource.repair_delta`:
-the gates, and the sources a delta's rows are read from); anything outside
-the gates falls back to plain invalidation (a recorded miss), never to a
-wrong answer.  The engine keeps what is model-free: the size gate, one
-delta build per version span, and the merge — an entry becomes
-``(entry - f(replaced)) + f(written)``, ``f`` the query over the wrapper's
-delta sources; the subtraction takes one occurrence per row, keeps the
-order of the rest, and a replaced row the entry lacks falls back
-(``diverged``); a query whose answers are sets (``query.distinct``) adds
-only the rows the entry lacks.
+the gates, and what a delta's rows are read from); anything outside the
+gates falls back to plain invalidation (a recorded miss), never to a
+wrong answer.  What a delta's rows are read from is the model's: a
+relational delta database of the inserted rows; for a BGP, the held
+graph through a step seeded with the added triples; for a full-text or
+JSON store, the store at the chain's end (the CMQ's pin) restricted to
+the ids of the documents the chain wrote, through the store's own
+evaluator (a :class:`~repro.core.sources.RepairView`), and a delta store
+of the copies it replaced.  The engine keeps what is model-free: the
+size gate, one delta build per version span (never a view of a store:
+the memo would keep a pin, and with it its change chain, alive), and
+the merge — an entry becomes ``(entry - f(replaced)) + f(written)``,
+``f`` the query over those; the subtraction takes one occurrence per
+row, keeps the order of the rest, and a replaced row the entry lacks
+falls back (``diverged``); a query whose answers are sets
+(``query.distinct``) adds only the rows the entry lacks.
 
 Merged rows equal a cold re-execution as a *multiset*; for relational
 and JSON shapes even the order matches (writes take fresh insertion
-ranks), up to which of two equal rows a subtraction took.  Full-text hit
-order may differ (cold results interleave by score) — cached rows are
-consumed as sets by the bind joins, so this is observable only to
+ranks), up to which of two equal rows a subtraction took.  Full-text
+rows a repair appends come in the cold ranking's relative order, as they
+are scored with the whole store's statistics, but after the entry's
+older rows, where a cold ranking interleaves them by score — cached rows
+are consumed as sets by the bind joins, so this is observable only to
 callers that already must not rely on order.
 """
 
@@ -95,11 +104,12 @@ class RepairEngine:
     evaluated with ONE ``execute_batch`` for the group; only merging and
     re-stamping happen per key, and :class:`RepairStats` keeps counting
     per key.  All evaluation is local (delta stores built from
-    journalled items, seeded BGP steps on the already-held graph) — the
+    journalled items, reads of the pinned store restricted to what the
+    chain wrote, seeded BGP steps on the already-held graph) — the
     engine never calls a source.
     """
 
-    #: Bound on memoised delta sources (one per (source, version span)).
+    #: Bound on memoised span deltas (one per (source, version span)).
     MAX_DELTA_SOURCES = 64
     #: The gate's bound on a chain: the change logs' budget
     #: (:data:`~repro.core.deltas.MAX_DELTA_ITEMS`).
@@ -108,9 +118,10 @@ class RepairEngine:
     def __init__(self, cache) -> None:
         self.cache = cache
         self.stats = RepairStats()
-        # (uri, token, pre, post) -> delta DataSource wrappers.  Shared
-        # across probes and queries: one ingest batch is repaired against
-        # one delta store no matter how many cached entries it touches.
+        # (uri, token, pre, post) -> what a wrapper's ``_delta_sources``
+        # built for the span: written ids, delta stores.  Shared across
+        # probes and queries: one ingest batch builds its delta once no
+        # matter how many cached entries it touches.
         self._spans = LRUCache(self.MAX_DELTA_SOURCES)
         self._spans_lock = threading.Lock()
 
@@ -190,12 +201,14 @@ class RepairEngine:
                 return "diverged"
             new = canon.canonical_batches(new)
             if query.distinct:
-                # Set answers: keep what the entry does not hold.
-                seen = SeenRows()
-                for batch in base:
-                    seen.fresh(batch)
-                new = [BindingBatch(batch.columns, rows) for batch in new
-                       if (rows := seen.fresh(batch))]
+                # Set answers: keep what the entry does not hold (nothing
+                # to keep needs no pass over the entry).
+                if new:
+                    seen = SeenRows()
+                    for batch in base:
+                        seen.fresh(batch)
+                    new = [BindingBatch(batch.columns, rows) for batch in new
+                           if (rows := seen.fresh(batch))]
                 if not new:
                     out.append(base)
                     continue
@@ -205,8 +218,8 @@ class RepairEngine:
         return out
 
     def spanned(self, source, records: list[DeltaRecord], build):
-        """``build(records)``, the delta sources of a (source, version span),
-        built once."""
+        """``build(records)``, the delta of a (source, version span), built
+        once; it must hold no view of a store."""
         key = (source.uri, source.cache_token, records[0].pre_version,
                records[-1].post_version)
         with self._spans_lock:
@@ -234,18 +247,42 @@ def _subtracted(base: list[BindingBatch],
                 gone: list[BindingBatch]) -> list[BindingBatch] | None:
     """``base`` less one occurrence of each row (header and values) of
     ``gone``, the rest in order; None when ``gone`` holds a row ``base``
-    does not: the entry diverged."""
+    does not: the entry diverged.  A row is looked up by its value tuple,
+    frozen only when it cannot be hashed, so a batch ``gone`` misses is
+    scanned in C and shared as it is."""
     if not gone:
         return base
-    owed = Counter((batch.columns, freeze(row)) for batch in gone for row in batch.rows)
+    owed: dict[tuple, Counter] = {}
+    for batch in gone:
+        owed.setdefault(batch.columns, Counter()).update(map(_hashable, batch.rows))
+    out = []
+    for batch in base:
+        counts, rows = owed.get(batch.columns), batch.rows
+        if counts:
+            try:
+                hits = [at for at, row in enumerate(rows) if row in counts]
+            except TypeError:
+                keys = list(map(freeze, rows))
+                hits = [at for at, key in enumerate(keys) if key in counts]
+            else:
+                keys = rows
+            taken = set()
+            for at in hits:
+                if counts[keys[at]] > 0:
+                    counts[keys[at]] -= 1
+                    taken.add(at)
+            if taken:
+                rows = [row for at, row in enumerate(rows) if at not in taken]
+                batch = BindingBatch(batch.columns, rows)
+        if rows:
+            out.append(batch)
+    return None if any(+counts for counts in owed.values()) else out
 
-    def kept(columns: tuple, row: tuple) -> bool:
-        key = (columns, freeze(row))
-        if owed[key] > 0:
-            owed[key] -= 1
-            return False
-        return True
 
-    out = [BindingBatch(batch.columns, rows) for batch in base
-           if (rows := [row for row in batch.rows if kept(batch.columns, row)])]
-    return None if +owed else out
+def _hashable(row: tuple) -> tuple:
+    """``row``, or its frozen stand-in when a value cannot be hashed."""
+    try:
+        hash(row)
+    except TypeError:
+        return freeze(row)
+    return row

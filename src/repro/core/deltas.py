@@ -92,20 +92,20 @@ class DeltaRecord:
 
 
 def document_deltas(records: list[DeltaRecord], id_of: Callable, over: Callable):
-    """What a chain of document batches did, net, as ``over(documents)``
-    builds it: the copies it wrote that still stand, in write order (a
-    rewrite moves a document last, as its fresh insertion rank does), and
-    the copies standing before it that it replaced or removed (None when
+    """What a chain of document batches did, net: the ids of the copies
+    it wrote that still stand, and the copies standing before it that it
+    replaced or removed, as ``over(documents)`` builds them (None when
     there are none)."""
-    before, after = {}, {}
+    before, written = {}, set()
     for record in records:
         for old in record.replaced:
-            if after.pop(id_of(old), None) is None:  # not a copy the chain wrote
-                before.setdefault(id_of(old), old)
-        for new in record.items:
-            after.pop(id_of(new), None)
-            after[id_of(new)] = new
-    return over(after.values()), (over(before.values()) if before else None)
+            doc_id = id_of(old)
+            if doc_id in written:
+                written.remove(doc_id)
+            else:  # not a copy the chain wrote
+                before.setdefault(doc_id, old)
+        written.update(map(id_of, record.items))
+    return frozenset(written), (over(before.values()) if before else None)
 
 
 class DeltaJournal:

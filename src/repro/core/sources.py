@@ -259,11 +259,28 @@ class DataSource:
         ``query``, for the cache repair ``engine``
         (:class:`~repro.cache.repair.RepairEngine`): the name of the
         soundness gate that refuses; ``None`` when the rows stand as they
-        are; or ``(written, replaced)``, sources whose answers an entry
-        gains and loses (``replaced`` may be ``None``), built once per
-        version span through ``engine.spanned``.  Nothing is repaired by
-        default."""
+        are; or ``(written, replaced)``, what answers an entry gains and
+        loses (``replaced`` may be ``None``): each has an
+        ``execute_batch``, a :class:`RepairView` or a source over a delta
+        store, and what a span builds is built once through
+        ``engine.spanned``.  Nothing is repaired by default."""
         return "shape"
+
+    def _repair_on_pin(self, records: list, engine, answers):
+        """A document model's ``(written, replaced)``: ``written`` reads the
+        store at the chain's end through the model's one evaluator
+        ``answers``, restricted to the ids of the copies the chain wrote
+        that still stand; ``replaced`` is a source over a delta store of
+        the copies it replaced, ``None`` for an insert-only span (both from
+        :meth:`_delta_sources`, once per span: the memo holds no store
+        view, so it keeps no pin alive).  ``"moved"`` when the store, a
+        live one, was written after the probe read its version: its
+        copies may be newer than the version the entry is stamped with."""
+        store = self._store.snapshot()
+        if store.version != records[-1].post_version:
+            return "moved"
+        written, replaced = engine.spanned(self, records, self._delta_sources)
+        return RepairView(answers, store, written), replaced
 
     @property
     def _store(self):
@@ -419,3 +436,21 @@ class DataSource:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}(uri={self.uri!r}, size={self.size()})"
+
+
+class RepairView:
+    """Cache repair's reading of what a delta chain wrote: per binding, a
+    model's one evaluator ``answers(data, query, batch, within)`` on
+    ``data`` — a store or graph at the chain's end — restricted to
+    ``within``, what the chain wrote (document ids, or the triples it
+    added).  Not a wrapper: the engine evaluates it inside its own call,
+    and no source is called."""
+
+    __slots__ = ("answers", "data", "within")
+
+    def __init__(self, answers, data, within):
+        self.answers, self.data, self.within = answers, data, within
+
+    def execute_batch(self, query: SourceQuery,
+                      bindings_batch: Sequence[Row]) -> list[list[BindingBatch]]:
+        return self.answers(self.data, query, bindings_batch, self.within)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import AbstractSet, Callable, Iterable, Optional, Sequence
 
 from repro.cache.keys import CanonicalQuery, Namer
 from repro.core.deltas import document_deltas
@@ -124,61 +124,7 @@ class FullTextSource(DataSource):
         columns, and a binding's tuples are its batch.  The whole call is
         one read of the store.
         """
-        with self.store.reading() as store:
-            template, limit = query.template, query.limit
-            batch = [b or {} for b in bindings_batch]
-            paths = {variable: path for variable, path in query.output_fields}
-
-            def keyword(path: str) -> bool:
-                config = store.field_config(path)
-                return limit is None and config is not None and config.field_type == "keyword"
-
-            pooled = {var: path for var, path in template.clause_parameters.items()
-                      if keyword(path) and all(var in b for b in batch)}
-            in_lists = {var: [b[var] for b in batch] for var in pooled}
-            others = sorted(template.parameters - set(pooled))
-            post = {variable: (path if keyword(path) else None, i) for i, (variable, path)
-                    in enumerate(paths.items()) if variable not in template.parameters}
-            groups: dict[tuple, list[int]] = {}
-            for index, b in enumerate(batch):
-                key = tuple([str(b[var]) if var in b else None for var in others])
-                groups.setdefault(key, []).append(index)
-            results: list[list[BindingBatch]] = [[] for _ in batch]
-            project, header = _row_projector(store, paths.values()), tuple(paths)
-            rank, bucket, sort_by = store.rank, store.keyword_documents, query.sort_by
-            for indices in groups.values():
-                bound = template.bind(batch[indices[0]], in_lists)
-                matches, score = store.matches(bound), store.scorer(bound)
-                top = None if limit is None else rank(matches, score, sort_by, limit=limit)
-                for index in indices:
-                    b = batch[index]
-                    buckets = [bucket(path, str(b[var]).lower()) for var, path in pooled.items()]
-                    checks = []
-                    for variable, value in b.items():
-                        if (spec := post.get(variable)) is None:
-                            continue
-                        if spec[0] is not None and isinstance(value, str):
-                            buckets.append(bucket(spec[0], value.lower()))
-                        else:
-                            checks.append((spec[1], value))
-                    if top is None:
-                        found = matches
-                        buckets.sort(key=len)  # each ``&`` costs the smaller operand
-                        for ids in buckets:
-                            found = ids & found
-                        if not found:
-                            continue
-                        ranked = rank(found, score, sort_by)
-                    else:
-                        ranked = top
-                    if not ranked:
-                        continue
-                    rows = project(ranked)
-                    if checks:
-                        rows = [values for values in rows if all(
-                            _loose_equal(values[i], value) for i, value in checks)]
-                    results[index] = as_answer(header, rows)
-            return results
+        return _answers(self.store, query, bindings_batch)
 
     def estimate(self, query: SourceQuery, bound_variables: set[str] | None = None) -> float:
         if not isinstance(query, FullTextQuery):
@@ -303,18 +249,20 @@ class FullTextSource(DataSource):
         """A query without ``limit``, ``sort_by`` or a ``_score`` output
         repairs.  A document's rows are its own, so inserts, upserts and
         removals all do: an entry gains the rows of the copies the chain
-        wrote and loses those of the copies it replaced
-        (:meth:`_delta_sources`)."""
+        wrote, read off the store at the chain's end restricted to their
+        ids, and loses those of the copies it replaced
+        (:meth:`~repro.core.sources.DataSource._repair_on_pin`)."""
         if query.limit is not None or query.sort_by is not None \
                 or "_score" in query.fields().values():
             # Ranking, truncation and scores depend on corpus-global
             # statistics every insert perturbs.
             return "shape"
-        return engine.spanned(self, records, self._delta_sources)
+        return self._repair_on_pin(records, engine, _answers)
 
     def _delta_sources(self, records: list):
-        """Wrappers over delta stores of the chain's net written and
-        replaced copies (:func:`~repro.core.deltas.document_deltas`)."""
+        """The ids the chain's net written copies stand under, and a
+        wrapper over a delta store of the copies it replaced
+        (:func:`~repro.core.deltas.document_deltas`)."""
         store = self.store
 
         def over(documents):
@@ -323,6 +271,71 @@ class FullTextSource(DataSource):
             return FullTextSource(self.uri, delta, name=self.name)
 
         return document_deltas(records, lambda doc: doc.doc_id, over)
+
+
+def _answers(data: FullTextStore, query: FullTextQuery, bindings_batch: Sequence[Row],
+             within: AbstractSet[str] | None = None) -> list[list[BindingBatch]]:
+    """:meth:`FullTextSource.execute_batch`'s answers on the store ``data``;
+    with ``within`` (cache repair's), those of the documents it names
+    alone, each binding's hits still ranked as in the whole store."""
+    with data.reading() as store:
+        template, limit = query.template, query.limit
+        batch = [b or {} for b in bindings_batch]
+        paths = {variable: path for variable, path in query.output_fields}
+
+        def keyword(path: str) -> bool:
+            config = store.field_config(path)
+            return limit is None and config is not None and config.field_type == "keyword"
+
+        pooled = {var: path for var, path in template.clause_parameters.items()
+                  if keyword(path) and all(var in b for b in batch)}
+        in_lists = {var: [b[var] for b in batch] for var in pooled}
+        others = sorted(template.parameters - set(pooled))
+        post = {variable: (path if keyword(path) else None, i) for i, (variable, path)
+                in enumerate(paths.items()) if variable not in template.parameters}
+        groups: dict[tuple, list[int]] = {}
+        for index, b in enumerate(batch):
+            key = tuple([str(b[var]) if var in b else None for var in others])
+            groups.setdefault(key, []).append(index)
+        results: list[list[BindingBatch]] = [[] for _ in batch]
+        project, header = _row_projector(store, paths.values()), tuple(paths)
+        rank, bucket, sort_by = store.rank, store.keyword_documents, query.sort_by
+        for indices in groups.values():
+            bound = template.bind(batch[indices[0]], in_lists)
+            matches = store.matches(bound) if within is None else store.matches(bound, within)
+            if not matches:  # no binding of the group has a hit to rank
+                continue
+            score = store.scorer(bound)
+            top = None if limit is None else rank(matches, score, sort_by, limit=limit)
+            for index in indices:
+                b = batch[index]
+                buckets = [bucket(path, str(b[var]).lower()) for var, path in pooled.items()]
+                checks = []
+                for variable, value in b.items():
+                    if (spec := post.get(variable)) is None:
+                        continue
+                    if spec[0] is not None and isinstance(value, str):
+                        buckets.append(bucket(spec[0], value.lower()))
+                    else:
+                        checks.append((spec[1], value))
+                if top is None:
+                    found = matches
+                    buckets.sort(key=len)  # each ``&`` costs the smaller operand
+                    for ids in buckets:
+                        found = ids & found
+                    if not found:
+                        continue
+                    ranked = rank(found, score, sort_by)
+                else:
+                    ranked = top
+                if not ranked:
+                    continue
+                rows = project(ranked)
+                if checks:
+                    rows = [values for values in rows if all(
+                        _loose_equal(values[i], value) for i, value in checks)]
+                results[index] = as_answer(header, rows)
+        return results
 
 
 def _row_projector(store: FullTextStore,

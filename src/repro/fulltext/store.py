@@ -405,9 +405,11 @@ class FullTextStore(Journalled):
         facets = {f: self.facet(matches, f) for f in facet_fields}
         return SearchResult(hits=hits, total=len(matches), facets=facets)
 
-    def matches(self, query: str | Query) -> set[str]:
-        """The ids of the documents matching ``query``, unranked (a new set)."""
-        return self._evaluate(parse_query(query) if isinstance(query, str) else query)
+    def matches(self, query: str | Query,
+                _within: AbstractSet[str] | None = None) -> set[str]:
+        """The ids of the documents matching ``query``, unranked (a new set);
+        ``_within``, cache repair's, restricts them to the ids it holds."""
+        return self._evaluate(parse_query(query) if isinstance(query, str) else query, _within)
 
     def rank(self, doc_ids: Iterable[str], score: Callable[[Sequence[str]], list[float]],
              sort_by: str | None = None, descending: bool = True,
@@ -466,19 +468,22 @@ class FullTextStore(Journalled):
     # ------------------------------------------------------------------
     # Query evaluation
     # ------------------------------------------------------------------
-    def _evaluate(self, query: Query) -> set[str]:
+    def _evaluate(self, query: Query, within: AbstractSet[str] | None = None) -> set[str]:
+        """The ids matching ``query`` (a new set).  With ``within``, only
+        those among its ids: a leaf then visits ``within`` or a posting
+        list, whichever is smaller, and never the whole store."""
         if isinstance(query, MatchAllQuery):
-            return set(self._documents)
+            return self._among(within)
         if isinstance(query, TermQuery):
-            return self._evaluate_term(query)
+            return self._evaluate_term(query, within)
         if isinstance(query, PhraseQuery):
-            return self._evaluate_phrase(query)
+            return self._evaluate_phrase(query, within)
         if isinstance(query, RangeQuery):
-            return self._evaluate_range(query)
+            return self._evaluate_range(query, within)
         if isinstance(query, NotQuery):
-            return set(self._documents) - self._evaluate(query.operand)
+            return self._among(within) - self._evaluate(query.operand, within)
         if isinstance(query, BooleanQuery):
-            sets = [self._evaluate(operand) for operand in query.operands]
+            sets = [self._evaluate(operand, within) for operand in query.operands]
             if not sets:
                 return set()
             if query.operator == "AND":
@@ -494,34 +499,59 @@ class FullTextStore(Journalled):
             raise FullTextError(f"query parameter {{{query.name}}} is not bound")
         raise FullTextError(f"unsupported query node {type(query).__name__}")
 
-    def _evaluate_term(self, query: TermQuery) -> set[str]:
+    def _among(self, within: AbstractSet[str] | None) -> set[str]:
+        """Every id, or those of ``within`` the store holds (a new set)."""
+        return set(self._documents) if within is None else self._documents.keys() & within
+
+    def _scanned(self, within: AbstractSet[str] | None) -> Iterable[tuple[str, Document]]:
+        """The ``(doc id, document)`` pairs a scan visits: all, or those of
+        ``within``."""
+        documents = self._documents
+        if within is None:
+            return documents.items()
+        return [(doc_id, documents[doc_id]) for doc_id in within if doc_id in documents]
+
+    @staticmethod
+    def _holding(index: InvertedIndex, stems: list[str],
+                 within: AbstractSet[str] | None) -> set[str]:
+        """The ids (of ``within``) holding every stem of ``stems``: each
+        posting list is intersected from its smaller side, and copied only
+        when it is the first and nothing restricts it."""
+        found = within
+        for stem_term in stems:
+            postings = index.postings_by_document(stem_term).keys()
+            found = set(postings) if found is None else postings & found
+            if not found:
+                return set()
+        return found
+
+    def _evaluate_term(self, query: TermQuery,
+                       within: AbstractSet[str] | None = None) -> set[str]:
         field_name = query.field or self.default_field
         if field_name is None:
             raise FullTextError("store has no default text field for bare term queries")
         if query.term == "*" and not query.exact:
-            return {doc_id for doc_id, doc in self._documents.items()
+            return {doc_id for doc_id, doc in self._scanned(within)
                     if doc.get(field_name) is not None}
         config = self._fields.get(field_name)
         if config is None:
             # Unknown field: fall back to a stored-value comparison.
-            return self._match_stored(field_name, query.term)
+            return self._match_stored(field_name, query.term, within)
         if config.field_type == "text":
             if query.exact and len(query.term.split()) > 1:
                 return self._evaluate_phrase(
-                    PhraseQuery(field_name, tuple(query.term.split())))
+                    PhraseQuery(field_name, tuple(query.term.split())), within)
             stems = self.analyzer.stems(query.term)
             if not stems:
                 return set()
-            result: set[str] | None = None
-            for stem_term in stems:
-                docs = self._text_indexes[field_name].documents_with(stem_term)
-                result = docs if result is None else result & docs
-            return result or set()
+            return self._holding(self._text_indexes[field_name], stems, within)
         if config.field_type == "keyword":
-            return set(self._keyword_indexes[field_name].get(query.term.lower(), set()))
-        return self._match_stored(field_name, query.term)
+            bucket = self._keyword_indexes[field_name].get(query.term.lower(), _NO_DOCUMENTS)
+            return set(bucket) if within is None else bucket & within
+        return self._match_stored(field_name, query.term, within)
 
-    def _evaluate_phrase(self, query: PhraseQuery) -> set[str]:
+    def _evaluate_phrase(self, query: PhraseQuery,
+                         within: AbstractSet[str] | None = None) -> set[str]:
         field_name = query.field or self.default_field
         if field_name is None or field_name not in self._text_indexes:
             raise FullTextError(f"phrase queries need an analysed text field, got {field_name!r}")
@@ -529,10 +559,7 @@ class FullTextStore(Journalled):
         stems = [s for term in query.terms for s in self.analyzer.stems(term)]
         if not stems:
             return set()
-        candidates: set[str] | None = None
-        for stem_term in stems:
-            docs = index.documents_with(stem_term)
-            candidates = docs if candidates is None else candidates & docs
+        candidates = self._holding(index, stems, within)
         if not candidates:
             return set()
         # The index keeps no positions: a candidate's stems are derived
@@ -550,9 +577,10 @@ class FullTextStore(Journalled):
         terms = self._text_terms(self._documents[doc_id], self._stored[doc_id])
         return dict(terms).get(field_name, [])
 
-    def _evaluate_range(self, query: RangeQuery) -> set[str]:
+    def _evaluate_range(self, query: RangeQuery,
+                        within: AbstractSet[str] | None = None) -> set[str]:
         matches = set()
-        for doc_id, doc in self._documents.items():
+        for doc_id, doc in self._scanned(within):
             value = doc.get(query.field)
             if value is None:
                 continue
@@ -561,12 +589,13 @@ class FullTextStore(Journalled):
             matches.add(doc_id)
         return matches
 
-    def _match_stored(self, field_name: str, term: str) -> set[str]:
+    def _match_stored(self, field_name: str, term: str,
+                      within: AbstractSet[str] | None = None) -> set[str]:
         if not self._top_keys.get(field_name.split(".", 1)[0]):
             return set()
         lowered = term.lower()
         out = set()
-        for doc_id, doc in self._documents.items():
+        for doc_id, doc in self._scanned(within):
             value = doc.get(field_name)
             if value is None:
                 continue

@@ -286,7 +286,8 @@ class TreePatternMatcher:
     # ------------------------------------------------------------------
     def match_batch(self, pattern: TreePattern,
                     calls: list[tuple[dict[str, object], Row]],
-                    limit: int | None = None) -> list[list[tuple]]:
+                    limit: int | None = None,
+                    _within: Collection[str] | None = None) -> list[list[tuple]]:
         """Answer many ``(parameters, pushdown)`` calls in one pass, as tuples.
 
         The candidate set of the pattern's *constant* predicates is
@@ -294,12 +295,15 @@ class TreePatternMatcher:
         (resolved parameters and pushed-down bindings) before the
         surviving candidates are verified.  The result list is aligned
         with ``calls`` and each entry is what that call alone answers.
+        ``_within``, cache repair's, restricts the candidates to the ids
+        it holds (see :meth:`_intersection`).
         """
         if len(calls) <= 1:
-            return [self._verify(pattern, self.candidates(pattern, parameters, pushdown or {}),
+            return [self._verify(pattern, self.candidates(pattern, parameters, pushdown or {},
+                                                          _within),
                                  parameters, pushdown or {}, limit)
                     for parameters, pushdown in calls]
-        base = set(self.candidates(pattern))
+        base = set(self.candidates(pattern, _within=_within))
         results: list[list[tuple]] = []
         for parameters, pushdown in calls:
             pushdown = pushdown or {}
@@ -314,10 +318,10 @@ class TreePatternMatcher:
                     resolved = _resolve_quietly(predicate, parameters)
                     if resolved is None or resolved.op == "!=":
                         continue
-                    restriction = restriction & index.lookup_cmp(resolved.op,
-                                                                 resolved.value)
+                    restriction = restriction.intersection(_lookup(index, resolved))
                 if leaf.variable is not None and leaf.variable in pushdown:
-                    restriction = restriction & index.lookup_eq(pushdown[leaf.variable])
+                    restriction = restriction.intersection(
+                        index.bucket(pushdown[leaf.variable]))
             ordered = sorted(restriction, key=self.store.insertion_rank)
             results.append(self._verify(pattern, ordered, parameters,
                                         pushdown, limit))
@@ -344,14 +348,15 @@ class TreePatternMatcher:
     # ------------------------------------------------------------------
     def candidates(self, pattern: TreePattern,
                    parameters: dict[str, object] | None = None,
-                   pushdown: Row | None = None) -> list[str]:
+                   pushdown: Row | None = None,
+                   _within: Collection[str] | None = None) -> list[str]:
         """Candidate document ids after index-based predicate pushdown.
 
         The result is a superset of the matching documents (``!=``
         predicates are not pruned; everything is re-verified),
         in insertion order so results stay deterministic.
         """
-        matched = self._intersection(pattern, parameters, pushdown or {})
+        matched = self._intersection(pattern, parameters, pushdown or {}, _within)
         if matched is None:
             return [doc_id for doc_id, _ in self.store.items()]
         return sorted(matched, key=self.store.insertion_rank)
@@ -363,26 +368,31 @@ class TreePatternMatcher:
         return len(self.store) if matched is None else len(matched)
 
     def _intersection(self, pattern: TreePattern, parameters: dict[str, object] | None,
-                      pushdown: Row) -> Collection[str] | None:
+                      pushdown: Row, within: Collection[str] | None = None
+                      ) -> Collection[str] | None:
         """The ids every leaf's index lookups admit, read-only (a lone
-        restriction as it is), or None when no leaf prunes."""
-        restrictions: list[Collection[str]] = []
+        restriction as it is), or None when no leaf prunes.  ``within``
+        is one more restriction, and the first: the presence sets, each
+        as large as the documents holding a path, are then not built, as
+        the walk verifies presence anyway."""
+        store = self.store
+        restrictions: list[Collection[str]] = [] if within is None else [within]
         for leaf in pattern.leaves:
-            index = self.store.index_for(leaf.path)
-            if index is None or self.store.holds_below(leaf.path):
+            index = store.index_for(leaf.path)
+            if index is None or store.holds_below(leaf.path):
                 # Interior (non-leaf) or wildcard path, or a leaf path that is
                 # an interior node in some documents (which its value index
                 # cannot see): presence alone prunes, through the indexes of
                 # the paths it matches or prefixes (none: nothing matches).
-                restrictions.append(self.store.doc_ids_with_path(leaf.path))
+                if within is None:
+                    restrictions.append(store.doc_ids_with_path(leaf.path))
                 continue
-            lookups = [index.bucket(resolved.value) if resolved.op == "="
-                       else index.lookup_cmp(resolved.op, resolved.value) for resolved in
+            lookups = [_lookup(index, resolved) for resolved in
                        (_resolve_quietly(predicate, parameters) for predicate in leaf.predicates)
                        if resolved is not None and resolved.op != "!="]
             if leaf.variable is not None and leaf.variable in pushdown:
                 lookups.append(index.bucket(pushdown[leaf.variable]))
-            if not lookups and index.document_count < len(self.store):
+            if not lookups and within is None and index.document_count < len(store):
                 lookups.append(index.documents())  # not in every document: the path prunes
             restrictions.extend(lookups)
         if not restrictions:
@@ -399,6 +409,14 @@ class TreePatternMatcher:
         if len(self.store) == 0:
             return 1.0
         return self.candidate_count(pattern) / len(self.store)
+
+
+def _lookup(index, resolved: Predicate) -> Collection[str]:
+    """The ids ``index`` admits under a resolved predicate, read-only (an
+    equality's bucket as it is)."""
+    if resolved.op == "=":
+        return index.bucket(resolved.value)
+    return index.lookup_cmp(resolved.op, resolved.value)
 
 
 def _resolve_quietly(predicate: Predicate,

@@ -4,7 +4,7 @@ store, for the mediator (:mod:`repro.core.sources`)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from repro.cache.keys import CanonicalQuery, Namer
 from repro.core.deltas import document_deltas
@@ -112,12 +112,7 @@ class JSONSource(DataSource):
         computed once (:meth:`TreePatternMatcher.match_batch`); each
         binding only adds its own per-path index lookups on top.
         """
-        calls = [self._split_bindings(query, bindings or {}) for bindings in bindings_batch]
-        # A pin's snapshot yields the store at its version: match on that.
-        with self.store.reading() as store:
-            return [as_answer(query.pattern.columns, rows)
-                    for rows in TreePatternMatcher(store).match_batch(
-                        query.pattern, calls, limit=query.limit)]
+        return _answers(self.store, query, bindings_batch)
 
     def derive_estimate(self, query: JSONQuery, bound: set[str], values: Row) -> float:
         """The path-index estimate, priced with the atom's constants."""
@@ -156,15 +151,18 @@ class JSONSource(DataSource):
     def repair_delta(self, query: JSONQuery, records: list, engine):
         """A query without ``limit`` repairs.  A document's rows are its
         own, so inserts, upserts and removals all do: an entry gains the
-        rows of the copies the chain wrote and loses those of the copies
-        it replaced (:meth:`_delta_sources`)."""
+        rows of the copies the chain wrote, read off the store at the
+        chain's end restricted to their ids (in its insertion order, the
+        cold one), and loses those of the copies it replaced
+        (:meth:`~repro.core.sources.DataSource._repair_on_pin`)."""
         if query.limit is not None:
             return "shape"
-        return engine.spanned(self, records, self._delta_sources)
+        return self._repair_on_pin(records, engine, _answers)
 
     def _delta_sources(self, records: list):
-        """Wrappers over delta stores of the chain's net written and
-        replaced copies (:func:`~repro.core.deltas.document_deltas`)."""
+        """The ids the chain's net written copies stand under, and a
+        wrapper over a delta store of the copies it replaced
+        (:func:`~repro.core.deltas.document_deltas`)."""
         store = self.store
 
         def over(documents):
@@ -239,3 +237,16 @@ class JSONSource(DataSource):
                 # the independent per-leaf minima above.
                 estimate = min(estimate, float(TreePatternMatcher(store).candidate_count(pattern)))
             return min(estimate, limit)
+
+
+def _answers(data: JSONDocumentStore, query: JSONQuery, bindings_batch: Sequence[Row],
+             within: Collection[str] | None = None) -> list[list[BindingBatch]]:
+    """:meth:`JSONSource.execute_batch`'s answers on the store ``data``;
+    with ``within`` (cache repair's), those of the documents it names
+    alone."""
+    calls = [JSONSource._split_bindings(query, bindings or {}) for bindings in bindings_batch]
+    # A pin's snapshot yields the store at its version: match on that.
+    with data.reading() as store:
+        return [as_answer(query.pattern.columns, rows)
+                for rows in TreePatternMatcher(store).match_batch(
+                    query.pattern, calls, limit=query.limit, _within=within)]

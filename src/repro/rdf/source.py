@@ -10,7 +10,7 @@ from typing import Iterable, Optional, Sequence
 
 from repro.cache.keys import CanonicalQuery, Namer
 from repro.core.deltas import INSERT
-from repro.core.sources import DataSource, SourceQuery, _instrumented
+from repro.core.sources import DataSource, RepairView, SourceQuery, _instrumented
 from repro.digest.graph import DigestNode, SourceDigest, safe_name
 from repro.digest.valueset import ValueSetSummary
 from repro.engine.batch import BindingBatch, Row, as_answer, tuple_decoder
@@ -270,32 +270,44 @@ class RDFSource(DataSource):
             return max(0.0, cardinality)
 
     def derive_digest(self, summarize=ValueSetSummary) -> SourceDigest:
-        """Nodes from the graph's structural summary: one per property of
-        each summary node, valued with what a query returns there (URIs
-        also by their local names, for keywords only); edges join the
-        properties of a summary node and follow each summary edge."""
+        """Nodes from the graph's structural summary: one per property
+        (local name) of each summary class, valued with what a query
+        returns there (URIs also by their local names, for keywords only);
+        summary nodes labelled with one class pool their values there.
+        Edges, each once, join the properties of a summary node and follow
+        each summary edge."""
         with self.graph.reading() as graph:
             digest = SourceDigest(self.uri, self.model, version=self.version())
             summary, triples = RDFSummary.build(graph), len(graph)
+        values_at: dict[DigestNode, set] = {}
         nodes_by_summary: dict[str, list[DigestNode]] = {}
         for node_id, summary_node in summary.nodes.items():
             container = _container_label(summary_node)
-            property_nodes = []
+            nodes_by_summary[node_id] = property_nodes = []
             for prop in sorted(summary_node.properties, key=str):
                 values = summary.values.get((node_id, prop), set())
                 node = DigestNode(self.uri, container, _local_name(prop), kind="rdf-property")
-                digest.add_node(node, summarize(
-                    [_joinable(v) for v in values],
-                    keyword_aliases=[v.local_name for v in values if isinstance(v, URI)]))
-                property_nodes.append(node)
-            nodes_by_summary[node_id] = property_nodes
-            digest.link_all(property_nodes)
+                held = values_at.get(node)
+                values_at[node] = values if held is None else held | values
+                if node not in property_nodes:
+                    property_nodes.append(node)
+        for node, values in values_at.items():
+            digest.add_node(node, summarize(
+                [_joinable(v) for v in values],
+                keyword_aliases=[v.local_name for v in values if isinstance(v, URI)]))
+        edges: dict[tuple, float] = {}
+        for property_nodes in nodes_by_summary.values():
+            for i, left in enumerate(property_nodes):
+                for right in property_nodes[i + 1:]:
+                    edges.setdefault((left, right, "same-container"), 1.0)
         for edge in summary.edges:
             for left in nodes_by_summary.get(edge.source, []):
                 if left.position != _local_name(edge.prop):
                     continue
                 for right in nodes_by_summary.get(edge.target, []):
-                    digest.add_edge(left, right, kind="reference", weight=0.5)
+                    edges.setdefault((left, right, "reference"), 0.5)
+        for (left, right, kind), weight in edges.items():
+            digest.add_edge(left, right, kind=kind, weight=weight)
         digest.metadata["summary_nodes"] = len(summary.nodes)
         digest.metadata["triples"] = triples
         return digest
@@ -353,7 +365,7 @@ class RDFSource(DataSource):
         graph, delta = found
         if len(delta) * len(query.bgp.patterns) > engine.MAX_DELTA_ITEMS:
             return "delta_too_large"
-        return _Seeded(graph, delta), None
+        return RepairView(_answers, graph, delta), None
 
     def _delta_graph(self, records: list):
         """The graph an entry is repaired on — G∞ under entailment — at the
@@ -365,18 +377,6 @@ class RDFSource(DataSource):
         graph = self.effective_graph()  # brings the lineage to the chain's end
         delta = self.closure.delta(records[0].pre_version, records[-1].post_version)
         return None if delta is None else (graph, delta)
-
-
-class _Seeded:
-    """Cache repair's written side of an RDF delta: per binding, the
-    answers on ``graph`` of the solutions using one of ``delta``'s triples."""
-
-    def __init__(self, graph: Graph, delta: list):
-        self.graph, self.delta = graph, delta
-
-    def execute_batch(self, query: RDFQuery,
-                      bindings_batch: Sequence[Row]) -> list[list[BindingBatch]]:
-        return _answers(self.graph, query, bindings_batch, self.delta)
 
 
 def _answers(graph: Graph, query: RDFQuery, batch: Sequence[Row],

@@ -5,7 +5,8 @@ A mutant is one deliberate bug, applied by monkeypatching the program
 (``test_row_kernels.py``), the compact-store tests
 (``test_compact_stores.py``), the JSON matcher's differential against
 per-document reference scans (``test_json_matcher.py::TestEquivalence``),
-the read-protocol tests (``test_digest_maintenance.py::TestReadProtocol``)
+the read-protocol tests (``test_digest_maintenance.py::TestReadProtocol``),
+the repair differential (``test_streaming.py::TestRepairDifferential``)
 and then ``test_oracle_harness.py`` once per mutant, each in a fresh
 interpreter, and calls the mutant *killed* when they fail; a mutant that
 survives is a bug they cannot see.  The
@@ -41,6 +42,8 @@ STORES = HERE / "test_compact_stores.py"
 MATCHER = f"{HERE / 'test_json_matcher.py'}::TestEquivalence"
 #: Digests derived while a writer commits, and snapshots read only in a reading.
 READS = f"{HERE / 'test_digest_maintenance.py'}::TestReadProtocol"
+#: Entries repaired over pins against cold re-runs.
+REPAIRS = f"{HERE / 'test_streaming.py'}::TestRepairDifferential"
 
 
 def constants_out_of_the_binding_key(patch) -> None:
@@ -101,13 +104,22 @@ def subtract_the_written_copies(patch) -> None:
     from repro.json.source import JSONSource
 
     for wrapper in (FullTextSource, JSONSource):
-        deltas = wrapper._delta_sources
+        delta = wrapper.repair_delta
 
-        def written_twice(source, records, deltas=deltas):
-            written, _ = deltas(source, records)
-            return written, written
+        def written_twice(source, query, records, engine, delta=delta):
+            found = delta(source, query, records, engine)
+            return found if isinstance(found, str) else (found[0], found[0])
 
-        patch.setattr(wrapper, "_delta_sources", written_twice)
+        patch.setattr(wrapper, "repair_delta", written_twice)
+
+
+def repair_view_unrestricted(patch) -> None:
+    """A repair reads the written side off the whole pinned store: every
+    document, not only the ones the chain wrote, contributes rows."""
+    from repro.core.sources import RepairView
+
+    patch.setattr(RepairView, "execute_batch", lambda self, query, bindings_batch:
+                  self.answers(self.data, query, bindings_batch, None))
 
 
 def repair_from_explicit_delta(patch) -> None:
@@ -308,10 +320,10 @@ def phrase_ignores_adjacency(patch) -> None:
     order and apart: a bag of stems."""
     from repro.fulltext.store import FullTextStore
 
-    def bag(self, query):
+    def bag(self, query, within=None):
         index = self._text_indexes[query.field or self.default_field]
         stems = [stem for term in query.terms for stem in self.analyzer.stems(term)]
-        return set.intersection(*map(index.documents_with, stems)) if stems else set()
+        return self._holding(index, stems, within) if stems else set()
 
     patch.setattr(FullTextStore, "_evaluate_phrase", bag)
 
@@ -426,7 +438,7 @@ def token_memo_ignores_configuration(patch) -> None:
 MUTANTS = {mutant.__name__: mutant for mutant in (
     constants_out_of_the_binding_key, stamp_matches_every_version,
     repair_ignores_its_delta, headers_left_untranslated,
-    no_subtraction, subtract_the_written_copies,
+    no_subtraction, subtract_the_written_copies, repair_view_unrestricted,
     repair_from_explicit_delta, seed_drops_spelling_variants,
     repair_reads_pre_write_closure, wire_skips_tagged_columns,
     stored_row_outlives_upsert, snapshot_reads_live_stored_rows,
@@ -451,7 +463,7 @@ def _run(name: str) -> int:
     if name != "none":
         MUTANTS[name](patch)
     return pytest.main(["-q", "-x", "-p", "no:cacheprovider", str(KERNELS), str(STORES),
-                        MATCHER, READS, str(HARNESS)])
+                        MATCHER, READS, REPAIRS, str(HARNESS)])
 
 
 def main(argv: list[str]) -> int:

@@ -14,7 +14,7 @@ from repro.digest.keyword import KeywordQueryEngine
 from repro.errors import FullTextError, KeywordSearchError
 from repro.fulltext.source import FullTextSource
 from repro.json.source import JSONSource
-from repro.rdf import Graph
+from repro.rdf import Graph, triple
 from repro.rdf.source import RDFSource
 from repro.relational import Database
 from repro.relational.source import RelationalSource
@@ -76,6 +76,26 @@ class TestDigestBuilding:
         digest = instance.glue_source.derive_digest()
         hits = digest.lookup_keyword("head of state")
         assert any(n.position == "position" for n in hits)
+
+    def test_rdf_summary_nodes_of_one_class_are_one_position(self):
+        """Two summary nodes labelled with one class (their property sets
+        differ) pool their values in one position: no node and no edge is
+        listed twice, and each node's values are found there."""
+        graph = Graph("people")
+        graph.add(triple("ttn:A", "rdf:type", "ttn:Politician"))
+        graph.add(triple("ttn:A", "ttn:name", "Alice"))
+        graph.add(triple("ttn:A", "ttn:handle", "alice"))
+        graph.add(triple("ttn:B", "rdf:type", "ttn:Politician"))
+        graph.add(triple("ttn:B", "ttn:name", "Bob"))
+        graph.add(triple("ttn:B", "ttn:handle", "bob"))
+        graph.add(triple("ttn:B", "ttn:party", "left"))
+        digest = RDFSource("rdf://people", graph).derive_digest()
+        assert len(digest.nodes) == len(set(digest.nodes)) == 4
+        assert len(digest.edges) == len(set(digest.edges))
+        names = digest.values_of(digest.node("Politician", "name"))
+        assert names.might_contain("Alice") and names.might_contain("Bob")
+        handles = digest.values_of(digest.node("Politician", "handle"))
+        assert handles.might_contain("alice") and handles.might_contain("bob")
 
     def test_lookup_by_position_name(self, instance):
         digest = instance.source("sql://insee").derive_digest()

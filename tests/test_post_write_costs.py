@@ -22,6 +22,7 @@ from repro.core.cmq import SourceAtom
 from repro.core.deltas import Snapshot
 from repro.core.planner import PlannerOptions
 from repro.core.sources import DataSource
+from repro.fulltext import source as fulltext_source
 from repro.fulltext.source import FullTextQuery, FullTextSource
 from repro.json.source import JSONSource
 from repro.rdf.source import RDFSource
@@ -35,9 +36,11 @@ from repro.datasets.loader import (
     qsia_query,
 )
 from repro.digest.dataguide import JSONDataguide
+from repro.engine.batch import dict_rows
 from repro.engine.iterators import BatchBindJoin, MaterializedScan
 from repro.fulltext.store import FieldConfig, FullTextStore
 from repro.json.accel import StoreEncoding
+from repro.json.index import PathIndex
 from repro.json.matcher import TreePatternMatcher
 from repro.json.parser import parse_pattern
 from repro.json.store import JSONDocumentStore
@@ -206,6 +209,7 @@ class TestRepairIsSetAtATime:
         calls: Counter = Counter()
         _spy(monkeypatch, FullTextStore, "matches", calls)
         _spy(monkeypatch, FullTextSource, "execute_batch", calls)
+        _spy(monkeypatch, fulltext_source, "_answers", calls)
         _spy(monkeypatch, RepairEngine, "repair", calls)
         reset_registry()
         warm = join()
@@ -214,10 +218,11 @@ class TestRepairIsSetAtATime:
         assert len(rows) == 3 * self.KEYS + 50
         assert warm.cache_hits == self.KEYS and warm.calls == 0
         assert (tally.hits, tally.misses) == (self.KEYS, 0)
-        # One probe per flush, one repair call, one pass over the delta
-        # store for all the keys (parent: one search per key).
+        # One probe per flush, one repair call, no source call, and one
+        # restricted pass over the store for all the keys.
         assert calls["repair"] == 1
-        assert calls["execute_batch"] == 1
+        assert calls["execute_batch"] == 0
+        assert calls["_answers"] == 1
         assert calls["matches"] == 1
         stats = engine.stats.as_dict()
         assert stats["attempts"] == stats["repaired"] == self.KEYS
@@ -251,6 +256,70 @@ class TestRepairIsSetAtATime:
         assert after["attempts"] - before["attempts"] > 1   # still counted per key
         assert after["attempts"] - before["attempts"] == \
             after["repaired"] - before["repaired"]
+
+
+class TestRepairReadsThePin:
+    """A document span is repaired by reading the pinned store restricted
+    to the documents the span wrote: an insert-only span builds no store,
+    an upsert span one, of its replaced copies, and the restricted read
+    builds no presence set of the whole store."""
+
+    def _cases(self) -> list:
+        text = FullTextStore("tweets", fields=[
+            FieldConfig("text", "text"), FieldConfig("author", "keyword")])
+        text.add_all({"id": i, "text": f"alpha tweet {i}", "author": f"a{i % 7}"}
+                      for i in range(200))
+        documents = JSONDocumentStore("tweets")
+        documents.add_all(_tweet(i) for i in range(200))
+        return [
+            (FullTextSource("solr://tweets", text),
+             FullTextQuery.create("text:alpha", {"t": "text", "id": "author"}),
+             lambda first: text.add_all({"id": first + i, "text": "alpha late",
+                                         "author": f"a{i}"} for i in range(20))),
+            (JSONSource("json://tweets", documents),
+             JSONQuery.from_text('{ text: ?t, user.screen_name: ?id, '
+                                 'entities.hashtags: "sia2016" }'),
+             lambda first: documents.add_all(_tweet(first + i) for i in range(20)))]
+
+    def test_an_insert_only_span_builds_no_store(self, monkeypatch):
+        for source, query, write in self._cases():
+            cache = SubQueryResultCache()
+            engine = RepairEngine(cache)
+            CachedSource(source.pin(), cache, repair=engine).execute_batch(query, [{}])
+            for first, stores in ((1000, 0), (1010, 1)):  # an insert, then an upsert
+                write(first)
+                calls: Counter = Counter()
+                with monkeypatch.context() as patch:
+                    for store in (FullTextStore, JSONDocumentStore):
+                        _spy(patch, store, "__init__", calls, "store")
+                        _spy(patch, store, "add_all", calls, "add_all")
+                    rows = CachedSource(source.pin(), cache, repair=engine).execute_batch(
+                        query, [{}])
+                assert calls == Counter({"store": stores, "add_all": stores}), source
+                assert sorted(map(repr, dict_rows(rows[0]))) == \
+                    sorted(map(repr, source.execute(query)))
+            assert engine.stats.repaired == 2 and not engine.stats.fallbacks
+
+    def test_a_restricted_read_builds_no_presence_set(self, monkeypatch):
+        store = JSONDocumentStore("tweets")
+        store.add_all({**_tweet(i), **({"extra": i} if i % 3 else {})} for i in range(120))
+        source = JSONSource("json://tweets", store)
+        # ``user`` is an interior path, ``extra`` is not in every document:
+        # a cold read prunes with the presence sets of both.
+        query = JSONQuery.from_text("{ user: ?u, extra: ?x, text: ?t }")
+        cache = SubQueryResultCache()
+        engine = RepairEngine(cache)
+        proxy = CachedSource(source, cache, repair=engine)
+        proxy.execute_batch(query, [{}])
+        store.add_all({**_tweet(500 + i), "extra": i} for i in range(10))
+        calls: Counter = Counter()
+        with monkeypatch.context() as patch:
+            _spy(patch, JSONDocumentStore, "doc_ids_with_path", calls)
+            _spy(patch, PathIndex, "documents", calls)
+            repaired = dict_rows(proxy.execute_batch(query, [{}])[0])
+            assert engine.stats.repaired == 1 and calls == Counter()
+            assert repaired == source.execute(query)
+        assert calls["doc_ids_with_path"] and calls["documents"]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.keys import canonical_query
@@ -400,9 +400,10 @@ class TestBatchRepair:
         assert batch_engine.stats.as_dict() == key_engine.stats.as_dict()
         assert batch_engine.stats.repaired > 0 and not batch_engine.stats.fallbacks
 
-    def test_fulltext_delta_store_answers_like_a_rerun(self):
-        """The delta store the repair builds for a full-text span
-        (``FullTextSource._delta_sources``) answers a batch through the same
+    def test_fulltext_repair_view_answers_like_a_rerun(self):
+        """What the repair reads for a full-text span — the store at the
+        chain's end restricted to the documents the chain wrote
+        (``FullTextSource.repair_delta``) — answers a batch through the same
         evaluation as the live store: one call per key answers the same
         rows in the same order, they close every repaired entry, and
         entry = stored + delta is the cold re-run's multiset."""
@@ -412,10 +413,11 @@ class TestBatchRepair:
         pre = source.version()
         write(2)
         write(3)
-        delta, replaced = source._delta_sources(source.deltas_since(pre))
+        delta, replaced = source.repair_delta(query, source.deltas_since(pre), engine)
         assert replaced is None
         fresh = list(map(dict_rows, delta.execute_batch(query, keys)))
-        assert fresh == [delta.execute(query, dict(key)) for key in keys]
+        assert fresh == [dict_rows(delta.execute_batch(query, [dict(key)])[0])
+                         for key in keys]
         assert sum(map(len, fresh)) == 2 * 5  # the catch-all key sees all five
         repaired = list(map(dict_rows, proxy.execute_batch(query, keys)))
         assert engine.stats.repaired == len(keys) and not engine.stats.fallbacks
@@ -607,6 +609,90 @@ class TestDocumentRewritesAreRepaired:
         warm = list(map(dict_rows, proxy.execute_batch(query, keys)))
         assert warm == [source.execute(query, dict(key)) for key in keys]
         assert engine.stats.fallbacks == {"diverged": len(keys)}
+
+
+# ---------------------------------------------------------------------------
+# A repair reads the pinned store, restricted to what its span wrote
+# ---------------------------------------------------------------------------
+
+#: One span's batches, repaired as one chain at the next asking: documents
+#: written (an id twice in a batch, or in two batches, is rewritten), a
+#: document inserted and removed again, a removal, or an empty batch.
+_SPAN = st.lists(st.one_of(
+    st.tuples(st.just("write"), st.lists(st.integers(0, 13), min_size=1, max_size=4)),
+    st.tuples(st.just("insert-remove"), st.integers(100, 102)),
+    st.tuples(st.just("remove"), st.integers(0, 13)),
+    st.tuples(st.just("empty"), st.none())), min_size=1, max_size=5)
+
+
+class TestRepairDifferential:
+    """Entries repaired over pins equal a cold re-run, and a live store
+    read after a newer write is never repaired from."""
+
+    @pytest.mark.parametrize("case, ordered", [(_json_documents, True),
+                                               (_fulltext_documents, False)])
+    @given(spans=st.lists(_SPAN, min_size=1, max_size=3))
+    @example(spans=[[("write", [3, 3]), ("write", [3])]])
+    @example(spans=[[("insert-remove", 100), ("empty", None)], [("empty", None)]])
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    def test_a_repaired_pin_equals_a_rerun(self, case, ordered, spans):
+        """Each asking reads through a layer over the wrapper's pin, as a
+        CMQ does; every stale entry is repaired without a source call
+        into the cold answer: the same multiset, and for JSON the same
+        order."""
+        store, source, query, keys, document = case()
+        store.add_all(document(i, 0) for i in range(10))
+        cache = SubQueryResultCache()
+        engine = RepairEngine(cache)
+        CachedSource(source.pin(), cache, repair=engine).execute_batch(query, keys)
+        revision = 0
+        for batches in spans:
+            for op, argument in batches:
+                revision += 1
+                if op == "write":
+                    store.add_all(document(i, revision) for i in argument)
+                elif op == "insert-remove":
+                    store.add(document(argument, revision))
+                    store.remove(str(argument))
+                elif op == "remove":
+                    store.remove(str(argument))
+                else:
+                    store.add_all([])
+            pinned = source.pin()
+            pinned.execute_batch = None  # a source call would raise
+            try:
+                warm = list(map(dict_rows, CachedSource(pinned, cache, repair=engine)
+                                .execute_batch(query, keys)))
+            finally:
+                del pinned.execute_batch
+            assert not engine.stats.fallbacks
+            for key, rows in zip(keys, warm):
+                cold = source.execute(query, dict(key))
+                assert rows == cold if ordered else _multiset(rows) == _multiset(cold)
+        assert engine.stats.repaired == engine.stats.attempts
+
+    @pytest.mark.parametrize("case", [_json_documents, _fulltext_documents])
+    def test_a_live_store_written_after_the_probe_falls_back(self, case):
+        """A live wrapper whose store is written between the probe, which
+        read its version, and the repair's read: its copies are newer than
+        that version, so every key falls back, named ``moved``, and no
+        entry is stamped with the probed version."""
+        store, source, query, keys, document = case()
+        store.add_all(document(i, 0) for i in range(10))
+        proxy, engine = _proxy(source)
+        proxy.execute_batch(query, keys)
+        store.add_all([document(0, 1), document(11, 1)])
+        probed = source.version()
+        canon = canonical_query(query)
+        cache_keys = SubQueryResultCache.keys(source, canon, map(canon.key_of, keys))
+        bases = [engine.cache.entries.peek(key) for key in cache_keys]
+        store.add_all([document(0, 2), document(12, 2)])  # after the probe
+        assert engine.repair(source, probed, query, canon, cache_keys, bases,
+                             keys.__getitem__) == [None] * len(keys)
+        assert engine.stats.fallbacks == {"moved": len(keys)}
+        assert [engine.cache.entries.peek(key) for key in cache_keys] == bases
 
 
 # ---------------------------------------------------------------------------
