@@ -236,9 +236,13 @@ class CachedSource:
         misses = [i for i, batches in enumerate(results) if batches is None]
         if not misses:
             return results
-        for i, batches in zip(misses, self._fetch(query, [batch[i] for i in misses])):
+        fetched = self._fetch(query, [batch[i] for i in misses])
+        # A live wrapper written during the fetch answered newer rows than
+        # ``version``: they are not cached under it.  A pin never moves.
+        keep = self.inner.pinned_at is not None or self.inner.version() == version
+        for i, batches in zip(misses, fetched):
             results[i] = batches
-            if keys[i] is not None:
+            if keep and keys[i] is not None:
                 self.cache.insert(keys[i], version, canon, batches)
         return results
 

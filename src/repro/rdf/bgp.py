@@ -134,6 +134,9 @@ def solve(patterns: Sequence[TriplePattern], graph: Graph, columns: Sequence,
         return []
     starts = [(patterns, list(columns), rows)]
     if delta is not None:
+        delta = _fitting(patterns, delta)
+        if not delta:
+            return []
         seeds = Graph("delta")
         seeds.dictionary = graph.dictionary
         seeds.add_all(delta)
@@ -153,6 +156,19 @@ def solve(patterns: Sequence[TriplePattern], graph: Graph, columns: Sequence,
             found.update(dict.fromkeys(map(tuple_getter(
                 [joined.index(c) for c in project]), relation)))
     return list(found)
+
+
+def _fitting(patterns: Sequence[TriplePattern], delta: Iterable[Triple]) -> list[Triple]:
+    """The triples of ``delta`` that agree with some pattern's constants:
+    only they can seed a solution."""
+    shapes = [[(i, t) for i, t in enumerate(p) if not isinstance(t, Variable)]
+              for p in patterns]
+    fitting = []
+    for t in delta:
+        terms = tuple(t)
+        if any(all(terms[i] == c for i, c in shape) for shape in shapes):
+            fitting.append(t)
+    return fitting
 
 
 def evaluate_bgp(query: BGPQuery, graph: Graph, initial_binding: Binding | None = None,

@@ -5,7 +5,8 @@ SPARQL endpoints); this package makes the repro's in-process stores
 remote without changing the mediator protocol:
 
 * :mod:`repro.remote.protocol` — a compact length-prefixed JSON wire
-  protocol (framing, value and sub-query codecs, column-major answers);
+  protocol (framing, value and sub-query codecs, column-major answers
+  whose wide text and int columns travel as bytes after the JSON);
 * :mod:`repro.remote.server` — reference servers exposing any registered
   :class:`~repro.core.sources.DataSource` over that protocol (TCP with
   keep-alive, plus a transport-agnostic in-process handler);

@@ -192,17 +192,12 @@ class RemoteSource(DataSource):
     def execute_batch(self, query: SourceQuery,
                       bindings_batch: Sequence[Row]) -> list[list[BindingBatch]]:
         """One ``execute_batch`` frame; each binding's answer arrives as
-        column-major batches (:func:`protocol.decode_answer`)."""
+        column-major batches (:func:`protocol.decode_answers`)."""
         request = {"op": "execute_batch",
                    "query": protocol.encode_query(query),
                    "bindings_batch": [protocol.encode_row(b)
                                       for b in bindings_batch]}
-        answers = self._call(request).get("answers")
-        if not isinstance(answers, list) or len(answers) != len(bindings_batch):
-            raise RemoteProtocolError(
-                f"{self.uri} did not answer each of {len(bindings_batch)} "
-                f"bindings: {str(answers)[:200]}")
-        return [protocol.decode_answer(answer) for answer in answers]
+        return protocol.decode_answers(self._call(request), len(bindings_batch))
 
     def estimate(self, query: SourceQuery,
                  bound_variables: set[str] | None = None) -> float:

@@ -1,10 +1,18 @@
-"""The length-prefixed JSON wire protocol of the remote federation layer.
+"""The length-prefixed wire protocol of the remote federation layer.
 
-A message is one frame::
+A message is one frame: a JSON object, then, in a frame whose answers
+pack columns, the bytes of those columns (its *tail*)::
 
-    +----------------+----------------------------------+
-    | 4 bytes  !I    | UTF-8 JSON payload (length bytes)|
-    +----------------+----------------------------------+
+    +---------------+------------------------------+-------------------+
+    | 4 bytes  !I   | UTF-8 JSON object            | tail (tail bytes) |
+    | frame length  | {"tail":<tail bytes>,...}    | packed columns    |
+    +---------------+------------------------------+-------------------+
+
+The length counts the JSON and the tail, and :data:`MAX_FRAME_BYTES`
+bounds it.  A frame without packed columns has no tail and no ``tail``
+key: it is a revision-3 frame.  One with a tail opens its JSON with the
+tail's size, so the reader splits the frame before parsing; the parsed
+size must agree.  In memory the ``tail`` key holds the bytes.
 
 Requests are JSON objects ``{"op": ..., "protocol": PROTOCOL_VERSION,
 ...}``; responses are ``{"ok": true, ...}`` or ``{"ok": false, "error":
@@ -18,16 +26,27 @@ datetimes, and dicts whose keys collide with the tag) are wrapped in a
 one-key tag object ``{"$": kind, "v": payload}``; everything else passes
 through verbatim, so the common case (strings and numbers) costs nothing.
 
-An answer travels as columns (revision 3), encoded from the serving
-wrapper's batches and decoded into batches.  The answer to one binding
-is a list of batches, each ``[columns, row_count, column_values,
-tagged]``: the header once, then one JSON array per column holding
-that column's ``row_count`` values in row order.  A column whose values
-are all ``str`` / ``int`` / ``float`` / ``bool`` / ``None`` ships
-verbatim; any other column ships through the value codec, and its index
-is listed in ``tagged`` — only those columns are decoded value by
-value.  ``row_count`` keeps a batch without columns (a BGP without
-output variables answering "yes") distinct from no rows at all.
+An answer travels as columns, encoded from the serving wrapper's batches
+and decoded into batches.  The answer to one binding is a list of
+batches, each ``[columns, row_count, column_values, tagged]``: the
+header once, then per column one entry for its ``row_count`` values in
+row order.  From revision 4 a wide column is *packed* into the tail, and
+its entry is the descriptor ``{"$": kind, "at": offset, "size": bytes}``:
+
+* ``"text"``: every value exactly ``str``, none holding ``"\\x00"``,
+  joined on ``"\\x00"`` as strict UTF-8 (:data:`PACKED_MIN_ROWS` rows
+  holding :data:`PACKED_MIN_CHARS` characters, or
+  :data:`PACKED_SHORT_TEXT_ROWS` rows of any); decoded with one decode
+  and one split;
+* ``"int64"``: every value exactly ``int`` within int64, little-endian
+  (:data:`PACKED_MIN_INTS` rows); decoded with one ``struct.unpack``.
+
+Any other column is a JSON array: verbatim when its values are all
+``str`` / ``int`` / ``float`` / ``bool`` / ``None``, else through the
+value codec, its index listed in ``tagged`` — only those columns are
+decoded value by value.  ``row_count`` keeps a batch without columns (a
+BGP without output variables answering "yes") distinct from no rows at
+all.  Every offset, size and piece count is checked on decoding.
 """
 
 from __future__ import annotations
@@ -36,7 +55,8 @@ import datetime
 import json
 import socket
 import struct
-from typing import Optional, Sequence
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import Callable, Optional, Sequence
 
 from repro.core.sources import Row, SourceQuery
 from repro.fulltext.source import FullTextQuery
@@ -51,8 +71,9 @@ from repro.rdf.terms import Literal, URI, Variable
 
 #: The revision of the wire format: ``hello`` advertises it and every
 #: request carries it (revision 1 carried none; revision 2 answered a
-#: dict per row).  Bump it with any change an older peer would misread.
-PROTOCOL_VERSION = 3
+#: dict per row; revision 3 sent every column as JSON).  Bump it with
+#: any change an older peer would misread.
+PROTOCOL_VERSION = 4
 
 #: Upper bound on one frame; a peer announcing more is malformed.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
@@ -64,6 +85,28 @@ _TAG = "$"
 
 #: The value types a column may hold to cross the wire verbatim.
 _PLAIN = frozenset((str, int, float, bool, type(None)))
+
+#: The key of a frame's tail: its size on the wire, its bytes in memory.
+_TAIL = "tail"
+#: How a frame with a tail starts.
+_TAIL_OPEN = b'{"tail":'
+
+# When a column is packed: where a round trip of a one-column batch packed
+# cost less than as JSON (a text column of 16-256 rows, its values
+# averaging 4-128 characters; an int column of 16-256 rows).
+#: A column shorter than this travels as JSON.
+PACKED_MIN_ROWS = 32
+#: A text column of this many characters is packed ...
+PACKED_MIN_CHARS = 1024
+#: ... and, whatever its length, one of this many rows.
+PACKED_SHORT_TEXT_ROWS = 96
+#: An int column is packed from this many rows.
+PACKED_MIN_INTS = 64
+
+#: The descriptor tag of each packed column kind.
+_PACKED = {str: "text", int: "int64"}
+#: What joins a packed text column's values.
+_SEPARATOR = "\x00"
 
 
 def revision_mismatch(client: object, server: object) -> str:
@@ -146,54 +189,137 @@ def decode_row(row: dict) -> Row:
 # Answer codec
 # ---------------------------------------------------------------------------
 
-def encode_answer(batches: Sequence[BindingBatch]) -> list:
-    """Wire form of one binding's answer: per batch, ``[columns,
-    row_count, column_values, tagged]`` (see the module docstring)."""
-    encoded = []
-    for batch in batches:
-        if not batch.rows:
-            continue
-        values, tagged = [], []
-        for index, column in enumerate(zip(*batch.rows)):
-            if _PLAIN.issuperset(map(type, column)):
-                values.append(column)
-            else:
-                values.append([encode_value(value) for value in column])
-                tagged.append(index)
-        encoded.append([batch.columns, len(batch.rows), values, tagged])
-    return encoded
+def encode_answers(answers: Sequence[Sequence[BindingBatch]], response: dict) -> dict:
+    """``response`` carrying the answers to a batch of bindings:
+    ``answers``, per binding its encoded batches (see the module
+    docstring), and ``tail``, the packed columns' bytes, when a column
+    is packed."""
+    tail: list[bytes] = []
+    response["answers"] = [[_encode_batch(batch, tail) for batch in batches if batch.rows]
+                           for batches in answers]
+    if tail:
+        response[_TAIL] = b"".join(tail)
+    return response
 
 
-def decode_answer(answer: object) -> list[BindingBatch]:
-    """Inverse of :func:`encode_answer`: the binding's batches, in order,
-    each batch's rows zipped from its columns."""
+def _encode_batch(batch: BindingBatch, tail: list[bytes]) -> list:
+    """``[columns, row_count, column_values, tagged]``; a packed column's
+    bytes are appended to ``tail``."""
+    rows = batch.rows
+    values: list = []
+    tagged: list[int] = []
+    wide = len(rows) >= PACKED_MIN_ROWS
+    for index, column in enumerate(zip(*rows)):
+        kinds = set(map(type, column)) if wide else map(type, column)
+        if wide and len(kinds) == 1 and (data := _pack(column, *kinds)) is not None:
+            values.append({_TAG: _PACKED[type(column[0])],
+                           "at": sum(map(len, tail)), "size": len(data)})
+            tail.append(data)
+        elif _PLAIN.issuperset(kinds):
+            values.append(column)
+        else:
+            values.append([encode_value(value) for value in column])
+            tagged.append(index)
+    return [batch.columns, len(rows), values, tagged]
+
+
+def _pack(column: tuple, kind: type) -> Optional[bytes]:
+    """The bytes a column of ``kind`` values packs to; ``None`` when it
+    travels as JSON: a text column too short to gain, one whose values
+    hold the separator or that strict UTF-8 cannot encode (a lone
+    surrogate), an int column beyond int64, any other kind."""
+    if kind is str:
+        text = "".join(column)
+        if len(column) < PACKED_SHORT_TEXT_ROWS and len(text) < PACKED_MIN_CHARS:
+            return None
+        # The joined text holds exactly rows - 1 separators: no value holds one.
+        if _SEPARATOR in text:
+            return None
+        try:
+            return _SEPARATOR.join(column).encode("utf-8")
+        except UnicodeEncodeError:
+            return None
+    if kind is int and len(column) >= PACKED_MIN_INTS:
+        try:
+            return struct.pack(f"<{len(column)}q", *column)
+        except struct.error:  # beyond int64
+            return None
+    return None
+
+
+def decode_answers(response: dict, bindings: int) -> list[list[BindingBatch]]:
+    """Inverse of :func:`encode_answers`: per binding of the ``bindings``
+    asked, its batches in order, each batch's rows zipped from its
+    columns."""
+    answers = response.get("answers")
+    if not isinstance(answers, list) or len(answers) != bindings:
+        raise RemoteProtocolError(
+            f"the response did not answer each of {bindings} bindings: "
+            f"{str(answers)[:200]}")
+    tail = response.get(_TAIL)
+    if tail is not None and not isinstance(tail, (bytes, memoryview)):
+        raise RemoteProtocolError(f"a frame's tail must be its bytes, not {tail!r}")
+    return [_decode_answer(answer, tail) for answer in answers]
+
+
+def _decode_answer(answer: object, tail: Optional[bytes]) -> list[BindingBatch]:
     if not isinstance(answer, list):
         raise RemoteProtocolError("an answer must decode from a list of batches")
     batches: list[BindingBatch] = []
     for batch in answer:
-        columns, count, values, tagged = _batch_fields(batch)
-        for index in tagged:
-            values[index] = [decode_value(value) for value in values[index]]
+        columns, count, values = _batch_fields(batch, tail)
         if count:
             batches.append(BindingBatch(columns, list(zip(*values)) if values else [()] * count))
     return batches
 
 
-def _batch_fields(batch: object) -> tuple[tuple[str, ...], int, list, list]:
-    """One encoded batch's fields, checked against each other."""
+def _batch_fields(batch: object, tail: Optional[bytes]) -> tuple[tuple[str, ...], int, list]:
+    """One encoded batch's header, row count and decoded columns, checked
+    against each other; a column may be packed only in a frame with a
+    tail."""
     if isinstance(batch, list) and len(batch) == 4:
         columns, count, values, tagged = batch
         if (isinstance(columns, list) and all(type(c) is str for c in columns)
                 and len(set(columns)) == len(columns)
                 and type(count) is int and count >= 0
                 and isinstance(values, list) and len(values) == len(columns)
-                and all(type(v) is list and len(v) == count for v in values)
+                and all(type(v) is list and len(v) == count
+                        or tail is not None and type(v) is dict for v in values)
                 and isinstance(tagged, list)
-                and all(type(i) is int and 0 <= i < len(values) for i in tagged)):
-            return tuple(columns), count, values, tagged
+                and all(type(i) is int and 0 <= i < len(values)
+                        and type(values[i]) is list for i in tagged)):
+            for index in tagged:
+                values[index] = [decode_value(value) for value in values[index]]
+            if tail is not None:
+                values = [column if type(column) is list else _unpack(column, count, tail)
+                          for column in values]
+            return tuple(columns), count, values
     raise RemoteProtocolError(
         f"malformed answer batch (want [columns, row_count, column_values, "
         f"tagged], each column row_count long): {str(batch)[:200]}")
+
+
+def _unpack(descriptor: dict, count: int, tail: bytes) -> Sequence:
+    """The ``count`` values of one packed column, read off the tail."""
+    kind, at, size = descriptor.get(_TAG), descriptor.get("at"), descriptor.get("size")
+    if not (type(at) is int and type(size) is int and 0 <= at
+            and 0 <= size <= len(tail) - at):
+        raise RemoteProtocolError(
+            f"packed column {descriptor!r} is not inside the {len(tail)}-byte tail")
+    piece = tail[at:at + size]
+    if kind == "text":
+        try:
+            values = str(piece, "utf-8").split(_SEPARATOR)
+        except UnicodeDecodeError as exc:
+            raise RemoteProtocolError(f"packed text column: {exc}") from exc
+        if len(values) != count:
+            raise RemoteProtocolError(
+                f"packed text column of {len(values)} values in a batch of {count} rows")
+        return values
+    if kind == "int64" and size == 8 * count:
+        return struct.unpack(f"<{count}q", piece)
+    raise RemoteProtocolError(
+        f"malformed packed column {descriptor!r} in a batch of {count} rows")
 
 
 def encode_estimate(value: float) -> object:
@@ -302,24 +428,67 @@ def decode_query(payload: dict) -> SourceQuery:
 # Framing
 # ---------------------------------------------------------------------------
 
+def _compact_json() -> Callable[[object], str]:
+    """The compact JSON text of a payload, from one encoder built here:
+    ``json.dumps`` with ``separators`` builds its encoder on every call,
+    which costs a small frame more than encoding it."""
+    encoder = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+    if c_make_encoder is None:  # an interpreter without json's C accelerator
+        return encoder.encode
+    chunks = c_make_encoder(None, encoder.default, encode_basestring_ascii, None,
+                            ":", ",", False, False, True)
+    return lambda payload: "".join(chunks(payload, 0))
+
+
+_dumps = _compact_json()
+
+
 def dump_message(payload: dict) -> bytes:
-    """One complete frame (length prefix included) for ``payload``."""
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    if len(body) > MAX_FRAME_BYTES:
+    """One complete frame (length prefix included) for ``payload``; its
+    ``tail`` bytes, if any, follow the JSON body, which then opens with
+    their size."""
+    tail = payload.get(_TAIL)
+    if tail is not None:
+        head = {_TAIL: len(tail)}
+        head.update((key, value) for key, value in payload.items() if key != _TAIL)
+        body = _dumps(head).encode("utf-8")
+    else:
+        body = _dumps(payload).encode("utf-8")
+        tail = b""
+    size = len(body) + len(tail)
+    if size > MAX_FRAME_BYTES:
         raise RemoteProtocolError(
-            f"message of {len(body)} bytes exceeds the {MAX_FRAME_BYTES}-byte "
+            f"message of {size} bytes exceeds the {MAX_FRAME_BYTES}-byte "
             "frame bound")
-    return _LENGTH.pack(len(body)) + body
+    return b"".join((_LENGTH.pack(size), body, tail))
 
 
 def load_message(body: bytes) -> dict:
-    """Decode one frame body; raises on anything but a JSON object."""
+    """Decode one frame body; raises on anything but a JSON object, or a
+    tail whose size the object does not state."""
+    tail = None
+    if body.startswith(_TAIL_OPEN):
+        end = body.find(b",", len(_TAIL_OPEN), len(_TAIL_OPEN) + 12)
+        digits = body[len(_TAIL_OPEN):end] if end > 0 else b""
+        size = int(digits) if digits.isdigit() else -1
+        if not 0 <= size <= len(body) - end:
+            raise RemoteProtocolError(
+                f"malformed frame: a tail of {digits!r} bytes in a "
+                f"{len(body)}-byte frame")
+        tail = memoryview(body)[len(body) - size:]
+        body = body[:len(body) - size]
     try:
         payload = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise RemoteProtocolError(f"malformed frame: {exc}") from exc
     if not isinstance(payload, dict):
         raise RemoteProtocolError("a protocol message must be a JSON object")
+    if tail is not None:
+        if payload.get(_TAIL) != len(tail):
+            raise RemoteProtocolError(
+                f"malformed frame: it states a tail of {payload.get(_TAIL)!r} "
+                f"bytes, not the {len(tail)} after its body")
+        payload[_TAIL] = tail
     return payload
 
 

@@ -19,7 +19,7 @@ operations mirror the :class:`~repro.core.sources.DataSource` protocol:
 ``execute_batch``
     Evaluate one sub-query for a batch of bindings (one binding is a
     batch of one): the one data operation.  Each binding's answer ships
-    as column-major batches (:func:`~repro.remote.protocol.encode_answer`).
+    as column-major batches (:func:`~repro.remote.protocol.encode_answers`).
 ``estimate``
     The wrapper's cardinality estimate (``null`` encodes ``inf``).
 
@@ -39,7 +39,7 @@ import threading
 import time
 from typing import Optional
 
-from repro.core.sources import DataSource
+from repro.core.sources import DataSource, SourceQuery
 from repro.errors import RemoteProtocolError, ReproError
 from repro.remote import protocol
 
@@ -48,19 +48,26 @@ logger = logging.getLogger(__name__)
 #: Server-side snapshots kept per source (latest versions win).
 MAX_PINNED_SNAPSHOTS = 8
 
+#: Decoded sub-queries kept per source, keyed by their wire form (the
+#: oldest goes first).
+MAX_DECODED_QUERIES = 64
+
 
 class RemoteSourceHandler:
     """Serve one :class:`DataSource` to any transport.
 
     Thread-safe: the TCP server dispatches concurrent connections into
     one shared handler.  Pinned snapshots are memoised per version so
-    every remote query pinning an unchanged source shares one wrapper.
+    every remote query pinning an unchanged source shares one wrapper,
+    and decoded sub-queries per wire form so a repeated sub-query is
+    parsed once, as the local path parses each CMQ's atoms once.
     """
 
     def __init__(self, source: DataSource):
         self.source = source
         self._lock = threading.Lock()
         self._pinned: dict[int, DataSource] = {}
+        self._queries: dict[str, SourceQuery] = {}
 
     def handle(self, request: dict) -> dict:
         """Answer one request payload; never raises."""
@@ -97,16 +104,16 @@ class RemoteSourceHandler:
             return {"ok": True, "version": self._pin()}
         if op == "execute_batch":
             target = self._target(request.get("version"))
-            query = protocol.decode_query(request.get("query"))
+            query = self._query(request.get("query"))
             batch = request.get("bindings_batch")
             if not isinstance(batch, list):
                 raise RemoteProtocolError("bindings_batch must be a list of rows")
             answers = target.execute_batch(query, [protocol.decode_row(b) for b in batch])
-            return {"ok": True, "version": target.pinned_at,
-                    "answers": [protocol.encode_answer(batches) for batches in answers]}
+            return protocol.encode_answers(
+                answers, {"ok": True, "version": target.pinned_at})
         if op == "estimate":
             target = self._target(request.get("version"))
-            query = protocol.decode_query(request.get("query"))
+            query = self._query(request.get("query"))
             bound = request.get("bound_variables") or []
             if not (isinstance(bound, list) and all(isinstance(n, str) for n in bound)):
                 raise RemoteProtocolError("bound_variables must be a list of names")
@@ -114,6 +121,21 @@ class RemoteSourceHandler:
             return {"ok": True, "version": target.pinned_at,
                     "estimate": protocol.encode_estimate(estimate)}
         raise RemoteProtocolError(f"unknown operation {op!r}")
+
+    def _query(self, payload: object) -> SourceQuery:
+        """The sub-query a request carries, decoded once per distinct wire
+        form (``repr`` tells JSON values of different types apart); a
+        payload that fails to decode is not kept."""
+        key = repr(payload)
+        with self._lock:
+            query = self._queries.get(key)
+        if query is None:
+            query = protocol.decode_query(payload)
+            with self._lock:
+                self._queries[key] = query
+                if len(self._queries) > MAX_DECODED_QUERIES:
+                    del self._queries[next(iter(self._queries))]
+        return query
 
     def _pin(self) -> Optional[int]:
         version = self.source.version()

@@ -6,8 +6,9 @@ A mutant is one deliberate bug, applied by monkeypatching the program
 (``test_compact_stores.py``), the JSON matcher's differential against
 per-document reference scans (``test_json_matcher.py::TestEquivalence``),
 the read-protocol tests (``test_digest_maintenance.py::TestReadProtocol``),
-the repair differential (``test_streaming.py::TestRepairDifferential``)
-and then ``test_oracle_harness.py`` once per mutant, each in a fresh
+the repair differential (``test_streaming.py::TestRepairDifferential``),
+the wide-answer wire round trip (``test_remote_federation.py``) and then
+``test_oracle_harness.py`` once per mutant, each in a fresh
 interpreter, and calls the mutant *killed* when they fail; a mutant that
 survives is a bug they cannot see.  The
 kernel and store tests catch what two equally mutated instances cannot
@@ -16,9 +17,9 @@ a phrase no asking of the harness reads, an index entry a matcher's
 verification hides, a walk that drops a pushed-down value, a hash
 probe on one key of several, a read a concurrent writer tears, a keyword
 search a write lands inside, a token analysed under another analyzer's
-configuration.  The unmutated run comes first and must pass.  Not a
-tier-1 test — it runs the harness once per mutant, about ten seconds
-each::
+configuration, a packed text value holding the separator.  The
+unmutated run comes first and must pass.  Not a tier-1 test — it runs
+the harness once per mutant, about ten seconds each::
 
     PYTHONPATH=src python tests/mutants.py            # every mutant
     PYTHONPATH=src python tests/mutants.py NAME ...   # the named ones
@@ -44,6 +45,9 @@ MATCHER = f"{HERE / 'test_json_matcher.py'}::TestEquivalence"
 READS = f"{HERE / 'test_digest_maintenance.py'}::TestReadProtocol"
 #: Entries repaired over pins against cold re-runs.
 REPAIRS = f"{HERE / 'test_streaming.py'}::TestRepairDifferential"
+#: Wide answers through a wire frame, each value back with its type.
+WIRE = (f"{HERE / 'test_remote_federation.py'}"
+        "::test_a_wide_answer_survives_a_revision_4_frame_with_its_types")
 
 
 def constants_out_of_the_binding_key(patch) -> None:
@@ -169,13 +173,14 @@ def wire_skips_tagged_columns(patch) -> None:
     tuple arrives as its tag object."""
     from repro.remote import protocol
 
-    decode = protocol.decode_answer
+    decode = protocol.decode_answers
 
-    def untagged(answer):
-        return decode([[columns, count, values, []]
-                       for columns, count, values, _ in answer])
+    def untagged(response, bindings):
+        answers = [[[columns, count, values, []] for columns, count, values, _ in answer]
+                   for answer in response["answers"]]
+        return decode(dict(response, answers=answers), bindings)
 
-    patch.setattr(protocol, "decode_answer", untagged)
+    patch.setattr(protocol, "decode_answers", untagged)
 
 
 def stored_row_outlives_upsert(patch) -> None:
@@ -255,12 +260,31 @@ def remote_header_reversed(patch) -> None:
     from repro.engine.batch import BindingBatch
     from repro.remote import protocol
 
-    decode = protocol.decode_answer
+    decode = protocol.decode_answers
 
-    def reversed_header(answer):
-        return [BindingBatch(batch.columns[::-1], batch.rows) for batch in decode(answer)]
+    def reversed_header(response, bindings):
+        return [[BindingBatch(batch.columns[::-1], batch.rows) for batch in answer]
+                for answer in decode(response, bindings)]
 
-    patch.setattr(protocol, "decode_answer", reversed_header)
+    patch.setattr(protocol, "decode_answers", reversed_header)
+
+
+def text_packed_without_separator_check(patch) -> None:
+    """A text column is packed though a value holds the separator: that
+    value comes back split in two."""
+    from repro.remote import protocol
+
+    pack = protocol._pack
+
+    def unchecked(column, kind):
+        if kind is not str:
+            return pack(column, kind)
+        # Every other test _pack makes, on the values without the separator.
+        if pack([value.replace(protocol._SEPARATOR, "") for value in column], kind) is None:
+            return None
+        return protocol._SEPARATOR.join(column).encode("utf-8")
+
+    patch.setattr(protocol, "_pack", unchecked)
 
 
 def rank_without_id_tie_break(patch) -> None:
@@ -448,7 +472,8 @@ MUTANTS = {mutant.__name__: mutant for mutant in (
     pinned_catalog_outlives_a_write,
     phrase_ignores_adjacency, json_deindex_drops_a_leaf, unrestricted_leaf_skipped,
     removal_keeps_the_removed_id, pushdown_ignored_under_a_predicate,
-    keyword_candidates_on_fresh_pins, token_memo_ignores_configuration)}
+    keyword_candidates_on_fresh_pins, token_memo_ignores_configuration,
+    text_packed_without_separator_check)}
 
 
 def _run(name: str) -> int:
@@ -463,7 +488,7 @@ def _run(name: str) -> int:
     if name != "none":
         MUTANTS[name](patch)
     return pytest.main(["-q", "-x", "-p", "no:cacheprovider", str(KERNELS), str(STORES),
-                        MATCHER, READS, REPAIRS, str(HARNESS)])
+                        MATCHER, READS, REPAIRS, WIRE, str(HARNESS)])
 
 
 def main(argv: list[str]) -> int:

@@ -493,6 +493,38 @@ class TestCachedSource:
         assert pinned.pinned_at == inner.version()
         assert pinned.digest() is inner.pin().digest()
 
+    def test_rows_a_live_source_answers_after_a_write_are_not_cached_under_the_older_version(self):
+        """A write landing between the layer's version read and its fetch:
+        the fetched rows are newer than that version, so an entry stamped
+        with it would have the next probe's repair add the written
+        document a second time."""
+        store = JSONDocumentStore("docs")
+        store.add_all([{"id": str(i), "topic": "t"} for i in range(3)])
+        wrapper = MixedInstance(graph=Graph("g"), name="moving", entailment=False
+                                ).register_json("json://docs", store)
+        cache = SubQueryResultCache()
+        proxy = CachedSource(wrapper, cache, repair=RepairEngine(cache))
+        query = JSONQuery.from_text("{ id: ?id, topic: ?t }")
+        fetch = wrapper.execute_batch
+
+        def writing(q, batch):
+            store.add({"id": "3", "topic": "t"})
+            return fetch(q, batch)
+
+        wrapper.execute_batch = writing
+        try:
+            assert len(proxy.execute(query)) == 4
+        finally:
+            del wrapper.execute_batch
+        store.add({"id": "4", "topic": "t"})
+        expected = sorted(map(str, wrapper.pin().execute(query)))
+        assert len(expected) == 5
+        assert sorted(map(str, proxy.execute(query))) == expected
+        # Unmoved during that fetch, the wrapper's rows were cached.
+        hits = cache.stats.hits
+        assert sorted(map(str, proxy.execute(query))) == expected
+        assert cache.stats.hits == hits + 1
+
 
 # ---------------------------------------------------------------------------
 # Plan cache

@@ -16,6 +16,7 @@ from repro.rdf import (
     uri,
     var,
 )
+from repro.rdf.bgp import solve
 
 
 @pytest.fixture
@@ -123,3 +124,30 @@ class TestAnswerOverSaturation:
         rows = answer_bgp(q, politics_graph, politics_schema)
         # rdfs:range of memberOf types both parties (already typed explicitly too).
         assert len(rows) == 2
+
+
+class TestDeltaSeeds:
+    """``solve`` with a delta: only the solutions using one of its triples."""
+
+    @staticmethod
+    def seeded(graph, query, delta):
+        with graph.reading() as store:
+            rows = solve(query.patterns, store, (), [()], query.output_variables(), delta)
+        return sorted(tuple(store.dictionary.terms[i].value for i in row) for row in rows)
+
+    def test_a_delta_no_pattern_fits_builds_no_graph(self, monkeypatch, query_head_of_state):
+        graph = Graph("g")
+        graph.add_all([triple("ttn:P1", "ttn:position", "ttn:headOfState"),
+                       triple("ttn:P1", "ttn:twitterAccount", "fhollande"),
+                       triple("ttn:E1", "ttn:about", "ttn:P1")])
+        added = []
+        add_all = Graph.add_all
+        monkeypatch.setattr(Graph, "add_all",
+                            lambda self, triples: added.append(self.name) or add_all(self, triples))
+        unrelated = [triple("ttn:E1", "ttn:about", "ttn:P1"),
+                     triple("ttn:P1", "ttn:position", "ttn:minister")]
+        assert self.seeded(graph, query_head_of_state, unrelated) == []
+        assert added == []
+        fitting = [triple("ttn:P1", "ttn:twitterAccount", "fhollande"), *unrelated]
+        assert self.seeded(graph, query_head_of_state, fitting) == [("fhollande",)]
+        assert added == ["delta"]

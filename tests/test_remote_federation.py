@@ -238,9 +238,10 @@ def _typed(value):
 
 
 def over_the_wire(answer: list) -> list:
-    """One binding's answer (batches) through a revision-3 frame, as dict rows."""
-    frame = {"ok": True, "answers": [protocol.encode_answer(answer)]}
-    return dict_rows(protocol.decode_answer(protocol.roundtrip(frame)["answers"][0]))
+    """One binding's answer (batches) through a frame, as dict rows."""
+    frame = protocol.encode_answers([answer], {"ok": True})
+    (decoded,) = protocol.decode_answers(protocol.roundtrip(frame), 1)
+    return dict_rows(decoded)
 
 
 _VALUES = st.recursive(
@@ -262,7 +263,7 @@ def _batches(draw):
 @settings(max_examples=150, deadline=None)
 @given(answer=st.lists(_batches(), max_size=3))
 def test_answer_codec_roundtrip(answer):
-    """Every value the mediator holds survives a revision-3 frame with its
+    """Every value the mediator holds survives a frame with its
     type: None, bool, int, float (inf, NaN), str, tuple, list, dicts with a
     ``"$"`` key, dates and datetimes, alone or mixed in one column."""
     assert _typed(over_the_wire(answer)) == _typed(dict_rows(answer))
@@ -271,7 +272,7 @@ def test_answer_codec_roundtrip(answer):
 def test_only_a_column_holding_a_non_json_value_is_tagged():
     batch = BindingBatch(("s", "mixed", "plain"),
                          [("a", 1, None), ("b", (1, 2), 2.5), ("c", date(2016, 1, 1), True)])
-    (encoded,) = protocol.encode_answer([batch])
+    ((encoded,),) = protocol.encode_answers([[batch]], {})["answers"]
     assert encoded[1] == 3 and encoded[3] == [1]
     rows = over_the_wire([batch])
     assert rows == batch.dicts()
@@ -316,7 +317,214 @@ def test_a_key_set_change_inside_one_answer_keeps_row_order():
 ], ids=lambda answer: str(answer)[:40])
 def test_a_malformed_answer_is_a_typed_error(answer):
     with pytest.raises(RemoteProtocolError):
-        protocol.decode_answer(answer)
+        protocol.decode_answers({"answers": [answer]}, 1)
+
+
+# ---------------------------------------------------------------------------
+# Revision 4: wide columns travel as bytes after the frame's JSON body
+# ---------------------------------------------------------------------------
+
+#: Characters per value that pack a text column of the fewest rows.
+LONG = -(-protocol.PACKED_MIN_CHARS // protocol.PACKED_MIN_ROWS)
+
+#: Per column kind: its plain values, and values that keep a column of
+#: them off the tail (or test what the tail decodes to).
+_WIDE_KINDS = {
+    "short text": (st.text(max_size=6), ["", "\x00", "a\x00b", "\ud800", "x\udfffy", 5]),
+    "long text": (st.text(min_size=LONG + 8, max_size=LONG + 16),
+                  ["", "\x00" * 30, "\udc80" * 30, "é" * 30, None]),
+    "int": (st.integers(-2 ** 63, 2 ** 63 - 1),
+            [2 ** 63, -2 ** 63 - 1, True, False, 1.0, 0]),
+    "mixed": (st.one_of(st.floats(), st.booleans(), st.none()),
+              [float("nan"), (1, "a"), date(2016, 1, 1), ""]),
+}
+
+
+@st.composite
+def _wide_batches(draw):
+    """A batch of 0-3 columns, each of one kind, past the packing
+    threshold; a column may hold a few of its kind's odd values."""
+    count = draw(st.integers(protocol.PACKED_MIN_ROWS, protocol.PACKED_SHORT_TEXT_ROWS + 8))
+    kinds = draw(st.lists(st.sampled_from(sorted(_WIDE_KINDS)), max_size=3))
+    columns = []
+    for kind in kinds:
+        plain, odd = _WIDE_KINDS[kind]
+        values = draw(st.lists(plain, min_size=count, max_size=count))
+        for _ in range(draw(st.integers(0, 2))):
+            values[draw(st.integers(0, count - 1))] = draw(st.sampled_from(odd))
+        columns.append(values)
+    names = [f"c{i}" for i in range(len(columns))]
+    return BindingBatch(names, list(zip(*columns)) if columns else [()] * count)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(answers=st.lists(st.lists(_wide_batches(), max_size=2), min_size=1, max_size=2))
+def test_a_wide_answer_survives_a_revision_4_frame_with_its_types(answers):
+    """Batches past the packing threshold, each value back with its exact
+    type: a separator inside a text value, lone surrogates, empty strings,
+    ints beyond int64, ``bool`` beside ``int``, NaN, one column and none."""
+    frame = protocol.dump_message(protocol.encode_answers(answers, {"ok": True}))
+    decoded = protocol.decode_answers(protocol.load_message(frame[4:]), len(answers))
+    assert [_typed(dict_rows(answer)) for answer in decoded] == \
+        [_typed(dict_rows(answer)) for answer in answers]
+
+
+def test_wide_columns_pack_by_kind_and_size():
+    """A column packs when every value is exactly ``str`` (long enough, or
+    enough of them) or exactly ``int`` within int64, and the text holds no
+    separator and encodes as strict UTF-8; every other column is JSON."""
+    rows = protocol.PACKED_SHORT_TEXT_ROWS
+    long_text = "x" * LONG
+    cases = {
+        "long": ([long_text] * protocol.PACKED_MIN_ROWS, "text"),
+        "too few characters": (["x" * (LONG - 1)] * protocol.PACKED_MIN_ROWS, None),
+        "short": (["x"] * rows, "text"),
+        "few short": (["x"] * (rows - 1), None),
+        "too few": ([long_text] * (protocol.PACKED_MIN_ROWS - 1), None),
+        "separator": ([long_text] * (rows - 1) + ["a\x00b"], None),
+        "surrogate": ([long_text] * (rows - 1) + ["\ud800"], None),
+        "str subclass": ([long_text] * (rows - 1) + [type("S", (str,), {})("s")], None),
+        "ints": (list(range(protocol.PACKED_MIN_INTS)), "int64"),
+        "few ints": (list(range(protocol.PACKED_MIN_INTS - 1)), None),
+        "int64 bounds": ([-2 ** 63, 2 ** 63 - 1] * rows, "int64"),
+        "beyond int64": ([2 ** 63] + [0] * rows, None),
+        "bool beside int": ([True] + [0] * rows, None),
+        "bools": ([True] * rows, None),
+    }
+    for name, (values, packed) in cases.items():
+        batch = BindingBatch(("c",), [(value,) for value in values])
+        response = protocol.encode_answers([[batch]], {})
+        ((_, count, (column,), tagged),), = response["answers"]
+        assert count == len(values), name
+        if packed is None:
+            assert type(column) is not dict and "tail" not in response, name
+        else:
+            assert column == {"$": packed, "at": 0, "size": len(response["tail"])}, name
+        (answer,) = protocol.decode_answers(protocol.roundtrip(response), 1)
+        assert dict_rows(answer) == batch.dicts(), name
+
+
+def test_a_frame_without_packed_columns_is_a_revision_3_frame():
+    """No tail, no tail size: the body is the payload's compact JSON."""
+    batch = BindingBatch(("s", "n", "f"), [("é", 1, float("nan")), ("\x00", 2, float("inf"))])
+    payload = protocol.encode_answers([[batch]], {"ok": True, "version": 7})
+    frame = protocol.dump_message(payload)
+    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    assert "tail" not in payload and frame == len(body).to_bytes(4, "big") + body
+
+
+def _packed_frame(descriptor=lambda tail, descriptors: None, tail_bytes=None,
+                  head=None) -> bytes:
+    """The body of a frame answering one binding with one batch of a long
+    text column and an int column, both packed, after three edits: of
+    the column descriptors, of the tail's bytes, of the JSON body's text."""
+    rows = max(protocol.PACKED_MIN_ROWS, protocol.PACKED_MIN_INTS)
+    batch = BindingBatch(("t", "n"), [(f"value {i:04d} " * 4, i) for i in range(rows)])
+    response = protocol.encode_answers([[batch]], {"ok": True})
+    descriptors = response["answers"][0][0][2]
+    assert [d["$"] for d in descriptors] == ["text", "int64"]
+    descriptor(response["tail"], descriptors)
+    if tail_bytes is not None:
+        response["tail"] = tail_bytes(response["tail"])
+        if response["tail"] is None:
+            del response["tail"]
+    body = protocol.dump_message(response)[4:]
+    return body if head is None else head(body)
+
+
+def test_a_packed_frame_round_trips():
+    (answer,) = protocol.decode_answers(protocol.load_message(_packed_frame()), 1)
+    assert [row[1] for row in answer[0].rows] == list(range(len(answer[0].rows)))
+
+
+def _set(column: int, **fields):
+    return lambda tail, descriptors: descriptors[column].update(fields)
+
+
+def _one_value_short(tail, descriptors):
+    text = descriptors[0]
+    last = bytes(tail).rindex(b"\x00", text["at"], text["at"] + text["size"])
+    text["size"] = last - text["at"]
+
+
+def _lying_tail_size(by: int):
+    def edit(body: bytes) -> bytes:
+        size = int(body[len(b'{"tail":'):body.index(b",")])
+        return body.replace(b'{"tail":%d,' % size, b'{"tail":%d,' % (size + by), 1)
+    return edit
+
+
+@pytest.mark.parametrize("frame", [
+    dict(descriptor=lambda tail, d: d[0].update(at=len(tail))),
+    dict(descriptor=lambda tail, d: d[1].update(size=len(tail) + 8)),
+    dict(descriptor=_set(0, at=-1)),
+    dict(descriptor=_set(0, at="0")),
+    dict(descriptor=_one_value_short),
+    dict(tail_bytes=lambda tail: b"\xff" + tail[1:]),
+    dict(descriptor=lambda tail, d: d[1].update(size=d[1]["size"] - 8)),
+    dict(descriptor=lambda tail, d: d[1].update(size=d[1]["size"] - 1)),
+    dict(descriptor=_set(1, **{"$": "float64"})),
+    dict(head=_lying_tail_size(+1)),
+    dict(head=_lying_tail_size(-1)),
+    dict(head=_lying_tail_size(+10 ** 9)),
+    dict(tail_bytes=lambda tail: None),
+    dict(head=lambda body: b'{"tail":"7",' + body[body.index(b",") + 1:]),
+], ids=["offset-past-the-frame", "size-past-the-frame", "negative-offset",
+        "offset-not-an-int", "wrong-piece-count", "invalid-utf8",
+        "int-size-not-8-per-row", "int-size-not-a-multiple-of-8", "unknown-kind",
+        "tail-length-lies-long", "tail-length-lies-short", "tail-past-the-frame",
+        "descriptors-without-a-tail", "tail-size-not-a-number"])
+def test_a_malformed_tail_is_a_typed_error(frame):
+    with pytest.raises(RemoteProtocolError):
+        protocol.decode_answers(protocol.load_message(_packed_frame(**frame)), 1)
+
+
+def test_a_frame_bound_counts_its_tail():
+    batch = BindingBatch(("t",), [("x" * 64,)] * protocol.PACKED_SHORT_TEXT_ROWS)
+    response = protocol.encode_answers([[batch]], {"ok": True})
+    size = len(protocol.dump_message(response))
+    assert len(response["tail"]) > size // 2
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocol, "MAX_FRAME_BYTES", size - 5)
+        with pytest.raises(RemoteProtocolError, match="frame bound"):
+            protocol.dump_message(response)
+
+
+def test_the_server_decodes_each_distinct_sub_query_once(monkeypatch):
+    """A repeated sub-query is decoded once, estimates share the memo, a
+    payload that fails to decode is decoded (and refused) each time, and
+    the memo stays bounded."""
+    from repro.remote import server
+
+    base = build_instance("decoded")
+    source = base.source("json://tweets")
+    handler = RemoteSourceHandler(source)
+    decoded = []
+    decode = protocol.decode_query
+    monkeypatch.setattr(protocol, "decode_query",
+                        lambda payload: decoded.append(payload) or decode(payload))
+    query = protocol.encode_query(atom_queries(base)["json://tweets"])
+
+    def ask(payload, op="execute_batch"):
+        return handler.handle({"op": op, "protocol": protocol.PROTOCOL_VERSION,
+                               "query": payload, "bindings_batch": [{"id": HANDLES[0]}],
+                               "bound_variables": []})
+
+    answers = [ask(query) for _ in range(3)]
+    assert all(answer["ok"] for answer in answers) and len(decoded) == 1
+    assert ask(dict(query))["answers"] == answers[0]["answers"] and len(decoded) == 1
+    assert ask(query, "estimate")["ok"] and len(decoded) == 1
+    # JSON values of another type are another sub-query.
+    assert ask(dict(query, limit=1))["ok"] and ask(dict(query, limit=True))["ok"]
+    assert len(decoded) == 3
+    for _ in range(2):
+        refused = ask({"kind": "json"})
+        assert refused["error"]["type"] == "RemoteProtocolError"
+    assert len(decoded) == 5
+    for limit in range(2 * server.MAX_DECODED_QUERIES):
+        assert ask(dict(query, limit=limit + 2))["ok"]
+    assert len(handler._queries) == server.MAX_DECODED_QUERIES
 
 
 # ---------------------------------------------------------------------------
@@ -1156,41 +1364,47 @@ def test_a_peer_of_another_revision_gets_a_typed_error_naming_both():
         RemoteSource(future)  # the hello is refused
 
 
-def test_a_revision_2_peer_gets_a_typed_error_in_both_directions():
-    """Revision 2 answered a dict per row; neither side may misread the
-    other, and each error names both revisions."""
-    assert protocol.PROTOCOL_VERSION == 3
-    base = build_instance("revision2")
+def test_a_revision_3_peer_gets_a_typed_error_in_both_directions():
+    """Revision 3 sent every answer column as JSON; neither side may
+    misread the other, and each error names both revisions."""
+    assert protocol.PROTOCOL_VERSION == 4
+    base = build_instance("revision3")
     source = base.source("sql://profiles")
     query = atom_queries(base)["sql://profiles"]
-    # A revision-2 client asking this server.
+    # A revision-3 client asking this server.
     old_client = HookTransport(LocalTransport(RemoteSourceHandler(source).handle),
-                               lambda payload: payload.update(protocol=2))
+                               lambda payload: payload.update(protocol=3))
     remote = RemoteSource(old_client, uri=source.uri, model=source.model, options=FAST)
     with pytest.raises(RemoteProtocolError,
-                       match="the client speaks 2, the server speaks 3"):
+                       match="the client speaks 3, the server speaks 4"):
         remote.execute(query, {"id": HANDLES[0]})
 
-    # A revision-2 server asked by this client: its hello advertises 2, and
-    # it refuses every revision-3 frame the way revision 2 refused others.
-    class Revision2Server(Transport):
+    # A revision-3 server asked by this client: its hello advertises 3, and
+    # it refuses every revision-4 frame the way revision 3 refused others.
+    class Revision3Server(Transport):
         def request(self, payload, timeout=None):
-            if payload.get("protocol") != 2:
+            if payload.get("protocol") != 3:
                 return {"ok": False, "error": {
                     "type": "RemoteProtocolError",
-                    "message": protocol.revision_mismatch(payload.get("protocol"), 2)}}
-            return {"ok": True, "protocol": 2, "uri": source.uri, "model": source.model}
+                    "message": protocol.revision_mismatch(payload.get("protocol"), 3)}}
+            return {"ok": True, "protocol": 3, "uri": source.uri, "model": source.model}
 
     with pytest.raises(RemoteProtocolError,
-                       match="the client speaks 3, the server speaks 2"):
-        RemoteSource(Revision2Server())
-    remote = RemoteSource(Revision2Server(), uri=source.uri, model=source.model,
+                       match="the client speaks 4, the server speaks 3"):
+        RemoteSource(Revision3Server())
+    remote = RemoteSource(Revision3Server(), uri=source.uri, model=source.model,
                           options=FAST)
     with pytest.raises(RemoteProtocolError,
-                       match="the client speaks 3, the server speaks 2"):
+                       match="the client speaks 4, the server speaks 3"):
         remote.execute(query, {"id": HANDLES[0]})
-    # Revision 2's answer layout, had it got through, is refused, not read
-    # as no rows.
+    # A revision-4 frame with packed columns, had it reached a revision-3
+    # reader, is refused there (its JSON body has bytes after it), not read
+    # as no rows; and an answer layout without ``answers`` is refused here.
+    wide = BindingBatch(("t",), [("x" * LONG,)] * protocol.PACKED_MIN_ROWS)
+    frame = protocol.dump_message(protocol.encode_answers([[wide]], {"ok": True}))
+    with pytest.raises(json.JSONDecodeError, match="Extra data"):
+        json.loads(frame[4:].decode("utf-8"))
+
     class Revision2Answer(Transport):
         def request(self, payload, timeout=None):
             return {"ok": True, "groups": [[{"id": HANDLES[0], "f": 100}]]}

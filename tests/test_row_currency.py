@@ -659,7 +659,7 @@ class TestTupleBuilders:
 
     def test_a_remote_answer_decodes_into_batches(self):
         batch = BindingBatch(("a", "b"), [(1, (2,)), (3, None)])
-        frame = protocol.roundtrip({"answers": [protocol.encode_answer([batch])]})
-        (decoded,) = protocol.decode_answer(frame["answers"][0])
-        assert isinstance(decoded, BindingBatch) and protocol.PROTOCOL_VERSION == 3
+        frame = protocol.roundtrip(protocol.encode_answers([[batch]], {}))
+        ((decoded,),) = protocol.decode_answers(frame, 1)
+        assert isinstance(decoded, BindingBatch) and protocol.PROTOCOL_VERSION == 4
         assert decoded.columns == batch.columns and decoded.rows == batch.rows
